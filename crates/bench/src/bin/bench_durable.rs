@@ -5,7 +5,8 @@
 //! durability overheads:
 //!
 //!   1. WAL bytes appended per window (start + batch + commit records),
-//!   2. snapshot size at the configured cadence,
+//!   2. snapshot size, bytes per edge and write time at the configured
+//!      cadence, and the load time (read + checksum + decode) recovery paid,
 //!   3. recovery time — twice: from the latest snapshot plus the WAL tail
 //!      (the normal path), and on a twin pipeline that never snapshots,
 //!      so recovery replays the whole log from genesis (the worst case).
@@ -18,10 +19,13 @@
 //! Usage:
 //!   bench_durable [--scale f] [--seed n] [--windows n] [--threads n]
 //!                 [--snapshot-every n] [--out path] [--assert-max-recovery-ms n]
+//!                 [--assert-max-snapshot-bytes-per-edge x]
 //!
 //! `--assert-max-recovery-ms n` exits non-zero unless the snapshot-path
-//! recovery finishes within `n` milliseconds (used by `scripts/verify.sh`
-//! as a smoke gate alongside the built-in bit-exactness asserts).
+//! recovery finishes within `n` milliseconds, and
+//! `--assert-max-snapshot-bytes-per-edge x` unless the last snapshot costs
+//! at most `x` bytes per graph edge (both used by `scripts/verify.sh` as
+//! smoke gates alongside the built-in bit-exactness asserts).
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -42,6 +46,7 @@ struct Args {
     snapshot_every: u64,
     out: String,
     assert_max_recovery_ms: Option<u64>,
+    assert_max_snapshot_bytes_per_edge: Option<f64>,
 }
 
 fn parse_args() -> Args {
@@ -53,6 +58,7 @@ fn parse_args() -> Args {
         snapshot_every: 4,
         out: "BENCH_durable.json".to_string(),
         assert_max_recovery_ms: None,
+        assert_max_snapshot_bytes_per_edge: None,
     };
     let argv: Vec<String> = std::env::args().collect();
     let mut i = 1;
@@ -73,6 +79,10 @@ fn parse_args() -> Args {
             "--assert-max-recovery-ms" => {
                 args.assert_max_recovery_ms =
                     Some(value.parse().expect("--assert-max-recovery-ms takes an integer"))
+            }
+            "--assert-max-snapshot-bytes-per-edge" => {
+                args.assert_max_snapshot_bytes_per_edge =
+                    Some(value.parse().expect("--assert-max-snapshot-bytes-per-edge takes a float"))
             }
             other => panic!("unknown option {other}"),
         }
@@ -151,7 +161,8 @@ fn main() {
                 .expect("create durable dir");
 
         let mut records: Vec<WindowRecord> = Vec::new();
-        let mut snapshot_sizes: Vec<u64> = Vec::new();
+        // (encoded bytes, write time) per snapshot cut.
+        let mut snapshots: Vec<(u64, Duration)> = Vec::new();
         let genesis_bytes = durable.store().appended_bytes();
         let mut bytes_before = genesis_bytes;
         let p0 = TrafficProfile::uniform(graph.num_vertices(), 8.0);
@@ -184,8 +195,9 @@ fn main() {
             // Explicit snapshots at the cadence (the automatic trigger is
             // off) so each one's byte size can be recorded.
             let snap_bytes = if cadence > 0 && (i as u64 + 1).is_multiple_of(cadence) {
+                let start = Instant::now();
                 let b = durable.snapshot_now().expect("snapshot");
-                snapshot_sizes.push(b);
+                snapshots.push((b, start.elapsed()));
                 Some(b)
             } else {
                 None
@@ -214,12 +226,12 @@ fn main() {
         let masters = core.masters().to_vec();
         let cost_bits = core.movement_cost().to_bits();
         drop(durable); // the "crash": nothing survives but the directory
-        (records, snapshot_sizes, genesis_bytes, committed, masters, cost_bits)
+        (records, snapshots, genesis_bytes, committed, masters, cost_bits)
     };
 
     // Run with snapshots; the same deterministic workload later reruns
     // snapshot-free for the full-replay recovery measurement.
-    let (records, snapshot_sizes, genesis_bytes, committed, live_masters, live_cost_bits) =
+    let (records, snapshots, genesis_bytes, committed, live_masters, live_cost_bits) =
         drive(&dir, args.snapshot_every, true);
 
     // Recovery 1: normal path, latest snapshot + WAL tail.
@@ -233,6 +245,7 @@ fn main() {
     let (core, _) = recovered.inner().carried_parts().expect("recovered state");
     assert_eq!(core.movement_cost().to_bits(), live_cost_bits, "movement cost not bit-exact");
     let tail_windows = summary.replayed_windows;
+    let snapshot_load = summary.report.snapshot_load;
     drop(recovered);
 
     // Recovery 2: worst case — the twin pipeline never snapshotted, so
@@ -256,12 +269,17 @@ fn main() {
 
     let wal_total: u64 = records.iter().map(|r| r.wal_bytes).sum();
     let wal_per_window = wal_total as f64 / records.len() as f64;
-    let snap_last = snapshot_sizes.last().copied().unwrap_or(0);
+    let (snap_last, snapshot_write) = snapshots.last().copied().unwrap_or_default();
+    // The last snapshot is cut after the last window, over the final graph.
+    let snap_bytes_per_edge = snap_last as f64 / final_graph.num_edges() as f64;
     eprintln!(
         "  recovery: snapshot+tail {:.3}ms ({tail_windows} windows replayed) vs full replay {:.3}ms ({committed} windows); \
-         wal {wal_total} B total ({wal_per_window:.0} B/window), last snapshot {snap_last} B; bit-exact OK",
+         wal {wal_total} B total ({wal_per_window:.0} B/window), last snapshot {snap_last} B \
+         ({snap_bytes_per_edge:.3} B/edge, written in {:.3}ms, loaded in {:.3}ms); bit-exact OK",
         recovery_snapshot.as_secs_f64() * 1e3,
         recovery_full.as_secs_f64() * 1e3,
+        snapshot_write.as_secs_f64() * 1e3,
+        snapshot_load.as_secs_f64() * 1e3,
     );
 
     let mut json = String::new();
@@ -293,6 +311,9 @@ fn main() {
     let _ = writeln!(json, "  \"wal_bytes_total\": {wal_total},");
     let _ = writeln!(json, "  \"wal_bytes_per_window\": {wal_per_window:.1},");
     let _ = writeln!(json, "  \"snapshot_bytes_last\": {snap_last},");
+    let _ = writeln!(json, "  \"snapshot_bytes_per_edge\": {snap_bytes_per_edge:.4},");
+    let _ = writeln!(json, "  \"snapshot_write_ms\": {:.3},", snapshot_write.as_secs_f64() * 1e3);
+    let _ = writeln!(json, "  \"snapshot_load_ms\": {:.3},", snapshot_load.as_secs_f64() * 1e3);
     let _ = writeln!(json, "  \"recovery_snapshot_secs\": {:.6},", recovery_snapshot.as_secs_f64());
     let _ = writeln!(json, "  \"recovery_snapshot_replayed_windows\": {tail_windows},");
     let _ = writeln!(json, "  \"recovery_full_secs\": {:.6},", recovery_full.as_secs_f64());
@@ -310,5 +331,11 @@ fn main() {
     if let Some(max_ms) = args.assert_max_recovery_ms {
         let got = recovery_snapshot.as_millis() as u64;
         assert!(got <= max_ms, "snapshot-path recovery took {got}ms (limit {max_ms}ms)");
+    }
+    if let Some(max) = args.assert_max_snapshot_bytes_per_edge {
+        assert!(
+            snap_bytes_per_edge <= max,
+            "last snapshot costs {snap_bytes_per_edge:.3} B/edge (limit {max})"
+        );
     }
 }

@@ -360,17 +360,36 @@ pub fn run(command: Command) -> Result<String, String> {
                 .collect::<Vec<_>>()
                 .join(" ");
             Ok(format!(
-                "store         : {}\nserved window : {} ({} replayed{})\nmasters fnv   : {:#018x}\n\
-                 epoch         : {}\nlookups       : {served} ({rate:.0}/s)\nmaster mix    : {dist}",
+                "store         : {}\nserved window : {} ({} replayed{})\nsnapshot      : {}\n\
+                 masters fnv   : {:#018x}\nepoch         : {}\n\
+                 lookups       : {served} ({rate:.0}/s)\nmaster mix    : {dist}",
                 store.display(),
                 boot.window,
                 boot.replayed_windows,
                 if boot.rolled_back { ", uncommitted tail ignored" } else { "" },
+                snapshot_note(&boot.recovery),
                 boot.masters_fnv,
                 server.published_epoch(),
             ))
         }
     }
+}
+
+/// The snapshot a recovery started from: size and read + checksum + decode
+/// time, plus anything the scan had to skip or sweep.
+fn snapshot_note(report: &geodur::RecoveryReport) -> String {
+    let mut note = format!(
+        "{} B loaded in {:.1} ms",
+        report.snapshot_bytes,
+        report.snapshot_load.as_secs_f64() * 1e3
+    );
+    if report.snapshots_skipped > 0 {
+        note.push_str(&format!(", {} undecodable skipped", report.snapshots_skipped));
+    }
+    if report.tmp_swept > 0 {
+        note.push_str(&format!(", {} orphaned tmp swept", report.tmp_swept));
+    }
+    note
 }
 
 /// Runs the partition as one committed window of the durable pipeline.
@@ -404,10 +423,11 @@ fn durable_partition(
             ));
         }
         let note = format!(
-            "recovered at window {} ({} replayed{})",
+            "recovered at window {} ({} replayed{}; snapshot {})",
             summary.next_window,
             summary.replayed_windows,
-            if summary.rolled_back { ", tail rolled back" } else { "" }
+            if summary.rolled_back { ", tail rolled back" } else { "" },
+            snapshot_note(&summary.report),
         );
         (d, note)
     } else {
@@ -606,6 +626,7 @@ mod tests {
         let report =
             run(Command::Partition { graph, out: None, options: options.clone() }).unwrap();
         assert!(report.contains("recovered at window 1"), "{report}");
+        assert!(report.contains("; snapshot ") && report.contains(" B loaded in "), "{report}");
         assert!(report.contains("window 1 committed"), "{report}");
 
         // A different graph against the same state directory is refused.
@@ -620,6 +641,10 @@ mod tests {
         // no graph file, no retraining — and answers lookups from it.
         let report = run(Command::Serve { store: dir.clone(), lookups: 5_000, options }).unwrap();
         assert!(report.contains("served window : 2"), "{report}");
+        assert!(
+            report.contains("snapshot      : ") && report.contains(" B loaded in "),
+            "{report}"
+        );
         assert!(report.contains("lookups       : 5000"), "{report}");
         assert!(report.contains("epoch         : 1"), "{report}");
         let _ = std::fs::remove_dir_all(&dir);

@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use geodur::{
     env_fingerprint, masters_fnv, Batch, Commit, DurableError, DurableStore, RecoveryReport,
-    Snapshot, WindowStart,
+    SnapshotRef, WindowStart,
 };
 use geograph::{DcId, GeoGraph, GraphDelta};
 use geopart::TrafficProfile;
@@ -318,19 +318,19 @@ impl DurableAdaptive {
     }
 
     /// Cuts a snapshot at the current committed boundary and prunes
-    /// snapshots and WAL segments behind it. Returns the snapshot's
-    /// encoded size.
+    /// snapshots and WAL segments behind it. The live graph and placement
+    /// are streamed to disk as they stand — nothing is cloned. Returns the
+    /// snapshot's encoded size.
     pub fn snapshot_now(&mut self) -> Result<u64, DurableError> {
-        let placement = self.inner.carried_parts().cloned();
-        let snap = Snapshot {
+        let snap = SnapshotRef {
             lsn: self.store.next_lsn(),
             window: self.window,
             env_fp: self.env_fp,
-            geo: self.geo.clone(),
-            placement,
+            geo: &self.geo,
+            placement: self.inner.carried_parts().map(|(state, theta)| (state, *theta)),
             trainer: None,
         };
-        let bytes = self.store.write_snapshot(&snap)?;
+        let bytes = self.store.write_snapshot_ref(snap)?;
         self.windows_since_snapshot = 0;
         Ok(bytes)
     }

@@ -7,8 +7,9 @@
 //!   flags), per-step accepted migration batches, and window commits.
 //!   Length-prefixed, checksum-per-record, atomically-rotated segments.
 //! * [`snapshot`] — periodic compact snapshots of `(GeoGraph,
-//!   PlacementState, trainer blob)` so recovery replays a bounded log
-//!   suffix instead of history from genesis.
+//!   PlacementState, trainer blob)`, streamed from a borrowed view of the
+//!   live state, so recovery replays a bounded log suffix instead of
+//!   history from genesis.
 //! * [`records`] — the typed WAL record kinds and their wire codecs.
 //! * [`replay`] — crash recovery: latest valid snapshot + WAL replay
 //!   through the *same* placement mutation paths the live trainer uses
@@ -38,6 +39,6 @@ pub mod wal;
 pub use error::{env_fingerprint, fnv1a, DurableError};
 pub use records::{Batch, Commit, Record, WindowStart};
 pub use replay::{masters_fnv, replay, RecoveredPipeline};
-pub use snapshot::Snapshot;
+pub use snapshot::{Snapshot, SnapshotRef};
 pub use store::{DurableStore, RecoveryReport};
 pub use wal::{LoadedRecord, Wal, WalReport};

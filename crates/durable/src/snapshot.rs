@@ -2,40 +2,48 @@
 //! at a WAL position.
 //!
 //! A snapshot pins everything replay would otherwise have to reconstruct
-//! from genesis: the graph as of some committed window, the verbatim
-//! placement accumulators (via [`geopart::snapshot`], every `f64` as raw
-//! bits), the carried theta, and optionally an opaque trainer checkpoint
-//! blob (the existing `TrainerCheckpoint` wire format — this layer stores
-//! the bytes, the trainer validates them). Recovery = newest decodable
-//! snapshot + WAL replay from its [`Snapshot::lsn`].
+//! from genesis: the graph as of some committed window (gap-varint rows,
+//! [`geograph::wire`]), the verbatim placement accumulators
+//! ([`geopart::snapshot`]: every `f64` as raw bits, the count plane
+//! sparse), the carried theta, and optionally an opaque trainer checkpoint
+//! blob (this layer stores the bytes, the trainer validates them).
+//! Recovery = newest decodable snapshot + WAL replay from its
+//! [`Snapshot::lsn`].
+//!
+//! There is one encoder, and it borrows: a [`SnapshotRef`] views the live
+//! state and [`write`] streams it through a buffered file sink that folds
+//! the FNV-1a trailer in block by block — cutting a snapshot costs
+//! O(buffer) transient heap. The owned [`Snapshot`] is the decoded form.
 //!
 //! Files are `snap-<lsn>.snap` under `<store>/snap/`, written atomically
-//! (tmp + rename + directory fsync) with an FNV-1a trailer over the whole
-//! payload. [`load_latest`] walks candidates newest-first and *skips*
-//! corrupt ones (reporting how many) — a torn or bit-flipped snapshot
-//! costs replay time, never correctness. The store writes a genesis
-//! snapshot (window 0, no placement) at creation, so an empty snapshot
-//! directory is always [`DurableError::NoValidSnapshot`], distinguishing
-//! "new store" from "store with its snapshots destroyed".
+//! (tmp + rename + directory fsync). [`load_latest`] walks candidates
+//! newest-first and *skips* undecodable ones (reporting how many) — a
+//! torn, bit-flipped or older-format snapshot costs replay time, never
+//! correctness. The store writes a genesis snapshot (window 0, no
+//! placement) at creation, so an empty snapshot directory is always
+//! [`DurableError::NoValidSnapshot`]: not a new store, a destroyed one.
 
 use std::fs::File;
-use std::io::Write;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
-use geograph::wire::{self, Reader, WireError};
+use geograph::wire::{self, put_varint, Reader, WireError};
 use geograph::GeoGraph;
 use geopart::snapshot::{decode_placement, encode_placement};
 use geopart::PlacementState;
 
-use crate::error::{fnv1a, DurableError};
+use crate::error::{fnv1a, fnv1a_fold, DurableError, FNV_OFFSET};
 
 /// Magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 4] = *b"RLSN";
-/// Current snapshot format version. v2 added the environment fingerprint
-/// (`env_fp`) so recovery refuses a mismatched environment.
-pub const VERSION: u32 = 2;
+/// The one snapshot format version; any other is
+/// [`DurableError::UnsupportedVersion`].
+pub const VERSION: u32 = 3;
+/// File-sink buffer: the whole transient heap of cutting a snapshot.
+const SINK_BUFFER_BYTES: usize = 64 << 10;
 
-/// Pipeline state at a WAL position.
+/// Pipeline state at a WAL position, owned — what a snapshot decodes to.
 #[derive(Debug)]
 pub struct Snapshot {
     /// First WAL record NOT reflected in this snapshot — replay resumes
@@ -56,6 +64,18 @@ pub struct Snapshot {
     pub trainer: Option<Vec<u8>>,
 }
 
+/// A borrowed view of the same six fields — what gets encoded, so cutting
+/// a snapshot of live state clones nothing.
+#[derive(Clone, Copy, Debug)]
+pub struct SnapshotRef<'a> {
+    pub lsn: u64,
+    pub window: u64,
+    pub env_fp: u64,
+    pub geo: &'a GeoGraph,
+    pub placement: Option<(&'a PlacementState, usize)>,
+    pub trainer: Option<&'a [u8]>,
+}
+
 fn snap_dir(store_dir: &Path) -> PathBuf {
     store_dir.join("snap")
 }
@@ -64,35 +84,55 @@ fn snap_name(lsn: u64) -> String {
     format!("snap-{lsn:020}.snap")
 }
 
-impl Snapshot {
-    /// Serializes the snapshot, checksum trailer included.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&self.lsn.to_le_bytes());
-        out.extend_from_slice(&self.window.to_le_bytes());
-        out.extend_from_slice(&self.env_fp.to_le_bytes());
-        wire::encode_geo(&self.geo, &mut out);
-        match &self.placement {
+impl SnapshotRef<'_> {
+    /// Streams the payload (everything but the checksum trailer) to `w`.
+    fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        w.write_all(&MAGIC)?;
+        w.write_all(&VERSION.to_le_bytes())?;
+        w.write_all(&self.lsn.to_le_bytes())?;
+        w.write_all(&self.window.to_le_bytes())?;
+        w.write_all(&self.env_fp.to_le_bytes())?;
+        wire::encode_geo(self.geo, w)?;
+        match self.placement {
             Some((state, theta)) => {
-                out.push(1);
-                out.extend_from_slice(&(*theta as u64).to_le_bytes());
-                encode_placement(state, &mut out);
+                w.write_all(&[1])?;
+                put_varint(w, theta as u64)?;
+                encode_placement(state, w)?;
             }
-            None => out.push(0),
+            None => w.write_all(&[0])?,
         }
-        match &self.trainer {
+        match self.trainer {
             Some(blob) => {
-                out.push(1);
-                out.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-                out.extend_from_slice(blob);
+                w.write_all(&[1])?;
+                put_varint(w, blob.len() as u64)?;
+                w.write_all(blob)
             }
-            None => out.push(0),
+            None => w.write_all(&[0]),
         }
+    }
+
+    /// The snapshot with its checksum trailer — the bytes [`write`] streams
+    /// out. Fails only on a graph the wire cannot carry (duplicate edges).
+    pub fn to_bytes(&self) -> io::Result<Vec<u8>> {
+        let mut out = Vec::new();
+        self.encode(&mut out)?;
         let sum = fnv1a(&out);
         out.extend_from_slice(&sum.to_le_bytes());
-        out
+        Ok(out)
+    }
+}
+
+impl Snapshot {
+    /// The borrowed view of this snapshot.
+    pub fn as_ref(&self) -> SnapshotRef<'_> {
+        SnapshotRef {
+            lsn: self.lsn,
+            window: self.window,
+            env_fp: self.env_fp,
+            geo: &self.geo,
+            placement: self.placement.as_ref().map(|(state, theta)| (state, *theta)),
+            trainer: self.trainer.as_deref(),
+        }
     }
 
     /// Decodes and validates a snapshot blob (checksum first, then
@@ -121,7 +161,7 @@ impl Snapshot {
         let placement = match r.u8()? {
             0 => None,
             1 => {
-                let theta = r.u64()? as usize;
+                let theta = r.varint()? as usize;
                 let state = decode_placement(&mut r)?;
                 if state.num_vertices() != geo.num_vertices() || state.num_dcs() != geo.num_dcs {
                     return Err(WireError::Malformed("placement does not match geo").into());
@@ -133,8 +173,8 @@ impl Snapshot {
         let trainer = match r.u8()? {
             0 => None,
             1 => {
-                let n = r.len(1)?;
-                Some(r.take(n)?.to_vec())
+                let n = r.varint()?;
+                Some(r.take(usize::try_from(n).map_err(|_| WireError::Truncated)?)?.to_vec())
             }
             _ => return Err(WireError::Malformed("trainer presence flag").into()),
         };
@@ -143,25 +183,53 @@ impl Snapshot {
     }
 }
 
-/// Writes `snapshot` atomically under `store_dir` and returns its path
-/// and encoded size.
-pub fn write(store_dir: &Path, snapshot: &Snapshot) -> Result<(PathBuf, u64), DurableError> {
+/// The sink under [`write`]'s `BufWriter`: folds each flushed block into a
+/// running FNV-1a and counts it on its way to the file.
+struct ChecksumSink {
+    file: File,
+    hash: u64,
+    bytes: u64,
+}
+
+impl Write for ChecksumSink {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.file.write(buf)?;
+        self.hash = fnv1a_fold(self.hash, &buf[..n]);
+        self.bytes += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.flush()
+    }
+}
+
+/// Streams `snapshot` atomically under `store_dir` and returns its path
+/// and encoded size. A failed write removes its temp file.
+pub fn write(store_dir: &Path, snapshot: SnapshotRef<'_>) -> Result<(PathBuf, u64), DurableError> {
     let dir = snap_dir(store_dir);
     std::fs::create_dir_all(&dir)?;
-    let bytes = snapshot.to_bytes();
     let tmp = dir.join(format!("{}.tmp", snap_name(snapshot.lsn)));
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
+    let stream = || -> io::Result<u64> {
+        let sink = ChecksumSink { file: File::create(&tmp)?, hash: FNV_OFFSET, bytes: 0 };
+        let mut w = BufWriter::with_capacity(SINK_BUFFER_BYTES, sink);
+        snapshot.encode(&mut w)?;
+        let mut sink = w.into_inner().map_err(|e| e.into_error())?;
+        sink.file.write_all(&sink.hash.to_le_bytes())?;
+        sink.file.sync_all()?;
+        Ok(sink.bytes + 8)
+    };
+    let bytes = stream().inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })?;
     let path = dir.join(snap_name(snapshot.lsn));
     std::fs::rename(&tmp, &path)?;
     File::open(&dir)?.sync_all()?;
-    Ok((path, bytes.len() as u64))
+    Ok((path, bytes))
 }
 
-/// Sorted snapshot files (oldest first) keyed by their LSN.
+/// Sorted snapshot files (oldest first) keyed by their LSN. A `*.tmp` left
+/// by a crash mid-write never qualifies (recovery sweeps those).
 pub fn snapshot_paths(store_dir: &Path) -> Result<Vec<(u64, PathBuf)>, DurableError> {
     let dir = snap_dir(store_dir);
     let mut out = Vec::new();
@@ -184,19 +252,28 @@ pub fn snapshot_paths(store_dir: &Path) -> Result<Vec<(u64, PathBuf)>, DurableEr
     Ok(out)
 }
 
+/// What [`load_latest`] did to find its snapshot.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LoadStats {
+    /// Undecodable candidates skipped before one decoded.
+    pub skipped: usize,
+    /// Size of the file that decoded.
+    pub bytes: u64,
+    /// Read + checksum + decode time of the file that decoded.
+    pub load: Duration,
+}
+
 /// Loads the newest decodable snapshot, skipping corrupt candidates.
-/// Returns the snapshot and how many candidates were skipped.
-pub fn load_latest(store_dir: &Path) -> Result<(Snapshot, usize), DurableError> {
+pub fn load_latest(store_dir: &Path) -> Result<(Snapshot, LoadStats), DurableError> {
     let paths = snapshot_paths(store_dir)?;
     let tried = paths.len();
-    let mut skipped = 0;
-    for (_, path) in paths.into_iter().rev() {
-        match std::fs::read(&path)
-            .map_err(DurableError::from)
-            .and_then(|b| Snapshot::from_bytes(&b))
-        {
-            Ok(snap) => return Ok((snap, skipped)),
-            Err(_) => skipped += 1,
+    for (skipped, (_, path)) in paths.into_iter().rev().enumerate() {
+        let start = Instant::now();
+        // An unreadable file fails the decode like any other bad candidate.
+        let bytes = std::fs::read(&path).unwrap_or_default();
+        if let Ok(snap) = Snapshot::from_bytes(&bytes) {
+            let stats = LoadStats { skipped, bytes: bytes.len() as u64, load: start.elapsed() };
+            return Ok((snap, stats));
         }
     }
     Err(DurableError::NoValidSnapshot { tried })
@@ -252,10 +329,14 @@ mod tests {
         }
     }
 
+    fn bytes_of(snap: &Snapshot) -> Vec<u8> {
+        snap.as_ref().to_bytes().unwrap()
+    }
+
     #[test]
     fn round_trips_bit_exactly() {
         let snap = sample();
-        let restored = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+        let restored = Snapshot::from_bytes(&bytes_of(&snap)).unwrap();
         assert_eq!(restored.lsn, snap.lsn);
         assert_eq!(restored.window, snap.window);
         assert_eq!(restored.env_fp, snap.env_fp);
@@ -266,6 +347,8 @@ mod tests {
         assert_eq!(ta, tb);
         assert_eq!(a.masters(), b.masters());
         assert_eq!(a.movement_cost().to_bits(), b.movement_cost().to_bits());
+        // A byte fixed point — which pins the graph and every plane too.
+        assert_eq!(bytes_of(&restored), bytes_of(&snap));
     }
 
     #[test]
@@ -275,18 +358,18 @@ mod tests {
         snap.trainer = None;
         snap.lsn = 0;
         snap.window = 0;
-        let restored = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+        let restored = Snapshot::from_bytes(&bytes_of(&snap)).unwrap();
         assert!(restored.placement.is_none());
         assert_eq!(restored.window, 0);
     }
 
     #[test]
     fn every_truncation_and_bit_flip_is_rejected() {
-        let bytes = sample().to_bytes();
-        for len in (0..bytes.len()).step_by(131) {
+        let bytes = bytes_of(&sample());
+        for len in 0..bytes.len() {
             assert!(Snapshot::from_bytes(&bytes[..len]).is_err(), "len {len} decoded");
         }
-        for i in (0..bytes.len()).step_by(97) {
+        for i in (0..bytes.len()).step_by(7) {
             let mut bad = bytes.clone();
             bad[i] ^= 0x10;
             assert!(Snapshot::from_bytes(&bad).is_err(), "flip at {i} decoded");
@@ -298,18 +381,18 @@ mod tests {
         let dir = tmp_dir("fallback");
         let mut old = sample();
         old.lsn = 5;
-        write(&dir, &old).unwrap();
+        let (_, old_size) = write(&dir, old.as_ref()).unwrap();
         let mut newer = sample();
         newer.lsn = 11;
-        let (path, _) = write(&dir, &newer).unwrap();
+        let (path, _) = write(&dir, newer.as_ref()).unwrap();
         // Corrupt the newest file; recovery must fall back to lsn 5.
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        let (snap, skipped) = load_latest(&dir).unwrap();
+        let (snap, stats) = load_latest(&dir).unwrap();
         assert_eq!(snap.lsn, 5);
-        assert_eq!(skipped, 1);
+        assert_eq!((stats.skipped, stats.bytes), (1, old_size));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -326,7 +409,7 @@ mod tests {
         for lsn in [3, 9, 20] {
             let mut s = sample();
             s.lsn = lsn;
-            write(&dir, &s).unwrap();
+            write(&dir, s.as_ref()).unwrap();
         }
         assert_eq!(prune(&dir, 1).unwrap(), 2);
         let (snap, _) = load_latest(&dir).unwrap();

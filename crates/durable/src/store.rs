@@ -15,6 +15,7 @@
 //! a snapshot at the committed boundary and prunes the log behind it.
 
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use geograph::GeoGraph;
 use geosim::CloudEnv;
@@ -22,7 +23,7 @@ use geosim::CloudEnv;
 use crate::error::{env_fingerprint, DurableError};
 use crate::records::{Batch, Commit, Record, WindowStart};
 use crate::replay::{replay, RecoveredPipeline};
-use crate::snapshot::{self, Snapshot};
+use crate::snapshot::{self, Snapshot, SnapshotRef};
 use crate::wal::{Wal, WalReport};
 
 /// How many snapshots [`DurableStore::write_snapshot`] retains. Two, so
@@ -36,6 +37,37 @@ pub struct RecoveryReport {
     pub wal: WalReport,
     /// Corrupt snapshot candidates skipped before one decoded.
     pub snapshots_skipped: usize,
+    /// Size of the snapshot recovery started from.
+    pub snapshot_bytes: u64,
+    /// Time to read, checksum and decode that snapshot.
+    pub snapshot_load: Duration,
+    /// `*.tmp` files — snapshots or WAL segments a crash cut off between
+    /// create and rename — deleted before the scan.
+    pub tmp_swept: usize,
+}
+
+/// Deletes every `*.tmp` under the store's `wal/` and `snap/`. Nothing
+/// reads those names (the writers rename them into place), so one a crash
+/// orphaned would otherwise hold disk forever.
+fn sweep_tmp(dir: &Path) -> Result<usize, DurableError> {
+    let mut swept = 0;
+    for sub in ["wal", "snap"].map(|s| dir.join(s)) {
+        if !sub.is_dir() {
+            continue;
+        }
+        let before = swept;
+        for entry in std::fs::read_dir(&sub)? {
+            let entry = entry?;
+            if entry.file_name().to_string_lossy().ends_with(".tmp") {
+                std::fs::remove_file(entry.path())?;
+                swept += 1;
+            }
+        }
+        if swept > before {
+            std::fs::File::open(&sub)?.sync_all()?;
+        }
+    }
+    Ok(swept)
 }
 
 /// An open durable directory: the appender half plus snapshot plumbing.
@@ -58,15 +90,15 @@ impl DurableStore {
     ) -> Result<DurableStore, DurableError> {
         std::fs::create_dir_all(dir)?;
         let wal = Wal::create(dir)?;
-        let genesis = Snapshot {
+        let genesis = SnapshotRef {
             lsn: 0,
             window: 0,
             env_fp: env_fingerprint(env),
-            geo: geo.clone(),
+            geo,
             placement: None,
             trainer: None,
         };
-        snapshot::write(dir, &genesis)?;
+        snapshot::write(dir, genesis)?;
         Ok(DurableStore { dir: dir.to_path_buf(), wal })
     }
 
@@ -78,10 +110,17 @@ impl DurableStore {
         dir: &Path,
         env: &CloudEnv,
     ) -> Result<(RecoveredPipeline, RecoveryReport, DurableStore), DurableError> {
-        let (snap, snapshots_skipped) = snapshot::load_latest(dir)?;
+        let tmp_swept = sweep_tmp(dir)?;
+        let (snap, loaded) = snapshot::load_latest(dir)?;
         let (records, wal_report, wal) = Wal::open(dir)?;
         let recovered = replay(snap, &records, env)?;
-        let report = RecoveryReport { wal: wal_report, snapshots_skipped };
+        let report = RecoveryReport {
+            wal: wal_report,
+            snapshots_skipped: loaded.skipped,
+            snapshot_bytes: loaded.bytes,
+            snapshot_load: loaded.load,
+            tmp_swept,
+        };
         Ok((recovered, report, DurableStore { dir: dir.to_path_buf(), wal }))
     }
 
@@ -108,10 +147,16 @@ impl DurableStore {
         Ok(lsn)
     }
 
-    /// Writes a snapshot at the current committed boundary, prunes older
-    /// snapshots (keeping [`SNAPSHOTS_KEPT`]) and WAL segments wholly
-    /// behind the *retained* snapshots. Returns the snapshot's size.
+    /// [`Self::write_snapshot_ref`] for an owned [`Snapshot`].
     pub fn write_snapshot(&mut self, snap: &Snapshot) -> Result<u64, DurableError> {
+        self.write_snapshot_ref(snap.as_ref())
+    }
+
+    /// Streams a snapshot of the borrowed state at the current committed
+    /// boundary, prunes older snapshots (keeping [`SNAPSHOTS_KEPT`]) and
+    /// WAL segments wholly behind the *retained* snapshots. Returns the
+    /// snapshot's size.
+    pub fn write_snapshot_ref(&mut self, snap: SnapshotRef<'_>) -> Result<u64, DurableError> {
         let (_, bytes) = snapshot::write(&self.dir, snap)?;
         snapshot::prune(&self.dir, SNAPSHOTS_KEPT)?;
         // The oldest retained snapshot bounds how far back replay may
@@ -386,6 +431,40 @@ mod tests {
         assert_eq!(recovered.next_window, 1);
         assert_eq!(recovered.trainer, Some(vec![9, 9, 9]));
         assert!(recovered.parts.is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A crash between `File::create(tmp)` and `rename` orphans a
+    /// `*.tmp`; recovery deletes them — whole or truncated, snapshot or
+    /// segment — and never reads one as a candidate.
+    #[test]
+    fn orphaned_tmp_files_are_swept_not_loaded() {
+        let dir = tmp_dir("tmp_sweep");
+        let env = geosim::regions::ec2_eight_regions();
+        let geo = build_geo(24);
+        drop(DurableStore::create(&dir, &geo, &env).unwrap());
+        let genesis = snapshot::snapshot_paths(&dir).unwrap().remove(0).1;
+        let bytes = std::fs::read(&genesis).unwrap();
+        // A complete snapshot under a tmp name with a *newer* LSN: were it
+        // a candidate, recovery would start from it (and find no log).
+        let whole = dir.join("snap/snap-00000000000000000007.snap.tmp");
+        let torn = dir.join("snap/snap-00000000000000000009.snap.tmp");
+        let segment = dir.join("wal/seg-00000001.tmp");
+        std::fs::write(&whole, &bytes).unwrap();
+        std::fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
+        std::fs::write(&segment, b"RLWL").unwrap();
+
+        let (recovered, report, store) = DurableStore::recover(&dir, &env).unwrap();
+        assert_eq!(report.tmp_swept, 3);
+        assert_eq!(report.snapshots_skipped, 0);
+        assert_eq!(report.snapshot_bytes, bytes.len() as u64);
+        assert_eq!(recovered.next_window, 0);
+        for planted in [&whole, &torn, &segment] {
+            assert!(!planted.exists(), "{} survived recovery", planted.display());
+        }
+        // Nothing left to sweep the second time.
+        drop(store);
+        assert_eq!(DurableStore::recover(&dir, &env).unwrap().1.tmp_swept, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

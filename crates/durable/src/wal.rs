@@ -48,7 +48,7 @@
 //! before the new one is linked in.
 
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use crate::error::{fnv1a, DurableError};
@@ -262,8 +262,10 @@ impl Wal {
         // `lsn`: then every record it holds is < lsn.
         let mut first_lsns = Vec::with_capacity(paths.len());
         for &(seq, ref path) in &paths {
-            let bytes = std::fs::read(path)?;
-            first_lsns.push(parse_header(seq, &bytes)?);
+            // The header alone — a full segment is megabytes.
+            let mut header = Vec::with_capacity(HEADER_BYTES as usize);
+            File::open(path)?.take(HEADER_BYTES).read_to_end(&mut header)?;
+            first_lsns.push(parse_header(seq, &header)?);
         }
         let mut removed = 0;
         for i in 0..paths.len().saturating_sub(1) {

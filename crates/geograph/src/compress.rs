@@ -18,6 +18,7 @@
 
 use crate::csr::Graph;
 use crate::offsets::Offsets;
+use crate::wire::{put_varint, Reader};
 use crate::VertexId;
 
 /// When a row stays raw.
@@ -328,32 +329,20 @@ impl CompressedGraph {
     }
 }
 
+/// Appends one varint through the shared codec ([`crate::wire`]).
 #[inline]
-fn write_varint(out: &mut Vec<u8>, mut x: u32) {
-    loop {
-        let byte = (x & 0x7f) as u8;
-        x >>= 7;
-        if x == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
+fn write_varint(out: &mut Vec<u8>, x: u32) {
+    put_varint(out, x as u64).expect("writing to a Vec cannot fail");
 }
 
-/// Reads one LEB128 varint; returns `(value, rest)`.
+/// Reads one varint through the shared codec; returns `(value, rest)`.
+/// Packed rows are written by [`Direction::compress`] and never leave this
+/// module, so a decode failure is a bug here, not bad input.
 #[inline]
 fn read_varint(bytes: &[u8]) -> (u32, &[u8]) {
-    let mut x = 0u32;
-    let mut shift = 0u32;
-    for (i, &b) in bytes.iter().enumerate() {
-        x |= ((b & 0x7f) as u32) << shift;
-        if b & 0x80 == 0 {
-            return (x, &bytes[i + 1..]);
-        }
-        shift += 7;
-    }
-    panic!("truncated varint in compressed adjacency");
+    let mut r = Reader::new(bytes);
+    let x = r.varint_u32().expect("packed rows hold well-formed varints");
+    (x, &bytes[bytes.len() - r.remaining()..])
 }
 
 #[cfg(test)]
@@ -429,13 +418,11 @@ mod tests {
 
     #[test]
     fn varint_round_trip() {
-        let mut buf = Vec::new();
-        for x in [0u32, 1, 127, 128, 16_383, 16_384, u32::MAX] {
-            buf.clear();
-            write_varint(&mut buf, x);
-            let (y, rest) = read_varint(&buf);
-            assert_eq!(x, y);
-            assert!(rest.is_empty());
-        }
+        // Ids and gaps on both sides of every varint length boundary
+        // survive a packed row (the codec is tested in tests/snapshot_format.rs).
+        let ids = [0u32, 1, 127, 128, 255, 16_383, 16_384, 32_768, 2_097_151, 2_097_152];
+        let n = 2_097_153;
+        let edges: Vec<(VertexId, VertexId)> = ids.iter().map(|&t| (0, t)).collect();
+        check_equivalence(&Graph::from_edges(n, &edges), CompressPolicy::all_cold());
     }
 }

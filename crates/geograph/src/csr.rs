@@ -134,6 +134,44 @@ impl Graph {
         Graph { n, out_offsets, out_targets, in_offsets, in_sources }
     }
 
+    /// Assembles a graph from its out-direction alone — what the wire
+    /// decoder holds ([`crate::wire`] carries no in-direction). The
+    /// in-direction is a counting scatter in ascending source order, so
+    /// every in-run lands pre-sorted: the canonical layout, with no per-run
+    /// sort. Rows must be sorted and **duplicate-free** (the decoder
+    /// validates both), so an in-degree is below `n` and `u32` cursors
+    /// always fit, whatever the edge count.
+    pub(crate) fn from_out_rows(
+        n: usize,
+        out_offsets: Offsets,
+        out_targets: Vec<VertexId>,
+    ) -> Self {
+        let m = out_targets.len();
+        let mut cursor = vec![0u32; n];
+        for &t in &out_targets {
+            cursor[t as usize] += 1;
+        }
+        let mut in_offsets = Offsets::with_capacity(OffsetWidth::for_len(m), n + 1);
+        let mut acc = 0usize;
+        in_offsets.push(0);
+        for &d in &cursor {
+            acc += d as usize;
+            in_offsets.push(acc);
+        }
+        // Reuse the degree plane as scatter cursors.
+        cursor.fill(0);
+        let mut in_sources = vec![0 as VertexId; m];
+        for u in 0..n {
+            let (s, e) = out_offsets.run(u);
+            for &t in &out_targets[s..e] {
+                let ti = t as usize;
+                in_sources[in_offsets.get(ti) + cursor[ti] as usize] = u as VertexId;
+                cursor[ti] += 1;
+            }
+        }
+        Graph::from_csr_parts(n, out_offsets, out_targets, in_offsets, in_sources)
+    }
+
     /// Heap bytes held by the CSR arrays (capacity, both directions).
     pub fn heap_bytes(&self) -> usize {
         self.out_offsets.heap_bytes()

@@ -59,20 +59,6 @@ impl OffsetWidth {
             OffsetWidth::U64 => true,
         }
     }
-
-    /// Wire tag (the byte the snapshot format stores).
-    pub fn tag(self) -> u8 {
-        self.bytes() as u8
-    }
-
-    /// Inverse of [`OffsetWidth::tag`]; `None` for unknown tags.
-    pub fn from_tag(tag: u8) -> Option<OffsetWidth> {
-        match tag {
-            4 => Some(OffsetWidth::U32),
-            8 => Some(OffsetWidth::U64),
-            _ => None,
-        }
-    }
 }
 
 /// A monotone CSR offset array at an explicit width.
@@ -277,14 +263,5 @@ mod tests {
         assert_eq!(o.iter().collect::<Vec<_>>(), vec![0, 3, 4]);
         assert_eq!(o.heap_bytes(), 4 * 4);
         assert!(Offsets::with_capacity(OffsetWidth::U64, 0).is_empty());
-    }
-
-    #[test]
-    fn wire_tags_round_trip() {
-        for w in [OffsetWidth::U32, OffsetWidth::U64] {
-            assert_eq!(OffsetWidth::from_tag(w.tag()), Some(w));
-        }
-        assert_eq!(OffsetWidth::from_tag(0), None);
-        assert_eq!(OffsetWidth::from_tag(3), None);
     }
 }

@@ -3,10 +3,10 @@
 //! The WAL and snapshot machinery (`crates/durable`) persists
 //! [`GraphDelta`]s and whole [`Graph`]s across process restarts, so their
 //! byte layout must be explicit and version-stable rather than whatever
-//! the in-memory structs happen to be. Everything here is little-endian
-//! with `u64` length prefixes, decoded through a bounds-checked [`Reader`]
-//! that returns typed [`WireError`]s — malformed input never panics and
-//! never silently produces a half-valid value.
+//! the in-memory structs happen to be. Everything here is little-endian,
+//! decoded through a bounds-checked [`Reader`] that returns typed
+//! [`WireError`]s — malformed input never panics and never silently
+//! produces a half-valid value.
 //!
 //! ## What travels
 //!
@@ -16,23 +16,22 @@
 //! [`GraphDelta::from_events`] uses. Derived state never travels, so a
 //! decoded delta cannot disagree with itself.
 //!
-//! A [`Graph`] travels in the **v2** layout: a magic tag, the vertex
-//! count, one byte naming the offset width (4 or 8), the edge count, then
-//! the out-direction CSR itself — offsets at the declared width followed
-//! by the flat target array. That is roughly half the bytes of the v1
-//! edge-list form (one `u32` per edge plus 4 B/vertex, vs one `(u32,u32)`
-//! pair per edge), and the decoder rebuilds the in-direction by a
-//! counting scatter in ascending source order, which lands every run
-//! pre-sorted — canonical without a sort. The width byte makes index
-//! width explicit *on the wire*: a blob whose declared width cannot hold
-//! its edge count is a typed [`WireError::Malformed`] rejected before any
-//! allocation, never a silent truncation.
+//! A [`Graph`] travels as its out-direction rows only: a magic tag,
+//! `varint(n)`, `varint(m)`, then per vertex `varint(degree)` followed by
+//! the row's sorted, duplicate-free targets as LEB128 varints — the first
+//! absolute, the rest as gaps (≈1–2 bytes per edge instead of 4). There
+//! is **no offset plane** — offsets are a prefix sum of the degrees, so
+//! index width never reaches the wire — and no in-direction, which
+//! `Graph::from_out_rows` rebuilds. A graph holding duplicate edges has
+//! no gap encoding and is refused at encode time
+//! ([`std::io::ErrorKind::InvalidInput`]). Mostly-constant per-vertex
+//! planes (data sizes here, the traffic profile in `geopart::snapshot`)
+//! travel as `(value, run)` pairs via [`put_runs`] / [`Reader::runs`].
 //!
-//! **Back-compat**: v1 blobs (vertex count + sorted edge list) still
-//! decode — the v2 magic is ≥ 2^32 while every valid v1 blob leads with a
-//! vertex count below `u32::MAX`, so the first `u64` disambiguates. A v1
-//! blob decodes into the same narrow-offset graph its v2 re-encoding
-//! would ([`crate::csr::Graph`] selects width at build time either way).
+//! Encoders are generic over [`std::io::Write`], so the same code fills a
+//! `Vec<u8>` or streams through a buffered file sink in O(buffer) memory.
+
+use std::io::{self, Write};
 
 use crate::csr::Graph;
 use crate::delta::GraphDelta;
@@ -40,9 +39,11 @@ use crate::geo::GeoGraph;
 use crate::offsets::{OffsetWidth, Offsets};
 use crate::{DcId, VertexId, MAX_DCS};
 
-/// Leading `u64` of a v2 graph blob (`b"graph_v2"`, little-endian). Any
-/// value below `u32::MAX` in that position is a v1 vertex count instead.
-const GRAPH_MAGIC_V2: u64 = u64::from_le_bytes(*b"graph_v2");
+/// Leading `u64` of a graph blob (`b"graph_v3"`, little-endian).
+const GRAPH_MAGIC: u64 = u64::from_le_bytes(*b"graph_v3");
+
+/// Longest LEB128 encoding of a `u64`.
+const MAX_VARINT_BYTES: usize = 10;
 
 /// Why a wire blob failed to decode.
 #[derive(Debug)]
@@ -147,14 +148,6 @@ impl<'a> Reader<'a> {
             .collect())
     }
 
-    pub fn f64s(&mut self, n: usize) -> Result<Vec<f64>, WireError> {
-        Ok(self
-            .take(n * 8)?
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
-            .collect())
-    }
-
     /// `(u32, u32)` pairs — edge lists.
     pub fn pairs(&mut self, n: usize) -> Result<Vec<(VertexId, VertexId)>, WireError> {
         Ok(self
@@ -167,6 +160,65 @@ impl<'a> Reader<'a> {
                 )
             })
             .collect())
+    }
+
+    /// One LEB128 varint. Short input is [`WireError::Truncated`]; an
+    /// encoding that is not the shortest for its value, or that carries
+    /// bits past the 64th, is [`WireError::Malformed`] — every value has
+    /// exactly one accepted byte form.
+    #[inline]
+    pub fn varint(&mut self) -> Result<u64, WireError> {
+        let mut x = 0u64;
+        for i in 0..MAX_VARINT_BYTES {
+            let b = *self.buf.get(self.pos + i).ok_or(WireError::Truncated)?;
+            // The tenth byte holds bit 63 alone.
+            if i == MAX_VARINT_BYTES - 1 && b > 1 {
+                break;
+            }
+            x |= ((b & 0x7f) as u64) << (7 * i);
+            if b & 0x80 == 0 {
+                if b == 0 && i > 0 {
+                    return Err(WireError::Malformed("overlong varint"));
+                }
+                self.pos += i + 1;
+                return Ok(x);
+            }
+        }
+        Err(WireError::Malformed("varint exceeds 64 bits"))
+    }
+
+    /// A varint that must fit `u32`.
+    #[inline]
+    pub fn varint_u32(&mut self) -> Result<u32, WireError> {
+        u32::try_from(self.varint()?).map_err(|_| WireError::Malformed("varint exceeds u32"))
+    }
+
+    /// Inverse of [`put_runs`]: `n` values from `(value, run)` pairs, each
+    /// value read by `value`. The runs must cover `n` exactly. The caller
+    /// vouches for `n` (a vertex count it has already bounded by decoded
+    /// bytes); the declared run count is bounded here by the bytes left.
+    pub fn runs<T: Copy>(
+        &mut self,
+        n: usize,
+        mut value: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let runs = self.varint()?;
+        if runs > (self.remaining() / 2) as u64 {
+            return Err(WireError::Truncated);
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..runs {
+            let v = value(self)?;
+            let len = self.varint()?;
+            if len == 0 || len > (n - out.len()) as u64 {
+                return Err(WireError::Malformed("run lengths do not cover the vertex count"));
+            }
+            out.resize(out.len() + len as usize, v);
+        }
+        if out.len() != n {
+            return Err(WireError::Malformed("run lengths do not cover the vertex count"));
+        }
+        Ok(out)
     }
 
     /// Requires every byte to have been consumed.
@@ -248,198 +300,135 @@ pub fn delta_from_bytes(bytes: &[u8]) -> Result<GraphDelta, WireError> {
     Ok(d)
 }
 
-/// Appends the v2 wire form of `graph`: magic, vertex count, offset-width
-/// tag, edge count, out-offsets at that width, flat out-targets.
-///
-/// The encoded width is the *minimal* width for the edge count, not the
-/// graph's in-memory width — encoding is a function of logical content,
-/// so a graph and its force-widened twin produce byte-identical blobs.
-pub fn encode_graph(graph: &Graph, out: &mut Vec<u8>) {
-    let n = graph.num_vertices();
-    let m = graph.num_edges();
-    let width = OffsetWidth::for_len(m);
-    out.extend_from_slice(&GRAPH_MAGIC_V2.to_le_bytes());
-    out.extend_from_slice(&(n as u64).to_le_bytes());
-    out.push(width.tag());
-    out.extend_from_slice(&(m as u64).to_le_bytes());
-    match width {
-        OffsetWidth::U32 => {
-            for v in 0..n {
-                out.extend_from_slice(&(graph.out_edge_offset(v as VertexId) as u32).to_le_bytes());
-            }
-            out.extend_from_slice(&(m as u32).to_le_bytes());
-        }
-        OffsetWidth::U64 => {
-            for v in 0..n {
-                out.extend_from_slice(&(graph.out_edge_offset(v as VertexId) as u64).to_le_bytes());
-            }
-            out.extend_from_slice(&(m as u64).to_le_bytes());
-        }
-    }
-    for v in 0..n {
-        for &t in graph.out_neighbors(v as VertexId) {
-            out.extend_from_slice(&t.to_le_bytes());
+/// Writes `x` as a LEB128 varint — the workspace's one varint encoder
+/// ([`Reader::varint`] is its decoder).
+#[inline]
+pub fn put_varint<W: Write>(w: &mut W, mut x: u64) -> io::Result<()> {
+    let mut buf = [0u8; MAX_VARINT_BYTES];
+    let mut len = 0;
+    loop {
+        let byte = (x & 0x7f) as u8;
+        x >>= 7;
+        buf[len] = if x == 0 { byte } else { byte | 0x80 };
+        len += 1;
+        if x == 0 {
+            return w.write_all(&buf[..len]);
         }
     }
 }
 
-/// Decodes one graph from `r`, accepting both layouts: the first `u64`
-/// either carries the v2 magic or is a v1 vertex count. Every structural
-/// invariant is validated before CSR assembly — corrupted ids, widths, or
-/// lengths surface as typed errors, not index panics or giant allocations.
+/// Writes `values` run-length encoded: `varint(run count)`, then per run
+/// the value (written by `put`) and `varint(run length)`. Two values share
+/// a run iff their `bits` agree — floats compare by bit pattern, so `-0.0`
+/// and NaN payloads survive.
+pub fn put_runs<W: Write, T: Copy>(
+    w: &mut W,
+    values: &[T],
+    bits: impl Fn(T) -> u64,
+    put: impl Fn(&mut W, T) -> io::Result<()>,
+) -> io::Result<()> {
+    let runs = || values.chunk_by(|&a, &b| bits(a) == bits(b));
+    put_varint(w, runs().count() as u64)?;
+    runs().try_for_each(|run| {
+        put(w, run[0])?;
+        put_varint(w, run.len() as u64)
+    })
+}
+
+/// Writes the wire form of `graph`: magic, `varint(n)`, `varint(m)`, then
+/// per vertex `varint(degree)` and the row as first target + gaps. A
+/// duplicate edge (gap 0) is [`io::ErrorKind::InvalidInput`].
+pub fn encode_graph<W: Write>(graph: &Graph, w: &mut W) -> io::Result<()> {
+    w.write_all(&GRAPH_MAGIC.to_le_bytes())?;
+    put_varint(w, graph.num_vertices() as u64)?;
+    put_varint(w, graph.num_edges() as u64)?;
+    for v in graph.vertices() {
+        let row = graph.out_neighbors(v);
+        put_varint(w, row.len() as u64)?;
+        let mut prev = None;
+        for &t in row {
+            if prev == Some(t) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "graph holds duplicate edges; the wire form carries simple graphs only",
+                ));
+            }
+            put_varint(w, (t - prev.unwrap_or(0)) as u64)?;
+            prev = Some(t);
+        }
+    }
+    Ok(())
+}
+
+/// Decodes one graph from `r`. Every structural invariant is validated as
+/// the rows stream in — corrupted ids, degrees, or counts surface as typed
+/// errors, not index panics or giant allocations.
 pub fn decode_graph(r: &mut Reader<'_>) -> Result<Graph, WireError> {
-    let head = r.u64()?;
-    if head == GRAPH_MAGIC_V2 {
-        return decode_graph_v2(r);
+    if r.u64()? != GRAPH_MAGIC {
+        return Err(WireError::Malformed("graph magic"));
     }
-    // ---- v1: vertex count + sorted edge list. ----------------------------
-    let n = head as usize;
-    if n >= u32::MAX as usize {
+    let (n, m) = (r.varint()?, r.varint()?);
+    if n >= u32::MAX as u64 {
         return Err(WireError::Malformed("graph vertex count"));
     }
-    let n_edges = r.len(8)?;
-    let edges = r.pairs(n_edges)?;
-    if edges.iter().any(|&(u, v)| (u as usize) >= n || (v as usize) >= n) {
-        return Err(WireError::Malformed("edge endpoint out of range"));
+    // Every row costs at least its degree byte and every edge at least one
+    // gap byte, so the bytes left bound both counts before any allocation.
+    if n.checked_add(m).is_none_or(|total| total > r.remaining() as u64) {
+        return Err(WireError::Truncated);
     }
-    Ok(Graph::from_edges(n, &edges))
-}
-
-/// The v2 body (magic already consumed).
-fn decode_graph_v2(r: &mut Reader<'_>) -> Result<Graph, WireError> {
-    let n = r.u64()? as usize;
-    if n >= u32::MAX as usize {
-        return Err(WireError::Malformed("graph vertex count"));
-    }
-    let width =
-        OffsetWidth::from_tag(r.u8()?).ok_or(WireError::Malformed("unknown offset width tag"))?;
-    let m_u64 = r.u64()?;
-    // The declared width must hold the declared edge count. Checked before
-    // touching the offset bytes: a crafted narrow-width blob claiming 2^32
-    // edges is a typed misfit, never a wrapped or truncated index.
-    if !width.fits(m_u64 as usize) || m_u64 > u64::MAX >> 3 {
-        return Err(WireError::Malformed("edge count exceeds stored offset width"));
-    }
-    let m = m_u64 as usize;
-    // Reader::take bounds each batch read against the buffer before any
-    // allocation, so corrupted n/m cannot trigger huge allocs.
-    let out_offsets = match width {
-        OffsetWidth::U32 => Offsets::U32(r.u32s(n + 1)?),
-        OffsetWidth::U64 => Offsets::U64(r.u64s(n + 1)?),
-    };
-    if out_offsets.get(0) != 0 || out_offsets.last() != m {
-        return Err(WireError::Malformed("offset array endpoints"));
-    }
-    if (0..n).any(|v| out_offsets.get(v) > out_offsets.get(v + 1)) {
-        return Err(WireError::Malformed("offsets not monotone"));
-    }
-    let out_targets = r.u32s(m)?;
-    if out_targets.iter().any(|&t| (t as usize) >= n) {
-        return Err(WireError::Malformed("edge endpoint out of range"));
-    }
-    for v in 0..n {
-        let (s, e) = out_offsets.run(v);
-        if !out_targets[s..e].is_sorted() {
-            return Err(WireError::Malformed("adjacency run not sorted"));
+    let m = m as usize;
+    let mut out_offsets = Offsets::with_capacity(OffsetWidth::for_len(m), n as usize + 1);
+    let mut out_targets: Vec<VertexId> = Vec::with_capacity(m);
+    out_offsets.push(0);
+    for _ in 0..n {
+        let degree = r.varint()?;
+        if degree > (m - out_targets.len()) as u64 {
+            return Err(WireError::Malformed("row degrees exceed the declared edge count"));
         }
-    }
-    // Canonical in-memory width regardless of how the blob was encoded.
-    let out_offsets = match out_offsets.with_width(OffsetWidth::for_len(m)) {
-        Ok(o) => o,
-        Err(_) => return Err(WireError::Malformed("edge count exceeds stored offset width")),
-    };
-    let (in_offsets, in_sources) = rebuild_in_direction(n, &out_offsets, &out_targets);
-    Ok(Graph::from_csr_parts(n, out_offsets, out_targets, in_offsets, in_sources))
-}
-
-/// Rebuilds the in-direction CSR from the out-direction by a counting
-/// scatter. Sources are visited in ascending order, so every in-run lands
-/// pre-sorted — the canonical layout, with no per-run sort. The degree
-/// plane stays `u32` whenever the edge count fits (always, for any blob a
-/// narrow-width encoder produced).
-fn rebuild_in_direction(
-    n: usize,
-    out_offsets: &Offsets,
-    out_targets: &[VertexId],
-) -> (Offsets, Vec<VertexId>) {
-    let m = out_targets.len();
-    let mut in_sources = vec![0 as VertexId; m];
-    if m <= u32::MAX as usize {
-        let mut deg = vec![0u32; n];
-        for &t in out_targets {
-            deg[t as usize] += 1;
-        }
-        let mut offs: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut acc = 0u32;
-        offs.push(0);
-        for &d in &deg {
-            acc += d;
-            offs.push(acc);
-        }
-        // Reuse the degree plane as scatter cursors.
-        for d in deg.iter_mut() {
-            *d = 0;
-        }
-        for u in 0..n {
-            let (s, e) = out_offsets.run(u);
-            for &t in &out_targets[s..e] {
-                let ti = t as usize;
-                in_sources[offs[ti] as usize + deg[ti] as usize] = u as VertexId;
-                deg[ti] += 1;
+        let mut prev = 0u64;
+        for k in 0..degree {
+            let gap = r.varint()?;
+            if k > 0 && gap == 0 {
+                return Err(WireError::Malformed("duplicate edge"));
             }
-        }
-        (Offsets::U32(offs), in_sources)
-    } else {
-        let mut deg = vec![0usize; n];
-        for &t in out_targets {
-            deg[t as usize] += 1;
-        }
-        let mut offs: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offs.push(0);
-        for &d in &deg {
-            acc += d;
-            offs.push(acc);
-        }
-        for d in deg.iter_mut() {
-            *d = 0;
-        }
-        for u in 0..n {
-            let (s, e) = out_offsets.run(u);
-            for &t in &out_targets[s..e] {
-                let ti = t as usize;
-                in_sources[offs[ti] + deg[ti]] = u as VertexId;
-                deg[ti] += 1;
+            // `gap < n` first, so the sum cannot overflow.
+            if gap >= n || prev + gap >= n {
+                return Err(WireError::Malformed("edge endpoint out of range"));
             }
+            prev += gap;
+            out_targets.push(prev as VertexId);
         }
-        (Offsets::from_usize(offs), in_sources)
+        out_offsets.push(out_targets.len());
     }
+    if out_targets.len() != m {
+        return Err(WireError::Malformed("row degrees fall short of the declared edge count"));
+    }
+    Ok(Graph::from_out_rows(n as usize, out_offsets, out_targets))
 }
 
-/// Appends the wire form of `geo` (graph + locations + data sizes + DCs).
-pub fn encode_geo(geo: &GeoGraph, out: &mut Vec<u8>) {
-    encode_graph(&geo.graph, out);
-    out.extend_from_slice(&(geo.num_dcs as u32).to_le_bytes());
-    out.extend_from_slice(&geo.locations);
-    for &s in &geo.data_sizes {
-        out.extend_from_slice(&s.to_le_bytes());
-    }
+/// Writes the wire form of `geo`: graph, DC count, raw locations, and the
+/// data sizes as runs.
+pub fn encode_geo<W: Write>(geo: &GeoGraph, w: &mut W) -> io::Result<()> {
+    encode_graph(&geo.graph, w)?;
+    put_varint(w, geo.num_dcs as u64)?;
+    w.write_all(&geo.locations)?;
+    put_runs(w, &geo.data_sizes, |s| s, |w, s| put_varint(w, s))
 }
 
 /// Decodes one geo-graph from `r`, validating shapes and DC bounds.
 pub fn decode_geo(r: &mut Reader<'_>) -> Result<GeoGraph, WireError> {
     let graph = decode_graph(r)?;
     let n = graph.num_vertices();
-    let num_dcs = r.u32()? as usize;
-    if num_dcs == 0 || num_dcs > MAX_DCS {
+    let num_dcs = r.varint()?;
+    if num_dcs == 0 || num_dcs > MAX_DCS as u64 {
         return Err(WireError::Malformed("DC count out of range"));
     }
     let locations: Vec<DcId> = r.take(n)?.to_vec();
-    if locations.iter().any(|&d| (d as usize) >= num_dcs) {
+    if locations.iter().any(|&d| (d as u64) >= num_dcs) {
         return Err(WireError::Malformed("vertex location out of range"));
     }
-    let data_sizes = r.u64s(n)?;
-    Ok(GeoGraph { graph, locations, data_sizes, num_dcs })
+    let data_sizes = r.runs(n, Reader::varint)?;
+    Ok(GeoGraph { graph, locations, data_sizes, num_dcs: num_dcs as usize })
 }
 
 #[cfg(test)]
@@ -480,79 +469,9 @@ mod tests {
         assert_eq!(delta_from_bytes(&delta_to_bytes(&d)).unwrap(), d);
     }
 
-    #[test]
-    fn graph_round_trips() {
-        let g = base();
+    fn graph_bytes(g: &Graph) -> Vec<u8> {
         let mut out = Vec::new();
-        encode_graph(&g, &mut out);
-        let mut r = Reader::new(&out);
-        let restored = decode_graph(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(g, restored);
-        assert_eq!(restored.offset_width(), OffsetWidth::U32);
-    }
-
-    #[test]
-    fn graph_with_duplicates_and_isolated_tail_round_trips() {
-        // Verbatim graphs carry duplicate edges (equal adjacent targets in
-        // a run) and trailing isolated vertices — both must survive v2.
-        let g = Graph::from_edges(6, &[(0, 1), (0, 1), (2, 2), (1, 0)]);
-        let mut out = Vec::new();
-        encode_graph(&g, &mut out);
-        let mut r = Reader::new(&out);
-        let restored = decode_graph(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(g, restored);
-    }
-
-    #[test]
-    fn v2_blob_is_smaller_than_v1_edge_list() {
-        // At paper densities (edges ≫ vertices) the CSR form stores one
-        // u32 per edge instead of a pair: ~half the blob.
-        let edges: Vec<(VertexId, VertexId)> =
-            (0..20u32).flat_map(|u| (0..8u32).map(move |k| (u, (u + k + 1) % 20))).collect();
-        let g = Graph::from_edges(20, &edges);
-        let mut v2 = Vec::new();
-        encode_graph(&g, &mut v2);
-        // v1: n u64 + m u64 + m (u32,u32) pairs.
-        let v1_len = 16 + 8 * g.num_edges();
-        assert!(v2.len() < (v1_len * 3) / 4, "v2 {} vs v1 {}", v2.len(), v1_len);
-    }
-
-    #[test]
-    fn encode_is_width_canonical() {
-        // A force-widened graph encodes byte-identically to its narrow
-        // twin: the wire width is a function of the edge count alone.
-        let g = base();
-        let wide = g.with_offset_width(crate::OffsetWidth::U64).unwrap();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        encode_graph(&g, &mut a);
-        encode_graph(&wide, &mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn v1_blob_decodes_into_narrow_graph() {
-        // Hand-crafted v1 layout: n u64, edge count u64, (u,v) pairs —
-        // what pre-v2 snapshots hold on disk.
-        let g = base();
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(&(g.num_vertices() as u64).to_le_bytes());
-        let edges: Vec<_> = g.edges().collect();
-        put_pairs(&mut v1, &edges);
-        let mut r = Reader::new(&v1);
-        let restored = decode_graph(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(g, restored);
-        assert_eq!(restored.offset_width(), OffsetWidth::U32);
-    }
-
-    fn v2_header(n: u64, width_tag: u8, m: u64) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&GRAPH_MAGIC_V2.to_le_bytes());
-        out.extend_from_slice(&n.to_le_bytes());
-        out.push(width_tag);
-        out.extend_from_slice(&m.to_le_bytes());
+        encode_graph(g, &mut out).unwrap();
         out
     }
 
@@ -564,116 +483,42 @@ mod tests {
     }
 
     #[test]
-    fn v2_width_misfit_is_typed_error_before_allocation() {
-        // A narrow-width blob declaring 2^32 edges: the edge count cannot
-        // be indexed at the stored width. Must fail typed, with no attempt
-        // to read (or allocate) the offset array.
-        let bytes = v2_header(4, 4, 1u64 << 32);
-        assert!(matches!(
-            decode_full(&bytes),
-            Err(WireError::Malformed("edge count exceeds stored offset width"))
-        ));
-        // Same blob at width 8 fails as truncated instead (no payload),
-        // proving the misfit check is about width, not length.
-        let bytes = v2_header(4, 8, 1u64 << 32);
-        assert!(matches!(decode_full(&bytes), Err(WireError::Truncated)));
-    }
-
-    #[test]
-    fn v2_unknown_width_tag_rejected() {
-        for tag in [0u8, 1, 2, 3, 5, 6, 7, 9, 255] {
-            let mut bytes = v2_header(1, tag, 0);
-            bytes.extend_from_slice(&0u32.to_le_bytes());
-            bytes.extend_from_slice(&0u32.to_le_bytes());
-            assert!(
-                matches!(
-                    decode_full(&bytes),
-                    Err(WireError::Malformed("unknown offset width tag"))
-                ),
-                "tag {tag} accepted"
-            );
-        }
-    }
-
-    #[test]
-    fn v2_structural_corruption_rejected() {
-        // Offsets not starting at 0.
-        let mut bytes = v2_header(1, 4, 1);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(decode_full(&bytes), Err(WireError::Malformed(_))));
-
-        // Non-monotone offsets.
-        let mut bytes = v2_header(2, 4, 2);
-        for o in [0u32, 2, 2] {
-            bytes.extend_from_slice(&o.to_le_bytes());
-        }
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        // offsets [0,2,2] are fine; craft [0,3,2]-style by rewriting.
-        let base = 8 + 8 + 1 + 8;
-        bytes[base..base + 4].copy_from_slice(&0u32.to_le_bytes());
-        bytes[base + 4..base + 8].copy_from_slice(&3u32.to_le_bytes());
-        bytes[base + 8..base + 12].copy_from_slice(&2u32.to_le_bytes());
-        assert!(matches!(decode_full(&bytes), Err(WireError::Malformed("offsets not monotone"))));
-
-        // Target id out of range.
-        let mut bytes = v2_header(2, 4, 1);
-        for o in [0u32, 1, 1] {
-            bytes.extend_from_slice(&o.to_le_bytes());
-        }
-        bytes.extend_from_slice(&9u32.to_le_bytes());
-        assert!(matches!(
-            decode_full(&bytes),
-            Err(WireError::Malformed("edge endpoint out of range"))
-        ));
-
-        // Unsorted adjacency run.
-        let mut bytes = v2_header(2, 4, 2);
-        for o in [0u32, 2, 2] {
-            bytes.extend_from_slice(&o.to_le_bytes());
-        }
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            decode_full(&bytes),
-            Err(WireError::Malformed("adjacency run not sorted"))
-        ));
-    }
-
-    #[test]
-    fn v2_truncations_all_error() {
+    fn graph_round_trips() {
         let g = base();
-        let mut bytes = Vec::new();
-        encode_graph(&g, &mut bytes);
-        for len in 0..bytes.len() {
-            assert!(decode_full(&bytes[..len]).is_err(), "len {len} decoded");
+        let restored = decode_full(&graph_bytes(&g)).unwrap();
+        assert_eq!(g, restored);
+        assert_eq!(restored.offset_width(), OffsetWidth::U32);
+        // The empty graph and the vertex-free graph travel too.
+        for g in [Graph::empty(7), Graph::empty(0)] {
+            assert_eq!(decode_full(&graph_bytes(&g)).unwrap(), g);
         }
     }
 
     #[test]
-    fn v2_corrupt_length_is_truncation_not_alloc() {
-        // Blow the edge count up to the width guard's limit: the take()
-        // bound fails before any allocation happens.
+    fn duplicates_are_refused_self_loops_and_isolated_tail_round_trip() {
+        // Self-loops and isolated vertices travel; a duplicate has no gap.
+        let g = Graph::from_edges(6, &[(0, 1), (2, 2), (1, 0), (1, 1)]);
+        assert_eq!(decode_full(&graph_bytes(&g)).unwrap(), g);
+        let dup = Graph::from_edges(6, &[(0, 1), (0, 1)]);
+        let err = encode_graph(&dup, &mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn encode_is_width_canonical() {
+        // Offsets never travel, so a force-widened graph encodes
+        // byte-identically to its narrow twin.
         let g = base();
-        let mut bytes = Vec::new();
-        encode_graph(&g, &mut bytes);
-        let m_pos = 8 + 8 + 1;
-        bytes[m_pos..m_pos + 8].copy_from_slice(&(u64::MAX >> 3).to_le_bytes());
-        let mut r = Reader::new(&bytes);
-        // Width is 4 in the encoded header, so the misfit check fires.
-        assert!(matches!(
-            decode_graph(&mut r),
-            Err(WireError::Malformed("edge count exceeds stored offset width"))
-        ));
+        let wide = g.with_offset_width(crate::OffsetWidth::U64).unwrap();
+        assert_eq!(graph_bytes(&g), graph_bytes(&wide));
     }
 
     #[test]
     fn geo_round_trips() {
-        let geo = GeoGraph::from_graph(base(), &LocalityConfig::uniform(4, 7));
+        let mut geo = GeoGraph::from_graph(base(), &LocalityConfig::uniform(4, 7));
+        geo.data_sizes = vec![64, 64, 64, 9, 1 << 40, 64];
         let mut out = Vec::new();
-        encode_geo(&geo, &mut out);
+        encode_geo(&geo, &mut out).unwrap();
         let mut r = Reader::new(&out);
         let restored = decode_geo(&mut r).unwrap();
         r.finish().unwrap();
@@ -763,6 +608,19 @@ mod tests {
             GraphDelta::from_events(&g, &events)
         }
 
+        /// A duplicate-free graph over `n` vertices (self-loops kept);
+        /// `hub`, when given, is adjacent to every vertex — a max-degree row.
+        fn simple_graph(n: usize, edges: &[(u32, u32)], hub: Option<u32>) -> Graph {
+            let n32 = n as u32;
+            let mut edges: Vec<_> = edges.iter().map(|&(u, v)| (u % n32, v % n32)).collect();
+            if let Some(h) = hub {
+                edges.extend((0..n32).map(|v| (h % n32, v)));
+            }
+            edges.sort_unstable();
+            edges.dedup();
+            Graph::from_edges(n, &edges)
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -784,39 +642,30 @@ mod tests {
                 prop_assert_eq!(delta_to_bytes(&d), delta_to_bytes(&restored));
             }
 
-            /// v2 graph encode → decode ≡ identity for arbitrary graphs
-            /// (duplicates and self-loops included — verbatim graphs
-            /// travel too), and re-encoding the decoded graph is a byte
-            /// fixed point.
+            /// Graph encode → decode ≡ identity for arbitrary simple
+            /// graphs (self-loops, empty rows and a full row included),
+            /// and re-encoding the decoded graph is a byte fixed point.
             #[test]
             fn graph_wire_round_trip(
                 n in 1usize..40,
                 edges in vec((0u32..64, 0u32..64), 0..120),
+                hub in 0u32..64,
             ) {
-                let edges: Vec<_> =
-                    edges.iter().map(|&(u, v)| (u % n as u32, v % n as u32)).collect();
-                let g = Graph::from_edges(n, &edges);
-                let mut out = Vec::new();
-                encode_graph(&g, &mut out);
+                let g = simple_graph(n, &edges, Some(hub));
+                let out = graph_bytes(&g);
                 let restored = decode_full(&out).unwrap();
                 prop_assert_eq!(&g, &restored);
-                let mut out2 = Vec::new();
-                encode_graph(&restored, &mut out2);
-                prop_assert_eq!(out, out2);
+                prop_assert_eq!(out, graph_bytes(&restored));
             }
 
-            /// Every truncation of a random v2 graph blob errors instead
-            /// of decoding or panicking.
+            /// Every truncation of a random graph blob errors instead of
+            /// decoding or panicking.
             #[test]
             fn graph_wire_truncations_all_error(
                 n in 1usize..16,
                 edges in vec((0u32..16, 0u32..16), 0..24),
             ) {
-                let edges: Vec<_> =
-                    edges.iter().map(|&(u, v)| (u % n as u32, v % n as u32)).collect();
-                let g = Graph::from_edges(n, &edges);
-                let mut bytes = Vec::new();
-                encode_graph(&g, &mut bytes);
+                let bytes = graph_bytes(&simple_graph(n, &edges, None));
                 for len in 0..bytes.len() {
                     prop_assert!(decode_full(&bytes[..len]).is_err(), "len {} decoded", len);
                 }

@@ -7,121 +7,141 @@
 //! captures the incrementally-tracked accumulators exactly as they are:
 //! every `f64` travels as its raw bits.
 //!
-//! Only *authoritative* state travels. The packed kernel metadata
-//! (`VertexMeta`) and the per-DC edge balance are pure functions of the
-//! count lanes, the profile, and the master/class vectors:
+//! Only *authoritative* state travels, and compactly: the dense
+//! `n × M × 2` count plane is mostly zeros, so a row travels as
+//! `varint(occupancy mask)` plus a varint `(in, out)` pair per occupied
+//! DC; `is_high` is a bitmap; the near-constant traffic profile travels
+//! as `(value, run)` pairs. The packed kernel metadata (`VertexMeta`) and
+//! the per-DC edge balance are pure functions of what travels:
 //!
 //! * `nnz` bit `d` is set iff cell `(v, d)` has a nonzero lane —
 //!   [`PlacementState::place_edge`] sets the bit when a lane becomes
-//!   nonzero and `unplace_edge` clears it when the pair empties, so
-//!   occupancy and the mask never disagree;
+//!   nonzero and `unplace_edge` clears it when the pair empties, so it
+//!   *is* the occupancy mask on the wire;
 //! * `g`/`a` are f32 copies of the profile, `master`/`high` copies of the
 //!   vectors;
 //! * `edges_per_dc[d]` is the sum of out-count lanes at `d` (each placed
 //!   edge increments exactly one out lane).
 //!
 //! The decoder re-derives them, so a snapshot cannot carry an
-//! inconsistent mask. Malformed bytes surface as typed
+//! inconsistent mask. The counts themselves are *not* re-derived from the
+//! graph: that would couple this decoder to the CSR and turn recovery into
+//! an O(E) random-access pass. Malformed bytes surface as typed
 //! [`WireError`]s — never panics, never a half-valid state.
 
-use geograph::wire::{Reader, WireError};
+use std::io::{self, Write};
+
+use geograph::wire::{put_runs, put_varint, Reader, WireError};
 use geograph::{DcId, MAX_DCS};
 use geosim::StageLoads;
 
 use crate::profile::TrafficProfile;
 use crate::state::{PlacementState, VertexMeta};
 
-fn put_loads(out: &mut Vec<u8>, loads: &StageLoads, m: usize) {
-    for d in 0..m {
-        out.extend_from_slice(&loads.up(d as DcId).to_bits().to_le_bytes());
-    }
-    for d in 0..m {
-        out.extend_from_slice(&loads.down(d as DcId).to_bits().to_le_bytes());
-    }
+fn put_loads<W: Write>(w: &mut W, loads: &StageLoads, m: usize) -> io::Result<()> {
+    let dcs = || 0..m as DcId;
+    dcs()
+        .map(|d| loads.up(d))
+        .chain(dcs().map(|d| loads.down(d)))
+        .try_for_each(|x| w.write_all(&x.to_bits().to_le_bytes()))
 }
 
 fn take_loads(r: &mut Reader<'_>, m: usize) -> Result<StageLoads, WireError> {
     let mut loads = StageLoads::new(m);
     // Adding onto a zero accumulator is exact, so the restored loads carry
     // the encoded bits verbatim.
-    for d in 0..m {
-        loads.add_up(d as DcId, r.f64()?);
+    for d in 0..m as DcId {
+        loads.add_up(d, r.f64()?);
     }
-    for d in 0..m {
-        loads.add_down(d as DcId, r.f64()?);
+    for d in 0..m as DcId {
+        loads.add_down(d, r.f64()?);
     }
     Ok(loads)
 }
 
-/// Appends the verbatim wire form of `state` to `out`.
-pub fn encode_placement(state: &PlacementState, out: &mut Vec<u8>) {
-    let n = state.masters.len();
+fn put_f32_runs<W: Write>(w: &mut W, values: &[f32]) -> io::Result<()> {
+    put_runs(w, values, |x| x.to_bits() as u64, |w, x| w.write_all(&x.to_le_bytes()))
+}
+
+/// Writes the verbatim wire form of `state` to `w`.
+pub fn encode_placement<W: Write>(state: &PlacementState, w: &mut W) -> io::Result<()> {
     let m = state.num_dcs;
-    out.extend_from_slice(&(n as u64).to_le_bytes());
-    out.extend_from_slice(&(m as u32).to_le_bytes());
-    out.extend_from_slice(&state.num_iterations.to_bits().to_le_bytes());
-    out.extend_from_slice(&state.movement_cost.to_bits().to_le_bytes());
-    out.extend_from_slice(&state.masters);
-    out.extend(state.is_high.iter().map(|&h| h as u8));
-    for &c in &state.counts {
-        out.extend_from_slice(&c.to_le_bytes());
+    put_varint(w, state.masters.len() as u64)?;
+    put_varint(w, m as u64)?;
+    w.write_all(&state.num_iterations.to_bits().to_le_bytes())?;
+    w.write_all(&state.movement_cost.to_bits().to_le_bytes())?;
+    w.write_all(&state.masters)?;
+    for chunk in state.is_high.chunks(8) {
+        let byte = chunk.iter().enumerate().fold(0u8, |b, (i, &h)| b | (h as u8) << i);
+        w.write_all(&[byte])?;
     }
-    put_loads(out, &state.gather, m);
-    put_loads(out, &state.apply, m);
-    for &g in &state.profile.gather_bytes {
-        out.extend_from_slice(&g.to_le_bytes());
+    put_f32_runs(w, &state.profile.gather_bytes)?;
+    put_f32_runs(w, &state.profile.apply_bytes)?;
+    for row in state.counts.chunks_exact(2 * m) {
+        let cells = || row.chunks_exact(2).enumerate().filter(|(_, c)| c[0] | c[1] != 0);
+        put_varint(w, cells().fold(0u64, |mask, (d, _)| mask | 1 << d))?;
+        for (_, c) in cells() {
+            put_varint(w, c[0] as u64)?;
+            put_varint(w, c[1] as u64)?;
+        }
     }
-    for &a in &state.profile.apply_bytes {
-        out.extend_from_slice(&a.to_le_bytes());
-    }
+    put_loads(w, &state.gather, m)?;
+    put_loads(w, &state.apply, m)
 }
 
 /// Decodes one placement state from `r`, re-deriving the kernel metadata
-/// and per-DC balance from the authoritative arrays.
+/// and per-DC balance from the authoritative planes.
 pub fn decode_placement(r: &mut Reader<'_>) -> Result<PlacementState, WireError> {
-    let n = r.u64()? as usize;
-    let m = r.u32()? as usize;
-    if m == 0 || m > MAX_DCS {
+    let (n, m) = (r.varint()?, r.varint()?);
+    if m == 0 || m > MAX_DCS as u64 {
         return Err(WireError::Malformed("DC count out of range"));
     }
-    // One u8 per vertex is the cheapest array; bound n by it before any
-    // sized allocation so a corrupt count fails as Truncated, not OOM.
-    if n > r.remaining() {
+    // A vertex costs at least its master and mask bytes; bound n by that
+    // before any sized allocation so a corrupt count fails as Truncated,
+    // not OOM (the dense count plane is then what an edge-free state costs).
+    if n > (r.remaining() / 2) as u64 {
         return Err(WireError::Truncated);
     }
+    let (n, m) = (n as usize, m as usize);
     let num_iterations = r.f64()?;
     let movement_cost = r.f64()?;
     let masters: Vec<DcId> = r.take(n)?.to_vec();
     if masters.iter().any(|&d| (d as usize) >= m) {
         return Err(WireError::Malformed("master out of range"));
     }
-    let is_high: Vec<bool> = r.take(n)?.iter().map(|&b| b != 0).collect();
-    let counts = r.u32s(n * m * 2)?;
+    let bitmap = r.take(n.div_ceil(8))?;
+    if n % 8 != 0 && bitmap[n / 8] >> (n % 8) != 0 {
+        return Err(WireError::Malformed("is_high bitmap padding"));
+    }
+    let is_high: Vec<bool> = (0..n).map(|v| bitmap[v / 8] >> (v % 8) & 1 != 0).collect();
+    let gather_bytes = r.runs(n, Reader::f32)?;
+    let apply_bytes = r.runs(n, Reader::f32)?;
+
+    let mut counts = vec![0u32; n * m * 2];
+    let mut meta = Vec::with_capacity(n);
+    let mut edges_per_dc = vec![0u64; m];
+    for (v, row) in counts.chunks_exact_mut(2 * m).enumerate() {
+        let nnz = r.varint()?;
+        if m < 64 && nnz >> m != 0 {
+            return Err(WireError::Malformed("occupancy bit beyond the DC count"));
+        }
+        let mut bits = nnz;
+        while bits != 0 {
+            let d = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let (inc, out) = (r.varint_u32()?, r.varint_u32()?);
+            if inc | out == 0 {
+                return Err(WireError::Malformed("occupied cell holds no edges"));
+            }
+            row[2 * d] = inc;
+            row[2 * d + 1] = out;
+            edges_per_dc[d] += out as u64;
+        }
+        let (g, a) = (gather_bytes[v], apply_bytes[v]);
+        meta.push(VertexMeta { nnz, g, a, master: masters[v], high: is_high[v] });
+    }
     let gather = take_loads(r, m)?;
     let apply = take_loads(r, m)?;
-    let gather_bytes = r.f32s(n)?;
-    let apply_bytes = r.f32s(n)?;
-
-    let mut edges_per_dc = vec![0u64; m];
-    let meta: Vec<VertexMeta> = (0..n)
-        .map(|v| {
-            let row = &counts[v * m * 2..(v + 1) * m * 2];
-            let mut nnz = 0u64;
-            for (d, pair) in row.chunks_exact(2).enumerate() {
-                if pair[0] | pair[1] != 0 {
-                    nnz |= 1u64 << d;
-                }
-                edges_per_dc[d] += pair[1] as u64;
-            }
-            VertexMeta {
-                nnz,
-                g: gather_bytes[v],
-                a: apply_bytes[v],
-                master: masters[v],
-                high: is_high[v],
-            }
-        })
-        .collect();
 
     Ok(PlacementState {
         num_dcs: m,
@@ -140,9 +160,8 @@ pub fn decode_placement(r: &mut Reader<'_>) -> Result<PlacementState, WireError>
 
 /// `state` as a standalone byte blob.
 pub fn placement_to_bytes(state: &PlacementState) -> Vec<u8> {
-    let n = state.masters.len();
-    let mut out = Vec::with_capacity(64 + n * (10 + state.num_dcs * 8));
-    encode_placement(state, &mut out);
+    let mut out = Vec::new();
+    encode_placement(state, &mut out).expect("writing to a Vec cannot fail");
     out
 }
 
@@ -185,7 +204,9 @@ mod tests {
         assert_eq!(a.edges_per_dc, b.edges_per_dc);
         assert_eq!(a.movement_cost.to_bits(), b.movement_cost.to_bits());
         assert_eq!(a.num_iterations.to_bits(), b.num_iterations.to_bits());
-        assert_eq!(a.profile, b.profile);
+        let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.profile.gather_bytes), bits(&b.profile.gather_bytes));
+        assert_eq!(bits(&a.profile.apply_bytes), bits(&b.profile.apply_bytes));
         for d in 0..a.num_dcs as DcId {
             assert_eq!(a.gather.up(d).to_bits(), b.gather.up(d).to_bits());
             assert_eq!(a.gather.down(d).to_bits(), b.gather.down(d).to_bits());
@@ -213,7 +234,7 @@ mod tests {
     fn truncation_never_panics() {
         let (_, _, state, _) = build();
         let bytes = placement_to_bytes(&state);
-        for len in (0..bytes.len()).step_by(7) {
+        for len in 0..bytes.len() {
             assert!(placement_from_bytes(&bytes[..len]).is_err(), "len {len} decoded");
         }
     }
@@ -222,10 +243,55 @@ mod tests {
     fn malformed_master_rejected() {
         let (_, _, state, _) = build();
         let mut bytes = placement_to_bytes(&state);
-        bytes[28] = 99; // first master, num_dcs = 4
+        // First master: past varint(n), varint(M) and the two f64 accumulators.
+        bytes[18] = 99;
         assert!(matches!(
             placement_from_bytes(&bytes),
             Err(WireError::Malformed("master out of range"))
         ));
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Random graphs (empty rows, a hub row, n = 0) × random
+            /// placements and profiles round-trip with every field —
+            /// derived ones included — identical, and re-encode to the
+            /// same bytes.
+            #[test]
+            fn placement_wire_round_trip(
+                n in 0usize..48,
+                edges in vec((0u32..64, 0u32..64), 0..160),
+                masters in vec(0u8..8, 48..49),
+                profile in vec((0u8..3, 0u8..3), 48..49),
+                theta in 1usize..6,
+            ) {
+                let mut b = GraphBuilder::new(n);
+                if n > 0 {
+                    b.add_edges(edges.iter().map(|&(u, v)| (u % n as u32, v % n as u32)));
+                    b.add_edges((1..n as u32).map(|v| (v, 0)));
+                }
+                let geo = GeoGraph::from_graph(b.build(), &LocalityConfig::uniform(8, 5));
+                let env = geosim::regions::ec2_eight_regions();
+                let value = |k: u8| [8.0f32, -0.0, 1.5e-3][k as usize];
+                let profile = TrafficProfile {
+                    gather_bytes: profile[..n].iter().map(|&(g, _)| value(g)).collect(),
+                    apply_bytes: profile[..n].iter().map(|&(_, a)| value(a)).collect(),
+                };
+                let hybrid = HybridState::try_from_masters(
+                    &geo, &env, masters[..n].to_vec(), theta, profile, 10.0,
+                ).unwrap();
+                let (state, _) = hybrid.into_parts();
+                let bytes = placement_to_bytes(&state);
+                let restored = placement_from_bytes(&bytes).unwrap();
+                assert_identical(&state, &restored);
+                prop_assert_eq!(bytes, placement_to_bytes(&restored));
+            }
+        }
     }
 }

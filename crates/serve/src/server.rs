@@ -22,7 +22,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use geodur::{DurableError, DurableStore};
+use geodur::{DurableError, DurableStore, RecoveryReport};
 use geograph::DcId;
 use geosim::CloudEnv;
 use rlcut::DurableAdaptive;
@@ -83,6 +83,9 @@ pub struct BootReport {
     /// FNV-1a of the served master vector — comparable across restarts
     /// and against the trainer's commit records.
     pub masters_fnv: u64,
+    /// What the store scan found: snapshot size and load time, skipped
+    /// candidates, torn WAL tail.
+    pub recovery: RecoveryReport,
 }
 
 /// The writer half of the serving daemon. Cheap to share: readers hold
@@ -111,7 +114,7 @@ impl PlacementServer {
         dir: &Path,
         env: &CloudEnv,
     ) -> Result<(PlacementServer, BootReport), ServeError> {
-        let (recovered, _report, _store) = DurableStore::recover(dir, env)?;
+        let (recovered, recovery, _store) = DurableStore::recover(dir, env)?;
         let window = recovered.next_window;
         let table = match &recovered.parts {
             Some((core, _theta)) => RoutingTable::from_placement(window, core),
@@ -123,6 +126,7 @@ impl PlacementServer {
             replayed_windows: recovered.replayed_windows,
             rolled_back: recovered.rolled_back,
             masters_fnv: geodur::masters_fnv(table.masters()),
+            recovery,
         };
         let server = PlacementServer::new(table, recovered.geo.locations);
         Ok((server, report))

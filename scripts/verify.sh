@@ -75,13 +75,23 @@ echo "==> crash-recovery gate (kill-at-100+-seeded-points harness)"
 # boundary and the movement-cost accumulator equal to the last f64 bit.
 cargo test -q -p integration-tests --test crash_recovery
 
+echo "==> snapshot transient-heap gate (counting allocator)"
+# Cutting a snapshot streams a borrowed view of the live state: under a
+# counting global allocator, snapshot_now on a 60k-vertex graph must stay
+# below 1 MB above its entry watermark (a clone + staged blob is >2x the
+# state).
+cargo test -q -p integration-tests --test snapshot_heap
+
 echo "==> durable recovery bench smoke run (BENCH_durable.json)"
 # The bench cross-checks both recovery paths (latest snapshot + WAL tail,
 # and full-log replay on a snapshot-free twin) bit-exact against the live
-# run; the gate additionally bounds the snapshot-path recovery time.
+# run; the gates additionally bound the snapshot-path recovery time and
+# the snapshot's size (measured 2.56 B/edge at this scale and seed — exact
+# for a seed; the dense pre-v3 layout measured 15.8 and would fail).
 cargo run --release -p geobench --bin bench_durable -- \
   --scale 0.002 --windows 6 --snapshot-every 3 \
-  --out EXPERIMENTS-data/BENCH_durable.json --assert-max-recovery-ms 10000
+  --out EXPERIMENTS-data/BENCH_durable.json --assert-max-recovery-ms 10000 \
+  --assert-max-snapshot-bytes-per-edge 3.2
 grep -q '"recovered_bit_exact": true' EXPERIMENTS-data/BENCH_durable.json \
   || { echo "BENCH_durable.json is missing the bit-exact cross-check"; exit 1; }
 

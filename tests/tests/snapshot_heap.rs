@@ -1,0 +1,87 @@
+//! Transient-heap gate for snapshot cutting.
+//!
+//! `DurableAdaptive::snapshot_now` streams a borrowed view of the live
+//! graph and placement through a fixed-size buffered sink, so what it
+//! allocates is O(buffer) — not a clone of the state plus a staged blob
+//! (more than twice the state, before the encoder borrowed). This binary
+//! installs a counting global allocator and holds the call to under 1 MB
+//! above its entry watermark on a 60 k-vertex graph whose state is tens of
+//! megabytes. It is a test binary of its own, with one test, so no
+//! neighbouring test's allocations land in the measured interval.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::time::Duration;
+
+use geograph::generators::preferential::preferential_attachment_edges;
+use geograph::locality::LocalityConfig;
+use geograph::{GeoGraph, GraphBuilder};
+use geopart::TrafficProfile;
+use geosim::regions::ec2_eight_regions;
+use rlcut::{DurableAdaptive, RlCutConfig};
+
+/// Live heap bytes, and their high-water mark since the last reset.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters only observe sizes.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's obligations are `System::alloc`'s own.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            PEAK.fetch_max(LIVE.fetch_add(layout.size(), SeqCst) + layout.size(), SeqCst);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), SeqCst);
+        // SAFETY: `p` came from `alloc` above with this `layout`.
+        unsafe { System.dealloc(p, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+#[test]
+fn snapshot_now_allocates_a_buffer_not_a_copy_of_the_state() {
+    let n = 60_000;
+    let mut b = GraphBuilder::new(n);
+    b.add_edges(preferential_attachment_edges(n, 8, 29));
+    let geo = GeoGraph::from_graph(b.build(), &LocalityConfig::paper_default(29));
+    let state_bytes = geo.heap_bytes();
+    assert!(state_bytes > 4 << 20, "graph too small to tell a copy from a buffer");
+
+    let env = ec2_eight_regions();
+    let dir = std::env::temp_dir().join(format!("rlcut_snapshot_heap_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = RlCutConfig::new(1.0)
+        .with_seed(29)
+        .with_threads(1)
+        .with_theta(16)
+        .with_fixed_sample_rate(0.02)
+        .with_max_steps(1);
+    let mut durable = DurableAdaptive::create(&dir, config, Some(0.4), geo, &env, 0).unwrap();
+    // One committed window, so the snapshot carries a placement too.
+    let profile = TrafficProfile::uniform(n, 8.0);
+    durable.window(&env, None, &[], &[], profile, 10.0, Duration::from_secs(60)).unwrap();
+
+    let entry = LIVE.load(SeqCst);
+    PEAK.store(entry, SeqCst);
+    let written = durable.snapshot_now().unwrap();
+    let transient = PEAK.load(SeqCst) - entry;
+
+    assert!(written > 1 << 20, "a {written}-byte snapshot would fit the limit staged whole");
+    assert!(
+        transient < 1 << 20,
+        "snapshot_now allocated {transient} B above entry for a {written} B snapshot \
+         of {state_bytes} B of graph"
+    );
+    drop(durable);
+    let _ = std::fs::remove_dir_all(&dir);
+}
