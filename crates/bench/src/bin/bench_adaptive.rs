@@ -1,12 +1,13 @@
-//! Dynamic-window micro-bench: incremental delta absorption vs the
-//! rebuild-per-window ablation on an LJ-analog growth stream.
+//! Dynamic-window micro-bench: incremental delta absorption vs a rebuild
+//! per window on an LJ-analog growth stream.
 //!
 //! Splits a preferential-attachment graph 70/30, spreads the held-out
 //! edges over `--windows` one-second windows, and drives two
-//! [`AdaptiveRlCut`] instances over the *identical* [`GraphDelta`]
-//! sequence: one resuming its carried placement state incrementally
-//! (`on_window_delta`), one forced to rebuild `from_masters` every window
-//! (`with_rebuild_per_window`). Training work is pinned (fixed sample
+//! [`AdaptiveRlCut`] instances over the *identical* snapshot sequence:
+//! one handed each window's [`GraphDelta`] and resuming its carried
+//! placement state incrementally (`on_window_delta`), one handed only the
+//! snapshot and so rebuilding `from_masters` every window (`on_window`).
+//! Training work is pinned (fixed sample
 //! rate, fixed step count, pinned theta), so the overhead gap isolates
 //! state preparation: O(delta) resume vs O(E) rebuild.
 //!
@@ -134,7 +135,7 @@ fn main() {
         .with_fixed_sample_rate(0.005)
         .with_max_steps(1);
     let mut incremental = AdaptiveRlCut::new(config.clone(), None);
-    let mut rebuild = AdaptiveRlCut::new(config, None).with_rebuild_per_window(true);
+    let mut rebuild = AdaptiveRlCut::new(config, None);
     let t_opt = Duration::from_secs(1);
 
     let mut graph = initial;
@@ -152,12 +153,12 @@ fn main() {
             .on_window_delta(&geo, &env, &delta, p0.clone(), 10.0, t_opt)
             .unwrap_or_else(|e| panic!("incremental window {i}: {e}"));
         let rr = rebuild
-            .on_window_delta(&geo, &env, &delta, p0.clone(), 10.0, t_opt)
+            .on_window(&geo, &env, p0.clone(), 10.0, t_opt)
             .unwrap_or_else(|e| panic!("rebuild window {i}: {e}"));
         // Zero-rebuild probe: the incremental path must report delta
         // stats, and its work must scale with the delta, not the graph.
         let stats = ri.delta_stats.expect("incremental path must be taken");
-        assert!(rr.delta_stats.is_none(), "ablation must rebuild");
+        assert!(rr.delta_stats.is_none(), "a window without a delta must rebuild");
         // Incremental ≡ rebuild gate: recompute the carried state from
         // scratch and compare (bit-for-bit on integer state).
         let validated = incremental

@@ -1,5 +1,5 @@
-//! Shard-runtime micro-bench: the sharded trainer at 1/2/4/8 shards vs
-//! the single-process trainer on the 8-DC Twitter-analog preset.
+//! Shard-runtime micro-bench: a sharded training session at 1/2/4/8
+//! shards vs the single-process one on the 8-DC Twitter-analog preset.
 //!
 //! Reports per shard count: training throughput (steps/sec), total bytes
 //! moved through the shuffle layer, and the summed ghost-fringe size —
@@ -22,7 +22,7 @@ use geograph::locality::LocalityConfig;
 use geograph::{Dataset, GeoGraph};
 use geopart::HybridState;
 use geosim::regions::ec2_eight_regions;
-use rlcut::{RlCutConfig, ShardedTrainer};
+use rlcut::{InProcessShuffle, RlCutConfig, SessionResources, ShardCarry, TrainerSession};
 
 struct Args {
     scale: f64,
@@ -103,13 +103,10 @@ fn run_cell(
     reps: usize,
 ) -> (RunRecord, Vec<geograph::DcId>) {
     let profile = geopart::TrafficProfile::uniform(geo.num_vertices(), 8.0);
-    // The same views ShardedTrainer::new builds, measured for the
-    // resident-bytes columns (reps reuse the numbers — views are a pure
-    // function of graph + spec).
-    let spec = geograph::ShardSpec::contiguous(geo.num_vertices(), shards);
-    let view_sizes: Vec<usize> = (0..shards)
-        .map(|s| geograph::ShardView::build(&geo.graph, &spec, s).heap_bytes())
-        .collect();
+    // The views every rep trains on, measured for the resident-bytes
+    // columns (a pure function of graph + spec).
+    let carry = ShardCarry::contiguous(&geo.graph, shards);
+    let view_sizes: Vec<usize> = carry.views.iter().map(|v| v.heap_bytes()).collect();
     let view_bytes_max = view_sizes.iter().copied().max().unwrap_or(0);
     let view_bytes_total = view_sizes.iter().sum();
     let mut best: Option<(RunRecord, Vec<geograph::DcId>)> = None;
@@ -122,10 +119,20 @@ fn run_cell(
             profile.clone(),
             10.0,
         );
-        let mut trainer = ShardedTrainer::new(geo, env, state, config.clone(), shards)
-            .unwrap_or_else(|e| panic!("{shards} shards failed to build: {e}"));
+        let mut trainer = TrainerSession::sharded(
+            geo,
+            env,
+            state,
+            config.clone(),
+            SessionResources::default(),
+            carry.clone(),
+            Box::new(InProcessShuffle::new(shards)),
+        )
+        .unwrap_or_else(|e| panic!("{shards} shards failed to build: {e}"));
         let ghost_vertices = trainer.total_ghosts();
-        trainer.run(env).unwrap_or_else(|e| panic!("{shards} shards failed to train: {e}"));
+        trainer
+            .run(env, &mut rlcut::observer::NoopObserver)
+            .unwrap_or_else(|e| panic!("{shards} shards failed to train: {e}"));
         let shuffle_bytes = trainer.shuffle_bytes();
         let result = trainer.finish(env);
         let record = RunRecord {

@@ -16,9 +16,8 @@ use geopart::{DeltaApplyStats, HybridState, PlacementState, PlanError, TrafficPr
 use geosim::CloudEnv;
 
 use crate::config::RlCutConfig;
-use crate::shard::{refresh_views, InProcessShuffle, ShardCarry, ShardError, ShardedTrainer};
-use crate::trainer::{SessionResources, TrainerSession};
-use geograph::{ShardSpec, ShardView};
+use crate::shard::{refresh_views, InProcessShuffle, ShardCarry};
+use crate::trainer::{SessionResources, TrainError, TrainerSession};
 
 /// Why a window could not be partitioned.
 #[derive(Debug)]
@@ -35,8 +34,9 @@ pub enum WindowError {
     /// The placement layer rejected the window (e.g. a delta that does
     /// not line up with the carried state).
     Plan(PlanError),
-    /// The sharded runtime failed (shuffle transport or protocol error).
-    Shard(ShardError),
+    /// Training failed (a panicking pool worker, or the sharded runtime's
+    /// transport or protocol).
+    Train(TrainError),
 }
 
 impl std::fmt::Display for WindowError {
@@ -48,7 +48,7 @@ impl std::fmt::Display for WindowError {
                  snapshot has {snapshot} vertices"
             ),
             WindowError::Plan(e) => write!(f, "window rejected by the placement layer: {e}"),
-            WindowError::Shard(e) => write!(f, "sharded runtime failed: {e}"),
+            WindowError::Train(e) => write!(f, "window training failed: {e}"),
         }
     }
 }
@@ -57,7 +57,7 @@ impl std::error::Error for WindowError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             WindowError::Plan(e) => Some(e),
-            WindowError::Shard(e) => Some(e),
+            WindowError::Train(e) => Some(e),
             WindowError::ShrunkGraph { .. } => None,
         }
     }
@@ -69,9 +69,9 @@ impl From<PlanError> for WindowError {
     }
 }
 
-impl From<ShardError> for WindowError {
-    fn from(e: ShardError) -> Self {
-        WindowError::Shard(e)
+impl From<TrainError> for WindowError {
+    fn from(e: TrainError) -> Self {
+        WindowError::Train(e)
     }
 }
 
@@ -111,9 +111,9 @@ pub struct WindowReport {
 ///   sampling is re-focused on the delta's touched neighborhoods, and the
 ///   Eq 14 rate floor is raised so a converged schedule cannot starve
 ///   them. No full-graph state rebuild happens anywhere in the window.
-/// * **Rebuild** ([`Self::on_window`], or forced via
-///   [`Self::with_rebuild_per_window`] as the ablation baseline) — the
-///   historical path: `from_masters` over the whole snapshot each window.
+/// * **Rebuild** ([`Self::on_window`]) — `from_masters` over the whole
+///   snapshot: the first window, a window after a noted fault, and any
+///   window whose change did not arrive as a delta.
 #[derive(Debug)]
 pub struct AdaptiveRlCut {
     config: RlCutConfig,
@@ -127,23 +127,18 @@ pub struct AdaptiveRlCut {
     /// next delta resumes it instead of rebuilding (`None` before the
     /// first window and after a rebuild was forced).
     carried: Option<(PlacementState, usize)>,
-    /// The previous window's worker pool and scratch arena, carried so
-    /// pool workers survive across windows.
+    /// The previous window's worker pool, scratch arena and (sharded)
+    /// shard topology, carried so pool workers survive across windows and
+    /// a delta window refreshes only the affected shard views.
     resources: Option<SessionResources>,
-    /// Ablation: force the from-scratch rebuild every window even when a
-    /// delta and carried state are available.
-    rebuild_per_window: bool,
     /// Train each window through the sharded runtime with this many
     /// shards (`None` keeps the single-process trainer).
     num_shards: Option<usize>,
-    /// The previous window's shard topology (spec + built views), carried
-    /// so a delta window refreshes only the affected views.
-    shard_carry: Option<ShardCarry>,
     /// Shard views rebuilt by the last window (`None`: the last window
     /// was unsharded or built every view fresh).
     last_shard_refreshes: Option<usize>,
     /// Ask each window's session to journal its applied moves (the
-    /// durable driver's WAL feed). Unsharded only.
+    /// durable driver's WAL feed).
     journal_moves: bool,
 }
 
@@ -158,9 +153,7 @@ impl AdaptiveRlCut {
             pending_fault: None,
             carried: None,
             resources: None,
-            rebuild_per_window: false,
             num_shards: None,
-            shard_carry: None,
             last_shard_refreshes: None,
             journal_moves: false,
         }
@@ -184,8 +177,7 @@ impl AdaptiveRlCut {
 
     /// Journals every applied migration of each window's session, handed
     /// back through [`Self::take_window_journal`]. The durable driver's
-    /// WAL feed. Incompatible with [`Self::with_shards`] (the sharded
-    /// runtime applies moves shard-locally, outside the journaled path).
+    /// WAL feed.
     pub fn with_move_journal(mut self) -> Self {
         self.journal_moves = true;
         self
@@ -205,15 +197,8 @@ impl AdaptiveRlCut {
         self.carried.as_ref()
     }
 
-    /// Forces the from-scratch rebuild every window (the ablation baseline
-    /// the incremental path is measured against).
-    pub fn with_rebuild_per_window(mut self, rebuild: bool) -> Self {
-        self.rebuild_per_window = rebuild;
-        self
-    }
-
     /// Trains every window through the sharded runtime
-    /// ([`ShardedTrainer`]) over `num_shards` contiguous vertex ranges.
+    /// ([`TrainerSession::sharded`]) over `num_shards` contiguous vertex ranges.
     /// Masters stay bit-identical to the unsharded trainer; delta windows
     /// route the [`GraphDelta`] to the owning shards and refresh only the
     /// affected views. `num_shards` must be at least 1.
@@ -294,8 +279,7 @@ impl AdaptiveRlCut {
     /// the carried placement state incrementally (work proportional to the
     /// delta), re-focuses sampling on the touched neighborhoods, and
     /// reuses the carried worker pool. Falls back to the rebuild path on
-    /// the first window, after a noted fault, or when
-    /// [`Self::with_rebuild_per_window`] forces the ablation.
+    /// the first window and after a noted fault.
     pub fn on_window_delta(
         &mut self,
         geo: &GeoGraph,
@@ -323,21 +307,13 @@ impl AdaptiveRlCut {
                 snapshot: geo.num_vertices(),
             });
         }
-        assert!(
-            !(self.journal_moves && self.num_shards.is_some()),
-            "move journaling is unsharded-only: the sharded runtime applies moves outside \
-             the journaled path"
-        );
         let mut config = self.config.clone().with_t_opt(t_opt);
         if let Some(fraction) = self.budget_fraction {
             config.budget =
                 geosim::cost::default_budget(env, &geo.locations, &geo.data_sizes, fraction);
         }
         let fault = self.pending_fault.take();
-        let incremental = delta.is_some()
-            && !self.rebuild_per_window
-            && fault.is_none()
-            && self.carried.is_some();
+        let incremental = delta.is_some() && fault.is_none() && self.carried.is_some();
 
         let prep_start = Instant::now();
         let (state, delta_stats) = if incremental {
@@ -373,76 +349,48 @@ impl AdaptiveRlCut {
         };
         let delta_apply = prep_start.elapsed();
 
-        let result = if let Some(num_shards) = self.num_shards {
-            // Sharded runtime: carry the shard topology across windows —
-            // a delta window routes the change to the owning shards and
-            // refreshes only the affected views; everything else (no
-            // delta, shrunk carry) rebuilds the topology from scratch.
-            let carry = match (self.shard_carry.take(), delta) {
-                (Some(mut carry), Some(delta))
-                    if carry.spec.num_vertices() <= geo.num_vertices() =>
-                {
-                    self.last_shard_refreshes = Some(refresh_views(&mut carry, &geo.graph, delta));
-                    carry
-                }
-                _ => {
-                    self.last_shard_refreshes = None;
-                    let spec = ShardSpec::contiguous(geo.num_vertices(), num_shards);
-                    let views =
-                        (0..num_shards).map(|s| ShardView::build(&geo.graph, &spec, s)).collect();
-                    ShardCarry { spec, views }
-                }
-            };
-            let transport = Box::new(InProcessShuffle::new(num_shards));
-            let mut session = ShardedTrainer::with_parts(
-                geo,
-                env,
-                state,
-                config,
-                self.resources.take().unwrap_or_default(),
-                carry,
-                transport,
-            )?;
-            if incremental {
-                let touched = delta.expect("checked by `incremental`").touched();
-                session.focus_on(touched);
-                let floor =
-                    (8.0 * touched.len() as f64 / session.num_trainable().max(1) as f64).min(1.0);
-                session.boost_sampling(floor);
+        let mut resources = self.resources.take().unwrap_or_default();
+        let mut session = match self.num_shards {
+            None => TrainerSession::with_resources(geo, env, state, config, resources),
+            Some(num_shards) => {
+                // Carry the shard topology across windows — a delta window
+                // routes the change to the owning shards and refreshes
+                // only the affected views; everything else (no delta,
+                // shrunk carry) rebuilds the topology from scratch.
+                let carry = match (resources.shards.take(), delta) {
+                    (Some(mut carry), Some(delta))
+                        if carry.spec.num_vertices() <= geo.num_vertices() =>
+                    {
+                        self.last_shard_refreshes =
+                            Some(refresh_views(&mut carry, &geo.graph, delta));
+                        carry
+                    }
+                    _ => {
+                        self.last_shard_refreshes = None;
+                        ShardCarry::contiguous(&geo.graph, num_shards)
+                    }
+                };
+                let transport = Box::new(InProcessShuffle::new(num_shards));
+                TrainerSession::sharded(geo, env, state, config, resources, carry, transport)?
             }
-            session.run(env)?;
-            let (result, resources, carry) = session.finish_with_parts(env);
-            self.resources = Some(resources);
-            self.shard_carry = Some(carry);
-            result
-        } else {
-            let mut session = TrainerSession::with_resources(
-                geo,
-                env,
-                state,
-                config,
-                self.resources.take().unwrap_or_default(),
-            );
-            if self.journal_moves {
-                session.enable_move_journal();
-            }
-            if incremental {
-                // The delta's touched neighborhoods are where quality
-                // degraded: front them in the sampling order and floor the
-                // Eq 14 rate so even a converged schedule revisits them
-                // (the generalization of the fault path's ×8 initial-rate
-                // boost).
-                let touched = delta.expect("checked by `incremental`").touched();
-                session.focus_on(touched);
-                let floor =
-                    (8.0 * touched.len() as f64 / session.num_trainable().max(1) as f64).min(1.0);
-                session.boost_sampling(floor);
-            }
-            session.run(env, &mut crate::observer::NoopObserver);
-            let (result, resources) = session.finish_with_resources(env);
-            self.resources = Some(resources);
-            result
         };
+        if self.journal_moves {
+            session.enable_move_journal();
+        }
+        if incremental {
+            // The delta's touched neighborhoods are where quality
+            // degraded: front them in the sampling order and floor the
+            // Eq 14 rate so even a converged schedule revisits them (the
+            // generalization of the fault path's ×8 initial-rate boost).
+            let touched = delta.expect("checked by `incremental`").touched();
+            session.focus_on(touched);
+            let floor =
+                (8.0 * touched.len() as f64 / session.num_trainable().max(1) as f64).min(1.0);
+            session.boost_sampling(floor);
+        }
+        session.run(env, &mut crate::observer::NoopObserver)?;
+        let (result, resources) = session.finish_with_resources(env);
+        self.resources = Some(resources);
         // Session wall-clock covers the training loop and the final
         // reconcile to the best plan.
         let train = result.total_duration;
@@ -671,11 +619,29 @@ mod tests {
         // routes the delta to the owning shards and refreshes only the
         // affected views. theta pinned and the sample rate fixed so the
         // wall-clock scheduler cannot decide differently across runs.
+        // With the move journal on, both sides must also journal the same
+        // stream, and the sharded stream must replay to the committed
+        // state bit-exactly (what a durable sharded trainer rests on).
+        for journal in [false, true] {
+            sharded_windows_case(journal);
+        }
+    }
+
+    fn sharded_windows_case(journal: bool) {
+        use geograph::dynamic::{EdgeEvent, EventKind};
         let n = 400;
         let edges = preferential_attachment_edges(n, 3, 23);
         let (initial, stream) = split_for_dynamic(&edges, n, 0.6, 10_000);
-        let windows: Vec<_> = stream.windows(2_500).collect();
-        assert!(windows.len() >= 3, "need several delta windows");
+        let mut batches: Vec<Vec<EdgeEvent>> = stream.windows(2_500).map(|w| w.to_vec()).collect();
+        assert!(batches.len() >= 3, "need several delta windows");
+        // Last: a surgical one-edge delta confined to the first shard's
+        // range — the other shards' views must be carried verbatim.
+        batches.push(vec![EdgeEvent {
+            src: 100,
+            dst: 101,
+            timestamp_ms: 0,
+            kind: EventKind::Insert,
+        }]);
         let full_graph = {
             let mut b = GraphBuilder::new(n);
             b.add_edges(initial.edges());
@@ -695,6 +661,10 @@ mod tests {
         let t_opt = Duration::from_secs(60);
         let mut plain = AdaptiveRlCut::new(config.clone(), Some(0.4));
         let mut sharded = AdaptiveRlCut::new(config, Some(0.4)).with_shards(3);
+        if journal {
+            plain = plain.with_move_journal();
+            sharded = sharded.with_move_journal();
+        }
 
         let mut graph = initial;
         let geo0 = GeoGraph::new(
@@ -708,9 +678,11 @@ mod tests {
         sharded.on_window(&geo0, &env, p0, 10.0, t_opt).expect("sharded window 0");
         assert_eq!(plain.masters(), sharded.masters(), "window 0 diverged");
         assert_eq!(sharded.last_shard_refreshes(), None, "window 0 builds the topology");
+        assert_eq!(plain.take_window_journal(), sharded.take_window_journal());
 
-        for (i, window) in windows.iter().enumerate() {
-            let delta = geograph::GraphDelta::from_events(&graph, window);
+        let mut journaled_moves = 0;
+        for (i, batch) in batches.iter().enumerate() {
+            let delta = geograph::GraphDelta::from_events(&graph, batch);
             graph = graph.apply_delta(&delta);
             let geo = GeoGraph::new(
                 graph.clone(),
@@ -719,52 +691,55 @@ mod tests {
                 cfg.num_dcs,
             );
             let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
+            let committed = sharded.carried_parts().cloned().expect("window 0 carried a state");
             let rp = plain
                 .on_window_delta(&geo, &env, &delta, profile.clone(), 10.0, t_opt)
                 .unwrap_or_else(|e| panic!("plain window {i}: {e}"));
             let rs = sharded
-                .on_window_delta(&geo, &env, &delta, profile, 10.0, t_opt)
+                .on_window_delta(&geo, &env, &delta, profile.clone(), 10.0, t_opt)
                 .unwrap_or_else(|e| panic!("sharded window {i}: {e}"));
             assert!(rp.delta_stats.is_some() && rs.delta_stats.is_some());
             assert_eq!(plain.masters(), sharded.masters(), "delta window {i} diverged");
             let refreshed =
                 sharded.last_shard_refreshes().expect("delta window must route the delta");
             assert!(refreshed <= 3);
-        }
+            if batch.len() == 1 {
+                assert!(refreshed < 3, "a one-edge delta must not refresh every shard view");
+            }
 
-        // A surgical one-edge delta confined to the first shard's range:
-        // the other shards' views must be carried verbatim, and the plans
-        // must still agree.
-        use geograph::dynamic::{EdgeEvent, EventKind};
-        let events =
-            vec![EdgeEvent { src: 100, dst: 101, timestamp_ms: 0, kind: EventKind::Insert }];
-        let delta = geograph::GraphDelta::from_events(&graph, &events);
-        graph = graph.apply_delta(&delta);
-        let geo = GeoGraph::new(
-            graph.clone(),
-            locations[..graph.num_vertices()].to_vec(),
-            sizes[..graph.num_vertices()].to_vec(),
-            cfg.num_dcs,
-        );
-        let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
-        plain
-            .on_window_delta(&geo, &env, &delta, profile.clone(), 10.0, t_opt)
-            .expect("plain tail window");
-        sharded
-            .on_window_delta(&geo, &env, &delta, profile, 10.0, t_opt)
-            .expect("sharded tail window");
-        assert_eq!(plain.masters(), sharded.masters(), "tail window diverged");
-        assert!(
-            sharded.last_shard_refreshes().expect("tail delta routed") < 3,
-            "a one-edge delta must not refresh every shard view"
-        );
+            // Entry-for-entry equal journals (the RECONCILE_STEP sweep
+            // included), and the sharded one replays — committed state +
+            // delta + moves in order — to the new committed state.
+            let moves = sharded.take_window_journal();
+            assert_eq!(plain.take_window_journal(), moves, "window {i} journals diverged");
+            assert_eq!(moves.is_empty(), !journal || rs.migrations == 0);
+            let (core, theta) = committed;
+            let (mut replayed, _) =
+                HybridState::resume_from_parts(core, theta, &geo, &env, &delta, &profile)
+                    .expect("replaying the delta");
+            let mut scratch = geopart::MoveScratch::new();
+            for &(v, to) in moves.iter().flat_map(|(_, step_moves)| step_moves) {
+                replayed.apply_move_with(&env, v, to, &mut scratch);
+                journaled_moves += 1;
+            }
+            if journal {
+                let (live, _) = sharded.carried_parts().expect("carried");
+                assert_eq!(replayed.core().masters(), live.masters(), "window {i} replay");
+                assert_eq!(
+                    replayed.core().movement_cost().to_bits(),
+                    live.movement_cost().to_bits(),
+                    "window {i}: replayed movement cost is not bit-exact"
+                );
+            }
+        }
+        assert_eq!(journaled_moves > 0, journal, "the journal case must replay real moves");
     }
 
     #[test]
     fn rebuild_ablation_matches_incremental_masters() {
-        // Incremental delta windows and the forced rebuild ablation train
-        // over identical state (same masters, same theta, same profile) —
-        // the trained plans must agree exactly.
+        // Incremental delta windows and rebuild windows (`on_window`: the
+        // same snapshots, no delta) train over identical state (same
+        // masters, same theta, same profile).
         let n = 300;
         let edges = preferential_attachment_edges(n, 3, 29);
         let (initial, stream) = split_for_dynamic(&edges, n, 0.6, 10_000);
@@ -789,7 +764,7 @@ mod tests {
             .with_fixed_sample_rate(0.1)
             .with_max_steps(2);
         let mut incremental = AdaptiveRlCut::new(config.clone(), Some(0.4));
-        let mut rebuild = AdaptiveRlCut::new(config, Some(0.4)).with_rebuild_per_window(true);
+        let mut rebuild = AdaptiveRlCut::new(config, Some(0.4));
 
         let mut graph = initial;
         let geo0 = GeoGraph::new(
@@ -818,10 +793,10 @@ mod tests {
                 .on_window_delta(&geo, &env, &delta, profile.clone(), 10.0, t_opt)
                 .unwrap_or_else(|e| panic!("inc window {i}: {e}"));
             let rr = rebuild
-                .on_window_delta(&geo, &env, &delta, profile, 10.0, t_opt)
+                .on_window(&geo, &env, profile, 10.0, t_opt)
                 .unwrap_or_else(|e| panic!("reb window {i}: {e}"));
             assert!(ri.delta_stats.is_some(), "incremental path must be taken");
-            assert!(rr.delta_stats.is_none(), "ablation must rebuild");
+            assert!(rr.delta_stats.is_none(), "a window without a delta must rebuild");
         }
         // Both trained on the same snapshots from the same seeds; the
         // focused sampling order differs, so compare final plan quality

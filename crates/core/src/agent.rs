@@ -7,6 +7,8 @@
 
 use geograph::{DcId, VertexId};
 
+use crate::config::RlCutConfig;
+
 /// The pool of all agents' LA state.
 #[derive(Clone, Debug)]
 pub struct AgentPool {
@@ -159,6 +161,22 @@ impl AgentPool {
         let n = self.plays[idx] as f64;
         let q = self.mean_reward[idx] as f64;
         self.mean_reward[idx] = (q + (reward - q) / n) as f32;
+    }
+
+    /// Fig 5 phases 2–4 for one agent whose score-optimal DC is `best_dc`:
+    /// reward it (and, with `use_penalty`, punish the rest), select by UCB
+    /// and record the play. Returns the selected DC. Per-agent independent,
+    /// so a shard-local pool evolves exactly like the global rows it holds.
+    pub fn learn_and_select(&mut self, v: VertexId, best_dc: DcId, config: &RlCutConfig) -> DcId {
+        self.reward(v, best_dc, config.alpha);
+        if config.use_penalty {
+            for d in (0..self.num_actions as DcId).filter(|&d| d != best_dc) {
+                self.penalize(v, d, config.beta);
+            }
+        }
+        let selected = self.select_ucb(v, config.ucb_c);
+        self.record_play(v, selected, if selected == best_dc { 1.0 } else { 0.0 });
+        selected
     }
 
     /// The most probable action of agent `v` — the converged policy.

@@ -41,9 +41,12 @@ pub const MAGIC: [u8; 4] = *b"RLCP";
 /// Current format version.
 pub const VERSION: u32 = 1;
 
-/// Why a checkpoint failed to load.
+/// Why a checkpoint could not be taken or loaded.
 #[derive(Debug)]
 pub enum CheckpointError {
+    /// The session is sharded: its automata live on the shards, outside
+    /// the checkpoint format (checkpoint/resume is single-process-only).
+    ShardedSession,
     /// The blob does not start with the `RLCP` magic.
     BadMagic,
     /// The format version is not supported.
@@ -59,6 +62,9 @@ pub enum CheckpointError {
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            CheckpointError::ShardedSession => {
+                write!(f, "a sharded session cannot be checkpointed")
+            }
             CheckpointError::BadMagic => write!(f, "not a trainer checkpoint (bad magic)"),
             CheckpointError::UnsupportedVersion(v) => {
                 write!(f, "unsupported checkpoint version {v} (expected {VERSION})")

@@ -51,23 +51,14 @@ pub struct RlCutConfig {
     /// Minimum sampled-agent count before the score phase fans out to the
     /// worker pool; smaller samples run sequentially on the caller thread.
     ///
-    /// Rationale: a parallel dispatch has a fixed cost — historically a
-    /// full `thread::scope` spawn/join per step, now one condvar
+    /// Rationale: a parallel dispatch has a fixed cost — one condvar
     /// round-trip into the persistent [`crate::pool::WorkerPool`] plus the
-    /// LPT group build. That cost amortizes only once the sampled agents
-    /// carry enough `O(deg)` scoring work; below the threshold the
-    /// sequential path (with the session-resident scratch) wins. The
-    /// default of 64 was measured against the pool on the 8-DC
-    /// Twitter-analog preset (`bench_trainer`): dispatch overhead is down
-    /// ~an order of magnitude versus per-step spawning, but tiny adaptive
-    /// early-step samples (1 % of agents) still finish faster inline.
+    /// LPT group build — that amortizes only once the sampled agents carry
+    /// enough `O(deg)` scoring work; below the threshold the sequential
+    /// path (with the session-resident scratch) wins. The default of 64 was
+    /// measured on the 8-DC Twitter-analog preset (`bench_trainer`): tiny
+    /// adaptive early-step samples (1 % of agents) finish faster inline.
     pub parallel_threshold: usize,
-    /// Route the parallel phases through the persistent per-session
-    /// [`crate::pool::WorkerPool`] (the default). `false` falls back to
-    /// spawning a fresh `thread::scope` per phase per step with cold
-    /// scratch arenas — kept as the ablation/bench baseline the pool is
-    /// measured against.
-    pub use_worker_pool: bool,
     /// Required optimization overhead `T_opt` (§V-C). `None` disables the
     /// adaptive sampler: every agent trains every step.
     pub t_opt: Option<Duration>,
@@ -91,8 +82,7 @@ pub struct RlCutConfig {
     /// successive slices of the sampled prefix. Bounds per-step latency and
     /// the score phase's touched working set on paper-scale graphs where
     /// even a 1 % sample is hundreds of thousands of agents. `None` (the
-    /// default) scans the whole sample — bit-identical to the pre-knob
-    /// trainer, consuming the same RNG stream.
+    /// default) scans the whole sample.
     pub max_scan: Option<usize>,
     pub seed: u64,
 }
@@ -112,7 +102,6 @@ impl RlCutConfig {
             num_threads: None,
             disable_straggler_mitigation: false,
             parallel_threshold: 64,
-            use_worker_pool: true,
             t_opt: None,
             initial_sample_rate: 0.01,
             fixed_sample_rate: None,
@@ -180,13 +169,6 @@ impl RlCutConfig {
         self
     }
 
-    /// Builder-style worker-pool toggle (see
-    /// [`RlCutConfig::use_worker_pool`]).
-    pub fn with_worker_pool(mut self, enabled: bool) -> Self {
-        self.use_worker_pool = enabled;
-        self
-    }
-
     /// Builder-style per-step scan cap (see [`RlCutConfig::max_scan`]).
     pub fn with_max_scan(mut self, cap: usize) -> Self {
         assert!(cap >= 1, "a zero scan cap would stall every step");
@@ -213,7 +195,6 @@ mod tests {
         assert!(!c.use_penalty);
         assert_eq!(c.initial_sample_rate, 0.01);
         assert_eq!(c.parallel_threshold, 64);
-        assert!(c.use_worker_pool);
         assert_eq!(c.max_scan, None);
     }
 

@@ -72,7 +72,7 @@ pub use pool::{PoolError, WorkerPool};
 pub use recovery::{train_under_faults, FaultTrainReport};
 pub use shard::{
     partition_sharded, refresh_views, shard_carry_streamed, InProcessShuffle, ShardCarry,
-    ShardError, ShardedTrainer, ShuffleMsg, ShuffleTransport,
+    ShardError, ShuffleMsg, ShuffleTransport,
 };
 pub use stats::{RlCutResult, StepStats};
-pub use trainer::{partition, partition_from, SessionResources, TrainerSession};
+pub use trainer::{partition, partition_from, SessionResources, TrainError, TrainerSession};

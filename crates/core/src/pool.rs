@@ -1,16 +1,15 @@
 //! Persistent training worker pool with step-resident scratch arenas.
 //!
 //! Both phases of every RLCut training step fan work out over `threads`
-//! workers. Before this module existed each phase of each step paid for a
-//! fresh `std::thread::scope` spawn/join **and** cold [`MoveScratch`]
-//! arenas; on the small per-step work items of a converging trainer that
-//! fixed cost dominates. A [`WorkerPool`] is spawned once per
+//! workers, and on the small per-step work items of a converging trainer
+//! a per-dispatch spawn/join and cold [`MoveScratch`] arenas would
+//! dominate. A [`WorkerPool`] is spawned once per multi-threaded
 //! [`crate::TrainerSession`] (and once per pool-enabled baseline refiner
 //! run) and reused for every subsequent dispatch:
 //!
 //! * **Workers are pinned and persistent** — `threads` OS threads parked
-//!   on a condvar between dispatches, so a dispatch is a mutex/condvar
-//!   round-trip instead of `threads` clone/spawn/join cycles.
+//!   on a condvar between dispatches, so a dispatch is one mutex/condvar
+//!   round-trip.
 //! * **Scratch arenas are step-resident** — each worker owns one
 //!   [`MoveScratch`] for its whole life. The arena warms up during the
 //!   first pass over the workload and later passes run allocation-free
@@ -33,10 +32,10 @@
 //! `RwLock<HybridState>`, frozen proposal slices, …) and the caller cannot
 //! touch or drop that state while `run_on_all` has not returned.
 //!
-//! Determinism: the pool adds no scheduling freedom beyond what
-//! `thread::scope` had — work assignment is decided by the caller (LPT
-//! groups, strided batches), workers only compute into disjoint slots, and
-//! reductions happen on the caller thread in caller-chosen order.
+//! Determinism: the pool adds no scheduling freedom — work assignment is
+//! decided by the caller (LPT groups, strided batches), workers only
+//! compute into disjoint slots, and reductions happen on the caller thread
+//! in caller-chosen order.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -155,7 +154,7 @@ impl WorkerPool {
     /// pool is immediately reusable. Jobs that synchronize among
     /// themselves (e.g. via a [`std::sync::Barrier`] sized
     /// [`Self::threads`]) must not panic between barrier points — a
-    /// deserter would strand its peers, exactly as under `thread::scope`.
+    /// deserter would strand its peers.
     pub fn run_on_all(&self, job: JobRef<'_>) -> Result<(), PoolError> {
         let _gate = self.dispatch_gate.lock();
         // Erase the borrow lifetime; the completion wait below re-proves
@@ -292,6 +291,22 @@ pub(crate) fn live_os_threads() -> usize {
         .unwrap_or(0)
 }
 
+/// [`live_os_threads`] for the "nothing leaked" side of a leak assertion.
+/// The suite runs tests on parallel threads, so a neighbour's pool can be
+/// alive at any one reading; a leak is permanent, a neighbour's pool is
+/// not. Re-reads for up to 5 s until the count is at most `limit`.
+#[cfg(test)]
+pub(crate) fn settled_os_threads(limit: usize) -> usize {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    loop {
+        let live = live_os_threads();
+        if live <= limit || std::time::Instant::now() >= deadline {
+            return live;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,7 +441,7 @@ mod tests {
         }
         // All eight workers joined on drop; allow unrelated runtime threads
         // some slack in either direction.
-        let after = live_os_threads();
+        let after = settled_os_threads(before + 1);
         assert!(
             after <= before + 1,
             "worker threads leaked: {before} before pool, {after} after drop"

@@ -25,13 +25,13 @@
 //! against the rewound clock and the run would livelock on the same fault.
 
 use geograph::{DcId, GeoGraph};
-use geopart::{HybridState, PlanError};
+use geopart::HybridState;
 use geosim::faults::FaultSchedule;
 use geosim::CloudEnv;
 
 use crate::config::RlCutConfig;
 use crate::stats::RlCutResult;
-use crate::trainer::TrainerSession;
+use crate::trainer::{TrainError, TrainerSession};
 
 /// What happened during a fault-injected training run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -64,7 +64,7 @@ pub fn train_under_faults<'g>(
     config: &RlCutConfig,
     schedule: &FaultSchedule,
     checkpoint_every: usize,
-) -> Result<(RlCutResult<'g>, FaultTrainReport), PlanError> {
+) -> Result<(RlCutResult<'g>, FaultTrainReport), TrainError> {
     assert_eq!(
         schedule.num_dcs(),
         base_env.num_dcs(),
@@ -86,7 +86,12 @@ pub fn train_under_faults<'g>(
             report.evacuated_vertices += evac.vertices_moved;
         }
     }
-    let mut latest = session.checkpoint();
+    // The run is single-process from end to end (`new` / `resume`), which
+    // is the one kind of session a checkpoint can be taken of.
+    let checkpoint = |session: &TrainerSession<'_>| {
+        session.checkpoint().expect("single-process sessions checkpoint infallibly")
+    };
+    let mut latest = checkpoint(&session);
     report.checkpoints_taken += 1;
 
     let mut wall: u64 = 0;
@@ -115,13 +120,13 @@ pub fn train_under_faults<'g>(
                 report.evacuated_vertices += evac.vertices_moved;
             }
         }
-        if session.step(view.env()).is_none() {
+        if session.step(view.env())?.is_none() {
             break;
         }
         report.wall_steps += 1;
         wall += 1;
         if checkpoint_every > 0 && report.wall_steps % checkpoint_every == 0 {
-            latest = session.checkpoint();
+            latest = checkpoint(&session);
             report.checkpoints_taken += 1;
         }
     }
@@ -221,7 +226,7 @@ mod tests {
                     .unwrap();
             assert_eq!(report.crash_recoveries, 1);
         }
-        let after = crate::pool::live_os_threads();
+        let after = crate::pool::settled_os_threads(before + 1);
         assert!(
             after <= before + 1,
             "pool workers leaked across fault recoveries: {before} -> {after}"

@@ -1,5 +1,6 @@
 //! The Eq 10 score function and its adaptive `tw`/`cw` weight schedule.
 
+use geograph::DcId;
 use geopart::Objective;
 
 /// The adaptive objective weights of Eq 10.
@@ -49,6 +50,27 @@ pub fn score(last: &Objective, candidate: &Objective, weights: Weights) -> f64 {
         0.0
     };
     weights.tw * time_term + weights.cw * cost_term
+}
+
+/// ρ_v (Eq 10/11): the score-optimal destination of an agent whose
+/// per-destination projections are `candidates`. The current master's slot
+/// is pinned to the frozen step objective `last` (staying put scores
+/// exactly zero); ties keep the lowest DC id.
+pub fn best_destination(
+    last: &Objective,
+    candidates: &[Objective],
+    master: DcId,
+    weights: Weights,
+) -> DcId {
+    let mut best = (0 as DcId, f64::NEG_INFINITY);
+    for (d, candidate) in candidates.iter().enumerate() {
+        let candidate = if d == master as usize { last } else { candidate };
+        let s = score(last, candidate, weights);
+        if s > best.1 {
+            best = (d as DcId, s);
+        }
+    }
+    best.0
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
-//! Shard-oriented training runtime: shard workers over vertex-range CSR
-//! shards, a transport-abstracted shuffle layer, and a coordinator that
-//! preserves the Fig 7 sequential accept order.
+//! The sharded scoring backend of [`TrainerSession`]: shard workers over
+//! vertex-range CSR shards behind a transport-abstracted shuffle layer.
 //!
 //! ## Architecture
 //!
@@ -16,49 +15,43 @@
 //!   process/socket transport plugs in at the same boundary (all message
 //!   payloads are plain old data with a [`ShuffleMsg::wire_bytes`]
 //!   accounting of their serialized size).
-//! * **Coordinator** ([`ShardedTrainer`]) owns the authoritative
-//!   [`HybridState`], the sampling order/scheduler, the migration RNG and
-//!   the best-plan tracker. It reassembles per-shard score replies into
-//!   the trainer's global proposal order and applies migrations through
-//!   the **strictly sequential** Fig 7 loop, then ships the dirtied rows
-//!   back to the owning and ghosting shards.
+//! * **Coordinator** — the [`TrainerSession`] itself. It owns the
+//!   authoritative [`HybridState`] and the whole step loop (sampling,
+//!   schedule, migration RNG, Fig 7 migration, best-plan tracker, journal,
+//!   observer); the [`ShardRuntime`] it holds only answers "which moves do
+//!   the sampled agents propose" ([`ShardRuntime::propose`]: route by
+//!   owner, serve, reassemble in the global sampled order) and keeps the
+//!   replicas current ([`ShardRuntime::sync`]).
 //!
 //! ## Determinism
 //!
-//! Trained masters are bit-identical to [`TrainerSession`] at any shard
-//! count because every divergence channel is closed: shard-local scoring
-//! equals global scoring bit-for-bit (monotone local-id compaction — see
-//! `geopart::shard`); LA updates are per-vertex independent, so sharded
-//! pools evolve exactly like the global pool rows they partition; proposal
-//! reassembly walks the global sampled order, so the proposal vector —
-//! and hence the coordinator's shuffle — is byte-identical; and the
-//! coordinator's migration is the trainer's own sequential path, already
-//! proven bit-identical to its parallel dispatch.
+//! Trained masters are bit-identical to a single-process session at any
+//! shard count because every divergence channel is closed: shard-local
+//! scoring equals global scoring bit-for-bit (monotone local-id compaction
+//! — see `geopart::shard`); LA updates are per-vertex independent, so
+//! sharded pools evolve exactly like the global pool rows they partition;
+//! proposal reassembly walks the global sampled order, so the proposal
+//! vector — and hence the session's shuffle — is byte-identical; and
+//! everything after the proposal vector is the same code.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use geograph::shard::ShardDelta;
 use geograph::{
-    BuildError, ChunkedEdges, DcId, GeoGraph, GraphDelta, IngestPool, ShardIngestReport, ShardSpec,
-    ShardView, StreamConfig, VertexId,
+    BuildError, ChunkedEdges, DcId, GeoGraph, Graph, GraphDelta, IngestPool, ShardIngestReport,
+    ShardSpec, ShardView, StreamConfig, VertexId,
 };
 use geopart::shard::{export_row, RowSync, ShardPlacement};
 use geopart::{HybridState, MoveScratch, Objective, TrafficProfile};
 use geosim::{CloudEnv, StageLoads};
 use parking_lot::Mutex;
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 use crate::agent::AgentPool;
 use crate::config::RlCutConfig;
-use crate::pool::WorkerPool;
-use crate::sampling::{sample_prefix, SampleScheduler};
-use crate::score::{score, Weights};
-use crate::stats::{RlCutResult, StepStats};
-use crate::trainer::{SessionResources, TrainerSession};
+use crate::score::{best_destination, Weights};
+use crate::stats::RlCutResult;
+use crate::trainer::{Exec, SessionResources, TrainError, TrainerSession};
 
 /// Why the sharded runtime failed.
 #[derive(Debug)]
@@ -77,8 +70,6 @@ pub enum ShardError {
         /// What went wrong.
         detail: String,
     },
-    /// The worker pool failed to dispatch shard work.
-    Pool(String),
 }
 
 impl std::fmt::Display for ShardError {
@@ -88,7 +79,6 @@ impl std::fmt::Display for ShardError {
             ShardError::Protocol { shard, detail } => {
                 write!(f, "shuffle protocol violation at shard {shard}: {detail}")
             }
-            ShardError::Pool(e) => write!(f, "shard dispatch failed: {e}"),
         }
     }
 }
@@ -236,12 +226,6 @@ struct ShardNode {
 }
 
 impl ShardNode {
-    fn build(index: usize, view: ShardView, num_dcs: usize, num_iterations: f64) -> ShardNode {
-        let placement = ShardPlacement::new(num_dcs, view.num_locals(), num_iterations);
-        let agents = AgentPool::new(view.num_locals(), num_dcs);
-        ShardNode { index, view, placement, agents }
-    }
-
     /// Drains this shard's inbox: applies row/load syncs in arrival order
     /// and answers score requests.
     fn serve(
@@ -284,9 +268,9 @@ impl ShardNode {
         Ok(())
     }
 
-    /// The shard half of the trainer's Fig 5 phases 1–4: score every
-    /// requested agent against the frozen step objective (phase 1+2), then
-    /// run its LA probability update and UCB selection (phase 3+4) on the
+    /// Fig 5 phases 1–4 for this shard's agents: score every requested
+    /// agent against the frozen step objective (phase 1+2), then run its
+    /// LA probability update and UCB selection (phase 3+4) on the
     /// shard-local automaton. Per-agent decisions are returned in request
     /// order for the coordinator to reassemble.
     fn score_agents(
@@ -298,7 +282,6 @@ impl ShardNode {
         weights: Weights,
         scratch: &mut MoveScratch,
     ) -> Result<Vec<(VertexId, DcId, bool)>, ShardError> {
-        let m = env.num_dcs();
         let mut decisions = Vec::with_capacity(agents.len());
         for &v in agents {
             let lv = self.view.to_local(v).filter(|_| self.view.owns(v)).ok_or_else(|| {
@@ -307,29 +290,10 @@ impl ShardNode {
                     detail: format!("asked to score vertex {v} it does not own"),
                 }
             })?;
-            let objs = self.placement.evaluate_all_moves(env, &self.view, v, scratch);
             let master = self.placement.master_local(lv);
-            // Identical candidate walk to the trainer's `best_of`: the
-            // master's slot stays pinned to the frozen step objective.
-            let mut best = (0 as DcId, f64::NEG_INFINITY);
-            for d in 0..m as DcId {
-                let candidate = if d == master { step_obj } else { &objs[d as usize] };
-                let s = score(step_obj, candidate, weights);
-                if s > best.1 {
-                    best = (d, s);
-                }
-            }
-            let best_dc = best.0;
-            self.agents.reward(lv, best_dc, config.alpha);
-            if config.use_penalty {
-                for d in 0..m as DcId {
-                    if d != best_dc {
-                        self.agents.penalize(lv, d, config.beta);
-                    }
-                }
-            }
-            let selected = self.agents.select_ucb(lv, config.ucb_c);
-            self.agents.record_play(lv, selected, if selected == best_dc { 1.0 } else { 0.0 });
+            let objs = self.placement.evaluate_all_moves(env, &self.view, v, scratch);
+            let best_dc = best_destination(step_obj, objs, master, weights);
+            let selected = self.agents.learn_and_select(lv, best_dc, config);
             decisions.push((v, selected, selected != master));
         }
         Ok(decisions)
@@ -337,9 +301,9 @@ impl ShardNode {
 }
 
 /// Shard topology carried across dynamic windows: the range spec and the
-/// built views. [`ShardedTrainer::finish_with_parts`] hands it back;
-/// [`refresh_views`] routes the next window's delta into it, rebuilding
-/// only the affected views.
+/// built views. A finished sharded session hands it back through
+/// [`SessionResources`]; [`refresh_views`] routes the next window's delta
+/// into it, rebuilding only the affected views.
 #[derive(Clone, Debug)]
 pub struct ShardCarry {
     /// The contiguous range partition.
@@ -348,13 +312,23 @@ pub struct ShardCarry {
     pub views: Vec<ShardView>,
 }
 
+impl ShardCarry {
+    /// `num_shards` contiguous vertex ranges over `graph`, every view
+    /// built from the staged CSR.
+    pub fn contiguous(graph: &Graph, num_shards: usize) -> ShardCarry {
+        let spec = ShardSpec::contiguous(graph.num_vertices(), num_shards);
+        let views = (0..num_shards).map(|s| ShardView::build(graph, &spec, s)).collect();
+        ShardCarry { spec, views }
+    }
+}
+
 /// Routes `delta` through `carry`, growing the spec to the new vertex
 /// count and rebuilding **only** the views the delta touches (a shard is
 /// affected iff an owned vertex's adjacency changed or its range absorbed
 /// appended vertices — an untouched shard's fringe is a function of its
 /// owned adjacency, so its view is carried verbatim). Returns the number
 /// of views rebuilt.
-pub fn refresh_views(carry: &mut ShardCarry, graph: &geograph::Graph, delta: &GraphDelta) -> usize {
+pub fn refresh_views(carry: &mut ShardCarry, graph: &Graph, delta: &GraphDelta) -> usize {
     carry.spec.grow(delta.new_num_vertices());
     let routed: Vec<ShardDelta> = geograph::route_delta(delta, &carry.spec);
     let mut rebuilt = 0;
@@ -372,10 +346,10 @@ pub fn refresh_views(carry: &mut ShardCarry, graph: &geograph::Graph, delta: &Gr
 /// materialized, so the peak footprint is a single shard's view plus its
 /// transient planes rather than the whole graph. The resulting views are
 /// bit-identical to `ShardView::build` over the staged graph (see
-/// [`ShardView::build_streamed`]), so a trainer constructed from this
-/// carry via [`ShardedTrainer::with_parts`] trains the exact same
-/// masters. Returns the per-shard ingest reports alongside the carry for
-/// footprint accounting.
+/// [`ShardView::build_streamed`]), so a session constructed from this
+/// carry via [`TrainerSession::sharded`] trains the exact same masters.
+/// Returns the per-shard ingest reports alongside the carry for footprint
+/// accounting.
 pub fn shard_carry_streamed<S: ChunkedEdges + ?Sized>(
     src: &S,
     cfg: StreamConfig,
@@ -393,321 +367,103 @@ pub fn shard_carry_streamed<S: ChunkedEdges + ?Sized>(
     Ok((ShardCarry { spec, views }, reports))
 }
 
-/// The sharded twin of [`TrainerSession`]: same Fig 5 loop, same Fig 7
-/// accept order, with scoring and LA updates distributed over shard
-/// workers behind the shuffle layer. Trains bit-identical masters at any
-/// shard count (see the module docs for the argument).
-pub struct ShardedTrainer<'g> {
-    geo: &'g GeoGraph,
-    config: RlCutConfig,
-    order: Vec<VertexId>,
-    scheduler: SampleScheduler,
-    rng: SmallRng,
-    /// Authoritative global state, coordinator-owned. Shards hold replicas.
-    state: HybridState<'g>,
+/// What a [`TrainerSession`] keeps of the shards: the topology, the shard
+/// nodes and the transport to reach them. Everything else about a sharded
+/// run — state, schedule, migration, bookkeeping — is the session's.
+pub(crate) struct ShardRuntime {
     spec: ShardSpec,
     shards: Vec<Mutex<ShardNode>>,
     transport: Box<dyn ShuffleTransport>,
-    steps: Vec<StepStats>,
-    best: (Vec<DcId>, Objective),
-    step_index: usize,
-    converged: bool,
-    exhausted: bool,
-    started: Instant,
-    pool: Option<WorkerPool>,
-    scratch: MoveScratch,
 }
 
-impl<'g> ShardedTrainer<'g> {
-    /// Builds a sharded session over `num_shards` contiguous ranges with
-    /// the in-process transport.
-    pub fn new(
-        geo: &'g GeoGraph,
-        env: &CloudEnv,
-        state: HybridState<'g>,
-        config: RlCutConfig,
-        num_shards: usize,
-    ) -> Result<Self, ShardError> {
-        let spec = ShardSpec::contiguous(geo.num_vertices(), num_shards);
-        let views =
-            (0..num_shards).map(|s| ShardView::build(&geo.graph, &spec, s)).collect::<Vec<_>>();
-        let transport = Box::new(InProcessShuffle::new(num_shards));
-        Self::with_parts(
-            geo,
-            env,
-            state,
-            config,
-            SessionResources::default(),
-            ShardCarry { spec, views },
-            transport,
-        )
-    }
-
-    /// Full-control constructor: carried shard topology (possibly
-    /// delta-refreshed), carried session resources (worker pool + scratch,
-    /// adopted under the same rules as [`TrainerSession::with_resources`]),
-    /// and an explicit transport. Placement replicas and shard automata
-    /// are built fresh and bootstrapped through the transport, so the
-    /// shuffle accounting covers the initial row distribution too.
-    pub fn with_parts(
-        geo: &'g GeoGraph,
-        env: &CloudEnv,
-        state: HybridState<'g>,
-        config: RlCutConfig,
-        resources: SessionResources,
+impl ShardRuntime {
+    /// Fresh placement replicas and automata over `carry`'s views. The
+    /// replicas are empty until the first full [`Self::sync`].
+    pub(crate) fn new(
         carry: ShardCarry,
         transport: Box<dyn ShuffleTransport>,
-    ) -> Result<Self, ShardError> {
+        num_dcs: usize,
+        num_iterations: f64,
+    ) -> ShardRuntime {
         let ShardCarry { spec, views } = carry;
-        assert_eq!(spec.num_vertices(), geo.num_vertices(), "spec must cover the snapshot");
         assert_eq!(spec.num_shards(), views.len());
-        let m = env.num_dcs();
-        let order = TrainerSession::build_order(geo, &config);
-        let scheduler = TrainerSession::build_scheduler(&config);
-        let rng = SmallRng::seed_from_u64(config.seed ^ 0x0ddb_1a5e_5bad_5eed);
-        let best = (state.core().masters().to_vec(), state.objective(env));
-        let SessionResources { pool: carried, scratch, journal: _ } = resources;
-        let wants_pool = config.use_worker_pool && config.threads() > 1;
-        let pool = match carried {
-            Some(pool) if wants_pool && pool.threads() == config.threads() => Some(pool),
-            _ => TrainerSession::build_pool(&config),
-        };
-        let num_iterations = state.core().num_iterations();
-        let shards: Vec<Mutex<ShardNode>> = views
+        let shards = views
             .into_iter()
             .enumerate()
-            .map(|(i, view)| Mutex::new(ShardNode::build(i, view, m, num_iterations)))
+            .map(|(index, view)| {
+                let placement = ShardPlacement::new(num_dcs, view.num_locals(), num_iterations);
+                let agents = AgentPool::new(view.num_locals(), num_dcs);
+                Mutex::new(ShardNode { index, view, placement, agents })
+            })
             .collect();
-
-        let mut trainer = ShardedTrainer {
-            geo,
-            config,
-            order,
-            scheduler,
-            rng,
-            state,
-            spec,
-            shards,
-            transport,
-            steps: Vec::new(),
-            best,
-            step_index: 0,
-            converged: false,
-            exhausted: false,
-            started: Instant::now(),
-            pool,
-            scratch,
-        };
-        trainer.bootstrap_replicas(env)?;
-        Ok(trainer)
+        ShardRuntime { spec, shards, transport }
     }
 
-    /// Ships every shard its full working set (all local rows + the global
-    /// loads) through the transport and has the shards apply it.
-    fn bootstrap_replicas(&mut self, env: &CloudEnv) -> Result<(), ShardError> {
-        let mut active = vec![false; self.shards.len()];
-        for (i, node) in self.shards.iter().enumerate() {
-            let node = node.lock();
-            if node.view.num_locals() == 0 {
-                continue;
-            }
-            let rows: Vec<(VertexId, RowSync)> = node
-                .view
-                .locals()
-                .iter()
-                .map(|&v| {
-                    (
-                        v,
-                        export_row(
-                            self.state.core(),
-                            self.geo.locations[v as usize],
-                            self.geo.data_sizes[v as usize],
-                            v,
-                        ),
-                    )
-                })
-                .collect();
-            drop(node);
-            self.transport.send_to_shard(i, ShuffleMsg::SyncRows { rows })?;
-            self.send_loads(i)?;
-            active[i] = true;
-        }
-        self.dispatch(env, &active)
+    pub(crate) fn total_ghosts(&self) -> usize {
+        self.shards.iter().map(|n| n.lock().view.num_ghosts()).sum()
     }
 
-    fn send_loads(&self, shard: usize) -> Result<(), ShardError> {
-        self.transport.send_to_shard(
-            shard,
-            ShuffleMsg::SyncLoads {
-                gather: self.state.core().gather_loads().clone(),
-                apply: self.state.core().apply_loads().clone(),
-                movement_cost: self.state.core().movement_cost(),
-            },
-        )
+    pub(crate) fn shuffle_bytes(&self) -> u64 {
+        self.transport.bytes_shuffled()
+    }
+
+    pub(crate) fn into_carry(self) -> ShardCarry {
+        let views = self.shards.into_iter().map(|node| node.into_inner().view).collect();
+        ShardCarry { spec: self.spec, views }
     }
 
     /// Runs `serve` on every active shard: on the worker pool when one
     /// exists (shard `i` handled by worker `i % threads`, each on its
-    /// warm resident scratch), inline on the coordinator's scratch
-    /// otherwise. Both paths drain the same queues in the same per-shard
-    /// order, so they are interchangeable bit-for-bit.
-    fn dispatch(&mut self, env: &CloudEnv, active: &[bool]) -> Result<(), ShardError> {
-        let shards = &self.shards;
-        let config = &self.config;
-        let transport = &*self.transport;
-        if let Some(pool) = &self.pool {
-            let threads = pool.threads();
-            let failure: Mutex<Option<ShardError>> = Mutex::new(None);
-            pool.run_on_all(&|worker, scratch| {
-                for (i, node) in shards.iter().enumerate() {
-                    if !active[i] || i % threads != worker {
-                        continue;
-                    }
-                    let mut node = node.lock();
-                    if let Err(e) = node.serve(env, config, transport, scratch) {
-                        let mut slot = failure.lock();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                    }
-                }
-            })
-            .map_err(|e| ShardError::Pool(e.to_string()))?;
-            if let Some(e) = failure.into_inner() {
-                return Err(e);
+    /// warm resident scratch), inline on the caller's scratch otherwise.
+    /// Both paths drain the same queues in the same per-shard order, so
+    /// they are interchangeable bit-for-bit.
+    fn dispatch(&self, active: &[bool], exec: &mut Exec<'_>) -> Result<(), TrainError> {
+        let (env, config, transport) = (exec.env, exec.config, &*self.transport);
+        let active_shards = || self.shards.iter().enumerate().filter(|(i, _)| active[*i]);
+        let Some(pool) = exec.pool else {
+            for (_, node) in active_shards() {
+                node.lock().serve(env, config, transport, exec.scratch)?;
             }
-        } else {
-            for (i, node) in shards.iter().enumerate() {
-                if !active[i] {
-                    continue;
-                }
-                node.lock().serve(env, config, transport, &mut self.scratch)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Number of trainable (non-isolated) agents.
-    pub fn num_trainable(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Shards in the topology (including empty ranges).
-    pub fn num_shards(&self) -> usize {
-        self.spec.num_shards()
-    }
-
-    /// Total ghost-fringe vertices over all shards — the cross-shard
-    /// working-set overhead the bench reports.
-    pub fn total_ghosts(&self) -> usize {
-        self.shards.iter().map(|n| n.lock().view.num_ghosts()).sum()
-    }
-
-    /// Total bytes moved through the shuffle layer so far.
-    pub fn shuffle_bytes(&self) -> u64 {
-        self.transport.bytes_shuffled()
-    }
-
-    /// Whether the run has stopped (converged, horizon, or time budget).
-    pub fn is_done(&self) -> bool {
-        self.converged || self.exhausted || self.step_index >= self.config.max_steps
-    }
-
-    /// Whether training stopped on convergence.
-    pub fn converged(&self) -> bool {
-        self.converged
-    }
-
-    /// Telemetry of the executed steps.
-    pub fn steps(&self) -> &[StepStats] {
-        &self.steps
-    }
-
-    /// Current master placement (authoritative state).
-    pub fn masters(&self) -> Vec<DcId> {
-        self.state.core().masters().to_vec()
-    }
-
-    /// Fronts `seeds` and their neighborhoods in the sampling order —
-    /// verbatim [`TrainerSession::focus_on`].
-    pub fn focus_on(&mut self, seeds: &[VertexId]) {
-        if seeds.is_empty() {
-            return;
-        }
-        let n = self.geo.num_vertices();
-        let mut hot = vec![false; n];
-        for &s in seeds {
-            let Some(flag) = hot.get_mut(s as usize) else { continue };
-            *flag = true;
-            for &u in self.geo.graph.out_neighbors(s) {
-                hot[u as usize] = true;
-            }
-            for &u in self.geo.graph.in_neighbors(s) {
-                hot[u as usize] = true;
-            }
-        }
-        let (mut front, back): (Vec<VertexId>, Vec<VertexId>) =
-            self.order.iter().copied().partition(|&v| hot[v as usize]);
-        front.extend(back);
-        self.order = front;
-    }
-
-    /// Raises the Eq 14 sample-rate floor — verbatim
-    /// [`TrainerSession::boost_sampling`].
-    pub fn boost_sampling(&mut self, floor: f64) {
-        self.scheduler.set_min_rate(floor.clamp(0.0, 1.0));
-    }
-
-    /// Executes one training step — the sharded twin of
-    /// [`TrainerSession::step`]: shard-distributed scoring and LA updates,
-    /// coordinator-sequential Fig 7 migration, post-migration row sync.
-    pub fn step(&mut self, env: &CloudEnv) -> Result<Option<StepStats>, ShardError> {
-        if self.is_done() {
-            return Ok(None);
-        }
-        let step = self.step_index;
-        let Some(rate) = self.scheduler.next_rate() else {
-            self.exhausted = true;
-            return Ok(None);
+            return Ok(());
         };
-        let sampled = sample_prefix(&self.order, rate);
-        if sampled.is_empty() {
-            self.exhausted = true;
-            return Ok(None);
-        }
-        let step_start = Instant::now();
-        let step_obj = self.state.objective(env);
-        if step_obj.transfer_time == 0.0 && step_obj.total_cost() <= self.config.budget {
-            self.converged = true;
-            return Ok(None);
-        }
-        let over_budget = step_obj.total_cost() > self.config.budget;
-        let weights = Weights::at(step, self.config.max_steps, over_budget);
+        let threads = pool.threads();
+        let failure: Mutex<Option<ShardError>> = Mutex::new(None);
+        pool.run_on_all(&|worker, scratch| {
+            for (_, node) in active_shards().filter(|(i, _)| i % threads == worker) {
+                if let Err(e) = node.lock().serve(env, config, transport, scratch) {
+                    failure.lock().get_or_insert(e);
+                }
+            }
+        })?;
+        failure.into_inner().map_or(Ok(()), |e| Err(e.into()))
+    }
 
-        // Phases 1–4, sharded: route each sampled agent to its owner
-        // (order-preserving within a shard), let the shards score and run
-        // the LA updates, then reassemble the decisions in the global
-        // sampled order — the proposal vector comes out byte-identical to
-        // the single-process trainer's.
-        let score_start = Instant::now();
+    /// Fig 5 phases 1–4, sharded: routes each sampled agent to its owner
+    /// (order-preserving within a shard), lets the shards score and run
+    /// the LA updates, then reassembles the decisions in the global
+    /// sampled order — the proposal vector comes out byte-identical to
+    /// the single-process proposer's.
+    pub(crate) fn propose(
+        &self,
+        sampled: &[VertexId],
+        step_obj: &Objective,
+        weights: Weights,
+        exec: &mut Exec<'_>,
+    ) -> Result<Vec<(VertexId, DcId)>, TrainError> {
         let num_shards = self.spec.num_shards();
         let mut per_shard: Vec<Vec<VertexId>> = vec![Vec::new(); num_shards];
         for &v in sampled {
             per_shard[self.spec.owner_of(v)].push(v);
         }
         let mut active = vec![false; num_shards];
-        for (i, agents) in per_shard.iter_mut().enumerate() {
-            if agents.is_empty() {
-                continue;
-            }
+        for (i, agents) in per_shard.into_iter().enumerate().filter(|(_, a)| !a.is_empty()) {
             active[i] = true;
             self.transport.send_to_shard(
                 i,
-                ShuffleMsg::ScoreAgents { agents: std::mem::take(agents), step_obj, weights },
+                ShuffleMsg::ScoreAgents { agents, step_obj: *step_obj, weights },
             )?;
         }
-        let sampled: Vec<VertexId> = sampled.to_vec();
-        self.dispatch(env, &active)?;
+        self.dispatch(&active, exec)?;
         let mut queues: Vec<VecDeque<(VertexId, DcId, bool)>> =
             (0..num_shards).map(|_| VecDeque::new()).collect();
         while let Some(msg) = self.transport.try_recv_at_coordinator()? {
@@ -717,12 +473,13 @@ impl<'g> ShardedTrainer<'g> {
                     return Err(ShardError::Protocol {
                         shard: usize::MAX,
                         detail: format!("unexpected coordinator message {other:?}"),
-                    });
+                    }
+                    .into());
                 }
             }
         }
         let mut proposals: Vec<(VertexId, DcId)> = Vec::new();
-        for &v in &sampled {
+        for &v in sampled {
             let owner = self.spec.owner_of(v);
             let (rv, selected, proposed) =
                 queues[owner].pop_front().ok_or_else(|| ShardError::Protocol {
@@ -733,174 +490,77 @@ impl<'g> ShardedTrainer<'g> {
                 return Err(ShardError::Protocol {
                     shard: owner,
                     detail: format!("decision for vertex {rv} where {v} was expected"),
-                });
+                }
+                .into());
             }
             if proposed {
                 proposals.push((v, selected));
             }
         }
-        let score_duration = score_start.elapsed();
-
-        // Phase 5 — the coordinator applies the trainer's strictly
-        // sequential batched-migration flow (Fig 7) on the authoritative
-        // state: frozen batch objective, all accepts decided before any
-        // apply, accepted moves applied in shuffled-proposal order.
-        proposals.shuffle(&mut self.rng);
-        let migrate_start = Instant::now();
-        let batch = self.config.batch_size.max(1);
-        let mut applied: Vec<(VertexId, DcId)> = Vec::new();
-        for chunk in proposals.chunks(batch) {
-            let obj = self.state.objective(env);
-            let accepts: Vec<bool> = chunk
-                .iter()
-                .map(|&(v, to)| {
-                    score(
-                        &obj,
-                        &self.state.evaluate_move_with(env, v, to, &mut self.scratch),
-                        weights,
-                    ) > 0.0
-                })
-                .collect();
-            for (&(v, to), ok) in chunk.iter().zip(accepts) {
-                if ok {
-                    self.state.apply_move_with(env, v, to, &mut self.scratch);
-                    applied.push((v, to));
-                }
-            }
-        }
-        let migrations = applied.len();
-        if migrations > 0 {
-            self.sync_after_migration(env, &applied)?;
-        }
-        let migrate_duration = migrate_start.elapsed();
-
-        let duration = step_start.elapsed();
-        self.scheduler.record(rate, duration.as_secs_f64());
-        let obj = self.state.objective(env);
-        if TrainerSession::beats(&obj, &self.best.1, self.config.budget) {
-            self.best = (self.state.core().masters().to_vec(), obj);
-        }
-        let stats = StepStats {
-            duration,
-            score_duration,
-            migrate_duration,
-            sample_rate: rate,
-            num_agents: sampled.len(),
-            migrations,
-            transfer_time: obj.transfer_time,
-            total_cost: obj.total_cost(),
-        };
-        self.steps.push(stats);
-        self.step_index += 1;
-        if rate >= 0.999
-            && (migrations as f64) < self.config.convergence_fraction * sampled.len() as f64
-        {
-            self.converged = true;
-        }
-        Ok(Some(stats))
+        Ok(proposals)
     }
 
-    /// Ships the rows dirtied by `applied` moves — each moved vertex plus
-    /// the neighbors whose counts its hybrid-cut staging touched — to
-    /// every shard holding them (as owner or ghost), plus the new global
+    /// Brings the placement replicas up to date with the authoritative
+    /// `state`: ships the rows dirtied by the `applied` moves — each moved
+    /// vertex plus the neighbors whose counts its hybrid-cut staging
+    /// touched — to every shard holding them (as owner or ghost), or every
+    /// local row when `applied` is `None` (bootstrap), plus the global
     /// loads to every populated shard, then has the shards apply the sync.
-    fn sync_after_migration(
-        &mut self,
-        env: &CloudEnv,
-        applied: &[(VertexId, DcId)],
-    ) -> Result<(), ShardError> {
-        let mut dirty: Vec<VertexId> = Vec::new();
-        for &(v, _) in applied {
-            dirty.push(v);
-            if !self.state.core().is_high(v) {
-                dirty.extend_from_slice(self.geo.graph.in_neighbors(v));
-            }
-            for &w in self.geo.graph.out_neighbors(v) {
-                if self.state.core().is_high(w) {
-                    dirty.push(w);
+    pub(crate) fn sync(
+        &self,
+        geo: &GeoGraph,
+        state: &HybridState<'_>,
+        applied: Option<&[(VertexId, DcId)]>,
+        exec: &mut Exec<'_>,
+    ) -> Result<(), TrainError> {
+        let core = state.core();
+        let dirty = applied.map(|applied| {
+            let mut dirty: Vec<VertexId> = Vec::new();
+            for &(v, _) in applied {
+                dirty.push(v);
+                if !core.is_high(v) {
+                    dirty.extend_from_slice(geo.graph.in_neighbors(v));
                 }
+                dirty.extend(geo.graph.out_neighbors(v).iter().filter(|&&w| core.is_high(w)));
             }
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
+            dirty.sort_unstable();
+            dirty.dedup();
+            dirty
+        });
+        let export = |v: VertexId| {
+            (v, export_row(core, geo.locations[v as usize], geo.data_sizes[v as usize], v))
+        };
         let mut active = vec![false; self.shards.len()];
         for (i, node) in self.shards.iter().enumerate() {
-            let node = node.lock();
-            if node.view.num_locals() == 0 {
-                continue;
-            }
-            let rows: Vec<(VertexId, RowSync)> = dirty
-                .iter()
-                .filter(|&&v| node.view.to_local(v).is_some())
-                .map(|&v| {
-                    (
-                        v,
-                        export_row(
-                            self.state.core(),
-                            self.geo.locations[v as usize],
-                            self.geo.data_sizes[v as usize],
-                            v,
-                        ),
-                    )
-                })
-                .collect();
-            drop(node);
+            let rows: Vec<(VertexId, RowSync)> = {
+                let node = node.lock();
+                if node.view.num_locals() == 0 {
+                    continue;
+                }
+                match &dirty {
+                    None => node.view.locals().iter().copied().map(export).collect(),
+                    Some(dirty) => dirty
+                        .iter()
+                        .copied()
+                        .filter(|&v| node.view.to_local(v).is_some())
+                        .map(export)
+                        .collect(),
+                }
+            };
             if !rows.is_empty() {
                 self.transport.send_to_shard(i, ShuffleMsg::SyncRows { rows })?;
             }
-            self.send_loads(i)?;
+            self.transport.send_to_shard(
+                i,
+                ShuffleMsg::SyncLoads {
+                    gather: core.gather_loads().clone(),
+                    apply: core.apply_loads().clone(),
+                    movement_cost: core.movement_cost(),
+                },
+            )?;
             active[i] = true;
         }
-        self.dispatch(env, &active)
-    }
-
-    /// Runs the loop to completion.
-    pub fn run(&mut self, env: &CloudEnv) -> Result<(), ShardError> {
-        while self.step(env)?.is_some() {}
-        Ok(())
-    }
-
-    /// Finalizes the run: reconciles the authoritative state to the best
-    /// plan seen (exactly like [`TrainerSession::finish`]).
-    pub fn finish(self, env: &CloudEnv) -> RlCutResult<'g> {
-        self.finish_with_parts(env).0
-    }
-
-    /// [`Self::finish`] for the dynamic-window path: also hands back the
-    /// session resources (pool + scratch) and the shard topology so the
-    /// next window refreshes only delta-affected views.
-    pub fn finish_with_parts(
-        mut self,
-        env: &CloudEnv,
-    ) -> (RlCutResult<'g>, SessionResources, ShardCarry) {
-        let total_duration = self.started.elapsed();
-        let best_masters = self.best.0;
-        if self.state.core().masters() != best_masters.as_slice() {
-            let diffs: Vec<(VertexId, DcId)> = self
-                .state
-                .core()
-                .masters()
-                .iter()
-                .zip(&best_masters)
-                .enumerate()
-                .filter(|(_, (live, best))| live != best)
-                .map(|(v, (_, &best))| (v as VertexId, best))
-                .collect();
-            for (v, to) in diffs {
-                self.state.apply_move_with(env, v, to, &mut self.scratch);
-            }
-            debug_assert_eq!(self.state.core().masters(), best_masters.as_slice());
-        }
-        let views = self.shards.into_iter().map(|node| node.into_inner().view).collect::<Vec<_>>();
-        let carry = ShardCarry { spec: self.spec, views };
-        let resources = SessionResources { pool: self.pool, scratch: self.scratch, journal: None };
-        let result = RlCutResult {
-            state: self.state,
-            steps: self.steps,
-            total_duration,
-            converged: self.converged,
-        };
-        (result, resources, carry)
+        self.dispatch(&active, exec)
     }
 }
 
@@ -915,13 +575,21 @@ pub fn partition_sharded<'g>(
     num_iterations: f64,
     config: &RlCutConfig,
     num_shards: usize,
-) -> Result<RlCutResult<'g>, ShardError> {
+) -> Result<RlCutResult<'g>, TrainError> {
     let theta = config.theta.unwrap_or_else(|| geograph::degree::suggest_theta(&geo.graph, 0.05));
     let state =
         HybridState::from_masters(geo, env, geo.locations.clone(), theta, profile, num_iterations);
-    let mut trainer = ShardedTrainer::new(geo, env, state, config.clone(), num_shards)?;
-    trainer.run(env)?;
-    Ok(trainer.finish(env))
+    let mut session = TrainerSession::sharded(
+        geo,
+        env,
+        state,
+        config.clone(),
+        SessionResources::default(),
+        ShardCarry::contiguous(&geo.graph, num_shards),
+        Box::new(InProcessShuffle::new(num_shards)),
+    )?;
+    session.run(env, &mut crate::observer::NoopObserver)?;
+    Ok(session.finish(env))
 }
 
 #[cfg(test)]
@@ -930,7 +598,6 @@ mod tests {
     use crate::trainer::partition;
     use geograph::generators::{rmat, RmatConfig};
     use geograph::locality::LocalityConfig;
-    use geograph::Graph;
     use geosim::regions::ec2_eight_regions;
 
     fn setup(seed: u64) -> (GeoGraph, CloudEnv) {
@@ -947,18 +614,31 @@ mod tests {
     fn sharded_masters_match_trainer_at_1_2_4_8_shards() {
         let (geo, env) = setup(21);
         let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
-        let cfg = config(&geo, &env);
-        let baseline = partition(&geo, &env, profile.clone(), 10.0, &cfg);
-        assert!(baseline.total_migrations() > 0, "vacuous without migrations");
-        for shards in [1usize, 2, 4, 8] {
-            let r = partition_sharded(&geo, &env, profile.clone(), 10.0, &cfg, shards)
-                .unwrap_or_else(|e| panic!("{shards} shards: {e}"));
-            assert_eq!(
-                baseline.state.core().masters(),
-                r.state.core().masters(),
-                "{shards} shards diverged from the single-process trainer"
-            );
-            assert_eq!(baseline.total_migrations(), r.total_migrations());
+        let uncapped = config(&geo, &env);
+        // Every agent is sampled every step (no `t_opt`), so a 100-agent
+        // cap binds; with `convergence_fraction` 1.0 any full-scan step
+        // would declare convergence, which a capped step never may.
+        let mut capped = uncapped.clone().with_max_scan(100);
+        capped.convergence_fraction = 1.0;
+        for cfg in [uncapped, capped] {
+            let baseline = partition(&geo, &env, profile.clone(), 10.0, &cfg);
+            assert!(baseline.total_migrations() > 0, "vacuous without migrations");
+            for shards in [1usize, 2, 4, 8] {
+                let r = partition_sharded(&geo, &env, profile.clone(), 10.0, &cfg, shards)
+                    .unwrap_or_else(|e| panic!("{shards} shards: {e}"));
+                assert_eq!(
+                    baseline.state.core().masters(),
+                    r.state.core().masters(),
+                    "{shards} shards diverged from the single-process trainer ({:?})",
+                    cfg.max_scan
+                );
+                assert_eq!(baseline.total_migrations(), r.total_migrations());
+                if cfg.max_scan.is_some() {
+                    assert!(r.steps.iter().all(|s| s.num_agents == 100));
+                    assert_eq!(r.steps.len(), cfg.max_steps, "a capped scan stopped early");
+                    assert!(!r.converged, "a capped scan sees only a window — no convergence");
+                }
+            }
         }
     }
 
@@ -983,10 +663,19 @@ mod tests {
         let theta = geograph::degree::suggest_theta(&geo.graph, 0.05);
         let state =
             HybridState::from_masters(&geo, &env, geo.locations.clone(), theta, profile, 10.0);
-        let mut t = ShardedTrainer::new(&geo, &env, state, cfg, 4).expect("build");
+        let mut t = TrainerSession::sharded(
+            &geo,
+            &env,
+            state,
+            cfg,
+            SessionResources::default(),
+            ShardCarry::contiguous(&geo.graph, 4),
+            Box::new(InProcessShuffle::new(4)),
+        )
+        .expect("build");
         let bootstrap = t.shuffle_bytes();
         assert!(bootstrap > 0, "bootstrap row distribution must be counted");
-        t.run(&env).expect("run");
+        t.run(&env, &mut crate::observer::NoopObserver).expect("run");
         assert!(t.shuffle_bytes() > bootstrap, "steps must add shuffle volume");
         assert!(t.total_ghosts() > 0, "rmat graph must produce cross-shard fringes");
     }
@@ -1119,7 +808,7 @@ mod tests {
                 profile.clone(),
                 10.0,
             );
-            let mut t = ShardedTrainer::with_parts(
+            let mut t = TrainerSession::sharded(
                 geo,
                 &env,
                 state,
@@ -1129,8 +818,9 @@ mod tests {
                 Box::new(InProcessShuffle::new(4)),
             )
             .expect("trainer");
-            t.run(&env).expect("run");
-            let (result, _resources, carry) = t.finish_with_parts(&env);
+            t.run(&env, &mut crate::observer::NoopObserver).expect("run");
+            let (result, resources) = t.finish_with_resources(&env);
+            let carry = resources.shards.expect("a sharded session hands its topology back");
             (result.state.core().masters().to_vec(), result.total_migrations(), carry)
         };
 

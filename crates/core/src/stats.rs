@@ -11,8 +11,9 @@ use geosim::CloudEnv;
 pub struct StepStats {
     /// Wall-clock duration of the step.
     pub duration: Duration,
-    /// Time spent in the parallel score-function phase (steps 1-2 of
-    /// Fig 5) — the dominant cost per §V-B.
+    /// Time spent proposing moves (steps 1-4 of Fig 5): the parallel
+    /// score-function phase — the dominant cost per §V-B — plus the
+    /// `O(M)`-per-agent LA update and UCB selection.
     pub score_duration: Duration,
     /// Time spent in the batched vertex-migration phase (step 5, §V-A).
     pub migrate_duration: Duration,

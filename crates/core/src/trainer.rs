@@ -1,17 +1,24 @@
 //! The RLCut training loop (Fig 5) with batched global migration (Fig 7,
 //! §V-A) and degree-balanced parallel scoring (§V-B).
 //!
+//! [`TrainerSession`] owns the one step loop: schedule → sample →
+//! `max_scan` window → frozen objective and weights → **propose** →
+//! shuffle → migrate → **replica sync** → best-plan and convergence
+//! bookkeeping → journal → observer. Only the two bold steps depend on
+//! where Fig 5 phases 1–4 run, and they sit behind the private
+//! [`Proposer`] seam: one global [`AgentPool`] scored against the
+//! session's state, or a [`ShardRuntime`] of shard-local automata and
+//! placement replicas behind the shuffle layer (see [`crate::shard`]).
+//!
 //! ## Parallel architecture
 //!
 //! The environment ([`HybridState`]) sits behind a `parking_lot::RwLock`.
-//! Both parallel phases run on the session's persistent
-//! [`WorkerPool`](crate::pool::WorkerPool): `threads` workers spawned once
-//! per [`TrainerSession`], each owning a [`geopart::MoveScratch`] arena
-//! that stays resident (and therefore warm) across steps, with
-//! condvar-dispatched jobs replacing the historical per-step
-//! `thread::scope` spawn/join (still available as the ablation baseline
-//! via [`RlCutConfig::use_worker_pool`]). Each training step has two
-//! phases:
+//! A session with `threads > 1` owns a persistent
+//! [`WorkerPool`](crate::pool::WorkerPool) — workers spawned once, each
+//! with a resident [`geopart::MoveScratch`] arena that stays warm across
+//! steps; a single-threaded session has no pool and runs every phase on
+//! the caller thread with the session-resident scratch. Each step has two
+//! parallel phases:
 //!
 //! * **Scoring** — sampled agents are spread over the pool's workers by
 //!   the straggler-mitigating LPT assignment; each worker scores all `M`
@@ -21,21 +28,21 @@
 //!   (they are `O(M)` per agent — noise next to the `O(deg)` scoring).
 //! * **Migration** — move proposals are shuffled (the paper batches
 //!   randomly) and processed batch-by-batch: the frozen batch objective is
-//!   computed **once** by the leader and shared read-only (every worker
-//!   would otherwise recompute the identical value), workers evaluate the
-//!   batch's members in parallel against the frozen batch-start state, a
-//!   barrier separates them from the leader applying the accepted moves
-//!   under the write lock, and a second barrier keeps later readers from
-//!   observing a half-applied batch. `batch_size = 1` degenerates to the
-//!   strictly sequential global optimization of Fig 7.
+//!   computed **once** by the leader and shared read-only, workers
+//!   evaluate the batch's members in parallel against the frozen
+//!   batch-start state, a barrier separates them from the leader applying
+//!   the accepted moves under the write lock, and a second barrier keeps
+//!   later readers from observing a half-applied batch. `batch_size = 1`
+//!   degenerates to the strictly sequential global optimization of Fig 7.
 //!
 //! Everything is deterministic for a fixed seed, independent of thread
-//! count and of pool-vs-scope dispatch: accept decisions depend only on
-//! frozen snapshots and the apply order is the shuffled proposal order.
+//! and shard count: accept decisions depend only on frozen snapshots, the
+//! apply order is the shuffled proposal order, and the proposal vector is
+//! assembled in the global sampled order by either proposer.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use geograph::{DcId, GeoGraph, VertexId};
 use geopart::{EvacuationReport, HybridState, MoveScratch, Objective, PlanError, TrafficProfile};
@@ -47,13 +54,66 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::agent::AgentPool;
-use crate::checkpoint::TrainerCheckpoint;
+use crate::checkpoint::{CheckpointError, TrainerCheckpoint};
 use crate::config::{RlCutConfig, SampleStrategy};
-use crate::pool::WorkerPool;
+use crate::pool::{PoolError, WorkerPool};
 use crate::sampling::{degree_ascending_order, sample_prefix, SampleScheduler};
-use crate::score::{score, Weights};
+use crate::score::{best_destination, score, Weights};
+use crate::shard::{ShardCarry, ShardError, ShardRuntime, ShuffleTransport};
 use crate::stats::{RlCutResult, StepStats};
 use crate::straggler;
+
+/// Why training failed. One type for both proposers: the global path can
+/// only fail on a panicking pool worker, the sharded path also on its
+/// transport or protocol.
+#[derive(Debug)]
+pub enum TrainError {
+    /// A pool worker panicked inside a parallel phase.
+    Pool(PoolError),
+    /// The sharded scoring backend failed (shuffle transport or protocol).
+    Shard(ShardError),
+    /// The placement layer rejected an environment change (an evacuation
+    /// with nowhere to go).
+    Plan(PlanError),
+}
+
+impl std::fmt::Display for TrainError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TrainError::Pool(e) => write!(f, "training dispatch failed: {e}"),
+            TrainError::Shard(e) => write!(f, "sharded runtime failed: {e}"),
+            TrainError::Plan(e) => write!(f, "placement layer rejected the change: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for TrainError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            TrainError::Pool(e) => Some(e),
+            TrainError::Shard(e) => Some(e),
+            TrainError::Plan(e) => Some(e),
+        }
+    }
+}
+
+impl From<PoolError> for TrainError {
+    fn from(e: PoolError) -> Self {
+        TrainError::Pool(e)
+    }
+}
+
+impl From<ShardError> for TrainError {
+    fn from(e: ShardError) -> Self {
+        TrainError::Shard(e)
+    }
+}
+
+impl From<PlanError> for TrainError {
+    fn from(e: PlanError) -> Self {
+        TrainError::Plan(e)
+    }
+}
 
 /// Partitions `geo` starting from its natural locations (the paper's
 /// initial state).
@@ -110,6 +170,11 @@ pub fn train<'g>(
 }
 
 /// [`train`] reporting progress to `observer`.
+///
+/// The infallible entry points end here. A single-process run has one
+/// failure, [`TrainError::Pool`] — a worker of this program panicked —
+/// and it is re-raised on the caller; drive a [`TrainerSession`] to
+/// receive it as a value instead.
 pub fn train_observed<'g>(
     geo: &'g GeoGraph,
     env: &CloudEnv,
@@ -118,21 +183,20 @@ pub fn train_observed<'g>(
     observer: &mut dyn crate::observer::TrainingObserver,
 ) -> RlCutResult<'g> {
     let mut session = TrainerSession::new(geo, env, state, config.clone());
-    session.run(env, observer);
+    session.run(env, observer).expect("a training worker panicked");
     session.finish(env)
 }
 
-/// The expensive, graph-independent half of a [`TrainerSession`]: the
-/// persistent worker pool and the sequential scratch arena. A dynamic
-/// driver moves these out of a finished session
-/// ([`TrainerSession::finish_with_resources`]) and threads them into the
-/// next window's session ([`TrainerSession::with_resources`]), so pool
+/// What a finished [`TrainerSession`] hands to the next window's session
+/// ([`TrainerSession::finish_with_resources`] →
+/// [`TrainerSession::with_resources`] / [`TrainerSession::sharded`]): the
+/// persistent worker pool and the sequential scratch arena, so pool
 /// workers — and their warm per-worker arenas — survive across windows
-/// instead of being respawned per window.
+/// instead of being respawned per window; plus what only rides *out* of a
+/// session, the move journal and the shard topology.
 #[derive(Debug)]
 pub struct SessionResources {
-    /// Carried worker pool (`None` when the donor ran single-threaded or
-    /// pooling was disabled).
+    /// Carried worker pool (`None` when the donor ran single-threaded).
     pub(crate) pool: Option<WorkerPool>,
     /// Carried sequential scratch arena.
     pub(crate) scratch: MoveScratch,
@@ -142,6 +206,11 @@ pub struct SessionResources {
     /// reconcile sweep under [`RECONCILE_STEP`]. Rides *out* of a session;
     /// incoming resources never seed a new session's journal.
     pub(crate) journal: Option<MoveJournal>,
+    /// Shard topology of a sharded donor session, for the next window to
+    /// refresh ([`crate::shard::refresh_views`]) and pass back to
+    /// [`TrainerSession::sharded`]. Rides *out* of a session like the
+    /// journal.
+    pub(crate) shards: Option<ShardCarry>,
 }
 
 /// Journal step index of the end-of-session reconcile sweep
@@ -154,7 +223,7 @@ pub type MoveJournal = Vec<(u32, Vec<(VertexId, DcId)>)>;
 
 impl Default for SessionResources {
     fn default() -> Self {
-        SessionResources { pool: None, scratch: MoveScratch::new(), journal: None }
+        SessionResources { pool: None, scratch: MoveScratch::new(), journal: None, shards: None }
     }
 }
 
@@ -167,19 +236,52 @@ impl SessionResources {
     }
 }
 
+/// The pool a session with `threads` workers runs on — present iff
+/// `threads > 1`. A carried pool of the right size is adopted; any other
+/// is dropped here (its workers join) and a fresh one is spawned.
+fn pool_for(threads: usize, carried: Option<WorkerPool>) -> Option<WorkerPool> {
+    match carried {
+        _ if threads <= 1 => None,
+        Some(pool) if pool.threads() == threads => Some(pool),
+        _ => Some(WorkerPool::new(threads)),
+    }
+}
+
+/// What a phase executes on, borrowed from the session for one step.
+pub(crate) struct Exec<'a> {
+    pub(crate) env: &'a CloudEnv,
+    pub(crate) config: &'a RlCutConfig,
+    /// The session's pool (`None` ⇔ single-threaded).
+    pub(crate) pool: Option<&'a WorkerPool>,
+    /// Scratch for every sequential path (small-sample scoring,
+    /// `batch_size = 1` migration, inline shard serving).
+    pub(crate) scratch: &'a mut MoveScratch,
+}
+
+/// Where Fig 5 phases 1–4 run — the only place the single-process and
+/// the sharded runtime differ.
+enum Proposer {
+    /// One global automaton table, scored against the session's state.
+    Global(AgentPool),
+    /// Shard-local automata over placement replicas that must be
+    /// re-synced after every applied migration.
+    Sharded(ShardRuntime),
+}
+
 /// A resumable training run: the Fig 5 loop broken into externally driven
 /// steps, with checkpoint/restore and a fault-recovery hook.
 ///
-/// [`train_observed`] is a thin wrapper (`new` → `run` → `finish`) and is
-/// bit-identical to the pre-session monolithic loop. The session form
-/// additionally lets a driver:
+/// [`train_observed`] is a thin wrapper (`new` → `run` → `finish`). The
+/// session form additionally lets a driver:
 ///
 /// * advance training one step at a time ([`Self::step`]) under an
 ///   environment that may change between steps,
 /// * capture the logical trainer state ([`Self::checkpoint`]) and resume
-///   from it ([`Self::resume`]) bit-exactly,
+///   from it ([`Self::resume`]) bit-exactly (single-process sessions),
 /// * react to WAN faults ([`Self::on_environment_change`]): rebuild the
-///   placement under the degraded environment and evacuate dark DCs.
+///   placement under the degraded environment and evacuate dark DCs,
+/// * run phases 1–4 on vertex-range shards ([`Self::sharded`]) with
+///   bit-identical masters at any shard count.
 pub struct TrainerSession<'g> {
     geo: &'g GeoGraph,
     config: RlCutConfig,
@@ -187,10 +289,11 @@ pub struct TrainerSession<'g> {
     /// Sampling priority order (degree-ascending or seeded shuffle),
     /// isolated vertices excluded.
     order: Vec<VertexId>,
-    agents: AgentPool,
+    proposer: Proposer,
     scheduler: SampleScheduler,
     /// Migration-batch shuffle RNG.
     rng: SmallRng,
+    /// The authoritative placement; shards (if any) hold replicas of it.
     state: RwLock<HybridState<'g>>,
     steps: Vec<StepStats>,
     /// Best plan seen: a feasible (within-budget) plan beats any infeasible
@@ -204,21 +307,17 @@ pub struct TrainerSession<'g> {
     /// from convergence; a time budget can run out mid-flight).
     exhausted: bool,
     started: Instant,
-    /// Wall-clock accumulated before this session object existed (resume).
-    prior_duration: Duration,
-    /// Persistent workers for the parallel phases, spawned once per
-    /// session and reused every step (`None` when the session runs
-    /// single-threaded or the pool is disabled for ablation). Joined on
-    /// session drop, so `resume`/`train_under_faults` restart cycles never
-    /// accumulate workers.
+    /// Persistent workers for the parallel phases (`None` ⇔ the session
+    /// is single-threaded). Joined on session drop, so
+    /// `resume`/`train_under_faults` restart cycles never accumulate
+    /// workers.
     pool: Option<WorkerPool>,
     /// Session-resident scratch for every sequential path (small-sample
     /// scoring, `batch_size = 1` migration, evacuation) — warm across
     /// steps just like the pool workers' arenas.
     scratch: MoveScratch,
     /// Applied-move journal: `Some` while a durable driver needs every
-    /// accepted migration (in exact apply order) for its WAL. `None`
-    /// costs nothing on the training path.
+    /// accepted migration (in exact apply order) for its WAL.
     journal: Option<MoveJournal>,
 }
 
@@ -234,10 +333,7 @@ impl<'g> TrainerSession<'g> {
     }
 
     /// [`Self::new`] reusing the pool and scratch of a previous session
-    /// (the dynamic-window path). A carried pool is adopted only when it
-    /// matches what this config would build — same thread count, pooling
-    /// enabled; otherwise it is dropped here (its workers join) and the
-    /// session builds its own.
+    /// (the dynamic-window path).
     pub fn with_resources(
         geo: &'g GeoGraph,
         env: &CloudEnv,
@@ -245,41 +341,62 @@ impl<'g> TrainerSession<'g> {
         config: RlCutConfig,
         resources: SessionResources,
     ) -> Self {
-        let m = env.num_dcs();
-        // Isolated vertices generate no traffic wherever their master sits —
-        // training them wastes the sampled-agent budget, so they are
-        // excluded (they keep their initial master).
-        let order = Self::build_order(geo, &config);
-        let agents = AgentPool::new(geo.num_vertices(), m);
-        let scheduler = Self::build_scheduler(&config);
-        let rng = SmallRng::seed_from_u64(config.seed ^ 0x0ddb_1a5e_5bad_5eed);
-        let theta = state.theta();
-        let best = (state.core().masters().to_vec(), state.objective(env));
-        let SessionResources { pool: carried, scratch, journal: _ } = resources;
-        let wants_pool = config.use_worker_pool && config.threads() > 1;
-        let pool = match carried {
-            Some(pool) if wants_pool && pool.threads() == config.threads() => Some(pool),
-            _ => Self::build_pool(&config),
-        };
+        let agents = AgentPool::new(geo.num_vertices(), env.num_dcs());
+        Self::assemble(geo, env, state, config, resources, Proposer::Global(agents))
+    }
+
+    /// [`Self::with_resources`] with phases 1–4 distributed over the
+    /// vertex-range shards of `carry` behind `transport`. Placement
+    /// replicas and shard automata are built fresh and bootstrapped
+    /// through the transport, so the shuffle accounting covers the
+    /// initial row distribution too.
+    pub fn sharded(
+        geo: &'g GeoGraph,
+        env: &CloudEnv,
+        state: HybridState<'g>,
+        config: RlCutConfig,
+        resources: SessionResources,
+        carry: ShardCarry,
+        transport: Box<dyn ShuffleTransport>,
+    ) -> Result<Self, TrainError> {
+        assert_eq!(carry.spec.num_vertices(), geo.num_vertices(), "spec must cover the snapshot");
+        let runtime =
+            ShardRuntime::new(carry, transport, env.num_dcs(), state.core().num_iterations());
+        let mut session =
+            Self::assemble(geo, env, state, config, resources, Proposer::Sharded(runtime));
+        session.sync_replicas(env, None)?;
+        Ok(session)
+    }
+
+    fn assemble(
+        geo: &'g GeoGraph,
+        env: &CloudEnv,
+        state: HybridState<'g>,
+        config: RlCutConfig,
+        resources: SessionResources,
+        proposer: Proposer,
+    ) -> Self {
         TrainerSession {
             geo,
-            config,
-            theta,
-            order,
-            agents,
-            scheduler,
-            rng,
+            theta: state.theta(),
+            // Isolated vertices generate no traffic wherever their master
+            // sits — training them wastes the sampled-agent budget, so
+            // they are excluded (they keep their initial master).
+            order: Self::build_order(geo, &config),
+            proposer,
+            scheduler: Self::build_scheduler(&config),
+            rng: SmallRng::seed_from_u64(config.seed ^ 0x0ddb_1a5e_5bad_5eed),
+            best: (state.core().masters().to_vec(), state.objective(env)),
             state: RwLock::new(state),
             steps: Vec::new(),
-            best,
             step_index: 0,
             converged: false,
             exhausted: false,
             started: Instant::now(),
-            prior_duration: Duration::ZERO,
-            pool,
-            scratch,
+            pool: pool_for(config.threads(), resources.pool),
+            scratch: resources.scratch,
             journal: None,
+            config,
         }
     }
 
@@ -296,13 +413,7 @@ impl<'g> TrainerSession<'g> {
         }
     }
 
-    /// A pool is only worth its dispatch cost with real parallelism; the
-    /// scope fallback (`use_worker_pool = false`) is the measured baseline.
-    pub(crate) fn build_pool(config: &RlCutConfig) -> Option<WorkerPool> {
-        (config.use_worker_pool && config.threads() > 1).then(|| WorkerPool::new(config.threads()))
-    }
-
-    pub(crate) fn build_order(geo: &GeoGraph, config: &RlCutConfig) -> Vec<VertexId> {
+    fn build_order(geo: &GeoGraph, config: &RlCutConfig) -> Vec<VertexId> {
         let mut order = match config.sample_strategy {
             SampleStrategy::LowestDegree => degree_ascending_order(&geo.graph),
             SampleStrategy::Random => {
@@ -315,7 +426,7 @@ impl<'g> TrainerSession<'g> {
         order
     }
 
-    pub(crate) fn build_scheduler(config: &RlCutConfig) -> SampleScheduler {
+    fn build_scheduler(config: &RlCutConfig) -> SampleScheduler {
         let mut scheduler = SampleScheduler::new(
             config.t_opt.map(|d| d.as_secs_f64()),
             config.fixed_sample_rate,
@@ -328,11 +439,11 @@ impl<'g> TrainerSession<'g> {
         scheduler
     }
 
-    /// Rebuilds a session from a checkpoint, bit-exact with the session
-    /// that saved it: LA state, UCB statistics, migration RNG, masters,
-    /// the incrementally tracked movement cost, and the best-plan tracker
-    /// are all restored verbatim, so the next [`Self::step`] makes the
-    /// same decisions the uninterrupted run would have made.
+    /// Rebuilds a single-process session from a checkpoint, bit-exact with
+    /// the session that saved it: LA state, UCB statistics, migration RNG,
+    /// masters, the incrementally tracked movement cost, and the best-plan
+    /// tracker are all restored verbatim, so the next [`Self::step`] makes
+    /// the same decisions the uninterrupted run would have made.
     ///
     /// The Eq 14 sampling scheduler restarts its wall-clock measurements
     /// (they are not reproducible state); only `t_opt`-budgeted schedules
@@ -352,7 +463,6 @@ impl<'g> TrainerSession<'g> {
         );
         assert_eq!(checkpoint.masters.len(), geo.num_vertices());
         assert_eq!(checkpoint.num_dcs as usize, env.num_dcs());
-        let order = Self::build_order(geo, &config);
         let agents = AgentPool::from_parts(
             checkpoint.num_dcs as usize,
             checkpoint.probs.clone(),
@@ -369,40 +479,32 @@ impl<'g> TrainerSession<'g> {
             num_iterations,
         );
         state.override_movement_cost(checkpoint.movement_cost);
-        let pool = Self::build_pool(&config);
-        TrainerSession {
-            geo,
-            theta: checkpoint.theta as usize,
-            order,
-            agents,
-            scheduler: Self::build_scheduler(&config),
-            rng: SmallRng::from_state(checkpoint.rng_state),
-            state: RwLock::new(state),
-            steps: Vec::new(),
-            best: (checkpoint.best_masters.clone(), checkpoint.best_objective),
-            step_index: checkpoint.step as usize,
-            converged: checkpoint.converged,
-            exhausted: false,
-            started: Instant::now(),
-            prior_duration: Duration::ZERO,
-            config,
-            pool,
-            scratch: MoveScratch::new(),
-            journal: None,
-        }
+        let resources = SessionResources::default();
+        let mut session =
+            Self::assemble(geo, env, state, config, resources, Proposer::Global(agents));
+        session.rng = SmallRng::from_state(checkpoint.rng_state);
+        session.best = (checkpoint.best_masters.clone(), checkpoint.best_objective);
+        session.step_index = checkpoint.step as usize;
+        session.converged = checkpoint.converged;
+        session
     }
 
     /// Captures the trainer's logical state. Pure function of the training
     /// history: the same seed and step always produce byte-identical
     /// checkpoints (wall-clock scheduler state is excluded by design).
-    pub fn checkpoint(&self) -> TrainerCheckpoint {
+    /// A sharded session's automata live on its shards, outside the
+    /// checkpoint format: [`CheckpointError::ShardedSession`].
+    pub fn checkpoint(&self) -> Result<TrainerCheckpoint, CheckpointError> {
+        let Proposer::Global(agents) = &self.proposer else {
+            return Err(CheckpointError::ShardedSession);
+        };
         let st = self.state.read();
-        let (probs, plays, mean_reward, total_plays) = self.agents.snapshot();
-        TrainerCheckpoint {
+        let (probs, plays, mean_reward, total_plays) = agents.snapshot();
+        Ok(TrainerCheckpoint {
             seed: self.config.seed,
             step: self.step_index as u32,
             theta: self.theta as u64,
-            num_dcs: self.agents.num_actions() as u32,
+            num_dcs: agents.num_actions() as u32,
             masters: st.core().masters().to_vec(),
             probs: probs.to_vec(),
             plays: plays.to_vec(),
@@ -413,7 +515,7 @@ impl<'g> TrainerSession<'g> {
             best_masters: self.best.0.clone(),
             best_objective: self.best.1,
             converged: self.converged,
-        }
+        })
     }
 
     /// Number of trainable (non-isolated) agents.
@@ -451,6 +553,24 @@ impl<'g> TrainerSession<'g> {
     /// Current objective under `env`.
     pub fn objective(&self, env: &CloudEnv) -> Objective {
         self.state.read().objective(env)
+    }
+
+    /// Total ghost-fringe vertices over all shards — the cross-shard
+    /// working-set overhead (0 for a single-process session).
+    pub fn total_ghosts(&self) -> usize {
+        match &self.proposer {
+            Proposer::Global(_) => 0,
+            Proposer::Sharded(runtime) => runtime.total_ghosts(),
+        }
+    }
+
+    /// Total bytes moved through the shuffle layer so far (0 for a
+    /// single-process session).
+    pub fn shuffle_bytes(&self) -> u64 {
+        match &self.proposer {
+            Proposer::Global(_) => 0,
+            Proposer::Sharded(runtime) => runtime.shuffle_bytes(),
+        }
     }
 
     /// Reorders the sampling priority so `seeds` and their in/out
@@ -503,21 +623,12 @@ impl<'g> TrainerSession<'g> {
         self.pool.as_ref().map(|p| p.scratch_stats())
     }
 
-    pub(crate) fn beats(candidate: &Objective, incumbent: &Objective, budget: f64) -> bool {
-        let cand_ok = candidate.total_cost() <= budget;
-        let inc_ok = incumbent.total_cost() <= budget;
-        match (cand_ok, inc_ok) {
-            (true, false) => true,
-            (false, true) => false,
-            (true, true) => candidate.transfer_time < incumbent.transfer_time,
-            (false, false) => candidate.total_cost() < incumbent.total_cost(),
-        }
-    }
-
     /// Executes one training step (Fig 5 phases 1–5) under `env` and
     /// returns its telemetry, or `None` if the run is over (converged,
-    /// horizon reached, sampling budget exhausted).
-    pub fn step(&mut self, env: &CloudEnv) -> Option<StepStats> {
+    /// horizon reached, sampling budget exhausted). After an `Err` the
+    /// session's placement is still a valid plan ([`Self::finish`] works),
+    /// but the run can no longer be continued bit-identically.
+    pub fn step(&mut self, env: &CloudEnv) -> Result<Option<StepStats>, TrainError> {
         self.step_observed(env, &mut crate::observer::NoopObserver)
     }
 
@@ -526,26 +637,22 @@ impl<'g> TrainerSession<'g> {
         &mut self,
         env: &CloudEnv,
         observer: &mut dyn crate::observer::TrainingObserver,
-    ) -> Option<StepStats> {
+    ) -> Result<Option<StepStats>, TrainError> {
         if self.is_done() {
-            return None;
+            return Ok(None);
         }
         let step = self.step_index;
-        let m = env.num_dcs();
-        let threads = self.config.threads();
         let Some(rate) = self.scheduler.next_rate() else {
             self.exhausted = true;
-            return None;
+            return Ok(None);
         };
         let prefix = sample_prefix(&self.order, rate);
         if prefix.is_empty() {
             self.exhausted = true;
-            return None;
+            return Ok(None);
         }
         // Optional working-set cap (CUTTANA-style): scan only a rotating
-        // `max_scan`-sized window of the sampled prefix this step. With the
-        // cap disabled (or larger than the sample) this arm is never taken
-        // and the step is bit-identical to the uncapped trainer.
+        // `max_scan`-sized window of the sampled prefix this step.
         let capped: Option<Vec<VertexId>> = match self.config.max_scan {
             Some(cap) if cap < prefix.len() => {
                 Some(crate::sampling::scan_window(prefix, cap, step))
@@ -558,76 +665,63 @@ impl<'g> TrainerSession<'g> {
         let step_obj = self.state.read().objective(env);
         if step_obj.transfer_time == 0.0 && step_obj.total_cost() <= self.config.budget {
             self.converged = true;
-            return None;
+            return Ok(None);
         }
         let over_budget = step_obj.total_cost() > self.config.budget;
         let weights = Weights::at(step, self.config.max_steps, over_budget);
-
-        // Phase 1+2 — score function & reinforcement signal (parallel).
-        let score_start = Instant::now();
-        let rho = score_phase(
-            self.geo,
+        let mut exec = Exec {
             env,
-            &self.state,
-            sampled,
-            &step_obj,
-            weights,
-            threads,
-            self.pool.as_ref(),
-            &mut self.scratch,
-            &self.config,
-        );
+            config: &self.config,
+            pool: self.pool.as_ref(),
+            scratch: &mut self.scratch,
+        };
+
+        // Phases 1–4 — score function & reinforcement signal (parallel),
+        // probability update & UCB action selection. Either proposer
+        // returns the proposals in the global sampled order.
+        let score_start = Instant::now();
+        let mut proposals: Vec<(VertexId, DcId)> = match &mut self.proposer {
+            Proposer::Global(agents) => {
+                let rho =
+                    score_phase(self.geo, &self.state, sampled, &step_obj, weights, &mut exec)?;
+                let st = self.state.read();
+                sampled
+                    .iter()
+                    .zip(rho)
+                    .filter_map(|(&v, best_dc)| {
+                        let selected = agents.learn_and_select(v, best_dc, &self.config);
+                        (selected != st.master(v)).then_some((v, selected))
+                    })
+                    .collect()
+            }
+            Proposer::Sharded(runtime) => {
+                runtime.propose(sampled, &step_obj, weights, &mut exec)?
+            }
+        };
         let score_duration = score_start.elapsed();
 
-        // Phase 3+4 — probability update & UCB action selection (serial;
-        // deterministic sampled order).
-        let mut proposals: Vec<(VertexId, DcId)> = Vec::new();
-        {
-            let st = self.state.read();
-            for (&v, &best_dc) in sampled.iter().zip(&rho) {
-                self.agents.reward(v, best_dc, self.config.alpha);
-                if self.config.use_penalty {
-                    for d in 0..m as DcId {
-                        if d != best_dc {
-                            self.agents.penalize(v, d, self.config.beta);
-                        }
-                    }
-                }
-                let selected = self.agents.select_ucb(v, self.config.ucb_c);
-                self.agents.record_play(v, selected, if selected == best_dc { 1.0 } else { 0.0 });
-                if selected != st.master(v) {
-                    proposals.push((v, selected));
-                }
-            }
-        }
-
         // Phase 5 — batched vertex migration with rollback (the paper
-        // batches agents randomly, §V-A).
+        // batches agents randomly, §V-A), then the replica sync a sharded
+        // proposer needs before it scores again.
         proposals.shuffle(&mut self.rng);
         let migrate_start = Instant::now();
-        let mut step_moves = self.journal.as_ref().map(|_| Vec::new());
-        let migrations = migration_phase(
-            env,
-            &self.state,
-            &proposals,
-            weights,
-            threads,
-            self.pool.as_ref(),
-            &mut self.scratch,
-            &self.config,
-            step_moves.as_mut(),
-        );
-        let migrate_duration = migrate_start.elapsed();
-        if let (Some(journal), Some(moves)) = (self.journal.as_mut(), step_moves) {
-            if !moves.is_empty() {
-                journal.push((step as u32, moves));
+        let applied = migration_phase(&self.state, &proposals, weights, &mut exec)?;
+        match &self.proposer {
+            Proposer::Sharded(runtime) if !applied.is_empty() => {
+                runtime.sync(self.geo, &self.state.read(), Some(&applied), &mut exec)?;
             }
+            _ => {}
+        }
+        let migrate_duration = migrate_start.elapsed();
+        let migrations = applied.len();
+        if let Some(journal) = self.journal.as_mut().filter(|_| migrations > 0) {
+            journal.push((step as u32, applied));
         }
 
         let duration = step_start.elapsed();
         self.scheduler.record(rate, duration.as_secs_f64());
         let obj = self.state.read().objective(env);
-        if Self::beats(&obj, &self.best.1, self.config.budget) {
+        if beats(&obj, &self.best.1, self.config.budget) {
             self.best = (self.state.read().core().masters().to_vec(), obj);
         }
         let stats = StepStats {
@@ -641,7 +735,7 @@ impl<'g> TrainerSession<'g> {
             total_cost: obj.total_cost(),
         };
         self.steps.push(stats);
-        observer.on_step(step, self.steps.last().unwrap());
+        observer.on_step(step, &stats);
         self.step_index += 1;
         // Convergence is only meaningful when (nearly) all agents took
         // part — a tiny early sample moving nothing says nothing about the
@@ -653,14 +747,37 @@ impl<'g> TrainerSession<'g> {
         {
             self.converged = true;
         }
-        Some(stats)
+        Ok(Some(stats))
     }
 
     /// Runs the loop to completion under a fixed environment.
-    pub fn run(&mut self, env: &CloudEnv, observer: &mut dyn crate::observer::TrainingObserver) {
+    pub fn run(
+        &mut self,
+        env: &CloudEnv,
+        observer: &mut dyn crate::observer::TrainingObserver,
+    ) -> Result<(), TrainError> {
         observer.on_start(self.order.len(), self.config.max_steps);
-        while self.step_observed(env, observer).is_some() {}
+        while self.step_observed(env, observer)?.is_some() {}
         observer.on_finish(self.converged);
+        Ok(())
+    }
+
+    /// Brings a sharded proposer's placement replicas up to date with the
+    /// authoritative state: the rows dirtied by `applied`, or every local
+    /// row when `None`. No-op for a single-process session.
+    fn sync_replicas(
+        &mut self,
+        env: &CloudEnv,
+        applied: Option<&[(VertexId, DcId)]>,
+    ) -> Result<(), TrainError> {
+        let Proposer::Sharded(runtime) = &self.proposer else { return Ok(()) };
+        let mut exec = Exec {
+            env,
+            config: &self.config,
+            pool: self.pool.as_ref(),
+            scratch: &mut self.scratch,
+        };
+        runtime.sync(self.geo, &self.state.read(), applied, &mut exec)
     }
 
     /// Reacts to a WAN environment change (the recovery policy's in-process
@@ -676,7 +793,7 @@ impl<'g> TrainerSession<'g> {
     pub fn on_environment_change(
         &mut self,
         view: &FaultyEnv,
-    ) -> Result<Option<EvacuationReport>, PlanError> {
+    ) -> Result<Option<EvacuationReport>, TrainError> {
         let env = view.env();
         let (masters, profile, num_iterations) = {
             let st = self.state.read();
@@ -691,6 +808,7 @@ impl<'g> TrainerSession<'g> {
         };
         self.best = (state.core().masters().to_vec(), state.objective(env));
         self.state = RwLock::new(state);
+        self.sync_replicas(env, None)?;
         self.scheduler = Self::build_scheduler(&self.config);
         self.converged = false;
         self.exhausted = false;
@@ -700,7 +818,7 @@ impl<'g> TrainerSession<'g> {
     /// Finalizes the run: rebuilds the returned state from the best plan
     /// seen if the live state drifted past it.
     pub fn finish(self, env: &CloudEnv) -> RlCutResult<'g> {
-        let total_duration = self.prior_duration + self.started.elapsed();
+        let total_duration = self.started.elapsed();
         let mut final_state = self.state.into_inner();
         if final_state.core().masters() != self.best.0.as_slice() {
             let profile = final_state.core().profile().clone();
@@ -725,12 +843,12 @@ impl<'g> TrainerSession<'g> {
     /// [`Self::finish`] for the dynamic-window path: reconciles the live
     /// state to the best plan by **applying the differing moves** instead
     /// of rebuilding from scratch — work proportional to the drift, not to
-    /// the graph — and hands the pool and scratch back for the next
-    /// window's session. (`apply_move`'s Eq 4 accounting is
-    /// path-independent: `+cost(loc, to) − cost(loc, from)`, so the
-    /// reconciled state prices movement exactly as a rebuild would.)
+    /// the graph — and hands the pool, the scratch and (sharded) the shard
+    /// topology back for the next window's session. (`apply_move`'s Eq 4
+    /// accounting is path-independent: `+cost(loc, to) − cost(loc, from)`,
+    /// so the reconciled state prices movement exactly as a rebuild would.)
     pub fn finish_with_resources(mut self, env: &CloudEnv) -> (RlCutResult<'g>, SessionResources) {
-        let total_duration = self.prior_duration + self.started.elapsed();
+        let total_duration = self.started.elapsed();
         let mut final_state = self.state.into_inner();
         let best_masters = self.best.0;
         if final_state.core().masters() != best_masters.as_slice() {
@@ -751,8 +869,15 @@ impl<'g> TrainerSession<'g> {
                 journal.push((RECONCILE_STEP, diffs));
             }
         }
-        let resources =
-            SessionResources { pool: self.pool, scratch: self.scratch, journal: self.journal };
+        let resources = SessionResources {
+            pool: self.pool,
+            scratch: self.scratch,
+            journal: self.journal,
+            shards: match self.proposer {
+                Proposer::Global(_) => None,
+                Proposer::Sharded(runtime) => Some(runtime.into_carry()),
+            },
+        };
         let result = RlCutResult {
             state: final_state,
             steps: self.steps,
@@ -763,137 +888,96 @@ impl<'g> TrainerSession<'g> {
     }
 }
 
+/// Whether `candidate` replaces `incumbent` as the best plan seen: a
+/// feasible plan beats any infeasible one, then lower transfer time (or,
+/// among infeasible plans, lower cost) wins.
+fn beats(candidate: &Objective, incumbent: &Objective, budget: f64) -> bool {
+    let cand_ok = candidate.total_cost() <= budget;
+    let inc_ok = incumbent.total_cost() <= budget;
+    match (cand_ok, inc_ok) {
+        (true, false) => true,
+        (false, true) => false,
+        (true, true) => candidate.transfer_time < incumbent.transfer_time,
+        (false, false) => candidate.total_cost() < incumbent.total_cost(),
+    }
+}
+
 /// Computes ρ_v (the score-optimal DC, Eq 10/11) for every sampled agent.
 /// Returns one entry per agent, aligned with `sampled`.
 ///
-/// Dispatch: sequential on the caller (session-resident `seq_scratch`)
-/// below [`RlCutConfig::parallel_threshold`]; otherwise on the persistent
-/// pool when one exists, or a per-step `thread::scope` (the ablation
-/// baseline). All three produce bit-identical ρ — workers only fill
-/// disjoint per-vertex slots.
-#[allow(clippy::too_many_arguments)]
+/// Sequential on the caller (session-resident scratch) without a pool or
+/// below [`RlCutConfig::parallel_threshold`]; otherwise on the pool. Both
+/// produce bit-identical ρ — workers only fill disjoint per-vertex slots.
 fn score_phase(
     geo: &GeoGraph,
-    env: &CloudEnv,
     state: &RwLock<HybridState<'_>>,
     sampled: &[VertexId],
     step_obj: &Objective,
     weights: Weights,
-    threads: usize,
-    pool: Option<&WorkerPool>,
-    seq_scratch: &mut MoveScratch,
-    config: &RlCutConfig,
-) -> Vec<DcId> {
-    let m = env.num_dcs();
+    exec: &mut Exec<'_>,
+) -> Result<Vec<DcId>, PoolError> {
+    let env = exec.env;
     // One batched kernel sweep scores every destination of an agent; the
     // per-worker scratch arena makes the hot loop allocation-free.
     let best_of = |st: &HybridState<'_>, v: VertexId, scratch: &mut MoveScratch| -> DcId {
-        let objs = st.evaluate_all_moves(env, v, scratch);
         let master = st.master(v);
-        let mut best = (0 as DcId, f64::NEG_INFINITY);
-        for d in 0..m as DcId {
-            // Keeping the master's candidate pinned to the frozen step
-            // objective preserves the pre-batching scoring semantics.
-            let candidate = if d == master { step_obj } else { &objs[d as usize] };
-            let s = score(step_obj, candidate, weights);
-            if s > best.1 {
-                best = (d, s);
-            }
-        }
-        best.0
+        best_destination(step_obj, st.evaluate_all_moves(env, v, scratch), master, weights)
     };
 
-    if threads <= 1 || sampled.len() < config.parallel_threshold {
+    let Some(pool) = exec.pool.filter(|_| sampled.len() >= exec.config.parallel_threshold) else {
         let st = state.read();
-        return sampled.iter().map(|&v| best_of(&st, v, seq_scratch)).collect();
-    }
+        return Ok(sampled.iter().map(|&v| best_of(&st, v, exec.scratch)).collect());
+    };
 
-    let groups = if config.disable_straggler_mitigation {
+    let threads = pool.threads();
+    let groups = if exec.config.disable_straggler_mitigation {
         straggler::round_robin_assignment(sampled, threads)
     } else {
         straggler::balanced_assignment(&geo.graph, sampled, threads)
     };
+    let slots: Vec<Mutex<Vec<(VertexId, DcId)>>> =
+        (0..threads).map(|_| Mutex::new(Vec::new())).collect();
+    pool.run_on_all(&|worker, scratch| {
+        let st = state.read();
+        let mut out = slots[worker].lock();
+        out.extend(groups[worker].iter().map(|&v| (v, best_of(&st, v, scratch))));
+    })?;
     let mut rho_by_vertex: Vec<DcId> = vec![0; geo.num_vertices()];
-    if let Some(pool) = pool {
-        debug_assert_eq!(pool.threads(), threads);
-        let slots: Vec<Mutex<Vec<(VertexId, DcId)>>> =
-            (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-        pool.run_on_all(&|worker, scratch| {
-            let st = state.read();
-            let mut out = slots[worker].lock();
-            out.extend(groups[worker].iter().map(|&v| (v, best_of(&st, v, scratch))));
-        })
-        .unwrap_or_else(|e| panic!("score phase: {e}"));
-        for slot in slots {
-            for (v, d) in slot.into_inner() {
-                rho_by_vertex[v as usize] = d;
-            }
-        }
-    } else {
-        let chunks: Vec<Vec<(VertexId, DcId)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = groups
-                .iter()
-                .map(|group| {
-                    s.spawn(|| {
-                        let mut scratch = MoveScratch::new();
-                        let st = state.read();
-                        group
-                            .iter()
-                            .map(|&v| (v, best_of(&st, v, &mut scratch)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("scoring worker panicked")).collect()
-        });
-        for (v, d) in chunks.into_iter().flatten() {
+    for slot in slots {
+        for (v, d) in slot.into_inner() {
             rho_by_vertex[v as usize] = d;
         }
     }
-    sampled.iter().map(|&v| rho_by_vertex[v as usize]).collect()
+    Ok(sampled.iter().map(|&v| rho_by_vertex[v as usize]).collect())
 }
 
 /// Applies move proposals batch-by-batch (§V-A): batch members are
 /// evaluated in parallel against the frozen batch-start state and accepted
 /// iff their Eq 10 score is positive; accepted moves apply atomically
-/// before the next batch. Returns the number of applied migrations.
+/// before the next batch. Returns the applied migrations in exact apply
+/// order (the journal's and the replica sync's input).
 ///
 /// The frozen batch objective is computed **once** per batch by the leader
-/// and shared read-only; before the pool every worker recomputed the
-/// identical value from the identical frozen state. Sharing is bit-neutral
-/// (it is the same number), so the applied-move count is unchanged — the
-/// trainer bench cross-checks that across thread counts and dispatch
-/// modes.
-///
-/// When `journal` is `Some`, the accepted moves are appended to it in
-/// exact apply order. On the parallel paths only worker 0 applies, in
-/// chunk order over the per-proposal accept flags, so the sequence is
-/// reconstructed from those flags after the workers finish — the worker
-/// closures stay untouched and the journaled order *is* the applied
-/// order.
-#[allow(clippy::too_many_arguments)]
+/// and shared read-only; every worker would otherwise recompute the
+/// identical value from the identical frozen state.
 fn migration_phase(
-    env: &CloudEnv,
     state: &RwLock<HybridState<'_>>,
     proposals: &[(VertexId, DcId)],
     weights: Weights,
-    threads: usize,
-    pool: Option<&WorkerPool>,
-    seq_scratch: &mut MoveScratch,
-    config: &RlCutConfig,
-    mut journal: Option<&mut Vec<(VertexId, DcId)>>,
-) -> usize {
+    exec: &mut Exec<'_>,
+) -> Result<Vec<(VertexId, DcId)>, PoolError> {
     if proposals.is_empty() {
-        return 0;
+        return Ok(Vec::new());
     }
-    let batch = config.batch_size.max(1);
+    let env = exec.env;
+    let batch = exec.config.batch_size.max(1);
 
-    if threads <= 1 || batch == 1 {
+    let Some(pool) = exec.pool.filter(|_| batch > 1) else {
         // Strictly sequential Fig 7 flow (also the batch=1 semantics: the
         // "frozen" state is simply the live state).
         let mut st = state.write();
-        let scratch = seq_scratch;
-        let mut applied = 0usize;
+        let scratch = &mut *exec.scratch;
+        let mut applied = Vec::new();
         for chunk in proposals.chunks(batch) {
             let obj = st.objective(env);
             let accepts: Vec<bool> = chunk
@@ -905,122 +989,66 @@ fn migration_phase(
             for (&(v, to), ok) in chunk.iter().zip(accepts) {
                 if ok {
                     st.apply_move_with(env, v, to, scratch);
-                    applied += 1;
-                    if let Some(j) = journal.as_deref_mut() {
-                        j.push((v, to));
-                    }
+                    applied.push((v, to));
                 }
             }
         }
-        return applied;
-    }
+        return Ok(applied);
+    };
 
+    let threads = pool.threads();
     let accept: Vec<AtomicBool> = (0..proposals.len()).map(|_| AtomicBool::new(false)).collect();
-    let applied = AtomicUsize::new(0);
     let barrier = Barrier::new(threads);
-    if let Some(pool) = pool {
-        debug_assert_eq!(pool.threads(), threads);
-        // Frozen batch-start objective, written by the leader (before the
-        // first batch, then right after each apply) and read by everyone
-        // after the next barrier — the two barriers that already fence
-        // apply-vs-read also fence this slot.
-        let shared_obj =
-            RwLock::new(Objective { transfer_time: 0.0, movement_cost: 0.0, runtime_cost: 0.0 });
-        pool.run_on_all(&|worker, scratch| {
-            if worker == 0 {
-                *shared_obj.write() = state.read().objective(env);
+    // Frozen batch-start objective, written by the leader (before the
+    // first batch, then right after each apply) and read by everyone
+    // after the next barrier — the two barriers that already fence
+    // apply-vs-read also fence this slot.
+    let shared_obj =
+        RwLock::new(Objective { transfer_time: 0.0, movement_cost: 0.0, runtime_cost: 0.0 });
+    pool.run_on_all(&|worker, scratch| {
+        if worker == 0 {
+            *shared_obj.write() = state.read().objective(env);
+        }
+        barrier.wait();
+        for (bi, chunk) in proposals.chunks(batch).enumerate() {
+            {
+                let st = state.read();
+                let obj = *shared_obj.read();
+                for (j, &(v, to)) in chunk.iter().enumerate() {
+                    if j % threads != worker {
+                        continue;
+                    }
+                    let ok =
+                        score(&obj, &st.evaluate_move_with(env, v, to, scratch), weights) > 0.0;
+                    accept[bi * batch + j].store(ok, Ordering::Relaxed);
+                }
             }
             barrier.wait();
-            for (bi, chunk) in proposals.chunks(batch).enumerate() {
+            if worker == 0 {
                 {
-                    let st = state.read();
-                    let obj = *shared_obj.read();
+                    let mut st = state.write();
                     for (j, &(v, to)) in chunk.iter().enumerate() {
-                        if j % threads != worker {
-                            continue;
-                        }
-                        let ok =
-                            score(&obj, &st.evaluate_move_with(env, v, to, scratch), weights) > 0.0;
-                        accept[bi * batch + j].store(ok, Ordering::Relaxed);
-                    }
-                }
-                barrier.wait();
-                if worker == 0 {
-                    {
-                        let mut st = state.write();
-                        for (j, &(v, to)) in chunk.iter().enumerate() {
-                            if accept[bi * batch + j].load(Ordering::Relaxed) {
-                                st.apply_move_with(env, v, to, scratch);
-                                applied.fetch_add(1, Ordering::Relaxed);
-                            }
+                        if accept[bi * batch + j].load(Ordering::Relaxed) {
+                            st.apply_move_with(env, v, to, scratch);
                         }
                     }
-                    *shared_obj.write() = state.read().objective(env);
                 }
-                // Keep later batches from reading a half-applied state (or
-                // a stale frozen objective).
-                barrier.wait();
+                *shared_obj.write() = state.read().objective(env);
             }
-        })
-        .unwrap_or_else(|e| panic!("migration phase: {e}"));
-    } else {
-        // Ablation baseline: per-step scope spawn, cold arenas, per-worker
-        // objective recomputation — the historical cost profile the pool
-        // is benchmarked against.
-        std::thread::scope(|s| {
-            for worker in 0..threads {
-                let accept = &accept;
-                let applied = &applied;
-                let barrier = &barrier;
-                s.spawn(move || {
-                    let mut scratch = MoveScratch::new();
-                    for (bi, chunk) in proposals.chunks(batch).enumerate() {
-                        {
-                            let st = state.read();
-                            let obj = st.objective(env);
-                            for (j, &(v, to)) in chunk.iter().enumerate() {
-                                if j % threads != worker {
-                                    continue;
-                                }
-                                let ok = score(
-                                    &obj,
-                                    &st.evaluate_move_with(env, v, to, &mut scratch),
-                                    weights,
-                                ) > 0.0;
-                                accept[bi * batch + j].store(ok, Ordering::Relaxed);
-                            }
-                        }
-                        barrier.wait();
-                        if worker == 0 {
-                            let mut st = state.write();
-                            for (j, &(v, to)) in chunk.iter().enumerate() {
-                                if accept[bi * batch + j].load(Ordering::Relaxed) {
-                                    st.apply_move_with(env, v, to, &mut scratch);
-                                    applied.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                        // Keep later batches from reading a half-applied
-                        // state.
-                        barrier.wait();
-                    }
-                });
-            }
-        });
-    }
-    if let Some(j) = journal {
-        // Worker 0 applied accepted moves batch-by-batch in chunk order;
-        // replaying the accept flags in that same order reconstructs the
-        // exact apply sequence.
-        for (bi, chunk) in proposals.chunks(batch).enumerate() {
-            for (jj, &(v, to)) in chunk.iter().enumerate() {
-                if accept[bi * batch + jj].load(Ordering::Relaxed) {
-                    j.push((v, to));
-                }
-            }
+            // Keep later batches from reading a half-applied state (or
+            // a stale frozen objective).
+            barrier.wait();
         }
-    }
-    applied.into_inner()
+    })?;
+    // Worker 0 applied accepted moves batch-by-batch in chunk order, and
+    // `accept` is indexed by proposal position, so the flagged proposals
+    // in order *are* the applied sequence.
+    Ok(proposals
+        .iter()
+        .zip(&accept)
+        .filter(|(_, ok)| ok.load(Ordering::Relaxed))
+        .map(|(&p, _)| p)
+        .collect())
 }
 
 #[cfg(test)]
@@ -1116,22 +1144,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_and_scope_dispatch_bit_identical() {
-        // The persistent pool replaces per-step thread::scope spawning;
-        // both dispatch modes must train the same plan bit-for-bit.
-        let (geo, env) = setup(13);
-        let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
-        let base = default_config(&geo, &env)
-            .with_threads(4)
-            .with_fixed_sample_rate(1.0)
-            .with_max_steps(3);
-        let pooled = partition(&geo, &env, profile.clone(), 10.0, &base.clone());
-        let scoped = partition(&geo, &env, profile, 10.0, &base.with_worker_pool(false));
-        assert_eq!(pooled.state.core().masters(), scoped.state.core().masters());
-        assert_eq!(pooled.total_migrations(), scoped.total_migrations());
-    }
-
-    #[test]
     fn oversized_scan_cap_is_bit_identical_to_uncapped() {
         // `max_scan: None` and a cap that never binds must both take the
         // untouched pre-knob path: same RNG stream, same masters, same
@@ -1157,7 +1169,7 @@ mod tests {
         let state =
             HybridState::from_masters(&geo, &env, geo.locations.clone(), theta, profile, 10.0);
         let mut session = TrainerSession::new(&geo, &env, state, config);
-        while session.step(&env).is_some() {}
+        while session.step(&env).unwrap().is_some() {}
         assert_eq!(session.steps().len(), 6, "capped steps must not converge early");
         assert!(!session.converged(), "a capped scan sees only a window — no convergence claim");
         let mut starts = std::collections::HashSet::new();
@@ -1187,11 +1199,11 @@ mod tests {
         let state =
             HybridState::from_masters(&geo, &env, geo.locations.clone(), theta, profile, 10.0);
         let mut session = TrainerSession::new(&geo, &env, state, config);
-        assert!(session.step(&env).is_some());
+        assert!(session.step(&env).unwrap().is_some());
         let warm = session.pool_scratch_stats().expect("threads=4 builds a pool");
         assert!(warm.iter().all(|s| s.width == env.num_dcs()), "{warm:?}");
         assert!(warm.iter().all(|s| s.neighbor_capacity > 0), "{warm:?}");
-        while session.step(&env).is_some() {}
+        while session.step(&env).unwrap().is_some() {}
         let steady = session.pool_scratch_stats().unwrap();
         assert_eq!(warm, steady, "arenas regrew after step 1");
     }
@@ -1214,8 +1226,8 @@ mod tests {
         };
         let before = crate::pool::live_os_threads();
         let mut session = TrainerSession::new(&geo, &env, build_state(), config.clone());
-        session.step(&env);
-        let checkpoint = session.checkpoint();
+        session.step(&env).unwrap();
+        let checkpoint = session.checkpoint().unwrap();
         for _ in 0..5 {
             // Each resume builds a fresh pool; dropping the previous
             // session must join its workers.
@@ -1227,10 +1239,10 @@ mod tests {
                 profile.clone(),
                 10.0,
             );
-            session.step(&env);
+            session.step(&env).unwrap();
         }
         drop(session);
-        let after = crate::pool::live_os_threads();
+        let after = crate::pool::settled_os_threads(before + 1);
         // /proc probe returns 0 off-Linux; both sides are then 0.
         assert!(
             after <= before + 1,
@@ -1256,7 +1268,7 @@ mod tests {
             10.0,
         );
         let mut s1 = TrainerSession::new(&geo, &env, state, config.clone());
-        while s1.step(&env).is_some() {}
+        while s1.step(&env).unwrap().is_some() {}
         let ids_before = s1.pool_thread_ids().expect("threads=4 builds a pool");
         let (r1, resources) = s1.finish_with_resources(&env);
         assert_eq!(resources.pool_thread_ids().as_deref(), Some(ids_before.as_slice()));
@@ -1320,7 +1332,7 @@ mod tests {
                 10.0,
             );
             let mut s = TrainerSession::new(&geo, &env, state, config.clone());
-            s.run(&env, &mut crate::observer::NoopObserver);
+            s.run(&env, &mut crate::observer::NoopObserver).unwrap();
             s
         };
         let rebuilt = build().finish(&env);

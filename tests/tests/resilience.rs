@@ -113,21 +113,21 @@ fn restore_then_step_is_bit_identical_to_uninterrupted() {
 
     let mut uninterrupted = TrainerSession::new(&geo, &env, state, config.clone());
     for _ in 0..5 {
-        uninterrupted.step(&env);
+        uninterrupted.step(&env).unwrap();
     }
-    let bytes = uninterrupted.checkpoint().to_bytes();
-    uninterrupted.step(&env);
+    let bytes = uninterrupted.checkpoint().unwrap().to_bytes();
+    uninterrupted.step(&env).unwrap();
 
     let restored_cp = TrainerCheckpoint::from_bytes(&bytes).unwrap();
     let mut resumed = TrainerSession::resume(&geo, &env, &restored_cp, config, profile, 10.0);
     assert_eq!(resumed.step_index(), 5);
     assert_eq!(resumed.masters(), restored_cp.masters);
-    resumed.step(&env);
+    resumed.step(&env).unwrap();
 
     assert_eq!(resumed.masters(), uninterrupted.masters(), "post-step masters diverged");
     assert_eq!(
-        resumed.checkpoint().to_bytes(),
-        uninterrupted.checkpoint().to_bytes(),
+        resumed.checkpoint().unwrap().to_bytes(),
+        uninterrupted.checkpoint().unwrap().to_bytes(),
         "post-step checkpoints are not byte-identical"
     );
 }
@@ -231,9 +231,9 @@ fn fault_pipeline_is_deterministic_per_seed() {
         let st = HybridState::natural(&geo, &env, 50, profile.clone(), 10.0);
         let mut s = TrainerSession::new(&geo, &env, st, config.clone());
         for _ in 0..4 {
-            s.step(&env);
+            s.step(&env).unwrap();
         }
-        s.checkpoint().to_bytes()
+        s.checkpoint().unwrap().to_bytes()
     };
     assert_eq!(cp(()), cp(()), "checkpoints are not byte-identical across runs");
 }
