@@ -18,7 +18,7 @@
 //! with a resident [`geopart::MoveScratch`] arena that stays warm across
 //! steps; a single-threaded session has no pool and runs every phase on
 //! the caller thread with the session-resident scratch. Each step has two
-//! parallel phases:
+//! phases, the first of them parallel:
 //!
 //! * **Scoring** — sampled agents are spread over the pool's workers by
 //!   the straggler-mitigating LPT assignment; each worker scores all `M`
@@ -27,12 +27,9 @@
 //!   state (read locks only). LA probability/UCB updates then run serially
 //!   (they are `O(M)` per agent — noise next to the `O(deg)` scoring).
 //! * **Migration** — move proposals are shuffled (the paper batches
-//!   randomly) and processed batch-by-batch: the frozen batch objective is
-//!   computed **once** by the leader and shared read-only, workers
-//!   evaluate the batch's members in parallel against the frozen
-//!   batch-start state, a barrier separates them from the leader applying
-//!   the accepted moves under the write lock, and a second barrier keeps
-//!   later readers from observing a half-applied batch. `batch_size = 1`
+//!   randomly) and processed batch-by-batch on the caller thread: a batch's
+//!   members are evaluated against the frozen batch-start state, then the
+//!   accepted ones apply before the next batch. `batch_size = 1`
 //!   degenerates to the strictly sequential global optimization of Fig 7.
 //!
 //! Everything is deterministic for a fixed seed, independent of thread
@@ -40,8 +37,6 @@
 //! apply order is the shuffled proposal order, and the proposal vector is
 //! assembled in the global sampled order by either proposer.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Barrier;
 use std::time::Instant;
 
 use geograph::{DcId, GeoGraph, VertexId};
@@ -254,7 +249,7 @@ pub(crate) struct Exec<'a> {
     /// The session's pool (`None` ⇔ single-threaded).
     pub(crate) pool: Option<&'a WorkerPool>,
     /// Scratch for every sequential path (small-sample scoring,
-    /// `batch_size = 1` migration, inline shard serving).
+    /// migration, inline shard serving).
     pub(crate) scratch: &'a mut MoveScratch,
 }
 
@@ -313,7 +308,7 @@ pub struct TrainerSession<'g> {
     /// workers.
     pool: Option<WorkerPool>,
     /// Session-resident scratch for every sequential path (small-sample
-    /// scoring, `batch_size = 1` migration, evacuation) — warm across
+    /// scoring, migration, evacuation) — warm across
     /// steps just like the pool workers' arenas.
     scratch: MoveScratch,
     /// Applied-move journal: `Some` while a durable driver needs every
@@ -705,7 +700,7 @@ impl<'g> TrainerSession<'g> {
         // proposer needs before it scores again.
         proposals.shuffle(&mut self.rng);
         let migrate_start = Instant::now();
-        let applied = migration_phase(&self.state, &proposals, weights, &mut exec)?;
+        let applied = migration_phase(&self.state, &proposals, weights, &mut exec);
         match &self.proposer {
             Proposer::Sharded(runtime) if !applied.is_empty() => {
                 runtime.sync(self.geo, &self.state.read(), Some(&applied), &mut exec)?;
@@ -951,104 +946,38 @@ fn score_phase(
     Ok(sampled.iter().map(|&v| rho_by_vertex[v as usize]).collect())
 }
 
-/// Applies move proposals batch-by-batch (§V-A): batch members are
-/// evaluated in parallel against the frozen batch-start state and accepted
-/// iff their Eq 10 score is positive; accepted moves apply atomically
-/// before the next batch. Returns the applied migrations in exact apply
-/// order (the journal's and the replica sync's input).
-///
-/// The frozen batch objective is computed **once** per batch by the leader
-/// and shared read-only; every worker would otherwise recompute the
-/// identical value from the identical frozen state.
+/// Applies move proposals batch-by-batch (§V-A), on the caller thread: each
+/// batch's members are evaluated against the frozen batch-start state and
+/// accepted iff their Eq 10 score is positive; accepted moves apply before
+/// the next batch. `batch_size = 1` is the strictly sequential Fig 7 flow
+/// (the "frozen" state is simply the live state). Returns the applied
+/// migrations in exact apply order (the journal's and the replica sync's
+/// input).
 fn migration_phase(
     state: &RwLock<HybridState<'_>>,
     proposals: &[(VertexId, DcId)],
     weights: Weights,
     exec: &mut Exec<'_>,
-) -> Result<Vec<(VertexId, DcId)>, PoolError> {
-    if proposals.is_empty() {
-        return Ok(Vec::new());
-    }
+) -> Vec<(VertexId, DcId)> {
     let env = exec.env;
     let batch = exec.config.batch_size.max(1);
-
-    let Some(pool) = exec.pool.filter(|_| batch > 1) else {
-        // Strictly sequential Fig 7 flow (also the batch=1 semantics: the
-        // "frozen" state is simply the live state).
-        let mut st = state.write();
-        let scratch = &mut *exec.scratch;
-        let mut applied = Vec::new();
-        for chunk in proposals.chunks(batch) {
-            let obj = st.objective(env);
-            let accepts: Vec<bool> = chunk
-                .iter()
-                .map(|&(v, to)| {
-                    score(&obj, &st.evaluate_move_with(env, v, to, scratch), weights) > 0.0
-                })
-                .collect();
-            for (&(v, to), ok) in chunk.iter().zip(accepts) {
-                if ok {
-                    st.apply_move_with(env, v, to, scratch);
-                    applied.push((v, to));
-                }
+    let mut st = state.write();
+    let scratch = &mut *exec.scratch;
+    let mut applied = Vec::new();
+    for chunk in proposals.chunks(batch) {
+        let obj = st.objective(env);
+        let accepts: Vec<bool> = chunk
+            .iter()
+            .map(|&(v, to)| score(&obj, &st.evaluate_move_with(env, v, to, scratch), weights) > 0.0)
+            .collect();
+        for (&(v, to), ok) in chunk.iter().zip(accepts) {
+            if ok {
+                st.apply_move_with(env, v, to, scratch);
+                applied.push((v, to));
             }
         }
-        return Ok(applied);
-    };
-
-    let threads = pool.threads();
-    let accept: Vec<AtomicBool> = (0..proposals.len()).map(|_| AtomicBool::new(false)).collect();
-    let barrier = Barrier::new(threads);
-    // Frozen batch-start objective, written by the leader (before the
-    // first batch, then right after each apply) and read by everyone
-    // after the next barrier — the two barriers that already fence
-    // apply-vs-read also fence this slot.
-    let shared_obj =
-        RwLock::new(Objective { transfer_time: 0.0, movement_cost: 0.0, runtime_cost: 0.0 });
-    pool.run_on_all(&|worker, scratch| {
-        if worker == 0 {
-            *shared_obj.write() = state.read().objective(env);
-        }
-        barrier.wait();
-        for (bi, chunk) in proposals.chunks(batch).enumerate() {
-            {
-                let st = state.read();
-                let obj = *shared_obj.read();
-                for (j, &(v, to)) in chunk.iter().enumerate() {
-                    if j % threads != worker {
-                        continue;
-                    }
-                    let ok =
-                        score(&obj, &st.evaluate_move_with(env, v, to, scratch), weights) > 0.0;
-                    accept[bi * batch + j].store(ok, Ordering::Relaxed);
-                }
-            }
-            barrier.wait();
-            if worker == 0 {
-                {
-                    let mut st = state.write();
-                    for (j, &(v, to)) in chunk.iter().enumerate() {
-                        if accept[bi * batch + j].load(Ordering::Relaxed) {
-                            st.apply_move_with(env, v, to, scratch);
-                        }
-                    }
-                }
-                *shared_obj.write() = state.read().objective(env);
-            }
-            // Keep later batches from reading a half-applied state (or
-            // a stale frozen objective).
-            barrier.wait();
-        }
-    })?;
-    // Worker 0 applied accepted moves batch-by-batch in chunk order, and
-    // `accept` is indexed by proposal position, so the flagged proposals
-    // in order *are* the applied sequence.
-    Ok(proposals
-        .iter()
-        .zip(&accept)
-        .filter(|(_, ok)| ok.load(Ordering::Relaxed))
-        .map(|(&p, _)| p)
-        .collect())
+    }
+    applied
 }
 
 #[cfg(test)]
@@ -1186,8 +1115,8 @@ mod tests {
         // With full sampling the per-worker score groups are identical
         // every step (LPT over the same agents), so worker arenas reach
         // their steady-state capacity during step 1 and must never regrow.
-        // batch_size 1 keeps migration on the sequential path so the
-        // only pool work is the (static) scoring assignment.
+        // Migration runs on the caller, so the only pool work is the
+        // (static) scoring assignment.
         let (geo, env) = setup(14);
         let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
         let config = default_config(&geo, &env)

@@ -1,7 +1,7 @@
 //! Mutable edge accumulation with cleaning, producing [`Graph`] snapshots.
 
 use crate::csr::Graph;
-use crate::stream::BuildError;
+use crate::stream::{build_streamed, BuildError, StreamConfig};
 use crate::VertexId;
 
 /// Accumulates directed edges and builds CSR [`Graph`] snapshots.
@@ -75,49 +75,29 @@ impl GraphBuilder {
 
     /// Builds an immutable CSR snapshot, applying the configured cleaning.
     /// The builder keeps its edges, so further additions and rebuilds are
-    /// possible (dynamic-graph windows rebuild per window).
+    /// possible (dynamic-graph windows rebuild per window). Panics on every
+    /// condition [`GraphBuilder::try_build`] reports.
     pub fn build(&self) -> Graph {
-        let mut edges = self.edges.clone();
-        if self.drop_self_loops {
-            edges.retain(|&(u, v)| u != v);
-        }
-        if self.dedup {
-            edges.sort_unstable();
-            edges.dedup();
-        }
-        Graph::from_edges(self.num_vertices, &edges)
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Non-panicking [`GraphBuilder::build`]: out-of-range ids and offset
-    /// overflow come back as typed [`BuildError`]s. Release builds skip the
+    /// Non-panicking [`GraphBuilder::build`]: the accumulated list as a
+    /// one-chunk, one-thread [`crate::stream::build_chunked`] — read in
+    /// place, cleaned by the streamed core (self-loops dropped at emit,
+    /// duplicates by run compaction), so the only copy of the edges beside
+    /// the list is the CSR under construction. Out-of-range ids and offset
+    /// overflow come back as typed [`BuildError`]s; release builds skip the
     /// `add_edge` debug range check, so this is the path that makes
     /// untrusted edge streams safe end to end.
     pub fn try_build(&self) -> Result<Graph, BuildError> {
-        let mut edges = self.edges.clone();
-        Self::clean(&mut edges, self.dedup, self.drop_self_loops);
-        Graph::try_from_edges(self.num_vertices, &edges)
+        let cfg = StreamConfig { dedup: self.dedup, drop_self_loops: self.drop_self_loops };
+        build_streamed(self.num_vertices, || self.edges.iter().copied(), cfg).map(|(g, _)| g)
     }
 
-    /// Consumes the builder, cleaning its edge list **in place** — no
-    /// clone. `build` holds two copies of the edge list at peak (the
-    /// accumulated list plus the cleaned clone) on top of the CSR being
-    /// constructed; `finish` holds one. Use it whenever the builder is not
-    /// rebuilt across windows.
-    pub fn finish(mut self) -> Result<Graph, BuildError> {
-        Self::clean(&mut self.edges, self.dedup, self.drop_self_loops);
-        let g = Graph::try_from_edges(self.num_vertices, &self.edges)?;
-        drop(self.edges);
-        Ok(g)
-    }
-
-    fn clean(edges: &mut Vec<(VertexId, VertexId)>, dedup: bool, drop_self_loops: bool) {
-        if drop_self_loops {
-            edges.retain(|&(u, v)| u != v);
-        }
-        if dedup {
-            edges.sort_unstable();
-            edges.dedup();
-        }
+    /// [`GraphBuilder::try_build`], consuming the builder: the edge list is
+    /// freed as soon as the CSR exists.
+    pub fn finish(self) -> Result<Graph, BuildError> {
+        self.try_build()
     }
 }
 

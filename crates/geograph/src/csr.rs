@@ -1,8 +1,8 @@
 //! Immutable compressed-sparse-row graph with both adjacency directions.
 
 use crate::delta::GraphDelta;
-use crate::offsets::{OffsetWidth, Offsets};
-use crate::stream::BuildError;
+use crate::offsets::{OffsetInt, OffsetWidth, Offsets};
+use crate::stream::{build_streamed, BuildError, StreamConfig};
 use crate::VertexId;
 
 /// A directed graph in CSR form, storing both out-edges (`v -> ?`) and
@@ -34,69 +34,21 @@ pub struct Graph {
 impl Graph {
     /// Builds a graph with `n` vertices from a list of directed edges.
     ///
-    /// Edges referencing vertices `>= n` are rejected with a panic — this is
-    /// a programming error, not a data error (callers validate input data in
-    /// [`crate::io`]). Duplicate edges and self-loops are kept verbatim;
-    /// use [`crate::GraphBuilder`] for cleaning.
+    /// Panics on every condition [`Graph::try_from_edges`] reports — here an
+    /// out-of-range edge is a programming error, not a data error (callers
+    /// validate input data in [`crate::io`]). Duplicate edges and self-loops
+    /// are kept verbatim; use [`crate::GraphBuilder`] for cleaning.
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Self {
-        assert!(n < VertexId::MAX as usize, "vertex count exceeds VertexId range");
-        for &(u, v) in edges {
-            assert!((u as usize) < n && (v as usize) < n, "edge ({u},{v}) out of range for n={n}");
-        }
-        Self::build_validated(n, edges).expect("offset accumulation overflowed usize")
+        Self::try_from_edges(n, edges).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Non-panicking [`Graph::from_edges`]: every range and overflow
-    /// condition is a typed [`BuildError`]. At paper scale (>2^31 edges)
-    /// these are data errors a caller must be able to handle, not
+    /// Non-panicking [`Graph::from_edges`]: the slice as a one-chunk,
+    /// one-thread [`crate::stream::build_chunked`], so every range and
+    /// overflow condition is that builder's typed [`BuildError`]. At paper
+    /// scale these are data errors a caller must be able to handle, not
     /// programming errors.
     pub fn try_from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Result<Self, BuildError> {
-        if n >= VertexId::MAX as usize {
-            return Err(BuildError::TooManyVertices { n });
-        }
-        for &(u, v) in edges {
-            if (u as usize) >= n || (v as usize) >= n {
-                return Err(BuildError::EdgeOutOfRange { u, v, n });
-            }
-        }
-        Self::build_validated(n, edges)
-    }
-
-    /// Count/scatter/sort over pre-validated edges; offset accumulation is
-    /// the one remaining failure point (checked). The final offset arrays
-    /// narrow to the width the edge count needs.
-    fn build_validated(n: usize, edges: &[(VertexId, VertexId)]) -> Result<Self, BuildError> {
-        let mut out_degree = vec![0usize; n];
-        let mut in_degree = vec![0usize; n];
-        for &(u, v) in edges {
-            out_degree[u as usize] += 1;
-            in_degree[v as usize] += 1;
-        }
-        let out_offsets = prefix_sum(&out_degree).ok_or(BuildError::OffsetOverflow)?;
-        let in_offsets = prefix_sum(&in_degree).ok_or(BuildError::OffsetOverflow)?;
-        let mut out_targets = vec![0 as VertexId; edges.len()];
-        let mut in_sources = vec![0 as VertexId; edges.len()];
-        let mut out_cursor = out_offsets.clone();
-        let mut in_cursor = in_offsets.clone();
-        for &(u, v) in edges {
-            out_targets[out_cursor[u as usize]] = v;
-            out_cursor[u as usize] += 1;
-            in_sources[in_cursor[v as usize]] = u;
-            in_cursor[v as usize] += 1;
-        }
-        // Sort each adjacency run so neighbor slices are deterministic and
-        // binary-searchable regardless of input edge order.
-        for v in 0..n {
-            out_targets[out_offsets[v]..out_offsets[v + 1]].sort_unstable();
-            in_sources[in_offsets[v]..in_offsets[v + 1]].sort_unstable();
-        }
-        Ok(Graph {
-            n,
-            out_offsets: Offsets::from_usize(out_offsets),
-            out_targets,
-            in_offsets: Offsets::from_usize(in_offsets),
-            in_sources,
-        })
+        build_streamed(n, || edges.iter().copied(), StreamConfig::verbatim()).map(|(g, _)| g)
     }
 
     /// Assembles a graph directly from CSR arrays. Used by the streaming
@@ -136,39 +88,24 @@ impl Graph {
 
     /// Assembles a graph from its out-direction alone — what the wire
     /// decoder holds ([`crate::wire`] carries no in-direction). The
-    /// in-direction is a counting scatter in ascending source order, so
-    /// every in-run lands pre-sorted: the canonical layout, with no per-run
-    /// sort. Rows must be sorted and **duplicate-free** (the decoder
-    /// validates both), so an in-degree is below `n` and `u32` cursors
-    /// always fit, whatever the edge count.
+    /// in-direction is the [`transpose`] of the out-rows, so every in-run
+    /// lands sorted with no per-run sort. Rows must be sorted for the result
+    /// to be canonical (the decoder validates that).
     pub(crate) fn from_out_rows(
         n: usize,
         out_offsets: Offsets,
         out_targets: Vec<VertexId>,
     ) -> Self {
-        let m = out_targets.len();
-        let mut cursor = vec![0u32; n];
-        for &t in &out_targets {
-            cursor[t as usize] += 1;
-        }
-        let mut in_offsets = Offsets::with_capacity(OffsetWidth::for_len(m), n + 1);
-        let mut acc = 0usize;
-        in_offsets.push(0);
-        for &d in &cursor {
-            acc += d as usize;
-            in_offsets.push(acc);
-        }
-        // Reuse the degree plane as scatter cursors.
-        cursor.fill(0);
-        let mut in_sources = vec![0 as VertexId; m];
-        for u in 0..n {
-            let (s, e) = out_offsets.run(u);
-            for &t in &out_targets[s..e] {
-                let ti = t as usize;
-                in_sources[in_offsets.get(ti) + cursor[ti] as usize] = u as VertexId;
-                cursor[ti] += 1;
+        let (in_offsets, in_sources) = match &out_offsets {
+            Offsets::U32(o) => {
+                let (o, flat) = transpose(n, o, &out_targets);
+                (Offsets::U32(o), flat)
             }
-        }
+            Offsets::U64(o) => {
+                let (o, flat) = transpose(n, o, &out_targets);
+                (Offsets::U64(o), flat)
+            }
+        };
         Graph::from_csr_parts(n, out_offsets, out_targets, in_offsets, in_sources)
     }
 
@@ -442,15 +379,48 @@ fn overlay_direction(
     (offsets, flat)
 }
 
-fn prefix_sum(counts: &[usize]) -> Option<Vec<usize>> {
-    let mut offsets = Vec::with_capacity(counts.len() + 1);
-    let mut acc = 0usize;
-    offsets.push(0);
-    for &c in counts {
-        acc = acc.checked_add(c)?;
-        offsets.push(acc);
+/// Transposes one CSR direction: row `u` holding key `k` becomes row `k`
+/// holding `u`. A counting scatter walked in ascending row order, so every
+/// output run is **sorted** (equal entries adjacent) whatever the order
+/// inside the input rows — the one place adjacency gets its canonical
+/// order, with no comparison sort. Every key must be `< n` (checked by the
+/// indexing).
+///
+/// The output offsets double as the scatter cursors — counted one slot to
+/// the right, advanced while scattering, shifted back at the end — so the
+/// transpose holds nothing beyond its result.
+pub(crate) fn transpose<O: OffsetInt>(
+    n: usize,
+    offsets: &[O],
+    flat: &[VertexId],
+) -> (Vec<O>, Vec<VertexId>) {
+    debug_assert_eq!(offsets.len(), n + 1);
+    debug_assert_eq!(offsets[n].to_usize(), flat.len());
+    let bump = |slot: &mut O| {
+        let at = slot.to_usize();
+        *slot = O::from_usize(at + 1);
+        at
+    };
+    let mut t_offsets = vec![O::from_usize(0); n + 1];
+    for &k in flat {
+        bump(&mut t_offsets[k as usize + 1]);
     }
-    Some(offsets)
+    let mut acc = 0usize;
+    for slot in &mut t_offsets {
+        acc += slot.to_usize();
+        *slot = O::from_usize(acc);
+    }
+    // `t_offsets[k]` is now the start of run `k`; scattering advances it to
+    // the run's end, which is the start of run `k + 1`.
+    let mut t_flat = vec![0 as VertexId; flat.len()];
+    for u in 0..n {
+        for &k in &flat[offsets[u].to_usize()..offsets[u + 1].to_usize()] {
+            t_flat[bump(&mut t_offsets[k as usize])] = u as VertexId;
+        }
+    }
+    t_offsets.copy_within(0..n, 1);
+    t_offsets[0] = O::from_usize(0);
+    (t_offsets, t_flat)
 }
 
 #[cfg(test)]

@@ -61,6 +61,37 @@ impl OffsetWidth {
     }
 }
 
+/// One entry of an offset plane — `u32` or `u64` — so the one
+/// [`crate::csr::transpose`] serves both widths.
+pub(crate) trait OffsetInt: Copy {
+    fn to_usize(self) -> usize;
+    /// `v` must fit the width (callers only store values bounded by a flat
+    /// length an array of this width already indexes).
+    fn from_usize(v: usize) -> Self;
+}
+
+impl OffsetInt for u32 {
+    #[inline]
+    fn to_usize(self) -> usize {
+        self as usize
+    }
+    #[inline]
+    fn from_usize(v: usize) -> u32 {
+        v as u32
+    }
+}
+
+impl OffsetInt for u64 {
+    #[inline]
+    fn to_usize(self) -> usize {
+        self as usize
+    }
+    #[inline]
+    fn from_usize(v: usize) -> u64 {
+        v as u64
+    }
+}
+
 /// A monotone CSR offset array at an explicit width.
 ///
 /// Semantically a `[usize]` of monotonically non-decreasing values

@@ -35,7 +35,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use crate::csr::Graph;
 use crate::delta::GraphDelta;
 use crate::stream::{
-    compact_runs, BuildError, ChunkedEdges, IngestPool, SharedSlice, StreamConfig,
+    check_runs_full, claim, offsets_from_counts, sweep, BuildError, ChunkedEdges, IngestPool,
+    Refused, SharedSlice, StreamConfig,
 };
 use crate::VertexId;
 
@@ -243,12 +244,16 @@ impl ShardView {
     /// `ShardView::build(&build_chunked(src, cfg, pool)?.0, spec, shard)`
     /// at any chunk count and thread count: pass 1 counts owned degrees
     /// and marks cross-range neighbors, pass 2 scatters local ids through
-    /// atomic cursors, pass 3 sorts each run (the local↔global mapping is
+    /// those counters, pass 3 sorts each run (the local↔global mapping is
     /// monotone, so sorted-local equals mapped sorted-global), and the
-    /// optional dedup compaction mirrors the full build's. Error
-    /// conditions are also identical — an out-of-range edge or a stream
-    /// at 2^32 kept edges fails here exactly as it fails the global
-    /// build, even when the offending edge is owned by another shard.
+    /// optional dedup compaction mirrors the full build's. Both directions
+    /// are scattered and sorted here, where the full build transposes: a
+    /// shard's in-rows are not the transpose of its out-rows. Error
+    /// conditions are the full build's — an out-of-range edge or a stream
+    /// at 2^32 kept edges fails here exactly as it fails there, even when
+    /// the offending edge is owned by another shard, and a source whose
+    /// second pass differs from its first around an owned vertex is a
+    /// [`BuildError::StreamMismatch`].
     pub fn build_streamed<S: ChunkedEdges + ?Sized>(
         src: &S,
         cfg: StreamConfig,
@@ -269,7 +274,6 @@ impl ShardView {
         );
         let (start, end) = spec.range(shard);
         let owned = (end - start) as usize;
-        let num_chunks = src.num_chunks();
 
         // ---- Pass 1: count owned degrees, mark the ghost fringe. ---------
         let out_cnt: Vec<AtomicU32> = (0..owned).map(|_| AtomicU32::new(0)).collect();
@@ -278,71 +282,22 @@ impl ShardView {
         // of an owned vertex. n/8 bytes — bounded regardless of how many
         // per-thread ghost candidates a skewed stream produces.
         let ghost_bits: Vec<AtomicU64> = (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
-        let raw_edges = AtomicU64::new(0);
-        let loops_dropped = AtomicU64::new(0);
-        let bad_edge = AtomicU64::new(u64::MAX);
-
-        let next_chunk = AtomicUsize::new(0);
-        pool.run(&|_worker| {
-            let mut local_raw = 0u64;
-            let mut local_loops = 0u64;
-            loop {
-                let c = next_chunk.fetch_add(1, Ordering::Relaxed);
-                if c >= num_chunks {
-                    break;
+        let totals = sweep(src, cfg, pool, |u, v| {
+            let u_owned = u >= start && u < end;
+            let v_owned = v >= start && v < end;
+            if u_owned {
+                out_cnt[(u - start) as usize].fetch_add(1, Ordering::Relaxed);
+                if !v_owned {
+                    ghost_bits[(v as usize) >> 6].fetch_or(1 << (v & 63), Ordering::Relaxed);
                 }
-                src.emit(c, &mut |u, v| {
-                    local_raw += 1;
-                    if (u as usize) >= n || (v as usize) >= n {
-                        let packed = ((u as u64) << 32) | v as u64;
-                        let _ = bad_edge.compare_exchange(
-                            u64::MAX,
-                            packed,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        );
-                        return;
-                    }
-                    if cfg.drop_self_loops && u == v {
-                        local_loops += 1;
-                        return;
-                    }
-                    let u_owned = u >= start && u < end;
-                    let v_owned = v >= start && v < end;
-                    if u_owned {
-                        out_cnt[(u - start) as usize].fetch_add(1, Ordering::Relaxed);
-                        if !v_owned {
-                            ghost_bits[(v as usize) >> 6]
-                                .fetch_or(1 << (v & 63), Ordering::Relaxed);
-                        }
-                    }
-                    if v_owned {
-                        in_cnt[(v - start) as usize].fetch_add(1, Ordering::Relaxed);
-                        if !u_owned {
-                            ghost_bits[(u as usize) >> 6]
-                                .fetch_or(1 << (u & 63), Ordering::Relaxed);
-                        }
-                    }
-                });
             }
-            raw_edges.fetch_add(local_raw, Ordering::Relaxed);
-            loops_dropped.fetch_add(local_loops, Ordering::Relaxed);
-        });
-
-        let raw_edges = raw_edges.into_inner();
-        let loops_dropped = loops_dropped.into_inner();
-        let bad = bad_edge.into_inner();
-        if bad != u64::MAX {
-            return Err(BuildError::EdgeOutOfRange {
-                u: (bad >> 32) as VertexId,
-                v: bad as VertexId,
-                n,
-            });
-        }
-        let kept = raw_edges - loops_dropped;
-        if kept > VertexId::MAX as u64 {
-            return Err(BuildError::TooManyEdges { edges: kept });
-        }
+            if v_owned {
+                in_cnt[(v - start) as usize].fetch_add(1, Ordering::Relaxed);
+                if !u_owned {
+                    ghost_bits[(u as usize) >> 6].fetch_or(1 << (u & 63), Ordering::Relaxed);
+                }
+            }
+        })?;
 
         // ---- Ghost fringe and local-id table. ----------------------------
         // Only non-owned vertices ever get a bit, and the bitmap scan walks
@@ -366,95 +321,58 @@ impl ShardView {
         locals.extend_from_slice(&ghosts[below..]);
         debug_assert!(locals.windows(2).all(|w| w[0] < w[1]));
 
+        // `None` for a vertex pass 1 never marked — only a source that emits
+        // a different stream in pass 2 can ask for one.
         let ghosts_ref = &ghosts;
-        let to_local = move |v: VertexId| -> u32 {
+        let to_local = move |v: VertexId| -> Option<u32> {
             if v >= start && v < end {
-                below as u32 + (v - start)
+                Some(below as u32 + (v - start))
             } else if v < start {
-                ghosts_ref[..below].binary_search(&v).expect("fringe covers every neighbor") as u32
+                ghosts_ref[..below].binary_search(&v).ok().map(|i| i as u32)
             } else {
-                (below + owned + ghosts_ref[below..].binary_search(&v).expect("fringe")) as u32
+                ghosts_ref[below..].binary_search(&v).ok().map(|i| (below + owned + i) as u32)
             }
         };
 
         // ---- Prefix sums (narrow by invariant) and allocation. -----------
-        let mut out_offsets: Vec<u32> = Vec::with_capacity(owned + 1);
-        let mut in_offsets: Vec<u32> = Vec::with_capacity(owned + 1);
-        {
-            let mut acc_out = 0u32;
-            let mut acc_in = 0u32;
-            out_offsets.push(0);
-            in_offsets.push(0);
-            for v in 0..owned {
-                acc_out = acc_out
-                    .checked_add(out_cnt[v].load(Ordering::Relaxed))
-                    .ok_or(BuildError::OffsetOverflow)?;
-                acc_in = acc_in
-                    .checked_add(in_cnt[v].load(Ordering::Relaxed))
-                    .ok_or(BuildError::OffsetOverflow)?;
-                out_offsets.push(acc_out);
-                in_offsets.push(acc_in);
-            }
-        }
+        let mut out_offsets = offsets_from_counts(&out_cnt)?;
+        let mut in_offsets = offsets_from_counts(&in_cnt)?;
         let mut out_targets = vec![0u32; out_offsets[owned] as usize];
         let mut in_sources = vec![0u32; in_offsets[owned] as usize];
 
-        // Reuse the counter planes as scatter cursors.
-        for c in &out_cnt {
-            c.store(0, Ordering::Relaxed);
-        }
-        for c in &in_cnt {
-            c.store(0, Ordering::Relaxed);
-        }
-
         // ---- Pass 2: scatter owned edges as local ids. -------------------
+        // Each run is claimed through its pass-1 counter, counting back
+        // down; an edge pass 1 never saw (run already full, or a neighbor
+        // outside the fringe) is refused and reported.
         {
             let out_slots = SharedSlice(out_targets.as_mut_ptr());
             let in_slots = SharedSlice(in_sources.as_mut_ptr());
-            let out_offsets = &out_offsets;
-            let in_offsets = &in_offsets;
-            let out_cnt = &out_cnt;
-            let in_cnt = &in_cnt;
-            let to_local = &to_local;
-            let next_chunk = AtomicUsize::new(0);
-            pool.run(&|_worker| loop {
-                let c = next_chunk.fetch_add(1, Ordering::Relaxed);
-                if c >= num_chunks {
-                    break;
+            let refused = Refused::new();
+            let scatter = |owner: VertexId,
+                           other: VertexId,
+                           offsets: &[u32],
+                           counters: &[AtomicU32],
+                           slots: &SharedSlice<u32>| {
+                let i = (owner - start) as usize;
+                match to_local(other).and_then(|l| Some((claim(&counters[i])?, l))) {
+                    // SAFETY: the counter started at the run's length and
+                    // never passes zero, so the slot is inside run `i` and
+                    // this claim is the only one to get it.
+                    Some((slot, l)) => unsafe { slots.write((offsets[i] + slot) as usize, l) },
+                    None => refused.record(owner, offsets[i + 1] - offsets[i]),
                 }
-                src.emit(c, &mut |u, v| {
-                    assert!(
-                        (u as usize) < n && (v as usize) < n,
-                        "ChunkedEdges emitted edge ({u},{v}) in pass 2 absent from pass 1"
-                    );
-                    if cfg.drop_self_loops && u == v {
-                        return;
-                    }
-                    if u >= start && u < end {
-                        let i = (u - start) as usize;
-                        let slot = out_cnt[i].fetch_add(1, Ordering::Relaxed) as usize;
-                        let idx = out_offsets[i] as usize + slot;
-                        assert!(
-                            idx < out_offsets[i + 1] as usize,
-                            "pass 2 emitted more out-edges of {u} than pass 1"
-                        );
-                        // SAFETY: idx is inside vertex u's run (checked
-                        // above) and uniquely claimed by the fetch_add.
-                        unsafe { out_slots.write(idx, to_local(v)) };
-                    }
-                    if v >= start && v < end {
-                        let i = (v - start) as usize;
-                        let slot = in_cnt[i].fetch_add(1, Ordering::Relaxed) as usize;
-                        let idx = in_offsets[i] as usize + slot;
-                        assert!(
-                            idx < in_offsets[i + 1] as usize,
-                            "pass 2 emitted more in-edges of {v} than pass 1"
-                        );
-                        // SAFETY: as above, for the in-direction.
-                        unsafe { in_slots.write(idx, to_local(u)) };
-                    }
-                });
-            });
+            };
+            sweep(src, cfg, pool, |u, v| {
+                if u >= start && u < end {
+                    scatter(u, v, &out_offsets, &out_cnt, &out_slots);
+                }
+                if v >= start && v < end {
+                    scatter(v, u, &in_offsets, &in_cnt, &in_slots);
+                }
+            })?;
+            refused.into_result()?;
+            check_runs_full(start, &out_offsets, &out_cnt)?;
+            check_runs_full(start, &in_offsets, &in_cnt)?;
         }
 
         // ---- Pass 3: canonicalize runs. ----------------------------------
@@ -506,11 +424,6 @@ impl ShardView {
             compact_runs(&mut out_offsets, &mut out_targets);
             compact_runs(&mut in_offsets, &mut in_sources);
             duplicates_removed = (before - out_targets.len() - in_sources.len()) as u64;
-            // Like the full build: hand the compaction slack back, since
-            // `heap_bytes` charges capacity and the view lives for the
-            // whole window.
-            out_targets.shrink_to_fit();
-            in_sources.shrink_to_fit();
         }
 
         let transient_bytes =
@@ -530,10 +443,10 @@ impl ShardView {
             in_sources,
         };
         let report = ShardIngestReport {
-            raw_edges,
+            raw_edges: totals.raw_edges,
             owned_out_edges: view.out_targets.len(),
             owned_in_edges: view.in_sources.len(),
-            self_loops_dropped: loops_dropped,
+            self_loops_dropped: totals.self_loops_dropped,
             duplicates_removed,
             view_bytes: view.heap_bytes(),
             transient_bytes,
@@ -633,6 +546,32 @@ impl ShardView {
     }
 }
 
+/// Removes adjacent duplicates from every sorted run, shifting the flat
+/// array left and rewriting offsets in place, then returns the slack to the
+/// allocator: `heap_bytes` charges capacity and the view lives for the
+/// whole window.
+fn compact_runs(offsets: &mut [u32], flat: &mut Vec<u32>) {
+    let n = offsets.len() - 1;
+    let mut w = 0usize;
+    let mut run_start = offsets[0] as usize;
+    for v in 0..n {
+        let run_end = offsets[v + 1] as usize;
+        let mut prev: Option<u32> = None;
+        for i in run_start..run_end {
+            let t = flat[i];
+            if prev != Some(t) {
+                flat[w] = t;
+                w += 1;
+                prev = Some(t);
+            }
+        }
+        run_start = run_end;
+        offsets[v + 1] = w as u32;
+    }
+    flat.truncate(w);
+    flat.shrink_to_fit();
+}
+
 /// What a shard-resident streamed build did and what it cost in memory.
 ///
 /// The full-stream totals (`raw_edges`, `self_loops_dropped`) are global —
@@ -720,34 +659,12 @@ pub fn route_delta(delta: &GraphDelta, spec: &ShardSpec) -> Vec<ShardDelta> {
 mod tests {
     use super::*;
     use crate::dynamic::{EdgeEvent, EventKind};
+    use crate::stream::testing::{Liar, VecSource};
     use crate::stream::{build_chunked, ScopedPool};
     use crate::GraphBuilder;
 
     fn ev(src: u32, dst: u32, ts: u64, kind: EventKind) -> EdgeEvent {
         EdgeEvent { src, dst, timestamp_ms: ts, kind }
-    }
-
-    /// A fixed edge list exposed as a chunked stream.
-    struct VecSource {
-        n: usize,
-        chunk: usize,
-        edges: Vec<(VertexId, VertexId)>,
-    }
-
-    impl ChunkedEdges for VecSource {
-        fn num_vertices(&self) -> usize {
-            self.n
-        }
-        fn num_chunks(&self) -> usize {
-            self.edges.len().div_ceil(self.chunk).max(1)
-        }
-        fn emit(&self, chunk: usize, sink: &mut dyn FnMut(VertexId, VertexId)) {
-            let lo = chunk * self.chunk;
-            let hi = (lo + self.chunk).min(self.edges.len());
-            for &(u, v) in &self.edges[lo..hi] {
-                sink(u, v);
-            }
-        }
     }
 
     fn messy_edges() -> Vec<(VertexId, VertexId)> {
@@ -823,6 +740,53 @@ mod tests {
             ShardView::build_streamed(&src, StreamConfig::verbatim(), &spec, 0, &ScopedPool(1))
                 .unwrap_err();
         assert_eq!(err, BuildError::EdgeOutOfRange { u: 9, v: 3, n: 4 });
+    }
+
+    #[test]
+    fn a_second_pass_that_differs_is_a_typed_error() {
+        // Shard 0 owns [0, 2) of 4 vertices.
+        let spec = ShardSpec::contiguous(4, 2);
+        for threads in [1, 2] {
+            let build = |pass1: &[_], pass2: &[_]| {
+                let src = Liar::new(4, pass1, pass2);
+                ShardView::build_streamed(
+                    &src,
+                    StreamConfig::cleaned(),
+                    &spec,
+                    0,
+                    &ScopedPool(threads),
+                )
+                .unwrap_err()
+            };
+            // Fewer, out-direction and in-direction.
+            assert_eq!(
+                build(&[(1, 2), (0, 3)], &[(0, 3)]),
+                BuildError::StreamMismatch { vertex: 1, pass1: 1, pass2: 0 },
+                "threads={threads}"
+            );
+            assert_eq!(
+                build(&[(2, 1), (3, 0)], &[(3, 0)]),
+                BuildError::StreamMismatch { vertex: 1, pass1: 1, pass2: 0 },
+                "threads={threads}"
+            );
+            // More: a second out-edge of 0, a second in-edge of 1.
+            assert_eq!(
+                build(&[(0, 3)], &[(0, 3), (0, 3)]),
+                BuildError::StreamMismatch { vertex: 0, pass1: 1, pass2: 2 },
+                "threads={threads}"
+            );
+            assert_eq!(
+                build(&[(3, 1)], &[(3, 1), (3, 1)]),
+                BuildError::StreamMismatch { vertex: 1, pass1: 1, pass2: 2 },
+                "threads={threads}"
+            );
+            // Same counts, but a neighbor pass 1 never put in the fringe.
+            assert_eq!(
+                build(&[(0, 3)], &[(0, 2)]),
+                BuildError::StreamMismatch { vertex: 0, pass1: 1, pass2: 2 },
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]

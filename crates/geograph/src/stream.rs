@@ -1,44 +1,51 @@
-//! Streaming two-pass CSR ingest: build a [`Graph`] from a re-emittable
-//! edge stream without ever staging a `Vec<(VertexId, VertexId)>`.
+//! The one CSR builder: a [`Graph`] from a re-emittable edge stream, without
+//! ever staging or sorting a `Vec<(VertexId, VertexId)>`.
 //!
-//! The staged path ([`Graph::from_edges`] fed by [`crate::GraphBuilder`])
-//! holds three copies of every edge at peak: the builder's pair list, the
-//! cleaned clone, and the CSR arrays — ~3× the final footprint, which is
-//! what has kept benchmarks on toy scales. This module replaces staging
-//! with two passes over a [`ChunkedEdges`] source:
+//! [`build_chunked`] makes two passes over a [`ChunkedEdges`] source and two
+//! sequential transposes over what they leave:
 //!
-//! 1. **Count** — every chunk is emitted once and per-vertex degrees are
-//!    accumulated into atomic counters (8 bytes/vertex transient, both
-//!    directions together).
+//! 1. **Count** — every chunk is emitted once and out-degrees are
+//!    accumulated into one atomic `u32` per vertex (the only plane beside
+//!    the CSR arrays, 4 bytes/vertex).
 //! 2. **Scatter** — offsets come from a checked prefix sum, the chunks are
-//!    emitted again, and each edge is written straight into its CSR run
-//!    through a per-vertex atomic cursor.
+//!    emitted again, and each edge's target is written into its source's
+//!    run through that vertex's counter, now counting back down. The order
+//!    inside a run depends on thread interleaving; which targets a run
+//!    holds does not. A counter left above zero, or asked for a slot at
+//!    zero, means the two passes disagreed: [`BuildError::StreamMismatch`].
+//!    Optional cleaning happens here, in place: self-loops were dropped at
+//!    emit time, and repeated targets are squeezed out of each run by a
+//!    one-stamp-per-vertex filter that does not care about order.
+//! 3. **Transpose** ([`crate::csr::transpose`]) — a counting scatter walked
+//!    in ascending source order turns the racy out-runs into in-runs that
+//!    are *sorted*, whatever order the scatter left.
+//! 4. **Transpose** again — the sorted out-direction.
 //!
-//! A third parallel sweep sorts each adjacency run, which is what makes the
-//! result *bit-identical* to [`Graph::from_edges`] at any thread count: the
-//! scatter order is racy, but a sorted run has one canonical layout.
-//! Optional cleaning (self-loop drop at emit time, per-run dedup compaction
-//! after the sort) reproduces [`crate::GraphBuilder`]'s global
-//! sort+dedup semantics exactly, because duplicates of `(u, v)` are
-//! adjacent in `u`'s sorted out-run and in `v`'s sorted in-run.
+//! No comparison sort runs anywhere, and the result is a pure function of
+//! the edge multiset — identical at any thread count and chunking — because
+//! a transposed run is filled in key order and equal keys carry equal
+//! values. Cleaning here *is* [`crate::GraphBuilder`]'s semantics: dropping
+//! the repeats of `v` inside `u`'s run drops exactly the repeated `(u, v)`
+//! edges. [`Graph::from_edges`] and the `GraphBuilder` build methods are
+//! one-chunk, one-thread calls of this function.
 //!
-//! Peak transient memory is the two counter planes (`8n` bytes, reused as
-//! scatter cursors) — for paper-density graphs (~14 edges/vertex) that is
-//! well under 0.2× the final CSR, vs ~2× for the staged path.
+//! The build holds the counter plane only while it holds one direction, and
+//! the two directions only once duplicates are gone, so it peaks at the CSR
+//! it returns unless more than half the stream is duplicates
+//! ([`IngestReport::transient_bytes`]).
 //!
-//! Because the kept-edge count is capped at `u32` (that is what keeps the
-//! counter planes at 4 bytes/vertex/direction), the prefix sums build
-//! narrow [`Offsets`] directly — the streamed path never widens an offset
-//! to `usize` at any point of the build.
+//! The kept-edge count is capped at `u32` (that is what keeps the counter
+//! plane at 4 bytes/vertex), so the offsets are built narrow and never
+//! widened to `usize`.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
-use crate::csr::Graph;
+use crate::csr::{transpose, Graph};
 use crate::offsets::Offsets;
 use crate::VertexId;
 
 /// Typed failure of a graph build — overflow and range conditions that the
-/// panicking [`Graph::from_edges`] path treats as programming errors become
+/// panicking [`Graph::from_edges`] entry treats as programming errors are
 /// recoverable errors here, because at paper scale they are *data* errors
 /// (a 2^31-edge stream is a real input, not a bug).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,16 +53,22 @@ pub enum BuildError {
     /// The vertex count does not fit [`VertexId`] (ids are `u32`; the
     /// all-ones value is reserved).
     TooManyVertices { n: usize },
-    /// The stream emitted ≥ 2^32 kept edges. Streamed ingest tracks
-    /// per-vertex degrees in `u32` counters (that is what keeps the
-    /// transient footprint at 8 bytes/vertex), so a stream at or past
-    /// 2^32 edges could wrap a counter; the exact total is tracked in
-    /// 64 bits so the condition is detected, not wrapped.
+    /// The stream emitted ≥ 2^32 kept edges. The build tracks per-vertex
+    /// degrees in `u32` counters (that is what keeps the counter plane at
+    /// 4 bytes/vertex), so a stream at or past 2^32 edges could wrap a
+    /// counter; the exact total is tracked in 64 bits so the condition is
+    /// detected, not wrapped.
     TooManyEdges { edges: u64 },
     /// An emitted edge references a vertex `>= n`.
     EdgeOutOfRange { u: VertexId, v: VertexId, n: usize },
     /// CSR offset accumulation overflowed `usize`.
     OffsetOverflow,
+    /// The source broke the [`ChunkedEdges`] contract: its second pass did
+    /// not repeat the first. `vertex` had `pass1` kept edges counted;
+    /// `pass2` is how many the scatter was handed — exact when fewer,
+    /// `pass1 + 1` when it was handed an edge the first pass never counted
+    /// (the scatter refuses the first such edge and stops counting).
+    StreamMismatch { vertex: VertexId, pass1: u32, pass2: u32 },
 }
 
 impl std::fmt::Display for BuildError {
@@ -71,6 +84,11 @@ impl std::fmt::Display for BuildError {
                 write!(f, "edge ({u},{v}) out of range for n={n}")
             }
             BuildError::OffsetOverflow => write!(f, "CSR offset accumulation overflowed usize"),
+            BuildError::StreamMismatch { vertex, pass1, pass2 } => write!(
+                f,
+                "edge stream changed between passes: vertex {vertex} had {pass1} edges in pass 1, \
+                 {pass2} in pass 2"
+            ),
         }
     }
 }
@@ -137,27 +155,23 @@ impl IngestPool for ScopedPool {
     }
 }
 
-/// Cleaning options for streamed builds, mirroring [`crate::GraphBuilder`]'s
-/// defaults.
+/// Cleaning options of a build.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamConfig {
-    /// Remove duplicate `(u, v)` edges (post-sort compaction).
+    /// Remove duplicate `(u, v)` edges (in-place compaction of each run).
     pub dedup: bool,
     /// Drop `(v, v)` edges at emit time.
     pub drop_self_loops: bool,
 }
 
 impl StreamConfig {
-    /// `GraphBuilder` semantics: dedup + drop self-loops. A streamed build
-    /// with this config is bit-identical to `GraphBuilder::build` over the
-    /// same edge multiset.
+    /// Dedup + drop self-loops: what a default [`crate::GraphBuilder`]
+    /// builds with.
     pub fn cleaned() -> Self {
         StreamConfig { dedup: true, drop_self_loops: true }
     }
 
-    /// `Graph::from_edges` semantics: keep everything. A streamed build
-    /// with this config is bit-identical to `from_edges` over the same
-    /// edge multiset.
+    /// Keep everything: what [`Graph::from_edges`] builds with.
     pub fn verbatim() -> Self {
         StreamConfig { dedup: false, drop_self_loops: false }
     }
@@ -176,8 +190,11 @@ pub struct IngestReport {
     pub duplicates_removed: u64,
     /// Heap bytes of the final CSR (both directions, offsets + targets).
     pub csr_bytes: usize,
-    /// Peak transient heap held *in addition to* the CSR during the build
-    /// (the two atomic counter/cursor planes).
+    /// Peak heap held *in addition to* the final CSR during the build.
+    /// Measured at the scatter, the one point that can exceed the result:
+    /// the counter plane plus one direction at pre-dedup length. Zero
+    /// unless more than half the kept stream is duplicates — afterwards the
+    /// build holds only what it returns.
     pub transient_bytes: usize,
 }
 
@@ -187,8 +204,8 @@ impl IngestReport {
         self.csr_bytes + self.transient_bytes
     }
 
-    /// Peak footprint as a multiple of the final CSR size. The staged path
-    /// sits near 2–3×; streamed ingest must stay under ~1.2×.
+    /// Peak footprint as a multiple of the final CSR size; must stay under
+    /// ~1.2× (a staged edge list would sit near 2–3×).
     pub fn build_ratio(&self) -> f64 {
         if self.csr_bytes == 0 {
             return 1.0;
@@ -198,14 +215,20 @@ impl IngestReport {
 }
 
 /// Shared mutable slice for the scatter pass. Each write index is claimed
-/// by a `fetch_add` on the owning vertex's cursor, so no two threads ever
+/// through the owning vertex's counter ([`claim`]), so no two threads ever
 /// write the same slot. Shared with the shard-resident ingest
 /// ([`crate::shard::ShardView::build_streamed`]), which scatters the same
 /// way into per-shard arrays.
 pub(crate) struct SharedSlice<T>(pub(crate) *mut T);
+// SAFETY: the wrapper only hands out `write`, whose contract makes every
+// access a disjoint, in-bounds slot; `T: Send` lets another thread own the
+// written value.
 unsafe impl<T: Send> Sync for SharedSlice<T> {}
 
 impl<T> SharedSlice<T> {
+    /// # Safety
+    /// `idx` must be inside the allocation the pointer was taken from, and
+    /// no other thread may read or write slot `idx` during the pass.
     #[inline]
     pub(crate) unsafe fn write(&self, idx: usize, value: T) {
         unsafe { self.0.add(idx).write(value) }
@@ -219,31 +242,29 @@ impl<T> SharedSlice<T> {
     }
 }
 
-/// Builds a [`Graph`] from a chunked edge stream in two passes, without a
-/// staging edge list. Deterministic — bit-identical output for a fixed
-/// source and config — at any `pool.threads()`.
-pub fn build_chunked<S: ChunkedEdges + ?Sized>(
+/// What one sweep over the source saw.
+pub(crate) struct SweepTotals {
+    pub(crate) raw_edges: u64,
+    pub(crate) self_loops_dropped: u64,
+}
+
+/// One sweep over every chunk of `src`, spread over `pool`: validates each
+/// edge against `n`, drops self-loops if `cfg` says so, and hands every kept
+/// edge to `keep`. Both passes of every streamed build are this sweep, so
+/// both apply the same checks: an out-of-range edge or a stream at 2^32
+/// kept edges is a typed error whichever pass meets it.
+pub(crate) fn sweep<S: ChunkedEdges + ?Sized>(
     src: &S,
     cfg: StreamConfig,
     pool: &dyn IngestPool,
-) -> Result<(Graph, IngestReport), BuildError> {
+    keep: impl Fn(VertexId, VertexId) + Sync,
+) -> Result<SweepTotals, BuildError> {
     let n = src.num_vertices();
-    if n >= VertexId::MAX as usize {
-        return Err(BuildError::TooManyVertices { n });
-    }
     let num_chunks = src.num_chunks();
-
-    // ---- Pass 1: count degrees. ------------------------------------------
-    // One u32 counter per vertex per direction; wrap is impossible below
-    // 2^32 total kept edges, and the exact total is tracked in 64 bits so
-    // the >= 2^32 case is a typed error, never a silent wrap.
-    let out_cnt: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let in_cnt: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
     let raw_edges = AtomicU64::new(0);
     let loops_dropped = AtomicU64::new(0);
     // First out-of-range edge, packed (u << 32) | v; u64::MAX = none.
     let bad_edge = AtomicU64::new(u64::MAX);
-
     let next_chunk = AtomicUsize::new(0);
     pool.run(&|_worker| {
         let mut local_raw = 0u64;
@@ -269,16 +290,17 @@ pub fn build_chunked<S: ChunkedEdges + ?Sized>(
                     local_loops += 1;
                     return;
                 }
-                out_cnt[u as usize].fetch_add(1, Ordering::Relaxed);
-                in_cnt[v as usize].fetch_add(1, Ordering::Relaxed);
+                keep(u, v);
             });
         }
         raw_edges.fetch_add(local_raw, Ordering::Relaxed);
         loops_dropped.fetch_add(local_loops, Ordering::Relaxed);
     });
 
-    let raw_edges = raw_edges.into_inner();
-    let loops_dropped = loops_dropped.into_inner();
+    let totals = SweepTotals {
+        raw_edges: raw_edges.into_inner(),
+        self_loops_dropped: loops_dropped.into_inner(),
+    };
     let bad = bad_edge.into_inner();
     if bad != u64::MAX {
         return Err(BuildError::EdgeOutOfRange {
@@ -287,152 +309,155 @@ pub fn build_chunked<S: ChunkedEdges + ?Sized>(
             n,
         });
     }
-    let kept = raw_edges - loops_dropped;
+    // Degrees are counted in `u32`; below 2^32 kept edges no counter can
+    // wrap, and the exact total is tracked in 64 bits so the >= 2^32 case
+    // is this error, never a silent wrap.
+    let kept = totals.raw_edges - totals.self_loops_dropped;
     if kept > VertexId::MAX as u64 {
         return Err(BuildError::TooManyEdges { edges: kept });
     }
+    Ok(totals)
+}
 
-    // ---- Prefix sums (checked) and allocation. ---------------------------
-    // `kept <= u32::MAX` (checked above), so every offset fits `u32`: the
-    // sums accumulate narrow and are never widened to `usize`.
-    let mut out_offsets: Vec<u32> = Vec::with_capacity(n + 1);
-    let mut in_offsets: Vec<u32> = Vec::with_capacity(n + 1);
-    {
-        let mut acc_out = 0u32;
-        let mut acc_in = 0u32;
-        out_offsets.push(0);
-        in_offsets.push(0);
-        for v in 0..n {
-            acc_out = acc_out
-                .checked_add(out_cnt[v].load(Ordering::Relaxed))
-                .ok_or(BuildError::OffsetOverflow)?;
-            acc_in = acc_in
-                .checked_add(in_cnt[v].load(Ordering::Relaxed))
-                .ok_or(BuildError::OffsetOverflow)?;
-            out_offsets.push(acc_out);
-            in_offsets.push(acc_in);
+/// Checked prefix sum of the pass-1 degree counters: run `i` of the flat
+/// array is `offsets[i]..offsets[i + 1]`. Narrow by construction — the
+/// sweep capped kept edges at `u32`.
+pub(crate) fn offsets_from_counts(counts: &[AtomicU32]) -> Result<Vec<u32>, BuildError> {
+    let mut offsets = Vec::with_capacity(counts.len() + 1);
+    let mut acc = 0u32;
+    offsets.push(0);
+    for c in counts {
+        acc = acc.checked_add(c.load(Ordering::Relaxed)).ok_or(BuildError::OffsetOverflow)?;
+        offsets.push(acc);
+    }
+    Ok(offsets)
+}
+
+/// Claims a free slot of a run whose pass-1 count is still in `counter`:
+/// counts it down and returns the slot index inside the run, or `None` when
+/// the run is already full. The counter never passes zero, so a claimed
+/// slot is always inside the run and claimed once — the scatter's memory
+/// safety does not rest on the source keeping its contract.
+#[inline]
+pub(crate) fn claim(counter: &AtomicU32) -> Option<u32> {
+    counter
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |left| left.checked_sub(1))
+        .ok()
+        .map(|left| left - 1)
+}
+
+/// The lowest vertex the scatter was handed an edge for that pass 1 never
+/// counted (its run was already full), with the run's length.
+pub(crate) struct Refused(AtomicU64);
+
+impl Refused {
+    pub(crate) fn new() -> Self {
+        Refused(AtomicU64::new(u64::MAX))
+    }
+
+    /// Lowest vertex wins, so the reported vertex does not depend on thread
+    /// interleaving.
+    pub(crate) fn record(&self, vertex: VertexId, run_len: u32) {
+        self.0.fetch_min(((vertex as u64) << 32) | run_len as u64, Ordering::Relaxed);
+    }
+
+    pub(crate) fn into_result(self) -> Result<(), BuildError> {
+        match self.0.into_inner() {
+            u64::MAX => Ok(()),
+            packed => {
+                let pass1 = packed as u32;
+                Err(BuildError::StreamMismatch {
+                    vertex: (packed >> 32) as VertexId,
+                    pass1,
+                    pass2: pass1.saturating_add(1),
+                })
+            }
         }
     }
-    let m = out_offsets[n] as usize;
-    debug_assert_eq!(m as u64, kept);
-    debug_assert_eq!(in_offsets[n] as usize, m);
-    let mut out_targets = vec![0 as VertexId; m];
-    let mut in_sources = vec![0 as VertexId; m];
+}
 
-    // Reuse the counter planes as scatter cursors.
-    for c in &out_cnt {
-        c.store(0, Ordering::Relaxed);
-    }
-    for c in &in_cnt {
-        c.store(0, Ordering::Relaxed);
-    }
-
-    // ---- Pass 2: scatter. ------------------------------------------------
-    {
-        let out_slots = SharedSlice(out_targets.as_mut_ptr());
-        let in_slots = SharedSlice(in_sources.as_mut_ptr());
-        let out_offsets = &out_offsets;
-        let in_offsets = &in_offsets;
-        let out_cnt = &out_cnt;
-        let in_cnt = &in_cnt;
-        let next_chunk = AtomicUsize::new(0);
-        pool.run(&|_worker| loop {
-            let c = next_chunk.fetch_add(1, Ordering::Relaxed);
-            if c >= num_chunks {
-                break;
-            }
-            src.emit(c, &mut |u, v| {
-                let (ui, vi) = (u as usize, v as usize);
-                assert!(
-                    ui < n && vi < n,
-                    "ChunkedEdges emitted edge ({u},{v}) in pass 2 absent from pass 1"
-                );
-                if cfg.drop_self_loops && u == v {
-                    return;
-                }
-                let slot = out_cnt[ui].fetch_add(1, Ordering::Relaxed) as usize;
-                let idx = out_offsets[ui] as usize + slot;
-                assert!(
-                    idx < out_offsets[ui + 1] as usize,
-                    "pass 2 emitted more out-edges of {u} than pass 1"
-                );
-                // SAFETY: idx is inside vertex u's run (checked above) and
-                // uniquely claimed by the fetch_add.
-                unsafe { out_slots.write(idx, v) };
-                let slot = in_cnt[vi].fetch_add(1, Ordering::Relaxed) as usize;
-                let idx = in_offsets[vi] as usize + slot;
-                assert!(
-                    idx < in_offsets[vi + 1] as usize,
-                    "pass 2 emitted more in-edges of {v} than pass 1"
-                );
-                // SAFETY: as above, for the in-direction.
-                unsafe { in_slots.write(idx, u) };
+/// The post-scatter check that, with [`Refused`], turns a lying source into
+/// a typed error instead of a silently wrong graph: every run is exactly
+/// full (its counter is back at zero). `first` is the vertex id of run 0.
+pub(crate) fn check_runs_full(
+    first: VertexId,
+    offsets: &[u32],
+    counters: &[AtomicU32],
+) -> Result<(), BuildError> {
+    for (i, c) in counters.iter().enumerate() {
+        let left = c.load(Ordering::Relaxed);
+        if left != 0 {
+            let pass1 = offsets[i + 1] - offsets[i];
+            return Err(BuildError::StreamMismatch {
+                vertex: first + i as VertexId,
+                pass1,
+                pass2: pass1 - left,
             });
-        });
+        }
+    }
+    Ok(())
+}
+
+/// Builds a [`Graph`] from a chunked edge stream in two passes, without a
+/// staging edge list and without sorting. Deterministic — bit-identical
+/// output for a fixed source and config — at any `pool.threads()`.
+pub fn build_chunked<S: ChunkedEdges + ?Sized>(
+    src: &S,
+    cfg: StreamConfig,
+    pool: &dyn IngestPool,
+) -> Result<(Graph, IngestReport), BuildError> {
+    let n = src.num_vertices();
+    if n >= VertexId::MAX as usize {
+        return Err(BuildError::TooManyVertices { n });
     }
 
-    // ---- Pass 3: canonicalize runs (parallel per-vertex-block sort). -----
-    // The scatter order within a run depends on thread interleaving; the
-    // sort erases it. This matches `Graph::from_edges`, which sorts every
-    // run, so the streamed result is bit-identical to the staged one.
+    // ---- Pass 1: count out-degrees. ---------------------------------------
+    let counters: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+    let totals = sweep(src, cfg, pool, |u, _v| {
+        counters[u as usize].fetch_add(1, Ordering::Relaxed);
+    })?;
+    let mut scattered_offsets = offsets_from_counts(&counters)?;
+    let mut scattered = vec![0 as VertexId; scattered_offsets[n] as usize];
+
+    // ---- Pass 2: scatter targets into their source's run. -----------------
     {
-        const BLOCK: usize = 4096;
-        let num_blocks = n.div_ceil(BLOCK);
-        let out_ptr = SharedSlice(out_targets.as_mut_ptr());
-        let in_ptr = SharedSlice(in_sources.as_mut_ptr());
-        let out_offsets = &out_offsets;
-        let in_offsets = &in_offsets;
-        let next_block = AtomicUsize::new(0);
-        pool.run(&|_worker| loop {
-            let b = next_block.fetch_add(1, Ordering::Relaxed);
-            if b >= num_blocks {
-                break;
+        let slots = SharedSlice(scattered.as_mut_ptr());
+        let refused = Refused::new();
+        sweep(src, cfg, pool, |u, v| {
+            let ui = u as usize;
+            let start = scattered_offsets[ui];
+            match claim(&counters[ui]) {
+                // SAFETY: the counter started at the run's length and never
+                // passes zero, so `start + slot` is inside vertex u's run
+                // of `scattered`, and this claim is the only one to get it.
+                Some(slot) => unsafe { slots.write((start + slot) as usize, v) },
+                None => refused.record(u, scattered_offsets[ui + 1] - start),
             }
-            let lo = b * BLOCK;
-            let hi = (lo + BLOCK).min(n);
-            for v in lo..hi {
-                // SAFETY: runs [offsets[v], offsets[v+1]) are disjoint per
-                // vertex, and each vertex belongs to exactly one block.
-                unsafe {
-                    let run = std::slice::from_raw_parts_mut(
-                        out_ptr.base().add(out_offsets[v] as usize),
-                        (out_offsets[v + 1] - out_offsets[v]) as usize,
-                    );
-                    run.sort_unstable();
-                    let run = std::slice::from_raw_parts_mut(
-                        in_ptr.base().add(in_offsets[v] as usize),
-                        (in_offsets[v + 1] - in_offsets[v]) as usize,
-                    );
-                    run.sort_unstable();
-                }
-            }
-        });
-        let _ = (out_ptr, in_ptr);
+        })?;
+        refused.into_result()?;
+        check_runs_full(0, &scattered_offsets, &counters)?;
     }
+    // The build's peak beyond the CSR it returns, if any: from here on it
+    // holds at most one equally sized plane in the counters' place, then
+    // exactly the two directions.
+    let scatter_bytes = (counters.len() + scattered_offsets.capacity() + scattered.capacity())
+        * std::mem::size_of::<u32>();
+    drop(counters);
 
-    // ---- Optional dedup compaction (sequential, in place). ---------------
-    // Duplicates of (u, v) sit adjacent in u's sorted out-run *and* in v's
-    // sorted in-run, so per-run dedup removes exactly the same edge set in
-    // both directions — equivalent to GraphBuilder's global sort+dedup.
-    let mut duplicates_removed = 0u64;
+    // ---- Optional dedup, once, before anything is copied. -----------------
+    let scattered_edges = scattered.len();
     if cfg.dedup {
-        let before = out_targets.len();
-        compact_runs(&mut out_offsets, &mut out_targets);
-        compact_runs(&mut in_offsets, &mut in_sources);
-        debug_assert_eq!(out_targets.len(), in_sources.len());
-        duplicates_removed = (before - out_targets.len()) as u64;
-        // Return the compaction slack to the allocator — the dead
-        // capacity is 8 bytes per removed duplicate across the two flat
-        // arrays, and `heap_bytes` (deliberately) charges capacity. At
-        // paper scale these are multi-MB blocks, which glibc shrinks in
-        // place via mremap rather than copying.
-        out_targets.shrink_to_fit();
-        in_sources.shrink_to_fit();
+        dedup_rows(&mut scattered_offsets, &mut scattered);
     }
+    let duplicates_removed = (scattered_edges - scattered.len()) as u64;
 
-    let transient_bytes = 2 * n * std::mem::size_of::<AtomicU32>();
-    drop(out_cnt);
-    drop(in_cnt);
+    // ---- Transpose: sorted in-runs, whatever order the scatter left. ------
+    let (in_offsets, in_sources) = transpose(n, &scattered_offsets, &scattered);
+    drop(scattered);
+    drop(scattered_offsets);
+
+    // ---- Transpose back: the sorted out-direction. ------------------------
+    let (out_offsets, out_targets) = transpose(n, &in_offsets, &in_sources);
 
     let graph = Graph::from_csr_parts(
         n,
@@ -443,43 +468,44 @@ pub fn build_chunked<S: ChunkedEdges + ?Sized>(
     );
     let csr_bytes = graph.heap_bytes();
     let report = IngestReport {
-        raw_edges,
+        raw_edges: totals.raw_edges,
         edges: graph.num_edges(),
-        self_loops_dropped: loops_dropped,
+        self_loops_dropped: totals.self_loops_dropped,
         duplicates_removed,
         csr_bytes,
-        transient_bytes,
+        transient_bytes: scatter_bytes.saturating_sub(csr_bytes),
     };
     Ok((graph, report))
 }
 
-/// Removes adjacent duplicates from every sorted run, shifting the flat
-/// array left and rewriting offsets in place. The flat vector is truncated
-/// but not shrunk — reallocating to reclaim the slack would transiently
-/// hold two copies, defeating the footprint goal; the slack equals the
-/// duplicate count (4 bytes each), negligible for generator streams.
-/// Offsets are narrow `u32` — both callers (streamed full-graph ingest and
-/// shard-resident ingest) cap kept edges at `u32` range. Shared with
-/// [`crate::shard`].
-pub(crate) fn compact_runs(offsets: &mut [u32], flat: &mut Vec<VertexId>) {
+/// Removes repeated entries from every row, whatever order the rows are
+/// in, shifting the flat array left and rewriting offsets in place, then
+/// returns the slack to the allocator (at paper scale these are multi-MB
+/// blocks, which glibc shrinks in place via mremap rather than copying).
+/// One `u32` stamp per vertex remembers the last row that kept it; rows are
+/// visited once each, so the row id is its own generation.
+fn dedup_rows(offsets: &mut [u32], flat: &mut Vec<VertexId>) {
     let n = offsets.len() - 1;
+    // No row is `VertexId::MAX` (`n < VertexId::MAX`), so nothing is seen yet.
+    let mut seen_by = vec![VertexId::MAX; n];
     let mut w = 0usize;
-    let mut run_start = offsets[0] as usize;
-    for v in 0..n {
-        let run_end = offsets[v + 1] as usize;
-        let mut prev: Option<VertexId> = None;
+    let mut run_start = 0usize;
+    for u in 0..n {
+        let run_end = offsets[u + 1] as usize;
         for i in run_start..run_end {
+            // Branch-free (`w <= i`, so the store never clobbers an unread
+            // entry): in a duplicate-heavy stream the test is a coin flip.
             let t = flat[i];
-            if prev != Some(t) {
-                flat[w] = t;
-                w += 1;
-                prev = Some(t);
-            }
+            let stamp = &mut seen_by[t as usize];
+            flat[w] = t;
+            w += usize::from(*stamp != u as VertexId);
+            *stamp = u as VertexId;
         }
         run_start = run_end;
-        offsets[v + 1] = w as u32;
+        offsets[u + 1] = w as u32;
     }
     flat.truncate(w);
+    flat.shrink_to_fit();
 }
 
 /// Adapter: a re-creatable sequential iterator as a one-chunk stream. The
@@ -526,16 +552,16 @@ where
     build_chunked(&IterSource { n, make_iter }, cfg, &ScopedPool(1))
 }
 
+/// Chunked sources for this crate's streamed-build tests.
 #[cfg(test)]
-mod tests {
+pub(crate) mod testing {
     use super::*;
-    use crate::GraphBuilder;
 
     /// A fixed edge list exposed as a chunked stream.
-    struct VecSource {
-        n: usize,
-        chunk: usize,
-        edges: Vec<(VertexId, VertexId)>,
+    pub(crate) struct VecSource {
+        pub(crate) n: usize,
+        pub(crate) chunk: usize,
+        pub(crate) edges: Vec<(VertexId, VertexId)>,
     }
 
     impl ChunkedEdges for VecSource {
@@ -553,6 +579,47 @@ mod tests {
             }
         }
     }
+
+    /// A source that breaks the [`ChunkedEdges`] contract: one edge per
+    /// chunk, and from the second sweep on it emits a different list.
+    pub(crate) struct Liar {
+        n: usize,
+        passes: [Vec<(VertexId, VertexId)>; 2],
+        emitted: AtomicUsize,
+    }
+
+    impl Liar {
+        pub(crate) fn new(
+            n: usize,
+            pass1: &[(VertexId, VertexId)],
+            pass2: &[(VertexId, VertexId)],
+        ) -> Self {
+            Liar { n, passes: [pass1.to_vec(), pass2.to_vec()], emitted: AtomicUsize::new(0) }
+        }
+    }
+
+    impl ChunkedEdges for Liar {
+        fn num_vertices(&self) -> usize {
+            self.n
+        }
+        fn num_chunks(&self) -> usize {
+            self.passes[0].len().max(self.passes[1].len())
+        }
+        fn emit(&self, chunk: usize, sink: &mut dyn FnMut(VertexId, VertexId)) {
+            // Every sweep emits every chunk exactly once.
+            let pass = self.emitted.fetch_add(1, Ordering::Relaxed) / self.num_chunks();
+            if let Some(&(u, v)) = self.passes[pass.min(1)].get(chunk) {
+                sink(u, v);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testing::{Liar, VecSource};
+    use super::*;
+    use crate::GraphBuilder;
 
     fn messy_edges() -> Vec<(VertexId, VertexId)> {
         // Duplicates, self-loops, out-of-order, hub vertex 0.
@@ -633,10 +700,45 @@ mod tests {
     #[test]
     fn report_accounts_transients() {
         let src = VecSource { n: 5, chunk: 4, edges: messy_edges() };
+        // Verbatim: the scatter (counters + one direction) is below the two
+        // directions of the result, so nothing is held beyond the CSR.
         let (g, rep) = build_chunked(&src, StreamConfig::verbatim(), &ScopedPool(2)).unwrap();
         assert_eq!(rep.csr_bytes, g.heap_bytes());
-        assert_eq!(rep.transient_bytes, 2 * 5 * 4);
+        assert_eq!(rep.transient_bytes, 0);
+        // Cleaned: 87 kept edges collapse to 9, so the scatter — 5 counters,
+        // 6 offsets, 87 targets — is the peak.
+        let (g, rep) = build_chunked(&src, StreamConfig::cleaned(), &ScopedPool(2)).unwrap();
+        assert_eq!(rep.csr_bytes, g.heap_bytes());
+        assert_eq!(rep.transient_bytes, (5 + 6 + 87) * 4 - rep.csr_bytes);
         assert!(rep.build_ratio() > 1.0);
+    }
+
+    #[test]
+    fn a_second_pass_that_differs_is_a_typed_error() {
+        for threads in [1, 2] {
+            let build = |pass1: &[_], pass2: &[_]| {
+                let src = Liar::new(3, pass1, pass2);
+                build_chunked(&src, StreamConfig::cleaned(), &ScopedPool(threads)).unwrap_err()
+            };
+            // Fewer: vertex 2's run would keep a slot nothing wrote.
+            assert_eq!(
+                build(&[(1, 2), (2, 1)], &[(1, 2)]),
+                BuildError::StreamMismatch { vertex: 2, pass1: 1, pass2: 0 },
+                "threads={threads}"
+            );
+            // More: (1, 0) has no slot to go to.
+            assert_eq!(
+                build(&[(1, 2)], &[(1, 2), (1, 0), (2, 1)]),
+                BuildError::StreamMismatch { vertex: 1, pass1: 1, pass2: 2 },
+                "threads={threads}"
+            );
+            // An edge pass 1 would have rejected is rejected in pass 2 as well.
+            assert_eq!(
+                build(&[(1, 2)], &[(1, 7)]),
+                BuildError::EdgeOutOfRange { u: 1, v: 7, n: 3 },
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]

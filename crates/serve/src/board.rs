@@ -300,10 +300,15 @@ mod tests {
         let board = PlanBoard::new(homes_table(0, &[0, 0, 0, 0]));
         // Published history: epoch e serves master e % 4 everywhere.
         let stop = Arc::new(AtomicBool::new(false));
+        // Batches served by all readers together: the publisher waits for it
+        // to move between flips, so lookups and flips interleave on any host
+        // instead of the 99 flips finishing before a reader is scheduled.
+        let served = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
         for _ in 0..4 {
             let mut reader = board.reader();
             let stop = Arc::clone(&stop);
+            let served = Arc::clone(&served);
             handles.push(std::thread::spawn(move || {
                 let vs: Vec<u32> = (0..4).collect();
                 let mut out = Vec::new();
@@ -314,6 +319,7 @@ mod tests {
                         assert_eq!(m as u64, (epoch - 1) % 4, "lookup mixed tables across a flip");
                     }
                     batches += 1;
+                    served.fetch_add(1, Ordering::Relaxed);
                 }
                 batches
             }));
@@ -321,6 +327,14 @@ mod tests {
         for e in 1..100u64 {
             let m = (e % 4) as DcId;
             board.publish(homes_table(e, &[m, m, m, m]));
+            let before = served.load(Ordering::Relaxed);
+            // (A reader that failed its assertion has finished: fall through
+            // to the join below rather than wait for it.)
+            while served.load(Ordering::Relaxed) == before
+                && !handles.iter().all(|h| h.is_finished())
+            {
+                std::thread::yield_now();
+            }
         }
         stop.store(true, Ordering::Relaxed);
         let total: u64 = handles.into_iter().map(|h| h.join().expect("reader panicked")).sum();

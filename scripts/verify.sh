@@ -22,6 +22,21 @@ if git grep -n -E 'use_worker_pool|with_worker_pool|with_rebuild_per_window|thre
   echo "a deleted dispatch path or ablation knob reappeared in crates/core/src/"; exit 1
 fi
 
+echo "==> one CSR builder, one migration arm (deleted paths stay deleted)"
+# build_chunked is the only count/scatter/transpose core and it sorts
+# nothing: a comparison sort must not come back into the builder or its
+# staged callers outside their test modules (csr.rs keeps the one in
+# apply_delta, shard.rs its per-run sort). migration_phase runs on the
+# caller thread; the barrier-fenced pooled arm must not come back.
+for f in crates/geograph/src/builder.rs crates/geograph/src/stream.rs; do
+  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'sort_unstable'; then
+    echo "a comparison sort reappeared on the build path in $f"; exit 1
+  fi
+done
+if git grep -n 'Barrier' -- crates/core/src/trainer.rs; then
+  echo "the pooled migration arm reappeared in crates/core/src/trainer.rs"; exit 1
+fi
+
 echo "==> trainer bench smoke run (threads sweep, BENCH_trainer.json)"
 mkdir -p EXPERIMENTS-data
 # The bench itself cross-checks that every thread count trains the
@@ -121,10 +136,12 @@ cargo run --release -p geobench --bin bench_serve -- \
 grep -q '"restart_bit_exact": true' EXPERIMENTS-data/BENCH_serve.json \
   || { echo "BENCH_serve.json is missing the restart bit-exact cross-check"; exit 1; }
 
-echo "==> streamed-vs-staged ingest determinism gate (property tests)"
-# The streaming two-pass CSR build must equal Graph::from_edges /
-# GraphBuilder::build bit-for-bit at any chunking and thread count, and
-# compressed cold adjacency must be observationally equal to raw rows.
+echo "==> CSR builder oracle + streamed-vs-staged determinism gate (property tests)"
+# The one CSR builder must equal a naive push-sort-dedup oracle that shares
+# no code with it (build_core_matches_naive_oracle), Graph::from_edges /
+# GraphBuilder::build must equal the streamed build bit-for-bit at any
+# chunking and thread count, and compressed cold adjacency must be
+# observationally equal to raw rows.
 cargo test -q -p integration-tests --test streaming
 
 echo "==> paper-scale substrate bench smoke run (BENCH_scale.json)"

@@ -1,7 +1,9 @@
-//! Property tests of the paper-scale graph substrate: streamed chunked CSR
-//! ingest must be bit-identical to the staged builders at any thread count
-//! and chunking, and the delta-compressed cold-adjacency representation
-//! must be observationally equal to the raw CSR on every row shape.
+//! Property tests of the paper-scale graph substrate: the one CSR builder
+//! must equal a naive oracle that shares no code with it, streamed chunked
+//! ingest must be bit-identical to the staged entry points at any thread
+//! count and chunking, and the delta-compressed cold-adjacency
+//! representation must be observationally equal to the raw CSR on every row
+//! shape.
 
 use geograph::generators::{rmat_streamed, RmatConfig};
 use geograph::{
@@ -50,7 +52,107 @@ fn arb_edges() -> impl Strategy<Value = (usize, Vec<(VertexId, VertexId)>)> {
     })
 }
 
+/// `(n, edges)` in the shapes a CSR builder gets wrong: `n` of 0 and 1, an
+/// out-hub, an in-hub, a handful of vertices carrying every edge many times
+/// over (self-loops included), and — in every shape but the first — a
+/// trailing half of the vertex range that no edge touches.
+fn arb_shaped() -> impl Strategy<Value = (usize, Vec<(VertexId, VertexId)>)> {
+    let raw = proptest::collection::vec((0u32..1 << 16, 0u32..1 << 16), 0..160);
+    (0usize..8, 0u8..5, raw).prop_map(|(size, shape, raw)| {
+        let n = [0usize, 1, 2, 3, 7, 16, 33, 64][size];
+        if n == 0 {
+            return (0, Vec::new());
+        }
+        let live = if shape == 0 { n } else { n.div_ceil(2) } as VertexId;
+        let edges = raw
+            .into_iter()
+            .map(|(a, b)| match shape {
+                1 => (0, b % live),
+                2 => (a % live, 0),
+                3 => (a % live.min(3), b % live.min(3)),
+                _ => (a % live, b % live),
+            })
+            .collect();
+        (n, edges)
+    })
+}
+
+/// The obviously-correct adjacency, sharing no code with `geograph`'s
+/// builders: push every kept edge onto its endpoints' rows, sort each row,
+/// and (cleaned) drop self-loops and repeats. Returns `(out, in)` rows.
+fn naive_adjacency(
+    n: usize,
+    edges: &[(VertexId, VertexId)],
+    cleaned: bool,
+) -> (Vec<Vec<VertexId>>, Vec<Vec<VertexId>>) {
+    let mut out = vec![Vec::new(); n];
+    let mut inn = vec![Vec::new(); n];
+    for &(u, v) in edges {
+        if !(cleaned && u == v) {
+            out[u as usize].push(v);
+            inn[v as usize].push(u);
+        }
+    }
+    for row in out.iter_mut().chain(inn.iter_mut()) {
+        row.sort_unstable();
+        if cleaned {
+            row.dedup();
+        }
+    }
+    (out, inn)
+}
+
+/// Row-by-row equality of a built graph with the naive adjacency.
+fn assert_matches_naive(g: &Graph, out: &[Vec<VertexId>], inn: &[Vec<VertexId>], what: &str) {
+    assert_eq!(g.num_vertices(), out.len(), "{what}: vertex count");
+    assert_eq!(g.num_edges(), out.iter().map(Vec::len).sum::<usize>(), "{what}: edge count");
+    for v in 0..out.len() {
+        assert_eq!(g.out_neighbors(v as VertexId), &out[v][..], "{what}: out-row {v}");
+        assert_eq!(g.in_neighbors(v as VertexId), &inn[v][..], "{what}: in-row {v}");
+    }
+}
+
 proptest! {
+    /// The builder against an oracle that is not the builder: every entry
+    /// point is one core now, so "streamed ≡ staged" alone would compare it
+    /// with itself. Cleaned and verbatim, 1–8 threads, 1–11 chunks, with the
+    /// report's counts checked against the same naive rows.
+    #[test]
+    fn build_core_matches_naive_oracle((n, edges) in arb_shaped()) {
+        let self_loops = edges.iter().filter(|&&(u, v)| u == v).count();
+        for cleaned in [false, true] {
+            let (out, inn) = naive_adjacency(n, &edges, cleaned);
+            let kept: usize = out.iter().map(Vec::len).sum();
+            let cfg = if cleaned { StreamConfig::cleaned() } else { StreamConfig::verbatim() };
+            for num_chunks in [1usize, 2, 5, 11] {
+                let src = VecChunks::split(n, &edges, num_chunks);
+                for threads in [1usize, 2, 4, 8] {
+                    let what = format!("cleaned={cleaned} chunks={num_chunks} threads={threads}");
+                    let (g, report) = build_chunked(&src, cfg, &ScopedPool(threads)).expect(&what);
+                    assert_matches_naive(&g, &out, &inn, &what);
+                    prop_assert_eq!(report.raw_edges as usize, edges.len(), "{}", what);
+                    prop_assert_eq!(report.edges, kept, "{}", what);
+                    let dropped = if cleaned { self_loops } else { 0 };
+                    prop_assert_eq!(report.self_loops_dropped as usize, dropped, "{}", what);
+                    prop_assert_eq!(
+                        report.duplicates_removed as usize,
+                        edges.len() - dropped - kept,
+                        "{}", what
+                    );
+                    prop_assert_eq!(report.csr_bytes, g.heap_bytes(), "{}", what);
+                }
+            }
+        }
+        // The staged entry points, against the same rows.
+        let (out, inn) = naive_adjacency(n, &edges, false);
+        assert_matches_naive(&Graph::from_edges(n, &edges), &out, &inn, "from_edges");
+        let (out, inn) = naive_adjacency(n, &edges, true);
+        let mut builder = GraphBuilder::new(n);
+        builder.add_edges(edges.iter().copied());
+        assert_matches_naive(&builder.build(), &out, &inn, "GraphBuilder::build");
+        assert_matches_naive(&builder.finish().expect("finish"), &out, &inn, "GraphBuilder::finish");
+    }
+
     /// The verify.sh-gated contract: for any edge list (duplicates and
     /// self-loops included), any chunking, and any thread count, the
     /// streamed two-pass build equals `Graph::from_edges` bit-for-bit in
