@@ -4,8 +4,7 @@
 //! At `--scale 1.0` this builds the 4.8M-vertex / ~69M-edge LJ analog
 //! through the two-pass streaming path (no staged edge list — peak build
 //! memory must stay within `--assert-build-ratio` of the final CSR),
-//! measures the delta-compressed cold-adjacency footprint, runs a short
-//! scan-capped training window over the result, and writes a
+//! runs a short scan-capped training window over the result, and writes a
 //! machine-readable `BENCH_scale.json` (format documented in `DESIGN.md`
 //! §3i) with peak RSS, per-component bytes/edge, build edges/s and
 //! training steps/s.
@@ -32,7 +31,7 @@ use std::time::Instant;
 use geograph::datasets::DEFAULT_CHUNK_EDGES;
 use geograph::generators::rmat_streamed;
 use geograph::locality::LocalityConfig;
-use geograph::{CompressPolicy, CompressedGraph, Dataset, GeoGraph, MemReport};
+use geograph::{Dataset, GeoGraph, MemReport};
 use geosim::regions::ec2_eight_regions;
 use rlcut::{RlCutConfig, WorkerPool};
 
@@ -135,21 +134,7 @@ fn main() {
         report.build_ratio(),
     );
 
-    // 2. Cold-adjacency compression: what the same adjacency costs with
-    //    low-degree rows delta-encoded (built and dropped before training
-    //    so its arena does not inflate the training-phase RSS).
-    let compress_start = Instant::now();
-    let (compressed_bytes, compressed_bpe, hot_rows) = {
-        let compressed = CompressedGraph::from_graph(&graph, CompressPolicy::auto());
-        (compressed.heap_bytes(), compressed.bytes_per_edge(), compressed.hot_rows())
-    };
-    eprintln!(
-        "  compressed: {} B ({compressed_bpe:.2} B/edge, {hot_rows} hot rows kept raw) in {:.2}s",
-        compressed_bytes,
-        compress_start.elapsed().as_secs_f64(),
-    );
-
-    // 3. Shard-resident ingest: replay the same chunked source into one
+    // 2. Shard-resident ingest: replay the same chunked source into one
     //    view per shard without the global CSR. Each view is cross-checked
     //    bit-identical against the staged build, and the per-shard peak
     //    (view + transient planes) is what a shard node would actually
@@ -192,7 +177,7 @@ fn main() {
         );
     }
 
-    // 4. A short scan-capped training window over the freshly built graph.
+    // 3. A short scan-capped training window over the freshly built graph.
     let geo = GeoGraph::from_graph(graph, &LocalityConfig::paper_default(args.seed));
     let env = ec2_eight_regions();
     let budget = geosim::cost::default_budget(&env, &geo.locations, &geo.data_sizes, 0.4);
@@ -215,13 +200,12 @@ fn main() {
         result.total_migrations(),
     );
 
-    // 5. The footprint report. `geo_metadata` is the location/data-size
+    // 4. The footprint report. `geo_metadata` is the location/data-size
     //    overlay GeoGraph adds on top of the CSR.
     let mut mem = MemReport::new(report.edges as u64);
     mem.add("csr", geo.graph.heap_bytes());
     mem.add("geo_metadata", geo.heap_bytes() - geo.graph.heap_bytes());
     mem.add("build_transient", report.transient_bytes);
-    mem.add("compressed_csr", compressed_bytes);
     mem.add("placement_state", result.state.heap_bytes());
     let peak = geograph::peak_rss_bytes();
     eprintln!(
@@ -250,10 +234,6 @@ fn main() {
     let _ = writeln!(json, "  \"build_peak_over_final_ratio\": {:.4},", report.build_ratio());
     let _ = writeln!(json, "  \"csr_bytes\": {},", report.csr_bytes);
     let _ = writeln!(json, "  \"csr_bytes_per_edge\": {csr_bpe:.3},");
-    let _ = writeln!(json, "  \"offset_width_bits\": {},", geo.graph.offset_width().bytes() * 8);
-    let _ = writeln!(json, "  \"compressed_bytes\": {compressed_bytes},");
-    let _ = writeln!(json, "  \"compressed_bytes_per_edge\": {compressed_bpe:.3},");
-    let _ = writeln!(json, "  \"hot_rows\": {hot_rows},");
     let _ = writeln!(json, "  \"train_steps\": {},", result.steps.len());
     let _ = writeln!(json, "  \"train_secs\": {train_secs:.6},");
     let _ = writeln!(json, "  \"train_steps_per_sec\": {steps_per_sec:.4},");

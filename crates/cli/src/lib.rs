@@ -558,6 +558,19 @@ mod tests {
     }
 
     #[test]
+    fn info_on_an_edge_free_file_is_a_report_or_typed_error() {
+        let dir = std::env::temp_dir().join("rlcut_cli_tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("comments_only.txt");
+        std::fs::write(&path, "# no edges here\n").unwrap();
+        // Either outcome is fine; reaching this line means no panic.
+        match run(Command::Info { graph: path }) {
+            Ok(report) => assert!(report.contains("vertices   : 0"), "{report}"),
+            Err(e) => assert!(!e.is_empty()),
+        }
+    }
+
+    #[test]
     fn partition_and_evaluate_round_trip() {
         let graph = demo_graph_file("pipeline.txt");
         let plan = std::env::temp_dir().join("rlcut_cli_tests/pipeline.plan");

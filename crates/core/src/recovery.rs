@@ -5,14 +5,15 @@
 //! [`FaultSchedule`], treating each wall-clock training step as one tick of
 //! the schedule. When a fault fires:
 //!
-//! * **DC outage** is modeled as a coordinator crash — the in-memory
-//!   trainer state is lost, so the run restores the last durable
-//!   [`TrainerCheckpoint`] (LA probabilities, UCB statistics, RNG,
-//!   placement) and then evacuates every master off the dark DC via the
-//!   batched move-evaluation kernel. Training *continues* from the
-//!   restored automata state rather than restarting cold: the learned
-//!   probabilities already encode the score landscape, so only the
-//!   evacuated vertices' neighborhoods need re-learning.
+//! * **DC outage** is modeled as a coordinator crash — the live session is
+//!   discarded and the run resumes from the last [`TrainerCheckpoint`] it
+//!   took (LA probabilities, UCB statistics, RNG, placement; a value this
+//!   driver holds in memory, never written anywhere) and then evacuates
+//!   every master off the dark DC via the batched move-evaluation
+//!   kernel. Training *continues* from the restored automata state rather
+//!   than restarting cold: the learned probabilities already encode the
+//!   score landscape, so only the evacuated vertices' neighborhoods need
+//!   re-learning.
 //! * **Bandwidth degradation / price surge / recovery** mutate the
 //!   environment in place: the placement is re-priced under the new
 //!   [`CloudEnv`] and the sampling scheduler restarts its measurements
@@ -44,7 +45,7 @@ pub struct FaultTrainReport {
     pub evacuations: usize,
     /// Total masters moved off dark DCs across all evacuations.
     pub evacuated_vertices: usize,
-    /// Checkpoints written (including the initial one).
+    /// Checkpoints taken (including the initial one).
     pub checkpoints_taken: usize,
     /// Training steps actually executed (the schedule's clock).
     pub wall_steps: usize,
@@ -55,7 +56,7 @@ pub struct FaultTrainReport {
 /// checkpoint). Returns the usual training result plus a report of the
 /// recovery actions taken.
 ///
-/// Deterministic: the same seed, graph, and schedule produce byte-identical
+/// Deterministic: the same seed, graph, and schedule produce bit-identical
 /// placements, checkpoints, and reports.
 pub fn train_under_faults<'g>(
     geo: &'g GeoGraph,
@@ -103,8 +104,8 @@ pub fn train_under_faults<'g>(
             let newly_dead =
                 (0..schedule.num_dcs() as DcId).any(|d| view.is_dead(d) && !prev.is_dead(d));
             if newly_dead {
-                // Outage ⇒ crash: discard the in-memory session, restore
-                // the last durable checkpoint under the degraded env.
+                // Outage ⇒ crash: discard the live session, resume from
+                // the last checkpoint under the degraded env.
                 session = TrainerSession::resume(
                     geo,
                     view.env(),

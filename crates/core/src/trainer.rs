@@ -435,7 +435,7 @@ impl<'g> TrainerSession<'g> {
     }
 
     /// Rebuilds a single-process session from a checkpoint, bit-exact with
-    /// the session that saved it: LA state, UCB statistics, migration RNG,
+    /// the session that took it: LA state, UCB statistics, migration RNG,
     /// masters, the incrementally tracked movement cost, and the best-plan
     /// tracker are all restored verbatim, so the next [`Self::step`] makes
     /// the same decisions the uninterrupted run would have made.
@@ -485,10 +485,10 @@ impl<'g> TrainerSession<'g> {
     }
 
     /// Captures the trainer's logical state. Pure function of the training
-    /// history: the same seed and step always produce byte-identical
+    /// history: the same seed and step always produce bit-identical
     /// checkpoints (wall-clock scheduler state is excluded by design).
-    /// A sharded session's automata live on its shards, outside the
-    /// checkpoint format: [`CheckpointError::ShardedSession`].
+    /// A sharded session's automata live on its shards, outside a
+    /// [`TrainerCheckpoint`]: [`CheckpointError::ShardedSession`].
     pub fn checkpoint(&self) -> Result<TrainerCheckpoint, CheckpointError> {
         let Proposer::Global(agents) = &self.proposer else {
             return Err(CheckpointError::ShardedSession);

@@ -147,7 +147,7 @@ pub fn fnv1a_fold(mut hash: u64, bytes: &[u8]) -> u64 {
 }
 
 /// FNV-1a 64-bit over a byte slice — the workspace's dependency-free
-/// integrity check (same constants as the trainer checkpoint format).
+/// integrity check.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_fold(FNV_OFFSET, bytes)
 }

@@ -57,7 +57,7 @@ pub struct RecoveredPipeline {
     pub rolled_back: bool,
     /// Records dropped by the rollback.
     pub dropped_records: u64,
-    /// Trainer checkpoint blob from the snapshot — only still meaningful
+    /// The snapshot's opaque caller bytes — only still meaningful
     /// when no window was replayed past it, `None` otherwise.
     pub trainer: Option<Vec<u8>>,
 }

@@ -5,8 +5,9 @@
 //! from genesis: the graph as of some committed window (gap-varint rows,
 //! [`geograph::wire`]), the verbatim placement accumulators
 //! ([`geopart::snapshot`]: every `f64` as raw bits, the count plane
-//! sparse), the carried theta, and optionally an opaque trainer checkpoint
-//! blob (this layer stores the bytes, the trainer validates them).
+//! sparse), the carried theta, and optionally an opaque caller blob (this
+//! layer stores the bytes and gives them no meaning; the pipeline writes
+//! none).
 //! Recovery = newest decodable snapshot + WAL replay from its
 //! [`Snapshot::lsn`].
 //!
@@ -59,8 +60,8 @@ pub struct Snapshot {
     /// Carried placement + theta; `None` at genesis (no window committed
     /// yet — the first `WindowStart` builds placement from scratch).
     pub placement: Option<(PlacementState, usize)>,
-    /// Opaque trainer checkpoint bytes (`TrainerCheckpoint` format),
-    /// when the caller chose to persist mid-stream trainer state.
+    /// Opaque caller bytes; the pipeline writes `None` (every window
+    /// starts fresh automata, so a commit boundary has no trainer state).
     pub trainer: Option<Vec<u8>>,
 }
 

@@ -23,56 +23,39 @@ pub struct DegreeStats {
 }
 
 impl DegreeStats {
-    /// Computes stats in one pass over the degree arrays. The in-degree
-    /// scratch copy is `u32` whenever the edge count fits (every graph the
-    /// substrate builds narrow — a per-vertex degree is bounded by the
-    /// total edge count), halving the transient allocation; the widened
-    /// path only exists for a hypothetical >2^32-edge graph.
+    /// Computes stats in one pass over the degree arrays. A graph without
+    /// vertices has all-zero stats.
     pub fn compute(graph: &Graph) -> Self {
-        let n = graph.num_vertices().max(1);
-        let max_out = (0..n as VertexId).map(|v| graph.out_degree(v)).max().unwrap_or(0);
-        if graph.num_edges() <= u32::MAX as usize {
-            let mut in_degrees: Vec<u32> =
-                (0..n as VertexId).map(|v| graph.in_degree(v) as u32).collect();
-            in_degrees.sort_unstable();
-            Self::from_sorted(&in_degrees, max_out, n)
-        } else {
-            let mut in_degrees: Vec<usize> =
-                (0..n as VertexId).map(|v| graph.in_degree(v)).collect();
-            in_degrees.sort_unstable();
-            Self::from_sorted(&in_degrees, max_out, n)
+        let n = graph.num_vertices();
+        if n == 0 {
+            return DegreeStats {
+                max_in: 0,
+                max_out: 0,
+                mean_in: 0.0,
+                p99_in: 0,
+                top1pct_edge_share: 0.0,
+            };
+        }
+        let max_out = graph.vertices().map(|v| graph.out_degree(v)).max().unwrap_or(0);
+        let in_degrees = sorted_in_degrees(graph);
+        let total = graph.num_edges() as u64;
+        let top_edges: u64 = in_degrees[n - n.div_ceil(100)..].iter().map(|&d| d as u64).sum();
+        DegreeStats {
+            max_in: in_degrees[n - 1] as usize,
+            max_out,
+            mean_in: total as f64 / n as f64,
+            p99_in: in_degrees[((n - 1) as f64 * 0.99) as usize] as usize,
+            top1pct_edge_share: if total == 0 { 0.0 } else { top_edges as f64 / total as f64 },
         }
     }
-
-    /// The percentile/skew arithmetic, generic over the scratch width.
-    fn from_sorted<T: DegreeCount>(in_degrees: &[T], max_out: usize, n: usize) -> Self {
-        let max_in = in_degrees.last().map(|&d| d.as_u64() as usize).unwrap_or(0);
-        let total: u64 = in_degrees.iter().map(|&d| d.as_u64()).sum();
-        let mean_in = total as f64 / n as f64;
-        let p99_in = in_degrees[((n - 1) as f64 * 0.99) as usize].as_u64() as usize;
-        let top = n.div_ceil(100);
-        let top_edges: u64 = in_degrees[n - top..].iter().map(|&d| d.as_u64()).sum();
-        let top1pct_edge_share = if total == 0 { 0.0 } else { top_edges as f64 / total as f64 };
-        DegreeStats { max_in, max_out, mean_in, p99_in, top1pct_edge_share }
-    }
 }
 
-/// Degree scratch element: `u32` on the narrow path, `usize` on the
-/// widened fallback.
-trait DegreeCount: Copy + Ord {
-    fn as_u64(self) -> u64;
-}
-
-impl DegreeCount for u32 {
-    fn as_u64(self) -> u64 {
-        self as u64
-    }
-}
-
-impl DegreeCount for usize {
-    fn as_u64(self) -> u64 {
-        self as u64
-    }
+/// Every vertex's in-degree, ascending. `u32` entries: a degree is bounded
+/// by the edge count, which a [`Graph`] keeps below 2^32.
+fn sorted_in_degrees(graph: &Graph) -> Vec<u32> {
+    let mut in_degrees: Vec<u32> = graph.vertices().map(|v| graph.in_degree(v) as u32).collect();
+    in_degrees.sort_unstable();
+    in_degrees
 }
 
 /// Suggests the hybrid-cut threshold θ so that roughly `high_fraction` of
@@ -81,8 +64,6 @@ impl DegreeCount for usize {
 /// PowerLyra's evaluation found thresholds around 100 work well for natural
 /// graphs; scaled-down analogs need a proportionally lower θ, so the
 /// reproduction picks it from the degree distribution instead of hardcoding.
-/// Like [`DegreeStats::compute`], the scratch degree copy stays `u32`
-/// whenever the edge count fits.
 pub fn suggest_theta(graph: &Graph, high_fraction: f64) -> usize {
     assert!((0.0..=1.0).contains(&high_fraction));
     let n = graph.num_vertices();
@@ -90,16 +71,7 @@ pub fn suggest_theta(graph: &Graph, high_fraction: f64) -> usize {
         return 1;
     }
     let idx = (((n as f64) * (1.0 - high_fraction)) as usize).min(n - 1);
-    if graph.num_edges() <= u32::MAX as usize {
-        let mut in_degrees: Vec<u32> =
-            (0..n as VertexId).map(|v| graph.in_degree(v) as u32).collect();
-        in_degrees.sort_unstable();
-        (in_degrees[idx] as usize).max(1)
-    } else {
-        let mut in_degrees: Vec<usize> = (0..n as VertexId).map(|v| graph.in_degree(v)).collect();
-        in_degrees.sort_unstable();
-        in_degrees[idx].max(1)
-    }
+    (sorted_in_degrees(graph)[idx] as usize).max(1)
 }
 
 /// Classifies every vertex: `true` = high-degree (`in_degree >= theta`).
@@ -160,5 +132,13 @@ mod tests {
         let s = DegreeStats::compute(&g);
         assert_eq!(s.max_in, 0);
         assert_eq!(s.top1pct_edge_share, 0.0);
+    }
+
+    #[test]
+    fn vertex_free_graph_has_zero_stats() {
+        let zero =
+            DegreeStats { max_in: 0, max_out: 0, mean_in: 0.0, p99_in: 0, top1pct_edge_share: 0.0 };
+        assert_eq!(DegreeStats::compute(&Graph::empty(0)), zero);
+        assert_eq!(suggest_theta(&Graph::empty(0), 0.05), 1);
     }
 }

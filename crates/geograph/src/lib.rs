@@ -31,7 +31,6 @@
 //! bit-for-bit reproducible.
 
 pub mod builder;
-pub mod compress;
 pub mod csr;
 pub mod datasets;
 pub mod degree;
@@ -43,7 +42,6 @@ pub mod geo;
 pub mod io;
 pub mod locality;
 pub mod mem;
-pub mod offsets;
 pub mod shard;
 pub mod stream;
 pub mod transform;
@@ -51,7 +49,6 @@ pub mod weights;
 pub mod wire;
 
 pub use builder::GraphBuilder;
-pub use compress::{CompressPolicy, CompressedGraph};
 pub use csr::Graph;
 pub use datasets::Dataset;
 pub use degree::DegreeStats;
@@ -60,7 +57,6 @@ pub use dynamic::{AppliedEvents, EdgeEvent, EdgeStream, EventKind, WindowSplitEr
 pub use geo::GeoGraph;
 pub use locality::LocalityConfig;
 pub use mem::{current_rss_bytes, peak_rss_bytes, MemReport};
-pub use offsets::{OffsetWidth, Offsets};
 pub use shard::{route_delta, ShardDelta, ShardIngestReport, ShardSpec, ShardView};
 pub use stream::{
     build_chunked, build_streamed, BuildError, ChunkedEdges, IngestPool, IngestReport, ScopedPool,

@@ -25,10 +25,9 @@
 //! two-pass streamed build directly against a [`ChunkedEdges`] source,
 //! keeping only the rows the shard owns plus its ghost fringe — a shard
 //! worker never materializes the global CSR. The view's offset arrays are
-//! fixed-narrow `u32` by construction: streamed ingest caps kept edges at
-//! `u32` range globally ([`BuildError::TooManyEdges`]), and a shard's
-//! owned edges are a subset of that, so the narrow width is a proven
-//! invariant here rather than a build-time choice.
+//! `u32`, like a [`Graph`]'s: streamed ingest caps kept edges at `u32`
+//! range globally ([`BuildError::TooManyEdges`]), and a shard's owned edges
+//! are a subset of that.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
@@ -334,7 +333,7 @@ impl ShardView {
             }
         };
 
-        // ---- Prefix sums (narrow by invariant) and allocation. -----------
+        // ---- Prefix sums and allocation. ----------------------------------
         let mut out_offsets = offsets_from_counts(&out_cnt)?;
         let mut in_offsets = offsets_from_counts(&in_cnt)?;
         let mut out_targets = vec![0u32; out_offsets[owned] as usize];

@@ -34,14 +34,12 @@
 //! it returns unless more than half the stream is duplicates
 //! ([`IngestReport::transient_bytes`]).
 //!
-//! The kept-edge count is capped at `u32` (that is what keeps the counter
-//! plane at 4 bytes/vertex), so the offsets are built narrow and never
-//! widened to `usize`.
+//! The kept-edge count is capped at `u32` — that is what keeps the counter
+//! plane at 4 bytes/vertex, and what a [`Graph`]'s `u32` offsets require.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
-use crate::csr::{transpose, Graph};
-use crate::offsets::Offsets;
+use crate::csr::{edge_count, transpose, Graph};
 use crate::VertexId;
 
 /// Typed failure of a graph build — overflow and range conditions that the
@@ -53,11 +51,10 @@ pub enum BuildError {
     /// The vertex count does not fit [`VertexId`] (ids are `u32`; the
     /// all-ones value is reserved).
     TooManyVertices { n: usize },
-    /// The stream emitted ≥ 2^32 kept edges. The build tracks per-vertex
-    /// degrees in `u32` counters (that is what keeps the counter plane at
-    /// 4 bytes/vertex), so a stream at or past 2^32 edges could wrap a
-    /// counter; the exact total is tracked in 64 bits so the condition is
-    /// detected, not wrapped.
+    /// The graph would hold ≥ 2^32 edges. A [`Graph`]'s offsets and the
+    /// build's per-vertex degree counters are `u32` (4 bytes/vertex each);
+    /// the exact total is tracked in 64 bits so the condition is detected,
+    /// not wrapped.
     TooManyEdges { edges: u64 },
     /// An emitted edge references a vertex `>= n`.
     EdgeOutOfRange { u: VertexId, v: VertexId, n: usize },
@@ -78,7 +75,7 @@ impl std::fmt::Display for BuildError {
                 write!(f, "vertex count {n} exceeds VertexId range")
             }
             BuildError::TooManyEdges { edges } => {
-                write!(f, "edge stream emitted {edges} kept edges (streamed ingest caps at 2^32-1)")
+                write!(f, "{edges} edges exceed the 2^32-1 a graph holds")
             }
             BuildError::EdgeOutOfRange { u, v, n } => {
                 write!(f, "edge ({u},{v}) out of range for n={n}")
@@ -312,16 +309,13 @@ pub(crate) fn sweep<S: ChunkedEdges + ?Sized>(
     // Degrees are counted in `u32`; below 2^32 kept edges no counter can
     // wrap, and the exact total is tracked in 64 bits so the >= 2^32 case
     // is this error, never a silent wrap.
-    let kept = totals.raw_edges - totals.self_loops_dropped;
-    if kept > VertexId::MAX as u64 {
-        return Err(BuildError::TooManyEdges { edges: kept });
-    }
+    edge_count(totals.raw_edges - totals.self_loops_dropped)?;
     Ok(totals)
 }
 
 /// Checked prefix sum of the pass-1 degree counters: run `i` of the flat
-/// array is `offsets[i]..offsets[i + 1]`. Narrow by construction — the
-/// sweep capped kept edges at `u32`.
+/// array is `offsets[i]..offsets[i + 1]`. The sweep capped kept edges at
+/// `u32`, so the sum fits.
 pub(crate) fn offsets_from_counts(counts: &[AtomicU32]) -> Result<Vec<u32>, BuildError> {
     let mut offsets = Vec::with_capacity(counts.len() + 1);
     let mut acc = 0u32;
@@ -459,13 +453,7 @@ pub fn build_chunked<S: ChunkedEdges + ?Sized>(
     // ---- Transpose back: the sorted out-direction. ------------------------
     let (out_offsets, out_targets) = transpose(n, &in_offsets, &in_sources);
 
-    let graph = Graph::from_csr_parts(
-        n,
-        Offsets::U32(out_offsets),
-        out_targets,
-        Offsets::U32(in_offsets),
-        in_sources,
-    );
+    let graph = Graph::from_csr_parts(n, out_offsets, out_targets, in_offsets, in_sources);
     let csr_bytes = graph.heap_bytes();
     let report = IngestReport {
         raw_edges: totals.raw_edges,

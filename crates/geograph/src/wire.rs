@@ -20,10 +20,9 @@
 //! `varint(n)`, `varint(m)`, then per vertex `varint(degree)` followed by
 //! the row's sorted, duplicate-free targets as LEB128 varints — the first
 //! absolute, the rest as gaps (≈1–2 bytes per edge instead of 4). There
-//! is **no offset plane** — offsets are a prefix sum of the degrees, so
-//! index width never reaches the wire — and no in-direction, which
-//! `Graph::from_out_rows` rebuilds. A graph holding duplicate edges has
-//! no gap encoding and is refused at encode time
+//! is **no offset plane** — offsets are a prefix sum of the degrees — and
+//! no in-direction, which `Graph::from_out_rows` rebuilds. A graph holding
+//! duplicate edges has no gap encoding and is refused at encode time
 //! ([`std::io::ErrorKind::InvalidInput`]). Mostly-constant per-vertex
 //! planes (data sizes here, the traffic profile in `geopart::snapshot`)
 //! travel as `(value, run)` pairs via [`put_runs`] / [`Reader::runs`].
@@ -33,10 +32,9 @@
 
 use std::io::{self, Write};
 
-use crate::csr::Graph;
+use crate::csr::{edge_count, Graph};
 use crate::delta::GraphDelta;
 use crate::geo::GeoGraph;
-use crate::offsets::{OffsetWidth, Offsets};
 use crate::{DcId, VertexId, MAX_DCS};
 
 /// Leading `u64` of a graph blob (`b"graph_v3"`, little-endian).
@@ -376,8 +374,8 @@ pub fn decode_graph(r: &mut Reader<'_>) -> Result<Graph, WireError> {
     if n.checked_add(m).is_none_or(|total| total > r.remaining() as u64) {
         return Err(WireError::Truncated);
     }
-    let m = m as usize;
-    let mut out_offsets = Offsets::with_capacity(OffsetWidth::for_len(m), n as usize + 1);
+    let m = edge_count(m).map_err(|_| WireError::Malformed("graph edge count"))? as usize;
+    let mut out_offsets: Vec<u32> = Vec::with_capacity(n as usize + 1);
     let mut out_targets: Vec<VertexId> = Vec::with_capacity(m);
     out_offsets.push(0);
     for _ in 0..n {
@@ -398,7 +396,7 @@ pub fn decode_graph(r: &mut Reader<'_>) -> Result<Graph, WireError> {
             prev += gap;
             out_targets.push(prev as VertexId);
         }
-        out_offsets.push(out_targets.len());
+        out_offsets.push(out_targets.len() as u32);
     }
     if out_targets.len() != m {
         return Err(WireError::Malformed("row degrees fall short of the declared edge count"));
@@ -487,7 +485,6 @@ mod tests {
         let g = base();
         let restored = decode_full(&graph_bytes(&g)).unwrap();
         assert_eq!(g, restored);
-        assert_eq!(restored.offset_width(), OffsetWidth::U32);
         // The empty graph and the vertex-free graph travel too.
         for g in [Graph::empty(7), Graph::empty(0)] {
             assert_eq!(decode_full(&graph_bytes(&g)).unwrap(), g);
@@ -502,15 +499,6 @@ mod tests {
         let dup = Graph::from_edges(6, &[(0, 1), (0, 1)]);
         let err = encode_graph(&dup, &mut Vec::new()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-    }
-
-    #[test]
-    fn encode_is_width_canonical() {
-        // Offsets never travel, so a force-widened graph encodes
-        // byte-identically to its narrow twin.
-        let g = base();
-        let wide = g.with_offset_width(crate::OffsetWidth::U64).unwrap();
-        assert_eq!(graph_bytes(&g), graph_bytes(&wide));
     }
 
     #[test]

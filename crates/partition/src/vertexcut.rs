@@ -124,12 +124,10 @@ impl VertexCutState {
     /// `graph.in_edge_offset(v) + k` is the DC of the edge from
     /// `graph.in_neighbors(v)[k]` to `v`. Used by the analytics engine to
     /// attribute gather traffic to the DCs actually holding the in-edges.
-    /// The cursor plane rides the substrate's narrow-offset invariant:
-    /// every graph the workspace builds caps kept edges at `u32` range,
-    /// so the transient scatter cursors stay `u32` too (half the
-    /// transient of a `usize` plane at paper scale).
+    /// A `Graph` holds fewer than 2^32 edges, so the transient scatter
+    /// cursors are `u32` (half the transient of a `usize` plane at paper
+    /// scale).
     pub fn in_edge_dcs(&self, geo: &GeoGraph) -> Vec<DcId> {
-        debug_assert!(geo.num_edges() <= u32::MAX as usize);
         let mut out = vec![0 as DcId; geo.num_edges()];
         let mut cursor: Vec<u32> = (0..geo.num_vertices() as VertexId)
             .map(|v| geo.graph.in_edge_offset(v) as u32)

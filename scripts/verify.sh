@@ -37,6 +37,26 @@ if git grep -n 'Barrier' -- crates/core/src/trainer.rs; then
   echo "the pooled migration arm reappeared in crates/core/src/trainer.rs"; exit 1
 fi
 
+echo "==> one form per thing in the substrate (deleted forms stay deleted)"
+# A Graph is u32-offset raw CSR by type: the width-tagged offset plane and
+# the compressed in-memory twin must not come back, and TrainerCheckpoint
+# stays a plain in-memory value with no byte codec of its own.
+if git grep -n -E 'OffsetWidth|Offsets::|CompressedGraph|CompressPolicy' \
+    -- crates tests examples; then
+  echo "a width-tagged offset plane or the compressed graph reappeared"; exit 1
+fi
+if git grep -n -E 'RLCP|fn fnv1a|struct Reader' -- crates/core/src; then
+  echo "a private checkpoint codec reappeared in crates/core/src/"; exit 1
+fi
+for f in crates/geograph/src/offsets.rs crates/geograph/src/compress.rs; do
+  if [ -e "$f" ]; then
+    echo "$f exists again"; exit 1
+  fi
+done
+# Aim 2's number, read from the gate instead of from prose.
+rust_files=$(git ls-files -- 'crates/*.rs' 'tests/*.rs' 'examples/*.rs')
+echo "    $(cat $rust_files | wc -l) lines of Rust in $(echo "$rust_files" | wc -l) files under crates/ tests/ examples/"
+
 echo "==> trainer bench smoke run (threads sweep, BENCH_trainer.json)"
 mkdir -p EXPERIMENTS-data
 # The bench itself cross-checks that every thread count trains the
@@ -140,13 +160,13 @@ echo "==> CSR builder oracle + streamed-vs-staged determinism gate (property tes
 # The one CSR builder must equal a naive push-sort-dedup oracle that shares
 # no code with it (build_core_matches_naive_oracle), Graph::from_edges /
 # GraphBuilder::build must equal the streamed build bit-for-bit at any
-# chunking and thread count, and compressed cold adjacency must be
-# observationally equal to raw rows.
+# chunking and thread count, and shard-streamed views must equal the
+# staged ones.
 cargo test -q -p integration-tests --test streaming
 
 echo "==> paper-scale substrate bench smoke run (BENCH_scale.json)"
 # CI-sized streamed build + scan-capped training window. Gates: the CSR
-# stays <= 9.0 bytes per directed edge (narrow u32 offsets — measured
+# stays <= 9.0 bytes per directed edge (u32 offsets — measured
 # 8.62; the old usize-offset substrate measured 9.25+ and would fail),
 # the streamed build peaks at <= 1.25x the final CSR (no O(E) staging
 # copy in the ingest path), and the shard-resident ingest at 4
@@ -164,9 +184,10 @@ grep -q '"shard_peak_frac_max"' EXPERIMENTS-data/BENCH_scale.json \
   || { echo "BENCH_scale.json is missing the shard-resident gate fields"; exit 1; }
 
 # The full Table II LiveJournal preset (4.8M vertices / ~69M directed
-# edges) needs ~2 GB of headroom for the CSR + compressed twin + placement
-# state; run it only where the host can hold that, and say so EXPLICITLY
-# when skipping (the CI-sized run above still gates every contract).
+# edges) needs ~2 GB of headroom for the CSR + placement state + build
+# and training transients; run it only where the host can hold that, and
+# say so EXPLICITLY when skipping (the CI-sized run above still gates every
+# contract).
 MEM_AVAILABLE_KB=$(awk '/MemAvailable:/ {print $2}' /proc/meminfo 2>/dev/null || echo 0)
 if [ "$MEM_AVAILABLE_KB" -ge 6291456 ]; then
   echo "==> full-scale LiveJournal substrate run (scale 1.0, BENCH_scale_full.json)"

@@ -98,8 +98,22 @@ fn test_setup(n: usize, seed: u64) -> (GeoGraph, CloudEnv, f64) {
     (geo, env, budget)
 }
 
-/// checkpoint → serialize → restore → one step must be **bit-identical**
-/// to the uninterrupted run: same masters, same next checkpoint bytes.
+/// Every field of a checkpoint, floats as bit patterns, so that equality is
+/// bit-identity (`-0.0` ≠ `0.0`, a NaN equals itself) and not float `==`.
+fn bits(cp: TrainerCheckpoint) -> impl PartialEq + std::fmt::Debug {
+    let f32s = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let best = cp.best_objective;
+    (
+        (cp.seed, cp.step, cp.theta, cp.num_dcs, cp.converged, cp.rng_state),
+        (cp.masters, cp.best_masters, cp.plays, cp.total_plays),
+        (f32s(&cp.probs), f32s(&cp.mean_reward)),
+        [cp.movement_cost, best.transfer_time, best.movement_cost, best.runtime_cost]
+            .map(f64::to_bits),
+    )
+}
+
+/// checkpoint → restore → one step must be **bit-identical** to the
+/// uninterrupted run: same masters, same next checkpoint, bit for bit.
 /// (Uniform 8.0 profile keeps every load sum dyadic, so the from-masters
 /// rebuild reproduces the incremental state exactly; the movement cost is
 /// carried through the checkpoint.)
@@ -115,10 +129,9 @@ fn restore_then_step_is_bit_identical_to_uninterrupted() {
     for _ in 0..5 {
         uninterrupted.step(&env).unwrap();
     }
-    let bytes = uninterrupted.checkpoint().unwrap().to_bytes();
+    let restored_cp = uninterrupted.checkpoint().unwrap();
     uninterrupted.step(&env).unwrap();
 
-    let restored_cp = TrainerCheckpoint::from_bytes(&bytes).unwrap();
     let mut resumed = TrainerSession::resume(&geo, &env, &restored_cp, config, profile, 10.0);
     assert_eq!(resumed.step_index(), 5);
     assert_eq!(resumed.masters(), restored_cp.masters);
@@ -126,9 +139,9 @@ fn restore_then_step_is_bit_identical_to_uninterrupted() {
 
     assert_eq!(resumed.masters(), uninterrupted.masters(), "post-step masters diverged");
     assert_eq!(
-        resumed.checkpoint().unwrap().to_bytes(),
-        uninterrupted.checkpoint().unwrap().to_bytes(),
-        "post-step checkpoints are not byte-identical"
+        bits(resumed.checkpoint().unwrap()),
+        bits(uninterrupted.checkpoint().unwrap()),
+        "post-step checkpoints are not bit-identical"
     );
 }
 
@@ -233,7 +246,7 @@ fn fault_pipeline_is_deterministic_per_seed() {
         for _ in 0..4 {
             s.step(&env).unwrap();
         }
-        s.checkpoint().unwrap().to_bytes()
+        s.checkpoint().unwrap()
     };
-    assert_eq!(cp(()), cp(()), "checkpoints are not byte-identical across runs");
+    assert_eq!(bits(cp(())), bits(cp(())), "checkpoints are not bit-identical across runs");
 }

@@ -1,14 +1,12 @@
 //! Property tests of the paper-scale graph substrate: the one CSR builder
-//! must equal a naive oracle that shares no code with it, streamed chunked
-//! ingest must be bit-identical to the staged entry points at any thread
-//! count and chunking, and the delta-compressed cold-adjacency
-//! representation must be observationally equal to the raw CSR on every row
-//! shape.
+//! must equal a naive oracle that shares no code with it, and streamed
+//! chunked ingest must be bit-identical to the staged entry points at any
+//! thread count and chunking.
 
 use geograph::generators::{rmat_streamed, RmatConfig};
 use geograph::{
-    build_chunked, ChunkedEdges, CompressPolicy, CompressedGraph, Graph, GraphBuilder, OffsetWidth,
-    ScopedPool, ShardSpec, ShardView, StreamConfig, VertexId,
+    build_chunked, ChunkedEdges, Graph, GraphBuilder, ScopedPool, ShardSpec, ShardView,
+    StreamConfig, VertexId,
 };
 use proptest::prelude::*;
 
@@ -190,83 +188,6 @@ proptest! {
         }
     }
 
-    /// Compressed adjacency is observationally equal to the raw CSR for
-    /// every row — degrees, neighbor runs (duplicates preserved), and the
-    /// exact round-trip — under every hot/cold split.
-    #[test]
-    fn compressed_matches_raw((n, edges) in arb_edges()) {
-        let graph = Graph::from_edges(n, &edges);
-        for policy in [
-            CompressPolicy::all_cold(),
-            CompressPolicy::auto(),
-            CompressPolicy { hot_min_degree: 1 },
-        ] {
-            let compressed = CompressedGraph::from_graph(&graph, policy);
-            let mut buf = Vec::new();
-            for v in 0..n as VertexId {
-                prop_assert_eq!(compressed.out_degree(v), graph.out_degree(v));
-                prop_assert_eq!(compressed.in_degree(v), graph.in_degree(v));
-                prop_assert_eq!(compressed.out_neighbors(v, &mut buf), graph.out_neighbors(v));
-                let iterated: Vec<VertexId> = compressed.in_neighbors_iter(v).collect();
-                prop_assert_eq!(&iterated[..], graph.in_neighbors(v));
-            }
-            prop_assert_eq!(&compressed.to_graph(), &graph);
-        }
-    }
-
-    /// Offset width is representation, not content: a graph force-widened
-    /// to u64 offsets is equal (value semantics) to its narrow twin, the
-    /// widened twin round-trips back to narrow bit-for-bit, both encode to
-    /// the identical canonical wire blob, and every derived view — staged,
-    /// streamed at any chunking/threading, compressed — agrees regardless
-    /// of which width it was built from.
-    #[test]
-    fn narrow_equals_wide_across_every_path((n, edges) in arb_edges()) {
-        let narrow = Graph::from_edges(n, &edges);
-        prop_assert_eq!(narrow.offset_width(), OffsetWidth::U32);
-        let wide = narrow.clone().with_offset_width(OffsetWidth::U64).expect("widening");
-        prop_assert_eq!(wide.offset_width(), OffsetWidth::U64);
-        prop_assert_eq!(&wide, &narrow);
-        let renarrowed = wide.clone().with_offset_width(OffsetWidth::U32).expect("re-narrowing");
-        prop_assert_eq!(renarrowed.offset_width(), OffsetWidth::U32);
-        prop_assert_eq!(&renarrowed, &narrow);
-        // Offsets never travel, so the blobs agree; the wire carries simple
-        // graphs only, so the check runs on the deduplicated twin.
-        let mut simple = edges.clone();
-        simple.sort_unstable();
-        simple.dedup();
-        let simple = Graph::from_edges(n, &simple);
-        let mut wide_blob = Vec::new();
-        let mut narrow_blob = Vec::new();
-        let widened = simple.with_offset_width(OffsetWidth::U64).expect("widening");
-        geograph::wire::encode_graph(&widened, &mut wide_blob).expect("simple graph encodes");
-        geograph::wire::encode_graph(&simple, &mut narrow_blob).expect("simple graph encodes");
-        prop_assert_eq!(wide_blob, narrow_blob);
-        for num_chunks in [1usize, 3, 7] {
-            let src = VecChunks::split(n, &edges, num_chunks);
-            for threads in [1usize, 2, 4, 8] {
-                let (streamed, _) =
-                    build_chunked(&src, StreamConfig::verbatim(), &ScopedPool(threads))
-                        .expect("streamed build");
-                prop_assert_eq!(
-                    &streamed, &wide,
-                    "streamed vs wide diverged at {} chunks / {} threads", num_chunks, threads
-                );
-            }
-        }
-        let from_narrow = CompressedGraph::from_graph(&narrow, CompressPolicy::auto());
-        let from_wide = CompressedGraph::from_graph(&wide, CompressPolicy::auto());
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for v in 0..n as VertexId {
-            prop_assert_eq!(
-                from_narrow.out_neighbors(v, &mut a),
-                from_wide.out_neighbors(v, &mut b)
-            );
-        }
-        prop_assert_eq!(&from_wide.to_graph(), &narrow);
-    }
-
     /// The shard-resident ingest contract at property-test scale: for any
     /// edge list, cleaning mode, and shard count, `ShardView::build_streamed`
     /// over the chunked source equals `ShardView::build` over the staged
@@ -318,61 +239,9 @@ fn streamed_rmat_deterministic_across_thread_counts() {
 }
 
 #[test]
-fn compressed_handles_empty_and_max_degree_rows() {
-    // Vertex 0 is a maximal-degree hub in both directions; vertices past
-    // the fan are fully isolated (empty rows in both directions).
-    let n = 600usize;
-    let mut edges = Vec::new();
-    for v in 1..300 as VertexId {
-        edges.push((0, v));
-        edges.push((v, 0));
-    }
-    let graph = Graph::from_edges(n, &edges);
-    for policy in [CompressPolicy::all_cold(), CompressPolicy::auto()] {
-        let compressed = CompressedGraph::from_graph(&graph, policy);
-        let mut buf = Vec::new();
-        assert_eq!(compressed.out_neighbors(0, &mut buf), graph.out_neighbors(0));
-        assert_eq!(compressed.out_degree(0), 299);
-        for v in 300..n as VertexId {
-            assert_eq!(compressed.out_degree(v), 0);
-            assert!(compressed.out_neighbors(v, &mut buf).is_empty());
-            assert!(compressed.in_neighbors_iter(v).next().is_none());
-        }
-        assert_eq!(compressed.to_graph(), graph);
-    }
-}
-
-#[test]
-fn compression_shrinks_a_dense_tail() {
-    // Degree ~12 per vertex with mostly-local targets: gap encoding packs
-    // each neighbor into 1–2 bytes vs 4 raw, comfortably beating the
-    // second offset array the compressed form carries. (The sparse hub
-    // fixture above is the opposite regime — per-vertex overhead dominates
-    // at degree 1 and compression rightly loses there.)
-    let n = 600usize;
-    let mut edges = Vec::new();
-    for v in 0..n as VertexId {
-        for k in 1..=12 {
-            edges.push((v, (v + k) % n as VertexId));
-        }
-    }
-    let graph = Graph::from_edges(n, &edges);
-    let cold = CompressedGraph::from_graph(&graph, CompressPolicy::all_cold());
-    assert!(
-        cold.heap_bytes() < graph.heap_bytes(),
-        "compression saved nothing: {} vs raw {}",
-        cold.heap_bytes(),
-        graph.heap_bytes()
-    );
-    assert_eq!(cold.to_graph(), graph);
-}
-
-#[test]
-fn empty_graph_streams_and_compresses() {
+fn empty_graph_streams() {
     let src = VecChunks::split(5, &[], 1);
     let (g, report) = build_chunked(&src, StreamConfig::cleaned(), &ScopedPool(4)).unwrap();
     assert_eq!(g, Graph::empty(5));
     assert_eq!(report.edges, 0);
-    let compressed = CompressedGraph::from_graph(&g, CompressPolicy::auto());
-    assert_eq!(compressed.to_graph(), g);
 }
