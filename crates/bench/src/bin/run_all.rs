@@ -20,6 +20,7 @@ fn main() {
         ("Exp#5 (Fig 15)", geobench::experiments::exp5_dynamic::run),
         ("Exp#6 (faults, extension)", geobench::experiments::exp6_faults::run),
         ("Ablation (design choices)", geobench::experiments::ablation::run),
+        ("Substrate scale (LJ-analog ingest)", geobench::experiments::substrate_scale::run),
     ];
     for (name, run) in experiments {
         println!("\n######## {name} ########");

@@ -16,4 +16,5 @@ pub mod fig4_dynamicity;
 pub mod fig6_penalty;
 pub mod fig8_agent_overhead;
 pub mod fig9_degree_sampling;
+pub mod substrate_scale;
 pub mod table1_regions;

@@ -1,0 +1,142 @@
+//! Substrate at paper scale (not a paper artifact): streamed CSR ingest,
+//! shard-resident ingest and a scan-capped training window over the
+//! Table II LiveJournal analog — the one measurement that fits neither a
+//! test nor `benchmark/`'s 10-second budget. `--scale 1.0` builds all
+//! 4.8 M vertices / ~69 M directed edges (≈ 4 min, ≈ 1.4 GB peak RSS);
+//! that run is recorded in `EXPERIMENTS-data/substrate_scale.txt`.
+//!
+//! The three byte budgets printed here — CSR ≤ 9.0 B/edge, build peak
+//! ≤ 1.25 × the final CSR, worst shard ≤ 0.5 × the full CSR — are exact
+//! for a seed and gated at scale 0.002 by
+//! `lj_analog_ingest_stays_inside_its_byte_budgets` in
+//! `tests/tests/streaming.rs`.
+
+use crate::{f3, secs, timed, ExpContext, Table};
+use geograph::datasets::DEFAULT_CHUNK_EDGES;
+use geograph::generators::{rmat_streamed, RmatChunks};
+use geograph::locality::LocalityConfig;
+use geograph::{Dataset, GeoGraph, ShardSpec, ShardView, StreamConfig};
+use geosim::regions::ec2_eight_regions;
+use rlcut::{RlCutConfig, WorkerPool};
+
+/// Edge-balanced shards the stream is replayed into.
+const SHARDS: usize = 4;
+/// The training window: a 5 % sample capped at 100 k agents per step.
+const STEPS: usize = 2;
+const SAMPLE_RATE: f64 = 0.05;
+const MAX_SCAN: usize = 100_000;
+
+pub fn run(ctx: &ExpContext) {
+    let dataset = Dataset::LiveJournal;
+    let (rmat_config, derived_seed) = dataset.rmat_setup(ctx.scale, ctx.seed);
+    let threads = ctx.threads.max(1);
+    let pool = WorkerPool::new(threads);
+    let mib = |bytes: usize| format!("{:.1}", bytes as f64 / (1u64 << 20) as f64);
+
+    // 1. Streamed build: the only O(E) allocation is the CSR it returns.
+    let (built, build_time) =
+        timed(|| rmat_streamed(&rmat_config, derived_seed, DEFAULT_CHUNK_EDGES, &pool));
+    let (graph, report) = built.unwrap_or_else(|e| panic!("streamed build failed: {e}"));
+    let (csr_bytes, edges) = (report.csr_bytes as f64, report.edges as f64);
+    let mut t = Table::new(
+        &format!(
+            "Substrate scale — streamed CSR ingest (LJ-analog, scale {}, {threads} threads)",
+            ctx.scale
+        ),
+        &[
+            "Vertices",
+            "Edges",
+            "Raw edges",
+            "Build (s)",
+            "Medges/s",
+            "CSR (MiB)",
+            "CSR B/edge",
+            "Peak/final",
+        ],
+    );
+    t.row(vec![
+        graph.num_vertices().to_string(),
+        report.edges.to_string(),
+        report.raw_edges.to_string(),
+        secs(build_time),
+        f3(edges / build_time.as_secs_f64() / 1e6),
+        mib(report.csr_bytes),
+        format!("{:.3}", csr_bytes / edges),
+        format!("{:.3}", report.build_ratio()),
+    ]);
+    t.print();
+
+    // 2. Shard-resident ingest: the same chunked source replayed into one
+    //    view per shard without the global CSR. R-MAT piles its hubs into
+    //    the low ids, so the ranges are edge-balanced; each view must equal
+    //    the staged build of the same range.
+    let src = RmatChunks::new(rmat_config, derived_seed, DEFAULT_CHUNK_EDGES);
+    let spec = ShardSpec::balanced(&graph, SHARDS);
+    let mut t = Table::new(
+        &format!("Substrate scale — shard-resident ingest ({SHARDS} edge-balanced shards)"),
+        &["Shard", "Ingest (s)", "View (MiB)", "Transient (MiB)", "Peak (MiB)", "Peak / full CSR"],
+    );
+    let mut worst = 0.0_f64;
+    for s in 0..SHARDS {
+        let (built, time) =
+            timed(|| ShardView::build_streamed(&src, StreamConfig::cleaned(), &spec, s, &pool));
+        let (view, shard) = built.unwrap_or_else(|e| panic!("shard {s} ingest failed: {e}"));
+        assert_eq!(
+            view,
+            ShardView::build(&graph, &spec, s),
+            "shard {s}: streamed view diverged from the staged build"
+        );
+        let frac = shard.peak_bytes() as f64 / csr_bytes;
+        worst = worst.max(frac);
+        t.row(vec![
+            s.to_string(),
+            secs(time),
+            mib(shard.view_bytes),
+            mib(shard.transient_bytes),
+            mib(shard.peak_bytes()),
+            format!("{frac:.3}"),
+        ]);
+    }
+    t.print();
+    println!("Worst shard peaks at {worst:.3} x the full CSR; every view equals its staged build.");
+
+    // 3. A short scan-capped training window over the freshly built graph.
+    let geo = GeoGraph::from_graph(graph, &LocalityConfig::paper_default(ctx.seed));
+    let env = ec2_eight_regions();
+    let budget = geosim::cost::default_budget(&env, &geo.locations, &geo.data_sizes, 0.4);
+    let config = RlCutConfig::new(budget)
+        .with_seed(ctx.seed)
+        .with_threads(threads)
+        .with_fixed_sample_rate(SAMPLE_RATE)
+        .with_max_scan(MAX_SCAN)
+        .with_max_steps(STEPS);
+    let profile = geopart::TrafficProfile::uniform(geo.num_vertices(), 8.0);
+    let result = rlcut::partition(&geo, &env, profile, 10.0, &config);
+    let mut t = Table::new(
+        &format!(
+            "Substrate scale — training window ({STEPS} steps, {:.0}% sample, scan cap {MAX_SCAN})",
+            SAMPLE_RATE * 100.0
+        ),
+        &[
+            "Steps",
+            "Train (s)",
+            "Steps/s",
+            "Agents/step",
+            "Migrations",
+            "Geo metadata B/edge",
+            "Placement B/edge",
+            "Peak RSS (MiB)",
+        ],
+    );
+    t.row(vec![
+        result.steps.len().to_string(),
+        secs(result.total_duration),
+        f3(result.steps.len() as f64 / result.total_duration.as_secs_f64()),
+        result.steps.iter().map(|s| s.num_agents).max().unwrap_or(0).to_string(),
+        result.total_migrations().to_string(),
+        format!("{:.3}", (geo.heap_bytes() - geo.graph.heap_bytes()) as f64 / edges),
+        format!("{:.3}", result.state.heap_bytes() as f64 / edges),
+        geograph::peak_rss_bytes().map_or("n/a".into(), |b| mib(b as usize)),
+    ]);
+    t.print();
+}

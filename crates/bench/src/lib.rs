@@ -2,9 +2,11 @@
 //!
 //! One binary per paper table/figure (see `DESIGN.md` §4 for the index),
 //! plus the shared plumbing here: dataset construction, method runners
-//! with overhead timing, and plain-text table rendering.
+//! with overhead timing, and plain-text table rendering. System
+//! performance is not measured here: that is `benchmark/` (one pipeline,
+//! four workloads, an append-only trajectory).
 //!
-//! Every binary accepts:
+//! Every binary accepts exactly:
 //!
 //! * `--scale <f>`  — fraction of the paper's dataset sizes (default varies
 //!   per experiment; raise toward 1.0 on big machines),
@@ -32,27 +34,48 @@ pub struct ExpContext {
 
 impl ExpContext {
     /// Parses `--scale`, `--seed` and `--threads` from `std::env::args`,
-    /// with the experiment's default scale.
+    /// with the experiment's default scale; prints the problem and exits 2
+    /// on anything else.
     pub fn from_args(default_scale: f64) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&args, default_scale).unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            std::process::exit(2);
+        })
+    }
+
+    /// [`Self::from_args`] over an explicit argument list (program name
+    /// already stripped). An unknown flag, a flag with no value after it
+    /// and a value that does not parse are all errors — never a silent
+    /// run at the defaults.
+    pub fn parse(args: &[String], default_scale: f64) -> Result<Self, String> {
         let mut ctx = ExpContext {
             scale: default_scale,
             seed: 42,
             threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
         };
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i + 1 < args.len() {
-            match args[i].as_str() {
-                "--scale" => ctx.scale = args[i + 1].parse().expect("--scale takes a float"),
-                "--seed" => ctx.seed = args[i + 1].parse().expect("--seed takes an integer"),
-                "--threads" => {
-                    ctx.threads = args[i + 1].parse().expect("--threads takes an integer")
-                }
-                other => panic!("unknown option {other} (expected --scale/--seed/--threads)"),
-            }
-            i += 2;
+        fn value<T: std::str::FromStr>(
+            flag: &str,
+            what: &str,
+            value: Option<&String>,
+        ) -> Result<T, String> {
+            let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+            value.parse().map_err(|_| format!("{flag} takes {what}, got {value:?}"))
         }
-        ctx
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--scale" => ctx.scale = value(flag, "a float", args.next())?,
+                "--seed" => ctx.seed = value(flag, "an integer", args.next())?,
+                "--threads" => ctx.threads = value(flag, "an integer", args.next())?,
+                other => {
+                    return Err(format!(
+                        "unknown option {other} (expected --scale/--seed/--threads)"
+                    ))
+                }
+            }
+        }
+        Ok(ctx)
     }
 
     /// Builds the geo-distributed analog of a paper dataset at this
@@ -257,14 +280,6 @@ impl Table {
     }
 }
 
-/// Renders `report` as the standard `"mem"` field every `BENCH_*.json`
-/// carries (two-space indent, trailing comma) — append it to the JSON body
-/// before the final comma-less field so memory cost reads uniformly across
-/// benches.
-pub fn mem_json_field(report: &geograph::MemReport) -> String {
-    format!("  \"mem\": {},\n", report.to_json("  "))
-}
-
 /// Formats a float with 3 significant-ish digits, falling back to
 /// scientific notation for values that would round to 0.000.
 pub fn f3(x: f64) -> String {
@@ -331,13 +346,29 @@ mod tests {
     }
 
     #[test]
-    fn mem_json_field_shape() {
-        let mut r = geograph::MemReport::new(10);
-        r.add("csr", 90);
-        let field = mem_json_field(&r);
-        assert!(field.starts_with("  \"mem\": {"), "{field}");
-        assert!(field.ends_with("},\n"), "{field}");
-        assert!(field.contains("\"bytes_per_edge\": 9.000"), "{field}");
+    fn substrate_scale_runs_at_the_floor_scale() {
+        experiments::substrate_scale::run(&ExpContext { scale: 1e-9, seed: 1, threads: 2 });
+    }
+
+    #[test]
+    fn parse_reads_flags_and_rejects_what_it_cannot() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let ctx =
+            ExpContext::parse(&args(&["--seed", "7", "--scale", "0.25", "--threads", "3"]), 1.0)
+                .expect("well-formed flags");
+        assert_eq!((ctx.scale, ctx.seed, ctx.threads), (0.25, 7, 3));
+        let defaults = ExpContext::parse(&[], 0.5).expect("no flags");
+        assert_eq!((defaults.scale, defaults.seed), (0.5, 42));
+
+        // A trailing flag whose value was forgotten used to run at the defaults.
+        let err = ExpContext::parse(&args(&["--seed", "7", "--threads"]), 1.0).unwrap_err();
+        assert!(err.contains("--threads needs a value"), "{err}");
+        let err = ExpContext::parse(&args(&["--scale"]), 1.0).unwrap_err();
+        assert!(err.contains("--scale needs a value"), "{err}");
+        let err = ExpContext::parse(&args(&["--out", "x.json"]), 1.0).unwrap_err();
+        assert!(err.contains("unknown option --out"), "{err}");
+        let err = ExpContext::parse(&args(&["--seed", "seven"]), 1.0).unwrap_err();
+        assert!(err.contains("--seed takes an integer"), "{err}");
     }
 
     #[test]

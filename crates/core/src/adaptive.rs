@@ -229,10 +229,10 @@ impl AdaptiveRlCut {
     /// Validates the carried placement state against the snapshot it is
     /// supposed to describe: every aggregate (loads, mirror maps, degree
     /// tables, movement cost) is recomputed from scratch and compared. The
-    /// incremental ≡ rebuild gate for benches and CI — `Ok(true)` means a
-    /// full rebuild of the carried state would be bit-for-bit identical on
-    /// integer state (f64 aggregates within `validate_plan` tolerance);
-    /// `Ok(false)` means nothing is carried yet.
+    /// incremental ≡ rebuild gate the tests run per window — `Ok(true)`
+    /// means a full rebuild of the carried state would be bit-for-bit
+    /// identical on integer state (f64 aggregates within `validate_plan`
+    /// tolerance); `Ok(false)` means nothing is carried yet.
     pub fn validate_carried(&self, geo: &GeoGraph, env: &CloudEnv) -> Result<bool, PlanError> {
         match &self.carried {
             None => Ok(false),
@@ -313,6 +313,10 @@ impl AdaptiveRlCut {
                 geosim::cost::default_budget(env, &geo.locations, &geo.data_sizes, fraction);
         }
         let fault = self.pending_fault.take();
+        if let Some(dead) = &fault {
+            // Reject a malformed report before anything carried is consumed.
+            geopart::reseed_stranded_masters(&mut [], &[], dead, geo.num_dcs)?;
+        }
         let incremental = delta.is_some() && fault.is_none() && self.carried.is_some();
 
         let prep_start = Instant::now();
@@ -332,13 +336,7 @@ impl AdaptiveRlCut {
                 // A fault is a dynamicity spike (§V-C): re-seed stranded
                 // masters onto a live DC and widen the first sample so the
                 // perturbed neighborhoods are re-trained this window.
-                let fallback = dead.iter().position(|&d| !d).expect("at least one live DC") as DcId;
-                for (v, m) in masters.iter_mut().enumerate() {
-                    if dead[*m as usize] {
-                        let home = geo.locations[v];
-                        *m = if dead[home as usize] { fallback } else { home };
-                    }
-                }
+                geopart::reseed_stranded_masters(&mut masters, &geo.locations, &dead, geo.num_dcs)?;
                 config.initial_sample_rate = (config.initial_sample_rate * 8.0).min(1.0);
             }
             let theta =
@@ -498,12 +496,35 @@ mod tests {
         dead[victim as usize] = true;
         adaptive.note_fault(&dead);
         adaptive
-            .on_window(&geo_initial, &env, p, 10.0, Duration::from_millis(200))
+            .on_window(&geo_initial, &env, p.clone(), 10.0, Duration::from_millis(200))
             .expect("window 1");
         assert!(
             adaptive.masters().iter().all(|&m| m != victim),
             "seeds after a noted fault must avoid the dead DC"
         );
+
+        // A report with every DC dead, or with fewer flags than DCs, is a
+        // typed error that leaves the carried plan where it was.
+        let before = adaptive.masters().to_vec();
+        for (bad, want) in [
+            (vec![true; env.num_dcs()], PlanError::NoLiveDc),
+            (
+                vec![true; 3],
+                PlanError::LengthMismatch {
+                    what: "dead-DC flags",
+                    expected: env.num_dcs(),
+                    found: 3,
+                },
+            ),
+        ] {
+            adaptive.note_fault(&bad);
+            let err = adaptive
+                .on_window(&geo_initial, &env, p.clone(), 10.0, Duration::from_millis(200))
+                .expect_err("malformed fault report");
+            assert!(matches!(&err, WindowError::Plan(e) if *e == want), "{err}");
+            assert_eq!(adaptive.masters(), &before[..]);
+            assert!(adaptive.carried_parts().is_some());
+        }
     }
 
     #[test]

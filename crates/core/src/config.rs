@@ -56,7 +56,7 @@ pub struct RlCutConfig {
     /// LPT group build — that amortizes only once the sampled agents carry
     /// enough `O(deg)` scoring work; below the threshold the sequential
     /// path (with the session-resident scratch) wins. The default of 64 was
-    /// measured on the 8-DC Twitter-analog preset (`bench_trainer`): tiny
+    /// measured on the 8-DC Twitter-analog preset: tiny
     /// adaptive early-step samples (1 % of agents) finish faster inline.
     pub parallel_threshold: usize,
     /// Required optimization overhead `T_opt` (§V-C). `None` disables the

@@ -254,6 +254,14 @@ impl DurableAdaptive {
         if profile.len() != new_n {
             return Err(DurableWindowError::Input("profile does not cover the grown graph"));
         }
+        // A malformed fault report is dropped here, before it can be logged:
+        // replay would refuse the record and the store could never recover.
+        let dead = self.pending_dead.take();
+        if let Some(d) = &dead {
+            geopart::reseed_stranded_masters(&mut [], &[], d, self.geo.num_dcs).map_err(|_| {
+                DurableWindowError::Input("dead-DC flags must cover every DC and leave one alive")
+            })?;
+        }
         if let Some(d) = delta {
             let graph = self.geo.graph.apply_delta(d);
             let mut locations = std::mem::take(&mut self.geo.locations);
@@ -266,7 +274,6 @@ impl DurableAdaptive {
         // 2. Log the window's inputs durably BEFORE training touches them.
         //    The profile suffix starts where the committed placement's
         //    profile ends (window 0 logs the whole profile).
-        let dead = self.pending_dead.take();
         let profile_base = self.inner.masters().len();
         let ws = WindowStart {
             window: self.window,
@@ -601,6 +608,24 @@ mod tests {
             )
             .expect_err("mis-sized location suffix");
         assert!(matches!(err, DurableWindowError::Input(_)), "{err}");
+
+        // A fault report with every DC dead, or with fewer flags than DCs,
+        // is refused before anything is logged (replay would reject the
+        // record and strand the store), and the window after it commits.
+        for bad in [vec![true; env.num_dcs()], vec![true; 3]] {
+            let lsn = durable.store().next_lsn();
+            durable.note_fault(&bad);
+            let err = durable
+                .window(&env, None, &[], &[], TrafficProfile::uniform(n, 8.0), 10.0, t_opt)
+                .expect_err("malformed fault report");
+            assert!(matches!(err, DurableWindowError::Input(_)), "{err}");
+            assert_eq!(durable.store().next_lsn(), lsn, "a rejected window logs nothing");
+            let window = durable.next_window();
+            durable
+                .window(&env, None, &[], &[], TrafficProfile::uniform(n, 8.0), 10.0, t_opt)
+                .expect("well-formed window after a rejected report");
+            assert_eq!(durable.next_window(), window + 1);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -6,11 +6,12 @@
 //!
 //! 1. **Same code paths.** Windows are re-derived through the identical
 //!    calls the live trainer made — [`HybridState::resume_from_parts`]
-//!    for incremental windows, [`HybridState::from_masters`] (with the
-//!    same fault-reseed loop) for rebuilds — and every accepted migration
-//!    is re-applied through [`HybridState::apply_move_with`] in the exact
-//!    order the live run applied it. Floating-point accumulation is not
-//!    associative, so order fidelity is what buys bit-equality.
+//!    for incremental windows, [`HybridState::from_masters`] (after the
+//!    same [`geopart::reseed_stranded_masters`]) for rebuilds — and every
+//!    accepted migration is re-applied through
+//!    [`HybridState::apply_move_with`] in the exact order the live run
+//!    applied it. Floating-point accumulation is not associative, so
+//!    order fidelity is what buys bit-equality.
 //! 2. **Environment independence, enforced.** The only placement field
 //!    whose evolution reads the (unlogged, possibly fault-mutated)
 //!    environment is the movement-cost accumulator; the commit record
@@ -294,8 +295,7 @@ fn apply_window(
 
     // 2. Re-derive the window's starting state through the same path the
     //    live trainer chose. The discriminator mirrors `window_inner`'s
-    //    `incremental` condition (the durable driver forbids the
-    //    rebuild-per-window ablation, so it does not participate).
+    //    `incremental` condition.
     let incremental = ws.delta.is_some() && ws.dead.is_none() && parts.is_some();
     let mut hybrid = if incremental {
         let (core, theta) = parts.take().expect("checked by `incremental`");
@@ -313,20 +313,16 @@ fn apply_window(
         };
         masters.extend_from_slice(&new_geo.locations[masters.len()..]);
         if let Some(dead) = &ws.dead {
-            if dead.len() != new_geo.num_dcs || dead.iter().all(|&d| d) {
-                return Err(DurableError::RecordSequence {
-                    lsn: txn.commit_lsn,
-                    reason: "dead-DC flags malformed",
-                });
-            }
-            // Mirror of the live fault-reseed loop in `window_inner`.
-            let fallback = dead.iter().position(|&d| !d).expect("checked above") as geograph::DcId;
-            for (v, m) in masters.iter_mut().enumerate() {
-                if dead[*m as usize] {
-                    let home = new_geo.locations[v];
-                    *m = if dead[home as usize] { fallback } else { home };
-                }
-            }
+            geopart::reseed_stranded_masters(
+                &mut masters,
+                &new_geo.locations,
+                dead,
+                new_geo.num_dcs,
+            )
+            .map_err(|_| DurableError::RecordSequence {
+                lsn: txn.commit_lsn,
+                reason: "dead-DC flags malformed",
+            })?;
         }
         let theta = txn.commit.theta as usize;
         HybridState::try_from_masters(

@@ -56,7 +56,7 @@ pub use delta::GraphDelta;
 pub use dynamic::{AppliedEvents, EdgeEvent, EdgeStream, EventKind, WindowSplitError, Windows};
 pub use geo::GeoGraph;
 pub use locality::LocalityConfig;
-pub use mem::{current_rss_bytes, peak_rss_bytes, MemReport};
+pub use mem::peak_rss_bytes;
 pub use shard::{route_delta, ShardDelta, ShardIngestReport, ShardSpec, ShardView};
 pub use stream::{
     build_chunked, build_streamed, BuildError, ChunkedEdges, IngestPool, IngestReport, ScopedPool,

@@ -1,154 +1,25 @@
-//! Memory accounting as a first-class benchmark axis.
-//!
-//! Speed regressions are gated in `verify.sh`; memory regressions were
-//! invisible until they OOMed a paper-scale run. [`MemReport`] makes the
-//! footprint explicit: named components (CSR, placement state, arenas, …)
-//! with byte counts, totals normalized to bytes/edge, and the kernel's own
-//! view of the process (`VmRSS`/`VmHWM` from `/proc/self/status`) alongside
-//! the accounted numbers so unaccounted allocations show up as a gap.
-
-/// A named breakdown of heap usage, rendered into the `BENCH_*.json` files.
-#[derive(Clone, Debug, Default)]
-pub struct MemReport {
-    components: Vec<(String, usize)>,
-    edges: u64,
-}
-
-impl MemReport {
-    /// New report normalizing against `edges` directed edges.
-    pub fn new(edges: u64) -> MemReport {
-        MemReport { components: Vec::new(), edges }
-    }
-
-    /// Adds (or accumulates into) a named component.
-    pub fn add(&mut self, name: &str, bytes: usize) {
-        if let Some(entry) = self.components.iter_mut().find(|(n, _)| n == name) {
-            entry.1 += bytes;
-        } else {
-            self.components.push((name.to_string(), bytes));
-        }
-    }
-
-    /// The components in insertion order.
-    pub fn components(&self) -> &[(String, usize)] {
-        &self.components
-    }
-
-    pub fn edges(&self) -> u64 {
-        self.edges
-    }
-
-    /// Sum of all accounted components.
-    pub fn total_bytes(&self) -> usize {
-        self.components.iter().map(|(_, b)| b).sum()
-    }
-
-    /// Accounted bytes per directed edge — the scale-free number the
-    /// bench gates compare against a ceiling.
-    pub fn bytes_per_edge(&self) -> f64 {
-        if self.edges == 0 {
-            return 0.0;
-        }
-        self.total_bytes() as f64 / self.edges as f64
-    }
-
-    /// Bytes of one named component, if present.
-    pub fn component_bytes(&self, name: &str) -> Option<usize> {
-        self.components.iter().find(|(n, _)| n == name).map(|(_, b)| *b)
-    }
-
-    /// Renders as a JSON object (no trailing newline), matching the
-    /// hand-rolled style of the bench bins. `indent` is the prefix applied
-    /// to inner lines.
-    pub fn to_json(&self, indent: &str) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("{indent}  \"components\": {{\n"));
-        for (i, (name, bytes)) in self.components.iter().enumerate() {
-            let comma = if i + 1 == self.components.len() { "" } else { "," };
-            out.push_str(&format!("{indent}    \"{name}\": {bytes}{comma}\n"));
-        }
-        out.push_str(&format!("{indent}  }},\n"));
-        out.push_str(&format!("{indent}  \"total_bytes\": {},\n", self.total_bytes()));
-        out.push_str(&format!("{indent}  \"edges\": {},\n", self.edges));
-        out.push_str(&format!("{indent}  \"bytes_per_edge\": {:.3},\n", self.bytes_per_edge()));
-        let rss = match current_rss_bytes() {
-            Some(b) => b.to_string(),
-            None => "null".to_string(),
-        };
-        let hwm = match peak_rss_bytes() {
-            Some(b) => b.to_string(),
-            None => "null".to_string(),
-        };
-        out.push_str(&format!("{indent}  \"rss_bytes\": {rss},\n"));
-        out.push_str(&format!("{indent}  \"peak_rss_bytes\": {hwm}\n"));
-        out.push_str(&format!("{indent}}}"));
-        out
-    }
-}
-
-/// Current resident set size of this process, from `/proc/self/status`
-/// `VmRSS`. `None` off Linux or if the field is missing.
-pub fn current_rss_bytes() -> Option<u64> {
-    proc_status_kib("VmRSS:").map(|kib| kib * 1024)
-}
+//! The kernel's view of this process's memory: the resident-set high-water
+//! mark `benchmark/` reports as `peak_rss_mb` and the `substrate_scale`
+//! experiment prints beside its accounted byte counts, so unaccounted
+//! allocations show up as a gap.
 
 /// Peak resident set size (high-water mark) of this process, from
 /// `/proc/self/status` `VmHWM`. `None` off Linux.
 pub fn peak_rss_bytes() -> Option<u64> {
-    proc_status_kib("VmHWM:").map(|kib| kib * 1024)
-}
-
-fn proc_status_kib(field: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix(field) {
-            let kib: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-            return Some(kib);
-        }
-    }
-    None
+    let rest = status.lines().find_map(|line| line.strip_prefix("VmHWM:"))?;
+    let kib: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kib * 1024)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn accumulates_and_normalizes() {
-        let mut r = MemReport::new(100);
-        r.add("csr", 800);
-        r.add("state", 150);
-        r.add("csr", 50);
-        assert_eq!(r.total_bytes(), 1000);
-        assert_eq!(r.component_bytes("csr"), Some(850));
-        assert!((r.bytes_per_edge() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn json_shape() {
-        let mut r = MemReport::new(4);
-        r.add("csr", 64);
-        let json = r.to_json("  ");
-        assert!(json.contains("\"csr\": 64"));
-        assert!(json.contains("\"total_bytes\": 64"));
-        assert!(json.contains("\"bytes_per_edge\": 16.000"));
-        assert!(json.contains("\"peak_rss_bytes\""));
-    }
-
-    #[test]
-    fn zero_edges_is_finite() {
-        let mut r = MemReport::new(0);
-        r.add("x", 10);
-        assert_eq!(r.bytes_per_edge(), 0.0);
-    }
-
     #[cfg(target_os = "linux")]
     #[test]
     fn rss_probes_read_proc() {
-        let rss = current_rss_bytes().expect("VmRSS should exist on Linux");
         let hwm = peak_rss_bytes().expect("VmHWM should exist on Linux");
-        assert!(rss > 0);
-        // The two reads are not atomic; allow a little growth in between.
-        assert!(hwm + (1 << 20) >= rss);
+        assert!(hwm > 0);
     }
 }

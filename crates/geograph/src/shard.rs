@@ -599,7 +599,8 @@ pub struct ShardIngestReport {
 
 impl ShardIngestReport {
     /// Peak accounted build footprint: finished view plus transients. The
-    /// number the `--shards` gate compares against the full-CSR build.
+    /// number `tests/tests/streaming.rs` holds to half the full CSR at 4
+    /// edge-balanced shards.
     pub fn peak_bytes(&self) -> usize {
         self.view_bytes + self.transient_bytes
     }

@@ -83,6 +83,14 @@ pub enum PlanError {
         expected: usize,
         found: usize,
     },
+    /// Two per-DC or per-vertex inputs that must be equally long are not
+    /// (a fault report with the wrong number of DC flags, …).
+    LengthMismatch {
+        /// Which input was the wrong length (`"dead-DC flags"`, …).
+        what: &'static str,
+        expected: usize,
+        found: usize,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -135,6 +143,9 @@ impl std::fmt::Display for PlanError {
             ),
             PlanError::DeltaMismatch { what, expected, found } => {
                 write!(f, "delta mismatch: {what} expected {expected}, found {found}")
+            }
+            PlanError::LengthMismatch { what, expected, found } => {
+                write!(f, "{what}: expected {expected} entries, found {found}")
             }
         }
     }

@@ -770,6 +770,48 @@ pub struct EvacuationReport {
     pub objective: Objective,
 }
 
+/// The fault re-seed rule: every master stranded on a DC flagged in `dead`
+/// returns to its vertex's home location (`homes[v]`) if that is alive,
+/// else to the first live DC. The trainer's fault window, WAL replay of
+/// that window and the serving layer's evacuation all re-seed through
+/// this one function, which is what keeps a recovered or served plan
+/// bit-identical to the trained one.
+///
+/// The flags are checked before anything is written — `dead` must hold
+/// exactly `num_dcs` flags ([`PlanError::LengthMismatch`]), not all of
+/// them set ([`PlanError::NoLiveDc`]), and `homes` must cover `masters` —
+/// so on `Err` `masters` is untouched, and a call over empty `masters`
+/// validates a fault report on its own. Masters and homes must already
+/// name DCs below `num_dcs`, as every placement and `GeoGraph` guarantees.
+pub fn reseed_stranded_masters(
+    masters: &mut [DcId],
+    homes: &[DcId],
+    dead: &[bool],
+    num_dcs: usize,
+) -> Result<(), PlanError> {
+    if dead.len() != num_dcs {
+        return Err(PlanError::LengthMismatch {
+            what: "dead-DC flags",
+            expected: num_dcs,
+            found: dead.len(),
+        });
+    }
+    if homes.len() != masters.len() {
+        return Err(PlanError::LengthMismatch {
+            what: "home locations",
+            expected: masters.len(),
+            found: homes.len(),
+        });
+    }
+    let fallback = dead.iter().position(|&d| !d).ok_or(PlanError::NoLiveDc)? as DcId;
+    for (m, &home) in masters.iter_mut().zip(homes) {
+        if dead[*m as usize] {
+            *m = if dead[home as usize] { fallback } else { home };
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -40,7 +40,7 @@ pub mod vertexcut;
 
 pub use edgecut::EdgeCutState;
 pub use error::PlanError;
-pub use hybrid::{EvacuationReport, HybridState};
+pub use hybrid::{reseed_stranded_masters, EvacuationReport, HybridState};
 pub use kernel::{MoveScratch, ScratchStats};
 pub use profile::TrafficProfile;
 pub use shard::{export_row, RowSync, ShardPlacement};

@@ -60,8 +60,9 @@ pub(crate) struct VertexMeta {
 /// Work counters of one incremental delta application
 /// ([`crate::HybridState::apply_delta`]) — the probe behind the "window
 /// work is proportional to the delta, not the graph" contract. The dynamic
-/// benchmarks assert on [`Self::work_items`] the same way the kernel
-/// asserts on its `ScratchStats`.
+/// tests (`tests/tests/delta_properties.rs`, the adaptive-window unit
+/// tests) assert on [`Self::work_items`] the same way the kernel tests
+/// assert on `ScratchStats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaApplyStats {
     /// Vertices appended by this window.

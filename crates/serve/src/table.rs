@@ -131,13 +131,6 @@ impl RoutingTable {
         out.extend(edges.iter().map(|&(u, v)| self.edge_placement(u, v)));
     }
 
-    /// The table this one becomes when the DCs flagged in `dead` fail:
-    /// every vertex mastered on a dead DC is re-routed with the *same*
-    /// rule the trainer's fault-window reseed uses — its home location if
-    /// alive, else the first live DC — so the evacuated table matches the
-    /// placement the next fault window will resume from. Dead DCs are
-    /// also stripped from every replica set.
-    ///
     /// Resident heap bytes of this table: the three per-vertex planes
     /// (master `DcId`, replica bitmask `u64`, degree-class `bool`). This
     /// is what one published epoch pins while readers hold it — the
@@ -149,26 +142,28 @@ impl RoutingTable {
             + self.high.capacity() * std::mem::size_of::<bool>()
     }
 
+    /// The table this one becomes when the DCs flagged in `dead` fail:
+    /// every vertex mastered on a dead DC is re-routed by the trainer's
+    /// own fault-window rule ([`geopart::reseed_stranded_masters`]: its
+    /// home location if alive, else the first live DC), so the evacuated
+    /// table matches the placement the next fault window will resume
+    /// from. Dead DCs are also stripped from every replica set.
+    ///
     /// # Panics
     /// If `dead` does not cover the DC count, `homes` does not cover the
     /// vertices, or every DC is dead.
     pub fn evacuated(&self, dead: &[bool], homes: &[DcId]) -> RoutingTable {
-        assert_eq!(dead.len(), self.num_dcs as usize, "dead flags must cover every DC");
-        assert_eq!(homes.len(), self.masters.len(), "homes must cover every vertex");
-        let fallback = dead.iter().position(|&d| !d).expect("at least one DC must survive") as DcId;
+        let mut out = self.clone();
+        geopart::reseed_stranded_masters(&mut out.masters, homes, dead, self.num_dcs as usize)
+            .unwrap_or_else(|e| panic!("evacuation refused: {e}"));
         let mut dead_mask = 0u64;
         for (d, &is_dead) in dead.iter().enumerate() {
             if is_dead {
                 dead_mask |= 1u64 << d;
             }
         }
-        let mut out = self.clone();
-        for v in 0..out.masters.len() {
-            if dead[out.masters[v] as usize] {
-                let home = homes[v];
-                out.masters[v] = if dead[home as usize] { fallback } else { home };
-            }
-            out.replicas[v] = (out.replicas[v] & !dead_mask) | (1u64 << out.masters[v]);
+        for (replicas, &master) in out.replicas.iter_mut().zip(&out.masters) {
+            *replicas = (*replicas & !dead_mask) | (1u64 << master);
         }
         out.epoch = 0; // re-assigned at publish
         out

@@ -94,6 +94,14 @@ fn workload() -> Workload {
 
 #[test]
 fn kill_at_every_record_boundary_and_mid_record() {
+    // With a snapshot every 2 windows recovery starts from the latest
+    // snapshot; with none it replays the whole log from genesis.
+    for snapshot_every in [0, 2] {
+        kill_at_every_crash_point(snapshot_every);
+    }
+}
+
+fn kill_at_every_crash_point(snapshot_every: u64) {
     let w = workload();
     let env = ec2_eight_regions();
     let t_opt = Duration::from_secs(60);
@@ -106,9 +114,15 @@ fn kill_at_every_record_boundary_and_mid_record() {
     // The uninterrupted run. expected[j] = (masters, movement-cost bits)
     // at the boundary where `next_window == j`; index 0 is genesis.
     let mut expected: Vec<(Vec<DcId>, u64)> = vec![(w.geo0.locations.clone(), 0)];
-    let mut durable =
-        DurableAdaptive::create(&base, pinned_config(), Some(0.4), w.geo0.clone(), &env, 2)
-            .expect("create durable dir");
+    let mut durable = DurableAdaptive::create(
+        &base,
+        pinned_config(),
+        Some(0.4),
+        w.geo0.clone(),
+        &env,
+        snapshot_every,
+    )
+    .expect("create durable dir");
     let p0 = TrafficProfile::uniform(w.geo0.num_vertices(), 8.0);
     durable.window(&env, None, &[], &[], p0, 10.0, t_opt).expect("window 0");
     let push_state = |d: &DurableAdaptive, out: &mut Vec<(Vec<DcId>, u64)>| {
@@ -172,10 +186,16 @@ fn kill_at_every_record_boundary_and_mid_record() {
             .unwrap_or_else(|e| panic!("cut {k}: truncating to {cut} bytes: {e}"));
 
         let (recovered, summary) =
-            DurableAdaptive::recover(&scratch, pinned_config(), Some(0.4), &env, 2)
+            DurableAdaptive::recover(&scratch, pinned_config(), Some(0.4), &env, snapshot_every)
                 .unwrap_or_else(|e| panic!("cut {k} at byte {cut}: recovery failed: {e}"));
         let j = summary.next_window as usize;
         assert!(j < expected.len(), "cut {k}: recovered past the end of the run");
+        if snapshot_every == 0 {
+            assert_eq!(
+                summary.replayed_windows, summary.next_window,
+                "cut {k}: a snapshot-free log replays every committed window"
+            );
+        }
         let (exp_masters, exp_cost) = &expected[j];
         assert_eq!(
             recovered.masters(),

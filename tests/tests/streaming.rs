@@ -3,9 +3,10 @@
 //! chunked ingest must be bit-identical to the staged entry points at any
 //! thread count and chunking.
 
-use geograph::generators::{rmat_streamed, RmatConfig};
+use geograph::datasets::DEFAULT_CHUNK_EDGES;
+use geograph::generators::{rmat_streamed, RmatChunks, RmatConfig};
 use geograph::{
-    build_chunked, ChunkedEdges, Graph, GraphBuilder, ScopedPool, ShardSpec, ShardView,
+    build_chunked, ChunkedEdges, Dataset, Graph, GraphBuilder, ScopedPool, ShardSpec, ShardView,
     StreamConfig, VertexId,
 };
 use proptest::prelude::*;
@@ -235,6 +236,34 @@ fn streamed_rmat_deterministic_across_thread_counts() {
         let (g, r) = rmat_streamed(&config, 9, 1 << 10, &ScopedPool(threads)).unwrap();
         assert_eq!(g, reference, "streamed R-MAT diverged at {threads} threads");
         assert_eq!(r.edges, report.edges);
+    }
+}
+
+/// The substrate's byte budgets, on the LiveJournal analog at scale 0.002
+/// (9.7 k vertices, ~14 edges per vertex — the density at which they
+/// bind). All three are exact for a seed. CSR: at most 9.0 B per directed
+/// edge (measured 8.62; `usize` offsets cost 9.25 and fail). Build: peak at
+/// most 1.25 x the CSR it returns (measured 1.000; a staged edge list sits
+/// at 2-3 x). Shard-resident ingest at 4 edge-balanced shards: every
+/// shard's view plus transients at most 0.5 x the full CSR (measured
+/// 0.355), each view equal to its staged build.
+#[test]
+fn lj_analog_ingest_stays_inside_its_byte_budgets() {
+    let (config, seed) = Dataset::LiveJournal.rmat_setup(0.002, 42);
+    let pool = ScopedPool(2);
+    let (graph, report) = rmat_streamed(&config, seed, DEFAULT_CHUNK_EDGES, &pool).unwrap();
+    let per_edge = report.csr_bytes as f64 / report.edges as f64;
+    assert!(per_edge <= 9.0, "CSR costs {per_edge:.3} B/edge");
+    assert!(report.build_ratio() <= 1.25, "build peaked at {:.3} x the CSR", report.build_ratio());
+
+    let src = RmatChunks::new(config, seed, DEFAULT_CHUNK_EDGES);
+    let spec = ShardSpec::balanced(&graph, 4);
+    for s in 0..4 {
+        let (view, shard) =
+            ShardView::build_streamed(&src, StreamConfig::cleaned(), &spec, s, &pool).unwrap();
+        assert_eq!(view, ShardView::build(&graph, &spec, s), "shard {s} diverged from staged");
+        let frac = shard.peak_bytes() as f64 / report.csr_bytes as f64;
+        assert!(frac <= 0.5, "shard {s} peaked at {frac:.3} x the full CSR");
     }
 }
 
