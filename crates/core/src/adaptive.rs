@@ -8,6 +8,15 @@
 //! budget affords — *this* is what makes RLCut adaptive where Spinner is
 //! best-effort (it converges regardless of `T_opt`, overshooting it under
 //! fast updates and wasting effort under slow ones, Fig 15b).
+//!
+//! Which agents those are changes with the window. Window 0 is a cold
+//! partition. Every later window's sample goes first to what its delta
+//! made hot, capped at half, and then to this window's slice of a ring
+//! over every other low-degree agent, which the window index rotates
+//! ([`crate::sampling::window_order`]) — so a long-running pipeline keeps
+//! approaching what a cold partition would reach instead of re-training
+//! one lowest-degree prefix. The automata themselves are fresh each
+//! window: carried LA vectors would be state recovery must reproduce.
 
 use std::time::{Duration, Instant};
 
@@ -93,6 +102,10 @@ pub struct WindowReport {
     pub total_cost: f64,
     /// Accepted migrations during the window.
     pub migrations: usize,
+    /// Agents the window's sampling order fronted as hot — the delta's
+    /// degree-capped neighborhood (0 for window 0 and for a window that
+    /// rebuilt without a delta).
+    pub hot_agents: usize,
     /// Work counters of the incremental delta apply (`None` when the
     /// window rebuilt from scratch). The zero-rebuild probe: `work_items()`
     /// scales with the delta, not the graph.
@@ -108,9 +121,10 @@ pub struct WindowReport {
 ///   work proportional to the touched vertices
 ///   ([`HybridState::resume_from_parts`]), the trainer session adopts the
 ///   previous window's worker pool and scratch ([`SessionResources`]),
-///   sampling is re-focused on the delta's touched neighborhoods, and the
-///   Eq 14 rate floor is raised so a converged schedule cannot starve
-///   them. No full-graph state rebuild happens anywhere in the window.
+///   the delta's degree-capped neighborhood is fronted in the sampling
+///   order ([`TrainerSession::focus_window`]), and the Eq 14 rate floor
+///   is raised so a converged schedule cannot starve it. No full-graph
+///   state rebuild happens anywhere in the window.
 /// * **Rebuild** ([`Self::on_window`]) — `from_masters` over the whole
 ///   snapshot: the first window, a window after a noted fault, and any
 ///   window whose change did not arrive as a delta.
@@ -140,6 +154,12 @@ pub struct AdaptiveRlCut {
     /// Ask each window's session to journal its applied moves (the
     /// durable driver's WAL feed).
     journal_moves: bool,
+    /// Index of the next window: how many have completed, counted from
+    /// [`Self::new`] or from the index [`Self::with_carried`] was handed.
+    /// The sampling ring's cursor is a function of it, so it is the one
+    /// piece of trainer state a recovered pipeline must agree on — and the
+    /// durable driver already knows it.
+    window: u64,
 }
 
 impl AdaptiveRlCut {
@@ -156,22 +176,26 @@ impl AdaptiveRlCut {
             num_shards: None,
             last_shard_refreshes: None,
             journal_moves: false,
+            window: 0,
         }
     }
 
     /// [`Self::new`] resuming from recovered state: `carried` is the
     /// placement + theta of the last committed window (e.g. out of a
-    /// durable-store replay), adopted bit-for-bit — the next delta window
-    /// takes the incremental path exactly as if this process had trained
-    /// the previous window itself.
+    /// durable-store replay), adopted bit-for-bit, and `next_window` is how
+    /// many windows committed before it — the next delta window takes the
+    /// incremental path and samples the ring slice exactly as if this
+    /// process had trained every previous window itself.
     pub fn with_carried(
         config: RlCutConfig,
         budget_fraction: Option<f64>,
         carried: (PlacementState, usize),
+        next_window: u64,
     ) -> Self {
         let mut adaptive = Self::new(config, budget_fraction);
         adaptive.masters = carried.0.masters().to_vec();
         adaptive.carried = Some(carried);
+        adaptive.window = next_window;
         adaptive
     }
 
@@ -277,7 +301,7 @@ impl AdaptiveRlCut {
 
     /// [`Self::on_window`] consuming the window's [`GraphDelta`]: resumes
     /// the carried placement state incrementally (work proportional to the
-    /// delta), re-focuses sampling on the touched neighborhoods, and
+    /// delta), fronts what the delta made hot in the sampling order, and
     /// reuses the carried worker pool. Falls back to the rebuild path on
     /// the first window and after a noted fault.
     pub fn on_window_delta(
@@ -375,17 +399,17 @@ impl AdaptiveRlCut {
         if self.journal_moves {
             session.enable_move_journal();
         }
-        if incremental {
-            // The delta's touched neighborhoods are where quality
-            // degraded: front them in the sampling order and floor the
-            // Eq 14 rate so even a converged schedule revisits them (the
-            // generalization of the fault path's ×8 initial-rate boost).
-            let touched = delta.expect("checked by `incremental`").touched();
-            session.focus_on(touched);
-            let floor =
-                (8.0 * touched.len() as f64 / session.num_trainable().max(1) as f64).min(1.0);
-            session.boost_sampling(floor);
-        }
+        // What a resumed delta touched is where quality degraded: floor the
+        // Eq 14 rate so even a converged schedule revisits it (the
+        // generalization of the fault path's ×8 initial-rate boost).
+        let touched = if incremental { delta.map_or(&[][..], GraphDelta::touched) } else { &[] };
+        let floor = (8.0 * touched.len() as f64 / session.num_trainable().max(1) as f64).min(1.0);
+        session.boost_sampling(floor);
+        // Window 0 is a cold partition and samples as `rlcut::partition`
+        // does. Every later one fronts the delta's hot set and spends the
+        // rest of its sample on this window's slice of the ring.
+        let hot_agents =
+            if self.window > 0 { session.focus_window(touched, self.window) } else { 0 };
         session.run(env, &mut crate::observer::NoopObserver)?;
         let (result, resources) = session.finish_with_resources(env);
         self.resources = Some(resources);
@@ -397,6 +421,7 @@ impl AdaptiveRlCut {
         let migrations = result.total_migrations();
         self.masters = result.state.core().masters().to_vec();
         self.carried = Some(result.state.into_parts());
+        self.window += 1;
         Ok(WindowReport {
             overhead: delta_apply + train,
             delta_apply,
@@ -404,6 +429,7 @@ impl AdaptiveRlCut {
             transfer_time: objective.transfer_time,
             total_cost: objective.total_cost(),
             migrations,
+            hot_agents,
             delta_stats,
         })
     }
@@ -629,6 +655,106 @@ mod tests {
             );
         }
         assert_eq!(adaptive.masters().len(), graph.num_vertices());
+    }
+
+    /// A 1 000-vertex preferential graph under its paper-default homes.
+    fn quiet_workload(seed: u64) -> GeoGraph {
+        let n = 1000;
+        let graph = geograph::Graph::from_edges(n, &preferential_attachment_edges(n, 4, seed));
+        GeoGraph::from_graph(graph, &LocalityConfig::paper_default(seed))
+    }
+
+    fn insert(src: geograph::VertexId, dst: geograph::VertexId) -> geograph::dynamic::EdgeEvent {
+        use geograph::dynamic::{EdgeEvent, EventKind};
+        EdgeEvent { src, dst, timestamp_ms: 0, kind: EventKind::Insert }
+    }
+
+    fn grown(geo: &GeoGraph, delta: &GraphDelta) -> GeoGraph {
+        let graph = geo.graph.apply_delta(delta);
+        GeoGraph::new(graph, geo.locations.clone(), geo.data_sizes.clone(), geo.num_dcs)
+    }
+
+    #[test]
+    fn hub_touching_delta_fronts_a_bounded_hot_set() {
+        // One new edge into the graph's biggest hub. What is hot is the two
+        // endpoints and the ordinary one's neighbors — a handful — where
+        // expanding the hub as well fronts a fifth of the graph.
+        let geo0 = quiet_workload(31);
+        let env = ec2_eight_regions();
+        // Rate 1.0: the half-sample cap is far above any of this.
+        let config =
+            RlCutConfig::new(1.0).with_seed(2).with_fixed_sample_rate(1.0).with_max_steps(1);
+        let mut adaptive = AdaptiveRlCut::new(config, Some(0.4));
+        let t_opt = Duration::from_secs(60);
+        let p = TrafficProfile::uniform(geo0.num_vertices(), 8.0);
+        let w0 = adaptive.on_window(&geo0, &env, p.clone(), 10.0, t_opt).expect("window 0");
+        assert_eq!(w0.hot_agents, 0, "window 0 has no delta");
+
+        let g = &geo0.graph;
+        let hub = g.vertices().max_by_key(|&v| g.in_degree(v)).unwrap();
+        let leaf = g
+            .vertices()
+            .find(|&v| g.in_degree(v) == 0 && !g.out_neighbors(v).contains(&hub))
+            .unwrap();
+        let delta = GraphDelta::from_events(g, &[insert(leaf, hub)]);
+        assert_eq!(delta.touched(), &[hub.min(leaf), hub.max(leaf)]);
+        let geo1 = grown(&geo0, &delta);
+        let w1 = adaptive.on_window_delta(&geo1, &env, &delta, p, 10.0, t_opt).expect("window 1");
+
+        let (core, _) = adaptive.carried_parts().expect("carried");
+        assert!(core.is_high(hub) && !core.is_high(leaf));
+        let bound = 2 + geo1.graph.degree(leaf);
+        assert!(w1.hot_agents >= 2 && w1.hot_agents <= bound, "{} hot agents", w1.hot_agents);
+        assert!(
+            geo1.graph.degree(hub) > 10 * bound,
+            "hub degree {} must dwarf the bound {bound} for this to test anything",
+            geo1.graph.degree(hub)
+        );
+    }
+
+    #[test]
+    fn quiet_pipeline_keeps_converging() {
+        // Ten windows at rate 0.1 × 2 steps, each delta a single edge: the
+        // same 2 N agent-steps as one cold partition at rate 1.0 × 2. The
+        // ring walks every low-degree agent through the sample once, so the
+        // windows keep migrating after the first and end near the cold plan.
+        let mut geo = quiet_workload(37);
+        let env = ec2_eight_regions();
+        let n = geo.num_vertices() as geograph::VertexId;
+        let windowed =
+            RlCutConfig::new(1.0).with_seed(5).with_theta(8).with_max_steps(2).with_threads(1);
+        let cold_config = windowed.clone().with_fixed_sample_rate(1.0);
+        let mut adaptive = AdaptiveRlCut::new(windowed.with_fixed_sample_rate(0.1), Some(0.4));
+        let t_opt = Duration::from_secs(60);
+        let p = TrafficProfile::uniform(geo.num_vertices(), 8.0);
+
+        let mut migrations = Vec::new();
+        let w0 = adaptive.on_window(&geo, &env, p.clone(), 10.0, t_opt).expect("window 0");
+        migrations.push(w0.migrations);
+        let mut last = w0;
+        for i in 1..10u32 {
+            let delta = GraphDelta::from_events(&geo.graph, &[insert(n - i, n - i - 100)]);
+            geo = grown(&geo, &delta);
+            last = adaptive
+                .on_window_delta(&geo, &env, &delta, p.clone(), 10.0, t_opt)
+                .unwrap_or_else(|e| panic!("window {i}: {e}"));
+            migrations.push(last.migrations);
+        }
+        let busy = migrations[1..].iter().filter(|&&m| m > 0).count();
+        assert!(busy >= 7, "windows after the first must keep migrating: {migrations:?}");
+
+        let natural = HybridState::natural(&geo, &env, 8, p.clone(), 10.0).objective(&env);
+        let mut cold = cold_config;
+        cold.budget = geosim::cost::default_budget(&env, &geo.locations, &geo.data_sizes, 0.4);
+        let cold = crate::trainer::partition(&geo, &env, p, 10.0, &cold).final_objective(&env);
+        assert!(cold.transfer_time < 0.9 * natural.transfer_time);
+        assert!(
+            last.transfer_time <= 1.15 * cold.transfer_time,
+            "ten quiet windows reach {} where a cold partition reaches {} (natural {})",
+            last.transfer_time,
+            cold.transfer_time,
+            natural.transfer_time
+        );
     }
 
     #[test]

@@ -178,7 +178,9 @@ impl DurableAdaptive {
             rolled_back: recovered.rolled_back,
         };
         let inner = match recovered.parts {
-            Some(parts) => AdaptiveRlCut::with_carried(config, budget_fraction, parts),
+            Some(parts) => {
+                AdaptiveRlCut::with_carried(config, budget_fraction, parts, recovered.next_window)
+            }
             None => AdaptiveRlCut::new(config, budget_fraction),
         }
         .with_move_journal();
@@ -190,7 +192,10 @@ impl DurableAdaptive {
             env_fp: env_fingerprint(env),
             pending_dead: None,
             snapshot_every,
-            windows_since_snapshot: 0,
+            // The cadence counts from the snapshot recovery loaded, not
+            // from the restart — or a pipeline that restarts more often
+            // than it snapshots never cuts another one.
+            windows_since_snapshot: recovered.replayed_windows,
             on_commit: None,
         };
         Ok((durable, summary))

@@ -7,14 +7,37 @@
 //! replicas everywhere no matter where their master sits (Fig 9). So the
 //! sampler orders agents by ascending degree and each step trains a prefix
 //! whose length the Eq 14 schedule retunes from the remaining time budget.
+//! A cold partition trains that order as it stands; a dynamic window past
+//! the first re-cuts it ([`window_order`]) so its sample goes to what the
+//! delta touched and to a slice of everything else that moves on with
+//! every window.
 
 use geograph::{Graph, VertexId};
 
 /// Vertices ordered by ascending total degree (ties by id) — the sampling
-/// priority order.
+/// priority order. A counting sort: one histogram pass over the degrees,
+/// a prefix sum, one scatter in ascending id order (which is what breaks
+/// ties by id) — O(V + max degree), where a comparison sort was the
+/// largest fixed cost of setting up a window's session.
 pub fn degree_ascending_order(graph: &Graph) -> Vec<VertexId> {
-    let mut order: Vec<VertexId> = (0..graph.num_vertices() as VertexId).collect();
-    order.sort_by_key(|&v| (graph.degree(v), v));
+    let mut slots: Vec<u32> = Vec::new();
+    for v in graph.vertices() {
+        let d = graph.degree(v);
+        if d >= slots.len() {
+            slots.resize(d + 1, 0);
+        }
+        slots[d] += 1;
+    }
+    let mut next = 0u32;
+    for slot in &mut slots {
+        next += std::mem::replace(slot, next);
+    }
+    let mut order: Vec<VertexId> = vec![0; graph.num_vertices()];
+    for v in graph.vertices() {
+        let slot = &mut slots[graph.degree(v)];
+        order[*slot as usize] = v;
+        *slot += 1;
+    }
     order
 }
 
@@ -193,6 +216,56 @@ pub fn scan_window(prefix: &[VertexId], cap: usize, step_index: usize) -> Vec<Ve
     window
 }
 
+/// The sampling priority order of dynamic window `window_index`: `base`
+/// (the session's order) cut into three segments, each keeping `base`'s
+/// relative order.
+///
+/// * **hot** — the first `ceil(first_sample / 2)` vertices `is_hot` marks
+///   (the delta's neighborhood). The cap leaves the other half of the
+///   window's first-step sample to the ring however heavy the delta is,
+///   and a quiet delta leaves it more.
+/// * **ring** — every other vertex that is not `is_high`, rotated left by
+///   `window_index × first_sample` (mod its length), so consecutive
+///   windows sample consecutive slices and a pipeline that keeps running
+///   keeps training vertices no delta came near.
+/// * **rest** — the high-degree vertices, which move little wherever
+///   their master sits (Fig 9) and are trained when a delta touches them.
+///
+/// Like [`scan_window`], the rotation is a pure function of an index the
+/// caller already has, so it adds nothing to a checkpoint, a WAL record or
+/// a snapshot: a recovered pipeline knows its next window index and so
+/// samples exactly what the uninterrupted one would. Returns the order and
+/// the length of its hot segment.
+pub fn window_order(
+    base: &[VertexId],
+    is_hot: impl Fn(VertexId) -> bool,
+    is_high: impl Fn(VertexId) -> bool,
+    first_sample: usize,
+    window_index: u64,
+) -> (Vec<VertexId>, usize) {
+    let hot_cap = first_sample.div_ceil(2);
+    let mut order = Vec::with_capacity(base.len());
+    let (mut ring, mut rest) = (Vec::with_capacity(base.len()), Vec::new());
+    for &v in base {
+        if order.len() < hot_cap && is_hot(v) {
+            order.push(v);
+        } else if is_high(v) {
+            rest.push(v);
+        } else {
+            ring.push(v);
+        }
+    }
+    let hot = order.len();
+    let start = match ring.len() {
+        0 => 0,
+        len => ((window_index as u128 * first_sample as u128) % len as u128) as usize,
+    };
+    order.extend_from_slice(&ring[start..]);
+    order.extend_from_slice(&ring[..start]);
+    order.extend(rest);
+    (order, hot)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,6 +277,45 @@ mod tests {
         let order = degree_ascending_order(&g);
         assert_eq!(*order.last().unwrap(), 0); // degree 3
         assert_eq!(order[0], 3); // degree 1
+    }
+
+    #[test]
+    fn counting_order_equals_the_comparison_sort() {
+        use geograph::generators::preferential::preferential_attachment_edges;
+        use geograph::generators::{rmat, RmatConfig};
+        let preferential = Graph::from_edges(600, &preferential_attachment_edges(600, 5, 3));
+        for graph in [
+            rmat(&RmatConfig::social(2048, 16_384), 11),
+            preferential,
+            Graph::empty(37),
+            Graph::empty(1),
+            Graph::empty(0),
+        ] {
+            let mut sorted: Vec<VertexId> = graph.vertices().collect();
+            sorted.sort_by_key(|&v| (graph.degree(v), v));
+            assert_eq!(degree_ascending_order(&graph), sorted, "n = {}", graph.num_vertices());
+        }
+    }
+
+    #[test]
+    fn window_order_caps_hot_and_rotates_the_ring() {
+        // Ten agents in base order; 8 and 9 are high-degree, 1 3 5 7 hot.
+        let base: Vec<VertexId> = (0..10).collect();
+        let order = |first_sample, window| {
+            window_order(&base, |v| v % 2 == 1 && v < 8, |v| v >= 8, first_sample, window)
+        };
+        // A sample of 4 fronts two hot agents; the hot ones past the cap
+        // stay in the ring, in place. Window 0 rotates by nothing.
+        assert_eq!(order(4, 0), (vec![1, 3, 0, 2, 4, 5, 6, 7, 8, 9], 2));
+        // Window 1 starts the six-agent ring 4 along, window 2 wraps: 8 % 6.
+        assert_eq!(order(4, 1), (vec![1, 3, 6, 7, 0, 2, 4, 5, 8, 9], 2));
+        assert_eq!(order(4, 2), (vec![1, 3, 4, 5, 6, 7, 0, 2, 8, 9], 2));
+        // A sample of one still trains what the delta touched.
+        assert_eq!(order(1, 0).1, 1);
+        // Nothing hot, nothing low-degree, nothing at all.
+        assert_eq!(window_order(&base, |_| false, |_| true, 4, 3), (base.clone(), 0));
+        assert_eq!(window_order(&[], |_| true, |_| false, 4, 3), (vec![], 0));
+        assert_eq!(order(0, 5), (vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9], 0));
     }
 
     #[test]

@@ -52,7 +52,7 @@ use crate::agent::AgentPool;
 use crate::checkpoint::{CheckpointError, TrainerCheckpoint};
 use crate::config::{RlCutConfig, SampleStrategy};
 use crate::pool::{PoolError, WorkerPool};
-use crate::sampling::{degree_ascending_order, sample_prefix, SampleScheduler};
+use crate::sampling::{degree_ascending_order, sample_prefix, window_order, SampleScheduler};
 use crate::score::{best_destination, score, Weights};
 use crate::shard::{ShardCarry, ShardError, ShardRuntime, ShuffleTransport};
 use crate::stats::{RlCutResult, StepStats};
@@ -282,7 +282,8 @@ pub struct TrainerSession<'g> {
     config: RlCutConfig,
     theta: usize,
     /// Sampling priority order (degree-ascending or seeded shuffle),
-    /// isolated vertices excluded.
+    /// isolated vertices excluded; a dynamic window re-cuts it into hot /
+    /// ring / rest ([`Self::focus_window`]).
     order: Vec<VertexId>,
     proposer: Proposer,
     scheduler: SampleScheduler,
@@ -568,32 +569,44 @@ impl<'g> TrainerSession<'g> {
         }
     }
 
-    /// Reorders the sampling priority so `seeds` and their in/out
-    /// neighbors come first (stable within each half, so degree order is
-    /// preserved inside the hot prefix and inside the tail). After a
-    /// dynamic window, the delta's touched vertices are where placement
-    /// quality degraded; fronting them makes even a tiny Eq 14 sample
-    /// revisit the perturbed neighborhoods first.
-    pub fn focus_on(&mut self, seeds: &[VertexId]) {
-        if seeds.is_empty() {
-            return;
-        }
-        let n = self.geo.num_vertices();
-        let mut hot = vec![false; n];
-        for &s in seeds {
+    /// Reorders the sampling priority for dynamic window `window_index`
+    /// whose delta touched `touched` ([`window_order`]): hot, then a ring
+    /// slice that rotates with the window index, then the high-degree
+    /// rest. Hot is every touched endpoint plus the in/out neighbors of
+    /// the touched endpoints that are *not* high-degree (the placement's
+    /// own θ class). A hub's neighborhood is a large share of the graph —
+    /// expanding it makes everything hot, which ranks nothing — while the
+    /// hub itself, and any neighbor reached through a low-degree endpoint,
+    /// is where the delta actually changed the objective.
+    ///
+    /// Half of the first step's sample (the schedule's opening rate, so
+    /// raise the floor with [`Self::boost_sampling`] first) is the most
+    /// the hot segment fronts. Out-of-range ids are ignored. Returns the
+    /// hot segment's length.
+    pub fn focus_window(&mut self, touched: &[VertexId], window_index: u64) -> usize {
+        let graph = &self.geo.graph;
+        let core = self.state.get_mut().core();
+        let mut hot = vec![false; graph.num_vertices()];
+        for &s in touched {
             let Some(flag) = hot.get_mut(s as usize) else { continue };
             *flag = true;
-            for &u in self.geo.graph.out_neighbors(s) {
-                hot[u as usize] = true;
-            }
-            for &u in self.geo.graph.in_neighbors(s) {
-                hot[u as usize] = true;
+            if !core.is_high(s) {
+                for &u in graph.out_neighbors(s).iter().chain(graph.in_neighbors(s)) {
+                    hot[u as usize] = true;
+                }
             }
         }
-        let (mut front, back): (Vec<VertexId>, Vec<VertexId>) =
-            self.order.iter().copied().partition(|&v| hot[v as usize]);
-        front.extend(back);
-        self.order = front;
+        let first_sample =
+            self.scheduler.next_rate().map_or(0, |rate| sample_prefix(&self.order, rate).len());
+        let (order, hot_len) = window_order(
+            &self.order,
+            |v| hot[v as usize],
+            |v| core.is_high(v),
+            first_sample,
+            window_index,
+        );
+        self.order = order;
+        hot_len
     }
 
     /// Raises the Eq 14 sample-rate floor (see
@@ -1270,43 +1283,102 @@ mod tests {
         reconciled.state.check_consistency(&env);
     }
 
-    #[test]
-    fn focus_on_fronts_touched_neighborhoods() {
-        let (geo, env) = setup(19);
+    /// A session over `setup(19)` at a fixed sample rate, theta as
+    /// `partition` picks it.
+    fn focus_session<'g>(geo: &'g GeoGraph, env: &CloudEnv, rate: f64) -> TrainerSession<'g> {
         let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
         let theta = geograph::degree::suggest_theta(&geo.graph, 0.05);
         let state =
-            HybridState::from_masters(&geo, &env, geo.locations.clone(), theta, profile, 10.0);
-        let config = default_config(&geo, &env);
-        let mut session = TrainerSession::new(&geo, &env, state, config);
-        let seeds: Vec<VertexId> = vec![3, 99];
-        let mut hot: Vec<VertexId> = seeds.clone();
-        for &s in &seeds {
-            hot.extend_from_slice(geo.graph.out_neighbors(s));
-            hot.extend_from_slice(geo.graph.in_neighbors(s));
-        }
+            HybridState::from_masters(geo, env, geo.locations.clone(), theta, profile, 10.0);
+        let config = default_config(geo, env).with_fixed_sample_rate(rate).with_max_steps(2);
+        TrainerSession::new(geo, env, state, config)
+    }
+
+    #[test]
+    fn focus_on_fronts_touched_neighborhoods() {
+        let (geo, env) = setup(19);
+        let g = &geo.graph;
+        let by_degree = |w: &[VertexId]| (g.degree(w[0]), w[0]) < (g.degree(w[1]), w[1]);
+        let mut session = focus_session(&geo, &env, 1.0);
+        let base = session.order.clone();
+        let theta = geograph::degree::suggest_theta(g, 0.05);
+        let is_high = |v: VertexId| g.in_degree(v) >= theta;
+        // One hub and one ordinary vertex, as a preferential delta touches.
+        let hub = g.vertices().max_by_key(|&v| g.in_degree(v)).unwrap();
+        let low = g.vertices().find(|&v| !is_high(v) && (4..=8).contains(&g.degree(v))).unwrap();
+        assert!(is_high(hub) && g.degree(hub) > 10 * g.degree(low), "{}", g.degree(hub));
+        let mut hot: Vec<VertexId> = vec![hub, low];
+        hot.extend_from_slice(g.out_neighbors(low));
+        hot.extend_from_slice(g.in_neighbors(low));
         hot.sort_unstable();
         hot.dedup();
-        hot.retain(|&v| geo.graph.degree(v) > 0);
-        session.focus_on(&seeds);
-        let order = &session.order;
-        // Every trainable hot vertex sits in the prefix, in a stable
-        // (degree-preserving) order within each half.
-        let prefix: Vec<VertexId> = order[..hot.len()].to_vec();
-        let mut sorted_prefix = prefix.clone();
-        sorted_prefix.sort_unstable();
-        assert_eq!(sorted_prefix, hot);
-        for w in order[..hot.len()].windows(2) {
-            assert!(
-                (geo.graph.degree(w[0]), w[0]) < (geo.graph.degree(w[1]), w[1]),
-                "hot prefix lost its degree order"
-            );
+        let high: Vec<VertexId> =
+            base.iter().copied().filter(|&v| is_high(v) && !hot.contains(&v)).collect();
+        let ring_len = base.len() - hot.len() - high.len();
+
+        // At rate 1.0 the half cap is far away: the hot segment is the
+        // two endpoints and the low one's neighbors — the hub's own
+        // neighborhood stays out — in degree order. Ids past the graph
+        // are ignored.
+        let window = 3;
+        let hot_len = session.focus_window(&[hub, low, u32::MAX], window);
+        assert_eq!(hot_len, hot.len());
+        assert!(hot_len <= 2 + g.degree(low), "{hot_len} hot agents from one low endpoint");
+        let order = session.order.clone();
+        let mut front = order[..hot_len].to_vec();
+        assert!(front.windows(2).all(by_degree), "hot segment lost its degree order");
+        front.sort_unstable();
+        assert_eq!(front, hot);
+        // Then the ring — no high-degree vertex, degree order up to one
+        // wrap, starting `window × first sample` along it — then the rest.
+        let ring = &order[hot_len..hot_len + ring_len];
+        assert!(ring.iter().all(|&v| !is_high(v)));
+        assert_eq!(ring.windows(2).filter(|w| !by_degree(w)).count(), 1, "one wrap point");
+        let start = (window as usize * base.len()) % ring_len;
+        let unrotated: Vec<VertexId> =
+            base.iter().copied().filter(|&v| !is_high(v) && !hot.contains(&v)).collect();
+        assert_eq!(ring[0], unrotated[start]);
+        assert_eq!(&order[hot_len + ring_len..], &high[..]);
+
+        // A sample the hot set would fill: half of it goes to the
+        // lowest-degree hot agents, the other half is the ring's.
+        let mut small = focus_session(&geo, &env, 0.005);
+        let sample = sample_prefix(&small.order, 0.005).len();
+        assert!(sample >= 2 && sample.div_ceil(2) < hot.len(), "{sample} vs {}", hot.len());
+        assert_eq!(small.focus_window(&[hub, low], window), sample.div_ceil(2));
+        let fronted = &small.order[..sample.div_ceil(2)];
+        assert!(fronted.iter().all(|v| hot.contains(v)) && fronted.windows(2).all(by_degree));
+        assert!(small.order[sample.div_ceil(2)..sample].iter().all(|v| !hot.contains(v)));
+
+        // No delta, index 0: nothing fronted, nothing rotated.
+        let mut quiet = focus_session(&geo, &env, 1.0);
+        assert_eq!(quiet.focus_window(&[], 0), 0);
+        let (low_first, high_last): (Vec<VertexId>, Vec<VertexId>) =
+            base.iter().partition(|&&v| !is_high(v));
+        assert_eq!(quiet.order, [low_first, high_last].concat());
+    }
+
+    #[test]
+    fn ring_covers_every_low_degree_agent_in_one_over_rate_windows() {
+        // A pipeline nothing touches still trains everything that is worth
+        // training: at rate r, ceil(1 / r) consecutive windows' first-step
+        // samples cover every trainable vertex below theta.
+        let (geo, env) = setup(20);
+        let rate = 0.07;
+        let windows = (1.0f64 / rate).ceil() as u64;
+        let theta = geograph::degree::suggest_theta(&geo.graph, 0.05);
+        let mut low = focus_session(&geo, &env, rate).order;
+        low.retain(|&v| geo.graph.in_degree(v) < theta);
+        let mut seen = vec![false; geo.num_vertices()];
+        for window in 1..=windows {
+            let mut session = focus_session(&geo, &env, rate);
+            session.focus_window(&[], window);
+            for &v in sample_prefix(&session.order, rate) {
+                seen[v as usize] = true;
+            }
         }
-        // Out-of-range seeds are ignored, empty seeds are a no-op.
-        let before = session.order.clone();
-        session.focus_on(&[]);
-        session.focus_on(&[u32::MAX]);
-        assert_eq!(session.order, before);
+        let missed = low.iter().filter(|&&v| !seen[v as usize]).count();
+        assert_eq!(missed, 0, "{missed} of {} low-degree agents never sampled", low.len());
     }
 
     #[test]

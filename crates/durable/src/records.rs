@@ -136,8 +136,8 @@ impl Record {
                 for &s in &ws.size_suffix {
                     out.extend_from_slice(&s.to_le_bytes());
                 }
-                put_f32s(&mut out, &ws.gather_suffix);
-                put_f32s(&mut out, &ws.apply_suffix);
+                put_profile_suffix(&mut out, &ws.gather_suffix);
+                put_profile_suffix(&mut out, &ws.apply_suffix);
                 out.extend_from_slice(&ws.num_iterations.to_bits().to_le_bytes());
                 match &ws.dead {
                     Some(dead) => {
@@ -168,8 +168,19 @@ impl Record {
         out
     }
 
-    /// Decodes a record payload. `lsn` only labels errors.
-    pub fn from_payload(kind: u8, payload: &[u8], lsn: u64) -> Result<Record, DurableError> {
+    /// Decodes a record payload. `lsn` only labels errors. `base_vertices`
+    /// is how many vertices the pipeline held before this record, as the
+    /// caller has decoded them (the snapshot's graph plus every replayed
+    /// suffix): a window start's run-coded profile suffixes are not bounded
+    /// by the bytes they occupy, so their declared lengths are checked
+    /// against it — plus the record's own new vertices — before a value is
+    /// expanded.
+    pub fn from_payload(
+        kind: u8,
+        payload: &[u8],
+        lsn: u64,
+        base_vertices: usize,
+    ) -> Result<Record, DurableError> {
         let mut r = Reader::new(payload);
         let rec = match kind {
             KIND_WINDOW_START => {
@@ -186,10 +197,11 @@ impl Record {
                 }
                 let n_size = r.len(8)?;
                 let size_suffix = r.u64s(n_size)?;
-                let n_gather = r.len(4)?;
-                let gather_suffix = r.f32s(n_gather)?;
-                let n_apply = r.len(4)?;
-                let apply_suffix = r.f32s(n_apply)?;
+                // The suffix of a window that resumes a placement covers
+                // its new vertices; window 0's covers the whole graph.
+                let longest = base_vertices.saturating_add(n_loc);
+                let gather_suffix = profile_suffix(&mut r, longest)?;
+                let apply_suffix = profile_suffix(&mut r, longest)?;
                 let num_iterations = r.f64()?;
                 let dead = match r.u8()? {
                     0 => None,
@@ -245,11 +257,22 @@ impl Record {
     }
 }
 
-fn put_f32s(out: &mut Vec<u8>, xs: &[f32]) {
-    out.extend_from_slice(&(xs.len() as u64).to_le_bytes());
-    for &x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
+/// A profile suffix as `varint(len)` + `(value, run)` pairs: a uniform
+/// profile — window 0 logs the whole one — is a single run.
+fn put_profile_suffix(out: &mut Vec<u8>, xs: &[f32]) {
+    wire::put_varint(out, xs.len() as u64)
+        .and_then(|()| wire::put_f32_runs(out, xs))
+        .expect("writing into a Vec cannot fail");
+}
+
+/// Inverse of [`put_profile_suffix`], refusing a declared length past
+/// `longest` before [`Reader::runs`] allocates it.
+fn profile_suffix(r: &mut Reader<'_>, longest: usize) -> Result<Vec<f32>, WireError> {
+    let n = r.varint()?;
+    if n > longest as u64 {
+        return Err(WireError::Malformed("profile suffix longer than the graph it covers"));
     }
+    r.runs(n as usize, Reader::f32)
 }
 
 #[cfg(test)]
@@ -270,8 +293,26 @@ mod tests {
         GraphDelta::from_events(&g, &events)
     }
 
+    /// Decodes against a pipeline that held no vertex before the record,
+    /// so a suffix may be no longer than the record's own new vertices.
     fn round_trip(rec: &Record) -> Record {
-        Record::from_payload(rec.kind(), &rec.to_payload(), 0).unwrap()
+        Record::from_payload(rec.kind(), &rec.to_payload(), 0, 0).unwrap()
+    }
+
+    /// Window 0 of a pipeline over `n` vertices under a uniform profile:
+    /// no delta, no new vertices, the whole profile as its suffix.
+    fn window_zero(gather: Vec<f32>, apply: Vec<f32>) -> Record {
+        Record::WindowStart(WindowStart {
+            window: 0,
+            delta: None,
+            loc_suffix: Vec::new(),
+            size_suffix: Vec::new(),
+            gather_suffix: gather,
+            apply_suffix: apply,
+            num_iterations: 10.0,
+            dead: None,
+            env_fp: 0xfeed,
+        })
     }
 
     #[test]
@@ -304,6 +345,60 @@ mod tests {
             env_fp: 7,
         });
         assert_eq!(round_trip(&rec), rec);
+    }
+
+    #[test]
+    fn profile_suffixes_round_trip_bit_for_bit() {
+        // Mixed runs, a sign-of-zero boundary inside what `==` would call
+        // one run, a NaN payload, and the two lengths differing.
+        let gather = vec![8.0, 8.0, 8.0, 0.0, -0.0, -0.0, 1.5, f32::from_bits(0x7fc0_0001), 8.0];
+        let apply = vec![4.0; 5];
+        let rec = window_zero(gather.clone(), apply);
+        let back = Record::from_payload(rec.kind(), &rec.to_payload(), 0, gather.len()).unwrap();
+        let (Record::WindowStart(a), Record::WindowStart(b)) = (&rec, &back) else {
+            panic!("kind changed in flight");
+        };
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.gather_suffix), bits(&b.gather_suffix));
+        assert_eq!(bits(&a.apply_suffix), bits(&b.apply_suffix));
+        // One value longer than the graph the caller vouches for is refused.
+        assert!(Record::from_payload(rec.kind(), &rec.to_payload(), 0, gather.len() - 1).is_err());
+    }
+
+    #[test]
+    fn uniform_window_zero_costs_bytes_not_megabytes() {
+        let n = 97_000;
+        let rec = window_zero(vec![8.0; n], vec![8.0; n]);
+        let payload = rec.to_payload();
+        assert!(payload.len() < 100, "a uniform profile is one run, got {} B", payload.len());
+        assert_eq!(Record::from_payload(rec.kind(), &payload, 0, n).unwrap(), rec);
+        // Cut anywhere, a real window-0 record is a typed error.
+        for len in 0..payload.len() {
+            assert!(
+                Record::from_payload(rec.kind(), &payload[..len], 0, n).is_err(),
+                "truncated to {len} decoded"
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_run_is_refused_before_it_is_expanded() {
+        // One run declaring 2^40 values: 4 TiB if it were allocated. The
+        // declared length is past anything the caller's graph justifies.
+        let mut payload = 0u64.to_le_bytes().to_vec(); // window
+        payload.push(0); // no delta
+        payload.extend_from_slice(&0u64.to_le_bytes()); // no new locations
+        payload.extend_from_slice(&0u64.to_le_bytes()); // no new sizes
+        wire::put_varint(&mut payload, 1 << 40).unwrap();
+        wire::put_varint(&mut payload, 1).unwrap();
+        payload.extend_from_slice(&8.0f32.to_le_bytes());
+        wire::put_varint(&mut payload, 1 << 40).unwrap();
+        match Record::from_payload(KIND_WINDOW_START, &payload, 0, 97_000) {
+            Err(DurableError::Wire(WireError::Malformed(what))) => {
+                assert!(what.contains("profile suffix"), "{what}")
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
     }
 
     #[test]
@@ -347,20 +442,20 @@ mod tests {
             let payload = rec.to_payload();
             for len in 0..payload.len() {
                 assert!(
-                    Record::from_payload(rec.kind(), &payload[..len], 0).is_err(),
+                    Record::from_payload(rec.kind(), &payload[..len], 0, 0).is_err(),
                     "kind {} truncated to {len} decoded",
                     rec.kind()
                 );
             }
             let mut long = payload.clone();
             long.push(0);
-            assert!(Record::from_payload(rec.kind(), &long, 0).is_err());
+            assert!(Record::from_payload(rec.kind(), &long, 0, 0).is_err());
         }
     }
 
     #[test]
     fn unknown_kind_rejected() {
-        match Record::from_payload(9, &[], 42) {
+        match Record::from_payload(9, &[], 42, 0) {
             Err(DurableError::UnknownRecordKind { lsn: 42, kind: 9 }) => {}
             other => panic!("expected UnknownRecordKind, got {other:?}"),
         }
@@ -384,6 +479,6 @@ mod tests {
         // The dead-flag byte sits just before the trailing 8-byte env_fp.
         let flag_at = payload.len() - 9;
         payload[flag_at] = 2;
-        assert!(Record::from_payload(KIND_WINDOW_START, &payload, 0).is_err());
+        assert!(Record::from_payload(KIND_WINDOW_START, &payload, 0, 0).is_err());
     }
 }

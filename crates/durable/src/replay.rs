@@ -132,7 +132,7 @@ pub fn replay(
     let mut rolled_back = false;
     let mut dropped_records = 0u64;
     while pos < records.len() {
-        match parse_window_txn(&records[pos..])? {
+        match parse_window_txn(&records[pos..], geo.num_vertices())? {
             ParsedTxn::Committed { txn, consumed } => {
                 apply_window(
                     &txn,
@@ -177,8 +177,12 @@ enum ParsedTxn {
 
 /// Parses one window transaction from the front of `records`. The whole
 /// transaction is parsed before anything is applied, so a window whose
-/// records are malformed is rejected atomically.
-fn parse_window_txn(records: &[LoadedRecord]) -> Result<ParsedTxn, DurableError> {
+/// records are malformed is rejected atomically. `base_vertices` is the
+/// replayed graph's size so far ([`Record::from_payload`]'s bound).
+fn parse_window_txn(
+    records: &[LoadedRecord],
+    base_vertices: usize,
+) -> Result<ParsedTxn, DurableError> {
     let first = &records[0];
     if first.kind != KIND_WINDOW_START {
         return Err(DurableError::RecordSequence {
@@ -186,13 +190,13 @@ fn parse_window_txn(records: &[LoadedRecord]) -> Result<ParsedTxn, DurableError>
             reason: "expected a window-start record",
         });
     }
-    let start = match Record::from_payload(first.kind, &first.payload, first.lsn)? {
+    let start = match Record::from_payload(first.kind, &first.payload, first.lsn, base_vertices)? {
         Record::WindowStart(ws) => ws,
         _ => unreachable!("kind dispatch"),
     };
     let mut batches = Vec::new();
     for (i, rec) in records.iter().enumerate().skip(1) {
-        match Record::from_payload(rec.kind, &rec.payload, rec.lsn)? {
+        match Record::from_payload(rec.kind, &rec.payload, rec.lsn, base_vertices)? {
             Record::WindowStart(_) => {
                 return Err(DurableError::RecordSequence {
                     lsn: rec.lsn,

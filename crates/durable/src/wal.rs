@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic      4 B   "RLWL"
-//! version    u32   1
+//! version    u32   2
 //! seq        u64   segment sequence number (must match the file name)
 //! first_lsn  u64   LSN of the first record in this segment
 //! checksum   u64   FNV-1a over the 24 bytes above
@@ -55,8 +55,10 @@ use crate::error::{fnv1a, DurableError};
 
 /// Magic bytes opening every WAL segment.
 pub const MAGIC: [u8; 4] = *b"RLWL";
-/// Current segment format version.
-pub const VERSION: u32 = 1;
+/// Current segment format version. A segment of any other version is
+/// [`DurableError::UnsupportedVersion`]: version 1 wrote a window start's
+/// profile suffixes as raw `f32`s where this one run-codes them.
+pub const VERSION: u32 = 2;
 /// Segment header size in bytes.
 pub const HEADER_BYTES: u64 = 32;
 /// Per-record framing overhead (length prefix + kind + checksum).
@@ -513,6 +515,27 @@ mod tests {
                 assert_eq!(reason, "zero-length file")
             }
             other => panic!("zero-length segment must be rejected, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn older_format_version_is_a_typed_error() {
+        let dir = tmp_dir("v1");
+        let mut wal = Wal::create(&dir).unwrap();
+        wal.append(1, b"x").unwrap();
+        wal.sync().unwrap();
+        let (_, path) = segment_paths(&dir).unwrap().pop().unwrap();
+        // The same segment as a version-1 writer stamped it: version
+        // field rewritten, header checksum recomputed.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let sum = fnv1a(&bytes[..24]);
+        bytes[24..32].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match load(&dir) {
+            Err(DurableError::UnsupportedVersion { segment: 0, version: 1 }) => {}
+            other => panic!("a v1 segment must be refused by version, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
     }

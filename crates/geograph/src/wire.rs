@@ -333,6 +333,13 @@ pub fn put_runs<W: Write, T: Copy>(
     })
 }
 
+/// [`put_runs`] over `f32`s compared by bit pattern — the traffic profile's
+/// two planes, in a snapshot and in a WAL window start. [`Reader::runs`]
+/// with [`Reader::f32`] reads it back.
+pub fn put_f32_runs<W: Write>(w: &mut W, values: &[f32]) -> io::Result<()> {
+    put_runs(w, values, |x| x.to_bits() as u64, |w, x| w.write_all(&x.to_le_bytes()))
+}
+
 /// Writes the wire form of `graph`: magic, `varint(n)`, `varint(m)`, then
 /// per vertex `varint(degree)` and the row as first target + gaps. A
 /// duplicate edge (gap 0) is [`io::ErrorKind::InvalidInput`].

@@ -31,7 +31,7 @@
 
 use std::io::{self, Write};
 
-use geograph::wire::{put_runs, put_varint, Reader, WireError};
+use geograph::wire::{put_f32_runs, put_varint, Reader, WireError};
 use geograph::{DcId, MAX_DCS};
 use geosim::StageLoads;
 
@@ -57,10 +57,6 @@ fn take_loads(r: &mut Reader<'_>, m: usize) -> Result<StageLoads, WireError> {
         loads.add_down(d, r.f64()?);
     }
     Ok(loads)
-}
-
-fn put_f32_runs<W: Write>(w: &mut W, values: &[f32]) -> io::Result<()> {
-    put_runs(w, values, |x| x.to_bits() as u64, |w, x| w.write_all(&x.to_le_bytes()))
 }
 
 /// Writes the verbatim wire form of `state` to `w`.

@@ -20,10 +20,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> one training loop, one dispatch (deleted paths stay deleted)"
 # TrainerSession owns the only step loop and the worker pool is the only
 # parallel dispatch; the knobs that selected the deleted twins must not
-# come back under crates/core/src/.
-if git grep -n -E 'use_worker_pool|with_worker_pool|with_rebuild_per_window|thread::scope\(' \
+# come back under crates/core/src/, nor the uncapped one-hop focus rule
+# beside focus_window.
+if git grep -n -E 'use_worker_pool|with_worker_pool|with_rebuild_per_window|thread::scope\(|fn focus_on\(' \
     -- crates/core/src/; then
-  echo "a deleted dispatch path or ablation knob reappeared in crates/core/src/"; exit 1
+  echo "a deleted dispatch path, knob or focus rule reappeared in crates/core/src/"; exit 1
 fi
 
 echo "==> one CSR builder, one migration arm (deleted paths stay deleted)"
@@ -101,11 +102,34 @@ require_tests sharded_masters_match_trainer_at_1_2_4_8_shards \
 require_tests resumed_state_matches_rebuild
 # Pool workers survive across windows (stable OS thread ids).
 require_tests delta_windows_reuse_the_worker_pool
+# What a window samples. Hot is the delta's endpoints plus the neighbors of
+# the ones below theta, at most half the first sample: a hub's edge must
+# not front the graph.
+require_tests focus_on_fronts_touched_neighborhoods \
+  hub_touching_delta_fronts_a_bounded_hot_set
+# The ring walks every agent below theta through the sample once per
+# 1/rate windows, so a quiet pipeline keeps migrating after window 0 and
+# ends within 15 % of a cold partition given the same agent-steps.
+require_tests ring_covers_every_low_degree_agent_in_one_over_rate_windows \
+  quiet_pipeline_keeps_converging
+# The counting sort is the comparison sort's permutation (ties by id).
+require_tests counting_order_equals_the_comparison_sort
 # Crash recovery: a multi-window durable run (with and without snapshots)
 # is truncated at every record boundary plus seeded mid-record offsets;
 # every recovery must equal the uninterrupted run at that boundary, masters
 # bit-identical and movement cost equal to the last f64 bit.
 require_tests kill_at_every_record_boundary_and_mid_record
+# The ring's cursor is the window index and is not logged: recovery at
+# every committed boundary, then the rest of the stream, must end on the
+# uninterrupted run's plan to the bit. And the snapshot cadence counts
+# windows since the last snapshot across a restart.
+require_tests recovery_at_every_boundary_continues_the_ring_bit_exactly \
+  recovery_keeps_the_snapshot_cadence
+# A window start's run-coded profile suffix declares its length: one past
+# what the replayed graph justifies is Malformed before it is allocated,
+# and a segment written before the run coding is a typed version error.
+require_tests oversized_run_is_refused_before_it_is_expanded \
+  older_format_version_is_a_typed_error
 # Cutting a snapshot streams a borrowed view of the live state: under a
 # counting allocator snapshot_now on a 60k-vertex graph stays below 1 MB
 # above its entry watermark (a clone + staged blob is >2x the state), and

@@ -268,3 +268,132 @@ fn rolled_back_window_can_be_refed() {
     assert_eq!(core.movement_cost().to_bits(), final_cost);
     let _ = std::fs::remove_dir_all(&base);
 }
+
+/// Feeds `steps` to `durable` as delta windows, handing each report and
+/// the driver to `after`.
+fn run_windows(
+    durable: &mut DurableAdaptive,
+    steps: &[(GraphDelta, Vec<DcId>, Vec<u64>)],
+    mut after: impl FnMut(&DurableAdaptive, rlcut::WindowReport),
+) {
+    let env = ec2_eight_regions();
+    for (delta, locs, sizes) in steps {
+        let p = TrafficProfile::uniform(delta.new_num_vertices(), 8.0);
+        let window = durable.next_window();
+        let report = durable
+            .window(&env, Some(delta), locs, sizes, p, 10.0, Duration::from_secs(60))
+            .unwrap_or_else(|e| panic!("window {window}: {e}"));
+        after(durable, report);
+    }
+}
+
+/// A window's sampling ring starts where the window index says, and the
+/// index is not in the log: a recovered driver has to be handed it. Recover
+/// at *every* committed boundary, run the rest of the stream, and land on
+/// the uninterrupted run's final plan to the bit — on windows whose sample
+/// is wider than their hot set, so each of them takes a ring slice.
+#[test]
+fn recovery_at_every_boundary_continues_the_ring_bit_exactly() {
+    let w = workload();
+    let env = ec2_eight_regions();
+    let base = tmp_dir("ring_base");
+    let snapshot_every = 2; // odd boundaries replay a window, even ones none
+
+    let mut durable = DurableAdaptive::create(
+        &base,
+        pinned_config(),
+        Some(0.4),
+        w.geo0.clone(),
+        &env,
+        snapshot_every,
+    )
+    .expect("create durable dir");
+    let p0 = TrafficProfile::uniform(w.geo0.num_vertices(), 8.0);
+    durable.window(&env, None, &[], &[], p0, 10.0, Duration::from_secs(60)).expect("window 0");
+    let mut images = vec![tmp_dir("ring_at1")];
+    copy_dir(&base, &images[0]);
+    run_windows(&mut durable, &w.steps, |d, report| {
+        let geo = d.geo();
+        let trainable = geo.graph.vertices().filter(|&v| geo.graph.degree(v) > 0).count();
+        let sample = (trainable as f64 * 0.2).ceil() as usize;
+        assert!(
+            report.hot_agents > 0 && report.hot_agents < sample,
+            "window {}: {} hot of a {sample}-agent sample leaves no ring slice",
+            d.next_window() - 1,
+            report.hot_agents
+        );
+        let image = tmp_dir(&format!("ring_at{}", d.next_window()));
+        copy_dir(&base, &image);
+        images.push(image);
+    });
+    let (core, _) = durable.inner().carried_parts().expect("carried");
+    let (final_masters, final_cost) = (core.masters().to_vec(), core.movement_cost().to_bits());
+    drop(durable);
+
+    // images[j - 1] is the store as it stood when `next_window == j`.
+    for (j, image) in images.iter().enumerate().map(|(i, image)| (i + 1, image)) {
+        let (mut recovered, summary) =
+            DurableAdaptive::recover(image, pinned_config(), Some(0.4), &env, snapshot_every)
+                .unwrap_or_else(|e| panic!("boundary {j}: {e}"));
+        assert_eq!(summary.next_window, j as u64);
+        assert!(!summary.rolled_back);
+        run_windows(&mut recovered, &w.steps[j - 1..], |_, _| {});
+        let (core, _) = recovered.inner().carried_parts().expect("carried");
+        assert_eq!(core.masters(), &final_masters[..], "continued from boundary {j}: masters");
+        assert_eq!(core.movement_cost().to_bits(), final_cost, "continued from boundary {j}");
+        let _ = std::fs::remove_dir_all(image);
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// The snapshot cadence counts windows since the last snapshot, restarts
+/// included: a pipeline that dies two windows past a snapshot cuts its next
+/// one a window later, exactly where its uninterrupted twin does — not
+/// `snapshot_every` windows after the restart, which a pipeline restarting
+/// more often than that never reaches.
+#[test]
+fn recovery_keeps_the_snapshot_cadence() {
+    let w = workload();
+    assert!(w.steps.len() >= 8, "need windows on both sides of two snapshots");
+    let env = ec2_eight_regions();
+    let snapshot_names = |dir: &Path| -> Vec<u64> {
+        let paths = geodur::snapshot::snapshot_paths(dir).expect("list snapshots");
+        paths.into_iter().map(|(lsn, _)| lsn).collect()
+    };
+    let create = |dir: &Path| {
+        let mut durable =
+            DurableAdaptive::create(dir, pinned_config(), Some(0.4), w.geo0.clone(), &env, 3)
+                .expect("create durable dir");
+        let p0 = TrafficProfile::uniform(w.geo0.num_vertices(), 8.0);
+        durable.window(&env, None, &[], &[], p0, 10.0, Duration::from_secs(60)).expect("window 0");
+        durable
+    };
+
+    let (twin_dir, dir) = (tmp_dir("cadence_twin"), tmp_dir("cadence"));
+    let mut twin = create(&twin_dir);
+    let mut twin_names = Vec::new();
+    run_windows(&mut twin, &w.steps, |d, _| twin_names.push(snapshot_names(d.store().dir())));
+
+    // Windows 0–2 cut a snapshot; die after windows 3 and 4.
+    let mut durable = create(&dir);
+    run_windows(&mut durable, &w.steps[..4], |_, _| {});
+    assert_eq!(snapshot_names(&dir), twin_names[3]);
+    drop(durable);
+    let (mut recovered, summary) =
+        DurableAdaptive::recover(&dir, pinned_config(), Some(0.4), &env, 3).expect("recover");
+    assert_eq!((summary.next_window, summary.replayed_windows), (5, 2));
+    let mut boundary = 4;
+    run_windows(&mut recovered, &w.steps[4..], |d, _| {
+        assert_eq!(
+            snapshot_names(d.store().dir()),
+            twin_names[boundary],
+            "snapshots on disk after window {}",
+            boundary + 1
+        );
+        boundary += 1;
+    });
+    assert!(twin_names[3] != twin_names[4], "window 5 is where the twin cuts its next snapshot");
+    for d in [&twin_dir, &dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
