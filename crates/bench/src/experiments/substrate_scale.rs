@@ -1,26 +1,23 @@
-//! Substrate at paper scale (not a paper artifact): streamed CSR ingest,
-//! shard-resident ingest and a scan-capped training window over the
-//! Table II LiveJournal analog — the one measurement that fits neither a
-//! test nor `benchmark/`'s 10-second budget. `--scale 1.0` builds all
-//! 4.8 M vertices / ~69 M directed edges (≈ 4 min, ≈ 1.4 GB peak RSS);
-//! that run is recorded in `EXPERIMENTS-data/substrate_scale.txt`.
+//! Substrate at paper scale (not a paper artifact): streamed CSR ingest
+//! and a scan-capped training window over the Table II LiveJournal analog
+//! — the one measurement that fits neither a test nor `benchmark/`'s
+//! 10-second budget. `--scale 1.0` builds all 4.8 M vertices / ~69 M
+//! directed edges (≈ 1 min, ≈ 1.3 GiB peak RSS); that run is recorded in
+//! `EXPERIMENTS-data/substrate_scale.txt`.
 //!
-//! The three byte budgets printed here — CSR ≤ 9.0 B/edge, build peak
-//! ≤ 1.25 × the final CSR, worst shard ≤ 0.5 × the full CSR — are exact
-//! for a seed and gated at scale 0.002 by
+//! The two byte budgets printed here — CSR ≤ 9.0 B/edge, build peak
+//! ≤ 1.25 × the final CSR — are exact for a seed and gated at scale 0.002 by
 //! `lj_analog_ingest_stays_inside_its_byte_budgets` in
 //! `tests/tests/streaming.rs`.
 
 use crate::{f3, secs, timed, ExpContext, Table};
 use geograph::datasets::DEFAULT_CHUNK_EDGES;
-use geograph::generators::{rmat_streamed, RmatChunks};
+use geograph::generators::rmat_streamed;
 use geograph::locality::LocalityConfig;
-use geograph::{Dataset, GeoGraph, ShardSpec, ShardView, StreamConfig};
+use geograph::{Dataset, GeoGraph};
 use geosim::regions::ec2_eight_regions;
 use rlcut::{RlCutConfig, WorkerPool};
 
-/// Edge-balanced shards the stream is replayed into.
-const SHARDS: usize = 4;
 /// The training window: a 5 % sample capped at 100 k agents per step.
 const STEPS: usize = 2;
 const SAMPLE_RATE: f64 = 0.05;
@@ -66,41 +63,7 @@ pub fn run(ctx: &ExpContext) {
     ]);
     t.print();
 
-    // 2. Shard-resident ingest: the same chunked source replayed into one
-    //    view per shard without the global CSR. R-MAT piles its hubs into
-    //    the low ids, so the ranges are edge-balanced; each view must equal
-    //    the staged build of the same range.
-    let src = RmatChunks::new(rmat_config, derived_seed, DEFAULT_CHUNK_EDGES);
-    let spec = ShardSpec::balanced(&graph, SHARDS);
-    let mut t = Table::new(
-        &format!("Substrate scale — shard-resident ingest ({SHARDS} edge-balanced shards)"),
-        &["Shard", "Ingest (s)", "View (MiB)", "Transient (MiB)", "Peak (MiB)", "Peak / full CSR"],
-    );
-    let mut worst = 0.0_f64;
-    for s in 0..SHARDS {
-        let (built, time) =
-            timed(|| ShardView::build_streamed(&src, StreamConfig::cleaned(), &spec, s, &pool));
-        let (view, shard) = built.unwrap_or_else(|e| panic!("shard {s} ingest failed: {e}"));
-        assert_eq!(
-            view,
-            ShardView::build(&graph, &spec, s),
-            "shard {s}: streamed view diverged from the staged build"
-        );
-        let frac = shard.peak_bytes() as f64 / csr_bytes;
-        worst = worst.max(frac);
-        t.row(vec![
-            s.to_string(),
-            secs(time),
-            mib(shard.view_bytes),
-            mib(shard.transient_bytes),
-            mib(shard.peak_bytes()),
-            format!("{frac:.3}"),
-        ]);
-    }
-    t.print();
-    println!("Worst shard peaks at {worst:.3} x the full CSR; every view equals its staged build.");
-
-    // 3. A short scan-capped training window over the freshly built graph.
+    // 2. A short scan-capped training window over the freshly built graph.
     let geo = GeoGraph::from_graph(graph, &LocalityConfig::paper_default(ctx.seed));
     let env = ec2_eight_regions();
     let budget = geosim::cost::default_budget(&env, &geo.locations, &geo.data_sizes, 0.4);

@@ -25,7 +25,6 @@ use geopart::{DeltaApplyStats, HybridState, PlacementState, PlanError, TrafficPr
 use geosim::CloudEnv;
 
 use crate::config::RlCutConfig;
-use crate::shard::{refresh_views, InProcessShuffle, ShardCarry};
 use crate::trainer::{SessionResources, TrainError, TrainerSession};
 
 /// Why a window could not be partitioned.
@@ -43,8 +42,7 @@ pub enum WindowError {
     /// The placement layer rejected the window (e.g. a delta that does
     /// not line up with the carried state).
     Plan(PlanError),
-    /// Training failed (a panicking pool worker, or the sharded runtime's
-    /// transport or protocol).
+    /// Training failed (a panicking pool worker).
     Train(TrainError),
 }
 
@@ -141,16 +139,9 @@ pub struct AdaptiveRlCut {
     /// next delta resumes it instead of rebuilding (`None` before the
     /// first window and after a rebuild was forced).
     carried: Option<(PlacementState, usize)>,
-    /// The previous window's worker pool, scratch arena and (sharded)
-    /// shard topology, carried so pool workers survive across windows and
-    /// a delta window refreshes only the affected shard views.
+    /// The previous window's worker pool and scratch arena, carried so
+    /// pool workers survive across windows.
     resources: Option<SessionResources>,
-    /// Train each window through the sharded runtime with this many
-    /// shards (`None` keeps the single-process trainer).
-    num_shards: Option<usize>,
-    /// Shard views rebuilt by the last window (`None`: the last window
-    /// was unsharded or built every view fresh).
-    last_shard_refreshes: Option<usize>,
     /// Ask each window's session to journal its applied moves (the
     /// durable driver's WAL feed).
     journal_moves: bool,
@@ -173,8 +164,6 @@ impl AdaptiveRlCut {
             pending_fault: None,
             carried: None,
             resources: None,
-            num_shards: None,
-            last_shard_refreshes: None,
             journal_moves: false,
             window: 0,
         }
@@ -219,23 +208,6 @@ impl AdaptiveRlCut {
     /// the first window completes).
     pub fn carried_parts(&self) -> Option<&(PlacementState, usize)> {
         self.carried.as_ref()
-    }
-
-    /// Trains every window through the sharded runtime
-    /// ([`TrainerSession::sharded`]) over `num_shards` contiguous vertex ranges.
-    /// Masters stay bit-identical to the unsharded trainer; delta windows
-    /// route the [`GraphDelta`] to the owning shards and refresh only the
-    /// affected views. `num_shards` must be at least 1.
-    pub fn with_shards(mut self, num_shards: usize) -> Self {
-        assert!(num_shards >= 1, "at least one shard required");
-        self.num_shards = Some(num_shards);
-        self
-    }
-
-    /// Shard views rebuilt by the last window's delta routing (`None`
-    /// before the first sharded window or after a full topology rebuild).
-    pub fn last_shard_refreshes(&self) -> Option<usize> {
-        self.last_shard_refreshes
     }
 
     /// The current master assignment (empty before the first window).
@@ -371,31 +343,8 @@ impl AdaptiveRlCut {
         };
         let delta_apply = prep_start.elapsed();
 
-        let mut resources = self.resources.take().unwrap_or_default();
-        let mut session = match self.num_shards {
-            None => TrainerSession::with_resources(geo, env, state, config, resources),
-            Some(num_shards) => {
-                // Carry the shard topology across windows — a delta window
-                // routes the change to the owning shards and refreshes
-                // only the affected views; everything else (no delta,
-                // shrunk carry) rebuilds the topology from scratch.
-                let carry = match (resources.shards.take(), delta) {
-                    (Some(mut carry), Some(delta))
-                        if carry.spec.num_vertices() <= geo.num_vertices() =>
-                    {
-                        self.last_shard_refreshes =
-                            Some(refresh_views(&mut carry, &geo.graph, delta));
-                        carry
-                    }
-                    _ => {
-                        self.last_shard_refreshes = None;
-                        ShardCarry::contiguous(&geo.graph, num_shards)
-                    }
-                };
-                let transport = Box::new(InProcessShuffle::new(num_shards));
-                TrainerSession::sharded(geo, env, state, config, resources, carry, transport)?
-            }
-        };
+        let resources = self.resources.take().unwrap_or_default();
+        let mut session = TrainerSession::with_resources(geo, env, state, config, resources);
         if self.journal_moves {
             session.enable_move_journal();
         }
@@ -758,37 +707,29 @@ mod tests {
     }
 
     #[test]
-    fn sharded_windows_match_unsharded_across_deltas() {
-        // The windowed half of the shard-determinism contract: an
-        // AdaptiveRlCut trained through the sharded runtime must produce
-        // bit-identical masters to the unsharded one on every window —
-        // including incremental delta windows, where the sharded path
-        // routes the delta to the owning shards and refreshes only the
-        // affected views. theta pinned and the sample rate fixed so the
-        // wall-clock scheduler cannot decide differently across runs.
-        // With the move journal on, both sides must also journal the same
-        // stream, and the sharded stream must replay to the committed
-        // state bit-exactly (what a durable sharded trainer rests on).
+    fn journaled_windows_replay_to_the_committed_state() {
+        // What the durable driver rests on, with no WAL in the way: a
+        // window's journal replays. The committed `(core, theta)` +
+        // `resume_from_parts(delta)` + the journalled moves through
+        // `apply_move_with`, in order (the RECONCILE_STEP sweep included),
+        // is the live carried state — masters equal, movement cost equal
+        // to the last f64 bit. With the journal off nothing is recorded.
+        // theta pinned and the sample rate fixed so the wall-clock
+        // scheduler cannot decide differently across runs.
         for journal in [false, true] {
-            sharded_windows_case(journal);
+            journaled_windows_case(journal);
         }
     }
 
-    fn sharded_windows_case(journal: bool) {
-        use geograph::dynamic::{EdgeEvent, EventKind};
+    fn journaled_windows_case(journal: bool) {
+        use geograph::dynamic::EdgeEvent;
         let n = 400;
         let edges = preferential_attachment_edges(n, 3, 23);
         let (initial, stream) = split_for_dynamic(&edges, n, 0.6, 10_000);
         let mut batches: Vec<Vec<EdgeEvent>> = stream.windows(2_500).map(|w| w.to_vec()).collect();
         assert!(batches.len() >= 3, "need several delta windows");
-        // Last: a surgical one-edge delta confined to the first shard's
-        // range — the other shards' views must be carried verbatim.
-        batches.push(vec![EdgeEvent {
-            src: 100,
-            dst: 101,
-            timestamp_ms: 0,
-            kind: EventKind::Insert,
-        }]);
+        // Last: a surgical one-edge delta.
+        batches.push(vec![insert(100, 101)]);
         let full_graph = {
             let mut b = GraphBuilder::new(n);
             b.add_edges(initial.edges());
@@ -806,11 +747,9 @@ mod tests {
             .with_fixed_sample_rate(0.2)
             .with_max_steps(2);
         let t_opt = Duration::from_secs(60);
-        let mut plain = AdaptiveRlCut::new(config.clone(), Some(0.4));
-        let mut sharded = AdaptiveRlCut::new(config, Some(0.4)).with_shards(3);
+        let mut adaptive = AdaptiveRlCut::new(config, Some(0.4));
         if journal {
-            plain = plain.with_move_journal();
-            sharded = sharded.with_move_journal();
+            adaptive = adaptive.with_move_journal();
         }
 
         let mut graph = initial;
@@ -821,11 +760,8 @@ mod tests {
             cfg.num_dcs,
         );
         let p0 = TrafficProfile::uniform(geo0.num_vertices(), 8.0);
-        plain.on_window(&geo0, &env, p0.clone(), 10.0, t_opt).expect("plain window 0");
-        sharded.on_window(&geo0, &env, p0, 10.0, t_opt).expect("sharded window 0");
-        assert_eq!(plain.masters(), sharded.masters(), "window 0 diverged");
-        assert_eq!(sharded.last_shard_refreshes(), None, "window 0 builds the topology");
-        assert_eq!(plain.take_window_journal(), sharded.take_window_journal());
+        let w0 = adaptive.on_window(&geo0, &env, p0, 10.0, t_opt).expect("window 0");
+        assert_eq!(adaptive.take_window_journal().is_empty(), !journal || w0.migrations == 0);
 
         let mut journaled_moves = 0;
         for (i, batch) in batches.iter().enumerate() {
@@ -838,29 +774,16 @@ mod tests {
                 cfg.num_dcs,
             );
             let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
-            let committed = sharded.carried_parts().cloned().expect("window 0 carried a state");
-            let rp = plain
+            let (core, theta) = adaptive.carried_parts().cloned().expect("window 0 carried");
+            let report = adaptive
                 .on_window_delta(&geo, &env, &delta, profile.clone(), 10.0, t_opt)
-                .unwrap_or_else(|e| panic!("plain window {i}: {e}"));
-            let rs = sharded
-                .on_window_delta(&geo, &env, &delta, profile.clone(), 10.0, t_opt)
-                .unwrap_or_else(|e| panic!("sharded window {i}: {e}"));
-            assert!(rp.delta_stats.is_some() && rs.delta_stats.is_some());
-            assert_eq!(plain.masters(), sharded.masters(), "delta window {i} diverged");
-            let refreshed =
-                sharded.last_shard_refreshes().expect("delta window must route the delta");
-            assert!(refreshed <= 3);
-            if batch.len() == 1 {
-                assert!(refreshed < 3, "a one-edge delta must not refresh every shard view");
-            }
+                .unwrap_or_else(|e| panic!("window {i}: {e}"));
+            assert!(report.delta_stats.is_some(), "window {i} must take the incremental path");
 
-            // Entry-for-entry equal journals (the RECONCILE_STEP sweep
-            // included), and the sharded one replays — committed state +
-            // delta + moves in order — to the new committed state.
-            let moves = sharded.take_window_journal();
-            assert_eq!(plain.take_window_journal(), moves, "window {i} journals diverged");
-            assert_eq!(moves.is_empty(), !journal || rs.migrations == 0);
-            let (core, theta) = committed;
+            // Committed state + delta + moves in order = the new committed
+            // state.
+            let moves = adaptive.take_window_journal();
+            assert_eq!(moves.is_empty(), !journal || report.migrations == 0);
             let (mut replayed, _) =
                 HybridState::resume_from_parts(core, theta, &geo, &env, &delta, &profile)
                     .expect("replaying the delta");
@@ -870,7 +793,7 @@ mod tests {
                 journaled_moves += 1;
             }
             if journal {
-                let (live, _) = sharded.carried_parts().expect("carried");
+                let (live, _) = adaptive.carried_parts().expect("carried");
                 assert_eq!(replayed.core().masters(), live.masters(), "window {i} replay");
                 assert_eq!(
                     replayed.core().movement_cost().to_bits(),

@@ -165,8 +165,7 @@ impl AgentPool {
 
     /// Fig 5 phases 2–4 for one agent whose score-optimal DC is `best_dc`:
     /// reward it (and, with `use_penalty`, punish the rest), select by UCB
-    /// and record the play. Returns the selected DC. Per-agent independent,
-    /// so a shard-local pool evolves exactly like the global rows it holds.
+    /// and record the play. Returns the selected DC. Per-agent independent.
     pub fn learn_and_select(&mut self, v: VertexId, best_dc: DcId, config: &RlCutConfig) -> DcId {
         self.reward(v, best_dc, config.alpha);
         if config.use_penalty {

@@ -20,26 +20,6 @@
 use geograph::DcId;
 use geopart::Objective;
 
-/// Why a checkpoint could not be taken.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// The session is sharded: its automata live on the shards, outside a
-    /// [`TrainerCheckpoint`] (checkpoint/resume is single-process-only).
-    ShardedSession,
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::ShardedSession => {
-                write!(f, "a sharded session cannot be checkpointed")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
-
 /// The trainer's logical state at one step boundary.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TrainerCheckpoint {

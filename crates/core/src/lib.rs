@@ -59,20 +59,15 @@ pub mod pool;
 pub mod recovery;
 pub mod sampling;
 pub mod score;
-pub mod shard;
 pub mod stats;
 pub mod straggler;
 pub mod trainer;
 
 pub use adaptive::{AdaptiveRlCut, WindowError, WindowReport};
-pub use checkpoint::{CheckpointError, TrainerCheckpoint};
+pub use checkpoint::TrainerCheckpoint;
 pub use config::RlCutConfig;
 pub use durable::{DurableAdaptive, DurableWindowError, RecoverySummary};
 pub use pool::{PoolError, WorkerPool};
 pub use recovery::{train_under_faults, FaultTrainReport};
-pub use shard::{
-    partition_sharded, refresh_views, shard_carry_streamed, InProcessShuffle, ShardCarry,
-    ShardError, ShuffleMsg, ShuffleTransport,
-};
 pub use stats::{RlCutResult, StepStats};
 pub use trainer::{partition, partition_from, SessionResources, TrainError, TrainerSession};

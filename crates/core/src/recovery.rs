@@ -87,12 +87,7 @@ pub fn train_under_faults<'g>(
             report.evacuated_vertices += evac.vertices_moved;
         }
     }
-    // The run is single-process from end to end (`new` / `resume`), which
-    // is the one kind of session a checkpoint can be taken of.
-    let checkpoint = |session: &TrainerSession<'_>| {
-        session.checkpoint().expect("single-process sessions checkpoint infallibly")
-    };
-    let mut latest = checkpoint(&session);
+    let mut latest = session.checkpoint();
     report.checkpoints_taken += 1;
 
     let mut wall: u64 = 0;
@@ -127,7 +122,7 @@ pub fn train_under_faults<'g>(
         report.wall_steps += 1;
         wall += 1;
         if checkpoint_every > 0 && report.wall_steps % checkpoint_every == 0 {
-            latest = checkpoint(&session);
+            latest = session.checkpoint();
             report.checkpoints_taken += 1;
         }
     }

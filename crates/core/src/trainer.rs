@@ -2,13 +2,10 @@
 //! §V-A) and degree-balanced parallel scoring (§V-B).
 //!
 //! [`TrainerSession`] owns the one step loop: schedule → sample →
-//! `max_scan` window → frozen objective and weights → **propose** →
-//! shuffle → migrate → **replica sync** → best-plan and convergence
-//! bookkeeping → journal → observer. Only the two bold steps depend on
-//! where Fig 5 phases 1–4 run, and they sit behind the private
-//! [`Proposer`] seam: one global [`AgentPool`] scored against the
-//! session's state, or a [`ShardRuntime`] of shard-local automata and
-//! placement replicas behind the shuffle layer (see [`crate::shard`]).
+//! `max_scan` window → frozen objective and weights → propose (Fig 5
+//! phases 1–4: one [`AgentPool`] scored against the session's state) →
+//! shuffle → migrate → best-plan and convergence bookkeeping → journal →
+//! observer.
 //!
 //! ## Parallel architecture
 //!
@@ -33,9 +30,9 @@
 //!   degenerates to the strictly sequential global optimization of Fig 7.
 //!
 //! Everything is deterministic for a fixed seed, independent of thread
-//! and shard count: accept decisions depend only on frozen snapshots, the
-//! apply order is the shuffled proposal order, and the proposal vector is
-//! assembled in the global sampled order by either proposer.
+//! count: accept decisions depend only on frozen snapshots, the apply
+//! order is the shuffled proposal order, and the proposal vector is
+//! assembled in the sampled order.
 
 use std::time::Instant;
 
@@ -49,24 +46,19 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::agent::AgentPool;
-use crate::checkpoint::{CheckpointError, TrainerCheckpoint};
+use crate::checkpoint::TrainerCheckpoint;
 use crate::config::{RlCutConfig, SampleStrategy};
 use crate::pool::{PoolError, WorkerPool};
 use crate::sampling::{degree_ascending_order, sample_prefix, window_order, SampleScheduler};
 use crate::score::{best_destination, score, Weights};
-use crate::shard::{ShardCarry, ShardError, ShardRuntime, ShuffleTransport};
 use crate::stats::{RlCutResult, StepStats};
 use crate::straggler;
 
-/// Why training failed. One type for both proposers: the global path can
-/// only fail on a panicking pool worker, the sharded path also on its
-/// transport or protocol.
+/// Why training failed.
 #[derive(Debug)]
 pub enum TrainError {
     /// A pool worker panicked inside a parallel phase.
     Pool(PoolError),
-    /// The sharded scoring backend failed (shuffle transport or protocol).
-    Shard(ShardError),
     /// The placement layer rejected an environment change (an evacuation
     /// with nowhere to go).
     Plan(PlanError),
@@ -76,7 +68,6 @@ impl std::fmt::Display for TrainError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TrainError::Pool(e) => write!(f, "training dispatch failed: {e}"),
-            TrainError::Shard(e) => write!(f, "sharded runtime failed: {e}"),
             TrainError::Plan(e) => write!(f, "placement layer rejected the change: {e}"),
         }
     }
@@ -86,7 +77,6 @@ impl std::error::Error for TrainError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TrainError::Pool(e) => Some(e),
-            TrainError::Shard(e) => Some(e),
             TrainError::Plan(e) => Some(e),
         }
     }
@@ -95,12 +85,6 @@ impl std::error::Error for TrainError {
 impl From<PoolError> for TrainError {
     fn from(e: PoolError) -> Self {
         TrainError::Pool(e)
-    }
-}
-
-impl From<ShardError> for TrainError {
-    fn from(e: ShardError) -> Self {
-        TrainError::Shard(e)
     }
 }
 
@@ -166,7 +150,7 @@ pub fn train<'g>(
 
 /// [`train`] reporting progress to `observer`.
 ///
-/// The infallible entry points end here. A single-process run has one
+/// The infallible entry points end here. A fixed-environment run has one
 /// failure, [`TrainError::Pool`] — a worker of this program panicked —
 /// and it is re-raised on the caller; drive a [`TrainerSession`] to
 /// receive it as a value instead.
@@ -184,11 +168,10 @@ pub fn train_observed<'g>(
 
 /// What a finished [`TrainerSession`] hands to the next window's session
 /// ([`TrainerSession::finish_with_resources`] →
-/// [`TrainerSession::with_resources`] / [`TrainerSession::sharded`]): the
-/// persistent worker pool and the sequential scratch arena, so pool
-/// workers — and their warm per-worker arenas — survive across windows
-/// instead of being respawned per window; plus what only rides *out* of a
-/// session, the move journal and the shard topology.
+/// [`TrainerSession::with_resources`]): the persistent worker pool and the
+/// sequential scratch arena, so pool workers — and their warm per-worker
+/// arenas — survive across windows instead of being respawned per window;
+/// plus what only rides *out* of a session, the move journal.
 #[derive(Debug)]
 pub struct SessionResources {
     /// Carried worker pool (`None` when the donor ran single-threaded).
@@ -201,11 +184,6 @@ pub struct SessionResources {
     /// reconcile sweep under [`RECONCILE_STEP`]. Rides *out* of a session;
     /// incoming resources never seed a new session's journal.
     pub(crate) journal: Option<MoveJournal>,
-    /// Shard topology of a sharded donor session, for the next window to
-    /// refresh ([`crate::shard::refresh_views`]) and pass back to
-    /// [`TrainerSession::sharded`]. Rides *out* of a session like the
-    /// journal.
-    pub(crate) shards: Option<ShardCarry>,
 }
 
 /// Journal step index of the end-of-session reconcile sweep
@@ -218,7 +196,7 @@ pub type MoveJournal = Vec<(u32, Vec<(VertexId, DcId)>)>;
 
 impl Default for SessionResources {
     fn default() -> Self {
-        SessionResources { pool: None, scratch: MoveScratch::new(), journal: None, shards: None }
+        SessionResources { pool: None, scratch: MoveScratch::new(), journal: None }
     }
 }
 
@@ -243,24 +221,14 @@ fn pool_for(threads: usize, carried: Option<WorkerPool>) -> Option<WorkerPool> {
 }
 
 /// What a phase executes on, borrowed from the session for one step.
-pub(crate) struct Exec<'a> {
-    pub(crate) env: &'a CloudEnv,
-    pub(crate) config: &'a RlCutConfig,
+struct Exec<'a> {
+    env: &'a CloudEnv,
+    config: &'a RlCutConfig,
     /// The session's pool (`None` ⇔ single-threaded).
-    pub(crate) pool: Option<&'a WorkerPool>,
+    pool: Option<&'a WorkerPool>,
     /// Scratch for every sequential path (small-sample scoring,
-    /// migration, inline shard serving).
-    pub(crate) scratch: &'a mut MoveScratch,
-}
-
-/// Where Fig 5 phases 1–4 run — the only place the single-process and
-/// the sharded runtime differ.
-enum Proposer {
-    /// One global automaton table, scored against the session's state.
-    Global(AgentPool),
-    /// Shard-local automata over placement replicas that must be
-    /// re-synced after every applied migration.
-    Sharded(ShardRuntime),
+    /// migration).
+    scratch: &'a mut MoveScratch,
 }
 
 /// A resumable training run: the Fig 5 loop broken into externally driven
@@ -272,11 +240,9 @@ enum Proposer {
 /// * advance training one step at a time ([`Self::step`]) under an
 ///   environment that may change between steps,
 /// * capture the logical trainer state ([`Self::checkpoint`]) and resume
-///   from it ([`Self::resume`]) bit-exactly (single-process sessions),
+///   from it ([`Self::resume`]) bit-exactly,
 /// * react to WAN faults ([`Self::on_environment_change`]): rebuild the
-///   placement under the degraded environment and evacuate dark DCs,
-/// * run phases 1–4 on vertex-range shards ([`Self::sharded`]) with
-///   bit-identical masters at any shard count.
+///   placement under the degraded environment and evacuate dark DCs.
 pub struct TrainerSession<'g> {
     geo: &'g GeoGraph,
     config: RlCutConfig,
@@ -285,11 +251,11 @@ pub struct TrainerSession<'g> {
     /// isolated vertices excluded; a dynamic window re-cuts it into hot /
     /// ring / rest ([`Self::focus_window`]).
     order: Vec<VertexId>,
-    proposer: Proposer,
+    /// One learning automaton per vertex (Fig 5 phases 3–4).
+    agents: AgentPool,
     scheduler: SampleScheduler,
     /// Migration-batch shuffle RNG.
     rng: SmallRng,
-    /// The authoritative placement; shards (if any) hold replicas of it.
     state: RwLock<HybridState<'g>>,
     steps: Vec<StepStats>,
     /// Best plan seen: a feasible (within-budget) plan beats any infeasible
@@ -338,30 +304,7 @@ impl<'g> TrainerSession<'g> {
         resources: SessionResources,
     ) -> Self {
         let agents = AgentPool::new(geo.num_vertices(), env.num_dcs());
-        Self::assemble(geo, env, state, config, resources, Proposer::Global(agents))
-    }
-
-    /// [`Self::with_resources`] with phases 1–4 distributed over the
-    /// vertex-range shards of `carry` behind `transport`. Placement
-    /// replicas and shard automata are built fresh and bootstrapped
-    /// through the transport, so the shuffle accounting covers the
-    /// initial row distribution too.
-    pub fn sharded(
-        geo: &'g GeoGraph,
-        env: &CloudEnv,
-        state: HybridState<'g>,
-        config: RlCutConfig,
-        resources: SessionResources,
-        carry: ShardCarry,
-        transport: Box<dyn ShuffleTransport>,
-    ) -> Result<Self, TrainError> {
-        assert_eq!(carry.spec.num_vertices(), geo.num_vertices(), "spec must cover the snapshot");
-        let runtime =
-            ShardRuntime::new(carry, transport, env.num_dcs(), state.core().num_iterations());
-        let mut session =
-            Self::assemble(geo, env, state, config, resources, Proposer::Sharded(runtime));
-        session.sync_replicas(env, None)?;
-        Ok(session)
+        Self::assemble(geo, env, state, config, resources, agents)
     }
 
     fn assemble(
@@ -370,7 +313,7 @@ impl<'g> TrainerSession<'g> {
         state: HybridState<'g>,
         config: RlCutConfig,
         resources: SessionResources,
-        proposer: Proposer,
+        agents: AgentPool,
     ) -> Self {
         TrainerSession {
             geo,
@@ -379,7 +322,7 @@ impl<'g> TrainerSession<'g> {
             // sits — training them wastes the sampled-agent budget, so
             // they are excluded (they keep their initial master).
             order: Self::build_order(geo, &config),
-            proposer,
+            agents,
             scheduler: Self::build_scheduler(&config),
             rng: SmallRng::seed_from_u64(config.seed ^ 0x0ddb_1a5e_5bad_5eed),
             best: (state.core().masters().to_vec(), state.objective(env)),
@@ -435,7 +378,7 @@ impl<'g> TrainerSession<'g> {
         scheduler
     }
 
-    /// Rebuilds a single-process session from a checkpoint, bit-exact with
+    /// Rebuilds a session from a checkpoint, bit-exact with
     /// the session that took it: LA state, UCB statistics, migration RNG,
     /// masters, the incrementally tracked movement cost, and the best-plan
     /// tracker are all restored verbatim, so the next [`Self::step`] makes
@@ -476,8 +419,7 @@ impl<'g> TrainerSession<'g> {
         );
         state.override_movement_cost(checkpoint.movement_cost);
         let resources = SessionResources::default();
-        let mut session =
-            Self::assemble(geo, env, state, config, resources, Proposer::Global(agents));
+        let mut session = Self::assemble(geo, env, state, config, resources, agents);
         session.rng = SmallRng::from_state(checkpoint.rng_state);
         session.best = (checkpoint.best_masters.clone(), checkpoint.best_objective);
         session.step_index = checkpoint.step as usize;
@@ -488,19 +430,14 @@ impl<'g> TrainerSession<'g> {
     /// Captures the trainer's logical state. Pure function of the training
     /// history: the same seed and step always produce bit-identical
     /// checkpoints (wall-clock scheduler state is excluded by design).
-    /// A sharded session's automata live on its shards, outside a
-    /// [`TrainerCheckpoint`]: [`CheckpointError::ShardedSession`].
-    pub fn checkpoint(&self) -> Result<TrainerCheckpoint, CheckpointError> {
-        let Proposer::Global(agents) = &self.proposer else {
-            return Err(CheckpointError::ShardedSession);
-        };
+    pub fn checkpoint(&self) -> TrainerCheckpoint {
         let st = self.state.read();
-        let (probs, plays, mean_reward, total_plays) = agents.snapshot();
-        Ok(TrainerCheckpoint {
+        let (probs, plays, mean_reward, total_plays) = self.agents.snapshot();
+        TrainerCheckpoint {
             seed: self.config.seed,
             step: self.step_index as u32,
             theta: self.theta as u64,
-            num_dcs: agents.num_actions() as u32,
+            num_dcs: self.agents.num_actions() as u32,
             masters: st.core().masters().to_vec(),
             probs: probs.to_vec(),
             plays: plays.to_vec(),
@@ -511,7 +448,7 @@ impl<'g> TrainerSession<'g> {
             best_masters: self.best.0.clone(),
             best_objective: self.best.1,
             converged: self.converged,
-        })
+        }
     }
 
     /// Number of trainable (non-isolated) agents.
@@ -549,24 +486,6 @@ impl<'g> TrainerSession<'g> {
     /// Current objective under `env`.
     pub fn objective(&self, env: &CloudEnv) -> Objective {
         self.state.read().objective(env)
-    }
-
-    /// Total ghost-fringe vertices over all shards — the cross-shard
-    /// working-set overhead (0 for a single-process session).
-    pub fn total_ghosts(&self) -> usize {
-        match &self.proposer {
-            Proposer::Global(_) => 0,
-            Proposer::Sharded(runtime) => runtime.total_ghosts(),
-        }
-    }
-
-    /// Total bytes moved through the shuffle layer so far (0 for a
-    /// single-process session).
-    pub fn shuffle_bytes(&self) -> u64 {
-        match &self.proposer {
-            Proposer::Global(_) => 0,
-            Proposer::Sharded(runtime) => runtime.shuffle_bytes(),
-        }
     }
 
     /// Reorders the sampling priority for dynamic window `window_index`
@@ -685,41 +604,28 @@ impl<'g> TrainerSession<'g> {
         };
 
         // Phases 1–4 — score function & reinforcement signal (parallel),
-        // probability update & UCB action selection. Either proposer
-        // returns the proposals in the global sampled order.
+        // probability update & UCB action selection. Proposals come out in
+        // the sampled order.
         let score_start = Instant::now();
-        let mut proposals: Vec<(VertexId, DcId)> = match &mut self.proposer {
-            Proposer::Global(agents) => {
-                let rho =
-                    score_phase(self.geo, &self.state, sampled, &step_obj, weights, &mut exec)?;
-                let st = self.state.read();
-                sampled
-                    .iter()
-                    .zip(rho)
-                    .filter_map(|(&v, best_dc)| {
-                        let selected = agents.learn_and_select(v, best_dc, &self.config);
-                        (selected != st.master(v)).then_some((v, selected))
-                    })
-                    .collect()
-            }
-            Proposer::Sharded(runtime) => {
-                runtime.propose(sampled, &step_obj, weights, &mut exec)?
-            }
+        let rho = score_phase(self.geo, &self.state, sampled, &step_obj, weights, &mut exec)?;
+        let mut proposals: Vec<(VertexId, DcId)> = {
+            let st = self.state.read();
+            sampled
+                .iter()
+                .zip(rho)
+                .filter_map(|(&v, best_dc)| {
+                    let selected = self.agents.learn_and_select(v, best_dc, &self.config);
+                    (selected != st.master(v)).then_some((v, selected))
+                })
+                .collect()
         };
         let score_duration = score_start.elapsed();
 
         // Phase 5 — batched vertex migration with rollback (the paper
-        // batches agents randomly, §V-A), then the replica sync a sharded
-        // proposer needs before it scores again.
+        // batches agents randomly, §V-A).
         proposals.shuffle(&mut self.rng);
         let migrate_start = Instant::now();
         let applied = migration_phase(&self.state, &proposals, weights, &mut exec);
-        match &self.proposer {
-            Proposer::Sharded(runtime) if !applied.is_empty() => {
-                runtime.sync(self.geo, &self.state.read(), Some(&applied), &mut exec)?;
-            }
-            _ => {}
-        }
         let migrate_duration = migrate_start.elapsed();
         let migrations = applied.len();
         if let Some(journal) = self.journal.as_mut().filter(|_| migrations > 0) {
@@ -770,24 +676,6 @@ impl<'g> TrainerSession<'g> {
         Ok(())
     }
 
-    /// Brings a sharded proposer's placement replicas up to date with the
-    /// authoritative state: the rows dirtied by `applied`, or every local
-    /// row when `None`. No-op for a single-process session.
-    fn sync_replicas(
-        &mut self,
-        env: &CloudEnv,
-        applied: Option<&[(VertexId, DcId)]>,
-    ) -> Result<(), TrainError> {
-        let Proposer::Sharded(runtime) = &self.proposer else { return Ok(()) };
-        let mut exec = Exec {
-            env,
-            config: &self.config,
-            pool: self.pool.as_ref(),
-            scratch: &mut self.scratch,
-        };
-        runtime.sync(self.geo, &self.state.read(), applied, &mut exec)
-    }
-
     /// Reacts to a WAN environment change (the recovery policy's in-process
     /// half): rebuilds the placement state from the current masters under
     /// the new environment — the incremental Eq 4 movement cost was priced
@@ -816,7 +704,6 @@ impl<'g> TrainerSession<'g> {
         };
         self.best = (state.core().masters().to_vec(), state.objective(env));
         self.state = RwLock::new(state);
-        self.sync_replicas(env, None)?;
         self.scheduler = Self::build_scheduler(&self.config);
         self.converged = false;
         self.exhausted = false;
@@ -851,10 +738,10 @@ impl<'g> TrainerSession<'g> {
     /// [`Self::finish`] for the dynamic-window path: reconciles the live
     /// state to the best plan by **applying the differing moves** instead
     /// of rebuilding from scratch — work proportional to the drift, not to
-    /// the graph — and hands the pool, the scratch and (sharded) the shard
-    /// topology back for the next window's session. (`apply_move`'s Eq 4
-    /// accounting is path-independent: `+cost(loc, to) − cost(loc, from)`,
-    /// so the reconciled state prices movement exactly as a rebuild would.)
+    /// the graph — and hands the pool and the scratch back for the next
+    /// window's session. (`apply_move`'s Eq 4 accounting is
+    /// path-independent: `+cost(loc, to) − cost(loc, from)`, so the
+    /// reconciled state prices movement exactly as a rebuild would.)
     pub fn finish_with_resources(mut self, env: &CloudEnv) -> (RlCutResult<'g>, SessionResources) {
         let total_duration = self.started.elapsed();
         let mut final_state = self.state.into_inner();
@@ -877,15 +764,8 @@ impl<'g> TrainerSession<'g> {
                 journal.push((RECONCILE_STEP, diffs));
             }
         }
-        let resources = SessionResources {
-            pool: self.pool,
-            scratch: self.scratch,
-            journal: self.journal,
-            shards: match self.proposer {
-                Proposer::Global(_) => None,
-                Proposer::Sharded(runtime) => Some(runtime.into_carry()),
-            },
-        };
+        let resources =
+            SessionResources { pool: self.pool, scratch: self.scratch, journal: self.journal };
         let result = RlCutResult {
             state: final_state,
             steps: self.steps,
@@ -964,8 +844,7 @@ fn score_phase(
 /// accepted iff their Eq 10 score is positive; accepted moves apply before
 /// the next batch. `batch_size = 1` is the strictly sequential Fig 7 flow
 /// (the "frozen" state is simply the live state). Returns the applied
-/// migrations in exact apply order (the journal's and the replica sync's
-/// input).
+/// migrations in exact apply order (the journal's input).
 fn migration_phase(
     state: &RwLock<HybridState<'_>>,
     proposals: &[(VertexId, DcId)],
@@ -1169,7 +1048,7 @@ mod tests {
         let before = crate::pool::live_os_threads();
         let mut session = TrainerSession::new(&geo, &env, build_state(), config.clone());
         session.step(&env).unwrap();
-        let checkpoint = session.checkpoint().unwrap();
+        let checkpoint = session.checkpoint();
         for _ in 0..5 {
             // Each resume builds a fresh pool; dropping the previous
             // session must join its workers.

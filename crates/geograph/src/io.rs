@@ -9,7 +9,6 @@ use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use crate::csr::Graph;
-use crate::stream::{build_chunked, ChunkedEdges, IngestPool, ScopedPool, StreamConfig};
 use crate::GraphBuilder;
 use crate::VertexId;
 
@@ -129,219 +128,6 @@ pub fn parse_edge_list<R: BufRead>(mut reader: R) -> Result<Graph, IoError> {
     Ok(builder.build())
 }
 
-/// Raw `mmap(2)`/`munmap(2)` bindings, declared directly — the build
-/// environment has no `libc` crate, but glibc is linked regardless.
-#[cfg(unix)]
-mod sys {
-    use core::ffi::c_void;
-
-    pub const PROT_READ: i32 = 1;
-    pub const MAP_PRIVATE: i32 = 2;
-
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> i32;
-    }
-
-    pub fn map_failed() -> *mut c_void {
-        usize::MAX as *mut c_void
-    }
-}
-
-/// The bytes of an edge-list file: memory-mapped read-only where the
-/// platform allows, read into an owned buffer otherwise. Either way the
-/// parser sees one flat `&[u8]` it can re-scan per ingest pass.
-enum FileBytes {
-    #[cfg(unix)]
-    Mapped {
-        ptr: *mut core::ffi::c_void,
-        len: usize,
-    },
-    Owned(Vec<u8>),
-}
-
-impl FileBytes {
-    fn open(path: &Path) -> io::Result<FileBytes> {
-        #[cfg(unix)]
-        {
-            use std::os::unix::io::AsRawFd;
-            let file = File::open(path)?;
-            let len = file.metadata()?.len() as usize;
-            if len > 0 {
-                let ptr = unsafe {
-                    sys::mmap(
-                        std::ptr::null_mut(),
-                        len,
-                        sys::PROT_READ,
-                        sys::MAP_PRIVATE,
-                        file.as_raw_fd(),
-                        0,
-                    )
-                };
-                if ptr != sys::map_failed() {
-                    // The mapping outlives `file`: POSIX keeps pages valid
-                    // after the descriptor closes.
-                    return Ok(FileBytes::Mapped { ptr, len });
-                }
-            } else {
-                return Ok(FileBytes::Owned(Vec::new()));
-            }
-        }
-        Ok(FileBytes::Owned(std::fs::read(path)?))
-    }
-
-    fn bytes(&self) -> &[u8] {
-        match self {
-            #[cfg(unix)]
-            FileBytes::Mapped { ptr, len } => unsafe {
-                std::slice::from_raw_parts(*ptr as *const u8, *len)
-            },
-            FileBytes::Owned(v) => v,
-        }
-    }
-}
-
-impl Drop for FileBytes {
-    fn drop(&mut self) {
-        #[cfg(unix)]
-        if let FileBytes::Mapped { ptr, len } = *self {
-            unsafe { sys::munmap(ptr, len) };
-        }
-    }
-}
-
-// SAFETY: the mapping is read-only and owned for the struct's lifetime.
-unsafe impl Send for FileBytes {}
-unsafe impl Sync for FileBytes {}
-
-/// One parsed edge-list line: an edge, a skippable line, or a malformed
-/// line.
-enum Line {
-    Edge(u64, u64),
-    Skip,
-    Bad,
-}
-
-fn parse_line(raw: &[u8]) -> Line {
-    let Ok(text) = std::str::from_utf8(raw) else { return Line::Bad };
-    let trimmed = text.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-        return Line::Skip;
-    }
-    let mut parts = trimmed.split_whitespace();
-    let (Some(a), Some(b)) = (parts.next(), parts.next()) else { return Line::Bad };
-    match (a.parse::<u64>(), b.parse::<u64>()) {
-        (Ok(u), Ok(v)) => Line::Edge(u, v),
-        _ => Line::Bad,
-    }
-}
-
-/// Edge-list bytes as a re-emittable chunked stream. A chunk is a byte
-/// range snapped outward to line boundaries (a line belongs to the chunk
-/// containing its first byte), re-tokenized on every pass — parsing the
-/// text twice more costs CPU, holding the pair list would cost 8 bytes per
-/// edge of peak memory.
-struct EdgeListChunks<'a> {
-    data: &'a [u8],
-    remap: &'a crate::fxhash::FxHashMap<u64, VertexId>,
-    chunk_bytes: usize,
-}
-
-impl EdgeListChunks<'_> {
-    /// First line start at or after `pos`.
-    fn snap(&self, pos: usize) -> usize {
-        if pos == 0 || pos >= self.data.len() {
-            return pos.min(self.data.len());
-        }
-        match self.data[pos - 1..].iter().position(|&b| b == b'\n') {
-            Some(off) => pos + off,
-            None => self.data.len(),
-        }
-    }
-}
-
-impl ChunkedEdges for EdgeListChunks<'_> {
-    fn num_vertices(&self) -> usize {
-        self.remap.len()
-    }
-
-    fn num_chunks(&self) -> usize {
-        self.data.len().div_ceil(self.chunk_bytes).max(1)
-    }
-
-    fn emit(&self, chunk: usize, sink: &mut dyn FnMut(VertexId, VertexId)) {
-        let lo = self.snap(chunk * self.chunk_bytes);
-        let hi = self.snap((chunk + 1) * self.chunk_bytes);
-        for raw in self.data[lo..hi].split(|&b| b == b'\n') {
-            if let Line::Edge(u, v) = parse_line(raw) {
-                // The validation pass interned every id; absence here would
-                // mean the bytes changed between passes.
-                let u = *self.remap.get(&u).expect("edge list mutated during ingest");
-                let v = *self.remap.get(&v).expect("edge list mutated during ingest");
-                sink(u, v);
-            }
-        }
-    }
-}
-
-/// Reads a whitespace-separated edge list through `mmap` + streamed
-/// two-pass CSR ingest: one sequential validation/interning scan, then
-/// count and scatter passes that re-tokenize the mapped bytes in parallel.
-/// No `Vec<(u32, u32)>` pair list ever materializes, so peak memory is the
-/// remap table plus the final CSR — the path for paper-scale edge lists on
-/// disk. Semantically identical to [`read_edge_list`] (same interning
-/// order, same cleaning); falls back to an owned read of the file when
-/// mapping is unavailable.
-pub fn read_edge_list_mmap(path: &Path) -> Result<Graph, IoError> {
-    read_edge_list_mmap_with(path, &ScopedPool(1))
-}
-
-/// [`read_edge_list_mmap`] over a caller-supplied ingest pool.
-pub fn read_edge_list_mmap_with(path: &Path, pool: &dyn IngestPool) -> Result<Graph, IoError> {
-    let bytes = FileBytes::open(path).map_err(|e| IoError::from(e).in_file(path))?;
-    let data = bytes.bytes();
-
-    // Validation + interning pass: sequential, so dense ids keep the
-    // first-appearance order `read_edge_list` assigns.
-    let mut remap = crate::fxhash::FxHashMap::default();
-    for (idx, raw) in data.split(|&b| b == b'\n').enumerate() {
-        let line_no = idx + 1;
-        match parse_line(raw) {
-            Line::Skip => {}
-            Line::Bad => {
-                let content = String::from_utf8_lossy(raw).trim().to_string();
-                return Err(IoError::Parse { line: line_no, content }.in_file(path));
-            }
-            Line::Edge(u, v) => {
-                for raw_id in [u, v] {
-                    if remap.len() > VertexId::MAX as usize && !remap.contains_key(&raw_id) {
-                        return Err(IoError::TooManyVertices { max: VertexId::MAX as u64 + 1 }
-                            .in_file(path));
-                    }
-                    let next = remap.len() as VertexId;
-                    remap.entry(raw_id).or_insert(next);
-                }
-            }
-        }
-    }
-
-    const CHUNK_BYTES: usize = 4 << 20;
-    let src = EdgeListChunks { data, remap: &remap, chunk_bytes: CHUNK_BYTES };
-    // Interned ids are dense by construction; only count/offset overflow
-    // can surface here, and it has no IoError analog beyond a generic
-    // I/O wrapper.
-    let (graph, _report) = build_chunked(&src, StreamConfig::cleaned(), pool)
-        .map_err(|e| IoError::Io(io::Error::other(e.to_string())).in_file(path))?;
-    Ok(graph)
-}
-
 /// Writes a graph as a `u\tv` edge list with a header comment.
 pub fn write_edge_list(graph: &Graph, path: &Path) -> io::Result<()> {
     let mut writer = BufWriter::new(File::create(path)?);
@@ -411,48 +197,6 @@ mod tests {
 
         let missing = read_edge_list(&dir.join("does_not_exist.txt")).unwrap_err();
         assert!(missing.to_string().contains("does_not_exist.txt"));
-    }
-
-    #[test]
-    fn mmap_loader_matches_buffered_loader() {
-        let dir = std::env::temp_dir().join("geograph_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("mmap_rt.txt");
-        let g = crate::generators::rmat(&crate::generators::RmatConfig::social(300, 2400), 9);
-        write_edge_list(&g, &path).unwrap();
-        let buffered = read_edge_list(&path).unwrap();
-        let mapped = read_edge_list_mmap(&path).unwrap();
-        assert_eq!(mapped, buffered);
-        // Parallel parse over small chunks must agree too.
-        let pooled = read_edge_list_mmap_with(&path, &crate::stream::ScopedPool(4)).unwrap();
-        assert_eq!(pooled, buffered);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn mmap_loader_reports_malformed_lines() {
-        let dir = std::env::temp_dir().join("geograph_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("mmap_bad.txt");
-        std::fs::write(&path, "0 1\n# fine\nnope\n").unwrap();
-        let err = read_edge_list_mmap(&path).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("line 3") && msg.contains("mmap_bad.txt"), "{msg}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn mmap_loader_handles_empty_and_comment_only_files() {
-        let dir = std::env::temp_dir().join("geograph_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        for (name, content) in [("mmap_empty.txt", ""), ("mmap_comments.txt", "# a\n% b\n")] {
-            let path = dir.join(name);
-            std::fs::write(&path, content).unwrap();
-            let g = read_edge_list_mmap(&path).unwrap();
-            assert_eq!(g.num_vertices(), 0);
-            assert_eq!(g.num_edges(), 0);
-            std::fs::remove_file(&path).ok();
-        }
     }
 
     #[test]

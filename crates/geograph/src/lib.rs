@@ -42,7 +42,6 @@ pub mod geo;
 pub mod io;
 pub mod locality;
 pub mod mem;
-pub mod shard;
 pub mod stream;
 pub mod transform;
 pub mod weights;
@@ -57,7 +56,6 @@ pub use dynamic::{AppliedEvents, EdgeEvent, EdgeStream, EventKind, WindowSplitEr
 pub use geo::GeoGraph;
 pub use locality::LocalityConfig;
 pub use mem::peak_rss_bytes;
-pub use shard::{route_delta, ShardDelta, ShardIngestReport, ShardSpec, ShardView};
 pub use stream::{
     build_chunked, build_streamed, BuildError, ChunkedEdges, IngestPool, IngestReport, ScopedPool,
     StreamConfig,

@@ -213,10 +213,8 @@ impl IngestReport {
 
 /// Shared mutable slice for the scatter pass. Each write index is claimed
 /// through the owning vertex's counter ([`claim`]), so no two threads ever
-/// write the same slot. Shared with the shard-resident ingest
-/// ([`crate::shard::ShardView::build_streamed`]), which scatters the same
-/// way into per-shard arrays.
-pub(crate) struct SharedSlice<T>(pub(crate) *mut T);
+/// write the same slot.
+struct SharedSlice<T>(*mut T);
 // SAFETY: the wrapper only hands out `write`, whose contract makes every
 // access a disjoint, in-bounds slot; `T: Send` lets another thread own the
 // written value.
@@ -227,30 +225,23 @@ impl<T> SharedSlice<T> {
     /// `idx` must be inside the allocation the pointer was taken from, and
     /// no other thread may read or write slot `idx` during the pass.
     #[inline]
-    pub(crate) unsafe fn write(&self, idx: usize, value: T) {
+    unsafe fn write(&self, idx: usize, value: T) {
         unsafe { self.0.add(idx).write(value) }
-    }
-
-    /// The base pointer. A method (rather than field access) so closures
-    /// capture the whole `Sync` wrapper, not the raw pointer field.
-    #[inline]
-    pub(crate) fn base(&self) -> *mut T {
-        self.0
     }
 }
 
 /// What one sweep over the source saw.
-pub(crate) struct SweepTotals {
-    pub(crate) raw_edges: u64,
-    pub(crate) self_loops_dropped: u64,
+struct SweepTotals {
+    raw_edges: u64,
+    self_loops_dropped: u64,
 }
 
 /// One sweep over every chunk of `src`, spread over `pool`: validates each
 /// edge against `n`, drops self-loops if `cfg` says so, and hands every kept
-/// edge to `keep`. Both passes of every streamed build are this sweep, so
+/// edge to `keep`. Both passes of the build are this sweep, so
 /// both apply the same checks: an out-of-range edge or a stream at 2^32
 /// kept edges is a typed error whichever pass meets it.
-pub(crate) fn sweep<S: ChunkedEdges + ?Sized>(
+fn sweep<S: ChunkedEdges + ?Sized>(
     src: &S,
     cfg: StreamConfig,
     pool: &dyn IngestPool,
@@ -316,7 +307,7 @@ pub(crate) fn sweep<S: ChunkedEdges + ?Sized>(
 /// Checked prefix sum of the pass-1 degree counters: run `i` of the flat
 /// array is `offsets[i]..offsets[i + 1]`. The sweep capped kept edges at
 /// `u32`, so the sum fits.
-pub(crate) fn offsets_from_counts(counts: &[AtomicU32]) -> Result<Vec<u32>, BuildError> {
+fn offsets_from_counts(counts: &[AtomicU32]) -> Result<Vec<u32>, BuildError> {
     let mut offsets = Vec::with_capacity(counts.len() + 1);
     let mut acc = 0u32;
     offsets.push(0);
@@ -333,7 +324,7 @@ pub(crate) fn offsets_from_counts(counts: &[AtomicU32]) -> Result<Vec<u32>, Buil
 /// slot is always inside the run and claimed once — the scatter's memory
 /// safety does not rest on the source keeping its contract.
 #[inline]
-pub(crate) fn claim(counter: &AtomicU32) -> Option<u32> {
+fn claim(counter: &AtomicU32) -> Option<u32> {
     counter
         .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |left| left.checked_sub(1))
         .ok()
@@ -342,20 +333,20 @@ pub(crate) fn claim(counter: &AtomicU32) -> Option<u32> {
 
 /// The lowest vertex the scatter was handed an edge for that pass 1 never
 /// counted (its run was already full), with the run's length.
-pub(crate) struct Refused(AtomicU64);
+struct Refused(AtomicU64);
 
 impl Refused {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Refused(AtomicU64::new(u64::MAX))
     }
 
     /// Lowest vertex wins, so the reported vertex does not depend on thread
     /// interleaving.
-    pub(crate) fn record(&self, vertex: VertexId, run_len: u32) {
+    fn record(&self, vertex: VertexId, run_len: u32) {
         self.0.fetch_min(((vertex as u64) << 32) | run_len as u64, Ordering::Relaxed);
     }
 
-    pub(crate) fn into_result(self) -> Result<(), BuildError> {
+    fn into_result(self) -> Result<(), BuildError> {
         match self.0.into_inner() {
             u64::MAX => Ok(()),
             packed => {
@@ -372,18 +363,14 @@ impl Refused {
 
 /// The post-scatter check that, with [`Refused`], turns a lying source into
 /// a typed error instead of a silently wrong graph: every run is exactly
-/// full (its counter is back at zero). `first` is the vertex id of run 0.
-pub(crate) fn check_runs_full(
-    first: VertexId,
-    offsets: &[u32],
-    counters: &[AtomicU32],
-) -> Result<(), BuildError> {
+/// full (its counter is back at zero).
+fn check_runs_full(offsets: &[u32], counters: &[AtomicU32]) -> Result<(), BuildError> {
     for (i, c) in counters.iter().enumerate() {
         let left = c.load(Ordering::Relaxed);
         if left != 0 {
             let pass1 = offsets[i + 1] - offsets[i];
             return Err(BuildError::StreamMismatch {
-                vertex: first + i as VertexId,
+                vertex: i as VertexId,
                 pass1,
                 pass2: pass1 - left,
             });
@@ -429,7 +416,7 @@ pub fn build_chunked<S: ChunkedEdges + ?Sized>(
             }
         })?;
         refused.into_result()?;
-        check_runs_full(0, &scattered_offsets, &counters)?;
+        check_runs_full(&scattered_offsets, &counters)?;
     }
     // The build's peak beyond the CSR it returns, if any: from here on it
     // holds at most one equally sized plane in the counters' place, then
@@ -540,16 +527,16 @@ where
     build_chunked(&IterSource { n, make_iter }, cfg, &ScopedPool(1))
 }
 
-/// Chunked sources for this crate's streamed-build tests.
 #[cfg(test)]
-pub(crate) mod testing {
+mod tests {
     use super::*;
+    use crate::GraphBuilder;
 
     /// A fixed edge list exposed as a chunked stream.
-    pub(crate) struct VecSource {
-        pub(crate) n: usize,
-        pub(crate) chunk: usize,
-        pub(crate) edges: Vec<(VertexId, VertexId)>,
+    struct VecSource {
+        n: usize,
+        chunk: usize,
+        edges: Vec<(VertexId, VertexId)>,
     }
 
     impl ChunkedEdges for VecSource {
@@ -570,18 +557,14 @@ pub(crate) mod testing {
 
     /// A source that breaks the [`ChunkedEdges`] contract: one edge per
     /// chunk, and from the second sweep on it emits a different list.
-    pub(crate) struct Liar {
+    struct Liar {
         n: usize,
         passes: [Vec<(VertexId, VertexId)>; 2],
         emitted: AtomicUsize,
     }
 
     impl Liar {
-        pub(crate) fn new(
-            n: usize,
-            pass1: &[(VertexId, VertexId)],
-            pass2: &[(VertexId, VertexId)],
-        ) -> Self {
+        fn new(n: usize, pass1: &[(VertexId, VertexId)], pass2: &[(VertexId, VertexId)]) -> Self {
             Liar { n, passes: [pass1.to_vec(), pass2.to_vec()], emitted: AtomicUsize::new(0) }
         }
     }
@@ -601,13 +584,6 @@ pub(crate) mod testing {
             }
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::testing::{Liar, VecSource};
-    use super::*;
-    use crate::GraphBuilder;
 
     fn messy_edges() -> Vec<(VertexId, VertexId)> {
         // Duplicates, self-loops, out-of-order, hub vertex 0.

@@ -33,7 +33,6 @@ pub mod kernel;
 pub mod metrics;
 pub mod plan_io;
 pub mod profile;
-pub mod shard;
 pub mod snapshot;
 pub mod state;
 pub mod vertexcut;
@@ -43,7 +42,6 @@ pub use error::PlanError;
 pub use hybrid::{reseed_stranded_masters, EvacuationReport, HybridState};
 pub use kernel::{MoveScratch, ScratchStats};
 pub use profile::TrafficProfile;
-pub use shard::{export_row, RowSync, ShardPlacement};
 pub use state::{DeltaApplyStats, Objective, PlacementState};
 
 pub use geograph::{DcId, VertexId};

@@ -30,8 +30,8 @@ fi
 echo "==> one CSR builder, one migration arm (deleted paths stay deleted)"
 # build_chunked is the only count/scatter/transpose core and it sorts
 # nothing: a comparison sort must not come back into the builder or its
-# staged callers outside their test modules (csr.rs keeps the one in
-# apply_delta, shard.rs its per-run sort). migration_phase runs on the
+# staged callers outside their test modules (the only comparison sort left
+# on a graph path is apply_delta's, in csr.rs). migration_phase runs on the
 # caller thread; the barrier-fenced pooled arm must not come back.
 for f in crates/geograph/src/builder.rs crates/geograph/src/stream.rs; do
   if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'sort_unstable'; then
@@ -54,6 +54,21 @@ if git grep -n -E 'RLCP|fn fnv1a|struct Reader' -- crates/core/src; then
   echo "a private checkpoint codec reappeared in crates/core/src/"; exit 1
 fi
 for f in crates/geograph/src/offsets.rs crates/geograph/src/compress.rs; do
+  if [ -e "$f" ]; then
+    echo "$f exists again"; exit 1
+  fi
+done
+
+echo "==> one address space (deleted paths stay deleted)"
+# The trainer, the placement state and the graph live in one process:
+# vertex-range sharding (views, placement replicas, the shuffle layer, the
+# Proposer seam that selected it), the one-variant CheckpointError it left
+# behind and the uncalled mmap edge-list loader must not come back.
+if git grep -n -E 'ShardView|ShardSpec|ShardPlacement|ShardRuntime|ShardCarry|ShuffleTransport|InProcessShuffle|RowSync|with_shards|partition_sharded|enum Proposer|CheckpointError|read_edge_list_mmap' \
+    -- crates tests examples; then
+  echo "vertex-range sharding, its seam or the mmap loader reappeared"; exit 1
+fi
+for f in crates/core/src/shard.rs crates/partition/src/shard.rs crates/geograph/src/shard.rs; do
   if [ -e "$f" ]; then
     echo "$f exists again"; exit 1
   fi
@@ -91,11 +106,9 @@ require_tests() {
 # Pool determinism: every thread count trains the bit-identical plan and
 # applies the same number of moves.
 require_tests deterministic_across_thread_counts
-# The sharded runtime's contract: trained masters are bit-identical to the
-# single-process trainer at any shard count, on the property-test graph
-# and across dynamic windows.
-require_tests sharded_masters_match_trainer_at_1_2_4_8_shards \
-  sharded_windows_match_unsharded_across_deltas
+# A window's journal replays: committed state + delta + journalled moves,
+# in order, is the live carried state to the last movement-cost bit.
+require_tests journaled_windows_replay_to_the_committed_state
 # Incremental == rebuild: every delta window's carried state is validated
 # bit-for-bit against a from-scratch rebuild, and its work is proportional
 # to the delta, not the graph.
@@ -155,13 +168,12 @@ require_tests every_response_matches_exactly_one_published_epoch \
   evacuation_mid_traffic_never_serves_a_dead_master \
   boot_from_store_matches_the_live_server_bit_exactly
 # The one CSR builder must equal a naive push-sort-dedup oracle that shares
-# no code with it, and shard-streamed views must equal the staged ones.
-require_tests build_core_matches_naive_oracle shard_streamed_matches_staged_views
+# no code with it.
+require_tests build_core_matches_naive_oracle
 # The substrate's byte budgets on the LJ analog (exact for a seed): CSR
 # <= 9.0 B per directed edge (u32 offsets, measured 8.62; usize offsets
 # measured 9.25+), streamed build peak <= 1.25x the final CSR (no O(E)
-# staging copy), every one of 4 edge-balanced shard-resident ingests
-# <= 0.5x the full CSR.
+# staging copy).
 require_tests lj_analog_ingest_stays_inside_its_byte_budgets
 
 echo "==> cargo fmt --check"

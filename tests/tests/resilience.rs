@@ -129,7 +129,7 @@ fn restore_then_step_is_bit_identical_to_uninterrupted() {
     for _ in 0..5 {
         uninterrupted.step(&env).unwrap();
     }
-    let restored_cp = uninterrupted.checkpoint().unwrap();
+    let restored_cp = uninterrupted.checkpoint();
     uninterrupted.step(&env).unwrap();
 
     let mut resumed = TrainerSession::resume(&geo, &env, &restored_cp, config, profile, 10.0);
@@ -139,8 +139,8 @@ fn restore_then_step_is_bit_identical_to_uninterrupted() {
 
     assert_eq!(resumed.masters(), uninterrupted.masters(), "post-step masters diverged");
     assert_eq!(
-        bits(resumed.checkpoint().unwrap()),
-        bits(uninterrupted.checkpoint().unwrap()),
+        bits(resumed.checkpoint()),
+        bits(uninterrupted.checkpoint()),
         "post-step checkpoints are not bit-identical"
     );
 }
@@ -246,7 +246,7 @@ fn fault_pipeline_is_deterministic_per_seed() {
         for _ in 0..4 {
             s.step(&env).unwrap();
         }
-        s.checkpoint().unwrap()
+        s.checkpoint()
     };
     assert_eq!(bits(cp(())), bits(cp(())), "checkpoints are not bit-identical across runs");
 }

@@ -4,10 +4,9 @@
 //! thread count and chunking.
 
 use geograph::datasets::DEFAULT_CHUNK_EDGES;
-use geograph::generators::{rmat_streamed, RmatChunks, RmatConfig};
+use geograph::generators::{rmat_streamed, RmatConfig};
 use geograph::{
-    build_chunked, ChunkedEdges, Dataset, Graph, GraphBuilder, ScopedPool, ShardSpec, ShardView,
-    StreamConfig, VertexId,
+    build_chunked, ChunkedEdges, Dataset, Graph, GraphBuilder, ScopedPool, StreamConfig, VertexId,
 };
 use proptest::prelude::*;
 
@@ -188,43 +187,6 @@ proptest! {
             }
         }
     }
-
-    /// The shard-resident ingest contract at property-test scale: for any
-    /// edge list, cleaning mode, and shard count, `ShardView::build_streamed`
-    /// over the chunked source equals `ShardView::build` over the staged
-    /// graph — structural equality covers the local CSR, the owned range,
-    /// and the sorted ghost fringe.
-    #[test]
-    fn shard_streamed_matches_staged_views((n, edges) in arb_edges()) {
-        for (cfg, staged) in [
-            (StreamConfig::verbatim(), Graph::from_edges(n, &edges)),
-            (StreamConfig::cleaned(), {
-                let mut b = GraphBuilder::new(n);
-                for &(u, v) in &edges {
-                    if u != v {
-                        b.add_edge(u, v);
-                    }
-                }
-                b.build()
-            }),
-        ] {
-            let src = VecChunks::split(n, &edges, 3);
-            for shards in [1usize, 2, 4, 8] {
-                let spec = ShardSpec::contiguous(n, shards);
-                for s in 0..shards {
-                    let (view, report) =
-                        ShardView::build_streamed(&src, cfg, &spec, s, &ScopedPool(2))
-                            .expect("shard-resident build");
-                    let reference = ShardView::build(&staged, &spec, s);
-                    prop_assert_eq!(
-                        &view, &reference,
-                        "shard {}/{} diverged (dedup={})", s, shards, cfg.dedup
-                    );
-                    prop_assert!(view.heap_bytes() <= report.peak_bytes());
-                }
-            }
-        }
-    }
 }
 
 #[test]
@@ -241,30 +203,17 @@ fn streamed_rmat_deterministic_across_thread_counts() {
 
 /// The substrate's byte budgets, on the LiveJournal analog at scale 0.002
 /// (9.7 k vertices, ~14 edges per vertex — the density at which they
-/// bind). All three are exact for a seed. CSR: at most 9.0 B per directed
+/// bind). Both are exact for a seed. CSR: at most 9.0 B per directed
 /// edge (measured 8.62; `usize` offsets cost 9.25 and fail). Build: peak at
 /// most 1.25 x the CSR it returns (measured 1.000; a staged edge list sits
-/// at 2-3 x). Shard-resident ingest at 4 edge-balanced shards: every
-/// shard's view plus transients at most 0.5 x the full CSR (measured
-/// 0.355), each view equal to its staged build.
+/// at 2-3 x).
 #[test]
 fn lj_analog_ingest_stays_inside_its_byte_budgets() {
     let (config, seed) = Dataset::LiveJournal.rmat_setup(0.002, 42);
-    let pool = ScopedPool(2);
-    let (graph, report) = rmat_streamed(&config, seed, DEFAULT_CHUNK_EDGES, &pool).unwrap();
+    let (_, report) = rmat_streamed(&config, seed, DEFAULT_CHUNK_EDGES, &ScopedPool(2)).unwrap();
     let per_edge = report.csr_bytes as f64 / report.edges as f64;
     assert!(per_edge <= 9.0, "CSR costs {per_edge:.3} B/edge");
     assert!(report.build_ratio() <= 1.25, "build peaked at {:.3} x the CSR", report.build_ratio());
-
-    let src = RmatChunks::new(config, seed, DEFAULT_CHUNK_EDGES);
-    let spec = ShardSpec::balanced(&graph, 4);
-    for s in 0..4 {
-        let (view, shard) =
-            ShardView::build_streamed(&src, StreamConfig::cleaned(), &spec, s, &pool).unwrap();
-        assert_eq!(view, ShardView::build(&graph, &spec, s), "shard {s} diverged from staged");
-        let frac = shard.peak_bytes() as f64 / report.csr_bytes as f64;
-        assert!(frac <= 0.5, "shard {s} peaked at {frac:.3} x the full CSR");
-    }
 }
 
 #[test]
