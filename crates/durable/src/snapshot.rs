@@ -3,11 +3,15 @@
 //!
 //! A snapshot pins everything replay would otherwise have to reconstruct
 //! from genesis: the graph as of some committed window (gap-varint rows,
-//! [`geograph::wire`]), the verbatim placement accumulators
-//! ([`geopart::snapshot`]: every `f64` as raw bits, the count plane
-//! sparse), the carried theta, and optionally an opaque caller blob (this
-//! layer stores the bytes and gives them no meaning; the pipeline writes
-//! none).
+//! [`geograph::wire`]), the carried hybrid-cut placement and its theta
+//! ([`geopart::snapshot`]: masters, the `is_high` bitmap, the profile runs
+//! and every accumulator as raw `f64` bits; the count plane is not stored
+//! but rebuilt from the decoded graph), and optionally an opaque caller
+//! blob (this layer stores the bytes and gives them no meaning; the
+//! pipeline writes none). The placement section carries hybrid-cut parts
+//! only (`HybridState::into_parts`), which is all the pipeline puts in a
+//! [`SnapshotRef`]: any other state would decode to the hybrid-cut plane
+//! of its masters.
 //! Recovery = newest decodable snapshot + WAL replay from its
 //! [`Snapshot::lsn`].
 //!
@@ -40,7 +44,7 @@ use crate::error::{fnv1a, fnv1a_fold, DurableError, FNV_OFFSET};
 pub const MAGIC: [u8; 4] = *b"RLSN";
 /// The one snapshot format version; any other is
 /// [`DurableError::UnsupportedVersion`].
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 /// File-sink buffer: the whole transient heap of cutting a snapshot.
 const SINK_BUFFER_BYTES: usize = 64 << 10;
 
@@ -163,11 +167,7 @@ impl Snapshot {
             0 => None,
             1 => {
                 let theta = r.varint()? as usize;
-                let state = decode_placement(&mut r)?;
-                if state.num_vertices() != geo.num_vertices() || state.num_dcs() != geo.num_dcs {
-                    return Err(WireError::Malformed("placement does not match geo").into());
-                }
-                Some((state, theta))
+                Some((decode_placement(&mut r, &geo)?, theta))
             }
             _ => return Err(WireError::Malformed("placement presence flag").into()),
         };

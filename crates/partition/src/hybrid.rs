@@ -74,25 +74,14 @@ impl<'g> HybridState<'g> {
                 num_dcs: env.num_dcs(),
             });
         }
+        assert_eq!(profile.len(), geo.num_vertices());
         let is_high = geograph::degree::classify_high_degree(&geo.graph, theta);
-        let edge_dc = |u: VertexId, v: VertexId| -> DcId {
-            if is_high[v as usize] {
-                masters[u as usize]
-            } else {
-                masters[v as usize]
-            }
-        };
-        let core = PlacementState::from_edge_placement(
-            env,
-            geo.num_vertices(),
-            geo.graph.edges().map(|(u, v)| (u, v, edge_dc(u, v))),
-            masters.clone(),
-            is_high.clone(),
-            &geo.locations,
-            &geo.data_sizes,
-            profile,
-            num_iterations,
-        )?;
+        let mut core =
+            PlacementState::unplaced(env.num_dcs(), masters, is_high, profile, num_iterations);
+        core.place_hybrid_edges(&geo.graph);
+        core.rebuild_loads();
+        core.movement_cost =
+            geosim::cost::movement_cost(env, &geo.locations, &core.masters, &geo.data_sizes);
         Ok(HybridState { geo, core, theta })
     }
 
@@ -603,6 +592,16 @@ impl<'g> HybridState<'g> {
                     fresh: self.core.masters[v] as u64,
                 });
             }
+            // A decoded state carries its classes instead of deriving them
+            // from θ: both copies must still be θ's.
+            if ours.high != fresh.high || self.core.is_high[v] != fresh.high {
+                return Err(PlanError::MetaDrift {
+                    field: "high",
+                    vertex: v as VertexId,
+                    incremental: !fresh.high as u64,
+                    fresh: fresh.high as u64,
+                });
+            }
         }
         for d in 0..m {
             if self.core.edges_per_dc[d] != fresh.core.edges_per_dc[d] {
@@ -1015,6 +1014,67 @@ mod tests {
                     "v={v8} d={d}: reused {r:?} vs fresh {c:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn row_sequential_build_equals_the_per_edge_placement() {
+        // The kernel against the rule fed edge by edge through
+        // from_edge_placement: same counts, masks and balance, and loads and
+        // movement cost equal to the bit, at θ from all-high to all-low.
+        let (geo, env) = setup(27);
+        let masters: Vec<DcId> =
+            geo.locations.iter().enumerate().map(|(v, &l)| (l + (v % 3) as DcId) % 8).collect();
+        for theta in [0, 1, 4, 16, usize::MAX] {
+            let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
+            let built = HybridState::from_masters(
+                &geo,
+                &env,
+                masters.clone(),
+                theta,
+                profile.clone(),
+                10.0,
+            );
+            let is_high = geograph::degree::classify_high_degree(&geo.graph, theta);
+            let edges = geo.graph.edges().map(|(u, v)| {
+                (u, v, if is_high[v as usize] { masters[u as usize] } else { masters[v as usize] })
+            });
+            let per_edge = PlacementState::from_edge_placement(
+                &env,
+                geo.num_vertices(),
+                edges,
+                masters.clone(),
+                is_high.clone(),
+                &geo.locations,
+                &geo.data_sizes,
+                profile,
+                10.0,
+            )
+            .unwrap();
+            let (a, b) = (&built.core, &per_edge);
+            assert_eq!(a.counts, b.counts, "θ {theta}: counts");
+            assert_eq!(a.meta, b.meta, "θ {theta}: meta");
+            assert_eq!(a.edges_per_dc, b.edges_per_dc, "θ {theta}: balance");
+            assert_eq!(a.movement_cost.to_bits(), b.movement_cost.to_bits());
+            for d in 0..8 {
+                assert_eq!(a.gather.up(d).to_bits(), b.gather.up(d).to_bits(), "θ {theta}");
+                assert_eq!(a.gather.down(d).to_bits(), b.gather.down(d).to_bits(), "θ {theta}");
+                assert_eq!(a.apply.up(d).to_bits(), b.apply.up(d).to_bits(), "θ {theta}");
+                assert_eq!(a.apply.down(d).to_bits(), b.apply.down(d).to_bits(), "θ {theta}");
+            }
+        }
+    }
+
+    #[test]
+    fn validate_plan_reports_a_class_that_is_not_thetas() {
+        let (geo, env) = setup(28);
+        let mut s = state(&geo, &env);
+        let v = (0..geo.num_vertices()).find(|&v| !s.core.is_high[v]).unwrap();
+        s.core.is_high[v] = true;
+        s.core.meta[v].high = true;
+        match s.validate_plan(&env) {
+            Err(PlanError::MetaDrift { field: "high", .. }) => {}
+            other => panic!("expected a high-class drift, got {other:?}"),
         }
     }
 

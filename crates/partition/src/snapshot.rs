@@ -1,42 +1,34 @@
-//! Verbatim wire encoding of [`PlacementState`] for durable snapshots.
+//! Wire encoding of a **hybrid-cut** [`PlacementState`] for durable
+//! snapshots. A vertex-cut state cannot travel this way: its edge
+//! placement is not a function of the masters.
 //!
 //! Crash-exact recovery needs the restored state to be **bit-identical**
 //! to the live one — not merely equivalent under `validate_plan`'s f64
 //! tolerances. Rebuilding from masters would re-accumulate the stage
 //! loads in a different order and drift by ULPs, so the snapshot instead
 //! captures the incrementally-tracked accumulators exactly as they are:
-//! every `f64` travels as its raw bits.
+//! `num_iterations`, `movement_cost` and the four stage-load vectors
+//! travel as raw `f64` bits.
 //!
-//! Only *authoritative* state travels, and compactly: the dense
-//! `n × M × 2` count plane is mostly zeros, so a row travels as
-//! `varint(occupancy mask)` plus a varint `(in, out)` pair per occupied
-//! DC; `is_high` is a bitmap; the near-constant traffic profile travels
-//! as `(value, run)` pairs. The packed kernel metadata (`VertexMeta`) and
-//! the per-DC edge balance are pure functions of what travels:
-//!
-//! * `nnz` bit `d` is set iff cell `(v, d)` has a nonzero lane —
-//!   [`PlacementState::place_edge`] sets the bit when a lane becomes
-//!   nonzero and `unplace_edge` clears it when the pair empties, so it
-//!   *is* the occupancy mask on the wire;
-//! * `g`/`a` are f32 copies of the profile, `master`/`high` copies of the
-//!   vectors;
-//! * `edges_per_dc[d]` is the sum of out-count lanes at `d` (each placed
-//!   edge increments exactly one out lane).
-//!
-//! The decoder re-derives them, so a snapshot cannot carry an
-//! inconsistent mask. The counts themselves are *not* re-derived from the
-//! graph: that would couple this decoder to the CSR and turn recovery into
-//! an O(E) random-access pass. Malformed bytes surface as typed
-//! [`WireError`]s — never panics, never a half-valid state.
+//! What else travels is what the hybrid-cut rule (§IV-B) reads: the
+//! masters, `is_high` as a bitmap (so decoding does not depend on how θ
+//! classifies) and the near-constant traffic profile as `(value, run)`
+//! pairs. The `n × M × 2` count plane, the occupancy masks and the per-DC
+//! edge balance are that rule's output over the snapshot's graph, so
+//! [`decode_placement`] rebuilds them with the same row-sequential kernel
+//! `HybridState::from_masters` uses (`PlacementState::place_hybrid_edges`)
+//! and a snapshot cannot carry an inconsistent plane. Malformed bytes
+//! surface as typed [`WireError`]s — never panics, never a half-valid
+//! state.
 
 use std::io::{self, Write};
 
 use geograph::wire::{put_f32_runs, put_varint, Reader, WireError};
-use geograph::{DcId, MAX_DCS};
+use geograph::{DcId, GeoGraph, MAX_DCS};
 use geosim::StageLoads;
 
 use crate::profile::TrafficProfile;
-use crate::state::{PlacementState, VertexMeta};
+use crate::state::PlacementState;
 
 fn put_loads<W: Write>(w: &mut W, loads: &StageLoads, m: usize) -> io::Result<()> {
     let dcs = || 0..m as DcId;
@@ -59,7 +51,8 @@ fn take_loads(r: &mut Reader<'_>, m: usize) -> Result<StageLoads, WireError> {
     Ok(loads)
 }
 
-/// Writes the verbatim wire form of `state` to `w`.
+/// Writes the wire form of the hybrid-cut `state` to `w`: everything but
+/// the count plane and what is derived from it.
 pub fn encode_placement<W: Write>(state: &PlacementState, w: &mut W) -> io::Result<()> {
     let m = state.num_dcs;
     put_varint(w, state.masters.len() as u64)?;
@@ -73,30 +66,26 @@ pub fn encode_placement<W: Write>(state: &PlacementState, w: &mut W) -> io::Resu
     }
     put_f32_runs(w, &state.profile.gather_bytes)?;
     put_f32_runs(w, &state.profile.apply_bytes)?;
-    for row in state.counts.chunks_exact(2 * m) {
-        let cells = || row.chunks_exact(2).enumerate().filter(|(_, c)| c[0] | c[1] != 0);
-        put_varint(w, cells().fold(0u64, |mask, (d, _)| mask | 1 << d))?;
-        for (_, c) in cells() {
-            put_varint(w, c[0] as u64)?;
-            put_varint(w, c[1] as u64)?;
-        }
-    }
     put_loads(w, &state.gather, m)?;
     put_loads(w, &state.apply, m)
 }
 
-/// Decodes one placement state from `r`, re-deriving the kernel metadata
-/// and per-DC balance from the authoritative planes.
-pub fn decode_placement(r: &mut Reader<'_>) -> Result<PlacementState, WireError> {
+/// Decodes one hybrid-cut placement state over `geo` from `r`, rebuilding
+/// the count plane, occupancy masks and per-DC balance from `geo`'s graph.
+/// A state whose vertex or DC count is not `geo`'s is refused before
+/// anything is derived.
+pub fn decode_placement(r: &mut Reader<'_>, geo: &GeoGraph) -> Result<PlacementState, WireError> {
     let (n, m) = (r.varint()?, r.varint()?);
     if m == 0 || m > MAX_DCS as u64 {
         return Err(WireError::Malformed("DC count out of range"));
     }
-    // A vertex costs at least its master and mask bytes; bound n by that
-    // before any sized allocation so a corrupt count fails as Truncated,
-    // not OOM (the dense count plane is then what an edge-free state costs).
-    if n > (r.remaining() / 2) as u64 {
+    // A vertex costs at least its master byte; bound n by that before any
+    // sized allocation so a corrupt count fails as Truncated, not OOM.
+    if n > r.remaining() as u64 {
         return Err(WireError::Truncated);
+    }
+    if n != geo.num_vertices() as u64 || m != geo.num_dcs as u64 {
+        return Err(WireError::Malformed("placement does not match geo"));
     }
     let (n, m) = (n as usize, m as usize);
     let num_iterations = r.f64()?;
@@ -112,46 +101,16 @@ pub fn decode_placement(r: &mut Reader<'_>) -> Result<PlacementState, WireError>
     let is_high: Vec<bool> = (0..n).map(|v| bitmap[v / 8] >> (v % 8) & 1 != 0).collect();
     let gather_bytes = r.runs(n, Reader::f32)?;
     let apply_bytes = r.runs(n, Reader::f32)?;
-
-    let mut counts = vec![0u32; n * m * 2];
-    let mut meta = Vec::with_capacity(n);
-    let mut edges_per_dc = vec![0u64; m];
-    for (v, row) in counts.chunks_exact_mut(2 * m).enumerate() {
-        let nnz = r.varint()?;
-        if m < 64 && nnz >> m != 0 {
-            return Err(WireError::Malformed("occupancy bit beyond the DC count"));
-        }
-        let mut bits = nnz;
-        while bits != 0 {
-            let d = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let (inc, out) = (r.varint_u32()?, r.varint_u32()?);
-            if inc | out == 0 {
-                return Err(WireError::Malformed("occupied cell holds no edges"));
-            }
-            row[2 * d] = inc;
-            row[2 * d + 1] = out;
-            edges_per_dc[d] += out as u64;
-        }
-        let (g, a) = (gather_bytes[v], apply_bytes[v]);
-        meta.push(VertexMeta { nnz, g, a, master: masters[v], high: is_high[v] });
-    }
     let gather = take_loads(r, m)?;
     let apply = take_loads(r, m)?;
 
-    Ok(PlacementState {
-        num_dcs: m,
-        masters,
-        is_high,
-        counts,
-        meta,
-        edges_per_dc,
-        gather,
-        apply,
-        movement_cost,
-        profile: TrafficProfile { gather_bytes, apply_bytes },
-        num_iterations,
-    })
+    let profile = TrafficProfile { gather_bytes, apply_bytes };
+    let mut state = PlacementState::unplaced(m, masters, is_high, profile, num_iterations);
+    state.place_hybrid_edges(&geo.graph);
+    state.gather = gather;
+    state.apply = apply;
+    state.movement_cost = movement_cost;
+    Ok(state)
 }
 
 /// `state` as a standalone byte blob.
@@ -161,10 +120,11 @@ pub fn placement_to_bytes(state: &PlacementState) -> Vec<u8> {
     out
 }
 
-/// Decodes a standalone placement blob, requiring full consumption.
-pub fn placement_from_bytes(bytes: &[u8]) -> Result<PlacementState, WireError> {
+/// Decodes a standalone placement blob over `geo`, requiring full
+/// consumption.
+pub fn placement_from_bytes(bytes: &[u8], geo: &GeoGraph) -> Result<PlacementState, WireError> {
     let mut r = Reader::new(bytes);
-    let state = decode_placement(&mut r)?;
+    let state = decode_placement(&mut r, geo)?;
     r.finish()?;
     Ok(state)
 }
@@ -173,7 +133,7 @@ pub fn placement_from_bytes(bytes: &[u8]) -> Result<PlacementState, WireError> {
 mod tests {
     use super::*;
     use crate::hybrid::HybridState;
-    use geograph::{GeoGraph, GraphBuilder, LocalityConfig};
+    use geograph::{GraphBuilder, LocalityConfig};
     use geosim::CloudEnv;
 
     fn build() -> (GeoGraph, CloudEnv, PlacementState, usize) {
@@ -213,36 +173,36 @@ mod tests {
 
     #[test]
     fn round_trip_is_bit_identical() {
-        let (_, _, state, _) = build();
-        let restored = placement_from_bytes(&placement_to_bytes(&state)).unwrap();
+        let (geo, _, state, _) = build();
+        let restored = placement_from_bytes(&placement_to_bytes(&state), &geo).unwrap();
         assert_identical(&state, &restored);
     }
 
     #[test]
     fn round_trip_survives_validate_plan() {
         let (geo, env, state, theta) = build();
-        let restored = placement_from_bytes(&placement_to_bytes(&state)).unwrap();
+        let restored = placement_from_bytes(&placement_to_bytes(&state), &geo).unwrap();
         let hybrid = HybridState::from_parts(restored, theta, &geo);
         hybrid.validate_plan(&env).unwrap();
     }
 
     #[test]
     fn truncation_never_panics() {
-        let (_, _, state, _) = build();
+        let (geo, _, state, _) = build();
         let bytes = placement_to_bytes(&state);
         for len in 0..bytes.len() {
-            assert!(placement_from_bytes(&bytes[..len]).is_err(), "len {len} decoded");
+            assert!(placement_from_bytes(&bytes[..len], &geo).is_err(), "len {len} decoded");
         }
     }
 
     #[test]
     fn malformed_master_rejected() {
-        let (_, _, state, _) = build();
+        let (geo, _, state, _) = build();
         let mut bytes = placement_to_bytes(&state);
         // First master: past varint(n), varint(M) and the two f64 accumulators.
         bytes[18] = 99;
         assert!(matches!(
-            placement_from_bytes(&bytes),
+            placement_from_bytes(&bytes, &geo),
             Err(WireError::Malformed("master out of range"))
         ));
     }
@@ -284,7 +244,7 @@ mod tests {
                 ).unwrap();
                 let (state, _) = hybrid.into_parts();
                 let bytes = placement_to_bytes(&state);
-                let restored = placement_from_bytes(&bytes).unwrap();
+                let restored = placement_from_bytes(&bytes, &geo).unwrap();
                 assert_identical(&state, &restored);
                 prop_assert_eq!(bytes, placement_to_bytes(&restored));
             }

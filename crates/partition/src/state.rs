@@ -2,6 +2,7 @@
 //! vertex-cut): per-vertex edge-location counts, mirror sets, and the
 //! per-DC load accumulators behind the Eq 1–5 objective.
 
+use geograph::Graph;
 use geosim::{CloudEnv, StageLoads};
 
 use crate::error::PlanError;
@@ -42,10 +43,13 @@ impl Objective {
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub(crate) struct VertexMeta {
     /// Occupancy bitmask over the vertex's count row: bit `d` set iff cell
-    /// `(v, d)` holds any in- or out-count. Maintained exactly at the two
-    /// count-mutation sites ([`PlacementState::from_edge_placement`] and
-    /// the hybrid apply path); `num_dcs <= 64` is enforced at
-    /// construction, so one `u64` always suffices.
+    /// `(v, d)` holds any in- or out-count. Set where the counts are built
+    /// ([`PlacementState::place_hybrid_edges`],
+    /// [`PlacementState::from_edge_placement`]) and kept exact by every
+    /// later count mutation (the hybrid move path,
+    /// [`PlacementState::place_edge`] / [`PlacementState::unplace_edge`]);
+    /// `num_dcs <= 64` is enforced at construction, so one `u64` always
+    /// suffices.
     pub(crate) nnz: u64,
     /// Expected gather bytes (`profile.gather_bytes[v]`).
     pub(crate) g: f32,
@@ -165,7 +169,9 @@ pub struct PlacementState {
 }
 
 impl PlacementState {
-    /// Builds state from an explicit per-edge placement.
+    /// Builds state from an explicit per-edge placement — vertex-cut's
+    /// constructor, whose placement is not a function of the masters
+    /// (hybrid-cut derives its counts with `place_hybrid_edges`).
     ///
     /// `edges` yields `(src, dst, dc)` triples; `masters` and `is_high`
     /// define the computation model (vertex-cut passes all-high).
@@ -197,28 +203,7 @@ impl PlacementState {
         if let Some((vertex, &dc)) = masters.iter().enumerate().find(|&(_, &d)| d as usize >= m) {
             return Err(PlanError::MasterOutOfRange { vertex: vertex as VertexId, dc, num_dcs: m });
         }
-        let meta = (0..num_vertices)
-            .map(|i| VertexMeta {
-                nnz: 0,
-                g: profile.gather_bytes[i],
-                a: profile.apply_bytes[i],
-                master: masters[i],
-                high: is_high[i],
-            })
-            .collect();
-        let mut state = PlacementState {
-            num_dcs: m,
-            masters,
-            is_high,
-            counts: vec![0; num_vertices * m * 2],
-            meta,
-            edges_per_dc: vec![0; m],
-            gather: StageLoads::new(m),
-            apply: StageLoads::new(m),
-            movement_cost: 0.0,
-            profile,
-            num_iterations,
-        };
+        let mut state = Self::unplaced(m, masters, is_high, profile, num_iterations);
         for (u, v, d) in edges {
             if d as usize >= m {
                 return Err(PlanError::EdgeDcOutOfRange { src: u, dst: v, dc: d, num_dcs: m });
@@ -236,6 +221,96 @@ impl PlacementState {
         state.rebuild_loads();
         state.movement_cost = geosim::cost::movement_cost(env, natural, &state.masters, data_sizes);
         Ok(state)
+    }
+
+    /// A state over `num_dcs` DCs with its masters, degree classes and
+    /// profile set and nothing placed: every count, occupancy mask,
+    /// balance and load accumulator is zero. Lengths must agree and
+    /// masters must already be below `num_dcs`.
+    pub(crate) fn unplaced(
+        num_dcs: usize,
+        masters: Vec<DcId>,
+        is_high: Vec<bool>,
+        profile: TrafficProfile,
+        num_iterations: f64,
+    ) -> Self {
+        let n = masters.len();
+        let meta = (0..n)
+            .map(|i| VertexMeta {
+                nnz: 0,
+                g: profile.gather_bytes[i],
+                a: profile.apply_bytes[i],
+                master: masters[i],
+                high: is_high[i],
+            })
+            .collect();
+        PlacementState {
+            num_dcs,
+            masters,
+            is_high,
+            counts: vec![0; n * num_dcs * 2],
+            meta,
+            edges_per_dc: vec![0; num_dcs],
+            gather: StageLoads::new(num_dcs),
+            apply: StageLoads::new(num_dcs),
+            movement_cost: 0.0,
+            profile,
+            num_iterations,
+        }
+    }
+
+    /// Places every edge of `graph` by the hybrid-cut rule (§IV-B) under
+    /// this state's masters and degree classes, filling the count plane,
+    /// the occupancy masks and `edges_per_dc` of an [`Self::unplaced`]
+    /// state. Loads and movement cost are left to the caller.
+    ///
+    /// Row-sequential: vertex `v`'s in-lanes come from its in-row (a
+    /// low-degree `v` holds its whole in-degree at its own master, a
+    /// high-degree `v` one per in-neighbor at that neighbor's master) and
+    /// its out-lanes from its out-row, so every write lands in `v`'s own
+    /// row. The only random reads go to an n-byte `master | high << 7`
+    /// tag. `HybridState::try_from_masters` and the snapshot decoder both
+    /// build their counts here.
+    pub(crate) fn place_hybrid_edges(&mut self, graph: &Graph) {
+        const MASTER: u8 = 0x7f;
+        let m = self.num_dcs;
+        assert_eq!(graph.num_vertices(), self.masters.len());
+        debug_assert!(self.meta.iter().all(|meta| meta.nnz == 0));
+        let tag: Vec<u8> =
+            self.masters.iter().zip(&self.is_high).map(|(&d, &h)| d | (h as u8) << 7).collect();
+        let rows = self.counts.chunks_exact_mut(2 * m).zip(&mut self.meta);
+        for (v, (row, meta)) in rows.enumerate() {
+            let v = v as VertexId;
+            let own = tag[v as usize];
+            let master = (own & MASTER) as usize;
+            let mut nnz = 0u64;
+            let sources = graph.in_neighbors(v);
+            if own & !MASTER == 0 {
+                if !sources.is_empty() {
+                    row[2 * master] = sources.len() as u32;
+                    nnz = 1 << master;
+                }
+            } else {
+                for &u in sources {
+                    let d = (tag[u as usize] & MASTER) as usize;
+                    row[2 * d] += 1;
+                    nnz |= 1 << d;
+                }
+            }
+            for &w in graph.out_neighbors(v) {
+                let t = tag[w as usize];
+                let d = if t & !MASTER == 0 { (t & MASTER) as usize } else { master };
+                row[2 * d + 1] += 1;
+                nnz |= 1 << d;
+            }
+            meta.nnz = nnz;
+            let mut bits = nnz;
+            while bits != 0 {
+                let d = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.edges_per_dc[d] += row[2 * d + 1] as u64;
+            }
+        }
     }
 
     /// Index of the in-count lane of cell `(v, d)`; the out-count lane is

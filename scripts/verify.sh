@@ -74,6 +74,14 @@ for f in crates/core/src/shard.rs crates/partition/src/shard.rs crates/geograph/
   fi
 done
 
+echo "==> snapshots carry the plan, not its index (the stored count plane stays deleted)"
+# A snapshot's hybrid-cut count plane is rebuilt at decode by the kernel
+# from_masters uses (PlacementState::place_hybrid_edges); the decoder's
+# checks on a stored plane must not come back with the plane.
+if git grep -n -E 'occupied cell holds no edges|occupancy bit beyond the DC count' -- crates/; then
+  echo "a stored snapshot count plane reappeared under crates/"; exit 1
+fi
+
 echo "==> one measurement surface (the bench_* bins and their JSON stay deleted)"
 # System performance is read from benchmark/ (bash benchmark/run.sh,
 # benchmark/results/trajectory.jsonl) and every deterministic gate lives in
@@ -111,8 +119,13 @@ require_tests deterministic_across_thread_counts
 require_tests journaled_windows_replay_to_the_committed_state
 # Incremental == rebuild: every delta window's carried state is validated
 # bit-for-bit against a from-scratch rebuild, and its work is proportional
-# to the delta, not the graph.
-require_tests resumed_state_matches_rebuild
+# to the delta, not the graph. Since the rebuild and the snapshot decoder
+# share one count kernel, every count, mirror mask and per-DC balance is
+# also held against an edge-by-edge oracle that shares no code with
+# geopart, live and after a snapshot round trip; from_masters equals the
+# rule fed edge by edge, loads to the bit.
+require_tests resumed_state_matches_rebuild \
+  row_sequential_build_equals_the_per_edge_placement
 # Pool workers survive across windows (stable OS thread ids).
 require_tests delta_windows_reuse_the_worker_pool
 # What a window samples. Hot is the delta's endpoints plus the neighbors of
@@ -129,8 +142,9 @@ require_tests ring_covers_every_low_degree_agent_in_one_over_rate_windows \
 require_tests counting_order_equals_the_comparison_sort
 # Crash recovery: a multi-window durable run (with and without snapshots)
 # is truncated at every record boundary plus seeded mid-record offsets;
-# every recovery must equal the uninterrupted run at that boundary, masters
-# bit-identical and movement cost equal to the last f64 bit.
+# every recovery must equal the uninterrupted run at that boundary plane
+# for plane: masters, every count, mirror mask and per-DC balance, and the
+# movement cost and stage loads to the last f64 bit.
 require_tests kill_at_every_record_boundary_and_mid_record
 # The ring's cursor is the window index and is not logged: recovery at
 # every committed boundary, then the rest of the stream, must end on the
@@ -146,9 +160,15 @@ require_tests oversized_run_is_refused_before_it_is_expanded \
 # Cutting a snapshot streams a borrowed view of the live state: under a
 # counting allocator snapshot_now on a 60k-vertex graph stays below 1 MB
 # above its entry watermark (a clone + staged blob is >2x the state), and
-# the snapshot costs <= 3.2 B per graph edge (the dense pre-v3 layout cost
-# 15.8).
+# the snapshot costs <= 2.2 B per graph edge (measured 2.130; 2.81 with the
+# count plane stored, 15.8 in the dense pre-v3 layout).
 require_tests snapshot_now_allocates_a_buffer_not_a_copy_of_the_state
+# The placement section is hostile input: a vertex or DC count that is not
+# the decoded geo's, a master >= M or set is_high padding is a typed
+# Malformed before any count is derived; a version-2 or -3 snapshot is a
+# typed UnsupportedVersion that load_latest skips.
+require_tests hostile_placement_sections_rejected \
+  older_snapshot_versions_are_typed_and_skipped
 # Recovering a durable store against a CloudEnv other than the one it was
 # created under must be a typed EnvMismatch error, never a silent recovery.
 require_tests recovering_with_a_different_env_is_a_typed_error

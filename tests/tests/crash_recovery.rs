@@ -7,8 +7,10 @@
 //! and at seeded mid-record truncations — by truncating a copy of the log
 //! there and recovering. Every recovery must land on a committed window
 //! boundary with masters bit-identical to the uninterrupted run at that
-//! boundary, the movement-cost accumulator equal to the last `f64` bit,
-//! and the recovered placement passing `validate_plan`.
+//! boundary, the whole carried placement equal plane for plane (every
+//! count, mirror mask and per-DC balance; movement cost and stage loads to
+//! the last `f64` bit), and the recovered placement passing
+//! `validate_plan`.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -17,7 +19,7 @@ use geograph::dynamic::{apply_events, split_for_dynamic};
 use geograph::generators::preferential::preferential_attachment_edges;
 use geograph::locality::{assign_locations, LocalityConfig};
 use geograph::{DcId, GeoGraph, GraphBuilder, GraphDelta};
-use geopart::TrafficProfile;
+use geopart::{PlacementState, TrafficProfile};
 use geosim::faults::FaultSchedule;
 use geosim::regions::ec2_eight_regions;
 use rand::prelude::*;
@@ -92,6 +94,41 @@ fn workload() -> Workload {
     Workload { geo0, steps }
 }
 
+/// `recovered` is `live` plane for plane: masters, every in/out count,
+/// mirror mask and per-DC balance equal, and the movement cost and all four
+/// stage-load vectors equal to the last `f64` bit.
+fn assert_same_placement(recovered: &PlacementState, live: &PlacementState, what: &str) {
+    assert_eq!(recovered.masters(), live.masters(), "{what}: masters");
+    for v in 0..live.num_vertices() as u32 {
+        for d in 0..live.num_dcs() as DcId {
+            assert_eq!(
+                (recovered.in_count(v, d), recovered.out_count(v, d)),
+                (live.in_count(v, d), live.out_count(v, d)),
+                "{what}: (in, out) of cell ({v}, {d})"
+            );
+        }
+        assert_eq!(recovered.mirror_mask(v), live.mirror_mask(v), "{what}: mirrors of {v}");
+    }
+    assert_eq!(recovered.edges_per_dc(), live.edges_per_dc(), "{what}: edges per DC");
+    assert_eq!(
+        recovered.movement_cost().to_bits(),
+        live.movement_cost().to_bits(),
+        "{what}: movement cost"
+    );
+    let (rg, lg) = (recovered.gather_loads(), live.gather_loads());
+    let (ra, la) = (recovered.apply_loads(), live.apply_loads());
+    for d in 0..live.num_dcs() as DcId {
+        for (stage, a, b) in [
+            ("gather.up", rg.up(d), lg.up(d)),
+            ("gather.down", rg.down(d), lg.down(d)),
+            ("apply.up", ra.up(d), la.up(d)),
+            ("apply.down", ra.down(d), la.down(d)),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: {stage} at DC {d}");
+        }
+    }
+}
+
 #[test]
 fn kill_at_every_record_boundary_and_mid_record() {
     // With a snapshot every 2 windows recovery starts from the latest
@@ -111,9 +148,10 @@ fn kill_at_every_crash_point(snapshot_every: u64) {
     // ones.
     let schedule = FaultSchedule::single_outage(8, 100, 2, 2);
 
-    // The uninterrupted run. expected[j] = (masters, movement-cost bits)
-    // at the boundary where `next_window == j`; index 0 is genesis.
-    let mut expected: Vec<(Vec<DcId>, u64)> = vec![(w.geo0.locations.clone(), 0)];
+    // The uninterrupted run. expected[j] = the carried placement at the
+    // boundary where `next_window == j`; index 0 is genesis, which carries
+    // none (its masters are the natural locations).
+    let mut expected: Vec<Option<PlacementState>> = vec![None];
     let mut durable = DurableAdaptive::create(
         &base,
         pinned_config(),
@@ -125,9 +163,9 @@ fn kill_at_every_crash_point(snapshot_every: u64) {
     .expect("create durable dir");
     let p0 = TrafficProfile::uniform(w.geo0.num_vertices(), 8.0);
     durable.window(&env, None, &[], &[], p0, 10.0, t_opt).expect("window 0");
-    let push_state = |d: &DurableAdaptive, out: &mut Vec<(Vec<DcId>, u64)>| {
+    let push_state = |d: &DurableAdaptive, out: &mut Vec<Option<PlacementState>>| {
         let (core, _) = d.inner().carried_parts().expect("committed window carries state");
-        out.push((core.masters().to_vec(), core.movement_cost().to_bits()));
+        out.push(Some(core.clone()));
     };
     push_state(&durable, &mut expected);
     for (i, (delta, locs, sizes)) in w.steps.iter().enumerate() {
@@ -196,19 +234,15 @@ fn kill_at_every_crash_point(snapshot_every: u64) {
                 "cut {k}: a snapshot-free log replays every committed window"
             );
         }
-        let (exp_masters, exp_cost) = &expected[j];
+        let exp_masters = expected[j].as_ref().map_or(&w.geo0.locations[..], |s| s.masters());
         assert_eq!(
             recovered.masters(),
-            &exp_masters[..],
+            exp_masters,
             "cut {k} at byte {cut}: masters diverged at window boundary {j}"
         );
-        if j > 0 {
+        if let Some(live) = &expected[j] {
             let (core, _) = recovered.inner().carried_parts().expect("committed boundary");
-            assert_eq!(
-                core.movement_cost().to_bits(),
-                *exp_cost,
-                "cut {k} at byte {cut}: movement cost not bit-exact at boundary {j}"
-            );
+            assert_same_placement(core, live, &format!("cut {k} at byte {cut}, boundary {j}"));
             assert!(
                 recovered
                     .inner()

@@ -1,14 +1,17 @@
 //! Property tests of the incremental dynamic-window pipeline: for random
 //! event streams (inserts *and* deletes, 1–8 windows) the delta-resumed
-//! placement state must be indistinguishable from a from-scratch rebuild,
-//! and the full adaptive pipeline must be bit-deterministic across thread
-//! counts.
+//! placement state must be indistinguishable from a from-scratch rebuild
+//! and from an edge-by-edge oracle of the placement rule, before and after
+//! a snapshot round trip, and the full adaptive pipeline must be
+//! bit-deterministic across thread counts.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
+use geodur::{Snapshot, SnapshotRef};
 use geograph::dynamic::{EdgeEvent, EventKind};
 use geograph::{DcId, GeoGraph, Graph, GraphBuilder, GraphDelta, VertexId};
-use geopart::{HybridState, TrafficProfile};
+use geopart::{HybridState, PlacementState, TrafficProfile};
 use geosim::regions::ec2_eight_regions;
 use proptest::prelude::*;
 use rlcut::{AdaptiveRlCut, RlCutConfig};
@@ -62,6 +65,50 @@ fn geo_for(graph: &Graph, seed: u64, num_dcs: usize) -> GeoGraph {
         .collect();
     let sizes = vec![2048u64; graph.num_vertices()];
     GeoGraph::new(graph.clone(), locations, sizes, num_dcs)
+}
+
+/// `(in, out)` edge counts of every occupied `(vertex, dc)` cell.
+type OracleCells = BTreeMap<(VertexId, DcId), (u32, u32)>;
+
+/// The hybrid-cut rule (§IV-B) applied edge by edge, sharing no code with
+/// `geopart`: an in-edge of a vertex whose in-degree is below θ sits at
+/// that vertex's master, one of a vertex at or above θ at its source's
+/// master. Returns the occupied cells and the number of edges at each DC.
+fn oracle(graph: &Graph, masters: &[DcId], theta: usize) -> (OracleCells, BTreeMap<DcId, u64>) {
+    let mut in_degree: BTreeMap<VertexId, usize> = BTreeMap::new();
+    for (_, v) in graph.edges() {
+        *in_degree.entry(v).or_default() += 1;
+    }
+    let mut cells = OracleCells::new();
+    let mut per_dc: BTreeMap<DcId, u64> = BTreeMap::new();
+    for (u, v) in graph.edges() {
+        let d = if in_degree[&v] >= theta { masters[u as usize] } else { masters[v as usize] };
+        cells.entry((u, d)).or_default().1 += 1;
+        cells.entry((v, d)).or_default().0 += 1;
+        *per_dc.entry(d).or_default() += 1;
+    }
+    (cells, per_dc)
+}
+
+/// Every `(v, d)` in/out count, every mirror mask and the per-DC balance of
+/// `state` must be the oracle's for `graph` under `state`'s masters.
+fn assert_matches_oracle(state: &PlacementState, graph: &Graph, theta: usize, what: &str) {
+    let (cells, per_dc) = oracle(graph, state.masters(), theta);
+    let m = state.num_dcs() as DcId;
+    for v in graph.vertices() {
+        let mut mirrors = 0u64;
+        for d in 0..m {
+            let (inc, out) = cells.get(&(v, d)).copied().unwrap_or_default();
+            let got = (state.in_count(v, d), state.out_count(v, d));
+            assert_eq!(got, (inc, out), "{what}: (in, out) of cell ({v}, {d})");
+            if inc + out > 0 && d != state.master(v) {
+                mirrors |= 1 << d;
+            }
+        }
+        assert_eq!(state.mirror_mask(v), mirrors, "{what}: mirror mask of {v}");
+    }
+    let balance: Vec<u64> = (0..m).map(|d| per_dc.get(&d).copied().unwrap_or(0)).collect();
+    assert_eq!(state.edges_per_dc(), &balance[..], "{what}: edges per DC");
 }
 
 proptest! {
@@ -134,7 +181,10 @@ proptest! {
     /// `resume_from_parts` across every window must match a from-scratch
     /// `from_masters` rebuild bit-for-bit on integer state (f64 aggregates
     /// within `validate_plan` tolerance) — `validate_plan` performs exactly
-    /// that rebuild-and-compare.
+    /// that rebuild-and-compare. Because that rebuild and the snapshot
+    /// decoder share one kernel, every count, mirror mask and per-DC
+    /// balance is also held against the edge-by-edge oracle, live and
+    /// after a snapshot encode/decode round trip.
     #[test]
     fn resumed_state_matches_rebuild((n, initial, windows, seed) in arb_stream()) {
         let env = ec2_eight_regions();
@@ -149,6 +199,7 @@ proptest! {
         let state0 = HybridState::from_masters(
             &geo0, &env, geo0.locations.clone(), theta, profile0, 10.0,
         );
+        assert_matches_oracle(state0.core(), &graph, theta, "built");
         let mut carried = Some(state0.into_parts());
 
         for ops in &windows {
@@ -171,6 +222,19 @@ proptest! {
             // The rebuild-and-compare: every count, mirror map, degree
             // table, load and cost aggregate against a fresh from_masters.
             state.validate_plan(&env).expect("resumed state diverged from rebuild");
+            assert_matches_oracle(state.core(), &graph, theta, "live");
+            let snapshot = SnapshotRef {
+                lsn: 0,
+                window: 0,
+                env_fp: 0,
+                geo: &geo,
+                placement: Some((state.core(), theta)),
+                trainer: None,
+            };
+            let bytes = snapshot.to_bytes().expect("a cleaned graph encodes");
+            let decoded = Snapshot::from_bytes(&bytes).expect("own snapshot decodes");
+            let (restored, _) = decoded.placement.as_ref().expect("placement travels");
+            assert_matches_oracle(restored, &graph, theta, "decoded");
             carried = Some(state.into_parts());
         }
     }

@@ -1,6 +1,6 @@
 //! Hostile-input gate for the snapshot layout (DESIGN.md §3g): the varint
-//! codec, the gap-varint graph rows, the run-length planes, the sparse
-//! count plane and the snapshot file itself, each fed crafted or damaged
+//! codec, the gap-varint graph rows, the run-length planes, the placement
+//! section and the snapshot file itself, each fed crafted or damaged
 //! bytes through the public decoders. Every case must end in a typed
 //! error — before any allocation sized by the bad value — and never in a
 //! panic or a half-valid state.
@@ -209,48 +209,61 @@ fn runs_must_cover_the_vertex_count_exactly() {
     assert!(matches!(decode(&blob(&[(7, 4)], 2)), Err(WireError::Truncated)));
 }
 
-// ---- the sparse count plane ------------------------------------------------
+// ---- the placement section -------------------------------------------------
 
 #[test]
-fn hostile_count_planes_rejected() {
-    // Two vertices, M = 3, hand-written so every byte is addressable:
-    // header, masters, is_high bitmap, the two profile planes (one run of
-    // 8.0 each), the count rows, four zeroed M-wide load vectors.
-    let blob = |n: u64, bitmap: u8, rows: &[&[u64]]| {
+fn hostile_placement_sections_rejected() {
+    // Two vertices over M = 3 with the edges 0 -> 1 and 1 -> 0, and a
+    // placement hand-written so every byte is addressable: header, masters
+    // (0, 2), is_high bitmap, the two profile planes (one run of 8.0 each),
+    // four zeroed M-wide load vectors. No count travels.
+    let geo = GeoGraph::new(Graph::from_edges(2, &[(0, 1), (1, 0)]), vec![0, 2], vec![1, 1], 3);
+    let blob = |n: u64, m: u64, masters: [u8; 2], bitmap: u8| {
         let mut out = varint(n);
-        out.extend(varint(3));
+        out.extend(varint(m));
         out.extend_from_slice(&[0; 16]);
-        out.extend_from_slice(&[0, 2]);
+        out.extend_from_slice(&masters);
         out.push(bitmap);
         for _ in 0..2 {
             out.extend(varint(1));
             out.extend_from_slice(&8f32.to_le_bytes());
             out.extend(varint(2));
         }
-        for row in rows {
-            row.iter().for_each(|&x| out.extend(varint(x)));
-        }
         out.extend_from_slice(&[0; 4 * 3 * 8]);
         out
     };
-    let ok = placement_from_bytes(&blob(2, 0b10, &[&[0b101, 1, 0, 0, 4], &[0]])).unwrap();
-    assert_eq!((ok.in_count(0, 0), ok.out_count(0, 0)), (1, 0));
-    assert_eq!((ok.in_count(0, 2), ok.out_count(0, 2)), (0, 4));
-    assert_eq!((ok.in_count(0, 1), ok.out_count(1, 0)), (0, 0));
-    // Derived at decode: the occupancy mask (master 0 excluded) and balance.
-    assert_eq!((ok.mirror_mask(0), ok.edges_per_dc()), (0b100, &[0, 0, 4][..]));
-    assert_eq!((ok.is_high(0), ok.is_high(1)), (false, true));
+    let decode = |bytes: Vec<u8>| placement_from_bytes(&bytes, &geo);
 
-    let bad = |bitmap: u8, rows: &[&[u64]]| placement_from_bytes(&blob(2, bitmap, rows));
-    malformed(bad(0, &[&[0b1000, 1, 1], &[0]]), "occupancy bit beyond the DC count");
-    malformed(bad(0, &[&[0b1, 0, 0], &[0]]), "occupied cell holds no edges");
-    malformed(bad(0, &[&[0b1, 1 << 32, 0], &[0]]), "varint exceeds u32");
-    malformed(bad(0b100, &[&[0], &[0]]), "is_high bitmap padding");
-    // A vertex count the remaining bytes cannot back: no allocation.
-    assert!(matches!(
-        placement_from_bytes(&blob(1 << 40, 0, &[&[0], &[0]])),
-        Err(WireError::Truncated)
-    ));
+    // Both low: each edge sits at its destination's master.
+    let low = decode(blob(2, 3, [0, 2], 0)).unwrap();
+    assert_eq!((low.out_count(0, 2), low.in_count(1, 2)), (1, 1));
+    assert_eq!((low.out_count(1, 0), low.in_count(0, 0)), (1, 1));
+    assert_eq!((low.mirror_mask(0), low.mirror_mask(1)), (0b100, 0b001));
+    assert_eq!(low.edges_per_dc(), &[1, 0, 1][..]);
+    // Vertex 1 high by the bitmap, not by any θ: its in-edge 0 -> 1 moves
+    // to the source's master, and vertex 0 keeps no mirror.
+    let high = decode(blob(2, 3, [0, 2], 0b10)).unwrap();
+    assert_eq!((high.out_count(0, 0), high.in_count(1, 0)), (1, 1));
+    assert_eq!((high.in_count(1, 2), high.out_count(0, 2)), (0, 0));
+    assert_eq!((high.mirror_mask(0), high.mirror_mask(1)), (0, 0b001));
+    assert_eq!(high.edges_per_dc(), &[2, 0, 0][..]);
+    assert_eq!((high.is_high(0), high.is_high(1)), (false, true));
+
+    // A vertex or DC count that is not the decoded geo's is refused
+    // before any count is derived from the graph.
+    for (n, m) in [(3, 3), (1, 3), (2, 2), (2, 4)] {
+        malformed(decode(blob(n, m, [0, 0], 0)), "placement does not match geo");
+    }
+    for m in [0, 65] {
+        malformed(decode(blob(2, m, [0, 0], 0)), "DC count out of range");
+    }
+    malformed(decode(blob(2, 3, [0, 3], 0)), "master out of range");
+    malformed(decode(blob(2, 3, [0, 2], 0b100)), "is_high bitmap padding");
+    // A vertex costs at least its master byte: a count the remaining bytes
+    // cannot back fails before any allocation.
+    let short = blob(2, 3, [0, 2], 0);
+    assert!(matches!(decode(blob(1 << 40, 3, [0, 2], 0)), Err(WireError::Truncated)));
+    assert!(matches!(decode(short[..short.len() - 1].to_vec()), Err(WireError::Truncated)));
 }
 
 // ---- the snapshot file -----------------------------------------------------
@@ -333,19 +346,23 @@ fn a_graph_the_wire_cannot_carry_leaves_no_file_behind() {
 #[test]
 fn older_snapshot_versions_are_typed_and_skipped() {
     // A checksum-valid file of another version: typed at decode, skipped
-    // like any undecodable candidate at load.
+    // like any undecodable candidate at load. Version 3 stored the count
+    // plane that version 4 rebuilds; no decoder for it is kept.
     let (dir, bytes) = real_snapshot("old_version");
     let lsn = Snapshot::from_bytes(&bytes).unwrap().lsn;
-    let mut v2 = bytes[..bytes.len() - 8].to_vec();
-    v2[4..8].copy_from_slice(&2u32.to_le_bytes());
-    let sum = fnv1a(&v2);
-    v2.extend_from_slice(&sum.to_le_bytes());
-    assert!(matches!(
-        Snapshot::from_bytes(&v2),
-        Err(DurableError::UnsupportedVersion { version: 2, .. })
-    ));
-    std::fs::write(dir.join(format!("snap/snap-{:020}.snap", lsn + 1)), &v2).unwrap();
+    for (i, version) in [2u32, 3].into_iter().enumerate() {
+        let mut old = bytes[..bytes.len() - 8].to_vec();
+        old[4..8].copy_from_slice(&version.to_le_bytes());
+        let sum = fnv1a(&old);
+        old.extend_from_slice(&sum.to_le_bytes());
+        match Snapshot::from_bytes(&old) {
+            Err(DurableError::UnsupportedVersion { version: v, .. }) => assert_eq!(v, version),
+            other => panic!("version {version}: expected UnsupportedVersion, got {other:?}"),
+        }
+        std::fs::write(dir.join(format!("snap/snap-{:020}.snap", lsn + 1 + i as u64)), &old)
+            .unwrap();
+    }
     let (snap, stats) = load_latest(&dir).unwrap();
-    assert_eq!((snap.lsn, stats.skipped), (lsn, 1));
+    assert_eq!((snap.lsn, stats.skipped), (lsn, 2));
     std::fs::remove_dir_all(&dir).ok();
 }
