@@ -126,7 +126,7 @@ impl Record {
                 match &ws.delta {
                     Some(d) => {
                         out.push(1);
-                        wire::encode_delta(d, &mut out);
+                        wire::encode_delta(d, &mut out).expect("writing into a Vec cannot fail");
                     }
                     None => out.push(0),
                 }

@@ -2,11 +2,12 @@
 //! at a WAL position.
 //!
 //! A snapshot pins everything replay would otherwise have to reconstruct
-//! from genesis: the graph as of some committed window (gap-varint rows,
-//! [`geograph::wire`]), the carried hybrid-cut placement and its theta
-//! ([`geopart::snapshot`]: masters, the `is_high` bitmap, the profile runs
-//! and every accumulator as raw `f64` bits; the count plane is not stored
-//! but rebuilt from the decoded graph), and optionally an opaque caller
+//! from genesis: the graph as of some committed window (Rice-coded in-rows
+//! and bit-packed locations, [`geograph::wire`]), the carried hybrid-cut
+//! placement and its theta ([`geopart::snapshot`]: bit-packed masters, the
+//! `is_high` bitmap, the profile runs and every accumulator as raw `f64`
+//! bits; the count plane is not stored but rebuilt from the decoded
+//! graph), and optionally an opaque caller
 //! blob (this layer stores the bytes and gives them no meaning; the
 //! pipeline writes none). The placement section carries hybrid-cut parts
 //! only (`HybridState::into_parts`), which is all the pipeline puts in a
@@ -42,9 +43,9 @@ use crate::error::{fnv1a, fnv1a_fold, DurableError, FNV_OFFSET};
 
 /// Magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 4] = *b"RLSN";
-/// The one snapshot format version; any other is
-/// [`DurableError::UnsupportedVersion`].
-pub const VERSION: u32 = 4;
+/// The one snapshot format version; any other (4 wrote varint out-rows and
+/// byte-wide DC ids) is [`DurableError::UnsupportedVersion`].
+pub const VERSION: u32 = 5;
 /// File-sink buffer: the whole transient heap of cutting a snapshot.
 const SINK_BUFFER_BYTES: usize = 64 << 10;
 

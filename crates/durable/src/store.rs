@@ -12,7 +12,8 @@
 //! training step (append only), then [`DurableStore::log_commit`]
 //! (append and sync — one group commit makes the batches and the seal
 //! durable together). Periodically [`DurableStore::write_snapshot`] cuts
-//! a snapshot at the committed boundary and prunes the log behind it.
+//! a snapshot at the committed boundary, rolls the log to a fresh segment
+//! and deletes the segments no retained snapshot needs.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -153,11 +154,14 @@ impl DurableStore {
     }
 
     /// Streams a snapshot of the borrowed state at the current committed
-    /// boundary, prunes older snapshots (keeping [`SNAPSHOTS_KEPT`]) and
-    /// WAL segments wholly behind the *retained* snapshots. Returns the
-    /// snapshot's size.
+    /// boundary, rolls the WAL so the snapshot's LSN opens a segment,
+    /// prunes older snapshots (keeping [`SNAPSHOTS_KEPT`]) and WAL segments
+    /// wholly behind the *retained* snapshots. Returns the snapshot's size.
     pub fn write_snapshot_ref(&mut self, snap: SnapshotRef<'_>) -> Result<u64, DurableError> {
         let (_, bytes) = snapshot::write(&self.dir, snap)?;
+        // A crash before the roll leaves a segment straddling the snapshot:
+        // replay starts at its LSN either way, and a later prune drops it.
+        self.wal.roll()?;
         snapshot::prune(&self.dir, SNAPSHOTS_KEPT)?;
         // The oldest retained snapshot bounds how far back replay may
         // need to reach.
@@ -431,6 +435,38 @@ mod tests {
         assert_eq!(recovered.next_window, 1);
         assert_eq!(recovered.trainer, Some(vec![9, 9, 9]));
         assert!(recovered.parts.is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The log rolls at every snapshot, so the prune behind the older
+    /// retained snapshot deletes whole segments: after the third snapshot
+    /// no segment on disk holds only records replay can no longer reach.
+    #[test]
+    fn snapshots_roll_the_log_so_the_prune_frees_it() {
+        let dir = tmp_dir("roll");
+        let env = geosim::regions::ec2_eight_regions();
+        let geo = build_geo(16);
+        let mut store = DurableStore::create(&dir, &geo, &env).unwrap();
+        for window in 0..3 {
+            for step in 0..4 {
+                store.log_batch(&Batch { window, step, moves: vec![(1, 2)] }).unwrap();
+            }
+            let lsn = store.next_lsn();
+            let env_fp = env_fingerprint(&env);
+            let snap =
+                SnapshotRef { lsn, window, env_fp, geo: &geo, placement: None, trainer: None };
+            store.write_snapshot_ref(snap).unwrap();
+        }
+        let oldest = snapshot::snapshot_paths(&dir).unwrap()[0].0;
+        assert_eq!(oldest, 8, "genesis and the first snapshot are pruned");
+        let (records, _) = crate::wal::load(&dir).unwrap();
+        for (seq, _) in crate::wal::segment_paths(&dir).unwrap() {
+            let last = records.iter().filter(|r| r.segment == seq).map(|r| r.lsn).max();
+            assert!(last.is_none_or(|lsn| lsn >= oldest), "segment {seq} ends at {last:?}");
+        }
+        // What is left is the log from the older retained snapshot on.
+        assert_eq!(records.first().map(|r| r.lsn), Some(oldest));
+        assert_eq!(records.len(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic      4 B   "RLWL"
-//! version    u32   2
+//! version    u32   3
 //! seq        u64   segment sequence number (must match the file name)
 //! first_lsn  u64   LSN of the first record in this segment
 //! checksum   u64   FNV-1a over the 24 bytes above
@@ -56,9 +56,9 @@ use crate::error::{fnv1a, DurableError};
 /// Magic bytes opening every WAL segment.
 pub const MAGIC: [u8; 4] = *b"RLWL";
 /// Current segment format version. A segment of any other version is
-/// [`DurableError::UnsupportedVersion`]: version 1 wrote a window start's
-/// profile suffixes as raw `f32`s where this one run-codes them.
-pub const VERSION: u32 = 2;
+/// [`DurableError::UnsupportedVersion`]: version 2 wrote a window start's
+/// delta as raw edge pairs, version 1 its profile suffixes as raw `f32`s.
+pub const VERSION: u32 = 3;
 /// Segment header size in bytes.
 pub const HEADER_BYTES: u64 = 32;
 /// Per-record framing overhead (length prefix + kind + checksum).
@@ -243,6 +243,15 @@ impl Wal {
     /// Makes every appended record durable (`fdatasync`).
     pub fn sync(&mut self) -> Result<(), DurableError> {
         self.file.sync_data()?;
+        Ok(())
+    }
+
+    /// Starts a fresh segment at the next LSN unless the current one holds
+    /// no record, so the log behind a snapshot is whole prunable segments.
+    pub fn roll(&mut self) -> Result<(), DurableError> {
+        if self.written > HEADER_BYTES {
+            self.rotate()?;
+        }
         Ok(())
     }
 
@@ -526,16 +535,21 @@ mod tests {
         wal.append(1, b"x").unwrap();
         wal.sync().unwrap();
         let (_, path) = segment_paths(&dir).unwrap().pop().unwrap();
-        // The same segment as a version-1 writer stamped it: version
-        // field rewritten, header checksum recomputed.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let sum = fnv1a(&bytes[..24]);
-        bytes[24..32].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        match load(&dir) {
-            Err(DurableError::UnsupportedVersion { segment: 0, version: 1 }) => {}
-            other => panic!("a v1 segment must be refused by version, got {other:?}"),
+        let current = std::fs::read(&path).unwrap();
+        for old in [1u32, 2] {
+            // The same segment as an older writer stamped it: version
+            // field rewritten, header checksum recomputed.
+            let mut bytes = current.clone();
+            bytes[4..8].copy_from_slice(&old.to_le_bytes());
+            let sum = fnv1a(&bytes[..24]);
+            bytes[24..32].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            match load(&dir) {
+                Err(DurableError::UnsupportedVersion { segment: 0, version }) => {
+                    assert_eq!(version, old)
+                }
+                other => panic!("a v{old} segment must be refused by version, got {other:?}"),
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -94,17 +94,13 @@ impl Graph {
         Graph { n, out_offsets, out_targets, in_offsets, in_sources }
     }
 
-    /// Assembles a graph from its out-direction alone — what the wire
-    /// decoder holds ([`crate::wire`] carries no in-direction). The
-    /// in-direction is the [`transpose`] of the out-rows, so every in-run
+    /// Assembles a graph from its in-direction alone — what the wire
+    /// decoder holds ([`crate::wire`] carries no out-direction). The
+    /// out-direction is the [`transpose`] of the in-rows, so every out-run
     /// lands sorted with no per-run sort. Rows must be sorted for the result
-    /// to be canonical (the decoder validates that).
-    pub(crate) fn from_out_rows(
-        n: usize,
-        out_offsets: Vec<u32>,
-        out_targets: Vec<VertexId>,
-    ) -> Self {
-        let (in_offsets, in_sources) = transpose(n, &out_offsets, &out_targets);
+    /// to be canonical (the decoder guarantees that).
+    pub(crate) fn from_in_rows(n: usize, in_offsets: Vec<u32>, in_sources: Vec<VertexId>) -> Self {
+        let (out_offsets, out_targets) = transpose(n, &in_offsets, &in_sources);
         Graph::from_csr_parts(n, out_offsets, out_targets, in_offsets, in_sources)
     }
 

@@ -10,22 +10,36 @@
 //!
 //! ## What travels
 //!
-//! A [`GraphDelta`] is encoded as `(old_n, new_n, inserted, deleted)`
-//! only: `touched` and the sparse degree changes are *derivations* of the
-//! edge lists, so the decoder recomputes them through the same code path
-//! [`GraphDelta::from_events`] uses. Derived state never travels, so a
-//! decoded delta cannot disagree with itself.
+//! Everything made of vertex ids travels in **bit sections**: a
+//! [`BitWriter`] packs fixed-width fields, Elias-gamma and Golomb-Rice
+//! codes LSB-first and zero-pads only where the section ends; a
+//! [`BitReader`] reads them back and refuses set padding bits. Ids travel
+//! as **rows** (`put_row` / `read_row`): `gamma(len)`, then for a
+//! non-empty row a 5-bit Rice parameter `k`, then the first id and every
+//! `gap − 1`, Rice-coded with `k`. `k` is `⌊log2⌋` of the row's mean coded
+//! value — derived, never configured, and a decoder refuses any other.
 //!
-//! A [`Graph`] travels as its out-direction rows only: a magic tag,
-//! `varint(n)`, `varint(m)`, then per vertex `varint(degree)` followed by
-//! the row's sorted, duplicate-free targets as LEB128 varints — the first
-//! absolute, the rest as gaps (≈1–2 bytes per edge instead of 4). There
-//! is **no offset plane** — offsets are a prefix sum of the degrees — and
-//! no in-direction, which `Graph::from_out_rows` rebuilds. A graph holding
-//! duplicate edges has no gap encoding and is refused at encode time
-//! ([`std::io::ErrorKind::InvalidInput`]). Mostly-constant per-vertex
-//! planes (data sizes here, the traffic profile in `geopart::snapshot`)
-//! travel as `(value, run)` pairs via [`put_runs`] / [`Reader::runs`].
+//! A [`Graph`] travels as its **in-rows** — a hub's in-row is dense, its
+//! gaps carry a bit or two, and a Rice code spends only those: a magic
+//! tag, `varint(n)`, `varint(m)`, then one bit section of `n` rows. No
+//! offset plane (offsets are a prefix sum of the row lengths) and no
+//! out-direction (`Graph::from_in_rows` transposes it back). A graph
+//! holding duplicate edges has no gap code and is refused at encode time
+//! ([`std::io::ErrorKind::InvalidInput`]).
+//!
+//! A [`GraphDelta`] travels as `varint(old_n)`, `varint(new_n)` and one bit
+//! section of the inserted then the deleted list, each `gamma(rows)` and
+//! per source `gamma(source gap)` (the first source absolute) and its
+//! targets as a row. `touched` and the sparse degree changes are
+//! *derivations* of the edge lists, so the decoder recomputes them through
+//! the code path [`GraphDelta::from_events`] uses: a decoded delta cannot
+//! disagree with itself.
+//!
+//! DC-id planes (a geo-graph's locations here, the masters in
+//! `geopart::snapshot`) take `⌈log2 M⌉` bits a vertex ([`put_dcs`] /
+//! [`read_dcs`]). Mostly-constant per-vertex planes (data sizes here, the
+//! traffic profile in `geopart::snapshot`) travel as `(value, run)` pairs
+//! via [`put_runs`] / [`Reader::runs`].
 //!
 //! Encoders are generic over [`std::io::Write`], so the same code fills a
 //! `Vec<u8>` or streams through a buffered file sink in O(buffer) memory.
@@ -37,11 +51,14 @@ use crate::delta::GraphDelta;
 use crate::geo::GeoGraph;
 use crate::{DcId, VertexId, MAX_DCS};
 
-/// Leading `u64` of a graph blob (`b"graph_v3"`, little-endian).
-const GRAPH_MAGIC: u64 = u64::from_le_bytes(*b"graph_v3");
+/// Leading `u64` of a graph blob (`b"graph_v4"`, little-endian).
+const GRAPH_MAGIC: u64 = u64::from_le_bytes(*b"graph_v4");
 
 /// Longest LEB128 encoding of a `u64`.
 const MAX_VARINT_BYTES: usize = 10;
+
+/// Width of a row's Rice parameter field.
+const RICE_PARAMETER_BITS: u32 = 5;
 
 /// Why a wire blob failed to decode.
 #[derive(Debug)]
@@ -122,41 +139,11 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
-    pub fn u32s(&mut self, n: usize) -> Result<Vec<u32>, WireError> {
-        Ok(self
-            .take(n * 4)?
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    pub fn f32s(&mut self, n: usize) -> Result<Vec<f32>, WireError> {
-        Ok(self
-            .take(n * 4)?
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
     pub fn u64s(&mut self, n: usize) -> Result<Vec<u64>, WireError> {
         Ok(self
             .take(n * 8)?
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    /// `(u32, u32)` pairs — edge lists.
-    pub fn pairs(&mut self, n: usize) -> Result<Vec<(VertexId, VertexId)>, WireError> {
-        Ok(self
-            .take(n * 8)?
-            .chunks_exact(8)
-            .map(|c| {
-                (
-                    u32::from_le_bytes(c[..4].try_into().unwrap()),
-                    u32::from_le_bytes(c[4..].try_into().unwrap()),
-                )
-            })
             .collect())
     }
 
@@ -228,48 +215,291 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn put_pairs(out: &mut Vec<u8>, pairs: &[(VertexId, VertexId)]) {
-    out.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
-    for &(u, v) in pairs {
-        out.extend_from_slice(&u.to_le_bytes());
-        out.extend_from_slice(&v.to_le_bytes());
+/// LSB-first bit sink over any [`Write`]: flushes 32-bit words, and
+/// [`Self::finish`] zero-pads the section's last byte.
+pub struct BitWriter<'w, W: Write> {
+    w: &'w mut W,
+    acc: u64,
+    len: u32,
+}
+
+impl<'w, W: Write> BitWriter<'w, W> {
+    pub fn new(w: &'w mut W) -> Self {
+        BitWriter { w, acc: 0, len: 0 }
+    }
+
+    /// `value` as a `width`-bit field (`width ≤ 32`, `value < 2^width`).
+    #[inline]
+    pub fn bits(&mut self, value: u64, width: u32) -> io::Result<()> {
+        debug_assert!(width <= 32 && value >> width == 0, "{value} does not fit {width} bits");
+        self.acc |= value << self.len;
+        self.len += width;
+        if self.len >= 32 {
+            self.w.write_all(&(self.acc as u32).to_le_bytes())?;
+            self.acc >>= 32;
+            self.len -= 32;
+        }
+        Ok(())
+    }
+
+    /// `zeros` zero bits, then a one.
+    #[inline]
+    fn unary(&mut self, mut zeros: u64) -> io::Result<()> {
+        while zeros >= 32 {
+            self.bits(0, 32)?;
+            zeros -= 32;
+        }
+        self.bits(1 << zeros, zeros as u32 + 1)
+    }
+
+    /// Elias-gamma code of `x + 1`: the bit length of `x + 1` less one in
+    /// unary, then its bits below the leading one.
+    #[inline]
+    pub fn gamma(&mut self, x: u32) -> io::Result<()> {
+        let v = x as u64 + 1;
+        let top = v.ilog2();
+        self.unary(top as u64)?;
+        self.bits(v ^ (1 << top), top)
+    }
+
+    /// Golomb-Rice code of `x` with parameter `k ≤ 31`: `x >> k` in unary,
+    /// then the low `k` bits.
+    #[inline]
+    pub fn rice(&mut self, x: u32, k: u32) -> io::Result<()> {
+        self.unary((x >> k) as u64)?;
+        self.bits(x as u64 & ((1 << k) - 1), k)
+    }
+
+    /// Ends the section: the pending bits, zero-padded to a whole byte.
+    pub fn finish(self) -> io::Result<()> {
+        let bytes = self.len.div_ceil(8) as usize;
+        self.w.write_all(&self.acc.to_le_bytes()[..bytes])
     }
 }
 
-/// `true` when `edges` is strictly increasing by `(src, dst)` (sorted and
-/// duplicate-free) with every endpoint below `n` and no self-loops.
-fn edges_canonical(edges: &[(VertexId, VertexId)], n: usize) -> bool {
-    edges.windows(2).all(|w| w[0] < w[1])
-        && edges.iter().all(|&(u, v)| (u as usize) < n && (v as usize) < n && u != v)
+/// Bounds-checked reader of one bit section starting where `r` stands;
+/// [`Self::finish`] checks the padding and moves `r` past it. A bounded
+/// read names what its bound protects and refuses a unary run as soon as
+/// it passes the bound, before a value is built.
+pub struct BitReader<'r, 'a> {
+    r: &'r mut Reader<'a>,
+    /// `r`'s unread bytes; `next` indexes the first not yet loaded.
+    buf: &'a [u8],
+    next: usize,
+    /// Loaded, unconsumed bits, the next one lowest; nothing above `avail`.
+    acc: u64,
+    avail: u32,
 }
 
-/// Appends the wire form of `delta` to `out`.
-pub fn encode_delta(delta: &GraphDelta, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(delta.old_num_vertices() as u64).to_le_bytes());
-    out.extend_from_slice(&(delta.new_num_vertices() as u64).to_le_bytes());
-    put_pairs(out, delta.inserted());
-    put_pairs(out, delta.deleted());
+impl<'r, 'a> BitReader<'r, 'a> {
+    pub fn new(r: &'r mut Reader<'a>) -> Self {
+        let buf = &r.buf[r.pos..];
+        BitReader { r, buf, next: 0, acc: 0, avail: 0 }
+    }
+
+    /// Loads whole bytes until at least 56 bits are pending or the buffer
+    /// ends — never past 63, so consuming every pending bit and one more
+    /// is still a shift in range.
+    #[inline]
+    fn refill(&mut self) {
+        while self.avail < 56 && self.next < self.buf.len() {
+            self.acc |= (self.buf[self.next] as u64) << self.avail;
+            self.next += 1;
+            self.avail += 8;
+        }
+    }
+
+    /// A `width`-bit field (`width ≤ 32`).
+    #[inline]
+    pub fn bits(&mut self, width: u32) -> Result<u64, WireError> {
+        if self.avail < width {
+            self.refill();
+            if self.avail < width {
+                return Err(WireError::Truncated);
+            }
+        }
+        let v = self.acc & ((1 << width) - 1);
+        self.acc >>= width;
+        self.avail -= width;
+        Ok(v)
+    }
+
+    /// A unary run of at most `max` zeros.
+    #[inline]
+    fn unary(&mut self, max: u64, what: &'static str) -> Result<u64, WireError> {
+        let mut zeros = 0u64;
+        loop {
+            let run = self.acc.trailing_zeros().min(self.avail);
+            zeros += run as u64;
+            if zeros > max {
+                return Err(WireError::Malformed(what));
+            }
+            if run < self.avail {
+                self.acc >>= run + 1;
+                self.avail -= run + 1;
+                return Ok(zeros);
+            }
+            // Every pending bit was a zero of the run.
+            self.avail = 0;
+            self.refill();
+            if self.avail == 0 {
+                return Err(WireError::Truncated);
+            }
+        }
+    }
+
+    /// Inverse of [`BitWriter::gamma`] for a value of at most `max`.
+    #[inline]
+    fn gamma(&mut self, max: u32, what: &'static str) -> Result<u32, WireError> {
+        let top = self.unary((max as u64 + 1).ilog2() as u64, what)? as u32;
+        let v = ((1 << top) | self.bits(top)?) - 1;
+        u32::try_from(v).ok().filter(|&v| v <= max).ok_or(WireError::Malformed(what))
+    }
+
+    /// Inverse of [`BitWriter::rice`] for a value of at most `max`.
+    #[inline]
+    fn rice(&mut self, k: u32, max: u32, what: &'static str) -> Result<u32, WireError> {
+        let q = self.unary((max >> k) as u64, what)?;
+        let v = (q << k) | self.bits(k)?;
+        u32::try_from(v).ok().filter(|&v| v <= max).ok_or(WireError::Malformed(what))
+    }
+
+    /// Ends the section: the bits left in its last byte must be zero.
+    pub fn finish(self) -> Result<(), WireError> {
+        if self.acc & ((1 << (self.avail % 8)) - 1) != 0 {
+            return Err(WireError::Malformed("padding bits are not zero"));
+        }
+        self.r.pos += self.next - (self.avail / 8) as usize;
+        Ok(())
+    }
+}
+
+/// The Rice parameter of a row whose `len` coded values sum to `sum`:
+/// `⌊log2⌋` of their mean (0 below a mean of 2). Every coded value is
+/// below 2^32, so it fits [`RICE_PARAMETER_BITS`].
+fn rice_parameter(sum: u64, len: usize) -> u32 {
+    (sum / len as u64).checked_ilog2().unwrap_or(0)
+}
+
+/// Writes one strictly increasing row of ids (see the module docs). A row
+/// that is not strictly increasing has no gap code and is
+/// [`io::ErrorKind::InvalidInput`].
+fn put_row<W: Write>(w: &mut BitWriter<'_, W>, row: &[VertexId]) -> io::Result<()> {
+    w.gamma(row.len() as u32)?;
+    let Some(&first) = row.first() else { return Ok(()) };
+    if !row.is_sorted_by(|a, b| a < b) {
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, "row holds a duplicate id"));
+    }
+    let gaps = || row.windows(2).map(|p| p[1] - p[0] - 1);
+    let k = rice_parameter(first as u64 + gaps().map(u64::from).sum::<u64>(), row.len());
+    w.bits(k as u64, RICE_PARAMETER_BITS)?;
+    w.rice(first, k)?;
+    gaps().try_for_each(|gap| w.rice(gap, k))
+}
+
+/// Inverse of [`put_row`]: appends a row of ids below `n`, at most
+/// `max_len` long, to `out`.
+fn read_row(
+    r: &mut BitReader<'_, '_>,
+    n: u32,
+    max_len: u32,
+    out: &mut Vec<VertexId>,
+) -> Result<(), WireError> {
+    let len = r.gamma(max_len, "row longer than its bound")?;
+    if len == 0 {
+        return Ok(());
+    }
+    let k = r.bits(RICE_PARAMETER_BITS)? as u32;
+    // One past the last id so far. Ids strictly increase, so the row is in
+    // range iff its last id is.
+    let (mut next, mut sum) = (0u64, 0u64);
+    for _ in 0..len {
+        let x = r.rice(k, n.saturating_sub(1), "edge endpoint out of range")? as u64;
+        sum += x;
+        out.push((next + x) as VertexId);
+        next += x + 1;
+    }
+    if next > n as u64 {
+        return Err(WireError::Malformed("edge endpoint out of range"));
+    }
+    if rice_parameter(sum, len as usize) != k {
+        return Err(WireError::Malformed("rice parameter is not the one the row derives"));
+    }
+    Ok(())
+}
+
+/// Writes a canonical edge list (sorted, duplicate-free) as rows:
+/// `gamma(rows)`, then per source `gamma(source gap)` and its targets.
+fn put_edge_rows<W: Write>(
+    w: &mut BitWriter<'_, W>,
+    edges: &[(VertexId, VertexId)],
+) -> io::Result<()> {
+    let rows = || edges.chunk_by(|a, b| a.0 == b.0);
+    w.gamma(rows().count() as u32)?;
+    let (mut prev, mut targets) = (0, Vec::new());
+    for row in rows() {
+        w.gamma(row[0].0 - prev)?;
+        prev = row[0].0;
+        targets.clear();
+        targets.extend(row.iter().map(|e| e.1));
+        put_row(w, &targets)?;
+    }
+    Ok(())
+}
+
+/// Inverse of [`put_edge_rows`] over endpoints below `n`. Sources strictly
+/// increase (a gap of 0 past the first row is refused), so the list is
+/// sorted and duplicate-free by construction; a row is never empty and
+/// never holds its own source.
+fn read_edge_rows(
+    r: &mut BitReader<'_, '_>,
+    n: u32,
+) -> Result<Vec<(VertexId, VertexId)>, WireError> {
+    let rows = r.gamma(n, "more delta rows than vertices")?;
+    let (mut edges, mut targets) = (Vec::new(), Vec::new());
+    let mut src = 0u32;
+    for i in 0..rows {
+        let gap = r.gamma(n.saturating_sub(src + 1), "delta source out of range")?;
+        if i > 0 && gap == 0 {
+            return Err(WireError::Malformed("delta source gap of 0"));
+        }
+        src += gap;
+        targets.clear();
+        read_row(r, n, n, &mut targets)?;
+        if targets.is_empty() {
+            return Err(WireError::Malformed("empty delta row"));
+        }
+        if targets.contains(&src) {
+            return Err(WireError::Malformed("delta edge is a self-loop"));
+        }
+        edges.extend(targets.iter().map(|&t| (src, t)));
+    }
+    Ok(edges)
+}
+
+/// Writes the wire form of `delta`.
+pub fn encode_delta<W: Write>(delta: &GraphDelta, w: &mut W) -> io::Result<()> {
+    put_varint(w, delta.old_num_vertices() as u64)?;
+    put_varint(w, delta.new_num_vertices() as u64)?;
+    let mut bits = BitWriter::new(w);
+    put_edge_rows(&mut bits, delta.inserted())?;
+    put_edge_rows(&mut bits, delta.deleted())?;
+    bits.finish()
 }
 
 /// Decodes one delta from `r`, validating the canonical-form invariants
 /// `from_events` guarantees and re-deriving `touched` / degree changes.
 pub fn decode_delta(r: &mut Reader<'_>) -> Result<GraphDelta, WireError> {
-    let old_n = r.u64()? as usize;
-    let new_n = r.u64()? as usize;
-    if new_n < old_n || new_n >= u32::MAX as usize {
+    let old_n = r.varint()?;
+    let new_n = r.varint()?;
+    if new_n < old_n || new_n >= u32::MAX as u64 {
         return Err(WireError::Malformed("delta vertex counts"));
     }
-    let n_ins = r.len(8)?;
-    let inserted = r.pairs(n_ins)?;
-    let n_del = r.len(8)?;
-    let deleted = r.pairs(n_del)?;
-    if !edges_canonical(&inserted, new_n) {
-        return Err(WireError::Malformed("inserted edges not canonical"));
-    }
+    let mut bits = BitReader::new(r);
+    let inserted = read_edge_rows(&mut bits, new_n as u32)?;
     // Deleted edges exist in the base graph, so both endpoints predate it.
-    if !edges_canonical(&deleted, old_n) {
-        return Err(WireError::Malformed("deleted edges not canonical"));
-    }
+    let deleted = read_edge_rows(&mut bits, old_n as u32)?;
+    bits.finish()?;
     // One net event per edge key: the lists must be disjoint.
     let mut i = 0;
     for &e in &deleted {
@@ -280,13 +510,13 @@ pub fn decode_delta(r: &mut Reader<'_>) -> Result<GraphDelta, WireError> {
             return Err(WireError::Malformed("edge both inserted and deleted"));
         }
     }
-    Ok(GraphDelta::from_net_edges(old_n, new_n, inserted, deleted))
+    Ok(GraphDelta::from_net_edges(old_n as usize, new_n as usize, inserted, deleted))
 }
 
 /// `delta` as a standalone byte blob.
 pub fn delta_to_bytes(delta: &GraphDelta) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32 + 8 * delta.num_edge_changes());
-    encode_delta(delta, &mut out);
+    let mut out = Vec::with_capacity(16 + 2 * delta.num_edge_changes());
+    encode_delta(delta, &mut out).expect("writing into a Vec cannot fail");
     out
 }
 
@@ -296,6 +526,46 @@ pub fn delta_from_bytes(bytes: &[u8]) -> Result<GraphDelta, WireError> {
     let d = decode_delta(&mut r)?;
     r.finish()?;
     Ok(d)
+}
+
+/// Bits a DC id below `num_dcs` takes: `⌈log2 M⌉`, 0 at M = 1.
+fn dc_width(num_dcs: usize) -> u32 {
+    (num_dcs.max(1) - 1).checked_ilog2().map_or(0, |top| top + 1)
+}
+
+/// Writes `dcs` as one bit section of `⌈log2 num_dcs⌉`-bit fields. An id
+/// of `num_dcs` or more is [`io::ErrorKind::InvalidInput`].
+pub fn put_dcs<W: Write>(w: &mut W, dcs: &[DcId], num_dcs: usize) -> io::Result<()> {
+    if dcs.iter().any(|&d| d as usize >= num_dcs) {
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, "DC id past the DC count"));
+    }
+    let width = dc_width(num_dcs);
+    let mut bits = BitWriter::new(w);
+    dcs.iter().try_for_each(|&d| bits.bits(d as u64, width))?;
+    bits.finish()
+}
+
+/// Inverse of [`put_dcs`]: `n` ids below `num_dcs`; one that is not is
+/// `Malformed(what)`. The caller vouches for `n` (a vertex count it has
+/// already bounded by the bytes left).
+pub fn read_dcs(
+    r: &mut Reader<'_>,
+    n: usize,
+    num_dcs: usize,
+    what: &'static str,
+) -> Result<Vec<DcId>, WireError> {
+    let width = dc_width(num_dcs);
+    let mut bits = BitReader::new(r);
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        let d = bits.bits(width)?;
+        if d >= num_dcs as u64 {
+            return Err(WireError::Malformed(what));
+        }
+        out.push(d as DcId);
+    }
+    bits.finish()?;
+    Ok(out)
 }
 
 /// Writes `x` as a LEB128 varint — the workspace's one varint encoder
@@ -341,32 +611,19 @@ pub fn put_f32_runs<W: Write>(w: &mut W, values: &[f32]) -> io::Result<()> {
 }
 
 /// Writes the wire form of `graph`: magic, `varint(n)`, `varint(m)`, then
-/// per vertex `varint(degree)` and the row as first target + gaps. A
-/// duplicate edge (gap 0) is [`io::ErrorKind::InvalidInput`].
+/// the `n` in-rows as one bit section. A duplicate edge is
+/// [`io::ErrorKind::InvalidInput`].
 pub fn encode_graph<W: Write>(graph: &Graph, w: &mut W) -> io::Result<()> {
     w.write_all(&GRAPH_MAGIC.to_le_bytes())?;
     put_varint(w, graph.num_vertices() as u64)?;
     put_varint(w, graph.num_edges() as u64)?;
-    for v in graph.vertices() {
-        let row = graph.out_neighbors(v);
-        put_varint(w, row.len() as u64)?;
-        let mut prev = None;
-        for &t in row {
-            if prev == Some(t) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "graph holds duplicate edges; the wire form carries simple graphs only",
-                ));
-            }
-            put_varint(w, (t - prev.unwrap_or(0)) as u64)?;
-            prev = Some(t);
-        }
-    }
-    Ok(())
+    let mut bits = BitWriter::new(w);
+    graph.vertices().try_for_each(|v| put_row(&mut bits, graph.in_neighbors(v)))?;
+    bits.finish()
 }
 
 /// Decodes one graph from `r`. Every structural invariant is validated as
-/// the rows stream in — corrupted ids, degrees, or counts surface as typed
+/// the rows stream in — corrupted ids, lengths, or counts surface as typed
 /// errors, not index panics or giant allocations.
 pub fn decode_graph(r: &mut Reader<'_>) -> Result<Graph, WireError> {
     if r.u64()? != GRAPH_MAGIC {
@@ -376,47 +633,34 @@ pub fn decode_graph(r: &mut Reader<'_>) -> Result<Graph, WireError> {
     if n >= u32::MAX as u64 {
         return Err(WireError::Malformed("graph vertex count"));
     }
-    // Every row costs at least its degree byte and every edge at least one
-    // gap byte, so the bytes left bound both counts before any allocation.
-    if n.checked_add(m).is_none_or(|total| total > r.remaining() as u64) {
+    // Every row costs at least its length bit and every edge at least the
+    // one that ends its unary part, so the bits left bound both counts
+    // before any allocation.
+    if n.checked_add(m).is_none_or(|total| total > 8 * r.remaining() as u64) {
         return Err(WireError::Truncated);
     }
-    let m = edge_count(m).map_err(|_| WireError::Malformed("graph edge count"))? as usize;
-    let mut out_offsets: Vec<u32> = Vec::with_capacity(n as usize + 1);
-    let mut out_targets: Vec<VertexId> = Vec::with_capacity(m);
-    out_offsets.push(0);
+    let m = edge_count(m).map_err(|_| WireError::Malformed("graph edge count"))?;
+    let mut in_offsets: Vec<u32> = Vec::with_capacity(n as usize + 1);
+    let mut in_sources: Vec<VertexId> = Vec::with_capacity(m as usize);
+    in_offsets.push(0);
+    let mut bits = BitReader::new(r);
     for _ in 0..n {
-        let degree = r.varint()?;
-        if degree > (m - out_targets.len()) as u64 {
-            return Err(WireError::Malformed("row degrees exceed the declared edge count"));
-        }
-        let mut prev = 0u64;
-        for k in 0..degree {
-            let gap = r.varint()?;
-            if k > 0 && gap == 0 {
-                return Err(WireError::Malformed("duplicate edge"));
-            }
-            // `gap < n` first, so the sum cannot overflow.
-            if gap >= n || prev + gap >= n {
-                return Err(WireError::Malformed("edge endpoint out of range"));
-            }
-            prev += gap;
-            out_targets.push(prev as VertexId);
-        }
-        out_offsets.push(out_targets.len() as u32);
+        read_row(&mut bits, n as u32, m - in_sources.len() as u32, &mut in_sources)?;
+        in_offsets.push(in_sources.len() as u32);
     }
-    if out_targets.len() != m {
-        return Err(WireError::Malformed("row degrees fall short of the declared edge count"));
+    bits.finish()?;
+    if in_sources.len() != m as usize {
+        return Err(WireError::Malformed("row lengths fall short of the declared edge count"));
     }
-    Ok(Graph::from_out_rows(n as usize, out_offsets, out_targets))
+    Ok(Graph::from_in_rows(n as usize, in_offsets, in_sources))
 }
 
-/// Writes the wire form of `geo`: graph, DC count, raw locations, and the
-/// data sizes as runs.
+/// Writes the wire form of `geo`: graph, DC count, the locations as a DC-id
+/// plane, and the data sizes as runs.
 pub fn encode_geo<W: Write>(geo: &GeoGraph, w: &mut W) -> io::Result<()> {
     encode_graph(&geo.graph, w)?;
     put_varint(w, geo.num_dcs as u64)?;
-    w.write_all(&geo.locations)?;
+    put_dcs(w, &geo.locations, geo.num_dcs)?;
     put_runs(w, &geo.data_sizes, |s| s, |w, s| put_varint(w, s))
 }
 
@@ -428,12 +672,10 @@ pub fn decode_geo(r: &mut Reader<'_>) -> Result<GeoGraph, WireError> {
     if num_dcs == 0 || num_dcs > MAX_DCS as u64 {
         return Err(WireError::Malformed("DC count out of range"));
     }
-    let locations: Vec<DcId> = r.take(n)?.to_vec();
-    if locations.iter().any(|&d| (d as u64) >= num_dcs) {
-        return Err(WireError::Malformed("vertex location out of range"));
-    }
+    let num_dcs = num_dcs as usize;
+    let locations = read_dcs(r, n, num_dcs, "vertex location out of range")?;
     let data_sizes = r.runs(n, Reader::varint)?;
-    Ok(GeoGraph { graph, locations, data_sizes, num_dcs: num_dcs as usize })
+    Ok(GeoGraph { graph, locations, data_sizes, num_dcs })
 }
 
 #[cfg(test)]
@@ -541,40 +783,179 @@ mod tests {
         assert!(matches!(delta_from_bytes(&bytes), Err(WireError::TrailingBytes)));
     }
 
+    /// A hand-built delta blob: the two vertex counts, then one bit section
+    /// that `body` writes.
+    fn crafted_delta(
+        old_n: u64,
+        new_n: u64,
+        body: impl FnOnce(&mut BitWriter<'_, Vec<u8>>) -> io::Result<()>,
+    ) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_varint(&mut out, old_n).unwrap();
+        put_varint(&mut out, new_n).unwrap();
+        let mut bits = BitWriter::new(&mut out);
+        body(&mut bits).unwrap();
+        bits.finish().unwrap();
+        out
+    }
+
+    fn malformed(got: Result<GraphDelta, WireError>, what: &str) {
+        match got {
+            Err(WireError::Malformed(msg)) => assert_eq!(msg, what),
+            other => panic!("expected {what}, got {other:?}"),
+        }
+    }
+
     #[test]
     fn malformed_deltas_rejected() {
-        // Unsorted inserted list.
-        let mut out = Vec::new();
-        out.extend_from_slice(&4u64.to_le_bytes());
-        out.extend_from_slice(&4u64.to_le_bytes());
-        put_pairs(&mut out, &[(2, 3), (0, 1)]);
-        put_pairs(&mut out, &[]);
-        assert!(matches!(delta_from_bytes(&out), Err(WireError::Malformed(_))));
+        let lists = |ins: &[(u32, u32)], del: &[(u32, u32)]| {
+            let (ins, del) = (ins.to_vec(), del.to_vec());
+            move |w: &mut BitWriter<'_, Vec<u8>>| {
+                put_edge_rows(w, &ins)?;
+                put_edge_rows(w, &del)
+            }
+        };
+        // The helper itself is pinned by a well-formed twin.
+        let ok = delta_from_bytes(&crafted_delta(4, 5, lists(&[(0, 4), (2, 1)], &[(1, 3)])));
+        assert_eq!(ok.unwrap().inserted(), &[(0, 4), (2, 1)]);
 
-        // Shrinking vertex count.
-        let mut out = Vec::new();
-        out.extend_from_slice(&4u64.to_le_bytes());
-        out.extend_from_slice(&2u64.to_le_bytes());
-        put_pairs(&mut out, &[]);
-        put_pairs(&mut out, &[]);
-        assert!(matches!(delta_from_bytes(&out), Err(WireError::Malformed(_))));
-
-        // Same edge inserted and deleted.
-        let mut out = Vec::new();
-        out.extend_from_slice(&4u64.to_le_bytes());
-        out.extend_from_slice(&4u64.to_le_bytes());
-        put_pairs(&mut out, &[(0, 1)]);
-        put_pairs(&mut out, &[(0, 1)]);
-        assert!(matches!(delta_from_bytes(&out), Err(WireError::Malformed(_))));
+        malformed(delta_from_bytes(&crafted_delta(4, 2, lists(&[], &[]))), "delta vertex counts");
+        malformed(
+            delta_from_bytes(&crafted_delta(4, 4, lists(&[(0, 1)], &[(0, 1)]))),
+            "edge both inserted and deleted",
+        );
+        malformed(
+            delta_from_bytes(&crafted_delta(4, 4, lists(&[(2, 2)], &[]))),
+            "delta edge is a self-loop",
+        );
+        // Deleted endpoints predate the delta.
+        malformed(
+            delta_from_bytes(&crafted_delta(4, 5, lists(&[], &[(0, 4)]))),
+            "edge endpoint out of range",
+        );
+        malformed(
+            delta_from_bytes(&crafted_delta(4, 5, lists(&[], &[(4, 0)]))),
+            "delta source out of range",
+        );
+        // Two rows of source 1: sorted pairs, but a second form of the list.
+        let twice = |w: &mut BitWriter<'_, Vec<u8>>| {
+            w.gamma(2)?;
+            for gap in [1, 0] {
+                w.gamma(gap)?;
+                put_row(w, &[2 + gap])?;
+            }
+            w.gamma(0)
+        };
+        malformed(delta_from_bytes(&crafted_delta(4, 4, twice)), "delta source gap of 0");
+        let empty_row = |w: &mut BitWriter<'_, Vec<u8>>| {
+            w.gamma(1)?;
+            w.gamma(1)?;
+            put_row(w, &[])?;
+            w.gamma(0)
+        };
+        malformed(delta_from_bytes(&crafted_delta(4, 4, empty_row)), "empty delta row");
+        malformed(
+            delta_from_bytes(&crafted_delta(4, 4, |w| w.gamma(5))),
+            "more delta rows than vertices",
+        );
     }
 
     #[test]
     fn corrupt_length_prefix_is_truncation_not_alloc() {
-        let d = GraphDelta::from_events(&base(), &[ev(0, 3, 0, EventKind::Insert)]);
-        let mut bytes = delta_to_bytes(&d);
-        // Blow up the inserted-list length prefix to a huge value.
-        bytes[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(delta_from_bytes(&bytes), Err(WireError::Truncated)));
+        // A row count and a row length each as large as a 2^31-vertex delta
+        // allows, with nothing behind them: both read to the end of the
+        // bytes, nothing is reserved by the declared value.
+        let n = 1 << 31;
+        let rows = crafted_delta(n, n, |w| w.gamma(1 << 30));
+        assert!(matches!(delta_from_bytes(&rows), Err(WireError::Truncated)));
+        let row = crafted_delta(n, n, |w| {
+            w.gamma(1)?;
+            w.gamma(7)?;
+            w.gamma(1 << 30)
+        });
+        assert!(matches!(delta_from_bytes(&row), Err(WireError::Truncated)));
+    }
+
+    /// `row` alone in a bit section.
+    fn row_bytes(row: &[VertexId]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut bits = BitWriter::new(&mut out);
+        put_row(&mut bits, row).unwrap();
+        bits.finish().unwrap();
+        out
+    }
+
+    fn read_row_full(bytes: &[u8], n: u32) -> Result<Vec<VertexId>, WireError> {
+        let mut r = Reader::new(bytes);
+        let mut bits = BitReader::new(&mut r);
+        let mut row = Vec::new();
+        read_row(&mut bits, n, n, &mut row)?;
+        bits.finish()?;
+        r.finish()?;
+        Ok(row)
+    }
+
+    #[test]
+    fn rows_take_only_the_derived_rice_parameter_and_zero_padding() {
+        let row = [3u32, 9, 10, 40];
+        let bytes = row_bytes(&row);
+        assert_eq!(read_row_full(&bytes, 41).unwrap(), row);
+        // Coded values 3, 5, 0, 29: mean 9, so k = 3. Every other k is a
+        // second spelling of the same row and is refused.
+        for k in (0..32).filter(|&k| k != 3) {
+            let mut out = Vec::new();
+            let mut bits = BitWriter::new(&mut out);
+            bits.gamma(4).unwrap();
+            bits.bits(k, RICE_PARAMETER_BITS).unwrap();
+            for x in [3, 5, 0, 29] {
+                bits.rice(x, k as u32).unwrap();
+            }
+            bits.finish().unwrap();
+            match read_row_full(&out, 41) {
+                Err(WireError::Malformed(what)) => {
+                    assert_eq!(what, "rice parameter is not the one the row derives")
+                }
+                other => panic!("k = {k}: expected Malformed, got {other:?}"),
+            }
+        }
+        // Set padding bits: the same row, not the same bytes.
+        let pad = (bytes.len() * 8) as u32 - bit_len(&row);
+        assert!(pad > 0, "the test row must leave padding");
+        let mut bad = bytes.clone();
+        *bad.last_mut().unwrap() |= 1 << 7;
+        assert!(matches!(
+            read_row_full(&bad, 41),
+            Err(WireError::Malformed("padding bits are not zero"))
+        ));
+        // An id at or past n, and a unary run past any id below n.
+        assert!(matches!(read_row_full(&bytes, 40), Err(WireError::Malformed(_))));
+        let mut out = Vec::new();
+        let mut bits = BitWriter::new(&mut out);
+        bits.gamma(1).unwrap();
+        bits.bits(0, RICE_PARAMETER_BITS).unwrap();
+        (0..40).try_for_each(|_| bits.bits(0, 32)).unwrap();
+        bits.finish().unwrap();
+        assert!(matches!(
+            read_row_full(&out, 1000),
+            Err(WireError::Malformed("edge endpoint out of range"))
+        ));
+    }
+
+    /// Bits `put_row` spends on `row` (before padding).
+    fn bit_len(row: &[VertexId]) -> u32 {
+        let gamma = |x: u32| 2 * (x as u64 + 1).ilog2() + 1;
+        if row.is_empty() {
+            return gamma(0);
+        }
+        let coded: Vec<u32> = row
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| if i == 0 { v } else { v - row[i - 1] - 1 })
+            .collect();
+        let k = rice_parameter(coded.iter().map(|&x| x as u64).sum(), coded.len());
+        gamma(row.len() as u32)
+            + RICE_PARAMETER_BITS
+            + coded.iter().map(|&x| (x >> k) + 1 + k).sum::<u32>()
     }
 
     mod properties {
@@ -614,6 +995,18 @@ mod tests {
             edges.sort_unstable();
             edges.dedup();
             Graph::from_edges(n, &edges)
+        }
+
+        /// A strictly increasing row of ids below `n`: `keep` picks them
+        /// from a random subset, `shape` forces the empty row, a single id,
+        /// every id, or one that ends at `n − 1`.
+        fn row_of(n: u32, keep: &[bool], shape: u8) -> Vec<VertexId> {
+            match shape {
+                0 => Vec::new(),
+                1 => vec![n / 2],
+                2 => (0..n).collect(),
+                _ => (0..n).filter(|&v| keep[v as usize] || v == n - 1).collect(),
+            }
         }
 
         proptest! {
@@ -677,6 +1070,119 @@ mod tests {
                 let bytes = delta_to_bytes(&build(n, &edges, &raw));
                 for len in 0..bytes.len() {
                     prop_assert!(delta_from_bytes(&bytes[..len]).is_err(), "len {} decoded", len);
+                }
+            }
+
+            /// A row — empty, one id, every id, or a random subset ending
+            /// at n − 1, over n up to 2^32 − 2 — reads back as itself,
+            /// re-encodes to the same bytes, and costs the bits its codes
+            /// add up to plus under a byte of padding.
+            #[test]
+            fn row_wire_round_trip(
+                n in 1u32..600,
+                keep in vec(0u8..2, 300..301),
+                shape in 0u8..4,
+            ) {
+                // Half the cases sit at the top of the id space.
+                let n = if n < 300 { n } else { u32::MAX - 2 - (n - 300) };
+                let keep: Vec<bool> = keep.iter().map(|&b| b == 1).collect();
+                // Past 300 ids, the same shapes over the top 300.
+                let top = n.saturating_sub(300);
+                let row: Vec<u32> =
+                    row_of(n - top, &keep, shape).into_iter().map(|v| top + v).collect();
+                let bytes = row_bytes(&row);
+                prop_assert_eq!(bytes.len(), bit_len(&row).div_ceil(8) as usize);
+                let back = read_row_full(&bytes, n).unwrap();
+                prop_assert_eq!(&back, &row);
+                prop_assert_eq!(row_bytes(&back), bytes);
+            }
+
+            /// Fixed-width fields of every width 0–32, mixed with gamma and
+            /// Rice codes, read back in order and re-encode identically;
+            /// every truncation errors.
+            #[test]
+            fn bit_fields_round_trip(
+                fields in vec((0u32..40, 0u64..u64::MAX, 0u8..3, 0u32..32), 0..64),
+            ) {
+                // Widths past 32 stand for the edges 0, 31 and 32.
+                let fields = fields.into_iter().map(|(w, v, kind, k)| {
+                    (if w > 32 { [0, 31, 32][w as usize % 3] } else { w }, v, kind, k)
+                });
+                // (width, value, kind, k): kind 0 a `width`-bit field, 1 a
+                // gamma code of any u32, 2 a Rice code whose unary part is
+                // under 256 bits.
+                let fields: Vec<(u32, u64, u8, u32)> = fields
+                    .map(|(w, v, kind, k)| match kind {
+                        0 => (w, v & ((1 << w) - 1), kind, k),
+                        1 => (w, (v as u32 >> (w % 32)) as u64, kind, k),
+                        _ => (w, v & ((1 << (k + 8).min(32)) - 1), kind, k),
+                    })
+                    .collect();
+                let encode = |fields: &[(u32, u64, u8, u32)]| {
+                    let mut out = Vec::new();
+                    let mut bits = BitWriter::new(&mut out);
+                    for &(w, v, kind, k) in fields {
+                        match kind {
+                            0 => bits.bits(v, w),
+                            1 => bits.gamma(v as u32),
+                            _ => bits.rice(v as u32, k),
+                        }
+                        .unwrap();
+                    }
+                    bits.finish().unwrap();
+                    out
+                };
+                let decode = |bytes: &[u8]| -> Result<Vec<(u32, u64, u8, u32)>, WireError> {
+                    let mut r = Reader::new(bytes);
+                    let mut bits = BitReader::new(&mut r);
+                    let mut back = Vec::new();
+                    for &(w, _, kind, k) in &fields {
+                        let v = match kind {
+                            0 => bits.bits(w)?,
+                            1 => bits.gamma(u32::MAX, "gamma")? as u64,
+                            _ => bits.rice(k, u32::MAX, "rice")? as u64,
+                        };
+                        back.push((w, v, kind, k));
+                    }
+                    bits.finish()?;
+                    r.finish()?;
+                    Ok(back)
+                };
+                let bytes = encode(&fields);
+                let back = decode(&bytes).unwrap();
+                prop_assert_eq!(&back, &fields);
+                prop_assert_eq!(encode(&back), bytes.clone());
+                for len in 0..bytes.len() {
+                    prop_assert!(decode(&bytes[..len]).is_err(), "len {} decoded", len);
+                }
+            }
+
+            /// DC-id planes at M ∈ {1, 2, 8, 64} take ⌈log2 M⌉ bits a
+            /// vertex, read back, re-encode identically, and refuse an id
+            /// of M or more.
+            #[test]
+            fn dcs_wire_round_trip(
+                m_index in 0usize..4,
+                raw in vec(0u8..=255, 0..200),
+            ) {
+                let (m, width) = [(1usize, 0usize), (2, 1), (8, 3), (64, 6)][m_index];
+                let dcs: Vec<DcId> = raw.iter().map(|&d| d % m as u8).collect();
+                let mut bytes = Vec::new();
+                put_dcs(&mut bytes, &dcs, m).unwrap();
+                prop_assert_eq!(bytes.len(), (dcs.len() * width).div_ceil(8));
+                let mut r = Reader::new(&bytes);
+                let back = read_dcs(&mut r, dcs.len(), m, "dc").unwrap();
+                r.finish().unwrap();
+                prop_assert_eq!(&back, &dcs);
+                let mut again = Vec::new();
+                put_dcs(&mut again, &back, m).unwrap();
+                prop_assert_eq!(again, bytes);
+                if m > 2 {
+                    // One fewer DC than the plane was written for, at the
+                    // same width: the top id alone is refused.
+                    let top = dcs.iter().position(|&d| d as usize == m - 1);
+                    let got = read_dcs(&mut Reader::new(&bytes), dcs.len(), m - 1, "dc");
+                    prop_assert_eq!(top.is_some(), got.is_err());
                 }
             }
         }

@@ -11,19 +11,21 @@
 //! travel as raw `f64` bits.
 //!
 //! What else travels is what the hybrid-cut rule (§IV-B) reads: the
-//! masters, `is_high` as a bitmap (so decoding does not depend on how θ
-//! classifies) and the near-constant traffic profile as `(value, run)`
-//! pairs. The `n × M × 2` count plane, the occupancy masks and the per-DC
-//! edge balance are that rule's output over the snapshot's graph, so
-//! [`decode_placement`] rebuilds them with the same row-sequential kernel
-//! `HybridState::from_masters` uses (`PlacementState::place_hybrid_edges`)
-//! and a snapshot cannot carry an inconsistent plane. Malformed bytes
-//! surface as typed [`WireError`]s — never panics, never a half-valid
-//! state.
+//! masters as a `⌈log2 M⌉`-bit DC-id plane, `is_high` as a bitmap (so
+//! decoding does not depend on how θ classifies) and the near-constant
+//! traffic profile as `(value, run)` pairs. The `n × M × 2` count plane,
+//! the occupancy masks and the per-DC edge balance are that rule's output
+//! over the snapshot's graph, so [`decode_placement`] rebuilds them with
+//! the same row-sequential kernel `HybridState::from_masters` uses
+//! (`PlacementState::place_hybrid_edges`) and a snapshot cannot carry an
+//! inconsistent plane. Malformed bytes surface as typed [`WireError`]s —
+//! never panics, never a half-valid state.
 
 use std::io::{self, Write};
 
-use geograph::wire::{put_f32_runs, put_varint, Reader, WireError};
+use geograph::wire::{
+    put_dcs, put_f32_runs, put_varint, read_dcs, BitReader, BitWriter, Reader, WireError,
+};
 use geograph::{DcId, GeoGraph, MAX_DCS};
 use geosim::StageLoads;
 
@@ -59,11 +61,10 @@ pub fn encode_placement<W: Write>(state: &PlacementState, w: &mut W) -> io::Resu
     put_varint(w, m as u64)?;
     w.write_all(&state.num_iterations.to_bits().to_le_bytes())?;
     w.write_all(&state.movement_cost.to_bits().to_le_bytes())?;
-    w.write_all(&state.masters)?;
-    for chunk in state.is_high.chunks(8) {
-        let byte = chunk.iter().enumerate().fold(0u8, |b, (i, &h)| b | (h as u8) << i);
-        w.write_all(&[byte])?;
-    }
+    put_dcs(w, &state.masters, m)?;
+    let mut bitmap = BitWriter::new(w);
+    state.is_high.iter().try_for_each(|&h| bitmap.bits(h as u64, 1))?;
+    bitmap.finish()?;
     put_f32_runs(w, &state.profile.gather_bytes)?;
     put_f32_runs(w, &state.profile.apply_bytes)?;
     put_loads(w, &state.gather, m)?;
@@ -79,9 +80,9 @@ pub fn decode_placement(r: &mut Reader<'_>, geo: &GeoGraph) -> Result<PlacementS
     if m == 0 || m > MAX_DCS as u64 {
         return Err(WireError::Malformed("DC count out of range"));
     }
-    // A vertex costs at least its master byte; bound n by that before any
+    // A vertex costs at least its `is_high` bit; bound n by that before any
     // sized allocation so a corrupt count fails as Truncated, not OOM.
-    if n > r.remaining() as u64 {
+    if n > 8 * r.remaining() as u64 {
         return Err(WireError::Truncated);
     }
     if n != geo.num_vertices() as u64 || m != geo.num_dcs as u64 {
@@ -90,15 +91,10 @@ pub fn decode_placement(r: &mut Reader<'_>, geo: &GeoGraph) -> Result<PlacementS
     let (n, m) = (n as usize, m as usize);
     let num_iterations = r.f64()?;
     let movement_cost = r.f64()?;
-    let masters: Vec<DcId> = r.take(n)?.to_vec();
-    if masters.iter().any(|&d| (d as usize) >= m) {
-        return Err(WireError::Malformed("master out of range"));
-    }
-    let bitmap = r.take(n.div_ceil(8))?;
-    if n % 8 != 0 && bitmap[n / 8] >> (n % 8) != 0 {
-        return Err(WireError::Malformed("is_high bitmap padding"));
-    }
-    let is_high: Vec<bool> = (0..n).map(|v| bitmap[v / 8] >> (v % 8) & 1 != 0).collect();
+    let masters = read_dcs(r, n, m, "master out of range")?;
+    let mut bitmap = BitReader::new(r);
+    let is_high = (0..n).map(|_| Ok(bitmap.bits(1)? == 1)).collect::<Result<Vec<_>, _>>()?;
+    bitmap.finish()?;
     let gather_bytes = r.runs(n, Reader::f32)?;
     let apply_bytes = r.runs(n, Reader::f32)?;
     let gather = take_loads(r, m)?;
@@ -136,13 +132,15 @@ mod tests {
     use geograph::{GraphBuilder, LocalityConfig};
     use geosim::CloudEnv;
 
+    /// A placement over five DCs, so a master takes 3 bits and the values
+    /// 5–7 are spellable but out of range.
     fn build() -> (GeoGraph, CloudEnv, PlacementState, usize) {
         let mut b = GraphBuilder::new(32);
         for i in 0..31u32 {
             b.add_edges([(i, i + 1), (i, (i * 7 + 3) % 32)]);
         }
-        let geo = GeoGraph::from_graph(b.build(), &LocalityConfig::uniform(8, 11));
-        let env = geosim::regions::ec2_eight_regions();
+        let geo = GeoGraph::from_graph(b.build(), &LocalityConfig::uniform(5, 11));
+        let env = CloudEnv::new(geosim::regions::ec2_eight_regions().dcs()[..5].to_vec());
         let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
         let hybrid =
             HybridState::try_from_masters(&geo, &env, geo.locations.clone(), 3, profile, 10.0)
@@ -199,8 +197,9 @@ mod tests {
     fn malformed_master_rejected() {
         let (geo, _, state, _) = build();
         let mut bytes = placement_to_bytes(&state);
-        // First master: past varint(n), varint(M) and the two f64 accumulators.
-        bytes[18] = 99;
+        // First master: the low 3 bits past varint(n), varint(M) and the
+        // two f64 accumulators.
+        bytes[18] |= 0b111;
         assert!(matches!(
             placement_from_bytes(&bytes, &geo),
             Err(WireError::Malformed("master out of range"))

@@ -82,6 +82,15 @@ if git grep -n -E 'occupied cell holds no edges|occupancy bit beyond the DC coun
   echo "a stored snapshot count plane reappeared under crates/"; exit 1
 fi
 
+echo "==> the store in bits (the byte-coded wire forms stay deleted)"
+# Vertex ids travel through one bit codec (geograph::wire's BitWriter and
+# BitReader, rows as Rice codes): the raw 8-byte delta pairs, the varint
+# out-rows of graph_v3 and the out-row graph constructor that decoded them
+# must not come back.
+if git grep -n -E 'put_pairs|fn pairs|from_out_rows|graph_v3' -- crates/; then
+  echo "a byte-coded wire form reappeared under crates/"; exit 1
+fi
+
 echo "==> one measurement surface (the bench_* bins and their JSON stay deleted)"
 # System performance is read from benchmark/ (bash benchmark/run.sh,
 # benchmark/results/trajectory.jsonl) and every deterministic gate lives in
@@ -140,12 +149,16 @@ require_tests ring_covers_every_low_degree_agent_in_one_over_rate_windows \
   quiet_pipeline_keeps_converging
 # The counting sort is the comparison sort's permutation (ties by id).
 require_tests counting_order_equals_the_comparison_sort
-# Crash recovery: a multi-window durable run (with and without snapshots)
-# is truncated at every record boundary plus seeded mid-record offsets;
-# every recovery must equal the uninterrupted run at that boundary plane
-# for plane: masters, every count, mirror mask and per-DC balance, and the
-# movement cost and stage loads to the last f64 bit.
-require_tests kill_at_every_record_boundary_and_mid_record
+# Crash recovery: a multi-window durable run (with and without snapshots,
+# each of which rolls the log to a new segment) is rebuilt as it stood at
+# every record boundary, seeded mid-record offsets of whichever segment
+# was the tail, and between each snapshot's rename and the roll; every
+# recovery must equal the uninterrupted run at that boundary plane for
+# plane: masters, every count, mirror mask and per-DC balance, and the
+# movement cost and stage loads to the last f64 bit. Behind the roll, the
+# snapshot prune deletes every segment replay can no longer reach.
+require_tests kill_at_every_record_boundary_and_mid_record \
+  snapshots_roll_the_log_so_the_prune_frees_it
 # The ring's cursor is the window index and is not logged: recovery at
 # every committed boundary, then the rest of the stream, must end on the
 # uninterrupted run's plan to the bit. And the snapshot cadence counts
@@ -154,19 +167,34 @@ require_tests recovery_at_every_boundary_continues_the_ring_bit_exactly \
   recovery_keeps_the_snapshot_cadence
 # A window start's run-coded profile suffix declares its length: one past
 # what the replayed graph justifies is Malformed before it is allocated,
-# and a segment written before the run coding is a typed version error.
+# and a segment written before the run coding (v1) or before the delta's
+# Rice-coded rows (v2) is a typed version error.
 require_tests oversized_run_is_refused_before_it_is_expanded \
   older_format_version_is_a_typed_error
 # Cutting a snapshot streams a borrowed view of the live state: under a
-# counting allocator snapshot_now on a 60k-vertex graph stays below 1 MB
+# counting allocator snapshot_now on a 60k-vertex graph stays below 512 KiB
 # above its entry watermark (a clone + staged blob is >2x the state), and
-# the snapshot costs <= 2.2 B per graph edge (measured 2.130; 2.81 with the
-# count plane stored, 15.8 in the dense pre-v3 layout).
+# the snapshot costs <= 1.5 B per graph edge (measured 1.481; 2.130 with
+# varint out-rows, 2.81 with the count plane stored, 15.8 in the dense
+# pre-v3 layout).
 require_tests snapshot_now_allocates_a_buffer_not_a_copy_of_the_state
+# The bit codec round-trips and re-encodes to the same bytes: random rows
+# (empty, one id, every id, ids up to n - 1), random field sequences with
+# widths 0, 31 and 32, and DC-id planes at M in {1, 2, 8, 64}. Every value
+# has one accepted form: a Rice parameter other than the derived one, set
+# padding bits, a delta source gap of 0, an empty delta row and a unary run
+# past its bound are typed Malformed errors; a flipped bit never decodes
+# to the same graph; graph, snapshot and WAL versions before the bit
+# layout are typed errors.
+require_tests row_wire_round_trip bit_fields_round_trip dcs_wire_round_trip \
+  rows_take_only_the_derived_rice_parameter_and_zero_padding \
+  malformed_deltas_rejected corrupt_length_prefix_is_truncation_not_alloc \
+  structural_corruption_rejected graph_truncations_and_bit_flips_never_panic \
+  older_graph_layouts_are_a_typed_error malformed_master_rejected
 # The placement section is hostile input: a vertex or DC count that is not
-# the decoded geo's, a master >= M or set is_high padding is a typed
-# Malformed before any count is derived; a version-2 or -3 snapshot is a
-# typed UnsupportedVersion that load_latest skips.
+# the decoded geo's, a master >= M or set padding in the masters or is_high
+# section is a typed Malformed before any count is derived; a version-2, -3
+# or -4 snapshot is a typed UnsupportedVersion that load_latest skips.
 require_tests hostile_placement_sections_rejected \
   older_snapshot_versions_are_typed_and_skipped
 # Recovering a durable store against a CloudEnv other than the one it was

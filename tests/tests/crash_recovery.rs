@@ -1,11 +1,13 @@
 //! Kill-at-random-point crash-recovery harness — the headline durability
 //! proof.
 //!
-//! One multi-window durable run (graph deltas, a mid-run DC outage, a
-//! snapshot mid-stream) produces a WAL; the harness then simulates a
-//! process kill at 100+ seeded crash points — after every record boundary
-//! and at seeded mid-record truncations — by truncating a copy of the log
-//! there and recovering. Every recovery must land on a committed window
+//! One multi-window durable run (graph deltas, a mid-run DC outage,
+//! snapshots mid-stream, each of which rolls the log to a new segment) is
+//! copied at every committed boundary; the harness then simulates a
+//! process kill at 100+ seeded crash points — after every record boundary,
+//! at seeded mid-record truncations, and between a snapshot's rename and
+//! the roll behind it — by rebuilding the store as it stood at that moment
+//! and recovering. Every recovery must land on a committed window
 //! boundary with masters bit-identical to the uninterrupted run at that
 //! boundary, the whole carried placement equal plane for plane (every
 //! count, mirror mask and per-DC balance; movement cost and stage loads to
@@ -148,9 +150,10 @@ fn kill_at_every_crash_point(snapshot_every: u64) {
     // ones.
     let schedule = FaultSchedule::single_outage(8, 100, 2, 2);
 
-    // The uninterrupted run. expected[j] = the carried placement at the
-    // boundary where `next_window == j`; index 0 is genesis, which carries
-    // none (its masters are the natural locations).
+    // The uninterrupted run, copied at every committed boundary:
+    // images[j] is the store where `next_window == j` and expected[j] the
+    // carried placement there (index 0 is genesis, which carries none —
+    // its masters are the natural locations).
     let mut expected: Vec<Option<PlacementState>> = vec![None];
     let mut durable = DurableAdaptive::create(
         &base,
@@ -161,6 +164,13 @@ fn kill_at_every_crash_point(snapshot_every: u64) {
         snapshot_every,
     )
     .expect("create durable dir");
+    let mut images = Vec::new();
+    let keep_image = |images: &mut Vec<PathBuf>| {
+        let image = tmp_dir(&format!("image{}_{}", snapshot_every, images.len()));
+        copy_dir(&base, &image);
+        images.push(image);
+    };
+    keep_image(&mut images);
     let p0 = TrafficProfile::uniform(w.geo0.num_vertices(), 8.0);
     durable.window(&env, None, &[], &[], p0, 10.0, t_opt).expect("window 0");
     let push_state = |d: &DurableAdaptive, out: &mut Vec<Option<PlacementState>>| {
@@ -168,6 +178,7 @@ fn kill_at_every_crash_point(snapshot_every: u64) {
         out.push(Some(core.clone()));
     };
     push_state(&durable, &mut expected);
+    keep_image(&mut images);
     for (i, (delta, locs, sizes)) in w.steps.iter().enumerate() {
         let step = (i + 1) as u64;
         if schedule.changes_at(step) {
@@ -181,79 +192,135 @@ fn kill_at_every_crash_point(snapshot_every: u64) {
             .window(&env, Some(delta), locs, sizes, p, 10.0, t_opt)
             .unwrap_or_else(|e| panic!("delta window {i}: {e}"));
         push_state(&durable, &mut expected);
+        keep_image(&mut images);
     }
     drop(durable); // kill the "process"; committed state is on disk
-
-    // Enumerate crash points from the log itself: every record boundary
-    // plus seeded mid-record truncations.
-    let (records, report) = geodur::wal::load(&base).expect("scan base log");
+    let (_, report) = geodur::wal::load(&base).expect("scan base log");
     assert_eq!(report.torn_tail_bytes, 0, "clean shutdown leaves no torn tail");
-    let segments = geodur::wal::segment_paths(&base).expect("list segments");
-    assert_eq!(segments.len(), 1, "workload should fit one segment");
-    let seg_name = segments[0].1.file_name().unwrap().to_owned();
 
+    // A crash during window j leaves images[j] with its tail segment — the
+    // one window j appends to — cut somewhere in window j's records, or
+    // whole with window j's snapshot renamed in but the log not yet rolled
+    // behind it. Every later segment does not exist yet.
     let mut rng = SmallRng::seed_from_u64(0x6b31_6c6c); // "k1ll"
-    let mut cuts: Vec<u64> = Vec::new();
-    let mut prev_end = geodur::wal::HEADER_BYTES;
-    for r in &records {
-        cuts.push(r.end_offset); // kill exactly at the record boundary
-        let len = r.end_offset - prev_end;
-        cuts.push(r.end_offset - 1); // one byte short: torn checksum
-        for _ in 0..4 {
-            cuts.push(prev_end + rng.gen_range(1..len)); // seeded mid-record
+    let mut crashes: Vec<Crash> = Vec::new();
+    let mut tails = Vec::new();
+    for window in 0..images.len() - 1 {
+        let (before, after) = (&images[window], &images[window + 1]);
+        let (seq, written) = tail_segment(before, after);
+        let start = std::fs::metadata(before.join("wal").join(segment_name(seq))).unwrap().len();
+        tails.push(seq);
+        let (records, _) = geodur::wal::load(after).expect("scan image");
+        let mut prev_end = start;
+        let mut crash = |cut| crashes.push(Crash { window, cut, snapshot: None });
+        for r in records.iter().filter(|r| r.segment == seq && r.end_offset > start) {
+            let len = r.end_offset - prev_end;
+            crash(r.end_offset); // kill exactly at the record boundary
+            crash(r.end_offset - 1); // one byte short: torn checksum
+            for _ in 0..4 {
+                crash(prev_end + rng.gen_range(1..len)); // seeded mid-record
+            }
+            prev_end = r.end_offset;
         }
-        prev_end = r.end_offset;
+        assert_eq!(prev_end, written.len() as u64, "window {window} left its tail unscanned");
+        let old_snaps = snapshot_lsns(before);
+        if let Some(lsn) = snapshot_lsns(after).into_iter().find(|lsn| !old_snaps.contains(lsn)) {
+            let snapshot = Some(after.join(format!("snap/snap-{lsn:020}.snap")));
+            crashes.push(Crash { window, cut: prev_end, snapshot });
+        }
     }
-    cuts.sort_unstable();
-    cuts.dedup();
+    crashes.sort_by_key(|c| (c.window, c.cut, c.snapshot.is_some()));
+    crashes.dedup_by_key(|c| (c.window, c.cut, c.snapshot.is_some()));
+    tails.dedup();
+    assert_eq!(
+        tails.len() > 1,
+        snapshot_every > 0,
+        "the log rolls at every snapshot and only then: tails {tails:?}"
+    );
     assert!(
-        cuts.len() >= 100,
-        "need at least 100 distinct crash points, got {} over {} records",
-        cuts.len(),
-        records.len()
+        crashes.len() >= 100,
+        "need at least 100 distinct crash points, got {} over {} windows",
+        crashes.len(),
+        images.len() - 1
     );
 
-    for (k, &cut) in cuts.iter().enumerate() {
+    for (k, Crash { window: j, cut, snapshot }) in crashes.iter().enumerate() {
+        let (seq, written) = tail_segment(&images[*j], &images[j + 1]);
+        let what = format!(
+            "crash {k} in window {j}: segment {seq} cut at {cut}{}",
+            if snapshot.is_some() { " after the snapshot, before the roll" } else { "" }
+        );
         let scratch = tmp_dir(&format!("cut{k}"));
-        copy_dir(&base, &scratch);
-        let seg = scratch.join("wal").join(&seg_name);
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(&seg)
-            .and_then(|f| f.set_len(cut))
-            .unwrap_or_else(|e| panic!("cut {k}: truncating to {cut} bytes: {e}"));
+        copy_dir(&images[*j], &scratch);
+        std::fs::write(scratch.join("wal").join(segment_name(seq)), &written[..*cut as usize])
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        if let Some(snap) = snapshot {
+            std::fs::copy(snap, scratch.join("snap").join(snap.file_name().unwrap())).unwrap();
+        }
 
         let (recovered, summary) =
             DurableAdaptive::recover(&scratch, pinned_config(), Some(0.4), &env, snapshot_every)
-                .unwrap_or_else(|e| panic!("cut {k} at byte {cut}: recovery failed: {e}"));
-        let j = summary.next_window as usize;
-        assert!(j < expected.len(), "cut {k}: recovered past the end of the run");
+                .unwrap_or_else(|e| panic!("{what}: recovery failed: {e}"));
+        let b = summary.next_window as usize;
+        assert!(b == *j || b == j + 1, "{what}: recovered to boundary {b}");
+        if snapshot.is_some() {
+            assert_eq!((b, summary.replayed_windows), (j + 1, 0), "{what}: not from the snapshot");
+        }
         if snapshot_every == 0 {
             assert_eq!(
                 summary.replayed_windows, summary.next_window,
-                "cut {k}: a snapshot-free log replays every committed window"
+                "{what}: a snapshot-free log replays every committed window"
             );
         }
-        let exp_masters = expected[j].as_ref().map_or(&w.geo0.locations[..], |s| s.masters());
-        assert_eq!(
-            recovered.masters(),
-            exp_masters,
-            "cut {k} at byte {cut}: masters diverged at window boundary {j}"
-        );
-        if let Some(live) = &expected[j] {
+        let exp_masters = expected[b].as_ref().map_or(&w.geo0.locations[..], |s| s.masters());
+        assert_eq!(recovered.masters(), exp_masters, "{what}: masters diverged at boundary {b}");
+        if let Some(live) = &expected[b] {
             let (core, _) = recovered.inner().carried_parts().expect("committed boundary");
-            assert_same_placement(core, live, &format!("cut {k} at byte {cut}, boundary {j}"));
+            assert_same_placement(core, live, &format!("{what}, boundary {b}"));
             assert!(
                 recovered
                     .inner()
                     .validate_carried(recovered.geo(), &env)
-                    .unwrap_or_else(|e| panic!("cut {k}: validate_plan failed: {e}")),
-                "cut {k}: nothing carried at boundary {j}"
+                    .unwrap_or_else(|e| panic!("{what}: validate_plan failed: {e}")),
+                "{what}: nothing carried at boundary {b}"
             );
         }
         let _ = std::fs::remove_dir_all(&scratch);
     }
-    let _ = std::fs::remove_dir_all(&base);
+    for dir in images.iter().chain([&base]) {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// A simulated kill during window `window`: the segment that window
+/// appends to cut at byte `cut`, and, when `snapshot` is set, the snapshot
+/// that window cut renamed into place before the log rolled.
+struct Crash {
+    window: usize,
+    cut: u64,
+    snapshot: Option<PathBuf>,
+}
+
+fn segment_name(seq: u64) -> String {
+    format!("seg-{seq:08}.wal")
+}
+
+/// The segment a window appends to — the newest in the store image
+/// `before` it — and its bytes in the image `after` it, which must extend
+/// the ones `before` holds.
+fn tail_segment(before: &Path, after: &Path) -> (u64, Vec<u8>) {
+    let (seq, path) = geodur::wal::segment_paths(before).expect("segments").pop().unwrap();
+    let written = std::fs::read(after.join("wal").join(segment_name(seq)))
+        .expect("the tail segment outlives the window that appends to it");
+    let held = std::fs::read(path).unwrap();
+    assert_eq!(written[..held.len()], held[..], "segment {seq} was rewritten, not appended to");
+    (seq, written)
+}
+
+/// LSNs of the snapshot files under a store directory.
+fn snapshot_lsns(dir: &Path) -> Vec<u64> {
+    let paths = geodur::snapshot::snapshot_paths(dir).expect("list snapshots");
+    paths.into_iter().map(|(lsn, _)| lsn).collect()
 }
 
 /// A crash image whose WAL ends in an uncommitted window must recover to

@@ -1,9 +1,9 @@
 //! Hostile-input gate for the snapshot layout (DESIGN.md §3g): the varint
-//! codec, the gap-varint graph rows, the run-length planes, the placement
-//! section and the snapshot file itself, each fed crafted or damaged
-//! bytes through the public decoders. Every case must end in a typed
-//! error — before any allocation sized by the bad value — and never in a
-//! panic or a half-valid state.
+//! codec, the Rice-coded graph in-rows, the run-length planes, the
+//! bit-packed placement section and the snapshot file itself, each fed
+//! crafted or damaged bytes through the public decoders. Every case must
+//! end in a typed error — before any allocation sized by the bad value —
+//! and never in a panic or a half-valid state.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -11,7 +11,7 @@ use std::time::Duration;
 use geodur::snapshot::{load_latest, snapshot_paths, write};
 use geodur::{fnv1a, DurableError, Snapshot};
 use geograph::generators::preferential::preferential_attachment_edges;
-use geograph::wire::{decode_graph, encode_graph, put_varint, Reader, WireError};
+use geograph::wire::{decode_graph, encode_graph, put_varint, BitWriter, Reader, WireError};
 use geograph::{GeoGraph, Graph, GraphBuilder, LocalityConfig};
 use geopart::snapshot::placement_from_bytes;
 use geopart::TrafficProfile;
@@ -90,16 +90,29 @@ fn non_canonical_varints_rejected() {
 
 // ---- graph rows ------------------------------------------------------------
 
-/// A hand-built graph blob: header, then each row's degree and raw varints.
-fn crafted(n: u64, m: u64, rows: &[&[u64]]) -> Vec<u8> {
-    let mut out = b"graph_v3".to_vec();
+/// A hand-built graph blob: header, then one bit section holding each row
+/// as `gamma(len)`, a Rice parameter (`k_of` the one the row derives) and
+/// the coded values as given — the first id, then each gap − 1.
+fn crafted_with(n: u64, m: u64, k_of: impl Fn(u32) -> u32, rows: &[&[u32]]) -> Vec<u8> {
+    let mut out = b"graph_v4".to_vec();
     out.extend(varint(n));
     out.extend(varint(m));
+    let mut bits = BitWriter::new(&mut out);
     for row in rows {
-        out.extend(varint(row.len() as u64));
-        row.iter().for_each(|&x| out.extend(varint(x)));
+        bits.gamma(row.len() as u32).unwrap();
+        if !row.is_empty() {
+            let mean = row.iter().map(|&x| x as u64).sum::<u64>() / row.len() as u64;
+            let k = k_of(mean.checked_ilog2().unwrap_or(0));
+            bits.bits(k as u64, 5).unwrap();
+            row.iter().for_each(|&x| bits.rice(x, k).unwrap());
+        }
     }
+    bits.finish().unwrap();
     out
+}
+
+fn crafted(n: u64, m: u64, rows: &[&[u32]]) -> Vec<u8> {
+    crafted_with(n, m, |k| k, rows)
 }
 
 fn ring() -> Graph {
@@ -116,39 +129,56 @@ fn graph_bytes(g: &Graph) -> Vec<u8> {
 
 #[test]
 fn structural_corruption_rejected() {
-    // A well-formed twin first, so the crafting helper itself is pinned.
-    assert_eq!(decode_full(&crafted(3, 3, &[&[1, 1], &[], &[0]])).unwrap().num_edges(), 3);
-    malformed(decode_full(&crafted(3, 2, &[&[1, 0], &[], &[]])), "duplicate edge");
-    for row in [&[3u64][..], &[1, 2], &[u64::MAX]] {
+    // A well-formed twin first, so the crafting helper itself is pinned:
+    // vertex 0's in-row is [1, 2] (coded 1, then gap − 1 = 0), vertex 2's
+    // is [0].
+    let twin = decode_full(&crafted(3, 3, &[&[1, 0], &[], &[0]])).unwrap();
+    assert_eq!(twin.edges().collect::<Vec<_>>(), [(0, 2), (1, 0), (2, 0)]);
+    // A duplicate has no spelling (a gap − 1 is never negative); an id at
+    // or past n has one, and is refused.
+    for row in [&[3u32][..], &[1, 1], &[u32::MAX]] {
         let m = row.len() as u64;
         malformed(decode_full(&crafted(3, m, &[row, &[], &[]])), "edge endpoint out of range");
     }
+    malformed(decode_full(&crafted(3, 1, &[&[1, 0], &[], &[]])), "row longer than its bound");
     malformed(
-        decode_full(&crafted(3, 1, &[&[1, 1], &[], &[]])),
-        "row degrees exceed the declared edge count",
+        decode_full(&crafted(3, 3, &[&[1], &[], &[0]])),
+        "row lengths fall short of the declared edge count",
     );
-    // Falling short needs bytes after the rows (in a snapshot, the geo
-    // planes) — a bare blob fails the header bound first.
-    let mut short = crafted(3, 3, &[&[1], &[], &[0]]);
-    assert!(matches!(decode_full(&short), Err(WireError::Truncated)));
-    short.push(0);
-    malformed(decode_full(&short), "row degrees fall short of the declared edge count");
-    // A degree that no edge budget can hold (and would wrap a u32 sum).
+    // A length no edge budget can hold: refused inside its unary prefix,
+    // before the value is built.
     let mut bytes = crafted(2, 1, &[]);
-    bytes.extend(varint(u64::MAX));
-    malformed(decode_full(&bytes), "row degrees exceed the declared edge count");
+    let mut bits = BitWriter::new(&mut bytes);
+    bits.gamma(u32::MAX).unwrap();
+    bits.finish().unwrap();
+    malformed(decode_full(&bytes), "row longer than its bound");
     malformed(decode_full(&crafted(u32::MAX as u64, 0, &[])), "graph vertex count");
+    // Every row has one accepted Rice parameter: the one it derives.
+    for k_of in [|k: u32| k + 1, |k: u32| k.saturating_sub(1) + 3] {
+        malformed(
+            decode_full(&crafted_with(3, 3, k_of, &[&[1, 0], &[], &[0]])),
+            "rice parameter is not the one the row derives",
+        );
+    }
+    // And one accepted padding: the twin's last byte with a spare bit set.
+    let mut bytes = crafted(3, 3, &[&[1, 0], &[], &[0]]);
+    *bytes.last_mut().unwrap() |= 0x80;
+    malformed(decode_full(&bytes), "padding bits are not zero");
 }
 
 #[test]
 fn older_graph_layouts_are_a_typed_error() {
-    // v1 led with the vertex count (then an edge list), v2 with its own magic.
+    // v1 led with the vertex count (then an edge list), v2 with its own
+    // magic, v3 with its own magic and varint out-rows (here the edge
+    // 0 -> 1: n 2, m 1, row 0 of degree 1 holding 1, row 1 empty).
     let mut v1 = 6u64.to_le_bytes().to_vec();
     v1.extend_from_slice(&1u64.to_le_bytes());
     v1.extend_from_slice(&[0, 0, 0, 0, 1, 0, 0, 0]);
     let mut v2 = b"graph_v2".to_vec();
     v2.extend_from_slice(&[0; 17]);
-    for old in [v1, v2] {
+    let mut v3 = b"graph_v3".to_vec();
+    v3.extend_from_slice(&[2, 1, 1, 1, 0]);
+    for old in [v1, v2, v3] {
         malformed(decode_full(&old), "graph magic");
     }
 }
@@ -214,15 +244,16 @@ fn runs_must_cover_the_vertex_count_exactly() {
 #[test]
 fn hostile_placement_sections_rejected() {
     // Two vertices over M = 3 with the edges 0 -> 1 and 1 -> 0, and a
-    // placement hand-written so every byte is addressable: header, masters
-    // (0, 2), is_high bitmap, the two profile planes (one run of 8.0 each),
-    // four zeroed M-wide load vectors. No count travels.
+    // placement hand-written so every byte is addressable: header, the
+    // masters section (two 2-bit fields, vertex 0 lowest), the is_high
+    // bitmap, the two profile planes (one run of 8.0 each), four zeroed
+    // M-wide load vectors. No count travels.
     let geo = GeoGraph::new(Graph::from_edges(2, &[(0, 1), (1, 0)]), vec![0, 2], vec![1, 1], 3);
-    let blob = |n: u64, m: u64, masters: [u8; 2], bitmap: u8| {
+    let blob = |n: u64, m: u64, masters: u8, bitmap: u8| {
         let mut out = varint(n);
         out.extend(varint(m));
         out.extend_from_slice(&[0; 16]);
-        out.extend_from_slice(&masters);
+        out.push(masters);
         out.push(bitmap);
         for _ in 0..2 {
             out.extend(varint(1));
@@ -235,14 +266,14 @@ fn hostile_placement_sections_rejected() {
     let decode = |bytes: Vec<u8>| placement_from_bytes(&bytes, &geo);
 
     // Both low: each edge sits at its destination's master.
-    let low = decode(blob(2, 3, [0, 2], 0)).unwrap();
+    let low = decode(blob(2, 3, 0b10_00, 0)).unwrap();
     assert_eq!((low.out_count(0, 2), low.in_count(1, 2)), (1, 1));
     assert_eq!((low.out_count(1, 0), low.in_count(0, 0)), (1, 1));
     assert_eq!((low.mirror_mask(0), low.mirror_mask(1)), (0b100, 0b001));
     assert_eq!(low.edges_per_dc(), &[1, 0, 1][..]);
     // Vertex 1 high by the bitmap, not by any θ: its in-edge 0 -> 1 moves
     // to the source's master, and vertex 0 keeps no mirror.
-    let high = decode(blob(2, 3, [0, 2], 0b10)).unwrap();
+    let high = decode(blob(2, 3, 0b10_00, 0b10)).unwrap();
     assert_eq!((high.out_count(0, 0), high.in_count(1, 0)), (1, 1));
     assert_eq!((high.in_count(1, 2), high.out_count(0, 2)), (0, 0));
     assert_eq!((high.mirror_mask(0), high.mirror_mask(1)), (0, 0b001));
@@ -252,17 +283,19 @@ fn hostile_placement_sections_rejected() {
     // A vertex or DC count that is not the decoded geo's is refused
     // before any count is derived from the graph.
     for (n, m) in [(3, 3), (1, 3), (2, 2), (2, 4)] {
-        malformed(decode(blob(n, m, [0, 0], 0)), "placement does not match geo");
+        malformed(decode(blob(n, m, 0, 0)), "placement does not match geo");
     }
     for m in [0, 65] {
-        malformed(decode(blob(2, m, [0, 0], 0)), "DC count out of range");
+        malformed(decode(blob(2, m, 0, 0)), "DC count out of range");
     }
-    malformed(decode(blob(2, 3, [0, 3], 0)), "master out of range");
-    malformed(decode(blob(2, 3, [0, 2], 0b100)), "is_high bitmap padding");
-    // A vertex costs at least its master byte: a count the remaining bytes
+    malformed(decode(blob(2, 3, 0b11_00, 0)), "master out of range");
+    // Both sections end in zero padding.
+    malformed(decode(blob(2, 3, 0b01_10_00, 0)), "padding bits are not zero");
+    malformed(decode(blob(2, 3, 0b10_00, 0b100)), "padding bits are not zero");
+    // A vertex costs at least its is_high bit: a count the remaining bytes
     // cannot back fails before any allocation.
-    let short = blob(2, 3, [0, 2], 0);
-    assert!(matches!(decode(blob(1 << 40, 3, [0, 2], 0)), Err(WireError::Truncated)));
+    let short = blob(2, 3, 0b10_00, 0);
+    assert!(matches!(decode(blob(1 << 40, 3, 0b10_00, 0)), Err(WireError::Truncated)));
     assert!(matches!(decode(short[..short.len() - 1].to_vec()), Err(WireError::Truncated)));
 }
 
@@ -347,10 +380,12 @@ fn a_graph_the_wire_cannot_carry_leaves_no_file_behind() {
 fn older_snapshot_versions_are_typed_and_skipped() {
     // A checksum-valid file of another version: typed at decode, skipped
     // like any undecodable candidate at load. Version 3 stored the count
-    // plane that version 4 rebuilds; no decoder for it is kept.
+    // plane that version 4 rebuilds, and version 4 wrote varint out-rows and
+    // byte-wide DC ids where version 5 bit-codes them; no older decoder is
+    // kept.
     let (dir, bytes) = real_snapshot("old_version");
     let lsn = Snapshot::from_bytes(&bytes).unwrap().lsn;
-    for (i, version) in [2u32, 3].into_iter().enumerate() {
+    for (i, version) in [2u32, 3, 4].into_iter().enumerate() {
         let mut old = bytes[..bytes.len() - 8].to_vec();
         old[4..8].copy_from_slice(&version.to_le_bytes());
         let sum = fnv1a(&old);
@@ -363,6 +398,6 @@ fn older_snapshot_versions_are_typed_and_skipped() {
             .unwrap();
     }
     let (snap, stats) = load_latest(&dir).unwrap();
-    assert_eq!((snap.lsn, stats.skipped), (lsn, 2));
+    assert_eq!((snap.lsn, stats.skipped), (lsn, 3));
     std::fs::remove_dir_all(&dir).ok();
 }
