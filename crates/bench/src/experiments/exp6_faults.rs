@@ -1,133 +1,141 @@
-//! Exp#6 (robustness extension): time-to-recover from a DC outage.
+//! Exp#6 (robustness extension): a DC outage on the durable pipeline.
 //!
-//! Not a paper artifact — the paper assumes a static, healthy WAN. This
-//! experiment quantifies what the checkpointed, self-healing trainer buys:
-//! a seeded [`FaultSchedule`] kills the DC hosting the most masters
-//! mid-training, and we compare
+//! Not a paper artifact — the paper assumes a static, healthy WAN. A DC
+//! outage is one more dynamicity spike for the windowed trainer (§V-C):
+//! the fault is noted, and the next window logs its flags, re-seeds the
+//! masters stranded on the dead DC and trains with that DC masked. Two
+//! pipelines run the same calls, from different starting plans:
 //!
-//! * **recovery** — restore the last checkpoint, evacuate the dark DC with
-//!   the batched move kernel, continue training from the restored LA
-//!   state — against
-//! * **cold restart** — discard all learned state and retrain from the
-//!   evacuated natural placement under the degraded environment,
+//! * **recovered** — window 0 trains the plan, the process dies, the
+//!   pipeline recovers from its store and runs the fault window on top;
+//! * **cold** — a fresh pipeline runs the fault window on the natural
+//!   placement.
 //!
-//! measuring the steps each needs to get back within 5 % of the no-fault
-//! objective, and the objective regression at equal step budgets. A second
-//! table runs PageRank under the same schedule to show the analytics-side
+//! Each post-fault step budget is read against the plan of a no-fault
+//! `rlcut::partition`: transfer time, cost against the budget, and the
+//! masters left on the dead DC (which must be none). A second table runs
+//! PageRank under the same fault schedule to show the analytics-side
 //! failure modes (aborted rounds, degraded-link inflation of Eq 1).
+
+use std::path::Path;
+use std::time::Duration;
 
 use crate::{f3, ExpContext, Table};
 use geoengine::Algorithm;
-use geograph::{Dataset, DcId};
+use geograph::{Dataset, DcId, GeoGraph};
+use geopart::TrafficProfile;
 use geosim::faults::FaultSchedule;
 use geosim::regions::ec2_eight_regions;
-use rlcut::{train_under_faults, RlCutConfig, StepStats};
+use geosim::CloudEnv;
+use rlcut::{DurableAdaptive, RlCutConfig, WindowReport};
 
-/// First step whose objective is within `tolerance` of `target`, searching
-/// only from `from` (recovery runs must reach the target *after* the
-/// fault). `None` ⇒ never reached within the run.
-fn steps_to_reach(steps: &[StepStats], from: usize, target: f64, tolerance: f64) -> Option<usize> {
-    steps
-        .iter()
-        .enumerate()
-        .skip(from)
-        .find(|(_, s)| s.transfer_time <= target * (1.0 + tolerance))
-        .map(|(i, _)| i + 1)
+/// Steps of window 0, the plan the recovered pipeline starts from.
+const WINDOW0_STEPS: usize = 10;
+
+/// Post-fault step budgets.
+const FAULT_STEPS: [usize; 5] = [1, 2, 5, 10, 20];
+
+/// Wall-clock budget of a window, far past what any run here spends, so
+/// every window stops on its step count and the table is exact.
+const T_OPT: Duration = Duration::from_secs(3600);
+
+/// One pipeline through its fault window: window 0 first when `warm`
+/// (dropped and recovered from the store), then `note_fault(dead)` and a
+/// window of `steps` steps. Returns that window's report and the masters
+/// it left on dead DCs.
+fn fault_window(
+    dir: &Path,
+    geo: &GeoGraph,
+    env: &CloudEnv,
+    config: &RlCutConfig,
+    dead: &[bool],
+    warm: bool,
+    steps: usize,
+) -> (WindowReport, usize) {
+    let _ = std::fs::remove_dir_all(dir);
+    let profile = || TrafficProfile::uniform(geo.num_vertices(), 8.0);
+    let at = config.clone().with_max_steps(steps);
+    let mut durable = if warm {
+        let window0 = config.clone().with_max_steps(WINDOW0_STEPS);
+        let mut first =
+            DurableAdaptive::create(dir, window0, None, geo.clone(), env, 0).expect("create");
+        first.window(env, None, &[], &[], profile(), 10.0, T_OPT).expect("window 0");
+        drop(first);
+        DurableAdaptive::recover(dir, at, None, env, 0).expect("recover").0
+    } else {
+        DurableAdaptive::create(dir, at, None, geo.clone(), env, 0).expect("create")
+    };
+    durable.note_fault(dead);
+    let report = durable.window(env, None, &[], &[], profile(), 10.0, T_OPT).expect("fault window");
+    let on_dead = durable.masters().iter().filter(|&&m| dead[m as usize]).count();
+    let _ = std::fs::remove_dir_all(dir);
+    (report, on_dead)
 }
 
 pub fn run(ctx: &ExpContext) {
     let env = ec2_eight_regions();
     let geo = ctx.build_geo(Dataset::LiveJournal);
     let budget = geosim::cost::default_budget(&env, &geo.locations, &geo.data_sizes, 0.4);
-    let profile = geopart::TrafficProfile::uniform(geo.num_vertices(), 8.0);
-    let max_steps = 30;
     let config = RlCutConfig::new(budget)
         .with_seed(ctx.seed)
         .with_threads(ctx.threads)
         .with_fixed_sample_rate(1.0)
-        .with_max_steps(max_steps);
-    let initial = || {
-        geopart::HybridState::natural(
-            &geo,
-            &env,
-            geograph::degree::suggest_theta(&geo.graph, 0.05),
-            profile.clone(),
-            10.0,
-        )
-    };
+        .with_max_steps(WINDOW0_STEPS);
 
-    // Baseline: uninterrupted training.
-    let no_fault = rlcut::trainer::train(&geo, &env, initial(), &config);
+    // The no-fault reference is window 0's plan: the same cold partition.
+    let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
+    let no_fault = rlcut::partition(&geo, &env, profile.clone(), 10.0, &config);
     let target = no_fault.final_objective(&env).transfer_time;
 
-    // Kill the DC hosting the most masters of the trained plan at step T.
-    let masters = no_fault.state.core().masters();
+    // Kill the DC hosting the most masters of that plan, right after it.
     let mut per_dc = vec![0usize; env.num_dcs()];
-    for &m in masters {
+    for &m in no_fault.state.core().masters() {
         per_dc[m as usize] += 1;
     }
     let victim = per_dc.iter().enumerate().max_by_key(|(_, &c)| c).map(|(d, _)| d as DcId).unwrap();
-    let fault_step = (max_steps / 3) as u64;
-    let schedule =
-        FaultSchedule::single_outage(env.num_dcs(), 4 * max_steps as u64, victim, fault_step);
+    let fault_step = WINDOW0_STEPS as u64;
+    let schedule = FaultSchedule::single_outage(env.num_dcs(), 120, victim, fault_step);
+    let dead = schedule.view_at(&env, fault_step).dead_flags().to_vec();
 
-    // Self-healing run: checkpoint every 2 steps, recover through the
-    // outage, keep training.
-    let (healed, report) =
-        train_under_faults(&geo, &env, initial(), &config, &schedule, 2).expect("recovery failed");
-    // Post-fault step count, so both rows answer "how long from the outage
-    // back to the target".
-    let healed_reach = steps_to_reach(&healed.steps, fault_step as usize, target, 0.05)
-        .map(|s| s - fault_step as usize);
-
-    // Cold restart: everything learned before the fault is thrown away;
-    // training restarts from the evacuated placement under the degraded
-    // environment (fresh automata, fresh weights schedule).
-    let view = schedule.view_at(&env, fault_step);
-    let mut cold_state = initial();
-    let mut scratch = geopart::MoveScratch::new();
-    cold_state.evacuate(view.env(), view.dead_flags(), &mut scratch).expect("evacuation failed");
-    let cold = rlcut::trainer::train(&geo, view.env(), cold_state, &config);
-    let cold_reach = steps_to_reach(&cold.steps, 0, target, 0.05);
-
+    let dir = std::env::temp_dir().join(format!("exp6_faults_{}", std::process::id()));
     let mut t = Table::new(
         &format!(
-            "Exp#6 — DC {victim} outage at step {fault_step} (LJ-analog, {} vertices); \
-             target = no-fault transfer time +5%",
+            "Exp#6 — DC {victim} outage after a {WINDOW0_STEPS}-step window 0 (LJ-analog, {} \
+             vertices); transfer time relative to the no-fault partition",
             geo.num_vertices()
         ),
         &[
-            "Strategy",
-            "Post-fault steps to target",
-            "Final transfer (×no-fault)",
-            "Evacuated",
-            "Recoveries",
+            "Post-fault steps",
+            "Recovered transfer",
+            "Recovered cost/B",
+            "Recovered dead-DC masters",
+            "Cold transfer",
+            "Cold cost/B",
+            "Cold dead-DC masters",
         ],
     );
-    let fmt_reach = |r: Option<usize>| match r {
-        Some(s) => s.to_string(),
-        None => format!(">{max_steps}"),
-    };
-    t.row(vec![
-        "checkpoint+evacuate".into(),
-        fmt_reach(healed_reach),
-        f3(healed.final_objective(view.env()).transfer_time / target),
-        report.evacuated_vertices.to_string(),
-        report.crash_recoveries.to_string(),
-    ]);
-    t.row(vec![
-        "cold retrain".into(),
-        fmt_reach(cold_reach),
-        f3(cold.final_objective(view.env()).transfer_time / target),
-        "-".into(),
-        "-".into(),
-    ]);
+    for steps in FAULT_STEPS {
+        let mut row = vec![steps.to_string()];
+        for warm in [true, false] {
+            let (report, on_dead) = fault_window(&dir, &geo, &env, &config, &dead, warm, steps);
+            row.push(f3(report.transfer_time / target));
+            row.push(f3(report.total_cost / budget));
+            row.push(on_dead.to_string());
+        }
+        t.row(row);
+    }
     t.print();
 
     // Analytics under the same schedule: the job aborts when the victim
     // goes dark mid-run, and degraded rounds inflate Eq 1.
     let algo = Algorithm::pagerank();
-    let plan = initial();
+    let plan = geopart::HybridState::natural(
+        &geo,
+        &env,
+        geograph::degree::suggest_theta(&geo.graph, 0.05),
+        profile,
+        10.0,
+    );
     let healthy = geoengine::execute_plan(&geo, &env, plan.core(), None, &algo);
     let faulted = geoengine::execute_plan_under_faults(
         &geo,
@@ -162,12 +170,12 @@ pub fn run(ctx: &ExpContext) {
     t2.print();
 
     println!(
-        "Recovery resumed from checkpointed automata state: {} wall steps, {} checkpoint(s), \
-         {} fault event step(s) handled.",
-        report.wall_steps, report.checkpoints_taken, report.fault_events_handled
+        "Both pipelines run the same calls (note_fault, then one window); only the starting \
+         plan differs. The fault window re-seeds stranded masters home (else to the first \
+         live DC) and never trains one back onto the dead DC."
     );
     println!(
-        "The aborted analytics run is the trigger for evacuation; after it the evacuated plan \
+        "The aborted analytics run is the trigger for the fault window; after it the plan \
          re-runs to completion on the surviving DCs."
     );
 }

@@ -25,7 +25,8 @@ use geopart::{DeltaApplyStats, HybridState, PlacementState, PlanError, TrafficPr
 use geosim::CloudEnv;
 
 use crate::config::RlCutConfig;
-use crate::trainer::{SessionResources, TrainError, TrainerSession};
+use crate::pool::PoolError;
+use crate::trainer::{SessionResources, TrainerSession};
 
 /// Why a window could not be partitioned.
 #[derive(Debug)]
@@ -43,7 +44,7 @@ pub enum WindowError {
     /// not line up with the carried state).
     Plan(PlanError),
     /// Training failed (a panicking pool worker).
-    Train(TrainError),
+    Train(PoolError),
 }
 
 impl std::fmt::Display for WindowError {
@@ -76,8 +77,8 @@ impl From<PlanError> for WindowError {
     }
 }
 
-impl From<TrainError> for WindowError {
-    fn from(e: TrainError) -> Self {
+impl From<PoolError> for WindowError {
+    fn from(e: PoolError) -> Self {
         WindowError::Train(e)
     }
 }
@@ -244,9 +245,11 @@ impl AdaptiveRlCut {
     /// window treats it as a dynamicity spike: masters stranded on dead
     /// DCs are re-seeded to a live location and the initial sample rate is
     /// boosted so the Eq 14 schedule re-trains the perturbed region
-    /// aggressively instead of coasting on the converged schedule. (The
-    /// re-seed rewrites masters wholesale, so the next window takes the
-    /// rebuild path even when a delta is supplied.)
+    /// aggressively instead of coasting on the converged schedule, and no
+    /// master of that window moves onto a dead DC. (The re-seed rewrites
+    /// masters wholesale, so the next window takes the rebuild path even
+    /// when a delta is supplied.) The flags last that one window: a later
+    /// window may move masters back onto the DC.
     pub fn note_fault(&mut self, dead: &[bool]) {
         if dead.iter().any(|&d| d) {
             self.pending_fault = Some(dead.to_vec());
@@ -309,9 +312,11 @@ impl AdaptiveRlCut {
                 geosim::cost::default_budget(env, &geo.locations, &geo.data_sizes, fraction);
         }
         let fault = self.pending_fault.take();
+        let mut dead_dcs = 0u64;
         if let Some(dead) = &fault {
             // Reject a malformed report before anything carried is consumed.
             geopart::reseed_stranded_masters(&mut [], &[], dead, geo.num_dcs)?;
+            dead_dcs = dead.iter().rev().fold(0, |mask, &d| mask << 1 | d as u64);
         }
         let incremental = delta.is_some() && fault.is_none() && self.carried.is_some();
 
@@ -345,6 +350,9 @@ impl AdaptiveRlCut {
 
         let resources = self.resources.take().unwrap_or_default();
         let mut session = TrainerSession::with_resources(geo, env, state, config, resources);
+        // The re-seed took every master off the dead DCs; the mask keeps
+        // this window's training from moving one back.
+        session.dead_dcs = dead_dcs;
         if self.journal_moves {
             session.enable_move_journal();
         }

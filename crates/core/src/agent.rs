@@ -49,28 +49,6 @@ impl AgentPool {
         self.num_actions
     }
 
-    /// Flat snapshot of the pool's arrays, in field order
-    /// `(probs, plays, mean_reward, total_plays)` — the LA state a trainer
-    /// checkpoint persists.
-    pub fn snapshot(&self) -> (&[f32], &[u32], &[f32], &[u32]) {
-        (&self.probs, &self.plays, &self.mean_reward, &self.total_plays)
-    }
-
-    /// Rebuilds a pool from a [`Self::snapshot`] — checkpoint restore.
-    pub fn from_parts(
-        num_actions: usize,
-        probs: Vec<f32>,
-        plays: Vec<u32>,
-        mean_reward: Vec<f32>,
-        total_plays: Vec<u32>,
-    ) -> Self {
-        assert!(num_actions >= 1);
-        assert_eq!(probs.len(), total_plays.len() * num_actions);
-        assert_eq!(plays.len(), probs.len());
-        assert_eq!(mean_reward.len(), probs.len());
-        AgentPool { num_actions, probs, plays, mean_reward, total_plays }
-    }
-
     /// Grows the pool for dynamic graphs: new agents start uniform.
     pub fn grow(&mut self, num_agents: usize) {
         let old = self.num_agents();

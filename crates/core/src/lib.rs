@@ -51,12 +51,10 @@
 
 pub mod adaptive;
 pub mod agent;
-pub mod checkpoint;
 pub mod config;
 pub mod durable;
 pub mod observer;
 pub mod pool;
-pub mod recovery;
 pub mod sampling;
 pub mod score;
 pub mod stats;
@@ -64,10 +62,8 @@ pub mod straggler;
 pub mod trainer;
 
 pub use adaptive::{AdaptiveRlCut, WindowError, WindowReport};
-pub use checkpoint::TrainerCheckpoint;
 pub use config::RlCutConfig;
 pub use durable::{DurableAdaptive, DurableWindowError, RecoverySummary};
 pub use pool::{PoolError, WorkerPool};
-pub use recovery::{train_under_faults, FaultTrainReport};
 pub use stats::{RlCutResult, StepStats};
-pub use trainer::{partition, partition_from, SessionResources, TrainError, TrainerSession};
+pub use trainer::{partition, partition_from, SessionResources, TrainerSession};

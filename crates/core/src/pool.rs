@@ -275,43 +275,40 @@ fn worker_main(index: usize, shared: &Shared) {
     }
 }
 
-/// Thread count of this process via /proc (Linux); falls back to 0 so
-/// leak assertions degenerate harmlessly elsewhere. Test-only probe shared
-/// with the trainer's pool-lifecycle tests.
-#[cfg(test)]
-pub(crate) fn live_os_threads() -> usize {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("Threads:"))
-                .and_then(|l| l.split_whitespace().nth(1).map(str::to_string))
-        })
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(0)
-}
-
-/// [`live_os_threads`] for the "nothing leaked" side of a leak assertion.
-/// The suite runs tests on parallel threads, so a neighbour's pool can be
-/// alive at any one reading; a leak is permanent, a neighbour's pool is
-/// not. Re-reads for up to 5 s until the count is at most `limit`.
-#[cfg(test)]
-pub(crate) fn settled_os_threads(limit: usize) -> usize {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    loop {
-        let live = live_os_threads();
-        if live <= limit || std::time::Instant::now() >= deadline {
-            return live;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
+
+    /// Thread count of this process via /proc (Linux); falls back to 0 so
+    /// leak assertions degenerate harmlessly elsewhere.
+    fn live_os_threads() -> usize {
+        std::fs::read_to_string("/proc/self/status")
+            .ok()
+            .and_then(|s| {
+                s.lines()
+                    .find(|l| l.starts_with("Threads:"))
+                    .and_then(|l| l.split_whitespace().nth(1).map(str::to_string))
+            })
+            .and_then(|n| n.parse().ok())
+            .unwrap_or(0)
+    }
+
+    /// [`live_os_threads`] for the "nothing leaked" side of a leak assertion.
+    /// The suite runs tests on parallel threads, so a neighbour's pool can be
+    /// alive at any one reading; a leak is permanent, a neighbour's pool is
+    /// not. Re-reads for up to 5 s until the count is at most `limit`.
+    fn settled_os_threads(limit: usize) -> usize {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        loop {
+            let live = live_os_threads();
+            if live <= limit || std::time::Instant::now() >= deadline {
+                return live;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+    }
 
     #[test]
     fn every_worker_runs_each_dispatch_exactly_once() {

@@ -196,8 +196,8 @@ pub fn sample_prefix(order: &[VertexId], rate: f64) -> &[VertexId] {
 /// The window start rotates deterministically — `(step_index * cap) %
 /// prefix.len()` — so consecutive steps cover consecutive slices of the
 /// sampled prefix and every agent keeps getting turns; the rotation is a
-/// pure function of the step index, so it needs no state in the checkpoint
-/// and consumes no randomness. Wrap-around windows are materialized (the
+/// pure function of the step index, so it is no trainer state and consumes
+/// no randomness. Wrap-around windows are materialized (the
 /// two arms of the ring are not contiguous); callers avoid the copy by not
 /// calling this at all when `cap >= prefix.len()`.
 pub fn scan_window(prefix: &[VertexId], cap: usize, step_index: usize) -> Vec<VertexId> {
@@ -232,8 +232,7 @@ pub fn scan_window(prefix: &[VertexId], cap: usize, step_index: usize) -> Vec<Ve
 ///   their master sits (Fig 9) and are trained when a delta touches them.
 ///
 /// Like [`scan_window`], the rotation is a pure function of an index the
-/// caller already has, so it adds nothing to a checkpoint, a WAL record or
-/// a snapshot: a recovered pipeline knows its next window index and so
+/// caller already has, so it adds nothing to a WAL record or a snapshot: a recovered pipeline knows its next window index and so
 /// samples exactly what the uninterrupted one would. Returns the order and
 /// the length of its hot segment.
 pub fn window_order(

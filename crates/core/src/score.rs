@@ -55,15 +55,20 @@ pub fn score(last: &Objective, candidate: &Objective, weights: Weights) -> f64 {
 /// ρ_v (Eq 10/11): the score-optimal destination of an agent whose
 /// per-destination projections are `candidates`. The current master's slot
 /// is pinned to the frozen step objective `last` (staying put scores
-/// exactly zero); ties keep the lowest DC id.
+/// exactly zero); ties keep the lowest DC id. A DC whose bit is set in
+/// `dead` is never the answer; the master must not be on one.
 pub fn best_destination(
     last: &Objective,
     candidates: &[Objective],
     master: DcId,
     weights: Weights,
+    dead: u64,
 ) -> DcId {
     let mut best = (0 as DcId, f64::NEG_INFINITY);
     for (d, candidate) in candidates.iter().enumerate() {
+        if dead >> d & 1 != 0 {
+            continue;
+        }
         let candidate = if d == master as usize { last } else { candidate };
         let s = score(last, candidate, weights);
         if s > best.1 {
@@ -114,6 +119,18 @@ mod tests {
         let w = Weights::at(0, 10, false);
         assert!(score(&obj(0.0, 0.0, 0.0), &obj(1.0, 0.0, 0.0), w) < 0.0);
         assert_eq!(score(&obj(0.0, 0.0, 0.0), &obj(0.0, 0.0, 0.0), w), 0.0);
+    }
+
+    #[test]
+    fn masked_destination_is_never_chosen() {
+        let w = Weights::at(0, 10, false);
+        let last = obj(10.0, 0.0, 0.0);
+        // DC 2 is by far the best move, DC 1 a small one, DC 0 the master.
+        let candidates = [last, obj(9.0, 0.0, 0.0), obj(1.0, 0.0, 0.0)];
+        assert_eq!(best_destination(&last, &candidates, 0, w, 0), 2);
+        assert_eq!(best_destination(&last, &candidates, 0, w, 1 << 2), 1);
+        // With every improving DC dead, the agent stays put.
+        assert_eq!(best_destination(&last, &candidates, 0, w, 0b110), 0);
     }
 
     #[test]

@@ -37,8 +37,7 @@
 use std::time::Instant;
 
 use geograph::{DcId, GeoGraph, VertexId};
-use geopart::{EvacuationReport, HybridState, MoveScratch, Objective, PlanError, TrafficProfile};
-use geosim::faults::FaultyEnv;
+use geopart::{HybridState, MoveScratch, Objective, TrafficProfile};
 use geosim::CloudEnv;
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
@@ -46,53 +45,12 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::agent::AgentPool;
-use crate::checkpoint::TrainerCheckpoint;
 use crate::config::{RlCutConfig, SampleStrategy};
 use crate::pool::{PoolError, WorkerPool};
 use crate::sampling::{degree_ascending_order, sample_prefix, window_order, SampleScheduler};
 use crate::score::{best_destination, score, Weights};
 use crate::stats::{RlCutResult, StepStats};
 use crate::straggler;
-
-/// Why training failed.
-#[derive(Debug)]
-pub enum TrainError {
-    /// A pool worker panicked inside a parallel phase.
-    Pool(PoolError),
-    /// The placement layer rejected an environment change (an evacuation
-    /// with nowhere to go).
-    Plan(PlanError),
-}
-
-impl std::fmt::Display for TrainError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TrainError::Pool(e) => write!(f, "training dispatch failed: {e}"),
-            TrainError::Plan(e) => write!(f, "placement layer rejected the change: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for TrainError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TrainError::Pool(e) => Some(e),
-            TrainError::Plan(e) => Some(e),
-        }
-    }
-}
-
-impl From<PoolError> for TrainError {
-    fn from(e: PoolError) -> Self {
-        TrainError::Pool(e)
-    }
-}
-
-impl From<PlanError> for TrainError {
-    fn from(e: PlanError) -> Self {
-        TrainError::Plan(e)
-    }
-}
 
 /// Partitions `geo` starting from its natural locations (the paper's
 /// initial state).
@@ -150,10 +108,10 @@ pub fn train<'g>(
 
 /// [`train`] reporting progress to `observer`.
 ///
-/// The infallible entry points end here. A fixed-environment run has one
-/// failure, [`TrainError::Pool`] — a worker of this program panicked —
-/// and it is re-raised on the caller; drive a [`TrainerSession`] to
-/// receive it as a value instead.
+/// The infallible entry points end here. A run has one failure, a
+/// [`PoolError`] — a worker of this program panicked — and it is
+/// re-raised on the caller; drive a [`TrainerSession`] to receive it as a
+/// value instead.
 pub fn train_observed<'g>(
     geo: &'g GeoGraph,
     env: &CloudEnv,
@@ -231,18 +189,12 @@ struct Exec<'a> {
     scratch: &'a mut MoveScratch,
 }
 
-/// A resumable training run: the Fig 5 loop broken into externally driven
-/// steps, with checkpoint/restore and a fault-recovery hook.
+/// A training run: the Fig 5 loop broken into externally driven steps.
 ///
-/// [`train_observed`] is a thin wrapper (`new` → `run` → `finish`). The
-/// session form additionally lets a driver:
-///
-/// * advance training one step at a time ([`Self::step`]) under an
-///   environment that may change between steps,
-/// * capture the logical trainer state ([`Self::checkpoint`]) and resume
-///   from it ([`Self::resume`]) bit-exactly,
-/// * react to WAN faults ([`Self::on_environment_change`]): rebuild the
-///   placement under the degraded environment and evacuate dark DCs.
+/// [`train_observed`] is a thin wrapper (`new` → `run` → `finish`); the
+/// dynamic-window driver adds [`Self::focus_window`],
+/// [`Self::boost_sampling`] and [`Self::finish_with_resources`] around
+/// the same loop, and tests advance it one [`Self::step`] at a time.
 pub struct TrainerSession<'g> {
     geo: &'g GeoGraph,
     config: RlCutConfig,
@@ -270,17 +222,20 @@ pub struct TrainerSession<'g> {
     exhausted: bool,
     started: Instant,
     /// Persistent workers for the parallel phases (`None` ⇔ the session
-    /// is single-threaded). Joined on session drop, so
-    /// `resume`/`train_under_faults` restart cycles never accumulate
-    /// workers.
+    /// is single-threaded). Joined on session drop.
     pool: Option<WorkerPool>,
     /// Session-resident scratch for every sequential path (small-sample
-    /// scoring, migration, evacuation) — warm across
-    /// steps just like the pool workers' arenas.
+    /// scoring, migration) — warm across steps just like the pool
+    /// workers' arenas.
     scratch: MoveScratch,
     /// Applied-move journal: `Some` while a durable driver needs every
     /// accepted migration (in exact apply order) for its WAL.
     journal: Option<MoveJournal>,
+    /// DCs a noted fault declared dead (bit `d` ⇔ DC `d`): no agent is
+    /// scored toward one and no proposal names one, so a fault window
+    /// never moves a master back onto a dark DC. 0 when no fault is
+    /// pending, which leaves every decision as it was.
+    pub(crate) dead_dcs: u64,
 }
 
 impl<'g> TrainerSession<'g> {
@@ -303,26 +258,17 @@ impl<'g> TrainerSession<'g> {
         config: RlCutConfig,
         resources: SessionResources,
     ) -> Self {
-        let agents = AgentPool::new(geo.num_vertices(), env.num_dcs());
-        Self::assemble(geo, env, state, config, resources, agents)
-    }
-
-    fn assemble(
-        geo: &'g GeoGraph,
-        env: &CloudEnv,
-        state: HybridState<'g>,
-        config: RlCutConfig,
-        resources: SessionResources,
-        agents: AgentPool,
-    ) -> Self {
         TrainerSession {
             geo,
             theta: state.theta(),
+            // Allocated before the order's sort buffers: swapping the two
+            // changes how glibc's allocator reuses the heap, and peak RSS
+            // with it (+6 MB on the benchmark's `dynamic_trickle`).
+            agents: AgentPool::new(geo.num_vertices(), env.num_dcs()),
             // Isolated vertices generate no traffic wherever their master
             // sits — training them wastes the sampled-agent budget, so
             // they are excluded (they keep their initial master).
             order: Self::build_order(geo, &config),
-            agents,
             scheduler: Self::build_scheduler(&config),
             rng: SmallRng::seed_from_u64(config.seed ^ 0x0ddb_1a5e_5bad_5eed),
             best: (state.core().masters().to_vec(), state.objective(env)),
@@ -335,6 +281,7 @@ impl<'g> TrainerSession<'g> {
             pool: pool_for(config.threads(), resources.pool),
             scratch: resources.scratch,
             journal: None,
+            dead_dcs: 0,
             config,
         }
     }
@@ -378,87 +325,9 @@ impl<'g> TrainerSession<'g> {
         scheduler
     }
 
-    /// Rebuilds a session from a checkpoint, bit-exact with
-    /// the session that took it: LA state, UCB statistics, migration RNG,
-    /// masters, the incrementally tracked movement cost, and the best-plan
-    /// tracker are all restored verbatim, so the next [`Self::step`] makes
-    /// the same decisions the uninterrupted run would have made.
-    ///
-    /// The Eq 14 sampling scheduler restarts its wall-clock measurements
-    /// (they are not reproducible state); only `t_opt`-budgeted schedules
-    /// observe the difference.
-    pub fn resume(
-        geo: &'g GeoGraph,
-        env: &CloudEnv,
-        checkpoint: &TrainerCheckpoint,
-        config: RlCutConfig,
-        profile: TrafficProfile,
-        num_iterations: f64,
-    ) -> Self {
-        assert_eq!(
-            checkpoint.seed, config.seed,
-            "checkpoint was written by a run with seed {}, config has {}",
-            checkpoint.seed, config.seed
-        );
-        assert_eq!(checkpoint.masters.len(), geo.num_vertices());
-        assert_eq!(checkpoint.num_dcs as usize, env.num_dcs());
-        let agents = AgentPool::from_parts(
-            checkpoint.num_dcs as usize,
-            checkpoint.probs.clone(),
-            checkpoint.plays.clone(),
-            checkpoint.mean_reward.clone(),
-            checkpoint.total_plays.clone(),
-        );
-        let mut state = HybridState::from_masters(
-            geo,
-            env,
-            checkpoint.masters.clone(),
-            checkpoint.theta as usize,
-            profile,
-            num_iterations,
-        );
-        state.override_movement_cost(checkpoint.movement_cost);
-        let resources = SessionResources::default();
-        let mut session = Self::assemble(geo, env, state, config, resources, agents);
-        session.rng = SmallRng::from_state(checkpoint.rng_state);
-        session.best = (checkpoint.best_masters.clone(), checkpoint.best_objective);
-        session.step_index = checkpoint.step as usize;
-        session.converged = checkpoint.converged;
-        session
-    }
-
-    /// Captures the trainer's logical state. Pure function of the training
-    /// history: the same seed and step always produce bit-identical
-    /// checkpoints (wall-clock scheduler state is excluded by design).
-    pub fn checkpoint(&self) -> TrainerCheckpoint {
-        let st = self.state.read();
-        let (probs, plays, mean_reward, total_plays) = self.agents.snapshot();
-        TrainerCheckpoint {
-            seed: self.config.seed,
-            step: self.step_index as u32,
-            theta: self.theta as u64,
-            num_dcs: self.agents.num_actions() as u32,
-            masters: st.core().masters().to_vec(),
-            probs: probs.to_vec(),
-            plays: plays.to_vec(),
-            mean_reward: mean_reward.to_vec(),
-            total_plays: total_plays.to_vec(),
-            rng_state: self.rng.state(),
-            movement_cost: st.core().movement_cost(),
-            best_masters: self.best.0.clone(),
-            best_objective: self.best.1,
-            converged: self.converged,
-        }
-    }
-
     /// Number of trainable (non-isolated) agents.
     pub fn num_trainable(&self) -> usize {
         self.order.len()
-    }
-
-    /// Steps executed so far (the weights schedule's clock).
-    pub fn step_index(&self) -> usize {
-        self.step_index
     }
 
     /// Whether the run has stopped (converged, horizon, or time budget).
@@ -471,21 +340,9 @@ impl<'g> TrainerSession<'g> {
         self.converged
     }
 
-    /// Telemetry of the steps executed by *this* session object (a resumed
-    /// session starts empty — the pre-crash telemetry died with the
-    /// process).
+    /// Telemetry of the steps executed so far.
     pub fn steps(&self) -> &[StepStats] {
         &self.steps
-    }
-
-    /// Current master placement.
-    pub fn masters(&self) -> Vec<DcId> {
-        self.state.read().core().masters().to_vec()
-    }
-
-    /// Current objective under `env`.
-    pub fn objective(&self, env: &CloudEnv) -> Objective {
-        self.state.read().objective(env)
     }
 
     /// Reorders the sampling priority for dynamic window `window_index`
@@ -555,7 +412,7 @@ impl<'g> TrainerSession<'g> {
     /// horizon reached, sampling budget exhausted). After an `Err` the
     /// session's placement is still a valid plan ([`Self::finish`] works),
     /// but the run can no longer be continued bit-identically.
-    pub fn step(&mut self, env: &CloudEnv) -> Result<Option<StepStats>, TrainError> {
+    pub fn step(&mut self, env: &CloudEnv) -> Result<Option<StepStats>, PoolError> {
         self.step_observed(env, &mut crate::observer::NoopObserver)
     }
 
@@ -564,7 +421,7 @@ impl<'g> TrainerSession<'g> {
         &mut self,
         env: &CloudEnv,
         observer: &mut dyn crate::observer::TrainingObserver,
-    ) -> Result<Option<StepStats>, TrainError> {
+    ) -> Result<Option<StepStats>, PoolError> {
         if self.is_done() {
             return Ok(None);
         }
@@ -607,7 +464,8 @@ impl<'g> TrainerSession<'g> {
         // probability update & UCB action selection. Proposals come out in
         // the sampled order.
         let score_start = Instant::now();
-        let rho = score_phase(self.geo, &self.state, sampled, &step_obj, weights, &mut exec)?;
+        let dead = self.dead_dcs;
+        let rho = score_phase(self.geo, &self.state, sampled, &step_obj, weights, dead, &mut exec)?;
         let mut proposals: Vec<(VertexId, DcId)> = {
             let st = self.state.read();
             sampled
@@ -615,7 +473,9 @@ impl<'g> TrainerSession<'g> {
                 .zip(rho)
                 .filter_map(|(&v, best_dc)| {
                     let selected = self.agents.learn_and_select(v, best_dc, &self.config);
-                    (selected != st.master(v)).then_some((v, selected))
+                    // UCB explores: a selection may name a dead DC even
+                    // though no score led there.
+                    (selected != st.master(v) && dead >> selected & 1 == 0).then_some((v, selected))
                 })
                 .collect()
         };
@@ -669,45 +529,11 @@ impl<'g> TrainerSession<'g> {
         &mut self,
         env: &CloudEnv,
         observer: &mut dyn crate::observer::TrainingObserver,
-    ) -> Result<(), TrainError> {
+    ) -> Result<(), PoolError> {
         observer.on_start(self.order.len(), self.config.max_steps);
         while self.step_observed(env, observer)?.is_some() {}
         observer.on_finish(self.converged);
         Ok(())
-    }
-
-    /// Reacts to a WAN environment change (the recovery policy's in-process
-    /// half): rebuilds the placement state from the current masters under
-    /// the new environment — the incremental Eq 4 movement cost was priced
-    /// under the old one — evacuates every master off dark DCs, resets the
-    /// best-plan tracker (pre-fault objectives are not comparable), and
-    /// restarts the sampling scheduler's measurements, which makes the
-    /// fault register as a dynamicity spike for the Eq 14 schedule.
-    ///
-    /// Returns the evacuation report if any DC was dark, `Ok(None)` for a
-    /// pure bandwidth/price change.
-    pub fn on_environment_change(
-        &mut self,
-        view: &FaultyEnv,
-    ) -> Result<Option<EvacuationReport>, TrainError> {
-        let env = view.env();
-        let (masters, profile, num_iterations) = {
-            let st = self.state.read();
-            (st.core().masters().to_vec(), st.core().profile().clone(), st.core().num_iterations())
-        };
-        let mut state =
-            HybridState::from_masters(self.geo, env, masters, self.theta, profile, num_iterations);
-        let report = if view.any_dead() {
-            Some(state.evacuate(env, view.dead_flags(), &mut self.scratch)?)
-        } else {
-            None
-        };
-        self.best = (state.core().masters().to_vec(), state.objective(env));
-        self.state = RwLock::new(state);
-        self.scheduler = Self::build_scheduler(&self.config);
-        self.converged = false;
-        self.exhausted = false;
-        Ok(report)
     }
 
     /// Finalizes the run: rebuilds the returned state from the best plan
@@ -790,8 +616,9 @@ fn beats(candidate: &Objective, incumbent: &Objective, budget: f64) -> bool {
     }
 }
 
-/// Computes ρ_v (the score-optimal DC, Eq 10/11) for every sampled agent.
-/// Returns one entry per agent, aligned with `sampled`.
+/// Computes ρ_v (the score-optimal DC, Eq 10/11, never one of the `dead`
+/// mask) for every sampled agent. Returns one entry per agent, aligned
+/// with `sampled`.
 ///
 /// Sequential on the caller (session-resident scratch) without a pool or
 /// below [`RlCutConfig::parallel_threshold`]; otherwise on the pool. Both
@@ -802,14 +629,15 @@ fn score_phase(
     sampled: &[VertexId],
     step_obj: &Objective,
     weights: Weights,
+    dead: u64,
     exec: &mut Exec<'_>,
 ) -> Result<Vec<DcId>, PoolError> {
     let env = exec.env;
     // One batched kernel sweep scores every destination of an agent; the
     // per-worker scratch arena makes the hot loop allocation-free.
     let best_of = |st: &HybridState<'_>, v: VertexId, scratch: &mut MoveScratch| -> DcId {
-        let master = st.master(v);
-        best_destination(step_obj, st.evaluate_all_moves(env, v, scratch), master, weights)
+        let candidates = st.evaluate_all_moves(env, v, scratch);
+        best_destination(step_obj, candidates, st.master(v), weights, dead)
     };
 
     let Some(pool) = exec.pool.filter(|_| sampled.len() >= exec.config.parallel_threshold) else {
@@ -1027,48 +855,6 @@ mod tests {
         while session.step(&env).unwrap().is_some() {}
         let steady = session.pool_scratch_stats().unwrap();
         assert_eq!(warm, steady, "arenas regrew after step 1");
-    }
-
-    #[test]
-    fn resume_cycles_do_not_leak_pool_workers() {
-        let (geo, env) = setup(15);
-        let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
-        let config = default_config(&geo, &env).with_threads(4).with_max_steps(3);
-        let theta = geograph::degree::suggest_theta(&geo.graph, 0.05);
-        let build_state = || {
-            HybridState::from_masters(
-                &geo,
-                &env,
-                geo.locations.clone(),
-                theta,
-                profile.clone(),
-                10.0,
-            )
-        };
-        let before = crate::pool::live_os_threads();
-        let mut session = TrainerSession::new(&geo, &env, build_state(), config.clone());
-        session.step(&env).unwrap();
-        let checkpoint = session.checkpoint();
-        for _ in 0..5 {
-            // Each resume builds a fresh pool; dropping the previous
-            // session must join its workers.
-            session = TrainerSession::resume(
-                &geo,
-                &env,
-                &checkpoint,
-                config.clone(),
-                profile.clone(),
-                10.0,
-            );
-            session.step(&env).unwrap();
-        }
-        drop(session);
-        let after = crate::pool::settled_os_threads(before + 1);
-        // /proc probe returns 0 off-Linux; both sides are then 0.
-        assert!(
-            after <= before + 1,
-            "pool workers leaked across resume cycles: {before} -> {after}"
-        );
     }
 
     #[test]

@@ -1,16 +1,12 @@
 //! The three evaluation algorithms, as pure computations on the logical
 //! graph. Traffic attribution happens in [`crate::runner`].
 
-pub mod dijkstra;
 pub mod pagerank;
-pub mod patterns;
 pub mod sssp;
 pub mod triangles;
 pub mod wcc;
 
-pub use dijkstra::{dijkstra, DijkstraResult};
 pub use pagerank::pagerank;
-pub use patterns::{count_embeddings, Pattern};
 pub use sssp::{bfs_levels, BfsResult};
 pub use triangles::triangle_count;
 pub use wcc::{wcc, WccResult};

@@ -168,8 +168,8 @@ impl Graph {
     /// Offset of `v`'s first out-edge in the flat out-edge array. Together
     /// with [`Graph::out_neighbors`] this gives every out-edge `(v, k)` a
     /// stable flat index `out_edge_offset(v) + k` (matching the
-    /// [`Graph::edges`] iteration order), which per-edge metadata such as
-    /// [`crate::weights::EdgeWeights`] is keyed by.
+    /// [`Graph::edges`] iteration order), which per-edge metadata can be
+    /// keyed by.
     #[inline]
     pub fn out_edge_offset(&self, v: VertexId) -> usize {
         self.out_offsets[v as usize] as usize

@@ -24,7 +24,6 @@
 //! * [`io`] — plain edge-list reading/writing.
 //! * [`transform`] — transpose, symmetrization, induced subgraphs, WCC
 //!   extraction.
-//! * [`weights`] — per-edge weights for weighted analytics.
 //! * [`fxhash`] — a small Fx-style hasher for hot integer-keyed maps.
 //!
 //! All generators take explicit seeds; given the same seed they are
@@ -44,7 +43,6 @@ pub mod locality;
 pub mod mem;
 pub mod stream;
 pub mod transform;
-pub mod weights;
 pub mod wire;
 
 pub use builder::GraphBuilder;

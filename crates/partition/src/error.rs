@@ -2,8 +2,8 @@
 //!
 //! [`HybridState::validate_plan`](crate::HybridState::validate_plan) and the
 //! fault-aware checks return these instead of panicking, so recovery code
-//! (evacuation, checkpoint restore) can react to a broken plan rather than
-//! aborting the process.
+//! (the fault window's re-seed, WAL replay) can react to a broken plan
+//! rather than aborting the process.
 
 use crate::{DcId, VertexId};
 

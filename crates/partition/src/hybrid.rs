@@ -346,9 +346,10 @@ impl<'g> HybridState<'g> {
     }
 
     /// Overwrites the accumulated Eq 4 movement cost — see
-    /// [`PlacementState::override_movement_cost`]. Used by checkpoint
-    /// restore, where the cost accumulated incrementally before the crash
-    /// cannot be recomputed from the masters alone.
+    /// [`PlacementState::override_movement_cost`]. Used by WAL replay,
+    /// which pins the bits a window's commit record logged: the cost the
+    /// live trainer accumulated move by move cannot be recomputed from the
+    /// masters alone.
     pub fn override_movement_cost(&mut self, cost: f64) {
         self.core.override_movement_cost(cost);
     }
@@ -702,71 +703,6 @@ impl<'g> HybridState<'g> {
         }
         Ok(())
     }
-
-    /// Re-places every master resident on a dark DC onto the best live
-    /// destination, scored by the batched move-evaluation kernel
-    /// (transfer time first, then total monetary cost, then DC id — fully
-    /// deterministic).
-    ///
-    /// In the hybrid-cut model edge placement and mirrors are *derived*
-    /// from the master vector (§IV-B), so once no master lives on a dead
-    /// DC, no edge and hence no mirror remains there either — one pass
-    /// over the masters evacuates the whole plan, which
-    /// [`Self::validate_against_faults`] re-checks before returning.
-    ///
-    /// `env` should be the *current* (possibly degraded) environment so
-    /// evacuation targets are scored under the bandwidths that actually
-    /// hold during the fault.
-    pub fn evacuate(
-        &mut self,
-        env: &CloudEnv,
-        dead: &[bool],
-        scratch: &mut MoveScratch,
-    ) -> Result<EvacuationReport, PlanError> {
-        assert_eq!(dead.len(), self.core.num_dcs);
-        if dead.iter().all(|&d| d) {
-            return Err(PlanError::NoLiveDc);
-        }
-        let mut moved = 0usize;
-        for v in 0..self.core.num_vertices() as VertexId {
-            let from = self.core.master(v);
-            if !dead[from as usize] {
-                continue;
-            }
-            let objs = self.evaluate_all_moves(env, v, scratch);
-            let mut best: Option<(DcId, Objective)> = None;
-            for (d, obj) in objs.iter().enumerate() {
-                if dead[d] {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some((_, b)) => {
-                        obj.transfer_time < b.transfer_time
-                            || (obj.transfer_time == b.transfer_time
-                                && obj.total_cost() < b.total_cost())
-                    }
-                };
-                if better {
-                    best = Some((d as DcId, *obj));
-                }
-            }
-            let (to, _) = best.expect("at least one live DC exists");
-            self.apply_move_with(env, v, to, scratch);
-            moved += 1;
-        }
-        self.validate_against_faults(dead)?;
-        Ok(EvacuationReport { vertices_moved: moved, objective: self.objective(env) })
-    }
-}
-
-/// What [`HybridState::evacuate`] did.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct EvacuationReport {
-    /// Number of masters re-placed off dark DCs.
-    pub vertices_moved: usize,
-    /// The plan's objective after evacuation, under the faulted environment.
-    pub objective: Objective,
 }
 
 /// The fault re-seed rule: every master stranded on a DC flagged in `dead`
@@ -1107,44 +1043,6 @@ mod tests {
             Err(PlanError::MasterOutOfRange { vertex: 3, dc: 42, num_dcs: 8 }) => {}
             other => panic!("expected master-out-of-range, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn evacuate_clears_dead_dc() {
-        let (geo, env) = setup(22);
-        let mut s = state(&geo, &env);
-        let mut dead = vec![false; 8];
-        dead[2] = true;
-        let before_on_dead =
-            (0..geo.num_vertices() as VertexId).filter(|&v| s.master(v) == 2).count();
-        assert!(before_on_dead > 0, "seed should place masters on DC 2");
-        let mut scratch = MoveScratch::new();
-        let report = s.evacuate(&env, &dead, &mut scratch).unwrap();
-        assert_eq!(report.vertices_moved, before_on_dead);
-        assert_eq!(s.validate_against_faults(&dead), Ok(()));
-        s.check_consistency(&env);
-    }
-
-    #[test]
-    fn evacuate_is_deterministic() {
-        let (geo, env) = setup(23);
-        let mut dead = vec![false; 8];
-        dead[0] = true;
-        dead[5] = true;
-        let mut a = state(&geo, &env);
-        let mut b = state(&geo, &env);
-        let mut scratch = MoveScratch::new();
-        a.evacuate(&env, &dead, &mut scratch).unwrap();
-        b.evacuate(&env, &dead, &mut scratch).unwrap();
-        assert_eq!(a.core().masters(), b.core().masters());
-    }
-
-    #[test]
-    fn evacuate_with_no_live_dc_is_an_error() {
-        let (geo, env) = setup(24);
-        let mut s = state(&geo, &env);
-        let mut scratch = MoveScratch::new();
-        assert_eq!(s.evacuate(&env, &[true; 8], &mut scratch), Err(PlanError::NoLiveDc));
     }
 
     #[test]

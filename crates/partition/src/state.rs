@@ -600,11 +600,11 @@ impl PlacementState {
 
     /// Overrides the tracked Eq 4 movement cost.
     ///
-    /// Checkpoint restore uses this: a state rebuilt from masters sums the
+    /// WAL replay uses this: a state rebuilt from masters sums the
     /// movement cost in vertex order, while a live trainer accumulates it
-    /// incrementally — the two agree only to fp tolerance. Restoring the
-    /// incrementally tracked value keeps a resumed training run bit-exact
-    /// with the uninterrupted one.
+    /// incrementally — the two agree only to fp tolerance. Pinning the
+    /// committed bits keeps a recovered pipeline bit-exact with the
+    /// uninterrupted one.
     pub fn override_movement_cost(&mut self, cost: f64) {
         self.movement_cost = cost;
     }

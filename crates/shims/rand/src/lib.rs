@@ -190,18 +190,6 @@ pub mod rngs {
         }
     }
 
-    impl SmallRng {
-        /// Raw xoshiro256++ state, for checkpoint serialization.
-        pub fn state(&self) -> [u64; 4] {
-            self.s
-        }
-
-        /// Rebuilds the generator from a previously captured [`state`](Self::state).
-        pub fn from_state(s: [u64; 4]) -> Self {
-            SmallRng { s }
-        }
-    }
-
     impl RngCore for SmallRng {
         #[inline]
         fn next_u64(&mut self) -> u64 {
@@ -310,18 +298,6 @@ mod tests {
         }
         // Mean of U[0,1) over 10k draws is ~0.5 ± a few σ.
         assert!((sum / 10_000.0 - 0.5).abs() < 0.02);
-    }
-
-    #[test]
-    fn state_round_trip_resumes_stream() {
-        let mut a = SmallRng::seed_from_u64(9);
-        for _ in 0..17 {
-            a.next_u64();
-        }
-        let mut b = SmallRng::from_state(a.state());
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
     }
 
     #[test]

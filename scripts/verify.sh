@@ -44,8 +44,8 @@ fi
 
 echo "==> one form per thing in the substrate (deleted forms stay deleted)"
 # A Graph is u32-offset raw CSR by type: the width-tagged offset plane and
-# the compressed in-memory twin must not come back, and TrainerCheckpoint
-# stays a plain in-memory value with no byte codec of its own.
+# the compressed in-memory twin must not come back, and crates/core/src/
+# grows no private byte codec beside geodur's.
 if git grep -n -E 'OffsetWidth|Offsets::|CompressedGraph|CompressPolicy' \
     -- crates tests examples; then
   echo "a width-tagged offset plane or the compressed graph reappeared"; exit 1
@@ -69,6 +69,25 @@ if git grep -n -E 'ShardView|ShardSpec|ShardPlacement|ShardRuntime|ShardCarry|Sh
   echo "vertex-range sharding, its seam or the mmap loader reappeared"; exit 1
 fi
 for f in crates/core/src/shard.rs crates/partition/src/shard.rs crates/geograph/src/shard.rs; do
+  if [ -e "$f" ]; then
+    echo "$f exists again"; exit 1
+  fi
+done
+
+echo "==> one fault path (deleted paths stay deleted)"
+# A DC outage is a durable window: note_fault, then a logged fault window
+# that re-seeds stranded masters with geopart::reseed_stranded_masters and
+# masks the dead DCs, then DurableAdaptive::recover. The step-granular
+# in-memory recovery driver, its restore point, the kernel-scored second
+# re-seed rule, the one-variant TrainError and the uncalled engine
+# extensions must not come back.
+if git grep -n -E 'train_under_faults|TrainerCheckpoint|FaultTrainReport|on_environment_change|EvacuationReport|TrainError|EdgeWeights|count_embeddings|fn dijkstra' \
+    -- crates tests examples; then
+  echo "a deleted fault-recovery path or engine extension reappeared"; exit 1
+fi
+for f in crates/core/src/recovery.rs crates/core/src/checkpoint.rs \
+    crates/engine/src/algorithms/dijkstra.rs crates/engine/src/algorithms/patterns.rs \
+    crates/geograph/src/weights.rs; do
   if [ -e "$f" ]; then
     echo "$f exists again"; exit 1
   fi
@@ -209,11 +228,13 @@ require_tests pair_degrade_is_directed_and_leaves_the_dc_row_alone \
   pair_clear_keeps_shape
 # The serving layer's contract: every response is served from exactly one
 # published epoch across concurrent plan flips, a DC killed mid-traffic
-# never yields a dead-master response after the evacuation epoch, and a
-# daemon rebooted from the DurableStore serves bit-exact masters without
-# retraining.
+# never yields a dead-master response after the evacuation epoch, the
+# trainer's fault window after that evacuation publishes no master and no
+# replica on the dead DC, and a daemon rebooted from the DurableStore
+# serves bit-exact masters without retraining.
 require_tests every_response_matches_exactly_one_published_epoch \
   evacuation_mid_traffic_never_serves_a_dead_master \
+  fault_window_after_evacuation_never_publishes_a_dead_master \
   boot_from_store_matches_the_live_server_bit_exactly
 # The one CSR builder must equal a naive push-sort-dedup oracle that shares
 # no code with it.

@@ -9,6 +9,8 @@
 //! * a DC killed mid-traffic is evacuated with one flip: responses
 //!   observe the pre-fault table or the post-evacuation table, and no
 //!   post-evacuation response ever routes to the dead DC;
+//! * the trainer's fault window after such an evacuation publishes a plan
+//!   with no master and no replica on the dead DC;
 //! * a server booted from the durable store serves bit-exactly the
 //!   masters the live trainer's server was serving when the process
 //!   died — no retraining, whether recovery replays the WAL or loads a
@@ -234,6 +236,61 @@ fn evacuation_mid_traffic_never_serves_a_dead_master() {
     }
     assert!(pre_total > 0, "no pre-fault traffic observed");
     assert!(post_total > 0, "no post-evacuation traffic observed");
+}
+
+/// The trainer's side of an outage. The server evacuates the DC that holds
+/// the most masters, the trainer is told of the fault, and the next window
+/// trains every agent. What that window publishes must name no dead DC:
+/// no master, and no replica in the table or in the carried placement.
+#[test]
+fn fault_window_after_evacuation_never_publishes_a_dead_master() {
+    let w = workload();
+    let env = ec2_eight_regions();
+    let t_opt = Duration::from_secs(60);
+    let dir = tmp_dir("fault_window");
+    // Rate 1.0: at 0.2 no sampled agent happens to pick the dead DC.
+    let config = pinned_config().with_fixed_sample_rate(1.0);
+    let mut trainer =
+        DurableAdaptive::create(&dir, config, Some(0.4), w.geo0.clone(), &env, 0).expect("create");
+    let mut server = PlacementServer::new(
+        RoutingTable::from_homes(0, &w.geo0.locations, env.num_dcs()),
+        w.geo0.locations.clone(),
+    );
+    server.attach(&mut trainer);
+    let p0 = TrafficProfile::uniform(w.geo0.num_vertices(), 8.0);
+    trainer.window(&env, None, &[], &[], p0, 10.0, t_opt).expect("window 0");
+    let (delta, locs, sizes) = &w.steps[0];
+    let p = TrafficProfile::uniform(delta.new_num_vertices(), 8.0);
+    trainer.window(&env, Some(delta), locs, sizes, p, 10.0, t_opt).expect("delta window");
+
+    let mut per_dc = vec![0usize; env.num_dcs()];
+    for &m in trainer.masters() {
+        per_dc[m as usize] += 1;
+    }
+    let victim = (0..env.num_dcs()).max_by_key(|&d| per_dc[d]).expect("DCs exist");
+    let mut dead = vec![false; env.num_dcs()];
+    dead[victim] = true;
+    server.evacuate(&dead).expect("evacuation");
+    trainer.note_fault(&dead);
+    let (delta, locs, sizes) = &w.steps[1];
+    let p = TrafficProfile::uniform(delta.new_num_vertices(), 8.0);
+    trainer.window(&env, Some(delta), locs, sizes, p, 10.0, t_opt).expect("fault window");
+
+    let mut reader = server.reader();
+    let table = reader.pin();
+    assert_eq!(table.window(), 3, "the fault window's commit is the table served");
+    let on_dead = table.masters().iter().filter(|&&m| dead[m as usize]).count();
+    let n = table.num_vertices();
+    assert_eq!(on_dead, 0, "{on_dead} of {n} masters published on dead DC {victim}");
+    let dead_bit = 1u64 << victim;
+    let touching = (0..n as VertexId).filter(|&v| table.replica_set(v) & dead_bit != 0).count();
+    assert_eq!(touching, 0, "{touching} vertices keep a replica on dead DC {victim}");
+    drop(table);
+    let (core, theta) = trainer.inner().carried_parts().cloned().expect("carried");
+    geopart::HybridState::from_parts(core, theta, trainer.geo())
+        .validate_against_faults(&dead)
+        .expect("the carried plan touches the dead DC");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The restart path: a trainer runs several windows with a serving
