@@ -367,7 +367,7 @@ impl AdaptiveRlCut {
         // rest of its sample on this window's slice of the ring.
         let hot_agents =
             if self.window > 0 { session.focus_window(touched, self.window) } else { 0 };
-        session.run(env, &mut crate::observer::NoopObserver)?;
+        session.run(env)?;
         let (result, resources) = session.finish_with_resources(env);
         self.resources = Some(resources);
         // Session wall-clock covers the training loop and the final

@@ -48,17 +48,6 @@ pub struct RlCutConfig {
     /// Disable the degree-aware straggler mitigation (§V-B) — ablation
     /// hook; agents are then assigned to threads round-robin.
     pub disable_straggler_mitigation: bool,
-    /// Minimum sampled-agent count before the score phase fans out to the
-    /// worker pool; smaller samples run sequentially on the caller thread.
-    ///
-    /// Rationale: a parallel dispatch has a fixed cost — one condvar
-    /// round-trip into the persistent [`crate::pool::WorkerPool`] plus the
-    /// LPT group build — that amortizes only once the sampled agents carry
-    /// enough `O(deg)` scoring work; below the threshold the sequential
-    /// path (with the session-resident scratch) wins. The default of 64 was
-    /// measured on the 8-DC Twitter-analog preset: tiny
-    /// adaptive early-step samples (1 % of agents) finish faster inline.
-    pub parallel_threshold: usize,
     /// Required optimization overhead `T_opt` (§V-C). `None` disables the
     /// adaptive sampler: every agent trains every step.
     pub t_opt: Option<Duration>,
@@ -101,7 +90,6 @@ impl RlCutConfig {
             batch_size: 48,
             num_threads: None,
             disable_straggler_mitigation: false,
-            parallel_threshold: 64,
             t_opt: None,
             initial_sample_rate: 0.01,
             fixed_sample_rate: None,
@@ -162,13 +150,6 @@ impl RlCutConfig {
         self
     }
 
-    /// Builder-style sequential-fallback threshold (see
-    /// [`RlCutConfig::parallel_threshold`]).
-    pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_threshold = threshold;
-        self
-    }
-
     /// Builder-style per-step scan cap (see [`RlCutConfig::max_scan`]).
     pub fn with_max_scan(mut self, cap: usize) -> Self {
         assert!(cap >= 1, "a zero scan cap would stall every step");
@@ -194,7 +175,6 @@ mod tests {
         assert_eq!(c.batch_size, 48);
         assert!(!c.use_penalty);
         assert_eq!(c.initial_sample_rate, 0.01);
-        assert_eq!(c.parallel_threshold, 64);
         assert_eq!(c.max_scan, None);
     }
 

@@ -53,7 +53,6 @@ pub mod adaptive;
 pub mod agent;
 pub mod config;
 pub mod durable;
-pub mod observer;
 pub mod pool;
 pub mod sampling;
 pub mod score;

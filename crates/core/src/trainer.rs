@@ -4,8 +4,7 @@
 //! [`TrainerSession`] owns the one step loop: schedule → sample →
 //! `max_scan` window → frozen objective and weights → propose (Fig 5
 //! phases 1–4: one [`AgentPool`] scored against the session's state) →
-//! shuffle → migrate → best-plan and convergence bookkeeping → journal →
-//! observer.
+//! shuffle → migrate → best-plan and convergence bookkeeping → journal.
 //!
 //! ## Parallel architecture
 //!
@@ -64,21 +63,6 @@ pub fn partition<'g>(
     partition_from(geo, env, geo.locations.clone(), profile, num_iterations, config)
 }
 
-/// [`partition`] with a [`crate::observer::TrainingObserver`] attached.
-pub fn partition_with_observer<'g>(
-    geo: &'g GeoGraph,
-    env: &CloudEnv,
-    profile: TrafficProfile,
-    num_iterations: f64,
-    config: &RlCutConfig,
-    observer: &mut dyn crate::observer::TrainingObserver,
-) -> RlCutResult<'g> {
-    let theta = config.theta.unwrap_or_else(|| geograph::degree::suggest_theta(&geo.graph, 0.05));
-    let state =
-        HybridState::from_masters(geo, env, geo.locations.clone(), theta, profile, num_iterations);
-    train_observed(geo, env, state, config, observer)
-}
-
 /// Partitions `geo` starting from explicit master locations — the entry
 /// point for dynamic re-partitioning, where the previous window's plan
 /// seeds the next.
@@ -97,30 +81,19 @@ pub fn partition_from<'g>(
 }
 
 /// Runs the training loop on an existing state.
+///
+/// The infallible entry points end here. A run has one failure, a
+/// [`PoolError`] — a worker of this program panicked — and it is
+/// re-raised on the caller; drive a [`TrainerSession`] to receive it as a
+/// value instead.
 pub fn train<'g>(
     geo: &'g GeoGraph,
     env: &CloudEnv,
     state: HybridState<'g>,
     config: &RlCutConfig,
 ) -> RlCutResult<'g> {
-    train_observed(geo, env, state, config, &mut crate::observer::NoopObserver)
-}
-
-/// [`train`] reporting progress to `observer`.
-///
-/// The infallible entry points end here. A run has one failure, a
-/// [`PoolError`] — a worker of this program panicked — and it is
-/// re-raised on the caller; drive a [`TrainerSession`] to receive it as a
-/// value instead.
-pub fn train_observed<'g>(
-    geo: &'g GeoGraph,
-    env: &CloudEnv,
-    state: HybridState<'g>,
-    config: &RlCutConfig,
-    observer: &mut dyn crate::observer::TrainingObserver,
-) -> RlCutResult<'g> {
     let mut session = TrainerSession::new(geo, env, state, config.clone());
-    session.run(env, observer).expect("a training worker panicked");
+    session.run(env).expect("a training worker panicked");
     session.finish(env)
 }
 
@@ -191,7 +164,7 @@ struct Exec<'a> {
 
 /// A training run: the Fig 5 loop broken into externally driven steps.
 ///
-/// [`train_observed`] is a thin wrapper (`new` → `run` → `finish`); the
+/// [`train`] is a thin wrapper (`new` → `run` → `finish`); the
 /// dynamic-window driver adds [`Self::focus_window`],
 /// [`Self::boost_sampling`] and [`Self::finish_with_resources`] around
 /// the same loop, and tests advance it one [`Self::step`] at a time.
@@ -413,15 +386,6 @@ impl<'g> TrainerSession<'g> {
     /// session's placement is still a valid plan ([`Self::finish`] works),
     /// but the run can no longer be continued bit-identically.
     pub fn step(&mut self, env: &CloudEnv) -> Result<Option<StepStats>, PoolError> {
-        self.step_observed(env, &mut crate::observer::NoopObserver)
-    }
-
-    /// [`Self::step`] reporting to `observer`.
-    pub fn step_observed(
-        &mut self,
-        env: &CloudEnv,
-        observer: &mut dyn crate::observer::TrainingObserver,
-    ) -> Result<Option<StepStats>, PoolError> {
         if self.is_done() {
             return Ok(None);
         }
@@ -509,7 +473,6 @@ impl<'g> TrainerSession<'g> {
             total_cost: obj.total_cost(),
         };
         self.steps.push(stats);
-        observer.on_step(step, &stats);
         self.step_index += 1;
         // Convergence is only meaningful when (nearly) all agents took
         // part — a tiny early sample moving nothing says nothing about the
@@ -525,14 +488,8 @@ impl<'g> TrainerSession<'g> {
     }
 
     /// Runs the loop to completion under a fixed environment.
-    pub fn run(
-        &mut self,
-        env: &CloudEnv,
-        observer: &mut dyn crate::observer::TrainingObserver,
-    ) -> Result<(), PoolError> {
-        observer.on_start(self.order.len(), self.config.max_steps);
-        while self.step_observed(env, observer)?.is_some() {}
-        observer.on_finish(self.converged);
+    pub fn run(&mut self, env: &CloudEnv) -> Result<(), PoolError> {
+        while self.step(env)?.is_some() {}
         Ok(())
     }
 
@@ -616,12 +573,24 @@ fn beats(candidate: &Objective, incumbent: &Objective, budget: f64) -> bool {
     }
 }
 
+/// Minimum sampled-agent count before the score phase fans out to the
+/// worker pool; smaller samples run sequentially on the caller thread.
+///
+/// Rationale: a parallel dispatch has a fixed cost — one condvar
+/// round-trip into the persistent [`WorkerPool`] plus the LPT group build
+/// — that amortizes only once the sampled agents carry enough `O(deg)`
+/// scoring work; below the threshold the sequential path (with the
+/// session-resident scratch) wins. 64 was measured on the 8-DC
+/// Twitter-analog preset: tiny adaptive early-step samples (1 % of
+/// agents) finish faster inline.
+const PARALLEL_SCORE_MIN_AGENTS: usize = 64;
+
 /// Computes ρ_v (the score-optimal DC, Eq 10/11, never one of the `dead`
 /// mask) for every sampled agent. Returns one entry per agent, aligned
 /// with `sampled`.
 ///
 /// Sequential on the caller (session-resident scratch) without a pool or
-/// below [`RlCutConfig::parallel_threshold`]; otherwise on the pool. Both
+/// below [`PARALLEL_SCORE_MIN_AGENTS`]; otherwise on the pool. Both
 /// produce bit-identical ρ — workers only fill disjoint per-vertex slots.
 fn score_phase(
     geo: &GeoGraph,
@@ -640,7 +609,7 @@ fn score_phase(
         best_destination(step_obj, candidates, st.master(v), weights, dead)
     };
 
-    let Some(pool) = exec.pool.filter(|_| sampled.len() >= exec.config.parallel_threshold) else {
+    let Some(pool) = exec.pool.filter(|_| sampled.len() >= PARALLEL_SCORE_MIN_AGENTS) else {
         let st = state.read();
         return Ok(sampled.iter().map(|&v| best_of(&st, v, exec.scratch)).collect());
     };
@@ -939,7 +908,7 @@ mod tests {
                 10.0,
             );
             let mut s = TrainerSession::new(&geo, &env, state, config.clone());
-            s.run(&env, &mut crate::observer::NoopObserver).unwrap();
+            s.run(&env).unwrap();
             s
         };
         let rebuilt = build().finish(&env);

@@ -4,8 +4,8 @@
 use geograph::{DcId, GeoGraph, VertexId};
 use geopart::state::PlacementState;
 use geopart::EdgeCutState;
-use geosim::faults::FaultSchedule;
-use geosim::{CloudEnv, PairLoads, StageLoads};
+use geosim::transfer::iteration_time;
+use geosim::{CloudEnv, StageLoads};
 
 use crate::algorithm::Algorithm;
 use crate::algorithms::{bfs_levels, pagerank, triangle_count, wcc};
@@ -96,9 +96,9 @@ fn plan_rounds(geo: &GeoGraph, algo: &Algorithm) -> Rounds {
     }
 }
 
-/// Per-round traffic accumulator for replica-based plans, shared by the
-/// fixed-environment and fault-injected executors. Holds the reusable
-/// scratch (sender flags, receiver stamps, DC dedup) across rounds.
+/// Per-round traffic accumulator for replica-based plans. Holds the
+/// reusable scratch (sender flags, receiver stamps, DC dedup) across
+/// rounds.
 struct ReplicaTraffic<'a> {
     geo: &'a GeoGraph,
     plan: &'a PlacementState,
@@ -106,9 +106,6 @@ struct ReplicaTraffic<'a> {
     profile: geopart::TrafficProfile,
     gather: StageLoads,
     apply: StageLoads,
-    /// Per-directed-pair byte matrices, tracked only by the fault-injected
-    /// executor (a `PairDegrade` cannot be priced from per-DC rows alone).
-    pair_loads: Option<(PairLoads, PairLoads)>,
     is_sender: Vec<bool>,
     receiver_stamp: Vec<u32>,
     dc_seen: Vec<bool>,
@@ -121,7 +118,6 @@ impl<'a> ReplicaTraffic<'a> {
         in_edge_dcs: Option<&'a [DcId]>,
         profile: geopart::TrafficProfile,
         num_dcs: usize,
-        track_pairs: bool,
     ) -> Self {
         let n = geo.num_vertices();
         ReplicaTraffic {
@@ -131,7 +127,6 @@ impl<'a> ReplicaTraffic<'a> {
             profile,
             gather: StageLoads::new(num_dcs),
             apply: StageLoads::new(num_dcs),
-            pair_loads: track_pairs.then(|| (PairLoads::new(num_dcs), PairLoads::new(num_dcs))),
             is_sender: vec![false; n],
             receiver_stamp: vec![u32::MAX; n],
             dc_seen: vec![false; num_dcs],
@@ -150,10 +145,6 @@ impl<'a> ReplicaTraffic<'a> {
         let geo = self.geo;
         self.gather.clear();
         self.apply.clear();
-        if let Some((gp, ap)) = self.pair_loads.as_mut() {
-            gp.clear();
-            ap.clear();
-        }
         for &u in senders {
             self.is_sender[u as usize] = true;
         }
@@ -181,9 +172,6 @@ impl<'a> ReplicaTraffic<'a> {
                     if d != master && !self.dc_seen[d as usize] {
                         self.dc_seen[d as usize] = true;
                         self.gather.add_transfer(d, master, g);
-                        if let Some((gp, _)) = self.pair_loads.as_mut() {
-                            gp.add_transfer(d, master, g);
-                        }
                     }
                 }
                 self.dc_seen.iter_mut().for_each(|s| *s = false);
@@ -198,9 +186,6 @@ impl<'a> ReplicaTraffic<'a> {
                 let d = mask.trailing_zeros() as DcId;
                 mask &= mask - 1;
                 self.apply.add_transfer(master, d, a);
-                if let Some((_, ap)) = self.pair_loads.as_mut() {
-                    ap.add_transfer(master, d, a);
-                }
             }
         }
         for &u in senders {
@@ -222,119 +207,74 @@ pub fn execute_plan(
     in_edge_dcs: Option<&[DcId]>,
     algo: &Algorithm,
 ) -> ExecutionReport {
-    assert_eq!(plan.num_vertices(), geo.num_vertices());
-    let rounds = plan_rounds(geo, algo);
-    let mut traffic =
-        ReplicaTraffic::new(geo, plan, in_edge_dcs, algo.profile(geo), env.num_dcs(), false);
-
-    let mut per_iteration_time = Vec::with_capacity(rounds.senders.len());
-    let (mut total_time, mut total_cost, mut total_bytes) = (0.0, 0.0, 0.0);
-
-    for (round, (senders, changed)) in rounds.senders.iter().zip(&rounds.changed).enumerate() {
-        let (gather, apply) = traffic.round(round, senders, changed);
-        let t = gather.transfer_time(env) + apply.transfer_time(env);
-        per_iteration_time.push(t);
-        total_time += t;
-        total_cost += gather.upload_cost(env) + apply.upload_cost(env);
-        total_bytes += gather.total_up() + apply.total_up();
-    }
-
-    ExecutionReport {
-        iterations: per_iteration_time.len(),
-        transfer_time: total_time,
-        runtime_cost: total_cost,
-        wan_bytes: total_bytes,
-        per_iteration_time,
-        output: rounds.output,
-    }
+    run_rounds(geo, env, plan, in_edge_dcs, algo, None).report
 }
 
-/// Outcome of executing a plan while a fault schedule is active.
+/// Outcome of executing a plan while some DCs go dark.
 #[derive(Clone, Debug)]
 pub struct FaultedExecutionReport {
-    /// Metrics for the rounds that actually ran (all of them if the job
-    /// completed; a prefix if it aborted).
+    /// Metrics for the rounds that actually ran: all of [`execute_plan`]'s
+    /// if the job completed, its first `round` if it aborted.
     pub report: ExecutionReport,
     /// `Some((round, dc))` if the job aborted because `dc` — which hosts
     /// replicas of this plan — went dark at `round`. The caller is expected
-    /// to evacuate the plan off the dead DC and re-run.
+    /// to re-seed the plan off the dead DC (a fault window) and re-run.
     pub aborted_at: Option<(usize, DcId)>,
-    /// Rounds that ran under a degraded environment (bandwidth or price
-    /// multipliers active), inflating Eq 1 / Eq 5 versus the base env.
-    pub degraded_rounds: usize,
 }
 
-/// Executes `algo` over a replica-based plan while `schedule` injects
-/// faults, one schedule step per analytics round starting at `start_step`.
+/// Executes `algo` over a replica-based plan whose `dead` DCs (one flag
+/// per DC) go dark at round `at_round`.
 ///
-/// Degraded links re-price each round's transfer time (Eq 1) and upload
-/// cost (Eq 5) under the round's [`FaultSchedule::view_at`] environment. A
-/// DC outage aborts the job at the first round where a dark DC hosts any
-/// master or mirror of the plan — partial metrics for the completed prefix
-/// are returned so recovery experiments can measure wasted work.
+/// The job aborts there only if the plan puts a master or a mirror on a
+/// dead DC (the lowest such DC is reported); an outage elsewhere, or after
+/// the last round, does not touch it. The rounds that ran are
+/// [`execute_plan`]'s to the bit, so recovery experiments can measure the
+/// wasted work.
 pub fn execute_plan_under_faults(
     geo: &GeoGraph,
-    base_env: &CloudEnv,
+    env: &CloudEnv,
     plan: &PlacementState,
     in_edge_dcs: Option<&[DcId]>,
     algo: &Algorithm,
-    schedule: &FaultSchedule,
-    start_step: u64,
+    dead: &[bool],
+    at_round: usize,
+) -> FaultedExecutionReport {
+    assert_eq!(dead.len(), env.num_dcs());
+    let used = (0..geo.num_vertices() as VertexId)
+        .fold(0u64, |used, v| used | 1u64 << plan.master(v) | plan.mirror_mask(v));
+    let hit = (0..env.num_dcs() as DcId).find(|&d| dead[d as usize] && used >> d & 1 == 1);
+    run_rounds(geo, env, plan, in_edge_dcs, algo, hit.map(|dc| (at_round, dc)))
+}
+
+/// The one round loop of both replica-plan executors: Eq 1 and Eq 5 per
+/// round, stopping before round `abort.0` when `abort` is set.
+fn run_rounds(
+    geo: &GeoGraph,
+    env: &CloudEnv,
+    plan: &PlacementState,
+    in_edge_dcs: Option<&[DcId]>,
+    algo: &Algorithm,
+    abort: Option<(usize, DcId)>,
 ) -> FaultedExecutionReport {
     assert_eq!(plan.num_vertices(), geo.num_vertices());
     let rounds = plan_rounds(geo, algo);
-    let m = base_env.num_dcs();
-    // DCs the plan occupies — an outage elsewhere doesn't touch the job.
-    let mut used = vec![false; m];
-    for v in 0..geo.num_vertices() as VertexId {
-        used[plan.master(v) as usize] = true;
-        let mut mask = plan.mirror_mask(v);
-        while mask != 0 {
-            used[mask.trailing_zeros() as usize] = true;
-            mask &= mask - 1;
-        }
-    }
-    let mut traffic = ReplicaTraffic::new(geo, plan, in_edge_dcs, algo.profile(geo), m, true);
+    let mut traffic = ReplicaTraffic::new(geo, plan, in_edge_dcs, algo.profile(geo), env.num_dcs());
 
     let mut per_iteration_time = Vec::with_capacity(rounds.senders.len());
     let (mut total_time, mut total_cost, mut total_bytes) = (0.0, 0.0, 0.0);
     let mut aborted_at = None;
-    let mut degraded_rounds = 0;
 
     for (round, (senders, changed)) in rounds.senders.iter().zip(&rounds.changed).enumerate() {
-        let view = schedule.view_at(base_env, start_step + round as u64);
-        if let Some(dc) = (0..m as DcId).find(|&d| view.is_dead(d) && used[d as usize]) {
-            aborted_at = Some((round, dc));
+        if abort.is_some_and(|(at, _)| at == round) {
+            aborted_at = abort;
             break;
         }
-        let env = view.env();
-        if env != base_env || view.has_pair_faults() {
-            degraded_rounds += 1;
-        }
-        let (gather_t, apply_t, cost, bytes) = {
-            let (gather, apply) = traffic.round(round, senders, changed);
-            (
-                gather.transfer_time(env),
-                apply.transfer_time(env),
-                gather.upload_cost(env) + apply.upload_cost(env),
-                gather.total_up() + apply.total_up(),
-            )
-        };
-        // A degraded directed pair bottlenecks each stage independently of
-        // the per-DC Eq 2/3 rows: the stage drains when its slowest
-        // constraint — DC link or degraded pair — drains.
-        let t = match view.pair_mults() {
-            Some(mults) => {
-                let (gp, ap) = traffic.pair_loads.as_ref().expect("fault executor tracks pairs");
-                gather_t.max(gp.stage_time_under(env, mults))
-                    + apply_t.max(ap.stage_time_under(env, mults))
-            }
-            None => gather_t + apply_t,
-        };
+        let (gather, apply) = traffic.round(round, senders, changed);
+        let t = iteration_time(gather, apply, env);
         per_iteration_time.push(t);
         total_time += t;
-        total_cost += cost;
-        total_bytes += bytes;
+        total_cost += gather.upload_cost(env) + apply.upload_cost(env);
+        total_bytes += gather.total_up() + apply.total_up();
     }
 
     FaultedExecutionReport {
@@ -347,7 +287,6 @@ pub fn execute_plan_under_faults(
             output: rounds.output,
         },
         aborted_at,
-        degraded_rounds,
     }
 }
 
@@ -506,104 +445,23 @@ mod tests {
         assert_eq!(t, triangle_count(&geo.graph));
     }
 
-    #[test]
-    fn quiet_schedule_execution_matches_plain() {
-        let (geo, env) = setup();
-        let algo = Algorithm::pagerank();
-        let plan = hybrid(&geo, &env, &algo);
-        let schedule = FaultSchedule::quiet(env.num_dcs(), 64);
-        let faulted = execute_plan_under_faults(&geo, &env, plan.core(), None, &algo, &schedule, 0);
-        let plain = execute_plan(&geo, &env, plan.core(), None, &algo);
-        assert!(faulted.aborted_at.is_none());
-        assert_eq!(faulted.degraded_rounds, 0);
-        assert_eq!(faulted.report.per_iteration_time, plain.per_iteration_time);
-        assert_eq!(faulted.report.wan_bytes, plain.wan_bytes);
+    fn bits(times: &[f64]) -> Vec<u64> {
+        times.iter().map(|t| t.to_bits()).collect()
     }
 
     #[test]
-    fn degraded_link_inflates_transfer_time() {
-        use geosim::faults::{FaultEvent, FaultKind};
+    fn no_dead_dc_execution_matches_plain() {
         let (geo, env) = setup();
         let algo = Algorithm::pagerank();
         let plan = hybrid(&geo, &env, &algo);
-        // Halve DC 0's bandwidth from round 4 onward.
-        let schedule = FaultSchedule::from_events(
-            env.num_dcs(),
-            64,
-            vec![FaultEvent { step: 4, dc: 0, kind: FaultKind::LinkDegrade { factor: 0.5 } }],
-        );
-        let faulted = execute_plan_under_faults(&geo, &env, plan.core(), None, &algo, &schedule, 0);
+        let dead = vec![false; env.num_dcs()];
+        let faulted = execute_plan_under_faults(&geo, &env, plan.core(), None, &algo, &dead, 0);
         let plain = execute_plan(&geo, &env, plan.core(), None, &algo);
         assert!(faulted.aborted_at.is_none());
-        assert_eq!(faulted.degraded_rounds, 6, "rounds 4..10 run degraded");
-        assert_eq!(faulted.report.per_iteration_time[3], plain.per_iteration_time[3]);
-        assert!(
-            faulted.report.per_iteration_time[4] > plain.per_iteration_time[4],
-            "halved bandwidth must inflate Eq 1"
-        );
-    }
-
-    #[test]
-    fn pair_degrade_inflates_only_rounds_crossing_that_path() {
-        use geosim::faults::{FaultEvent, FaultKind};
-        let (geo, env) = setup();
-        let algo = Algorithm::pagerank();
-        let plan = hybrid(&geo, &env, &algo);
-        // Find a directed pair the plan actually uses: some mirror of
-        // vertex 0's master. Fall back to scanning vertices if 0 has none.
-        let (src, dst) = (0..geo.num_vertices() as geograph::VertexId)
-            .find_map(|v| {
-                let m = plan.core().mirror_mask(v);
-                (m != 0).then(|| (plan.core().master(v), m.trailing_zeros() as DcId))
-            })
-            .expect("plan should replicate something");
-        let schedule = FaultSchedule::from_events(
-            env.num_dcs(),
-            64,
-            vec![FaultEvent {
-                step: 4,
-                dc: src,
-                kind: FaultKind::PairDegrade { dst, factor: 0.05 },
-            }],
-        );
-        let faulted = execute_plan_under_faults(&geo, &env, plan.core(), None, &algo, &schedule, 0);
-        let plain = execute_plan(&geo, &env, plan.core(), None, &algo);
-        assert!(faulted.aborted_at.is_none());
-        assert_eq!(faulted.degraded_rounds, 6, "rounds 4..10 run pair-degraded");
-        assert_eq!(faulted.report.per_iteration_time[3], plain.per_iteration_time[3]);
-        assert!(
-            faulted.report.per_iteration_time[4] >= plain.per_iteration_time[4],
-            "a degraded pair never speeds a round up"
-        );
-        assert!(
-            faulted.report.per_iteration_time[4] > plain.per_iteration_time[4],
-            "the apply stage syncs {src}→{dst} mirrors, so a 20× slower \
-             pair must dominate the stage"
-        );
-        // Costs are unchanged: a slow path re-prices time, not Eq 5 uploads.
-        assert_eq!(faulted.report.wan_bytes, plain.wan_bytes);
-    }
-
-    #[test]
-    fn pair_degrade_is_deterministic_across_runs() {
-        use geosim::faults::{FaultEvent, FaultKind};
-        let (geo, env) = setup();
-        let algo = Algorithm::pagerank();
-        let plan = hybrid(&geo, &env, &algo);
-        let schedule = FaultSchedule::from_events(
-            env.num_dcs(),
-            64,
-            vec![FaultEvent {
-                step: 2,
-                dc: 0,
-                kind: FaultKind::PairDegrade { dst: 1, factor: 0.3 },
-            }],
-        );
-        let a = execute_plan_under_faults(&geo, &env, plan.core(), None, &algo, &schedule, 0);
-        let b = execute_plan_under_faults(&geo, &env, plan.core(), None, &algo, &schedule, 0);
-        let ta: Vec<u64> = a.report.per_iteration_time.iter().map(|t| t.to_bits()).collect();
-        let tb: Vec<u64> = b.report.per_iteration_time.iter().map(|t| t.to_bits()).collect();
-        assert_eq!(ta, tb, "pair-degraded execution must be bit-deterministic");
+        assert_eq!(bits(&faulted.report.per_iteration_time), bits(&plain.per_iteration_time));
+        assert_eq!(faulted.report.transfer_time.to_bits(), plain.transfer_time.to_bits());
+        assert_eq!(faulted.report.runtime_cost.to_bits(), plain.runtime_cost.to_bits());
+        assert_eq!(faulted.report.wan_bytes.to_bits(), plain.wan_bytes.to_bits());
     }
 
     #[test]
@@ -612,10 +470,17 @@ mod tests {
         let algo = Algorithm::pagerank();
         let plan = hybrid(&geo, &env, &algo);
         let victim = plan.core().master(0);
-        let schedule = FaultSchedule::single_outage(env.num_dcs(), 64, victim, 5);
-        let faulted = execute_plan_under_faults(&geo, &env, plan.core(), None, &algo, &schedule, 0);
+        let mut dead = vec![false; env.num_dcs()];
+        dead[victim as usize] = true;
+        let faulted = execute_plan_under_faults(&geo, &env, plan.core(), None, &algo, &dead, 5);
         assert_eq!(faulted.aborted_at, Some((5, victim)));
         assert_eq!(faulted.report.iterations, 5, "only the pre-outage prefix ran");
+        let plain = execute_plan(&geo, &env, plan.core(), None, &algo);
+        assert_eq!(
+            bits(&faulted.report.per_iteration_time),
+            bits(&plain.per_iteration_time[..5]),
+            "the prefix is the healthy run's first five rounds"
+        );
     }
 
     #[test]
@@ -631,8 +496,9 @@ mod tests {
             algo.profile(&geo),
             algo.expected_iterations(),
         );
-        let schedule = FaultSchedule::single_outage(env.num_dcs(), 64, 7, 2);
-        let faulted = execute_plan_under_faults(&geo, &env, plan.core(), None, &algo, &schedule, 0);
+        let mut dead = vec![false; env.num_dcs()];
+        dead[7] = true;
+        let faulted = execute_plan_under_faults(&geo, &env, plan.core(), None, &algo, &dead, 2);
         assert!(faulted.aborted_at.is_none(), "the job never touches DC 7");
         assert_eq!(faulted.report.iterations, 10);
     }

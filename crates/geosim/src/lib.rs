@@ -14,20 +14,20 @@
 //!
 //! [`regions`] provides the eight Amazon EC2 regions of the paper's Exp#1
 //! anchored to the measured Table I numbers, and [`heterogeneity`] the
-//! Low/Medium/High variants of the Fig 3 motivation study.
+//! Low/Medium/High variants of the Fig 3 motivation study. The environment
+//! is static and healthy, as the paper assumes; a DC outage is carried
+//! beside it, as one dead flag per DC.
 
 pub mod cost;
 pub mod datacenter;
 pub mod env_io;
-pub mod faults;
 pub mod heterogeneity;
 pub mod regions;
 pub mod transfer;
 
 pub use datacenter::{CloudEnv, Datacenter};
-pub use faults::{FaultEvent, FaultKind, FaultModel, FaultSchedule, FaultyEnv};
 pub use heterogeneity::Heterogeneity;
-pub use transfer::{PairLoads, StageLoads};
+pub use transfer::StageLoads;
 
 /// Re-exported DC identifier (defined next to the graph types so both
 /// crates agree on the representation).

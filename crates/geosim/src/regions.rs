@@ -7,36 +7,9 @@
 //! uploads pricier than US/EU, bandwidth spread of roughly ±10 %.
 
 use crate::datacenter::{CloudEnv, Datacenter};
-use crate::DcId;
 
 /// Region ids in the order the paper lists them (§VI-A.4).
 pub const REGION_NAMES: [&str; 8] = ["USE", "OR", "NC", "EU", "SIN", "TKY", "SYD", "SA"];
-
-/// Names of the four geographic failure domains of
-/// [`geo_region_groups`], in group order.
-pub const GEO_REGION_NAMES: [&str; 4] = ["NA", "EU", "AP", "SA"];
-
-/// The eight DCs grouped into geographic failure domains: North America
-/// {USE, OR, NC}, Europe {EU}, Asia-Pacific {SIN, TKY, SYD}, South
-/// America {SA}. A regional incident (fiber cut, weather, grid failure)
-/// takes out a whole group together — the correlated-outage model of
-/// [`crate::faults::FaultModel::regions`].
-pub const GEO_REGION_GROUPS: [&[DcId]; 4] = [&[0, 1, 2], &[3], &[4, 5, 6], &[7]];
-
-/// [`GEO_REGION_GROUPS`] as owned vectors, the shape
-/// [`crate::faults::FaultModel`] takes.
-pub fn geo_region_groups() -> Vec<Vec<DcId>> {
-    GEO_REGION_GROUPS.iter().map(|g| g.to_vec()).collect()
-}
-
-/// The geographic group (index into [`GEO_REGION_NAMES`]) a DC of the
-/// eight-region environment belongs to.
-pub fn geo_region_of(dc: DcId) -> usize {
-    GEO_REGION_GROUPS
-        .iter()
-        .position(|g| g.contains(&dc))
-        .unwrap_or_else(|| panic!("DC {dc} is not one of the eight EC2 regions"))
-}
 
 /// (uplink GB/s, downlink GB/s, $/GB upload) per region.
 /// USE/SIN/SYD are Table I; the rest are interpolations (see module docs).
@@ -116,21 +89,5 @@ mod tests {
     fn us_uploads_cheapest() {
         let env = ec2_eight_regions();
         assert!(env.cheapest_upload_dc() < 4, "a US/EU region should be cheapest");
-    }
-
-    #[test]
-    fn geo_groups_partition_the_eight_regions() {
-        let mut seen = [false; 8];
-        for (g, group) in GEO_REGION_GROUPS.iter().enumerate() {
-            assert!(!group.is_empty(), "group {g} empty");
-            for &dc in *group {
-                assert!(!seen[dc as usize], "DC {dc} in two groups");
-                seen[dc as usize] = true;
-                assert_eq!(geo_region_of(dc), g);
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "every DC must belong to a group");
-        assert_eq!(GEO_REGION_GROUPS.len(), GEO_REGION_NAMES.len());
-        assert_eq!(geo_region_groups(), vec![vec![0, 1, 2], vec![3], vec![4, 5, 6], vec![7]]);
     }
 }

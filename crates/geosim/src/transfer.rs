@@ -153,24 +153,6 @@ impl StageLoads {
         upload_cost_row(&self.up, env)
     }
 
-    /// Adds another stage's loads into this one (used to aggregate
-    /// identical iterations).
-    pub fn accumulate(&mut self, other: &StageLoads) {
-        debug_assert_eq!(self.num_dcs(), other.num_dcs());
-        for r in 0..self.up.len() {
-            self.up[r] += other.up[r];
-            self.down[r] += other.down[r];
-        }
-    }
-
-    /// Scales all loads by `factor` (e.g. to model `k` identical iterations).
-    pub fn scaled(&self, factor: f64) -> StageLoads {
-        StageLoads {
-            up: self.up.iter().map(|b| b * factor).collect(),
-            down: self.down.iter().map(|b| b * factor).collect(),
-        }
-    }
-
     /// Resets all loads to zero, keeping the allocation.
     pub fn clear(&mut self) {
         self.up.iter_mut().for_each(|b| *b = 0.0);
@@ -186,83 +168,6 @@ impl StageLoads {
     /// Download loads per DC as a slice.
     pub fn down_slice(&self) -> &[f64] {
         &self.down
-    }
-}
-
-/// Per-directed-pair byte totals for one communication stage — the input
-/// to the asymmetric-path extension of Eq 2/3.
-///
-/// The per-DC model in [`StageLoads`] cannot see a *single* slow peering
-/// path (`FaultKind::PairDegrade`): degrading `src → dst` changes neither
-/// DC's aggregate link rate. This matrix keeps the `src → dst` byte totals
-/// so [`stage_time_under`](Self::stage_time_under) can bound the stage by
-/// the slowest degraded pair as well as the slowest DC link.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PairLoads {
-    num_dcs: usize,
-    /// Row-major `num_dcs × num_dcs`, row = source DC. Diagonal stays zero.
-    bytes: Vec<f64>,
-}
-
-impl PairLoads {
-    /// Zero loads over `num_dcs` data centers.
-    pub fn new(num_dcs: usize) -> Self {
-        PairLoads { num_dcs, bytes: vec![0.0; num_dcs * num_dcs] }
-    }
-
-    #[inline]
-    pub fn num_dcs(&self) -> usize {
-        self.num_dcs
-    }
-
-    /// Records a WAN transfer of `bytes` on the directed `src → dst` path.
-    /// Intra-DC transfers are free and ignored.
-    #[inline]
-    pub fn add_transfer(&mut self, src: DcId, dst: DcId, bytes: f64) {
-        if src != dst {
-            self.bytes[src as usize * self.num_dcs + dst as usize] += bytes;
-        }
-    }
-
-    /// Byte total on the directed `src → dst` path.
-    #[inline]
-    pub fn bytes(&self, src: DcId, dst: DcId) -> f64 {
-        self.bytes[src as usize * self.num_dcs + dst as usize]
-    }
-
-    /// Resets all loads to zero, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.bytes.iter_mut().for_each(|b| *b = 0.0);
-    }
-
-    /// The pair-bottleneck term: `max` over *degraded* pairs of
-    /// `bytes[s][d] / (min(U_s, D_d) · mult[s][d])`. A directed path can
-    /// drain no faster than the slower of its endpoints' links scaled by
-    /// the pair multiplier, and the path is asymmetric: degrading
-    /// `s → d` never slows `d → s`.
-    ///
-    /// At `mult == 1` a pair's term never exceeds the per-DC Eq 2/3 row
-    /// time (its bytes are a subset of both endpoints' row totals), so
-    /// only entries with `mult < 1` are scanned and the effective stage
-    /// time is `max(per-DC stage time, this penalty)`.
-    pub fn stage_time_under(&self, env: &CloudEnv, pair_mult: &[f64]) -> f64 {
-        debug_assert_eq!(self.num_dcs, env.num_dcs());
-        debug_assert_eq!(pair_mult.len(), self.bytes.len());
-        let (up, down) = (env.uplinks(), env.downlinks());
-        let mut worst = 0.0f64;
-        for s in 0..self.num_dcs {
-            for d in 0..self.num_dcs {
-                let mult = pair_mult[s * self.num_dcs + d];
-                if mult >= 1.0 {
-                    continue;
-                }
-                let b = self.bytes[s * self.num_dcs + d];
-                if b > 0.0 {
-                    worst = worst.max(b / (up[s].min(down[d]) * mult));
-                }
-            }
-        }
-        worst
     }
 }
 
@@ -325,61 +230,11 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_and_scale() {
-        let mut a = StageLoads::new(2);
-        a.add_up(0, 10.0);
-        let mut b = StageLoads::new(2);
-        b.add_up(0, 5.0);
-        b.add_down(1, 3.0);
-        a.accumulate(&b);
-        assert_eq!(a.up(0), 15.0);
-        assert_eq!(a.down(1), 3.0);
-        let s = a.scaled(2.0);
-        assert_eq!(s.up(0), 30.0);
-        assert_eq!(a.up(0), 15.0);
-    }
-
-    #[test]
     fn clear_keeps_shape() {
         let mut a = StageLoads::new(3);
         a.add_up(2, 7.0);
         a.clear();
         assert_eq!(a.num_dcs(), 3);
         assert_eq!(a.total_up(), 0.0);
-    }
-
-    #[test]
-    fn pair_penalty_is_asymmetric_and_bounded_by_the_slower_endpoint() {
-        let env = two_dc_env();
-        let mut pairs = PairLoads::new(2);
-        pairs.add_transfer(0, 1, 1.0e9);
-        pairs.add_transfer(1, 0, 1.0e9);
-        pairs.add_transfer(0, 0, 9.0e9); // intra-DC: ignored
-
-        // Healthy matrix: no degraded pair, no penalty.
-        let healthy = vec![1.0; 4];
-        assert_eq!(pairs.stage_time_under(&env, &healthy), 0.0);
-
-        // Degrade 0→1 to half rate. Path rate = min(U_0=1, D_1=1) GB/s,
-        // halved → 1 GB takes 2 s. The reverse pair is untouched.
-        let mut mult = vec![1.0; 4];
-        mult[1] = 0.5; // [0][1]
-        assert!((pairs.stage_time_under(&env, &mult) - 2.0).abs() < 1e-9);
-
-        // Degrading the reverse path instead bottlenecks on slow's uplink:
-        // min(U_1=0.5, D_0=2) = 0.5 GB/s, halved → 4 s.
-        let mut rev = vec![1.0; 4];
-        rev[2] = 0.5; // [1][0]
-        assert!((pairs.stage_time_under(&env, &rev) - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pair_clear_keeps_shape() {
-        let mut p = PairLoads::new(3);
-        p.add_transfer(0, 2, 5.0);
-        assert_eq!(p.bytes(0, 2), 5.0);
-        p.clear();
-        assert_eq!(p.num_dcs(), 3);
-        assert_eq!(p.bytes(0, 2), 0.0);
     }
 }

@@ -20,8 +20,8 @@
 //!   straight out of a [`geodur::DurableStore`] (no retraining after a
 //!   restart), attaches to a live [`rlcut::DurableAdaptive`] trainer as
 //!   its commit hook, and evacuates dead DCs with the trainer's own
-//!   reseed rule so service continues through a
-//!   [`geosim::FaultSchedule`] outage.
+//!   reseed rule so service continues through a DC outage (one dead flag
+//!   per DC).
 //!
 //! The consistency contract, end to end: **every response is served from
 //! exactly one published epoch.** Readers racing a window commit or an

@@ -93,6 +93,24 @@ for f in crates/core/src/recovery.rs crates/core/src/checkpoint.rs \
   fi
 done
 
+echo "==> a DC fault is a dead set (deleted paths stay deleted)"
+# Every consumer of a DC outage takes one dead flag per DC (note_fault,
+# reseed_stranded_masters, validate_against_faults, evacuate, the WAL's
+# WindowStart.dead, execute_plan_under_faults). The seeded fault-schedule
+# simulator (degrades, price surges, flaps, pair and regional faults, the
+# materialized faulty environment, per-pair loads), the uncalled training
+# observer seam and the never-changed parallel-threshold knob must not come
+# back.
+if git grep -n -E 'FaultSchedule|FaultModel|FaultyEnv|FaultKind|FaultEvent|PairLoads|geo_region_groups|TrainingObserver|partition_with_observer|step_observed|parallel_threshold' \
+    -- crates tests examples; then
+  echo "a deleted fault-simulator, observer or threshold name reappeared"; exit 1
+fi
+for f in crates/geosim/src/faults.rs crates/core/src/observer.rs; do
+  if [ -e "$f" ]; then
+    echo "$f exists again"; exit 1
+  fi
+done
+
 echo "==> snapshots carry the plan, not its index (the stored count plane stays deleted)"
 # A snapshot's hybrid-cut count plane is rebuilt at decode by the kernel
 # from_masters uses (PlacementState::place_hybrid_edges); the decoder's
@@ -219,13 +237,9 @@ require_tests hostile_placement_sections_rejected \
 # Recovering a durable store against a CloudEnv other than the one it was
 # created under must be a typed EnvMismatch error, never a silent recovery.
 require_tests recovering_with_a_different_env_is_a_typed_error
-# Per-pair link degradation must be deterministic per seed and leave the
-# outage RNG stream untouched when unused.
-require_tests pair_degrade_is_directed_and_leaves_the_dc_row_alone \
-  pair_generation_is_deterministic_and_one_per_source \
-  pair_knob_does_not_shift_the_legacy_rng_stream \
-  pair_penalty_is_asymmetric_and_bounded_by_the_slower_endpoint \
-  pair_clear_keeps_shape
+# An analytics job whose plan uses a DC that goes dark aborts at that round,
+# and the rounds it ran are the healthy run's to the bit.
+require_tests outage_of_hosting_dc_aborts_the_round
 # The serving layer's contract: every response is served from exactly one
 # published epoch across concurrent plan flips, a DC killed mid-traffic
 # never yields a dead-master response after the evacuation epoch, the
@@ -248,7 +262,7 @@ require_tests lj_analog_ingest_stays_inside_its_byte_budgets
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> fault-schedule smoke run (exp6)"
+echo "==> fault-window smoke run (exp6)"
 cargo run --release -p geobench --bin exp6_faults -- --scale 0.0003 --seed 42 --threads 2
 
 echo "==> move-evaluation kernel micro-bench smoke run"

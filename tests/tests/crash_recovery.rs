@@ -22,7 +22,6 @@ use geograph::generators::preferential::preferential_attachment_edges;
 use geograph::locality::{assign_locations, LocalityConfig};
 use geograph::{DcId, GeoGraph, GraphBuilder, GraphDelta};
 use geopart::{PlacementState, TrafficProfile};
-use geosim::faults::FaultSchedule;
 use geosim::regions::ec2_eight_regions;
 use rand::prelude::*;
 use rlcut::{DurableAdaptive, RlCutConfig};
@@ -145,10 +144,10 @@ fn kill_at_every_crash_point(snapshot_every: u64) {
     let env = ec2_eight_regions();
     let t_opt = Duration::from_secs(60);
     let base = tmp_dir("base");
-    // A DC outage lands before window 2, so the log carries a fault
-    // window (rebuild + stranded-master reseed) among the incremental
-    // ones.
-    let schedule = FaultSchedule::single_outage(8, 100, 2, 2);
+    // DC 2 goes dark before window 2, so the log carries a fault window
+    // (rebuild + stranded-master reseed) among the incremental ones.
+    let mut dead = vec![false; env.num_dcs()];
+    dead[2] = true;
 
     // The uninterrupted run, copied at every committed boundary:
     // images[j] is the store where `next_window == j` and expected[j] the
@@ -181,11 +180,8 @@ fn kill_at_every_crash_point(snapshot_every: u64) {
     keep_image(&mut images);
     for (i, (delta, locs, sizes)) in w.steps.iter().enumerate() {
         let step = (i + 1) as u64;
-        if schedule.changes_at(step) {
-            let view = schedule.view_at(&env, step);
-            if view.any_dead() {
-                durable.note_fault(view.dead_flags());
-            }
+        if step == 2 {
+            durable.note_fault(&dead);
         }
         let p = TrafficProfile::uniform(delta.new_num_vertices(), 8.0);
         durable

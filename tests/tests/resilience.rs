@@ -1,13 +1,12 @@
 //! Fault-injection invariants, cross-crate: the re-seed rule every fault
 //! path shares (the trainer's fault window, WAL replay, the serving layer's
-//! evacuation) clears dark DCs without breaking plan validity, and fault
-//! schedules and re-seeded plans are deterministic per seed.
+//! evacuation) clears dark DCs without breaking plan validity, and a
+//! re-seeded plan is deterministic.
 
 use geograph::generators::{rmat, RmatConfig};
 use geograph::locality::LocalityConfig;
 use geograph::{DcId, GeoGraph};
 use geopart::{reseed_stranded_masters, HybridState, TrafficProfile};
-use geosim::faults::{FaultModel, FaultSchedule};
 use geosim::regions::ec2_eight_regions;
 use geosim::CloudEnv;
 use proptest::prelude::*;
@@ -82,32 +81,4 @@ proptest! {
         prop_assert_eq!(a.core().masters(), b.core().masters());
         prop_assert_eq!(a.core().movement_cost().to_bits(), b.core().movement_cost().to_bits());
     }
-}
-
-/// Same seed ⇒ byte-identical fault schedule and re-seeded plan.
-#[test]
-fn fault_pipeline_is_deterministic_per_seed() {
-    let g = rmat(&RmatConfig::social(512, 4096), 7);
-    let geo = GeoGraph::from_graph(g, &LocalityConfig::paper_default(7));
-    let env = ec2_eight_regions();
-
-    let model = FaultModel::default();
-    let s1 = FaultSchedule::generate(7, env.num_dcs(), 500, &model);
-    let s2 = FaultSchedule::generate(7, env.num_dcs(), 500, &model);
-    assert_eq!(s1.to_text(), s2.to_text(), "schedule generation is not deterministic");
-    assert_ne!(
-        s1.to_text(),
-        FaultSchedule::generate(8, env.num_dcs(), 500, &model).to_text(),
-        "different seeds should differ (vanishingly unlikely to collide)"
-    );
-
-    let mut dead = vec![false; env.num_dcs()];
-    dead[2] = true;
-    let a = reseeded(&geo, &env, 50, &dead);
-    let b = reseeded(&geo, &env, 50, &dead);
-    assert_eq!(a.core().masters(), b.core().masters());
-    assert!(
-        moved_masters(&geo).contains(&2) && !a.core().masters().contains(&2),
-        "DC 2 held masters and holds none after the re-seed"
-    );
 }

@@ -26,7 +26,6 @@ use geograph::locality::{assign_locations, LocalityConfig};
 use geograph::{DcId, GeoGraph, GraphBuilder, GraphDelta, VertexId};
 use geopart::TrafficProfile;
 use geoserve::{PlacementServer, RoutingTable};
-use geosim::faults::FaultSchedule;
 use geosim::regions::ec2_eight_regions;
 use rlcut::{DurableAdaptive, RlCutConfig};
 
@@ -172,12 +171,11 @@ fn evacuation_mid_traffic_never_serves_a_dead_master() {
     );
     let board = server.board();
 
-    // The outage comes from a real fault schedule, as the daemon would
-    // see it.
+    // The outage arrives as the daemon would be told of it: one dead flag
+    // per DC.
     let dead_dc: DcId = 2;
-    let schedule = FaultSchedule::single_outage(env.num_dcs(), 100, dead_dc, 10);
-    let dead: Vec<bool> = schedule.view_at(&env, 10).dead_flags().to_vec();
-    assert!(dead[dead_dc as usize]);
+    let mut dead = vec![false; env.num_dcs()];
+    dead[dead_dc as usize] = true;
     assert!(pre_masters.contains(&dead_dc), "workload never used the doomed DC");
 
     let evac_epoch = Arc::new(AtomicU64::new(u64::MAX));
