@@ -326,6 +326,8 @@ impl AdaptiveRlCut {
             let (core, theta) = self.carried.take().expect("checked by `incremental`");
             let (state, stats) =
                 HybridState::resume_from_parts(core, theta, geo, env, delta, &profile)?;
+            // The state's meta records now hold the only copy it needs.
+            drop(profile);
             (state, Some(stats))
         } else {
             // Rebuild path: from-scratch state over the whole snapshot. A

@@ -171,7 +171,6 @@ struct Exec<'a> {
 pub struct TrainerSession<'g> {
     geo: &'g GeoGraph,
     config: RlCutConfig,
-    theta: usize,
     /// Sampling priority order (degree-ascending or seeded shuffle),
     /// isolated vertices excluded; a dynamic window re-cuts it into hot /
     /// ring / rest ([`Self::focus_window`]).
@@ -233,7 +232,6 @@ impl<'g> TrainerSession<'g> {
     ) -> Self {
         TrainerSession {
             geo,
-            theta: state.theta(),
             // Allocated before the order's sort buffers: swapping the two
             // changes how glibc's allocator reuses the heap, and peak RSS
             // with it (+6 MB on the benchmark's `dynamic_trickle`).
@@ -494,21 +492,12 @@ impl<'g> TrainerSession<'g> {
     }
 
     /// Finalizes the run: rebuilds the returned state from the best plan
-    /// seen if the live state drifted past it.
+    /// seen, in place, if the live state drifted past it.
     pub fn finish(self, env: &CloudEnv) -> RlCutResult<'g> {
         let total_duration = self.started.elapsed();
         let mut final_state = self.state.into_inner();
         if final_state.core().masters() != self.best.0.as_slice() {
-            let profile = final_state.core().profile().clone();
-            let num_iterations = final_state.core().num_iterations();
-            final_state = HybridState::from_masters(
-                self.geo,
-                env,
-                self.best.0,
-                self.theta,
-                profile,
-                num_iterations,
-            );
+            final_state.rebuild_from_masters(env, self.best.0);
         }
         RlCutResult {
             state: final_state,

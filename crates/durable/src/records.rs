@@ -261,7 +261,7 @@ impl Record {
 /// profile — window 0 logs the whole one — is a single run.
 fn put_profile_suffix(out: &mut Vec<u8>, xs: &[f32]) {
     wire::put_varint(out, xs.len() as u64)
-        .and_then(|()| wire::put_f32_runs(out, xs))
+        .and_then(|()| wire::put_f32_runs(out, xs.iter().copied()))
         .expect("writing into a Vec cannot fail");
 }
 

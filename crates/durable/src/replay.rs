@@ -120,7 +120,7 @@ pub fn replay(
     let mut geo = snapshot.geo;
     let mut parts = snapshot.placement;
     let mut profile = match &parts {
-        Some((core, _)) => core.profile().clone(),
+        Some((core, _)) => core.traffic_profile(),
         None => TrafficProfile::uniform(0, 0.0),
     };
     let mut next_window = snapshot.window;

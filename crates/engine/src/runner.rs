@@ -104,6 +104,10 @@ struct ReplicaTraffic<'a> {
     plan: &'a PlacementState,
     in_edge_dcs: Option<&'a [DcId]>,
     profile: geopart::TrafficProfile,
+    /// The plan's degree classes, one byte a vertex: the gather loop tests
+    /// one per edge, and the plan keeps them inside its 24-byte meta
+    /// records.
+    is_high: Vec<bool>,
     gather: StageLoads,
     apply: StageLoads,
     is_sender: Vec<bool>,
@@ -125,6 +129,7 @@ impl<'a> ReplicaTraffic<'a> {
             plan,
             in_edge_dcs,
             profile,
+            is_high: (0..n as VertexId).map(|v| plan.is_high(v)).collect(),
             gather: StageLoads::new(num_dcs),
             apply: StageLoads::new(num_dcs),
             is_sender: vec![false; n],
@@ -154,7 +159,7 @@ impl<'a> ReplicaTraffic<'a> {
         let round_stamp = round as u32;
         for &u in senders {
             for &v in geo.graph.out_neighbors(u) {
-                if !plan.is_high(v) || self.receiver_stamp[v as usize] == round_stamp {
+                if !self.is_high[v as usize] || self.receiver_stamp[v as usize] == round_stamp {
                     continue;
                 }
                 self.receiver_stamp[v as usize] = round_stamp;

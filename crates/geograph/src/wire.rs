@@ -589,24 +589,42 @@ pub fn put_varint<W: Write>(w: &mut W, mut x: u64) -> io::Result<()> {
 /// the value (written by `put`) and `varint(run length)`. Two values share
 /// a run iff their `bits` agree — floats compare by bit pattern, so `-0.0`
 /// and NaN payloads survive.
+///
+/// `values` is walked twice (the run count comes first), so it is taken
+/// as a cloneable iterator: a caller can stream a field out of wider
+/// records without collecting it.
 pub fn put_runs<W: Write, T: Copy>(
     w: &mut W,
-    values: &[T],
+    values: impl Iterator<Item = T> + Clone,
     bits: impl Fn(T) -> u64,
     put: impl Fn(&mut W, T) -> io::Result<()>,
 ) -> io::Result<()> {
-    let runs = || values.chunk_by(|&a, &b| bits(a) == bits(b));
+    let bits = &bits;
+    let runs = || {
+        let mut values = values.clone().peekable();
+        std::iter::from_fn(move || {
+            let first = values.next()?;
+            let mut len = 1u64;
+            while values.next_if(|&x| bits(x) == bits(first)).is_some() {
+                len += 1;
+            }
+            Some((first, len))
+        })
+    };
     put_varint(w, runs().count() as u64)?;
-    runs().try_for_each(|run| {
-        put(w, run[0])?;
-        put_varint(w, run.len() as u64)
+    runs().try_for_each(|(value, len)| {
+        put(w, value)?;
+        put_varint(w, len)
     })
 }
 
 /// [`put_runs`] over `f32`s compared by bit pattern — the traffic profile's
 /// two planes, in a snapshot and in a WAL window start. [`Reader::runs`]
 /// with [`Reader::f32`] reads it back.
-pub fn put_f32_runs<W: Write>(w: &mut W, values: &[f32]) -> io::Result<()> {
+pub fn put_f32_runs<W: Write>(
+    w: &mut W,
+    values: impl Iterator<Item = f32> + Clone,
+) -> io::Result<()> {
     put_runs(w, values, |x| x.to_bits() as u64, |w, x| w.write_all(&x.to_le_bytes()))
 }
 
@@ -661,7 +679,7 @@ pub fn encode_geo<W: Write>(geo: &GeoGraph, w: &mut W) -> io::Result<()> {
     encode_graph(&geo.graph, w)?;
     put_varint(w, geo.num_dcs as u64)?;
     put_dcs(w, &geo.locations, geo.num_dcs)?;
-    put_runs(w, &geo.data_sizes, |s| s, |w, s| put_varint(w, s))
+    put_runs(w, geo.data_sizes.iter().copied(), |s| s, |w, s| put_varint(w, s))
 }
 
 /// Decodes one geo-graph from `r`, validating shapes and DC bounds.

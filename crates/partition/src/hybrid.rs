@@ -191,8 +191,8 @@ impl<'g> HybridState<'g> {
             });
         }
         debug_assert!(
-            core.profile().gather_bytes[..] == new_profile.gather_bytes[..old_n]
-                && core.profile().apply_bytes[..] == new_profile.apply_bytes[..old_n],
+            core.meta.iter().enumerate().all(|(v, meta)| meta.g == new_profile.gather_bytes[v]
+                && meta.a == new_profile.apply_bytes[v]),
             "carried traffic profile disagrees with new_profile on existing vertices"
         );
 
@@ -301,8 +301,11 @@ impl<'g> HybridState<'g> {
         let ops = PlacementDeltaOps {
             new_masters: new_masters_tail,
             new_high: new_high_tail,
-            new_gather_bytes: new_profile.gather_bytes[old_n..].to_vec(),
-            new_apply_bytes: new_profile.apply_bytes[old_n..].to_vec(),
+            new_profile: new_profile.gather_bytes[old_n..]
+                .iter()
+                .copied()
+                .zip(new_profile.apply_bytes[old_n..].iter().copied())
+                .collect(),
             flips,
             unplace,
             place,
@@ -352,6 +355,26 @@ impl<'g> HybridState<'g> {
     /// masters alone.
     pub fn override_movement_cost(&mut self, cost: f64) {
         self.core.override_movement_cost(cost);
+    }
+
+    /// Re-derives this plan from `masters` in place: what
+    /// [`Self::from_masters`] builds over the same graph, θ, profile and
+    /// iteration count, counts to loads to movement cost bit for bit, but
+    /// in this state's own arrays instead of a second state beside it. The
+    /// degree classes are kept, so they must be θ's (as every constructor
+    /// and [`Self::validate_plan`] guarantee). Panics on an out-of-range
+    /// master or a length that is not the graph's.
+    pub fn rebuild_from_masters(&mut self, env: &CloudEnv, masters: Vec<DcId>) {
+        assert!(masters.iter().all(|&d| (d as usize) < self.core.num_dcs), "master out of range");
+        self.core.unplace_all(masters);
+        self.core.place_hybrid_edges(&self.geo.graph);
+        self.core.rebuild_loads();
+        self.core.movement_cost = geosim::cost::movement_cost(
+            env,
+            &self.geo.locations,
+            &self.core.masters,
+            &self.geo.data_sizes,
+        );
     }
 
     /// Evaluates moving `v`'s master to **every** DC in one neighborhood
@@ -429,7 +452,6 @@ impl<'g> HybridState<'g> {
         if a == to {
             return;
         }
-        let m = self.core.num_dcs;
         self.collect_deltas_into(v, scratch);
         let self_delta = scratch.self_delta;
 
@@ -439,36 +461,22 @@ impl<'g> HybridState<'g> {
             self.core.remove_vertex_loads(x);
         }
 
-        // Mutate the count rows (lane 0 = in, lane 1 = out of the
-        // interleaved plane pair), keeping the per-vertex occupancy mask
-        // exact: the kernel trusts a clear bit to mean an all-zero cell.
-        let apply_delta = |counts: &mut Vec<u32>,
-                           meta: &mut Vec<crate::state::VertexMeta>,
-                           row: usize,
-                           dc: usize,
-                           lane: usize,
-                           delta: i64| {
-            if delta != 0 {
-                let idx = (row * m + dc) * 2;
-                let cell = &mut counts[idx + lane];
-                *cell = (*cell as i64 + delta) as u32;
-                if (counts[idx] | counts[idx + 1]) == 0 {
-                    meta[row].nnz &= !(1u64 << dc);
-                } else {
-                    meta[row].nnz |= 1u64 << dc;
+        // Mutate the count rows (lane 0 = in, lane 1 = out), keeping the
+        // per-vertex occupancy masks exact.
+        let (from, dest) = (a as usize, to as usize);
+        let core = &mut self.core;
+        let mut bump_row = |x: usize, d: CntDelta| {
+            for (dc, lane, delta) in
+                [(from, 0, d.in_a), (dest, 0, d.in_b), (from, 1, d.out_a), (dest, 1, d.out_b)]
+            {
+                if delta != 0 {
+                    core.bump(x, dc, lane, delta);
                 }
             }
         };
-        let core = &mut self.core;
-        apply_delta(&mut core.counts, &mut core.meta, v as usize, a as usize, 0, self_delta.in_a);
-        apply_delta(&mut core.counts, &mut core.meta, v as usize, to as usize, 0, self_delta.in_b);
-        apply_delta(&mut core.counts, &mut core.meta, v as usize, a as usize, 1, self_delta.out_a);
-        apply_delta(&mut core.counts, &mut core.meta, v as usize, to as usize, 1, self_delta.out_b);
+        bump_row(v as usize, self_delta);
         for &(x, d) in &scratch.neighbors {
-            apply_delta(&mut core.counts, &mut core.meta, x as usize, a as usize, 0, d.in_a);
-            apply_delta(&mut core.counts, &mut core.meta, x as usize, to as usize, 0, d.in_b);
-            apply_delta(&mut core.counts, &mut core.meta, x as usize, a as usize, 1, d.out_a);
-            apply_delta(&mut core.counts, &mut core.meta, x as usize, to as usize, 1, d.out_b);
+            bump_row(x as usize, d);
         }
 
         // Moved edges change the per-DC balance. Every edge that moved is
@@ -516,7 +524,7 @@ impl<'g> HybridState<'g> {
     fn collect_deltas_into(&self, v: VertexId, scratch: &mut MoveScratch) {
         scratch.begin_stage();
         let mut self_delta = CntDelta::default();
-        if !self.core.is_high[v as usize] {
+        if !self.core.meta[v as usize].high {
             // All in-edges of v are placed at v's master and move with it.
             for &u in self.geo.graph.in_neighbors(v) {
                 self_delta.in_a -= 1;
@@ -533,7 +541,7 @@ impl<'g> HybridState<'g> {
         // Out-edges (v, w) with high-degree w are placed at v's master and
         // move with it. (A self-loop on a high v is covered here.)
         for &w in self.geo.graph.out_neighbors(v) {
-            if !self.core.is_high[w as usize] {
+            if !self.core.meta[w as usize].high {
                 continue;
             }
             self_delta.out_a -= 1;
@@ -558,22 +566,30 @@ impl<'g> HybridState<'g> {
             env,
             self.core.masters.clone(),
             self.theta,
-            self.core.profile.clone(),
+            self.core.traffic_profile(),
             self.core.num_iterations,
         );
         let m = self.core.num_dcs;
-        {
-            let ours = &self.core.counts;
-            let theirs = &fresh.core.counts;
-            if let Some(i) = (0..ours.len()).find(|&i| ours[i] != theirs[i]) {
-                let cell = i / 2;
-                return Err(PlanError::CountDrift {
-                    array: if i % 2 == 0 { "in_cnt" } else { "out_cnt" },
-                    vertex: (cell / m) as VertexId,
-                    dc: (cell % m) as DcId,
-                    incremental: ours[i],
-                    fresh: theirs[i],
-                });
+        // Counts compare by value: a row that escaped to u32 lanes and later
+        // shrank back is equal to a rebuilt narrow row.
+        for v in 0..self.core.num_vertices() as VertexId {
+            let (ours, theirs) = (self.core.counts_row(v), fresh.core.counts_row(v));
+            for d in 0..m {
+                let ((in_o, out_o), (in_t, out_t)) = (ours.pair(d), theirs.pair(d));
+                if (in_o, out_o) != (in_t, out_t) {
+                    let (array, incremental, fresh) = if in_o != in_t {
+                        ("in_cnt", in_o, in_t)
+                    } else {
+                        ("out_cnt", out_o, out_t)
+                    };
+                    return Err(PlanError::CountDrift {
+                        array,
+                        vertex: v,
+                        dc: d as DcId,
+                        incremental,
+                        fresh,
+                    });
+                }
             }
         }
         for (v, (ours, fresh)) in self.core.meta.iter().zip(&fresh.core.meta).enumerate() {
@@ -594,8 +610,8 @@ impl<'g> HybridState<'g> {
                 });
             }
             // A decoded state carries its classes instead of deriving them
-            // from θ: both copies must still be θ's.
-            if ours.high != fresh.high || self.core.is_high[v] != fresh.high {
+            // from θ: they must still be θ's.
+            if ours.high != fresh.high {
                 return Err(PlanError::MetaDrift {
                     field: "high",
                     vertex: v as VertexId,
@@ -988,7 +1004,7 @@ mod tests {
             )
             .unwrap();
             let (a, b) = (&built.core, &per_edge);
-            assert_eq!(a.counts, b.counts, "θ {theta}: counts");
+            assert_eq!(a.count_lanes(), b.count_lanes(), "θ {theta}: counts");
             assert_eq!(a.meta, b.meta, "θ {theta}: meta");
             assert_eq!(a.edges_per_dc, b.edges_per_dc, "θ {theta}: balance");
             assert_eq!(a.movement_cost.to_bits(), b.movement_cost.to_bits());
@@ -1005,8 +1021,7 @@ mod tests {
     fn validate_plan_reports_a_class_that_is_not_thetas() {
         let (geo, env) = setup(28);
         let mut s = state(&geo, &env);
-        let v = (0..geo.num_vertices()).find(|&v| !s.core.is_high[v]).unwrap();
-        s.core.is_high[v] = true;
+        let v = (0..geo.num_vertices()).find(|&v| !s.core.meta[v].high).unwrap();
         s.core.meta[v].high = true;
         match s.validate_plan(&env) {
             Err(PlanError::MetaDrift { field: "high", .. }) => {}
@@ -1060,8 +1075,9 @@ mod tests {
 
     mod delta {
         use super::*;
+        use crate::state::VertexMeta;
         use geograph::dynamic::{EdgeEvent, EventKind};
-        use geograph::{Graph, GraphDelta};
+        use geograph::{Graph, GraphBuilder, GraphDelta};
 
         /// Degree-independent per-vertex data sizes: windows must not
         /// change an existing vertex's `d_v`, so sizes are keyed on id.
@@ -1102,12 +1118,16 @@ mod tests {
                 env,
                 inc.core.masters.clone(),
                 inc.theta,
-                inc.core.profile.clone(),
+                inc.core.traffic_profile(),
                 inc.core.num_iterations,
             );
-            assert_eq!(inc.core.counts, fresh.core.counts, "count planes drifted");
-            assert_eq!(inc.core.meta, fresh.core.meta, "packed meta drifted");
-            assert_eq!(inc.core.is_high, fresh.core.is_high, "degree classes drifted");
+            assert_eq!(inc.core.count_lanes(), fresh.core.count_lanes(), "count rows drifted");
+            // A row that escaped and shrank back stays wide; the rebuild's
+            // is narrow. Storage width is the one field allowed to differ.
+            let narrow = |s: &HybridState<'_>| {
+                s.core.meta.iter().map(|m| VertexMeta { wide: false, ..*m }).collect::<Vec<_>>()
+            };
+            assert_eq!(narrow(inc), narrow(&fresh), "packed meta drifted");
             assert_eq!(inc.core.edges_per_dc, fresh.core.edges_per_dc, "edge balance drifted");
             assert_eq!(inc.validate_plan(env), Ok(()));
         }
@@ -1191,11 +1211,11 @@ mod tests {
                 10.0,
             );
             let before = s0.objective(&env);
-            let counts_before = s0.core.counts.clone();
+            let counts_before = s0.core.count_lanes();
             let (s1, stats) = s0.apply_delta(&geo1, &env, &delta, &profile).unwrap();
             assert_eq!(stats, crate::DeltaApplyStats::default());
             assert_eq!(stats.work_items(), 0);
-            assert_eq!(s1.core.counts, counts_before);
+            assert_eq!(s1.core.count_lanes(), counts_before);
             let after = s1.objective(&env);
             assert_eq!(before.transfer_time.to_bits(), after.transfer_time.to_bits());
             assert_eq!(before.movement_cost.to_bits(), after.movement_cost.to_bits());
@@ -1401,6 +1421,62 @@ mod tests {
                 s.check_consistency(&env);
                 parts = s.into_parts();
             }
+        }
+
+        #[test]
+        fn rows_past_u16_escape_to_u32_lanes() {
+            // A hub whose in-lane sits at exactly u16::MAX, every vertex
+            // low-degree so all its in-edges count at its master; a delta
+            // pushes the lane past u16::MAX, moves carry the wide row
+            // across DCs, and deletes take it back below.
+            const NARROW: u32 = u16::MAX as u32;
+            let env = ec2_eight_regions();
+            let m = env.num_dcs();
+            let n = NARROW as usize + 4;
+            let mut b = GraphBuilder::new(n);
+            b.add_edges((1..=NARROW).map(|u| (u, 0)));
+            b.add_edges([(0, 1), (NARROW + 3, 1)]);
+            let g0 = b.build();
+            let geo0 = geo_at(g0.clone(), m);
+            let profile = TrafficProfile::uniform(n, 8.0);
+            let s0 = HybridState::natural(&geo0, &env, usize::MAX, profile.clone(), 10.0);
+            let home = s0.master(0);
+            assert_eq!(s0.core.in_count(0, home), NARROW);
+            assert!(!s0.core.meta[0].wide);
+
+            let grow =
+                [ev(NARROW + 1, 0, 0, EventKind::Insert), ev(NARROW + 2, 0, 1, EventKind::Insert)];
+            let delta = GraphDelta::from_events(&g0, &grow);
+            let g1 = g0.apply_delta(&delta);
+            let geo1 = geo_at(g1.clone(), m);
+            let (mut s1, _) = s0.apply_delta(&geo1, &env, &delta, &profile).unwrap();
+            assert!(s1.core.meta[0].wide, "the hub's row escaped");
+            assert_eq!(s1.core.in_count(0, home), NARROW + 2);
+            assert_eq!(s1.core.out_count(0, geo1.locations[1]), 1);
+            assert_state_matches_fresh(&env, &s1);
+
+            let away = (home + 1) % m as DcId;
+            s1.apply_move(&env, 0, away);
+            assert_eq!((s1.core.in_count(0, home), s1.core.in_count(0, away)), (0, NARROW + 2));
+            s1.apply_move(&env, 1, away);
+            s1.apply_move(&env, NARROW + 3, home);
+            assert_state_matches_fresh(&env, &s1);
+
+            let shrink: Vec<_> =
+                (1..=4).map(|u| ev(u, 0, 10 + u as u64, EventKind::Delete)).collect();
+            let delta = GraphDelta::from_events(&g1, &shrink);
+            let geo2 = geo_at(g1.apply_delta(&delta), m);
+            let (s2, _) = s1.apply_delta(&geo2, &env, &delta, &profile).unwrap();
+            assert!(s2.core.meta[0].wide, "an escaped row stays wide");
+            assert_eq!(s2.core.in_count(0, away), NARROW - 2);
+            assert_state_matches_fresh(&env, &s2);
+            let decoded = crate::snapshot::placement_from_bytes(
+                &crate::snapshot::placement_to_bytes(&s2.core),
+                &geo2,
+            )
+            .unwrap();
+            assert!(!decoded.meta[0].wide, "a rebuilt row is as narrow as its counts allow");
+            assert_eq!(decoded.count_lanes(), s2.core.count_lanes());
         }
     }
 

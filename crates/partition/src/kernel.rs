@@ -417,8 +417,7 @@ impl PlacementState {
                 let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 *dest_dirty |= 1u64 << b;
-                let in_c = xrow[2 * b];
-                let out_c = xrow[2 * b + 1];
+                let (in_c, out_c) = xrow.pair(b);
                 let (gt, at) =
                     count_transitions(high, in_c as i64, out_c as i64, delta.in_b, delta.out_b);
                 let cg = (gt - gt0) * g;
@@ -560,9 +559,7 @@ impl PlacementState {
             if mx.nnz & (1u64 << b) == 0 {
                 continue;
             }
-            let xrow = self.counts_row(x);
-            let in_c = xrow[2 * b];
-            let out_c = xrow[2 * b + 1];
+            let (in_c, out_c) = self.counts_row(x).pair(b);
             let (gt, at) =
                 count_transitions(high, in_c as i64, out_c as i64, delta.in_b, delta.out_b);
             let cg = (gt - gt0) * g;
@@ -630,14 +627,9 @@ impl PlacementState {
             if a == master_x {
                 continue;
             }
-            let xrow = self.counts_row(x);
-            let (gt, at) = count_transitions(
-                mx.high,
-                xrow[2 * a] as i64,
-                xrow[2 * a + 1] as i64,
-                delta.in_a,
-                delta.out_a,
-            );
+            let (in_c, out_c) = self.counts_row(x).pair(a);
+            let (gt, at) =
+                count_transitions(mx.high, in_c as i64, out_c as i64, delta.in_a, delta.out_a);
             if gt != 0.0 {
                 let g = mx.g as f64;
                 mid_gu[a] += gt * g;
@@ -681,8 +673,8 @@ impl PlacementState {
         while bits != 0 {
             let d = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let mut in_c = vrow[2 * d] as i64;
-            let mut out_c = vrow[2 * d + 1] as i64;
+            let (in_c, out_c) = vrow.pair(d);
+            let (mut in_c, mut out_c) = (in_c as i64, out_c as i64);
             if d == adj_dc {
                 in_c += d_in;
                 out_c += d_out;

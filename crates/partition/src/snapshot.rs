@@ -63,10 +63,10 @@ pub fn encode_placement<W: Write>(state: &PlacementState, w: &mut W) -> io::Resu
     w.write_all(&state.movement_cost.to_bits().to_le_bytes())?;
     put_dcs(w, &state.masters, m)?;
     let mut bitmap = BitWriter::new(w);
-    state.is_high.iter().try_for_each(|&h| bitmap.bits(h as u64, 1))?;
+    state.meta.iter().try_for_each(|meta| bitmap.bits(meta.high as u64, 1))?;
     bitmap.finish()?;
-    put_f32_runs(w, &state.profile.gather_bytes)?;
-    put_f32_runs(w, &state.profile.apply_bytes)?;
+    put_f32_runs(w, state.meta.iter().map(|meta| meta.g))?;
+    put_f32_runs(w, state.meta.iter().map(|meta| meta.a))?;
     put_loads(w, &state.gather, m)?;
     put_loads(w, &state.apply, m)
 }
@@ -152,15 +152,15 @@ mod tests {
     fn assert_identical(a: &PlacementState, b: &PlacementState) {
         assert_eq!(a.num_dcs, b.num_dcs);
         assert_eq!(a.masters, b.masters);
-        assert_eq!(a.is_high, b.is_high);
-        assert_eq!(a.counts, b.counts);
+        assert_eq!(a.count_lanes(), b.count_lanes());
         assert_eq!(a.meta, b.meta);
         assert_eq!(a.edges_per_dc, b.edges_per_dc);
         assert_eq!(a.movement_cost.to_bits(), b.movement_cost.to_bits());
         assert_eq!(a.num_iterations.to_bits(), b.num_iterations.to_bits());
-        let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a.profile.gather_bytes), bits(&b.profile.gather_bytes));
-        assert_eq!(bits(&a.profile.apply_bytes), bits(&b.profile.apply_bytes));
+        let bits = |s: &PlacementState| {
+            s.meta.iter().map(|m| (m.g.to_bits(), m.a.to_bits())).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(a), bits(b));
         for d in 0..a.num_dcs as DcId {
             assert_eq!(a.gather.up(d).to_bits(), b.gather.up(d).to_bits());
             assert_eq!(a.gather.down(d).to_bits(), b.gather.down(d).to_bits());

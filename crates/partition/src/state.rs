@@ -36,29 +36,130 @@ impl Objective {
 /// five cache misses per neighbor; packed into one 24-byte record they
 /// cost one.
 ///
-/// `g`/`a`, `master` and `high` are *copies* of the authoritative
-/// `TrafficProfile` / `masters` / `is_high` (all of which other code still
-/// reads); every site that mutates a master re-writes the copy, and
-/// `validate_plan` cross-checks the two.
+/// The record is the state's only copy of the traffic profile (`g`/`a`)
+/// and of the degree class (`high`). `master` mirrors `masters[v]`, which
+/// stays a plain slice for the callers that read the whole plan; every
+/// site that moves a master re-writes both, and `validate_plan`
+/// cross-checks them.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub(crate) struct VertexMeta {
     /// Occupancy bitmask over the vertex's count row: bit `d` set iff cell
     /// `(v, d)` holds any in- or out-count. Set where the counts are built
     /// ([`PlacementState::place_hybrid_edges`],
     /// [`PlacementState::from_edge_placement`]) and kept exact by every
-    /// later count mutation (the hybrid move path,
-    /// [`PlacementState::place_edge`] / [`PlacementState::unplace_edge`]);
-    /// `num_dcs <= 64` is enforced at construction, so one `u64` always
-    /// suffices.
+    /// later count mutation ([`PlacementState::bump`]); `num_dcs <= 64` is
+    /// enforced at construction, so one `u64` always suffices.
     pub(crate) nnz: u64,
-    /// Expected gather bytes (`profile.gather_bytes[v]`).
+    /// Expected gather bytes per iteration (`g_v`).
     pub(crate) g: f32,
-    /// Expected apply bytes (`profile.apply_bytes[v]`).
+    /// Expected apply bytes per iteration (`a_v`).
     pub(crate) a: f32,
     /// Master DC (mirror of `masters[v]`).
     pub(crate) master: DcId,
-    /// High-degree class (mirror of `is_high[v]`).
+    /// High-degree class under the state's θ.
     pub(crate) high: bool,
+    /// The count row has escaped to `u32` lanes (see
+    /// [`PlacementState::counts`]).
+    pub(crate) wide: bool,
+}
+
+/// One vertex's interleaved `[in, out]` count row at whichever width it
+/// is stored: DC `d`'s pair at lanes `2 * d` and `2 * d + 1`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum CountRow<'a> {
+    Narrow(&'a [u16]),
+    Wide(&'a [u32]),
+}
+
+impl CountRow<'_> {
+    /// The `(in, out)` counts of DC `d`.
+    #[inline]
+    pub(crate) fn pair(self, d: usize) -> (u32, u32) {
+        match self {
+            CountRow::Narrow(row) => (row[2 * d] as u32, row[2 * d + 1] as u32),
+            CountRow::Wide(row) => (row[2 * d], row[2 * d + 1]),
+        }
+    }
+}
+
+/// Vertex `v`'s count row out of the two lane arrays of a
+/// [`PlacementState`] with rows `w` lanes wide; `is_wide` is
+/// `meta[v].wide`. A free function so a caller can hold the row while it
+/// writes the state's other fields.
+#[inline]
+fn count_row<'a>(
+    counts: &'a [u16],
+    wide: &'a [u32],
+    w: usize,
+    v: usize,
+    is_wide: bool,
+) -> CountRow<'a> {
+    let narrow = &counts[v * w..(v + 1) * w];
+    if is_wide {
+        let base = wide_index(narrow) * w;
+        CountRow::Wide(&wide[base..base + w])
+    } else {
+        CountRow::Narrow(narrow)
+    }
+}
+
+/// The wide-row index an escaped narrow row holds in its lanes 0 and 1.
+#[inline]
+fn wide_index(narrow: &[u16]) -> usize {
+    narrow[0] as usize | (narrow[1] as usize) << 16
+}
+
+/// The set bits of a mask in ascending order — the DCs of an occupancy
+/// mask.
+#[derive(Clone, Copy, Debug)]
+struct Bits(u64);
+
+impl Iterator for Bits {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let d = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(d)
+    }
+}
+
+/// Counts vertex `v`'s edges into its zeroed count row by the hybrid-cut
+/// rule and returns the row's occupancy mask. `tag[x]` is `master(x) |
+/// high(x) << 7`; the lane type must hold `v`'s in- and out-degree.
+fn place_row<L>(graph: &Graph, tag: &[u8], v: VertexId, row: &mut [L]) -> u64
+where
+    L: Copy + From<u8> + TryFrom<usize> + std::ops::AddAssign,
+{
+    const MASTER: u8 = 0x7f;
+    let own = tag[v as usize];
+    let master = (own & MASTER) as usize;
+    let mut nnz = 0u64;
+    let sources = graph.in_neighbors(v);
+    if own & !MASTER == 0 {
+        if !sources.is_empty() {
+            row[2 * master] = L::try_from(sources.len())
+                .unwrap_or_else(|_| unreachable!("lane holds the degree"));
+            nnz = 1 << master;
+        }
+    } else {
+        for &u in sources {
+            let d = (tag[u as usize] & MASTER) as usize;
+            row[2 * d] += L::from(1);
+            nnz |= 1 << d;
+        }
+    }
+    for &w in graph.out_neighbors(v) {
+        let t = tag[w as usize];
+        let d = if t & !MASTER == 0 { (t & MASTER) as usize } else { master };
+        row[2 * d + 1] += L::from(1);
+        nnz |= 1 << d;
+    }
+    nnz
 }
 
 /// Work counters of one incremental delta application
@@ -107,9 +208,8 @@ pub(crate) struct PlacementDeltaOps {
     pub(crate) new_masters: Vec<DcId>,
     /// Degree class for the appended vertices.
     pub(crate) new_high: Vec<bool>,
-    /// Traffic-profile rows for the appended vertices.
-    pub(crate) new_gather_bytes: Vec<f32>,
-    pub(crate) new_apply_bytes: Vec<f32>,
+    /// Traffic-profile entries `(g_v, a_v)` for the appended vertices.
+    pub(crate) new_profile: Vec<(f32, f32)>,
     /// Old-range vertices whose degree class flips, with the new class.
     pub(crate) flips: Vec<(VertexId, bool)>,
     /// Edges to remove from their current DC: `(src, dst, dc)`. Every entry
@@ -140,21 +240,31 @@ pub(crate) struct PlacementDeltaOps {
 ///
 /// The per-DC gather/apply [`StageLoads`] are maintained incrementally so a
 /// candidate move is evaluated in `O(deg(v) + M)`.
+///
+/// Per vertex the state holds a `2 · M`-lane `u16` count row, a 24-byte
+/// [`VertexMeta`] and its master: 57 bytes at M = 8.
 #[derive(Clone, Debug)]
 pub struct PlacementState {
     pub(crate) num_dcs: usize,
     pub(crate) masters: Vec<DcId>,
-    pub(crate) is_high: Vec<bool>,
-    /// Interleaved in/out count-plane pair:
+    /// Interleaved in/out count rows, `2 · M` `u16` lanes per vertex:
     /// `counts[(v * num_dcs + d) * 2]` = in-edges of `v` placed at `d`,
-    /// `counts[(v * num_dcs + d) * 2 + 1]` = out-edges of `v` placed at `d`.
-    ///
-    /// A vertex's whole row is `2 · M` contiguous `u32` lanes (exactly one
-    /// 64-byte cache line at M = 8), so the kernel's per-neighbor
+    /// `counts[(v * num_dcs + d) * 2 + 1]` = out-edges of `v` placed at `d`
+    /// (half a 64-byte cache line at M = 8), so the kernel's per-neighbor
     /// `count_transitions` tests — which always probe the in *and* out
-    /// count of the same `(v, d)` cell — stream one contiguous run instead
-    /// of two parallel arrays.
-    pub(crate) counts: Vec<u32>,
+    /// count of the same `(v, d)` cell — read one contiguous run.
+    ///
+    /// A lane counts at most the vertex's in- or out-degree, so only a row
+    /// of a vertex with more than `u16::MAX` in- or out-edges can overflow.
+    /// Such a row *escapes*: its lanes move, widened, to a `2 · M`-lane row
+    /// of [`Self::wide`], `meta[v].wide` is set, and lanes 0 and 1 of the
+    /// narrow row hold the wide row's index (low and high 16 bits). A row
+    /// escapes when a count would pass `u16::MAX` and never narrows again;
+    /// equality of two states is over [`Self::counts_row`], not over the
+    /// storage.
+    pub(crate) counts: Vec<u16>,
+    /// Escaped count rows, `2 · M` `u32` lanes each, in escape order.
+    pub(crate) wide: Vec<u32>,
     /// Packed kernel-side metadata, one record per vertex — see
     /// [`VertexMeta`]. The occupancy mask lets the move-evaluation kernel
     /// skip whole neighbor rows in O(1) instead of scanning `2 · M` lanes.
@@ -164,7 +274,6 @@ pub struct PlacementState {
     pub(crate) gather: StageLoads,
     pub(crate) apply: StageLoads,
     pub(crate) movement_cost: f64,
-    pub(crate) profile: TrafficProfile,
     pub(crate) num_iterations: f64,
 }
 
@@ -212,11 +321,7 @@ impl PlacementState {
                 let vertex = if u as usize >= num_vertices { u } else { v };
                 return Err(PlanError::VertexOutOfRange { vertex, num_vertices });
             }
-            state.counts[(u as usize * m + d as usize) * 2 + 1] += 1;
-            state.counts[(v as usize * m + d as usize) * 2] += 1;
-            state.meta[u as usize].nnz |= 1 << d;
-            state.meta[v as usize].nnz |= 1 << d;
-            state.edges_per_dc[d as usize] += 1;
+            state.place_edge(u, v, d);
         }
         state.rebuild_loads();
         state.movement_cost = geosim::cost::movement_cost(env, natural, &state.masters, data_sizes);
@@ -226,7 +331,8 @@ impl PlacementState {
     /// A state over `num_dcs` DCs with its masters, degree classes and
     /// profile set and nothing placed: every count, occupancy mask,
     /// balance and load accumulator is zero. Lengths must agree and
-    /// masters must already be below `num_dcs`.
+    /// masters must already be below `num_dcs`. The classes and the
+    /// profile are copied into the [`VertexMeta`] records and dropped.
     pub(crate) fn unplaced(
         num_dcs: usize,
         masters: Vec<DcId>,
@@ -242,25 +348,46 @@ impl PlacementState {
                 a: profile.apply_bytes[i],
                 master: masters[i],
                 high: is_high[i],
+                wide: false,
             })
             .collect();
         PlacementState {
             num_dcs,
             masters,
-            is_high,
             counts: vec![0; n * num_dcs * 2],
+            wide: Vec::new(),
             meta,
             edges_per_dc: vec![0; num_dcs],
             gather: StageLoads::new(num_dcs),
             apply: StageLoads::new(num_dcs),
             movement_cost: 0.0,
-            profile,
             num_iterations,
         }
     }
 
+    /// Takes every edge off the plan and sets `masters`: counts, escaped
+    /// rows, occupancy masks, balance and load accumulators go back to
+    /// what [`Self::unplaced`] builds, while the degree classes and the
+    /// profile stay. `masters` must cover the state and name DCs below
+    /// `num_dcs`.
+    pub(crate) fn unplace_all(&mut self, masters: Vec<DcId>) {
+        assert_eq!(masters.len(), self.masters.len());
+        self.counts.fill(0);
+        self.wide = Vec::new();
+        for (meta, &d) in self.meta.iter_mut().zip(&masters) {
+            meta.nnz = 0;
+            meta.master = d;
+            meta.wide = false;
+        }
+        self.masters = masters;
+        self.edges_per_dc.fill(0);
+        self.gather.clear();
+        self.apply.clear();
+        self.movement_cost = 0.0;
+    }
+
     /// Places every edge of `graph` by the hybrid-cut rule (§IV-B) under
-    /// this state's masters and degree classes, filling the count plane,
+    /// this state's masters and degree classes, filling the count rows,
     /// the occupancy masks and `edges_per_dc` of an [`Self::unplaced`]
     /// state. Loads and movement cost are left to the caller.
     ///
@@ -269,64 +396,128 @@ impl PlacementState {
     /// high-degree `v` one per in-neighbor at that neighbor's master) and
     /// its out-lanes from its out-row, so every write lands in `v`'s own
     /// row. The only random reads go to an n-byte `master | high << 7`
-    /// tag. `HybridState::try_from_masters` and the snapshot decoder both
-    /// build their counts here.
+    /// tag. A vertex with more than `u16::MAX` in- or out-edges is counted
+    /// into a `u32` row and escapes. `HybridState::try_from_masters` and
+    /// the snapshot decoder both build their counts here.
     pub(crate) fn place_hybrid_edges(&mut self, graph: &Graph) {
-        const MASTER: u8 = 0x7f;
+        const NARROW: usize = u16::MAX as usize;
         let m = self.num_dcs;
         assert_eq!(graph.num_vertices(), self.masters.len());
-        debug_assert!(self.meta.iter().all(|meta| meta.nnz == 0));
+        debug_assert!(self.meta.iter().all(|meta| meta.nnz == 0 && !meta.wide));
         let tag: Vec<u8> =
-            self.masters.iter().zip(&self.is_high).map(|(&d, &h)| d | (h as u8) << 7).collect();
-        let rows = self.counts.chunks_exact_mut(2 * m).zip(&mut self.meta);
-        for (v, (row, meta)) in rows.enumerate() {
-            let v = v as VertexId;
-            let own = tag[v as usize];
-            let master = (own & MASTER) as usize;
-            let mut nnz = 0u64;
-            let sources = graph.in_neighbors(v);
-            if own & !MASTER == 0 {
-                if !sources.is_empty() {
-                    row[2 * master] = sources.len() as u32;
-                    nnz = 1 << master;
+            self.meta.iter().map(|meta| meta.master | (meta.high as u8) << 7).collect();
+        let mut wide_row = vec![0u32; 2 * m];
+        for v in 0..self.masters.len() {
+            let base = v * 2 * m;
+            let row = &mut self.counts[base..base + 2 * m];
+            let vertex = v as VertexId;
+            let nnz = if graph.in_degree(vertex) <= NARROW && graph.out_degree(vertex) <= NARROW {
+                let nnz = place_row(graph, &tag, vertex, row);
+                for d in Bits(nnz) {
+                    self.edges_per_dc[d] += row[2 * d + 1] as u64;
                 }
+                nnz
             } else {
-                for &u in sources {
-                    let d = (tag[u as usize] & MASTER) as usize;
-                    row[2 * d] += 1;
-                    nnz |= 1 << d;
+                wide_row.fill(0);
+                let nnz = place_row(graph, &tag, vertex, &mut wide_row);
+                for d in Bits(nnz) {
+                    self.edges_per_dc[d] += wide_row[2 * d + 1] as u64;
                 }
-            }
-            for &w in graph.out_neighbors(v) {
-                let t = tag[w as usize];
-                let d = if t & !MASTER == 0 { (t & MASTER) as usize } else { master };
-                row[2 * d + 1] += 1;
-                nnz |= 1 << d;
-            }
-            meta.nnz = nnz;
-            let mut bits = nnz;
-            while bits != 0 {
-                let d = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.edges_per_dc[d] += row[2 * d + 1] as u64;
-            }
+                self.store_wide(v, &wide_row);
+                nnz
+            };
+            self.meta[v].nnz = nnz;
         }
     }
 
-    /// Index of the in-count lane of cell `(v, d)`; the out-count lane is
-    /// the next element.
-    #[inline]
-    pub(crate) fn cell(&self, v: usize, d: usize) -> usize {
-        (v * self.num_dcs + d) * 2
+    /// Appends `lanes` as vertex `v`'s escaped row and points `v`'s narrow
+    /// row at it.
+    fn store_wide(&mut self, v: usize, lanes: &[u32]) {
+        let w = 2 * self.num_dcs;
+        let index = self.wide.len() / w;
+        assert!(index <= u32::MAX as usize, "more escaped rows than a u32 index holds");
+        self.wide.extend_from_slice(lanes);
+        let row = &mut self.counts[v * w..(v + 1) * w];
+        row.fill(0);
+        row[0] = index as u16;
+        row[1] = (index >> 16) as u16;
+        self.meta[v].wide = true;
     }
 
-    /// Vertex `v`'s interleaved `[in, out]` count row: `2 · M` contiguous
-    /// lanes, DC `d`'s pair at `row[2 * d]` / `row[2 * d + 1]`.
+    /// Start of escaped vertex `v`'s row in [`Self::wide`].
     #[inline]
-    pub(crate) fn counts_row(&self, v: VertexId) -> &[u32] {
-        let w = self.num_dcs * 2;
-        let base = v as usize * w;
-        &self.counts[base..base + w]
+    fn wide_base(&self, v: usize) -> usize {
+        let w = 2 * self.num_dcs;
+        wide_index(&self.counts[v * w..]) * w
+    }
+
+    /// Vertex `v`'s interleaved `[in, out]` count row: `2 · M` lanes, DC
+    /// `d`'s pair at [`CountRow::pair`]`(d)`.
+    #[inline]
+    pub(crate) fn counts_row(&self, v: VertexId) -> CountRow<'_> {
+        let v = v as usize;
+        count_row(&self.counts, &self.wide, 2 * self.num_dcs, v, self.meta[v].wide)
+    }
+
+    /// Adds `delta` to lane `lane` (0 = in, 1 = out) of cell `(v, d)` and
+    /// keeps `v`'s occupancy bit exact — the kernel trusts a clear bit to
+    /// mean an all-zero cell. A narrow row whose count would pass
+    /// `u16::MAX` escapes first. Every count mutation after a build goes
+    /// through here.
+    #[inline]
+    pub(crate) fn bump(&mut self, v: usize, d: usize, lane: usize, delta: i64) {
+        let cell = v * 2 * self.num_dcs + 2 * d;
+        let occupied = if self.meta[v].wide {
+            self.bump_wide(v, d, lane, delta)
+        } else {
+            let count = self.counts[cell + lane] as i64 + delta;
+            debug_assert!(count >= 0, "count underflow at ({v}, {d})");
+            if count > u16::MAX as i64 {
+                self.escape(v);
+                self.bump_wide(v, d, lane, delta)
+            } else {
+                self.counts[cell + lane] = count as u16;
+                self.counts[cell] | self.counts[cell + 1] != 0
+            }
+        };
+        if occupied {
+            self.meta[v].nnz |= 1u64 << d;
+        } else {
+            self.meta[v].nnz &= !(1u64 << d);
+        }
+    }
+
+    /// [`Self::bump`] on an escaped row; returns whether the cell is
+    /// occupied afterwards.
+    fn bump_wide(&mut self, v: usize, d: usize, lane: usize, delta: i64) -> bool {
+        let cell = self.wide_base(v) + 2 * d;
+        let count = self.wide[cell + lane] as i64 + delta;
+        debug_assert!((0..=u32::MAX as i64).contains(&count), "count out of range at ({v}, {d})");
+        self.wide[cell + lane] = count as u32;
+        self.wide[cell] | self.wide[cell + 1] != 0
+    }
+
+    /// Moves narrow row `v` to `u32` lanes.
+    #[cold]
+    fn escape(&mut self, v: usize) {
+        let w = 2 * self.num_dcs;
+        let lanes: Vec<u32> = self.counts[v * w..(v + 1) * w].iter().map(|&c| c as u32).collect();
+        self.store_wide(v, &lanes);
+    }
+
+    /// Every count row widened to `u32` lanes, vertex-major — the storage-
+    /// independent form two states' counts are compared in.
+    #[cfg(test)]
+    pub(crate) fn count_lanes(&self) -> Vec<u32> {
+        (0..self.masters.len() as VertexId)
+            .flat_map(|v| {
+                let row = self.counts_row(v);
+                (0..self.num_dcs).flat_map(move |d| {
+                    let (i, o) = row.pair(d);
+                    [i, o]
+                })
+            })
+            .collect()
     }
 
     /// Recomputes the gather/apply load accumulators from the count arrays.
@@ -343,44 +534,30 @@ impl PlacementState {
     /// nothing, so the skipped iterations leave the accumulated sums
     /// bit-identical to a full `0..m` scan.
     pub(crate) fn add_vertex_loads(&mut self, v: VertexId) {
-        let meta = self.meta[v as usize];
-        let master = meta.master as usize;
-        let base = v as usize * self.num_dcs * 2;
-        let g = meta.g as f64;
-        let a = meta.a as f64;
-        let mut bits = meta.nnz & !(1u64 << master);
-        while bits != 0 {
-            let d = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if meta.high && self.counts[base + 2 * d] > 0 {
-                self.gather.add_up(d as DcId, g);
-                self.gather.add_down(master as DcId, g);
-            }
-            if self.counts[base + 2 * d] + self.counts[base + 2 * d + 1] > 0 {
-                self.apply.add_up(master as DcId, a);
-                self.apply.add_down(d as DcId, a);
-            }
-        }
+        self.accumulate_vertex_loads(v, 1.0);
     }
 
     /// Removes vertex `v`'s traffic contribution from the live accumulators.
     pub(crate) fn remove_vertex_loads(&mut self, v: VertexId) {
+        self.accumulate_vertex_loads(v, -1.0);
+    }
+
+    /// Adds `sign` (±1) times vertex `v`'s traffic contribution.
+    fn accumulate_vertex_loads(&mut self, v: VertexId, sign: f64) {
         let meta = self.meta[v as usize];
         let master = meta.master as usize;
-        let base = v as usize * self.num_dcs * 2;
-        let g = meta.g as f64;
-        let a = meta.a as f64;
-        let mut bits = meta.nnz & !(1u64 << master);
-        while bits != 0 {
-            let d = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if meta.high && self.counts[base + 2 * d] > 0 {
-                self.gather.add_up(d as DcId, -g);
-                self.gather.add_down(master as DcId, -g);
+        let g = meta.g as f64 * sign;
+        let a = meta.a as f64 * sign;
+        let row = count_row(&self.counts, &self.wide, 2 * self.num_dcs, v as usize, meta.wide);
+        for d in Bits(meta.nnz & !(1u64 << master)) {
+            let (in_c, out_c) = row.pair(d);
+            if meta.high && in_c > 0 {
+                self.gather.add_up(d as DcId, g);
+                self.gather.add_down(master as DcId, g);
             }
-            if self.counts[base + 2 * d] + self.counts[base + 2 * d + 1] > 0 {
-                self.apply.add_up(master as DcId, -a);
-                self.apply.add_down(d as DcId, -a);
+            if in_c + out_c > 0 {
+                self.apply.add_up(master as DcId, a);
+                self.apply.add_down(d as DcId, a);
             }
         }
     }
@@ -390,31 +567,17 @@ impl PlacementState {
     /// endpoints' load contributions must be retired before and
     /// re-accumulated after the batch of edge mutations.
     pub(crate) fn place_edge(&mut self, u: VertexId, v: VertexId, d: DcId) {
-        debug_assert_ne!(u, v, "cleaned deltas carry no self-loops");
-        let cu = self.cell(u as usize, d as usize);
-        self.counts[cu + 1] += 1;
-        let cv = self.cell(v as usize, d as usize);
-        self.counts[cv] += 1;
-        self.meta[u as usize].nnz |= 1u64 << d;
-        self.meta[v as usize].nnz |= 1u64 << d;
+        self.bump(u as usize, d as usize, 1, 1);
+        self.bump(v as usize, d as usize, 0, 1);
         self.edges_per_dc[d as usize] += 1;
     }
 
-    /// Removes one directed edge from `d`, clearing an occupancy bit when
-    /// its cell pair empties — the kernel trusts a clear bit to mean an
-    /// all-zero cell. Counterpart of [`Self::place_edge`].
+    /// Removes one directed edge from `d`. Counterpart of
+    /// [`Self::place_edge`].
     pub(crate) fn unplace_edge(&mut self, u: VertexId, v: VertexId, d: DcId) {
         debug_assert_ne!(u, v, "cleaned deltas carry no self-loops");
-        let cu = self.cell(u as usize, d as usize);
-        self.counts[cu + 1] -= 1;
-        if (self.counts[cu] | self.counts[cu + 1]) == 0 {
-            self.meta[u as usize].nnz &= !(1u64 << d);
-        }
-        let cv = self.cell(v as usize, d as usize);
-        self.counts[cv] -= 1;
-        if (self.counts[cv] | self.counts[cv + 1]) == 0 {
-            self.meta[v as usize].nnz &= !(1u64 << d);
-        }
+        self.bump(u as usize, d as usize, 1, -1);
+        self.bump(v as usize, d as usize, 0, -1);
         self.edges_per_dc[d as usize] -= 1;
     }
 
@@ -443,26 +606,22 @@ impl PlacementState {
         // 2. Grow the per-vertex arrays (appends only).
         let m = self.num_dcs;
         self.masters.extend_from_slice(&ops.new_masters);
-        self.is_high.extend_from_slice(&ops.new_high);
         let new_n = self.masters.len();
         self.counts.resize(new_n * m * 2, 0);
-        self.profile.gather_bytes.extend_from_slice(&ops.new_gather_bytes);
-        self.profile.apply_bytes.extend_from_slice(&ops.new_apply_bytes);
-        for i in 0..ops.new_masters.len() {
-            self.meta.push(VertexMeta {
-                nnz: 0,
-                g: ops.new_gather_bytes[i],
-                a: ops.new_apply_bytes[i],
-                master: ops.new_masters[i],
-                high: ops.new_high[i],
-            });
-        }
+        let appended = ops.new_masters.iter().zip(&ops.new_high).zip(&ops.new_profile);
+        self.meta.extend(appended.map(|((&master, &high), &(g, a))| VertexMeta {
+            nnz: 0,
+            g,
+            a,
+            master,
+            high,
+            wide: false,
+        }));
 
         // 3. Degree-class flips (their edge re-placements ride in the
         // unplace/place lists; the flipped vertices are in `affected`, so
         // the class change flows into the load re-accumulation below).
         for &(f, high) in &ops.flips {
-            self.is_high[f as usize] = high;
             self.meta[f as usize].high = high;
         }
 
@@ -494,19 +653,15 @@ impl PlacementState {
     }
 
     /// Named heap components of this state, for memory reports. The count
-    /// planes (`2·M` u32 lanes per vertex) dominate; everything else is
-    /// per-vertex scalars or per-DC accumulators.
+    /// rows (`2·M` u16 lanes per vertex) and the 24-byte meta records
+    /// dominate; escaped rows, masters and the per-DC accumulators are the
+    /// rest.
     pub fn mem_components(&self) -> Vec<(&'static str, usize)> {
         vec![
-            ("counts", self.counts.capacity() * std::mem::size_of::<u32>()),
+            ("counts", self.counts.capacity() * std::mem::size_of::<u16>()),
+            ("wide_counts", self.wide.capacity() * std::mem::size_of::<u32>()),
             ("vertex_meta", self.meta.capacity() * std::mem::size_of::<VertexMeta>()),
             ("masters", self.masters.capacity() * std::mem::size_of::<DcId>()),
-            ("is_high", self.is_high.capacity() * std::mem::size_of::<bool>()),
-            (
-                "traffic_profile",
-                (self.profile.gather_bytes.capacity() + self.profile.apply_bytes.capacity())
-                    * std::mem::size_of::<f32>(),
-            ),
             (
                 "dc_accumulators",
                 self.edges_per_dc.capacity() * std::mem::size_of::<u64>()
@@ -534,19 +689,19 @@ impl PlacementState {
     /// Whether `v` is high-degree under the hybrid-cut threshold.
     #[inline]
     pub fn is_high(&self, v: VertexId) -> bool {
-        self.is_high[v as usize]
+        self.meta[v as usize].high
     }
 
     /// Number of in-edges of `v` placed at `d`.
     #[inline]
     pub fn in_count(&self, v: VertexId, d: DcId) -> u32 {
-        self.counts[self.cell(v as usize, d as usize)]
+        self.counts_row(v).pair(d as usize).0
     }
 
     /// Number of out-edges of `v` placed at `d`.
     #[inline]
     pub fn out_count(&self, v: VertexId, d: DcId) -> u32 {
-        self.counts[self.cell(v as usize, d as usize) + 1]
+        self.counts_row(v).pair(d as usize).1
     }
 
     /// Bitmask of DCs where `v` has a mirror (master excluded).
@@ -614,9 +769,13 @@ impl PlacementState {
         self.num_iterations
     }
 
-    /// The traffic profile the state is weighted with.
-    pub fn profile(&self) -> &TrafficProfile {
-        &self.profile
+    /// A copy of the traffic profile the state is weighted with (the
+    /// state itself keeps it only in its meta records).
+    pub fn traffic_profile(&self) -> TrafficProfile {
+        TrafficProfile {
+            gather_bytes: self.meta.iter().map(|meta| meta.g).collect(),
+            apply_bytes: self.meta.iter().map(|meta| meta.a).collect(),
+        }
     }
 
     /// Evaluates the current plan under `env` (Eq 1 + Eq 4/5).

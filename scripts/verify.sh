@@ -111,6 +111,17 @@ for f in crates/geosim/src/faults.rs crates/core/src/observer.rs; do
   fi
 done
 
+echo "==> placement state at half the bytes (the wide plane and the copies stay deleted)"
+# A count row is 2·M u16 lanes with a u32 escape for the rare row that
+# outgrows them, and the VertexMeta records are the placement state's only
+# copy of the traffic profile and the degree class: the u32 plane, the
+# is_high / profile fields beside the records and the accessor that lent
+# the profile out must not come back.
+if git grep -n -E 'pub\(crate\) (counts: Vec<u32>|is_high: Vec<bool>|profile: TrafficProfile)|fn profile\(&self\)' \
+    -- crates/partition/src/state.rs; then
+  echo "a u32 count plane or a second profile / degree-class copy reappeared in PlacementState"; exit 1
+fi
+
 echo "==> snapshots carry the plan, not its index (the stored count plane stays deleted)"
 # A snapshot's hybrid-cut count plane is rebuilt at decode by the kernel
 # from_masters uses (PlacementState::place_hybrid_edges); the decoder's
@@ -258,6 +269,14 @@ require_tests build_core_matches_naive_oracle
 # measured 9.25+), streamed build peak <= 1.25x the final CSR (no O(E)
 # staging copy).
 require_tests lj_analog_ingest_stays_inside_its_byte_budgets
+# The placement state's byte budget on the same graph: <= 4.5 B per edge
+# over 8 DCs (u16 count rows + one 24-byte meta record + a master, 57 B a
+# vertex; measured 4.42, 7.59 with u32 rows and the profile and degree
+# classes copied beside the records). A row past u16::MAX escapes to u32
+# lanes, keeps every count through moves, deltas and a snapshot round
+# trip, and equals a rebuild by value.
+require_tests lj_analog_placement_state_stays_inside_its_byte_budget \
+  rows_past_u16_escape_to_u32_lanes
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -1,13 +1,18 @@
 //! Property tests of the paper-scale graph substrate: the one CSR builder
 //! must equal a naive oracle that shares no code with it, and streamed
 //! chunked ingest must be bit-identical to the staged entry points at any
-//! thread count and chunking.
+//! thread count and chunking. The substrate's byte budgets, and the
+//! placement state's beside them, close the file.
 
 use geograph::datasets::DEFAULT_CHUNK_EDGES;
+use geograph::degree::suggest_theta;
 use geograph::generators::{rmat_streamed, RmatConfig};
 use geograph::{
-    build_chunked, ChunkedEdges, Dataset, Graph, GraphBuilder, ScopedPool, StreamConfig, VertexId,
+    build_chunked, ChunkedEdges, Dataset, GeoGraph, Graph, GraphBuilder, LocalityConfig,
+    ScopedPool, StreamConfig, VertexId,
 };
+use geopart::{HybridState, TrafficProfile};
+use geosim::regions::ec2_eight_regions;
 use proptest::prelude::*;
 
 /// A deterministic in-memory chunk source over a pre-split edge list.
@@ -214,6 +219,24 @@ fn lj_analog_ingest_stays_inside_its_byte_budgets() {
     let per_edge = report.csr_bytes as f64 / report.edges as f64;
     assert!(per_edge <= 9.0, "CSR costs {per_edge:.3} B/edge");
     assert!(report.build_ratio() <= 1.25, "build peaked at {:.3} x the CSR", report.build_ratio());
+}
+
+/// The hybrid-cut placement state's byte budget on the same graph over
+/// the paper's 8 DCs: at most 4.5 B per directed edge (`u16` count rows,
+/// one 24-byte meta record and a master per vertex, 57 B; measured 4.42;
+/// 98 B a vertex and 7.59 B/edge with `u32` rows and the profile and
+/// degree classes copied beside the records). Exact for a seed.
+#[test]
+fn lj_analog_placement_state_stays_inside_its_byte_budget() {
+    let (config, seed) = Dataset::LiveJournal.rmat_setup(0.002, 42);
+    let (graph, report) =
+        rmat_streamed(&config, seed, DEFAULT_CHUNK_EDGES, &ScopedPool(2)).unwrap();
+    let geo = GeoGraph::from_graph(graph, &LocalityConfig::paper_default(seed));
+    let theta = suggest_theta(&geo.graph, 0.05);
+    let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
+    let state = HybridState::natural(&geo, &ec2_eight_regions(), theta, profile, 10.0);
+    let per_edge = state.heap_bytes() as f64 / report.edges as f64;
+    assert!(per_edge <= 4.5, "placement state costs {per_edge:.3} B/edge");
 }
 
 #[test]
