@@ -1,7 +1,7 @@
 //! # geobase — baseline geo-distributed graph partitioners
 //!
 //! The six comparison methods of the paper's evaluation (§VI-A.3), one
-//! module each, plus Fennel for reference:
+//! module each, plus Leopard for dynamic streams:
 //!
 //! | Method | Model | Strategy |
 //! |---|---|---|
@@ -11,14 +11,12 @@
 //! | [`ginger`] | hybrid-cut | Fennel-derived greedy placement (PowerLyra) |
 //! | [`revolver`] | edge-cut | learning-automata vertex assignment (Mofrad et al.) |
 //! | [`spinner`] | edge-cut | label propagation with capacity, incremental (Martella et al.) |
-//! | [`fennel`] | edge-cut | one-pass streaming with a balance penalty (Tsourakakis et al.) |
 //! | [`leopard`] | vertex-cut | streaming edge placement with bounded replication, dynamic (Huang & Abadi) |
 //!
 //! All partitioners are deterministic for a fixed seed and return one of the
 //! three `geopart` plan states; [`plan::PlanKind`] unifies them for the
 //! experiment harness.
 
-pub mod fennel;
 pub mod geocut;
 pub mod ginger;
 pub mod hashpl;
@@ -28,7 +26,6 @@ pub mod randpg;
 pub mod revolver;
 pub mod spinner;
 
-pub use fennel::fennel;
 pub use geocut::{geocut, geocut_with_pool};
 pub use ginger::{ginger, ginger_with_pool};
 pub use hashpl::hashpl;

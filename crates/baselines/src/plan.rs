@@ -87,10 +87,10 @@ mod tests {
         let plans = vec![
             PlanKind::Hybrid(crate::hashpl(&geo, &env, theta, profile.clone(), 10.0, 1)),
             PlanKind::Vertex(crate::randpg(&geo, &env, profile.clone(), 10.0, 1)),
-            PlanKind::Edge(crate::fennel(
+            PlanKind::Edge(crate::revolver(
                 &geo,
                 &env,
-                crate::fennel::FennelConfig::default(),
+                crate::revolver::RevolverConfig { iterations: 10, ..Default::default() },
                 profile,
                 10.0,
             )),

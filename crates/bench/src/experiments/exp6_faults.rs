@@ -2,13 +2,15 @@
 //!
 //! Not a paper artifact — the paper assumes a static, healthy WAN. A DC
 //! outage is one more dynamicity spike for the windowed trainer (§V-C):
-//! the fault is noted, and the next window logs its flags, re-seeds the
-//! masters stranded on the dead DC and trains with that DC masked. Two
-//! pipelines run the same calls, from different starting plans:
+//! the fault is noted, and the next window logs its flags, keeps the
+//! carried plan and θ, moves the masters stranded on the dead DC as logged
+//! re-seed moves, trains the re-seeded set as hot, and keeps that DC
+//! masked. Two pipelines run the same calls, from different starting
+//! plans — in both, window 0 commits, the process dies, and the pipeline
+//! recovers from its store and runs the fault window on top:
 //!
-//! * **recovered** — window 0 trains the plan, the process dies, the
-//!   pipeline recovers from its store and runs the fault window on top;
-//! * **cold** — a fresh pipeline runs the fault window on the natural
+//! * **recovered** — window 0 trains the plan;
+//! * **cold** — window 0 samples no agent and commits the natural
 //!   placement.
 //!
 //! Each post-fault step budget is read against the plan of a no-fault
@@ -38,10 +40,10 @@ const FAULT_STEPS: [usize; 5] = [1, 2, 5, 10, 20];
 /// every window stops on its step count and the table is exact.
 const T_OPT: Duration = Duration::from_secs(3600);
 
-/// One pipeline through its fault window: window 0 first when `warm`
-/// (dropped and recovered from the store), then `note_fault(dead)` and a
-/// window of `steps` steps. Returns that window's report and the masters
-/// it left on dead DCs.
+/// One pipeline through its fault window: window 0 (trained when `warm`,
+/// natural otherwise), dropped and recovered from the store, then
+/// `note_fault(dead)` and a window of `steps` steps. Returns that window's
+/// report and the masters it left on dead DCs.
 fn fault_window(
     dir: &Path,
     geo: &GeoGraph,
@@ -53,18 +55,17 @@ fn fault_window(
 ) -> (WindowReport, usize) {
     let _ = std::fs::remove_dir_all(dir);
     let profile = || TrafficProfile::uniform(geo.num_vertices(), 8.0);
-    let at = config.clone().with_max_steps(steps);
-    let mut durable = if warm {
-        let window0 = config.clone().with_max_steps(WINDOW0_STEPS);
-        let mut first =
-            DurableAdaptive::create(dir, window0, None, geo.clone(), env, 0).expect("create");
-        first.window(env, None, &[], &[], profile(), 10.0, T_OPT).expect("window 0");
-        drop(first);
-        DurableAdaptive::recover(dir, at, None, env, 0).expect("recover").0
-    } else {
-        DurableAdaptive::create(dir, at, None, geo.clone(), env, 0).expect("create")
+    let window0 = match warm {
+        true => config.clone().with_max_steps(WINDOW0_STEPS),
+        false => config.clone().with_fixed_sample_rate(0.0),
     };
-    durable.note_fault(dead);
+    let mut first =
+        DurableAdaptive::create(dir, window0, None, geo.clone(), env, 0).expect("create");
+    first.window(env, None, &[], &[], profile(), 10.0, T_OPT).expect("window 0");
+    drop(first);
+    let at = config.clone().with_max_steps(steps);
+    let mut durable = DurableAdaptive::recover(dir, at, None, env, 0).expect("recover").0;
+    durable.note_fault(dead).expect("a well-formed fault report");
     let report = durable.window(env, None, &[], &[], profile(), 10.0, T_OPT).expect("fault window");
     let on_dead = durable.masters().iter().filter(|&&m| dead[m as usize]).count();
     let _ = std::fs::remove_dir_all(dir);
@@ -159,9 +160,10 @@ pub fn run(ctx: &ExpContext) {
     t2.print();
 
     println!(
-        "Both pipelines run the same calls (note_fault, then one window); only the starting \
-         plan differs. The fault window re-seeds stranded masters home (else to the first \
-         live DC) and never trains one back onto the dead DC."
+        "Both pipelines run the same calls (window 0, recovery, note_fault, then one window); \
+         only the starting plan differs. The fault window keeps the carried plan and theta, \
+         re-seeds stranded masters home (else to the first live DC) as logged moves, trains \
+         them as hot and never trains one back onto the dead DC."
     );
     println!(
         "The aborted analytics run is the trigger for the fault window; after it the plan \

@@ -101,9 +101,9 @@ pub struct WindowReport {
     pub total_cost: f64,
     /// Accepted migrations during the window.
     pub migrations: usize,
-    /// Agents the window's sampling order fronted as hot — the delta's
-    /// degree-capped neighborhood (0 for window 0 and for a window that
-    /// rebuilt without a delta).
+    /// Agents the window's sampling order fronted as hot — the
+    /// degree-capped neighborhood of what the delta and a dead DC's
+    /// re-seed touched (0 for window 0).
     pub hot_agents: usize,
     /// Work counters of the incremental delta apply (`None` when the
     /// window rebuilt from scratch). The zero-rebuild probe: `work_items()`
@@ -125,20 +125,26 @@ pub struct WindowReport {
 ///   is raised so a converged schedule cannot starve it. No full-graph
 ///   state rebuild happens anywhere in the window.
 /// * **Rebuild** ([`Self::on_window`]) — `from_masters` over the whole
-///   snapshot: the first window, a window after a noted fault, and any
-///   window whose change did not arrive as a delta.
+///   snapshot: the first window, and any window whose change did not
+///   arrive as a delta.
+///
+/// A DC fault is no path of its own but carried state, applied by either
+/// path as logged re-seed moves ([`Self::note_fault`]).
 #[derive(Debug)]
 pub struct AdaptiveRlCut {
     config: RlCutConfig,
     /// Recompute the budget each window as this fraction of the current
     /// graph's centralization cost (`None` keeps `config.budget` fixed).
     budget_fraction: Option<f64>,
-    masters: Vec<DcId>,
-    /// Dead-DC flags of a fault observed since the last window, if any.
-    pending_fault: Option<Vec<bool>>,
+    /// Dead-DC flags noted since the last window, already checked; the
+    /// next window to complete makes them the carried mask.
+    pub(crate) noted_fault: Option<Vec<bool>>,
+    /// The carried dead-DC mask (`None` while every DC is live): held
+    /// across windows until an all-clear is noted.
+    pub(crate) dead: Option<Vec<bool>>,
     /// The previous window's placement state and theta, carried so the
     /// next delta resumes it instead of rebuilding (`None` before the
-    /// first window and after a rebuild was forced).
+    /// first window and while a rebuild is in flight).
     carried: Option<(PlacementState, usize)>,
     /// The previous window's worker pool and scratch arena, carried so
     /// pool workers survive across windows.
@@ -161,8 +167,8 @@ impl AdaptiveRlCut {
         AdaptiveRlCut {
             config,
             budget_fraction,
-            masters: Vec::new(),
-            pending_fault: None,
+            noted_fault: None,
+            dead: None,
             carried: None,
             resources: None,
             journal_moves: false,
@@ -183,7 +189,6 @@ impl AdaptiveRlCut {
         next_window: u64,
     ) -> Self {
         let mut adaptive = Self::new(config, budget_fraction);
-        adaptive.masters = carried.0.masters().to_vec();
         adaptive.carried = Some(carried);
         adaptive.window = next_window;
         adaptive
@@ -198,7 +203,8 @@ impl AdaptiveRlCut {
     }
 
     /// Takes the applied-move journal of the last window: `(step, moves)`
-    /// entries in exact apply order, the reconcile sweep last (under
+    /// entries in exact apply order — a dead DC's re-seed first (under
+    /// [`crate::trainer::RESEED_STEP`]), the reconcile sweep last (under
     /// [`crate::trainer::RECONCILE_STEP`]). Empty when journaling is off
     /// or no window ran since the last take.
     pub fn take_window_journal(&mut self) -> Vec<(u32, Vec<(geograph::VertexId, DcId)>)> {
@@ -213,7 +219,12 @@ impl AdaptiveRlCut {
 
     /// The current master assignment (empty before the first window).
     pub fn masters(&self) -> &[DcId] {
-        &self.masters
+        self.carried.as_ref().map_or(&[], |(core, _)| core.masters())
+    }
+
+    /// The carried dead-DC mask (`None` while every DC is live).
+    pub fn dead_dcs(&self) -> Option<&[bool]> {
+        self.dead.as_deref()
     }
 
     /// OS thread ids of the carried worker pool (`None` before the first
@@ -241,19 +252,19 @@ impl AdaptiveRlCut {
         }
     }
 
-    /// Notes a WAN fault (dead-DC flags) observed between windows. The next
-    /// window treats it as a dynamicity spike: masters stranded on dead
-    /// DCs are re-seeded to a live location and the initial sample rate is
-    /// boosted so the Eq 14 schedule re-trains the perturbed region
-    /// aggressively instead of coasting on the converged schedule, and no
-    /// master of that window moves onto a dead DC. (The re-seed rewrites
-    /// masters wholesale, so the next window takes the rebuild path even
-    /// when a delta is supplied.) The flags last that one window: a later
-    /// window may move masters back onto the DC.
-    pub fn note_fault(&mut self, dead: &[bool]) {
-        if dead.iter().any(|&d| d) {
-            self.pending_fault = Some(dead.to_vec());
-        }
+    /// Notes the dead-DC flags of a WAN fault observed between windows.
+    /// From the next window on it is a dynamicity spike (§V-C): before a
+    /// window trains, every master on a dead DC — a new vertex homed there
+    /// too — moves to a live one ([`TrainerSession::evacuate_dead_dcs`]),
+    /// the moved vertices are its hot set, and no move names a dead DC,
+    /// until a report with none set (the all-clear) lifts the flags. A
+    /// report that is not one flag per DC of the carried plan (any, before
+    /// the first window) or has every DC dead is refused, changing nothing.
+    pub fn note_fault(&mut self, dead: &[bool]) -> Result<(), PlanError> {
+        let num_dcs = self.carried.as_ref().map_or(0, |(core, _)| core.num_dcs());
+        geopart::check_fault_report(dead, num_dcs)?;
+        self.noted_fault = Some(dead.to_vec());
+        Ok(())
     }
 
     /// Partitions the current snapshot within `t_opt`, seeding from the
@@ -278,7 +289,8 @@ impl AdaptiveRlCut {
     /// the carried placement state incrementally (work proportional to the
     /// delta), fronts what the delta made hot in the sampling order, and
     /// reuses the carried worker pool. Falls back to the rebuild path on
-    /// the first window and after a noted fault.
+    /// the first window. A delta or profile that does not fit is
+    /// [`PlanError::DeltaMismatch`], leaving the carried state in place.
     pub fn on_window_delta(
         &mut self,
         geo: &GeoGraph,
@@ -300,48 +312,37 @@ impl AdaptiveRlCut {
         num_iterations: f64,
         t_opt: Duration,
     ) -> Result<WindowReport, WindowError> {
-        if geo.num_vertices() < self.masters.len() {
+        if geo.num_vertices() < self.masters().len() {
             return Err(WindowError::ShrunkGraph {
-                carried: self.masters.len(),
+                carried: self.masters().len(),
                 snapshot: geo.num_vertices(),
             });
         }
+        // A delta resumes the carried state, checked before it is consumed.
+        if let (Some(delta), Some((core, _))) = (delta, &self.carried) {
+            HybridState::check_resume(core, geo, delta, &profile)?;
+        }
+        let delta = delta.filter(|_| self.carried.is_some());
         let mut config = self.config.clone().with_t_opt(t_opt);
         if let Some(fraction) = self.budget_fraction {
             config.budget =
                 geosim::cost::default_budget(env, &geo.locations, &geo.data_sizes, fraction);
         }
-        let fault = self.pending_fault.take();
-        let mut dead_dcs = 0u64;
-        if let Some(dead) = &fault {
-            // Reject a malformed report before anything carried is consumed.
-            geopart::reseed_stranded_masters(&mut [], &[], dead, geo.num_dcs)?;
-            dead_dcs = dead.iter().rev().fold(0, |mask, &d| mask << 1 | d as u64);
-        }
-        let incremental = delta.is_some() && fault.is_none() && self.carried.is_some();
 
         let prep_start = Instant::now();
-        let (state, delta_stats) = if incremental {
-            let delta = delta.expect("checked by `incremental`");
-            let (core, theta) = self.carried.take().expect("checked by `incremental`");
+        let (state, delta_stats) = if let Some(delta) = delta {
+            let (core, theta) = self.carried.take().expect("checked with the delta");
             let (state, stats) =
                 HybridState::resume_from_parts(core, theta, geo, env, delta, &profile)?;
             // The state's meta records now hold the only copy it needs.
             drop(profile);
             (state, Some(stats))
         } else {
-            // Rebuild path: from-scratch state over the whole snapshot. A
-            // carried state (if any) no longer matches the rebuilt masters.
-            self.carried = None;
-            let mut masters = std::mem::take(&mut self.masters);
+            // Rebuild path: from-scratch state over the whole snapshot,
+            // seeded from the carried masters.
+            let carried = self.carried.take().map(|(core, _)| core.masters().to_vec());
+            let mut masters = carried.unwrap_or_default();
             masters.extend_from_slice(&geo.locations[masters.len()..]);
-            if let Some(dead) = fault {
-                // A fault is a dynamicity spike (§V-C): re-seed stranded
-                // masters onto a live DC and widen the first sample so the
-                // perturbed neighborhoods are re-trained this window.
-                geopart::reseed_stranded_masters(&mut masters, &geo.locations, &dead, geo.num_dcs)?;
-                config.initial_sample_rate = (config.initial_sample_rate * 8.0).min(1.0);
-            }
             let theta =
                 config.theta.unwrap_or_else(|| geograph::degree::suggest_theta(&geo.graph, 0.05));
             let state =
@@ -352,23 +353,24 @@ impl AdaptiveRlCut {
 
         let resources = self.resources.take().unwrap_or_default();
         let mut session = TrainerSession::with_resources(geo, env, state, config, resources);
-        // The re-seed took every master off the dead DCs; the mask keeps
-        // this window's training from moving one back.
-        session.dead_dcs = dead_dcs;
         if self.journal_moves {
             session.enable_move_journal();
         }
-        // What a resumed delta touched is where quality degraded: floor the
-        // Eq 14 rate so even a converged schedule revisits it (the
-        // generalization of the fault path's ×8 initial-rate boost).
-        let touched = if incremental { delta.map_or(&[][..], GraphDelta::touched) } else { &[] };
+        // The flags noted since the last window replace the carried mask.
+        let dead = self.noted_fault.as_ref().or(self.dead.as_ref()).filter(|d| d.contains(&true));
+        let reseeded = dead.map_or(Ok(Vec::new()), |dead| session.evacuate_dead_dcs(env, dead))?;
+        // What the delta or the re-seed touched is where quality degraded:
+        // floor the Eq 14 rate so even a converged schedule revisits it.
+        let mut touched = [delta.map_or(&[][..], GraphDelta::touched), &reseeded].concat();
+        touched.sort_unstable();
+        touched.dedup();
         let floor = (8.0 * touched.len() as f64 / session.num_trainable().max(1) as f64).min(1.0);
         session.boost_sampling(floor);
         // Window 0 is a cold partition and samples as `rlcut::partition`
-        // does. Every later one fronts the delta's hot set and spends the
+        // does. Every later one fronts the touched hot set and spends the
         // rest of its sample on this window's slice of the ring.
         let hot_agents =
-            if self.window > 0 { session.focus_window(touched, self.window) } else { 0 };
+            if self.window > 0 { session.focus_window(&touched, self.window) } else { 0 };
         session.run(env)?;
         let (result, resources) = session.finish_with_resources(env);
         self.resources = Some(resources);
@@ -378,8 +380,10 @@ impl AdaptiveRlCut {
 
         let objective = result.final_objective(env);
         let migrations = result.total_migrations();
-        self.masters = result.state.core().masters().to_vec();
         self.carried = Some(result.state.into_parts());
+        if let Some(noted) = self.noted_fault.take() {
+            self.dead = noted.contains(&true).then_some(noted);
+        }
         self.window += 1;
         Ok(WindowReport {
             overhead: delta_apply + train,
@@ -401,6 +405,7 @@ mod tests {
     use geograph::generators::preferential::preferential_attachment_edges;
     use geograph::locality::{assign_locations, LocalityConfig};
     use geograph::{GeoGraph, GraphBuilder};
+    use geopart::reseed_stranded_masters;
     use geosim::regions::ec2_eight_regions;
 
     /// Builds the Exp#5-style workload: 70 % of edges as the base graph,
@@ -465,51 +470,86 @@ mod tests {
 
     #[test]
     fn noted_fault_reseeds_stranded_masters() {
-        let (geo_initial, _, _) = dynamic_workload();
+        let (geo, _, _) = dynamic_workload();
         let env = ec2_eight_regions();
-        // A zero sample rate isolates the fault-reseed path: the window
-        // performs no training moves, so the final masters are the seeds.
+        // A pinned zero rate trains nothing: what moves is the re-seed.
         let config = RlCutConfig::new(1.0).with_seed(6).with_fixed_sample_rate(0.0);
-        let mut adaptive = AdaptiveRlCut::new(config, Some(0.4));
-        let p = TrafficProfile::uniform(geo_initial.num_vertices(), 8.0);
-        adaptive
-            .on_window(&geo_initial, &env, p.clone(), 10.0, Duration::from_millis(200))
-            .expect("window 0");
-        let victim: DcId = adaptive.masters()[0];
-
-        let mut dead = vec![false; env.num_dcs()];
-        dead[victim as usize] = true;
-        adaptive.note_fault(&dead);
-        adaptive
-            .on_window(&geo_initial, &env, p.clone(), 10.0, Duration::from_millis(200))
-            .expect("window 1");
-        assert!(
-            adaptive.masters().iter().all(|&m| m != victim),
-            "seeds after a noted fault must avoid the dead DC"
-        );
+        let mut adaptive = AdaptiveRlCut::new(config, Some(0.4)).with_move_journal();
+        let p = TrafficProfile::uniform(geo.num_vertices(), 8.0);
+        let t_opt = Duration::from_millis(200);
+        // Before the first window nothing is placed, so no report fits.
+        let err = adaptive.note_fault(&[false; 8]).expect_err("nothing placed yet");
+        assert!(matches!(err, PlanError::LengthMismatch { expected: 0, found: 8, .. }), "{err}");
+        adaptive.on_window(&geo, &env, p.clone(), 10.0, t_opt).expect("window 0");
+        let before = adaptive.masters().to_vec();
+        let victim = before[0];
 
         // A report with every DC dead, or with fewer flags than DCs, is a
-        // typed error that leaves the carried plan where it was.
-        let before = adaptive.masters().to_vec();
-        for (bad, want) in [
-            (vec![true; env.num_dcs()], PlanError::NoLiveDc),
-            (
-                vec![true; 3],
-                PlanError::LengthMismatch {
-                    what: "dead-DC flags",
-                    expected: env.num_dcs(),
-                    found: 3,
-                },
-            ),
-        ] {
-            adaptive.note_fault(&bad);
-            let err = adaptive
-                .on_window(&geo_initial, &env, p.clone(), 10.0, Duration::from_millis(200))
-                .expect_err("malformed fault report");
-            assert!(matches!(&err, WindowError::Plan(e) if *e == want), "{err}");
-            assert_eq!(adaptive.masters(), &before[..]);
-            assert!(adaptive.carried_parts().is_some());
+        // typed error where it is noted, and changes nothing.
+        assert_eq!(adaptive.note_fault(&[true; 8]), Err(PlanError::NoLiveDc));
+        let err = adaptive.note_fault(&[true; 3]).expect_err("three flags for eight DCs");
+        assert!(matches!(err, PlanError::LengthMismatch { expected: 8, found: 3, .. }), "{err}");
+        assert_eq!((adaptive.masters(), &adaptive.noted_fault), (&before[..], &None));
+
+        // Every window from the fault on resumes the carried state. The
+        // first opens its journal with the re-seed by the one rule, and no
+        // window puts a master back while the mask holds.
+        let mut dead = vec![false; 8];
+        dead[victim as usize] = true;
+        adaptive.note_fault(&dead).expect("well-formed report");
+        let mut reseeded = before.clone();
+        reseed_stranded_masters(&mut reseeded, &geo.locations, &dead, 8).unwrap();
+        adaptive.take_window_journal();
+        let stationary = GraphDelta::from_events(&geo.graph, &[]);
+        for window in 1..4 {
+            let report = adaptive
+                .on_window_delta(&geo, &env, &stationary, p.clone(), 10.0, t_opt)
+                .unwrap_or_else(|e| panic!("window {window}: {e}"));
+            assert!(report.delta_stats.is_some(), "window {window} must resume the carried state");
+            let journal = adaptive.take_window_journal();
+            if window == 1 {
+                let (step, moves) = &journal[0];
+                assert_eq!(*step, crate::trainer::RESEED_STEP);
+                assert!(moves
+                    .iter()
+                    .all(|&(v, d)| before[v as usize] == victim && reseeded[v as usize] == d));
+                assert_eq!(adaptive.masters(), &reseeded[..]);
+            }
+            assert!(!adaptive.masters().contains(&victim), "window {window} uses the dead DC");
+            assert_eq!(adaptive.dead_dcs(), Some(&dead[..]), "the mask outlives its window");
         }
+        // The all-clear lifts the mask with the window it is noted before.
+        adaptive.note_fault(&[false; 8]).expect("all-clear");
+        adaptive.on_window_delta(&geo, &env, &stationary, p, 10.0, t_opt).expect("window 4");
+        assert_eq!((adaptive.dead_dcs(), &adaptive.noted_fault), (None, &None));
+    }
+
+    #[test]
+    fn rejected_delta_keeps_the_carried_state() {
+        let (geo, _, _) = dynamic_workload();
+        let env = ec2_eight_regions();
+        let config = RlCutConfig::new(1.0).with_seed(7).with_theta(8).with_max_steps(2);
+        let mut adaptive = AdaptiveRlCut::new(config, Some(0.4));
+        let (t_opt, p) = (Duration::from_millis(200), TrafficProfile::uniform(1000, 8.0));
+        adaptive.on_window(&geo, &env, p.clone(), 10.0, t_opt).expect("window 0");
+        let (core, theta) = adaptive.carried_parts().cloned().expect("carried");
+
+        // A delta from another graph, and a profile short of the graph.
+        let foreign = GraphDelta::from_events(&geograph::Graph::empty(10), &[]);
+        let stationary = GraphDelta::from_events(&geo.graph, &[]);
+        let short = TrafficProfile::uniform(999, 8.0);
+        for (delta, profile) in [(&foreign, p.clone()), (&stationary, short)] {
+            let err = adaptive
+                .on_window_delta(&geo, &env, delta, profile, 10.0, t_opt)
+                .expect_err("mismatched delta");
+            assert!(matches!(err, WindowError::Plan(PlanError::DeltaMismatch { .. })), "{err}");
+            let (kept, kept_theta) = adaptive.carried_parts().expect("the carried state stays");
+            assert_eq!((adaptive.masters(), *kept_theta), (core.masters(), theta));
+            assert_eq!(kept.movement_cost().to_bits(), core.movement_cost().to_bits());
+        }
+        let report =
+            adaptive.on_window_delta(&geo, &env, &stationary, p, 10.0, t_opt).expect("valid delta");
+        assert!(report.delta_stats.is_some(), "the next delta window resumes, not rebuilds");
     }
 
     #[test]
@@ -551,20 +591,8 @@ mod tests {
         // The cross-window persistence gate (also run by scripts/verify.sh):
         // pool thread ids must be identical across delta windows — the
         // pool is carried, not respawned.
-        let n = 400;
-        let edges = preferential_attachment_edges(n, 3, 23);
-        let (initial, stream) = split_for_dynamic(&edges, n, 0.6, 10_000);
-        let windows: Vec<_> = stream.windows(2_500).collect();
+        let (mut geo, windows) = stream_workload(400, 23, 2_500);
         assert!(windows.len() >= 3, "need several delta windows, got {}", windows.len());
-        let full_graph = {
-            let mut b = GraphBuilder::new(n);
-            b.add_edges(initial.edges());
-            apply_events(&mut b, stream.events());
-            b.build()
-        };
-        let cfg = LocalityConfig::paper_default(23);
-        let locations = assign_locations(&full_graph, &cfg);
-        let sizes: Vec<u64> = (0..full_graph.num_vertices()).map(|_| 2048).collect();
         let env = ec2_eight_regions();
         let config = RlCutConfig::new(1.0)
             .with_seed(9)
@@ -573,27 +601,14 @@ mod tests {
             .with_max_steps(2);
         let mut adaptive = AdaptiveRlCut::new(config, Some(0.4));
 
-        let mut graph = initial;
-        let geo0 = GeoGraph::new(
-            graph.clone(),
-            locations[..graph.num_vertices()].to_vec(),
-            sizes[..graph.num_vertices()].to_vec(),
-            cfg.num_dcs,
-        );
-        let p0 = TrafficProfile::uniform(geo0.num_vertices(), 8.0);
-        adaptive.on_window(&geo0, &env, p0, 10.0, Duration::from_millis(200)).expect("window 0");
+        let p0 = TrafficProfile::uniform(geo.num_vertices(), 8.0);
+        adaptive.on_window(&geo, &env, p0, 10.0, Duration::from_millis(200)).expect("window 0");
         let ids = adaptive.pool_thread_ids().expect("threads=4 builds a pool");
         assert_eq!(ids.len(), 4);
 
         for (i, window) in windows.iter().enumerate() {
-            let delta = geograph::GraphDelta::from_events(&graph, window);
-            graph = graph.apply_delta(&delta);
-            let geo = GeoGraph::new(
-                graph.clone(),
-                locations[..graph.num_vertices()].to_vec(),
-                sizes[..graph.num_vertices()].to_vec(),
-                cfg.num_dcs,
-            );
+            let delta = GraphDelta::from_events(&geo.graph, window);
+            geo = grown(&geo, &delta);
             let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
             let report = adaptive
                 .on_window_delta(&geo, &env, &delta, profile, 10.0, Duration::from_millis(200))
@@ -613,7 +628,26 @@ mod tests {
                 "window {i} respawned the pool"
             );
         }
-        assert_eq!(adaptive.masters().len(), graph.num_vertices());
+        assert_eq!(adaptive.masters().len(), geo.num_vertices());
+    }
+
+    /// An `n`-vertex preferential graph: 60 % of its edges as the base
+    /// graph under the full graph's paper-default homes, the rest as event
+    /// batches of `window_ms`.
+    fn stream_workload(
+        n: usize,
+        seed: u64,
+        window_ms: u64,
+    ) -> (GeoGraph, Vec<Vec<geograph::dynamic::EdgeEvent>>) {
+        let edges = preferential_attachment_edges(n, 3, seed);
+        let (initial, stream) = split_for_dynamic(&edges, n, 0.6, 10_000);
+        let mut full = GraphBuilder::new(n);
+        full.add_edges(initial.edges());
+        apply_events(&mut full, stream.events());
+        let cfg = LocalityConfig::paper_default(seed);
+        let locations = assign_locations(&full.build(), &cfg);
+        let geo0 = GeoGraph::new(initial, locations, vec![2048; n], cfg.num_dcs);
+        (geo0, stream.windows(window_ms).map(<[_]>::to_vec).collect())
     }
 
     /// A 1 000-vertex preferential graph under its paper-default homes.
@@ -732,23 +766,10 @@ mod tests {
     }
 
     fn journaled_windows_case(journal: bool) {
-        use geograph::dynamic::EdgeEvent;
-        let n = 400;
-        let edges = preferential_attachment_edges(n, 3, 23);
-        let (initial, stream) = split_for_dynamic(&edges, n, 0.6, 10_000);
-        let mut batches: Vec<Vec<EdgeEvent>> = stream.windows(2_500).map(|w| w.to_vec()).collect();
+        let (mut geo, mut batches) = stream_workload(400, 23, 2_500);
         assert!(batches.len() >= 3, "need several delta windows");
         // Last: a surgical one-edge delta.
         batches.push(vec![insert(100, 101)]);
-        let full_graph = {
-            let mut b = GraphBuilder::new(n);
-            b.add_edges(initial.edges());
-            apply_events(&mut b, stream.events());
-            b.build()
-        };
-        let cfg = LocalityConfig::paper_default(23);
-        let locations = assign_locations(&full_graph, &cfg);
-        let sizes: Vec<u64> = (0..full_graph.num_vertices()).map(|_| 2048).collect();
         let env = ec2_eight_regions();
         let config = RlCutConfig::new(1.0)
             .with_seed(13)
@@ -762,27 +783,14 @@ mod tests {
             adaptive = adaptive.with_move_journal();
         }
 
-        let mut graph = initial;
-        let geo0 = GeoGraph::new(
-            graph.clone(),
-            locations[..graph.num_vertices()].to_vec(),
-            sizes[..graph.num_vertices()].to_vec(),
-            cfg.num_dcs,
-        );
-        let p0 = TrafficProfile::uniform(geo0.num_vertices(), 8.0);
-        let w0 = adaptive.on_window(&geo0, &env, p0, 10.0, t_opt).expect("window 0");
+        let p0 = TrafficProfile::uniform(geo.num_vertices(), 8.0);
+        let w0 = adaptive.on_window(&geo, &env, p0, 10.0, t_opt).expect("window 0");
         assert_eq!(adaptive.take_window_journal().is_empty(), !journal || w0.migrations == 0);
 
         let mut journaled_moves = 0;
         for (i, batch) in batches.iter().enumerate() {
-            let delta = geograph::GraphDelta::from_events(&graph, batch);
-            graph = graph.apply_delta(&delta);
-            let geo = GeoGraph::new(
-                graph.clone(),
-                locations[..graph.num_vertices()].to_vec(),
-                sizes[..graph.num_vertices()].to_vec(),
-                cfg.num_dcs,
-            );
+            let delta = GraphDelta::from_events(&geo.graph, batch);
+            geo = grown(&geo, &delta);
             let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
             let (core, theta) = adaptive.carried_parts().cloned().expect("window 0 carried");
             let report = adaptive
@@ -820,19 +828,7 @@ mod tests {
         // Incremental delta windows and rebuild windows (`on_window`: the
         // same snapshots, no delta) train over identical state (same
         // masters, same theta, same profile).
-        let n = 300;
-        let edges = preferential_attachment_edges(n, 3, 29);
-        let (initial, stream) = split_for_dynamic(&edges, n, 0.6, 10_000);
-        let windows: Vec<_> = stream.windows(3_400).collect();
-        let full_graph = {
-            let mut b = GraphBuilder::new(n);
-            b.add_edges(initial.edges());
-            apply_events(&mut b, stream.events());
-            b.build()
-        };
-        let cfg = LocalityConfig::paper_default(29);
-        let locations = assign_locations(&full_graph, &cfg);
-        let sizes: Vec<u64> = (0..full_graph.num_vertices()).map(|_| 2048).collect();
+        let (mut geo, windows) = stream_workload(300, 29, 3_400);
         let env = ec2_eight_regions();
         // theta pinned: the delta path carries the first window's theta
         // forward, the rebuild path would otherwise re-derive it per
@@ -846,28 +842,15 @@ mod tests {
         let mut incremental = AdaptiveRlCut::new(config.clone(), Some(0.4));
         let mut rebuild = AdaptiveRlCut::new(config, Some(0.4));
 
-        let mut graph = initial;
-        let geo0 = GeoGraph::new(
-            graph.clone(),
-            locations[..graph.num_vertices()].to_vec(),
-            sizes[..graph.num_vertices()].to_vec(),
-            cfg.num_dcs,
-        );
         let t_opt = Duration::from_millis(200);
-        let p0 = TrafficProfile::uniform(geo0.num_vertices(), 8.0);
-        incremental.on_window(&geo0, &env, p0.clone(), 10.0, t_opt).expect("inc window 0");
-        rebuild.on_window(&geo0, &env, p0, 10.0, t_opt).expect("reb window 0");
+        let p0 = TrafficProfile::uniform(geo.num_vertices(), 8.0);
+        incremental.on_window(&geo, &env, p0.clone(), 10.0, t_opt).expect("inc window 0");
+        rebuild.on_window(&geo, &env, p0, 10.0, t_opt).expect("reb window 0");
         assert_eq!(incremental.masters(), rebuild.masters());
 
         for (i, window) in windows.iter().enumerate() {
-            let delta = geograph::GraphDelta::from_events(&graph, window);
-            graph = graph.apply_delta(&delta);
-            let geo = GeoGraph::new(
-                graph.clone(),
-                locations[..graph.num_vertices()].to_vec(),
-                sizes[..graph.num_vertices()].to_vec(),
-                cfg.num_dcs,
-            );
+            let delta = GraphDelta::from_events(&geo.graph, window);
+            geo = grown(&geo, &delta);
             let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
             let ri = incremental
                 .on_window_delta(&geo, &env, &delta, profile.clone(), 10.0, t_opt)
@@ -882,7 +865,7 @@ mod tests {
         // focused sampling order differs, so compare final plan quality
         // rather than bitwise masters: both must be valid, full-length
         // plans over the final graph.
-        assert_eq!(incremental.masters().len(), graph.num_vertices());
-        assert_eq!(rebuild.masters().len(), graph.num_vertices());
+        assert_eq!(incremental.masters().len(), geo.num_vertices());
+        assert_eq!(rebuild.masters().len(), geo.num_vertices());
     }
 }

@@ -8,9 +8,11 @@
 //!    fault flags) are logged and fsynced **before** training starts;
 //! 2. the window trains through the inner [`AdaptiveRlCut`] with move
 //!    journaling on;
-//! 3. the journal's accepted-migration batches and a commit record
-//!    (carried theta, final movement-cost bits, masters hash) are
+//! 3. the journal's batches (a dead DC's re-seed among them) and a commit
+//!    record (carried theta, final movement-cost bits, masters hash) are
 //!    appended and fsynced together — one group commit seals the window.
+//!
+//! While a DC is dead a snapshot carries the mask in its trainer slot.
 //!
 //! [`DurableAdaptive::recover`] is the other half: latest valid snapshot
 //! plus WAL replay (see [`geodur::replay`]) reconstructs the pipeline
@@ -28,7 +30,7 @@ use geodur::{
     SnapshotRef, WindowStart,
 };
 use geograph::{DcId, GeoGraph, GraphDelta};
-use geopart::TrafficProfile;
+use geopart::{PlanError, TrafficProfile};
 use geosim::CloudEnv;
 
 use crate::adaptive::{AdaptiveRlCut, WindowError, WindowReport};
@@ -107,9 +109,6 @@ pub struct DurableAdaptive {
     /// Fingerprint of the environment the last window trained under
     /// (stamped into window starts and snapshots).
     env_fp: u64,
-    /// Fault flags noted since the last window, logged into the next
-    /// window's start record.
-    pending_dead: Option<Vec<bool>>,
     /// Cut a snapshot every this many committed windows (0 = only on
     /// explicit [`Self::snapshot_now`]).
     snapshot_every: u64,
@@ -151,7 +150,6 @@ impl DurableAdaptive {
             geo,
             window: 0,
             env_fp: env_fingerprint(env),
-            pending_dead: None,
             snapshot_every,
             windows_since_snapshot: 0,
             on_commit: None,
@@ -177,20 +175,20 @@ impl DurableAdaptive {
             replayed_windows: recovered.replayed_windows,
             rolled_back: recovered.rolled_back,
         };
-        let inner = match recovered.parts {
+        let mut inner = match recovered.parts {
             Some(parts) => {
                 AdaptiveRlCut::with_carried(config, budget_fraction, parts, recovered.next_window)
             }
             None => AdaptiveRlCut::new(config, budget_fraction),
         }
         .with_move_journal();
+        inner.dead = recovered.dead;
         let durable = DurableAdaptive {
             inner,
             store,
             geo: recovered.geo,
             window: recovered.next_window,
             env_fp: env_fingerprint(env),
-            pending_dead: None,
             snapshot_every,
             // The cadence counts from the snapshot recovery loaded, not
             // from the restart — or a pipeline that restarts more often
@@ -208,13 +206,10 @@ impl DurableAdaptive {
         self.on_commit = Some(hook);
     }
 
-    /// Notes a WAN fault (dead-DC flags) observed between windows; the
-    /// next window logs the flags, takes the rebuild path, and re-seeds
-    /// stranded masters — identically live and at replay.
-    pub fn note_fault(&mut self, dead: &[bool]) {
-        if dead.iter().any(|&d| d) {
-            self.pending_dead = Some(dead.to_vec());
-        }
+    /// Notes a fault as [`AdaptiveRlCut::note_fault`] does; the next window
+    /// logs the flags (an all-clear too). A refused report logs nothing.
+    pub fn note_fault(&mut self, dead: &[bool]) -> Result<(), PlanError> {
+        self.inner.note_fault(dead)
     }
 
     /// Runs one durable window. `delta` + the suffixes describe the graph
@@ -222,6 +217,8 @@ impl DurableAdaptive {
     /// stationary window, and for window 0, whose full graph is already
     /// in the genesis snapshot); `profile` is the full traffic profile
     /// over the grown graph, as in [`AdaptiveRlCut::on_window_delta`].
+    /// After window 0 every window resumes the carried state: a
+    /// stationary one through an empty delta.
     #[allow(clippy::too_many_arguments)]
     pub fn window(
         &mut self,
@@ -259,14 +256,6 @@ impl DurableAdaptive {
         if profile.len() != new_n {
             return Err(DurableWindowError::Input("profile does not cover the grown graph"));
         }
-        // A malformed fault report is dropped here, before it can be logged:
-        // replay would refuse the record and the store could never recover.
-        let dead = self.pending_dead.take();
-        if let Some(d) = &dead {
-            geopart::reseed_stranded_masters(&mut [], &[], d, self.geo.num_dcs).map_err(|_| {
-                DurableWindowError::Input("dead-DC flags must cover every DC and leave one alive")
-            })?;
-        }
         if let Some(d) = delta {
             let graph = self.geo.graph.apply_delta(d);
             let mut locations = std::mem::take(&mut self.geo.locations);
@@ -288,16 +277,15 @@ impl DurableAdaptive {
             gather_suffix: profile.gather_bytes[profile_base..].to_vec(),
             apply_suffix: profile.apply_bytes[profile_base..].to_vec(),
             num_iterations,
-            dead: dead.clone(),
+            dead: self.inner.noted_fault.clone(),
             env_fp: env_fingerprint(env),
         };
         self.env_fp = ws.env_fp;
         self.store.log_window_start(&ws)?;
 
         // 3. Train the window (journaling every applied move).
-        if let Some(d) = &dead {
-            self.inner.note_fault(d);
-        }
+        let stationary = GraphDelta::from_events(&self.geo.graph, &[]);
+        let delta = delta.or(self.inner.carried_parts().map(|_| &stationary));
         let report = match delta {
             Some(d) => {
                 self.inner.on_window_delta(&self.geo, env, d, profile, num_iterations, t_opt)?
@@ -331,16 +319,19 @@ impl DurableAdaptive {
 
     /// Cuts a snapshot at the current committed boundary and prunes
     /// snapshots and WAL segments behind it. The live graph and placement
-    /// are streamed to disk as they stand — nothing is cloned. Returns the
-    /// snapshot's encoded size.
+    /// are streamed to disk as they stand — nothing is cloned — and the
+    /// carried dead-DC mask rides in the trainer slot while a DC is dead.
+    /// Returns the snapshot's encoded size.
     pub fn snapshot_now(&mut self) -> Result<u64, DurableError> {
+        let dead: Option<Vec<u8>> =
+            self.inner.dead_dcs().map(|dead| dead.iter().map(|&d| d as u8).collect());
         let snap = SnapshotRef {
             lsn: self.store.next_lsn(),
             window: self.window,
             env_fp: self.env_fp,
             geo: &self.geo,
             placement: self.inner.carried_parts().map(|(state, theta)| (state, *theta)),
-            trainer: None,
+            trainer: dead.as_deref(),
         };
         let bytes = self.store.write_snapshot_ref(snap)?;
         self.windows_since_snapshot = 0;
@@ -349,11 +340,7 @@ impl DurableAdaptive {
 
     /// The current master assignment (home locations before window 0).
     pub fn masters(&self) -> &[DcId] {
-        if self.inner.masters().is_empty() {
-            &self.geo.locations
-        } else {
-            self.inner.masters()
-        }
+        self.inner.carried_parts().map_or(&self.geo.locations, |(core, _)| core.masters())
     }
 
     /// The geo-graph as of the last window.
@@ -455,25 +442,23 @@ mod tests {
         GeoGraph::new(graph, locations, data_sizes, num_dcs)
     }
 
+    /// DC 2 dark: the fault both runs note before window 2.
+    fn dc2_dead() -> Vec<bool> {
+        (0..8).map(|d| d == 2).collect()
+    }
+
     /// The uninterrupted reference: a plain `AdaptiveRlCut` over window 0
-    /// plus the first `upto` delta windows, with an optional fault noted
-    /// before window `fault_before`.
-    fn reference_after(
-        w: &Workload,
-        upto: usize,
-        env: &CloudEnv,
-        fault_before: Option<(usize, &[bool])>,
-    ) -> (Vec<DcId>, u64) {
+    /// plus the first `upto` delta windows, with DC 2 noted dead before
+    /// window 2.
+    fn reference_after(w: &Workload, upto: usize, env: &CloudEnv) -> (Vec<DcId>, u64) {
         let mut adaptive = AdaptiveRlCut::new(pinned_config(13), Some(0.4));
         let t_opt = Duration::from_secs(60);
         let p0 = TrafficProfile::uniform(w.geo0.num_vertices(), 8.0);
         adaptive.on_window(&w.geo0, env, p0, 10.0, t_opt).expect("reference window 0");
         let mut geo = w.geo0.clone();
         for (i, (delta, locs, sizes)) in w.steps.iter().take(upto).enumerate() {
-            if let Some((at, dead)) = fault_before {
-                if at == i + 1 {
-                    adaptive.note_fault(dead);
-                }
+            if i + 1 == 2 {
+                adaptive.note_fault(&dc2_dead()).expect("well-formed fault report");
             }
             geo = evolve(geo, delta, locs, sizes);
             let p = TrafficProfile::uniform(geo.num_vertices(), 8.0);
@@ -491,7 +476,9 @@ mod tests {
         let env = ec2_eight_regions();
         let t_opt = Duration::from_secs(60);
         let dir = tmp_dir("continue");
-        let split = 2; // "die" after window 0 + 2 delta windows
+        // "Die" after window 0 + 2 delta windows, the second of them the
+        // fault window: recovery must carry the dead-DC mask on.
+        let split = 2;
 
         {
             let mut durable = DurableAdaptive::create(
@@ -505,7 +492,10 @@ mod tests {
             .expect("create");
             let p0 = TrafficProfile::uniform(w.geo0.num_vertices(), 8.0);
             durable.window(&env, None, &[], &[], p0, 10.0, t_opt).expect("window 0");
-            for (delta, locs, sizes) in w.steps.iter().take(split) {
+            for (i, (delta, locs, sizes)) in w.steps.iter().take(split).enumerate() {
+                if i + 1 == 2 {
+                    durable.note_fault(&dc2_dead()).expect("well-formed fault report");
+                }
                 let p = TrafficProfile::uniform(delta.new_num_vertices(), 8.0);
                 durable.window(&env, Some(delta), locs, sizes, p, 10.0, t_opt).expect("delta");
             }
@@ -518,7 +508,7 @@ mod tests {
 
         // Recovered state is bit-identical to the uninterrupted run at
         // the kill point...
-        let (mid_masters, mid_cost) = reference_after(&w, split, &env, None);
+        let (mid_masters, mid_cost) = reference_after(&w, split, &env);
         assert_eq!(recovered.masters(), &mid_masters[..], "recovered masters diverged");
         let (core, _) = recovered.inner().carried_parts().expect("recovered carried");
         assert_eq!(core.movement_cost().to_bits(), mid_cost, "movement cost not bit-exact");
@@ -529,47 +519,11 @@ mod tests {
             let p = TrafficProfile::uniform(delta.new_num_vertices(), 8.0);
             recovered.window(&env, Some(delta), locs, sizes, p, 10.0, t_opt).expect("continued");
         }
-        let (final_masters, final_cost) = reference_after(&w, w.steps.len(), &env, None);
+        assert_eq!(recovered.inner().dead_dcs(), Some(&dc2_dead()[..]));
+        let (final_masters, final_cost) = reference_after(&w, w.steps.len(), &env);
         assert_eq!(recovered.masters(), &final_masters[..], "continuation diverged");
         let (core, _) = recovered.inner().carried_parts().expect("continued carried");
         assert_eq!(core.movement_cost().to_bits(), final_cost);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fault_window_recovers_identically() {
-        let w = workload();
-        let env = ec2_eight_regions();
-        let t_opt = Duration::from_secs(60);
-        let dir = tmp_dir("fault");
-        let mut dead = vec![false; env.num_dcs()];
-        dead[2] = true;
-
-        {
-            let mut durable = DurableAdaptive::create(
-                &dir,
-                pinned_config(13),
-                Some(0.4),
-                w.geo0.clone(),
-                &env,
-                0,
-            )
-            .expect("create");
-            let p0 = TrafficProfile::uniform(w.geo0.num_vertices(), 8.0);
-            durable.window(&env, None, &[], &[], p0, 10.0, t_opt).expect("window 0");
-            durable.note_fault(&dead);
-            let (delta, locs, sizes) = &w.steps[0];
-            let p = TrafficProfile::uniform(delta.new_num_vertices(), 8.0);
-            durable.window(&env, Some(delta), locs, sizes, p, 10.0, t_opt).expect("fault window");
-        }
-
-        let (recovered, summary) =
-            DurableAdaptive::recover(&dir, pinned_config(13), Some(0.4), &env, 0).expect("recover");
-        assert_eq!(summary.next_window, 2);
-        let (masters, cost) = reference_after(&w, 1, &env, Some((1, &dead[..])));
-        assert_eq!(recovered.masters(), &masters[..], "fault-window replay diverged");
-        let (core, _) = recovered.inner().carried_parts().expect("carried");
-        assert_eq!(core.movement_cost().to_bits(), cost);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -615,16 +569,29 @@ mod tests {
         assert!(matches!(err, DurableWindowError::Input(_)), "{err}");
 
         // A fault report with every DC dead, or with fewer flags than DCs,
-        // is refused before anything is logged (replay would reject the
-        // record and strand the store), and the window after it commits.
-        for bad in [vec![true; env.num_dcs()], vec![true; 3]] {
+        // is refused where it is noted, before anything is logged (replay
+        // would reject the record and strand the store): the carried plan
+        // is untouched and the window after it commits with no flags.
+        durable
+            .window(&env, None, &[], &[], TrafficProfile::uniform(n, 8.0), 10.0, t_opt)
+            .expect("window 0");
+        for (bad, want) in [
+            (vec![true; env.num_dcs()], PlanError::NoLiveDc),
+            (
+                vec![true; 3],
+                PlanError::LengthMismatch {
+                    what: "dead-DC flags",
+                    expected: env.num_dcs(),
+                    found: 3,
+                },
+            ),
+        ] {
             let lsn = durable.store().next_lsn();
-            durable.note_fault(&bad);
-            let err = durable
-                .window(&env, None, &[], &[], TrafficProfile::uniform(n, 8.0), 10.0, t_opt)
-                .expect_err("malformed fault report");
-            assert!(matches!(err, DurableWindowError::Input(_)), "{err}");
-            assert_eq!(durable.store().next_lsn(), lsn, "a rejected window logs nothing");
+            let masters = durable.masters().to_vec();
+            assert_eq!(durable.note_fault(&bad), Err(want));
+            assert_eq!(durable.store().next_lsn(), lsn, "a refused report logs nothing");
+            assert_eq!(durable.masters(), &masters[..], "a refused report moves nothing");
+            assert_eq!(durable.inner.noted_fault, None);
             let window = durable.next_window();
             durable
                 .window(&env, None, &[], &[], TrafficProfile::uniform(n, 8.0), 10.0, t_opt)

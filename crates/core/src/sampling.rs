@@ -70,9 +70,8 @@ pub struct SampleScheduler {
     /// Sample-rate floor for delta-focused windows. The Eq 14 schedule
     /// converges toward tiny rates on a quiet graph; after a dynamic
     /// window perturbs a neighborhood, the driver raises this floor so the
-    /// touched region is guaranteed a seat in every step's sample. This
-    /// generalizes the fault-reseed ×8 boost (which only widened the
-    /// *initial* rate) to the whole window. A pinned `fixed` rate is an
+    /// touched region is guaranteed a seat in every step's sample; a dead
+    /// DC's re-seed raises it the same way. A pinned `fixed` rate is an
     /// explicit override and is not floored; stopping conditions are
     /// unaffected either way.
     min_rate: f64,

@@ -121,6 +121,10 @@ pub struct SessionResources {
 /// (live plan → best plan) in [`SessionResources`]' move journal.
 pub const RECONCILE_STEP: u32 = u32::MAX;
 
+/// Journal step index of the re-seed that moves every master off a dead DC
+/// before the first training step ([`TrainerSession::evacuate_dead_dcs`]).
+pub const RESEED_STEP: u32 = u32::MAX - 1;
+
 /// An applied-move journal: per step, the accepted migrations in exact
 /// apply order.
 pub type MoveJournal = Vec<(u32, Vec<(VertexId, DcId)>)>;
@@ -204,10 +208,10 @@ pub struct TrainerSession<'g> {
     /// accepted migration (in exact apply order) for its WAL.
     journal: Option<MoveJournal>,
     /// DCs a noted fault declared dead (bit `d` ⇔ DC `d`): no agent is
-    /// scored toward one and no proposal names one, so a fault window
-    /// never moves a master back onto a dark DC. 0 when no fault is
-    /// pending, which leaves every decision as it was.
-    pub(crate) dead_dcs: u64,
+    /// scored toward one and no proposal names one, so a window never
+    /// moves a master back onto a dark DC. 0 while every DC is live, which
+    /// leaves every decision as it was.
+    dead_dcs: u64,
 }
 
 impl<'g> TrainerSession<'g> {
@@ -356,11 +360,40 @@ impl<'g> TrainerSession<'g> {
         hot_len
     }
 
+    /// Masks the DCs flagged in `dead` for the rest of the session and
+    /// moves every master on one by [`geopart::reseed_stranded_masters`]
+    /// (the rule serving evacuates by) through `apply_move_with`, journaled
+    /// under [`RESEED_STEP`]; the result is the starting best plan. Call
+    /// before the first step. Returns the moved vertices, ascending.
+    pub fn evacuate_dead_dcs(
+        &mut self,
+        env: &CloudEnv,
+        dead: &[bool],
+    ) -> Result<Vec<VertexId>, geopart::PlanError> {
+        let mask = dead.iter().rev().fold(0u64, |mask, &d| mask << 1 | d as u64);
+        let state = self.state.get_mut();
+        let stranded: Vec<VertexId> =
+            self.geo.graph.vertices().filter(|&v| mask >> state.master(v) & 1 == 1).collect();
+        let mut to: Vec<DcId> = stranded.iter().map(|&v| state.master(v)).collect();
+        let homes: Vec<DcId> = stranded.iter().map(|&v| self.geo.locations[v as usize]).collect();
+        geopart::reseed_stranded_masters(&mut to, &homes, dead, self.geo.num_dcs)?;
+        self.dead_dcs = mask;
+        for (&v, &d) in stranded.iter().zip(&to) {
+            state.apply_move_with(env, v, d, &mut self.scratch);
+        }
+        if !stranded.is_empty() {
+            self.best = (state.core().masters().to_vec(), state.objective(env));
+            if let Some(journal) = self.journal.as_mut() {
+                journal.push((RESEED_STEP, stranded.iter().copied().zip(to).collect()));
+            }
+        }
+        Ok(stranded)
+    }
+
     /// Raises the Eq 14 sample-rate floor (see
-    /// [`SampleScheduler::set_min_rate`]) — the dynamic-window
-    /// generalization of the fault path's ×8 initial-rate boost: every
-    /// step of this window samples at least `floor` of the agents, so a
-    /// converged schedule cannot starve the delta's touched region.
+    /// [`SampleScheduler::set_min_rate`]): every step of this window
+    /// samples at least `floor` of the agents, so a converged schedule
+    /// cannot starve the region a delta or a re-seed touched.
     pub fn boost_sampling(&mut self, floor: f64) {
         self.scheduler.set_min_rate(floor.clamp(0.0, 1.0));
     }

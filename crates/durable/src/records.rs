@@ -7,12 +7,12 @@
 //!    traffic-profile *suffixes* for new vertices (prefixes are invariant
 //!    across windows, so logging them again would be redundant and would
 //!    let the log contradict itself), the iteration count, and the
-//!    dead-DC flags if a fault forced this window onto the rebuild path.
+//!    dead-DC flags noted since the previous window, if any.
 //!    Logged and synced *before* training starts.
 //! 2. Zero or more [`Batch`] records — the accepted migration moves of one
-//!    training step, in exact apply order. The end-of-session reconcile
-//!    sweep (live → best plan) is a batch with `step ==`
-//!    [`Batch::RECONCILE_STEP`].
+//!    training step, in exact apply order. A dead DC's re-seed is the
+//!    first batch and the end-of-session reconcile sweep (live → best
+//!    plan) the last, with `step ==` [`Batch::RECONCILE_STEP`].
 //! 3. [`Commit`] — pins the window's outputs: carried theta, the final
 //!    `movement_cost` (the *only* environment-dependent placement field,
 //!    overridden at replay so recovery needs no environment), and an
@@ -41,8 +41,8 @@ pub const KIND_COMMIT: u8 = 3;
 pub struct WindowStart {
     pub window: u64,
     /// Graph change entering this window; `None` for the genesis window
-    /// (full graph lives in the snapshot) and for rebuild-from-scratch
-    /// windows where the trainer ignores deltas.
+    /// (full graph lives in the snapshot) and for a stationary window,
+    /// which resumes the carried state by an empty delta.
     pub delta: Option<GraphDelta>,
     /// Master locations of vertices new in this window
     /// (`geo.locations[old_n..]`).
@@ -55,8 +55,8 @@ pub struct WindowStart {
     pub apply_suffix: Vec<f32>,
     /// Analytics iteration count the window amortizes movement over.
     pub num_iterations: f64,
-    /// Per-DC outage flags when a fault forced a rebuild + reseed window;
-    /// `None` on the incremental path.
+    /// Per-DC outage flags noted since the previous window (an all-clear
+    /// has none set); `None` when nothing was noted.
     pub dead: Option<Vec<bool>>,
     /// [`crate::error::env_fingerprint`] of the environment this window
     /// trained under; replay refuses a store offered a different one.

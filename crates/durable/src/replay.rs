@@ -5,10 +5,11 @@
 //! make that possible:
 //!
 //! 1. **Same code paths.** Windows are re-derived through the identical
-//!    calls the live trainer made — [`HybridState::resume_from_parts`]
-//!    for incremental windows, [`HybridState::from_masters`] (after the
-//!    same [`geopart::reseed_stranded_masters`]) for rebuilds — and every
-//!    accepted migration is re-applied through
+//!    calls the live trainer made — [`HybridState::from_masters`] over the
+//!    home locations for the genesis window,
+//!    [`HybridState::resume_from_parts`] (an empty delta for a stationary
+//!    window) for every later one — and every logged move, a dead DC's
+//!    re-seed included, is re-applied through
 //!    [`HybridState::apply_move_with`] in the exact order the live run
 //!    applied it. Floating-point accumulation is not associative, so
 //!    order fidelity is what buys bit-equality.
@@ -28,8 +29,12 @@
 //! Every committed window's master vector is cross-checked against the
 //! FNV-1a hash its commit record pinned; disagreement is
 //! [`DurableError::ReplayDiverged`], not silently-wrong state.
+//!
+//! The dead-DC mask starts as the snapshot's trainer slot (one 0/1 byte
+//! per DC) and each replayed window start's flags replace it.
 
-use geograph::GeoGraph;
+use geograph::wire::WireError;
+use geograph::{GeoGraph, GraphDelta};
 use geopart::{HybridState, MoveScratch, PlacementState, TrafficProfile};
 use geosim::CloudEnv;
 
@@ -58,9 +63,9 @@ pub struct RecoveredPipeline {
     pub rolled_back: bool,
     /// Records dropped by the rollback.
     pub dropped_records: u64,
-    /// The snapshot's opaque caller bytes — only still meaningful
-    /// when no window was replayed past it, `None` otherwise.
-    pub trainer: Option<Vec<u8>>,
+    /// The dead-DC mask at the recovery point, one flag per DC (`None`
+    /// while every DC is live).
+    pub dead: Option<Vec<bool>>,
 }
 
 impl RecoveredPipeline {
@@ -123,6 +128,15 @@ pub fn replay(
         Some((core, _)) => core.traffic_profile(),
         None => TrafficProfile::uniform(0, 0.0),
     };
+    let mut dead = match snapshot.trainer {
+        None => None,
+        Some(slot) => slot
+            .iter()
+            .map(|&b| (b <= 1).then_some(b == 1))
+            .collect::<Option<Vec<bool>>>()
+            .and_then(|flags| mask_after(flags, geo.num_dcs))
+            .ok_or(WireError::Malformed("trainer slot is not a dead-DC mask"))?,
+    };
     let mut next_window = snapshot.window;
     let mut next_lsn = snapshot.lsn;
     let mut replayed_windows = 0u64;
@@ -134,6 +148,11 @@ pub fn replay(
     while pos < records.len() {
         match parse_window_txn(&records[pos..], geo.num_vertices())? {
             ParsedTxn::Committed { txn, consumed } => {
+                if let Some(flags) = &txn.start.dead {
+                    let (lsn, reason) = (txn.commit_lsn, "dead-DC flags malformed");
+                    dead = mask_after(flags.clone(), geo.num_dcs)
+                        .ok_or(DurableError::RecordSequence { lsn, reason })?;
+                }
                 apply_window(
                     &txn,
                     &mut geo,
@@ -156,7 +175,6 @@ pub fn replay(
         }
     }
 
-    let trainer = if replayed_windows == 0 { snapshot.trainer } else { None };
     Ok(RecoveredPipeline {
         geo,
         parts,
@@ -165,8 +183,15 @@ pub fn replay(
         replayed_windows,
         rolled_back,
         dropped_records,
-        trainer,
+        dead,
     })
+}
+
+/// The dead-DC mask after a fault report (`Some(None)` for an all-clear),
+/// or `None` for a report that is not one flag per DC with one live.
+fn mask_after(flags: Vec<bool>, num_dcs: usize) -> Option<Option<Vec<bool>>> {
+    geopart::check_fault_report(&flags, num_dcs).ok()?;
+    Some(flags.contains(&true).then_some(flags))
 }
 
 enum ParsedTxn {
@@ -297,49 +322,29 @@ fn apply_window(
         });
     }
 
-    // 2. Re-derive the window's starting state through the same path the
-    //    live trainer chose. The discriminator mirrors `window_inner`'s
-    //    `incremental` condition.
-    let incremental = ws.delta.is_some() && ws.dead.is_none() && parts.is_some();
-    let mut hybrid = if incremental {
-        let (core, theta) = parts.take().expect("checked by `incremental`");
-        if theta as u64 != txn.commit.theta {
-            return Err(DurableError::ReplayDiverged { window: ws.window });
-        }
-        let delta = ws.delta.as_ref().expect("checked by `incremental`");
-        let (state, _stats) =
-            HybridState::resume_from_parts(core, theta, &new_geo, env, delta, profile)?;
-        state
-    } else {
-        let mut masters = match parts.take() {
-            Some((core, _)) => core.masters().to_vec(),
-            None => Vec::new(),
-        };
-        masters.extend_from_slice(&new_geo.locations[masters.len()..]);
-        if let Some(dead) = &ws.dead {
-            geopart::reseed_stranded_masters(
-                &mut masters,
-                &new_geo.locations,
-                dead,
-                new_geo.num_dcs,
-            )
-            .map_err(|_| DurableError::RecordSequence {
-                lsn: txn.commit_lsn,
-                reason: "dead-DC flags malformed",
-            })?;
-        }
-        let theta = txn.commit.theta as usize;
-        HybridState::try_from_masters(
+    // 2. Re-derive the window's starting state as the live trainer did:
+    //    genesis places every vertex at home, every later window resumes
+    //    the carried state (a stationary one by an empty delta).
+    let mut hybrid = match parts.take() {
+        None => HybridState::try_from_masters(
             &new_geo,
             env,
-            masters,
-            theta,
+            new_geo.locations.clone(),
+            txn.commit.theta as usize,
             profile.clone(),
             ws.num_iterations,
-        )?
+        )?,
+        Some((core, theta)) => {
+            if theta as u64 != txn.commit.theta {
+                return Err(DurableError::ReplayDiverged { window: ws.window });
+            }
+            let stationary = GraphDelta::from_events(&new_geo.graph, &[]);
+            let delta = ws.delta.as_ref().unwrap_or(&stationary);
+            HybridState::resume_from_parts(core, theta, &new_geo, env, delta, profile)?.0
+        }
     };
 
-    // 3. Re-apply every accepted migration in logged order.
+    // 3. Re-apply every logged move in logged order.
     for (lsn, batch) in &txn.batches {
         for &(v, d) in &batch.moves {
             if (v as usize) >= new_n || (d as usize) >= new_geo.num_dcs {

@@ -424,7 +424,8 @@ mod tests {
             env_fp: env_fingerprint(&env),
             geo: geo.clone(),
             placement: Some((core, theta)),
-            trainer: Some(vec![9, 9, 9]),
+            // DC 2 is dead at the snapshot's boundary.
+            trainer: Some(vec![0, 0, 1, 0, 0, 0, 0, 0]),
         };
         store.write_snapshot(&snap).unwrap();
         drop(store);
@@ -433,8 +434,16 @@ mod tests {
         // Nothing to replay: the snapshot already covers the whole log.
         assert_eq!(recovered.replayed_windows, 0);
         assert_eq!(recovered.next_window, 1);
-        assert_eq!(recovered.trainer, Some(vec![9, 9, 9]));
+        let dead: Vec<bool> = (0..8).map(|d| d == 2).collect();
+        assert_eq!(recovered.dead, Some(dead));
         assert!(recovered.parts.is_some());
+        // A slot that is not one 0/1 byte per DC, one of them live, is typed.
+        let bytes = snap.as_ref().to_bytes().unwrap();
+        for slot in [vec![9; 8], vec![1; 8], vec![0; 3]] {
+            let mut bad = Snapshot::from_bytes(&bytes).unwrap();
+            bad.trainer = Some(slot);
+            assert!(matches!(replay(bad, &[], &env), Err(DurableError::Wire(_))));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

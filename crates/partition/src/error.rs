@@ -2,7 +2,7 @@
 //!
 //! [`HybridState::validate_plan`](crate::HybridState::validate_plan) and the
 //! fault-aware checks return these instead of panicking, so recovery code
-//! (the fault window's re-seed, WAL replay) can react to a broken plan
+//! (a dead DC's re-seed, WAL replay) can react to a broken plan
 //! rather than aborting the process.
 
 use crate::{DcId, VertexId};

@@ -152,6 +152,28 @@ impl<'g> HybridState<'g> {
         Self::resume_from_parts(core, theta, new_geo, env, delta, new_profile)
     }
 
+    /// The dimension checks [`Self::resume_from_parts`] makes before it
+    /// consumes anything: `delta` must lead from `core`'s vertex count to
+    /// `new_geo`'s, and `new_profile` must cover `new_geo`. A caller runs
+    /// them on its borrowed carrier, so a refused delta leaves it in place.
+    pub fn check_resume(
+        core: &PlacementState,
+        new_geo: &GeoGraph,
+        delta: &GraphDelta,
+        new_profile: &TrafficProfile,
+    ) -> Result<(), PlanError> {
+        let new_n = new_geo.num_vertices();
+        let mismatch = [
+            ("old vertex count", delta.old_num_vertices(), core.num_vertices()),
+            ("new vertex count", delta.new_num_vertices(), new_n),
+            ("profile length", new_n, new_profile.len()),
+        ];
+        let Some((what, expected, found)) = mismatch.into_iter().find(|m| m.1 != m.2) else {
+            return Ok(());
+        };
+        Err(PlanError::DeltaMismatch { what, expected, found })
+    }
+
     /// [`Self::apply_delta`] over a placement state extracted with
     /// [`Self::into_parts`] — the form cross-window drivers use, since the
     /// previous window's graph no longer needs to be alive. The flip
@@ -169,27 +191,7 @@ impl<'g> HybridState<'g> {
         let new_n = new_geo.num_vertices();
         assert_eq!(env.num_dcs(), new_geo.num_dcs);
         assert_eq!(env.num_dcs(), core.num_dcs());
-        if delta.old_num_vertices() != old_n {
-            return Err(PlanError::DeltaMismatch {
-                what: "old vertex count",
-                expected: delta.old_num_vertices(),
-                found: old_n,
-            });
-        }
-        if delta.new_num_vertices() != new_n {
-            return Err(PlanError::DeltaMismatch {
-                what: "new vertex count",
-                expected: delta.new_num_vertices(),
-                found: new_n,
-            });
-        }
-        if new_profile.len() != new_n {
-            return Err(PlanError::DeltaMismatch {
-                what: "profile length",
-                expected: new_n,
-                found: new_profile.len(),
-            });
-        }
+        Self::check_resume(&core, new_geo, delta, new_profile)?;
         debug_assert!(
             core.meta.iter().enumerate().all(|(v, meta)| meta.g == new_profile.gather_bytes[v]
                 && meta.a == new_profile.apply_bytes[v]),
@@ -683,18 +685,6 @@ impl<'g> HybridState<'g> {
         }
     }
 
-    /// Debug-build-only consistency check for internal hot paths: free in
-    /// release builds, full [`Self::validate_plan`] under `cfg(debug_assertions)`.
-    #[inline]
-    pub fn debug_validate(&self, env: &CloudEnv) {
-        #[cfg(debug_assertions)]
-        if let Err(e) = self.validate_plan(env) {
-            panic!("plan consistency check failed: {e}");
-        }
-        #[cfg(not(debug_assertions))]
-        let _ = env;
-    }
-
     /// Checks that the plan touches no dark DC: no master and no mirror on
     /// any DC with `dead[dc] == true`.
     pub fn validate_against_faults(&self, dead: &[bool]) -> Result<(), PlanError> {
@@ -721,25 +711,10 @@ impl<'g> HybridState<'g> {
     }
 }
 
-/// The fault re-seed rule: every master stranded on a DC flagged in `dead`
-/// returns to its vertex's home location (`homes[v]`) if that is alive,
-/// else to the first live DC. The trainer's fault window, WAL replay of
-/// that window and the serving layer's evacuation all re-seed through
-/// this one function, which is what keeps a recovered or served plan
-/// bit-identical to the trained one.
-///
-/// The flags are checked before anything is written — `dead` must hold
-/// exactly `num_dcs` flags ([`PlanError::LengthMismatch`]), not all of
-/// them set ([`PlanError::NoLiveDc`]), and `homes` must cover `masters` —
-/// so on `Err` `masters` is untouched, and a call over empty `masters`
-/// validates a fault report on its own. Masters and homes must already
-/// name DCs below `num_dcs`, as every placement and `GeoGraph` guarantees.
-pub fn reseed_stranded_masters(
-    masters: &mut [DcId],
-    homes: &[DcId],
-    dead: &[bool],
-    num_dcs: usize,
-) -> Result<(), PlanError> {
+/// Checks a fault report: `dead` must hold exactly `num_dcs` flags
+/// ([`PlanError::LengthMismatch`]), not all of them set
+/// ([`PlanError::NoLiveDc`]). Returns the first live DC.
+pub fn check_fault_report(dead: &[bool], num_dcs: usize) -> Result<DcId, PlanError> {
     if dead.len() != num_dcs {
         return Err(PlanError::LengthMismatch {
             what: "dead-DC flags",
@@ -747,6 +722,26 @@ pub fn reseed_stranded_masters(
             found: dead.len(),
         });
     }
+    Ok(dead.iter().position(|&d| !d).ok_or(PlanError::NoLiveDc)? as DcId)
+}
+
+/// The fault re-seed rule: every master stranded on a DC flagged in `dead`
+/// returns to its vertex's home location (`homes[v]`) if that is alive,
+/// else to the first live DC. The trainer's evacuation of a dead DC and
+/// the serving layer's both re-seed through this one function, which is
+/// what keeps a served plan the one the trainer goes on to train.
+///
+/// The flags are checked ([`check_fault_report`]) and `homes` must cover
+/// `masters` before anything is written, so on `Err` `masters` is
+/// untouched. Masters and homes must already name DCs below `num_dcs`, as
+/// every placement and `GeoGraph` guarantees.
+pub fn reseed_stranded_masters(
+    masters: &mut [DcId],
+    homes: &[DcId],
+    dead: &[bool],
+    num_dcs: usize,
+) -> Result<(), PlanError> {
+    let fallback = check_fault_report(dead, num_dcs)?;
     if homes.len() != masters.len() {
         return Err(PlanError::LengthMismatch {
             what: "home locations",
@@ -754,7 +749,6 @@ pub fn reseed_stranded_masters(
             found: homes.len(),
         });
     }
-    let fallback = dead.iter().position(|&d| !d).ok_or(PlanError::NoLiveDc)? as DcId;
     for (m, &home) in masters.iter_mut().zip(homes) {
         if dead[*m as usize] {
             *m = if dead[home as usize] { fallback } else { home };

@@ -151,7 +151,7 @@ impl PlacementServer {
 
     /// Re-routes every vertex off the DCs flagged `dead` and publishes
     /// the evacuated table; returns its publication epoch. Uses the same
-    /// reseed rule as the trainer's fault window, so the next trained
+    /// reseed rule as the trainer's dead-DC re-seed, so the next trained
     /// plan continues from what is being served. Readers racing this
     /// call see the pre-fault or the post-evacuation table, whole.
     pub fn evacuate(&mut self, dead: &[bool]) -> Result<u64, ServeError> {

@@ -144,10 +144,10 @@ impl RoutingTable {
 
     /// The table this one becomes when the DCs flagged in `dead` fail:
     /// every vertex mastered on a dead DC is re-routed by the trainer's
-    /// own fault-window rule ([`geopart::reseed_stranded_masters`]: its
-    /// home location if alive, else the first live DC), so the evacuated
-    /// table matches the placement the next fault window will resume
-    /// from. Dead DCs are also stripped from every replica set.
+    /// own re-seed rule ([`geopart::reseed_stranded_masters`]: its home
+    /// location if alive, else the first live DC), so the evacuated table
+    /// matches the moves the next trained window applies to its carried
+    /// plan. Dead DCs are also stripped from every replica set.
     ///
     /// # Panics
     /// If `dead` does not cover the DC count, `homes` does not cover the

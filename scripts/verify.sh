@@ -75,9 +75,9 @@ for f in crates/core/src/shard.rs crates/partition/src/shard.rs crates/geograph/
 done
 
 echo "==> one fault path (deleted paths stay deleted)"
-# A DC outage is a durable window: note_fault, then a logged fault window
-# that re-seeds stranded masters with geopart::reseed_stranded_masters and
-# masks the dead DCs, then DurableAdaptive::recover. The step-granular
+# A DC outage is carried state: note_fault, then windows that re-seed
+# stranded masters with geopart::reseed_stranded_masters as logged moves
+# and mask the dead DCs, then DurableAdaptive::recover. The step-granular
 # in-memory recovery driver, its restore point, the kernel-scored second
 # re-seed rule, the one-variant TrainError and the uncalled engine
 # extensions must not come back.
@@ -110,6 +110,21 @@ for f in crates/geosim/src/faults.rs crates/core/src/observer.rs; do
     echo "$f exists again"; exit 1
   fi
 done
+
+echo "==> one window path (the fault rebuild and the one-window mask stay deleted)"
+# A DC fault is carried state: every window after window 0 resumes the
+# carried placement, and a dead DC's re-seed is journaled moves under
+# RESEED_STEP, so the trainer's fault-only rate boost and replay's own call
+# to the re-seed rule must not come back; nor the uncalled Fennel baseline.
+if git grep -n -F 'initial_sample_rate * 8' -- crates/core/src/; then
+  echo "the fault window's x8 rate boost reappeared in crates/core/src/"; exit 1
+fi
+if git grep -n 'reseed_stranded_masters' -- crates/durable/src/replay.rs; then
+  echo "replay calls the re-seed rule again instead of replaying logged moves"; exit 1
+fi
+if [ -e crates/baselines/src/fennel.rs ]; then
+  echo "crates/baselines/src/fennel.rs exists again"; exit 1
+fi
 
 echo "==> placement state at half the bytes (the wide plane and the copies stay deleted)"
 # A count row is 2·M u16 lanes with a u32 escape for the rare row that
@@ -207,6 +222,13 @@ require_tests counting_order_equals_the_comparison_sort
 # snapshot prune deletes every segment replay can no longer reach.
 require_tests kill_at_every_record_boundary_and_mid_record \
   snapshots_roll_the_log_so_the_prune_frees_it
+# A dead DC stays dead until the all-clear: windows K … K + 5 after a noted
+# fault hold no master and no replica there, new vertices homed there
+# included, across a kill and recovery by replay or by a snapshot cut inside
+# the span (the mask rides in the snapshot's trainer slot). And a delta
+# that does not fit the carried state is a typed error that keeps it.
+require_tests dead_dc_stays_dead_across_windows_and_recovery \
+  rejected_delta_keeps_the_carried_state
 # The ring's cursor is the window index and is not logged: recovery at
 # every committed boundary, then the rest of the stream, must end on the
 # uninterrupted run's plan to the bit. And the snapshot cadence counts

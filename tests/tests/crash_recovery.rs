@@ -1,8 +1,9 @@
 //! Kill-at-random-point crash-recovery harness — the headline durability
 //! proof.
 //!
-//! One multi-window durable run (graph deltas, a mid-run DC outage,
-//! snapshots mid-stream, each of which rolls the log to a new segment) is
+//! One multi-window durable run (graph deltas, a mid-run DC outage and its
+//! all-clear, snapshots mid-stream and inside the outage, each of which
+//! rolls the log to a new segment) is
 //! copied at every committed boundary; the harness then simulates a
 //! process kill at 100+ seeded crash points — after every record boundary,
 //! at seeded mid-record truncations, and between a snapshot's rename and
@@ -11,17 +12,18 @@
 //! boundary with masters bit-identical to the uninterrupted run at that
 //! boundary, the whole carried placement equal plane for plane (every
 //! count, mirror mask and per-DC balance; movement cost and stage loads to
-//! the last `f64` bit), and the recovered placement passing
-//! `validate_plan`.
+//! the last `f64` bit), the recovered dead-DC mask the live one, and the
+//! recovered placement passing `validate_plan`.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use geograph::dynamic::{apply_events, split_for_dynamic};
+use geograph::dynamic::{EdgeEvent, EventKind};
 use geograph::generators::preferential::preferential_attachment_edges;
 use geograph::locality::{assign_locations, LocalityConfig};
-use geograph::{DcId, GeoGraph, GraphBuilder, GraphDelta};
-use geopart::{PlacementState, TrafficProfile};
+use geograph::{DcId, GeoGraph, GraphBuilder, GraphDelta, VertexId};
+use geopart::{HybridState, PlacementState, TrafficProfile};
 use geosim::regions::ec2_eight_regions;
 use rand::prelude::*;
 use rlcut::{DurableAdaptive, RlCutConfig};
@@ -59,6 +61,8 @@ fn pinned_config() -> RlCutConfig {
 struct Workload {
     geo0: GeoGraph,
     steps: Vec<(GraphDelta, Vec<DcId>, Vec<u64>)>,
+    /// Each step's edge events, which `steps[i].0` is the net effect of.
+    events: Vec<Vec<EdgeEvent>>,
 }
 
 fn workload() -> Workload {
@@ -92,7 +96,8 @@ fn workload() -> Workload {
         let new_n = graph.num_vertices();
         steps.push((delta, locations[old_n..new_n].to_vec(), sizes[old_n..new_n].to_vec()));
     }
-    Workload { geo0, steps }
+    let events = windows.iter().map(|window| window.to_vec()).collect();
+    Workload { geo0, steps, events }
 }
 
 /// `recovered` is `live` plane for plane: masters, every in/out count,
@@ -144,8 +149,9 @@ fn kill_at_every_crash_point(snapshot_every: u64) {
     let env = ec2_eight_regions();
     let t_opt = Duration::from_secs(60);
     let base = tmp_dir("base");
-    // DC 2 goes dark before window 2, so the log carries a fault window
-    // (rebuild + stranded-master reseed) among the incremental ones.
+    // DC 2 goes dark before window 2 and comes back before window 6, so
+    // the log carries a fault window (its re-seed logged as moves), dead
+    // windows after it, snapshots holding the mask and an all-clear.
     let mut dead = vec![false; env.num_dcs()];
     dead[2] = true;
 
@@ -154,6 +160,7 @@ fn kill_at_every_crash_point(snapshot_every: u64) {
     // carried placement there (index 0 is genesis, which carries none —
     // its masters are the natural locations).
     let mut expected: Vec<Option<PlacementState>> = vec![None];
+    let mut expected_dead: Vec<Option<Vec<bool>>> = vec![None];
     let mut durable = DurableAdaptive::create(
         &base,
         pinned_config(),
@@ -172,16 +179,19 @@ fn kill_at_every_crash_point(snapshot_every: u64) {
     keep_image(&mut images);
     let p0 = TrafficProfile::uniform(w.geo0.num_vertices(), 8.0);
     durable.window(&env, None, &[], &[], p0, 10.0, t_opt).expect("window 0");
-    let push_state = |d: &DurableAdaptive, out: &mut Vec<Option<PlacementState>>| {
+    let mut push_state = |d: &DurableAdaptive, out: &mut Vec<Option<PlacementState>>| {
         let (core, _) = d.inner().carried_parts().expect("committed window carries state");
         out.push(Some(core.clone()));
+        expected_dead.push(d.inner().dead_dcs().map(<[bool]>::to_vec));
     };
     push_state(&durable, &mut expected);
     keep_image(&mut images);
     for (i, (delta, locs, sizes)) in w.steps.iter().enumerate() {
         let step = (i + 1) as u64;
-        if step == 2 {
-            durable.note_fault(&dead);
+        match step {
+            2 => durable.note_fault(&dead).expect("well-formed fault report"),
+            6 => durable.note_fault(&vec![false; env.num_dcs()]).expect("all-clear"),
+            _ => {}
         }
         let p = TrafficProfile::uniform(delta.new_num_vertices(), 8.0);
         durable
@@ -190,6 +200,9 @@ fn kill_at_every_crash_point(snapshot_every: u64) {
         push_state(&durable, &mut expected);
         keep_image(&mut images);
     }
+    // expected_dead[j] is the mask where `next_window == j`.
+    assert!(expected_dead[3..7].iter().all(|mask| mask.as_deref() == Some(&dead[..])));
+    assert_eq!(expected_dead[7], None, "the all-clear lifts the mask");
     drop(durable); // kill the "process"; committed state is on disk
     let (_, report) = geodur::wal::load(&base).expect("scan base log");
     assert_eq!(report.torn_tail_bytes, 0, "clean shutdown leaves no torn tail");
@@ -270,6 +283,11 @@ fn kill_at_every_crash_point(snapshot_every: u64) {
         }
         let exp_masters = expected[b].as_ref().map_or(&w.geo0.locations[..], |s| s.masters());
         assert_eq!(recovered.masters(), exp_masters, "{what}: masters diverged at boundary {b}");
+        assert_eq!(
+            recovered.inner().dead_dcs(),
+            expected_dead[b].as_deref(),
+            "{what}: dead-DC mask diverged at boundary {b}"
+        );
         if let Some(live) = &expected[b] {
             let (core, _) = recovered.inner().carried_parts().expect("committed boundary");
             assert_same_placement(core, live, &format!("{what}, boundary {b}"));
@@ -285,6 +303,102 @@ fn kill_at_every_crash_point(snapshot_every: u64) {
     }
     for dir in images.iter().chain([&base]) {
         let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// The window a DC is noted dead before in the dead-span test.
+const K: u64 = 2;
+
+/// A DC noted dead before window K stays dead until the all-clear: each of
+/// windows K … K + 5 adds a vertex homed there, and none of them leaves a
+/// master or a replica on it — also after a kill and recovery inside the
+/// span, by replay past the pre-fault snapshot (boundary 3), by loading a
+/// snapshot cut inside it (4) and by replay past that one (5). After the
+/// all-clear a new vertex homed on the DC is placed there again.
+#[test]
+fn dead_dc_stays_dead_across_windows_and_recovery() {
+    let w = workload();
+    let env = ec2_eight_regions();
+    let base = tmp_dir("dead_span");
+    let mut durable =
+        DurableAdaptive::create(&base, pinned_config(), Some(0.4), w.geo0.clone(), &env, 2)
+            .expect("create durable dir");
+    let p0 = TrafficProfile::uniform(w.geo0.num_vertices(), 8.0);
+    durable.window(&env, None, &[], &[], p0, 10.0, Duration::from_secs(60)).expect("window 0");
+    // The DC hosting the most masters of window 0's plan goes dark.
+    let hosted = |d: DcId| durable.masters().iter().filter(|&&m| m == d).count();
+    let victim = (0..env.num_dcs() as DcId).max_by_key(|&d| hosted(d)).expect("DCs exist");
+    let mut images = Vec::new();
+    run_dead_span(&mut durable, &w, victim, |d| {
+        images.push(tmp_dir(&format!("dead_span_at{}", d.next_window())));
+        copy_dir(&base, images.last().unwrap());
+    });
+    let final_masters = durable.masters().to_vec();
+    drop(durable);
+
+    for image in &images {
+        let (mut recovered, summary) =
+            DurableAdaptive::recover(image, pinned_config(), Some(0.4), &env, 2)
+                .expect("recover inside the dead span");
+        let at = summary.next_window;
+        // Snapshots land on even boundaries: an odd one replays a window.
+        assert_eq!(summary.replayed_windows, at % 2, "boundary {at}");
+        let mask = recovered.inner().dead_dcs().expect("the mask survives recovery");
+        assert!(mask[victim as usize], "boundary {at}: DC {victim} came back alive");
+        run_dead_span(&mut recovered, &w, victim, |_| {});
+        assert_eq!(recovered.masters(), &final_masters[..], "continued from boundary {at}");
+        let _ = std::fs::remove_dir_all(image);
+    }
+    assert_eq!(images.len(), 5, "recovered at boundaries K + 1 … K + 5");
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// Runs `durable` on the workload's events from its next window through
+/// window K + 6. DC `victim` is noted dead before window K, and each window
+/// from K on also adds an isolated vertex homed on it. Windows K … K + 5
+/// must leave no master and no replica there, and `at_boundary` sees the
+/// pipeline after each of K … K + 4. The all-clear is noted before window
+/// K + 6, whose new vertex must be placed on the DC.
+fn run_dead_span(
+    durable: &mut DurableAdaptive,
+    w: &Workload,
+    victim: DcId,
+    mut at_boundary: impl FnMut(&DurableAdaptive),
+) {
+    let env = ec2_eight_regions();
+    let mut dead = vec![false; env.num_dcs()];
+    dead[victim as usize] = true;
+    while durable.next_window() <= K + 6 {
+        let j = durable.next_window();
+        if j == K || j == K + 6 {
+            let flags = if j == K { dead.clone() } else { vec![false; env.num_dcs()] };
+            durable.note_fault(&flags).expect("well-formed fault report");
+        }
+        let homed = if j >= K { vec![victim] } else { Vec::new() };
+        // A self-loop is dropped, but its id still grows the vertex set.
+        let n = durable.geo().num_vertices() as VertexId;
+        let arrival = EdgeEvent { src: n, dst: n, timestamp_ms: 0, kind: EventKind::Insert };
+        let mut events = w.events[j as usize - 1].clone();
+        events.extend(homed.iter().map(|_| arrival));
+        let delta = GraphDelta::from_events(&durable.geo().graph, &events);
+        let p = TrafficProfile::uniform(delta.new_num_vertices(), 8.0);
+        let sizes = vec![2048; homed.len()];
+        durable
+            .window(&env, Some(&delta), &homed, &sizes, p, 10.0, Duration::from_secs(60))
+            .unwrap_or_else(|e| panic!("window {j}: {e}"));
+        if j == K + 6 {
+            assert_eq!(durable.masters().last(), Some(&victim), "DC {victim} after the all-clear");
+        } else if j >= K {
+            let on_dead = durable.masters().iter().filter(|&&m| m == victim).count();
+            assert_eq!(on_dead, 0, "window {j}: {on_dead} masters on dead DC {victim}");
+            let (core, theta) = durable.inner().carried_parts().cloned().expect("carried");
+            HybridState::from_parts(core, theta, durable.geo())
+                .validate_against_faults(&dead)
+                .unwrap_or_else(|e| panic!("window {j}: {e}"));
+            if j < K + 5 {
+                at_boundary(durable);
+            }
+        }
     }
 }
 

@@ -242,9 +242,10 @@ proptest! {
     /// Full-pipeline determinism: the adaptive trainer driven over the
     /// same delta stream at 1 and 4 threads must produce bit-identical
     /// masters after every window, and its carried state must survive the
-    /// rebuild-and-compare each time. One window runs after a noted DC
-    /// outage (the rebuild path, with the dead DC masked): it too must not
-    /// depend on the thread count, and its plan must touch no dead DC.
+    /// rebuild-and-compare each time. A DC outage is noted halfway: every
+    /// window still resumes the carried state, the re-seed must not depend
+    /// on the thread count either, and from the fault window on no plan
+    /// touches the dead DC.
     #[test]
     fn delta_pipeline_is_thread_deterministic((n, initial, windows, seed) in arb_stream()) {
         let env = ec2_eight_regions();
@@ -278,8 +279,8 @@ proptest! {
             let geo = geo_for(&graph, seed, env.num_dcs());
             let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
             if i == fault_window {
-                one.note_fault(&dead);
-                four.note_fault(&dead);
+                one.note_fault(&dead).expect("well-formed fault report");
+                four.note_fault(&dead).expect("well-formed fault report");
             }
             let r1 = one
                 .on_window_delta(&geo, &env, &delta, profile.clone(), 10.0, t_opt)
@@ -287,10 +288,7 @@ proptest! {
             let r4 = four
                 .on_window_delta(&geo, &env, &delta, profile, 10.0, t_opt)
                 .unwrap_or_else(|e| panic!("4-thread window {i}: {e}"));
-            prop_assert_eq!(
-                r1.delta_stats.is_some(), i != fault_window,
-                "window {} must take the delta path unless a fault is noted", i
-            );
+            prop_assert!(r1.delta_stats.is_some(), "window {} must take the delta path", i);
             prop_assert_eq!(
                 r1.delta_stats, r4.delta_stats,
                 "window {}: delta work must not depend on threads", i
@@ -303,11 +301,11 @@ proptest! {
                 one.validate_carried(&geo, &env).expect("carried state diverged"),
                 "window {} must carry a state", i
             );
-            if i == fault_window {
+            if i >= fault_window {
                 let (core, theta) = one.carried_parts().cloned().expect("carried");
                 HybridState::from_parts(core, theta, &geo)
                     .validate_against_faults(&dead)
-                    .expect("the fault window's plan touches the dead DC");
+                    .unwrap_or_else(|e| panic!("window {i}'s plan touches the dead DC: {e}"));
             }
         }
     }

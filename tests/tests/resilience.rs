@@ -1,7 +1,6 @@
-//! Fault-injection invariants, cross-crate: the re-seed rule every fault
-//! path shares (the trainer's fault window, WAL replay, the serving layer's
-//! evacuation) clears dark DCs without breaking plan validity, and a
-//! re-seeded plan is deterministic.
+//! Fault-injection invariants, cross-crate: the re-seed rule the trainer's
+//! dead-DC re-seed and the serving layer's evacuation share clears dark DCs
+//! without breaking plan validity, and a re-seeded plan is deterministic.
 
 use geograph::generators::{rmat, RmatConfig};
 use geograph::locality::LocalityConfig;
@@ -31,7 +30,7 @@ fn moved_masters(geo: &GeoGraph) -> Vec<DcId> {
     geo.locations.iter().enumerate().map(|(v, &l)| (l + (v % 3) as DcId) % m).collect()
 }
 
-/// The re-seeded plan, built the way the fault window builds it.
+/// The re-seeded plan, rebuilt from its masters (the trainer moves there).
 fn reseeded<'g>(geo: &'g GeoGraph, env: &CloudEnv, theta: usize, dead: &[bool]) -> HybridState<'g> {
     let mut masters = moved_masters(geo);
     reseed_stranded_masters(&mut masters, &geo.locations, dead, geo.num_dcs).unwrap();

@@ -269,7 +269,7 @@ fn fault_window_after_evacuation_never_publishes_a_dead_master() {
     let mut dead = vec![false; env.num_dcs()];
     dead[victim] = true;
     server.evacuate(&dead).expect("evacuation");
-    trainer.note_fault(&dead);
+    trainer.note_fault(&dead).expect("well-formed fault report");
     let (delta, locs, sizes) = &w.steps[1];
     let p = TrafficProfile::uniform(delta.new_num_vertices(), 8.0);
     trainer.window(&env, Some(delta), locs, sizes, p, 10.0, t_opt).expect("fault window");
