@@ -63,13 +63,6 @@ impl GeoCutConfig {
         self.threads = threads;
         self
     }
-
-    /// Builder-style batch length (see [`GeoCutConfig::batch`]).
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        assert!(batch >= 1);
-        self.batch = batch;
-        self
-    }
 }
 
 /// Incrementally maintained vertex-cut loads under natural masters.

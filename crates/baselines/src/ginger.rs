@@ -44,13 +44,6 @@ impl GingerConfig {
         self.threads = threads;
         self
     }
-
-    /// Builder-style batch length (see [`GingerConfig::batch`]).
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        assert!(batch >= 1);
-        self.batch = batch;
-        self
-    }
 }
 
 /// Runs Ginger and returns the resulting hybrid-cut plan. With

@@ -1,15 +1,17 @@
-//! Per-vertex learning automata: action probabilities (Eq 8/9/12) and UCB
+//! Per-agent learning automata: action probabilities (Eq 8/9/12) and UCB
 //! statistics (Eq 13).
 //!
-//! State is stored in flat `n × M` arrays (struct-of-arrays) — the pool is
-//! touched for every sampled agent every step, and row-contiguous layout
-//! keeps that pass cache-friendly.
+//! State is stored in flat `agents × M` arrays (struct-of-arrays) — the
+//! pool is touched for every sampled agent every step, and row-contiguous
+//! layout keeps that pass cache-friendly. An agent is a slot, not a vertex
+//! id: the trainer gives the vertex at position `i` of its sampling order
+//! slot `i`, so the pool holds only the prefix a session samples.
 
-use geograph::{DcId, VertexId};
+use geograph::DcId;
 
 use crate::config::RlCutConfig;
 
-/// The pool of all agents' LA state.
+/// The pool of the sampled agents' LA state.
 #[derive(Clone, Debug)]
 pub struct AgentPool {
     num_actions: usize,
@@ -17,10 +19,6 @@ pub struct AgentPool {
     probs: Vec<f32>,
     /// Times each action was selected (UCB `N_n(a)`).
     plays: Vec<u32>,
-    /// Mean realized reward of each action when selected (UCB `Q_n(a)`);
-    /// the reward is the binary reinforcement signal inverted (1 = the
-    /// selected action was the score-optimal DC ρ_v).
-    mean_reward: Vec<f32>,
     /// Per-agent total selections (the `n` in Eq 13).
     total_plays: Vec<u32>,
 }
@@ -34,7 +32,6 @@ impl AgentPool {
             num_actions,
             probs: vec![1.0 / num_actions as f32; num_agents * num_actions],
             plays: vec![0; num_agents * num_actions],
-            mean_reward: vec![0.0; num_agents * num_actions],
             total_plays: vec![0; num_agents],
         }
     }
@@ -49,7 +46,9 @@ impl AgentPool {
         self.num_actions
     }
 
-    /// Grows the pool for dynamic graphs: new agents start uniform.
+    /// Grows the pool to `num_agents`: new agents start uniform, as every
+    /// agent does, so a pool grown step by step decides exactly as one
+    /// allocated at its final size.
     pub fn grow(&mut self, num_agents: usize) {
         let old = self.num_agents();
         if num_agents <= old {
@@ -57,19 +56,18 @@ impl AgentPool {
         }
         self.probs.resize(num_agents * self.num_actions, 1.0 / self.num_actions as f32);
         self.plays.resize(num_agents * self.num_actions, 0);
-        self.mean_reward.resize(num_agents * self.num_actions, 0.0);
         self.total_plays.resize(num_agents, 0);
     }
 
-    /// The probability row of agent `v`.
-    pub fn probabilities(&self, v: VertexId) -> &[f32] {
-        let base = v as usize * self.num_actions;
+    /// The probability row of agent `agent`.
+    pub fn probabilities(&self, agent: usize) -> &[f32] {
+        let base = agent * self.num_actions;
         &self.probs[base..base + self.num_actions]
     }
 
     /// Reward update (Eq 12 / Eq 8): boost `rewarded`, shrink the rest.
-    pub fn reward(&mut self, v: VertexId, rewarded: DcId, alpha: f64) {
-        let base = v as usize * self.num_actions;
+    pub fn reward(&mut self, agent: usize, rewarded: DcId, alpha: f64) {
+        let base = agent * self.num_actions;
         let row = &mut self.probs[base..base + self.num_actions];
         for (j, p) in row.iter_mut().enumerate() {
             if j == rewarded as usize {
@@ -83,12 +81,12 @@ impl AgentPool {
     /// Penalty update (Eq 9) for one punished action: shrink it and
     /// redistribute β to the others. The paper disables this by default
     /// (Fig 6: ~30× slower convergence for the same final quality).
-    pub fn penalize(&mut self, v: VertexId, punished: DcId, beta: f64) {
+    pub fn penalize(&mut self, agent: usize, punished: DcId, beta: f64) {
         let m = self.num_actions;
         if m == 1 {
             return;
         }
-        let base = v as usize * m;
+        let base = agent * m;
         let row = &mut self.probs[base..base + m];
         for (j, p) in row.iter_mut().enumerate() {
             if j == punished as usize {
@@ -108,10 +106,10 @@ impl AgentPool {
     /// reward-only update sacrifices (§IV-C.4). The `+1` smoothing avoids
     /// the cold-start infinities of textbook UCB1, which would waste `M`
     /// of the paper's 10-step horizon on forced exploration.
-    pub fn select_ucb(&self, v: VertexId, c: f64) -> DcId {
+    pub fn select_ucb(&self, agent: usize, c: f64) -> DcId {
         let m = self.num_actions;
-        let base = v as usize * m;
-        let n = self.total_plays[v as usize] as f64;
+        let base = agent * m;
+        let n = self.total_plays[agent] as f64;
         let ln_n = (n + 1.0).ln();
         let mut best: (DcId, f64) = (0, f64::NEG_INFINITY);
         for a in 0..m {
@@ -124,51 +122,25 @@ impl AgentPool {
         best.0
     }
 
-    /// Mean realized reward of `(v, action)` across its selections — a
-    /// diagnostic for how often the automaton's choices matched ρ_v.
-    pub fn mean_reward(&self, v: VertexId, action: DcId) -> f32 {
-        self.mean_reward[v as usize * self.num_actions + action as usize]
-    }
-
-    /// Records that agent `v` selected `action` and observed `reward`
-    /// (running-mean update of `Q_n(a)`).
-    pub fn record_play(&mut self, v: VertexId, action: DcId, reward: f64) {
-        let idx = v as usize * self.num_actions + action as usize;
-        self.plays[idx] += 1;
-        self.total_plays[v as usize] += 1;
-        let n = self.plays[idx] as f64;
-        let q = self.mean_reward[idx] as f64;
-        self.mean_reward[idx] = (q + (reward - q) / n) as f32;
+    /// Records that agent `agent` selected `action` (the UCB counts).
+    pub fn record_play(&mut self, agent: usize, action: DcId) {
+        self.plays[agent * self.num_actions + action as usize] += 1;
+        self.total_plays[agent] += 1;
     }
 
     /// Fig 5 phases 2–4 for one agent whose score-optimal DC is `best_dc`:
     /// reward it (and, with `use_penalty`, punish the rest), select by UCB
     /// and record the play. Returns the selected DC. Per-agent independent.
-    pub fn learn_and_select(&mut self, v: VertexId, best_dc: DcId, config: &RlCutConfig) -> DcId {
-        self.reward(v, best_dc, config.alpha);
+    pub fn learn_and_select(&mut self, agent: usize, best_dc: DcId, config: &RlCutConfig) -> DcId {
+        self.reward(agent, best_dc, config.alpha);
         if config.use_penalty {
             for d in (0..self.num_actions as DcId).filter(|&d| d != best_dc) {
-                self.penalize(v, d, config.beta);
+                self.penalize(agent, d, config.beta);
             }
         }
-        let selected = self.select_ucb(v, config.ucb_c);
-        self.record_play(v, selected, if selected == best_dc { 1.0 } else { 0.0 });
+        let selected = self.select_ucb(agent, config.ucb_c);
+        self.record_play(agent, selected);
         selected
-    }
-
-    /// The most probable action of agent `v` — the converged policy.
-    pub fn best_action(&self, v: VertexId) -> DcId {
-        let row = self.probabilities(v);
-        row.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(d, _)| d as DcId)
-            .unwrap_or(0)
-    }
-
-    /// Maximum probability of agent `v` — a convergence indicator.
-    pub fn confidence(&self, v: VertexId) -> f32 {
-        self.probabilities(v).iter().copied().fold(0.0, f32::max)
     }
 }
 
@@ -190,9 +162,9 @@ mod tests {
         for _ in 0..20 {
             pool.reward(0, 2, 0.3);
         }
-        assert_eq!(pool.best_action(0), 2);
-        assert!(pool.confidence(0) > 0.99);
-        let sum: f32 = pool.probabilities(0).iter().sum();
+        let row = pool.probabilities(0);
+        assert!(row[2] > 0.99, "action 2 did not concentrate: {row:?}");
+        let sum: f32 = row.iter().sum();
         assert!((sum - 1.0).abs() < 1e-3, "probabilities drifted: {sum}");
     }
 
@@ -214,7 +186,7 @@ mod tests {
         for _ in 0..3 {
             let a = pool.select_ucb(0, 1.0);
             seen.insert(a);
-            pool.record_play(0, a, 0.0);
+            pool.record_play(0, a);
         }
         assert_eq!(seen.len(), 3, "with uniform P the bonus must rotate actions");
     }
@@ -227,7 +199,7 @@ mod tests {
         }
         // Even with a fresh (unplayed) alternative, the near-1.0
         // probability of action 2 wins under a modest bonus.
-        pool.record_play(0, 2, 1.0);
+        pool.record_play(0, 2);
         assert_eq!(pool.select_ucb(0, 0.3), 2);
     }
 
@@ -236,18 +208,9 @@ mod tests {
         let mut pool = AgentPool::new(1, 2);
         // Equal probabilities; action 0 played many times.
         for _ in 0..10 {
-            pool.record_play(0, 0, 0.0);
+            pool.record_play(0, 0);
         }
         assert_eq!(pool.select_ucb(0, 1.0), 1);
-    }
-
-    #[test]
-    fn mean_reward_tracked() {
-        let mut pool = AgentPool::new(1, 2);
-        pool.record_play(0, 1, 1.0);
-        pool.record_play(0, 1, 0.0);
-        assert!((pool.mean_reward(0, 1) - 0.5).abs() < 1e-6);
-        assert_eq!(pool.mean_reward(0, 0), 0.0);
     }
 
     #[test]

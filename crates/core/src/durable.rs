@@ -256,13 +256,15 @@ impl DurableAdaptive {
         if profile.len() != new_n {
             return Err(DurableWindowError::Input("profile does not cover the grown graph"));
         }
+        if loc_suffix.iter().any(|&d| d as usize >= self.geo.num_dcs) {
+            return Err(DurableWindowError::Input("a new vertex's location is not a DC"));
+        }
+        // In place: the old snapshot is never needed again, so the graph
+        // holds one CSR, not two, while it advances.
         if let Some(d) = delta {
-            let graph = self.geo.graph.apply_delta(d);
-            let mut locations = std::mem::take(&mut self.geo.locations);
-            let mut sizes = std::mem::take(&mut self.geo.data_sizes);
-            locations.extend_from_slice(loc_suffix);
-            sizes.extend_from_slice(size_suffix);
-            self.geo = GeoGraph::new(graph, locations, sizes, self.geo.num_dcs);
+            self.geo.graph.apply_delta_in_place(d);
+            self.geo.locations.extend_from_slice(loc_suffix);
+            self.geo.data_sizes.extend_from_slice(size_suffix);
         }
 
         // 2. Log the window's inputs durably BEFORE training touches them.
@@ -425,21 +427,18 @@ mod tests {
         for window in &windows {
             let delta = GraphDelta::from_events(&graph, window);
             let old_n = graph.num_vertices();
-            graph = graph.apply_delta(&delta);
+            graph.apply_delta_in_place(&delta);
             let new_n = graph.num_vertices();
             steps.push((delta, locations[old_n..new_n].to_vec(), sizes[old_n..new_n].to_vec()));
         }
         Workload { geo0, steps }
     }
 
-    fn evolve(geo: GeoGraph, delta: &GraphDelta, locs: &[DcId], sizes: &[u64]) -> GeoGraph {
-        let num_dcs = geo.num_dcs;
-        let graph = geo.graph.apply_delta(delta);
-        let mut locations = geo.locations;
-        let mut data_sizes = geo.data_sizes;
-        locations.extend_from_slice(locs);
-        data_sizes.extend_from_slice(sizes);
-        GeoGraph::new(graph, locations, data_sizes, num_dcs)
+    fn evolve(mut geo: GeoGraph, delta: &GraphDelta, locs: &[DcId], sizes: &[u64]) -> GeoGraph {
+        geo.graph.apply_delta_in_place(delta);
+        geo.locations.extend_from_slice(locs);
+        geo.data_sizes.extend_from_slice(sizes);
+        geo
     }
 
     /// DC 2 dark: the fault both runs note before window 2.

@@ -189,6 +189,11 @@ pub fn sample_prefix(order: &[VertexId], rate: f64) -> &[VertexId] {
     &order[..k]
 }
 
+/// Where [`scan_window`]'s window starts in a `prefix_len`-agent prefix.
+pub fn scan_start(prefix_len: usize, cap: usize, step_index: usize) -> usize {
+    ((step_index as u128 * cap as u128) % prefix_len as u128) as usize
+}
+
 /// CUTTANA-style working-set cap: the at-most-`cap` slice of `prefix` that
 /// step `step_index` scans.
 ///
@@ -207,7 +212,7 @@ pub fn scan_window(prefix: &[VertexId], cap: usize, step_index: usize) -> Vec<Ve
     if cap >= prefix.len() {
         return prefix.to_vec();
     }
-    let start = ((step_index as u128 * cap as u128) % prefix.len() as u128) as usize;
+    let start = scan_start(prefix.len(), cap, step_index);
     let mut window = Vec::with_capacity(cap);
     let first = (prefix.len() - start).min(cap);
     window.extend_from_slice(&prefix[start..start + first]);

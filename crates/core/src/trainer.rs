@@ -46,7 +46,9 @@ use rand::SeedableRng;
 use crate::agent::AgentPool;
 use crate::config::{RlCutConfig, SampleStrategy};
 use crate::pool::{PoolError, WorkerPool};
-use crate::sampling::{degree_ascending_order, sample_prefix, window_order, SampleScheduler};
+use crate::sampling::{
+    degree_ascending_order, sample_prefix, scan_start, scan_window, window_order, SampleScheduler,
+};
 use crate::score::{best_destination, score, Weights};
 use crate::stats::{RlCutResult, StepStats};
 use crate::straggler;
@@ -179,7 +181,10 @@ pub struct TrainerSession<'g> {
     /// isolated vertices excluded; a dynamic window re-cuts it into hot /
     /// ring / rest ([`Self::focus_window`]).
     order: Vec<VertexId>,
-    /// One learning automaton per vertex (Fig 5 phases 3–4).
+    /// One learning automaton per sampled position of `order` (Fig 5
+    /// phases 3–4): slot `i` is `order[i]`'s. Every step samples a prefix
+    /// of `order` (or a rotation inside one), so the pool grows to the
+    /// longest prefix sampled, not to the graph.
     agents: AgentPool,
     scheduler: SampleScheduler,
     /// Migration-batch shuffle RNG.
@@ -236,10 +241,7 @@ impl<'g> TrainerSession<'g> {
     ) -> Self {
         TrainerSession {
             geo,
-            // Allocated before the order's sort buffers: swapping the two
-            // changes how glibc's allocator reuses the heap, and peak RSS
-            // with it (+6 MB on the benchmark's `dynamic_trickle`).
-            agents: AgentPool::new(geo.num_vertices(), env.num_dcs()),
+            agents: AgentPool::new(0, env.num_dcs()),
             // Isolated vertices generate no traffic wherever their master
             // sits — training them wastes the sampled-agent budget, so
             // they are excluded (they keep their initial master).
@@ -333,8 +335,10 @@ impl<'g> TrainerSession<'g> {
     /// Half of the first step's sample (the schedule's opening rate, so
     /// raise the floor with [`Self::boost_sampling`] first) is the most
     /// the hot segment fronts. Out-of-range ids are ignored. Returns the
-    /// hot segment's length.
+    /// hot segment's length. Call before the first step: the agents are
+    /// indexed by position in the order this re-cuts.
     pub fn focus_window(&mut self, touched: &[VertexId], window_index: u64) -> usize {
+        assert_eq!(self.agents.num_agents(), 0, "focus_window after a step re-slots live agents");
         let graph = &self.geo.graph;
         let core = self.state.get_mut().core();
         let mut hot = vec![false; graph.num_vertices()];
@@ -431,12 +435,13 @@ impl<'g> TrainerSession<'g> {
             return Ok(None);
         }
         // Optional working-set cap (CUTTANA-style): scan only a rotating
-        // `max_scan`-sized window of the sampled prefix this step.
-        let capped: Option<Vec<VertexId>> = match self.config.max_scan {
+        // `max_scan`-sized window of the sampled prefix this step, which
+        // starts at agent slot `first_slot` and wraps inside the prefix.
+        let (first_slot, capped) = match self.config.max_scan {
             Some(cap) if cap < prefix.len() => {
-                Some(crate::sampling::scan_window(prefix, cap, step))
+                (scan_start(prefix.len(), cap, step), Some(scan_window(prefix, cap, step)))
             }
-            _ => None,
+            _ => (0, None),
         };
         let full_scan = capped.is_none();
         let sampled: &[VertexId] = capped.as_deref().unwrap_or(prefix);
@@ -446,6 +451,7 @@ impl<'g> TrainerSession<'g> {
             self.converged = true;
             return Ok(None);
         }
+        self.agents.grow(prefix.len());
         let over_budget = step_obj.total_cost() > self.config.budget;
         let weights = Weights::at(step, self.config.max_steps, over_budget);
         let mut exec = Exec {
@@ -463,11 +469,14 @@ impl<'g> TrainerSession<'g> {
         let rho = score_phase(self.geo, &self.state, sampled, &step_obj, weights, dead, &mut exec)?;
         let mut proposals: Vec<(VertexId, DcId)> = {
             let st = self.state.read();
+            let k = prefix.len();
             sampled
                 .iter()
                 .zip(rho)
-                .filter_map(|(&v, best_dc)| {
-                    let selected = self.agents.learn_and_select(v, best_dc, &self.config);
+                .enumerate()
+                .filter_map(|(i, (&v, best_dc))| {
+                    let slot = (first_slot + i) % k;
+                    let selected = self.agents.learn_and_select(slot, best_dc, &self.config);
                     // UCB explores: a selection may name a dead DC even
                     // though no score led there.
                     (selected != st.master(v) && dead >> selected & 1 == 0).then_some((v, selected))
@@ -1058,6 +1067,36 @@ mod tests {
             assert_eq!(s.num_agents, (trainable as f64 * 0.1).ceil() as usize);
         }
     }
+
+    #[test]
+    fn agent_pool_holds_the_sampled_prefix_not_the_graph() {
+        let (geo, env) = setup(5);
+        let mut session = focus_session(&geo, &env, 0.05);
+        assert_eq!(session.agents.num_agents(), 0, "no agent before the first step");
+        session.step(&env).unwrap().expect("the first step runs");
+        let sampled = sample_prefix(&session.order, 0.05).len();
+        assert_eq!(session.agents.num_agents(), sampled);
+        assert!(sampled * 10 < geo.num_vertices(), "{sampled} agents for a 5 % sample");
+    }
+
+    #[test]
+    fn scan_capped_run_keeps_its_masters() {
+        // A capped window that wraps inside the sampled prefix trains slots
+        // `(start + i) mod k`. The masters are pinned to the run of the
+        // vertex-indexed pool this one replaced (FNV-1a, seed 1).
+        let (geo, env) = setup(18);
+        let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
+        let config = default_config(&geo, &env)
+            .with_fixed_sample_rate(0.3)
+            .with_max_scan(37)
+            .with_max_steps(10);
+        let result = partition(&geo, &env, profile, 10.0, &config);
+        assert!(result.total_migrations() > 0);
+        let fnv = geodur::masters_fnv(result.state.core().masters());
+        assert_eq!(fnv, SCAN_CAPPED_MASTERS_FNV, "capped masters moved: {fnv:#018x}");
+    }
+
+    const SCAN_CAPPED_MASTERS_FNV: u64 = 0xe543_b1d4_4a62_a7cf;
 
     #[test]
     fn more_agents_more_overhead() {

@@ -283,53 +283,54 @@ fn apply_window(
         });
     }
 
-    // 1. Evolve the geo-graph: delta on the structure, suffixes on the
-    //    per-vertex arrays (prefixes are invariant across windows).
+    // 1. Evolve the geo-graph in place: delta on the structure, suffixes
+    //    on the per-vertex arrays (prefixes are invariant across windows).
+    //    The shape checks run before anything moves.
     let old_n = geo.num_vertices();
-    let graph = match &ws.delta {
-        Some(delta) => {
-            if delta.old_num_vertices() != old_n {
-                return Err(DurableError::RecordSequence {
-                    lsn: txn.commit_lsn,
-                    reason: "logged delta does not target the current graph",
-                });
-            }
-            geo.graph.apply_delta(delta)
+    let new_n = match &ws.delta {
+        Some(delta) if delta.old_num_vertices() != old_n => {
+            return Err(DurableError::RecordSequence {
+                lsn: txn.commit_lsn,
+                reason: "logged delta does not target the current graph",
+            });
         }
-        None => std::mem::replace(&mut geo.graph, geograph::Graph::from_edges(0, &[])),
+        Some(delta) => delta.new_num_vertices(),
+        None => old_n,
     };
-    let new_n = graph.num_vertices();
-    let mut locations = std::mem::take(&mut geo.locations);
-    let mut data_sizes = std::mem::take(&mut geo.data_sizes);
-    locations.extend_from_slice(&ws.loc_suffix);
-    data_sizes.extend_from_slice(&ws.size_suffix);
-    if locations.len() != new_n
-        || data_sizes.len() != new_n
-        || locations.iter().any(|&d| (d as usize) >= geo.num_dcs)
+    if old_n + ws.loc_suffix.len() != new_n
+        || old_n + ws.size_suffix.len() != new_n
+        || ws.loc_suffix.iter().any(|&d| (d as usize) >= geo.num_dcs)
     {
         return Err(DurableError::RecordSequence {
             lsn: txn.commit_lsn,
             reason: "location/size suffixes do not match the window's vertex count",
         });
     }
-    let new_geo = GeoGraph::new(graph, locations, data_sizes, geo.num_dcs);
-    profile.gather_bytes.extend_from_slice(&ws.gather_suffix);
-    profile.apply_bytes.extend_from_slice(&ws.apply_suffix);
-    if profile.len() != new_n {
+    if profile.len() + ws.gather_suffix.len() != new_n
+        || profile.len() + ws.apply_suffix.len() != new_n
+    {
         return Err(DurableError::RecordSequence {
             lsn: txn.commit_lsn,
             reason: "profile suffixes do not match the window's vertex count",
         });
     }
+    if let Some(delta) = &ws.delta {
+        geo.graph.apply_delta_in_place(delta);
+    }
+    geo.locations.extend_from_slice(&ws.loc_suffix);
+    geo.data_sizes.extend_from_slice(&ws.size_suffix);
+    profile.gather_bytes.extend_from_slice(&ws.gather_suffix);
+    profile.apply_bytes.extend_from_slice(&ws.apply_suffix);
+    let geo: &GeoGraph = geo;
 
     // 2. Re-derive the window's starting state as the live trainer did:
     //    genesis places every vertex at home, every later window resumes
     //    the carried state (a stationary one by an empty delta).
     let mut hybrid = match parts.take() {
         None => HybridState::try_from_masters(
-            &new_geo,
+            geo,
             env,
-            new_geo.locations.clone(),
+            geo.locations.clone(),
             txn.commit.theta as usize,
             profile.clone(),
             ws.num_iterations,
@@ -338,16 +339,16 @@ fn apply_window(
             if theta as u64 != txn.commit.theta {
                 return Err(DurableError::ReplayDiverged { window: ws.window });
             }
-            let stationary = GraphDelta::from_events(&new_geo.graph, &[]);
+            let stationary = GraphDelta::from_events(&geo.graph, &[]);
             let delta = ws.delta.as_ref().unwrap_or(&stationary);
-            HybridState::resume_from_parts(core, theta, &new_geo, env, delta, profile)?.0
+            HybridState::resume_from_parts(core, theta, geo, env, delta, profile)?.0
         }
     };
 
     // 3. Re-apply every logged move in logged order.
     for (lsn, batch) in &txn.batches {
         for &(v, d) in &batch.moves {
-            if (v as usize) >= new_n || (d as usize) >= new_geo.num_dcs {
+            if (v as usize) >= new_n || (d as usize) >= geo.num_dcs {
                 return Err(DurableError::RecordSequence {
                     lsn: *lsn,
                     reason: "logged move out of range",
@@ -364,6 +365,5 @@ fn apply_window(
     }
 
     *parts = Some(hybrid.into_parts());
-    *geo = new_geo;
     Ok(())
 }

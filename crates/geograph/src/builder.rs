@@ -68,11 +68,6 @@ impl GraphBuilder {
         self.num_vertices
     }
 
-    /// Number of raw (pre-cleaning) edges currently accumulated.
-    pub fn num_raw_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Builds an immutable CSR snapshot, applying the configured cleaning.
     /// The builder keeps its edges, so further additions and rebuilds are
     /// possible (dynamic-graph windows rebuild per window). Panics on every

@@ -1,4 +1,4 @@
-//! Immutable compressed-sparse-row graph with both adjacency directions.
+//! Compressed-sparse-row graph with both adjacency directions.
 
 use crate::delta::GraphDelta;
 use crate::stream::{build_streamed, BuildError, StreamConfig};
@@ -14,13 +14,13 @@ use crate::VertexId;
 ///
 /// Offsets are `u32`: a `Graph` holds fewer than 2^32 edges. Every place
 /// one is born — the builder ([`crate::stream`]), the wire decoder
-/// ([`crate::wire`]) and [`Graph::apply_delta`] — enforces that through the
-/// one `edge_count` check below.
+/// ([`crate::wire`]) and [`Graph::apply_delta_in_place`] — enforces that
+/// through the one `edge_count` check below.
 ///
 /// Construction is via [`Graph::from_edges`] or [`crate::GraphBuilder`];
-/// once built the structure is immutable. Dynamic workloads rebuild
-/// snapshots per time window (see [`crate::dynamic`]), matching the paper's
-/// window-batched update model (§VI-A, Exp#5).
+/// after that the only mutation is a whole window's [`GraphDelta`]
+/// ([`Graph::apply_delta_in_place`]), matching the paper's window-batched
+/// update model (§VI-A, Exp#5).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Graph {
     n: usize,
@@ -194,13 +194,24 @@ impl Graph {
         Graph::from_edges(n, &[])
     }
 
-    /// Builds the successor snapshot by overlaying a [`GraphDelta`] —
-    /// adjacency runs of untouched vertices are bulk-copied from this
-    /// graph, only touched vertices get a sorted three-way merge
-    /// (old ∖ deleted ∪ inserted), so no edge list is re-sorted and no
-    /// builder replay happens. The offset arrays are re-emitted with a
-    /// running shift (O(n) scalar adds; the flat edge arrays, which
-    /// dominate, are memcpy'd).
+    /// The successor snapshot of this graph under `delta`: a clone advanced
+    /// by [`Self::apply_delta_in_place`]. Callers that own the graph and no
+    /// longer need the old snapshot should call that instead, which holds
+    /// one CSR, not two.
+    pub fn apply_delta(&self, delta: &GraphDelta) -> Graph {
+        let mut next = self.clone();
+        next.apply_delta_in_place(delta);
+        next
+    }
+
+    /// Advances this graph to its successor under `delta`, in place. Each
+    /// direction takes two passes over its flat array: deletions compact
+    /// forward (every run moves left), then the array grows once and the
+    /// insertions expand backward (every run moves right). Untouched runs
+    /// move by one `copy_within`; only touched rows are merged entry by
+    /// entry, so no edge list is re-sorted. The offsets are re-shifted in
+    /// the same passes (O(n) scalar adds). What it allocates beyond the
+    /// arrays' amortized growth is the delta re-sorted by destination.
     ///
     /// Panics if the successor would hold 2^32 edges or more, as
     /// [`Graph::from_edges`] does. `delta` must target this graph
@@ -209,7 +220,7 @@ impl Graph {
     /// [`GraphDelta::from_events`] always do; hand-rolled deltas that insert
     /// existing edges or delete missing ones produce a corrupt snapshot
     /// (caught by `debug_assert` in debug builds).
-    pub fn apply_delta(&self, delta: &GraphDelta) -> Graph {
+    pub fn apply_delta_in_place(&mut self, delta: &GraphDelta) {
         assert_eq!(
             delta.old_num_vertices(),
             self.n,
@@ -224,110 +235,130 @@ impl Graph {
         edge_count(new_m as u64).unwrap_or_else(|e| panic!("{e}"));
         // `inserted`/`deleted` are sorted by (src, dst) — ready for the
         // out-direction. The in-direction needs (dst, src) order.
-        let (out_offsets, out_targets) = overlay_direction(
+        overlay_in_place(
             n,
-            &self.out_offsets,
-            &self.out_targets,
+            &mut self.out_offsets,
+            &mut self.out_targets,
             delta.inserted(),
             delta.deleted(),
         );
-        let mut ins_by_dst: Vec<(VertexId, VertexId)> =
-            delta.inserted().iter().map(|&(u, v)| (v, u)).collect();
-        let mut del_by_dst: Vec<(VertexId, VertexId)> =
-            delta.deleted().iter().map(|&(u, v)| (v, u)).collect();
-        ins_by_dst.sort_unstable();
-        del_by_dst.sort_unstable();
-        let (in_offsets, in_sources) =
-            overlay_direction(n, &self.in_offsets, &self.in_sources, &ins_by_dst, &del_by_dst);
-        Graph { n, out_offsets, out_targets, in_offsets, in_sources }
+        let by_dst = |edges: &[(VertexId, VertexId)]| {
+            let mut swapped: Vec<(VertexId, VertexId)> =
+                edges.iter().map(|&(u, v)| (v, u)).collect();
+            swapped.sort_unstable();
+            swapped
+        };
+        let (ins_by_dst, del_by_dst) = (by_dst(delta.inserted()), by_dst(delta.deleted()));
+        overlay_in_place(n, &mut self.in_offsets, &mut self.in_sources, &ins_by_dst, &del_by_dst);
+        self.n = n;
     }
 }
 
-/// Overlays one adjacency direction: `ins`/`del` are `(key, neighbor)`
-/// pairs sorted by `(key, neighbor)`; untouched keys' runs are bulk-copied.
-/// The caller has checked the successor's edge count, so every offset
-/// pushed here fits `u32`.
-fn overlay_direction(
+/// Overlays one adjacency direction in place: `ins`/`del` are
+/// `(key, neighbor)` pairs sorted by `(key, neighbor)`. The caller has
+/// checked the successor's edge count, so every offset fits `u32`.
+fn overlay_in_place(
     new_n: usize,
-    old_offsets: &[u32],
-    old_flat: &[VertexId],
+    offsets: &mut Vec<u32>,
+    flat: &mut Vec<VertexId>,
     ins: &[(VertexId, VertexId)],
     del: &[(VertexId, VertexId)],
-) -> (Vec<u32>, Vec<VertexId>) {
-    let old_n = old_offsets.len() - 1;
-    let mut offsets: Vec<u32> = Vec::with_capacity(new_n + 1);
-    let mut flat: Vec<VertexId> = Vec::with_capacity(old_flat.len() + ins.len());
-    offsets.push(0);
-    let mut ins_i = 0usize;
-    let mut del_i = 0usize;
+) {
+    let old_n = offsets.len() - 1;
+    compact_deletions(offsets, flat, del);
+    let len = offsets[old_n];
+    offsets.resize(new_n + 1, len);
+    flat.resize(len as usize + ins.len(), 0);
+    expand_insertions(offsets, flat, ins);
+}
+
+/// Deletion pass, front to back. Entering row `v`, `offsets[..=v]` are
+/// already final and `removed` entries have been dropped before it, so
+/// the row's old run starts at `offsets[v] + removed`; every write lands
+/// at or left of its read.
+fn compact_deletions(offsets: &mut [u32], flat: &mut Vec<VertexId>, del: &[(VertexId, VertexId)]) {
+    let n = offsets.len() - 1;
+    let mut removed = 0u32;
     let mut done = 0usize;
-    loop {
-        let next_key = match (ins.get(ins_i), del.get(del_i)) {
-            (Some(&(a, _)), Some(&(b, _))) => a.min(b) as usize,
-            (Some(&(a, _)), None) => a as usize,
-            (None, Some(&(b, _))) => b as usize,
-            (None, None) => new_n,
-        };
-        if next_key > done {
-            // Untouched old vertices: one memcpy of their runs.
-            let hi = next_key.min(old_n);
-            if hi > done {
-                let lo_off = old_offsets[done];
-                flat.extend_from_slice(&old_flat[lo_off as usize..old_offsets[hi] as usize]);
-                // Wrapping: deletions earlier in the array make the shift
-                // negative; the additions below re-wrap to the right value.
-                let shift = offsets[done].wrapping_sub(lo_off);
-                offsets.extend(old_offsets[done + 1..=hi].iter().map(|o| o.wrapping_add(shift)));
-            }
-            // Untouched new vertices are isolated in this direction.
-            offsets.resize(next_key + 1, flat.len() as u32);
-            done = next_key;
+    let mut di = 0usize;
+    while done < n {
+        let next = del.get(di).map_or(n, |&(v, _)| v as usize);
+        if removed > 0 && next > done {
+            // Untouched rows `done..next`: one move left by `removed`.
+            let to = offsets[done] as usize;
+            let from = to + removed as usize;
+            flat.copy_within(from..offsets[next] as usize, to);
+            offsets[done + 1..=next].iter_mut().for_each(|o| *o -= removed);
         }
-        if done >= new_n {
+        if next == n {
             break;
         }
-        // Merge vertex `done`: old run minus deletions, union insertions.
-        let v = done;
-        let old_run: &[VertexId] =
-            if v < old_n { row(old_offsets, old_flat, v as VertexId) } else { &[] };
-        let ins_start = ins_i;
-        while ins_i < ins.len() && ins[ins_i].0 as usize == v {
-            ins_i += 1;
-        }
-        let del_start = del_i;
-        while del_i < del.len() && del[del_i].0 as usize == v {
-            del_i += 1;
-        }
-        let ins_run = &ins[ins_start..ins_i];
-        let del_run = &del[del_start..del_i];
-        let mut oi = 0usize;
-        let mut ii = 0usize;
-        let mut di = 0usize;
-        while oi < old_run.len() || ii < ins_run.len() {
-            let old_next = old_run.get(oi).copied();
-            let ins_next = ins_run.get(ii).map(|e| e.1);
-            match (old_next, ins_next) {
-                (Some(ov), iv) if iv.is_none_or(|iv| ov <= iv) => {
-                    debug_assert!(ins_next != Some(ov), "delta inserts existing edge ({v}, {ov})");
-                    oi += 1;
-                    if di < del_run.len() && del_run[di].1 == ov {
-                        di += 1; // deleted: skip
-                    } else {
-                        flat.push(ov);
-                    }
-                }
-                (_, Some(iv)) => {
-                    flat.push(iv);
-                    ii += 1;
-                }
-                _ => unreachable!(),
+        // Row `next`: keep every old entry the sorted deletions skip.
+        let v = next;
+        let mut write = offsets[v] as usize;
+        let end = offsets[v + 1] as usize;
+        for read in write + removed as usize..end {
+            let u = flat[read];
+            if del.get(di) == Some(&(v as VertexId, u)) {
+                di += 1;
+                removed += 1;
+            } else {
+                flat[write] = u;
+                write += 1;
             }
         }
-        debug_assert_eq!(di, del_run.len(), "delta deletes edges missing from vertex {v}");
-        offsets.push(flat.len() as u32);
-        done += 1;
+        // A deletion the row did not hold breaks the cleaning contract;
+        // skip it rather than revisit the row.
+        let row_end = di + del[di..].partition_point(|&(k, _)| k as usize == v);
+        debug_assert_eq!(di, row_end, "delta deletes edges missing from vertex {v}");
+        di = row_end;
+        offsets[v + 1] = write as u32;
+        done = v + 1;
     }
-    (offsets, flat)
+    flat.truncate(offsets[n] as usize);
+}
+
+/// Insertion pass, back to front, over an array already grown by
+/// `ins.len()` slots. Leaving row `v`, `offsets[v..]` are final and the
+/// `pending` insertions keyed below `v` are still to place, so every run
+/// left of row `v` moves right by `pending`; every write lands at or right
+/// of its read. Rows left of the first insertion key do not move.
+fn expand_insertions(offsets: &mut [u32], flat: &mut [VertexId], ins: &[(VertexId, VertexId)]) {
+    let n = offsets.len() - 1;
+    let mut pending = ins.len();
+    // `hi` is the lowest row already final; `hi_old` its pre-pass start.
+    let mut hi = n;
+    let mut hi_old = offsets[n] as usize;
+    offsets[n] += pending as u32;
+    while pending > 0 {
+        let v = ins[pending - 1].0 as usize;
+        let first = ins[..pending].partition_point(|&(k, _)| (k as usize) < v);
+        let start = offsets[v] as usize;
+        let end = if v + 1 < hi { offsets[v + 1] as usize } else { hi_old };
+        // Untouched rows `v + 1..hi`: one move right by `pending`.
+        flat.copy_within(end..hi_old, end + pending);
+        offsets[v + 1..hi].iter_mut().for_each(|o| *o += pending as u32);
+        // Row `v`: backward merge of its old run with `ins[first..pending]`.
+        let mut write = end + pending;
+        let mut read = end;
+        for &(_, u) in ins[first..pending].iter().rev() {
+            while read > start && flat[read - 1] > u {
+                read -= 1;
+                write -= 1;
+                flat[write] = flat[read];
+            }
+            debug_assert!(
+                read == start || flat[read - 1] != u,
+                "delta inserts existing edge ({v}, {u})"
+            );
+            write -= 1;
+            flat[write] = u;
+        }
+        pending = first;
+        flat.copy_within(start..read, start + pending);
+        offsets[v] += pending as u32;
+        (hi, hi_old) = (v, start);
+    }
 }
 
 /// Transposes one CSR direction: row `u` holding key `k` becomes row `k`
@@ -557,7 +588,7 @@ mod tests {
             ];
             for events in &windows {
                 let delta = GraphDelta::from_events(&g, events);
-                g = g.apply_delta(&delta);
+                g.apply_delta_in_place(&delta);
                 for e in events {
                     match e.kind {
                         EventKind::Insert => {

@@ -6,8 +6,8 @@
 //! *net* mutation of a window — new vertices, inserted and deleted edges,
 //! the deduped touched-vertex set, and per-endpoint degree changes — in a
 //! canonical form that every downstream consumer (CSR overlay via
-//! [`Graph::apply_delta`](crate::Graph::apply_delta), incremental placement
-//! state, streaming baselines) can share.
+//! [`Graph::apply_delta_in_place`](crate::Graph::apply_delta_in_place),
+//! incremental placement state, streaming baselines) can share.
 //!
 //! ## Contract
 //!
@@ -35,8 +35,9 @@ use crate::VertexId;
 /// Net effect of a batch of edge events on a cleaned base graph.
 ///
 /// Construct with [`GraphDelta::from_events`]; apply with
-/// [`Graph::apply_delta`](crate::Graph::apply_delta) (CSR overlay) or the
-/// incremental placement-state paths built on top of it.
+/// [`Graph::apply_delta_in_place`](crate::Graph::apply_delta_in_place)
+/// (CSR overlay) or the incremental placement-state paths built on top of
+/// it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GraphDelta {
     old_num_vertices: usize,

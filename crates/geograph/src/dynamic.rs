@@ -190,9 +190,9 @@ pub fn apply_events(builder: &mut GraphBuilder, events: &[EdgeEvent]) -> Applied
 /// initial set and never deleted). The paper's Exp#5 notes that deletion
 /// streams show the same adaptivity behaviour as insertions — this is the
 /// replay primitive those experiments need. Internally this is now the
-/// delta pipeline: [`crate::GraphDelta::from_events`] plus the CSR overlay
-/// [`Graph::apply_delta`], so replay cost past the initial build is
-/// proportional to the event batch, not the graph.
+/// delta pipeline: [`crate::GraphDelta::from_events`] plus the in-place CSR
+/// overlay [`Graph::apply_delta_in_place`], so replay cost past the initial
+/// build is proportional to the event batch, not the graph.
 pub fn materialize_with_deletes(
     num_vertices: usize,
     initial_edges: impl Iterator<Item = (VertexId, VertexId)>,
@@ -200,9 +200,10 @@ pub fn materialize_with_deletes(
 ) -> Graph {
     let mut b = GraphBuilder::new(num_vertices);
     b.add_edges(initial_edges);
-    let initial = b.build();
-    let delta = crate::GraphDelta::from_events(&initial, events);
-    initial.apply_delta(&delta)
+    let mut graph = b.build();
+    let delta = crate::GraphDelta::from_events(&graph, events);
+    graph.apply_delta_in_place(&delta);
+    graph
 }
 
 /// The paper's Exp#5 workload: load `initial_fraction` of a graph's edges

@@ -19,8 +19,8 @@
 //! * [`dynamic`] — timestamped edge streams and time-window iteration for
 //!   dynamic-graph experiments (Fig 4, Exp#5).
 //! * [`delta`] — first-class net-effect graph deltas ([`GraphDelta`]) and
-//!   the CSR overlay ([`Graph::apply_delta`]) that advances a snapshot in
-//!   work proportional to the update batch.
+//!   the in-place CSR overlay ([`Graph::apply_delta_in_place`]) that
+//!   advances a snapshot in work proportional to the update batch.
 //! * [`io`] — plain edge-list reading/writing.
 //! * [`transform`] — transpose, symmetrization, induced subgraphs, WCC
 //!   extraction.

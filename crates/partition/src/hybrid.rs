@@ -1248,7 +1248,7 @@ mod tests {
                     events.push(ev(u, v, 100 * w + 50 + i as u64, EventKind::Delete));
                 }
                 let delta = GraphDelta::from_events(&g, &events);
-                g = g.apply_delta(&delta);
+                g.apply_delta_in_place(&delta);
                 let geo_w = geo_at(g.clone(), m);
                 let profile_w = TrafficProfile::uniform(geo_w.num_vertices(), 8.0);
                 let (core, th) = parts;
@@ -1400,7 +1400,7 @@ mod tests {
                     })
                     .collect();
                 let delta = GraphDelta::from_events(&g, &events);
-                g = g.apply_delta(&delta);
+                g.apply_delta_in_place(&delta);
                 let geo_w = geo_at(g.clone(), m);
                 let profile_w = TrafficProfile::uniform(geo_w.num_vertices(), 8.0);
                 let (core, th) = parts;

@@ -124,13 +124,6 @@ impl RoutingTable {
         out.extend(vs.iter().map(|&v| self.masters[v as usize]));
     }
 
-    /// Batched edge → placement lookup over `(src, dst)` pairs.
-    pub fn edge_placement_many(&self, edges: &[(VertexId, VertexId)], out: &mut Vec<DcId>) {
-        out.clear();
-        out.reserve(edges.len());
-        out.extend(edges.iter().map(|&(u, v)| self.edge_placement(u, v)));
-    }
-
     /// Resident heap bytes of this table: the three per-vertex planes
     /// (master `DcId`, replica bitmask `u64`, degree-class `bool`). This
     /// is what one published epoch pins while readers hold it — the

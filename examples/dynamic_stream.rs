@@ -71,7 +71,7 @@ fn main() {
         // The window's net change, applied everywhere: CSR, RLCut's carried
         // placement state, and Spinner's label propagation seeds.
         let delta = GraphDelta::from_events(&graph, events);
-        graph = graph.apply_delta(&delta);
+        graph.apply_delta_in_place(&delta);
         locations
             .extend((locations.len() as VertexId..graph.num_vertices() as VertexId).map(home_of));
         let sizes: Vec<u64> = (0..graph.num_vertices() as VertexId)

@@ -31,7 +31,7 @@ echo "==> one CSR builder, one migration arm (deleted paths stay deleted)"
 # build_chunked is the only count/scatter/transpose core and it sorts
 # nothing: a comparison sort must not come back into the builder or its
 # staged callers outside their test modules (the only comparison sort left
-# on a graph path is apply_delta's, in csr.rs). migration_phase runs on the
+# on a graph path is apply_delta_in_place's, in csr.rs). migration_phase runs on the
 # caller thread; the barrier-fenced pooled arm must not come back.
 for f in crates/geograph/src/builder.rs crates/geograph/src/stream.rs; do
   if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'sort_unstable'; then
@@ -135,6 +135,17 @@ echo "==> placement state at half the bytes (the wide plane and the copies stay 
 if git grep -n -E 'pub\(crate\) (counts: Vec<u32>|is_high: Vec<bool>|profile: TrafficProfile)|fn profile\(&self\)' \
     -- crates/partition/src/state.rs; then
   echo "a u32 count plane or a second profile / degree-class copy reappeared in PlacementState"; exit 1
+fi
+
+echo "==> a window allocates what changed (the copying overlay and the dense pool stay deleted)"
+# A delta window advances the live CSR in place (Graph::apply_delta_in_place;
+# apply_delta is a clone plus that call), and the trainer's agent pool is
+# indexed by position in the sampling order and grown to the prefix a step
+# samples: the copying overlay, a pool sized to the graph and the per-action
+# mean reward no decision read must not come back.
+if git grep -n -e 'mean_reward' -e 'fn overlay_direction' -e 'AgentPool::new(geo.num_vertices()' \
+    -- crates/; then
+  echo "the copying overlay, a graph-sized agent pool or the mean-reward plane reappeared"; exit 1
 fi
 
 echo "==> snapshots carry the plan, not its index (the stored count plane stays deleted)"
@@ -299,6 +310,16 @@ require_tests lj_analog_ingest_stays_inside_its_byte_budgets
 # trip, and equals a rebuild by value.
 require_tests lj_analog_placement_state_stays_inside_its_byte_budget \
   rows_past_u16_escape_to_u32_lanes
+# A delta window allocates what changed: under a counting allocator, every
+# 400-insert window at rate 0.05 x 2 past the first delta window on a 60 k-
+# vertex graph stays below 1/8 of the CSR above its entry watermark
+# (measured 0.089x; a second CSR and a graph-sized agent pool read 1.46x).
+# The in-place overlay equals a from-scratch build of the edited edge set
+# over random streams and its edge cases, and the agent pool holds the
+# sampled prefix, not the graph, with a scan-capped run's masters unmoved.
+require_tests delta_window_allocates_neither_a_csr_nor_a_dense_pool \
+  in_place_overlay_matches_a_scratch_build in_place_overlay_edge_cases_match_a_scratch_build \
+  agent_pool_holds_the_sampled_prefix_not_the_graph scan_capped_run_keeps_its_masters
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -92,7 +92,7 @@ fn workload() -> Workload {
     for window in &windows {
         let delta = GraphDelta::from_events(&graph, window);
         let old_n = graph.num_vertices();
-        graph = graph.apply_delta(&delta);
+        graph.apply_delta_in_place(&delta);
         let new_n = graph.num_vertices();
         steps.push((delta, locations[old_n..new_n].to_vec(), sizes[old_n..new_n].to_vec()));
     }

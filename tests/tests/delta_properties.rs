@@ -1,11 +1,12 @@
 //! Property tests of the incremental dynamic-window pipeline: for random
-//! event streams (inserts *and* deletes, 1–8 windows) the delta-resumed
-//! placement state must be indistinguishable from a from-scratch rebuild
-//! and from an edge-by-edge oracle of the placement rule, before and after
-//! a snapshot round trip, and the full adaptive pipeline must be
-//! bit-deterministic across thread counts.
+//! event streams (inserts *and* deletes, 1–8 windows) the in-place CSR
+//! overlay must equal a from-scratch build of the edited edge set, the
+//! delta-resumed placement state must be indistinguishable from a
+//! from-scratch rebuild and from an edge-by-edge oracle of the placement
+//! rule, before and after a snapshot round trip, and the full adaptive
+//! pipeline must be bit-deterministic across thread counts.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use geodur::{Snapshot, SnapshotRef};
@@ -67,6 +68,79 @@ fn geo_for(graph: &Graph, seed: u64, num_dcs: usize) -> GeoGraph {
     GeoGraph::new(graph.clone(), locations, sizes, num_dcs)
 }
 
+/// The graph `events` edit `graph` into, built from scratch: the edge set
+/// as a `BTreeSet` with every event applied in order (so the last event per
+/// key wins), self-loops dropped, and the vertex count grown to the highest
+/// id named. Shares no code with `GraphDelta` or the overlay.
+fn edited_from_scratch(graph: &Graph, events: &[EdgeEvent]) -> Graph {
+    let mut edges: BTreeSet<(VertexId, VertexId)> = graph.edges().collect();
+    let mut n = graph.num_vertices();
+    for e in events {
+        n = n.max(e.src.max(e.dst) as usize + 1);
+        if e.src == e.dst {
+            continue;
+        }
+        match e.kind {
+            EventKind::Insert => edges.insert((e.src, e.dst)),
+            EventKind::Delete => edges.remove(&(e.src, e.dst)),
+        };
+    }
+    Graph::from_edges(n, &edges.into_iter().collect::<Vec<_>>())
+}
+
+/// Advances `graph` in place by the delta of `events` and holds it (and the
+/// copying `apply_delta`) against [`edited_from_scratch`].
+fn assert_overlay_matches_scratch(graph: &mut Graph, events: &[EdgeEvent], what: &str) {
+    let expected = edited_from_scratch(graph, events);
+    let delta = GraphDelta::from_events(graph, events);
+    assert_eq!(graph.apply_delta(&delta), expected, "{what}: apply_delta");
+    graph.apply_delta_in_place(&delta);
+    assert_eq!(*graph, expected, "{what}: apply_delta_in_place");
+}
+
+fn ev(src: VertexId, dst: VertexId, kind: EventKind) -> EdgeEvent {
+    EdgeEvent { src, dst, timestamp_ms: 0, kind }
+}
+
+/// The overlay's edge cases, each against the from-scratch oracle: an empty
+/// delta, delete-only and insert-only deltas, new isolated vertices, a
+/// deletion that empties a row, an insertion into the last row, and a
+/// delete-then-insert of one key (within a window, and across two).
+#[test]
+fn in_place_overlay_edge_cases_match_a_scratch_build() {
+    use EventKind::{Delete, Insert};
+    let base = Graph::from_edges(6, &[(0, 1), (0, 2), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
+    let cases: Vec<(&str, Vec<EdgeEvent>)> = vec![
+        ("empty", vec![]),
+        ("delete-only", vec![ev(0, 2, Delete), ev(4, 5, Delete), ev(2, 0, Delete)]),
+        ("insert-only", vec![ev(1, 0, Insert), ev(0, 3, Insert), ev(4, 3, Insert)]),
+        ("new isolated vertices", vec![ev(9, 9, Insert)]),
+        ("new vertices with edges", vec![ev(7, 0, Insert), ev(2, 8, Insert)]),
+        ("deletion empties a row", vec![ev(0, 1, Delete), ev(0, 2, Delete)]),
+        ("insertion into the last row", vec![ev(5, 0, Insert), ev(5, 4, Insert)]),
+        ("insert past the last old row", vec![ev(5, 1, Insert), ev(6, 5, Insert)]),
+        ("delete then insert one key", vec![ev(1, 2, Delete), ev(1, 2, Insert)]),
+        ("insert then delete one key", vec![ev(1, 5, Insert), ev(1, 5, Delete)]),
+        ("every row touched", (0..6).map(|v| ev(v, (v + 3) % 6, Insert)).collect()),
+        (
+            "mixed in one row",
+            vec![ev(0, 1, Delete), ev(0, 3, Insert), ev(0, 2, Delete), ev(0, 5, Insert)],
+        ),
+    ];
+    for (what, events) in &cases {
+        assert_overlay_matches_scratch(&mut base.clone(), events, what);
+    }
+    // Chained in place on one graph, so the arrays' spare capacity from an
+    // earlier window is reused: delete a key, re-insert it, empty the graph.
+    let mut graph = base.clone();
+    assert_overlay_matches_scratch(&mut graph, &[ev(3, 4, Delete)], "window 1");
+    assert_overlay_matches_scratch(&mut graph, &[ev(3, 4, Insert)], "window 2");
+    let all: Vec<EdgeEvent> = graph.edges().map(|(u, v)| ev(u, v, Delete)).collect();
+    assert_overlay_matches_scratch(&mut graph, &all, "window 3");
+    assert_eq!(graph.num_edges(), 0);
+    assert_overlay_matches_scratch(&mut graph, &[ev(5, 0, Insert), ev(0, 5, Insert)], "window 4");
+}
+
 /// `(in, out)` edge counts of every occupied `(vertex, dc)` cell.
 type OracleCells = BTreeMap<(VertexId, DcId), (u32, u32)>;
 
@@ -113,6 +187,22 @@ fn assert_matches_oracle(state: &PlacementState, graph: &Graph, theta: usize, wh
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The in-place overlay, chained on one graph across every window of a
+    /// stream, equals a from-scratch build of the edited edge set after
+    /// each window (and so does the copying `apply_delta`).
+    #[test]
+    fn in_place_overlay_matches_a_scratch_build((n, initial, windows, _) in arb_stream()) {
+        let mut graph = {
+            let mut b = GraphBuilder::new(n);
+            b.add_edges(initial);
+            b.build()
+        };
+        for (i, ops) in windows.iter().enumerate() {
+            let events = window_events(&graph, ops);
+            assert_overlay_matches_scratch(&mut graph, &events, &format!("window {i}"));
+        }
+    }
 
     /// An empty `GraphDelta` is a strict no-op through every layer of the
     /// pipeline: `Graph::apply_delta` returns an equal graph, the
@@ -205,7 +295,7 @@ proptest! {
         for ops in &windows {
             let events = window_events(&graph, ops);
             let delta = GraphDelta::from_events(&graph, &events);
-            graph = graph.apply_delta(&delta);
+            graph.apply_delta_in_place(&delta);
             let geo = geo_for(&graph, seed, env.num_dcs());
             let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
             let (core, th) = carried.take().unwrap();
@@ -275,7 +365,7 @@ proptest! {
         for (i, ops) in windows.iter().enumerate() {
             let events = window_events(&graph, ops);
             let delta = GraphDelta::from_events(&graph, &events);
-            graph = graph.apply_delta(&delta);
+            graph.apply_delta_in_place(&delta);
             let geo = geo_for(&graph, seed, env.num_dcs());
             let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
             if i == fault_window {

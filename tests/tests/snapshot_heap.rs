@@ -4,19 +4,15 @@
 //! graph and placement through a fixed-size buffered sink, so what it
 //! allocates is O(buffer) — not a clone of the state plus a staged blob
 //! (more than twice the state, before the encoder borrowed). This binary
-//! installs a counting global allocator and holds the call to under 512 KiB
-//! above its entry watermark (65 730 B measured) on a 60 k-vertex graph
-//! whose state is tens of megabytes. It is a test binary of its own, with
-//! one test, so no neighbouring test's allocations land in the measured
-//! interval.
+//! installs the counting global allocator (`counting_alloc`) and holds the
+//! call to under 512 KiB above its entry watermark (65 730 B measured) on a
+//! 60 k-vertex graph whose state is tens of megabytes.
 //!
 //! The same snapshot carries the on-disk size gate: at most 1.5 bytes per
 //! graph edge at LiveJournal's 14 attachments per vertex (measured 1.481
 //! here, exact for a seed; 2.130 with varint out-rows and byte-wide DC ids,
 //! 2.81 while the count plane travelled, 15.8 in the dense pre-v3 layout).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::time::Duration;
 
 use geograph::generators::preferential::preferential_attachment_edges;
@@ -26,33 +22,7 @@ use geopart::TrafficProfile;
 use geosim::regions::ec2_eight_regions;
 use rlcut::{DurableAdaptive, RlCutConfig};
 
-/// Live heap bytes, and their high-water mark since the last reset.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counters only observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's obligations are `System::alloc`'s own.
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            PEAK.fetch_max(LIVE.fetch_add(layout.size(), SeqCst) + layout.size(), SeqCst);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), SeqCst);
-        // SAFETY: `p` came from `alloc` above with this `layout`.
-        unsafe { System.dealloc(p, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
+mod counting_alloc;
 
 #[test]
 fn snapshot_now_allocates_a_buffer_not_a_copy_of_the_state() {
@@ -78,10 +48,9 @@ fn snapshot_now_allocates_a_buffer_not_a_copy_of_the_state() {
     let profile = TrafficProfile::uniform(n, 8.0);
     durable.window(&env, None, &[], &[], profile, 10.0, Duration::from_secs(60)).unwrap();
 
-    let entry = LIVE.load(SeqCst);
-    PEAK.store(entry, SeqCst);
+    let entry = counting_alloc::enter();
     let written = durable.snapshot_now().unwrap();
-    let transient = PEAK.load(SeqCst) - entry;
+    let transient = counting_alloc::peak() - entry;
 
     assert!(written > 1 << 19, "a {written}-byte snapshot would fit the limit staged whole");
     assert!(
