@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use geograph::generators::{rmat, RmatConfig};
 use geograph::locality::LocalityConfig;
 use geograph::GeoGraph;
-use geopart::{HybridState, TrafficProfile};
+use geopart::{HybridState, MoveScratch, TrafficProfile};
 use geosim::regions::ec2_eight_regions;
 use rlcut::RlCutConfig;
 use std::hint::black_box;
@@ -39,11 +39,12 @@ fn bench_move_evaluation(c: &mut Criterion) {
     let (geo, env) = setup(1 << 13);
     let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
     let state = HybridState::natural(&geo, &env, 16, profile, 10.0);
+    let mut scratch = MoveScratch::new();
     c.bench_function("evaluate_move", |b| {
         let mut v = 0u32;
         b.iter(|| {
             v = (v + 1) % geo.num_vertices() as u32;
-            black_box(state.evaluate_move(&env, v, (v % 8) as u8))
+            black_box(state.evaluate_move_with(&env, v, (v % 8) as u8, &mut scratch))
         })
     });
 }
@@ -62,7 +63,7 @@ fn bench_batched_evaluation(c: &mut Criterion) {
     let hub = (0..geo.num_vertices() as u32).max_by_key(|&v| geo.graph.degree(v)).unwrap();
 
     let mut group = c.benchmark_group("evaluate_all_moves_tw8dc");
-    let mut scratch = geopart::MoveScratch::new();
+    let mut scratch = MoveScratch::new();
     group.bench_function("batched_sweep", |b| {
         let mut v = 0u32;
         b.iter(|| {
@@ -100,11 +101,12 @@ fn bench_move_application(c: &mut Criterion) {
     let (geo, env) = setup(1 << 13);
     let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
     let mut state = HybridState::natural(&geo, &env, 16, profile, 10.0);
+    let mut scratch = MoveScratch::new();
     c.bench_function("apply_move", |b| {
         let mut v = 0u32;
         b.iter(|| {
             v = (v + 1) % geo.num_vertices() as u32;
-            state.apply_move(&env, v, (v % 8) as u8);
+            state.apply_move_with(&env, v, (v % 8) as u8, &mut scratch);
         })
     });
 }

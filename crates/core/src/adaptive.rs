@@ -372,7 +372,7 @@ impl AdaptiveRlCut {
         let hot_agents =
             if self.window > 0 { session.focus_window(&touched, self.window) } else { 0 };
         session.run(env)?;
-        let (result, resources) = session.finish_with_resources(env);
+        let (result, resources) = session.finish(env);
         self.resources = Some(resources);
         // Session wall-clock covers the training loop and the final
         // reconcile to the best plan.

@@ -65,4 +65,4 @@ pub use config::RlCutConfig;
 pub use durable::{DurableAdaptive, DurableWindowError, RecoverySummary};
 pub use pool::{PoolError, WorkerPool};
 pub use stats::{RlCutResult, StepStats};
-pub use trainer::{partition, partition_from, SessionResources, TrainerSession};
+pub use trainer::{partition, SessionResources, TrainerSession};

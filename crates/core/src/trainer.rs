@@ -54,7 +54,11 @@ use crate::stats::{RlCutResult, StepStats};
 use crate::straggler;
 
 /// Partitions `geo` starting from its natural locations (the paper's
-/// initial state).
+/// initial state): one [`TrainerSession`] run to its end.
+///
+/// A run has one failure, a [`PoolError`] — a worker of this program
+/// panicked — and it is re-raised on the caller; drive a
+/// [`TrainerSession`] to receive it as a value instead.
 pub fn partition<'g>(
     geo: &'g GeoGraph,
     env: &CloudEnv,
@@ -62,45 +66,16 @@ pub fn partition<'g>(
     num_iterations: f64,
     config: &RlCutConfig,
 ) -> RlCutResult<'g> {
-    partition_from(geo, env, geo.locations.clone(), profile, num_iterations, config)
-}
-
-/// Partitions `geo` starting from explicit master locations — the entry
-/// point for dynamic re-partitioning, where the previous window's plan
-/// seeds the next.
-pub fn partition_from<'g>(
-    geo: &'g GeoGraph,
-    env: &CloudEnv,
-    initial_masters: Vec<DcId>,
-    profile: TrafficProfile,
-    num_iterations: f64,
-    config: &RlCutConfig,
-) -> RlCutResult<'g> {
     let theta = config.theta.unwrap_or_else(|| geograph::degree::suggest_theta(&geo.graph, 0.05));
     let state =
-        HybridState::from_masters(geo, env, initial_masters, theta, profile, num_iterations);
-    train(geo, env, state, config)
-}
-
-/// Runs the training loop on an existing state.
-///
-/// The infallible entry points end here. A run has one failure, a
-/// [`PoolError`] — a worker of this program panicked — and it is
-/// re-raised on the caller; drive a [`TrainerSession`] to receive it as a
-/// value instead.
-pub fn train<'g>(
-    geo: &'g GeoGraph,
-    env: &CloudEnv,
-    state: HybridState<'g>,
-    config: &RlCutConfig,
-) -> RlCutResult<'g> {
+        HybridState::from_masters(geo, env, geo.locations.clone(), theta, profile, num_iterations);
     let mut session = TrainerSession::new(geo, env, state, config.clone());
     session.run(env).expect("a training worker panicked");
-    session.finish(env)
+    session.finish(env).0
 }
 
 /// What a finished [`TrainerSession`] hands to the next window's session
-/// ([`TrainerSession::finish_with_resources`] →
+/// ([`TrainerSession::finish`] →
 /// [`TrainerSession::with_resources`]): the persistent worker pool and the
 /// sequential scratch arena, so pool workers — and their warm per-worker
 /// arenas — survive across windows instead of being respawned per window;
@@ -170,10 +145,10 @@ struct Exec<'a> {
 
 /// A training run: the Fig 5 loop broken into externally driven steps.
 ///
-/// [`train`] is a thin wrapper (`new` → `run` → `finish`); the
-/// dynamic-window driver adds [`Self::focus_window`],
-/// [`Self::boost_sampling`] and [`Self::finish_with_resources`] around
-/// the same loop, and tests advance it one [`Self::step`] at a time.
+/// [`partition`] is `new` → `run` → [`Self::finish`]; the dynamic-window
+/// driver adds [`Self::focus_window`], [`Self::boost_sampling`] and the
+/// resources `finish` hands back around the same loop, and tests advance
+/// it one [`Self::step`] at a time.
 pub struct TrainerSession<'g> {
     geo: &'g GeoGraph,
     config: RlCutConfig,
@@ -265,7 +240,7 @@ impl<'g> TrainerSession<'g> {
 
     /// Turns on the applied-move journal: from now on every accepted
     /// migration is recorded `(step, moves)` in exact apply order, and
-    /// [`Self::finish_with_resources`] hands the journal back through
+    /// [`Self::finish`] hands the journal back through
     /// [`SessionResources`]. The durable driver feeds it to the WAL;
     /// replaying the journal through `apply_move_with` reproduces the
     /// placement accumulators bit-exactly (floating-point accumulation is
@@ -533,30 +508,15 @@ impl<'g> TrainerSession<'g> {
         Ok(())
     }
 
-    /// Finalizes the run: rebuilds the returned state from the best plan
-    /// seen, in place, if the live state drifted past it.
-    pub fn finish(self, env: &CloudEnv) -> RlCutResult<'g> {
-        let total_duration = self.started.elapsed();
-        let mut final_state = self.state.into_inner();
-        if final_state.core().masters() != self.best.0.as_slice() {
-            final_state.rebuild_from_masters(env, self.best.0);
-        }
-        RlCutResult {
-            state: final_state,
-            steps: self.steps,
-            total_duration,
-            converged: self.converged,
-        }
-    }
-
-    /// [`Self::finish`] for the dynamic-window path: reconciles the live
-    /// state to the best plan by **applying the differing moves** instead
-    /// of rebuilding from scratch — work proportional to the drift, not to
-    /// the graph — and hands the pool and the scratch back for the next
-    /// window's session. (`apply_move`'s Eq 4 accounting is
+    /// Ends the run on the best plan seen: reconciles the live state to it
+    /// by **applying the differing moves** — work proportional to the
+    /// drift, not to the graph, journaled under [`RECONCILE_STEP`] when the
+    /// journal is on — and
+    /// hands the pool, the scratch and the journal back for the next
+    /// window's session. (`apply_move_with`'s Eq 4 accounting is
     /// path-independent: `+cost(loc, to) − cost(loc, from)`, so the
     /// reconciled state prices movement exactly as a rebuild would.)
-    pub fn finish_with_resources(mut self, env: &CloudEnv) -> (RlCutResult<'g>, SessionResources) {
+    pub fn finish(mut self, env: &CloudEnv) -> (RlCutResult<'g>, SessionResources) {
         let total_duration = self.started.elapsed();
         let mut final_state = self.state.into_inner();
         let best_masters = self.best.0;
@@ -859,9 +819,9 @@ mod tests {
 
     #[test]
     fn resources_carry_the_pool_across_sessions() {
-        // The dynamic-window contract: finish_with_resources hands the
-        // worker pool to the next session, which adopts it instead of
-        // respawning — same OS threads before and after.
+        // The dynamic-window contract: finish hands the worker pool to the
+        // next session, which adopts it instead of respawning — same OS
+        // threads before and after.
         let (geo, env) = setup(16);
         let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
         let config = default_config(&geo, &env).with_threads(4).with_max_steps(2);
@@ -877,7 +837,7 @@ mod tests {
         let mut s1 = TrainerSession::new(&geo, &env, state, config.clone());
         while s1.step(&env).unwrap().is_some() {}
         let ids_before = s1.pool_thread_ids().expect("threads=4 builds a pool");
-        let (r1, resources) = s1.finish_with_resources(&env);
+        let (r1, resources) = s1.finish(&env);
         assert_eq!(resources.pool_thread_ids().as_deref(), Some(ids_before.as_slice()));
         let state2 = HybridState::from_masters(
             &geo,
@@ -906,7 +866,7 @@ mod tests {
             default_config(&geo, &env).with_threads(4).with_max_steps(1),
         );
         let donor_ids = donor.pool_thread_ids().unwrap();
-        let (_, resources) = donor.finish_with_resources(&env);
+        let (_, resources) = donor.finish(&env);
         // Next window wants 2 threads: the 4-worker pool must not be kept.
         let s = TrainerSession::with_resources(
             &geo,
@@ -921,32 +881,29 @@ mod tests {
     }
 
     #[test]
-    fn finish_with_resources_matches_finish() {
-        // The move-based reconcile to the best plan must land on the same
-        // masters as finish()'s from-scratch rebuild, with a consistent
-        // incremental state.
+    fn best_before_last_partition_keeps_its_masters() {
+        // The last step breaks the budget an earlier step kept, so the
+        // session ends by moving the live state back to the best plan. The
+        // masters are pinned to what the from-scratch rebuild this
+        // reconcile replaced returned (FNV-1a, seed 1).
         let (geo, env) = setup(18);
         let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
         let config = default_config(&geo, &env).with_max_steps(6);
-        let theta = geograph::degree::suggest_theta(&geo.graph, 0.05);
-        let build = || {
-            let state = HybridState::from_masters(
-                &geo,
-                &env,
-                geo.locations.clone(),
-                theta,
-                profile.clone(),
-                10.0,
-            );
-            let mut s = TrainerSession::new(&geo, &env, state, config.clone());
-            s.run(&env).unwrap();
-            s
-        };
-        let rebuilt = build().finish(&env);
-        let (reconciled, _resources) = build().finish_with_resources(&env);
-        assert_eq!(rebuilt.state.core().masters(), reconciled.state.core().masters());
-        reconciled.state.check_consistency(&env);
+        let result = partition(&geo, &env, profile, 10.0, &config);
+        let feasible = |s: &StepStats| s.total_cost <= config.budget;
+        let (last, earlier) = result.steps.split_last().expect("the run stepped");
+        assert!(
+            earlier
+                .iter()
+                .any(|s| feasible(s) && (!feasible(last) || s.transfer_time < last.transfer_time)),
+            "the last step is the best one: nothing to reconcile"
+        );
+        let fnv = geodur::masters_fnv(result.state.core().masters());
+        assert_eq!(fnv, BEST_BEFORE_LAST_MASTERS_FNV, "reconciled masters moved: {fnv:#018x}");
+        result.state.check_consistency(&env);
     }
+
+    const BEST_BEFORE_LAST_MASTERS_FNV: u64 = 0xd511_4150_2a2e_5704;
 
     /// A session over `setup(19)` at a fixed sample rate, theta as
     /// `partition` picks it.

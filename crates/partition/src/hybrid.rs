@@ -8,20 +8,21 @@
 //!   master;
 //! * mirrors exist wherever a vertex's incident edges land.
 //!
-//! [`HybridState::evaluate_all_moves`] projects "move vertex `v` to DC
-//! `i`" for **all** `M` destinations onto the objective from a single
-//! `O(deg(v))` neighborhood sweep (the [`crate::kernel`] batched path) —
-//! move scoring is performed for every sampled agent per training
-//! iteration and dominates RLCut's training cost, which is why the paper's
-//! straggler mitigation (§V-B) schedules agents by vertex degree.
-//! [`HybridState::evaluate_move`] is the single-destination wrapper over
-//! the same kernel and agrees with the batched results bit-for-bit.
+//! [`HybridState::evaluate_moves`] stages a move of `v` once and projects
+//! it onto the objective for every destination DC of a mask from a single
+//! `O(deg(v))` neighborhood sweep (the one [`crate::kernel`] function).
+//! Scoring asks for **all** `M` destinations
+//! ([`HybridState::evaluate_all_moves`]) for every sampled agent per
+//! training iteration and dominates RLCut's training cost, which is why
+//! the paper's straggler mitigation (§V-B) schedules agents by vertex
+//! degree; batched migration asks for one
+//! ([`HybridState::evaluate_move_with`]), which is that slot bit-for-bit.
 
 use geograph::{GeoGraph, GraphDelta};
 use geosim::CloudEnv;
 
 use crate::error::PlanError;
-use crate::kernel::{self, CntDelta, MoveScratch};
+use crate::kernel::{CntDelta, MoveScratch};
 use crate::profile::TrafficProfile;
 use crate::state::{DeltaApplyStats, Objective, PlacementDeltaOps, PlacementState};
 use crate::{DcId, VertexId};
@@ -116,42 +117,6 @@ impl<'g> HybridState<'g> {
         HybridState { geo, core, theta }
     }
 
-    /// Advances this plan to the next dynamic-graph window: consumes the
-    /// state bound to the previous snapshot and returns the same placement
-    /// state rebound to `new_geo`, updated incrementally for exactly the
-    /// vertices the delta touches — no count plane, meta record, load
-    /// accumulator or profile row of an untouched vertex is rebuilt.
-    ///
-    /// Masters of existing vertices are preserved (they are the RL state
-    /// carried across windows); appended vertices start at their natural
-    /// DC, so the tracked Eq 4 movement cost is unchanged. θ stays frozen
-    /// at the value the state was built with; existing vertices whose
-    /// in-degree crosses θ flip class and have their surviving in-edges
-    /// re-placed under the new rule.
-    ///
-    /// Contract: `new_geo` must be the carried graph plus `delta` (same
-    /// cleaned form — checked in debug builds), with locations and data
-    /// sizes of existing vertices unchanged, and `new_profile` must cover
-    /// `new_geo` and agree with the carried profile on existing vertices.
-    /// Dimension mismatches surface as [`PlanError::DeltaMismatch`].
-    pub fn apply_delta<'n>(
-        self,
-        new_geo: &'n GeoGraph,
-        env: &CloudEnv,
-        delta: &GraphDelta,
-        new_profile: &TrafficProfile,
-    ) -> Result<(HybridState<'n>, DeltaApplyStats), PlanError> {
-        let old_n = self.core.num_vertices();
-        debug_assert!(
-            new_geo.graph == self.geo.graph.apply_delta(delta),
-            "new_geo is not the delta successor of the carried graph"
-        );
-        debug_assert_eq!(&new_geo.locations[..old_n], &self.geo.locations[..]);
-        debug_assert_eq!(&new_geo.data_sizes[..old_n], &self.geo.data_sizes[..]);
-        let HybridState { core, theta, .. } = self;
-        Self::resume_from_parts(core, theta, new_geo, env, delta, new_profile)
-    }
-
     /// The dimension checks [`Self::resume_from_parts`] makes before it
     /// consumes anything: `delta` must lead from `core`'s vertex count to
     /// `new_geo`'s, and `new_profile` must cover `new_geo`. A caller runs
@@ -174,11 +139,27 @@ impl<'g> HybridState<'g> {
         Err(PlanError::DeltaMismatch { what, expected, found })
     }
 
-    /// [`Self::apply_delta`] over a placement state extracted with
-    /// [`Self::into_parts`] — the form cross-window drivers use, since the
-    /// previous window's graph no longer needs to be alive. The flip
-    /// repair walks the *new* graph's in-edges (survivors = new in-edges
-    /// minus this window's inserts), so the old snapshot is never read.
+    /// Advances a plan to the next dynamic-graph window: takes the
+    /// placement state [`Self::into_parts`] extracted from the previous
+    /// snapshot's plan and returns it rebound to `new_geo`, updated
+    /// incrementally for exactly the vertices the delta touches — no count
+    /// plane, meta record, load accumulator or profile row of an untouched
+    /// vertex is rebuilt. The previous window's graph need not be alive:
+    /// the flip repair walks the *new* graph's in-edges (survivors = new
+    /// in-edges minus this window's inserts).
+    ///
+    /// Masters of existing vertices are preserved (they are the RL state
+    /// carried across windows); appended vertices start at their natural
+    /// DC, so the tracked Eq 4 movement cost is unchanged. θ stays frozen
+    /// at the value the state was built with; existing vertices whose
+    /// in-degree crosses θ flip class and have their surviving in-edges
+    /// re-placed under the new rule.
+    ///
+    /// Contract: `new_geo` must be the carried graph plus `delta` (same
+    /// cleaned form), with locations and data sizes of existing vertices
+    /// unchanged, and `new_profile` must cover `new_geo` and agree with the
+    /// carried profile on existing vertices. Dimension mismatches surface
+    /// as [`PlanError::DeltaMismatch`].
     pub fn resume_from_parts<'n>(
         core: PlacementState,
         theta: usize,
@@ -359,60 +340,39 @@ impl<'g> HybridState<'g> {
         self.core.override_movement_cost(cost);
     }
 
-    /// Re-derives this plan from `masters` in place: what
-    /// [`Self::from_masters`] builds over the same graph, θ, profile and
-    /// iteration count, counts to loads to movement cost bit for bit, but
-    /// in this state's own arrays instead of a second state beside it. The
-    /// degree classes are kept, so they must be θ's (as every constructor
-    /// and [`Self::validate_plan`] guarantee). Panics on an out-of-range
-    /// master or a length that is not the graph's.
-    pub fn rebuild_from_masters(&mut self, env: &CloudEnv, masters: Vec<DcId>) {
-        assert!(masters.iter().all(|&d| (d as usize) < self.core.num_dcs), "master out of range");
-        self.core.unplace_all(masters);
-        self.core.place_hybrid_edges(&self.geo.graph);
-        self.core.rebuild_loads();
-        self.core.movement_cost = geosim::cost::movement_cost(
-            env,
-            &self.geo.locations,
-            &self.core.masters,
-            &self.geo.data_sizes,
-        );
+    /// Evaluates moving `v`'s master to every DC flagged in `dests` (bit
+    /// `b` ⇔ DC `b`) from one neighborhood sweep, without mutating the
+    /// state — see [`PlacementState::evaluate_moves`]. The returned slice
+    /// lives in `scratch`, indexed by destination DC; only flagged slots
+    /// are written, and a flagged current master holds the unchanged
+    /// current objective.
+    pub fn evaluate_moves<'s>(
+        &self,
+        env: &CloudEnv,
+        v: VertexId,
+        dests: u64,
+        scratch: &'s mut MoveScratch,
+    ) -> &'s [Objective] {
+        self.collect_deltas_into(v, scratch);
+        let (natural, size) = (self.geo.locations[v as usize], self.geo.data_sizes[v as usize]);
+        self.core.evaluate_moves(env, v, dests, natural, size, scratch)
     }
 
-    /// Evaluates moving `v`'s master to **every** DC in one neighborhood
-    /// sweep, without mutating the state. The returned slice lives in
-    /// `scratch`, indexed by destination DC; the slot of the current
-    /// master holds the unchanged current objective.
-    ///
-    /// Cost: one `O(deg(v))` sweep + `O(deg(v) · M + M²)` projection —
-    /// versus `M` independent [`Self::evaluate_move`] calls, which it
-    /// matches bit-for-bit.
+    /// [`Self::evaluate_moves`] to **every** DC: the score function's
+    /// input for one agent. Cost: one `O(deg(v))` sweep + `O(deg(v) · M +
+    /// M²)` projection, versus `M` sweeps for `M` single-destination calls.
     pub fn evaluate_all_moves<'s>(
         &self,
         env: &CloudEnv,
         v: VertexId,
         scratch: &'s mut MoveScratch,
     ) -> &'s [Objective] {
-        self.collect_deltas_into(v, scratch);
-        self.core.evaluate_all_moves(env, v, scratch);
-        // The kernel reports the current plan's movement cost; patch in the
-        // per-destination Eq 4 delta for every actual move.
-        let a = self.core.master(v);
-        let loc = self.geo.locations[v as usize];
-        let size = self.geo.data_sizes[v as usize];
-        let base = self.core.movement_cost - geosim::cost::vertex_move_cost(env, loc, a, size);
-        for (d, obj) in scratch.objectives_mut().iter_mut().enumerate() {
-            if d != a as usize {
-                obj.movement_cost =
-                    base + geosim::cost::vertex_move_cost(env, loc, d as DcId, size);
-            }
-        }
-        scratch.objectives()
+        self.evaluate_moves(env, v, u64::MAX >> (64 - self.core.num_dcs), scratch)
     }
 
-    /// Evaluates moving `v`'s master to `to` without mutating the state,
-    /// using the caller's scratch arena. Cost: `O(deg(v) + M)`.
-    /// Bit-identical to slot `to` of [`Self::evaluate_all_moves`].
+    /// [`Self::evaluate_moves`] to `to` alone: a migration proposal's
+    /// objective, bit-identical to slot `to` of
+    /// [`Self::evaluate_all_moves`]. Cost: `O(deg(v) + M)`.
     pub fn evaluate_move_with(
         &self,
         env: &CloudEnv,
@@ -420,23 +380,10 @@ impl<'g> HybridState<'g> {
         to: DcId,
         scratch: &mut MoveScratch,
     ) -> Objective {
-        let a = self.core.master(v);
-        if a == to {
+        if self.core.master(v) == to {
             return self.core.objective(env);
         }
-        self.collect_deltas_into(v, scratch);
-        let mut obj = self.core.evaluate_move_to(env, v, to, scratch);
-        let loc = self.geo.locations[v as usize];
-        let size = self.geo.data_sizes[v as usize];
-        let base = self.core.movement_cost - geosim::cost::vertex_move_cost(env, loc, a, size);
-        obj.movement_cost = base + geosim::cost::vertex_move_cost(env, loc, to, size);
-        obj
-    }
-
-    /// [`Self::evaluate_move_with`] over this thread's shared scratch —
-    /// kept for callers that don't manage a per-worker arena.
-    pub fn evaluate_move(&self, env: &CloudEnv, v: VertexId, to: DcId) -> Objective {
-        kernel::with_scratch(|scratch| self.evaluate_move_with(env, v, to, scratch))
+        self.evaluate_moves(env, v, 1u64 << to, scratch)[to as usize]
     }
 
     /// Moves `v`'s master to `to`, updating counts, loads, balance and cost
@@ -511,11 +458,6 @@ impl<'g> HybridState<'g> {
         for &(x, _) in &scratch.neighbors {
             self.core.add_vertex_loads(x);
         }
-    }
-
-    /// [`Self::apply_move_with`] over this thread's shared scratch.
-    pub fn apply_move(&mut self, env: &CloudEnv, v: VertexId, to: DcId) {
-        kernel::with_scratch(|scratch| self.apply_move_with(env, v, to, scratch))
     }
 
     /// Stages into `scratch` the in/out count deltas a move of `v` away
@@ -788,12 +730,13 @@ mod tests {
     fn evaluate_move_matches_apply_move() {
         let (geo, env) = setup(2);
         let mut s = state(&geo, &env);
+        let mut scratch = MoveScratch::new();
         let mut rng = SmallRng::seed_from_u64(9);
         for _ in 0..200 {
             let v = rng.gen_range(0..geo.num_vertices()) as VertexId;
             let to = rng.gen_range(0..geo.num_dcs) as DcId;
-            let predicted = s.evaluate_move(&env, v, to);
-            s.apply_move(&env, v, to);
+            let predicted = s.evaluate_move_with(&env, v, to, &mut scratch);
+            s.apply_move_with(&env, v, to, &mut scratch);
             let actual = s.objective(&env);
             assert!(
                 (predicted.transfer_time - actual.transfer_time).abs()
@@ -817,11 +760,12 @@ mod tests {
     fn incremental_stays_consistent_over_many_moves() {
         let (geo, env) = setup(3);
         let mut s = state(&geo, &env);
+        let mut scratch = MoveScratch::new();
         let mut rng = SmallRng::seed_from_u64(4);
         for step in 0..500 {
             let v = rng.gen_range(0..geo.num_vertices()) as VertexId;
             let to = rng.gen_range(0..geo.num_dcs) as DcId;
-            s.apply_move(&env, v, to);
+            s.apply_move_with(&env, v, to, &mut scratch);
             if step % 100 == 99 {
                 s.check_consistency(&env);
             }
@@ -832,12 +776,13 @@ mod tests {
     fn move_and_return_restores_objective() {
         let (geo, env) = setup(5);
         let mut s = state(&geo, &env);
+        let mut scratch = MoveScratch::new();
         let before = s.objective(&env);
         let v = 7;
         let home = s.master(v);
         let to = (home + 1) % geo.num_dcs as DcId;
-        s.apply_move(&env, v, to);
-        s.apply_move(&env, v, home);
+        s.apply_move_with(&env, v, to, &mut scratch);
+        s.apply_move_with(&env, v, home, &mut scratch);
         let after = s.objective(&env);
         assert!((before.transfer_time - after.transfer_time).abs() < 1e-12);
         assert!((before.total_cost() - after.total_cost()).abs() < 1e-12);
@@ -847,11 +792,15 @@ mod tests {
     fn noop_move_is_identity() {
         let (geo, env) = setup(6);
         let mut s = state(&geo, &env);
+        let mut scratch = MoveScratch::new();
         let before = s.objective(&env);
         let v = 3;
         let home = s.master(v);
-        assert_eq!(s.evaluate_move(&env, v, home).transfer_time, before.transfer_time);
-        s.apply_move(&env, v, home);
+        assert_eq!(
+            s.evaluate_move_with(&env, v, home, &mut scratch).transfer_time,
+            before.transfer_time
+        );
+        s.apply_move_with(&env, v, home, &mut scratch);
         assert_eq!(s.objective(&env).transfer_time, before.transfer_time);
     }
 
@@ -866,9 +815,10 @@ mod tests {
     fn moving_master_away_from_home_costs_money() {
         let (geo, env) = setup(8);
         let mut s = state(&geo, &env);
+        let mut scratch = MoveScratch::new();
         let v = 11;
         let to = (s.master(v) + 1) % geo.num_dcs as DcId;
-        s.apply_move(&env, v, to);
+        s.apply_move_with(&env, v, to, &mut scratch);
         assert!(s.objective(&env).movement_cost > 0.0);
     }
 
@@ -876,8 +826,9 @@ mod tests {
     fn centralizing_all_masters_removes_runtime_traffic() {
         let (geo, env) = setup(9);
         let mut s = state(&geo, &env);
+        let mut scratch = MoveScratch::new();
         for v in 0..geo.num_vertices() as VertexId {
-            s.apply_move(&env, v, 0);
+            s.apply_move_with(&env, v, 0, &mut scratch);
         }
         // Everything co-located: no mirrors, no inter-DC traffic.
         let obj = s.objective(&env);
@@ -894,11 +845,12 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(12);
         let mut batch = MoveScratch::new();
         let mut single = MoveScratch::new();
+        let mut scratch = MoveScratch::new();
         for step in 0..40 {
             // Interleave applied moves so the comparison covers evolving,
             // non-natural states too.
             let mv = rng.gen_range(0..geo.num_vertices()) as VertexId;
-            s.apply_move(&env, mv, rng.gen_range(0..geo.num_dcs) as DcId);
+            s.apply_move_with(&env, mv, rng.gen_range(0..geo.num_dcs) as DcId, &mut scratch);
             let v = rng.gen_range(0..geo.num_vertices()) as VertexId;
             let objs: Vec<_> = s.evaluate_all_moves(&env, v, &mut batch).to_vec();
             for (d, b) in objs.iter().enumerate() {
@@ -1176,7 +1128,9 @@ mod tests {
             let g1 = g0.apply_delta(&delta);
             let geo1 = geo_at(g1, m);
             let profile1 = TrafficProfile::uniform(geo1.num_vertices(), 8.0);
-            let (s1, stats) = s0.apply_delta(&geo1, &env, &delta, &profile1).unwrap();
+            let (core, th) = s0.into_parts();
+            let (s1, stats) =
+                HybridState::resume_from_parts(core, th, &geo1, &env, &delta, &profile1).unwrap();
 
             assert!(stats.class_flips >= 2, "expected both flip directions, got {stats:?}");
             assert_eq!(stats.new_vertices, geo1.num_vertices() - 200);
@@ -1204,9 +1158,12 @@ mod tests {
                 profile.clone(),
                 10.0,
             );
+            assert!(geo1.graph == geo0.graph.apply_delta(&delta), "not the delta successor");
             let before = s0.objective(&env);
             let counts_before = s0.core.count_lanes();
-            let (s1, stats) = s0.apply_delta(&geo1, &env, &delta, &profile).unwrap();
+            let (core, th) = s0.into_parts();
+            let (s1, stats) =
+                HybridState::resume_from_parts(core, th, &geo1, &env, &delta, &profile).unwrap();
             assert_eq!(stats, crate::DeltaApplyStats::default());
             assert_eq!(stats.work_items(), 0);
             assert_eq!(s1.core.count_lanes(), counts_before);
@@ -1284,7 +1241,9 @@ mod tests {
             let g1 = g0.apply_delta(&delta);
             let geo1 = geo_at(g1, m);
             let profile1 = TrafficProfile::uniform(geo1.num_vertices(), 8.0);
-            let (_, stats) = s0.apply_delta(&geo1, &env, &delta, &profile1).unwrap();
+            let (core, th) = s0.into_parts();
+            let (_, stats) =
+                HybridState::resume_from_parts(core, th, &geo1, &env, &delta, &profile1).unwrap();
             // 3 edge ops + 1 new vertex + possible class-flip repairs on
             // their endpoints: two orders of magnitude below n = 2000.
             assert!(stats.work_items() < 64, "delta work should track the batch, got {stats:?}");
@@ -1387,6 +1346,7 @@ mod tests {
             );
             let mut parts = s.into_parts();
             let mut rng = SmallRng::seed_from_u64(29);
+            let mut scratch = MoveScratch::new();
             for w in 0..3u64 {
                 let n = g.num_vertices() as u32;
                 let events: Vec<_> = (0..15)
@@ -1410,7 +1370,7 @@ mod tests {
                 for _ in 0..30 {
                     let v = rng.gen_range(0..geo_w.num_vertices()) as VertexId;
                     let to = rng.gen_range(0..m) as DcId;
-                    s.apply_move(&env, v, to);
+                    s.apply_move_with(&env, v, to, &mut scratch);
                 }
                 s.check_consistency(&env);
                 parts = s.into_parts();
@@ -1443,24 +1403,29 @@ mod tests {
             let delta = GraphDelta::from_events(&g0, &grow);
             let g1 = g0.apply_delta(&delta);
             let geo1 = geo_at(g1.clone(), m);
-            let (mut s1, _) = s0.apply_delta(&geo1, &env, &delta, &profile).unwrap();
+            let (core, th) = s0.into_parts();
+            let (mut s1, _) =
+                HybridState::resume_from_parts(core, th, &geo1, &env, &delta, &profile).unwrap();
             assert!(s1.core.meta[0].wide, "the hub's row escaped");
             assert_eq!(s1.core.in_count(0, home), NARROW + 2);
             assert_eq!(s1.core.out_count(0, geo1.locations[1]), 1);
             assert_state_matches_fresh(&env, &s1);
 
             let away = (home + 1) % m as DcId;
-            s1.apply_move(&env, 0, away);
+            let mut scratch = MoveScratch::new();
+            s1.apply_move_with(&env, 0, away, &mut scratch);
             assert_eq!((s1.core.in_count(0, home), s1.core.in_count(0, away)), (0, NARROW + 2));
-            s1.apply_move(&env, 1, away);
-            s1.apply_move(&env, NARROW + 3, home);
+            s1.apply_move_with(&env, 1, away, &mut scratch);
+            s1.apply_move_with(&env, NARROW + 3, home, &mut scratch);
             assert_state_matches_fresh(&env, &s1);
 
             let shrink: Vec<_> =
                 (1..=4).map(|u| ev(u, 0, 10 + u as u64, EventKind::Delete)).collect();
             let delta = GraphDelta::from_events(&g1, &shrink);
             let geo2 = geo_at(g1.apply_delta(&delta), m);
-            let (s2, _) = s1.apply_delta(&geo2, &env, &delta, &profile).unwrap();
+            let (core, th) = s1.into_parts();
+            let (s2, _) =
+                HybridState::resume_from_parts(core, th, &geo2, &env, &delta, &profile).unwrap();
             assert!(s2.core.meta[0].wide, "an escaped row stays wide");
             assert_eq!(s2.core.in_count(0, away), NARROW - 2);
             assert_state_matches_fresh(&env, &s2);

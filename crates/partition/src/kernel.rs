@@ -24,21 +24,21 @@
 //!    destination-side deltas are non-negative and candidate-independent,
 //!    so an *empty* count cell's transition is a per-neighbor constant —
 //!    aggregated by neighbor master into two `O(M)` default rows. The
-//!    `M × M` arena only receives corrections at the few cells where a
-//!    neighbor already holds counts, found by walking the occupancy
-//!    bitmask in the neighbor's packed `VertexMeta` record — the common
-//!    master-only neighbor costs one u64 test, no row read.
+//!    correction arenas only receive cells where a neighbor already holds
+//!    counts, found by walking the occupancy bitmask in the neighbor's
+//!    packed `VertexMeta` record — the common master-only neighbor costs
+//!    one u64 test, no row read.
 //! 4. **Project** (`O(M)` per destination): `row = mid + correction_row +
 //!    defaults` (neighbors mastered at `b` exempt from row `b`), re-add
 //!    `v` with master `b`, evaluate Eq 1–5.
 //!
-//! Batched and single-destination paths execute the *same* floating-point
-//! operations in the *same* order per destination, so
-//! [`PlacementState::evaluate_all_moves`] equals `M` independent
-//! [`PlacementState::evaluate_move_to`] calls **bit-for-bit** (enforced by
+//! [`PlacementState::evaluate_moves`] is the one implementation: it takes
+//! the destinations as a bit mask and walks only the flagged corrections
+//! and rows. A destination's slot goes through the *same* floating-point
+//! operations in the *same* order whichever other bits are set, so a
+//! one-bit mask (a batched migration proposal, §V-A) equals that slot of
+//! the all-DC sweep (scoring, Eq 10) **bit-for-bit** (enforced by
 //! `HybridState::check_consistency` and the property suite).
-
-use std::cell::RefCell;
 
 use geosim::CloudEnv;
 
@@ -82,24 +82,22 @@ pub struct MoveScratch {
     mid_gd: Vec<f64>,
     mid_au: Vec<f64>,
     mid_ad: Vec<f64>,
-    // Destination-major M×M neighbor destination-side deltas. Invariant
-    // between calls: all-zero outside the rows flagged in `dest_dirty`
-    // (established by `ensure_m`, restored row-by-row at the top of
-    // `evaluate_all_moves`), so clean rows are never zeroed or re-read.
-    dest_gu: Vec<f64>,
+    // Neighbor destination-side corrections. A correction for destination
+    // `b` lands in `b`'s own gather-upload and apply-download lanes (len M,
+    // indexed by `b`) and in the neighbor master's lanes (destination-major
+    // M×M). Invariant between calls: all-zero outside the destinations
+    // flagged in `dest_dirty` (established by `ensure_m`, restored at the
+    // top of the next `evaluate_moves`), so clean rows are never zeroed or
+    // re-read.
+    diag_gu: Vec<f64>,
     dest_gd: Vec<f64>,
     dest_au: Vec<f64>,
-    dest_ad: Vec<f64>,
-    // Bit `b` set iff destination row `b` of the dest arenas may hold
-    // nonzero corrections from the most recent `evaluate_all_moves`.
+    diag_ad: Vec<f64>,
+    // Bit `b` set iff destination `b` may hold nonzero corrections from the
+    // most recent `evaluate_moves`.
     dest_dirty: u64,
-    // Single-destination delta row (len M), used by `evaluate_move_to`.
-    one_gu: Vec<f64>,
-    one_gd: Vec<f64>,
-    one_au: Vec<f64>,
-    one_ad: Vec<f64>,
     // Default (empty-cell) destination-side transition mass, aggregated by
-    // neighbor master DC (len M). See `evaluate_all_moves`.
+    // neighbor master DC (len M). See `evaluate_moves`.
     def_g: Vec<f64>,
     def_a: Vec<f64>,
     // Projection workspace (len M).
@@ -165,10 +163,6 @@ impl MoveScratch {
             &mut self.mid_gd,
             &mut self.mid_au,
             &mut self.mid_ad,
-            &mut self.one_gu,
-            &mut self.one_gd,
-            &mut self.one_au,
-            &mut self.one_ad,
             &mut self.row_gu,
             &mut self.row_gd,
             &mut self.row_au,
@@ -178,8 +172,13 @@ impl MoveScratch {
         ] {
             buf.resize(m, 0.0);
         }
-        for buf in [&mut self.dest_gu, &mut self.dest_gd, &mut self.dest_au, &mut self.dest_ad] {
-            buf.resize(m * m, 0.0);
+        for (buf, len) in [
+            (&mut self.diag_gu, m),
+            (&mut self.dest_gd, m * m),
+            (&mut self.dest_au, m * m),
+            (&mut self.diag_ad, m),
+        ] {
+            buf.resize(len, 0.0);
             // The row stride changed, so the dirty-row bookkeeping no
             // longer maps; re-establish the all-zero invariant wholesale.
             buf.fill(0.0);
@@ -189,7 +188,8 @@ impl MoveScratch {
     }
 
     /// The per-destination objectives of the last
-    /// [`PlacementState::evaluate_all_moves`] call (index = destination DC).
+    /// [`PlacementState::evaluate_moves`] call (index = destination DC;
+    /// only the slots that call flagged are current).
     pub fn objectives(&self) -> &[Objective] {
         &self.objectives[..self.m]
     }
@@ -214,37 +214,28 @@ impl MoveScratch {
         ScratchStats {
             width: self.m,
             neighbor_capacity: self.neighbors.capacity(),
-            dest_cells: self.dest_gu.len(),
+            dest_cells: self.dest_gd.len(),
         }
     }
 
-    pub(crate) fn objectives_mut(&mut self) -> &mut [Objective] {
-        let m = self.m;
-        &mut self.objectives[..m]
-    }
-
     /// Heap bytes held by this arena: the staged-neighbor buffer plus the
-    /// fourteen len-M projection rows, four M×M destination arenas and the
+    /// twelve len-M rows, two M×M destination arenas and the
     /// per-destination objectives.
     pub fn heap_bytes(&self) -> usize {
         let f64s = self.mid_gu.capacity()
             + self.mid_gd.capacity()
             + self.mid_au.capacity()
             + self.mid_ad.capacity()
-            + self.one_gu.capacity()
-            + self.one_gd.capacity()
-            + self.one_au.capacity()
-            + self.one_ad.capacity()
             + self.row_gu.capacity()
             + self.row_gd.capacity()
             + self.row_au.capacity()
             + self.row_ad.capacity()
             + self.def_g.capacity()
             + self.def_a.capacity()
-            + self.dest_gu.capacity()
+            + self.diag_gu.capacity()
             + self.dest_gd.capacity()
             + self.dest_au.capacity()
-            + self.dest_ad.capacity();
+            + self.diag_ad.capacity();
         f64s * std::mem::size_of::<f64>()
             + self.neighbors.capacity() * std::mem::size_of::<(VertexId, CntDelta)>()
             + self.objectives.capacity() * std::mem::size_of::<Objective>()
@@ -261,17 +252,6 @@ pub struct ScratchStats {
     pub neighbor_capacity: usize,
     /// Allocated cells of each destination-major M×M correction arena.
     pub dest_cells: usize,
-}
-
-thread_local! {
-    static TLS_SCRATCH: RefCell<MoveScratch> = RefCell::new(MoveScratch::new());
-}
-
-/// Runs `f` with this thread's shared scratch arena — backs the legacy
-/// scratch-less entry points (`HybridState::evaluate_move` etc.).
-/// Callers that hold a scratch should pass their own instead.
-pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut MoveScratch) -> R) -> R {
-    TLS_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 /// Mirror-threshold transitions of one `(vertex, DC)` count cell whose
@@ -321,22 +301,26 @@ fn default_transitions(high: bool, d_in: i64, d_out: i64) -> (f64, f64) {
 }
 
 impl PlacementState {
-    /// Evaluates moving `v`'s master to **every** DC in one neighborhood
-    /// sweep. `scratch` must hold the staged (sealed) count deltas of the
-    /// move; the result slice lives in the scratch, indexed by destination
-    /// (`objectives[master(v)]` is the unchanged current objective).
-    ///
-    /// `movement_cost` is reported as the current plan's for every
-    /// destination — per-destination movement pricing is model-specific
-    /// and patched by the owning model (see `HybridState`).
+    /// Evaluates moving `v`'s master to every DC flagged in `dests` (bit
+    /// `b` ⇔ DC `b`) in one neighborhood sweep. `scratch` must hold the
+    /// staged (sealed) count deltas of the move; the result slice lives in
+    /// the scratch, indexed by destination, and only the slots of `dests`
+    /// are written (`objectives[master(v)]`, if flagged, is the unchanged
+    /// current objective). `natural` and `size` are `v`'s home DC and data
+    /// bytes, which price each destination's Eq 4 movement cost.
     ///
     /// Cost: `O(deg(v) + M)` sweep + `O(deg(v))` count-row scans with
-    /// sparse corrections + `O(M²)` tiny-constant projection, versus `M`
-    /// full sweeps (and `M` hash maps) for the per-candidate path.
-    pub fn evaluate_all_moves<'s>(
+    /// sparse corrections + `O(M)` tiny-constant projection per flagged
+    /// destination. Each slot's value does not depend on which other
+    /// destinations are flagged: a one-bit mask is the single-destination
+    /// evaluation, bit-for-bit the slot of the all-DC sweep.
+    pub fn evaluate_moves<'s>(
         &self,
         env: &CloudEnv,
         v: VertexId,
+        dests: u64,
+        natural: DcId,
+        size: u64,
         scratch: &'s mut MoveScratch,
     ) -> &'s [Objective] {
         debug_assert_eq!(env.num_dcs(), self.num_dcs);
@@ -346,93 +330,35 @@ impl PlacementState {
         let a = self.masters[v as usize] as usize;
         self.build_mid(v, a, scratch);
 
+        // Moving to `a` changes nothing, so no destination-side correction
+        // lands in its row.
+        let live = dests & !(1u64 << a);
+        if live.is_power_of_two() {
+            self.build_dest::<true>(live, scratch);
+        } else {
+            self.build_dest::<false>(live, scratch);
+        }
+
         let sd = scratch.self_delta;
         let MoveScratch {
-            ref neighbors,
             ref mid_gu,
             ref mid_gd,
             ref mid_au,
             ref mid_ad,
-            ref mut dest_gu,
-            ref mut dest_gd,
-            ref mut dest_au,
-            ref mut dest_ad,
-            ref mut dest_dirty,
+            ref diag_gu,
+            ref dest_gd,
+            ref dest_au,
+            ref diag_ad,
+            dest_dirty,
             ref mut row_gu,
             ref mut row_gd,
             ref mut row_au,
             ref mut row_ad,
-            ref mut def_g,
-            ref mut def_a,
+            ref def_g,
+            ref def_a,
             ref mut objectives,
             ..
         } = *scratch;
-
-        // Destination-side neighbor transitions. A neighbor's counts at
-        // destination `b` gain (in_b, out_b); since those deltas are the
-        // same for every candidate, the transition of an *empty* cell is a
-        // per-neighbor constant ([`default_transitions`]). Defaults are
-        // aggregated by neighbor master (`def_*`, applied O(M) per row at
-        // projection time); the M×M arena only holds the sparse
-        // *corrections* at the few cells where a neighbor already has
-        // counts. This turns the hub case from O(deg·M) transition math
-        // into O(deg) defaults + O(deg) row scans + sparse fix-ups.
-        // Restore the arena's all-zero invariant by clearing only the rows
-        // the previous call dirtied; clean rows are already zero.
-        let mut prev = *dest_dirty;
-        while prev != 0 {
-            let b = prev.trailing_zeros() as usize;
-            prev &= prev - 1;
-            let r = b * m;
-            dest_gu[r..r + m].fill(0.0);
-            dest_gd[r..r + m].fill(0.0);
-            dest_au[r..r + m].fill(0.0);
-            dest_ad[r..r + m].fill(0.0);
-        }
-        *dest_dirty = 0;
-        def_g[..m].fill(0.0);
-        def_a[..m].fill(0.0);
-        for &(x, delta) in neighbors {
-            if delta.in_b == 0 && delta.out_b == 0 {
-                continue;
-            }
-            let mx = self.meta[x as usize];
-            let master_x = mx.master as usize;
-            let high = mx.high;
-            let (gt0, at0) = default_transitions(high, delta.in_b, delta.out_b);
-            let g = mx.g as f64;
-            let ab = mx.a as f64;
-            def_g[master_x] += gt0 * g;
-            def_a[master_x] += at0 * ab;
-            // Only occupied cells can deviate from the default: walk the
-            // occupancy mask instead of scanning the row. For the common
-            // neighbor whose only counts sit at its own master this is a
-            // single masked-out u64 test — the row is never touched.
-            let mut bits = mx.nnz & !(1u64 << a) & !(1u64 << master_x);
-            if bits == 0 {
-                continue;
-            }
-            let xrow = self.counts_row(x);
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                *dest_dirty |= 1u64 << b;
-                let (in_c, out_c) = xrow.pair(b);
-                let (gt, at) =
-                    count_transitions(high, in_c as i64, out_c as i64, delta.in_b, delta.out_b);
-                let cg = (gt - gt0) * g;
-                let ca = (at - at0) * ab;
-                let row = b * m;
-                if cg != 0.0 {
-                    dest_gu[row + b] += cg;
-                    dest_gd[row + master_x] += cg;
-                }
-                if ca != 0.0 {
-                    dest_au[row + master_x] += ca;
-                    dest_ad[row + b] += ca;
-                }
-            }
-        }
         let mut tot_g = 0.0;
         let mut tot_a = 0.0;
         for d in 0..m {
@@ -440,28 +366,34 @@ impl PlacementState {
             tot_a += def_a[d];
         }
 
-        // Project every destination: row = mid + correction row + defaults
-        // (neighbors mastered at `b` are exempt from row `b`), then re-add
-        // v mastered at b (its counts at the old master a adjusted).
-        #[allow(clippy::needless_range_loop)] // b indexes four dest_* arrays too
-        for b in 0..m {
+        // Project every flagged destination, ascending: row = mid +
+        // correction row + defaults (neighbors mastered at `b` are exempt
+        // from row `b`), then re-add v mastered at b (its counts at the old
+        // master a adjusted) and price the move's Eq 4 delta.
+        let base =
+            self.movement_cost - geosim::cost::vertex_move_cost(env, natural, a as DcId, size);
+        let mut todo = dests;
+        while todo != 0 {
+            let b = todo.trailing_zeros() as usize;
+            todo &= todo - 1;
             if b == a {
                 objectives[b] = self.objective(env);
                 continue;
             }
-            if *dest_dirty & (1u64 << b) != 0 {
+            if dest_dirty & (1u64 << b) != 0 {
                 let r = b * m;
                 for d in 0..m {
-                    row_gu[d] = mid_gu[d] + dest_gu[r + d];
+                    row_gu[d] = mid_gu[d] + 0.0;
                     row_gd[d] = mid_gd[d] + dest_gd[r + d];
                     row_au[d] = mid_au[d] + dest_au[r + d];
-                    row_ad[d] = mid_ad[d] + dest_ad[r + d];
+                    row_ad[d] = mid_ad[d] + 0.0;
                 }
+                row_gu[b] = mid_gu[b] + diag_gu[b];
+                row_ad[b] = mid_ad[b] + diag_ad[b];
             } else {
                 // Clean row: every correction cell is +0.0, so adding the
                 // literal constant is bit-identical without touching the
-                // arena (and to the single-destination path's `mid + one`,
-                // whose unwritten cells are also +0.0).
+                // arena.
                 for d in 0..m {
                     row_gu[d] = mid_gu[d] + 0.0;
                     row_gd[d] = mid_gd[d] + 0.0;
@@ -482,63 +414,67 @@ impl PlacementState {
             self.project_vertex_into(
                 v, b, a, sd.in_a, sd.out_a, 1.0, row_gu, row_gd, row_au, row_ad,
             );
-            objectives[b] = self.objective_from_rows(env, row_gu, row_gd, row_au, row_ad);
+            let movement_cost =
+                base + geosim::cost::vertex_move_cost(env, natural, b as DcId, size);
+            objectives[b] =
+                self.objective_from_rows(env, movement_cost, row_gu, row_gd, row_au, row_ad);
         }
         &scratch.objectives[..m]
     }
 
-    /// Single-destination evaluation through the same kernel: performs the
-    /// identical per-cell floating-point operations (in the identical
-    /// order) as destination `to`'s slot of [`Self::evaluate_all_moves`],
-    /// so the two agree bit-for-bit.
-    pub fn evaluate_move_to(
-        &self,
-        env: &CloudEnv,
-        v: VertexId,
-        to: DcId,
-        scratch: &mut MoveScratch,
-    ) -> Objective {
-        debug_assert_eq!(env.num_dcs(), self.num_dcs);
+    /// Fills `scratch`'s destination-side buffers for the destinations in
+    /// `live` (flagged and not `v`'s master): the per-master default rows
+    /// and the sparse corrections, with `dest_dirty` naming the
+    /// destinations that hold any.
+    ///
+    /// A neighbor's counts at destination `b` gain (in_b, out_b); since
+    /// those deltas are the same for every candidate, the transition of an
+    /// *empty* cell is a per-neighbor constant ([`default_transitions`]).
+    /// Defaults are aggregated by neighbor master (`def_*`, applied O(M)
+    /// per row at projection time); the correction arenas only hold the
+    /// sparse *corrections* at the few cells where a neighbor already has
+    /// counts. This turns the hub case from O(deg·M) transition math into
+    /// O(deg) defaults + O(deg) row scans + sparse fix-ups.
+    ///
+    /// `ONE` is the instance for a one-bit `live` (a migration proposal):
+    /// the same operations on the same cells, with the destination known
+    /// before the walk. It is kept out of line so the projection's working
+    /// set does not crowd this loop's registers. Measured against the
+    /// deleted single-destination copy on a 2-vCPU x86-64 host, a hub
+    /// vertex's proposal read 5–16 % slower inlined or walking bits in its
+    /// one-bit case, and a low-degree proposal 3–10 % slower with
+    /// destination-major M×M arenas in place of the len-M `diag_*` lanes.
+    #[inline(never)]
+    fn build_dest<const ONE: bool>(&self, live: u64, scratch: &mut MoveScratch) {
         let m = self.num_dcs;
-        let a = self.masters[v as usize] as usize;
-        let b = to as usize;
-        if b == a {
-            return self.objective(env);
-        }
-        scratch.seal();
-        scratch.ensure_m(m);
-        self.build_mid(v, a, scratch);
-
-        let sd = scratch.self_delta;
         let MoveScratch {
             ref neighbors,
-            ref mid_gu,
-            ref mid_gd,
-            ref mid_au,
-            ref mid_ad,
-            ref mut one_gu,
-            ref mut one_gd,
-            ref mut one_au,
-            ref mut one_ad,
-            ref mut row_gu,
-            ref mut row_gd,
-            ref mut row_au,
-            ref mut row_ad,
+            ref mut diag_gu,
+            ref mut dest_gd,
+            ref mut dest_au,
+            ref mut diag_ad,
+            ref mut dest_dirty,
             ref mut def_g,
             ref mut def_a,
             ..
         } = *scratch;
-
-        // Same defaults-plus-corrections scheme as `evaluate_all_moves`,
-        // restricted to destination row `b` — identical per-cell fp
-        // operations in identical order, so the two paths agree
-        // bit-for-bit.
-        one_gu[..m].fill(0.0);
-        one_gd[..m].fill(0.0);
-        one_au[..m].fill(0.0);
-        one_ad[..m].fill(0.0);
+        // Restore the arena's all-zero invariant by clearing only the rows
+        // the previous call dirtied; clean rows are already zero.
+        let mut prev = *dest_dirty;
+        while prev != 0 {
+            let b = prev.trailing_zeros() as usize;
+            prev &= prev - 1;
+            let r = b * m;
+            diag_gu[b] = 0.0;
+            dest_gd[r..r + m].fill(0.0);
+            dest_au[r..r + m].fill(0.0);
+            diag_ad[b] = 0.0;
+        }
         def_g[..m].fill(0.0);
         def_a[..m].fill(0.0);
+        let only = live.trailing_zeros() as usize;
+        let only_row = only * m;
+        let mut dirty = 0u64;
         for &(x, delta) in neighbors {
             if delta.in_b == 0 && delta.out_b == 0 {
                 continue;
@@ -551,53 +487,40 @@ impl PlacementState {
             let ab = mx.a as f64;
             def_g[master_x] += gt0 * g;
             def_a[master_x] += at0 * ab;
-            if b == master_x {
+            // Only occupied cells of live destinations can deviate from the
+            // default: walk the occupancy mask instead of scanning the row.
+            // For the common neighbor whose only counts sit at its own
+            // master this is a single masked-out u64 test — the row is
+            // never touched.
+            let mut bits = mx.nnz & live & !(1u64 << master_x);
+            if bits == 0 {
                 continue;
             }
-            // Same occupancy gate as the batched path: an empty cell stays
-            // on the default, contributing no correction.
-            if mx.nnz & (1u64 << b) == 0 {
-                continue;
+            dirty |= bits;
+            let xrow = self.counts_row(x);
+            loop {
+                let b = if ONE { only } else { bits.trailing_zeros() as usize };
+                let (in_c, out_c) = xrow.pair(b);
+                let (gt, at) =
+                    count_transitions(high, in_c as i64, out_c as i64, delta.in_b, delta.out_b);
+                let cg = (gt - gt0) * g;
+                let ca = (at - at0) * ab;
+                let row = if ONE { only_row } else { b * m };
+                if cg != 0.0 {
+                    diag_gu[b] += cg;
+                    dest_gd[row + master_x] += cg;
+                }
+                if ca != 0.0 {
+                    dest_au[row + master_x] += ca;
+                    diag_ad[b] += ca;
+                }
+                bits &= bits - 1;
+                if ONE || bits == 0 {
+                    break;
+                }
             }
-            let (in_c, out_c) = self.counts_row(x).pair(b);
-            let (gt, at) =
-                count_transitions(high, in_c as i64, out_c as i64, delta.in_b, delta.out_b);
-            let cg = (gt - gt0) * g;
-            let ca = (at - at0) * ab;
-            if cg != 0.0 {
-                one_gu[b] += cg;
-                one_gd[master_x] += cg;
-            }
-            if ca != 0.0 {
-                one_au[master_x] += ca;
-                one_ad[b] += ca;
-            }
         }
-        let mut tot_g = 0.0;
-        let mut tot_a = 0.0;
-        for d in 0..m {
-            tot_g += def_g[d];
-            tot_a += def_a[d];
-        }
-
-        for d in 0..m {
-            row_gu[d] = mid_gu[d] + one_gu[d];
-            row_gd[d] = mid_gd[d] + one_gd[d];
-            row_au[d] = mid_au[d] + one_au[d];
-            row_ad[d] = mid_ad[d] + one_ad[d];
-        }
-        row_gu[b] += tot_g - def_g[b];
-        row_ad[b] += tot_a - def_a[b];
-        for d in 0..b {
-            row_gd[d] += def_g[d];
-            row_au[d] += def_a[d];
-        }
-        for d in b + 1..m {
-            row_gd[d] += def_g[d];
-            row_au[d] += def_a[d];
-        }
-        self.project_vertex_into(v, b, a, sd.in_a, sd.out_a, 1.0, row_gu, row_gd, row_au, row_ad);
-        self.objective_from_rows(env, row_gu, row_gd, row_au, row_ad)
+        *dest_dirty = dirty;
     }
 
     /// Fills `scratch`'s mid buffers: live loads minus `v`'s whole current
@@ -691,15 +614,14 @@ impl PlacementState {
         }
     }
 
-    /// Eq 1 + Eq 5 over projected rows; movement cost is the current
-    /// plan's (models patch it per destination). Delegates to the same
-    /// shared [`geosim::transfer`] reductions as
-    /// [`PlacementState::objective`] — one Eq 2/3 / Eq 5 implementation for
-    /// the whole workspace, and identical fp operation order between the
-    /// batched and single-destination kernel paths.
+    /// Eq 1 + Eq 5 over projected rows, beside the destination's Eq 4
+    /// `movement_cost`. Delegates to the same shared [`geosim::transfer`]
+    /// reductions as [`PlacementState::objective`] — one Eq 2/3 / Eq 5
+    /// implementation for the whole workspace.
     fn objective_from_rows(
         &self,
         env: &CloudEnv,
+        movement_cost: f64,
         gu: &[f64],
         gd: &[f64],
         au: &[f64],
@@ -710,11 +632,7 @@ impl PlacementState {
             + geosim::transfer::stage_time_rows(&au[..m], &ad[..m], env);
         let upload_cost = geosim::transfer::upload_cost_row(&gu[..m], env)
             + geosim::transfer::upload_cost_row(&au[..m], env);
-        Objective {
-            transfer_time,
-            movement_cost: self.movement_cost,
-            runtime_cost: self.num_iterations * upload_cost,
-        }
+        Objective { transfer_time, movement_cost, runtime_cost: self.num_iterations * upload_cost }
     }
 }
 
@@ -763,10 +681,10 @@ mod tests {
         let mut s = MoveScratch::new();
         s.ensure_m(4);
         assert_eq!(s.objectives().len(), 4);
-        assert_eq!(s.dest_gu.len(), 16);
+        assert_eq!(s.dest_gd.len(), 16);
         s.ensure_m(8);
         assert_eq!(s.objectives().len(), 8);
-        assert_eq!(s.dest_gu.len(), 64);
+        assert_eq!(s.dest_gd.len(), 64);
     }
 
     #[test]
@@ -781,27 +699,28 @@ mod tests {
         // bookkeeping), so `ensure_m` re-zeroes them wholesale.
         let mut s = MoveScratch::new();
         s.ensure_m(8);
-        for buf in [&mut s.mid_gu, &mut s.row_gu, &mut s.one_gu] {
+        for buf in [&mut s.mid_gu, &mut s.row_gu] {
             buf.fill(777.0);
         }
-        s.dest_gu.fill(777.0);
+        s.dest_gd.fill(777.0);
+        s.diag_gu.fill(777.0);
         s.dest_dirty = 0b1010_1010;
 
         s.ensure_m(4);
         assert_eq!(s.objectives().len(), 4);
-        assert_eq!((s.mid_gu.len(), s.row_gu.len(), s.one_gu.len()), (4, 4, 4));
-        assert_eq!(s.dest_gu.len(), 16);
+        assert_eq!((s.mid_gu.len(), s.row_gu.len()), (4, 4));
+        assert_eq!(s.dest_gd.len(), 16);
 
         s.ensure_m(8);
         assert_eq!(s.objectives().len(), 8);
-        assert_eq!(s.dest_gu.len(), 64);
+        assert_eq!(s.dest_gd.len(), 64);
         // Stale poison survives below the shrink point in the len-M
         // buffers; the regrown region is zero. Both halves are overwritten
         // by the kernels' fills.
         assert!(s.mid_gu[..4].iter().all(|&x| x == 777.0));
         assert!(s.mid_gu[4..].iter().all(|&x| x == 0.0));
         // The dest arena came back fully zeroed with no dirty rows.
-        assert!(s.dest_gu.iter().all(|&x| x == 0.0));
+        assert!(s.dest_gd.iter().chain(&s.diag_gu).all(|&x| x == 0.0));
         assert_eq!(s.dest_dirty, 0);
     }
 }

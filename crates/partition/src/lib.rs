@@ -20,11 +20,11 @@
 //! time (Eq 1–3) plus movement and runtime monetary cost (Eq 4–5), so
 //! partitioners across models are compared on identical terms.
 //!
-//! Move evaluation runs through the batched one-sweep kernel in
-//! [`kernel`]: [`PlacementState::evaluate_all_moves`] scores all `M`
-//! destinations of a vertex from a single neighborhood sweep into a
-//! reusable [`MoveScratch`] arena, bit-identical to `M` independent
-//! single-destination evaluations.
+//! Move evaluation runs through the one-sweep kernel in [`kernel`]:
+//! [`PlacementState::evaluate_moves`] scores the destinations of a DC mask
+//! — all `M` for scoring, one for a migration proposal — from a single
+//! neighborhood sweep into a reusable [`MoveScratch`] arena, each slot
+//! bit-identical whichever others the mask flags.
 
 pub mod edgecut;
 pub mod error;

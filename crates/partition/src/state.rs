@@ -163,7 +163,7 @@ where
 }
 
 /// Work counters of one incremental delta application
-/// ([`crate::HybridState::apply_delta`]) — the probe behind the "window
+/// ([`crate::HybridState::resume_from_parts`]) — the probe behind the "window
 /// work is proportional to the delta, not the graph" contract. The dynamic
 /// tests (`tests/tests/delta_properties.rs`, the adaptive-window unit
 /// tests) assert on [`Self::work_items`] the same way the kernel tests
@@ -197,7 +197,7 @@ impl DeltaApplyStats {
 }
 
 /// Prepared, placement-rule-agnostic description of one window's state
-/// mutation. Built by [`crate::HybridState::apply_delta`] (which owns the
+/// mutation. Built by [`crate::HybridState::resume_from_parts`] (which owns the
 /// hybrid-cut placement rule); executed by [`PlacementState::apply_delta`]
 /// (which owns the bookkeeping invariants).
 #[derive(Clone, Debug, Default)]
@@ -363,27 +363,6 @@ impl PlacementState {
             movement_cost: 0.0,
             num_iterations,
         }
-    }
-
-    /// Takes every edge off the plan and sets `masters`: counts, escaped
-    /// rows, occupancy masks, balance and load accumulators go back to
-    /// what [`Self::unplaced`] builds, while the degree classes and the
-    /// profile stay. `masters` must cover the state and name DCs below
-    /// `num_dcs`.
-    pub(crate) fn unplace_all(&mut self, masters: Vec<DcId>) {
-        assert_eq!(masters.len(), self.masters.len());
-        self.counts.fill(0);
-        self.wide = Vec::new();
-        for (meta, &d) in self.meta.iter_mut().zip(&masters) {
-            meta.nnz = 0;
-            meta.master = d;
-            meta.wide = false;
-        }
-        self.masters = masters;
-        self.edges_per_dc.fill(0);
-        self.gather.clear();
-        self.apply.clear();
-        self.movement_cost = 0.0;
     }
 
     /// Places every edge of `graph` by the hybrid-cut rule (§IV-B) under

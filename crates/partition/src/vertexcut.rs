@@ -167,18 +167,9 @@ impl VertexCutState {
         scratch: &'s mut MoveScratch,
     ) -> &'s [Objective] {
         scratch.begin_stage();
-        self.core.evaluate_all_moves(env, v, scratch);
-        let a = self.core.master(v);
-        let loc = geo.locations[v as usize];
-        let size = geo.data_sizes[v as usize];
-        let base = self.core.movement_cost - geosim::cost::vertex_move_cost(env, loc, a, size);
-        for (d, obj) in scratch.objectives_mut().iter_mut().enumerate() {
-            if d != a as usize {
-                obj.movement_cost =
-                    base + geosim::cost::vertex_move_cost(env, loc, d as DcId, size);
-            }
-        }
-        scratch.objectives()
+        let all = u64::MAX >> (64 - self.core.num_dcs());
+        let (natural, size) = (geo.locations[v as usize], geo.data_sizes[v as usize]);
+        self.core.evaluate_moves(env, v, all, natural, size, scratch)
     }
 
     /// Re-homes `v`'s master to `to`, leaving every edge in place.

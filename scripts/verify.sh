@@ -148,6 +148,17 @@ if git grep -n -e 'mean_reward' -e 'fn overlay_direction' -e 'AgentPool::new(geo
   echo "the copying overlay, a graph-sized agent pool or the mean-reward plane reappeared"; exit 1
 fi
 
+echo "==> one move kernel, one session end (deleted paths stay deleted)"
+# PlacementState::evaluate_moves takes its destinations as a mask, so a
+# migration proposal is a one-bit call of the kernel that scores: the
+# single-destination copy and its buffers, the thread-local scratch behind
+# the scratch-less entry points, the rebuilding session end and the
+# one-caller partition chain must not come back.
+if git grep -n -E 'fn evaluate_move_to|one_gu|fn rebuild_from_masters|fn unplace_all|TLS_SCRATCH|fn with_scratch|fn partition_from' \
+    -- crates/; then
+  echo "a second move kernel, a thread-local scratch or a second session end reappeared"; exit 1
+fi
+
 echo "==> snapshots carry the plan, not its index (the stored count plane stays deleted)"
 # A snapshot's hybrid-cut count plane is rebuilt at decode by the kernel
 # from_masters uses (PlacementState::place_hybrid_edges); the decoder's
@@ -320,6 +331,13 @@ require_tests lj_analog_placement_state_stays_inside_its_byte_budget \
 require_tests delta_window_allocates_neither_a_csr_nor_a_dense_pool \
   in_place_overlay_matches_a_scratch_build in_place_overlay_edge_cases_match_a_scratch_build \
   agent_pool_holds_the_sampled_prefix_not_the_graph scan_capped_run_keeps_its_masters
+# One kernel: a random destination mask, evaluated on an arena a full
+# sweep of another vertex just dirtied, equals the full sweep's slots bit
+# for bit, and so does every one-bit (single-destination) call. One session
+# end: a partition whose best step precedes its last ends on the masters
+# the deleted from-scratch rebuild returned, by applying moves.
+require_tests batched_evaluation_is_bitwise_sequential \
+  best_before_last_partition_keeps_its_masters
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -4,7 +4,7 @@
 
 use geograph::locality::LocalityConfig;
 use geograph::{GeoGraph, Graph};
-use geopart::{HybridState, TrafficProfile};
+use geopart::{HybridState, MoveScratch, TrafficProfile};
 use geosim::regions::ec2_eight_regions;
 use rlcut::RlCutConfig;
 use std::io::Cursor;
@@ -87,8 +87,9 @@ fn self_loop_heavy_input_is_cleaned_not_crashed() {
     );
     let profile = TrafficProfile::uniform(16, 8.0);
     let mut state = HybridState::natural(&geo, &env, 2, profile, 10.0);
+    let mut scratch = MoveScratch::new();
     for v in 0..16u32 {
-        state.apply_move(&env, v, (v % 4) as u8);
+        state.apply_move_with(&env, v, (v % 4) as u8, &mut scratch);
     }
     state.check_consistency(&env);
 }

@@ -4,7 +4,7 @@
 use geograph::generators::{rmat, RmatConfig};
 use geograph::locality::LocalityConfig;
 use geograph::{GeoGraph, Graph, GraphBuilder};
-use geopart::{HybridState, MoveScratch, TrafficProfile};
+use geopart::{HybridState, MoveScratch, Objective, TrafficProfile};
 use geosim::regions::ec2_eight_regions;
 use proptest::prelude::*;
 
@@ -51,10 +51,11 @@ proptest! {
             &geo, &env, geo.locations.clone(), theta, profile, 10.0,
         );
         let _ = seed;
+        let mut scratch = MoveScratch::new();
         for (v, to) in moves {
             let v = v % geo.num_vertices() as u32;
-            let predicted = state.evaluate_move(&env, v, to);
-            state.apply_move(&env, v, to);
+            let predicted = state.evaluate_move_with(&env, v, to, &mut scratch);
+            state.apply_move_with(&env, v, to, &mut scratch);
             let actual = state.objective(&env);
             prop_assert!(
                 (predicted.transfer_time - actual.transfer_time).abs()
@@ -74,11 +75,17 @@ proptest! {
     /// independent per-candidate evaluations — every destination, every
     /// Objective field, `f64::to_bits` equality — on random R-MAT graphs,
     /// interleaved with applied moves so the live counts keep changing.
+    /// The kernel takes its destinations as a mask: a random non-empty
+    /// subset must equal the full sweep's slots too. Masked and single
+    /// calls run on one arena right after a full sweep of another vertex,
+    /// so each starts by restoring the correction rows that sweep dirtied.
     #[test]
     fn batched_evaluation_is_bitwise_sequential(
         geo in arb_rmat_geo(),
         theta in 2usize..12,
-        moves in proptest::collection::vec((0u32..u32::MAX, 0u8..8), 1..20),
+        moves in proptest::collection::vec(
+            (0u32..u32::MAX, 0u8..8, 1u64..256, 0u32..u32::MAX), 1..20,
+        ),
     ) {
         let env = ec2_eight_regions();
         let n = geo.num_vertices() as u32;
@@ -87,29 +94,31 @@ proptest! {
             &geo, &env, geo.locations.clone(), theta, profile, 10.0,
         );
         let mut batched = MoveScratch::new();
-        let mut single = MoveScratch::new();
-        for (v, to) in moves {
-            let v = v % n;
+        let mut shared = MoveScratch::new();
+        let bits = |o: &Objective| (
+            o.transfer_time.to_bits(), o.movement_cost.to_bits(), o.runtime_cost.to_bits(),
+        );
+        for (v, to, dests, other) in moves {
+            let (v, other) = (v % n, other % n);
             let objs = state.evaluate_all_moves(&env, v, &mut batched).to_vec();
+            state.evaluate_all_moves(&env, other, &mut shared);
+            let masked = state.evaluate_moves(&env, v, dests, &mut shared).to_vec();
             for (d, b) in objs.iter().enumerate() {
-                let s = state.evaluate_move_with(&env, v, d as u8, &mut single);
+                if dests >> d & 1 == 1 {
+                    prop_assert_eq!(
+                        bits(b), bits(&masked[d]),
+                        "masked slot differs at v={} d={} dests={:#010b}: {:?} vs {:?}",
+                        v, d, dests, b, masked[d]
+                    );
+                }
+                state.evaluate_all_moves(&env, other, &mut shared);
+                let s = state.evaluate_move_with(&env, v, d as u8, &mut shared);
                 prop_assert_eq!(
-                    b.transfer_time.to_bits(), s.transfer_time.to_bits(),
-                    "transfer_time bits differ at v={} d={}: {} vs {}",
-                    v, d, b.transfer_time, s.transfer_time
-                );
-                prop_assert_eq!(
-                    b.movement_cost.to_bits(), s.movement_cost.to_bits(),
-                    "movement_cost bits differ at v={} d={}: {} vs {}",
-                    v, d, b.movement_cost, s.movement_cost
-                );
-                prop_assert_eq!(
-                    b.runtime_cost.to_bits(), s.runtime_cost.to_bits(),
-                    "runtime_cost bits differ at v={} d={}: {} vs {}",
-                    v, d, b.runtime_cost, s.runtime_cost
+                    bits(b), bits(&s),
+                    "single slot differs at v={} d={}: {:?} vs {:?}", v, d, b, s
                 );
             }
-            state.apply_move(&env, v, to);
+            state.apply_move_with(&env, v, to, &mut shared);
         }
         state.check_consistency(&env);
     }
@@ -198,8 +207,9 @@ proptest! {
         );
         let before = state.objective(&env);
         let home = state.master(v);
-        state.apply_move(&env, v, to);
-        state.apply_move(&env, v, home);
+        let mut scratch = MoveScratch::new();
+        state.apply_move_with(&env, v, to, &mut scratch);
+        state.apply_move_with(&env, v, home, &mut scratch);
         let after = state.objective(&env);
         prop_assert!((before.transfer_time - after.transfer_time).abs() < 1e-12);
         prop_assert!((before.total_cost() - after.total_cost()).abs() < 1e-12);
