@@ -14,7 +14,7 @@
 //! [`geopart::kernel`]: the edge's endpoint cells are probed against the
 //! *frozen* counts/loads (threshold transitions via
 //! [`geopart::kernel::count_transitions`], the same primitive the hybrid-
-//! and vertex-cut evaluators use) into a reusable per-DC delta arena, and
+//! and vertex-cut evaluators use) into a reusable arena of candidate rows, and
 //! only the accepted move mutates the refiner — no mutate/restore churn
 //! per rejected candidate.
 //!
@@ -28,6 +28,7 @@ use geograph::GeoGraph;
 use geopart::kernel::count_transitions;
 use geopart::vertexcut::{MasterRule, VertexCutState};
 use geopart::{DcId, TrafficProfile};
+use geosim::transfer::BYTES_PER_UNIT;
 use geosim::CloudEnv;
 use parking_lot::Mutex;
 use rlcut::WorkerPool;
@@ -70,7 +71,8 @@ struct Refiner<'a> {
     m: usize,
     env: &'a CloudEnv,
     masters: &'a [DcId],
-    /// gather/apply per-vertex message sizes.
+    /// gather/apply per-vertex message sizes in load units
+    /// ([`TrafficProfile::units`]), so the per-DC rows below sum exactly.
     g: Vec<f64>,
     a: Vec<f64>,
     /// Per-(vertex, DC) incident-edge counts, interleaved like
@@ -81,16 +83,17 @@ struct Refiner<'a> {
     gd: Vec<f64>,
     au: Vec<f64>,
     ad: Vec<f64>,
-    /// Total runtime upload cost (Eq 5 over the whole job).
+    /// Total runtime upload cost (Eq 5 over the whole job, dollars).
     cost: f64,
     num_iterations: f64,
 }
 
-/// Reusable per-DC load/cost delta arena for frozen-state candidate
-/// evaluation — the Geo-Cut analogue of the geopart kernel's destination
-/// rows.
+/// Reusable arena for frozen-state candidate evaluation — the Geo-Cut
+/// analogue of the geopart kernel's destination rows: the refiner's load
+/// rows with one candidate's deltas added (whole units, so exact in any
+/// order), and the candidate's cost delta.
 #[derive(Default)]
-struct CandidateDeltas {
+struct CandidateRows {
     gu: Vec<f64>,
     gd: Vec<f64>,
     au: Vec<f64>,
@@ -98,12 +101,12 @@ struct CandidateDeltas {
     cost: f64,
 }
 
-impl CandidateDeltas {
-    fn reset(&mut self, m: usize) {
-        for buf in [&mut self.gu, &mut self.gd, &mut self.au, &mut self.ad] {
-            buf.resize(m, 0.0);
-            buf.fill(0.0);
-        }
+impl CandidateRows {
+    fn reset(&mut self, live: &Refiner<'_>) {
+        self.gu.clone_from(&live.gu);
+        self.gd.clone_from(&live.gd);
+        self.au.clone_from(&live.au);
+        self.ad.clone_from(&live.ad);
         self.cost = 0.0;
     }
 }
@@ -129,13 +132,13 @@ impl<'a> Refiner<'a> {
             let gx = gt * self.g[x as usize];
             self.gu[dc] += gx;
             self.gd[master] += gx;
-            self.cost += gx * self.env.price(dc as DcId) * self.num_iterations;
+            self.cost += gx * self.env.price(dc as DcId) * self.num_iterations * BYTES_PER_UNIT;
         }
         if at != 0.0 {
             let ax = at * self.a[x as usize];
             self.au[master] += ax;
             self.ad[dc] += ax;
-            self.cost += ax * self.env.price(master as DcId) * self.num_iterations;
+            self.cost += ax * self.env.price(master as DcId) * self.num_iterations * BYTES_PER_UNIT;
         }
     }
 
@@ -145,7 +148,7 @@ impl<'a> Refiner<'a> {
     /// candidate must be probed once with the combined delta (threshold
     /// transitions are non-linear), which is why self-loops are combined
     /// by the caller.
-    fn probe(&self, x: u32, dc: usize, d_in: i64, d_out: i64, deltas: &mut CandidateDeltas) {
+    fn probe(&self, x: u32, dc: usize, d_in: i64, d_out: i64, deltas: &mut CandidateRows) {
         let master = self.masters[x as usize] as usize;
         if dc == master {
             return;
@@ -162,13 +165,14 @@ impl<'a> Refiner<'a> {
             let gx = gt * self.g[x as usize];
             deltas.gu[dc] += gx;
             deltas.gd[master] += gx;
-            deltas.cost += gx * self.env.price(dc as DcId) * self.num_iterations;
+            deltas.cost += gx * self.env.price(dc as DcId) * self.num_iterations * BYTES_PER_UNIT;
         }
         if at != 0.0 {
             let ax = at * self.a[x as usize];
             deltas.au[master] += ax;
             deltas.ad[dc] += ax;
-            deltas.cost += ax * self.env.price(master as DcId) * self.num_iterations;
+            deltas.cost +=
+                ax * self.env.price(master as DcId) * self.num_iterations * BYTES_PER_UNIT;
         }
     }
 
@@ -176,15 +180,8 @@ impl<'a> Refiner<'a> {
     /// without mutating the refiner. Valid because the `from` and `to`
     /// cells are disjoint (`from != to`), so every probe reads unchanged
     /// frozen counts.
-    fn probe_edge_move(
-        &self,
-        u: u32,
-        v: u32,
-        from: usize,
-        to: usize,
-        deltas: &mut CandidateDeltas,
-    ) {
-        deltas.reset(self.m);
+    fn probe_edge_move(&self, u: u32, v: u32, from: usize, to: usize, deltas: &mut CandidateRows) {
+        deltas.reset(self);
         if u == v {
             self.probe(v, from, -1, -1, deltas);
             self.probe(v, to, 1, 1, deltas);
@@ -208,24 +205,10 @@ impl<'a> Refiner<'a> {
             + geosim::transfer::stage_time_rows(&self.au, &self.ad, self.env)
     }
 
-    /// [`Self::transfer_time`] with `deltas` overlaid on the live loads.
-    /// Divides against the same bandwidth lanes as the shared Eq 2/3
-    /// reduction — `max` is a selection, so the base and overlay paths
-    /// agree exactly on unchanged DCs.
-    fn transfer_time_with(&self, deltas: &CandidateDeltas) -> f64 {
-        let up = self.env.uplinks();
-        let down = self.env.downlinks();
-        let mut gather = 0.0f64;
-        let mut apply = 0.0f64;
-        for d in 0..self.m {
-            gather = gather.max(
-                ((self.gu[d] + deltas.gu[d]) / up[d]).max((self.gd[d] + deltas.gd[d]) / down[d]),
-            );
-            apply = apply.max(
-                ((self.au[d] + deltas.au[d]) / up[d]).max((self.ad[d] + deltas.ad[d]) / down[d]),
-            );
-        }
-        gather + apply
+    /// [`Self::transfer_time`] of a candidate's rows.
+    fn transfer_time_with(&self, rows: &CandidateRows) -> f64 {
+        geosim::transfer::stage_time_rows(&rows.gu, &rows.gd, self.env)
+            + geosim::transfer::stage_time_rows(&rows.au, &rows.ad, self.env)
     }
 }
 
@@ -266,13 +249,16 @@ pub fn geocut_with_pool(
     let n = geo.num_vertices();
     let edges: Vec<(u32, u32)> = geo.graph.edges().collect();
     let mut assignment: Vec<DcId> = edges.iter().map(|&(_, v)| geo.locations[v as usize]).collect();
+    let units: Vec<(u32, u32)> = (0..n as u32)
+        .map(|v| profile.units(v).unwrap_or_else(|e| panic!("invalid traffic profile: {e}")))
+        .collect();
 
     let mut refiner = Refiner {
         m,
         env,
         masters: &geo.locations,
-        g: (0..n as u32).map(|v| profile.g(v)).collect(),
-        a: (0..n as u32).map(|v| profile.a(v)).collect(),
+        g: units.iter().map(|&(g, _)| g as f64).collect(),
+        a: units.iter().map(|&(_, a)| a as f64).collect(),
         counts: vec![0; n * m * 2],
         gu: vec![0.0; m],
         gd: vec![0.0; m],
@@ -289,11 +275,11 @@ pub fn geocut_with_pool(
     let mut order: Vec<usize> = (0..edges.len()).collect();
     order.sort_unstable_by_key(|&i| mix64(i as u64 ^ config.seed));
     // Candidate destinations are evaluated against the *frozen* refiner via
-    // a reusable delta arena — no mutate/restore churn per rejected
+    // a reusable candidate-row arena — no mutate/restore churn per rejected
     // candidate. Only the winning move mutates the refiner.
     match pool.filter(|p| p.threads() > 1) {
         None => {
-            let mut deltas = CandidateDeltas::default();
+            let mut deltas = CandidateRows::default();
             for _ in 0..config.refinement_passes {
                 let mut improved = false;
                 for &i in &order {
@@ -328,11 +314,11 @@ pub fn geocut_with_pool(
             // Per-worker delta arenas and pick lists, allocated once and
             // reused across every batch of every pass (the pool's
             // step-resident discipline).
-            let delta_slots: Vec<Mutex<CandidateDeltas>> =
-                (0..threads).map(|_| Mutex::new(CandidateDeltas::default())).collect();
+            let delta_slots: Vec<Mutex<CandidateRows>> =
+                (0..threads).map(|_| Mutex::new(CandidateRows::default())).collect();
             let picks_slots: Vec<Mutex<Vec<(usize, usize)>>> =
                 (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-            let mut live = CandidateDeltas::default();
+            let mut live = CandidateRows::default();
             for _ in 0..config.refinement_passes {
                 let mut improved = false;
                 for chunk in order.chunks(config.batch) {

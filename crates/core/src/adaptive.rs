@@ -238,9 +238,9 @@ impl AdaptiveRlCut {
     /// supposed to describe: every aggregate (loads, mirror maps, degree
     /// tables, movement cost) is recomputed from scratch and compared. The
     /// incremental ≡ rebuild gate the tests run per window — `Ok(true)`
-    /// means a full rebuild of the carried state would be bit-for-bit
-    /// identical on integer state (f64 aggregates within `validate_plan`
-    /// tolerance); `Ok(false)` means nothing is carried yet.
+    /// means a full rebuild of the carried state would equal it (counts,
+    /// load units and moved bytes exactly, the priced cost to the bit);
+    /// `Ok(false)` means nothing is carried yet.
     pub fn validate_carried(&self, geo: &GeoGraph, env: &CloudEnv) -> Result<bool, PlanError> {
         match &self.carried {
             None => Ok(false),

@@ -243,8 +243,7 @@ impl<'g> TrainerSession<'g> {
     /// [`Self::finish`] hands the journal back through
     /// [`SessionResources`]. The durable driver feeds it to the WAL;
     /// replaying the journal through `apply_move_with` reproduces the
-    /// placement accumulators bit-exactly (floating-point accumulation is
-    /// order-sensitive, so masters diffs alone would not).
+    /// placement state, which is a function of the masters it leads to.
     pub fn enable_move_journal(&mut self) {
         if self.journal.is_none() {
             self.journal = Some(Vec::new());
@@ -513,9 +512,9 @@ impl<'g> TrainerSession<'g> {
     /// drift, not to the graph, journaled under [`RECONCILE_STEP`] when the
     /// journal is on — and
     /// hands the pool, the scratch and the journal back for the next
-    /// window's session. (`apply_move_with`'s Eq 4 accounting is
-    /// path-independent: `+cost(loc, to) − cost(loc, from)`, so the
-    /// reconciled state prices movement exactly as a rebuild would.)
+    /// window's session. (The state's loads and Eq 4 moved bytes are
+    /// integers, so the reconciled state equals a rebuild from the best
+    /// masters.)
     pub fn finish(mut self, env: &CloudEnv) -> (RlCutResult<'g>, SessionResources) {
         let total_duration = self.started.elapsed();
         let mut final_state = self.state.into_inner();

@@ -13,8 +13,8 @@
 //! * [`records`] — the typed WAL record kinds and their wire codecs.
 //! * [`replay`] — crash recovery: latest valid snapshot + WAL replay
 //!   through the *same* placement mutation paths the live trainer uses
-//!   (`resume_from_parts` / `apply_move_with`), so recovered `f64`
-//!   accumulators match the live run bit for bit.
+//!   (`resume_from_parts` / `apply_move_with`), so the recovered integer
+//!   state and each commit's priced movement cost match the live run.
 //! * [`store`] — the [`store::DurableStore`] facade tying the pieces
 //!   together: create/open a durable directory, append window
 //!   transactions, cut snapshots, prune the log.

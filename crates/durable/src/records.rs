@@ -14,15 +14,15 @@
 //!    first batch and the end-of-session reconcile sweep (live → best
 //!    plan) the last, with `step ==` [`Batch::RECONCILE_STEP`].
 //! 3. [`Commit`] — pins the window's outputs: carried theta, the final
-//!    `movement_cost` (the *only* environment-dependent placement field,
-//!    overridden at replay so recovery needs no environment), and an
-//!    FNV-1a hash of the master vector so replay divergence is detected
-//!    rather than trusted.
+//!    `movement_cost` (the Eq 4 moved bytes priced under the environment;
+//!    replay re-prices them and compares) and an FNV-1a hash of the master
+//!    vector, so replay divergence is detected rather than trusted.
 //!
 //! Payloads are deliberately environment-free: replaying batches through
-//! [`geopart::HybridState::apply_move_with`] against *any* environment
-//! yields bit-identical placement accumulators, because every load/count
-//! mutation depends only on the graph, the profile, and the move sequence.
+//! [`geopart::HybridState::apply_move_with`] yields the same integer
+//! placement state (counts, load units, moved bytes) under *any*
+//! environment, because each depends only on the graph, the profile and
+//! the masters.
 
 use geograph::wire::{self, Reader, WireError};
 use geograph::{DcId, GraphDelta, VertexId, MAX_DCS};
@@ -85,10 +85,9 @@ pub struct Commit {
     pub window: u64,
     /// High-degree threshold carried out of the window.
     pub theta: u64,
-    /// Final `movement_cost` accumulator bits. Replay overrides the
-    /// replayed state's accumulator with this value — it is the only
-    /// placement field whose evolution depends on the (unlogged)
-    /// environment.
+    /// Final `movement_cost` bits. Replay re-prices the replayed state's
+    /// moved bytes under the offered environment and must land on these
+    /// bits.
     pub movement_cost_bits: u64,
     /// FNV-1a over the final master vector; replay cross-checks it.
     pub masters_fnv: u64,

@@ -10,25 +10,23 @@
 //!    [`HybridState::resume_from_parts`] (an empty delta for a stationary
 //!    window) for every later one — and every logged move, a dead DC's
 //!    re-seed included, is re-applied through
-//!    [`HybridState::apply_move_with`] in the exact order the live run
-//!    applied it. Floating-point accumulation is not associative, so
-//!    order fidelity is what buys bit-equality.
-//! 2. **Environment independence, enforced.** The only placement field
-//!    whose evolution reads the (unlogged, possibly fault-mutated)
-//!    environment is the movement-cost accumulator; the commit record
-//!    pins its final bits and replay overrides it. Replay is therefore
-//!    *computationally* environment-independent — but continuing a
-//!    recovered pipeline against a different environment would silently
-//!    re-price every objective, so snapshots and window starts carry an
-//!    [`env_fingerprint`] and replay refuses a mismatch with
-//!    [`DurableError::EnvMismatch`] instead of guessing.
+//!    [`HybridState::apply_move_with`] in the order the live run applied
+//!    it. The placement state is integers (counts, load units, moved
+//!    bytes), a function of the graph, the masters and the profile.
+//! 2. **The environment, checked twice.** Snapshots and window starts
+//!    carry an [`env_fingerprint`] and replay refuses a mismatch with
+//!    [`DurableError::EnvMismatch`] instead of guessing; and each window's
+//!    movement cost is re-priced under the offered environment and must
+//!    equal the commit's bits.
 //! 3. **Window transactions.** A window missing its commit record is
 //!    rolled back entirely — the driver re-feeds those events — so replay
 //!    never has to reproduce a half-trained window.
 //!
 //! Every committed window's master vector is cross-checked against the
-//! FNV-1a hash its commit record pinned; disagreement is
-//! [`DurableError::ReplayDiverged`], not silently-wrong state.
+//! FNV-1a hash its commit record pinned, and its movement cost against
+//! the pinned bits; disagreement is [`DurableError::ReplayDiverged`], not
+//! silently-wrong state. A logged profile value that is not a load is a
+//! typed [`DurableError::Plan`].
 //!
 //! The dead-DC mask starts as the snapshot's trainer slot (one 0/1 byte
 //! per DC) and each replayed window start's flags replace it.
@@ -358,12 +356,14 @@ fn apply_window(
         }
     }
 
-    // 4. Pin the environment-dependent accumulator and verify the result.
-    hybrid.override_movement_cost(f64::from_bits(txn.commit.movement_cost_bits));
-    if fnv1a(hybrid.core().masters()) != txn.commit.masters_fnv {
+    // 4. Verify the result against what the commit pinned.
+    let (mut core, theta) = hybrid.into_parts();
+    if core.reprice(env).to_bits() != txn.commit.movement_cost_bits
+        || fnv1a(core.masters()) != txn.commit.masters_fnv
+    {
         return Err(DurableError::ReplayDiverged { window: ws.window });
     }
 
-    *parts = Some(hybrid.into_parts());
+    *parts = Some((core, theta));
     Ok(())
 }

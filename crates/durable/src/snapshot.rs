@@ -5,9 +5,9 @@
 //! from genesis: the graph as of some committed window (Rice-coded in-rows
 //! and bit-packed locations, [`geograph::wire`]), the carried hybrid-cut
 //! placement and its theta ([`geopart::snapshot`]: bit-packed masters, the
-//! `is_high` bitmap, the profile runs and every accumulator as raw `f64`
-//! bits; the count plane is not stored but rebuilt from the decoded
-//! graph), and optionally an opaque caller
+//! `is_high` bitmap, the profile as load-unit runs and the priced movement
+//! cost as raw `f64` bits; the count plane, the loads and the moved bytes
+//! are not stored but rebuilt from the decoded graph), and optionally an opaque caller
 //! blob (this layer stores the bytes and gives them no meaning; the
 //! pipeline writes none). The placement section carries hybrid-cut parts
 //! only (`HybridState::into_parts`), which is all the pipeline puts in a
@@ -43,9 +43,10 @@ use crate::error::{fnv1a, fnv1a_fold, DurableError, FNV_OFFSET};
 
 /// Magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 4] = *b"RLSN";
-/// The one snapshot format version; any other (4 wrote varint out-rows and
+/// The one snapshot format version; any other (5 stored the four stage-load
+/// vectors and the profile as `f32` runs, 4 wrote varint out-rows and
 /// byte-wide DC ids) is [`DurableError::UnsupportedVersion`].
-pub const VERSION: u32 = 5;
+pub const VERSION: u32 = 6;
 /// File-sink buffer: the whole transient heap of cutting a snapshot.
 const SINK_BUFFER_BYTES: usize = 64 << 10;
 

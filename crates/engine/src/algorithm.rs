@@ -129,7 +129,7 @@ mod tests {
             }
         }
         if let (Some(lo), Some(hi)) = (lo, hi) {
-            assert!(p.g(hi) > p.g(lo));
+            assert!(p.units(hi).unwrap().0 > p.units(lo).unwrap().0);
         }
     }
 

@@ -164,7 +164,7 @@ impl<'a> ReplicaTraffic<'a> {
                 }
                 self.receiver_stamp[v as usize] = round_stamp;
                 let master = plan.master(v);
-                let g = self.profile.g(v);
+                let (g, _) = self.profile.units(v).expect("an algorithm profile quantises");
                 let base = geo.graph.in_edge_offset(v);
                 for (k, &src) in geo.graph.in_neighbors(v).iter().enumerate() {
                     if !self.is_sender[src as usize] {
@@ -176,7 +176,7 @@ impl<'a> ReplicaTraffic<'a> {
                     };
                     if d != master && !self.dc_seen[d as usize] {
                         self.dc_seen[d as usize] = true;
-                        self.gather.add_transfer(d, master, g);
+                        self.gather.add_transfer(d, master, g as u64);
                     }
                 }
                 self.dc_seen.iter_mut().for_each(|s| *s = false);
@@ -185,12 +185,12 @@ impl<'a> ReplicaTraffic<'a> {
         // Apply: every changed vertex syncs its mirrors.
         for &v in changed {
             let master = plan.master(v);
-            let a = self.profile.a(v);
+            let (_, a) = self.profile.units(v).expect("an algorithm profile quantises");
             let mut mask = plan.mirror_mask(v);
             while mask != 0 {
                 let d = mask.trailing_zeros() as DcId;
                 mask &= mask - 1;
-                self.apply.add_transfer(master, d, a);
+                self.apply.add_transfer(master, d, a as u64);
             }
         }
         for &u in senders {
@@ -330,7 +330,7 @@ pub fn execute_edgecut(
                 }
                 receiver_stamp[v as usize] = stamp;
                 let home = assignment[v as usize];
-                let g = profile.g(v);
+                let (g, _) = profile.units(v).expect("an algorithm profile quantises");
                 for &src in geo.graph.in_neighbors(v) {
                     if !is_sender[src as usize] {
                         continue;
@@ -338,7 +338,7 @@ pub fn execute_edgecut(
                     let d = assignment[src as usize];
                     if d != home && !dc_seen[d as usize] {
                         dc_seen[d as usize] = true;
-                        loads.add_transfer(d, home, g);
+                        loads.add_transfer(d, home, g as u64);
                     }
                 }
                 dc_seen.iter_mut().for_each(|s| *s = false);

@@ -618,9 +618,9 @@ pub fn put_runs<W: Write, T: Copy>(
     })
 }
 
-/// [`put_runs`] over `f32`s compared by bit pattern — the traffic profile's
-/// two planes, in a snapshot and in a WAL window start. [`Reader::runs`]
-/// with [`Reader::f32`] reads it back.
+/// [`put_runs`] over `f32`s compared by bit pattern — a WAL window
+/// start's traffic-profile suffixes. [`Reader::runs`] with [`Reader::f32`]
+/// reads it back.
 pub fn put_f32_runs<W: Write>(
     w: &mut W,
     values: impl Iterator<Item = f32> + Clone,

@@ -6,35 +6,40 @@
 //! budget calibration used throughout the evaluation (the budget is a
 //! fraction of the cost of centralizing the whole graph).
 
+use geograph::MAX_DCS;
+
 use crate::datacenter::CloudEnv;
 use crate::DcId;
 
-/// Cost of moving one vertex's input data from its natural DC to its master
-/// DC (zero when they coincide): `M_v · d_v · P_{L_v}` (Eq 4).
-#[inline]
-pub fn vertex_move_cost(env: &CloudEnv, natural: DcId, master: DcId, data_bytes: u64) -> f64 {
-    if natural == master {
-        0.0
-    } else {
-        data_bytes as f64 * env.price(natural)
+/// The input bytes an assignment masters away from home, bucketed by home
+/// DC: `moved[r] = Σ_{v : L_v = r, M_v ≠ r} d_v` — Eq 4 before pricing.
+pub fn moved_bytes(natural: &[DcId], masters: &[DcId], data_sizes: &[u64]) -> [u64; MAX_DCS] {
+    debug_assert_eq!(natural.len(), masters.len());
+    debug_assert_eq!(natural.len(), data_sizes.len());
+    let mut moved = [0u64; MAX_DCS];
+    for ((&l, &m), &d) in natural.iter().zip(masters).zip(data_sizes) {
+        if l != m {
+            moved[l as usize] += d;
+        }
     }
+    moved
 }
 
-/// Total movement cost of a full assignment (Eq 4 summed).
+/// Eq 4 priced: `Σ_r moved_r · P_r`, summed in DC order over `env`'s DCs
+/// (uploads are charged at the home DC the data leaves).
+#[inline]
+pub fn price(env: &CloudEnv, moved: &[u64]) -> f64 {
+    moved.iter().zip(env.prices()).fold(0.0, |cost, (&bytes, &p)| cost + bytes as f64 * p)
+}
+
+/// Total movement cost of a full assignment (Eq 4).
 pub fn movement_cost(
     env: &CloudEnv,
     natural: &[DcId],
     masters: &[DcId],
     data_sizes: &[u64],
 ) -> f64 {
-    debug_assert_eq!(natural.len(), masters.len());
-    debug_assert_eq!(natural.len(), data_sizes.len());
-    natural
-        .iter()
-        .zip(masters)
-        .zip(data_sizes)
-        .map(|((&l, &m), &d)| vertex_move_cost(env, l, m, d))
-        .sum()
+    price(env, &moved_bytes(natural, masters, data_sizes))
 }
 
 /// The cost of the *centralized* strategy: move every vertex's data into
@@ -83,9 +88,13 @@ mod tests {
 
     #[test]
     fn move_cost_zero_when_home() {
+        assert_eq!(movement_cost(&env(), &[0, 1], &[0, 1], &[5, 7]), 0.0);
+        // The moved bytes bucket by home DC, and price at the home's rate.
+        let moved = moved_bytes(&[0, 0, 1], &[0, 1, 0], &[5, 7, 11]);
+        assert_eq!(&moved[..3], &[7, 11, 0]);
+        assert!(moved[3..].iter().all(|&b| b == 0));
         let e = env();
-        assert_eq!(vertex_move_cost(&e, 0, 0, 1_000_000), 0.0);
-        assert!(vertex_move_cost(&e, 0, 1, 1_000_000) > 0.0);
+        assert_eq!(price(&e, &moved[..2]), 7.0 * e.price(0) + 11.0 * e.price(1));
     }
 
     #[test]

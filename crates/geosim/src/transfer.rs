@@ -6,9 +6,38 @@
 //! drains: `T_stage = max_r max(up_r/U_r, down_r/D_r)` (Eq 2–3). An
 //! iteration's time is the sum over its stages because of the global
 //! barrier between gather and apply (Eq 1).
+//!
+//! Loads count units of 2^-[`LOAD_UNIT_SHIFT`] bytes, so a per-DC sum is
+//! exact in any order. The reductions read rows of units and scale to
+//! bytes once, by a power of two, which commutes with rounding.
 
 use crate::datacenter::CloudEnv;
 use crate::DcId;
+
+/// Loads count units of `2^-LOAD_UNIT_SHIFT` bytes (1/256 B).
+pub const LOAD_UNIT_SHIFT: u32 = 8;
+/// Bytes per load unit, `2^-LOAD_UNIT_SHIFT`.
+pub const BYTES_PER_UNIT: f64 = 1.0 / (1u64 << LOAD_UNIT_SHIFT) as f64;
+
+/// A lane of a load row: `u64` units, or an `f64` holding whole units (the
+/// move kernels' scratch rows, exact below 2^53).
+pub trait Units: Copy {
+    fn get(self) -> f64;
+}
+
+impl Units for u64 {
+    #[inline]
+    fn get(self) -> f64 {
+        self as f64
+    }
+}
+
+impl Units for f64 {
+    #[inline]
+    fn get(self) -> f64 {
+        self
+    }
+}
 
 /// Lane width of the chunked reductions below. Portable SIMD by
 /// construction: fixed-size array accumulators over `chunks_exact` compile
@@ -20,22 +49,22 @@ const LANES: usize = 4;
 /// `max` is a selection, so reassociating the reduction is *exactly* equal
 /// to the serial left fold — lane order never changes the result (all
 /// loads are finite and ≥ 0, all bandwidths > 0). Each lane keeps the
-/// `bytes / bandwidth` division of the serial model rather than a cached
+/// `load / bandwidth` division of the serial model rather than a cached
 /// reciprocal multiply: the latter shifts ratios by ~1 ulp, which is
 /// enough to flip near-tied argmax decisions downstream.
 #[inline]
-fn max_ratio(a: &[f64], b: &[f64]) -> f64 {
+fn max_ratio<T: Units>(a: &[T], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = [0.0f64; LANES];
     let mut chunks = a.chunks_exact(LANES).zip(b.chunks_exact(LANES));
     for (ca, cb) in &mut chunks {
         for l in 0..LANES {
-            acc[l] = acc[l].max(ca[l] / cb[l]);
+            acc[l] = acc[l].max(ca[l].get() / cb[l]);
         }
     }
     let tail = a.len() - a.len() % LANES;
     for (&xa, &xb) in a[tail..].iter().zip(&b[tail..]) {
-        acc[0] = acc[0].max(xa / xb);
+        acc[0] = acc[0].max(xa.get() / xb);
     }
     acc.iter().fold(0.0f64, |w, &x| w.max(x))
 }
@@ -43,130 +72,108 @@ fn max_ratio(a: &[f64], b: &[f64]) -> f64 {
 /// `Σ_d a[d] * b[d]` over two equal-length rows, chunked [`LANES`] wide
 /// (four independent accumulators, combined once at the end).
 #[inline]
-fn dot(a: &[f64], b: &[f64]) -> f64 {
+fn dot<T: Units>(a: &[T], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = [0.0f64; LANES];
     let mut chunks = a.chunks_exact(LANES).zip(b.chunks_exact(LANES));
     for (ca, cb) in &mut chunks {
         for l in 0..LANES {
-            acc[l] += ca[l] * cb[l];
+            acc[l] += ca[l].get() * cb[l];
         }
     }
     let tail = a.len() - a.len() % LANES;
     for (&xa, &xb) in a[tail..].iter().zip(&b[tail..]) {
-        acc[0] += xa * xb;
+        acc[0] += xa.get() * xb;
     }
     (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
-/// Stage completion time of explicit per-DC upload/download rows under
-/// `env` — the Eq 2/3 reduction `max_r max(up_r/U_r, down_r/D_r)`, shared
-/// by [`StageLoads::transfer_time`] and the incremental move-evaluation
-/// kernels that project candidate moves onto scratch rows.
+/// Stage completion time of explicit per-DC upload/download rows of load
+/// units under `env` — the Eq 2/3 reduction `max_r max(up_r/U_r,
+/// down_r/D_r)`, shared by [`StageLoads::transfer_time`] and the
+/// incremental move-evaluation kernels that project candidate moves onto
+/// scratch rows.
 ///
 /// Bandwidth ratios divide against the environment's contiguous
 /// uplink/downlink lanes so the reduction is a straight div+max sweep
 /// over two pairs of flat rows.
 #[inline]
-pub fn stage_time_rows(up: &[f64], down: &[f64], env: &CloudEnv) -> f64 {
+pub fn stage_time_rows<T: Units>(up: &[T], down: &[T], env: &CloudEnv) -> f64 {
     debug_assert_eq!(up.len(), env.num_dcs());
     debug_assert_eq!(down.len(), env.num_dcs());
-    max_ratio(up, env.uplinks()).max(max_ratio(down, env.downlinks()))
+    max_ratio(up, env.uplinks()).max(max_ratio(down, env.downlinks())) * BYTES_PER_UNIT
 }
 
-/// Monetary cost of a per-DC upload row under `env` ($) — Eq 5's inner
-/// term `Σ_r up_r · P_r`; only uploads are charged. Shared by
-/// [`StageLoads::upload_cost`] and the kernels' row projections.
+/// Monetary cost of a per-DC upload row of load units under `env` ($) —
+/// Eq 5's inner term `Σ_r up_r · P_r`; only uploads are charged. Shared
+/// by [`StageLoads::upload_cost`] and the kernels' row projections.
 #[inline]
-pub fn upload_cost_row(up: &[f64], env: &CloudEnv) -> f64 {
+pub fn upload_cost_row<T: Units>(up: &[T], env: &CloudEnv) -> f64 {
     debug_assert_eq!(up.len(), env.num_dcs());
-    dot(up, env.prices())
+    dot(up, env.prices()) * BYTES_PER_UNIT
 }
 
-/// Per-DC upload/download byte totals for one communication stage.
-#[derive(Clone, Debug, PartialEq)]
+/// Per-DC upload/download load units for one communication stage.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StageLoads {
-    up: Vec<f64>,
-    down: Vec<f64>,
+    up: Vec<u64>,
+    down: Vec<u64>,
 }
 
 impl StageLoads {
     /// Zero loads over `num_dcs` data centers.
     pub fn new(num_dcs: usize) -> Self {
-        StageLoads { up: vec![0.0; num_dcs], down: vec![0.0; num_dcs] }
+        StageLoads { up: vec![0; num_dcs], down: vec![0; num_dcs] }
     }
 
-    #[inline]
-    pub fn num_dcs(&self) -> usize {
-        self.up.len()
-    }
-
-    /// Adds `bytes` of upload at DC `dc`.
-    #[inline]
-    pub fn add_up(&mut self, dc: DcId, bytes: f64) {
-        self.up[dc as usize] += bytes;
-    }
-
-    /// Adds `bytes` of download at DC `dc`.
-    #[inline]
-    pub fn add_down(&mut self, dc: DcId, bytes: f64) {
-        self.down[dc as usize] += bytes;
-    }
-
-    /// Records a WAN transfer of `bytes` from `src` to `dst`. Intra-DC
+    /// Records a WAN transfer of `units` from `src` to `dst`. Intra-DC
     /// transfers are free and ignored.
     #[inline]
-    pub fn add_transfer(&mut self, src: DcId, dst: DcId, bytes: f64) {
+    pub fn add_transfer(&mut self, src: DcId, dst: DcId, units: u64) {
         if src != dst {
-            self.up[src as usize] += bytes;
-            self.down[dst as usize] += bytes;
+            self.up[src as usize] += units;
+            self.down[dst as usize] += units;
         }
     }
 
-    /// Upload bytes at `dc`.
+    /// Retires an [`Self::add_transfer`].
     #[inline]
-    pub fn up(&self, dc: DcId) -> f64 {
-        self.up[dc as usize]
-    }
-
-    /// Download bytes at `dc`.
-    #[inline]
-    pub fn down(&self, dc: DcId) -> f64 {
-        self.down[dc as usize]
+    pub fn remove_transfer(&mut self, src: DcId, dst: DcId, units: u64) {
+        if src != dst {
+            self.up[src as usize] -= units;
+            self.down[dst as usize] -= units;
+        }
     }
 
     /// Total bytes crossing the WAN (sum of uploads).
     pub fn total_up(&self) -> f64 {
-        self.up.iter().sum()
+        self.up.iter().sum::<u64>() as f64 * BYTES_PER_UNIT
     }
 
     /// Stage completion time under `env` (Eq 2/3): the slowest DC link.
     pub fn transfer_time(&self, env: &CloudEnv) -> f64 {
-        debug_assert_eq!(self.num_dcs(), env.num_dcs());
         stage_time_rows(&self.up, &self.down, env)
     }
 
     /// Monetary cost of the stage's uploads under `env` ($), Eq 5's inner
     /// term: only uploads are charged.
     pub fn upload_cost(&self, env: &CloudEnv) -> f64 {
-        debug_assert_eq!(self.num_dcs(), env.num_dcs());
         upload_cost_row(&self.up, env)
     }
 
     /// Resets all loads to zero, keeping the allocation.
     pub fn clear(&mut self) {
-        self.up.iter_mut().for_each(|b| *b = 0.0);
-        self.down.iter_mut().for_each(|b| *b = 0.0);
+        self.up.fill(0);
+        self.down.fill(0);
     }
 
-    /// Upload loads per DC as a slice (used by incremental evaluators that
-    /// project moves onto stack-allocated scratch copies).
-    pub fn up_slice(&self) -> &[f64] {
+    /// Upload units per DC.
+    pub fn up(&self) -> &[u64] {
         &self.up
     }
 
-    /// Download loads per DC as a slice.
-    pub fn down_slice(&self) -> &[f64] {
+    /// Download units per DC.
+    pub fn down(&self) -> &[u64] {
         &self.down
     }
 }
@@ -189,13 +196,18 @@ mod tests {
         ])
     }
 
+    /// `gb` gigabytes in load units.
+    fn gb(gb: f64) -> u64 {
+        (gb * 1.0e9) as u64 * (1 << LOAD_UNIT_SHIFT)
+    }
+
     #[test]
     fn transfer_time_is_slowest_link() {
         let env = two_dc_env();
         let mut loads = StageLoads::new(2);
-        loads.add_transfer(0, 1, 1.0e9); // up at fast (1s/1GBps=1s), down at slow (1GB/1GBps=1s)
+        loads.add_transfer(0, 1, gb(1.0)); // up at fast (1s/1GBps=1s), down at slow (1GB/1GBps=1s)
         assert!((loads.transfer_time(&env) - 1.0).abs() < 1e-9);
-        loads.add_transfer(1, 0, 1.0e9); // up at slow: 1GB/0.5GBps = 2s dominates
+        loads.add_transfer(1, 0, gb(1.0)); // up at slow: 1GB/0.5GBps = 2s dominates
         assert!((loads.transfer_time(&env) - 2.0).abs() < 1e-9);
     }
 
@@ -203,7 +215,7 @@ mod tests {
     fn intra_dc_transfers_free() {
         let env = two_dc_env();
         let mut loads = StageLoads::new(2);
-        loads.add_transfer(0, 0, 5.0e9);
+        loads.add_transfer(0, 0, gb(5.0));
         assert_eq!(loads.transfer_time(&env), 0.0);
         assert_eq!(loads.upload_cost(&env), 0.0);
     }
@@ -212,9 +224,9 @@ mod tests {
     fn only_uploads_charged() {
         let env = two_dc_env();
         let mut loads = StageLoads::new(2);
-        loads.add_transfer(0, 1, 1.0e9); // 1 GB up at $0.10/GB
+        loads.add_transfer(0, 1, gb(1.0)); // 1 GB up at $0.10/GB
         assert!((loads.upload_cost(&env) - 0.10).abs() < 1e-9);
-        loads.add_transfer(1, 0, 1.0e9); // 1 GB up at $0.20/GB
+        loads.add_transfer(1, 0, gb(1.0)); // 1 GB up at $0.20/GB
         assert!((loads.upload_cost(&env) - 0.30).abs() < 1e-9);
     }
 
@@ -222,9 +234,9 @@ mod tests {
     fn iteration_time_sums_stages() {
         let env = two_dc_env();
         let mut gather = StageLoads::new(2);
-        gather.add_transfer(0, 1, 1.0e9);
+        gather.add_transfer(0, 1, gb(1.0));
         let mut apply = StageLoads::new(2);
-        apply.add_transfer(1, 0, 0.5e9);
+        apply.add_transfer(1, 0, gb(0.5));
         let t = iteration_time(&gather, &apply, &env);
         assert!((t - 2.0).abs() < 1e-9, "1s gather + 1s apply = {t}");
     }
@@ -232,9 +244,29 @@ mod tests {
     #[test]
     fn clear_keeps_shape() {
         let mut a = StageLoads::new(3);
-        a.add_up(2, 7.0);
+        a.add_transfer(2, 0, 7);
         a.clear();
-        assert_eq!(a.num_dcs(), 3);
+        assert_eq!(a.up().len(), 3);
         assert_eq!(a.total_up(), 0.0);
+    }
+
+    #[test]
+    fn unit_rows_scale_to_the_byte_rows_bits() {
+        // Whole-unit loads: the unit-row reductions return the bits the
+        // same reductions over byte rows would (the scale is a power of two).
+        let env = crate::regions::ec2_eight_regions();
+        let bytes: Vec<f64> = (0..8).map(|d| 8.0 * (3 * d + 1) as f64 + 0.5).collect();
+        let units: Vec<u64> = bytes.iter().map(|&b| (b * 256.0) as u64).collect();
+        let (up, down) = (env.uplinks(), env.downlinks());
+        let time = bytes
+            .iter()
+            .zip(up)
+            .map(|(b, u)| b / u)
+            .fold(0.0f64, f64::max)
+            .max(bytes.iter().rev().zip(down).map(|(b, d)| b / d).fold(0.0f64, f64::max));
+        let rev: Vec<u64> = units.iter().rev().copied().collect();
+        assert_eq!(stage_time_rows(&units, &rev, &env).to_bits(), time.to_bits());
+        let cost = dot(&bytes, env.prices());
+        assert_eq!(upload_cost_row(&units, &env).to_bits(), cost.to_bits());
     }
 }

@@ -30,7 +30,8 @@ pub struct EdgeCutState {
 }
 
 impl EdgeCutState {
-    /// Builds edge-cut state from a per-vertex DC assignment.
+    /// Builds edge-cut state from a per-vertex DC assignment, panicking on
+    /// a profile value that is not a load ([`TrafficProfile::units`]).
     pub fn from_assignment(
         geo: &GeoGraph,
         env: &CloudEnv,
@@ -52,7 +53,8 @@ impl EdgeCutState {
                     internal_edges += 1;
                 } else if !seen_dcs[src as usize] {
                     seen_dcs[src as usize] = true;
-                    loads.add_transfer(src, home, profile.g(v));
+                    let (g, _) = profile.units(v).unwrap_or_else(|e| panic!("{e}"));
+                    loads.add_transfer(src, home, g as u64);
                 }
             }
         }

@@ -30,16 +30,19 @@ pub enum PlanError {
         incremental: u64,
         fresh: u64,
     },
-    /// A gather/apply load accumulator drifted beyond fp tolerance.
+    /// A load accumulator (units) or a DC's Eq 4 moved bytes differ from a
+    /// fresh rebuild.
     LoadDrift {
-        /// Which accumulator drifted (`"gather.up"`, `"apply.down"`, …).
+        /// Which drifted (`"gather.up"`, `"apply.down"`, …, `"moved"`).
         stage: &'static str,
         dc: DcId,
-        incremental: f64,
-        fresh: f64,
+        incremental: u64,
+        fresh: u64,
     },
-    /// The incrementally tracked Eq 4 movement cost drifted.
+    /// The priced Eq 4 movement cost is not the rebuild's to the bit.
     MovementCostDrift { incremental: f64, fresh: f64 },
+    /// A traffic-profile value is not a load ([`crate::TrafficProfile::units`]).
+    ProfileOutOfRange { vertex: VertexId, bytes: f32 },
     /// A vertex's packed kernel metadata (occupancy mask or mirrored
     /// master copy) no longer matches the authoritative arrays.
     MetaDrift {
@@ -109,6 +112,9 @@ impl std::fmt::Display for PlanError {
             }
             PlanError::MovementCostDrift { incremental, fresh } => {
                 write!(f, "movement cost diverged: incremental {incremental} vs fresh {fresh}")
+            }
+            PlanError::ProfileOutOfRange { vertex, bytes } => {
+                write!(f, "traffic profile of v={vertex} is {bytes} B, not a load in range")
             }
             PlanError::MetaDrift { field, vertex, incremental, fresh } => write!(
                 f,

@@ -54,8 +54,9 @@ impl<'g> HybridState<'g> {
 
     /// Builds hybrid-cut state from explicit master locations, returning a
     /// typed [`PlanError`] when any master names a DC outside the
-    /// environment — the entry point for plan files and other external
-    /// input.
+    /// environment or a profile value is not a load
+    /// ([`TrafficProfile::units`]) — the entry point for plan files and
+    /// other external input.
     pub fn try_from_masters(
         geo: &'g GeoGraph,
         env: &CloudEnv,
@@ -77,12 +78,13 @@ impl<'g> HybridState<'g> {
         }
         assert_eq!(profile.len(), geo.num_vertices());
         let is_high = geograph::degree::classify_high_degree(&geo.graph, theta);
+        let units = (0..geo.num_vertices() as VertexId).map(|v| profile.units(v));
         let mut core =
-            PlacementState::unplaced(env.num_dcs(), masters, is_high, profile, num_iterations);
+            PlacementState::unplaced(env.num_dcs(), masters, is_high, units, num_iterations)?;
         core.place_hybrid_edges(&geo.graph);
         core.rebuild_loads();
-        core.movement_cost =
-            geosim::cost::movement_cost(env, &geo.locations, &core.masters, &geo.data_sizes);
+        core.moved = geosim::cost::moved_bytes(&geo.locations, &core.masters, &geo.data_sizes);
+        core.reprice(env);
         Ok(HybridState { geo, core, theta })
     }
 
@@ -117,10 +119,12 @@ impl<'g> HybridState<'g> {
         HybridState { geo, core, theta }
     }
 
-    /// The dimension checks [`Self::resume_from_parts`] makes before it
-    /// consumes anything: `delta` must lead from `core`'s vertex count to
-    /// `new_geo`'s, and `new_profile` must cover `new_geo`. A caller runs
-    /// them on its borrowed carrier, so a refused delta leaves it in place.
+    /// The checks [`Self::resume_from_parts`] makes before it consumes
+    /// anything: `delta` must lead from `core`'s vertex count to
+    /// `new_geo`'s, `new_profile` must cover `new_geo`, and its entries for
+    /// the appended vertices must be loads ([`TrafficProfile::units`]). A
+    /// caller runs them on its borrowed carrier, so a refused delta leaves
+    /// it in place.
     pub fn check_resume(
         core: &PlacementState,
         new_geo: &GeoGraph,
@@ -133,10 +137,10 @@ impl<'g> HybridState<'g> {
             ("new vertex count", delta.new_num_vertices(), new_n),
             ("profile length", new_n, new_profile.len()),
         ];
-        let Some((what, expected, found)) = mismatch.into_iter().find(|m| m.1 != m.2) else {
-            return Ok(());
-        };
-        Err(PlanError::DeltaMismatch { what, expected, found })
+        if let Some((what, expected, found)) = mismatch.into_iter().find(|m| m.1 != m.2) {
+            return Err(PlanError::DeltaMismatch { what, expected, found });
+        }
+        (core.num_vertices()..new_n).try_for_each(|v| new_profile.units(v as VertexId).map(drop))
     }
 
     /// Advances a plan to the next dynamic-graph window: takes the
@@ -150,7 +154,7 @@ impl<'g> HybridState<'g> {
     ///
     /// Masters of existing vertices are preserved (they are the RL state
     /// carried across windows); appended vertices start at their natural
-    /// DC, so the tracked Eq 4 movement cost is unchanged. θ stays frozen
+    /// DC, so the Eq 4 moved bytes and their price are unchanged. θ stays frozen
     /// at the value the state was built with; existing vertices whose
     /// in-degree crosses θ flip class and have their surviving in-edges
     /// re-placed under the new rule.
@@ -174,10 +178,14 @@ impl<'g> HybridState<'g> {
         assert_eq!(env.num_dcs(), core.num_dcs());
         Self::check_resume(&core, new_geo, delta, new_profile)?;
         debug_assert!(
-            core.meta.iter().enumerate().all(|(v, meta)| meta.g == new_profile.gather_bytes[v]
-                && meta.a == new_profile.apply_bytes[v]),
+            core.meta
+                .iter()
+                .enumerate()
+                .all(|(v, meta)| new_profile.units(v as VertexId) == Ok((meta.g, meta.a))),
             "carried traffic profile disagrees with new_profile on existing vertices"
         );
+        let new_profile =
+            (old_n..new_n).map(|v| new_profile.units(v as VertexId)).collect::<Result<_, _>>()?;
 
         // Appended vertices: natural masters, class from the new snapshot.
         let new_masters_tail: Vec<DcId> = new_geo.locations[old_n..].to_vec();
@@ -284,11 +292,7 @@ impl<'g> HybridState<'g> {
         let ops = PlacementDeltaOps {
             new_masters: new_masters_tail,
             new_high: new_high_tail,
-            new_profile: new_profile.gather_bytes[old_n..]
-                .iter()
-                .copied()
-                .zip(new_profile.apply_bytes[old_n..].iter().copied())
-                .collect(),
+            new_profile,
             flips,
             unplace,
             place,
@@ -329,15 +333,6 @@ impl<'g> HybridState<'g> {
     /// Current objective (Eq 1 + Eq 4/5).
     pub fn objective(&self, env: &CloudEnv) -> Objective {
         self.core.objective(env)
-    }
-
-    /// Overwrites the accumulated Eq 4 movement cost — see
-    /// [`PlacementState::override_movement_cost`]. Used by WAL replay,
-    /// which pins the bits a window's commit record logged: the cost the
-    /// live trainer accumulated move by move cannot be recomputed from the
-    /// masters alone.
-    pub fn override_movement_cost(&mut self, cost: f64) {
-        self.core.override_movement_cost(cost);
     }
 
     /// Evaluates moving `v`'s master to every DC flagged in `dests` (bit
@@ -386,8 +381,8 @@ impl<'g> HybridState<'g> {
         self.evaluate_moves(env, v, 1u64 << to, scratch)[to as usize]
     }
 
-    /// Moves `v`'s master to `to`, updating counts, loads, balance and cost
-    /// incrementally through the caller's scratch arena. Cost:
+    /// Moves `v`'s master to `to`, updating counts, loads, balance, moved
+    /// bytes and cost incrementally through the caller's scratch arena. Cost:
     /// `O(deg(v) · M)` (moves are far rarer than evaluations — only
     /// accepted migrations pay this).
     pub fn apply_move_with(
@@ -438,20 +433,8 @@ impl<'g> HybridState<'g> {
         self.core.edges_per_dc[a as usize] -= moved_edges;
         self.core.edges_per_dc[to as usize] += moved_edges;
 
-        // Master move + movement cost.
-        self.core.movement_cost += geosim::cost::vertex_move_cost(
-            env,
-            self.geo.locations[v as usize],
-            to,
-            self.geo.data_sizes[v as usize],
-        ) - geosim::cost::vertex_move_cost(
-            env,
-            self.geo.locations[v as usize],
-            a,
-            self.geo.data_sizes[v as usize],
-        );
-        self.core.masters[v as usize] = to;
-        self.core.meta[v as usize].master = to;
+        let home = (self.geo.locations[v as usize], self.geo.data_sizes[v as usize]);
+        self.core.set_master(env, v, to, home);
 
         // Re-add contributions under the new placement.
         self.core.add_vertex_loads(v);
@@ -573,29 +556,24 @@ impl<'g> HybridState<'g> {
                 });
             }
         }
-        for d in 0..m as DcId {
-            for (ours, theirs, stage) in [
-                (self.core.gather.up(d), fresh.core.gather.up(d), "gather.up"),
-                (self.core.gather.down(d), fresh.core.gather.down(d), "gather.down"),
-                (self.core.apply.up(d), fresh.core.apply.up(d), "apply.up"),
-                (self.core.apply.down(d), fresh.core.apply.down(d), "apply.down"),
-            ] {
-                if (ours - theirs).abs() > 1e-6 * theirs.abs().max(1.0) {
-                    return Err(PlanError::LoadDrift {
-                        stage,
-                        dc: d,
-                        incremental: ours,
-                        fresh: theirs,
-                    });
-                }
+        // Loads and moved bytes are integers: they must equal the
+        // rebuild's exactly, and so must the price of the moved bytes.
+        let (ours, theirs) = (&self.core, &fresh.core);
+        for (stage, ours, theirs) in [
+            ("gather.up", ours.gather.up(), theirs.gather.up()),
+            ("gather.down", ours.gather.down(), theirs.gather.down()),
+            ("apply.up", ours.apply.up(), theirs.apply.up()),
+            ("apply.down", ours.apply.down(), theirs.apply.down()),
+            ("moved", ours.moved_bytes(), theirs.moved_bytes()),
+        ] {
+            if let Some(d) = (0..m).find(|&d| ours[d] != theirs[d]) {
+                let (dc, incremental, fresh) = (d as DcId, ours[d], theirs[d]);
+                return Err(PlanError::LoadDrift { stage, dc, incremental, fresh });
             }
         }
-        let mc = fresh.core.movement_cost;
-        if (self.core.movement_cost - mc).abs() > 1e-9 * mc.abs().max(1.0) {
-            return Err(PlanError::MovementCostDrift {
-                incremental: self.core.movement_cost,
-                fresh: mc,
-            });
+        let (ours, theirs) = (self.core.movement_cost, fresh.core.movement_cost);
+        if ours.to_bits() != theirs.to_bits() {
+            return Err(PlanError::MovementCostDrift { incremental: ours, fresh: theirs });
         }
 
         // The batched kernel must agree with per-destination evaluation
@@ -737,21 +715,7 @@ mod tests {
             let to = rng.gen_range(0..geo.num_dcs) as DcId;
             let predicted = s.evaluate_move_with(&env, v, to, &mut scratch);
             s.apply_move_with(&env, v, to, &mut scratch);
-            let actual = s.objective(&env);
-            assert!(
-                (predicted.transfer_time - actual.transfer_time).abs()
-                    <= 1e-9 * actual.transfer_time.max(1e-12),
-                "time: predicted {} vs actual {}",
-                predicted.transfer_time,
-                actual.transfer_time
-            );
-            assert!(
-                (predicted.total_cost() - actual.total_cost()).abs()
-                    <= 1e-9 * actual.total_cost().max(1e-12),
-                "cost: predicted {} vs actual {}",
-                predicted.total_cost(),
-                actual.total_cost()
-            );
+            assert_eq!(predicted, s.objective(&env), "v={v} to={to}");
         }
         s.check_consistency(&env);
     }
@@ -783,9 +747,7 @@ mod tests {
         let to = (home + 1) % geo.num_dcs as DcId;
         s.apply_move_with(&env, v, to, &mut scratch);
         s.apply_move_with(&env, v, home, &mut scratch);
-        let after = s.objective(&env);
-        assert!((before.transfer_time - after.transfer_time).abs() < 1e-12);
-        assert!((before.total_cost() - after.total_cost()).abs() < 1e-12);
+        assert_eq!(s.objective(&env), before);
     }
 
     #[test]
@@ -855,19 +817,7 @@ mod tests {
             let objs: Vec<_> = s.evaluate_all_moves(&env, v, &mut batch).to_vec();
             for (d, b) in objs.iter().enumerate() {
                 let sq = s.evaluate_move_with(&env, v, d as DcId, &mut single);
-                assert_eq!(
-                    (
-                        b.transfer_time.to_bits(),
-                        b.movement_cost.to_bits(),
-                        b.runtime_cost.to_bits()
-                    ),
-                    (
-                        sq.transfer_time.to_bits(),
-                        sq.movement_cost.to_bits(),
-                        sq.runtime_cost.to_bits()
-                    ),
-                    "step {step}: v={v} d={d}: {b:?} vs {sq:?}"
-                );
+                assert_eq!(*b, sq, "step {step}: v={v} d={d}");
             }
         }
     }
@@ -897,21 +847,7 @@ mod tests {
             let reused: Vec<Objective> = s8.evaluate_all_moves(&env8, v8, &mut shared).to_vec();
             let mut fresh = MoveScratch::new();
             let clean = s8.evaluate_all_moves(&env8, v8, &mut fresh);
-            for (d, (r, c)) in reused.iter().zip(clean).enumerate() {
-                assert_eq!(
-                    (
-                        r.transfer_time.to_bits(),
-                        r.movement_cost.to_bits(),
-                        r.runtime_cost.to_bits()
-                    ),
-                    (
-                        c.transfer_time.to_bits(),
-                        c.movement_cost.to_bits(),
-                        c.runtime_cost.to_bits()
-                    ),
-                    "v={v8} d={d}: reused {r:?} vs fresh {c:?}"
-                );
-            }
+            assert_eq!(reused, clean, "v={v8}");
         }
     }
 
@@ -953,13 +889,9 @@ mod tests {
             assert_eq!(a.count_lanes(), b.count_lanes(), "θ {theta}: counts");
             assert_eq!(a.meta, b.meta, "θ {theta}: meta");
             assert_eq!(a.edges_per_dc, b.edges_per_dc, "θ {theta}: balance");
+            assert_eq!((&a.gather, &a.apply), (&b.gather, &b.apply), "θ {theta}: loads");
+            assert_eq!(a.moved, b.moved, "θ {theta}: moved bytes");
             assert_eq!(a.movement_cost.to_bits(), b.movement_cost.to_bits());
-            for d in 0..8 {
-                assert_eq!(a.gather.up(d).to_bits(), b.gather.up(d).to_bits(), "θ {theta}");
-                assert_eq!(a.gather.down(d).to_bits(), b.gather.down(d).to_bits(), "θ {theta}");
-                assert_eq!(a.apply.up(d).to_bits(), b.apply.up(d).to_bits(), "θ {theta}");
-                assert_eq!(a.apply.down(d).to_bits(), b.apply.down(d).to_bits(), "θ {theta}");
-            }
         }
     }
 
@@ -1003,6 +935,71 @@ mod tests {
         match HybridState::try_from_masters(&geo, &env, masters, 16, profile, 10.0) {
             Err(PlanError::MasterOutOfRange { vertex: 3, dc: 42, num_dcs: 8 }) => {}
             other => panic!("expected master-out-of-range, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn profile_values_that_are_not_loads_are_typed_errors() {
+        // NaN, a negative size and one past u32::MAX load units, at every
+        // door a profile enters a state by.
+        let (geo, env) = setup(29);
+        let n = geo.num_vertices();
+        for bad in [f32::NAN, -0.5, 2.0e7] {
+            let expect = |what: &str, got: Result<(), PlanError>, vertex: VertexId| match got {
+                Err(PlanError::ProfileOutOfRange { vertex: v, bytes })
+                    if v == vertex && bytes.to_bits() == bad.to_bits() => {}
+                other => panic!("{what} with {bad}: expected ProfileOutOfRange, got {other:?}"),
+            };
+            let mut profile = TrafficProfile::uniform(n, 8.0);
+            profile.apply_bytes[5] = bad;
+            let built = HybridState::try_from_masters(
+                &geo,
+                &env,
+                geo.locations.clone(),
+                16,
+                profile.clone(),
+                10.0,
+            );
+            expect("try_from_masters", built.map(drop), 5);
+            let edges = geo.graph.edges().map(|(u, v)| (u, v, geo.locations[v as usize]));
+            let placed = PlacementState::from_edge_placement(
+                &env,
+                n,
+                edges,
+                geo.locations.clone(),
+                vec![true; n],
+                &geo.locations,
+                &geo.data_sizes,
+                profile,
+                10.0,
+            );
+            expect("from_edge_placement", placed.map(drop), 5);
+
+            // A resume whose appended vertex carries the value is refused
+            // by the check a caller runs on its borrowed carrier.
+            let (core, theta) = state(&geo, &env).into_parts();
+            let delta = GraphDelta::from_events(
+                &geo.graph,
+                &[geograph::dynamic::EdgeEvent {
+                    src: n as VertexId,
+                    dst: 0,
+                    timestamp_ms: 0,
+                    kind: geograph::dynamic::EventKind::Insert,
+                }],
+            );
+            let grown = GeoGraph::new(
+                geo.graph.apply_delta(&delta),
+                [&geo.locations[..], &[0]].concat(),
+                [&geo.data_sizes[..], &[64]].concat(),
+                geo.num_dcs,
+            );
+            let mut grown_profile = TrafficProfile::uniform(n + 1, 8.0);
+            grown_profile.gather_bytes[n] = bad;
+            let check = HybridState::check_resume(&core, &grown, &delta, &grown_profile);
+            expect("check_resume", check, n as VertexId);
+            let resumed =
+                HybridState::resume_from_parts(core, theta, &grown, &env, &delta, &grown_profile);
+            expect("resume_from_parts", resumed.map(drop), n as VertexId);
         }
     }
 
@@ -1054,10 +1051,9 @@ mod tests {
             EdgeEvent { src, dst, timestamp_ms: ts, kind }
         }
 
-        /// Asserts the integer state of two plans over the same graph is
-        /// bit-for-bit identical, and that the incremental one passes the
-        /// full rebuild cross-check (loads/cost to fp tolerance, kernel
-        /// bitwise).
+        /// Asserts the state of two plans over the same graph is identical,
+        /// and that the incremental one passes the full rebuild cross-check
+        /// (loads, moved bytes and their price exactly, kernel bitwise).
         fn assert_state_matches_fresh(env: &CloudEnv, inc: &HybridState<'_>) {
             let fresh = HybridState::from_masters(
                 inc.geo,
@@ -1137,7 +1133,7 @@ mod tests {
             // Existing masters are carried, new ones are natural.
             assert_eq!(&s1.core.masters[..200], &masters_before[..]);
             assert_eq!(&s1.core.masters[200..], &geo1.locations[200..]);
-            // Nobody moved => tracked Eq 4 cost is untouched (bitwise).
+            // Nobody moved => the Eq 4 cost is untouched (bitwise).
             assert_eq!(s1.core.movement_cost.to_bits(), movement_before.to_bits());
             assert_state_matches_fresh(&env, &s1);
         }
@@ -1167,10 +1163,7 @@ mod tests {
             assert_eq!(stats, crate::DeltaApplyStats::default());
             assert_eq!(stats.work_items(), 0);
             assert_eq!(s1.core.count_lanes(), counts_before);
-            let after = s1.objective(&env);
-            assert_eq!(before.transfer_time.to_bits(), after.transfer_time.to_bits());
-            assert_eq!(before.movement_cost.to_bits(), after.movement_cost.to_bits());
-            assert_eq!(before.runtime_cost.to_bits(), after.runtime_cost.to_bits());
+            assert_eq!(s1.objective(&env), before);
         }
 
         #[test]

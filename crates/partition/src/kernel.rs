@@ -34,12 +34,13 @@
 //!
 //! [`PlacementState::evaluate_moves`] is the one implementation: it takes
 //! the destinations as a bit mask and walks only the flagged corrections
-//! and rows. A destination's slot goes through the *same* floating-point
-//! operations in the *same* order whichever other bits are set, so a
+//! and rows. Its `f64` lanes hold whole load units, exact in any order, so
+//! a slot is the objective the state reports after that move, and a
 //! one-bit mask (a batched migration proposal, §V-A) equals that slot of
 //! the all-DC sweep (scoring, Eq 10) **bit-for-bit** (enforced by
 //! `HybridState::check_consistency` and the property suite).
 
+use geosim::transfer::Units;
 use geosim::CloudEnv;
 
 use crate::state::{Objective, PlacementState};
@@ -77,7 +78,7 @@ pub struct MoveScratch {
     /// [`seal`](Self::seal) runs.
     pub(crate) neighbors: Vec<(VertexId, CntDelta)>,
     sealed: bool,
-    // Live loads minus v minus neighbor source-side transitions (len M).
+    // Live load units minus v minus neighbor source-side transitions (len M).
     mid_gu: Vec<f64>,
     mid_gd: Vec<f64>,
     mid_au: Vec<f64>,
@@ -105,6 +106,8 @@ pub struct MoveScratch {
     row_gd: Vec<f64>,
     row_au: Vec<f64>,
     row_ad: Vec<f64>,
+    // The state's Eq 4 moved bytes, v's home entry re-priced (len M).
+    moved: Vec<u64>,
     objectives: Vec<Objective>,
 }
 
@@ -184,6 +187,7 @@ impl MoveScratch {
             buf.fill(0.0);
         }
         self.dest_dirty = 0;
+        self.moved.resize(m, 0);
         self.objectives.resize(m, zero_obj);
     }
 
@@ -219,7 +223,7 @@ impl MoveScratch {
     }
 
     /// Heap bytes held by this arena: the staged-neighbor buffer plus the
-    /// twelve len-M rows, two M×M destination arenas and the
+    /// thirteen len-M rows, two M×M destination arenas and the
     /// per-destination objectives.
     pub fn heap_bytes(&self) -> usize {
         let f64s = self.mid_gu.capacity()
@@ -237,6 +241,7 @@ impl MoveScratch {
             + self.dest_au.capacity()
             + self.diag_ad.capacity();
         f64s * std::mem::size_of::<f64>()
+            + self.moved.capacity() * std::mem::size_of::<u64>()
             + self.neighbors.capacity() * std::mem::size_of::<(VertexId, CntDelta)>()
             + self.objectives.capacity() * std::mem::size_of::<Objective>()
     }
@@ -307,13 +312,13 @@ impl PlacementState {
     /// the scratch, indexed by destination, and only the slots of `dests`
     /// are written (`objectives[master(v)]`, if flagged, is the unchanged
     /// current objective). `natural` and `size` are `v`'s home DC and data
-    /// bytes, which price each destination's Eq 4 movement cost.
+    /// bytes: Eq 4 is priced twice, for `v` at home and away from it.
     ///
     /// Cost: `O(deg(v) + M)` sweep + `O(deg(v))` count-row scans with
     /// sparse corrections + `O(M)` tiny-constant projection per flagged
     /// destination. Each slot's value does not depend on which other
     /// destinations are flagged: a one-bit mask is the single-destination
-    /// evaluation, bit-for-bit the slot of the all-DC sweep.
+    /// evaluation, the slot of the all-DC sweep.
     pub fn evaluate_moves<'s>(
         &self,
         env: &CloudEnv,
@@ -356,6 +361,7 @@ impl PlacementState {
             ref mut row_ad,
             ref def_g,
             ref def_a,
+            ref mut moved,
             ref mut objectives,
             ..
         } = *scratch;
@@ -366,12 +372,19 @@ impl PlacementState {
             tot_a += def_a[d];
         }
 
+        // Eq 4 depends on the destination only through "home or not": price
+        // both, with v's bytes taken out of its home entry and put back.
+        let home = natural as usize;
+        moved[..m].copy_from_slice(self.moved_bytes());
+        moved[home] -= if a != home { size } else { 0 };
+        let cost_home = geosim::cost::price(env, &moved[..m]);
+        moved[home] += size;
+        let cost_away = geosim::cost::price(env, &moved[..m]);
+
         // Project every flagged destination, ascending: row = mid +
         // correction row + defaults (neighbors mastered at `b` are exempt
         // from row `b`), then re-add v mastered at b (its counts at the old
-        // master a adjusted) and price the move's Eq 4 delta.
-        let base =
-            self.movement_cost - geosim::cost::vertex_move_cost(env, natural, a as DcId, size);
+        // master a adjusted).
         let mut todo = dests;
         while todo != 0 {
             let b = todo.trailing_zeros() as usize;
@@ -383,22 +396,20 @@ impl PlacementState {
             if dest_dirty & (1u64 << b) != 0 {
                 let r = b * m;
                 for d in 0..m {
-                    row_gu[d] = mid_gu[d] + 0.0;
+                    row_gu[d] = mid_gu[d];
                     row_gd[d] = mid_gd[d] + dest_gd[r + d];
                     row_au[d] = mid_au[d] + dest_au[r + d];
-                    row_ad[d] = mid_ad[d] + 0.0;
+                    row_ad[d] = mid_ad[d];
                 }
-                row_gu[b] = mid_gu[b] + diag_gu[b];
-                row_ad[b] = mid_ad[b] + diag_ad[b];
+                row_gu[b] += diag_gu[b];
+                row_ad[b] += diag_ad[b];
             } else {
-                // Clean row: every correction cell is +0.0, so adding the
-                // literal constant is bit-identical without touching the
-                // arena.
+                // A clean row's corrections are all zero. Lane loops, not
+                // `copy_from_slice`: four `memcpy` calls a destination read
+                // ~12 % slower on a hub vertex's sweep at M = 8.
                 for d in 0..m {
-                    row_gu[d] = mid_gu[d] + 0.0;
-                    row_gd[d] = mid_gd[d] + 0.0;
-                    row_au[d] = mid_au[d] + 0.0;
-                    row_ad[d] = mid_ad[d] + 0.0;
+                    (row_gu[d], row_gd[d]) = (mid_gu[d], mid_gd[d]);
+                    (row_au[d], row_ad[d]) = (mid_au[d], mid_ad[d]);
                 }
             }
             row_gu[b] += tot_g - def_g[b];
@@ -414,10 +425,9 @@ impl PlacementState {
             self.project_vertex_into(
                 v, b, a, sd.in_a, sd.out_a, 1.0, row_gu, row_gd, row_au, row_ad,
             );
-            let movement_cost =
-                base + geosim::cost::vertex_move_cost(env, natural, b as DcId, size);
+            let movement_cost = if b == home { cost_home } else { cost_away };
             objectives[b] =
-                self.objective_from_rows(env, movement_cost, row_gu, row_gd, row_au, row_ad);
+                self.objective_from_rows(env, movement_cost, [row_gu, row_gd, row_au, row_ad]);
         }
         &scratch.objectives[..m]
     }
@@ -536,10 +546,11 @@ impl PlacementState {
             ref mut mid_ad,
             ..
         } = *scratch;
-        mid_gu[..m].copy_from_slice(self.gather.up_slice());
-        mid_gd[..m].copy_from_slice(self.gather.down_slice());
-        mid_au[..m].copy_from_slice(self.apply.up_slice());
-        mid_ad[..m].copy_from_slice(self.apply.down_slice());
+        let (g, ap) = (&self.gather, &self.apply);
+        for d in 0..m {
+            (mid_gu[d], mid_gd[d]) = (g.up()[d] as f64, g.down()[d] as f64);
+            (mid_au[d], mid_ad[d]) = (ap.up()[d] as f64, ap.down()[d] as f64);
+        }
         self.project_vertex_into(v, a, a, 0, 0, -1.0, mid_gu, mid_gd, mid_au, mid_ad);
         for &(x, delta) in neighbors {
             if delta.in_a == 0 && delta.out_a == 0 {
@@ -588,10 +599,9 @@ impl PlacementState {
         let g = mv.g as f64 * sign;
         let a_bytes = mv.a as f64 * sign;
         let high = mv.high;
-        // Empty cells contribute nothing, so walking the occupancy mask in
-        // ascending bit order (with `adj_dc` forced in — its cell may be
-        // empty but gain counts from the delta) performs exactly the fp
-        // operations of a full `0..m` scan, in the same order.
+        // Empty cells contribute nothing, so only the occupancy mask is
+        // walked, with `adj_dc` forced in: its cell may be empty but gain
+        // counts from the delta.
         let mut bits = (mv.nnz | (1u64 << adj_dc)) & !(1u64 << master);
         while bits != 0 {
             let d = bits.trailing_zeros() as usize;
@@ -614,18 +624,14 @@ impl PlacementState {
         }
     }
 
-    /// Eq 1 + Eq 5 over projected rows, beside the destination's Eq 4
-    /// `movement_cost`. Delegates to the same shared [`geosim::transfer`]
-    /// reductions as [`PlacementState::objective`] — one Eq 2/3 / Eq 5
-    /// implementation for the whole workspace.
-    fn objective_from_rows(
+    /// Eq 1 + Eq 5 over rows of load units, beside an Eq 4 `movement_cost`:
+    /// the move kernel's projection and [`PlacementState::objective`], over
+    /// the shared [`geosim::transfer`] reductions.
+    pub(crate) fn objective_from_rows<T: Units>(
         &self,
         env: &CloudEnv,
         movement_cost: f64,
-        gu: &[f64],
-        gd: &[f64],
-        au: &[f64],
-        ad: &[f64],
+        [gu, gd, au, ad]: [&[T]; 4],
     ) -> Objective {
         let m = self.num_dcs;
         let transfer_time = geosim::transfer::stage_time_rows(&gu[..m], &gd[..m], env)

@@ -1,5 +1,10 @@
 //! Expected per-iteration traffic of the analytics job.
 
+use geosim::transfer::BYTES_PER_UNIT;
+
+use crate::error::PlanError;
+use crate::VertexId;
+
 /// Expected message sizes per vertex per iteration.
 ///
 /// The paper's performance model (Eq 1–3) is parameterized by `g_v^r(i)`
@@ -45,16 +50,21 @@ impl TrafficProfile {
         self.gather_bytes.is_empty()
     }
 
-    /// Gather bytes of vertex `v` as f64 (the load accumulators are f64).
-    #[inline]
-    pub fn g(&self, v: geograph::VertexId) -> f64 {
-        self.gather_bytes[v as usize] as f64
-    }
-
-    /// Apply bytes of vertex `v` as f64.
-    #[inline]
-    pub fn a(&self, v: geograph::VertexId) -> f64 {
-        self.apply_bytes[v as usize] as f64
+    /// Vertex `v`'s `(g_v, a_v)` rounded to the nearest load unit — the one
+    /// quantisation, where a profile enters a placement state or a load
+    /// accumulator. NaN, a negative value or one past `u32::MAX` units is
+    /// [`PlanError::ProfileOutOfRange`].
+    pub fn units(&self, v: VertexId) -> Result<(u32, u32), PlanError> {
+        let quantise = |bytes: f32| {
+            let units = (bytes as f64 / BYTES_PER_UNIT).round();
+            if bytes >= 0.0 && units <= u32::MAX as f64 {
+                Ok(units as u32)
+            } else {
+                Err(PlanError::ProfileOutOfRange { vertex: v, bytes })
+            }
+        };
+        let i = v as usize;
+        Ok((quantise(self.gather_bytes[i])?, quantise(self.apply_bytes[i])?))
     }
 
     /// Grows the profile to cover `n` vertices, filling new entries with
@@ -75,16 +85,16 @@ mod tests {
     fn uniform() {
         let p = TrafficProfile::uniform(3, 8.0);
         assert_eq!(p.len(), 3);
-        assert_eq!(p.g(0), 8.0);
-        assert_eq!(p.a(2), 8.0);
+        assert_eq!(p.units(0), Ok((2048, 2048)));
+        assert_eq!(p.units(2), Ok((2048, 2048)));
     }
 
     #[test]
     fn weighted() {
         let p = TrafficProfile::weighted(&[0.0, 0.5, 1.0], 8.0);
-        assert_eq!(p.g(0), 0.0);
-        assert_eq!(p.a(1), 4.0);
-        assert_eq!(p.g(2), 8.0);
+        assert_eq!(p.units(0), Ok((0, 0)));
+        assert_eq!(p.units(1), Ok((1024, 1024)));
+        assert_eq!(p.units(2), Ok((2048, 2048)));
     }
 
     #[test]
@@ -92,8 +102,40 @@ mod tests {
         let mut p = TrafficProfile::uniform(2, 8.0);
         p.grow(4, 2.0);
         assert_eq!(p.len(), 4);
-        assert_eq!(p.g(3), 2.0);
+        assert_eq!(p.units(3), Ok((512, 512)));
         p.grow(1, 99.0);
         assert_eq!(p.len(), 4);
+    }
+
+    #[test]
+    fn units_round_to_nearest_and_round_trip() {
+        let p = TrafficProfile {
+            gather_bytes: vec![1.5e-3, -0.0, 1e6, 1.0e7],
+            apply_bytes: vec![0.3, 2.0e-3, 65536.5, 7.0],
+        };
+        assert_eq!(p.units(0), Ok((0, 77)));
+        assert_eq!(p.units(1), Ok((0, 1)));
+        // Units in bytes (what a state's `traffic_profile` returns) quantise
+        // back to the same units.
+        let bytes = |u: u32| u as f32 * BYTES_PER_UNIT as f32;
+        for v in 0..4 {
+            let (g, a) = p.units(v).unwrap();
+            let back = TrafficProfile { gather_bytes: vec![bytes(g)], apply_bytes: vec![bytes(a)] };
+            assert_eq!(back.units(0), Ok((g, a)), "v {v}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_bytes_are_typed_errors() {
+        for bad in [f32::NAN, -1.0, f32::INFINITY, 2.0e7] {
+            let p = TrafficProfile { gather_bytes: vec![8.0, 8.0], apply_bytes: vec![8.0, bad] };
+            assert_eq!(p.units(0), Ok((2048, 2048)));
+            match p.units(1) {
+                Err(PlanError::ProfileOutOfRange { vertex: 1, bytes }) => {
+                    assert_eq!(bytes.to_bits(), bad.to_bits())
+                }
+                other => panic!("{bad}: expected ProfileOutOfRange, got {other:?}"),
+            }
+        }
     }
 }

@@ -3,20 +3,20 @@
 //! placement is not a function of the masters.
 //!
 //! Crash-exact recovery needs the restored state to be **bit-identical**
-//! to the live one — not merely equivalent under `validate_plan`'s f64
-//! tolerances. Rebuilding from masters would re-accumulate the stage
-//! loads in a different order and drift by ULPs, so the snapshot instead
-//! captures the incrementally-tracked accumulators exactly as they are:
-//! `num_iterations`, `movement_cost` and the four stage-load vectors
-//! travel as raw `f64` bits.
+//! to the live one. Every accumulator but one is an integer function of
+//! the graph, the masters and the profile, so it is rebuilt rather than
+//! stored: the stage loads (in load units) and the Eq 4 moved bytes sum
+//! to the same integers in any order. What travels as raw `f64` bits is
+//! `num_iterations` and the priced `movement_cost`, because the decoder
+//! has no environment to price the moved bytes with.
 //!
 //! What else travels is what the hybrid-cut rule (§IV-B) reads: the
 //! masters as a `⌈log2 M⌉`-bit DC-id plane, `is_high` as a bitmap (so
 //! decoding does not depend on how θ classifies) and the near-constant
-//! traffic profile as `(value, run)` pairs. The `n × M × 2` count plane,
-//! the occupancy masks and the per-DC edge balance are that rule's output
-//! over the snapshot's graph, so [`decode_placement`] rebuilds them with
-//! the same row-sequential kernel `HybridState::from_masters` uses
+//! traffic profile as `(units, run)` varint pairs. The `n × M × 2` count
+//! plane, the occupancy masks and the per-DC edge balance are that rule's
+//! output over the snapshot's graph, so [`decode_placement`] rebuilds them
+//! with the same row-sequential kernel `HybridState::from_masters` uses
 //! (`PlacementState::place_hybrid_edges`) and a snapshot cannot carry an
 //! inconsistent plane. Malformed bytes surface as typed [`WireError`]s —
 //! never panics, never a half-valid state.
@@ -24,33 +24,15 @@
 use std::io::{self, Write};
 
 use geograph::wire::{
-    put_dcs, put_f32_runs, put_varint, read_dcs, BitReader, BitWriter, Reader, WireError,
+    put_dcs, put_runs, put_varint, read_dcs, BitReader, BitWriter, Reader, WireError,
 };
-use geograph::{DcId, GeoGraph, MAX_DCS};
-use geosim::StageLoads;
+use geograph::{GeoGraph, MAX_DCS};
 
-use crate::profile::TrafficProfile;
 use crate::state::PlacementState;
 
-fn put_loads<W: Write>(w: &mut W, loads: &StageLoads, m: usize) -> io::Result<()> {
-    let dcs = || 0..m as DcId;
-    dcs()
-        .map(|d| loads.up(d))
-        .chain(dcs().map(|d| loads.down(d)))
-        .try_for_each(|x| w.write_all(&x.to_bits().to_le_bytes()))
-}
-
-fn take_loads(r: &mut Reader<'_>, m: usize) -> Result<StageLoads, WireError> {
-    let mut loads = StageLoads::new(m);
-    // Adding onto a zero accumulator is exact, so the restored loads carry
-    // the encoded bits verbatim.
-    for d in 0..m as DcId {
-        loads.add_up(d, r.f64()?);
-    }
-    for d in 0..m as DcId {
-        loads.add_down(d, r.f64()?);
-    }
-    Ok(loads)
+/// Writes one profile plane of load units as `(units, run)` varint pairs.
+fn put_unit_runs<W: Write>(w: &mut W, units: impl Iterator<Item = u32> + Clone) -> io::Result<()> {
+    put_runs(w, units, u64::from, |w, x| put_varint(w, x.into()))
 }
 
 /// Writes the wire form of the hybrid-cut `state` to `w`: everything but
@@ -65,16 +47,14 @@ pub fn encode_placement<W: Write>(state: &PlacementState, w: &mut W) -> io::Resu
     let mut bitmap = BitWriter::new(w);
     state.meta.iter().try_for_each(|meta| bitmap.bits(meta.high as u64, 1))?;
     bitmap.finish()?;
-    put_f32_runs(w, state.meta.iter().map(|meta| meta.g))?;
-    put_f32_runs(w, state.meta.iter().map(|meta| meta.a))?;
-    put_loads(w, &state.gather, m)?;
-    put_loads(w, &state.apply, m)
+    put_unit_runs(w, state.meta.iter().map(|meta| meta.g))?;
+    put_unit_runs(w, state.meta.iter().map(|meta| meta.a))
 }
 
 /// Decodes one hybrid-cut placement state over `geo` from `r`, rebuilding
-/// the count plane, occupancy masks and per-DC balance from `geo`'s graph.
-/// A state whose vertex or DC count is not `geo`'s is refused before
-/// anything is derived.
+/// the count plane, occupancy masks, per-DC balance, stage loads and moved
+/// bytes from `geo`. A state whose vertex or DC count is not `geo`'s is
+/// refused before anything is derived.
 pub fn decode_placement(r: &mut Reader<'_>, geo: &GeoGraph) -> Result<PlacementState, WireError> {
     let (n, m) = (r.varint()?, r.varint()?);
     if m == 0 || m > MAX_DCS as u64 {
@@ -95,16 +75,15 @@ pub fn decode_placement(r: &mut Reader<'_>, geo: &GeoGraph) -> Result<PlacementS
     let mut bitmap = BitReader::new(r);
     let is_high = (0..n).map(|_| Ok(bitmap.bits(1)? == 1)).collect::<Result<Vec<_>, _>>()?;
     bitmap.finish()?;
-    let gather_bytes = r.runs(n, Reader::f32)?;
-    let apply_bytes = r.runs(n, Reader::f32)?;
-    let gather = take_loads(r, m)?;
-    let apply = take_loads(r, m)?;
+    let g = r.runs(n, Reader::varint_u32)?;
+    let a = r.runs(n, Reader::varint_u32)?;
 
-    let profile = TrafficProfile { gather_bytes, apply_bytes };
-    let mut state = PlacementState::unplaced(m, masters, is_high, profile, num_iterations);
+    let units = g.into_iter().zip(a).map(Ok);
+    let mut state = PlacementState::unplaced(m, masters, is_high, units, num_iterations)
+        .expect("decoded units are loads");
     state.place_hybrid_edges(&geo.graph);
-    state.gather = gather;
-    state.apply = apply;
+    state.rebuild_loads();
+    state.moved = geosim::cost::moved_bytes(&geo.locations, &state.masters, &geo.data_sizes);
     state.movement_cost = movement_cost;
     Ok(state)
 }
@@ -129,6 +108,7 @@ pub fn placement_from_bytes(bytes: &[u8], geo: &GeoGraph) -> Result<PlacementSta
 mod tests {
     use super::*;
     use crate::hybrid::HybridState;
+    use crate::profile::TrafficProfile;
     use geograph::{GraphBuilder, LocalityConfig};
     use geosim::CloudEnv;
 
@@ -155,18 +135,10 @@ mod tests {
         assert_eq!(a.count_lanes(), b.count_lanes());
         assert_eq!(a.meta, b.meta);
         assert_eq!(a.edges_per_dc, b.edges_per_dc);
+        assert_eq!((&a.gather, &a.apply), (&b.gather, &b.apply));
+        assert_eq!(a.moved, b.moved);
         assert_eq!(a.movement_cost.to_bits(), b.movement_cost.to_bits());
         assert_eq!(a.num_iterations.to_bits(), b.num_iterations.to_bits());
-        let bits = |s: &PlacementState| {
-            s.meta.iter().map(|m| (m.g.to_bits(), m.a.to_bits())).collect::<Vec<_>>()
-        };
-        assert_eq!(bits(a), bits(b));
-        for d in 0..a.num_dcs as DcId {
-            assert_eq!(a.gather.up(d).to_bits(), b.gather.up(d).to_bits());
-            assert_eq!(a.gather.down(d).to_bits(), b.gather.down(d).to_bits());
-            assert_eq!(a.apply.up(d).to_bits(), b.apply.up(d).to_bits());
-            assert_eq!(a.apply.down(d).to_bits(), b.apply.down(d).to_bits());
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! vertex-cut): per-vertex edge-location counts, mirror sets, and the
 //! per-DC load accumulators behind the Eq 1–5 objective.
 
-use geograph::Graph;
+use geograph::{Graph, MAX_DCS};
 use geosim::{CloudEnv, StageLoads};
 
 use crate::error::PlanError;
@@ -50,10 +50,10 @@ pub(crate) struct VertexMeta {
     /// later count mutation ([`PlacementState::bump`]); `num_dcs <= 64` is
     /// enforced at construction, so one `u64` always suffices.
     pub(crate) nnz: u64,
-    /// Expected gather bytes per iteration (`g_v`).
-    pub(crate) g: f32,
-    /// Expected apply bytes per iteration (`a_v`).
-    pub(crate) a: f32,
+    /// Expected gather bytes per iteration (`g_v`), in load units.
+    pub(crate) g: u32,
+    /// Expected apply bytes per iteration (`a_v`), in load units.
+    pub(crate) a: u32,
     /// Master DC (mirror of `masters[v]`).
     pub(crate) master: DcId,
     /// High-degree class under the state's θ.
@@ -208,8 +208,9 @@ pub(crate) struct PlacementDeltaOps {
     pub(crate) new_masters: Vec<DcId>,
     /// Degree class for the appended vertices.
     pub(crate) new_high: Vec<bool>,
-    /// Traffic-profile entries `(g_v, a_v)` for the appended vertices.
-    pub(crate) new_profile: Vec<(f32, f32)>,
+    /// Traffic-profile entries `(g_v, a_v)` for the appended vertices, in
+    /// load units.
+    pub(crate) new_profile: Vec<(u32, u32)>,
     /// Old-range vertices whose degree class flips, with the new class.
     pub(crate) flips: Vec<(VertexId, bool)>,
     /// Edges to remove from their current DC: `(src, dst, dc)`. Every entry
@@ -239,7 +240,9 @@ pub(crate) struct PlacementDeltaOps {
 ///   the paper's unified representation §III-B).
 ///
 /// The per-DC gather/apply [`StageLoads`] are maintained incrementally so a
-/// candidate move is evaluated in `O(deg(v) + M)`.
+/// candidate move is evaluated in `O(deg(v) + M)`. They and the Eq 4 moved
+/// bytes are integers, so the state is a function of (graph, masters,
+/// profile) alone, whatever order its moves and deltas were applied in.
 ///
 /// Per vertex the state holds a `2 · M`-lane `u16` count row, a 24-byte
 /// [`VertexMeta`] and its master: 57 bytes at M = 8.
@@ -273,6 +276,10 @@ pub struct PlacementState {
     pub(crate) edges_per_dc: Vec<u64>,
     pub(crate) gather: StageLoads,
     pub(crate) apply: StageLoads,
+    /// Eq 4 before pricing: input bytes mastered away from home, by home
+    /// DC. Inline: as a `Vec` it showed in the delta pipeline's peak RSS.
+    pub(crate) moved: [u64; MAX_DCS],
+    /// `moved` priced by the last [`Self::reprice`].
     pub(crate) movement_cost: f64,
     pub(crate) num_iterations: f64,
 }
@@ -312,7 +319,8 @@ impl PlacementState {
         if let Some((vertex, &dc)) = masters.iter().enumerate().find(|&(_, &d)| d as usize >= m) {
             return Err(PlanError::MasterOutOfRange { vertex: vertex as VertexId, dc, num_dcs: m });
         }
-        let mut state = Self::unplaced(m, masters, is_high, profile, num_iterations);
+        let units = (0..num_vertices as VertexId).map(|v| profile.units(v));
+        let mut state = Self::unplaced(m, masters, is_high, units, num_iterations)?;
         for (u, v, d) in edges {
             if d as usize >= m {
                 return Err(PlanError::EdgeDcOutOfRange { src: u, dst: v, dc: d, num_dcs: m });
@@ -324,34 +332,33 @@ impl PlacementState {
             state.place_edge(u, v, d);
         }
         state.rebuild_loads();
-        state.movement_cost = geosim::cost::movement_cost(env, natural, &state.masters, data_sizes);
+        state.moved = geosim::cost::moved_bytes(natural, &state.masters, data_sizes);
+        state.reprice(env);
         Ok(state)
     }
 
     /// A state over `num_dcs` DCs with its masters, degree classes and
-    /// profile set and nothing placed: every count, occupancy mask,
-    /// balance and load accumulator is zero. Lengths must agree and
-    /// masters must already be below `num_dcs`. The classes and the
-    /// profile are copied into the [`VertexMeta`] records and dropped.
+    /// per-vertex `(g, a)` load units set and nothing placed: every count,
+    /// occupancy mask, balance, load and moved byte is zero. Lengths must
+    /// agree and masters must already be below `num_dcs`. The classes and
+    /// the units are copied into the [`VertexMeta`] records; the first
+    /// unit error is returned.
     pub(crate) fn unplaced(
         num_dcs: usize,
         masters: Vec<DcId>,
         is_high: Vec<bool>,
-        profile: TrafficProfile,
+        units: impl Iterator<Item = Result<(u32, u32), PlanError>>,
         num_iterations: f64,
-    ) -> Self {
+    ) -> Result<Self, PlanError> {
         let n = masters.len();
-        let meta = (0..n)
-            .map(|i| VertexMeta {
-                nnz: 0,
-                g: profile.gather_bytes[i],
-                a: profile.apply_bytes[i],
-                master: masters[i],
-                high: is_high[i],
-                wide: false,
-            })
-            .collect();
-        PlacementState {
+        // Sized up front: a collected `Result` iterator over-allocates.
+        let mut meta = Vec::with_capacity(n);
+        for (units, (&master, &high)) in units.zip(masters.iter().zip(&is_high)) {
+            let (g, a) = units?;
+            meta.push(VertexMeta { nnz: 0, g, a, master, high, wide: false });
+        }
+        assert_eq!(meta.len(), n);
+        Ok(PlacementState {
             num_dcs,
             masters,
             counts: vec![0; n * num_dcs * 2],
@@ -360,9 +367,10 @@ impl PlacementState {
             edges_per_dc: vec![0; num_dcs],
             gather: StageLoads::new(num_dcs),
             apply: StageLoads::new(num_dcs),
+            moved: [0; MAX_DCS],
             movement_cost: 0.0,
             num_iterations,
-        }
+        })
     }
 
     /// Places every edge of `graph` by the hybrid-cut rule (§IV-B) under
@@ -508,35 +516,30 @@ impl PlacementState {
         }
     }
 
-    /// Adds vertex `v`'s traffic contribution into the live accumulators.
-    /// Iterates only `v`'s occupied cells — empty cells contribute
-    /// nothing, so the skipped iterations leave the accumulated sums
-    /// bit-identical to a full `0..m` scan.
+    /// Adds vertex `v`'s traffic contribution into the live accumulators:
+    /// a `g_v` gather message from every occupied in-cell off its master
+    /// (high-degree `v` only) and an `a_v` apply message to every mirror.
     pub(crate) fn add_vertex_loads(&mut self, v: VertexId) {
-        self.accumulate_vertex_loads(v, 1.0);
+        self.accumulate_vertex_loads(v, StageLoads::add_transfer);
     }
 
     /// Removes vertex `v`'s traffic contribution from the live accumulators.
     pub(crate) fn remove_vertex_loads(&mut self, v: VertexId) {
-        self.accumulate_vertex_loads(v, -1.0);
+        self.accumulate_vertex_loads(v, StageLoads::remove_transfer);
     }
 
-    /// Adds `sign` (±1) times vertex `v`'s traffic contribution.
-    fn accumulate_vertex_loads(&mut self, v: VertexId, sign: f64) {
+    /// Feeds each of vertex `v`'s messages to `op` (add or remove).
+    fn accumulate_vertex_loads(&mut self, v: VertexId, op: fn(&mut StageLoads, DcId, DcId, u64)) {
         let meta = self.meta[v as usize];
-        let master = meta.master as usize;
-        let g = meta.g as f64 * sign;
-        let a = meta.a as f64 * sign;
+        let master = meta.master;
         let row = count_row(&self.counts, &self.wide, 2 * self.num_dcs, v as usize, meta.wide);
         for d in Bits(meta.nnz & !(1u64 << master)) {
             let (in_c, out_c) = row.pair(d);
             if meta.high && in_c > 0 {
-                self.gather.add_up(d as DcId, g);
-                self.gather.add_down(master as DcId, g);
+                op(&mut self.gather, d as DcId, master, meta.g as u64);
             }
             if in_c + out_c > 0 {
-                self.apply.add_up(master as DcId, a);
-                self.apply.add_down(d as DcId, a);
+                op(&mut self.apply, master, d as DcId, meta.a as u64);
             }
         }
     }
@@ -570,8 +573,8 @@ impl PlacementState {
     /// classes are still intact; all unplacements run before any placement
     /// (each names a distinct currently-placed edge, so no lane can
     /// underflow); loads are re-accumulated once the new state is final.
-    /// The tracked Eq 4 movement cost is unchanged by construction: old
-    /// masters stay put and appended masters sit at their natural DCs.
+    /// The Eq 4 moved bytes and their price are unchanged by construction:
+    /// old masters stay put and appended masters sit at their natural DCs.
     pub(crate) fn apply_delta(&mut self, ops: &PlacementDeltaOps) {
         let old_n = self.masters.len();
         debug_assert!(ops.affected.windows(2).all(|w| w[0] < w[1]));
@@ -644,7 +647,7 @@ impl PlacementState {
             (
                 "dc_accumulators",
                 self.edges_per_dc.capacity() * std::mem::size_of::<u64>()
-                    + 2 * 2 * self.num_dcs * std::mem::size_of::<f64>(),
+                    + 2 * 2 * self.num_dcs * std::mem::size_of::<u64>(),
             ),
         ]
     }
@@ -732,15 +735,32 @@ impl PlacementState {
         self.movement_cost
     }
 
-    /// Overrides the tracked Eq 4 movement cost.
-    ///
-    /// WAL replay uses this: a state rebuilt from masters sums the
-    /// movement cost in vertex order, while a live trainer accumulates it
-    /// incrementally — the two agree only to fp tolerance. Pinning the
-    /// committed bits keeps a recovered pipeline bit-exact with the
-    /// uninterrupted one.
-    pub fn override_movement_cost(&mut self, cost: f64) {
-        self.movement_cost = cost;
+    /// Eq 4 before pricing: input bytes mastered away from home, by home DC.
+    pub fn moved_bytes(&self) -> &[u64] {
+        &self.moved[..self.num_dcs]
+    }
+
+    /// Re-prices the moved bytes under `env` into the movement cost and
+    /// returns it. Every master change does this; replay checks commits.
+    pub fn reprice(&mut self, env: &CloudEnv) -> f64 {
+        self.movement_cost = geosim::cost::price(env, self.moved_bytes());
+        self.movement_cost
+    }
+
+    /// Moves `v`'s master to `to`, with the moved bytes of its `home` DC
+    /// and input size and their price. Counts and loads are the caller's.
+    pub(crate) fn set_master(&mut self, env: &CloudEnv, v: VertexId, to: DcId, home: (DcId, u64)) {
+        let (natural, size) = home;
+        let moved = &mut self.moved[natural as usize];
+        if self.masters[v as usize] != natural {
+            *moved -= size;
+        }
+        if to != natural {
+            *moved += size;
+        }
+        self.masters[v as usize] = to;
+        self.meta[v as usize].master = to;
+        self.reprice(env);
     }
 
     /// Number of analytics iterations the cost model charges for.
@@ -749,23 +769,22 @@ impl PlacementState {
     }
 
     /// A copy of the traffic profile the state is weighted with (the
-    /// state itself keeps it only in its meta records).
+    /// state itself keeps it only in its meta records, as load units that
+    /// quantise back to themselves).
     pub fn traffic_profile(&self) -> TrafficProfile {
+        let bytes = |units: u32| units as f32 * geosim::transfer::BYTES_PER_UNIT as f32;
         TrafficProfile {
-            gather_bytes: self.meta.iter().map(|meta| meta.g).collect(),
-            apply_bytes: self.meta.iter().map(|meta| meta.a).collect(),
+            gather_bytes: self.meta.iter().map(|meta| bytes(meta.g)).collect(),
+            apply_bytes: self.meta.iter().map(|meta| bytes(meta.a)).collect(),
         }
     }
 
-    /// Evaluates the current plan under `env` (Eq 1 + Eq 4/5).
+    /// Evaluates the current plan under `env` (Eq 1 + Eq 4/5), by the
+    /// reduction the move kernel projects with.
     pub fn objective(&self, env: &CloudEnv) -> Objective {
-        debug_assert_eq!(env.num_dcs(), self.num_dcs);
-        Objective {
-            transfer_time: self.gather.transfer_time(env) + self.apply.transfer_time(env),
-            movement_cost: self.movement_cost,
-            runtime_cost: self.num_iterations
-                * (self.gather.upload_cost(env) + self.apply.upload_cost(env)),
-        }
+        let (g, a) = (&self.gather, &self.apply);
+        let rows = [g.up(), g.down(), a.up(), a.down()];
+        self.objective_from_rows(env, self.movement_cost, rows)
     }
 }
 
@@ -773,6 +792,9 @@ impl PlacementState {
 mod tests {
     use super::*;
     use geosim::Datacenter;
+
+    /// The uniform profile's 8 bytes in load units.
+    const EIGHT_BYTES: u64 = 8 << geosim::transfer::LOAD_UNIT_SHIFT;
 
     fn env2() -> CloudEnv {
         CloudEnv::new(vec![
@@ -815,11 +837,11 @@ mod tests {
         let env = env2();
         let s = simple_state(&env);
         // Vertex 0 master at DC0 sends 8 bytes to its mirror at DC1.
-        assert_eq!(s.apply_loads().up(0), 8.0);
-        assert_eq!(s.apply_loads().down(1), 8.0);
+        assert_eq!(s.apply_loads().up()[0], EIGHT_BYTES);
+        assert_eq!(s.apply_loads().down()[1], EIGHT_BYTES);
         // Vertex 1 is high-degree but its in-edge is at its master: no gather.
-        assert_eq!(s.gather_loads().up(0), 0.0);
-        assert_eq!(s.gather_loads().up(1), 0.0);
+        assert_eq!(s.gather_loads().up()[0], 0);
+        assert_eq!(s.gather_loads().up()[1], 0);
     }
 
     #[test]
@@ -838,11 +860,11 @@ mod tests {
             10.0,
         )
         .unwrap();
-        assert_eq!(s.gather_loads().up(0), 8.0);
-        assert_eq!(s.gather_loads().down(1), 8.0);
+        assert_eq!(s.gather_loads().up()[0], EIGHT_BYTES);
+        assert_eq!(s.gather_loads().down()[1], EIGHT_BYTES);
         // Vertex 1 also has a mirror at DC 0 (its in-edge lives there):
-        assert_eq!(s.apply_loads().up(1), 8.0);
-        assert_eq!(s.apply_loads().down(0), 8.0);
+        assert_eq!(s.apply_loads().up()[1], EIGHT_BYTES);
+        assert_eq!(s.apply_loads().down()[0], EIGHT_BYTES);
     }
 
     #[test]
@@ -862,7 +884,7 @@ mod tests {
         .unwrap();
         assert_eq!(s.gather_loads().total_up(), 0.0);
         // Synchronization still happens at apply.
-        assert_eq!(s.apply_loads().up(1), 8.0);
+        assert_eq!(s.apply_loads().up()[1], EIGHT_BYTES);
     }
 
     #[test]
@@ -894,6 +916,7 @@ mod tests {
         )
         .unwrap();
         assert!((s.movement_cost() - 0.10).abs() < 1e-9);
+        assert_eq!(s.moved_bytes(), &[1_000_000_000, 0]);
     }
 
     #[test]

@@ -179,12 +179,7 @@ impl VertexCutState {
             return;
         }
         self.core.remove_vertex_loads(v);
-        let loc = geo.locations[v as usize];
-        let size = geo.data_sizes[v as usize];
-        self.core.movement_cost += geosim::cost::vertex_move_cost(env, loc, to, size)
-            - geosim::cost::vertex_move_cost(env, loc, a, size);
-        self.core.masters[v as usize] = to;
-        self.core.meta[v as usize].master = to;
+        self.core.set_master(env, v, to, (geo.locations[v as usize], geo.data_sizes[v as usize]));
         self.core.add_vertex_loads(v);
     }
 }
@@ -285,22 +280,7 @@ mod tests {
             for to in 0..env.num_dcs() as DcId {
                 let mut trial = s.clone();
                 trial.apply_master_move(&geo, &env, v, to);
-                let actual = trial.objective(&env);
-                let predicted = objs[to as usize];
-                assert!(
-                    (predicted.transfer_time - actual.transfer_time).abs()
-                        <= 1e-9 * actual.transfer_time.max(1e-12),
-                    "v={v} to={to}: predicted {} vs actual {}",
-                    predicted.transfer_time,
-                    actual.transfer_time
-                );
-                assert!(
-                    (predicted.total_cost() - actual.total_cost()).abs()
-                        <= 1e-9 * actual.total_cost().max(1e-12),
-                    "v={v} to={to}: predicted cost {} vs actual {}",
-                    predicted.total_cost(),
-                    actual.total_cost()
-                );
+                assert_eq!(objs[to as usize], trial.objective(&env), "v={v} to={to}");
             }
         }
     }

@@ -159,6 +159,20 @@ if git grep -n -E 'fn evaluate_move_to|one_gu|fn rebuild_from_masters|fn unplace
   echo "a second move kernel, a thread-local scratch or a second session end reappeared"; exit 1
 fi
 
+echo "==> exact objective arithmetic (the order-dependence workarounds stay deleted)"
+# Loads are integer load units and Eq 4 is the priced moved bytes per home
+# DC, so a state is a function of (graph, masters, profile): replay
+# re-prices and compares instead of overriding the movement cost, a
+# snapshot rebuilds its loads instead of storing them, the per-vertex
+# move-cost delta has no caller, and validate_plan has no float tolerance.
+if git grep -n -E 'fn override_movement_cost|fn put_loads|fn take_loads|fn vertex_move_cost' \
+    -- crates/; then
+  echo "an order-dependence workaround reappeared under crates/"; exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/partition/src/hybrid.rs | grep -n -E '1e-6 \*|1e-9 \*'; then
+  echo "a floating-point tolerance reappeared in crates/partition/src/hybrid.rs"; exit 1
+fi
+
 echo "==> snapshots carry the plan, not its index (the stored count plane stays deleted)"
 # A snapshot's hybrid-cut count plane is rebuilt at decode by the kernel
 # from_masters uses (PlacementState::place_hybrid_edges); the decoder's
@@ -211,15 +225,24 @@ require_tests deterministic_across_thread_counts
 # A window's journal replays: committed state + delta + journalled moves,
 # in order, is the live carried state to the last movement-cost bit.
 require_tests journaled_windows_replay_to_the_committed_state
-# Incremental == rebuild: every delta window's carried state is validated
-# bit-for-bit against a from-scratch rebuild, and its work is proportional
-# to the delta, not the graph. Since the rebuild and the snapshot decoder
-# share one count kernel, every count, mirror mask and per-DC balance is
-# also held against an edge-by-edge oracle that shares no code with
-# geopart, live and after a snapshot round trip; from_masters equals the
-# rule fed edge by edge, loads to the bit.
+# Incremental == rebuild, with ==: every delta window's carried state, moved
+# at random and re-seeded off a dead DC under a profile that is mostly not
+# whole load units, equals a from-scratch rebuild, and its work is
+# proportional to the delta, not the graph. Since the rebuild and the
+# snapshot decoder share one count kernel, every count, mirror mask, per-DC
+# balance, gather/apply load unit and Eq 4 moved byte is also held against
+# an edge-by-edge oracle that shares no code with geopart, live, rebuilt and
+# after a snapshot round trip; from_masters equals the rule fed edge by
+# edge. A profile value that is NaN, negative or past u32::MAX units is a
+# typed error at every door into a state.
 require_tests resumed_state_matches_rebuild \
-  row_sequential_build_equals_the_per_edge_placement
+  row_sequential_build_equals_the_per_edge_placement \
+  profile_values_that_are_not_loads_are_typed_errors
+# Replay verifies instead of trusting: a commit whose movement cost is not
+# the re-priced replayed state's is ReplayDiverged, and a NaN logged in a
+# window start's profile suffix is a typed plan error, not NaN loads.
+require_tests replay_verifies_the_committed_movement_cost \
+  nan_profile_suffix_is_a_typed_replay_error
 # Pool workers survive across windows (stable OS thread ids).
 require_tests delta_windows_reuse_the_worker_pool
 # What a window samples. Hot is the delta's endpoints plus the neighbors of
@@ -239,9 +262,9 @@ require_tests counting_order_equals_the_comparison_sort
 # every record boundary, seeded mid-record offsets of whichever segment
 # was the tail, and between each snapshot's rename and the roll; every
 # recovery must equal the uninterrupted run at that boundary plane for
-# plane: masters, every count, mirror mask and per-DC balance, and the
-# movement cost and stage loads to the last f64 bit. Behind the roll, the
-# snapshot prune deletes every segment replay can no longer reach.
+# plane: masters, every count, mirror mask and per-DC balance, stage load
+# and moved byte, and the movement cost to the last f64 bit. Behind the
+# roll, the snapshot prune deletes every segment replay can no longer reach.
 require_tests kill_at_every_record_boundary_and_mid_record \
   snapshots_roll_the_log_so_the_prune_frees_it
 # A dead DC stays dead until the all-clear: windows K … K + 5 after a noted
@@ -285,8 +308,8 @@ require_tests row_wire_round_trip bit_fields_round_trip dcs_wire_round_trip \
   older_graph_layouts_are_a_typed_error malformed_master_rejected
 # The placement section is hostile input: a vertex or DC count that is not
 # the decoded geo's, a master >= M or set padding in the masters or is_high
-# section is a typed Malformed before any count is derived; a version-2, -3
-# or -4 snapshot is a typed UnsupportedVersion that load_latest skips.
+# section is a typed Malformed before any count is derived; a version-2,
+# -3, -4 or -5 snapshot is a typed UnsupportedVersion that load_latest skips.
 require_tests hostile_placement_sections_rejected \
   older_snapshot_versions_are_typed_and_skipped
 # Recovering a durable store against a CloudEnv other than the one it was

@@ -1,10 +1,11 @@
 //! Property tests of the incremental dynamic-window pipeline: for random
 //! event streams (inserts *and* deletes, 1–8 windows) the in-place CSR
 //! overlay must equal a from-scratch build of the edited edge set, the
-//! delta-resumed placement state must be indistinguishable from a
-//! from-scratch rebuild and from an edge-by-edge oracle of the placement
-//! rule, before and after a snapshot round trip, and the full adaptive
-//! pipeline must be bit-deterministic across thread counts.
+//! delta-resumed placement state, moved and re-seeded between windows,
+//! must be indistinguishable from a from-scratch rebuild and from an
+//! edge-by-edge oracle of the placement rule and of its integer loads,
+//! before and after a snapshot round trip, and the full adaptive pipeline
+//! must be bit-deterministic across thread counts.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
@@ -12,9 +13,11 @@ use std::time::Duration;
 use geodur::{Snapshot, SnapshotRef};
 use geograph::dynamic::{EdgeEvent, EventKind};
 use geograph::{DcId, GeoGraph, Graph, GraphBuilder, GraphDelta, VertexId};
-use geopart::{HybridState, PlacementState, TrafficProfile};
+use geopart::{reseed_stranded_masters, HybridState, MoveScratch, PlacementState, TrafficProfile};
 use geosim::regions::ec2_eight_regions;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use rlcut::{AdaptiveRlCut, RlCutConfig};
 
 /// One raw op of a window: `(a, b, kind)` with `kind == 1` a delete.
@@ -164,25 +167,79 @@ fn oracle(graph: &Graph, masters: &[DcId], theta: usize) -> (OracleCells, BTreeM
     (cells, per_dc)
 }
 
+/// A seeded traffic profile keyed on vertex id (so it agrees across
+/// windows on every existing vertex) whose values are mostly not whole
+/// load units (multiples of 1/256 B).
+fn ragged_profile(n: usize, seed: u64) -> TrafficProfile {
+    let bytes = |v: usize, salt: u64| {
+        (geograph::fxhash::mix64(v as u64 ^ seed ^ salt) % 10_000) as f32 * 0.0137 + 0.3
+    };
+    TrafficProfile {
+        gather_bytes: (0..n).map(|v| bytes(v, 1)).collect(),
+        apply_bytes: (0..n).map(|v| bytes(v, 2)).collect(),
+    }
+}
+
+/// `bytes` in 1/256 B units, rounded to nearest (written here, not taken
+/// from `geopart`).
+fn oracle_units(bytes: f32) -> u64 {
+    (bytes as f64 * 256.0).round() as u64
+}
+
 /// Every `(v, d)` in/out count, every mirror mask and the per-DC balance of
-/// `state` must be the oracle's for `graph` under `state`'s masters.
-fn assert_matches_oracle(state: &PlacementState, graph: &Graph, theta: usize, what: &str) {
+/// `state` must be the oracle's for `geo` under `state`'s masters; and so,
+/// compared with `==`, must its per-DC gather/apply load units and Eq 4
+/// moved bytes, derived from the oracle's cells and `profile`: a high
+/// vertex receives `g_v` from each non-master DC holding an in-edge, and
+/// every vertex sends `a_v` to each mirror.
+fn assert_matches_oracle(
+    state: &PlacementState,
+    geo: &GeoGraph,
+    profile: &TrafficProfile,
+    theta: usize,
+    what: &str,
+) {
+    let graph = &geo.graph;
     let (cells, per_dc) = oracle(graph, state.masters(), theta);
-    let m = state.num_dcs() as DcId;
+    let m = state.num_dcs();
+    let (mut gather, mut apply) = ((vec![0u64; m], vec![0u64; m]), (vec![0u64; m], vec![0u64; m]));
     for v in graph.vertices() {
+        let master = state.master(v);
+        let high = graph.in_degree(v) >= theta;
+        let (g, a) = (
+            oracle_units(profile.gather_bytes[v as usize]),
+            oracle_units(profile.apply_bytes[v as usize]),
+        );
         let mut mirrors = 0u64;
-        for d in 0..m {
+        for d in 0..m as DcId {
             let (inc, out) = cells.get(&(v, d)).copied().unwrap_or_default();
             let got = (state.in_count(v, d), state.out_count(v, d));
             assert_eq!(got, (inc, out), "{what}: (in, out) of cell ({v}, {d})");
-            if inc + out > 0 && d != state.master(v) {
+            if inc + out > 0 && d != master {
                 mirrors |= 1 << d;
+                apply.0[master as usize] += a;
+                apply.1[d as usize] += a;
+                if high && inc > 0 {
+                    gather.0[d as usize] += g;
+                    gather.1[master as usize] += g;
+                }
             }
         }
         assert_eq!(state.mirror_mask(v), mirrors, "{what}: mirror mask of {v}");
     }
-    let balance: Vec<u64> = (0..m).map(|d| per_dc.get(&d).copied().unwrap_or(0)).collect();
+    let balance: Vec<u64> = (0..m as DcId).map(|d| per_dc.get(&d).copied().unwrap_or(0)).collect();
     assert_eq!(state.edges_per_dc(), &balance[..], "{what}: edges per DC");
+    let rows = |loads: &geosim::StageLoads| (loads.up().to_vec(), loads.down().to_vec());
+    assert_eq!(rows(state.gather_loads()), gather, "{what}: gather units");
+    assert_eq!(rows(state.apply_loads()), apply, "{what}: apply units");
+    let mut moved = vec![0u64; m];
+    for v in graph.vertices() {
+        let home = geo.locations[v as usize];
+        if state.master(v) != home {
+            moved[home as usize] += geo.data_sizes[v as usize];
+        }
+    }
+    assert_eq!(state.moved_bytes(), &moved[..], "{what}: moved bytes");
 }
 
 proptest! {
@@ -267,39 +324,44 @@ proptest! {
         prop_assert_eq!(adaptive.masters(), carried.as_slice());
     }
 
-    /// Pure state-level equivalence: a placement state carried through
-    /// `resume_from_parts` across every window must match a from-scratch
-    /// `from_masters` rebuild bit-for-bit on integer state (f64 aggregates
-    /// within `validate_plan` tolerance) — `validate_plan` performs exactly
-    /// that rebuild-and-compare. Because that rebuild and the snapshot
-    /// decoder share one kernel, every count, mirror mask and per-DC
-    /// balance is also held against the edge-by-edge oracle, live and
-    /// after a snapshot encode/decode round trip.
+    /// Pure state-level equivalence, exact: a placement state carried
+    /// through `resume_from_parts` across every window, with random moves
+    /// and one dead-DC re-seed applied between windows and a seeded
+    /// profile whose values are mostly not whole load units, must equal a
+    /// from-scratch `from_masters` rebuild with `==` — counts, loads, moved
+    /// bytes, their price and the objective — which is what
+    /// `validate_plan` checks. Because that rebuild and the snapshot
+    /// decoder share one kernel, every count, mirror mask, per-DC balance,
+    /// load unit and moved byte is also held against the edge-by-edge
+    /// oracle, for the live, the rebuilt and the snapshot-decoded state.
     #[test]
     fn resumed_state_matches_rebuild((n, initial, windows, seed) in arb_stream()) {
         let env = ec2_eight_regions();
+        let m = env.num_dcs();
         let theta = 3;
         let mut graph = {
             let mut b = GraphBuilder::new(n);
             b.add_edges(initial);
             b.build()
         };
-        let geo0 = geo_for(&graph, seed, env.num_dcs());
-        let profile0 = TrafficProfile::uniform(geo0.num_vertices(), 8.0);
+        let geo0 = geo_for(&graph, seed, m);
+        let profile0 = ragged_profile(geo0.num_vertices(), seed);
         let state0 = HybridState::from_masters(
-            &geo0, &env, geo0.locations.clone(), theta, profile0, 10.0,
+            &geo0, &env, geo0.locations.clone(), theta, profile0.clone(), 10.0,
         );
-        assert_matches_oracle(state0.core(), &graph, theta, "built");
+        assert_matches_oracle(state0.core(), &geo0, &profile0, theta, "built");
         let mut carried = Some(state0.into_parts());
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut scratch = MoveScratch::new();
 
         for ops in &windows {
             let events = window_events(&graph, ops);
             let delta = GraphDelta::from_events(&graph, &events);
             graph.apply_delta_in_place(&delta);
-            let geo = geo_for(&graph, seed, env.num_dcs());
-            let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
+            let geo = geo_for(&graph, seed, m);
+            let profile = ragged_profile(geo.num_vertices(), seed);
             let (core, th) = carried.take().unwrap();
-            let (state, stats) = HybridState::resume_from_parts(
+            let (mut state, stats) = HybridState::resume_from_parts(
                 core, th, &geo, &env, &delta, &profile,
             ).expect("resume must accept its own successor snapshot");
             // Zero-rebuild probe: the resume's work scales with the delta.
@@ -309,10 +371,31 @@ proptest! {
                 "delta work {} vs delta size {}",
                 stats.work_items(), delta.num_edge_changes()
             );
-            // The rebuild-and-compare: every count, mirror map, degree
-            // table, load and cost aggregate against a fresh from_masters.
             state.validate_plan(&env).expect("resumed state diverged from rebuild");
-            assert_matches_oracle(state.core(), &graph, theta, "live");
+            assert_matches_oracle(state.core(), &geo, &profile, theta, "resumed");
+
+            // Moves in a random order, then a dead DC's re-seed applied as
+            // the trainer applies it: one move per stranded master.
+            for _ in 0..rng.gen_range(0..12usize) {
+                let v = rng.gen_range(0..geo.num_vertices()) as VertexId;
+                state.apply_move_with(&env, v, rng.gen_range(0..m) as DcId, &mut scratch);
+            }
+            let mut dead = vec![false; m];
+            dead[rng.gen_range(0..m)] = true;
+            let mut reseeded = state.core().masters().to_vec();
+            reseed_stranded_masters(&mut reseeded, &geo.locations, &dead, m)
+                .expect("one dead DC of eight");
+            for (v, &d) in reseeded.iter().enumerate() {
+                state.apply_move_with(&env, v as VertexId, d, &mut scratch);
+            }
+
+            state.validate_plan(&env).expect("moved state diverged from rebuild");
+            assert_matches_oracle(state.core(), &geo, &profile, theta, "live");
+            let rebuilt = HybridState::from_masters(
+                &geo, &env, reseeded, theta, profile.clone(), 10.0,
+            );
+            assert_matches_oracle(rebuilt.core(), &geo, &profile, theta, "rebuilt");
+            prop_assert_eq!(state.objective(&env), rebuilt.objective(&env));
             let snapshot = SnapshotRef {
                 lsn: 0,
                 window: 0,
@@ -324,7 +407,8 @@ proptest! {
             let bytes = snapshot.to_bytes().expect("a cleaned graph encodes");
             let decoded = Snapshot::from_bytes(&bytes).expect("own snapshot decodes");
             let (restored, _) = decoded.placement.as_ref().expect("placement travels");
-            assert_matches_oracle(restored, &graph, theta, "decoded");
+            assert_matches_oracle(restored, &geo, &profile, theta, "decoded");
+            prop_assert_eq!(restored.objective(&env), state.objective(&env));
             carried = Some(state.into_parts());
         }
     }

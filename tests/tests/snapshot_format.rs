@@ -246,8 +246,8 @@ fn hostile_placement_sections_rejected() {
     // Two vertices over M = 3 with the edges 0 -> 1 and 1 -> 0, and a
     // placement hand-written so every byte is addressable: header, the
     // masters section (two 2-bit fields, vertex 0 lowest), the is_high
-    // bitmap, the two profile planes (one run of 8.0 each), four zeroed
-    // M-wide load vectors. No count travels.
+    // bitmap, the two profile planes (one run of 8 B = 2048 load units
+    // each). No count and no load travels.
     let geo = GeoGraph::new(Graph::from_edges(2, &[(0, 1), (1, 0)]), vec![0, 2], vec![1, 1], 3);
     let blob = |n: u64, m: u64, masters: u8, bitmap: u8| {
         let mut out = varint(n);
@@ -257,10 +257,9 @@ fn hostile_placement_sections_rejected() {
         out.push(bitmap);
         for _ in 0..2 {
             out.extend(varint(1));
-            out.extend_from_slice(&8f32.to_le_bytes());
+            out.extend(varint(2048));
             out.extend(varint(2));
         }
-        out.extend_from_slice(&[0; 4 * 3 * 8]);
         out
     };
     let decode = |bytes: Vec<u8>| placement_from_bytes(&bytes, &geo);
@@ -380,12 +379,13 @@ fn a_graph_the_wire_cannot_carry_leaves_no_file_behind() {
 fn older_snapshot_versions_are_typed_and_skipped() {
     // A checksum-valid file of another version: typed at decode, skipped
     // like any undecodable candidate at load. Version 3 stored the count
-    // plane that version 4 rebuilds, and version 4 wrote varint out-rows and
-    // byte-wide DC ids where version 5 bit-codes them; no older decoder is
-    // kept.
+    // plane that version 4 rebuilds, version 4 wrote varint out-rows and
+    // byte-wide DC ids where version 5 bit-codes them, and version 5 stored
+    // the f64 stage loads that version 6 rebuilds from integer units; no
+    // older decoder is kept.
     let (dir, bytes) = real_snapshot("old_version");
     let lsn = Snapshot::from_bytes(&bytes).unwrap().lsn;
-    for (i, version) in [2u32, 3, 4].into_iter().enumerate() {
+    for (i, version) in [2u32, 3, 4, 5].into_iter().enumerate() {
         let mut old = bytes[..bytes.len() - 8].to_vec();
         old[4..8].copy_from_slice(&version.to_le_bytes());
         let sum = fnv1a(&old);
@@ -398,6 +398,6 @@ fn older_snapshot_versions_are_typed_and_skipped() {
             .unwrap();
     }
     let (snap, stats) = load_latest(&dir).unwrap();
-    assert_eq!((snap.lsn, stats.skipped), (lsn, 3));
+    assert_eq!((snap.lsn, stats.skipped), (lsn, 4));
     std::fs::remove_dir_all(&dir).ok();
 }
