@@ -30,8 +30,6 @@ use geopart::vertexcut::{MasterRule, VertexCutState};
 use geopart::{DcId, TrafficProfile};
 use geosim::transfer::BYTES_PER_UNIT;
 use geosim::CloudEnv;
-use parking_lot::Mutex;
-use rlcut::WorkerPool;
 
 /// Tuning knobs for Geo-Cut.
 #[derive(Clone, Copy, Debug)]
@@ -42,27 +40,11 @@ pub struct GeoCutConfig {
     /// Number of refinement passes over all edges.
     pub refinement_passes: usize,
     pub seed: u64,
-    /// Worker threads for the batched refinement mode. 1 (the default)
-    /// keeps the exact sequential scan; >1 fans each batch's candidate
-    /// scans out over a persistent [`rlcut::WorkerPool`], with accepted
-    /// moves re-validated against the live refiner at apply time.
-    pub threads: usize,
-    /// Frozen-snapshot batch length for the parallel mode. Thread-count
-    /// independent so batch boundaries — and therefore the refined plan —
-    /// are identical at any worker count.
-    pub batch: usize,
 }
 
 impl GeoCutConfig {
     pub fn new(budget: f64) -> Self {
-        GeoCutConfig { budget, refinement_passes: 3, seed: 42, threads: 1, batch: 64 }
-    }
-
-    /// Builder-style worker-thread count (see [`GeoCutConfig::threads`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1);
-        self.threads = threads;
-        self
+        GeoCutConfig { budget, refinement_passes: 3, seed: 42 }
     }
 }
 
@@ -212,38 +194,15 @@ impl<'a> Refiner<'a> {
     }
 }
 
-/// Runs Geo-Cut and returns the resulting vertex-cut plan. With
-/// `config.threads > 1` this spins up a private [`WorkerPool`] for the
-/// run; use [`geocut_with_pool`] to share a pool across runs (the bench
-/// drivers do).
+/// Runs Geo-Cut and returns the resulting vertex-cut plan: each pass
+/// scans the edges in one seeded order, and every accepted move is seen by
+/// the candidates after it.
 pub fn geocut(
     geo: &GeoGraph,
     env: &CloudEnv,
     config: GeoCutConfig,
     profile: TrafficProfile,
     num_iterations: f64,
-) -> VertexCutState {
-    let pool = (config.threads > 1).then(|| WorkerPool::new(config.threads));
-    geocut_with_pool(geo, env, config, profile, num_iterations, pool.as_ref())
-}
-
-/// [`geocut`] against a caller-provided worker pool. `pool: None` (or a
-/// one-worker pool) runs the exact sequential refinement; otherwise each
-/// batch of [`GeoCutConfig::batch`] edges has its candidate scans run by
-/// the pool against the refiner *frozen at batch entry*, and the caller
-/// thread then re-validates each frozen pick against the **live** refiner
-/// before applying — so accepted moves stay exactly monotone on the true
-/// objective and the budget is never exceeded, while the expensive
-/// O(batch · M) scan parallelizes. Worker striding only decides who scans
-/// an edge, never the outcome, so the refined plan is identical for every
-/// pool size.
-pub fn geocut_with_pool(
-    geo: &GeoGraph,
-    env: &CloudEnv,
-    config: GeoCutConfig,
-    profile: TrafficProfile,
-    num_iterations: f64,
-    pool: Option<&WorkerPool>,
 ) -> VertexCutState {
     let m = env.num_dcs();
     let n = geo.num_vertices();
@@ -277,109 +236,33 @@ pub fn geocut_with_pool(
     // Candidate destinations are evaluated against the *frozen* refiner via
     // a reusable candidate-row arena — no mutate/restore churn per rejected
     // candidate. Only the winning move mutates the refiner.
-    match pool.filter(|p| p.threads() > 1) {
-        None => {
-            let mut deltas = CandidateRows::default();
-            for _ in 0..config.refinement_passes {
-                let mut improved = false;
-                for &i in &order {
-                    let (u, v) = edges[i];
-                    let current = assignment[i] as usize;
-                    let base_time = refiner.transfer_time();
-                    let mut best = (current, base_time);
-                    for d in 0..m {
-                        if d == current {
-                            continue;
-                        }
-                        refiner.probe_edge_move(u, v, current, d, &mut deltas);
-                        let t = refiner.transfer_time_with(&deltas);
-                        let feasible = refiner.cost + deltas.cost <= config.budget;
-                        if feasible && t < best.1 {
-                            best = (d, t);
-                        }
-                    }
-                    if best.0 != current {
-                        refiner.move_edge(u, v, current, best.0);
-                        assignment[i] = best.0 as DcId;
-                        improved = true;
-                    }
+    let mut deltas = CandidateRows::default();
+    for _ in 0..config.refinement_passes {
+        let mut improved = false;
+        for &i in &order {
+            let (u, v) = edges[i];
+            let current = assignment[i] as usize;
+            let base_time = refiner.transfer_time();
+            let mut best = (current, base_time);
+            for d in 0..m {
+                if d == current {
+                    continue;
                 }
-                if !improved {
-                    break;
+                refiner.probe_edge_move(u, v, current, d, &mut deltas);
+                let t = refiner.transfer_time_with(&deltas);
+                let feasible = refiner.cost + deltas.cost <= config.budget;
+                if feasible && t < best.1 {
+                    best = (d, t);
                 }
+            }
+            if best.0 != current {
+                refiner.move_edge(u, v, current, best.0);
+                assignment[i] = best.0 as DcId;
+                improved = true;
             }
         }
-        Some(pool) => {
-            let threads = pool.threads();
-            // Per-worker delta arenas and pick lists, allocated once and
-            // reused across every batch of every pass (the pool's
-            // step-resident discipline).
-            let delta_slots: Vec<Mutex<CandidateRows>> =
-                (0..threads).map(|_| Mutex::new(CandidateRows::default())).collect();
-            let picks_slots: Vec<Mutex<Vec<(usize, usize)>>> =
-                (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-            let mut live = CandidateRows::default();
-            for _ in 0..config.refinement_passes {
-                let mut improved = false;
-                for chunk in order.chunks(config.batch) {
-                    let frozen_time = refiner.transfer_time();
-                    pool.run_on_all(&|w, _| {
-                        let mut deltas = delta_slots[w].lock();
-                        let mut picks = picks_slots[w].lock();
-                        picks.clear();
-                        for j in (w..chunk.len()).step_by(threads) {
-                            let i = chunk[j];
-                            let (u, v) = edges[i];
-                            let current = assignment[i] as usize;
-                            let mut best = (current, frozen_time);
-                            for d in 0..m {
-                                if d == current {
-                                    continue;
-                                }
-                                refiner.probe_edge_move(u, v, current, d, &mut deltas);
-                                let t = refiner.transfer_time_with(&deltas);
-                                let feasible = refiner.cost + deltas.cost <= config.budget;
-                                if feasible && t < best.1 {
-                                    best = (d, t);
-                                }
-                            }
-                            if best.0 != current {
-                                picks.push((j, best.0));
-                            }
-                        }
-                    })
-                    .unwrap_or_else(|e| panic!("geocut candidate scan: {e}"));
-                    let mut picks: Vec<(usize, usize)> = picks_slots
-                        .iter()
-                        .flat_map(|s| s.lock().iter().copied().collect::<Vec<_>>())
-                        .collect();
-                    // Batch order, not worker order: apply order must be a
-                    // pure function of the edge permutation.
-                    picks.sort_unstable_by_key(|&(j, _)| j);
-                    for (j, d) in picks {
-                        let i = chunk[j];
-                        let (u, v) = edges[i];
-                        let current = assignment[i] as usize;
-                        if d == current {
-                            continue;
-                        }
-                        // Frozen picks can stale as earlier applies land;
-                        // re-validate against the live refiner so accepts
-                        // stay monotone and within budget.
-                        refiner.probe_edge_move(u, v, current, d, &mut live);
-                        let t = refiner.transfer_time_with(&live);
-                        let feasible = refiner.cost + live.cost <= config.budget;
-                        if feasible && t < refiner.transfer_time() {
-                            refiner.move_edge(u, v, current, d);
-                            assignment[i] = d as DcId;
-                            improved = true;
-                        }
-                    }
-                }
-                if !improved {
-                    break;
-                }
-            }
+        if !improved {
+            break;
         }
     }
 
@@ -457,51 +340,6 @@ mod tests {
         let a = geocut(&geo, &env, GeoCutConfig::new(budget), p.clone(), 10.0);
         let b = geocut(&geo, &env, GeoCutConfig::new(budget), p, 10.0);
         assert_eq!(a.edge_dcs(), b.edge_dcs());
-    }
-
-    #[test]
-    fn parallel_deterministic_across_thread_counts() {
-        let (geo, env) = setup();
-        let p = TrafficProfile::uniform(geo.num_vertices(), 8.0);
-        let budget = geosim::cost::default_budget(&env, &geo.locations, &geo.data_sizes, 0.4);
-        let run = |threads| {
-            geocut(&geo, &env, GeoCutConfig::new(budget).with_threads(threads), p.clone(), 10.0)
-        };
-        let two = run(2);
-        for threads in [4usize, 8] {
-            assert_eq!(two.edge_dcs(), run(threads).edge_dcs(), "{threads} threads diverged");
-        }
-    }
-
-    #[test]
-    fn parallel_mode_improves_and_respects_budget() {
-        // Apply-time re-validation keeps the parallel refiner exactly
-        // monotone on the live objective and inside the budget.
-        let (geo, env) = setup();
-        let p = TrafficProfile::uniform(geo.num_vertices(), 8.0);
-        let budget = geosim::cost::default_budget(&env, &geo.locations, &geo.data_sizes, 0.4);
-        let refined =
-            geocut(&geo, &env, GeoCutConfig::new(budget).with_threads(4), p.clone(), 10.0);
-        let base = natural_plan(&geo, &env, &p);
-        let obj = refined.objective(&env);
-        assert!(obj.transfer_time < base.objective(&env).transfer_time);
-        assert!(
-            obj.total_cost() <= budget * (1.0 + 1e-9),
-            "cost {} budget {budget}",
-            obj.total_cost()
-        );
-    }
-
-    #[test]
-    fn shared_pool_matches_private_pool() {
-        let (geo, env) = setup();
-        let p = TrafficProfile::uniform(geo.num_vertices(), 8.0);
-        let budget = geosim::cost::default_budget(&env, &geo.locations, &geo.data_sizes, 0.4);
-        let config = GeoCutConfig::new(budget).with_threads(4);
-        let private = geocut(&geo, &env, config, p.clone(), 10.0);
-        let pool = rlcut::WorkerPool::new(4);
-        let shared = geocut_with_pool(&geo, &env, config, p, 10.0, Some(&pool));
-        assert_eq!(private.edge_dcs(), shared.edge_dcs());
     }
 
     #[test]

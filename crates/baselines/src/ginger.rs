@@ -11,8 +11,6 @@ use geograph::fxhash::mix64;
 use geograph::{GeoGraph, VertexId};
 use geopart::{DcId, HybridState, TrafficProfile};
 use geosim::CloudEnv;
-use parking_lot::Mutex;
-use rlcut::WorkerPool;
 
 /// Tuning knobs for Ginger.
 #[derive(Clone, Copy, Debug)]
@@ -22,60 +20,22 @@ pub struct GingerConfig {
     /// Degree threshold θ for the hybrid-cut classification.
     pub theta: usize,
     pub seed: u64,
-    /// Worker threads for the batched streaming mode. 1 (the default)
-    /// keeps the exact sequential stream; >1 fans the `O(deg)` locality
-    /// sweeps of each batch out over a persistent [`rlcut::WorkerPool`].
-    pub threads: usize,
-    /// Frozen-snapshot batch length for the parallel mode. Thread-count
-    /// *independent* on purpose: batch boundaries (not worker striding)
-    /// decide which in-batch co-placements the locality sweep misses, so a
-    /// fixed batch makes the parallel plan identical at any thread count.
-    pub batch: usize,
 }
 
 impl GingerConfig {
     pub fn new(theta: usize, seed: u64) -> Self {
-        GingerConfig { balance_weight: 1.0, theta, seed, threads: 1, batch: 256 }
-    }
-
-    /// Builder-style worker-thread count (see [`GingerConfig::threads`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1);
-        self.threads = threads;
-        self
+        GingerConfig { balance_weight: 1.0, theta, seed }
     }
 }
 
-/// Runs Ginger and returns the resulting hybrid-cut plan. With
-/// `config.threads > 1` this spins up a private [`WorkerPool`] for the
-/// run; use [`ginger_with_pool`] to share a pool across runs (the bench
-/// drivers do).
+/// Runs Ginger and returns the resulting hybrid-cut plan: one stream, so
+/// every placement sees every earlier one.
 pub fn ginger<'g>(
     geo: &'g GeoGraph,
     env: &CloudEnv,
     config: GingerConfig,
     profile: TrafficProfile,
     num_iterations: f64,
-) -> HybridState<'g> {
-    let pool = (config.threads > 1).then(|| WorkerPool::new(config.threads));
-    ginger_with_pool(geo, env, config, profile, num_iterations, pool.as_ref())
-}
-
-/// [`ginger`] against a caller-provided worker pool. `pool: None` (or a
-/// one-worker pool) runs the exact sequential stream; otherwise low-degree
-/// batches of [`GingerConfig::batch`] vertices have their locality sweeps
-/// computed by the pool against the masters *frozen at batch entry*, and
-/// the caller thread then streams through the batch in order combining
-/// each frozen locality with the **live** balance counters. The plan is
-/// identical for every pool size (worker striding only decides who
-/// computes a sweep, never its value).
-pub fn ginger_with_pool<'g>(
-    geo: &'g GeoGraph,
-    env: &CloudEnv,
-    config: GingerConfig,
-    profile: TrafficProfile,
-    num_iterations: f64,
-    pool: Option<&WorkerPool>,
 ) -> HybridState<'g> {
     let n = geo.num_vertices();
     let m = env.num_dcs();
@@ -100,14 +60,13 @@ pub fn ginger_with_pool<'g>(
     let expected_vertices = n as f64 / m as f64;
     let expected_edges = geo.num_edges() as f64 / m as f64;
 
-    // Frozen locality of one vertex: in-neighbors already mastered at d
-    // (their data is local to v's in-edges if v lands at d) plus low
-    // out-neighbors at d (v already needs a presence there). ONE
-    // neighborhood sweep per vertex (the one-sweep structure of
-    // `geopart::kernel`) instead of re-walking the neighborhood for every
-    // candidate DC: O(deg + M) per vertex rather than O(deg · M). Locality
-    // scores are integral sums of 1.0 — exact in f64.
-    let sweep = |v: VertexId, masters: &[Option<DcId>], locality: &mut [f64]| {
+    let mut locality = vec![0f64; m];
+    for &v in &order {
+        // Locality of v at d: in-neighbors already mastered at d (their
+        // data is local to v's in-edges if v lands at d) plus low
+        // out-neighbors at d (v already needs a presence there). ONE
+        // neighborhood sweep per vertex: O(deg + M), not O(deg · M).
+        // Locality scores are integral sums of 1.0 — exact in f64.
         locality.fill(0.0);
         for &u in geo.graph.in_neighbors(v) {
             if let Some(d) = masters[u as usize] {
@@ -121,15 +80,6 @@ pub fn ginger_with_pool<'g>(
                 }
             }
         }
-    };
-    // Greedy pick combining a locality row with the LIVE balance counters;
-    // shared verbatim by both paths so they differ only in what the
-    // locality was computed against.
-    let place = |v: VertexId,
-                 locality: &[f64],
-                 vertices_per_dc: &mut [f64],
-                 edges_per_dc: &mut [f64],
-                 masters: &mut [Option<DcId>]| {
         let mut best = (0usize, f64::NEG_INFINITY);
         for (d, &loc) in locality.iter().enumerate() {
             let balance = config.balance_weight
@@ -143,40 +93,6 @@ pub fn ginger_with_pool<'g>(
         masters[v as usize] = Some(best.0 as DcId);
         vertices_per_dc[best.0] += 1.0;
         edges_per_dc[best.0] += geo.graph.in_degree(v) as f64;
-    };
-
-    match pool.filter(|p| p.threads() > 1) {
-        None => {
-            let mut locality = vec![0f64; m];
-            for &v in &order {
-                sweep(v, &masters, &mut locality);
-                place(v, &locality, &mut vertices_per_dc, &mut edges_per_dc, &mut masters);
-            }
-        }
-        Some(pool) => {
-            let threads = pool.threads();
-            // Per-worker output rows: worker w owns batch indices
-            // j ≡ w (mod threads), appending one m-wide locality row per
-            // index — disjoint slots, reassembled by index math below.
-            let outs: Vec<Mutex<Vec<f64>>> = (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-            for chunk in order.chunks(config.batch) {
-                pool.run_on_all(&|w, _| {
-                    let mut rows = outs[w].lock();
-                    rows.clear();
-                    for j in (w..chunk.len()).step_by(threads) {
-                        let base = rows.len();
-                        rows.resize(base + m, 0.0);
-                        sweep(chunk[j], &masters, &mut rows[base..]);
-                    }
-                })
-                .unwrap_or_else(|e| panic!("ginger locality sweep: {e}"));
-                let rows: Vec<_> = outs.iter().map(|o| o.lock()).collect();
-                for (j, &v) in chunk.iter().enumerate() {
-                    let row = &rows[j % threads][(j / threads) * m..][..m];
-                    place(v, row, &mut vertices_per_dc, &mut edges_per_dc, &mut masters);
-                }
-            }
-        }
     }
 
     let masters: Vec<DcId> = masters.into_iter().map(|d| d.unwrap()).collect();
@@ -248,55 +164,5 @@ mod tests {
         let a = ginger(&geo, &env, GingerConfig::new(t, 9), p.clone(), 10.0);
         let b = ginger(&geo, &env, GingerConfig::new(t, 9), p, 10.0);
         assert_eq!(a.core().masters(), b.core().masters());
-    }
-
-    #[test]
-    fn parallel_deterministic_across_thread_counts() {
-        let (geo, env) = setup();
-        let t = theta(&geo);
-        let p = TrafficProfile::uniform(geo.num_vertices(), 8.0);
-        let run = |threads| {
-            ginger(&geo, &env, GingerConfig::new(t, 9).with_threads(threads), p.clone(), 10.0)
-        };
-        let two = run(2);
-        for threads in [4usize, 8] {
-            assert_eq!(
-                two.core().masters(),
-                run(threads).core().masters(),
-                "{threads} threads diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_mode_keeps_quality() {
-        // The frozen-batch stream misses in-batch co-placements, but it
-        // must stay a real greedy: beating hashing on WAN bytes and
-        // keeping every DC populated, like the sequential test above.
-        let (geo, env) = setup();
-        let t = theta(&geo);
-        let p = TrafficProfile::uniform(geo.num_vertices(), 8.0);
-        let g = ginger(&geo, &env, GingerConfig::new(t, 1).with_threads(4), p.clone(), 10.0);
-        let h = crate::hashpl(&geo, &env, t, p, 10.0, 1);
-        assert!(g.core().wan_bytes_per_iteration() < h.core().wan_bytes_per_iteration());
-        let mut per_dc = vec![0u64; env.num_dcs()];
-        for &d in g.core().masters() {
-            per_dc[d as usize] += 1;
-        }
-        assert!(per_dc.iter().all(|&c| c > 0), "some DC left empty: {per_dc:?}");
-    }
-
-    #[test]
-    fn shared_pool_matches_private_pool() {
-        // The bench drivers reuse one pool across baseline runs; routing
-        // through a caller-provided pool must not change the plan.
-        let (geo, env) = setup();
-        let t = theta(&geo);
-        let p = TrafficProfile::uniform(geo.num_vertices(), 8.0);
-        let config = GingerConfig::new(t, 3).with_threads(4);
-        let private = ginger(&geo, &env, config, p.clone(), 10.0);
-        let pool = rlcut::WorkerPool::new(4);
-        let shared = ginger_with_pool(&geo, &env, config, p, 10.0, Some(&pool));
-        assert_eq!(private.core().masters(), shared.core().masters());
     }
 }

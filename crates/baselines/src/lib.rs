@@ -26,8 +26,8 @@ pub mod randpg;
 pub mod revolver;
 pub mod spinner;
 
-pub use geocut::{geocut, geocut_with_pool};
-pub use ginger::{ginger, ginger_with_pool};
+pub use geocut::geocut;
+pub use ginger::ginger;
 pub use hashpl::hashpl;
 pub use leopard::Leopard;
 pub use plan::PlanKind;

@@ -14,9 +14,9 @@ use crate::{f3, secs, timed, ExpContext, Table};
 use geograph::datasets::DEFAULT_CHUNK_EDGES;
 use geograph::generators::rmat_streamed;
 use geograph::locality::LocalityConfig;
-use geograph::{Dataset, GeoGraph};
+use geograph::{Dataset, GeoGraph, ScopedPool};
 use geosim::regions::ec2_eight_regions;
-use rlcut::{RlCutConfig, WorkerPool};
+use rlcut::RlCutConfig;
 
 /// The training window: a 5 % sample capped at 100 k agents per step.
 const STEPS: usize = 2;
@@ -27,12 +27,12 @@ pub fn run(ctx: &ExpContext) {
     let dataset = Dataset::LiveJournal;
     let (rmat_config, derived_seed) = dataset.rmat_setup(ctx.scale, ctx.seed);
     let threads = ctx.threads.max(1);
-    let pool = WorkerPool::new(threads);
     let mib = |bytes: usize| format!("{:.1}", bytes as f64 / (1u64 << 20) as f64);
 
     // 1. Streamed build: the only O(E) allocation is the CSR it returns.
-    let (built, build_time) =
-        timed(|| rmat_streamed(&rmat_config, derived_seed, DEFAULT_CHUNK_EDGES, &pool));
+    let (built, build_time) = timed(|| {
+        rmat_streamed(&rmat_config, derived_seed, DEFAULT_CHUNK_EDGES, &ScopedPool(threads))
+    });
     let (graph, report) = built.unwrap_or_else(|e| panic!("streamed build failed: {e}"));
     let (csr_bytes, edges) = (report.csr_bytes as f64, report.edges as f64);
     let mut t = Table::new(

@@ -45,9 +45,9 @@ impl ExpContext {
     }
 
     /// [`Self::from_args`] over an explicit argument list (program name
-    /// already stripped). An unknown flag, a flag with no value after it
-    /// and a value that does not parse are all errors — never a silent
-    /// run at the defaults.
+    /// already stripped). An unknown flag, a flag with no value after it,
+    /// a value that does not parse, a scale that is not a positive finite
+    /// number and zero threads are all errors — never a silent run.
     pub fn parse(args: &[String], default_scale: f64) -> Result<Self, String> {
         let mut ctx = ExpContext {
             scale: default_scale,
@@ -65,9 +65,19 @@ impl ExpContext {
         let mut args = args.iter();
         while let Some(flag) = args.next() {
             match flag.as_str() {
-                "--scale" => ctx.scale = value(flag, "a float", args.next())?,
+                "--scale" => {
+                    ctx.scale = value(flag, "a float", args.next())?;
+                    if !(ctx.scale.is_finite() && ctx.scale > 0.0) {
+                        return Err(format!("--scale takes a positive number, got {}", ctx.scale));
+                    }
+                }
                 "--seed" => ctx.seed = value(flag, "an integer", args.next())?,
-                "--threads" => ctx.threads = value(flag, "an integer", args.next())?,
+                "--threads" => {
+                    ctx.threads = value(flag, "an integer", args.next())?;
+                    if ctx.threads == 0 {
+                        return Err("--threads takes at least 1".to_string());
+                    }
+                }
                 other => {
                     return Err(format!(
                         "unknown option {other} (expected --scale/--seed/--threads)"
@@ -121,9 +131,6 @@ pub fn run_all_methods<'g>(
     let iters = algo.expected_iterations();
     let theta = geograph::degree::suggest_theta(&geo.graph, 0.05);
     let mut runs = Vec::new();
-    // One pool shared by every pool-enabled refiner in this workload run
-    // (the RLCut trainer keeps its own session-resident pool).
-    let pool = (ctx.threads > 1).then(|| rlcut::WorkerPool::new(ctx.threads));
 
     let (plan, overhead) =
         timed(|| PlanKind::Vertex(geobase::randpg(geo, env, profile.clone(), iters, ctx.seed)));
@@ -131,13 +138,12 @@ pub fn run_all_methods<'g>(
 
     if set.include_slow {
         let (plan, overhead) = timed(|| {
-            PlanKind::Vertex(geobase::geocut_with_pool(
+            PlanKind::Vertex(geobase::geocut(
                 geo,
                 env,
-                geobase::geocut::GeoCutConfig::new(budget).with_threads(ctx.threads),
+                geobase::geocut::GeoCutConfig::new(budget),
                 profile.clone(),
                 iters,
-                pool.as_ref(),
             ))
         });
         runs.push(MethodRun { name: "Geo-Cut", plan, overhead });
@@ -149,13 +155,12 @@ pub fn run_all_methods<'g>(
     runs.push(MethodRun { name: "HashPL", plan, overhead });
 
     let (plan, ginger_overhead) = timed(|| {
-        PlanKind::Hybrid(geobase::ginger_with_pool(
+        PlanKind::Hybrid(geobase::ginger(
             geo,
             env,
-            GingerConfig::new(theta, ctx.seed).with_threads(ctx.threads),
+            GingerConfig::new(theta, ctx.seed),
             profile.clone(),
             iters,
-            pool.as_ref(),
         ))
     });
     runs.push(MethodRun { name: "Ginger", plan, overhead: ginger_overhead });
@@ -346,6 +351,53 @@ mod tests {
     }
 
     #[test]
+    fn baseline_plans_ignore_the_thread_count() {
+        // Every method but RLCut (whose T_opt is wall-clock) is a function
+        // of (graph, seed): one and two threads give the same plan, and the
+        // sequential Ginger and Geo-Cut plans stay pinned.
+        const GINGER_MASTERS_FNV: u64 = 0xbfd1_f478_390f_78bf;
+        const GEOCUT_EDGE_DCS_FNV: u64 = 0x2e2b_81c2_4e59_b822;
+        let ctx = ExpContext { scale: 1e-9, seed: 42, threads: 1 };
+        let geo = ctx.build_geo(Dataset::LiveJournal);
+        let env = ec2_eight_regions();
+        let algo = Algorithm::pagerank();
+        let budget = geosim::cost::default_budget(&env, &geo.locations, &geo.data_sizes, 0.4);
+        let plans = |threads| -> Vec<(&str, Vec<geograph::DcId>)> {
+            let ctx = ExpContext { threads, ..ctx };
+            run_all_methods(&geo, &env, &algo, budget, MethodSet { include_slow: true }, &ctx)
+                .into_iter()
+                .filter(|run| run.name != "RLCut")
+                .map(|run| {
+                    let plan = match run.plan {
+                        PlanKind::Hybrid(s) => s.core().masters().to_vec(),
+                        PlanKind::Vertex(s) => s.edge_dcs().to_vec(),
+                        PlanKind::Edge(s) => s.assignment().to_vec(),
+                    };
+                    (run.name, plan)
+                })
+                .collect()
+        };
+        let one = plans(1);
+        let two = plans(2);
+        let moved: Vec<&str> =
+            one.iter().zip(&two).filter(|(a, b)| a.1 != b.1).map(|(a, _)| a.0).collect();
+        assert!(moved.is_empty(), "plans that depend on the thread count: {moved:?}");
+        let fnv = |name| geodur::fnv1a(&one.iter().find(|(n, _)| *n == name).unwrap().1);
+        assert_eq!(
+            fnv("Ginger"),
+            GINGER_MASTERS_FNV,
+            "Ginger masters moved: {:#018x}",
+            fnv("Ginger")
+        );
+        assert_eq!(
+            fnv("Geo-Cut"),
+            GEOCUT_EDGE_DCS_FNV,
+            "Geo-Cut plan moved: {:#018x}",
+            fnv("Geo-Cut")
+        );
+    }
+
+    #[test]
     fn substrate_scale_runs_at_the_floor_scale() {
         experiments::substrate_scale::run(&ExpContext { scale: 1e-9, seed: 1, threads: 2 });
     }
@@ -369,6 +421,14 @@ mod tests {
         assert!(err.contains("unknown option --out"), "{err}");
         let err = ExpContext::parse(&args(&["--seed", "seven"]), 1.0).unwrap_err();
         assert!(err.contains("--seed takes an integer"), "{err}");
+        // Values that parse but cannot run used to panic (threads 0) or run
+        // a table silently (scale 0, negative, NaN).
+        for bad in ["0", "-1", "nan", "inf"] {
+            let err = ExpContext::parse(&args(&["--scale", bad]), 1.0).unwrap_err();
+            assert!(err.contains("--scale takes a positive number"), "{bad}: {err}");
+        }
+        let err = ExpContext::parse(&args(&["--threads", "0"]), 1.0).unwrap_err();
+        assert!(err.contains("--threads takes at least 1"), "{err}");
     }
 
     #[test]

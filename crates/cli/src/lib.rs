@@ -130,7 +130,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 options.topt_ms = value()?.parse().map_err(|e| format!("--topt-ms: {e}"))?
             }
             "--threads" => {
-                options.threads = value()?.parse().map_err(|e| format!("--threads: {e}"))?
+                options.threads = value()?.parse().map_err(|e| format!("--threads: {e}"))?;
+                if options.threads == 0 {
+                    return Err("--threads: must be at least 1".to_string());
+                }
             }
             "--seed" => options.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--durable-dir" => options.durable_dir = Some(PathBuf::from(value()?.clone())),
@@ -511,6 +514,8 @@ mod tests {
         assert!(parse_args(&args(&["evaluate", "g.txt"])).is_err(), "evaluate needs --plan");
         assert!(parse_args(&args(&["partition", "g.txt", "--method", "magic"])).is_err());
         assert!(parse_args(&args(&["partition", "g.txt", "--seed"])).is_err());
+        let err = parse_args(&args(&["partition", "g.txt", "--threads", "0"])).unwrap_err();
+        assert!(err.contains("--threads"), "{err}");
     }
 
     #[test]

@@ -63,6 +63,6 @@ pub mod trainer;
 pub use adaptive::{AdaptiveRlCut, WindowError, WindowReport};
 pub use config::RlCutConfig;
 pub use durable::{DurableAdaptive, DurableWindowError, RecoverySummary};
-pub use pool::{PoolError, WorkerPool};
+pub use pool::PoolError;
 pub use stats::{RlCutResult, StepStats};
 pub use trainer::{partition, SessionResources, TrainerSession};

@@ -4,8 +4,7 @@
 //! workers, and on the small per-step work items of a converging trainer
 //! a per-dispatch spawn/join and cold [`MoveScratch`] arenas would
 //! dominate. A [`WorkerPool`] is spawned once per multi-threaded
-//! [`crate::TrainerSession`] (and once per pool-enabled baseline refiner
-//! run) and reused for every subsequent dispatch:
+//! [`crate::TrainerSession`] and reused for every subsequent dispatch:
 //!
 //! * **Workers are pinned and persistent** — `threads` OS threads parked
 //!   on a condvar between dispatches, so a dispatch is one mutex/condvar
@@ -29,11 +28,11 @@
 //! the dispatcher. `run_on_all` returns only after **all** workers
 //! finished the epoch — that blocking wait is what makes the lifetime
 //! erasure sound: the job borrows caller-stack state (the trainer's
-//! `RwLock<HybridState>`, frozen proposal slices, …) and the caller cannot
+//! `HybridState`, the sampled agents, …) and the caller cannot
 //! touch or drop that state while `run_on_all` has not returned.
 //!
 //! Determinism: the pool adds no scheduling freedom — work assignment is
-//! decided by the caller (LPT groups, strided batches), workers only
+//! decided by the caller (LPT groups), workers only
 //! compute into disjoint slots, and reductions happen on the caller thread
 //! in caller-chosen order.
 
@@ -205,22 +204,6 @@ impl WorkerPool {
         })
         .expect("scratch_stats job cannot panic");
         slots.into_iter().map(|slot| slot.into_inner().expect("every worker reports")).collect()
-    }
-}
-
-/// The trainer's pool doubles as the ingest pool for streamed CSR builds:
-/// graph construction and training then share one set of warm OS threads
-/// instead of spawning a second fleet for the build phase. The ingest job
-/// ignores the resident [`MoveScratch`] — scatter passes carry their own
-/// state — so arenas stay warm for the training steps that follow.
-impl geograph::IngestPool for WorkerPool {
-    fn threads(&self) -> usize {
-        WorkerPool::threads(self)
-    }
-
-    fn run(&self, job: &(dyn Fn(usize) + Sync)) {
-        self.run_on_all(&|worker, _scratch| job(worker))
-            .expect("ingest jobs do not panic; build errors are returned, not thrown");
     }
 }
 
@@ -406,26 +389,6 @@ mod tests {
         pool.run_on_all(&|_, _| {}).unwrap();
         assert_eq!(pool.thread_ids(), first, "ids must be stable across dispatches");
         assert_ne!(WorkerPool::new(4).thread_ids(), first, "a fresh pool has fresh ids");
-    }
-
-    #[test]
-    fn pool_serves_as_ingest_pool_for_streamed_builds() {
-        use geograph::generators::{rmat_streamed, RmatConfig};
-        use geograph::ScopedPool;
-        let config = RmatConfig::social(1 << 10, 4 << 10);
-        let (reference, _) =
-            rmat_streamed(&config, 7, 512, &ScopedPool(1)).expect("reference build");
-        let pool = WorkerPool::new(4);
-        let (streamed, report) = rmat_streamed(&config, 7, 512, &pool).expect("pooled build");
-        assert_eq!(streamed, reference, "ingest through the trainer pool must be bit-identical");
-        assert!(report.edges > 0);
-        // The pool remains usable for training dispatches afterwards.
-        let ran = AtomicUsize::new(0);
-        pool.run_on_all(&|_, _| {
-            ran.fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap();
-        assert_eq!(ran.load(Ordering::Relaxed), 4);
     }
 
     #[test]

@@ -10,42 +10,46 @@
 use geograph::{Graph, VertexId};
 
 /// Assigns `agents` to `num_threads` groups balancing the per-group degree
-/// sums (greedy LPT: heaviest agent first, to the lightest group).
+/// sums (greedy LPT: heaviest agent first, to the lightest group). A group
+/// holds positions into `agents`.
 pub fn balanced_assignment(
     graph: &Graph,
     agents: &[VertexId],
     num_threads: usize,
-) -> Vec<Vec<VertexId>> {
+) -> Vec<Vec<usize>> {
     assert!(num_threads >= 1);
-    let mut by_weight: Vec<VertexId> = agents.to_vec();
+    let mut by_weight: Vec<usize> = (0..agents.len()).collect();
     // Heaviest first; stable tie-break by id for determinism.
-    by_weight.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
-    let mut groups: Vec<Vec<VertexId>> = vec![Vec::new(); num_threads];
+    by_weight.sort_by_key(|&i| (std::cmp::Reverse(graph.degree(agents[i])), agents[i]));
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); num_threads];
     let mut loads = vec![0u64; num_threads];
-    for v in by_weight {
-        let lightest = loads.iter().enumerate().min_by_key(|&(_, &l)| l).map(|(i, _)| i).unwrap();
+    for i in by_weight {
+        let lightest = loads.iter().enumerate().min_by_key(|&(_, &l)| l).map(|(g, _)| g).unwrap();
         // +1 so degree-0 agents still cost something (they run the loop).
-        loads[lightest] += graph.degree(v) as u64 + 1;
-        groups[lightest].push(v);
+        loads[lightest] += graph.degree(agents[i]) as u64 + 1;
+        groups[lightest].push(i);
     }
     groups
 }
 
-/// The naive assignment (round-robin by position) — the ablation the
-/// paper's §V-B argues against.
-pub fn round_robin_assignment(agents: &[VertexId], num_threads: usize) -> Vec<Vec<VertexId>> {
+/// The naive assignment of `num_agents` positions (round-robin) — the
+/// ablation the paper's §V-B argues against.
+pub fn round_robin_assignment(num_agents: usize, num_threads: usize) -> Vec<Vec<usize>> {
     assert!(num_threads >= 1);
-    let mut groups: Vec<Vec<VertexId>> = vec![Vec::new(); num_threads];
-    for (i, &v) in agents.iter().enumerate() {
-        groups[i % num_threads].push(v);
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); num_threads];
+    for i in 0..num_agents {
+        groups[i % num_threads].push(i);
     }
     groups
 }
 
-/// Max/mean ratio of per-group degree sums — 1.0 is perfect balance.
-pub fn load_imbalance(graph: &Graph, groups: &[Vec<VertexId>]) -> f64 {
-    let loads: Vec<u64> =
-        groups.iter().map(|g| g.iter().map(|&v| graph.degree(v) as u64 + 1).sum()).collect();
+/// Max/mean ratio of per-group degree sums (groups of positions into
+/// `agents`) — 1.0 is perfect balance.
+pub fn load_imbalance(graph: &Graph, agents: &[VertexId], groups: &[Vec<usize>]) -> f64 {
+    let loads: Vec<u64> = groups
+        .iter()
+        .map(|g| g.iter().map(|&i| graph.degree(agents[i]) as u64 + 1).sum())
+        .collect();
     let total: u64 = loads.iter().sum();
     if total == 0 {
         return 1.0;
@@ -64,7 +68,7 @@ mod tests {
         let g = rmat(&RmatConfig::social(512, 4096), 11);
         let agents: Vec<VertexId> = (0..512).collect();
         let groups = balanced_assignment(&g, &agents, 4);
-        let mut all: Vec<VertexId> = groups.iter().flatten().copied().collect();
+        let mut all: Vec<VertexId> = groups.iter().flatten().map(|&i| agents[i]).collect();
         all.sort_unstable();
         assert_eq!(all, agents);
     }
@@ -73,8 +77,8 @@ mod tests {
     fn beats_round_robin_on_skewed_graphs() {
         let g = rmat(&RmatConfig::web(2048, 32768), 11);
         let agents: Vec<VertexId> = (0..2048).collect();
-        let balanced = load_imbalance(&g, &balanced_assignment(&g, &agents, 8));
-        let naive = load_imbalance(&g, &round_robin_assignment(&agents, 8));
+        let balanced = load_imbalance(&g, &agents, &balanced_assignment(&g, &agents, 8));
+        let naive = load_imbalance(&g, &agents, &round_robin_assignment(agents.len(), 8));
         assert!(balanced <= naive, "LPT {balanced} should not lose to round-robin {naive}");
         assert!(balanced < 1.1, "LPT imbalance too high: {balanced}");
     }
@@ -86,7 +90,7 @@ mod tests {
         let groups = balanced_assignment(&g, &agents, 1);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].len(), 64);
-        assert_eq!(load_imbalance(&g, &groups), 1.0);
+        assert_eq!(load_imbalance(&g, &agents, &groups), 1.0);
     }
 
     #[test]

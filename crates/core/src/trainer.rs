@@ -8,7 +8,9 @@
 //!
 //! ## Parallel architecture
 //!
-//! The environment ([`HybridState`]) sits behind a `parking_lot::RwLock`.
+//! The session owns its environment ([`HybridState`]) outright: scoring
+//! reads it from the pool's workers while the caller blocks in the
+//! dispatch, and migration writes it on the caller, so no lock guards it.
 //! A session with `threads > 1` owns a persistent
 //! [`WorkerPool`](crate::pool::WorkerPool) — workers spawned once, each
 //! with a resident [`geopart::MoveScratch`] arena that stays warm across
@@ -20,7 +22,7 @@
 //!   the straggler-mitigating LPT assignment; each worker scores all `M`
 //!   candidate moves of an agent in **one** batched kernel sweep
 //!   ([`HybridState::evaluate_all_moves`]) against the frozen step-start
-//!   state (read locks only). LA probability/UCB updates then run serially
+//!   state (shared borrows only). LA probability/UCB updates then run serially
 //!   (they are `O(M)` per agent — noise next to the `O(deg)` scoring).
 //! * **Migration** — move proposals are shuffled (the paper batches
 //!   randomly) and processed batch-by-batch on the caller thread: a batch's
@@ -38,7 +40,7 @@ use std::time::Instant;
 use geograph::{DcId, GeoGraph, VertexId};
 use geopart::{HybridState, MoveScratch, Objective, TrafficProfile};
 use geosim::CloudEnv;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -164,7 +166,7 @@ pub struct TrainerSession<'g> {
     scheduler: SampleScheduler,
     /// Migration-batch shuffle RNG.
     rng: SmallRng,
-    state: RwLock<HybridState<'g>>,
+    state: HybridState<'g>,
     steps: Vec<StepStats>,
     /// Best plan seen: a feasible (within-budget) plan beats any infeasible
     /// one, then lower transfer time wins. Batched migration can regress
@@ -224,7 +226,7 @@ impl<'g> TrainerSession<'g> {
             scheduler: Self::build_scheduler(&config),
             rng: SmallRng::seed_from_u64(config.seed ^ 0x0ddb_1a5e_5bad_5eed),
             best: (state.core().masters().to_vec(), state.objective(env)),
-            state: RwLock::new(state),
+            state,
             steps: Vec::new(),
             step_index: 0,
             converged: false,
@@ -314,7 +316,7 @@ impl<'g> TrainerSession<'g> {
     pub fn focus_window(&mut self, touched: &[VertexId], window_index: u64) -> usize {
         assert_eq!(self.agents.num_agents(), 0, "focus_window after a step re-slots live agents");
         let graph = &self.geo.graph;
-        let core = self.state.get_mut().core();
+        let core = self.state.core();
         let mut hot = vec![false; graph.num_vertices()];
         for &s in touched {
             let Some(flag) = hot.get_mut(s as usize) else { continue };
@@ -349,7 +351,7 @@ impl<'g> TrainerSession<'g> {
         dead: &[bool],
     ) -> Result<Vec<VertexId>, geopart::PlanError> {
         let mask = dead.iter().rev().fold(0u64, |mask, &d| mask << 1 | d as u64);
-        let state = self.state.get_mut();
+        let state = &mut self.state;
         let stranded: Vec<VertexId> =
             self.geo.graph.vertices().filter(|&v| mask >> state.master(v) & 1 == 1).collect();
         let mut to: Vec<DcId> = stranded.iter().map(|&v| state.master(v)).collect();
@@ -420,7 +422,7 @@ impl<'g> TrainerSession<'g> {
         let full_scan = capped.is_none();
         let sampled: &[VertexId] = capped.as_deref().unwrap_or(prefix);
         let step_start = Instant::now();
-        let step_obj = self.state.read().objective(env);
+        let step_obj = self.state.objective(env);
         if step_obj.transfer_time == 0.0 && step_obj.total_cost() <= self.config.budget {
             self.converged = true;
             return Ok(None);
@@ -441,29 +443,27 @@ impl<'g> TrainerSession<'g> {
         let score_start = Instant::now();
         let dead = self.dead_dcs;
         let rho = score_phase(self.geo, &self.state, sampled, &step_obj, weights, dead, &mut exec)?;
-        let mut proposals: Vec<(VertexId, DcId)> = {
-            let st = self.state.read();
-            let k = prefix.len();
-            sampled
-                .iter()
-                .zip(rho)
-                .enumerate()
-                .filter_map(|(i, (&v, best_dc))| {
-                    let slot = (first_slot + i) % k;
-                    let selected = self.agents.learn_and_select(slot, best_dc, &self.config);
-                    // UCB explores: a selection may name a dead DC even
-                    // though no score led there.
-                    (selected != st.master(v) && dead >> selected & 1 == 0).then_some((v, selected))
-                })
-                .collect()
-        };
+        let k = prefix.len();
+        let mut proposals: Vec<(VertexId, DcId)> = sampled
+            .iter()
+            .zip(rho)
+            .enumerate()
+            .filter_map(|(i, (&v, best_dc))| {
+                let slot = (first_slot + i) % k;
+                let selected = self.agents.learn_and_select(slot, best_dc, &self.config);
+                // UCB explores: a selection may name a dead DC even
+                // though no score led there.
+                (selected != self.state.master(v) && dead >> selected & 1 == 0)
+                    .then_some((v, selected))
+            })
+            .collect();
         let score_duration = score_start.elapsed();
 
         // Phase 5 — batched vertex migration with rollback (the paper
         // batches agents randomly, §V-A).
         proposals.shuffle(&mut self.rng);
         let migrate_start = Instant::now();
-        let applied = migration_phase(&self.state, &proposals, weights, &mut exec);
+        let applied = migration_phase(&mut self.state, &proposals, weights, &mut exec);
         let migrate_duration = migrate_start.elapsed();
         let migrations = applied.len();
         if let Some(journal) = self.journal.as_mut().filter(|_| migrations > 0) {
@@ -472,9 +472,9 @@ impl<'g> TrainerSession<'g> {
 
         let duration = step_start.elapsed();
         self.scheduler.record(rate, duration.as_secs_f64());
-        let obj = self.state.read().objective(env);
+        let obj = self.state.objective(env);
         if beats(&obj, &self.best.1, self.config.budget) {
-            self.best = (self.state.read().core().masters().to_vec(), obj);
+            self.best = (self.state.core().masters().to_vec(), obj);
         }
         let stats = StepStats {
             duration,
@@ -517,7 +517,7 @@ impl<'g> TrainerSession<'g> {
     /// masters.)
     pub fn finish(mut self, env: &CloudEnv) -> (RlCutResult<'g>, SessionResources) {
         let total_duration = self.started.elapsed();
-        let mut final_state = self.state.into_inner();
+        let mut final_state = self.state;
         let best_masters = self.best.0;
         if final_state.core().masters() != best_masters.as_slice() {
             let diffs: Vec<(VertexId, DcId)> = final_state
@@ -581,10 +581,10 @@ const PARALLEL_SCORE_MIN_AGENTS: usize = 64;
 ///
 /// Sequential on the caller (session-resident scratch) without a pool or
 /// below [`PARALLEL_SCORE_MIN_AGENTS`]; otherwise on the pool. Both
-/// produce bit-identical ρ — workers only fill disjoint per-vertex slots.
+/// produce bit-identical ρ — workers only fill disjoint positions.
 fn score_phase(
     geo: &GeoGraph,
-    state: &RwLock<HybridState<'_>>,
+    state: &HybridState<'_>,
     sampled: &[VertexId],
     step_obj: &Objective,
     weights: Weights,
@@ -600,30 +600,28 @@ fn score_phase(
     };
 
     let Some(pool) = exec.pool.filter(|_| sampled.len() >= PARALLEL_SCORE_MIN_AGENTS) else {
-        let st = state.read();
-        return Ok(sampled.iter().map(|&v| best_of(&st, v, exec.scratch)).collect());
+        return Ok(sampled.iter().map(|&v| best_of(state, v, exec.scratch)).collect());
     };
 
     let threads = pool.threads();
     let groups = if exec.config.disable_straggler_mitigation {
-        straggler::round_robin_assignment(sampled, threads)
+        straggler::round_robin_assignment(sampled.len(), threads)
     } else {
         straggler::balanced_assignment(&geo.graph, sampled, threads)
     };
-    let slots: Vec<Mutex<Vec<(VertexId, DcId)>>> =
+    let slots: Vec<Mutex<Vec<(usize, DcId)>>> =
         (0..threads).map(|_| Mutex::new(Vec::new())).collect();
     pool.run_on_all(&|worker, scratch| {
-        let st = state.read();
         let mut out = slots[worker].lock();
-        out.extend(groups[worker].iter().map(|&v| (v, best_of(&st, v, scratch))));
+        out.extend(groups[worker].iter().map(|&i| (i, best_of(state, sampled[i], scratch))));
     })?;
-    let mut rho_by_vertex: Vec<DcId> = vec![0; geo.num_vertices()];
+    let mut rho: Vec<DcId> = vec![0; sampled.len()];
     for slot in slots {
-        for (v, d) in slot.into_inner() {
-            rho_by_vertex[v as usize] = d;
+        for (i, d) in slot.into_inner() {
+            rho[i] = d;
         }
     }
-    Ok(sampled.iter().map(|&v| rho_by_vertex[v as usize]).collect())
+    Ok(rho)
 }
 
 /// Applies move proposals batch-by-batch (§V-A), on the caller thread: each
@@ -633,14 +631,13 @@ fn score_phase(
 /// (the "frozen" state is simply the live state). Returns the applied
 /// migrations in exact apply order (the journal's input).
 fn migration_phase(
-    state: &RwLock<HybridState<'_>>,
+    st: &mut HybridState<'_>,
     proposals: &[(VertexId, DcId)],
     weights: Weights,
     exec: &mut Exec<'_>,
 ) -> Vec<(VertexId, DcId)> {
     let env = exec.env;
     let batch = exec.config.batch_size.max(1);
-    let mut st = state.write();
     let scratch = &mut *exec.scratch;
     let mut applied = Vec::new();
     for chunk in proposals.chunks(batch) {

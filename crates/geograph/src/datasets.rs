@@ -10,7 +10,7 @@
 
 use crate::csr::Graph;
 use crate::generators::{rmat, rmat_streamed, RmatConfig};
-use crate::stream::{BuildError, IngestPool, IngestReport};
+use crate::stream::{BuildError, IngestReport, ScopedPool};
 
 /// Default edges-per-chunk for streamed dataset generation. 2^20 edges
 /// keeps per-chunk RNG setup amortized while giving hundreds of chunks at
@@ -111,7 +111,7 @@ impl Dataset {
         self,
         scale: f64,
         seed: u64,
-        pool: &dyn IngestPool,
+        pool: &ScopedPool,
     ) -> Result<(Graph, IngestReport), BuildError> {
         let (config, seed) = self.rmat_setup(scale, seed);
         rmat_streamed(&config, seed, DEFAULT_CHUNK_EDGES, pool)
@@ -156,7 +156,6 @@ mod tests {
 
     #[test]
     fn streamed_generation_deterministic_across_threads() {
-        use crate::stream::ScopedPool;
         let (a, _) = Dataset::LiveJournal.generate_streamed(0.0005, 1, &ScopedPool(1)).unwrap();
         let (b, rep) = Dataset::LiveJournal.generate_streamed(0.0005, 1, &ScopedPool(4)).unwrap();
         assert_eq!(a, b);

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 
 use super::rmat::chunk_seed;
 use crate::csr::Graph;
-use crate::stream::{build_chunked, BuildError, ChunkedEdges, IngestPool, IngestReport};
+use crate::stream::{build_chunked, BuildError, ChunkedEdges, IngestReport, ScopedPool};
 use crate::GraphBuilder;
 use crate::VertexId;
 
@@ -196,7 +196,7 @@ impl ChunkedEdges for CommunityChunks {
 pub fn community_graph_streamed(
     config: &CommunityConfig,
     chunk_edges: usize,
-    pool: &dyn IngestPool,
+    pool: &ScopedPool,
 ) -> Result<(CommunityGraph, IngestReport), BuildError> {
     let (communities, _) = community_layout(config);
     let src = CommunityChunks::new(config.clone(), chunk_edges);
@@ -315,7 +315,6 @@ mod tests {
 
     #[test]
     fn streamed_deterministic_and_structured() {
-        use crate::stream::ScopedPool;
         let (a, _) = community_graph_streamed(&cfg(), 1024, &ScopedPool(1)).unwrap();
         let (b, rep) = community_graph_streamed(&cfg(), 1024, &ScopedPool(4)).unwrap();
         assert_eq!(a.graph, b.graph);

@@ -4,7 +4,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::csr::Graph;
-use crate::stream::{build_chunked, BuildError, ChunkedEdges, IngestPool, IngestReport};
+use crate::stream::{build_chunked, BuildError, ChunkedEdges, IngestReport, ScopedPool};
 use crate::GraphBuilder;
 use crate::VertexId;
 
@@ -171,7 +171,7 @@ pub fn rmat_streamed(
     config: &RmatConfig,
     seed: u64,
     chunk_edges: usize,
-    pool: &dyn IngestPool,
+    pool: &ScopedPool,
 ) -> Result<(Graph, IngestReport), BuildError> {
     let src = RmatChunks::new(*config, seed, chunk_edges);
     build_chunked(&src, crate::stream::StreamConfig::cleaned(), pool)
@@ -224,7 +224,6 @@ mod tests {
 
     #[test]
     fn streamed_deterministic_across_thread_counts() {
-        use crate::stream::ScopedPool;
         let cfg = RmatConfig::social(1 << 10, 8 << 10);
         let (g1, _) = rmat_streamed(&cfg, 7, 1024, &ScopedPool(1)).unwrap();
         for threads in [2, 4, 8] {
@@ -236,7 +235,6 @@ mod tests {
 
     #[test]
     fn streamed_chunk_size_is_part_of_the_contract() {
-        use crate::stream::ScopedPool;
         let cfg = RmatConfig::social(1 << 10, 8 << 10);
         let (a, _) = rmat_streamed(&cfg, 7, 512, &ScopedPool(2)).unwrap();
         let (b, _) = rmat_streamed(&cfg, 7, 2048, &ScopedPool(2)).unwrap();
@@ -245,7 +243,6 @@ mod tests {
 
     #[test]
     fn streamed_has_rmat_shape() {
-        use crate::stream::ScopedPool;
         let cfg = RmatConfig::web(1 << 12, 32 << 12);
         let (g, rep) = rmat_streamed(&cfg, 42, 4096, &ScopedPool(2)).unwrap();
         assert_eq!(g.num_vertices(), 1 << 12);

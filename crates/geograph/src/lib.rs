@@ -55,8 +55,7 @@ pub use geo::GeoGraph;
 pub use locality::LocalityConfig;
 pub use mem::peak_rss_bytes;
 pub use stream::{
-    build_chunked, build_streamed, BuildError, ChunkedEdges, IngestPool, IngestReport, ScopedPool,
-    StreamConfig,
+    build_chunked, build_streamed, BuildError, ChunkedEdges, IngestReport, ScopedPool, StreamConfig,
 };
 
 /// Identifier of a vertex. Graphs are limited to `u32::MAX - 1` vertices,

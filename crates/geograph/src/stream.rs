@@ -113,31 +113,21 @@ pub trait ChunkedEdges: Sync {
     }
 }
 
-/// Minimal thread-pool abstraction for ingest, so `geograph` can run on the
-/// trainer's persistent `WorkerPool` (which lives upstream in `rlcut` and
-/// therefore cannot be named here) or on plain scoped threads.
-///
-/// `run` must invoke `job(i)` exactly once for every `i in 0..threads()`,
-/// concurrently or not, and return only after all invocations finish.
-pub trait IngestPool {
-    /// Number of workers `run` will invoke.
-    fn threads(&self) -> usize;
-    /// Runs `job(0..threads())` to completion.
-    fn run(&self, job: &(dyn Fn(usize) + Sync));
-}
-
-/// The built-in [`IngestPool`]: spawns scoped threads per call. Zero setup
-/// cost, good enough for one-shot builds; long-lived training sessions pass
-/// their persistent pool instead.
+/// The ingest threads of a build: `ScopedPool(n)` runs each sweep on `n`
+/// scoped threads (at least one), spawned per call and joined before it
+/// returns.
 #[derive(Clone, Copy, Debug)]
 pub struct ScopedPool(pub usize);
 
-impl IngestPool for ScopedPool {
-    fn threads(&self) -> usize {
+impl ScopedPool {
+    /// Number of workers [`Self::run`] invokes.
+    pub fn threads(&self) -> usize {
         self.0.max(1)
     }
 
-    fn run(&self, job: &(dyn Fn(usize) + Sync)) {
+    /// Runs `job(i)` once for every `i in 0..threads()`, concurrently, and
+    /// returns when all have finished.
+    pub fn run(&self, job: &(dyn Fn(usize) + Sync)) {
         let t = self.threads();
         if t == 1 {
             job(0);
@@ -244,7 +234,7 @@ struct SweepTotals {
 fn sweep<S: ChunkedEdges + ?Sized>(
     src: &S,
     cfg: StreamConfig,
-    pool: &dyn IngestPool,
+    pool: &ScopedPool,
     keep: impl Fn(VertexId, VertexId) + Sync,
 ) -> Result<SweepTotals, BuildError> {
     let n = src.num_vertices();
@@ -385,7 +375,7 @@ fn check_runs_full(offsets: &[u32], counters: &[AtomicU32]) -> Result<(), BuildE
 pub fn build_chunked<S: ChunkedEdges + ?Sized>(
     src: &S,
     cfg: StreamConfig,
-    pool: &dyn IngestPool,
+    pool: &ScopedPool,
 ) -> Result<(Graph, IngestReport), BuildError> {
     let n = src.num_vertices();
     if n >= VertexId::MAX as usize {

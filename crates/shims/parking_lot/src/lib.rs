@@ -6,35 +6,7 @@
 //! writer's partial state is the caller's problem, exactly as under real
 //! `parking_lot`.
 
-pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
-
-/// Non-poisoning reader-writer lock over [`std::sync::RwLock`].
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    pub fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
-    }
-
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
+pub use std::sync::MutexGuard;
 
 /// Non-poisoning mutex over [`std::sync::Mutex`].
 #[derive(Debug, Default)]
@@ -103,15 +75,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rwlock_round_trip() {
-        let lock = RwLock::new(1);
-        assert_eq!(*lock.read(), 1);
-        *lock.write() += 1;
-        assert_eq!(*lock.read(), 2);
-        assert_eq!(lock.into_inner(), 2);
-    }
-
-    #[test]
     fn mutex_round_trip() {
         let m = Mutex::new(5);
         *m.lock() += 1;
@@ -158,14 +121,14 @@ mod tests {
     }
 
     #[test]
-    fn read_survives_poison() {
-        let lock = std::sync::Arc::new(RwLock::new(7));
+    fn lock_survives_poison() {
+        let lock = std::sync::Arc::new(Mutex::new(7));
         let l2 = lock.clone();
         let _ = std::thread::spawn(move || {
-            let _g = l2.write();
+            let _g = l2.lock();
             panic!("poison the lock");
         })
         .join();
-        assert_eq!(*lock.read(), 7);
+        assert_eq!(*lock.lock(), 7);
     }
 }

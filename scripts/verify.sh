@@ -173,6 +173,18 @@ if sed '/^#\[cfg(test)\]/,$d' crates/partition/src/hybrid.rs | grep -n -E '1e-6 
   echo "a floating-point tolerance reappeared in crates/partition/src/hybrid.rs"; exit 1
 fi
 
+echo "==> one plan per baseline (the frozen-batch forks and the ingest seam stay deleted)"
+# Ginger and Geo-Cut are one sequential stream each, so no thread count
+# selects a second plan; ingest threads are geograph's ScopedPool, and the
+# baselines depend on neither the trainer they are compared against nor
+# its locks.
+if git grep -n -E 'fn ginger_with_pool|fn geocut_with_pool|IngestPool' -- crates/; then
+  echo "a pooled baseline fork or the ingest-pool seam reappeared under crates/"; exit 1
+fi
+if grep -n -E '^(rlcut|parking_lot)' crates/baselines/Cargo.toml; then
+  echo "crates/baselines/Cargo.toml depends on rlcut or parking_lot again"; exit 1
+fi
+
 echo "==> snapshots carry the plan, not its index (the stored count plane stays deleted)"
 # A snapshot's hybrid-cut count plane is rebuilt at decode by the kernel
 # from_masters uses (PlacementState::place_hybrid_edges); the decoder's
@@ -361,6 +373,10 @@ require_tests delta_window_allocates_neither_a_csr_nor_a_dense_pool \
 # the deleted from-scratch rebuild returned, by applying moves.
 require_tests batched_evaluation_is_bitwise_sequential \
   best_before_last_partition_keeps_its_masters
+# One plan per baseline: run_all_methods at one and two threads gives every
+# method but RLCut (wall-clock T_opt) the same plan, and the sequential
+# Ginger masters and Geo-Cut edge DCs at seed 42 stay pinned.
+require_tests baseline_plans_ignore_the_thread_count
 
 echo "==> cargo fmt --check"
 cargo fmt --check
