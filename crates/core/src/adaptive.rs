@@ -43,7 +43,7 @@ pub enum WindowError {
     /// The placement layer rejected the window (e.g. a delta that does
     /// not line up with the carried state).
     Plan(PlanError),
-    /// Training failed (a panicking pool worker).
+    /// Training failed (a panicking scoring worker).
     Train(PoolError),
 }
 
@@ -119,7 +119,7 @@ pub struct WindowReport {
 ///   previous window's [`PlacementState`] absorbs the [`GraphDelta`] in
 ///   work proportional to the touched vertices
 ///   ([`HybridState::resume_from_parts`]), the trainer session adopts the
-///   previous window's worker pool and scratch ([`SessionResources`]),
+///   previous window's warm scoring arenas ([`SessionResources`]),
 ///   the delta's degree-capped neighborhood is fronted in the sampling
 ///   order ([`TrainerSession::focus_window`]), and the Eq 14 rate floor
 ///   is raised so a converged schedule cannot starve it. No full-graph
@@ -146,8 +146,8 @@ pub struct AdaptiveRlCut {
     /// next delta resumes it instead of rebuilding (`None` before the
     /// first window and while a rebuild is in flight).
     carried: Option<(PlacementState, usize)>,
-    /// The previous window's worker pool and scratch arena, carried so
-    /// pool workers survive across windows.
+    /// The previous window's scoring arenas (and journal), carried so a
+    /// window's first step does not grow them again.
     resources: Option<SessionResources>,
     /// Ask each window's session to journal its applied moves (the
     /// durable driver's WAL feed).
@@ -227,13 +227,6 @@ impl AdaptiveRlCut {
         self.dead.as_deref()
     }
 
-    /// OS thread ids of the carried worker pool (`None` before the first
-    /// window or when the config runs poolless). Stable ids across windows
-    /// prove cross-window pool persistence.
-    pub fn pool_thread_ids(&self) -> Option<Vec<std::thread::ThreadId>> {
-        self.resources.as_ref().and_then(|r| r.pool_thread_ids())
-    }
-
     /// Validates the carried placement state against the snapshot it is
     /// supposed to describe: every aggregate (loads, mirror maps, degree
     /// tables, movement cost) is recomputed from scratch and compared. The
@@ -288,7 +281,7 @@ impl AdaptiveRlCut {
     /// [`Self::on_window`] consuming the window's [`GraphDelta`]: resumes
     /// the carried placement state incrementally (work proportional to the
     /// delta), fronts what the delta made hot in the sampling order, and
-    /// reuses the carried worker pool. Falls back to the rebuild path on
+    /// reuses the carried scoring arenas. Falls back to the rebuild path on
     /// the first window. A delta or profile that does not fit is
     /// [`PlanError::DeltaMismatch`], leaving the carried state in place.
     pub fn on_window_delta(
@@ -339,14 +332,15 @@ impl AdaptiveRlCut {
             (state, Some(stats))
         } else {
             // Rebuild path: from-scratch state over the whole snapshot,
-            // seeded from the carried masters.
-            let carried = self.carried.take().map(|(core, _)| core.masters().to_vec());
-            let mut masters = carried.unwrap_or_default();
+            // seeded from the carried masters, which stay carried until the
+            // profile has proven to be loads.
+            let mut masters = self.masters().to_vec();
             masters.extend_from_slice(&geo.locations[masters.len()..]);
             let theta =
                 config.theta.unwrap_or_else(|| geograph::degree::suggest_theta(&geo.graph, 0.05));
             let state =
-                HybridState::from_masters(geo, env, masters, theta, profile, num_iterations);
+                HybridState::try_from_masters(geo, env, masters, theta, profile, num_iterations)?;
+            self.carried = None;
             (state, None)
         };
         let delta_apply = prep_start.elapsed();
@@ -547,6 +541,12 @@ mod tests {
             assert_eq!((adaptive.masters(), *kept_theta), (core.masters(), theta));
             assert_eq!(kept.movement_cost().to_bits(), core.movement_cost().to_bits());
         }
+        // A rebuild window whose profile is not loads is refused the same way.
+        let mut negative = p.clone();
+        negative.gather_bytes[0] = -1.0;
+        let err = adaptive.on_window(&geo, &env, negative, 10.0, t_opt).expect_err("not a load");
+        assert!(matches!(err, WindowError::Plan(PlanError::ProfileOutOfRange { .. })), "{err}");
+        assert_eq!(adaptive.masters(), core.masters(), "the carried state stays");
         let report =
             adaptive.on_window_delta(&geo, &env, &stationary, p, 10.0, t_opt).expect("valid delta");
         assert!(report.delta_stats.is_some(), "the next delta window resumes, not rebuilds");
@@ -587,31 +587,39 @@ mod tests {
     }
 
     #[test]
-    fn delta_windows_reuse_the_worker_pool() {
+    fn delta_windows_reuse_the_scoring_arenas() {
         // The cross-window persistence gate (also run by scripts/verify.sh):
-        // pool thread ids must be identical across delta windows — the
-        // pool is carried, not respawned.
+        // every window fans its scoring out over the arenas the windows
+        // before it warmed, so as the graph grows an arena's capacity only
+        // ever grows — a window that built fresh arenas would read back
+        // only what its own sample needed.
         let (mut geo, windows) = stream_workload(400, 23, 2_500);
         assert!(windows.len() >= 3, "need several delta windows, got {}", windows.len());
         let env = ec2_eight_regions();
         let config = RlCutConfig::new(1.0)
             .with_seed(9)
             .with_threads(4)
-            .with_fixed_sample_rate(0.05)
+            .with_fixed_sample_rate(0.5)
             .with_max_steps(2);
         let mut adaptive = AdaptiveRlCut::new(config, Some(0.4));
+        let t_opt = Duration::from_secs(60);
 
         let p0 = TrafficProfile::uniform(geo.num_vertices(), 8.0);
-        adaptive.on_window(&geo, &env, p0, 10.0, Duration::from_millis(200)).expect("window 0");
-        let ids = adaptive.pool_thread_ids().expect("threads=4 builds a pool");
-        assert_eq!(ids.len(), 4);
+        adaptive.on_window(&geo, &env, p0, 10.0, t_opt).expect("window 0");
+        let arena_stats = |adaptive: &AdaptiveRlCut| -> Vec<geopart::ScratchStats> {
+            let resources = adaptive.resources.as_ref().expect("a window ran");
+            resources.arenas.iter().map(geopart::MoveScratch::stats).collect()
+        };
+        let mut warm = arena_stats(&adaptive);
+        assert_eq!(warm.len(), 4);
+        assert!(warm.iter().all(|s| s.width == env.num_dcs()), "window 0 fanned out: {warm:?}");
 
         for (i, window) in windows.iter().enumerate() {
             let delta = GraphDelta::from_events(&geo.graph, window);
             geo = grown(&geo, &delta);
             let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
             let report = adaptive
-                .on_window_delta(&geo, &env, &delta, profile, 10.0, Duration::from_millis(200))
+                .on_window_delta(&geo, &env, &delta, profile, 10.0, t_opt)
                 .unwrap_or_else(|e| panic!("delta window {i}: {e}"));
             // The incremental path ran: delta stats present, and the work
             // was proportional to the delta, not the graph.
@@ -622,11 +630,13 @@ mod tests {
                 stats.work_items(),
                 delta.num_edge_changes()
             );
-            assert_eq!(
-                adaptive.pool_thread_ids().as_deref(),
-                Some(ids.as_slice()),
-                "window {i} respawned the pool"
-            );
+            let now = arena_stats(&adaptive);
+            assert_eq!(now.len(), 4);
+            for (was, is) in warm.iter().zip(&now) {
+                assert_eq!((is.width, is.dest_cells), (was.width, was.dest_cells));
+                assert!(is.neighbor_capacity >= was.neighbor_capacity, "window {i}: {now:?}");
+            }
+            warm = now;
         }
         assert_eq!(adaptive.masters().len(), geo.num_vertices());
     }

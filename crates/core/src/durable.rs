@@ -29,7 +29,7 @@ use geodur::{
     env_fingerprint, masters_fnv, Batch, Commit, DurableError, DurableStore, RecoveryReport,
     SnapshotRef, WindowStart,
 };
-use geograph::{DcId, GeoGraph, GraphDelta};
+use geograph::{DcId, GeoGraph, GraphDelta, VertexId};
 use geopart::{PlanError, TrafficProfile};
 use geosim::CloudEnv;
 
@@ -259,6 +259,14 @@ impl DurableAdaptive {
         if loc_suffix.iter().any(|&d| d as usize >= self.geo.num_dcs) {
             return Err(DurableWindowError::Input("a new vertex's location is not a DC"));
         }
+        // The profile suffix starts where the committed placement's profile
+        // ends (window 0's is the whole profile). A value in it that is not
+        // a load is refused before the start is logged or the graph
+        // advances: replay would refuse the record and strand the store.
+        let profile_base = self.inner.masters().len();
+        (profile_base..new_n)
+            .try_for_each(|v| profile.units(v as VertexId).map(drop))
+            .map_err(WindowError::Plan)?;
         // In place: the old snapshot is never needed again, so the graph
         // holds one CSR, not two, while it advances.
         if let Some(d) = delta {
@@ -268,9 +276,6 @@ impl DurableAdaptive {
         }
 
         // 2. Log the window's inputs durably BEFORE training touches them.
-        //    The profile suffix starts where the committed placement's
-        //    profile ends (window 0 logs the whole profile).
-        let profile_base = self.inner.masters().len();
         let ws = WindowStart {
             window: self.window,
             delta: delta.cloned(),
@@ -598,5 +603,68 @@ mod tests {
             assert_eq!(durable.next_window(), window + 1);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn refused_profile_leaves_the_pipeline_usable() {
+        // A profile value that is not a load — window 0's whole profile, a
+        // delta window's suffix — is a typed plan error, refused before the
+        // window start is logged or the owned graph advances: the same
+        // window retried with a good profile commits, and recovery finds
+        // every window committed.
+        let w = workload();
+        let env = ec2_eight_regions();
+        let dir = tmp_dir("refused_profile");
+        let t_opt = Duration::from_secs(60);
+        let mut durable =
+            DurableAdaptive::create(&dir, pinned_config(13), Some(0.4), w.geo0.clone(), &env, 0)
+                .expect("create");
+        let n = w.geo0.num_vertices();
+        let refuse = |durable: &mut DurableAdaptive, delta: Option<&GraphDelta>, bad: f32| {
+            let (lsn, vertices) = (durable.store().next_lsn(), durable.geo().num_vertices());
+            let new_n = delta.map_or(vertices, GraphDelta::new_num_vertices);
+            let mut profile = TrafficProfile::uniform(new_n, 8.0);
+            profile.apply_bytes[new_n - 1] = bad;
+            let grown = new_n - vertices;
+            let err = durable
+                .window(&env, delta, &vec![0; grown], &vec![2048; grown], profile, 10.0, t_opt)
+                .expect_err("a profile value that is not a load");
+            let DurableWindowError::Window(WindowError::Plan(refused)) = err else {
+                panic!("expected a plan error, got {err}");
+            };
+            assert!(matches!(refused, PlanError::ProfileOutOfRange { .. }), "{refused}");
+            assert_eq!(durable.store().next_lsn(), lsn, "a refused window logs nothing");
+            assert_eq!(durable.geo().num_vertices(), vertices, "a refused window advances nothing");
+        };
+
+        refuse(&mut durable, None, -1.0);
+        let good = TrafficProfile::uniform(n, 8.0);
+        durable.window(&env, None, &[], &[], good, 10.0, t_opt).expect("window 0 retried");
+        let masters = durable.masters().to_vec();
+
+        let new_vertex = GraphDelta::from_events(&w.geo0.graph, &[insert(n as VertexId, 0)]);
+        assert_eq!(new_vertex.new_num_vertices(), n + 1);
+        refuse(&mut durable, Some(&new_vertex), f32::NAN);
+        assert_eq!(durable.masters(), &masters[..], "a refused window moves nothing");
+        let good = TrafficProfile::uniform(n + 1, 8.0);
+        durable
+            .window(&env, Some(&new_vertex), &[0], &[2048], good, 10.0, t_opt)
+            .expect("delta window retried");
+        durable
+            .window(&env, None, &[], &[], TrafficProfile::uniform(n + 1, 8.0), 10.0, t_opt)
+            .expect("stationary window");
+        drop(durable);
+
+        let (recovered, summary) =
+            DurableAdaptive::recover(&dir, pinned_config(13), Some(0.4), &env, 0).expect("recover");
+        assert_eq!(summary.next_window, 3);
+        assert!(!summary.rolled_back, "every logged window committed");
+        assert_eq!(recovered.geo().num_vertices(), n + 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn insert(src: VertexId, dst: VertexId) -> geograph::dynamic::EdgeEvent {
+        use geograph::dynamic::{EdgeEvent, EventKind};
+        EdgeEvent { src, dst, timestamp_ms: 0, kind: EventKind::Insert }
     }
 }

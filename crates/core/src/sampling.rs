@@ -106,12 +106,6 @@ impl SampleScheduler {
         self
     }
 
-    /// Builder form of [`SampleScheduler::set_min_rate`].
-    pub fn with_min_rate(mut self, floor: f64) -> Self {
-        self.set_min_rate(floor);
-        self
-    }
-
     /// Raises the schedule's sample-rate floor (see the `min_rate` field).
     /// Applies to the initial and Eq 14-scheduled rates, not to a pinned
     /// `fixed` rate and not to the stopping conditions.
@@ -450,7 +444,8 @@ mod tests {
     #[test]
     fn min_rate_floors_initial_and_scheduled_rates() {
         // Initial rate below the floor is lifted…
-        let mut s = SampleScheduler::new(Some(10.0), None, 0.01, 10).with_min_rate(0.25);
+        let mut s = SampleScheduler::new(Some(10.0), None, 0.01, 10);
+        s.set_min_rate(0.25);
         assert_eq!(s.next_rate(), Some(0.25));
         // …and so is an Eq 14-scheduled rate starved by a tight budget.
         s.record(0.25, 9.99);
@@ -461,13 +456,15 @@ mod tests {
     #[test]
     fn min_rate_leaves_fixed_rates_and_stopping_alone() {
         // A pinned rate is an explicit override — not floored.
-        let mut s = SampleScheduler::new(Some(1.0), Some(0.05), 0.01, 10).with_min_rate(0.5);
+        let mut s = SampleScheduler::new(Some(1.0), Some(0.05), 0.01, 10);
+        s.set_min_rate(0.5);
         assert_eq!(s.next_rate(), Some(0.05));
         // Stopping conditions are unaffected: a spent budget still halts.
         s.record(0.05, 2.0);
         assert_eq!(s.next_rate(), None);
         // Same for the adaptive path.
-        let mut s = SampleScheduler::new(Some(1.0), None, 0.01, 10).with_min_rate(0.5);
+        let mut s = SampleScheduler::new(Some(1.0), None, 0.01, 10);
+        s.set_min_rate(0.5);
         s.record(0.5, 2.0);
         assert_eq!(s.next_rate(), None);
     }

@@ -9,16 +9,14 @@
 //! ## Parallel architecture
 //!
 //! The session owns its environment ([`HybridState`]) outright: scoring
-//! reads it from the pool's workers while the caller blocks in the
-//! dispatch, and migration writes it on the caller, so no lock guards it.
-//! A session with `threads > 1` owns a persistent
-//! [`WorkerPool`](crate::pool::WorkerPool) — workers spawned once, each
-//! with a resident [`geopart::MoveScratch`] arena that stays warm across
-//! steps; a single-threaded session has no pool and runs every phase on
-//! the caller thread with the session-resident scratch. Each step has two
-//! phases, the first of them parallel:
+//! reads it from the fan-out's workers while the caller waits for them,
+//! and migration writes it on the caller, so no lock guards it. It also
+//! owns one [`geopart::MoveScratch`] arena per thread, warm across steps
+//! and carried across windows; arena 0 doubles as the arena of every
+//! sequential path. Each step has two phases, the first of them parallel:
 //!
-//! * **Scoring** — sampled agents are spread over the pool's workers by
+//! * **Scoring** — sampled agents are spread over `threads` scoped workers
+//!   ([`crate::pool::fan_out`]) by
 //!   the straggler-mitigating LPT assignment; each worker scores all `M`
 //!   candidate moves of an agent in **one** batched kernel sweep
 //!   ([`HybridState::evaluate_all_moves`]) against the frozen step-start
@@ -40,14 +38,13 @@ use std::time::Instant;
 use geograph::{DcId, GeoGraph, VertexId};
 use geopart::{HybridState, MoveScratch, Objective, TrafficProfile};
 use geosim::CloudEnv;
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::agent::AgentPool;
 use crate::config::{RlCutConfig, SampleStrategy};
-use crate::pool::{PoolError, WorkerPool};
+use crate::pool::{fan_out, PoolError};
 use crate::sampling::{
     degree_ascending_order, sample_prefix, scan_start, scan_window, window_order, SampleScheduler,
 };
@@ -78,16 +75,13 @@ pub fn partition<'g>(
 
 /// What a finished [`TrainerSession`] hands to the next window's session
 /// ([`TrainerSession::finish`] →
-/// [`TrainerSession::with_resources`]): the persistent worker pool and the
-/// sequential scratch arena, so pool workers — and their warm per-worker
-/// arenas — survive across windows instead of being respawned per window;
-/// plus what only rides *out* of a session, the move journal.
-#[derive(Debug)]
+/// [`TrainerSession::with_resources`]): the warm scoring arenas, one per
+/// thread, so a window's first step does not grow them again; plus what
+/// only rides *out* of a session, the move journal.
+#[derive(Debug, Default)]
 pub struct SessionResources {
-    /// Carried worker pool (`None` when the donor ran single-threaded).
-    pub(crate) pool: Option<WorkerPool>,
-    /// Carried sequential scratch arena.
-    pub(crate) scratch: MoveScratch,
+    /// Carried arenas (a session resizes them to its thread count).
+    pub(crate) arenas: Vec<MoveScratch>,
     /// Applied-move journal of the donor session (present only when the
     /// donor had [`TrainerSession::enable_move_journal`] on): one entry
     /// per step with accepted migrations, in exact apply order, plus the
@@ -108,41 +102,13 @@ pub const RESEED_STEP: u32 = u32::MAX - 1;
 /// apply order.
 pub type MoveJournal = Vec<(u32, Vec<(VertexId, DcId)>)>;
 
-impl Default for SessionResources {
-    fn default() -> Self {
-        SessionResources { pool: None, scratch: MoveScratch::new(), journal: None }
-    }
-}
-
-impl SessionResources {
-    /// OS thread ids of the carried pool's workers (`None` without a
-    /// pool). The cross-window persistence probe: ids stable across
-    /// windows prove the pool was reused, not respawned.
-    pub fn pool_thread_ids(&self) -> Option<Vec<std::thread::ThreadId>> {
-        self.pool.as_ref().map(|p| p.thread_ids())
-    }
-}
-
-/// The pool a session with `threads` workers runs on — present iff
-/// `threads > 1`. A carried pool of the right size is adopted; any other
-/// is dropped here (its workers join) and a fresh one is spawned.
-fn pool_for(threads: usize, carried: Option<WorkerPool>) -> Option<WorkerPool> {
-    match carried {
-        _ if threads <= 1 => None,
-        Some(pool) if pool.threads() == threads => Some(pool),
-        _ => Some(WorkerPool::new(threads)),
-    }
-}
-
 /// What a phase executes on, borrowed from the session for one step.
 struct Exec<'a> {
     env: &'a CloudEnv,
     config: &'a RlCutConfig,
-    /// The session's pool (`None` ⇔ single-threaded).
-    pool: Option<&'a WorkerPool>,
-    /// Scratch for every sequential path (small-sample scoring,
-    /// migration).
-    scratch: &'a mut MoveScratch,
+    /// One arena per thread; arena 0 also serves every sequential path
+    /// (small-sample scoring, migration).
+    arenas: &'a mut [MoveScratch],
 }
 
 /// A training run: the Fig 5 loop broken into externally driven steps.
@@ -179,13 +145,10 @@ pub struct TrainerSession<'g> {
     /// from convergence; a time budget can run out mid-flight).
     exhausted: bool,
     started: Instant,
-    /// Persistent workers for the parallel phases (`None` ⇔ the session
-    /// is single-threaded). Joined on session drop.
-    pool: Option<WorkerPool>,
-    /// Session-resident scratch for every sequential path (small-sample
-    /// scoring, migration) — warm across steps just like the pool
-    /// workers' arenas.
-    scratch: MoveScratch,
+    /// One scoring arena per thread, warm across steps; arena 0 also
+    /// serves every sequential path (small-sample scoring, migration,
+    /// re-seed, reconcile).
+    arenas: Vec<MoveScratch>,
     /// Applied-move journal: `Some` while a durable driver needs every
     /// accepted migration (in exact apply order) for its WAL.
     journal: Option<MoveJournal>,
@@ -207,8 +170,8 @@ impl<'g> TrainerSession<'g> {
         Self::with_resources(geo, env, state, config, SessionResources::default())
     }
 
-    /// [`Self::new`] reusing the pool and scratch of a previous session
-    /// (the dynamic-window path).
+    /// [`Self::new`] reusing the arenas of a previous session (the
+    /// dynamic-window path), resized to this session's thread count.
     pub fn with_resources(
         geo: &'g GeoGraph,
         env: &CloudEnv,
@@ -216,6 +179,8 @@ impl<'g> TrainerSession<'g> {
         config: RlCutConfig,
         resources: SessionResources,
     ) -> Self {
+        let mut arenas = resources.arenas;
+        arenas.resize_with(config.threads().max(1), MoveScratch::new);
         TrainerSession {
             geo,
             agents: AgentPool::new(0, env.num_dcs()),
@@ -232,8 +197,7 @@ impl<'g> TrainerSession<'g> {
             converged: false,
             exhausted: false,
             started: Instant::now(),
-            pool: pool_for(config.threads(), resources.pool),
-            scratch: resources.scratch,
+            arenas,
             journal: None,
             dead_dcs: 0,
             config,
@@ -359,7 +323,7 @@ impl<'g> TrainerSession<'g> {
         geopart::reseed_stranded_masters(&mut to, &homes, dead, self.geo.num_dcs)?;
         self.dead_dcs = mask;
         for (&v, &d) in stranded.iter().zip(&to) {
-            state.apply_move_with(env, v, d, &mut self.scratch);
+            state.apply_move_with(env, v, d, &mut self.arenas[0]);
         }
         if !stranded.is_empty() {
             self.best = (state.core().masters().to_vec(), state.objective(env));
@@ -378,17 +342,11 @@ impl<'g> TrainerSession<'g> {
         self.scheduler.set_min_rate(floor.clamp(0.0, 1.0));
     }
 
-    /// OS thread ids of the pool workers (`None` without a pool).
-    pub fn pool_thread_ids(&self) -> Option<Vec<std::thread::ThreadId>> {
-        self.pool.as_ref().map(|p| p.thread_ids())
-    }
-
-    /// Capacity snapshot of every pool worker's resident scratch arena
-    /// (`None` when the session runs without a pool). Steady-state
-    /// contract: after the first full-sample step the capacities stop
-    /// changing — the hot loops allocate nothing.
-    pub fn pool_scratch_stats(&self) -> Option<Vec<geopart::ScratchStats>> {
-        self.pool.as_ref().map(|p| p.scratch_stats())
+    /// Capacity snapshot of the session's arenas, one per thread.
+    /// Steady-state contract: after the first full-sample step the
+    /// capacities stop changing — the hot loops allocate nothing.
+    pub fn scratch_stats(&self) -> Vec<geopart::ScratchStats> {
+        self.arenas.iter().map(MoveScratch::stats).collect()
     }
 
     /// Executes one training step (Fig 5 phases 1–5) under `env` and
@@ -430,12 +388,7 @@ impl<'g> TrainerSession<'g> {
         self.agents.grow(prefix.len());
         let over_budget = step_obj.total_cost() > self.config.budget;
         let weights = Weights::at(step, self.config.max_steps, over_budget);
-        let mut exec = Exec {
-            env,
-            config: &self.config,
-            pool: self.pool.as_ref(),
-            scratch: &mut self.scratch,
-        };
+        let mut exec = Exec { env, config: &self.config, arenas: &mut self.arenas };
 
         // Phases 1–4 — score function & reinforcement signal (parallel),
         // probability update & UCB action selection. Proposals come out in
@@ -511,7 +464,7 @@ impl<'g> TrainerSession<'g> {
     /// by **applying the differing moves** — work proportional to the
     /// drift, not to the graph, journaled under [`RECONCILE_STEP`] when the
     /// journal is on — and
-    /// hands the pool, the scratch and the journal back for the next
+    /// hands the arenas and the journal back for the next
     /// window's session. (The state's loads and Eq 4 moved bytes are
     /// integers, so the reconciled state equals a rebuild from the best
     /// masters.)
@@ -530,15 +483,14 @@ impl<'g> TrainerSession<'g> {
                 .map(|(v, (_, &best))| (v as VertexId, best))
                 .collect();
             for &(v, to) in &diffs {
-                final_state.apply_move_with(env, v, to, &mut self.scratch);
+                final_state.apply_move_with(env, v, to, &mut self.arenas[0]);
             }
             debug_assert_eq!(final_state.core().masters(), best_masters.as_slice());
             if let Some(journal) = self.journal.as_mut() {
                 journal.push((RECONCILE_STEP, diffs));
             }
         }
-        let resources =
-            SessionResources { pool: self.pool, scratch: self.scratch, journal: self.journal };
+        let resources = SessionResources { arenas: self.arenas, journal: self.journal };
         let result = RlCutResult {
             state: final_state,
             steps: self.steps,
@@ -563,25 +515,26 @@ fn beats(candidate: &Objective, incumbent: &Objective, budget: f64) -> bool {
     }
 }
 
-/// Minimum sampled-agent count before the score phase fans out to the
-/// worker pool; smaller samples run sequentially on the caller thread.
+/// Minimum sampled-agent count before the score phase fans out; smaller
+/// samples run sequentially on the caller thread.
 ///
-/// Rationale: a parallel dispatch has a fixed cost — one condvar
-/// round-trip into the persistent [`WorkerPool`] plus the LPT group build
-/// — that amortizes only once the sampled agents carry enough `O(deg)`
-/// scoring work; below the threshold the sequential path (with the
-/// session-resident scratch) wins. 64 was measured on the 8-DC
-/// Twitter-analog preset: tiny adaptive early-step samples (1 % of
-/// agents) finish faster inline.
+/// Rationale: a fan-out has a fixed cost — spawning and joining
+/// `threads − 1` scoped threads (≈ 45–55 µs at 2 threads on a 2-vCPU VM)
+/// plus the LPT group build — that amortizes only once the sampled agents
+/// carry enough `O(deg)` scoring work. An 8-DC agent scores in ≈ 2–3 µs,
+/// so 64 agents are ≈ 150 µs of work, of which a second thread saves
+/// about half: above the spawn cost. Tiny adaptive early-step samples
+/// (1 % of agents) finish faster inline.
 const PARALLEL_SCORE_MIN_AGENTS: usize = 64;
 
 /// Computes ρ_v (the score-optimal DC, Eq 10/11, never one of the `dead`
 /// mask) for every sampled agent. Returns one entry per agent, aligned
 /// with `sampled`.
 ///
-/// Sequential on the caller (session-resident scratch) without a pool or
-/// below [`PARALLEL_SCORE_MIN_AGENTS`]; otherwise on the pool. Both
-/// produce bit-identical ρ — workers only fill disjoint positions.
+/// Sequential on the caller (arena 0) with one thread or below
+/// [`PARALLEL_SCORE_MIN_AGENTS`]; otherwise worker `i` scores LPT group `i`
+/// with arena `i`. Both produce bit-identical ρ — a group's results land
+/// on its own positions.
 fn score_phase(
     geo: &GeoGraph,
     state: &HybridState<'_>,
@@ -599,25 +552,23 @@ fn score_phase(
         best_destination(step_obj, candidates, st.master(v), weights, dead)
     };
 
-    let Some(pool) = exec.pool.filter(|_| sampled.len() >= PARALLEL_SCORE_MIN_AGENTS) else {
-        return Ok(sampled.iter().map(|&v| best_of(state, v, exec.scratch)).collect());
-    };
+    let threads = exec.arenas.len();
+    if threads == 1 || sampled.len() < PARALLEL_SCORE_MIN_AGENTS {
+        let scratch = &mut exec.arenas[0];
+        return Ok(sampled.iter().map(|&v| best_of(state, v, scratch)).collect());
+    }
 
-    let threads = pool.threads();
     let groups = if exec.config.disable_straggler_mitigation {
         straggler::round_robin_assignment(sampled.len(), threads)
     } else {
         straggler::balanced_assignment(&geo.graph, sampled, threads)
     };
-    let slots: Vec<Mutex<Vec<(usize, DcId)>>> =
-        (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-    pool.run_on_all(&|worker, scratch| {
-        let mut out = slots[worker].lock();
-        out.extend(groups[worker].iter().map(|&i| (i, best_of(state, sampled[i], scratch))));
+    let by_group = fan_out(exec.arenas, &|worker, scratch| -> Vec<DcId> {
+        groups[worker].iter().map(|&i| best_of(state, sampled[i], scratch)).collect()
     })?;
     let mut rho: Vec<DcId> = vec![0; sampled.len()];
-    for slot in slots {
-        for (i, d) in slot.into_inner() {
+    for (group, dcs) in groups.iter().zip(by_group) {
+        for (&i, d) in group.iter().zip(dcs) {
             rho[i] = d;
         }
     }
@@ -638,7 +589,7 @@ fn migration_phase(
 ) -> Vec<(VertexId, DcId)> {
     let env = exec.env;
     let batch = exec.config.batch_size.max(1);
-    let scratch = &mut *exec.scratch;
+    let scratch = &mut exec.arenas[0];
     let mut applied = Vec::new();
     for chunk in proposals.chunks(batch) {
         let obj = st.objective(env);
@@ -789,10 +740,10 @@ mod tests {
     #[test]
     fn pool_arenas_stay_warm_across_steps() {
         // With full sampling the per-worker score groups are identical
-        // every step (LPT over the same agents), so worker arenas reach
-        // their steady-state capacity during step 1 and must never regrow.
-        // Migration runs on the caller, so the only pool work is the
-        // (static) scoring assignment.
+        // every step (LPT over the same agents), so the arenas reach their
+        // steady-state capacity during step 1 and must never regrow. Arena
+        // 0 also migrates, but LPT hands it the heaviest agent first, so
+        // no proposal stages a larger neighborhood than its group did.
         let (geo, env) = setup(14);
         let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
         let config = default_config(&geo, &env)
@@ -805,75 +756,71 @@ mod tests {
             HybridState::from_masters(&geo, &env, geo.locations.clone(), theta, profile, 10.0);
         let mut session = TrainerSession::new(&geo, &env, state, config);
         assert!(session.step(&env).unwrap().is_some());
-        let warm = session.pool_scratch_stats().expect("threads=4 builds a pool");
+        let warm = session.scratch_stats();
+        assert_eq!(warm.len(), 4, "one arena per thread");
         assert!(warm.iter().all(|s| s.width == env.num_dcs()), "{warm:?}");
         assert!(warm.iter().all(|s| s.neighbor_capacity > 0), "{warm:?}");
         while session.step(&env).unwrap().is_some() {}
-        let steady = session.pool_scratch_stats().unwrap();
+        let steady = session.scratch_stats();
         assert_eq!(warm, steady, "arenas regrew after step 1");
+    }
+
+    /// A session on `threads` workers, seeded from `masters`, that adopts
+    /// `resources` (two full-sample steps).
+    fn carried_session<'a>(
+        geo: &'a GeoGraph,
+        env: &CloudEnv,
+        masters: Vec<DcId>,
+        threads: usize,
+        resources: SessionResources,
+    ) -> TrainerSession<'a> {
+        let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
+        let theta = geograph::degree::suggest_theta(&geo.graph, 0.05);
+        let state = HybridState::from_masters(geo, env, masters, theta, profile, 10.0);
+        let config = default_config(geo, env)
+            .with_threads(threads)
+            .with_fixed_sample_rate(1.0)
+            .with_max_steps(2);
+        TrainerSession::with_resources(geo, env, state, config, resources)
     }
 
     #[test]
     fn resources_carry_the_pool_across_sessions() {
-        // The dynamic-window contract: finish hands the worker pool to the
-        // next session, which adopts it instead of respawning — same OS
-        // threads before and after.
+        // The dynamic-window contract: finish hands the warm per-worker
+        // arenas to the next session, which adopts them as they are.
         let (geo, env) = setup(16);
-        let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
-        let config = default_config(&geo, &env).with_threads(4).with_max_steps(2);
-        let theta = geograph::degree::suggest_theta(&geo.graph, 0.05);
-        let state = HybridState::from_masters(
-            &geo,
-            &env,
-            geo.locations.clone(),
-            theta,
-            profile.clone(),
-            10.0,
-        );
-        let mut s1 = TrainerSession::new(&geo, &env, state, config.clone());
+        let mut s1 =
+            carried_session(&geo, &env, geo.locations.clone(), 4, SessionResources::default());
         while s1.step(&env).unwrap().is_some() {}
-        let ids_before = s1.pool_thread_ids().expect("threads=4 builds a pool");
+        let warm = s1.scratch_stats();
+        assert_eq!(warm.len(), 4, "one arena per thread");
+        assert!(warm.iter().all(|s| s.width == env.num_dcs()), "{warm:?}");
+        assert!(warm.iter().all(|s| s.neighbor_capacity > 0), "{warm:?}");
         let (r1, resources) = s1.finish(&env);
-        assert_eq!(resources.pool_thread_ids().as_deref(), Some(ids_before.as_slice()));
-        let state2 = HybridState::from_masters(
-            &geo,
-            &env,
-            r1.state.core().masters().to_vec(),
-            theta,
-            profile,
-            10.0,
-        );
-        let s2 = TrainerSession::with_resources(&geo, &env, state2, config, resources);
-        assert_eq!(s2.pool_thread_ids().as_deref(), Some(ids_before.as_slice()));
+        let s2 = carried_session(&geo, &env, r1.state.core().masters().to_vec(), 4, resources);
+        assert_eq!(s2.scratch_stats(), warm, "same thread count: the arenas as they were");
     }
 
     #[test]
     fn mismatched_carried_pool_is_replaced() {
+        // A carried arena set sized for another thread count is resized to
+        // the new session's: kept in order when it shrinks, fresh arenas
+        // appended when it grows.
         let (geo, env) = setup(17);
-        let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
-        let theta = geograph::degree::suggest_theta(&geo.graph, 0.05);
-        let build_state = |p: TrafficProfile| {
-            HybridState::from_masters(&geo, &env, geo.locations.clone(), theta, p, 10.0)
-        };
-        let donor = TrainerSession::new(
-            &geo,
-            &env,
-            build_state(profile.clone()),
-            default_config(&geo, &env).with_threads(4).with_max_steps(1),
-        );
-        let donor_ids = donor.pool_thread_ids().unwrap();
+        let mut donor =
+            carried_session(&geo, &env, geo.locations.clone(), 4, SessionResources::default());
+        while donor.step(&env).unwrap().is_some() {}
+        let warm = donor.scratch_stats();
+        assert!(warm.iter().all(|s| s.neighbor_capacity > 0), "{warm:?}");
         let (_, resources) = donor.finish(&env);
-        // Next window wants 2 threads: the 4-worker pool must not be kept.
-        let s = TrainerSession::with_resources(
-            &geo,
-            &env,
-            build_state(profile),
-            default_config(&geo, &env).with_threads(2).with_max_steps(1),
-            resources,
-        );
-        let ids = s.pool_thread_ids().unwrap();
-        assert_eq!(ids.len(), 2);
-        assert!(ids.iter().all(|id| !donor_ids.contains(id)));
+        let shrunk = carried_session(&geo, &env, geo.locations.clone(), 2, resources);
+        assert_eq!(shrunk.scratch_stats(), warm[..2], "fewer threads: the first arenas kept");
+        let (_, resources) = shrunk.finish(&env);
+        let grown =
+            carried_session(&geo, &env, geo.locations.clone(), 3, resources).scratch_stats();
+        assert_eq!(grown.len(), 3);
+        assert_eq!(grown[..2], warm[..2]);
+        assert_eq!(grown[2], MoveScratch::new().stats(), "a new thread starts a fresh arena");
     }
 
     #[test]

@@ -113,9 +113,10 @@ pub trait ChunkedEdges: Sync {
     }
 }
 
-/// The ingest threads of a build: `ScopedPool(n)` runs each sweep on `n`
-/// scoped threads (at least one), spawned per call and joined before it
-/// returns.
+/// The workspace's one fan-out: `ScopedPool(n)` runs a job on `n` threads
+/// (at least one) — the caller plus `n − 1` scoped threads spawned per
+/// call and joined before it returns. Streamed builds run each sweep on
+/// it, and the trainer's scoring phase each step (`rlcut::pool`).
 #[derive(Clone, Copy, Debug)]
 pub struct ScopedPool(pub usize);
 

@@ -198,20 +198,9 @@ impl MoveScratch {
         &self.objectives[..self.m]
     }
 
-    /// Pre-grows the staged-neighbor arena to hold `n` entries — lets a
-    /// long-lived scratch (a pool worker's, a refiner's) front-load its
-    /// steady-state allocation instead of growing inside the first hot
-    /// sweep. Never shrinks.
-    pub fn reserve_neighbors(&mut self, n: usize) {
-        let len = self.neighbors.len();
-        if n > len {
-            self.neighbors.reserve(n - len);
-        }
-    }
-
     /// Capacity snapshot of the arena's growable buffers. A long-lived
-    /// scratch (e.g. one resident in a `WorkerPool` worker) reaches a
-    /// steady state after its first pass over the workload: the snapshot
+    /// scratch (e.g. one of the arenas a trainer session carries per
+    /// thread) reaches a steady state after its first pass over the workload: the snapshot
     /// lets tests and telemetry assert that later passes cause no regrowth
     /// — i.e. the hot loop really is allocation-free.
     pub fn stats(&self) -> ScratchStats {

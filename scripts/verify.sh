@@ -18,10 +18,11 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> one training loop, one dispatch (deleted paths stay deleted)"
-# TrainerSession owns the only step loop and the worker pool is the only
-# parallel dispatch; the knobs that selected the deleted twins must not
-# come back under crates/core/src/, nor the uncapped one-hop focus rule
-# beside focus_window.
+# TrainerSession owns the only step loop, and its scoring fans out through
+# rlcut::pool::fan_out on geograph's ScopedPool, the one place a scoped
+# thread is spawned; the knobs that selected the deleted twins must not
+# come back under crates/core/src/, nor a second spawn site, nor the
+# uncapped one-hop focus rule beside focus_window.
 if git grep -n -E 'use_worker_pool|with_worker_pool|with_rebuild_per_window|thread::scope\(|fn focus_on\(' \
     -- crates/core/src/; then
   echo "a deleted dispatch path, knob or focus rule reappeared in crates/core/src/"; exit 1
@@ -181,8 +182,23 @@ echo "==> one plan per baseline (the frozen-batch forks and the ingest seam stay
 if git grep -n -E 'fn ginger_with_pool|fn geocut_with_pool|IngestPool' -- crates/; then
   echo "a pooled baseline fork or the ingest-pool seam reappeared under crates/"; exit 1
 fi
-if grep -n -E '^(rlcut|parking_lot)' crates/baselines/Cargo.toml; then
-  echo "crates/baselines/Cargo.toml depends on rlcut or parking_lot again"; exit 1
+if grep -n -E '^rlcut' crates/baselines/Cargo.toml; then
+  echo "crates/baselines/Cargo.toml depends on rlcut again"; exit 1
+fi
+
+echo "==> one fan-out (the persistent worker pool and its lock shim stay deleted)"
+# The trainer scores on ScopedPool with arenas its session carries, so the
+# condvar-epoch pool (its lifetime-erasing dispatch, its thread-id probes,
+# the cross-window pool carry) and the parking_lot shim it needed must not
+# come back.
+if git grep -n -E 'WorkerPool|run_on_all|pool_thread_ids|fn pool_for' -- crates tests examples; then
+  echo "the persistent worker pool or one of its probes reappeared"; exit 1
+fi
+if git grep -n 'parking_lot' -- '*Cargo.toml'; then
+  echo "a Cargo.toml depends on parking_lot again"; exit 1
+fi
+if [ -e crates/shims/parking_lot ]; then
+  echo "crates/shims/parking_lot exists again"; exit 1
 fi
 
 echo "==> snapshots carry the plan, not its index (the stored count plane stays deleted)"
@@ -255,8 +271,17 @@ require_tests resumed_state_matches_rebuild \
 # window start's profile suffix is a typed plan error, not NaN loads.
 require_tests replay_verifies_the_committed_movement_cost \
   nan_profile_suffix_is_a_typed_replay_error
-# Pool workers survive across windows (stable OS thread ids).
-require_tests delta_windows_reuse_the_worker_pool
+# The scoring arenas survive across sessions and windows: a session adopts
+# the carried ones, resized to its thread count, and a delta window's
+# arenas only grow. A worker's panic is the typed WorkerPanicked of the
+# lowest panicking index, and the next fan-out on the same arenas runs.
+require_tests delta_windows_reuse_the_scoring_arenas \
+  resources_carry_the_pool_across_sessions mismatched_carried_pool_is_replaced \
+  panic_surfaces_as_typed_error_and_pool_survives earliest_worker_index_wins_on_multi_panic
+# A durable window whose profile holds a value that is not a load is a
+# typed plan error refused before its start is logged or the graph
+# advances: the retried window commits and recovery rolls nothing back.
+require_tests refused_profile_leaves_the_pipeline_usable
 # What a window samples. Hot is the delta's endpoints plus the neighbors of
 # the ones below theta, at most half the first sample: a hub's edge must
 # not front the graph.
