@@ -1,11 +1,12 @@
-//! Micro-benchmarks of the hot paths: graph generation, plan
-//! construction, the incremental move evaluator (the score-function
-//! workhorse), move application, and one full RLCut training step.
+//! Micro-benchmarks of the hot paths: graph generation (and the R-MAT
+//! sampler on its own), plan construction, the incremental move evaluator
+//! (the score-function workhorse), move application, and one full RLCut
+//! training step.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use geograph::generators::{rmat, RmatConfig};
+use geograph::generators::{rmat, RmatChunks, RmatConfig};
 use geograph::locality::LocalityConfig;
-use geograph::GeoGraph;
+use geograph::{ChunkedEdges, GeoGraph};
 use geopart::{HybridState, MoveScratch, TrafficProfile};
 use geosim::regions::ec2_eight_regions;
 use rlcut::RlCutConfig;
@@ -24,6 +25,22 @@ fn bench_generation(c: &mut Criterion) {
             b.iter(|| rmat(&RmatConfig::social(n, n * 16), black_box(7)))
         });
     }
+    // The sampler alone: every chunk of the stream into a counting sink,
+    // with no CSR build behind it.
+    let n = 1usize << 14;
+    group.bench_function(BenchmarkId::new("rmat_chunks_emit", n), |b| {
+        b.iter(|| {
+            let src = RmatChunks::new(RmatConfig::social(n, n * 16), black_box(7), 1 << 16);
+            let (mut edges, mut ids) = (0usize, 0u64);
+            for chunk in 0..src.num_chunks() {
+                src.emit(chunk, &mut |u, v| {
+                    edges += 1;
+                    ids ^= u64::from(u) << 32 | u64::from(v);
+                });
+            }
+            (edges, ids)
+        })
+    });
     group.finish();
 }
 

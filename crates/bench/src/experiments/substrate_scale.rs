@@ -2,7 +2,7 @@
 //! and a scan-capped training window over the Table II LiveJournal analog
 //! — the one measurement that fits neither a test nor `benchmark/`'s
 //! 10-second budget. `--scale 1.0` builds all 4.8 M vertices / ~69 M
-//! directed edges (≈ 1 min, ≈ 1.3 GiB peak RSS); that run is recorded in
+//! directed edges (≈ 1 min, ≈ 0.9 GiB peak RSS); that run is recorded in
 //! `EXPERIMENTS-data/substrate_scale.txt`.
 //!
 //! The two byte budgets printed here — CSR ≤ 9.0 B/edge, build peak

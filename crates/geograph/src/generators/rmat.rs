@@ -48,9 +48,18 @@ impl RmatConfig {
 }
 
 /// One R-MAT edge draw: descend `levels` quadrant choices with per-level
-/// jitter. The RNG draw order (4 jitters + 1 roll per level) is part of the
-/// output contract — both the legacy staged path and the chunked path go
-/// through here, so refactors must not reorder draws.
+/// jitter. The RNG draw order (4 jitters, then 1 roll, per level) is part
+/// of the output contract — [`rmat`] and [`RmatChunks`] both go through
+/// here, so refactors must not reorder draws.
+///
+/// A level derives its two bits from comparisons, not from an
+/// `if roll < pa … else if` chain whose ≈ .57/.19/.19/.05 outcomes no branch
+/// predictor learns. The output is bit-identical to that chain's: `keep` and
+/// `spread` are the subterms Rust already evaluated first in
+/// `1 − noise + 2·noise·r`, and `ab`, `abc` are its `pa + pb`, `pa + pb + pc`,
+/// so every f64 operation is unchanged. Each weight is floored to 1e-9 and is
+/// never NaN, so `pa ≤ ab ≤ abc`, and the four outcomes of the comparisons
+/// against them map one-to-one onto the chain's four branches.
 #[inline]
 fn sample_edge(
     config: &RmatConfig,
@@ -59,28 +68,16 @@ fn sample_edge(
     n: usize,
     rng: &mut SmallRng,
 ) -> (VertexId, VertexId) {
+    let (keep, spread) = (1.0 - config.noise, 2.0 * config.noise);
     let (mut u, mut v) = (0usize, 0usize);
     for _ in 0..levels {
         // Perturb the quadrant probabilities a little per level.
-        let jitter = |p: f64, r: &mut SmallRng| {
-            (p * (1.0 - config.noise + 2.0 * config.noise * r.gen::<f64>())).max(1e-9)
-        };
-        let (pa, pb, pc, pd) =
-            (jitter(config.a, rng), jitter(config.b, rng), jitter(config.c, rng), jitter(d, rng));
-        let total = pa + pb + pc + pd;
-        let roll = rng.gen::<f64>() * total;
-        u <<= 1;
-        v <<= 1;
-        if roll < pa {
-            // top-left: neither bit set
-        } else if roll < pa + pb {
-            v |= 1;
-        } else if roll < pa + pb + pc {
-            u |= 1;
-        } else {
-            u |= 1;
-            v |= 1;
-        }
+        let mut jitter = |p: f64| (p * (keep + spread * rng.gen::<f64>())).max(1e-9);
+        let (pa, pb, pc, pd) = (jitter(config.a), jitter(config.b), jitter(config.c), jitter(d));
+        let (ab, abc) = (pa + pb, pa + pb + pc);
+        let roll = rng.gen::<f64>() * (abc + pd);
+        u = u << 1 | (roll >= ab) as usize;
+        v = v << 1 | ((roll >= pa) & (roll < ab)) as usize | (roll >= abc) as usize;
     }
     // Fold ids generated on the 2^levels grid back into [0, n).
     ((u % n) as VertexId, (v % n) as VertexId)
@@ -89,7 +86,13 @@ fn sample_edge(
 fn check_config(config: &RmatConfig) -> (f64, usize) {
     assert!(config.num_vertices >= 2, "R-MAT needs at least 2 vertices");
     let d = config.d();
-    assert!(d >= 0.0 && config.a > 0.0, "quadrant probabilities must sum to 1");
+    // NaN fails `>= 0`, and an infinite a, b or c is negative or makes d
+    // −inf or NaN, so this also refuses every non-finite weight.
+    assert!(
+        [config.a, config.b, config.c, d].iter().all(|&p| p >= 0.0) && config.a > 0.0,
+        "quadrant probabilities must be non-negative and sum to 1"
+    );
+    assert!((0.0..=1.0).contains(&config.noise), "noise must lie in [0, 1]");
     let levels = (usize::BITS - (config.num_vertices - 1).leading_zeros()) as usize;
     (d, levels)
 }
@@ -297,5 +300,111 @@ mod tests {
             builder.add_edge((u % n) as VertexId, (v % n) as VertexId);
         }
         assert_eq!(builder.build(), rmat(&config, seed));
+    }
+
+    /// One chunk of [`RmatChunks`] by the branchy level loop `sample_edge`
+    /// replaced, verbatim: the oracle the branch-free sampler must equal.
+    fn legacy_chunk(
+        config: &RmatConfig,
+        seed: u64,
+        chunk_edges: usize,
+        chunk: usize,
+    ) -> Vec<(VertexId, VertexId)> {
+        let d = config.d();
+        let levels = (usize::BITS - (config.num_vertices - 1).leading_zeros()) as usize;
+        let n = config.num_vertices;
+        let lo = chunk * chunk_edges;
+        let hi = (lo + chunk_edges).min(config.num_edges);
+        let mut rng = SmallRng::seed_from_u64(chunk_seed(seed, chunk as u64));
+        let mut out = Vec::with_capacity(hi - lo);
+        for _ in lo..hi {
+            let (mut u, mut v) = (0usize, 0usize);
+            for _ in 0..levels {
+                let jitter = |p: f64, r: &mut SmallRng| {
+                    (p * (1.0 - config.noise + 2.0 * config.noise * r.gen::<f64>())).max(1e-9)
+                };
+                let (pa, pb, pc, pd) = (
+                    jitter(config.a, &mut rng),
+                    jitter(config.b, &mut rng),
+                    jitter(config.c, &mut rng),
+                    jitter(d, &mut rng),
+                );
+                let total = pa + pb + pc + pd;
+                let roll = rng.gen::<f64>() * total;
+                u <<= 1;
+                v <<= 1;
+                if roll < pa {
+                } else if roll < pa + pb {
+                    v |= 1;
+                } else if roll < pa + pb + pc {
+                    u |= 1;
+                } else {
+                    u |= 1;
+                    v |= 1;
+                }
+            }
+            out.push(((u % n) as VertexId, (v % n) as VertexId));
+        }
+        out
+    }
+
+    #[test]
+    fn rmat_chunks_match_the_branchy_sampler() {
+        // d = 0 exactly: every level floors d's jitter to 1e-9.
+        let no_d = RmatConfig { a: 0.5, b: 0.25, c: 0.25, ..RmatConfig::social(1 << 9, 3000) };
+        assert_eq!(no_d.d(), 0.0);
+        let configs = [
+            // Non-power-of-two n (ids fold), 5000 = 6 × 768 + 392: a ragged last chunk.
+            (RmatConfig::social(1000, 5000), 768),
+            (RmatConfig::web(1 << 10, 8 << 10), 1024),
+            (no_d, 500),
+            (RmatConfig { noise: 0.0, ..RmatConfig::social(1 << 10, 4 << 10) }, 1000),
+        ];
+        for (config, chunk_edges) in configs {
+            for seed in [7u64, 42] {
+                let src = RmatChunks::new(config, seed, chunk_edges);
+                let mut emitted = 0;
+                for chunk in 0..src.num_chunks() {
+                    let mut got = Vec::new();
+                    src.emit(chunk, &mut |u, v| got.push((u, v)));
+                    assert_eq!(
+                        got,
+                        legacy_chunk(&config, seed, chunk_edges, chunk),
+                        "{config:?} chunk {chunk}"
+                    );
+                    emitted += got.len();
+                }
+                assert_eq!(emitted, config.num_edges);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "quadrant probabilities must be non-negative and sum to 1")]
+    fn negative_quadrant_weight_is_rejected() {
+        // Sums to 1, but the negative b would be floored to 1e-9 in silence.
+        let config = RmatConfig { b: -0.1, c: 0.3, ..RmatConfig::social(1 << 8, 1 << 10) };
+        RmatChunks::new(config, 7, 256);
+    }
+
+    #[test]
+    #[should_panic(expected = "quadrant probabilities must be non-negative and sum to 1")]
+    fn non_finite_quadrant_weight_is_rejected() {
+        // d = 1 − a − b − c would be +inf, which `d >= 0` alone let through.
+        rmat(&RmatConfig { c: f64::NEG_INFINITY, ..RmatConfig::social(1 << 8, 1 << 10) }, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "noise must lie in [0, 1]")]
+    fn nan_noise_is_rejected() {
+        // f64::max(NaN, 1e-9) would make every weight 1e-9: a uniform graph.
+        rmat(&RmatConfig { noise: f64::NAN, ..RmatConfig::social(1 << 8, 1 << 10) }, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "noise must lie in [0, 1]")]
+    fn noise_outside_the_unit_interval_is_rejected() {
+        // noise > 1 makes 1 − noise + 2·noise·r negative for small r.
+        RmatChunks::new(RmatConfig { noise: 1.5, ..RmatConfig::web(1 << 8, 1 << 10) }, 7, 256);
     }
 }

@@ -368,6 +368,14 @@ require_tests every_response_matches_exactly_one_published_epoch \
 # The one CSR builder must equal a naive push-sort-dedup oracle that shares
 # no code with it.
 require_tests build_core_matches_naive_oracle
+# The R-MAT sampler is branch-free and bit-identical to the branchy level
+# loop it replaced: both generator streams are pinned to that loop, inlined
+# verbatim, and a config whose weights or noise the sampler would silently
+# floor or flip is refused.
+require_tests legacy_rmat_unchanged_by_sampler_extraction \
+  rmat_chunks_match_the_branchy_sampler negative_quadrant_weight_is_rejected \
+  non_finite_quadrant_weight_is_rejected nan_noise_is_rejected \
+  noise_outside_the_unit_interval_is_rejected
 # The substrate's byte budgets on the LJ analog (exact for a seed): CSR
 # <= 9.0 B per directed edge (u32 offsets, measured 8.62; usize offsets
 # measured 9.25+), streamed build peak <= 1.25x the final CSR (no O(E)
