@@ -327,13 +327,10 @@ pub fn run(command: Command) -> Result<String, String> {
             let (server, boot) = geoserve::PlacementServer::boot_from_store(&store, &env)
                 .map_err(|e| format!("{}: {e}", store.display()))?;
             let mut reader = server.reader();
-            let n = {
-                let guard = reader.pin();
-                if guard.num_vertices() == 0 {
-                    return Err(format!("{}: recovered an empty graph", store.display()));
-                }
-                guard.num_vertices() as u64
-            };
+            let n = reader.pin().num_vertices() as u64;
+            if n == 0 {
+                return Err(format!("{}: recovered an empty graph", store.display()));
+            }
             // A deterministic full-period probe stream (Weyl sequence), so
             // repeated invocations route the identical lookups.
             let mut out = Vec::new();

@@ -369,7 +369,7 @@ mod tests {
     use super::*;
     use geograph::generators::{rmat, RmatConfig};
     use geograph::locality::LocalityConfig;
-    use geopart::{HybridState, TrafficProfile};
+    use geopart::HybridState;
     use geosim::regions::ec2_eight_regions;
 
     fn setup() -> (GeoGraph, CloudEnv) {
@@ -531,7 +531,7 @@ mod tests {
             &geo,
             &env,
             &edge_dcs,
-            geopart::vertexcut::MasterRule::PreferNatural,
+            MasterRule::PreferNatural,
             profile.clone(),
             10.0,
         );
@@ -546,7 +546,5 @@ mod tests {
             report.per_iteration_time[0],
             static_time
         );
-        let _ = MasterRule::HeaviestReplica; // silence unused import path
-        let _ = TrafficProfile::uniform(1, 1.0);
     }
 }

@@ -5,7 +5,6 @@ use geograph::GeoGraph;
 use geosim::CloudEnv;
 
 use crate::error::PlanError;
-use crate::kernel::MoveScratch;
 use crate::profile::TrafficProfile;
 use crate::state::{Objective, PlacementState};
 use crate::{DcId, VertexId};
@@ -13,13 +12,10 @@ use crate::{DcId, VertexId};
 /// How vertex-cut picks the master replica of each vertex.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MasterRule {
-    /// The replica DC holding the most of the vertex's edges (lowest id
-    /// breaks ties). What PowerGraph-style systems converge to with their
-    /// "most work local" heuristic.
-    HeaviestReplica,
     /// The vertex's natural (home) DC if it hosts any of the vertex's
-    /// edges, else the heaviest replica. Avoids charging movement cost
-    /// when data never had to move.
+    /// edges, else the replica DC holding the most of them (lowest id
+    /// breaks ties). Avoids charging movement cost when data never had
+    /// to move.
     PreferNatural,
     /// Always the natural DC, even when it holds none of the vertex's
     /// edges (the vertex data simply never moves). Used by partitioners
@@ -80,9 +76,7 @@ impl VertexCutState {
             .map(|v| {
                 let row = &incident[v * m..(v + 1) * m];
                 let natural = geo.locations[v];
-                if master_rule == MasterRule::Natural
-                    || (master_rule == MasterRule::PreferNatural && row[natural as usize] > 0)
-                {
+                if master_rule == MasterRule::Natural || row[natural as usize] > 0 {
                     return natural;
                 }
                 let mut best = natural as usize; // isolated vertices stay home
@@ -153,35 +147,6 @@ impl VertexCutState {
     pub fn master(&self, v: VertexId) -> DcId {
         self.core.master(v)
     }
-
-    /// Evaluates re-homing `v`'s master to **every** DC in one batched
-    /// kernel sweep. Under vertex-cut a master move leaves all edges in
-    /// place, so the staged count deltas are empty — only the gather/apply
-    /// message endpoints and the Eq 4 movement cost change. The result
-    /// slice lives in `scratch`, indexed by destination DC.
-    pub fn evaluate_all_moves<'s>(
-        &self,
-        geo: &GeoGraph,
-        env: &CloudEnv,
-        v: VertexId,
-        scratch: &'s mut MoveScratch,
-    ) -> &'s [Objective] {
-        scratch.begin_stage();
-        let all = u64::MAX >> (64 - self.core.num_dcs());
-        let (natural, size) = (geo.locations[v as usize], geo.data_sizes[v as usize]);
-        self.core.evaluate_moves(env, v, all, natural, size, scratch)
-    }
-
-    /// Re-homes `v`'s master to `to`, leaving every edge in place.
-    pub fn apply_master_move(&mut self, geo: &GeoGraph, env: &CloudEnv, v: VertexId, to: DcId) {
-        let a = self.core.master(v);
-        if a == to {
-            return;
-        }
-        self.core.remove_vertex_loads(v);
-        self.core.set_master(env, v, to, (geo.locations[v as usize], geo.data_sizes[v as usize]));
-        self.core.add_vertex_loads(v);
-    }
 }
 
 #[cfg(test)]
@@ -207,7 +172,7 @@ mod tests {
             &geo,
             &env,
             &edge_dcs,
-            MasterRule::HeaviestReplica,
+            MasterRule::PreferNatural,
             profile,
             10.0,
         );
@@ -225,64 +190,12 @@ mod tests {
             &geo,
             &env,
             &edge_dcs,
-            MasterRule::HeaviestReplica,
+            MasterRule::PreferNatural,
             profile,
             10.0,
         );
         assert_eq!(s.objective(&env).transfer_time, 0.0);
         assert!((s.replication_factor() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn prefer_natural_reduces_movement_cost() {
-        let (geo, env) = setup();
-        let edge_dcs: Vec<DcId> = (0..geo.num_edges())
-            .map(|i| (geograph::fxhash::mix64(i as u64 ^ 5) % 8) as DcId)
-            .collect();
-        let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
-        let heaviest = VertexCutState::from_edge_assignment(
-            &geo,
-            &env,
-            &edge_dcs,
-            MasterRule::HeaviestReplica,
-            profile.clone(),
-            10.0,
-        );
-        let natural = VertexCutState::from_edge_assignment(
-            &geo,
-            &env,
-            &edge_dcs,
-            MasterRule::PreferNatural,
-            profile,
-            10.0,
-        );
-        assert!(natural.objective(&env).movement_cost <= heaviest.objective(&env).movement_cost);
-    }
-
-    #[test]
-    fn master_move_evaluation_matches_application() {
-        let (geo, env) = setup();
-        let edge_dcs: Vec<DcId> = (0..geo.num_edges())
-            .map(|i| (geograph::fxhash::mix64(i as u64 ^ 13) % 8) as DcId)
-            .collect();
-        let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
-        let s = VertexCutState::from_edge_assignment(
-            &geo,
-            &env,
-            &edge_dcs,
-            MasterRule::HeaviestReplica,
-            profile,
-            10.0,
-        );
-        let mut scratch = MoveScratch::new();
-        for v in [0 as VertexId, 5, 17, 100, 511] {
-            let objs = s.evaluate_all_moves(&geo, &env, v, &mut scratch).to_vec();
-            for to in 0..env.num_dcs() as DcId {
-                let mut trial = s.clone();
-                trial.apply_master_move(&geo, &env, v, to);
-                assert_eq!(objs[to as usize], trial.objective(&env), "v={v} to={to}");
-            }
-        }
     }
 
     #[test]
@@ -295,7 +208,7 @@ mod tests {
             &geo,
             &env,
             &edge_dcs,
-            MasterRule::HeaviestReplica,
+            MasterRule::PreferNatural,
             profile,
             10.0,
         )
@@ -318,7 +231,7 @@ mod tests {
             &geo,
             &env,
             &edge_dcs,
-            MasterRule::HeaviestReplica,
+            MasterRule::PreferNatural,
             profile,
             10.0,
         );

@@ -11,11 +11,11 @@
 //!   committed placement: vertex → master, vertex → replica set, and the
 //!   hybrid-cut edge → placement rule, all batched
 //!   ([`RoutingTable::lookup_many`]).
-//! * [`PlanBoard`] — the lock-free publication point. A plan flip is one
-//!   atomic pointer swap; readers pin tables through per-reader hazard
-//!   slots and never take a lock, so a reader mid-batch keeps its table
-//!   while the trainer commits the next window (see [`board`] for the
-//!   reclamation argument).
+//! * [`PlanBoard`] — the publication point. A plan flip swaps one
+//!   `Arc` under a lock readers never wait on: each [`PlanReader`] holds
+//!   the table it last pinned and moves to a newer one only when the
+//!   lock is free, so a reader mid-batch keeps its table while the
+//!   trainer commits the next window (see [`board`]).
 //! * [`PlacementServer`] — the writer: boots the last committed plan
 //!   straight out of a [`geodur::DurableStore`] (no retraining after a
 //!   restart), attaches to a live [`rlcut::DurableAdaptive`] trainer as
@@ -32,6 +32,6 @@ pub mod board;
 pub mod server;
 pub mod table;
 
-pub use board::{PlanBoard, PlanReader, TableGuard};
+pub use board::{PlanBoard, PlanReader};
 pub use server::{BootReport, PlacementServer, ServeError};
 pub use table::RoutingTable;

@@ -134,8 +134,10 @@ impl PlacementServer {
 
     /// Installs this server as `trainer`'s plan sink: every committed
     /// window is snapshotted into a routing table and flipped in. The
-    /// trainer may grow the graph; the served home locations are
-    /// extended from each committed placement's geo via the hook caller.
+    /// hook only publishes: the home locations stay the ones given to
+    /// [`Self::new`] or recovered by [`Self::boot_from_store`], so a
+    /// vertex the trainer adds later has none, and [`Self::evacuate`]
+    /// sends it to the first live DC if its master is stranded.
     pub fn attach(&self, trainer: &mut DurableAdaptive) {
         let board = Arc::clone(&self.board);
         trainer.set_commit_hook(Box::new(move |window, core| {
@@ -152,8 +154,11 @@ impl PlacementServer {
     /// Re-routes every vertex off the DCs flagged `dead` and publishes
     /// the evacuated table; returns its publication epoch. Uses the same
     /// reseed rule as the trainer's dead-DC re-seed, so the next trained
-    /// plan continues from what is being served. Readers racing this
-    /// call see the pre-fault or the post-evacuation table, whole.
+    /// plan continues from what is being served. A stranded vertex
+    /// beyond the home locations fixed at [`Self::new`] or
+    /// [`Self::boot_from_store`] goes to the first live DC. Readers
+    /// racing this call see the pre-fault or the post-evacuation table,
+    /// whole.
     pub fn evacuate(&mut self, dead: &[bool]) -> Result<u64, ServeError> {
         if dead.len() != self.num_dcs {
             return Err(ServeError::BadDeadFlags { expected: self.num_dcs, got: dead.len() });
@@ -161,13 +166,12 @@ impl PlacementServer {
         if dead.iter().all(|&d| d) {
             return Err(ServeError::AllDcsDead);
         }
-        // The server is the only writer, so pinning via a throwaway
-        // reader sees the latest published table.
+        // A fresh reader holds the current table.
         let mut reader = self.board.reader();
         let evacuated = {
             let current = reader.pin();
             // Served vertices beyond the recorded homes (graph growth
-            // since boot) fall back to the first live DC.
+            // since new / boot) fall back to the first live DC.
             let fallback = dead.iter().position(|&d| !d).expect("checked above") as DcId;
             let mut homes = self.homes.clone();
             homes.resize(current.num_vertices(), fallback);

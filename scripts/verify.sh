@@ -201,6 +201,15 @@ if [ -e crates/shims/parking_lot ]; then
   echo "crates/shims/parking_lot exists again"; exit 1
 fi
 
+echo "==> one publication point (the hazard-pointer board stays deleted)"
+# A flip swaps the board's Arc under a lock readers only ever try, and each
+# PlanReader holds an Arc of the table it serves, so the serving crate needs
+# no raw pointer and no guard type: the hand-rolled hazard pointers, their
+# unsafe blocks and TableGuard must not come back.
+if git grep -n -E 'unsafe|AtomicPtr|TableGuard|hazard' -- crates/serve/src/; then
+  echo "unsafe code or the hazard-pointer board reappeared in crates/serve/src/"; exit 1
+fi
+
 echo "==> snapshots carry the plan, not its index (the stored count plane stays deleted)"
 # A snapshot's hybrid-cut count plane is rebuilt at decode by the kernel
 # from_masters uses (PlacementState::place_hybrid_edges); the decoder's
@@ -365,6 +374,11 @@ require_tests every_response_matches_exactly_one_published_epoch \
   evacuation_mid_traffic_never_serves_a_dead_master \
   fault_window_after_evacuation_never_publishes_a_dead_master \
   boot_from_store_matches_the_live_server_bit_exactly
+# A reader never waits on the board's lock: while a publisher holds it, a
+# pin serves the whole epoch the reader holds and counts one flip retry. A
+# displaced table lives exactly as long as a reader holds it.
+require_tests a_pin_never_waits_for_the_publisher \
+  a_displaced_table_is_freed_at_its_last_readers_next_pin
 # The one CSR builder must equal a naive push-sort-dedup oracle that shares
 # no code with it.
 require_tests build_core_matches_naive_oracle

@@ -1,4 +1,4 @@
-//! Serving-layer integration: lock-free routing under live
+//! Serving-layer integration: non-blocking routing under live
 //! re-partitioning, evacuation races, and restart-without-retraining.
 //!
 //! The contract under test, end to end:
@@ -283,7 +283,6 @@ fn fault_window_after_evacuation_never_publishes_a_dead_master() {
     let dead_bit = 1u64 << victim;
     let touching = (0..n as VertexId).filter(|&v| table.replica_set(v) & dead_bit != 0).count();
     assert_eq!(touching, 0, "{touching} vertices keep a replica on dead DC {victim}");
-    drop(table);
     let (core, theta) = trainer.inner().carried_parts().cloned().expect("carried");
     geopart::HybridState::from_parts(core, theta, trainer.geo())
         .validate_against_faults(&dead)
@@ -336,7 +335,6 @@ fn boot_from_store_matches_the_live_server_bit_exactly() {
     let guard = reader.pin();
     assert_eq!(guard.masters(), &live_masters[..], "restarted server diverged from live");
     assert_eq!(guard.epoch(), 1, "boot must be the first publication of the new process");
-    drop(guard);
 
     // Restart 2: cut a snapshot at the same boundary, boot again — the
     // snapshot path must serve the identical table.
