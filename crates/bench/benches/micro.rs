@@ -1,13 +1,14 @@
 //! Micro-benchmarks of the hot paths: graph generation (and the R-MAT
 //! sampler on its own), plan construction, the incremental move evaluator
-//! (the score-function workhorse), move application, and one full RLCut
-//! training step.
+//! (the score-function workhorse), move application, one full RLCut
+//! training step, and the serving layer's batched master lookup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use geograph::generators::{rmat, RmatChunks, RmatConfig};
 use geograph::locality::LocalityConfig;
 use geograph::{ChunkedEdges, GeoGraph};
 use geopart::{HybridState, MoveScratch, TrafficProfile};
+use geoserve::{PlanBoard, RoutingTable};
 use geosim::regions::ec2_eight_regions;
 use rlcut::RlCutConfig;
 use std::hint::black_box;
@@ -154,6 +155,41 @@ fn bench_pagerank(c: &mut Criterion) {
     });
 }
 
+/// Batched vertex → master lookups of 256 keys on a 97 k-vertex table,
+/// the serving benchmark's batch and table size: through a `PlanReader`,
+/// as `rlcut serve` and the benchmark's reader threads call it, and on the
+/// `RoutingTable` directly. One iteration is one pass over a 64-batch key
+/// pool (16 384 lookups). The two shapes should cost the same; a reader
+/// that runs slower reloads the table's plane inside the loop.
+fn bench_lookup_many(c: &mut Criterion) {
+    const N: u32 = 97_000;
+    const BATCH: usize = 256;
+    let homes: Vec<u8> = (0..N).map(|v| (v.wrapping_mul(0x9e37_79b9) >> 29) as u8).collect();
+    let table = RoutingTable::from_homes(1, &homes, 8);
+    // Uniform keys: a multiplicative scramble of 0, 1, 2, ... over the table.
+    let keys: Vec<u32> =
+        (0..64 * BATCH as u64).map(|i| (i * 2_654_435_761 % u64::from(N)) as u32).collect();
+    let mut out = Vec::with_capacity(BATCH);
+
+    let mut group = c.benchmark_group("serve/lookup_many");
+    let mut reader = PlanBoard::new(table.clone()).reader();
+    group.bench_function("reader", |b| {
+        b.iter(|| {
+            keys.chunks_exact(BATCH).map(|batch| reader.lookup_many(batch, &mut out)).sum::<u64>()
+        })
+    });
+    group.bench_function("table", |b| {
+        b.iter(|| {
+            let served = |batch| {
+                table.lookup_many(batch, &mut out);
+                table.epoch()
+            };
+            keys.chunks_exact(BATCH).map(served).sum::<u64>()
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_generation,
@@ -162,6 +198,7 @@ criterion_group!(
     bench_batched_evaluation,
     bench_move_application,
     bench_training_step,
-    bench_pagerank
+    bench_pagerank,
+    bench_lookup_many
 );
 criterion_main!(benches);

@@ -206,6 +206,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn reader_lookup_panics_on_a_key_past_the_table() {
+        let board = PlanBoard::new(homes_table(0, &[0, 1, 2, 3]));
+        board.reader().lookup_many(&[0, 3, 4], &mut Vec::new());
+    }
+
+    #[test]
     fn concurrent_readers_each_see_exactly_one_published_epoch() {
         use std::sync::atomic::AtomicBool;
         let board = PlanBoard::new(homes_table(0, &[0, 0, 0, 0]));

@@ -40,17 +40,15 @@ pub struct RoutingTable {
 
 impl RoutingTable {
     /// Snapshots a routing table from a sealed placement state.
+    /// One pass per plane, each into an exactly sized buffer.
     pub fn from_placement(window: u64, core: &PlacementState) -> RoutingTable {
-        let n = core.num_vertices();
-        let mut masters = Vec::with_capacity(n);
-        let mut replicas = Vec::with_capacity(n);
-        let mut high = Vec::with_capacity(n);
-        for v in 0..n as VertexId {
-            let m = core.master(v);
-            masters.push(m);
-            replicas.push(core.mirror_mask(v) | (1u64 << m));
-            high.push(core.is_high(v));
-        }
+        let masters = core.masters().to_vec();
+        let replicas = masters
+            .iter()
+            .enumerate()
+            .map(|(v, &m)| core.mirror_mask(v as VertexId) | (1u64 << m))
+            .collect();
+        let high = (0..masters.len() as VertexId).map(|v| core.is_high(v)).collect();
         RoutingTable { epoch: 0, window, num_dcs: core.num_dcs() as u8, masters, replicas, high }
     }
 
@@ -117,11 +115,18 @@ impl RoutingTable {
 
     /// Batched vertex → master lookup: clears `out` and fills it with
     /// the master of every vertex in `vs`. One bounds-checked pass, no
-    /// per-lookup allocation.
+    /// per-lookup allocation. Inlined, so the loop lands in the caller's
+    /// batch loop and is unrolled there.
+    #[inline]
     pub fn lookup_many(&self, vs: &[VertexId], out: &mut Vec<DcId>) {
+        // The plane as a local slice. Inlined behind a reader's `Arc`, LLVM
+        // cannot prove that a store into `out` leaves `self.masters` alone,
+        // so indexing through `self` reloads the plane's pointer and length
+        // after every store; a local keeps both in registers (DESIGN §3h).
+        let masters: &[DcId] = &self.masters;
         out.clear();
         out.reserve(vs.len());
-        out.extend(vs.iter().map(|&v| self.masters[v as usize]));
+        out.extend(vs.iter().map(|&v| masters[v as usize]));
     }
 
     /// Resident heap bytes of this table: the three per-vertex planes
@@ -166,7 +171,7 @@ impl RoutingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geograph::{GeoGraph, GraphBuilder, LocalityConfig};
+    use geograph::{EdgeEvent, EventKind, GeoGraph, GraphBuilder, GraphDelta, LocalityConfig};
     use geopart::{HybridState, TrafficProfile};
     use geosim::regions::ec2_eight_regions;
 
@@ -178,6 +183,28 @@ mod tests {
             b.add_edges([(i, 0), (i, (i + 1) % n as u32)]);
         }
         GeoGraph::from_graph(b.build(), &LocalityConfig::uniform(8, 5))
+    }
+
+    /// Asserts `t` routes every vertex of `core` the way the partitioner
+    /// placed it, through the single and the batched lookups.
+    fn assert_mirrors(t: &RoutingTable, core: &PlacementState) {
+        let n = core.num_vertices();
+        assert_eq!(t.num_vertices(), n);
+        for v in 0..n as VertexId {
+            assert_eq!(t.master(v), core.master(v));
+            assert_eq!(t.replica_set(v), core.mirror_mask(v) | (1 << t.master(v)));
+            // The edge rule matches the partitioner's placement rule.
+            let u = (v + 1) % n as VertexId;
+            let expect = if core.is_high(v) { core.master(u) } else { core.master(v) };
+            assert_eq!(t.edge_placement(u, v), expect);
+        }
+        let vs: Vec<VertexId> = (0..n as VertexId).rev().collect();
+        let mut out = Vec::new();
+        t.lookup_many(&vs, &mut out);
+        assert_eq!(out.len(), n);
+        for (i, &v) in vs.iter().enumerate() {
+            assert_eq!(out[i], t.master(v));
+        }
     }
 
     #[test]
@@ -195,26 +222,44 @@ mod tests {
         );
         let t = RoutingTable::from_placement(7, state.core());
         assert_eq!(t.window(), 7);
-        assert_eq!(t.num_vertices(), n);
-        for v in 0..n as VertexId {
-            assert_eq!(t.master(v), state.core().master(v));
-            assert_eq!(t.replica_set(v), state.core().mirror_mask(v) | (1 << t.master(v)));
-            // The edge rule matches the partitioner's placement rule.
-            let u = (v + 1) % n as VertexId;
-            let expect = if state.core().is_high(v) {
-                state.core().master(u)
-            } else {
-                state.core().master(v)
-            };
-            assert_eq!(t.edge_placement(u, v), expect);
-        }
-        let vs: Vec<VertexId> = (0..n as VertexId).rev().collect();
-        let mut out = Vec::new();
-        t.lookup_many(&vs, &mut out);
-        assert_eq!(out.len(), n);
-        for (i, &v) in vs.iter().enumerate() {
-            assert_eq!(out[i], t.master(v));
-        }
+        assert_mirrors(&t, state.core());
+
+        // A state grown by a delta that appends vertices: every plane of
+        // the next table covers them.
+        let old_n = n as VertexId;
+        let events: Vec<EdgeEvent> = [(old_n, 0), (old_n + 1, 3), (3, old_n + 2), (old_n + 2, 0)]
+            .into_iter()
+            .zip(0..)
+            .map(|((src, dst), timestamp_ms)| EdgeEvent {
+                src,
+                dst,
+                timestamp_ms,
+                kind: EventKind::Insert,
+            })
+            .collect();
+        let delta = GraphDelta::from_events(&geo.graph, &events);
+        let grown_n = delta.new_num_vertices();
+        assert_eq!(grown_n, n + 3);
+        let mut locations = geo.locations.clone();
+        locations.extend([1, 4, 6]);
+        let mut sizes = geo.data_sizes.clone();
+        sizes.resize(grown_n, 1_000);
+        let grown_geo = GeoGraph::new(geo.graph.apply_delta(&delta), locations, sizes, geo.num_dcs);
+        let (core, theta) = state.into_parts();
+        let profile = TrafficProfile::uniform(grown_n, 8.0);
+        let (grown, _) =
+            HybridState::resume_from_parts(core, theta, &grown_geo, &env, &delta, &profile)
+                .unwrap();
+        let t = RoutingTable::from_placement(8, grown.core());
+        assert_eq!(t.masters()[n..], [1, 4, 6]);
+        assert_mirrors(&t, grown.core());
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn lookup_many_panics_on_a_key_past_the_table() {
+        let t = RoutingTable::from_homes(0, &[0, 1, 2, 3], 4);
+        t.lookup_many(&[0, 3, 4], &mut Vec::new());
     }
 
     #[test]

@@ -205,9 +205,15 @@ echo "==> one publication point (the hazard-pointer board stays deleted)"
 # A flip swaps the board's Arc under a lock readers only ever try, and each
 # PlanReader holds an Arc of the table it serves, so the serving crate needs
 # no raw pointer and no guard type: the hand-rolled hazard pointers, their
-# unsafe blocks and TableGuard must not come back.
-if git grep -n -E 'unsafe|AtomicPtr|TableGuard|hazard' -- crates/serve/src/; then
+# unsafe blocks and TableGuard must not come back. The crate root forbids
+# unsafe code, so the compiler refuses it too; the lookup's speed comes from
+# reading its plane through a local slice, not from skipping the bounds check.
+if git grep -n -E '(^|[^_[:alnum:]])unsafe[[:space:]]*(\{|impl|fn|trait|extern)|AtomicPtr|TableGuard|hazard' \
+    -- crates/serve/src/; then
   echo "unsafe code or the hazard-pointer board reappeared in crates/serve/src/"; exit 1
+fi
+if ! grep -q -x '#!\[forbid(unsafe_code)\]' crates/serve/src/lib.rs; then
+  echo "crates/serve/src/lib.rs no longer forbids unsafe code"; exit 1
 fi
 
 echo "==> snapshots carry the plan, not its index (the stored count plane stays deleted)"
@@ -379,6 +385,10 @@ require_tests every_response_matches_exactly_one_published_epoch \
 # displaced table lives exactly as long as a reader holds it.
 require_tests a_pin_never_waits_for_the_publisher \
   a_displaced_table_is_freed_at_its_last_readers_next_pin
+# A batched lookup keeps its bounds check: a key past the table panics on
+# the table and through a reader, so no unchecked or masked index returns.
+require_tests lookup_many_panics_on_a_key_past_the_table \
+  reader_lookup_panics_on_a_key_past_the_table
 # The one CSR builder must equal a naive push-sort-dedup oracle that shares
 # no code with it.
 require_tests build_core_matches_naive_oracle
@@ -431,8 +441,9 @@ cargo fmt --check
 echo "==> fault-window smoke run (exp6)"
 cargo run --release -p geobench --bin exp6_faults -- --scale 0.0003 --seed 42 --threads 2
 
-echo "==> move-evaluation kernel micro-bench smoke run"
+echo "==> move-evaluation kernel and reader lookup micro-bench smoke runs"
 cargo bench -p geobench --bench micro -- evaluate_all_moves_tw8dc
+cargo bench -p geobench --bench micro -- serve/lookup_many/reader
 
 echo "==> the tree is as the gate found it"
 if [ "$(tree_state)" != "$tree_before" ]; then
