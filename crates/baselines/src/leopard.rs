@@ -121,11 +121,6 @@ impl Leopard {
         }
     }
 
-    /// The per-edge placements so far, in arrival order.
-    pub fn edge_dcs(&self) -> &[DcId] {
-        &self.edge_dcs
-    }
-
     /// Builds the evaluable vertex-cut plan for a graph whose
     /// `graph.edges()` order matches the streaming order.
     ///
@@ -233,10 +228,10 @@ mod tests {
             ev(1, 2, 4, EventKind::Delete), // delete: ignored by streaming state
         ];
         let delta = GraphDelta::from_events(&base, &events);
-        let before = leopard.edge_dcs().len();
+        let before = leopard.edge_dcs.len();
         leopard.apply_delta(&delta, |_| 0);
         // Exactly the net-inserted edges streamed.
-        assert_eq!(leopard.edge_dcs().len() - before, delta.inserted().len());
+        assert_eq!(leopard.edge_dcs.len() - before, delta.inserted().len());
         assert_eq!(delta.inserted(), &[(2, 3)]);
         // The cancelled-edge vertices still grew the replica table.
         assert_eq!(leopard.replicas.len(), 6);

@@ -16,15 +16,6 @@ pub enum PlanKind<'g> {
 }
 
 impl<'g> PlanKind<'g> {
-    /// The model's name as used in plots/tables.
-    pub fn model(&self) -> &'static str {
-        match self {
-            PlanKind::Hybrid(_) => "hybrid-cut",
-            PlanKind::Vertex(_) => "vertex-cut",
-            PlanKind::Edge(_) => "edge-cut",
-        }
-    }
-
     /// Static objective (expected per-iteration time + job cost).
     pub fn objective(&self, env: &CloudEnv) -> Objective {
         match self {
@@ -41,15 +32,6 @@ impl<'g> PlanKind<'g> {
             PlanKind::Hybrid(s) => s.core().replication_factor(),
             PlanKind::Vertex(s) => s.replication_factor(),
             PlanKind::Edge(_) => 1.0,
-        }
-    }
-
-    /// Per-iteration WAN bytes under the expected profile.
-    pub fn wan_bytes_per_iteration(&self) -> f64 {
-        match self {
-            PlanKind::Hybrid(s) => s.core().wan_bytes_per_iteration(),
-            PlanKind::Vertex(s) => s.core().wan_bytes_per_iteration(),
-            PlanKind::Edge(s) => s.wan_bytes_per_iteration(),
         }
     }
 
@@ -102,8 +84,5 @@ mod tests {
             assert_eq!(report.iterations, 10);
             assert!(plan.replication_factor() >= 1.0);
         }
-        assert_eq!(plans[0].model(), "hybrid-cut");
-        assert_eq!(plans[1].model(), "vertex-cut");
-        assert_eq!(plans[2].model(), "edge-cut");
     }
 }

@@ -48,7 +48,7 @@ impl ExpContext {
     /// already stripped). An unknown flag, a flag with no value after it,
     /// a value that does not parse, a scale that is not a positive finite
     /// number and zero threads are all errors — never a silent run.
-    pub fn parse(args: &[String], default_scale: f64) -> Result<Self, String> {
+    pub(crate) fn parse(args: &[String], default_scale: f64) -> Result<Self, String> {
         let mut ctx = ExpContext {
             scale: default_scale,
             seed: 42,
@@ -90,21 +90,21 @@ impl ExpContext {
 
     /// Builds the geo-distributed analog of a paper dataset at this
     /// context's scale, with the paper's 8-DC skewed locality.
-    pub fn build_geo(&self, dataset: Dataset) -> GeoGraph {
+    pub(crate) fn build_geo(&self, dataset: Dataset) -> GeoGraph {
         let graph = dataset.generate(self.scale, self.seed);
         GeoGraph::from_graph(graph, &LocalityConfig::paper_default(self.seed))
     }
 }
 
 /// Times a closure.
-pub fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
+pub(crate) fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed())
 }
 
 /// One partitioner's run: the plan it produced and what it cost to produce.
-pub struct MethodRun<'g> {
+pub(crate) struct MethodRun<'g> {
     pub name: &'static str,
     pub plan: PlanKind<'g>,
     pub overhead: Duration,
@@ -113,13 +113,13 @@ pub struct MethodRun<'g> {
 /// Which methods to run (Geo-Cut and Revolver are orders of magnitude
 /// slower; the paper only runs them on LJ/OT — mirror that).
 #[derive(Clone, Copy, Debug)]
-pub struct MethodSet {
+pub(crate) struct MethodSet {
     pub include_slow: bool,
 }
 
 /// Runs the six comparison methods plus RLCut on one workload, timing each.
 /// RLCut's `T_opt` defaults to Ginger's measured overhead (§VI-A.4).
-pub fn run_all_methods<'g>(
+pub(crate) fn run_all_methods<'g>(
     geo: &'g GeoGraph,
     env: &CloudEnv,
     algo: &Algorithm,
@@ -194,19 +194,19 @@ pub fn run_all_methods<'g>(
 /// magnitude faster relative to an RLCut training step, so we calibrate by
 /// that constant — keeping RLCut at the paper's intended "comparable
 /// overhead" operating point — and floor tiny-graph cases at 100 ms.
-pub fn default_t_opt(ginger_overhead: Duration) -> Duration {
+pub(crate) fn default_t_opt(ginger_overhead: Duration) -> Duration {
     (ginger_overhead * 20).max(Duration::from_millis(100))
 }
 
 /// A plain-text table that renders like the paper's.
-pub struct Table {
+pub(crate) struct Table {
     title: String,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
-    pub fn new(title: &str, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: &str, headers: &[&str]) -> Self {
         Table {
             title: title.to_string(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
@@ -214,13 +214,13 @@ impl Table {
         }
     }
 
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
         self.rows.push(cells);
     }
 
     /// Renders the table with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -243,7 +243,7 @@ impl Table {
     }
 
     /// Renders the table as CSV (header row first).
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let escape = |cell: &str| -> String {
             if cell.contains([',', '"', '\n']) {
                 format!("\"{}\"", cell.replace('"', "\"\""))
@@ -264,7 +264,7 @@ impl Table {
     /// Prints the table; additionally, when `GEOBENCH_CSV_DIR` is set,
     /// writes a machine-readable CSV named after the table title into that
     /// directory.
-    pub fn print(&self) {
+    pub(crate) fn print(&self) {
         print!("{}", self.render());
         if let Ok(dir) = std::env::var("GEOBENCH_CSV_DIR") {
             let slug: String = self
@@ -287,7 +287,7 @@ impl Table {
 
 /// Formats a float with 3 significant-ish digits, falling back to
 /// scientific notation for values that would round to 0.000.
-pub fn f3(x: f64) -> String {
+pub(crate) fn f3(x: f64) -> String {
     if x == 0.0 {
         "0".into()
     } else if x.abs() >= 100.0 {
@@ -302,7 +302,7 @@ pub fn f3(x: f64) -> String {
 }
 
 /// Formats a duration in seconds.
-pub fn secs(d: Duration) -> String {
+pub(crate) fn secs(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
 }
 

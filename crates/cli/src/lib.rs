@@ -95,7 +95,7 @@ impl Method {
     }
 }
 
-pub const USAGE: &str = "\
+pub(crate) const USAGE: &str = "\
 usage:
   rlcut info      <edge-list>
   rlcut partition <edge-list> [--out plan.txt] [--method rlcut|ginger|hashpl|natural]

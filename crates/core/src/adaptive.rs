@@ -13,7 +13,7 @@
 //! partition. Every later window's sample goes first to what its delta
 //! made hot, capped at half, and then to this window's slice of a ring
 //! over every other low-degree agent, which the window index rotates
-//! ([`crate::sampling::window_order`]) — so a long-running pipeline keeps
+//! (`crate::sampling::window_order`) — so a long-running pipeline keeps
 //! approaching what a cold partition would reach instead of re-training
 //! one lowest-degree prefix. The automata themselves are fresh each
 //! window: carried LA vectors would be state recovery must reproduce.
@@ -119,9 +119,9 @@ pub struct WindowReport {
 ///   previous window's [`PlacementState`] absorbs the [`GraphDelta`] in
 ///   work proportional to the touched vertices
 ///   ([`HybridState::resume_from_parts`]), the trainer session adopts the
-///   previous window's warm scoring arenas ([`SessionResources`]),
+///   previous window's warm scoring arenas (`SessionResources`),
 ///   the delta's degree-capped neighborhood is fronted in the sampling
-///   order ([`TrainerSession::focus_window`]), and the Eq 14 rate floor
+///   order (`TrainerSession::focus_window`), and the Eq 14 rate floor
 ///   is raised so a converged schedule cannot starve it. No full-graph
 ///   state rebuild happens anywhere in the window.
 /// * **Rebuild** ([`Self::on_window`]) — `from_masters` over the whole
@@ -182,7 +182,7 @@ impl AdaptiveRlCut {
     /// many windows committed before it — the next delta window takes the
     /// incremental path and samples the ring slice exactly as if this
     /// process had trained every previous window itself.
-    pub fn with_carried(
+    pub(crate) fn with_carried(
         config: RlCutConfig,
         budget_fraction: Option<f64>,
         carried: (PlacementState, usize),
@@ -204,8 +204,8 @@ impl AdaptiveRlCut {
 
     /// Takes the applied-move journal of the last window: `(step, moves)`
     /// entries in exact apply order — a dead DC's re-seed first (under
-    /// [`crate::trainer::RESEED_STEP`]), the reconcile sweep last (under
-    /// [`crate::trainer::RECONCILE_STEP`]). Empty when journaling is off
+    /// `crate::trainer::RESEED_STEP`), the reconcile sweep last (under
+    /// `crate::trainer::RECONCILE_STEP`). Empty when journaling is off
     /// or no window ran since the last take.
     pub fn take_window_journal(&mut self) -> Vec<(u32, Vec<(geograph::VertexId, DcId)>)> {
         self.resources.as_mut().and_then(|r| r.journal.take()).unwrap_or_default()
@@ -248,7 +248,7 @@ impl AdaptiveRlCut {
     /// Notes the dead-DC flags of a WAN fault observed between windows.
     /// From the next window on it is a dynamicity spike (§V-C): before a
     /// window trains, every master on a dead DC — a new vertex homed there
-    /// too — moves to a live one ([`TrainerSession::evacuate_dead_dcs`]),
+    /// too — moves to a live one (`TrainerSession::evacuate_dead_dcs`),
     /// the moved vertices are its hot set, and no move names a dead DC,
     /// until a report with none set (the all-clear) lifts the flags. A
     /// report that is not one flag per DC of the carried plan (any, before

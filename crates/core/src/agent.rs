@@ -13,7 +13,7 @@ use crate::config::RlCutConfig;
 
 /// The pool of the sampled agents' LA state.
 #[derive(Clone, Debug)]
-pub struct AgentPool {
+pub(crate) struct AgentPool {
     num_actions: usize,
     /// Action probabilities, row per agent, initialized uniform (§IV-B).
     probs: Vec<f32>,
@@ -26,7 +26,7 @@ pub struct AgentPool {
 impl AgentPool {
     /// Uniform-initialized pool for `num_agents` agents over `num_actions`
     /// DCs.
-    pub fn new(num_agents: usize, num_actions: usize) -> Self {
+    pub(crate) fn new(num_agents: usize, num_actions: usize) -> Self {
         assert!(num_actions >= 1);
         AgentPool {
             num_actions,
@@ -37,19 +37,14 @@ impl AgentPool {
     }
 
     /// Number of agents in the pool.
-    pub fn num_agents(&self) -> usize {
+    pub(crate) fn num_agents(&self) -> usize {
         self.total_plays.len()
-    }
-
-    /// Number of actions (DCs) per agent.
-    pub fn num_actions(&self) -> usize {
-        self.num_actions
     }
 
     /// Grows the pool to `num_agents`: new agents start uniform, as every
     /// agent does, so a pool grown step by step decides exactly as one
     /// allocated at its final size.
-    pub fn grow(&mut self, num_agents: usize) {
+    pub(crate) fn grow(&mut self, num_agents: usize) {
         let old = self.num_agents();
         if num_agents <= old {
             return;
@@ -59,14 +54,8 @@ impl AgentPool {
         self.total_plays.resize(num_agents, 0);
     }
 
-    /// The probability row of agent `agent`.
-    pub fn probabilities(&self, agent: usize) -> &[f32] {
-        let base = agent * self.num_actions;
-        &self.probs[base..base + self.num_actions]
-    }
-
     /// Reward update (Eq 12 / Eq 8): boost `rewarded`, shrink the rest.
-    pub fn reward(&mut self, agent: usize, rewarded: DcId, alpha: f64) {
+    pub(crate) fn reward(&mut self, agent: usize, rewarded: DcId, alpha: f64) {
         let base = agent * self.num_actions;
         let row = &mut self.probs[base..base + self.num_actions];
         for (j, p) in row.iter_mut().enumerate() {
@@ -81,7 +70,7 @@ impl AgentPool {
     /// Penalty update (Eq 9) for one punished action: shrink it and
     /// redistribute β to the others. The paper disables this by default
     /// (Fig 6: ~30× slower convergence for the same final quality).
-    pub fn penalize(&mut self, agent: usize, punished: DcId, beta: f64) {
+    pub(crate) fn penalize(&mut self, agent: usize, punished: DcId, beta: f64) {
         let m = self.num_actions;
         if m == 1 {
             return;
@@ -106,7 +95,7 @@ impl AgentPool {
     /// reward-only update sacrifices (§IV-C.4). The `+1` smoothing avoids
     /// the cold-start infinities of textbook UCB1, which would waste `M`
     /// of the paper's 10-step horizon on forced exploration.
-    pub fn select_ucb(&self, agent: usize, c: f64) -> DcId {
+    pub(crate) fn select_ucb(&self, agent: usize, c: f64) -> DcId {
         let m = self.num_actions;
         let base = agent * m;
         let n = self.total_plays[agent] as f64;
@@ -123,7 +112,7 @@ impl AgentPool {
     }
 
     /// Records that agent `agent` selected `action` (the UCB counts).
-    pub fn record_play(&mut self, agent: usize, action: DcId) {
+    pub(crate) fn record_play(&mut self, agent: usize, action: DcId) {
         self.plays[agent * self.num_actions + action as usize] += 1;
         self.total_plays[agent] += 1;
     }
@@ -131,7 +120,12 @@ impl AgentPool {
     /// Fig 5 phases 2–4 for one agent whose score-optimal DC is `best_dc`:
     /// reward it (and, with `use_penalty`, punish the rest), select by UCB
     /// and record the play. Returns the selected DC. Per-agent independent.
-    pub fn learn_and_select(&mut self, agent: usize, best_dc: DcId, config: &RlCutConfig) -> DcId {
+    pub(crate) fn learn_and_select(
+        &mut self,
+        agent: usize,
+        best_dc: DcId,
+        config: &RlCutConfig,
+    ) -> DcId {
         self.reward(agent, best_dc, config.alpha);
         if config.use_penalty {
             for d in (0..self.num_actions as DcId).filter(|&d| d != best_dc) {
@@ -148,10 +142,16 @@ impl AgentPool {
 mod tests {
     use super::*;
 
+    /// The probability row of agent `agent`.
+    fn probabilities(pool: &AgentPool, agent: usize) -> &[f32] {
+        let base = agent * pool.num_actions;
+        &pool.probs[base..base + pool.num_actions]
+    }
+
     #[test]
     fn uniform_initialization() {
         let pool = AgentPool::new(3, 4);
-        for p in pool.probabilities(1) {
+        for p in probabilities(&pool, 1) {
             assert!((p - 0.25).abs() < 1e-6);
         }
     }
@@ -162,7 +162,7 @@ mod tests {
         for _ in 0..20 {
             pool.reward(0, 2, 0.3);
         }
-        let row = pool.probabilities(0);
+        let row = probabilities(&pool, 0);
         assert!(row[2] > 0.99, "action 2 did not concentrate: {row:?}");
         let sum: f32 = row.iter().sum();
         assert!((sum - 1.0).abs() < 1e-3, "probabilities drifted: {sum}");
@@ -172,7 +172,7 @@ mod tests {
     fn penalty_redistributes() {
         let mut pool = AgentPool::new(1, 4);
         pool.penalize(0, 0, 0.2);
-        let row = pool.probabilities(0);
+        let row = probabilities(&pool, 0);
         assert!(row[0] < 0.25);
         assert!(row[1] > 0.25);
         let sum: f32 = row.iter().sum();
@@ -217,10 +217,10 @@ mod tests {
     fn grow_preserves_existing_state() {
         let mut pool = AgentPool::new(1, 2);
         pool.reward(0, 1, 0.5);
-        let before = pool.probabilities(0).to_vec();
+        let before = probabilities(&pool, 0).to_vec();
         pool.grow(3);
         assert_eq!(pool.num_agents(), 3);
-        assert_eq!(pool.probabilities(0), &before[..]);
-        assert!((pool.probabilities(2)[0] - 0.5).abs() < 1e-6);
+        assert_eq!(probabilities(&pool, 0), &before[..]);
+        assert!((probabilities(&pool, 2)[0] - 0.5).abs() < 1e-6);
     }
 }

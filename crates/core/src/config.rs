@@ -158,7 +158,7 @@ impl RlCutConfig {
     }
 
     /// Effective worker-thread count.
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.num_threads
             .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4))
     }

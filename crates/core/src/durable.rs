@@ -98,7 +98,7 @@ pub struct RecoverySummary {
 /// Called after every committed window with the committed window index
 /// and the sealed placement state — the serving layer's plan-publish
 /// hook ([`geoserve`-style daemons] snapshot a routing table from it).
-pub type CommitHook = Box<dyn FnMut(u64, &geopart::PlacementState) + Send>;
+pub(crate) type CommitHook = Box<dyn FnMut(u64, &geopart::PlacementState) + Send>;
 
 /// [`AdaptiveRlCut`] wrapped in WAL + snapshot durability.
 pub struct DurableAdaptive {

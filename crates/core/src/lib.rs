@@ -60,9 +60,8 @@ pub mod stats;
 pub mod straggler;
 pub mod trainer;
 
-pub use adaptive::{AdaptiveRlCut, WindowError, WindowReport};
+pub use adaptive::{AdaptiveRlCut, WindowReport};
 pub use config::RlCutConfig;
-pub use durable::{DurableAdaptive, DurableWindowError, RecoverySummary};
-pub use pool::PoolError;
-pub use stats::{RlCutResult, StepStats};
-pub use trainer::{partition, SessionResources, TrainerSession};
+pub use durable::DurableAdaptive;
+pub use stats::StepStats;
+pub use trainer::partition;

@@ -1,7 +1,7 @@
 //! The trainer's fan-out: one job per worker on [`geograph::ScopedPool`],
 //! each worker with its own [`MoveScratch`] arena.
 //!
-//! [`fan_out`] runs `job(i, &mut arenas[i])` for every worker `i` — worker
+//! `fan_out` runs `job(i, &mut arenas[i])` for every worker `i` — worker
 //! 0 on the caller, the others on scoped threads spawned for the call and
 //! joined before it returns — and hands the results back by worker index.
 //! The arenas belong to the caller (the trainer session carries one per
@@ -53,7 +53,7 @@ impl std::error::Error for PoolError {}
 /// Runs `job(i, &mut arenas[i])` once for every `i in 0..arenas.len()`,
 /// concurrently, and returns the results by worker index (see the module
 /// docs for panics).
-pub fn fan_out<T: Send>(
+pub(crate) fn fan_out<T: Send>(
     arenas: &mut [MoveScratch],
     job: &(dyn Fn(usize, &mut MoveScratch) -> T + Sync),
 ) -> Result<Vec<T>, PoolError> {

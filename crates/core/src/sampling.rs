@@ -8,7 +8,7 @@
 //! sampler orders agents by ascending degree and each step trains a prefix
 //! whose length the Eq 14 schedule retunes from the remaining time budget.
 //! A cold partition trains that order as it stands; a dynamic window past
-//! the first re-cuts it ([`window_order`]) so its sample goes to what the
+//! the first re-cuts it (`window_order`) so its sample goes to what the
 //! delta touched and to a slice of everything else that moves on with
 //! every window.
 
@@ -19,7 +19,7 @@ use geograph::{Graph, VertexId};
 /// a prefix sum, one scatter in ascending id order (which is what breaks
 /// ties by id) — O(V + max degree), where a comparison sort was the
 /// largest fixed cost of setting up a window's session.
-pub fn degree_ascending_order(graph: &Graph) -> Vec<VertexId> {
+pub(crate) fn degree_ascending_order(graph: &Graph) -> Vec<VertexId> {
     let mut slots: Vec<u32> = Vec::new();
     for v in graph.vertices() {
         let d = graph.degree(v);
@@ -51,7 +51,7 @@ pub fn degree_ascending_order(graph: &Graph) -> Vec<VertexId> {
 /// SR_i = (T_opt − Σ t_k) / (Iter_max − i) · (1/i) Σ_j SR_j / t_j
 /// ```
 #[derive(Clone, Debug)]
-pub struct SampleScheduler {
+pub(crate) struct SampleScheduler {
     /// Required optimization overhead, seconds. `None` = unconstrained
     /// (rate 1.0 every step).
     t_opt: Option<f64>,
@@ -80,7 +80,7 @@ pub struct SampleScheduler {
 }
 
 impl SampleScheduler {
-    pub fn new(
+    pub(crate) fn new(
         t_opt: Option<f64>,
         fixed: Option<f64>,
         initial_rate: f64,
@@ -100,7 +100,7 @@ impl SampleScheduler {
 
     /// Enables the recency-weighted rate-per-second estimate (see the
     /// `recency` field). `lambda` in `(0, 1]`; 1.0 degenerates to Eq 14.
-    pub fn with_recency(mut self, lambda: f64) -> Self {
+    pub(crate) fn with_recency(mut self, lambda: f64) -> Self {
         assert!(lambda > 0.0 && lambda <= 1.0);
         self.recency = Some(lambda);
         self
@@ -109,7 +109,7 @@ impl SampleScheduler {
     /// Raises the schedule's sample-rate floor (see the `min_rate` field).
     /// Applies to the initial and Eq 14-scheduled rates, not to a pinned
     /// `fixed` rate and not to the stopping conditions.
-    pub fn set_min_rate(&mut self, floor: f64) {
+    pub(crate) fn set_min_rate(&mut self, floor: f64) {
         assert!((0.0..=1.0).contains(&floor));
         self.min_rate = floor;
     }
@@ -118,7 +118,7 @@ impl SampleScheduler {
     /// Eq 14 time budget is exhausted. A pinned `fixed` rate overrides the
     /// *schedule*, not the stopping conditions: a fixed-rate run still
     /// halts at `max_steps` and when `t_opt` is spent.
-    pub fn next_rate(&self) -> Option<f64> {
+    pub(crate) fn next_rate(&self) -> Option<f64> {
         let step = self.history.len();
         if step >= self.max_steps {
             return None;
@@ -163,19 +163,14 @@ impl SampleScheduler {
     }
 
     /// Records a completed step.
-    pub fn record(&mut self, rate: f64, seconds: f64) {
+    pub(crate) fn record(&mut self, rate: f64, seconds: f64) {
         self.history.push((rate, seconds));
-    }
-
-    /// The recorded `(rate, seconds)` history (Fig 14 plots this).
-    pub fn history(&self) -> &[(f64, f64)] {
-        &self.history
     }
 }
 
 /// The sampled agent set for a rate: the lowest-degree `rate` fraction
 /// (at least one agent while the graph is non-empty and rate > 0).
-pub fn sample_prefix(order: &[VertexId], rate: f64) -> &[VertexId] {
+pub(crate) fn sample_prefix(order: &[VertexId], rate: f64) -> &[VertexId] {
     if order.is_empty() || rate <= 0.0 {
         return &[];
     }
@@ -184,7 +179,7 @@ pub fn sample_prefix(order: &[VertexId], rate: f64) -> &[VertexId] {
 }
 
 /// Where [`scan_window`]'s window starts in a `prefix_len`-agent prefix.
-pub fn scan_start(prefix_len: usize, cap: usize, step_index: usize) -> usize {
+pub(crate) fn scan_start(prefix_len: usize, cap: usize, step_index: usize) -> usize {
     ((step_index as u128 * cap as u128) % prefix_len as u128) as usize
 }
 
@@ -198,7 +193,7 @@ pub fn scan_start(prefix_len: usize, cap: usize, step_index: usize) -> usize {
 /// no randomness. Wrap-around windows are materialized (the
 /// two arms of the ring are not contiguous); callers avoid the copy by not
 /// calling this at all when `cap >= prefix.len()`.
-pub fn scan_window(prefix: &[VertexId], cap: usize, step_index: usize) -> Vec<VertexId> {
+pub(crate) fn scan_window(prefix: &[VertexId], cap: usize, step_index: usize) -> Vec<VertexId> {
     assert!(cap >= 1, "a zero scan cap would stall every step");
     if prefix.is_empty() {
         return Vec::new();
@@ -233,7 +228,7 @@ pub fn scan_window(prefix: &[VertexId], cap: usize, step_index: usize) -> Vec<Ve
 /// caller already has, so it adds nothing to a WAL record or a snapshot: a recovered pipeline knows its next window index and so
 /// samples exactly what the uninterrupted one would. Returns the order and
 /// the length of its hot segment.
-pub fn window_order(
+pub(crate) fn window_order(
     base: &[VertexId],
     is_hot: impl Fn(VertexId) -> bool,
     is_high: impl Fn(VertexId) -> bool,

@@ -11,7 +11,7 @@ use geopart::Objective;
 /// (`tw = 1`). This is the paper's "explore early, enforce feasibility
 /// late" schedule (§IV-C.1).
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Weights {
+pub(crate) struct Weights {
     pub tw: f64,
     pub cw: f64,
 }
@@ -19,7 +19,7 @@ pub struct Weights {
 impl Weights {
     /// Weights at training step `iter` of `max_iter`, given whether the
     /// current plan is over budget.
-    pub fn at(iter: usize, max_iter: usize, over_budget: bool) -> Self {
+    pub(crate) fn at(iter: usize, max_iter: usize, over_budget: bool) -> Self {
         let cw_raw = if max_iter == 0 { 1.0 } else { iter as f64 / max_iter as f64 };
         let cw = if over_budget { cw_raw } else { 0.0 };
         Weights { tw: 1.0 - cw, cw }
@@ -32,7 +32,7 @@ impl Weights {
 ///
 /// `last` is the current plan's objective (`T_l`, `C_l`); `candidate` is
 /// the objective after the candidate action (`T_a`, `C_a`).
-pub fn score(last: &Objective, candidate: &Objective, weights: Weights) -> f64 {
+pub(crate) fn score(last: &Objective, candidate: &Objective, weights: Weights) -> f64 {
     let time_term = if last.transfer_time > 0.0 {
         (last.transfer_time - candidate.transfer_time) / last.transfer_time
     } else {
@@ -57,7 +57,7 @@ pub fn score(last: &Objective, candidate: &Objective, weights: Weights) -> f64 {
 /// is pinned to the frozen step objective `last` (staying put scores
 /// exactly zero); ties keep the lowest DC id. A DC whose bit is set in
 /// `dead` is never the answer; the master must not be on one.
-pub fn best_destination(
+pub(crate) fn best_destination(
     last: &Objective,
     candidates: &[Objective],
     master: DcId,

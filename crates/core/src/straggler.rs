@@ -12,7 +12,7 @@ use geograph::{Graph, VertexId};
 /// Assigns `agents` to `num_threads` groups balancing the per-group degree
 /// sums (greedy LPT: heaviest agent first, to the lightest group). A group
 /// holds positions into `agents`.
-pub fn balanced_assignment(
+pub(crate) fn balanced_assignment(
     graph: &Graph,
     agents: &[VertexId],
     num_threads: usize,
@@ -34,7 +34,7 @@ pub fn balanced_assignment(
 
 /// The naive assignment of `num_agents` positions (round-robin) — the
 /// ablation the paper's §V-B argues against.
-pub fn round_robin_assignment(num_agents: usize, num_threads: usize) -> Vec<Vec<usize>> {
+pub(crate) fn round_robin_assignment(num_agents: usize, num_threads: usize) -> Vec<Vec<usize>> {
     assert!(num_threads >= 1);
     let mut groups: Vec<Vec<usize>> = vec![Vec::new(); num_threads];
     for i in 0..num_agents {
@@ -43,25 +43,25 @@ pub fn round_robin_assignment(num_agents: usize, num_threads: usize) -> Vec<Vec<
     groups
 }
 
-/// Max/mean ratio of per-group degree sums (groups of positions into
-/// `agents`) — 1.0 is perfect balance.
-pub fn load_imbalance(graph: &Graph, agents: &[VertexId], groups: &[Vec<usize>]) -> f64 {
-    let loads: Vec<u64> = groups
-        .iter()
-        .map(|g| g.iter().map(|&i| graph.degree(agents[i]) as u64 + 1).sum())
-        .collect();
-    let total: u64 = loads.iter().sum();
-    if total == 0 {
-        return 1.0;
-    }
-    let mean = total as f64 / loads.len() as f64;
-    *loads.iter().max().unwrap() as f64 / mean
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use geograph::generators::{rmat, RmatConfig};
+
+    /// Max/mean ratio of per-group degree sums (groups of positions into
+    /// `agents`) — 1.0 is perfect balance.
+    fn load_imbalance(graph: &Graph, agents: &[VertexId], groups: &[Vec<usize>]) -> f64 {
+        let loads: Vec<u64> = groups
+            .iter()
+            .map(|g| g.iter().map(|&i| graph.degree(agents[i]) as u64 + 1).sum())
+            .collect();
+        let total: u64 = loads.iter().sum();
+        if total == 0 {
+            return 1.0;
+        }
+        let mean = total as f64 / loads.len() as f64;
+        *loads.iter().max().unwrap() as f64 / mean
+    }
 
     #[test]
     fn covers_all_agents_once() {

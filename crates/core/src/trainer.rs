@@ -1,9 +1,9 @@
 //! The RLCut training loop (Fig 5) with batched global migration (Fig 7,
 //! §V-A) and degree-balanced parallel scoring (§V-B).
 //!
-//! [`TrainerSession`] owns the one step loop: schedule → sample →
+//! `TrainerSession` owns the one step loop: schedule → sample →
 //! `max_scan` window → frozen objective and weights → propose (Fig 5
-//! phases 1–4: one [`AgentPool`] scored against the session's state) →
+//! phases 1–4: one `AgentPool` scored against the session's state) →
 //! shuffle → migrate → best-plan and convergence bookkeeping → journal.
 //!
 //! ## Parallel architecture
@@ -16,7 +16,7 @@
 //! sequential path. Each step has two phases, the first of them parallel:
 //!
 //! * **Scoring** — sampled agents are spread over `threads` scoped workers
-//!   ([`crate::pool::fan_out`]) by
+//!   (`crate::pool::fan_out`) by
 //!   the straggler-mitigating LPT assignment; each worker scores all `M`
 //!   candidate moves of an agent in **one** batched kernel sweep
 //!   ([`HybridState::evaluate_all_moves`]) against the frozen step-start
@@ -53,11 +53,11 @@ use crate::stats::{RlCutResult, StepStats};
 use crate::straggler;
 
 /// Partitions `geo` starting from its natural locations (the paper's
-/// initial state): one [`TrainerSession`] run to its end.
+/// initial state): one `TrainerSession` run to its end.
 ///
 /// A run has one failure, a [`PoolError`] — a worker of this program
 /// panicked — and it is re-raised on the caller; drive a
-/// [`TrainerSession`] to receive it as a value instead.
+/// `TrainerSession` to receive it as a value instead.
 pub fn partition<'g>(
     geo: &'g GeoGraph,
     env: &CloudEnv,
@@ -79,7 +79,7 @@ pub fn partition<'g>(
 /// thread, so a window's first step does not grow them again; plus what
 /// only rides *out* of a session, the move journal.
 #[derive(Debug, Default)]
-pub struct SessionResources {
+pub(crate) struct SessionResources {
     /// Carried arenas (a session resizes them to its thread count).
     pub(crate) arenas: Vec<MoveScratch>,
     /// Applied-move journal of the donor session (present only when the
@@ -92,15 +92,15 @@ pub struct SessionResources {
 
 /// Journal step index of the end-of-session reconcile sweep
 /// (live plan → best plan) in [`SessionResources`]' move journal.
-pub const RECONCILE_STEP: u32 = u32::MAX;
+pub(crate) const RECONCILE_STEP: u32 = geodur::Batch::RECONCILE_STEP;
 
 /// Journal step index of the re-seed that moves every master off a dead DC
 /// before the first training step ([`TrainerSession::evacuate_dead_dcs`]).
-pub const RESEED_STEP: u32 = u32::MAX - 1;
+pub(crate) const RESEED_STEP: u32 = u32::MAX - 1;
 
 /// An applied-move journal: per step, the accepted migrations in exact
 /// apply order.
-pub type MoveJournal = Vec<(u32, Vec<(VertexId, DcId)>)>;
+pub(crate) type MoveJournal = Vec<(u32, Vec<(VertexId, DcId)>)>;
 
 /// What a phase executes on, borrowed from the session for one step.
 struct Exec<'a> {
@@ -117,7 +117,7 @@ struct Exec<'a> {
 /// driver adds [`Self::focus_window`], [`Self::boost_sampling`] and the
 /// resources `finish` hands back around the same loop, and tests advance
 /// it one [`Self::step`] at a time.
-pub struct TrainerSession<'g> {
+pub(crate) struct TrainerSession<'g> {
     geo: &'g GeoGraph,
     config: RlCutConfig,
     /// Sampling priority order (degree-ascending or seeded shuffle),
@@ -161,7 +161,7 @@ pub struct TrainerSession<'g> {
 
 impl<'g> TrainerSession<'g> {
     /// Sets up a fresh session over an existing state.
-    pub fn new(
+    pub(crate) fn new(
         geo: &'g GeoGraph,
         env: &CloudEnv,
         state: HybridState<'g>,
@@ -172,7 +172,7 @@ impl<'g> TrainerSession<'g> {
 
     /// [`Self::new`] reusing the arenas of a previous session (the
     /// dynamic-window path), resized to this session's thread count.
-    pub fn with_resources(
+    pub(crate) fn with_resources(
         geo: &'g GeoGraph,
         env: &CloudEnv,
         state: HybridState<'g>,
@@ -210,7 +210,7 @@ impl<'g> TrainerSession<'g> {
     /// [`SessionResources`]. The durable driver feeds it to the WAL;
     /// replaying the journal through `apply_move_with` reproduces the
     /// placement state, which is a function of the masters it leads to.
-    pub fn enable_move_journal(&mut self) {
+    pub(crate) fn enable_move_journal(&mut self) {
         if self.journal.is_none() {
             self.journal = Some(Vec::new());
         }
@@ -243,23 +243,13 @@ impl<'g> TrainerSession<'g> {
     }
 
     /// Number of trainable (non-isolated) agents.
-    pub fn num_trainable(&self) -> usize {
+    pub(crate) fn num_trainable(&self) -> usize {
         self.order.len()
     }
 
     /// Whether the run has stopped (converged, horizon, or time budget).
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.converged || self.exhausted || self.step_index >= self.config.max_steps
-    }
-
-    /// Whether training stopped on convergence.
-    pub fn converged(&self) -> bool {
-        self.converged
-    }
-
-    /// Telemetry of the steps executed so far.
-    pub fn steps(&self) -> &[StepStats] {
-        &self.steps
     }
 
     /// Reorders the sampling priority for dynamic window `window_index`
@@ -277,7 +267,7 @@ impl<'g> TrainerSession<'g> {
     /// the hot segment fronts. Out-of-range ids are ignored. Returns the
     /// hot segment's length. Call before the first step: the agents are
     /// indexed by position in the order this re-cuts.
-    pub fn focus_window(&mut self, touched: &[VertexId], window_index: u64) -> usize {
+    pub(crate) fn focus_window(&mut self, touched: &[VertexId], window_index: u64) -> usize {
         assert_eq!(self.agents.num_agents(), 0, "focus_window after a step re-slots live agents");
         let graph = &self.geo.graph;
         let core = self.state.core();
@@ -309,7 +299,7 @@ impl<'g> TrainerSession<'g> {
     /// (the rule serving evacuates by) through `apply_move_with`, journaled
     /// under [`RESEED_STEP`]; the result is the starting best plan. Call
     /// before the first step. Returns the moved vertices, ascending.
-    pub fn evacuate_dead_dcs(
+    pub(crate) fn evacuate_dead_dcs(
         &mut self,
         env: &CloudEnv,
         dead: &[bool],
@@ -338,15 +328,8 @@ impl<'g> TrainerSession<'g> {
     /// [`SampleScheduler::set_min_rate`]): every step of this window
     /// samples at least `floor` of the agents, so a converged schedule
     /// cannot starve the region a delta or a re-seed touched.
-    pub fn boost_sampling(&mut self, floor: f64) {
+    pub(crate) fn boost_sampling(&mut self, floor: f64) {
         self.scheduler.set_min_rate(floor.clamp(0.0, 1.0));
-    }
-
-    /// Capacity snapshot of the session's arenas, one per thread.
-    /// Steady-state contract: after the first full-sample step the
-    /// capacities stop changing — the hot loops allocate nothing.
-    pub fn scratch_stats(&self) -> Vec<geopart::ScratchStats> {
-        self.arenas.iter().map(MoveScratch::stats).collect()
     }
 
     /// Executes one training step (Fig 5 phases 1–5) under `env` and
@@ -354,7 +337,7 @@ impl<'g> TrainerSession<'g> {
     /// horizon reached, sampling budget exhausted). After an `Err` the
     /// session's placement is still a valid plan ([`Self::finish`] works),
     /// but the run can no longer be continued bit-identically.
-    pub fn step(&mut self, env: &CloudEnv) -> Result<Option<StepStats>, PoolError> {
+    pub(crate) fn step(&mut self, env: &CloudEnv) -> Result<Option<StepStats>, PoolError> {
         if self.is_done() {
             return Ok(None);
         }
@@ -455,7 +438,7 @@ impl<'g> TrainerSession<'g> {
     }
 
     /// Runs the loop to completion under a fixed environment.
-    pub fn run(&mut self, env: &CloudEnv) -> Result<(), PoolError> {
+    pub(crate) fn run(&mut self, env: &CloudEnv) -> Result<(), PoolError> {
         while self.step(env)?.is_some() {}
         Ok(())
     }
@@ -468,7 +451,7 @@ impl<'g> TrainerSession<'g> {
     /// window's session. (The state's loads and Eq 4 moved bytes are
     /// integers, so the reconciled state equals a rebuild from the best
     /// masters.)
-    pub fn finish(mut self, env: &CloudEnv) -> (RlCutResult<'g>, SessionResources) {
+    pub(crate) fn finish(mut self, env: &CloudEnv) -> (RlCutResult<'g>, SessionResources) {
         let total_duration = self.started.elapsed();
         let mut final_state = self.state;
         let best_masters = self.best.0;
@@ -615,6 +598,13 @@ mod tests {
     use geosim::regions::ec2_eight_regions;
     use geosim::Heterogeneity;
 
+    /// Capacity snapshot of the session's arenas, one per thread.
+    /// Steady-state contract: after the first full-sample step the
+    /// capacities stop changing — the hot loops allocate nothing.
+    fn scratch_stats(session: &TrainerSession) -> Vec<geopart::ScratchStats> {
+        session.arenas.iter().map(MoveScratch::stats).collect()
+    }
+
     fn setup(seed: u64) -> (GeoGraph, CloudEnv) {
         let g = rmat(&RmatConfig::social(1024, 8192), seed);
         (GeoGraph::from_graph(g, &LocalityConfig::paper_default(seed)), ec2_eight_regions())
@@ -726,10 +716,10 @@ mod tests {
             HybridState::from_masters(&geo, &env, geo.locations.clone(), theta, profile, 10.0);
         let mut session = TrainerSession::new(&geo, &env, state, config);
         while session.step(&env).unwrap().is_some() {}
-        assert_eq!(session.steps().len(), 6, "capped steps must not converge early");
-        assert!(!session.converged(), "a capped scan sees only a window — no convergence claim");
+        assert_eq!(session.steps.len(), 6, "capped steps must not converge early");
+        assert!(!session.converged, "a capped scan sees only a window — no convergence claim");
         let mut starts = std::collections::HashSet::new();
-        for stats in session.steps() {
+        for stats in &session.steps {
             assert!(stats.num_agents <= 100, "step scanned {} agents", stats.num_agents);
             starts.insert(stats.num_agents);
         }
@@ -756,12 +746,12 @@ mod tests {
             HybridState::from_masters(&geo, &env, geo.locations.clone(), theta, profile, 10.0);
         let mut session = TrainerSession::new(&geo, &env, state, config);
         assert!(session.step(&env).unwrap().is_some());
-        let warm = session.scratch_stats();
+        let warm = scratch_stats(&session);
         assert_eq!(warm.len(), 4, "one arena per thread");
         assert!(warm.iter().all(|s| s.width == env.num_dcs()), "{warm:?}");
         assert!(warm.iter().all(|s| s.neighbor_capacity > 0), "{warm:?}");
         while session.step(&env).unwrap().is_some() {}
-        let steady = session.scratch_stats();
+        let steady = scratch_stats(&session);
         assert_eq!(warm, steady, "arenas regrew after step 1");
     }
 
@@ -792,13 +782,13 @@ mod tests {
         let mut s1 =
             carried_session(&geo, &env, geo.locations.clone(), 4, SessionResources::default());
         while s1.step(&env).unwrap().is_some() {}
-        let warm = s1.scratch_stats();
+        let warm = scratch_stats(&s1);
         assert_eq!(warm.len(), 4, "one arena per thread");
         assert!(warm.iter().all(|s| s.width == env.num_dcs()), "{warm:?}");
         assert!(warm.iter().all(|s| s.neighbor_capacity > 0), "{warm:?}");
         let (r1, resources) = s1.finish(&env);
         let s2 = carried_session(&geo, &env, r1.state.core().masters().to_vec(), 4, resources);
-        assert_eq!(s2.scratch_stats(), warm, "same thread count: the arenas as they were");
+        assert_eq!(scratch_stats(&s2), warm, "same thread count: the arenas as they were");
     }
 
     #[test]
@@ -810,14 +800,14 @@ mod tests {
         let mut donor =
             carried_session(&geo, &env, geo.locations.clone(), 4, SessionResources::default());
         while donor.step(&env).unwrap().is_some() {}
-        let warm = donor.scratch_stats();
+        let warm = scratch_stats(&donor);
         assert!(warm.iter().all(|s| s.neighbor_capacity > 0), "{warm:?}");
         let (_, resources) = donor.finish(&env);
         let shrunk = carried_session(&geo, &env, geo.locations.clone(), 2, resources);
-        assert_eq!(shrunk.scratch_stats(), warm[..2], "fewer threads: the first arenas kept");
+        assert_eq!(scratch_stats(&shrunk), warm[..2], "fewer threads: the first arenas kept");
         let (_, resources) = shrunk.finish(&env);
         let grown =
-            carried_session(&geo, &env, geo.locations.clone(), 3, resources).scratch_stats();
+            scratch_stats(&carried_session(&geo, &env, geo.locations.clone(), 3, resources));
         assert_eq!(grown.len(), 3);
         assert_eq!(grown[..2], warm[..2]);
         assert_eq!(grown[2], MoveScratch::new().stats(), "a new thread starts a fresh arena");

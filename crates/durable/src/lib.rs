@@ -38,7 +38,7 @@ pub mod wal;
 
 pub use error::{env_fingerprint, fnv1a, DurableError};
 pub use records::{Batch, Commit, Record, WindowStart};
-pub use replay::{masters_fnv, replay, RecoveredPipeline};
+pub use replay::{masters_fnv, replay};
 pub use snapshot::{Snapshot, SnapshotRef};
 pub use store::{DurableStore, RecoveryReport};
-pub use wal::{LoadedRecord, Wal, WalReport};
+pub use wal::{Wal, WalReport};

@@ -30,11 +30,11 @@ use geograph::{DcId, GraphDelta, VertexId, MAX_DCS};
 use crate::error::DurableError;
 
 /// Record kind byte for [`WindowStart`].
-pub const KIND_WINDOW_START: u8 = 1;
+pub(crate) const KIND_WINDOW_START: u8 = 1;
 /// Record kind byte for [`Batch`].
-pub const KIND_BATCH: u8 = 2;
+pub(crate) const KIND_BATCH: u8 = 2;
 /// Record kind byte for [`Commit`].
-pub const KIND_COMMIT: u8 = 3;
+pub(crate) const KIND_COMMIT: u8 = 3;
 
 /// Opens window `window`: the inputs of one dynamic-window transaction.
 #[derive(Clone, Debug, PartialEq)]
@@ -108,7 +108,7 @@ pub enum Record {
 
 impl Record {
     /// Kind byte stored in the WAL frame.
-    pub fn kind(&self) -> u8 {
+    pub(crate) fn kind(&self) -> u8 {
         match self {
             Record::WindowStart(_) => KIND_WINDOW_START,
             Record::Batch(_) => KIND_BATCH,
@@ -117,7 +117,7 @@ impl Record {
     }
 
     /// Serializes the record payload (kind byte travels in the frame).
-    pub fn to_payload(&self) -> Vec<u8> {
+    pub(crate) fn to_payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
             Record::WindowStart(ws) => {
@@ -174,7 +174,7 @@ impl Record {
     /// by the bytes they occupy, so their declared lengths are checked
     /// against it — plus the record's own new vertices — before a value is
     /// expanded.
-    pub fn from_payload(
+    pub(crate) fn from_payload(
         kind: u8,
         payload: &[u8],
         lsn: u64,

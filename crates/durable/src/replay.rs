@@ -66,17 +66,6 @@ pub struct RecoveredPipeline {
     pub dead: Option<Vec<bool>>,
 }
 
-impl RecoveredPipeline {
-    /// Master locations at the recovery point (falls back to the vertex
-    /// home locations when no window ever committed).
-    pub fn masters(&self) -> &[geograph::DcId] {
-        match &self.parts {
-            Some((core, _)) => core.masters(),
-            None => &self.geo.locations,
-        }
-    }
-}
-
 /// One fully-committed window transaction parsed out of the log.
 struct WindowTxn {
     start: WindowStart,

@@ -42,11 +42,11 @@ use geopart::PlacementState;
 use crate::error::{fnv1a, fnv1a_fold, DurableError, FNV_OFFSET};
 
 /// Magic bytes opening every snapshot file.
-pub const MAGIC: [u8; 4] = *b"RLSN";
+pub(crate) const MAGIC: [u8; 4] = *b"RLSN";
 /// The one snapshot format version; any other (5 stored the four stage-load
 /// vectors and the profile as `f32` runs, 4 wrote varint out-rows and
 /// byte-wide DC ids) is [`DurableError::UnsupportedVersion`].
-pub const VERSION: u32 = 6;
+pub(crate) const VERSION: u32 = 6;
 /// File-sink buffer: the whole transient heap of cutting a snapshot.
 const SINK_BUFFER_BYTES: usize = 64 << 10;
 
@@ -284,7 +284,7 @@ pub fn load_latest(store_dir: &Path) -> Result<(Snapshot, LoadStats), DurableErr
 
 /// Deletes all snapshots except the newest `keep` (by LSN). Returns how
 /// many were removed.
-pub fn prune(store_dir: &Path, keep: usize) -> Result<usize, DurableError> {
+pub(crate) fn prune(store_dir: &Path, keep: usize) -> Result<usize, DurableError> {
     let paths = snapshot_paths(store_dir)?;
     let mut removed = 0;
     if paths.len() > keep {

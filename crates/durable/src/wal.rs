@@ -42,7 +42,7 @@
 //!
 //! ## Fsync discipline
 //!
-//! [`Wal::append`] buffers in the OS; [`Wal::sync`] is the durability
+//! `Wal::append` buffers in the OS; `Wal::sync` is the durability
 //! point (`fdatasync`). Callers group-commit: sync once after the records
 //! that must become durable together. Rotation syncs the outgoing segment
 //! before the new one is linked in.
@@ -51,20 +51,22 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
+use geograph::wire::{Reader, WireError};
+
 use crate::error::{fnv1a, DurableError};
 
 /// Magic bytes opening every WAL segment.
-pub const MAGIC: [u8; 4] = *b"RLWL";
+pub(crate) const MAGIC: [u8; 4] = *b"RLWL";
 /// Current segment format version. A segment of any other version is
 /// [`DurableError::UnsupportedVersion`]: version 2 wrote a window start's
 /// delta as raw edge pairs, version 1 its profile suffixes as raw `f32`s.
-pub const VERSION: u32 = 3;
+pub(crate) const VERSION: u32 = 3;
 /// Segment header size in bytes.
-pub const HEADER_BYTES: u64 = 32;
+pub(crate) const HEADER_BYTES: u64 = 32;
 /// Per-record framing overhead (length prefix + kind + checksum).
-pub const RECORD_OVERHEAD: u64 = 13;
+pub(crate) const RECORD_OVERHEAD: u64 = 13;
 /// Default rotation threshold.
-pub const DEFAULT_SEGMENT_BYTES: u64 = 4 << 20;
+pub(crate) const DEFAULT_SEGMENT_BYTES: u64 = 4 << 20;
 
 /// One record scanned out of the log.
 #[derive(Clone, Debug)]
@@ -159,7 +161,7 @@ pub struct Wal {
 
 impl Wal {
     /// Creates a fresh log under `store_dir` (no segments may exist yet).
-    pub fn create(store_dir: &Path) -> Result<Wal, DurableError> {
+    pub(crate) fn create(store_dir: &Path) -> Result<Wal, DurableError> {
         let dir = wal_dir(store_dir);
         std::fs::create_dir_all(&dir)?;
         if !segment_paths(store_dir)?.is_empty() {
@@ -183,7 +185,9 @@ impl Wal {
     /// Scans the existing log and returns an appender positioned after it.
     /// Always rotates to a fresh segment, so a dropped torn tail is never
     /// extended.
-    pub fn open(store_dir: &Path) -> Result<(Vec<LoadedRecord>, WalReport, Wal), DurableError> {
+    pub(crate) fn open(
+        store_dir: &Path,
+    ) -> Result<(Vec<LoadedRecord>, WalReport, Wal), DurableError> {
         let (records, report) = load(store_dir)?;
         let dir = wal_dir(store_dir);
         std::fs::create_dir_all(&dir)?;
@@ -203,26 +207,19 @@ impl Wal {
         Ok((records, report, wal))
     }
 
-    /// Overrides the rotation threshold (tests use tiny segments to
-    /// exercise rotation; benches measure with the default).
-    pub fn with_segment_bytes(mut self, bytes: u64) -> Self {
-        self.segment_bytes = bytes.max(HEADER_BYTES + RECORD_OVERHEAD);
-        self
-    }
-
     /// LSN the next appended record will get.
-    pub fn next_lsn(&self) -> u64 {
+    pub(crate) fn next_lsn(&self) -> u64 {
         self.next_lsn
     }
 
     /// Record bytes appended through this handle (framing included).
-    pub fn appended_bytes(&self) -> u64 {
+    pub(crate) fn appended_bytes(&self) -> u64 {
         self.appended_bytes
     }
 
     /// Appends one record, rotating first if the current segment is full.
     /// Returns the record's LSN. Not yet durable — call [`Self::sync`].
-    pub fn append(&mut self, kind: u8, payload: &[u8]) -> Result<u64, DurableError> {
+    pub(crate) fn append(&mut self, kind: u8, payload: &[u8]) -> Result<u64, DurableError> {
         if self.written >= self.segment_bytes {
             self.rotate()?;
         }
@@ -241,14 +238,14 @@ impl Wal {
     }
 
     /// Makes every appended record durable (`fdatasync`).
-    pub fn sync(&mut self) -> Result<(), DurableError> {
+    pub(crate) fn sync(&mut self) -> Result<(), DurableError> {
         self.file.sync_data()?;
         Ok(())
     }
 
     /// Starts a fresh segment at the next LSN unless the current one holds
     /// no record, so the log behind a snapshot is whole prunable segments.
-    pub fn roll(&mut self) -> Result<(), DurableError> {
+    pub(crate) fn roll(&mut self) -> Result<(), DurableError> {
         if self.written > HEADER_BYTES {
             self.rotate()?;
         }
@@ -267,7 +264,11 @@ impl Wal {
     /// first, so a crash mid-prune leaves a contiguous suffix). Returns
     /// the number of segments removed. The segment containing `lsn` — and
     /// everything after it — stays.
-    pub fn prune_below(&mut self, store_dir: &Path, lsn: u64) -> Result<usize, DurableError> {
+    pub(crate) fn prune_below(
+        &mut self,
+        store_dir: &Path,
+        lsn: u64,
+    ) -> Result<usize, DurableError> {
         let paths = segment_paths(store_dir)?;
         // A segment is disposable iff its successor starts at or before
         // `lsn`: then every record it holds is < lsn.
@@ -276,7 +277,7 @@ impl Wal {
             // The header alone — a full segment is megabytes.
             let mut header = Vec::with_capacity(HEADER_BYTES as usize);
             File::open(path)?.take(HEADER_BYTES).read_to_end(&mut header)?;
-            first_lsns.push(parse_header(seq, &header)?);
+            first_lsns.push(parse_header(seq, &mut Reader::new(&header))?);
         }
         let mut removed = 0;
         for i in 0..paths.len().saturating_sub(1) {
@@ -308,30 +309,42 @@ fn start_segment(dir: &Path, seq: u64, first_lsn: u64) -> Result<File, DurableEr
     Ok(OpenOptions::new().append(true).open(&path)?)
 }
 
-/// Validates a segment header, returning its `first_lsn`.
-fn parse_header(seq: u64, bytes: &[u8]) -> Result<u64, DurableError> {
-    if bytes.is_empty() {
-        return Err(DurableError::BadSegmentHeader { segment: seq, reason: "zero-length file" });
+/// Validates a segment header read from the front of `r`, returning its
+/// `first_lsn` and leaving `r` at the first record.
+fn parse_header(seq: u64, r: &mut Reader<'_>) -> Result<u64, DurableError> {
+    let bad = |reason| DurableError::BadSegmentHeader { segment: seq, reason };
+    if r.remaining() == 0 {
+        return Err(bad("zero-length file"));
     }
-    if (bytes.len() as u64) < HEADER_BYTES {
-        return Err(DurableError::BadSegmentHeader { segment: seq, reason: "short header" });
+    let short = |_| bad("short header");
+    let fields = r.take(HEADER_BYTES as usize - 8).map_err(short)?;
+    let stored = r.u64().map_err(short)?;
+    let mut f = Reader::new(fields);
+    if f.take(MAGIC.len()).map_err(short)? != MAGIC {
+        return Err(bad("bad magic"));
     }
-    if bytes[..4] != MAGIC {
-        return Err(DurableError::BadSegmentHeader { segment: seq, reason: "bad magic" });
+    if stored != fnv1a(fields) {
+        return Err(bad("header checksum"));
     }
-    let stored = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
-    if stored != fnv1a(&bytes[..24]) {
-        return Err(DurableError::BadSegmentHeader { segment: seq, reason: "header checksum" });
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+    let version = f.u32().map_err(short)?;
     if version != VERSION {
         return Err(DurableError::UnsupportedVersion { segment: seq, version });
     }
-    let header_seq = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    if header_seq != seq {
-        return Err(DurableError::BadSegmentHeader { segment: seq, reason: "sequence mismatch" });
+    if f.u64().map_err(short)? != seq {
+        return Err(bad("sequence mismatch"));
     }
-    Ok(u64::from_le_bytes(bytes[16..24].try_into().unwrap()))
+    f.u64().map_err(short)
+}
+
+/// One record frame off the front of `r`: its kind, its payload and whether
+/// the stored checksum matches them. `Err` when the bytes end before the
+/// frame its length prefix declares does.
+fn read_frame<'a>(r: &mut Reader<'a>) -> Result<(u8, &'a [u8], bool), WireError> {
+    let len = r.u32()? as usize;
+    let body = r.take(1 + len)?;
+    let intact = r.u64()? == fnv1a(body);
+    let mut body_reader = Reader::new(body);
+    Ok((body_reader.u8()?, body_reader.take(len)?, intact))
 }
 
 /// Read-only scan of the whole log under `store_dir`.
@@ -344,7 +357,8 @@ pub fn load(store_dir: &Path) -> Result<(Vec<LoadedRecord>, WalReport), DurableE
         let last = i + 1 == paths.len();
         let bytes = std::fs::read(path)?;
         report.total_bytes += bytes.len() as u64;
-        let first_lsn = parse_header(seq, &bytes)?;
+        let mut r = Reader::new(&bytes);
+        let first_lsn = parse_header(seq, &mut r)?;
         if let Some(expected) = next_lsn {
             if first_lsn != expected {
                 return Err(DurableError::LsnGap {
@@ -355,16 +369,9 @@ pub fn load(store_dir: &Path) -> Result<(Vec<LoadedRecord>, WalReport), DurableE
             }
         }
         let mut lsn = first_lsn;
-        let mut pos = HEADER_BYTES as usize;
-        while pos < bytes.len() {
-            let remaining = bytes.len() - pos;
-            let declared = if remaining >= 4 {
-                Some(u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize)
-            } else {
-                None
-            };
-            let total = declared.map(|len| len + RECORD_OVERHEAD as usize);
-            if total.is_none_or(|t| t > remaining) {
+        while r.remaining() > 0 {
+            let remaining = r.remaining();
+            let Ok((kind, payload, intact)) = read_frame(&mut r) else {
                 // Shorter than the frame declares: a torn append — only
                 // legitimate at the very end of the log.
                 if last {
@@ -372,21 +379,16 @@ pub fn load(store_dir: &Path) -> Result<(Vec<LoadedRecord>, WalReport), DurableE
                     break;
                 }
                 return Err(DurableError::TruncatedSegment { segment: seq });
-            }
-            let len = declared.unwrap();
-            let body = &bytes[pos + 4..pos + 5 + len];
-            let stored =
-                u64::from_le_bytes(bytes[pos + 5 + len..pos + 13 + len].try_into().unwrap());
-            if stored != fnv1a(body) {
+            };
+            if !intact {
                 return Err(DurableError::CorruptRecord { segment: seq, lsn });
             }
-            pos += total.unwrap();
             records.push(LoadedRecord {
                 lsn,
-                kind: body[0],
-                payload: body[1..].to_vec(),
+                kind,
+                payload: payload.to_vec(),
                 segment: seq,
-                end_offset: pos as u64,
+                end_offset: (bytes.len() - r.remaining()) as u64,
             });
             lsn += 1;
         }
@@ -399,6 +401,12 @@ pub fn load(store_dir: &Path) -> Result<(Vec<LoadedRecord>, WalReport), DurableE
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Overrides the rotation threshold: tiny segments exercise rotation.
+    fn with_segment_bytes(mut wal: Wal, bytes: u64) -> Wal {
+        wal.segment_bytes = bytes.max(HEADER_BYTES + RECORD_OVERHEAD);
+        wal
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("rlcut_wal_{tag}_{}", std::process::id()));
@@ -431,7 +439,7 @@ mod tests {
     #[test]
     fn rotation_chains_segments() {
         let dir = tmp_dir("rotation");
-        let mut wal = Wal::create(&dir).unwrap().with_segment_bytes(64);
+        let mut wal = with_segment_bytes(Wal::create(&dir).unwrap(), 64);
         for i in 0..20u8 {
             wal.append(1, &[i; 16]).unwrap();
         }
@@ -529,6 +537,44 @@ mod tests {
     }
 
     #[test]
+    fn every_header_fault_keeps_its_reason() {
+        let dir = tmp_dir("header");
+        let mut wal = Wal::create(&dir).unwrap();
+        wal.append(1, b"x").unwrap();
+        wal.sync().unwrap();
+        let (_, path) = segment_paths(&dir).unwrap().pop().unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let restamp = |bytes: &mut Vec<u8>| {
+            let sum = fnv1a(&bytes[..24]);
+            bytes[24..32].copy_from_slice(&sum.to_le_bytes());
+        };
+        let mut magic = good.clone();
+        magic[0] ^= 1;
+        restamp(&mut magic);
+        let mut checksum = good.clone();
+        checksum[20] ^= 1;
+        let mut seq = good.clone();
+        seq[8] = 7;
+        restamp(&mut seq);
+        for (bytes, expected) in [
+            (good[..1].to_vec(), "short header"),
+            (good[..31].to_vec(), "short header"),
+            (magic, "bad magic"),
+            (checksum, "header checksum"),
+            (seq, "sequence mismatch"),
+        ] {
+            std::fs::write(&path, &bytes).unwrap();
+            match load(&dir) {
+                Err(DurableError::BadSegmentHeader { segment: 0, reason }) => {
+                    assert_eq!(reason, expected)
+                }
+                other => panic!("{expected}: got {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn older_format_version_is_a_typed_error() {
         let dir = tmp_dir("v1");
         let mut wal = Wal::create(&dir).unwrap();
@@ -557,7 +603,7 @@ mod tests {
     #[test]
     fn missing_interior_segment_is_a_gap() {
         let dir = tmp_dir("gap");
-        let mut wal = Wal::create(&dir).unwrap().with_segment_bytes(64);
+        let mut wal = with_segment_bytes(Wal::create(&dir).unwrap(), 64);
         for i in 0..30u8 {
             wal.append(1, &[i; 16]).unwrap();
         }
@@ -572,7 +618,7 @@ mod tests {
     #[test]
     fn truncated_interior_segment_rejected() {
         let dir = tmp_dir("interior");
-        let mut wal = Wal::create(&dir).unwrap().with_segment_bytes(64);
+        let mut wal = with_segment_bytes(Wal::create(&dir).unwrap(), 64);
         for i in 0..30u8 {
             wal.append(1, &[i; 16]).unwrap();
         }
@@ -588,7 +634,7 @@ mod tests {
     #[test]
     fn prune_keeps_live_suffix() {
         let dir = tmp_dir("prune");
-        let mut wal = Wal::create(&dir).unwrap().with_segment_bytes(64);
+        let mut wal = with_segment_bytes(Wal::create(&dir).unwrap(), 64);
         for i in 0..30u8 {
             wal.append(1, &[i; 16]).unwrap();
         }

@@ -4,7 +4,7 @@ use geograph::{GeoGraph, VertexId};
 use geopart::TrafficProfile;
 
 /// Bytes of one vertex-value message (a rank, a distance, a match count).
-pub const VALUE_BYTES: f32 = 8.0;
+pub(crate) const VALUE_BYTES: f32 = 8.0;
 
 /// The three analytics workloads of the paper's evaluation (§VI-A.2).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -16,9 +16,6 @@ pub enum Algorithm {
     /// Subgraph isomorphism (directed-triangle pattern): a few iterations
     /// with candidate-list messages proportional to vertex degree.
     SubgraphIso { iterations: usize },
-    /// Weakly connected components (min-label propagation): shrinking
-    /// per-round activity. An extension beyond the paper's three workloads.
-    ConnectedComponents,
 }
 
 impl Algorithm {
@@ -38,18 +35,12 @@ impl Algorithm {
         Algorithm::SubgraphIso { iterations: 3 }
     }
 
-    /// Weakly connected components.
-    pub fn wcc() -> Self {
-        Algorithm::ConnectedComponents
-    }
-
     /// The paper's shorthand for the algorithm.
     pub fn name(&self) -> &'static str {
         match self {
             Algorithm::PageRank { .. } => "PR",
             Algorithm::Sssp { .. } => "SSSP",
             Algorithm::SubgraphIso { .. } => "SI",
-            Algorithm::ConnectedComponents => "WCC",
         }
     }
 
@@ -72,9 +63,6 @@ impl Algorithm {
                     .collect();
                 TrafficProfile::weighted(&weights, VALUE_BYTES)
             }
-            // WCC: labels settle within a few rounds; expect roughly two
-            // value syncs per vertex over the run.
-            Algorithm::ConnectedComponents => TrafficProfile::uniform(n, VALUE_BYTES),
         }
     }
 
@@ -85,7 +73,6 @@ impl Algorithm {
             Algorithm::PageRank { iterations, .. } => *iterations as f64,
             Algorithm::Sssp { .. } => 1.0,
             Algorithm::SubgraphIso { iterations } => *iterations as f64,
-            Algorithm::ConnectedComponents => 2.0,
         }
     }
 }

@@ -3,10 +3,8 @@
 
 pub mod pagerank;
 pub mod sssp;
-pub mod triangles;
-pub mod wcc;
+pub(crate) mod triangles;
 
 pub use pagerank::pagerank;
-pub use sssp::{bfs_levels, BfsResult};
-pub use triangles::triangle_count;
-pub use wcc::{wcc, WccResult};
+pub(crate) use sssp::bfs_levels;
+pub(crate) use triangles::triangle_count;

@@ -6,11 +6,11 @@ use geograph::Graph;
 use geograph::VertexId;
 
 /// Distance assigned to unreachable vertices.
-pub const UNREACHABLE: u32 = u32::MAX;
+pub(crate) const UNREACHABLE: u32 = u32::MAX;
 
 /// Result of a BFS/SSSP execution.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BfsResult {
+pub(crate) struct BfsResult {
     /// Hop distance from the source (`UNREACHABLE` if not reachable).
     pub distances: Vec<u32>,
     /// The frontier of each round: `frontiers[i]` is the set of vertices
@@ -20,7 +20,7 @@ pub struct BfsResult {
 }
 
 /// Runs unit-weight SSSP from `source` along out-edges.
-pub fn bfs_levels(graph: &Graph, source: VertexId) -> BfsResult {
+pub(crate) fn bfs_levels(graph: &Graph, source: VertexId) -> BfsResult {
     let n = graph.num_vertices();
     assert!((source as usize) < n, "source out of range");
     let mut distances = vec![UNREACHABLE; n];
@@ -48,7 +48,7 @@ pub fn bfs_levels(graph: &Graph, source: VertexId) -> BfsResult {
 
 /// Picks the paper-style default source: the vertex with the highest
 /// out-degree (guarantees a non-trivial traversal on power-law graphs).
-pub fn default_source(graph: &Graph) -> VertexId {
+pub(crate) fn default_source(graph: &Graph) -> VertexId {
     (0..graph.num_vertices() as VertexId).max_by_key(|&v| graph.out_degree(v)).unwrap_or(0)
 }
 

@@ -6,7 +6,7 @@ use geograph::VertexId;
 
 /// Counts directed 3-cycles `u → v → w → u`. Each cycle is counted once
 /// (anchored at its smallest vertex id).
-pub fn triangle_count(graph: &Graph) -> u64 {
+pub(crate) fn triangle_count(graph: &Graph) -> u64 {
     let mut count = 0u64;
     for u in 0..graph.num_vertices() as VertexId {
         for &v in graph.out_neighbors(u) {

@@ -23,7 +23,7 @@
 //! The per-iteration [`geosim::StageLoads`] feed Eq 1–3 for time and Eq 5
 //! for cost, producing an [`ExecutionReport`].
 
-pub mod algorithm;
+pub(crate) mod algorithm;
 pub mod algorithms;
 pub mod runner;
 

@@ -8,7 +8,7 @@ use geosim::transfer::iteration_time;
 use geosim::{CloudEnv, StageLoads};
 
 use crate::algorithm::Algorithm;
-use crate::algorithms::{bfs_levels, pagerank, triangle_count, wcc};
+use crate::algorithms::{bfs_levels, pagerank, triangle_count};
 
 /// The computed result of the analytics job (verifiable against a
 /// single-machine reference — same code path, so trivially equal here, but
@@ -18,7 +18,6 @@ pub enum AlgoOutput {
     Ranks(Vec<f64>),
     Distances(Vec<u32>),
     Triangles(u64),
-    ComponentLabels(Vec<geograph::VertexId>),
 }
 
 /// What one execution cost: the paper's runtime metrics (Eq 1 summed over
@@ -77,21 +76,6 @@ fn plan_rounds(geo: &GeoGraph, algo: &Algorithm) -> Rounds {
                 changed: vec![all; *iterations],
                 output: AlgoOutput::Triangles(triangles),
             }
-        }
-        Algorithm::ConnectedComponents => {
-            let result = wcc(&geo.graph);
-            let rounds = result.changed_per_round.len();
-            let mut senders = Vec::with_capacity(rounds);
-            let mut changed = Vec::with_capacity(rounds);
-            for r in 0..rounds {
-                senders.push(if r == 0 {
-                    Vec::new()
-                } else {
-                    result.changed_per_round[r - 1].clone()
-                });
-                changed.push(result.changed_per_round[r].clone());
-            }
-            Rounds { senders, changed, output: AlgoOutput::ComponentLabels(result.labels) }
         }
     }
 }

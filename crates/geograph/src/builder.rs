@@ -14,32 +14,18 @@ use crate::VertexId;
 pub struct GraphBuilder {
     num_vertices: usize,
     edges: Vec<(VertexId, VertexId)>,
-    dedup: bool,
-    drop_self_loops: bool,
 }
 
 impl GraphBuilder {
     /// New builder for a graph with `n` vertices. Deduplication and
     /// self-loop removal are on by default.
     pub fn new(n: usize) -> Self {
-        GraphBuilder { num_vertices: n, edges: Vec::new(), dedup: true, drop_self_loops: true }
+        GraphBuilder { num_vertices: n, edges: Vec::new() }
     }
 
     /// Pre-allocates space for `m` edges.
     pub fn with_edge_capacity(mut self, m: usize) -> Self {
         self.edges.reserve(m);
-        self
-    }
-
-    /// Keep duplicate edges instead of deduplicating at build time.
-    pub fn keep_duplicates(mut self) -> Self {
-        self.dedup = false;
-        self
-    }
-
-    /// Keep self-loops instead of dropping them at build time.
-    pub fn keep_self_loops(mut self) -> Self {
-        self.drop_self_loops = false;
         self
     }
 
@@ -57,21 +43,21 @@ impl GraphBuilder {
 
     /// Grows the vertex set (new vertices are isolated until edges arrive).
     /// Used by dynamic streams when inserted edges reference new vertices.
-    pub fn grow_vertices(&mut self, n: usize) {
+    pub(crate) fn grow_vertices(&mut self, n: usize) {
         if n > self.num_vertices {
             self.num_vertices = n;
         }
     }
 
     /// Number of vertices the built graph will have.
-    pub fn num_vertices(&self) -> usize {
+    pub(crate) fn num_vertices(&self) -> usize {
         self.num_vertices
     }
 
     /// Builds an immutable CSR snapshot, applying the configured cleaning.
     /// The builder keeps its edges, so further additions and rebuilds are
     /// possible (dynamic-graph windows rebuild per window). Panics on every
-    /// condition [`GraphBuilder::try_build`] reports.
+    /// condition [`GraphBuilder::finish`] reports.
     pub fn build(&self) -> Graph {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -84,13 +70,13 @@ impl GraphBuilder {
     /// overflow come back as typed [`BuildError`]s; release builds skip the
     /// `add_edge` debug range check, so this is the path that makes
     /// untrusted edge streams safe end to end.
-    pub fn try_build(&self) -> Result<Graph, BuildError> {
-        let cfg = StreamConfig { dedup: self.dedup, drop_self_loops: self.drop_self_loops };
-        build_streamed(self.num_vertices, || self.edges.iter().copied(), cfg).map(|(g, _)| g)
+    pub(crate) fn try_build(&self) -> Result<Graph, BuildError> {
+        build_streamed(self.num_vertices, || self.edges.iter().copied(), StreamConfig::cleaned())
+            .map(|(g, _)| g)
     }
 
-    /// [`GraphBuilder::try_build`], consuming the builder: the edge list is
-    /// freed as soon as the CSR exists.
+    /// Non-panicking [`GraphBuilder::build`], consuming the builder: the
+    /// edge list is freed as soon as the CSR exists.
     pub fn finish(self) -> Result<Graph, BuildError> {
         self.try_build()
     }
@@ -112,15 +98,6 @@ mod tests {
         assert!(g.has_edge(0, 1));
         assert!(g.has_edge(1, 2));
         assert!(!g.has_edge(1, 1));
-    }
-
-    #[test]
-    fn keep_duplicates_and_loops() {
-        let mut b = GraphBuilder::new(2).keep_duplicates().keep_self_loops();
-        b.add_edge(0, 0);
-        b.add_edge(0, 1);
-        b.add_edge(0, 1);
-        assert_eq!(b.build().num_edges(), 3);
     }
 
     #[test]
@@ -155,7 +132,7 @@ mod tests {
 
     #[test]
     fn try_build_reports_out_of_range() {
-        let mut b = GraphBuilder::new(2).keep_self_loops().keep_duplicates();
+        let mut b = GraphBuilder::new(2);
         b.edges.push((0, 9)); // bypasses the debug_assert in add_edge
         assert!(matches!(
             b.try_build(),

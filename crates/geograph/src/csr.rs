@@ -45,7 +45,7 @@ fn row<'a>(offsets: &[u32], flat: &'a [VertexId], v: VertexId) -> &'a [VertexId]
 impl Graph {
     /// Builds a graph with `n` vertices from a list of directed edges.
     ///
-    /// Panics on every condition [`Graph::try_from_edges`] reports — here an
+    /// Panics on every condition `Graph::try_from_edges` reports — here an
     /// out-of-range edge is a programming error, not a data error (callers
     /// validate input data in [`crate::io`]). Duplicate edges and self-loops
     /// are kept verbatim; use [`crate::GraphBuilder`] for cleaning.
@@ -58,7 +58,10 @@ impl Graph {
     /// overflow condition is that builder's typed [`BuildError`]. At paper
     /// scale these are data errors a caller must be able to handle, not
     /// programming errors.
-    pub fn try_from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Result<Self, BuildError> {
+    pub(crate) fn try_from_edges(
+        n: usize,
+        edges: &[(VertexId, VertexId)],
+    ) -> Result<Self, BuildError> {
         build_streamed(n, || edges.iter().copied(), StreamConfig::verbatim()).map(|(g, _)| g)
     }
 
@@ -163,16 +166,6 @@ impl Graph {
     /// Iterates all directed edges `(src, dst)` in source order.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
         self.vertices().flat_map(move |u| self.out_neighbors(u).iter().map(move |&v| (u, v)))
-    }
-
-    /// Offset of `v`'s first out-edge in the flat out-edge array. Together
-    /// with [`Graph::out_neighbors`] this gives every out-edge `(v, k)` a
-    /// stable flat index `out_edge_offset(v) + k` (matching the
-    /// [`Graph::edges`] iteration order), which per-edge metadata can be
-    /// keyed by.
-    #[inline]
-    pub fn out_edge_offset(&self, v: VertexId) -> usize {
-        self.out_offsets[v as usize] as usize
     }
 
     /// Offset of `v`'s first in-edge in the flat in-edge array. Together

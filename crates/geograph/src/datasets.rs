@@ -9,8 +9,7 @@
 //! host allows.
 
 use crate::csr::Graph;
-use crate::generators::{rmat, rmat_streamed, RmatConfig};
-use crate::stream::{BuildError, IngestReport, ScopedPool};
+use crate::generators::{rmat, RmatConfig};
 
 /// Default edges-per-chunk for streamed dataset generation. 2^20 edges
 /// keeps per-chunk RNG setup amortized while giving hundreds of chunks at
@@ -66,7 +65,7 @@ impl Dataset {
     }
 
     /// Whether the graph is a web crawl (heavier skew) or a social network.
-    pub fn is_web_graph(self) -> bool {
+    pub(crate) fn is_web_graph(self) -> bool {
         matches!(self, Dataset::Uk2005 | Dataset::It2004)
     }
 
@@ -77,7 +76,7 @@ impl Dataset {
     }
 
     /// Edge count of the analog at `scale`, preserving the paper density.
-    pub fn scaled_edges(self, scale: f64) -> usize {
+    pub(crate) fn scaled_edges(self, scale: f64) -> usize {
         let density = self.paper_edges() as f64 / self.paper_vertices() as f64;
         (self.scaled_vertices(scale) as f64 * density) as usize
     }
@@ -100,21 +99,6 @@ impl Dataset {
         let config =
             if self.is_web_graph() { RmatConfig::web(n, m) } else { RmatConfig::social(n, m) };
         (config, seed ^ (self as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-    }
-
-    /// Generates the analog through streaming two-pass ingest — no staged
-    /// edge list, so peak build memory stays near the final CSR size even
-    /// at `scale = 1.0` (LiveJournal: 4.8M vertices / ~69M edges).
-    /// Deterministic for `(self, scale, seed)` at any `pool.threads()`;
-    /// a distinct pinned stream from [`Dataset::generate`]'s.
-    pub fn generate_streamed(
-        self,
-        scale: f64,
-        seed: u64,
-        pool: &ScopedPool,
-    ) -> Result<(Graph, IngestReport), BuildError> {
-        let (config, seed) = self.rmat_setup(scale, seed);
-        rmat_streamed(&config, seed, DEFAULT_CHUNK_EDGES, pool)
     }
 }
 
@@ -152,15 +136,6 @@ mod tests {
         let ot = Dataset::Orkut.generate(0.0002, 1);
         assert_eq!(lj, lj2);
         assert_ne!(lj, ot);
-    }
-
-    #[test]
-    fn streamed_generation_deterministic_across_threads() {
-        let (a, _) = Dataset::LiveJournal.generate_streamed(0.0005, 1, &ScopedPool(1)).unwrap();
-        let (b, rep) = Dataset::LiveJournal.generate_streamed(0.0005, 1, &ScopedPool(4)).unwrap();
-        assert_eq!(a, b);
-        assert!(rep.build_ratio() < 1.2, "ratio {}", rep.build_ratio());
-        assert_eq!(a.num_vertices(), Dataset::LiveJournal.scaled_vertices(0.0005));
     }
 
     #[test]

@@ -56,8 +56,6 @@ pub struct GraphDelta {
     /// classifies by in-degree, so these are exactly the vertices whose
     /// degree class can flip.
     in_degree_changes: Vec<(VertexId, i64)>,
-    /// Sparse per-endpoint out-degree changes, sorted by vertex.
-    out_degree_changes: Vec<(VertexId, i64)>,
 }
 
 impl GraphDelta {
@@ -105,33 +103,22 @@ impl GraphDelta {
         deleted: Vec<(VertexId, VertexId)>,
     ) -> GraphDelta {
         let mut touched: Vec<VertexId> = Vec::with_capacity(2 * (inserted.len() + deleted.len()));
-        let mut degree_changes: FxHashMap<VertexId, (i64, i64)> = FxHashMap::default(); // (in, out)
+        let mut degree_changes: FxHashMap<VertexId, i64> = FxHashMap::default();
         for &(u, v) in &inserted {
             touched.push(u);
             touched.push(v);
-            degree_changes.entry(u).or_default().1 += 1;
-            degree_changes.entry(v).or_default().0 += 1;
+            *degree_changes.entry(v).or_default() += 1;
         }
         for &(u, v) in &deleted {
             touched.push(u);
             touched.push(v);
-            degree_changes.entry(u).or_default().1 -= 1;
-            degree_changes.entry(v).or_default().0 -= 1;
+            *degree_changes.entry(v).or_default() -= 1;
         }
         touched.sort_unstable();
         touched.dedup();
-        let mut in_degree_changes: Vec<(VertexId, i64)> = degree_changes
-            .iter()
-            .filter(|&(_, &(din, _))| din != 0)
-            .map(|(&v, &(din, _))| (v, din))
-            .collect();
-        let mut out_degree_changes: Vec<(VertexId, i64)> = degree_changes
-            .iter()
-            .filter(|&(_, &(_, dout))| dout != 0)
-            .map(|(&v, &(_, dout))| (v, dout))
-            .collect();
+        let mut in_degree_changes: Vec<(VertexId, i64)> =
+            degree_changes.into_iter().filter(|&(_, din)| din != 0).collect();
         in_degree_changes.sort_unstable();
-        out_degree_changes.sort_unstable();
 
         GraphDelta {
             old_num_vertices: old_n,
@@ -140,7 +127,6 @@ impl GraphDelta {
             deleted,
             touched,
             in_degree_changes,
-            out_degree_changes,
         }
     }
 
@@ -183,12 +169,6 @@ impl GraphDelta {
     #[inline]
     pub fn in_degree_changes(&self) -> &[(VertexId, i64)] {
         &self.in_degree_changes
-    }
-
-    /// Sparse out-degree changes `(vertex, net change)`, sorted by vertex.
-    #[inline]
-    pub fn out_degree_changes(&self) -> &[(VertexId, i64)] {
-        &self.out_degree_changes
     }
 
     /// True when the delta neither grows the graph nor changes any edge.
@@ -272,7 +252,6 @@ mod tests {
         let d = GraphDelta::from_events(&g, &events);
         // 2's in-degree nets to zero => absent from the sparse list.
         assert_eq!(d.in_degree_changes(), &[] as &[(VertexId, i64)]);
-        assert_eq!(d.out_degree_changes(), &[(0, 1), (1, -1)]);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub struct EdgeStream {
 impl EdgeStream {
     /// Creates a stream, sorting events by timestamp (stable, so same-time
     /// events keep their submission order).
-    pub fn new(mut events: Vec<EdgeEvent>) -> Self {
+    pub(crate) fn new(mut events: Vec<EdgeEvent>) -> Self {
         events.sort_by_key(|e| e.timestamp_ms);
         EdgeStream { events }
     }
@@ -69,14 +69,13 @@ impl EdgeStream {
     /// # Panics
     ///
     /// Panics on `window_ms == 0` — a zero-width window never advances.
-    /// Use [`EdgeStream::try_windows`] to handle that case as an error.
     pub fn windows(&self, window_ms: u64) -> Windows<'_> {
         self.try_windows(window_ms).expect("window_ms must be positive")
     }
 
     /// Fallible form of [`EdgeStream::windows`]: rejects zero-width
     /// windows with a typed error instead of panicking.
-    pub fn try_windows(&self, window_ms: u64) -> Result<Windows<'_>, WindowSplitError> {
+    pub(crate) fn try_windows(&self, window_ms: u64) -> Result<Windows<'_>, WindowSplitError> {
         if window_ms == 0 {
             return Err(WindowSplitError::ZeroWidthWindow);
         }
@@ -90,7 +89,7 @@ impl EdgeStream {
 
 /// Typed failure of [`EdgeStream::try_windows`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WindowSplitError {
+pub(crate) enum WindowSplitError {
     /// `window_ms == 0`: a zero-width window would never advance.
     ZeroWidthWindow,
 }
@@ -157,8 +156,8 @@ pub struct AppliedEvents {
 
 /// Applies a batch of *insert* events to a builder, growing the vertex set
 /// as new ids appear. Deletions are ignored here (the builder is an insert
-/// log); use [`materialize_with_deletes`] or
-/// [`crate::GraphDelta::from_events`] for streams that contain them.
+/// log); use [`crate::GraphDelta::from_events`] for streams that contain
+/// them.
 pub fn apply_events(builder: &mut GraphBuilder, events: &[EdgeEvent]) -> AppliedEvents {
     let mut applied = AppliedEvents::default();
     let mut known = builder.num_vertices() as VertexId;
@@ -182,28 +181,6 @@ pub fn apply_events(builder: &mut GraphBuilder, events: &[EdgeEvent]) -> Applied
     applied.touched.sort_unstable();
     applied.touched.dedup();
     applied
-}
-
-/// Materializes the graph state after replaying *all* events (inserts and
-/// deletes, in timestamp order) on top of an initial edge set. An edge
-/// exists in the result iff its last event was an insert (or it was in the
-/// initial set and never deleted). The paper's Exp#5 notes that deletion
-/// streams show the same adaptivity behaviour as insertions — this is the
-/// replay primitive those experiments need. Internally this is now the
-/// delta pipeline: [`crate::GraphDelta::from_events`] plus the in-place CSR
-/// overlay [`Graph::apply_delta_in_place`], so replay cost past the initial
-/// build is proportional to the event batch, not the graph.
-pub fn materialize_with_deletes(
-    num_vertices: usize,
-    initial_edges: impl Iterator<Item = (VertexId, VertexId)>,
-    events: &[EdgeEvent],
-) -> Graph {
-    let mut b = GraphBuilder::new(num_vertices);
-    b.add_edges(initial_edges);
-    let mut graph = b.build();
-    let delta = crate::GraphDelta::from_events(&graph, events);
-    graph.apply_delta_in_place(&delta);
-    graph
 }
 
 /// The paper's Exp#5 workload: load `initial_fraction` of a graph's edges
@@ -271,7 +248,7 @@ impl Default for DiurnalModel {
 
 impl DiurnalModel {
     /// Events per hour for each of the 24 hours.
-    pub fn hourly_rates(&self) -> Vec<u64> {
+    pub(crate) fn hourly_rates(&self) -> Vec<u64> {
         let mut rng = SmallRng::seed_from_u64(self.seed ^ 0xc2b2_ae3d_27d4_eb4f);
         let r = self.diurnal_ratio;
         (0..24)
@@ -418,30 +395,6 @@ mod tests {
         let g = b.build();
         assert_eq!(g.num_edges(), 2, "duplicate and self-loop cleaned, delete ignored");
         assert!(g.has_edge(2, 0) && g.has_edge(4, 2));
-    }
-
-    #[test]
-    fn materialize_replays_inserts_and_deletes() {
-        let initial = vec![(0u32, 1u32), (1, 2)];
-        let events = vec![
-            EdgeEvent { src: 2, dst: 3, timestamp_ms: 1, kind: EventKind::Insert },
-            EdgeEvent { src: 0, dst: 1, timestamp_ms: 2, kind: EventKind::Delete },
-            EdgeEvent { src: 0, dst: 1, timestamp_ms: 3, kind: EventKind::Insert },
-            EdgeEvent { src: 1, dst: 2, timestamp_ms: 4, kind: EventKind::Delete },
-        ];
-        let g = materialize_with_deletes(3, initial.into_iter(), &events);
-        assert_eq!(g.num_vertices(), 4);
-        assert!(g.has_edge(0, 1), "re-inserted edge must exist");
-        assert!(!g.has_edge(1, 2), "deleted edge must be gone");
-        assert!(g.has_edge(2, 3));
-        assert_eq!(g.num_edges(), 2);
-    }
-
-    #[test]
-    fn materialize_delete_of_missing_edge_is_noop() {
-        let events = vec![EdgeEvent { src: 0, dst: 1, timestamp_ms: 0, kind: EventKind::Delete }];
-        let g = materialize_with_deletes(2, std::iter::empty(), &events);
-        assert_eq!(g.num_edges(), 0);
     }
 
     #[test]

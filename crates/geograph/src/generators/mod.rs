@@ -7,21 +7,14 @@
 //!
 //! * [`rmat`] — recursive-matrix graphs; the standard model for power-law
 //!   web/social graphs, parameterized per dataset in [`crate::datasets`].
-//! * [`erdos`] — uniform random digraphs, the no-skew control.
+//! * `erdos` — uniform random digraphs, the no-skew control.
 //! * [`preferential`] — Barabási–Albert-style preferential attachment,
 //!   used by dynamic experiments where edges must *arrive over time* with
 //!   a realistic rich-get-richer pattern.
-//! * [`community`] — a stochastic-block-model generator with ground-truth
-//!   communities, for workloads where geo-locality has real structure.
 
-pub mod community;
-pub mod erdos;
+pub(crate) mod erdos;
 pub mod preferential;
 pub mod rmat;
 
-pub use community::{
-    community_graph, community_graph_streamed, CommunityChunks, CommunityConfig, CommunityGraph,
-};
 pub use erdos::erdos_renyi;
-pub use preferential::{preferential_attachment, preferential_attachment_streamed, PrefIter};
 pub use rmat::{rmat, rmat_streamed, RmatChunks, RmatConfig};

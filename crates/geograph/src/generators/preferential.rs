@@ -8,9 +8,6 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::csr::Graph;
-use crate::stream::{build_streamed, BuildError, IngestReport, StreamConfig};
-use crate::GraphBuilder;
 use crate::VertexId;
 
 /// Generates a preferential-attachment digraph: each new vertex adds
@@ -45,98 +42,10 @@ pub fn preferential_attachment_edges(
     edges
 }
 
-/// Convenience wrapper building the final [`Graph`] from
-/// [`preferential_attachment_edges`].
-pub fn preferential_attachment(num_vertices: usize, edges_per_vertex: usize, seed: u64) -> Graph {
-    let edges = preferential_attachment_edges(num_vertices, edges_per_vertex, seed);
-    let mut b = GraphBuilder::new(num_vertices).with_edge_capacity(edges.len());
-    b.add_edges(edges);
-    b.build()
-}
-
-/// The preferential-attachment edge sequence as a lazily regenerated
-/// iterator, emitting exactly [`preferential_attachment_edges`]'s output.
-///
-/// The model is inherently sequential — each draw depends on the degree
-/// state accumulated by all earlier draws — so it cannot be chunked. But it
-/// *can* be replayed from the seed, which is all two-pass ingest needs: the
-/// per-pass transient is the degree-proportional `targets` table
-/// (4 bytes/edge) instead of the 8-bytes/edge staged pair list **plus** its
-/// cleaning clone.
-pub struct PrefIter {
-    num_vertices: usize,
-    edges_per_vertex: usize,
-    rng: SmallRng,
-    targets: Vec<VertexId>,
-    v: VertexId,
-    attempts_left: usize,
-    emitted_seed_edge: bool,
-}
-
-impl PrefIter {
-    pub fn new(num_vertices: usize, edges_per_vertex: usize, seed: u64) -> Self {
-        assert!(num_vertices >= 2);
-        assert!(edges_per_vertex >= 1);
-        PrefIter {
-            num_vertices,
-            edges_per_vertex,
-            rng: SmallRng::seed_from_u64(seed ^ 0x2545_f491_4f6c_dd1d),
-            // Post-seed-edge state: entries for 0, 1 and the (0,1) edge.
-            targets: vec![0, 1, 1],
-            v: 1,
-            attempts_left: 0,
-            emitted_seed_edge: false,
-        }
-    }
-}
-
-impl Iterator for PrefIter {
-    type Item = (VertexId, VertexId);
-
-    fn next(&mut self) -> Option<(VertexId, VertexId)> {
-        if !self.emitted_seed_edge {
-            self.emitted_seed_edge = true;
-            return Some((0, 1));
-        }
-        loop {
-            if self.attempts_left == 0 {
-                let next = self.v as usize + 1;
-                if next >= self.num_vertices {
-                    return None;
-                }
-                self.v = next as VertexId;
-                self.targets.push(self.v); // the +1 smoothing entry
-                self.attempts_left = self.edges_per_vertex;
-            }
-            self.attempts_left -= 1;
-            let t = self.targets[self.rng.gen_range(0..self.targets.len())];
-            if t == self.v {
-                continue;
-            }
-            self.targets.push(t);
-            return Some((self.v, t));
-        }
-    }
-}
-
-/// Builds the preferential-attachment graph through streamed two-pass
-/// ingest (the sequence is regenerated per pass from the seed — no staged
-/// pair list). Bit-identical to [`preferential_attachment`].
-pub fn preferential_attachment_streamed(
-    num_vertices: usize,
-    edges_per_vertex: usize,
-    seed: u64,
-) -> Result<(Graph, IngestReport), BuildError> {
-    build_streamed(
-        num_vertices,
-        || PrefIter::new(num_vertices, edges_per_vertex, seed),
-        StreamConfig::cleaned(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphBuilder;
 
     #[test]
     fn deterministic() {
@@ -163,23 +72,10 @@ mod tests {
     }
 
     #[test]
-    fn iter_replays_the_staged_sequence_exactly() {
-        let staged = preferential_attachment_edges(500, 3, 11);
-        let replayed: Vec<_> = PrefIter::new(500, 3, 11).collect();
-        assert_eq!(staged, replayed);
-    }
-
-    #[test]
-    fn streamed_build_matches_staged_graph() {
-        let staged = preferential_attachment(800, 3, 7);
-        let (streamed, rep) = preferential_attachment_streamed(800, 3, 7).unwrap();
-        assert_eq!(streamed, staged);
-        assert!(rep.raw_edges > 0);
-    }
-
-    #[test]
     fn produces_skew() {
-        let g = preferential_attachment(2000, 4, 3);
+        let mut b = GraphBuilder::new(2000);
+        b.add_edges(preferential_attachment_edges(2000, 4, 3));
+        let g = b.build();
         let max_in = g.vertices().map(|v| g.in_degree(v)).max().unwrap();
         let mean = g.num_edges() as f64 / g.num_vertices() as f64;
         assert!(max_in as f64 > 8.0 * mean, "max_in={max_in} mean={mean:.1}");

@@ -45,7 +45,7 @@ impl GeoGraph {
     }
 
     /// [`GeoGraph::from_graph`] with explicit data-size model parameters.
-    pub fn from_graph_with_sizes(
+    pub(crate) fn from_graph_with_sizes(
         graph: Graph,
         config: &LocalityConfig,
         base_bytes: u64,
@@ -75,16 +75,6 @@ impl GeoGraph {
     pub fn num_edges(&self) -> usize {
         self.graph.num_edges()
     }
-
-    /// Total input bytes initially stored in DC `dc`.
-    pub fn data_in_dc(&self, dc: DcId) -> u64 {
-        self.locations.iter().zip(&self.data_sizes).filter(|(&l, _)| l == dc).map(|(_, &s)| s).sum()
-    }
-
-    /// Total input bytes across all DCs.
-    pub fn total_data(&self) -> u64 {
-        self.data_sizes.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -107,14 +97,6 @@ mod tests {
         let gg = GeoGraph::from_graph_with_sizes(g, &LocalityConfig::uniform(2, 1), 100, 10);
         assert_eq!(gg.data_sizes[0], 120); // 100 + 2 out-edges * 10
         assert_eq!(gg.data_sizes[1], 100);
-    }
-
-    #[test]
-    fn dc_totals_partition_total() {
-        let g = erdos_renyi(300, 900, 2);
-        let gg = GeoGraph::from_graph(g, &LocalityConfig::uniform(3, 2));
-        let sum: u64 = (0..3).map(|d| gg.data_in_dc(d)).sum();
-        assert_eq!(sum, gg.total_data());
     }
 
     #[test]

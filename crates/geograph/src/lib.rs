@@ -50,13 +50,11 @@ pub use csr::Graph;
 pub use datasets::Dataset;
 pub use degree::DegreeStats;
 pub use delta::GraphDelta;
-pub use dynamic::{AppliedEvents, EdgeEvent, EdgeStream, EventKind, WindowSplitError, Windows};
+pub use dynamic::{EdgeEvent, EventKind, Windows};
 pub use geo::GeoGraph;
 pub use locality::LocalityConfig;
 pub use mem::peak_rss_bytes;
-pub use stream::{
-    build_chunked, build_streamed, BuildError, ChunkedEdges, IngestReport, ScopedPool, StreamConfig,
-};
+pub use stream::{build_chunked, ChunkedEdges, ScopedPool, StreamConfig};
 
 /// Identifier of a vertex. Graphs are limited to `u32::MAX - 1` vertices,
 /// which keeps adjacency arrays at half the size of `usize` ids and is far

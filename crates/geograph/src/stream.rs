@@ -16,7 +16,7 @@
 //!    Optional cleaning happens here, in place: self-loops were dropped at
 //!    emit time, and repeated targets are squeezed out of each run by a
 //!    one-stamp-per-vertex filter that does not care about order.
-//! 3. **Transpose** ([`crate::csr::transpose`]) — a counting scatter walked
+//! 3. **Transpose** (`crate::csr::transpose`) — a counting scatter walked
 //!    in ascending source order turns the racy out-runs into in-runs that
 //!    are *sorted*, whatever order the scatter left.
 //! 4. **Transpose** again — the sorted out-direction.
@@ -122,7 +122,7 @@ pub struct ScopedPool(pub usize);
 
 impl ScopedPool {
     /// Number of workers [`Self::run`] invokes.
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.0.max(1)
     }
 
@@ -188,7 +188,7 @@ pub struct IngestReport {
 
 impl IngestReport {
     /// Peak accounted build footprint: final CSR plus transients.
-    pub fn peak_bytes(&self) -> usize {
+    pub(crate) fn peak_bytes(&self) -> usize {
         self.csr_bytes + self.transient_bytes
     }
 
@@ -506,7 +506,7 @@ where
 /// sequential sources — preferential attachment, arrival-ordered event
 /// logs — where chunk-parallel emission is impossible but the staging copy
 /// is still worth eliminating.
-pub fn build_streamed<I, F>(
+pub(crate) fn build_streamed<I, F>(
     n: usize,
     make_iter: F,
     cfg: StreamConfig,

@@ -1,33 +1,15 @@
-//! Structural graph transforms: transpose, symmetrization, induced
-//! subgraphs, and weakly-connected-component extraction — the usual
-//! preprocessing steps before partitioning real datasets.
+//! Structural graph transforms: induced subgraphs and weakly-connected-
+//! component extraction — the usual preprocessing steps before
+//! partitioning real datasets.
 
 use crate::csr::Graph;
 use crate::GraphBuilder;
 use crate::VertexId;
 
-/// The transpose: every edge `(u, v)` becomes `(v, u)`.
-pub fn transpose(graph: &Graph) -> Graph {
-    let mut b = GraphBuilder::new(graph.num_vertices()).with_edge_capacity(graph.num_edges());
-    b.add_edges(graph.edges().map(|(u, v)| (v, u)));
-    b.build()
-}
-
-/// The symmetric closure: for every edge `(u, v)`, both directions exist.
-/// PageRank-style analytics on crawl data often symmetrize first.
-pub fn symmetrize(graph: &Graph) -> Graph {
-    let mut b = GraphBuilder::new(graph.num_vertices()).with_edge_capacity(2 * graph.num_edges());
-    for (u, v) in graph.edges() {
-        b.add_edge(u, v);
-        b.add_edge(v, u);
-    }
-    b.build()
-}
-
 /// The subgraph induced by `keep` (a boolean mask): kept vertices are
 /// renumbered densely in id order; returns the subgraph and the mapping
 /// `old id -> new id` (`None` for dropped vertices).
-pub fn induced_subgraph(graph: &Graph, keep: &[bool]) -> (Graph, Vec<Option<VertexId>>) {
+pub(crate) fn induced_subgraph(graph: &Graph, keep: &[bool]) -> (Graph, Vec<Option<VertexId>>) {
     assert_eq!(keep.len(), graph.num_vertices());
     let mut mapping: Vec<Option<VertexId>> = vec![None; keep.len()];
     let mut next = 0 as VertexId;
@@ -48,7 +30,7 @@ pub fn induced_subgraph(graph: &Graph, keep: &[bool]) -> (Graph, Vec<Option<Vert
 
 /// Weakly-connected-component label of every vertex (labels are the
 /// smallest vertex id in the component).
-pub fn weakly_connected_components(graph: &Graph) -> Vec<VertexId> {
+pub(crate) fn weakly_connected_components(graph: &Graph) -> Vec<VertexId> {
     let n = graph.num_vertices();
     let mut label: Vec<VertexId> = vec![VertexId::MAX; n];
     let mut stack = Vec::new();
@@ -93,25 +75,6 @@ mod tests {
     fn sample() -> Graph {
         // Two components: {0,1,2} (path) and {3,4} (edge).
         Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)])
-    }
-
-    #[test]
-    fn transpose_reverses_edges() {
-        let g = sample();
-        let t = transpose(&g);
-        assert!(t.has_edge(1, 0) && t.has_edge(2, 1) && t.has_edge(4, 3));
-        assert_eq!(t.num_edges(), g.num_edges());
-        // Double transpose is identity.
-        assert_eq!(transpose(&t), g);
-    }
-
-    #[test]
-    fn symmetrize_adds_both_directions() {
-        let s = symmetrize(&sample());
-        assert!(s.has_edge(0, 1) && s.has_edge(1, 0));
-        assert_eq!(s.num_edges(), 6);
-        // Symmetrizing twice changes nothing.
-        assert_eq!(symmetrize(&s), s);
     }
 
     #[test]

@@ -513,21 +513,6 @@ pub fn decode_delta(r: &mut Reader<'_>) -> Result<GraphDelta, WireError> {
     Ok(GraphDelta::from_net_edges(old_n as usize, new_n as usize, inserted, deleted))
 }
 
-/// `delta` as a standalone byte blob.
-pub fn delta_to_bytes(delta: &GraphDelta) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + 2 * delta.num_edge_changes());
-    encode_delta(delta, &mut out).expect("writing into a Vec cannot fail");
-    out
-}
-
-/// Decodes a standalone delta blob, requiring full consumption.
-pub fn delta_from_bytes(bytes: &[u8]) -> Result<GraphDelta, WireError> {
-    let mut r = Reader::new(bytes);
-    let d = decode_delta(&mut r)?;
-    r.finish()?;
-    Ok(d)
-}
-
 /// Bits a DC id below `num_dcs` takes: `⌈log2 M⌉`, 0 at M = 1.
 fn dc_width(num_dcs: usize) -> u32 {
     (num_dcs.max(1) - 1).checked_ilog2().map_or(0, |top| top + 1)
@@ -701,6 +686,21 @@ mod tests {
     use super::*;
     use crate::dynamic::{EdgeEvent, EventKind};
     use crate::{GraphBuilder, LocalityConfig};
+
+    /// `delta` as a standalone byte blob.
+    fn delta_to_bytes(delta: &GraphDelta) -> Vec<u8> {
+        let mut out = Vec::with_capacity(16 + 2 * delta.num_edge_changes());
+        encode_delta(delta, &mut out).expect("writing into a Vec cannot fail");
+        out
+    }
+
+    /// Decodes a standalone delta blob, requiring full consumption.
+    fn delta_from_bytes(bytes: &[u8]) -> Result<GraphDelta, WireError> {
+        let mut r = Reader::new(bytes);
+        let d = decode_delta(&mut r)?;
+        r.finish()?;
+        Ok(d)
+    }
 
     fn base() -> Graph {
         let mut b = GraphBuilder::new(6);

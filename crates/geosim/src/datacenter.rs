@@ -80,24 +80,6 @@ impl CloudEnv {
         &self.dcs
     }
 
-    /// The DC with id `dc`.
-    #[inline]
-    pub fn dc(&self, dc: DcId) -> &Datacenter {
-        &self.dcs[dc as usize]
-    }
-
-    /// Uplink bandwidth of `dc` (bytes/s) — `U_r` in the paper.
-    #[inline]
-    pub fn uplink(&self, dc: DcId) -> f64 {
-        self.uplinks[dc as usize]
-    }
-
-    /// Downlink bandwidth of `dc` (bytes/s) — `D_r` in the paper.
-    #[inline]
-    pub fn downlink(&self, dc: DcId) -> f64 {
-        self.downlinks[dc as usize]
-    }
-
     /// Upload price of `dc` ($/byte) — `P_r` in the paper.
     #[inline]
     pub fn price(&self, dc: DcId) -> f64 {
@@ -106,41 +88,29 @@ impl CloudEnv {
 
     /// Per-DC uplink bandwidths as one contiguous lane (bytes/s).
     #[inline]
-    pub fn uplinks(&self) -> &[f64] {
+    pub(crate) fn uplinks(&self) -> &[f64] {
         &self.uplinks
     }
 
     /// Per-DC downlink bandwidths as one contiguous lane (bytes/s).
     #[inline]
-    pub fn downlinks(&self) -> &[f64] {
+    pub(crate) fn downlinks(&self) -> &[f64] {
         &self.downlinks
     }
 
     /// Per-DC upload prices as one contiguous lane ($/byte).
     #[inline]
-    pub fn prices(&self) -> &[f64] {
+    pub(crate) fn prices(&self) -> &[f64] {
         &self.prices
     }
 
-    /// The cheapest-upload DC — the destination a centralized execution
-    /// would pick, used to calibrate the budget (§VI-A.4).
-    pub fn cheapest_upload_dc(&self) -> DcId {
-        let mut best = 0usize;
-        for (i, dc) in self.dcs.iter().enumerate() {
-            if dc.upload_price_per_byte < self.dcs[best].upload_price_per_byte {
-                best = i;
-            }
-        }
-        best as DcId
-    }
-
     /// Mean uplink across DCs (bytes/s).
-    pub fn mean_uplink(&self) -> f64 {
+    pub(crate) fn mean_uplink(&self) -> f64 {
         self.dcs.iter().map(|d| d.uplink_bps).sum::<f64>() / self.dcs.len() as f64
     }
 
     /// Mean downlink across DCs (bytes/s).
-    pub fn mean_downlink(&self) -> f64 {
+    pub(crate) fn mean_downlink(&self) -> f64 {
         self.dcs.iter().map(|d| d.downlink_bps).sum::<f64>() / self.dcs.len() as f64
     }
 }
@@ -163,9 +133,8 @@ mod tests {
             Datacenter::from_gb_units("b", 0.5, 1.0, 0.05),
         ]);
         assert_eq!(env.num_dcs(), 2);
-        assert_eq!(env.uplink(1), 0.5e9);
-        assert_eq!(env.downlink(0), 2.0e9);
-        assert_eq!(env.cheapest_upload_dc(), 1);
+        assert_eq!(env.uplinks()[1], 0.5e9);
+        assert_eq!(env.downlinks()[0], 2.0e9);
         assert!((env.mean_uplink() - 0.75e9).abs() < 1.0);
     }
 

@@ -132,8 +132,8 @@ mod tests {
         let input = "# comment\nuse 0.52 2.8 0.09\nsyd 0.48 2.5 0.14\n";
         let env = parse_env(Cursor::new(input)).unwrap();
         assert_eq!(env.num_dcs(), 2);
-        assert_eq!(env.dc(0).name, "use");
-        assert!((env.uplink(1) - 0.48e9).abs() < 1.0);
+        assert_eq!(env.dcs()[0].name, "use");
+        assert!((env.uplinks()[1] - 0.48e9).abs() < 1.0);
     }
 
     #[test]

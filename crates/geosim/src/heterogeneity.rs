@@ -22,7 +22,7 @@ impl Heterogeneity {
 
     /// Derives the environment at this heterogeneity level from a base
     /// (measured) environment.
-    pub fn apply(self, base: &CloudEnv) -> CloudEnv {
+    pub(crate) fn apply(self, base: &CloudEnv) -> CloudEnv {
         match self {
             Heterogeneity::Low => {
                 let up = base.mean_uplink();
@@ -74,18 +74,18 @@ impl std::fmt::Display for Heterogeneity {
     }
 }
 
-/// Coefficient of variation of uplink bandwidths — a scalar heterogeneity
-/// measure used in tests and the Fig 3 harness.
-pub fn uplink_cv(env: &CloudEnv) -> f64 {
-    let mean = env.mean_uplink();
-    let var =
-        env.dcs().iter().map(|d| (d.uplink_bps - mean).powi(2)).sum::<f64>() / env.num_dcs() as f64;
-    var.sqrt() / mean
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Coefficient of variation of uplink bandwidths — a scalar heterogeneity
+    /// measure.
+    fn uplink_cv(env: &CloudEnv) -> f64 {
+        let mean = env.mean_uplink();
+        let var = env.dcs().iter().map(|d| (d.uplink_bps - mean).powi(2)).sum::<f64>()
+            / env.num_dcs() as f64;
+        var.sqrt() / mean
+    }
 
     #[test]
     fn low_is_homogeneous() {
@@ -105,8 +105,8 @@ mod tests {
     fn high_halves_alternating_dcs() {
         let base = ec2_eight_regions();
         let high = Heterogeneity::High.apply(&base);
-        assert_eq!(high.uplink(1), base.uplink(1) * 0.5);
-        assert_eq!(high.uplink(0), base.uplink(0));
+        assert_eq!(high.uplinks()[1], base.uplinks()[1] * 0.5);
+        assert_eq!(high.uplinks()[0], base.uplinks()[0]);
     }
 
     #[test]

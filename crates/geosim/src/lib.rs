@@ -19,7 +19,7 @@
 //! beside it, as one dead flag per DC.
 
 pub mod cost;
-pub mod datacenter;
+pub(crate) mod datacenter;
 pub mod env_io;
 pub mod heterogeneity;
 pub mod regions;

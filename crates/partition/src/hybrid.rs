@@ -314,11 +314,6 @@ impl<'g> HybridState<'g> {
         self.core.heap_bytes()
     }
 
-    /// The graph this plan partitions.
-    pub fn geo(&self) -> &'g GeoGraph {
-        self.geo
-    }
-
     /// The hybrid-cut degree threshold θ.
     pub fn theta(&self) -> usize {
         self.theta
@@ -337,7 +332,7 @@ impl<'g> HybridState<'g> {
 
     /// Evaluates moving `v`'s master to every DC flagged in `dests` (bit
     /// `b` ⇔ DC `b`) from one neighborhood sweep, without mutating the
-    /// state — see [`PlacementState::evaluate_moves`]. The returned slice
+    /// state — see `PlacementState::evaluate_moves`. The returned slice
     /// lives in `scratch`, indexed by destination DC; only flagged slots
     /// are written, and a flagged current master holds the unchanged
     /// current objective.
@@ -1422,11 +1417,9 @@ mod tests {
             assert!(s2.core.meta[0].wide, "an escaped row stays wide");
             assert_eq!(s2.core.in_count(0, away), NARROW - 2);
             assert_state_matches_fresh(&env, &s2);
-            let decoded = crate::snapshot::placement_from_bytes(
-                &crate::snapshot::placement_to_bytes(&s2.core),
-                &geo2,
-            )
-            .unwrap();
+            let mut bytes = Vec::new();
+            crate::snapshot::encode_placement(&s2.core, &mut bytes).unwrap();
+            let decoded = crate::snapshot::placement_from_bytes(&bytes, &geo2).unwrap();
             assert!(!decoded.meta[0].wide, "a rebuilt row is as narrow as its counts allow");
             assert_eq!(decoded.count_lanes(), s2.core.count_lanes());
         }

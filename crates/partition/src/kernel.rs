@@ -13,7 +13,7 @@
 //! sweep suffices for all `M` candidates:
 //!
 //! 1. **Stage** (`O(deg v)`, model-specific): the owning model records
-//!    `v`'s own count delta and one [`CntDelta`] per affected neighbor into
+//!    `v`'s own count delta and one `CntDelta` per affected neighbor into
 //!    a reusable [`MoveScratch`] arena — a flat `Vec`, sorted and
 //!    duplicate-merged in place, replacing the per-call `FxHashMap`.
 //! 2. **Mid** (`O(deg v + M)`): copy the live per-DC stage loads once,
@@ -32,7 +32,7 @@
 //!    defaults` (neighbors mastered at `b` exempt from row `b`), re-add
 //!    `v` with master `b`, evaluate Eq 1–5.
 //!
-//! [`PlacementState::evaluate_moves`] is the one implementation: it takes
+//! `PlacementState::evaluate_moves` is the one implementation: it takes
 //! the destinations as a bit mask and walks only the flagged corrections
 //! and rows. Its `f64` lanes hold whole load units, exact in any order, so
 //! a slot is the objective the state reports after that move, and a
@@ -50,7 +50,7 @@ use crate::{DcId, VertexId};
 /// DC (`*_a`) and destination DC (`*_b`). Destination-independent: the
 /// same delta holds for every candidate destination.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CntDelta {
+pub(crate) struct CntDelta {
     pub in_a: i64,
     pub in_b: i64,
     pub out_a: i64,
@@ -194,7 +194,7 @@ impl MoveScratch {
     /// The per-destination objectives of the last
     /// [`PlacementState::evaluate_moves`] call (index = destination DC;
     /// only the slots that call flagged are current).
-    pub fn objectives(&self) -> &[Objective] {
+    pub(crate) fn objectives(&self) -> &[Objective] {
         &self.objectives[..self.m]
     }
 
@@ -209,30 +209,6 @@ impl MoveScratch {
             neighbor_capacity: self.neighbors.capacity(),
             dest_cells: self.dest_gd.len(),
         }
-    }
-
-    /// Heap bytes held by this arena: the staged-neighbor buffer plus the
-    /// thirteen len-M rows, two M×M destination arenas and the
-    /// per-destination objectives.
-    pub fn heap_bytes(&self) -> usize {
-        let f64s = self.mid_gu.capacity()
-            + self.mid_gd.capacity()
-            + self.mid_au.capacity()
-            + self.mid_ad.capacity()
-            + self.row_gu.capacity()
-            + self.row_gd.capacity()
-            + self.row_au.capacity()
-            + self.row_ad.capacity()
-            + self.def_g.capacity()
-            + self.def_a.capacity()
-            + self.diag_gu.capacity()
-            + self.dest_gd.capacity()
-            + self.dest_au.capacity()
-            + self.diag_ad.capacity();
-        f64s * std::mem::size_of::<f64>()
-            + self.moved.capacity() * std::mem::size_of::<u64>()
-            + self.neighbors.capacity() * std::mem::size_of::<(VertexId, CntDelta)>()
-            + self.objectives.capacity() * std::mem::size_of::<Objective>()
     }
 }
 
@@ -308,7 +284,7 @@ impl PlacementState {
     /// destination. Each slot's value does not depend on which other
     /// destinations are flagged: a one-bit mask is the single-destination
     /// evaluation, the slot of the all-DC sweep.
-    pub fn evaluate_moves<'s>(
+    pub(crate) fn evaluate_moves<'s>(
         &self,
         env: &CloudEnv,
         v: VertexId,

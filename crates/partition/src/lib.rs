@@ -21,12 +21,12 @@
 //! partitioners across models are compared on identical terms.
 //!
 //! Move evaluation runs through the one-sweep kernel in [`kernel`]:
-//! [`PlacementState::evaluate_moves`] scores the destinations of a DC mask
+//! `PlacementState::evaluate_moves` scores the destinations of a DC mask
 //! — all `M` for scoring, one for a migration proposal — from a single
 //! neighborhood sweep into a reusable [`MoveScratch`] arena, each slot
 //! bit-identical whichever others the mask flags.
 
-pub mod edgecut;
+pub(crate) mod edgecut;
 pub mod error;
 pub mod hybrid;
 pub mod kernel;

@@ -33,15 +33,6 @@ pub fn normalize_to_first(series: &[f64]) -> Vec<f64> {
     series.iter().map(|x| x / first).collect()
 }
 
-/// Relative improvement of `ours` over `baseline` as the paper quotes it:
-/// "reduces the data transfer time by X %".
-pub fn reduction_percent(baseline: f64, ours: f64) -> f64 {
-    if baseline == 0.0 {
-        return 0.0;
-    }
-    (baseline - ours) / baseline * 100.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,11 +64,5 @@ mod tests {
         let out = normalize_to_first(&[0.0, 4.0, 1.0]);
         assert_eq!(out.len(), 3);
         assert!(out.iter().all(|x| x.is_nan()), "zero baseline must not pass through: {out:?}");
-    }
-
-    #[test]
-    fn reduction() {
-        assert!((reduction_percent(10.0, 4.0) - 60.0).abs() < 1e-12);
-        assert_eq!(reduction_percent(0.0, 4.0), 0.0);
     }
 }

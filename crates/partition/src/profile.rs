@@ -66,15 +66,6 @@ impl TrafficProfile {
         let i = v as usize;
         Ok((quantise(self.gather_bytes[i])?, quantise(self.apply_bytes[i])?))
     }
-
-    /// Grows the profile to cover `n` vertices, filling new entries with
-    /// `bytes` (dynamic graphs add vertices between windows).
-    pub fn grow(&mut self, n: usize, bytes: f32) {
-        if n > self.gather_bytes.len() {
-            self.gather_bytes.resize(n, bytes);
-            self.apply_bytes.resize(n, bytes);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -95,16 +86,6 @@ mod tests {
         assert_eq!(p.units(0), Ok((0, 0)));
         assert_eq!(p.units(1), Ok((1024, 1024)));
         assert_eq!(p.units(2), Ok((2048, 2048)));
-    }
-
-    #[test]
-    fn grow_extends_only_forward() {
-        let mut p = TrafficProfile::uniform(2, 8.0);
-        p.grow(4, 2.0);
-        assert_eq!(p.len(), 4);
-        assert_eq!(p.units(3), Ok((512, 512)));
-        p.grow(1, 99.0);
-        assert_eq!(p.len(), 4);
     }
 
     #[test]

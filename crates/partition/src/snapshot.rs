@@ -88,13 +88,6 @@ pub fn decode_placement(r: &mut Reader<'_>, geo: &GeoGraph) -> Result<PlacementS
     Ok(state)
 }
 
-/// `state` as a standalone byte blob.
-pub fn placement_to_bytes(state: &PlacementState) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_placement(state, &mut out).expect("writing to a Vec cannot fail");
-    out
-}
-
 /// Decodes a standalone placement blob over `geo`, requiring full
 /// consumption.
 pub fn placement_from_bytes(bytes: &[u8], geo: &GeoGraph) -> Result<PlacementState, WireError> {
@@ -111,6 +104,13 @@ mod tests {
     use crate::profile::TrafficProfile;
     use geograph::{GraphBuilder, LocalityConfig};
     use geosim::CloudEnv;
+
+    /// `state` as a standalone byte blob.
+    fn placement_to_bytes(state: &PlacementState) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_placement(state, &mut out).expect("writing to a Vec cannot fail");
+        out
+    }
 
     /// A placement over five DCs, so a master takes 3 bits and the values
     /// 5–7 are spellable but out of range.

@@ -229,7 +229,7 @@ pub(crate) struct PlacementDeltaOps {
 ///
 /// For every vertex `v` and DC `d` it tracks how many of `v`'s in-edges and
 /// out-edges are placed at `d` (one interleaved count-plane pair, see
-/// [`Self::counts_row`]). From those counts the model derives:
+/// `Self::counts_row`). From those counts the model derives:
 ///
 /// * **mirrors** — `v` is replicated at `d ≠ master(v)` iff any incident
 ///   edge lives at `d`;
@@ -245,7 +245,7 @@ pub(crate) struct PlacementDeltaOps {
 /// profile) alone, whatever order its moves and deltas were applied in.
 ///
 /// Per vertex the state holds a `2 · M`-lane `u16` count row, a 24-byte
-/// [`VertexMeta`] and its master: 57 bytes at M = 8.
+/// `VertexMeta` and its master: 57 bytes at M = 8.
 #[derive(Clone, Debug)]
 pub struct PlacementState {
     pub(crate) num_dcs: usize,
@@ -298,7 +298,7 @@ impl PlacementState {
     /// an out-of-range DC or vertex id must surface as a typed
     /// [`PlanError`] naming the offending entry, not as a slice panic.
     #[allow(clippy::too_many_arguments)]
-    pub fn from_edge_placement(
+    pub(crate) fn from_edge_placement(
         env: &CloudEnv,
         num_vertices: usize,
         edges: impl Iterator<Item = (VertexId, VertexId, DcId)>,
@@ -638,7 +638,7 @@ impl PlacementState {
     /// rows (`2·M` u16 lanes per vertex) and the 24-byte meta records
     /// dominate; escaped rows, masters and the per-DC accumulators are the
     /// rest.
-    pub fn mem_components(&self) -> Vec<(&'static str, usize)> {
+    pub(crate) fn mem_components(&self) -> Vec<(&'static str, usize)> {
         vec![
             ("counts", self.counts.capacity() * std::mem::size_of::<u16>()),
             ("wide_counts", self.wide.capacity() * std::mem::size_of::<u32>()),
@@ -653,7 +653,7 @@ impl PlacementState {
     }
 
     /// Total heap bytes of this state (sum of [`Self::mem_components`]).
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.mem_components().iter().map(|(_, b)| b).sum()
     }
 
@@ -689,7 +689,7 @@ impl PlacementState {
     /// Bitmask of DCs where `v` has a mirror (master excluded).
     ///
     /// `num_dcs <= 64` is guaranteed at construction ([`CloudEnv::new`] and
-    /// [`Self::from_edge_placement`] both enforce [`geograph::MAX_DCS`]), so
+    /// `Self::from_edge_placement` both enforce [`geograph::MAX_DCS`]), so
     /// the shift cannot wrap.
     pub fn mirror_mask(&self, v: VertexId) -> u64 {
         let meta = &self.meta[v as usize];
@@ -697,7 +697,7 @@ impl PlacementState {
     }
 
     /// Number of mirrors of `v`.
-    pub fn num_mirrors(&self, v: VertexId) -> u32 {
+    pub(crate) fn num_mirrors(&self, v: VertexId) -> u32 {
         self.mirror_mask(v).count_ones()
     }
 
@@ -761,11 +761,6 @@ impl PlacementState {
         self.masters[v as usize] = to;
         self.meta[v as usize].master = to;
         self.reprice(env);
-    }
-
-    /// Number of analytics iterations the cost model charges for.
-    pub fn num_iterations(&self) -> f64 {
-        self.num_iterations
     }
 
     /// A copy of the traffic profile the state is weighted with (the

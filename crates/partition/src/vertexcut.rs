@@ -36,7 +36,7 @@ pub struct VertexCutState {
 impl VertexCutState {
     /// Builds vertex-cut state from a per-edge DC assignment aligned with
     /// `geo.graph.edges()` order, panicking on an out-of-range DC. External
-    /// plan input goes through [`Self::try_from_edge_assignment`].
+    /// plan input goes through `Self::try_from_edge_assignment`.
     pub fn from_edge_assignment(
         geo: &GeoGraph,
         env: &CloudEnv,
@@ -51,7 +51,7 @@ impl VertexCutState {
 
     /// Builds vertex-cut state from a per-edge DC assignment, returning a
     /// typed [`PlanError`] when any edge names a DC outside the environment.
-    pub fn try_from_edge_assignment(
+    pub(crate) fn try_from_edge_assignment(
         geo: &GeoGraph,
         env: &CloudEnv,
         edge_dcs: &[DcId],
@@ -141,11 +141,6 @@ impl VertexCutState {
     /// Replication factor λ (Fig 2).
     pub fn replication_factor(&self) -> f64 {
         self.core.replication_factor()
-    }
-
-    /// Master of `v`.
-    pub fn master(&self, v: VertexId) -> DcId {
-        self.core.master(v)
     }
 }
 
@@ -237,7 +232,7 @@ mod tests {
         );
         for v in 0..geo.num_vertices() as VertexId {
             if geo.graph.degree(v) > 0 {
-                let m = s.master(v);
+                let m = s.core().master(v);
                 assert!(
                     s.core().in_count(v, m) + s.core().out_count(v, m) > 0,
                     "master of {v} holds none of its edges"

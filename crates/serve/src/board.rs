@@ -61,7 +61,7 @@ impl PlanBoard {
     }
 
     /// Epoch of the most recently published table.
-    pub fn published_epoch(&self) -> u64 {
+    pub(crate) fn published_epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
@@ -141,14 +141,14 @@ mod tests {
         let board = PlanBoard::new(homes_table(0, &[0, 1, 2, 3]));
         assert_eq!(board.published_epoch(), 1);
         let mut reader = board.reader();
-        assert_eq!(reader.pin().master(2), 2);
+        assert_eq!(reader.pin().masters()[2], 2);
 
         let e2 = board.publish(homes_table(1, &[3, 3, 3, 3]));
         assert_eq!(e2, 2);
         assert_eq!(board.flips(), 1);
         let table = reader.pin();
         assert_eq!(table.epoch(), 2);
-        assert_eq!(table.master(0), 3);
+        assert_eq!(table.masters()[0], 3);
 
         // Many flips with an idle reader: every table it does not hold is
         // freed by the flip that displaces it.
@@ -171,8 +171,8 @@ mod tests {
         board.publish(homes_table(2, &[3, 3, 3, 3]));
         // The guard still reads the table it pinned, untouched.
         assert_eq!(guard.epoch(), pinned_epoch);
-        assert_eq!(guard.master(0), 1);
-        assert_eq!(reader.pin().master(0), 3);
+        assert_eq!(guard.masters()[0], 1);
+        assert_eq!(reader.pin().masters()[0], 3);
     }
 
     #[test]
@@ -185,11 +185,11 @@ mod tests {
             // the whole epoch it holds and counts the retry.
             let _held = board.current.lock().unwrap();
             let table = reader.pin();
-            assert_eq!((table.epoch(), table.master(0)), (1, 1));
+            assert_eq!((table.epoch(), table.masters()[0]), (1, 1));
             assert_eq!(reader.flip_retries(), 1);
         }
         let table = reader.pin();
-        assert_eq!((table.epoch(), table.master(0)), (2, 2));
+        assert_eq!((table.epoch(), table.masters()[0]), (2, 2));
         assert_eq!(reader.flip_retries(), 1);
     }
 

@@ -1,16 +1,16 @@
 //! # geoserve — the placement-serving daemon
 //!
 //! Long-running serving layer for the adaptive partitioner: analytics
-//! frontends ask it *where a vertex's master lives* and *where an edge
-//! is processed*, millions of times a second, while the trainer keeps
-//! re-partitioning underneath.
+//! frontends ask it *where a vertex's master lives*, millions of times a
+//! second, while the trainer keeps re-partitioning underneath.
 //!
 //! Three pieces:
 //!
 //! * [`RoutingTable`] — an immutable, read-optimized snapshot of one
-//!   committed placement: vertex → master, vertex → replica set, and the
-//!   hybrid-cut edge → placement rule, all batched
-//!   ([`RoutingTable::lookup_many`]).
+//!   committed placement: its master plane, one byte per vertex, looked
+//!   up in batches ([`RoutingTable::lookup_many`]). A vertex's replicas
+//!   and an edge's processing DC follow from the masters and the graph
+//!   under the hybrid cut, so they are derived from the plan, not served.
 //! * [`PlanBoard`] — the publication point. A plan flip swaps one
 //!   `Arc` under a lock readers never wait on: each [`PlanReader`] holds
 //!   the table it last pinned and moves to a newer one only when the
@@ -35,5 +35,5 @@ pub mod server;
 pub mod table;
 
 pub use board::{PlanBoard, PlanReader};
-pub use server::{BootReport, PlacementServer, ServeError};
+pub use server::{PlacementServer, ServeError};
 pub use table::RoutingTable;

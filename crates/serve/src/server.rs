@@ -145,12 +145,6 @@ impl PlacementServer {
         }));
     }
 
-    /// Publishes a table built by the caller (e.g. replaying an external
-    /// feed). Returns its publication epoch.
-    pub fn publish(&self, table: RoutingTable) -> u64 {
-        self.board.publish(table)
-    }
-
     /// Re-routes every vertex off the DCs flagged `dead` and publishes
     /// the evacuated table; returns its publication epoch. Uses the same
     /// reseed rule as the trainer's dead-DC re-seed, so the next trained

