@@ -115,6 +115,60 @@ fn bench_batched_evaluation(c: &mut Criterion) {
     group.finish();
 }
 
+/// The trainer's score sweep over its usual sample, the lowest-degree
+/// quarter of a preferential-attachment graph shaped like the benchmark's
+/// (97 k vertices, 14 edges each) at home placement, four ways: every DC
+/// priced (the full objective), every DC unpriced, the sweep the score
+/// phase runs (the master's slot skipped, unpriced), and one unpriced
+/// destination (a migration proposal). The variants run interleaved, one
+/// pass over the sample each per round, and each reports its best round
+/// per agent, so a slow stretch of the host reads on all of them alike.
+fn bench_low_degree_sweep(_c: &mut Criterion) {
+    const NAME: &str = "evaluate_all_moves_low_degree";
+    const ROUNDS: usize = 15;
+    let variants = ["all_priced", "all_unpriced", "score_sweep", "one_destination"];
+    let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+    if filter.is_some_and(|f| !variants.iter().any(|v| format!("{NAME}/{v}").contains(&f))) {
+        return;
+    }
+    let n = 97_000;
+    let mut b = geograph::GraphBuilder::new(n);
+    b.add_edges(geograph::generators::preferential::preferential_attachment_edges(n, 14, 42));
+    let geo = GeoGraph::from_graph(b.build(), &LocalityConfig::paper_default(42));
+    let env = ec2_eight_regions();
+    let m = env.num_dcs() as u8;
+    let all = u64::MAX >> (64 - m);
+    let theta = geograph::degree::suggest_theta(&geo.graph, 0.05);
+    let profile = TrafficProfile::uniform(n, 8.0);
+    let state = HybridState::natural(&geo, &env, theta, profile, 10.0);
+    let mut agents: Vec<u32> = geo.graph.vertices().filter(|&v| geo.graph.degree(v) > 0).collect();
+    agents.sort_by_key(|&v| (geo.graph.degree(v), v));
+    agents.truncate(agents.len() / 4);
+
+    let mut scratch = MoveScratch::new();
+    let mut best = [f64::INFINITY; 4];
+    for _ in 0..ROUNDS {
+        for (i, best) in best.iter_mut().enumerate() {
+            let start = std::time::Instant::now();
+            for &v in &agents {
+                let master = state.master(v);
+                let (dests, priced) = match i {
+                    0 => (all, true),
+                    1 => (all, false),
+                    2 => (all & !(1u64 << master), false),
+                    _ => (1u64 << ((master + 1) % m), false),
+                };
+                black_box(state.evaluate_moves(&env, v, dests, priced, &mut scratch).first());
+            }
+            *best = best.min(start.elapsed().as_nanos() as f64 / agents.len() as f64);
+        }
+    }
+    for (variant, ns) in variants.iter().zip(best) {
+        let id = format!("{NAME}/{variant}");
+        println!("{id:<55} {ns:>11.1} ns/agent  (best of {ROUNDS}, {} agents)", agents.len());
+    }
+}
+
 fn bench_move_application(c: &mut Criterion) {
     let (geo, env) = setup(1 << 13);
     let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
@@ -196,6 +250,7 @@ criterion_group!(
     bench_plan_construction,
     bench_move_evaluation,
     bench_batched_evaluation,
+    bench_low_degree_sweep,
     bench_move_application,
     bench_training_step,
     bench_pagerank,

@@ -44,6 +44,7 @@ pub(crate) fn score(last: &Objective, candidate: &Objective, weights: Weights) -
         }
     };
     let last_cost = last.total_cost();
+    debug_assert!(weights.cw == 0.0 || !candidate.total_cost().is_nan(), "an unpriced candidate");
     let cost_term = if weights.cw > 0.0 && last_cost > 0.0 {
         (last_cost - candidate.total_cost()) / last_cost
     } else {
@@ -53,29 +54,36 @@ pub(crate) fn score(last: &Objective, candidate: &Objective, weights: Weights) -
 }
 
 /// ρ_v (Eq 10/11): the score-optimal destination of an agent whose
-/// per-destination projections are `candidates`. The current master's slot
-/// is pinned to the frozen step objective `last` (staying put scores
-/// exactly zero); ties keep the lowest DC id. A DC whose bit is set in
-/// `dead` is never the answer; the master must not be on one.
+/// per-destination projections are `candidates`, beside the mask of the
+/// destinations whose score is `> 0` (a migration's accept test). The
+/// current master's slot is pinned to the frozen step objective `last`
+/// (staying put scores exactly zero, so it is never in the mask); ties keep
+/// the lowest DC id. A DC whose bit is set in `dead` is never the answer
+/// nor in the mask, and its slot is not read; the master must not be on
+/// one.
 pub(crate) fn best_destination(
     last: &Objective,
     candidates: &[Objective],
     master: DcId,
     weights: Weights,
     dead: u64,
-) -> DcId {
+) -> (DcId, u64) {
     let mut best = (0 as DcId, f64::NEG_INFINITY);
+    let mut accept = 0u64;
     for (d, candidate) in candidates.iter().enumerate() {
         if dead >> d & 1 != 0 {
             continue;
         }
         let candidate = if d == master as usize { last } else { candidate };
         let s = score(last, candidate, weights);
+        if s > 0.0 {
+            accept |= 1u64 << d;
+        }
         if s > best.1 {
             best = (d as DcId, s);
         }
     }
-    best.0
+    (best.0, accept)
 }
 
 #[cfg(test)]
@@ -127,10 +135,14 @@ mod tests {
         let last = obj(10.0, 0.0, 0.0);
         // DC 2 is by far the best move, DC 1 a small one, DC 0 the master.
         let candidates = [last, obj(9.0, 0.0, 0.0), obj(1.0, 0.0, 0.0)];
-        assert_eq!(best_destination(&last, &candidates, 0, w, 0), 2);
-        assert_eq!(best_destination(&last, &candidates, 0, w, 1 << 2), 1);
+        assert_eq!(best_destination(&last, &candidates, 0, w, 0), (2, 0b110));
+        assert_eq!(best_destination(&last, &candidates, 0, w, 1 << 2), (1, 0b010));
         // With every improving DC dead, the agent stays put.
-        assert_eq!(best_destination(&last, &candidates, 0, w, 0b110), 0);
+        assert_eq!(best_destination(&last, &candidates, 0, w, 0b110), (0, 0));
+        // A regression is no accept; the master's slot reads as `last`
+        // whatever it holds.
+        let candidates = [obj(1.0, 0.0, 0.0), obj(11.0, 0.0, 0.0), obj(10.0, 0.0, 0.0)];
+        assert_eq!(best_destination(&last, &candidates, 0, w, 0), (0, 0));
     }
 
     #[test]

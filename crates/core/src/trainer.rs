@@ -157,6 +157,43 @@ pub(crate) struct TrainerSession<'g> {
     /// moves a master back onto a dark DC. 0 while every DC is live, which
     /// leaves every decision as it was.
     dead_dcs: u64,
+    /// Bumped by every mutation of `state` (an applied move, a re-seed):
+    /// verdicts scored at one generation hold only at that generation.
+    generation: u64,
+    /// The last step's verdicts, kept while they may still hold (see
+    /// [`Carry`]).
+    carry: Option<Carry>,
+    /// LPT score groups of the sampled prefix, built once and reused by
+    /// every full-scan step that samples that prefix.
+    groups: PrefixGroups,
+}
+
+/// LPT score groups keyed on the length of the sampled prefix they were
+/// built for.
+type PrefixGroups = Option<(usize, Vec<Vec<usize>>)>;
+
+/// What a score phase decided, per sampled agent (aligned with the
+/// sampled slice).
+struct Verdicts {
+    /// ρ_v, the score-optimal DC (Eq 10/11).
+    rho: Vec<DcId>,
+    /// Bit `d` set iff moving the agent to DC `d` scores `> 0` against the
+    /// step objective: the migration phase's accept test, for as long as
+    /// the state is the one scored.
+    accept: Vec<u64>,
+}
+
+/// A full-scan step's verdicts, carried to the next step when that step
+/// would score the same agents against the same state under the same
+/// weights, dead set and environment — so re-scoring would reproduce them
+/// bit for bit.
+struct Carry {
+    generation: u64,
+    agents: usize,
+    weights: Weights,
+    dead: u64,
+    env: CloudEnv,
+    verdicts: Verdicts,
 }
 
 impl<'g> TrainerSession<'g> {
@@ -200,6 +237,9 @@ impl<'g> TrainerSession<'g> {
             arenas,
             journal: None,
             dead_dcs: 0,
+            generation: 0,
+            carry: None,
+            groups: None,
             config,
         }
     }
@@ -315,6 +355,7 @@ impl<'g> TrainerSession<'g> {
         for (&v, &d) in stranded.iter().zip(&to) {
             state.apply_move_with(env, v, d, &mut self.arenas[0]);
         }
+        self.generation += 1;
         if !stranded.is_empty() {
             self.best = (state.core().masters().to_vec(), state.objective(env));
             if let Some(journal) = self.journal.as_mut() {
@@ -375,22 +416,44 @@ impl<'g> TrainerSession<'g> {
 
         // Phases 1–4 — score function & reinforcement signal (parallel),
         // probability update & UCB action selection. Proposals come out in
-        // the sampled order.
+        // the sampled order. A predecessor that scored the same agents
+        // against the same state, weights, dead set and environment hands
+        // its verdicts over instead.
         let score_start = Instant::now();
         let dead = self.dead_dcs;
-        let rho = score_phase(self.geo, &self.state, sampled, &step_obj, weights, dead, &mut exec)?;
+        let verdicts = match self.carry.take() {
+            Some(c)
+                if full_scan
+                    && c.generation == self.generation
+                    && c.agents == sampled.len()
+                    && c.weights == weights
+                    && c.dead == dead
+                    && c.env == *env =>
+            {
+                c.verdicts
+            }
+            _ => {
+                let groups = full_scan.then_some(&mut self.groups);
+                let (state, geo) = (&self.state, self.geo);
+                score_phase(geo, state, sampled, &step_obj, weights, dead, groups, &mut exec)?
+            }
+        };
         let k = prefix.len();
-        let mut proposals: Vec<(VertexId, DcId)> = sampled
+        let mut proposals: Vec<(VertexId, DcId, bool)> = sampled
             .iter()
-            .zip(rho)
+            .zip(&verdicts.rho)
+            .zip(&verdicts.accept)
             .enumerate()
-            .filter_map(|(i, (&v, best_dc))| {
+            .filter_map(|(i, ((&v, &best_dc), &accept))| {
                 let slot = (first_slot + i) % k;
                 let selected = self.agents.learn_and_select(slot, best_dc, &self.config);
                 // UCB explores: a selection may name a dead DC even
                 // though no score led there.
-                (selected != self.state.master(v) && dead >> selected & 1 == 0)
-                    .then_some((v, selected))
+                (selected != self.state.master(v) && dead >> selected & 1 == 0).then_some((
+                    v,
+                    selected,
+                    accept >> selected & 1 == 1,
+                ))
             })
             .collect();
         let score_duration = score_start.elapsed();
@@ -402,6 +465,13 @@ impl<'g> TrainerSession<'g> {
         let applied = migration_phase(&mut self.state, &proposals, weights, &mut exec);
         let migrate_duration = migrate_start.elapsed();
         let migrations = applied.len();
+        if migrations > 0 {
+            self.generation += 1;
+        } else if full_scan {
+            let (generation, agents) = (self.generation, sampled.len());
+            let env = env.clone();
+            self.carry = Some(Carry { generation, agents, weights, dead, env, verdicts });
+        }
         if let Some(journal) = self.journal.as_mut().filter(|_| migrations > 0) {
             journal.push((step as u32, applied));
         }
@@ -510,14 +580,18 @@ fn beats(candidate: &Objective, incumbent: &Objective, budget: f64) -> bool {
 /// (1 % of agents) finish faster inline.
 const PARALLEL_SCORE_MIN_AGENTS: usize = 64;
 
-/// Computes ρ_v (the score-optimal DC, Eq 10/11, never one of the `dead`
-/// mask) for every sampled agent. Returns one entry per agent, aligned
-/// with `sampled`.
+/// Scores every sampled agent: ρ_v (the score-optimal DC, Eq 10/11, never
+/// one of the `dead` mask) and the accept mask of its destinations, both
+/// aligned with `sampled`. An agent's sweep skips its master's slot and
+/// the dead DCs, which [`best_destination`] never reads, and prices Eq 4/5
+/// only when the weights read cost.
 ///
 /// Sequential on the caller (arena 0) with one thread or below
 /// [`PARALLEL_SCORE_MIN_AGENTS`]; otherwise worker `i` scores LPT group `i`
-/// with arena `i`. Both produce bit-identical ρ — a group's results land
-/// on its own positions.
+/// with arena `i`. Both produce bit-identical verdicts — a group's results
+/// land on its own positions. With `cache`, the groups are those it holds
+/// for a sample of this length, built into it first if it holds none.
+#[allow(clippy::too_many_arguments)]
 fn score_phase(
     geo: &GeoGraph,
     state: &HybridState<'_>,
@@ -525,37 +599,60 @@ fn score_phase(
     step_obj: &Objective,
     weights: Weights,
     dead: u64,
+    cache: Option<&mut PrefixGroups>,
     exec: &mut Exec<'_>,
-) -> Result<Vec<DcId>, PoolError> {
+) -> Result<Verdicts, PoolError> {
     let env = exec.env;
+    let live = (u64::MAX >> (64 - env.num_dcs())) & !dead;
+    let priced = weights.cw > 0.0;
     // One batched kernel sweep scores every destination of an agent; the
     // per-worker scratch arena makes the hot loop allocation-free.
-    let best_of = |st: &HybridState<'_>, v: VertexId, scratch: &mut MoveScratch| -> DcId {
-        let candidates = st.evaluate_all_moves(env, v, scratch);
-        best_destination(step_obj, candidates, st.master(v), weights, dead)
+    let verdict = |v: VertexId, scratch: &mut MoveScratch| -> (DcId, u64) {
+        let master = state.master(v);
+        let dests = live & !(1u64 << master);
+        let candidates = state.evaluate_moves(env, v, dests, priced, scratch);
+        best_destination(step_obj, candidates, master, weights, dead)
     };
 
     let threads = exec.arenas.len();
+    let mut verdicts = Verdicts { rho: vec![0; sampled.len()], accept: vec![0; sampled.len()] };
     if threads == 1 || sampled.len() < PARALLEL_SCORE_MIN_AGENTS {
         let scratch = &mut exec.arenas[0];
-        return Ok(sampled.iter().map(|&v| best_of(state, v, scratch)).collect());
+        for (i, &v) in sampled.iter().enumerate() {
+            (verdicts.rho[i], verdicts.accept[i]) = verdict(v, scratch);
+        }
+        return Ok(verdicts);
     }
 
-    let groups = if exec.config.disable_straggler_mitigation {
-        straggler::round_robin_assignment(sampled.len(), threads)
-    } else {
-        straggler::balanced_assignment(&geo.graph, sampled, threads)
+    let assign = || {
+        if exec.config.disable_straggler_mitigation {
+            straggler::round_robin_assignment(sampled.len(), threads)
+        } else {
+            straggler::balanced_assignment(&geo.graph, sampled, threads)
+        }
     };
-    let by_group = fan_out(exec.arenas, &|worker, scratch| -> Vec<DcId> {
-        groups[worker].iter().map(|&i| best_of(state, sampled[i], scratch)).collect()
+    let fresh;
+    let groups: &[Vec<usize>] = match cache {
+        Some(cache) => {
+            if cache.as_ref().is_none_or(|(agents, _)| *agents != sampled.len()) {
+                *cache = Some((sampled.len(), assign()));
+            }
+            &cache.as_ref().expect("filled above").1
+        }
+        None => {
+            fresh = assign();
+            &fresh
+        }
+    };
+    let by_group = fan_out(exec.arenas, &|worker, scratch| -> Vec<(DcId, u64)> {
+        groups[worker].iter().map(|&i| verdict(sampled[i], scratch)).collect()
     })?;
-    let mut rho: Vec<DcId> = vec![0; sampled.len()];
-    for (group, dcs) in groups.iter().zip(by_group) {
-        for (&i, d) in group.iter().zip(dcs) {
-            rho[i] = d;
+    for (group, scored) in groups.iter().zip(by_group) {
+        for (&i, (rho, accept)) in group.iter().zip(scored) {
+            (verdicts.rho[i], verdicts.accept[i]) = (rho, accept);
         }
     }
-    Ok(rho)
+    Ok(verdicts)
 }
 
 /// Applies move proposals batch-by-batch (§V-A), on the caller thread: each
@@ -564,23 +661,34 @@ fn score_phase(
 /// the next batch. `batch_size = 1` is the strictly sequential Fig 7 flow
 /// (the "frozen" state is simply the live state). Returns the applied
 /// migrations in exact apply order (the journal's input).
+///
+/// A proposal `(v, to, verdict)` carries its score phase's accept test.
+/// Until the first move applies, the batch-start state is the scored one
+/// and the weights are the step's, so that verdict is the evaluation's
+/// result bit for bit, and is taken instead.
 fn migration_phase(
     st: &mut HybridState<'_>,
-    proposals: &[(VertexId, DcId)],
+    proposals: &[(VertexId, DcId, bool)],
     weights: Weights,
     exec: &mut Exec<'_>,
 ) -> Vec<(VertexId, DcId)> {
     let env = exec.env;
     let batch = exec.config.batch_size.max(1);
+    let priced = weights.cw > 0.0;
     let scratch = &mut exec.arenas[0];
     let mut applied = Vec::new();
     for chunk in proposals.chunks(batch) {
-        let obj = st.objective(env);
-        let accepts: Vec<bool> = chunk
-            .iter()
-            .map(|&(v, to)| score(&obj, &st.evaluate_move_with(env, v, to, scratch), weights) > 0.0)
-            .collect();
-        for (&(v, to), ok) in chunk.iter().zip(accepts) {
+        let accepts: Vec<bool> = if applied.is_empty() {
+            chunk.iter().map(|&(_, _, verdict)| verdict).collect()
+        } else {
+            let obj = st.objective(env);
+            let mut accept = |&(v, to, _): &(VertexId, DcId, bool)| {
+                let candidate = st.evaluate_moves(env, v, 1u64 << to, priced, scratch)[to as usize];
+                score(&obj, &candidate, weights) > 0.0
+            };
+            chunk.iter().map(&mut accept).collect()
+        };
+        for (&(v, to, _), ok) in chunk.iter().zip(accepts) {
             if ok {
                 st.apply_move_with(env, v, to, scratch);
                 applied.push((v, to));
@@ -934,6 +1042,131 @@ mod tests {
         }
         let missed = low.iter().filter(|&&v| !seen[v as usize]).count();
         assert_eq!(missed, 0, "{missed} of {} low-degree agents never sampled", low.len());
+    }
+
+    #[test]
+    fn clean_verdicts_equal_full_evaluation() {
+        // Every accept bit the score phase hands the migration phase is the
+        // test migration runs on the scored state: a priced one-destination
+        // evaluation scored against the batch-start objective. Under budget
+        // (cost unread, the sweep unpriced) and over it (cost read), with
+        // a dead DC, at one and two threads.
+        let (geo, env) = setup(21);
+        let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
+        let theta = geograph::degree::suggest_theta(&geo.graph, 0.05);
+        let masters = geo.locations.iter().enumerate();
+        let masters = masters.map(|(v, &l)| if v % 3 == 0 { (l + 1) % 7 } else { l % 7 }).collect();
+        let state = HybridState::from_masters(&geo, &env, masters, theta, profile, 10.0);
+        let sampled = sample_prefix(&degree_ascending_order(&geo.graph), 0.5).to_vec();
+        let step_obj = state.objective(&env);
+        let dead = 1u64 << 7;
+        let mut scratch = MoveScratch::new();
+        let (mut accepted, mut rejected) = (0, 0);
+        for threads in [1usize, 2] {
+            let config = default_config(&geo, &env).with_threads(threads);
+            let mut arenas = vec![MoveScratch::new(); threads];
+            for weights in [Weights::at(3, 10, false), Weights::at(3, 10, true)] {
+                let mut exec = Exec { env: &env, config: &config, arenas: &mut arenas };
+                let verdicts =
+                    score_phase(&geo, &state, &sampled, &step_obj, weights, dead, None, &mut exec)
+                        .unwrap();
+                for (i, &v) in sampled.iter().enumerate() {
+                    let master = state.master(v);
+                    for d in (0..7).filter(|&d| d != master) {
+                        let full = state.evaluate_move_with(&env, v, d, &mut scratch);
+                        let accept = score(&step_obj, &full, weights) > 0.0;
+                        assert_eq!(verdicts.accept[i] >> d & 1 == 1, accept, "v={v} d={d}");
+                        (accepted, rejected) =
+                            (accepted + accept as u32, rejected + !accept as u32);
+                    }
+                    assert_eq!(verdicts.accept[i] & (dead | 1 << master), 0, "v={v}");
+                }
+            }
+        }
+        assert!(accepted > 0 && rejected > 0, "{accepted} accepts, {rejected} rejects");
+    }
+
+    /// Steps `session` to its end, dropping the carried verdicts before
+    /// every step unless `carry`; after `evacuate_after` steps, `dead` is
+    /// evacuated. Returns each step's masters (FNV-1a) and migrations,
+    /// and how many steps found verdicts carried to them.
+    fn trajectory(
+        mut session: TrainerSession<'_>,
+        env: &CloudEnv,
+        carry: bool,
+        evacuate_after: usize,
+        dead: &[bool],
+    ) -> (Vec<(u64, usize)>, usize) {
+        let (mut steps, mut carried) = (Vec::new(), 0);
+        loop {
+            if steps.len() == evacuate_after {
+                let generation = session.generation;
+                assert!(!session.evacuate_dead_dcs(env, dead).unwrap().is_empty());
+                assert!(session.generation > generation, "an evacuation is a mutation");
+                let stale =
+                    session.carry.as_ref().is_some_and(|c| c.generation != session.generation);
+                assert!(!carry || stale, "a carry from before the evacuation must not hold");
+            }
+            if !carry {
+                session.carry = None;
+            }
+            carried +=
+                session.carry.as_ref().is_some_and(|c| c.generation == session.generation) as usize;
+            let Some(stats) = session.step(env).unwrap() else { break };
+            let masters = geodur::masters_fnv(session.state.core().masters());
+            steps.push((masters, stats.migrations));
+        }
+        (steps, carried)
+    }
+
+    #[test]
+    fn no_move_carry_equals_rescoring() {
+        // dynamic_churn's window-0 shape: a fixed quarter of the lowest-
+        // degree agents, which stops accepting moves after a few steps.
+        // Carrying a no-move step's verdicts to the next step trains the
+        // trajectory re-scoring trains, step for step; an evacuation
+        // between steps drops the carry, and the runs still agree.
+        let (geo, env) = setup(22);
+        let session = || {
+            let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
+            let theta = geograph::degree::suggest_theta(&geo.graph, 0.05);
+            let masters = geo.locations.clone();
+            let state = HybridState::from_masters(&geo, &env, masters, theta, profile, 10.0);
+            let config = default_config(&geo, &env).with_fixed_sample_rate(0.25).with_max_steps(12);
+            TrainerSession::new(&geo, &env, state, config)
+        };
+        let mut dead = vec![false; env.num_dcs()];
+        let (reused, carried) = trajectory(session(), &env, true, usize::MAX, &dead);
+        let (rescored, _) = trajectory(session(), &env, false, usize::MAX, &dead);
+        assert!(carried > 0, "no step found its predecessor's verdicts: test is vacuous");
+        assert!(reused.iter().any(|s| s.1 > 0), "nothing migrated: test is vacuous");
+        assert_eq!(reused, rescored);
+
+        // Evacuate right after the first step that carried verdicts on.
+        let first = reused.iter().position(|s| s.1 == 0).unwrap() + 1;
+        dead[6] = true;
+        let (reused, _) = trajectory(session(), &env, true, first, &dead);
+        let (rescored, _) = trajectory(session(), &env, false, first, &dead);
+        assert_eq!(reused, rescored);
+    }
+
+    #[test]
+    fn lpt_groups_are_built_once_per_prefix() {
+        let (geo, env) = setup(23);
+        let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
+        let theta = geograph::degree::suggest_theta(&geo.graph, 0.05);
+        let state =
+            HybridState::from_masters(&geo, &env, geo.locations.clone(), theta, profile, 10.0);
+        let config = default_config(&geo, &env).with_fixed_sample_rate(0.5).with_max_steps(4);
+        let mut session = TrainerSession::new(&geo, &env, state, config);
+        session.step(&env).unwrap().expect("the first step runs");
+        let sample = sample_prefix(&session.order, 0.5).len();
+        let built = session.groups.as_ref().map(|(n, g)| (*n, g[0].as_ptr()));
+        assert_eq!(built.map(|b| b.0), Some(sample));
+        let fresh = straggler::balanced_assignment(&geo.graph, &session.order[..sample], 2);
+        assert_eq!(session.groups.as_ref().unwrap().1, fresh);
+        while session.step(&env).unwrap().is_some() {}
+        assert_eq!(session.groups.as_ref().map(|(n, g)| (*n, g[0].as_ptr())), built);
     }
 
     #[test]

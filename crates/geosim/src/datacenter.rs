@@ -88,13 +88,13 @@ impl CloudEnv {
 
     /// Per-DC uplink bandwidths as one contiguous lane (bytes/s).
     #[inline]
-    pub(crate) fn uplinks(&self) -> &[f64] {
+    pub fn uplinks(&self) -> &[f64] {
         &self.uplinks
     }
 
     /// Per-DC downlink bandwidths as one contiguous lane (bytes/s).
     #[inline]
-    pub(crate) fn downlinks(&self) -> &[f64] {
+    pub fn downlinks(&self) -> &[f64] {
         &self.downlinks
     }
 

@@ -335,17 +335,35 @@ impl<'g> HybridState<'g> {
     /// state — see `PlacementState::evaluate_moves`. The returned slice
     /// lives in `scratch`, indexed by destination DC; only flagged slots
     /// are written, and a flagged current master holds the unchanged
-    /// current objective.
+    /// current objective. With `priced` false a caller that reads only
+    /// `transfer_time` skips Eq 4/5: the other slots' cost fields are NaN.
     pub fn evaluate_moves<'s>(
         &self,
         env: &CloudEnv,
         v: VertexId,
         dests: u64,
+        priced: bool,
         scratch: &'s mut MoveScratch,
     ) -> &'s [Objective] {
         self.collect_deltas_into(v, scratch);
         let (natural, size) = (self.geo.locations[v as usize], self.geo.data_sizes[v as usize]);
-        self.core.evaluate_moves(env, v, dests, natural, size, scratch)
+        self.core.evaluate_moves(env, v, dests, priced, natural, size, scratch)
+    }
+
+    /// The dense projection [`Self::evaluate_moves`] replaced, every lane
+    /// of every flagged destination built and reduced: the sparse
+    /// kernel's test oracle.
+    #[cfg(test)]
+    pub(crate) fn evaluate_moves_dense(
+        &self,
+        env: &CloudEnv,
+        v: VertexId,
+        dests: u64,
+        scratch: &mut MoveScratch,
+    ) -> Vec<Objective> {
+        self.collect_deltas_into(v, scratch);
+        let (natural, size) = (self.geo.locations[v as usize], self.geo.data_sizes[v as usize]);
+        self.core.evaluate_moves_dense(env, v, dests, natural, size, scratch)
     }
 
     /// [`Self::evaluate_moves`] to **every** DC: the score function's
@@ -357,7 +375,7 @@ impl<'g> HybridState<'g> {
         v: VertexId,
         scratch: &'s mut MoveScratch,
     ) -> &'s [Objective] {
-        self.evaluate_moves(env, v, u64::MAX >> (64 - self.core.num_dcs), scratch)
+        self.evaluate_moves(env, v, u64::MAX >> (64 - self.core.num_dcs), true, scratch)
     }
 
     /// [`Self::evaluate_moves`] to `to` alone: a migration proposal's
@@ -373,7 +391,7 @@ impl<'g> HybridState<'g> {
         if self.core.master(v) == to {
             return self.core.objective(env);
         }
-        self.evaluate_moves(env, v, 1u64 << to, scratch)[to as usize]
+        self.evaluate_moves(env, v, 1u64 << to, true, scratch)[to as usize]
     }
 
     /// Moves `v`'s master to `to`, updating counts, loads, balance, moved
@@ -443,6 +461,8 @@ impl<'g> HybridState<'g> {
     /// affected neighbor. Self-loops fold into the self delta. The deltas
     /// are destination-independent (any `b ≠ a` receives the same counts
     /// DC `a` loses), which is what makes batched evaluation possible.
+    /// The two sorted CSR rows stage as the two ascending runs the seal
+    /// merges.
     fn collect_deltas_into(&self, v: VertexId, scratch: &mut MoveScratch) {
         scratch.begin_stage();
         let mut self_delta = CntDelta::default();
@@ -472,7 +492,7 @@ impl<'g> HybridState<'g> {
                 self_delta.in_a -= 1;
                 self_delta.in_b += 1;
             } else {
-                scratch.push_neighbor(w, CntDelta { in_a: -1, in_b: 1, ..CntDelta::default() });
+                scratch.push_second(w, CntDelta { in_a: -1, in_b: 1, ..CntDelta::default() });
             }
         }
         scratch.self_delta = self_delta;
@@ -675,6 +695,7 @@ pub fn reseed_stranded_masters(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::Bits;
     use geograph::generators::{rmat, RmatConfig};
     use geograph::locality::LocalityConfig;
     use geosim::regions::ec2_eight_regions;
@@ -843,6 +864,130 @@ mod tests {
             let mut fresh = MoveScratch::new();
             let clean = s8.evaluate_all_moves(&env8, v8, &mut fresh);
             assert_eq!(reused, clean, "v={v8}");
+        }
+    }
+
+    /// An `m`-DC environment whose links and prices repeat with periods
+    /// 5, 3 and 4, so lanes tie on bandwidth as well as on load; with
+    /// `slow`, that DC's links are 100× slower, so its lanes decide both
+    /// stage maxima.
+    fn env_of(m: usize, slow: Option<usize>) -> CloudEnv {
+        let mut dcs = if m == 8 {
+            ec2_eight_regions().dcs().to_vec()
+        } else {
+            (0..m)
+                .map(|d| {
+                    let (up, down) = (0.5 + (d % 5) as f64 * 0.25, 1.0 + (d % 3) as f64 * 0.5);
+                    let price = 0.02 + 0.01 * (d % 4) as f64;
+                    geosim::Datacenter::from_gb_units(&format!("dc{d}"), up, down, price)
+                })
+                .collect()
+        };
+        if let Some(d) = slow {
+            dcs[d].uplink_bps /= 100.0;
+            dcs[d].downlink_bps /= 100.0;
+        }
+        CloudEnv::new(dcs)
+    }
+
+    /// Evaluates `v`'s moves under `dests` by the sparse kernel, priced and
+    /// unpriced, and by the dense oracle, and asserts they agree bit for
+    /// bit.
+    fn assert_sparse_is_dense(
+        s: &HybridState<'_>,
+        env: &CloudEnv,
+        v: VertexId,
+        dests: u64,
+        [sparse, dense]: [&mut MoveScratch; 2],
+    ) {
+        let bits = |o: &Objective| {
+            (o.transfer_time.to_bits(), o.movement_cost.to_bits(), o.runtime_cost.to_bits())
+        };
+        let want = s.evaluate_moves_dense(env, v, dests, dense);
+        let got = s.evaluate_moves(env, v, dests, true, sparse).to_vec();
+        let time = s.evaluate_moves(env, v, dests, false, sparse);
+        let m = env.num_dcs();
+        for d in Bits(dests) {
+            assert_eq!(bits(&got[d]), bits(&want[d]), "M={m} v={v} d={d} dests={dests:#x}");
+            let t = time[d].transfer_time.to_bits();
+            assert_eq!(t, want[d].transfer_time.to_bits(), "M={m} v={v} d={d} unpriced");
+            let master = d == s.master(v) as usize;
+            assert!(master || time[d].total_cost().is_nan(), "M={m}: an unpriced slot priced");
+        }
+    }
+
+    #[test]
+    fn sparse_lanes_equal_the_dense_oracle() {
+        // The sparse projection against the dense one, bit for bit, at
+        // M = 2, 3, 8 and 64 (where `1 << m` mask arithmetic breaks
+        // first): all-DC, random and one-bit masks, priced and unpriced.
+        // Two graphs per M: every vertex of a small dense R-MAT graph,
+        // whose few lanes each decide a max, and the hubs of a larger one
+        // beside a star hub whose in-lane passes u16::MAX (a wide count
+        // row). Moves apply in between, so the live ratio cache has to
+        // follow the state.
+        const STAR: u32 = u16::MAX as u32 + 2;
+        for (m, seed) in [(2usize, 31u64), (3, 32), (8, 33), (64, 34)] {
+            let env = env_of(m, None);
+            // The same loads under a slow lane at either end and mid-way
+            // (a state's loads do not depend on the environment).
+            let slowed = [0, m / 2, m - 1].map(|d| env_of(m, Some(d)));
+            let all = u64::MAX >> (64 - m);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut scratch = [MoveScratch::new(), MoveScratch::new(), MoveScratch::new()];
+            let [sparse, dense, mover] = &mut scratch;
+
+            let small = rmat(&RmatConfig::social(96, 96 * 24), seed);
+            let geo = GeoGraph::from_graph(small, &LocalityConfig::uniform(m, seed));
+            let weights: Vec<f32> = (0..96).map(|v| 1.0 + (v % 5) as f32).collect();
+            let profile = TrafficProfile::weighted(&weights, 8.0);
+            let mut s = HybridState::natural(&geo, &env, 12, profile, 10.0);
+            for _ in 0..6 {
+                for v in 0..96u32 {
+                    let one = 1u64 << rng.gen_range(0..m);
+                    for dests in [all, rng.gen::<u64>() & all | one, one] {
+                        for env in [&env].into_iter().chain(&slowed) {
+                            assert_sparse_is_dense(&s, env, v, dests, [sparse, dense]);
+                        }
+                    }
+                }
+                for _ in 0..8 {
+                    let (w, to) = (rng.gen_range(0..96u32), rng.gen_range(0..m) as DcId);
+                    s.apply_move_with(&env, w, to, mover);
+                }
+            }
+            s.check_consistency(&env);
+
+            let n = STAR as usize + 1;
+            let mut b = geograph::GraphBuilder::new(n);
+            let skew = rmat(&RmatConfig::social(2048, 16 * 2048), seed);
+            b.add_edges(skew.edges().map(|(u, w)| (u + 1, w + 1)));
+            b.add_edges((1..=STAR).map(|u| (u, 0)));
+            let g = b.build();
+            // The star's sources share one home, so hub 0's in-edges (it is
+            // high-degree) all count in one cell.
+            let mut locations =
+                geograph::locality::assign_locations(&g, &LocalityConfig::uniform(m, seed));
+            locations[2049..].fill((m - 1) as DcId);
+            let sizes = (0..n as u64).map(|v| 64 + v % 977).collect();
+            let geo = GeoGraph::new(g, locations, sizes, m);
+            let weights: Vec<f32> = (0..n).map(|v| 1.0 + (v % 7) as f32).collect();
+            let profile = TrafficProfile::weighted(&weights, 8.0);
+            let mut s = HybridState::natural(&geo, &env, 24, profile, 10.0);
+            assert!(s.core.meta[0].wide && s.core.is_high(0), "M={m}: the star hub is wide");
+            let mut hubs: Vec<VertexId> = (1..=2048).collect();
+            hubs.sort_by_key(|&v| std::cmp::Reverse(geo.graph.degree(v)));
+            for round in 0..8 {
+                for v in [0, hubs[round], hubs[8 + round], rng.gen_range(2049..STAR + 1)] {
+                    let one = 1u64 << rng.gen_range(0..m);
+                    for dests in [all, rng.gen::<u64>() & all | one, one] {
+                        assert_sparse_is_dense(&s, &env, v, dests, [sparse, dense]);
+                    }
+                }
+                let (w, to) = (hubs[rng.gen_range(0..64usize)], rng.gen_range(0..m) as DcId);
+                s.apply_move_with(&env, w, to, mover);
+            }
+            s.check_consistency(&env);
         }
     }
 

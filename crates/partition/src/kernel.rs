@@ -14,12 +14,13 @@
 //!
 //! 1. **Stage** (`O(deg v)`, model-specific): the owning model records
 //!    `v`'s own count delta and one `CntDelta` per affected neighbor into
-//!    a reusable [`MoveScratch`] arena — a flat `Vec`, sorted and
-//!    duplicate-merged in place, replacing the per-call `FxHashMap`.
-//! 2. **Mid** (`O(deg v + M)`): copy the live per-DC stage loads once,
-//!    subtract `v`'s whole contribution and every neighbor's *source-side*
-//!    (DC `a`) threshold transition. This intermediate is shared by all
-//!    destinations.
+//!    a reusable [`MoveScratch`] arena — two ascending runs in flat `Vec`s,
+//!    merged and duplicate-combined in one linear pass, replacing the
+//!    per-call `FxHashMap`.
+//! 2. **Mid** (`O(deg v + M)`): copy the live master-side stage loads
+//!    once, take `v`'s contribution out at its master `a` and apply every
+//!    neighbor's *source-side* (DC `a`) threshold transition. This base is
+//!    shared by all destinations.
 //! 3. **Destination deltas** (`O(deg v)` defaults + sparse corrections):
 //!    destination-side deltas are non-negative and candidate-independent,
 //!    so an *empty* count cell's transition is a per-neighbor constant —
@@ -28,9 +29,14 @@
 //!    counts, found by walking the occupancy bitmask in the neighbor's
 //!    packed `VertexMeta` record — the common master-only neighbor costs
 //!    one u64 test, no row read.
-//! 4. **Project** (`O(M)` per destination): `row = mid + correction_row +
-//!    defaults` (neighbors mastered at `b` exempt from row `b`), re-add
-//!    `v` with master `b`, evaluate Eq 1–5.
+//! 4. **Project** (`O(lanes changed)` per destination): `row = base +
+//!    correction row + defaults` (neighbors mastered at `b` exempt from row
+//!    `b`), `v` mastered at `b`, evaluate Eq 1–5. `v` changes lanes `a`
+//!    and `b` only, and steps 2 and 3 record the other lanes they change;
+//!    only those lanes are built and divided. Any other lane holds the
+//!    live load to the bit, so its share of a stage's `max` comes from the
+//!    live per-lane ratios, cached in the scratch with their descending
+//!    order.
 //!
 //! `PlacementState::evaluate_moves` is the one implementation: it takes
 //! the destinations as a bit mask and walks only the flagged corrections
@@ -38,12 +44,14 @@
 //! a slot is the objective the state reports after that move, and a
 //! one-bit mask (a batched migration proposal, §V-A) equals that slot of
 //! the all-DC sweep (scoring, Eq 10) **bit-for-bit** (enforced by
-//! `HybridState::check_consistency` and the property suite).
+//! `HybridState::check_consistency`, the property suite and
+//! `sparse_lanes_equal_the_dense_oracle` against the test-only dense
+//! projection at the end of this file).
 
-use geosim::transfer::Units;
+use geosim::transfer::{upload_cost_row, Units, BYTES_PER_UNIT};
 use geosim::CloudEnv;
 
-use crate::state::{Objective, PlacementState};
+use crate::state::{Bits, Objective, PlacementState};
 use crate::{DcId, VertexId};
 
 /// Count deltas a move applies to one vertex's rows at the move's source
@@ -74,15 +82,26 @@ impl CntDelta {
 pub struct MoveScratch {
     m: usize,
     pub(crate) self_delta: CntDelta,
-    /// Per-neighbor deltas; sorted by vertex id and duplicate-merged once
-    /// [`seal`](Self::seal) runs.
+    /// Per-neighbor deltas: the first ascending staged run, then, once
+    /// [`seal`](Self::seal) merges `second` in, one entry per neighbor in
+    /// ascending id order.
     pub(crate) neighbors: Vec<(VertexId, CntDelta)>,
+    /// The second ascending staged run.
+    second: Vec<(VertexId, CntDelta)>,
     sealed: bool,
-    // Live load units minus v minus neighbor source-side transitions (len M).
-    mid_gu: Vec<f64>,
-    mid_gd: Vec<f64>,
-    mid_au: Vec<f64>,
-    mid_ad: Vec<f64>,
+    // The destination-independent part of the master-side rows (len M):
+    // the live gather-download and apply-upload units with v's current
+    // contribution taken out at `a`, every neighbor's source-side (DC `a`)
+    // transition and the destination-side defaults applied.
+    base_gd: Vec<f64>,
+    base_au: Vec<f64>,
+    // Lanes other than `a` where `base_*` differs from the live load:
+    // [gather, apply], bit `d` ⇔ DC `d`.
+    base_lanes: [u64; 2],
+    // The destination-independent change of `a`'s gather-upload and
+    // apply-download lanes: the neighbors' source-side transitions and v,
+    // a mirror once it moves, re-added.
+    at_a: [f64; 2],
     // Neighbor destination-side corrections. A correction for destination
     // `b` lands in `b`'s own gather-upload and apply-download lanes (len M,
     // indexed by `b`) and in the neighbor master's lanes (destination-major
@@ -97,18 +116,107 @@ pub struct MoveScratch {
     // Bit `b` set iff destination `b` may hold nonzero corrections from the
     // most recent `evaluate_moves`.
     dest_dirty: u64,
+    // Per destination (len M), the neighbor-master lanes its corrections
+    // wrote in `dest_gd` / `dest_au`; zero outside `dest_dirty`.
+    corr_g: Vec<u64>,
+    corr_a: Vec<u64>,
     // Default (empty-cell) destination-side transition mass, aggregated by
     // neighbor master DC (len M). See `evaluate_moves`.
     def_g: Vec<f64>,
     def_a: Vec<f64>,
-    // Projection workspace (len M).
+    // Lanes holding default mass: [gather (`def_g`), apply (`def_a`)].
+    def_lanes: [u64; 2],
+    // The upload rows a priced projection sums (len M).
     row_gu: Vec<f64>,
-    row_gd: Vec<f64>,
     row_au: Vec<f64>,
-    row_ad: Vec<f64>,
     // The state's Eq 4 moved bytes, v's home entry re-priced (len M).
     moved: Vec<u64>,
     objectives: Vec<Objective>,
+    live: LiveLanes,
+}
+
+/// A stage's two largest live `(lane, ratio)` pairs outside one lane
+/// (`usize::MAX` and 0 where there are fewer lanes).
+#[derive(Clone, Copy, Debug)]
+struct Runners([(usize, f64); 2]);
+
+impl Runners {
+    /// The largest ratio outside lane `b` as well.
+    #[inline]
+    fn skipping(self, b: usize) -> f64 {
+        let [(first, ratio), (_, second)] = self.0;
+        if first != b {
+            ratio
+        } else {
+            second
+        }
+    }
+}
+
+/// The live per-lane stage ratios a projection reads its untouched lanes
+/// from, with the load rows and link bandwidths they were computed from.
+/// [`Self::sync`] compares those on every call and recomputes on any
+/// difference, so the cache is never stale whatever mutated the state.
+#[derive(Clone, Debug, Default)]
+struct LiveLanes {
+    /// The gather up/down and apply up/down unit rows (4·M).
+    loads: Vec<u64>,
+    /// The uplinks and downlinks (2·M).
+    links: Vec<f64>,
+    /// Per stage ([gather, apply]), per lane: `max(up/U, down/D)`.
+    ratio: [Vec<f64>; 2],
+    /// Per stage, the lanes by descending ratio.
+    desc: [Vec<u8>; 2],
+}
+
+impl LiveLanes {
+    /// Makes the ratios those of `rows` (gather up, gather down, apply up,
+    /// apply down) under links `up` / `down`.
+    fn sync(&mut self, rows: [&[u64]; 4], up: &[f64], down: &[f64]) {
+        let m = up.len();
+        let current = self.loads.len() == 4 * m
+            && rows.iter().enumerate().all(|(i, r)| self.loads[i * m..(i + 1) * m] == **r)
+            && self.links[..m] == *up
+            && self.links[m..] == *down;
+        if current {
+            return;
+        }
+        self.loads.clear();
+        rows.iter().for_each(|r| self.loads.extend_from_slice(r));
+        self.links.clear();
+        self.links.extend_from_slice(up);
+        self.links.extend_from_slice(down);
+        for s in 0..2 {
+            let (u, d) = (rows[2 * s], rows[2 * s + 1]);
+            let ratio = &mut self.ratio[s];
+            ratio.clear();
+            ratio.extend((0..m).map(|l| (u[l] as f64 / up[l]).max(d[l] as f64 / down[l])));
+            let desc = &mut self.desc[s];
+            desc.clear();
+            desc.extend(0..m as u8);
+            desc.sort_unstable_by(|&x, &y| ratio[y as usize].total_cmp(&ratio[x as usize]));
+        }
+    }
+
+    /// Stage `s`'s two largest live ratios over the lanes other than
+    /// `skip`.
+    fn top_two(&self, s: usize, skip: usize) -> Runners {
+        let mut top = self.desc[s].iter().map(|&d| d as usize).filter(|&d| d != skip);
+        let mut next = || top.next().map_or((usize::MAX, 0.0), |d| (d, self.ratio[s][d]));
+        Runners([next(), next()])
+    }
+
+    /// Stage `s`'s largest live ratio over the lanes not in `touched`;
+    /// 0 when every lane is touched (the reduction's identity).
+    #[inline]
+    fn untouched_max(&self, s: usize, touched: u64) -> f64 {
+        for &d in &self.desc[s] {
+            if touched >> d & 1 == 0 {
+                return self.ratio[s][d as usize];
+            }
+        }
+        0.0
+    }
 }
 
 impl MoveScratch {
@@ -121,33 +229,64 @@ impl MoveScratch {
     pub(crate) fn begin_stage(&mut self) {
         self.self_delta = CntDelta::default();
         self.neighbors.clear();
+        self.second.clear();
         self.sealed = false;
     }
 
-    /// Stages one (possibly repeated) neighbor delta.
+    /// Stages one neighbor delta of the first run. Ids must not descend
+    /// within a run; an id may repeat, and may appear in both runs.
     #[inline]
     pub(crate) fn push_neighbor(&mut self, x: VertexId, delta: CntDelta) {
         debug_assert!(!self.sealed);
         self.neighbors.push((x, delta));
     }
 
-    /// Sorts the staged neighbor deltas by vertex id and merges duplicates
-    /// in place. Merging is required for correctness: threshold transitions
-    /// are non-linear in the delta, so a neighbor touched by several edges
-    /// must be projected once with its summed delta.
+    /// Stages one neighbor delta of the second run (see
+    /// [`Self::push_neighbor`]).
+    #[inline]
+    pub(crate) fn push_second(&mut self, x: VertexId, delta: CntDelta) {
+        debug_assert!(!self.sealed);
+        self.second.push((x, delta));
+    }
+
+    /// Merges the two staged runs into `neighbors` by vertex id and combines
+    /// duplicates in place, in linear time. Combining is required for
+    /// correctness: threshold transitions are non-linear in the delta, so a
+    /// neighbor touched by several edges must be projected once with its
+    /// summed delta.
     pub(crate) fn seal(&mut self) {
         if self.sealed {
             return;
         }
         self.sealed = true;
-        self.neighbors.sort_unstable_by_key(|&(x, _)| x);
+        debug_assert!(self.neighbors.is_sorted_by_key(|&(x, _)| x));
+        debug_assert!(self.second.is_sorted_by_key(|&(x, _)| x));
+        let (n1, n2) = (self.neighbors.len(), self.second.len());
+        if n2 > 0 {
+            // Merge from the back into the grown first run, so no entry is
+            // read after it is overwritten.
+            self.neighbors.resize(n1 + n2, (0, CntDelta::default()));
+            let (mut i, mut j) = (n1, n2);
+            for k in (0..n1 + n2).rev() {
+                if j == 0 {
+                    break;
+                }
+                if i > 0 && self.neighbors[i - 1].0 > self.second[j - 1].0 {
+                    self.neighbors[k] = self.neighbors[i - 1];
+                    i -= 1;
+                } else {
+                    self.neighbors[k] = self.second[j - 1];
+                    j -= 1;
+                }
+            }
+        }
         let mut w = 0usize;
         for i in 0..self.neighbors.len() {
             if w > 0 && self.neighbors[w - 1].0 == self.neighbors[i].0 {
                 let d = self.neighbors[i].1;
                 self.neighbors[w - 1].1.merge(d);
             } else {
-                self.neighbors.swap(w, i);
+                self.neighbors[w] = self.neighbors[i];
                 w += 1;
             }
         }
@@ -162,14 +301,10 @@ impl MoveScratch {
         self.m = m;
         let zero_obj = Objective { transfer_time: 0.0, movement_cost: 0.0, runtime_cost: 0.0 };
         for buf in [
-            &mut self.mid_gu,
-            &mut self.mid_gd,
-            &mut self.mid_au,
-            &mut self.mid_ad,
+            &mut self.base_gd,
+            &mut self.base_au,
             &mut self.row_gu,
-            &mut self.row_gd,
             &mut self.row_au,
-            &mut self.row_ad,
             &mut self.def_g,
             &mut self.def_a,
         ] {
@@ -185,6 +320,10 @@ impl MoveScratch {
             // The row stride changed, so the dirty-row bookkeeping no
             // longer maps; re-establish the all-zero invariant wholesale.
             buf.fill(0.0);
+        }
+        for buf in [&mut self.corr_g, &mut self.corr_a] {
+            buf.resize(m, 0);
+            buf.fill(0);
         }
         self.dest_dirty = 0;
         self.moved.resize(m, 0);
@@ -279,16 +418,31 @@ impl PlacementState {
     /// current objective). `natural` and `size` are `v`'s home DC and data
     /// bytes: Eq 4 is priced twice, for `v` at home and away from it.
     ///
+    /// With `priced` false the cost fields of the other slots are NaN and
+    /// neither Eq 4 nor Eq 5 is computed; `transfer_time` is the same
+    /// either way.
+    ///
     /// Cost: `O(deg(v) + M)` sweep + `O(deg(v))` count-row scans with
-    /// sparse corrections + `O(M)` tiny-constant projection per flagged
-    /// destination. Each slot's value does not depend on which other
+    /// sparse corrections + per flagged destination, a projection over the
+    /// lanes whose load that destination changes (`O(M)` more when
+    /// priced). Each slot's value does not depend on which other
     /// destinations are flagged: a one-bit mask is the single-destination
     /// evaluation, the slot of the all-DC sweep.
+    ///
+    /// Lanes: moving `v` from `a` to `b` changes its own traffic on lanes
+    /// `a` and `b` only — a mirror at any other DC keeps its counts, so
+    /// taking `v` out and putting it back cancels there exactly. The
+    /// neighbors change the master-side lanes in `base_lanes`, the
+    /// correction lanes of `b` and lane `b`. Every other lane holds the
+    /// live load to the bit, so the stage maxima read their ratios from the
+    /// live cache.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn evaluate_moves<'s>(
         &self,
         env: &CloudEnv,
         v: VertexId,
         dests: u64,
+        priced: bool,
         natural: DcId,
         size: u64,
         scratch: &'s mut MoveScratch,
@@ -297,59 +451,95 @@ impl PlacementState {
         let m = self.num_dcs;
         scratch.seal();
         scratch.ensure_m(m);
+        let (up, down) = (env.uplinks(), env.downlinks());
+        let (g, ap) = (&self.gather, &self.apply);
+        scratch.live.sync([g.up(), g.down(), ap.up(), ap.down()], up, down);
         let a = self.masters[v as usize] as usize;
-        self.build_mid(v, a, scratch);
+        let sd = scratch.self_delta;
+        // Where v exchanges messages now, and once it is mastered away
+        // from a (only its cell at a changes).
+        let old = self.presence(v, a, 0, 0);
+        let new = self.presence(v, a, sd.in_a, sd.out_a);
+        let written = self.build_mid(v, a, old, new, scratch);
 
         // Moving to `a` changes nothing, so no destination-side correction
         // lands in its row.
-        let live = dests & !(1u64 << a);
-        if live.is_power_of_two() {
-            self.build_dest::<true>(live, scratch);
+        let live_dests = dests & !(1u64 << a);
+        if live_dests.is_power_of_two() {
+            self.build_dest::<true>(live_dests, scratch);
         } else {
-            self.build_dest::<false>(live, scratch);
+            self.build_dest::<false>(live_dests, scratch);
         }
 
-        let sd = scratch.self_delta;
         let MoveScratch {
-            ref mid_gu,
-            ref mid_gd,
-            ref mid_au,
-            ref mid_ad,
+            ref mut base_gd,
+            ref mut base_au,
+            ref mut base_lanes,
+            at_a,
             ref diag_gu,
             ref dest_gd,
             ref dest_au,
             ref diag_ad,
-            dest_dirty,
-            ref mut row_gu,
-            ref mut row_gd,
-            ref mut row_au,
-            ref mut row_ad,
+            ref corr_g,
+            ref corr_a,
             ref def_g,
             ref def_a,
+            def_lanes,
+            ref mut row_gu,
+            ref mut row_au,
             ref mut moved,
             ref mut objectives,
+            ref live,
             ..
         } = *scratch;
-        let mut tot_g = 0.0;
-        let mut tot_a = 0.0;
-        for d in 0..m {
-            tot_g += def_g[d];
-            tot_a += def_a[d];
+        let (gu, gd, au, ad) = (g.up(), g.down(), ap.up(), ap.down());
+        for d in Bits(def_lanes[0]) {
+            base_gd[d] += def_g[d];
         }
+        for d in Bits(def_lanes[1]) {
+            base_au[d] += def_a[d];
+        }
+        let not_a = !(1u64 << a);
+        *base_lanes = [
+            Bits((written[0] | def_lanes[0]) & not_a)
+                .filter(|&d| base_gd[d] != gd[d] as f64)
+                .fold(0, |mask, d| mask | 1u64 << d),
+            Bits((written[1] | def_lanes[1]) & not_a)
+                .filter(|&d| base_au[d] != au[d] as f64)
+                .fold(0, |mask, d| mask | 1u64 << d),
+        ];
+        let tot_g: f64 = Bits(def_lanes[0]).map(|d| def_g[d]).sum();
+        let tot_a: f64 = Bits(def_lanes[1]).map(|d| def_a[d]).sum();
+        let mv = self.meta[v as usize];
+        let (vg, va) = (mv.g as f64, mv.a as f64);
 
         // Eq 4 depends on the destination only through "home or not": price
         // both, with v's bytes taken out of its home entry and put back.
         let home = natural as usize;
-        moved[..m].copy_from_slice(self.moved_bytes());
-        moved[home] -= if a != home { size } else { 0 };
-        let cost_home = geosim::cost::price(env, &moved[..m]);
-        moved[home] += size;
-        let cost_away = geosim::cost::price(env, &moved[..m]);
+        let (cost_home, cost_away) = if priced {
+            moved[..m].copy_from_slice(self.moved_bytes());
+            moved[home] -= if a != home { size } else { 0 };
+            let cost_home = geosim::cost::price(env, &moved[..m]);
+            moved[home] += size;
+            (cost_home, geosim::cost::price(env, &moved[..m]))
+        } else {
+            (f64::NAN, f64::NAN)
+        };
 
-        // Project every flagged destination, ascending: row = mid +
-        // correction row + defaults (neighbors mastered at `b` are exempt
-        // from row `b`), then re-add v mastered at b (its counts at the old
-        // master a adjusted).
+        // Lane a's mirror-side loads do not depend on the destination, and
+        // its master-side loads only through a correction at lane a; the
+        // live lanes other than a are ranked once.
+        let (gu_a, ad_a) = (gu[a] as f64 + at_a[0], ad[a] as f64 + at_a[1]);
+        let lane_a =
+            [(gu_a / up[a]).max(base_gd[a] / down[a]), (base_au[a] / up[a]).max(ad_a / down[a])];
+        let runners = [live.top_two(0, a), live.top_two(1, a)];
+
+        // Project every flagged destination, ascending. Lane `a` and lane
+        // `b` are built outright: the master-side base plus b's correction
+        // row (neighbors mastered at `b` exempt from row `b`), the
+        // mirror-side live load plus what moves there, v's old mirror at b
+        // taken out and v mastered at b put in. Any other changed lane is a
+        // base lane or a correction lane, whose mirror-side load is live.
         let mut todo = dests;
         while todo != 0 {
             let b = todo.trailing_zeros() as usize;
@@ -358,41 +548,64 @@ impl PlacementState {
                 objectives[b] = self.objective(env);
                 continue;
             }
-            if dest_dirty & (1u64 << b) != 0 {
-                let r = b * m;
+            let (bit, r) = (1u64 << b, b * m);
+            let gu_b =
+                gu[b] as f64 + (diag_gu[b] + (tot_g - def_g[b])) - vg * (old[0] >> b & 1) as f64;
+            let gd_b = base_gd[b] - def_g[b] + vg * (new[0] & !bit).count_ones() as f64;
+            let au_b = base_au[b] - def_a[b] + va * (new[1] & !bit).count_ones() as f64;
+            let ad_b =
+                ad[b] as f64 + (diag_ad[b] + (tot_a - def_a[b])) - va * (old[1] >> b & 1) as f64;
+
+            // Eq 2/3 per stage: the max over the changed lanes' projected
+            // ratios and the other lanes' live ones — the same set of
+            // values the full-row reduction takes the max of.
+            let ends = 1u64 << a | bit;
+            let extra_g = (base_lanes[0] | corr_g[b]) & !ends;
+            let mut max_g = match extra_g {
+                0 => runners[0].skipping(b),
+                _ => live.untouched_max(0, extra_g | ends),
+            };
+            max_g = max_g.max(match corr_g[b] >> a & 1 {
+                0 => lane_a[0],
+                _ => (gu_a / up[a]).max((base_gd[a] + dest_gd[r + a]) / down[a]),
+            });
+            max_g = max_g.max(gu_b / up[b]).max(gd_b / down[b]);
+            for d in Bits(extra_g) {
+                max_g =
+                    max_g.max(gu[d] as f64 / up[d]).max((base_gd[d] + dest_gd[r + d]) / down[d]);
+            }
+            let extra_a = (base_lanes[1] | corr_a[b]) & !ends;
+            let mut max_a = match extra_a {
+                0 => runners[1].skipping(b),
+                _ => live.untouched_max(1, extra_a | ends),
+            };
+            max_a = max_a.max(match corr_a[b] >> a & 1 {
+                0 => lane_a[1],
+                _ => ((base_au[a] + dest_au[r + a]) / up[a]).max(ad_a / down[a]),
+            });
+            max_a = max_a.max(au_b / up[b]).max(ad_b / down[b]);
+            for d in Bits(extra_a) {
+                max_a =
+                    max_a.max((base_au[d] + dest_au[r + d]) / up[d]).max(ad[d] as f64 / down[d]);
+            }
+            let transfer_time = max_g * BYTES_PER_UNIT + max_a * BYTES_PER_UNIT;
+            objectives[b] = if priced {
+                // Eq 5 is a sum, so it reads the whole upload rows.
                 for d in 0..m {
-                    row_gu[d] = mid_gu[d];
-                    row_gd[d] = mid_gd[d] + dest_gd[r + d];
-                    row_au[d] = mid_au[d] + dest_au[r + d];
-                    row_ad[d] = mid_ad[d];
+                    row_gu[d] = gu[d] as f64;
+                    row_au[d] = base_au[d] + dest_au[r + d];
                 }
-                row_gu[b] += diag_gu[b];
-                row_ad[b] += diag_ad[b];
+                (row_gu[a], row_gu[b], row_au[b]) = (gu_a, gu_b, au_b);
+                let upload =
+                    upload_cost_row(&row_gu[..m], env) + upload_cost_row(&row_au[..m], env);
+                Objective {
+                    transfer_time,
+                    movement_cost: if b == home { cost_home } else { cost_away },
+                    runtime_cost: self.num_iterations * upload,
+                }
             } else {
-                // A clean row's corrections are all zero. Lane loops, not
-                // `copy_from_slice`: four `memcpy` calls a destination read
-                // ~12 % slower on a hub vertex's sweep at M = 8.
-                for d in 0..m {
-                    (row_gu[d], row_gd[d]) = (mid_gu[d], mid_gd[d]);
-                    (row_au[d], row_ad[d]) = (mid_au[d], mid_ad[d]);
-                }
-            }
-            row_gu[b] += tot_g - def_g[b];
-            row_ad[b] += tot_a - def_a[b];
-            for d in 0..b {
-                row_gd[d] += def_g[d];
-                row_au[d] += def_a[d];
-            }
-            for d in b + 1..m {
-                row_gd[d] += def_g[d];
-                row_au[d] += def_a[d];
-            }
-            self.project_vertex_into(
-                v, b, a, sd.in_a, sd.out_a, 1.0, row_gu, row_gd, row_au, row_ad,
-            );
-            let movement_cost = if b == home { cost_home } else { cost_away };
-            objectives[b] =
-                self.objective_from_rows(env, movement_cost, [row_gu, row_gd, row_au, row_ad]);
+                Objective { transfer_time, movement_cost: f64::NAN, runtime_cost: f64::NAN }
+            };
         }
         &scratch.objectives[..m]
     }
@@ -400,7 +613,8 @@ impl PlacementState {
     /// Fills `scratch`'s destination-side buffers for the destinations in
     /// `live` (flagged and not `v`'s master): the per-master default rows
     /// and the sparse corrections, with `dest_dirty` naming the
-    /// destinations that hold any.
+    /// destinations that hold any, `corr_*` the lanes they hold them in and
+    /// `def_lanes` the lanes the defaults wrote.
     ///
     /// A neighbor's counts at destination `b` gain (in_b, out_b); since
     /// those deltas are the same for every candidate, the transition of an
@@ -408,8 +622,12 @@ impl PlacementState {
     /// Defaults are aggregated by neighbor master (`def_*`, applied O(M)
     /// per row at projection time); the correction arenas only hold the
     /// sparse *corrections* at the few cells where a neighbor already has
-    /// counts. This turns the hub case from O(deg·M) transition math into
-    /// O(deg) defaults + O(deg) row scans + sparse fix-ups.
+    /// counts. A neighbor whose live cells are mostly occupied (a hub)
+    /// takes no default; its gains go straight into the arenas at the few
+    /// cells where it gains a message. Either way an arena row holds what
+    /// its destination deviates from the defaults by, and the hub case
+    /// costs O(deg) defaults + O(deg) mask tests + sparse fix-ups, not
+    /// O(deg·M) transition math.
     ///
     /// `ONE` is the instance for a one-bit `live` (a migration proposal):
     /// the same operations on the same cells, with the destination known
@@ -429,24 +647,26 @@ impl PlacementState {
             ref mut dest_au,
             ref mut diag_ad,
             ref mut dest_dirty,
+            ref mut corr_g,
+            ref mut corr_a,
             ref mut def_g,
             ref mut def_a,
+            ref mut def_lanes,
             ..
         } = *scratch;
-        // Restore the arena's all-zero invariant by clearing only the rows
-        // the previous call dirtied; clean rows are already zero.
-        let mut prev = *dest_dirty;
-        while prev != 0 {
-            let b = prev.trailing_zeros() as usize;
-            prev &= prev - 1;
+        // Restore the arena's all-zero invariant by clearing only the cells
+        // the previous call wrote; everything else is already zero.
+        for b in Bits(*dest_dirty) {
             let r = b * m;
             diag_gu[b] = 0.0;
-            dest_gd[r..r + m].fill(0.0);
-            dest_au[r..r + m].fill(0.0);
             diag_ad[b] = 0.0;
+            Bits(corr_g[b]).for_each(|d| dest_gd[r + d] = 0.0);
+            Bits(corr_a[b]).for_each(|d| dest_au[r + d] = 0.0);
+            (corr_g[b], corr_a[b]) = (0, 0);
         }
         def_g[..m].fill(0.0);
         def_a[..m].fill(0.0);
+        let mut lanes = [0u64; 2];
         let only = live.trailing_zeros() as usize;
         let only_row = only * m;
         let mut dirty = 0u64;
@@ -456,18 +676,50 @@ impl PlacementState {
             }
             let mx = self.meta[x as usize];
             let master_x = mx.master as usize;
-            let high = mx.high;
-            let (gt0, at0) = default_transitions(high, delta.in_b, delta.out_b);
-            let g = mx.g as f64;
-            let ab = mx.a as f64;
+            let lane = 1u64 << master_x;
+            let (gt0, at0) = default_transitions(mx.high, delta.in_b, delta.out_b);
+            debug_assert_eq!(at0, 1.0);
+            // x's cell at a live destination either is empty, where the
+            // default holds, or already has a mirror, where the gained
+            // edges add no apply message and, if x is high and gains
+            // in-edges, no gather message either when the cell already
+            // holds in-edges — what `count_transitions` returns for it.
+            let occupied = mx.nnz & live & !lane;
+            let empty = live & !mx.nnz & !lane;
+            let gathers = gt0 != 0.0;
+            let (g, ab) = (mx.g as f64, mx.a as f64);
+            if occupied.count_ones() > empty.count_ones() {
+                // Mostly occupied (a hub): add the gains where they land
+                // instead of a default and a correction everywhere else.
+                let xrow = self.counts_row(x);
+                let gained = if gathers {
+                    empty
+                        | Bits(occupied).filter(|&b| xrow.pair(b).0 == 0).fold(0, |k, b| k | 1 << b)
+                } else {
+                    0
+                };
+                for b in Bits(empty) {
+                    dest_au[b * m + master_x] += ab;
+                    diag_ad[b] += ab;
+                    corr_a[b] |= lane;
+                }
+                for b in Bits(gained) {
+                    diag_gu[b] += g;
+                    dest_gd[b * m + master_x] += g;
+                    corr_g[b] |= lane;
+                }
+                dirty |= empty | gained;
+                continue;
+            }
             def_g[master_x] += gt0 * g;
-            def_a[master_x] += at0 * ab;
-            // Only occupied cells of live destinations can deviate from the
-            // default: walk the occupancy mask instead of scanning the row.
-            // For the common neighbor whose only counts sit at its own
-            // master this is a single masked-out u64 test — the row is
-            // never touched.
-            let mut bits = mx.nnz & live & !(1u64 << master_x);
+            def_a[master_x] += ab;
+            lanes[0] |= (gathers as u64) << master_x;
+            lanes[1] |= lane;
+            // Only occupied cells deviate from the default: walk the
+            // occupancy mask instead of scanning the row. For the common
+            // neighbor whose only counts sit at its own master this is a
+            // single masked-out u64 test — the row is never touched.
+            let mut bits = occupied;
             if bits == 0 {
                 continue;
             }
@@ -475,19 +727,14 @@ impl PlacementState {
             let xrow = self.counts_row(x);
             loop {
                 let b = if ONE { only } else { bits.trailing_zeros() as usize };
-                let (in_c, out_c) = xrow.pair(b);
-                let (gt, at) =
-                    count_transitions(high, in_c as i64, out_c as i64, delta.in_b, delta.out_b);
-                let cg = (gt - gt0) * g;
-                let ca = (at - at0) * ab;
                 let row = if ONE { only_row } else { b * m };
-                if cg != 0.0 {
-                    diag_gu[b] += cg;
-                    dest_gd[row + master_x] += cg;
-                }
-                if ca != 0.0 {
-                    dest_au[row + master_x] += ca;
-                    diag_ad[b] += ca;
+                dest_au[row + master_x] -= ab;
+                diag_ad[b] -= ab;
+                corr_a[b] |= lane;
+                if gathers && xrow.pair(b).0 > 0 {
+                    diag_gu[b] -= g;
+                    dest_gd[row + master_x] -= g;
+                    corr_g[b] |= lane;
                 }
                 bits &= bits - 1;
                 if ONE || bits == 0 {
@@ -496,27 +743,38 @@ impl PlacementState {
             }
         }
         *dest_dirty = dirty;
+        *def_lanes = lanes;
     }
 
-    /// Fills `scratch`'s mid buffers: live loads minus `v`'s whole current
-    /// contribution minus every staged neighbor's source-side (DC `a`)
-    /// threshold transition. Shared by every candidate destination.
-    fn build_mid(&self, v: VertexId, a: usize, scratch: &mut MoveScratch) {
+    /// Fills `scratch`'s destination-independent buffers: `base_gd` /
+    /// `base_au` hold the live master-side loads with `v`'s current
+    /// contribution (present at `old`) taken out at `a` and every staged
+    /// neighbor's source-side (DC `a`) threshold transition applied;
+    /// `at_a` holds the change of `a`'s mirror-side lanes, those
+    /// transitions plus `v` re-added as a mirror (present at `new`).
+    /// Returns the lanes of `base_*` written: [gather, apply].
+    fn build_mid(
+        &self,
+        v: VertexId,
+        a: usize,
+        old: [u64; 2],
+        new: [u64; 2],
+        scratch: &mut MoveScratch,
+    ) -> [u64; 2] {
         let m = self.num_dcs;
-        let MoveScratch {
-            ref neighbors,
-            ref mut mid_gu,
-            ref mut mid_gd,
-            ref mut mid_au,
-            ref mut mid_ad,
-            ..
-        } = *scratch;
-        let (g, ap) = (&self.gather, &self.apply);
+        let MoveScratch { ref neighbors, ref mut base_gd, ref mut base_au, ref mut at_a, .. } =
+            *scratch;
+        let (gd, au) = (self.gather.down(), self.apply.up());
         for d in 0..m {
-            (mid_gu[d], mid_gd[d]) = (g.up()[d] as f64, g.down()[d] as f64);
-            (mid_au[d], mid_ad[d]) = (ap.up()[d] as f64, ap.down()[d] as f64);
+            (base_gd[d], base_au[d]) = (gd[d] as f64, au[d] as f64);
         }
-        self.project_vertex_into(v, a, a, 0, 0, -1.0, mid_gu, mid_gd, mid_au, mid_ad);
+        let mv = self.meta[v as usize];
+        let (vg, va) = (mv.g as f64, mv.a as f64);
+        let not_a = !(1u64 << a);
+        base_gd[a] -= vg * (old[0] & not_a).count_ones() as f64;
+        base_au[a] -= va * (old[1] & not_a).count_ones() as f64;
+        let mut lanes = [1u64 << a; 2];
+        *at_a = [vg * (new[0] >> a & 1) as f64, va * (new[1] >> a & 1) as f64];
         for &(x, delta) in neighbors {
             if delta.in_a == 0 && delta.out_a == 0 {
                 continue;
@@ -531,46 +789,33 @@ impl PlacementState {
                 count_transitions(mx.high, in_c as i64, out_c as i64, delta.in_a, delta.out_a);
             if gt != 0.0 {
                 let g = mx.g as f64;
-                mid_gu[a] += gt * g;
-                mid_gd[master_x] += gt * g;
+                at_a[0] += gt * g;
+                base_gd[master_x] += gt * g;
+                lanes[0] |= 1u64 << master_x;
             }
             if at != 0.0 {
                 let ab = mx.a as f64;
-                mid_au[master_x] += at * ab;
-                mid_ad[a] += at * ab;
+                base_au[master_x] += at * ab;
+                at_a[1] += at * ab;
+                lanes[1] |= 1u64 << master_x;
             }
         }
+        lanes
     }
 
-    /// Projects adding (`sign = 1`) or removing (`sign = -1`) vertex `v`'s
-    /// full traffic contribution onto scratch rows, with its counts at DC
-    /// `adj_dc` adjusted by `(d_in, d_out)` and its master at `master`.
-    #[allow(clippy::too_many_arguments)]
-    fn project_vertex_into(
-        &self,
-        v: VertexId,
-        master: usize,
-        adj_dc: usize,
-        d_in: i64,
-        d_out: i64,
-        sign: f64,
-        gu: &mut [f64],
-        gd: &mut [f64],
-        au: &mut [f64],
-        ad: &mut [f64],
-    ) {
+    /// The DCs vertex `v` exchanges messages with, its counts at DC
+    /// `adj_dc` adjusted by `(d_in, d_out)`: `[gather, apply]` masks, bit
+    /// `d` set iff `v`'s cell at `d` holds in-edges of a high-degree `v`
+    /// (an aggregated gather message) or any edge (a mirror's apply
+    /// message). The master's own bit is the caller's to ignore.
+    fn presence(&self, v: VertexId, adj_dc: usize, d_in: i64, d_out: i64) -> [u64; 2] {
         let vrow = self.counts_row(v);
         let mv = self.meta[v as usize];
-        let g = mv.g as f64 * sign;
-        let a_bytes = mv.a as f64 * sign;
-        let high = mv.high;
-        // Empty cells contribute nothing, so only the occupancy mask is
-        // walked, with `adj_dc` forced in: its cell may be empty but gain
-        // counts from the delta.
-        let mut bits = (mv.nnz | (1u64 << adj_dc)) & !(1u64 << master);
-        while bits != 0 {
-            let d = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
+        let mut presence = [0u64; 2];
+        // Empty cells hold no edges, so only the occupancy mask is walked,
+        // with `adj_dc` forced in: its cell may be empty but gain counts
+        // from the delta.
+        for d in Bits(mv.nnz | 1u64 << adj_dc) {
             let (in_c, out_c) = vrow.pair(d);
             let (mut in_c, mut out_c) = (in_c as i64, out_c as i64);
             if d == adj_dc {
@@ -578,20 +823,15 @@ impl PlacementState {
                 out_c += d_out;
             }
             debug_assert!(in_c >= 0 && out_c >= 0);
-            if high && in_c > 0 {
-                gu[d] += g;
-                gd[master] += g;
-            }
-            if in_c + out_c > 0 {
-                au[master] += a_bytes;
-                ad[d] += a_bytes;
-            }
+            presence[0] |= ((mv.high && in_c > 0) as u64) << d;
+            presence[1] |= ((in_c + out_c > 0) as u64) << d;
         }
+        presence
     }
 
     /// Eq 1 + Eq 5 over rows of load units, beside an Eq 4 `movement_cost`:
-    /// the move kernel's projection and [`PlacementState::objective`], over
-    /// the shared [`geosim::transfer`] reductions.
+    /// [`PlacementState::objective`] over the shared [`geosim::transfer`]
+    /// reductions.
     pub(crate) fn objective_from_rows<T: Units>(
         &self,
         env: &CloudEnv,
@@ -608,6 +848,99 @@ impl PlacementState {
 }
 
 #[cfg(test)]
+impl PlacementState {
+    /// The dense projection, kept as the sparse kernel's test oracle and
+    /// written to share none of its buffers: for every flagged destination,
+    /// a copy of the live loads with `v` taken out at its master, every
+    /// staged neighbor's count transitions at the source and at the
+    /// destination applied cell by cell, `v` put back mastered at the
+    /// destination, and the full rows reduced.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn evaluate_moves_dense(
+        &self,
+        env: &CloudEnv,
+        v: VertexId,
+        dests: u64,
+        natural: DcId,
+        size: u64,
+        scratch: &mut MoveScratch,
+    ) -> Vec<Objective> {
+        let m = self.num_dcs;
+        scratch.seal();
+        let a = self.masters[v as usize] as usize;
+        let sd = scratch.self_delta;
+        let (old, new) = (self.presence(v, a, 0, 0), self.presence(v, a, sd.in_a, sd.out_a));
+        let mut moved = self.moved_bytes().to_vec();
+        let home = natural as usize;
+        moved[home] -= if a != home { size } else { 0 };
+        let cost_home = geosim::cost::price(env, &moved);
+        moved[home] += size;
+        let cost_away = geosim::cost::price(env, &moved);
+
+        let (g, ap) = (&self.gather, &self.apply);
+        let live = |row: &[u64]| row.iter().map(|&x| x as f64).collect::<Vec<f64>>();
+        let mut objectives = vec![self.objective(env); m];
+        for b in Bits(dests & !(1u64 << a)) {
+            let (mut gu, mut gd) = (live(g.up()), live(g.down()));
+            let (mut au, mut ad) = (live(ap.up()), live(ap.down()));
+            self.add_vertex(v, a, old, -1.0, &mut gu, &mut gd, &mut au, &mut ad);
+            for &(x, delta) in &scratch.neighbors {
+                let mx = self.meta[x as usize];
+                let master_x = mx.master as usize;
+                let (xg, xa) = (mx.g as f64, mx.a as f64);
+                for (dc, d_in, d_out) in
+                    [(a, delta.in_a, delta.out_a), (b, delta.in_b, delta.out_b)]
+                {
+                    if dc == master_x {
+                        continue;
+                    }
+                    let (in_c, out_c) = self.counts_row(x).pair(dc);
+                    let (gt, at) =
+                        count_transitions(mx.high, in_c as i64, out_c as i64, d_in, d_out);
+                    gu[dc] += gt * xg;
+                    gd[master_x] += gt * xg;
+                    au[master_x] += at * xa;
+                    ad[dc] += at * xa;
+                }
+            }
+            self.add_vertex(v, b, new, 1.0, &mut gu, &mut gd, &mut au, &mut ad);
+            let movement_cost = if b == home { cost_home } else { cost_away };
+            objectives[b] = self.objective_from_rows(env, movement_cost, [&gu, &gd, &au, &ad]);
+        }
+        objectives
+    }
+
+    /// Projects adding (`sign = 1`) or removing (`sign = -1`) vertex `v`'s
+    /// full traffic contribution onto scratch rows, mastered at `master`
+    /// and present at the DCs of `presence` ([`Self::presence`]).
+    #[allow(clippy::too_many_arguments)]
+    fn add_vertex(
+        &self,
+        v: VertexId,
+        master: usize,
+        presence: [u64; 2],
+        sign: f64,
+        gu: &mut [f64],
+        gd: &mut [f64],
+        au: &mut [f64],
+        ad: &mut [f64],
+    ) {
+        let mv = self.meta[v as usize];
+        let g = mv.g as f64 * sign;
+        let a_bytes = mv.a as f64 * sign;
+        let away = !(1u64 << master);
+        for d in Bits(presence[0] & away) {
+            gu[d] += g;
+            gd[master] += g;
+        }
+        for d in Bits(presence[1] & away) {
+            au[master] += a_bytes;
+            ad[d] += a_bytes;
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -615,20 +948,42 @@ mod tests {
     fn seal_merges_duplicates_and_sorts() {
         let mut s = MoveScratch::new();
         s.begin_stage();
-        s.push_neighbor(5, CntDelta { in_a: -1, in_b: 1, ..Default::default() });
         s.push_neighbor(2, CntDelta { out_a: -1, out_b: 1, ..Default::default() });
-        s.push_neighbor(5, CntDelta { out_a: -1, out_b: 1, ..Default::default() });
+        s.push_neighbor(5, CntDelta { in_a: -1, in_b: 1, ..Default::default() });
+        s.push_neighbor(5, CntDelta { in_a: -1, in_b: 1, ..Default::default() });
+        s.push_second(1, CntDelta { in_a: -1, in_b: 1, ..Default::default() });
+        s.push_second(5, CntDelta { out_a: -1, out_b: 1, ..Default::default() });
+        s.push_second(9, CntDelta { out_a: -1, out_b: 1, ..Default::default() });
         s.seal();
         assert_eq!(
             s.neighbors,
             vec![
+                (1, CntDelta { in_a: -1, in_b: 1, ..Default::default() }),
                 (2, CntDelta { out_a: -1, out_b: 1, ..Default::default() }),
-                (5, CntDelta { in_a: -1, in_b: 1, out_a: -1, out_b: 1 }),
+                (5, CntDelta { in_a: -2, in_b: 2, out_a: -1, out_b: 1 }),
+                (9, CntDelta { out_a: -1, out_b: 1, ..Default::default() }),
             ]
         );
         // Idempotent.
         s.seal();
-        assert_eq!(s.neighbors.len(), 2);
+        assert_eq!(s.neighbors.len(), 4);
+        // Either run alone.
+        for second in [false, true] {
+            s.begin_stage();
+            for x in [3, 3, 4] {
+                let delta = CntDelta { in_a: -1, in_b: 1, ..Default::default() };
+                if second {
+                    s.push_second(x, delta);
+                } else {
+                    s.push_neighbor(x, delta);
+                }
+            }
+            s.seal();
+            assert_eq!(
+                s.neighbors.iter().map(|&(x, d)| (x, d.in_b)).collect::<Vec<_>>(),
+                [(3, 2), (4, 1)]
+            );
+        }
     }
 
     #[test]
@@ -645,6 +1000,42 @@ mod tests {
         assert_eq!(count_transitions(true, 2, 0, 0, 1), (0.0, 0.0));
         // Last out-edge leaves an out-only cell: mirror disappears.
         assert_eq!(count_transitions(true, 0, 1, 0, -1), (0.0, -1.0));
+    }
+
+    #[test]
+    fn live_lanes_follow_the_rows_they_were_computed_from() {
+        let (up, down) = ([1.0, 2.0, 4.0], [4.0, 2.0, 1.0]);
+        let mut live = LiveLanes::default();
+        let rows: [&[u64]; 4] = [&[4, 2, 4], &[4, 0, 1], &[0, 0, 0], &[8, 0, 0]];
+        live.sync(rows, &up, &down);
+        assert_eq!(live.ratio[0], [4.0, 1.0, 1.0]);
+        assert_eq!(live.ratio[1], [2.0, 0.0, 0.0]);
+        assert_eq!(live.untouched_max(0, 0), 4.0);
+        assert_eq!(live.untouched_max(0, 0b001), 1.0);
+        assert_eq!(live.untouched_max(0, 0b111), 0.0);
+        assert_eq!(live.untouched_max(1, 0b110), 2.0);
+        // The runners-up outside one lane, then outside a second one too.
+        let runners = live.top_two(0, 0);
+        let mut lanes = runners.0.map(|(d, _)| d);
+        lanes.sort_unstable();
+        assert_eq!(lanes, [1, 2]);
+        assert_eq!((runners.skipping(0), runners.skipping(1)), (1.0, 1.0));
+        assert_eq!(live.top_two(1, 0).skipping(3), 0.0);
+        let lone = LiveLanes {
+            ratio: [vec![5.0], vec![0.0]],
+            desc: [vec![0], vec![0]],
+            ..LiveLanes::default()
+        };
+        assert_eq!(lone.top_two(0, 0).0, [(usize::MAX, 0.0); 2]);
+        assert_eq!(lone.top_two(0, 7).skipping(7), 5.0);
+        // Any changed row re-syncs, whatever mutated it.
+        let rows: [&[u64]; 4] = [&[4, 2, 4], &[4, 0, 1], &[0, 0, 0], &[8, 0, 12]];
+        live.sync(rows, &up, &down);
+        assert_eq!(live.ratio[1], [2.0, 0.0, 12.0]);
+        assert_eq!(live.untouched_max(1, 0), 12.0);
+        // So do other links.
+        live.sync(rows, &up, &[4.0, 2.0, 12.0]);
+        assert_eq!(live.untouched_max(1, 0), 2.0);
     }
 
     #[test]
@@ -670,16 +1061,17 @@ mod tests {
         // bookkeeping), so `ensure_m` re-zeroes them wholesale.
         let mut s = MoveScratch::new();
         s.ensure_m(8);
-        for buf in [&mut s.mid_gu, &mut s.row_gu] {
+        for buf in [&mut s.base_gd, &mut s.row_gu] {
             buf.fill(777.0);
         }
         s.dest_gd.fill(777.0);
         s.diag_gu.fill(777.0);
+        s.corr_g.fill(0b11);
         s.dest_dirty = 0b1010_1010;
 
         s.ensure_m(4);
         assert_eq!(s.objectives().len(), 4);
-        assert_eq!((s.mid_gu.len(), s.row_gu.len()), (4, 4));
+        assert_eq!((s.base_gd.len(), s.row_gu.len()), (4, 4));
         assert_eq!(s.dest_gd.len(), 16);
 
         s.ensure_m(8);
@@ -688,10 +1080,11 @@ mod tests {
         // Stale poison survives below the shrink point in the len-M
         // buffers; the regrown region is zero. Both halves are overwritten
         // by the kernels' fills.
-        assert!(s.mid_gu[..4].iter().all(|&x| x == 777.0));
-        assert!(s.mid_gu[4..].iter().all(|&x| x == 0.0));
+        assert!(s.base_gd[..4].iter().all(|&x| x == 777.0));
+        assert!(s.base_gd[4..].iter().all(|&x| x == 0.0));
         // The dest arena came back fully zeroed with no dirty rows.
         assert!(s.dest_gd.iter().chain(&s.diag_gu).all(|&x| x == 0.0));
+        assert!(s.corr_g.iter().all(|&x| x == 0));
         assert_eq!(s.dest_dirty, 0);
     }
 }

@@ -112,7 +112,7 @@ fn wide_index(narrow: &[u16]) -> usize {
 /// The set bits of a mask in ascending order — the DCs of an occupancy
 /// mask.
 #[derive(Clone, Copy, Debug)]
-struct Bits(u64);
+pub(crate) struct Bits(pub(crate) u64);
 
 impl Iterator for Bits {
     type Item = usize;

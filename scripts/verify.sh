@@ -485,6 +485,16 @@ require_tests delta_window_allocates_neither_a_csr_nor_a_dense_pool \
 # the deleted from-scratch rebuild returned, by applying moves.
 require_tests batched_evaluation_is_bitwise_sequential \
   best_before_last_partition_keeps_its_masters
+# Train only what can change: the kernel's projection over just the lanes
+# a move touches equals the dense projection it replaced (kept as a test
+# oracle) bit for bit at M = 2, 3, 8 and 64; every accept bit the score
+# phase hands migration equals a full evaluation; carrying a no-move
+# step's verdicts trains what re-scoring trains, and an evacuation drops
+# them; a session builds its LPT groups once per sampled prefix; a
+# trained plan still passes check_consistency.
+require_tests sparse_lanes_equal_the_dense_oracle clean_verdicts_equal_full_evaluation \
+  no_move_carry_equals_rescoring lpt_groups_are_built_once_per_prefix \
+  incremental_state_stays_consistent
 # One plan per baseline: run_all_methods at one and two threads gives every
 # method but RLCut (wall-clock T_opt) the same plan, and the sequential
 # Ginger masters and Geo-Cut edge DCs at seed 42 stay pinned.
@@ -498,6 +508,7 @@ cargo run --release -p geobench --bin exp6_faults -- --scale 0.0003 --seed 42 --
 
 echo "==> move-evaluation kernel and reader lookup micro-bench smoke runs"
 cargo bench -p geobench --bench micro -- evaluate_all_moves_tw8dc
+cargo bench -p geobench --bench micro -- evaluate_all_moves_low_degree
 cargo bench -p geobench --bench micro -- serve/lookup_many/reader
 
 echo "==> the tree is as the gate found it"

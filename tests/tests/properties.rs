@@ -102,7 +102,7 @@ proptest! {
             let (v, other) = (v % n, other % n);
             let objs = state.evaluate_all_moves(&env, v, &mut batched).to_vec();
             state.evaluate_all_moves(&env, other, &mut shared);
-            let masked = state.evaluate_moves(&env, v, dests, &mut shared).to_vec();
+            let masked = state.evaluate_moves(&env, v, dests, true, &mut shared).to_vec();
             for (d, b) in objs.iter().enumerate() {
                 if dests >> d & 1 == 1 {
                     prop_assert_eq!(
