@@ -62,7 +62,8 @@ fn bench_move_evaluation(c: &mut Criterion) {
         let mut v = 0u32;
         b.iter(|| {
             v = (v + 1) % geo.num_vertices() as u32;
-            black_box(state.evaluate_move_with(&env, v, (v % 8) as u8, &mut scratch))
+            let d = (v % 8) as usize;
+            black_box(state.evaluate_moves(&env, v, 1 << d, true, &mut scratch)[d])
         })
     });
 }
@@ -76,6 +77,7 @@ fn bench_batched_evaluation(c: &mut Criterion) {
     let geo = GeoGraph::from_graph(g, &LocalityConfig::paper_default(42));
     let env = ec2_eight_regions();
     let m = env.num_dcs();
+    let all = u64::MAX >> (64 - m);
     let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
     let state = HybridState::natural(&geo, &env, 16, profile, 10.0);
     let hub = (0..geo.num_vertices() as u32).max_by_key(|&v| geo.graph.degree(v)).unwrap();
@@ -86,7 +88,7 @@ fn bench_batched_evaluation(c: &mut Criterion) {
         let mut v = 0u32;
         b.iter(|| {
             v = (v + 1) % geo.num_vertices() as u32;
-            black_box(state.evaluate_all_moves(&env, v, &mut scratch).last().copied())
+            black_box(state.evaluate_moves(&env, v, all, true, &mut scratch).last().copied())
         })
     });
     group.bench_function("per_candidate_x8", |b| {
@@ -94,20 +96,22 @@ fn bench_batched_evaluation(c: &mut Criterion) {
         b.iter(|| {
             v = (v + 1) % geo.num_vertices() as u32;
             let mut last = None;
-            for d in 0..m as u8 {
-                last = Some(state.evaluate_move_with(&env, v, d, &mut scratch));
+            for d in 0..m {
+                last = Some(state.evaluate_moves(&env, v, 1 << d, true, &mut scratch)[d]);
             }
             black_box(last)
         })
     });
     group.bench_function("batched_sweep_hub_vertex", |b| {
-        b.iter(|| black_box(state.evaluate_all_moves(&env, hub, &mut scratch).last().copied()))
+        b.iter(|| {
+            black_box(state.evaluate_moves(&env, hub, all, true, &mut scratch).last().copied())
+        })
     });
     group.bench_function("per_candidate_x8_hub_vertex", |b| {
         b.iter(|| {
             let mut last = None;
-            for d in 0..m as u8 {
-                last = Some(state.evaluate_move_with(&env, hub, d, &mut scratch));
+            for d in 0..m {
+                last = Some(state.evaluate_moves(&env, hub, 1 << d, true, &mut scratch)[d]);
             }
             black_box(last)
         })

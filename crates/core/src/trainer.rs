@@ -17,9 +17,9 @@
 //!
 //! * **Scoring** — sampled agents are spread over `threads` scoped workers
 //!   (`crate::pool::fan_out`) by
-//!   the straggler-mitigating LPT assignment; each worker scores all `M`
-//!   candidate moves of an agent in **one** batched kernel sweep
-//!   ([`HybridState::evaluate_all_moves`]) against the frozen step-start
+//!   the straggler-mitigating LPT assignment; each worker scores every
+//!   candidate move of an agent in **one** batched kernel sweep
+//!   ([`HybridState::evaluate_moves`]) against the frozen step-start
 //!   state (shared borrows only). LA probability/UCB updates then run serially
 //!   (they are `O(M)` per agent — noise next to the `O(deg)` scoring).
 //! * **Migration** — move proposals are shuffled (the paper batches
@@ -1073,7 +1073,8 @@ mod tests {
                 for (i, &v) in sampled.iter().enumerate() {
                     let master = state.master(v);
                     for d in (0..7).filter(|&d| d != master) {
-                        let full = state.evaluate_move_with(&env, v, d, &mut scratch);
+                        let full =
+                            state.evaluate_moves(&env, v, 1 << d, true, &mut scratch)[d as usize];
                         let accept = score(&step_obj, &full, weights) > 0.0;
                         assert_eq!(verdicts.accept[i] >> d & 1 == 1, accept, "v={v} d={d}");
                         (accepted, rejected) =

@@ -8,14 +8,16 @@
 //!    accumulated into one atomic `u32` per vertex (the only plane beside
 //!    the CSR arrays, 4 bytes/vertex).
 //! 2. **Scatter** — offsets come from a checked prefix sum, the chunks are
-//!    emitted again, and each edge's target is written into its source's
-//!    run through that vertex's counter, now counting back down. The order
-//!    inside a run depends on thread interleaving; which targets a run
-//!    holds does not. A counter left above zero, or asked for a slot at
-//!    zero, means the two passes disagreed: [`BuildError::StreamMismatch`].
-//!    Optional cleaning happens here, in place: self-loops were dropped at
-//!    emit time, and repeated targets are squeezed out of each run by a
-//!    one-stamp-per-vertex filter that does not care about order.
+//!    emitted again, and each edge's target is stored (relaxed) into an
+//!    `AtomicU32` slot of its source's run, picked through that vertex's
+//!    counter, now counting back down; the slot plane then becomes the
+//!    plain `u32` run array in place. The order inside a run depends on
+//!    thread interleaving; which targets a run holds does not. A counter
+//!    left above zero, or asked for a slot at zero, means the two passes
+//!    disagreed: [`BuildError::StreamMismatch`]. Optional cleaning happens
+//!    here, in place: self-loops were dropped at emit time, and repeated
+//!    targets are squeezed out of each run by a one-stamp-per-vertex filter
+//!    that does not care about order.
 //! 3. **Transpose** (`crate::csr::transpose`) — a counting scatter walked
 //!    in ascending source order turns the racy out-runs into in-runs that
 //!    are *sorted*, whatever order the scatter left.
@@ -143,25 +145,24 @@ impl ScopedPool {
     }
 }
 
-/// Cleaning options of a build.
+/// Cleaning option of a build: [`Self::cleaned`] or [`Self::verbatim`].
 #[derive(Clone, Copy, Debug)]
 pub struct StreamConfig {
-    /// Remove duplicate `(u, v)` edges (in-place compaction of each run).
-    pub dedup: bool,
-    /// Drop `(v, v)` edges at emit time.
-    pub drop_self_loops: bool,
+    /// Drop `(v, v)` edges at emit time and remove duplicate `(u, v)` edges
+    /// (in-place compaction of each run).
+    clean: bool,
 }
 
 impl StreamConfig {
     /// Dedup + drop self-loops: what a default [`crate::GraphBuilder`]
     /// builds with.
     pub fn cleaned() -> Self {
-        StreamConfig { dedup: true, drop_self_loops: true }
+        StreamConfig { clean: true }
     }
 
     /// Keep everything: what [`Graph::from_edges`] builds with.
     pub fn verbatim() -> Self {
-        StreamConfig { dedup: false, drop_self_loops: false }
+        StreamConfig { clean: false }
     }
 }
 
@@ -199,25 +200,6 @@ impl IngestReport {
             return 1.0;
         }
         self.peak_bytes() as f64 / self.csr_bytes as f64
-    }
-}
-
-/// Shared mutable slice for the scatter pass. Each write index is claimed
-/// through the owning vertex's counter ([`claim`]), so no two threads ever
-/// write the same slot.
-struct SharedSlice<T>(*mut T);
-// SAFETY: the wrapper only hands out `write`, whose contract makes every
-// access a disjoint, in-bounds slot; `T: Send` lets another thread own the
-// written value.
-unsafe impl<T: Send> Sync for SharedSlice<T> {}
-
-impl<T> SharedSlice<T> {
-    /// # Safety
-    /// `idx` must be inside the allocation the pointer was taken from, and
-    /// no other thread may read or write slot `idx` during the pass.
-    #[inline]
-    unsafe fn write(&self, idx: usize, value: T) {
-        unsafe { self.0.add(idx).write(value) }
     }
 }
 
@@ -265,7 +247,7 @@ fn sweep<S: ChunkedEdges + ?Sized>(
                     );
                     return;
                 }
-                if cfg.drop_self_loops && u == v {
+                if cfg.clean && u == v {
                     local_loops += 1;
                     return;
                 }
@@ -312,8 +294,8 @@ fn offsets_from_counts(counts: &[AtomicU32]) -> Result<Vec<u32>, BuildError> {
 /// Claims a free slot of a run whose pass-1 count is still in `counter`:
 /// counts it down and returns the slot index inside the run, or `None` when
 /// the run is already full. The counter never passes zero, so a claimed
-/// slot is always inside the run and claimed once — the scatter's memory
-/// safety does not rest on the source keeping its contract.
+/// slot is always inside the run and claimed once — a source that breaks
+/// its contract cannot make one run's edge overwrite another's.
 #[inline]
 fn claim(counter: &AtomicU32) -> Option<u32> {
     counter
@@ -389,26 +371,22 @@ pub fn build_chunked<S: ChunkedEdges + ?Sized>(
         counters[u as usize].fetch_add(1, Ordering::Relaxed);
     })?;
     let mut scattered_offsets = offsets_from_counts(&counters)?;
-    let mut scattered = vec![0 as VertexId; scattered_offsets[n] as usize];
+    let slots: Vec<AtomicU32> = (0..scattered_offsets[n]).map(|_| AtomicU32::new(0)).collect();
 
     // ---- Pass 2: scatter targets into their source's run. -----------------
-    {
-        let slots = SharedSlice(scattered.as_mut_ptr());
-        let refused = Refused::new();
-        sweep(src, cfg, pool, |u, v| {
-            let ui = u as usize;
-            let start = scattered_offsets[ui];
-            match claim(&counters[ui]) {
-                // SAFETY: the counter started at the run's length and never
-                // passes zero, so `start + slot` is inside vertex u's run
-                // of `scattered`, and this claim is the only one to get it.
-                Some(slot) => unsafe { slots.write((start + slot) as usize, v) },
-                None => refused.record(u, scattered_offsets[ui + 1] - start),
-            }
-        })?;
-        refused.into_result()?;
-        check_runs_full(&scattered_offsets, &counters)?;
-    }
+    let refused = Refused::new();
+    sweep(src, cfg, pool, |u, v| {
+        let ui = u as usize;
+        let start = scattered_offsets[ui];
+        match claim(&counters[ui]) {
+            Some(slot) => slots[(start + slot) as usize].store(v, Ordering::Relaxed),
+            None => refused.record(u, scattered_offsets[ui + 1] - start),
+        }
+    })?;
+    refused.into_result()?;
+    check_runs_full(&scattered_offsets, &counters)?;
+    // Same size and alignment, so std reuses the slot plane's allocation.
+    let mut scattered: Vec<VertexId> = slots.into_iter().map(AtomicU32::into_inner).collect();
     // The build's peak beyond the CSR it returns, if any: from here on it
     // holds at most one equally sized plane in the counters' place, then
     // exactly the two directions.
@@ -418,7 +396,7 @@ pub fn build_chunked<S: ChunkedEdges + ?Sized>(
 
     // ---- Optional dedup, once, before anything is copied. -----------------
     let scattered_edges = scattered.len();
-    if cfg.dedup {
+    if cfg.clean {
         dedup_rows(&mut scattered_offsets, &mut scattered);
     }
     let duplicates_removed = (scattered_edges - scattered.len()) as u64;

@@ -11,12 +11,11 @@
 //! [`HybridState::evaluate_moves`] stages a move of `v` once and projects
 //! it onto the objective for every destination DC of a mask from a single
 //! `O(deg(v))` neighborhood sweep (the one [`crate::kernel`] function).
-//! Scoring asks for **all** `M` destinations
-//! ([`HybridState::evaluate_all_moves`]) for every sampled agent per
-//! training iteration and dominates RLCut's training cost, which is why
-//! the paper's straggler mitigation (§V-B) schedules agents by vertex
-//! degree; batched migration asks for one
-//! ([`HybridState::evaluate_move_with`]), which is that slot bit-for-bit.
+//! Scoring asks for every destination but the master for every sampled
+//! agent per training iteration and dominates RLCut's training cost,
+//! which is why the paper's straggler mitigation (§V-B) schedules agents
+//! by vertex degree; batched migration asks for a one-bit mask, whose slot
+//! is the all-DC mask's bit-for-bit.
 
 use geograph::{GeoGraph, GraphDelta};
 use geosim::CloudEnv;
@@ -366,34 +365,6 @@ impl<'g> HybridState<'g> {
         self.core.evaluate_moves_dense(env, v, dests, natural, size, scratch)
     }
 
-    /// [`Self::evaluate_moves`] to **every** DC: the score function's
-    /// input for one agent. Cost: one `O(deg(v))` sweep + `O(deg(v) · M +
-    /// M²)` projection, versus `M` sweeps for `M` single-destination calls.
-    pub fn evaluate_all_moves<'s>(
-        &self,
-        env: &CloudEnv,
-        v: VertexId,
-        scratch: &'s mut MoveScratch,
-    ) -> &'s [Objective] {
-        self.evaluate_moves(env, v, u64::MAX >> (64 - self.core.num_dcs), true, scratch)
-    }
-
-    /// [`Self::evaluate_moves`] to `to` alone: a migration proposal's
-    /// objective, bit-identical to slot `to` of
-    /// [`Self::evaluate_all_moves`]. Cost: `O(deg(v) + M)`.
-    pub fn evaluate_move_with(
-        &self,
-        env: &CloudEnv,
-        v: VertexId,
-        to: DcId,
-        scratch: &mut MoveScratch,
-    ) -> Objective {
-        if self.core.master(v) == to {
-            return self.core.objective(env);
-        }
-        self.evaluate_moves(env, v, 1u64 << to, true, scratch)[to as usize]
-    }
-
     /// Moves `v`'s master to `to`, updating counts, loads, balance, moved
     /// bytes and cost incrementally through the caller's scratch arena. Cost:
     /// `O(deg(v) · M)` (moves are far rarer than evaluations — only
@@ -591,17 +562,18 @@ impl<'g> HybridState<'g> {
             return Err(PlanError::MovementCostDrift { incremental: ours, fresh: theirs });
         }
 
-        // The batched kernel must agree with per-destination evaluation
-        // bit-for-bit on a deterministic sample of vertices.
+        // The all-DC mask must agree with every one-bit mask bit-for-bit on
+        // a deterministic sample of vertices.
         let n = self.core.num_vertices();
+        let all = u64::MAX >> (64 - m);
         let mut batch = MoveScratch::new();
         let mut single = MoveScratch::new();
         for v in (0..n).step_by((n / 16).max(1)) {
             let v = v as VertexId;
-            self.evaluate_all_moves(env, v, &mut batch);
+            self.evaluate_moves(env, v, all, true, &mut batch);
             for d in 0..m as DcId {
                 let b = batch.objectives()[d as usize];
-                let s = self.evaluate_move_with(env, v, d, &mut single);
+                let s = self.evaluate_moves(env, v, 1 << d, true, &mut single)[d as usize];
                 if b.transfer_time.to_bits() != s.transfer_time.to_bits()
                     || b.movement_cost.to_bits() != s.movement_cost.to_bits()
                     || b.runtime_cost.to_bits() != s.runtime_cost.to_bits()
@@ -729,7 +701,7 @@ mod tests {
         for _ in 0..200 {
             let v = rng.gen_range(0..geo.num_vertices()) as VertexId;
             let to = rng.gen_range(0..geo.num_dcs) as DcId;
-            let predicted = s.evaluate_move_with(&env, v, to, &mut scratch);
+            let predicted = s.evaluate_moves(&env, v, 1 << to, true, &mut scratch)[to as usize];
             s.apply_move_with(&env, v, to, &mut scratch);
             assert_eq!(predicted, s.objective(&env), "v={v} to={to}");
         }
@@ -775,7 +747,7 @@ mod tests {
         let v = 3;
         let home = s.master(v);
         assert_eq!(
-            s.evaluate_move_with(&env, v, home, &mut scratch).transfer_time,
+            s.evaluate_moves(&env, v, 1 << home, true, &mut scratch)[home as usize].transfer_time,
             before.transfer_time
         );
         s.apply_move_with(&env, v, home, &mut scratch);
@@ -824,15 +796,16 @@ mod tests {
         let mut batch = MoveScratch::new();
         let mut single = MoveScratch::new();
         let mut scratch = MoveScratch::new();
+        let all = u64::MAX >> (64 - geo.num_dcs);
         for step in 0..40 {
             // Interleave applied moves so the comparison covers evolving,
             // non-natural states too.
             let mv = rng.gen_range(0..geo.num_vertices()) as VertexId;
             s.apply_move_with(&env, mv, rng.gen_range(0..geo.num_dcs) as DcId, &mut scratch);
             let v = rng.gen_range(0..geo.num_vertices()) as VertexId;
-            let objs: Vec<_> = s.evaluate_all_moves(&env, v, &mut batch).to_vec();
+            let objs: Vec<_> = s.evaluate_moves(&env, v, all, true, &mut batch).to_vec();
             for (d, b) in objs.iter().enumerate() {
-                let sq = s.evaluate_move_with(&env, v, d as DcId, &mut single);
+                let sq = s.evaluate_moves(&env, v, 1 << d, true, &mut single)[d];
                 assert_eq!(*b, sq, "step {step}: v={v} d={d}");
             }
         }
@@ -853,16 +826,18 @@ mod tests {
         let profile4 = TrafficProfile::uniform(geo4.num_vertices(), 8.0);
         let s4 = HybridState::natural(&geo4, &env4, theta4, profile4, 10.0);
 
+        let (all8, all4) = (u64::MAX >> (64 - 8), u64::MAX >> (64 - 4));
         let mut shared = MoveScratch::new();
         let mut rng = SmallRng::seed_from_u64(23);
         for _ in 0..25 {
             let v8 = rng.gen_range(0..geo8.num_vertices()) as VertexId;
             let v4 = rng.gen_range(0..geo4.num_vertices()) as VertexId;
-            s8.evaluate_all_moves(&env8, v8, &mut shared);
-            s4.evaluate_all_moves(&env4, v4, &mut shared);
-            let reused: Vec<Objective> = s8.evaluate_all_moves(&env8, v8, &mut shared).to_vec();
+            s8.evaluate_moves(&env8, v8, all8, true, &mut shared);
+            s4.evaluate_moves(&env4, v4, all4, true, &mut shared);
+            let reused: Vec<Objective> =
+                s8.evaluate_moves(&env8, v8, all8, true, &mut shared).to_vec();
             let mut fresh = MoveScratch::new();
-            let clean = s8.evaluate_all_moves(&env8, v8, &mut fresh);
+            let clean = s8.evaluate_moves(&env8, v8, all8, true, &mut fresh);
             assert_eq!(reused, clean, "v={v8}");
         }
     }

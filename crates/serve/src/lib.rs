@@ -28,8 +28,6 @@
 //! evacuation observe the previous table or the new one, never a blend
 //! and never a torn read.
 
-#![forbid(unsafe_code)]
-
 pub mod board;
 pub mod server;
 pub mod table;

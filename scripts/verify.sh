@@ -204,17 +204,38 @@ fi
 echo "==> one publication point (the hazard-pointer board stays deleted)"
 # A flip swaps the board's Arc under a lock readers only ever try, and each
 # PlanReader holds an Arc of the table it serves, so the serving crate needs
-# no raw pointer and no guard type: the hand-rolled hazard pointers, their
-# unsafe blocks and TableGuard must not come back. The crate root forbids
-# unsafe code, so the compiler refuses it too; the lookup's speed comes from
-# reading its plane through a local slice, not from skipping the bounds check.
-if git grep -n -E '(^|[^_[:alnum:]])unsafe[[:space:]]*(\{|impl|fn|trait|extern)|AtomicPtr|TableGuard|hazard' \
-    -- crates/serve/src/; then
-  echo "unsafe code or the hazard-pointer board reappeared in crates/serve/src/"; exit 1
+# no raw pointer and no guard type: the hand-rolled hazard pointers and
+# TableGuard must not come back. The lookup's speed comes from reading its
+# plane through a local slice, not from skipping the bounds check.
+if git grep -n -E 'AtomicPtr|TableGuard|hazard' -- crates/serve/src/; then
+  echo "the hazard-pointer board reappeared in crates/serve/src/"; exit 1
 fi
-if ! grep -q -x '#!\[forbid(unsafe_code)\]' crates/serve/src/lib.rs; then
-  echo "crates/serve/src/lib.rs no longer forbids unsafe code"; exit 1
+
+echo "==> safe by construction (no unsafe outside the shims and the test allocator)"
+# The root manifest forbids unsafe code for every member that opts into the
+# workspace lints, so rustc refuses it in each lib, bin, bench and unit-test
+# target; every member but the shims and tests/ (whose counting allocator is
+# an unsafe GlobalAlloc impl by definition) must opt in, and no unsafe
+# block, impl, fn, trait or extern may appear outside those two places.
+if git grep -n -E '(^|[^_[:alnum:]])unsafe[[:space:]]*(\{|impl|fn|trait|extern)' \
+    -- crates examples tests ':!crates/shims/' ':!tests/tests/counting_alloc/'; then
+  echo "unsafe code reappeared outside crates/shims/ and tests/tests/counting_alloc/"; exit 1
 fi
+if ! awk '/^\[/ { in_lints = ($0 == "[workspace.lints.rust]") }
+    in_lints && /^unsafe_code[[:space:]]*=[[:space:]]*"forbid"[[:space:]]*$/ { found = 1 }
+    END { exit !found }' Cargo.toml; then
+  echo "Cargo.toml's [workspace.lints.rust] no longer forbids unsafe_code"; exit 1
+fi
+members=$(sed -n '/^members = \[/,/^\]/p' Cargo.toml | grep -o -E '"[^"]+"' | tr -d '"')
+[ -n "$members" ] || { echo "no workspace members found in Cargo.toml"; exit 1; }
+for m in $members; do
+  case "$m" in crates/shims/* | tests) continue ;; esac
+  if ! awk '/^\[/ { in_lints = ($0 == "[lints]") }
+      in_lints && /^workspace[[:space:]]*=[[:space:]]*true[[:space:]]*$/ { found = 1 }
+      END { exit !found }' "$m/Cargo.toml"; then
+    echo "$m/Cargo.toml does not inherit the workspace lints ([lints] workspace = true)"; exit 1
+  fi
+done
 
 echo "==> snapshots carry the plan, not its index (the stored count plane stays deleted)"
 # A snapshot's hybrid-cut count plane is rebuilt at decode by the kernel
@@ -460,6 +481,11 @@ require_tests legacy_rmat_unchanged_by_sampler_extraction \
 # measured 9.25+), streamed build peak <= 1.25x the final CSR (no O(E)
 # staging copy).
 require_tests lj_analog_ingest_stays_inside_its_byte_budgets
+# The same build peak, measured: under a counting allocator the streamed
+# build's peak heap on the LJ analog stays <= 1.25x the CSR it returns
+# (measured 1.047x, the dedup pass's shrink counted as a copy), and it is
+# the same at one and at two threads.
+require_tests streamed_build_peak_heap_stays_inside_its_budget
 # The placement state's byte budget on the same graph: <= 4.5 B per edge
 # over 8 DCs (u16 count rows + one 24-byte meta record + a master, 57 B a
 # vertex; measured 4.42, 7.59 with u32 rows and the profile and degree

@@ -54,7 +54,7 @@ proptest! {
         let mut scratch = MoveScratch::new();
         for (v, to) in moves {
             let v = v % geo.num_vertices() as u32;
-            let predicted = state.evaluate_move_with(&env, v, to, &mut scratch);
+            let predicted = state.evaluate_moves(&env, v, 1 << to, true, &mut scratch)[to as usize];
             state.apply_move_with(&env, v, to, &mut scratch);
             let actual = state.objective(&env);
             prop_assert!(
@@ -93,6 +93,7 @@ proptest! {
         let mut state = HybridState::from_masters(
             &geo, &env, geo.locations.clone(), theta, profile, 10.0,
         );
+        let all = u64::MAX >> (64 - env.num_dcs());
         let mut batched = MoveScratch::new();
         let mut shared = MoveScratch::new();
         let bits = |o: &Objective| (
@@ -100,8 +101,8 @@ proptest! {
         );
         for (v, to, dests, other) in moves {
             let (v, other) = (v % n, other % n);
-            let objs = state.evaluate_all_moves(&env, v, &mut batched).to_vec();
-            state.evaluate_all_moves(&env, other, &mut shared);
+            let objs = state.evaluate_moves(&env, v, all, true, &mut batched).to_vec();
+            state.evaluate_moves(&env, other, all, true, &mut shared);
             let masked = state.evaluate_moves(&env, v, dests, true, &mut shared).to_vec();
             for (d, b) in objs.iter().enumerate() {
                 if dests >> d & 1 == 1 {
@@ -111,8 +112,8 @@ proptest! {
                         v, d, dests, b, masked[d]
                     );
                 }
-                state.evaluate_all_moves(&env, other, &mut shared);
-                let s = state.evaluate_move_with(&env, v, d as u8, &mut shared);
+                state.evaluate_moves(&env, other, all, true, &mut shared);
+                let s = state.evaluate_moves(&env, v, 1 << d, true, &mut shared)[d];
                 prop_assert_eq!(
                     bits(b), bits(&s),
                     "single slot differs at v={} d={}: {:?} vs {:?}", v, d, b, s
@@ -147,15 +148,16 @@ proptest! {
             &geo4, &env4, geo4.locations.clone(), 4, profile4, 10.0,
         );
 
+        let (all8, all4) = (u64::MAX >> (64 - 8), u64::MAX >> (64 - 4));
         let mut shared = MoveScratch::new();
         for (p8, p4) in probes {
             let v8 = p8 % geo8.num_vertices() as u32;
             let v4 = p4 % geo4.num_vertices() as u32;
-            s8.evaluate_all_moves(&env8, v8, &mut shared);
-            s4.evaluate_all_moves(&env4, v4, &mut shared);
-            let reused = s8.evaluate_all_moves(&env8, v8, &mut shared).to_vec();
+            s8.evaluate_moves(&env8, v8, all8, true, &mut shared);
+            s4.evaluate_moves(&env4, v4, all4, true, &mut shared);
+            let reused = s8.evaluate_moves(&env8, v8, all8, true, &mut shared).to_vec();
             let mut fresh = MoveScratch::new();
-            let clean = s8.evaluate_all_moves(&env8, v8, &mut fresh);
+            let clean = s8.evaluate_moves(&env8, v8, all8, true, &mut fresh);
             for (d, (r, c)) in reused.iter().zip(clean).enumerate() {
                 prop_assert_eq!(
                     r.transfer_time.to_bits(), c.transfer_time.to_bits(),
