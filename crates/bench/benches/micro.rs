@@ -1,6 +1,8 @@
 //! Micro-benchmarks of the hot paths: graph generation (and the R-MAT
 //! sampler on its own), plan construction, the incremental move evaluator
-//! (the score-function workhorse), move application, one full RLCut
+//! (the score-function workhorse), a post-accept migration verdict re-priced
+//! from cached lane deltas beside its full evaluation, move application, one
+//! full RLCut
 //! training step, and the serving layer's batched master lookup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -173,6 +175,82 @@ fn bench_low_degree_sweep(_c: &mut Criterion) {
     }
 }
 
+/// A migration phase after its first accepted move (§V-A): the low-degree
+/// quarter of the `evaluate_all_moves_low_degree` graph exports the lane
+/// deltas of a move to its lowest other DC (a zero-score tie's ρ), 200
+/// random moves then apply with marks, and every proposal the marks leave
+/// clean is judged two ways per round: `cached`, the staleness check plus
+/// the re-price from its lane deltas, and `full`, a one-destination kernel
+/// evaluation. Each reports its best round per proposal.
+fn bench_post_accept(_c: &mut Criterion) {
+    const NAME: &str = "migrate/post_accept";
+    const ROUNDS: usize = 15;
+    let variants = ["cached", "full"];
+    let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+    if filter.is_some_and(|f| !variants.iter().any(|v| format!("{NAME}/{v}").contains(&f))) {
+        return;
+    }
+    let n = 97_000;
+    let mut b = geograph::GraphBuilder::new(n);
+    b.add_edges(geograph::generators::preferential::preferential_attachment_edges(n, 14, 42));
+    let geo = GeoGraph::from_graph(b.build(), &LocalityConfig::paper_default(42));
+    let env = ec2_eight_regions();
+    let m = env.num_dcs() as u8;
+    let theta = geograph::degree::suggest_theta(&geo.graph, 0.05);
+    let profile = TrafficProfile::uniform(n, 8.0);
+    let mut state = HybridState::natural(&geo, &env, theta, profile, 10.0);
+    let mut agents: Vec<u32> = geo.graph.vertices().filter(|&v| geo.graph.degree(v) > 0).collect();
+    agents.sort_by_key(|&v| (geo.graph.degree(v), v));
+    agents.truncate(agents.len() / 4);
+
+    let mut scratch = MoveScratch::new();
+    let (mut exports, mut reach) = (Vec::new(), [0u32; 2]);
+    for &v in &agents {
+        let to = u8::from(state.master(v) == 0);
+        state.evaluate_moves(&env, v, 1 << to, false, &mut scratch);
+        if let Some(lanes) = state.export_lanes(to, &scratch) {
+            let [i, t] = scratch.staged_reach();
+            reach = [reach[0].max(i), reach[1].max(t)];
+            exports.push((v, to, lanes));
+        }
+    }
+    let mut marks = geopart::MoveMarks::new(n, reach);
+    let mut rng = 0x2545_f491_4f6c_dd1du64;
+    for _ in 0..200 {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        let v = agents[(rng % agents.len() as u64) as usize];
+        state.apply_move_marked(&env, v, (rng >> 32) as u8 % m, &mut scratch, &mut marks);
+    }
+    let exported = exports.len();
+    exports.retain(|(v, to, lanes)| state.can_reprice(*v, *to, lanes, &marks));
+
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..ROUNDS {
+        for (i, best) in best.iter_mut().enumerate() {
+            let start = std::time::Instant::now();
+            for &(v, to, ref lanes) in &exports {
+                let objective = if i == 0 {
+                    black_box(state.can_reprice(v, to, lanes, &marks));
+                    state.reprice(&env, v, to, false, lanes, &mut scratch)
+                } else {
+                    state.evaluate_moves(&env, v, 1 << to, false, &mut scratch)[to as usize]
+                };
+                black_box(objective.transfer_time);
+            }
+            *best = best.min(start.elapsed().as_nanos() as f64 / exports.len() as f64);
+        }
+    }
+    for (variant, ns) in variants.iter().zip(best) {
+        let id = format!("{NAME}/{variant}");
+        println!(
+            "{id:<55} {ns:>11.1} ns/proposal  (best of {ROUNDS}, {} of {exported} exports clean)",
+            exports.len()
+        );
+    }
+}
+
 fn bench_move_application(c: &mut Criterion) {
     let (geo, env) = setup(1 << 13);
     let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
@@ -255,6 +333,7 @@ criterion_group!(
     bench_move_evaluation,
     bench_batched_evaluation,
     bench_low_degree_sweep,
+    bench_post_accept,
     bench_move_application,
     bench_training_step,
     bench_pagerank,

@@ -23,6 +23,15 @@ pub struct StepStats {
     pub num_agents: usize,
     /// Accepted vertex migrations.
     pub migrations: usize,
+    /// Migration proposals: trained agents whose selection leaves their
+    /// master for a live DC.
+    pub proposals: usize,
+    /// Proposals judged after the step's first accepted move whose verdict
+    /// was re-priced from the score phase's cached lane deltas.
+    pub repriced: usize,
+    /// Proposals judged after the step's first accepted move by a full
+    /// move evaluation (no usable cached deltas).
+    pub post_accept_evals: usize,
     /// Transfer time (Eq 1) after the step.
     pub transfer_time: f64,
     /// Total cost (Eq 4 + Eq 5) after the step.

@@ -36,7 +36,7 @@
 use std::time::Instant;
 
 use geograph::{DcId, GeoGraph, VertexId};
-use geopart::{HybridState, MoveScratch, Objective, TrafficProfile};
+use geopart::{HybridState, LaneDeltas, MoveMarks, MoveScratch, Objective, TrafficProfile};
 use geosim::CloudEnv;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -181,6 +181,61 @@ struct Verdicts {
     /// step objective: the migration phase's accept test, for as long as
     /// the state is the one scored.
     accept: Vec<u64>,
+    /// The move to ρ_v as lane deltas, for the migration phase to re-price
+    /// once the state has moved on.
+    lanes: LaneCache,
+}
+
+/// The score phase's exported projections ([`HybridState::export_lanes`]):
+/// one run per score group, and per sampled agent the index of its entry
+/// across the runs, [`NO_LANES`] where its ρ is its master or its deltas do
+/// not fit. The runs stay where the workers wrote them, so merging copies
+/// no entry.
+struct LaneCache {
+    index: Vec<u32>,
+    runs: Vec<Vec<LaneDeltas>>,
+    /// The first index of each run.
+    starts: Vec<u32>,
+    /// [`MoveScratch::staged_reach`], maximised over every entry.
+    reach: [u32; 2],
+}
+
+/// A sampled agent without exported lane deltas.
+const NO_LANES: u32 = u32::MAX;
+
+impl LaneCache {
+    /// Entry `at` of the runs, `None` for [`NO_LANES`].
+    fn get(&self, at: u32) -> Option<&LaneDeltas> {
+        if at == NO_LANES {
+            return None;
+        }
+        let run = self.starts.partition_point(|&s| s <= at) - 1;
+        Some(&self.runs[run][(at - self.starts[run]) as usize])
+    }
+}
+
+/// One score group's output: per agent `(ρ, accept mask, index into the
+/// group's own lane run)`, the run, and its reach.
+type Scored = (Vec<(DcId, u64, u32)>, Vec<LaneDeltas>, [u32; 2]);
+
+/// A migration proposal: the agent, its selected DC, the score phase's
+/// accept bit for it, and its lane deltas in the step's [`LaneCache`]
+/// ([`NO_LANES`] unless the selection is ρ).
+#[derive(Clone, Copy, Debug)]
+struct Proposal {
+    v: VertexId,
+    to: DcId,
+    accept: bool,
+    lanes: u32,
+}
+
+/// What a migration phase did, counted where the work is done.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct MigrateWork {
+    /// Verdicts after the first accept re-priced from cached lane deltas.
+    repriced: usize,
+    /// Verdicts after the first accept that re-ran the full evaluation.
+    post_accept_evals: usize,
 }
 
 /// A full-scan step's verdicts, carried to the next step when that step
@@ -439,7 +494,7 @@ impl<'g> TrainerSession<'g> {
             }
         };
         let k = prefix.len();
-        let mut proposals: Vec<(VertexId, DcId, bool)> = sampled
+        let mut proposals: Vec<Proposal> = sampled
             .iter()
             .zip(&verdicts.rho)
             .zip(&verdicts.accept)
@@ -449,11 +504,12 @@ impl<'g> TrainerSession<'g> {
                 let selected = self.agents.learn_and_select(slot, best_dc, &self.config);
                 // UCB explores: a selection may name a dead DC even
                 // though no score led there.
-                (selected != self.state.master(v) && dead >> selected & 1 == 0).then_some((
+                (selected != self.state.master(v) && dead >> selected & 1 == 0).then(|| Proposal {
                     v,
-                    selected,
-                    accept >> selected & 1 == 1,
-                ))
+                    to: selected,
+                    accept: accept >> selected & 1 == 1,
+                    lanes: if selected == best_dc { verdicts.lanes.index[i] } else { NO_LANES },
+                })
             })
             .collect();
         let score_duration = score_start.elapsed();
@@ -462,7 +518,8 @@ impl<'g> TrainerSession<'g> {
         // batches agents randomly, §V-A).
         proposals.shuffle(&mut self.rng);
         let migrate_start = Instant::now();
-        let applied = migration_phase(&mut self.state, &proposals, weights, &mut exec);
+        let (applied, work) =
+            migration_phase(&mut self.state, &proposals, &verdicts.lanes, weights, &mut exec);
         let migrate_duration = migrate_start.elapsed();
         let migrations = applied.len();
         if migrations > 0 {
@@ -489,6 +546,9 @@ impl<'g> TrainerSession<'g> {
             sample_rate: rate,
             num_agents: sampled.len(),
             migrations,
+            proposals: proposals.len(),
+            repriced: work.repriced,
+            post_accept_evals: work.post_accept_evals,
             transfer_time: obj.transfer_time,
             total_cost: obj.total_cost(),
         };
@@ -605,22 +665,63 @@ fn score_phase(
     let env = exec.env;
     let live = (u64::MAX >> (64 - env.num_dcs())) & !dead;
     let priced = weights.cw > 0.0;
-    // One batched kernel sweep scores every destination of an agent; the
-    // per-worker scratch arena makes the hot loop allocation-free.
-    let verdict = |v: VertexId, scratch: &mut MoveScratch| -> (DcId, u64) {
-        let master = state.master(v);
-        let dests = live & !(1u64 << master);
-        let candidates = state.evaluate_moves(env, v, dests, priced, scratch);
-        best_destination(step_obj, candidates, master, weights, dead)
+    // A group's agents in order, each scored by one batched kernel sweep
+    // with its ρ exported; the per-worker scratch arena makes the hot loop
+    // allocation-free.
+    let score_group = |agents: &mut dyn ExactSizeIterator<Item = VertexId>,
+                       scratch: &mut MoveScratch| {
+        // Sized once: no regrowth leaves a freed copy behind in the heap.
+        let (mut picks, mut lanes) =
+            (Vec::with_capacity(agents.len()), Vec::with_capacity(agents.len()));
+        let mut reach = [0u32; 2];
+        for v in agents {
+            let master = state.master(v);
+            let dests = live & !(1u64 << master);
+            let candidates = state.evaluate_moves(env, v, dests, priced, scratch);
+            let (rho, accept) = best_destination(step_obj, candidates, master, weights, dead);
+            let exported = (rho != master).then(|| state.export_lanes(rho, scratch)).flatten();
+            let at = match exported {
+                Some(entry) => {
+                    let [i, t] = scratch.staged_reach();
+                    reach = [reach[0].max(i), reach[1].max(t)];
+                    lanes.push(entry);
+                    lanes.len() as u32 - 1
+                }
+                None => NO_LANES,
+            };
+            picks.push((rho, accept, at));
+        }
+        (picks, lanes, reach)
     };
 
     let threads = exec.arenas.len();
-    let mut verdicts = Verdicts { rho: vec![0; sampled.len()], accept: vec![0; sampled.len()] };
-    if threads == 1 || sampled.len() < PARALLEL_SCORE_MIN_AGENTS {
-        let scratch = &mut exec.arenas[0];
-        for (i, &v) in sampled.iter().enumerate() {
-            (verdicts.rho[i], verdicts.accept[i]) = verdict(v, scratch);
+    let n = sampled.len();
+    let mut verdicts = Verdicts {
+        rho: vec![0; n],
+        accept: vec![0; n],
+        lanes: LaneCache {
+            index: vec![NO_LANES; n],
+            runs: Vec::new(),
+            starts: Vec::new(),
+            reach: [0; 2],
+        },
+    };
+    let mut merge = |positions: &mut dyn Iterator<Item = usize>,
+                     (picks, mut run, reach): Scored| {
+        run.shrink_to_fit();
+        let cache = &mut verdicts.lanes;
+        let start = cache.runs.iter().map(|r| r.len() as u32).sum();
+        for (i, (rho, accept, at)) in positions.zip(picks) {
+            (verdicts.rho[i], verdicts.accept[i]) = (rho, accept);
+            cache.index[i] = if at == NO_LANES { NO_LANES } else { start + at };
         }
+        cache.reach = [cache.reach[0].max(reach[0]), cache.reach[1].max(reach[1])];
+        cache.starts.push(start);
+        cache.runs.push(run);
+    };
+    if threads == 1 || n < PARALLEL_SCORE_MIN_AGENTS {
+        let scored = score_group(&mut sampled.iter().copied(), &mut exec.arenas[0]);
+        merge(&mut (0..n), scored);
         return Ok(verdicts);
     }
 
@@ -644,13 +745,11 @@ fn score_phase(
             &fresh
         }
     };
-    let by_group = fan_out(exec.arenas, &|worker, scratch| -> Vec<(DcId, u64)> {
-        groups[worker].iter().map(|&i| verdict(sampled[i], scratch)).collect()
+    let by_group = fan_out(exec.arenas, &|worker, scratch| -> Scored {
+        score_group(&mut groups[worker].iter().map(|&i| sampled[i]), scratch)
     })?;
     for (group, scored) in groups.iter().zip(by_group) {
-        for (&i, (rho, accept)) in group.iter().zip(scored) {
-            (verdicts.rho[i], verdicts.accept[i]) = (rho, accept);
-        }
+        merge(&mut group.iter().copied(), scored);
     }
     Ok(verdicts)
 }
@@ -660,42 +759,73 @@ fn score_phase(
 /// accepted iff their Eq 10 score is positive; accepted moves apply before
 /// the next batch. `batch_size = 1` is the strictly sequential Fig 7 flow
 /// (the "frozen" state is simply the live state). Returns the applied
-/// migrations in exact apply order (the journal's input).
+/// migrations in exact apply order (the journal's input) and the work
+/// counts.
 ///
-/// A proposal `(v, to, verdict)` carries its score phase's accept test.
-/// Until the first move applies, the batch-start state is the scored one
-/// and the weights are the step's, so that verdict is the evaluation's
-/// result bit for bit, and is taken instead.
+/// A proposal carries its score phase's accept test. Until the first move
+/// applies, the batch-start state is the scored one and the weights are
+/// the step's, so that verdict is the evaluation's result bit for bit, and
+/// is taken instead. After it, a proposal whose lane deltas the score
+/// phase exported is re-priced from them while
+/// [`HybridState::can_reprice`] holds under the marks every applied move
+/// left; any other proposal is evaluated in full.
 fn migration_phase(
     st: &mut HybridState<'_>,
-    proposals: &[(VertexId, DcId, bool)],
+    proposals: &[Proposal],
+    lanes: &LaneCache,
     weights: Weights,
     exec: &mut Exec<'_>,
-) -> Vec<(VertexId, DcId)> {
+) -> (Vec<(VertexId, DcId)>, MigrateWork) {
     let env = exec.env;
     let batch = exec.config.batch_size.max(1);
     let priced = weights.cw > 0.0;
     let scratch = &mut exec.arenas[0];
     let mut applied = Vec::new();
+    let mut work = MigrateWork::default();
+    let mut marks: Option<MoveMarks> = None;
     for chunk in proposals.chunks(batch) {
-        let accepts: Vec<bool> = if applied.is_empty() {
-            chunk.iter().map(|&(_, _, verdict)| verdict).collect()
-        } else {
-            let obj = st.objective(env);
-            let mut accept = |&(v, to, _): &(VertexId, DcId, bool)| {
-                let candidate = st.evaluate_moves(env, v, 1u64 << to, priced, scratch)[to as usize];
-                score(&obj, &candidate, weights) > 0.0
-            };
-            chunk.iter().map(&mut accept).collect()
+        let accepts: Vec<bool> = match &marks {
+            None => chunk.iter().map(|p| p.accept).collect(),
+            Some(marks) => {
+                let obj = st.objective(env);
+                let mut accept = |p: &Proposal| {
+                    let cached =
+                        lanes.get(p.lanes).filter(|&entry| st.can_reprice(p.v, p.to, entry, marks));
+                    let candidate = match cached {
+                        Some(entry) => {
+                            work.repriced += 1;
+                            let repriced = st.reprice(env, p.v, p.to, priced, entry, scratch);
+                            debug_assert!({
+                                let bits = |o: &Objective| {
+                                    [o.transfer_time, o.movement_cost, o.runtime_cost]
+                                        .map(f64::to_bits)
+                                };
+                                let full = st.evaluate_moves(env, p.v, 1 << p.to, priced, scratch);
+                                bits(&repriced) == bits(&full[p.to as usize])
+                            });
+                            repriced
+                        }
+                        None => {
+                            work.post_accept_evals += 1;
+                            st.evaluate_moves(env, p.v, 1u64 << p.to, priced, scratch)
+                                [p.to as usize]
+                        }
+                    };
+                    score(&obj, &candidate, weights) > 0.0
+                };
+                chunk.iter().map(&mut accept).collect()
+            }
         };
-        for (&(v, to, _), ok) in chunk.iter().zip(accepts) {
+        for (p, ok) in chunk.iter().zip(accepts) {
             if ok {
-                st.apply_move_with(env, v, to, scratch);
-                applied.push((v, to));
+                let n = st.core().num_vertices();
+                let marks = marks.get_or_insert_with(|| MoveMarks::new(n, lanes.reach));
+                st.apply_move_marked(env, p.v, p.to, scratch, marks);
+                applied.push((p.v, p.to));
             }
         }
     }
-    applied
+    (applied, work)
 }
 
 #[cfg(test)]
@@ -794,6 +924,40 @@ mod tests {
                 r.total_migrations(),
                 "applied-move count changed at {threads} threads"
             );
+        }
+    }
+
+    #[test]
+    fn step_counters_are_bit_stable_across_thread_counts() {
+        // Proposals, re-priced verdicts and post-accept evaluations are
+        // counted where the work is done, so they are exact: the same at 1
+        // and 2 threads, step by step, under the default budget and under
+        // one every plan exceeds (cw > 0 prices every verdict). Debug
+        // builds also check each re-priced verdict against a full
+        // evaluation as it is taken.
+        let (geo, env) = setup(21);
+        let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
+        let counters = |threads: usize, budget: Option<f64>| {
+            let mut c = default_config(&geo, &env)
+                .with_threads(threads)
+                .with_fixed_sample_rate(1.0)
+                .with_max_steps(6);
+            if let Some(budget) = budget {
+                c.budget = budget;
+            }
+            let r = partition(&geo, &env, profile.clone(), 10.0, &c);
+            let rows = r.steps.iter().map(|s| (s.proposals, s.repriced, s.post_accept_evals));
+            rows.zip(r.steps.iter().map(|s| s.migrations)).collect::<Vec<_>>()
+        };
+        for budget in [None, Some(0.0)] {
+            let one = counters(1, budget);
+            assert_eq!(one, counters(2, budget), "budget {budget:?}");
+            let repriced: usize = one.iter().map(|((_, r, _), _)| r).sum();
+            let evals: usize = one.iter().map(|((_, _, e), _)| e).sum();
+            assert!(repriced > 0 && evals > 0, "budget {budget:?}: {repriced} / {evals}");
+            for ((proposals, repriced, evals), migrations) in one {
+                assert!(repriced + evals + migrations.min(1) <= proposals);
+            }
         }
     }
 

@@ -4,20 +4,23 @@
 //! [`build_chunked`] makes two passes over a [`ChunkedEdges`] source and two
 //! sequential transposes over what they leave:
 //!
-//! 1. **Count** — every chunk is emitted once and out-degrees are
-//!    accumulated into one atomic `u32` per vertex (the only plane beside
-//!    the CSR arrays, 4 bytes/vertex).
-//! 2. **Scatter** — offsets come from a checked prefix sum, the chunks are
-//!    emitted again, and each edge's target is stored (relaxed) into an
-//!    `AtomicU32` slot of its source's run, picked through that vertex's
-//!    counter, now counting back down; the slot plane then becomes the
-//!    plain `u32` run array in place. The order inside a run depends on
-//!    thread interleaving; which targets a run holds does not. A counter
-//!    left above zero, or asked for a slot at zero, means the two passes
-//!    disagreed: [`BuildError::StreamMismatch`]. Optional cleaning happens
-//!    here, in place: self-loops were dropped at emit time, and repeated
-//!    targets are squeezed out of each run by a one-stamp-per-vertex filter
-//!    that does not care about order.
+//! 1. **Count** — chunk `c` goes to worker `c mod t` of the `t`-thread
+//!    pool, on both passes, and each worker counts the out-degrees of the
+//!    edges it emits into a `u32` plane of its own with plain increments:
+//!    no read-modify-write is shared, so no edge waits on a fence or on
+//!    another worker's cache line.
+//! 2. **Scatter** — a checked prefix sum lays every run out as the workers'
+//!    shares in worker order, and turns each worker's count plane into the
+//!    ends of its shares beside a plane of cursors at their starts. The
+//!    chunks are emitted again, and each edge's target is stored (relaxed,
+//!    a plain store) into the next slot of its worker's share; the slot
+//!    plane then becomes the plain `u32` run array in place. The order
+//!    inside a run depends on the thread count; which targets a run holds
+//!    does not. A share left short, or handed an edge past its end, means
+//!    the two passes disagreed: [`BuildError::StreamMismatch`]. Optional
+//!    cleaning happens here, in place: self-loops were dropped at emit
+//!    time, and repeated targets are squeezed out of each run by a
+//!    one-stamp-per-vertex filter that does not care about order.
 //! 3. **Transpose** (`crate::csr::transpose`) — a counting scatter walked
 //!    in ascending source order turns the racy out-runs into in-runs that
 //!    are *sorted*, whatever order the scatter left.
@@ -31,15 +34,18 @@
 //! edges. [`Graph::from_edges`] and the `GraphBuilder` build methods are
 //! one-chunk, one-thread calls of this function.
 //!
-//! The build holds the counter plane only while it holds one direction, and
-//! the two directions only once duplicates are gone, so it peaks at the CSR
-//! it returns unless more than half the stream is duplicates
+//! The build holds the worker planes (8 bytes/vertex per worker during the
+//! scatter) only while it holds one direction, and the two directions only
+//! once duplicates are gone, so it peaks at the CSR it returns unless the
+//! planes and the pre-dedup direction outgrow it — with many workers over
+//! a sparse graph, or more than half the stream duplicates
 //! ([`IngestReport::transient_bytes`]).
 //!
-//! The kept-edge count is capped at `u32` — that is what keeps the counter
-//! plane at 4 bytes/vertex, and what a [`Graph`]'s `u32` offsets require.
+//! The kept-edge count is capped at `u32` — that is what keeps the planes
+//! at 4 bytes a vertex each, and what a [`Graph`]'s `u32` offsets require.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use crate::csr::{edge_count, transpose, Graph};
 use crate::VertexId;
@@ -54,7 +60,7 @@ pub enum BuildError {
     /// all-ones value is reserved).
     TooManyVertices { n: usize },
     /// The graph would hold ≥ 2^32 edges. A [`Graph`]'s offsets and the
-    /// build's per-vertex degree counters are `u32` (4 bytes/vertex each);
+    /// build's per-vertex degree planes are `u32` (4 bytes/vertex each);
     /// the exact total is tracked in 64 bits so the condition is detected,
     /// not wrapped.
     TooManyEdges { edges: u64 },
@@ -181,9 +187,10 @@ pub struct IngestReport {
     pub csr_bytes: usize,
     /// Peak heap held *in addition to* the final CSR during the build.
     /// Measured at the scatter, the one point that can exceed the result:
-    /// the counter plane plus one direction at pre-dedup length. Zero
-    /// unless more than half the kept stream is duplicates — afterwards the
-    /// build holds only what it returns.
+    /// every worker's cursor and end planes plus one direction at pre-dedup
+    /// length. Zero unless those outgrow the CSR (more than half the kept
+    /// stream duplicates, or many workers over few edges a vertex) —
+    /// afterwards the build holds only what it returns.
     pub transient_bytes: usize,
 }
 
@@ -211,30 +218,35 @@ struct SweepTotals {
 
 /// One sweep over every chunk of `src`, spread over `pool`: validates each
 /// edge against `n`, drops self-loops if `cfg` says so, and hands every kept
-/// edge to `keep`. Both passes of the build are this sweep, so
-/// both apply the same checks: an out-of-range edge or a stream at 2^32
+/// edge to `keep` with the plane of the worker that emitted it. Chunk `c`
+/// goes to worker `c mod t` (`t = planes.len()`, the pool's thread count),
+/// which emits its chunks in ascending order, so each worker's plane sees
+/// the same edges in the same order on every sweep of a source that keeps
+/// the [`ChunkedEdges`] contract. Both passes of the build are this sweep,
+/// so both apply the same checks: an out-of-range edge or a stream at 2^32
 /// kept edges is a typed error whichever pass meets it.
-fn sweep<S: ChunkedEdges + ?Sized>(
+fn sweep<S: ChunkedEdges + ?Sized, P: Send>(
     src: &S,
     cfg: StreamConfig,
     pool: &ScopedPool,
-    keep: impl Fn(VertexId, VertexId) + Sync,
+    planes: &[Mutex<P>],
+    keep: impl Fn(&mut P, VertexId, VertexId) + Sync,
 ) -> Result<SweepTotals, BuildError> {
     let n = src.num_vertices();
     let num_chunks = src.num_chunks();
+    let t = planes.len();
+    debug_assert_eq!(t, pool.threads());
     let raw_edges = AtomicU64::new(0);
     let loops_dropped = AtomicU64::new(0);
     // First out-of-range edge, packed (u << 32) | v; u64::MAX = none.
     let bad_edge = AtomicU64::new(u64::MAX);
-    let next_chunk = AtomicUsize::new(0);
-    pool.run(&|_worker| {
+    pool.run(&|worker| {
+        // Worker `i` alone locks plane `i`, once a sweep.
+        let mut plane = planes[worker].lock().expect("one worker per plane");
+        let plane = &mut *plane;
         let mut local_raw = 0u64;
         let mut local_loops = 0u64;
-        loop {
-            let c = next_chunk.fetch_add(1, Ordering::Relaxed);
-            if c >= num_chunks {
-                break;
-            }
+        for c in (worker..num_chunks).step_by(t) {
             src.emit(c, &mut |u, v| {
                 local_raw += 1;
                 if (u as usize) >= n || (v as usize) >= n {
@@ -251,7 +263,7 @@ fn sweep<S: ChunkedEdges + ?Sized>(
                     local_loops += 1;
                     return;
                 }
-                keep(u, v);
+                keep(plane, u, v);
             });
         }
         raw_edges.fetch_add(local_raw, Ordering::Relaxed);
@@ -277,31 +289,51 @@ fn sweep<S: ChunkedEdges + ?Sized>(
     Ok(totals)
 }
 
-/// Checked prefix sum of the pass-1 degree counters: run `i` of the flat
-/// array is `offsets[i]..offsets[i + 1]`. The sweep capped kept edges at
-/// `u32`, so the sum fits.
-fn offsets_from_counts(counts: &[AtomicU32]) -> Result<Vec<u32>, BuildError> {
-    let mut offsets = Vec::with_capacity(counts.len() + 1);
+/// One `n`-entry plane per worker out of a `t · n` buffer, each behind the
+/// lock its worker alone takes. One buffer holds every worker's plane of a
+/// kind, so a build makes the same few allocations at any thread count.
+fn worker_planes(buf: &mut [u32], t: usize, n: usize) -> Vec<Mutex<&mut [u32]>> {
+    let mut rest = buf;
+    (0..t)
+        .map(|_| {
+            let (plane, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            rest = tail;
+            Mutex::new(plane)
+        })
+        .collect()
+}
+
+/// Pass 2's plane for one worker: per vertex, the next free slot of the
+/// worker's share of the run and the end of that share.
+struct Cursors<'a> {
+    next: &'a mut [u32],
+    end: &'a [u32],
+}
+
+/// Checked prefix sum of the workers' pass-1 degree counts (`counts`,
+/// worker-major): run `u` of the flat array is `offsets[u]..offsets[u + 1]`,
+/// and worker `w`'s share of it follows the shares of workers `0..w`.
+/// Returns the offsets; `counts` becomes the ends of the shares and `next`
+/// their starts, both worker-major. The sweep capped kept edges at `u32`,
+/// so the sum fits.
+fn layout_runs(
+    counts: &mut [u32],
+    next: &mut [u32],
+    t: usize,
+    n: usize,
+) -> Result<Vec<u32>, BuildError> {
+    let mut offsets = Vec::with_capacity(n + 1);
     let mut acc = 0u32;
     offsets.push(0);
-    for c in counts {
-        acc = acc.checked_add(c.load(Ordering::Relaxed)).ok_or(BuildError::OffsetOverflow)?;
+    for u in 0..n {
+        for w in 0..t {
+            next[w * n + u] = acc;
+            acc = acc.checked_add(counts[w * n + u]).ok_or(BuildError::OffsetOverflow)?;
+            counts[w * n + u] = acc;
+        }
         offsets.push(acc);
     }
     Ok(offsets)
-}
-
-/// Claims a free slot of a run whose pass-1 count is still in `counter`:
-/// counts it down and returns the slot index inside the run, or `None` when
-/// the run is already full. The counter never passes zero, so a claimed
-/// slot is always inside the run and claimed once — a source that breaks
-/// its contract cannot make one run's edge overwrite another's.
-#[inline]
-fn claim(counter: &AtomicU32) -> Option<u32> {
-    counter
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |left| left.checked_sub(1))
-        .ok()
-        .map(|left| left - 1)
 }
 
 /// The lowest vertex the scatter was handed an edge for that pass 1 never
@@ -335,15 +367,17 @@ impl Refused {
 }
 
 /// The post-scatter check that, with [`Refused`], turns a lying source into
-/// a typed error instead of a silently wrong graph: every run is exactly
-/// full (its counter is back at zero).
-fn check_runs_full(offsets: &[u32], counters: &[AtomicU32]) -> Result<(), BuildError> {
-    for (i, c) in counters.iter().enumerate() {
-        let left = c.load(Ordering::Relaxed);
+/// a typed error instead of a silently wrong graph: every worker's share of
+/// every run is exactly full (`next`, `end`: the `t` workers' cursor and
+/// end planes, worker-major).
+fn check_runs_full(offsets: &[u32], next: &[u32], end: &[u32], t: usize) -> Result<(), BuildError> {
+    let n = offsets.len() - 1;
+    for u in 0..n {
+        let left: u32 = (0..t).map(|w| end[w * n + u] - next[w * n + u]).sum();
         if left != 0 {
-            let pass1 = offsets[i + 1] - offsets[i];
+            let pass1 = offsets[u + 1] - offsets[u];
             return Err(BuildError::StreamMismatch {
-                vertex: i as VertexId,
+                vertex: u as VertexId,
                 pass1,
                 pass2: pass1 - left,
             });
@@ -365,34 +399,50 @@ pub fn build_chunked<S: ChunkedEdges + ?Sized>(
         return Err(BuildError::TooManyVertices { n });
     }
 
-    // ---- Pass 1: count out-degrees. ---------------------------------------
-    let counters: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let totals = sweep(src, cfg, pool, |u, _v| {
-        counters[u as usize].fetch_add(1, Ordering::Relaxed);
+    // ---- Pass 1: count out-degrees, one plane per worker. ----------------
+    let t = pool.threads();
+    let mut counts = vec![0u32; t * n];
+    let totals = sweep(src, cfg, pool, &worker_planes(&mut counts, t, n), |counts, u, _v| {
+        let c = &mut counts[u as usize];
+        *c = c.wrapping_add(1);
     })?;
-    let mut scattered_offsets = offsets_from_counts(&counters)?;
-    let slots: Vec<AtomicU32> = (0..scattered_offsets[n]).map(|_| AtomicU32::new(0)).collect();
+    let mut next = vec![0u32; t * n];
+    let mut scattered_offsets = layout_runs(&mut counts, &mut next, t, n)?;
+    let (end, slots_len) = (counts, scattered_offsets[n]);
+    let slots: Vec<AtomicU32> = (0..slots_len).map(|_| AtomicU32::new(0)).collect();
 
-    // ---- Pass 2: scatter targets into their source's run. -----------------
+    // ---- Pass 2: scatter targets into their worker's share of the run. ---
     let refused = Refused::new();
-    sweep(src, cfg, pool, |u, v| {
+    let planes: Vec<Mutex<Cursors>> = worker_planes(&mut next, t, n)
+        .into_iter()
+        .enumerate()
+        .map(|(w, next)| {
+            let next = next.into_inner().expect("not yet shared");
+            Mutex::new(Cursors { next, end: &end[w * n..(w + 1) * n] })
+        })
+        .collect();
+    sweep(src, cfg, pool, &planes, |share, u, v| {
         let ui = u as usize;
-        let start = scattered_offsets[ui];
-        match claim(&counters[ui]) {
-            Some(slot) => slots[(start + slot) as usize].store(v, Ordering::Relaxed),
-            None => refused.record(u, scattered_offsets[ui + 1] - start),
+        let slot = share.next[ui];
+        if slot < share.end[ui] {
+            slots[slot as usize].store(v, Ordering::Relaxed);
+            share.next[ui] = slot + 1;
+        } else {
+            refused.record(u, scattered_offsets[ui + 1] - scattered_offsets[ui]);
         }
     })?;
+    drop(planes);
     refused.into_result()?;
-    check_runs_full(&scattered_offsets, &counters)?;
+    check_runs_full(&scattered_offsets, &next, &end, t)?;
     // Same size and alignment, so std reuses the slot plane's allocation.
     let mut scattered: Vec<VertexId> = slots.into_iter().map(AtomicU32::into_inner).collect();
     // The build's peak beyond the CSR it returns, if any: from here on it
-    // holds at most one equally sized plane in the counters' place, then
+    // holds at most one equally sized plane in the cursors' place, then
     // exactly the two directions.
-    let scatter_bytes = (counters.len() + scattered_offsets.capacity() + scattered.capacity())
+    let plane_words = next.capacity() + end.capacity();
+    let scatter_bytes = (plane_words + scattered_offsets.capacity() + scattered.capacity())
         * std::mem::size_of::<u32>();
-    drop(counters);
+    drop((next, end));
 
     // ---- Optional dedup, once, before anything is copied. -----------------
     let scattered_edges = scattered.len();
@@ -500,6 +550,7 @@ where
 mod tests {
     use super::*;
     use crate::GraphBuilder;
+    use std::sync::atomic::AtomicUsize;
 
     /// A fixed edge list exposed as a chunked stream.
     struct VecSource {
@@ -633,22 +684,23 @@ mod tests {
     #[test]
     fn report_accounts_transients() {
         let src = VecSource { n: 5, chunk: 4, edges: messy_edges() };
-        // Verbatim: the scatter (counters + one direction) is below the two
+        // Verbatim: the scatter (planes + one direction) is below the two
         // directions of the result, so nothing is held beyond the CSR.
         let (g, rep) = build_chunked(&src, StreamConfig::verbatim(), &ScopedPool(2)).unwrap();
         assert_eq!(rep.csr_bytes, g.heap_bytes());
         assert_eq!(rep.transient_bytes, 0);
-        // Cleaned: 87 kept edges collapse to 9, so the scatter — 5 counters,
-        // 6 offsets, 87 targets — is the peak.
+        // Cleaned: 87 kept edges collapse to 9, so the scatter — two
+        // workers' cursor and end planes of 5 vertices each, 6 offsets, 87
+        // targets — is the peak.
         let (g, rep) = build_chunked(&src, StreamConfig::cleaned(), &ScopedPool(2)).unwrap();
         assert_eq!(rep.csr_bytes, g.heap_bytes());
-        assert_eq!(rep.transient_bytes, (5 + 6 + 87) * 4 - rep.csr_bytes);
+        assert_eq!(rep.transient_bytes, (2 * 2 * 5 + 6 + 87) * 4 - rep.csr_bytes);
         assert!(rep.build_ratio() > 1.0);
     }
 
     #[test]
     fn a_second_pass_that_differs_is_a_typed_error() {
-        for threads in [1, 2] {
+        for threads in [1, 2, 4] {
             let build = |pass1: &[_], pass2: &[_]| {
                 let src = Liar::new(3, pass1, pass2);
                 build_chunked(&src, StreamConfig::cleaned(), &ScopedPool(threads)).unwrap_err()

@@ -17,11 +17,12 @@
 //! by vertex degree; batched migration asks for a one-bit mask, whose slot
 //! is the all-DC mask's bit-for-bit.
 
+use geograph::fxhash::FxHashMap;
 use geograph::{GeoGraph, GraphDelta};
 use geosim::CloudEnv;
 
 use crate::error::PlanError;
-use crate::kernel::{CntDelta, MoveScratch};
+use crate::kernel::{CntDelta, LaneDeltas, MoveScratch};
 use crate::profile::TrafficProfile;
 use crate::state::{DeltaApplyStats, Objective, PlacementDeltaOps, PlacementState};
 use crate::{DcId, VertexId};
@@ -349,6 +350,59 @@ impl<'g> HybridState<'g> {
         self.core.evaluate_moves(env, v, dests, priced, natural, size, scratch)
     }
 
+    /// Destination `b`'s slot of the last [`Self::evaluate_moves`] call on
+    /// `scratch` (which flagged `b`, not `v`'s master) as lane deltas from
+    /// the live rows, for [`Self::reprice`]; `None` where they do not fit
+    /// the compact form.
+    pub fn export_lanes(&self, b: DcId, scratch: &MoveScratch) -> Option<LaneDeltas> {
+        self.core.export_lanes(b as usize, scratch)
+    }
+
+    /// The objective after moving `v` to `b`, from the live rows and the
+    /// `lanes` [`Self::export_lanes`] took for that move. Bit-identical to
+    /// `evaluate_moves(env, v, 1 << b, priced, ..)[b]` as long as
+    /// [`Self::can_reprice`] holds for every move applied since the export.
+    pub fn reprice(
+        &self,
+        env: &CloudEnv,
+        v: VertexId,
+        b: DcId,
+        priced: bool,
+        lanes: &LaneDeltas,
+        scratch: &mut MoveScratch,
+    ) -> Objective {
+        let home =
+            priced.then(|| (self.geo.locations[v as usize], self.geo.data_sizes[v as usize]));
+        self.core.reprice_move(env, v, b as usize, home, lanes, scratch)
+    }
+
+    /// Whether `lanes`, exported for moving `v` to `b`, still hold after
+    /// the moves `marks` recorded ([`Self::apply_move_marked`]): `v` is
+    /// unmarked, and no neighbor a move of `v` stages has moved or crossed
+    /// a count test at `v`'s master or at `b`. The staged neighbors are
+    /// those [`Self::evaluate_moves`] stages: every in-neighbor of a
+    /// low-degree `v` and every high-degree out-neighbor. Cost: two bit
+    /// tests unless a neighbor of `v` is marked; then `v`'s two adjacency
+    /// rows and one bit test per neighbor, a neighbor's cell mask and class
+    /// read only where it is marked.
+    pub fn can_reprice(&self, v: VertexId, b: DcId, lanes: &LaneDeltas, marks: &MoveMarks) -> bool {
+        if marks.row_changed(v) {
+            return false;
+        }
+        if !marks.near(v) {
+            return true;
+        }
+        let (a, high) = lanes.mover();
+        let cells = 1u64 << a | 1u64 << b;
+        let stale = |x: VertexId| x != v && marks.cells(x) & cells != 0;
+        let graph = &self.geo.graph;
+        if !high && graph.in_neighbors(v).iter().any(|&u| stale(u)) {
+            return false;
+        }
+        let meta = &self.core.meta;
+        !graph.out_neighbors(v).iter().any(|&w| stale(w) && meta[w as usize].high)
+    }
+
     /// The dense projection [`Self::evaluate_moves`] replaced, every lane
     /// of every flagged destination built and reduced: the sparse
     /// kernel's test oracle.
@@ -376,6 +430,32 @@ impl<'g> HybridState<'g> {
         to: DcId,
         scratch: &mut MoveScratch,
     ) {
+        self.apply_move(env, v, to, scratch, None);
+    }
+
+    /// [`Self::apply_move_with`] that also records in `marks` what the move
+    /// changed at the grain a cached projection reads: `v` moved, the rows
+    /// of `v` and of every staged neighbor changed, and which of those
+    /// neighbors' cells crossed a count test of the marks' reach.
+    pub fn apply_move_marked(
+        &mut self,
+        env: &CloudEnv,
+        v: VertexId,
+        to: DcId,
+        scratch: &mut MoveScratch,
+        marks: &mut MoveMarks,
+    ) {
+        self.apply_move(env, v, to, scratch, Some(marks));
+    }
+
+    fn apply_move(
+        &mut self,
+        env: &CloudEnv,
+        v: VertexId,
+        to: DcId,
+        scratch: &mut MoveScratch,
+        mut marks: Option<&mut MoveMarks>,
+    ) {
         let a = self.core.master(v);
         if a == to {
             return;
@@ -393,7 +473,7 @@ impl<'g> HybridState<'g> {
         // per-vertex occupancy masks exact.
         let (from, dest) = (a as usize, to as usize);
         let core = &mut self.core;
-        let mut bump_row = |x: usize, d: CntDelta| {
+        let bump_row = |core: &mut PlacementState, x: usize, d: CntDelta| {
             for (dc, lane, delta) in
                 [(from, 0, d.in_a), (dest, 0, d.in_b), (from, 1, d.out_a), (dest, 1, d.out_b)]
             {
@@ -402,9 +482,40 @@ impl<'g> HybridState<'g> {
                 }
             }
         };
-        bump_row(v as usize, self_delta);
+        bump_row(core, v as usize, self_delta);
+        // A vertex's first mark flags every vertex whose move may stage it,
+        // so `can_reprice` reads the rows of those alone.
+        let graph = &self.geo.graph;
+        let flag_stagers = |marks: &mut MoveMarks, core: &PlacementState, x: VertexId| {
+            graph.out_neighbors(x).iter().for_each(|&w| marks.note_near(w));
+            if core.meta[x as usize].high {
+                graph.in_neighbors(x).iter().for_each(|&u| marks.note_near(u));
+            }
+        };
+        if let Some(marks) = marks.as_deref_mut() {
+            if marks.note_mover(v) {
+                flag_stagers(marks, core, v);
+            }
+        }
         for &(x, d) in &scratch.neighbors {
-            bump_row(x as usize, d);
+            let Some(marks) = marks.as_deref_mut() else {
+                bump_row(core, x as usize, d);
+                continue;
+            };
+            let cells = |core: &PlacementState| {
+                let row = core.counts_row(x);
+                [row.pair(from), row.pair(dest)]
+            };
+            let before = cells(core);
+            bump_row(core, x as usize, d);
+            let after = cells(core);
+            let master = core.meta[x as usize].master as usize;
+            marks.note_row(x);
+            for (dc, old, new) in [(from, before[0], after[0]), (dest, before[1], after[1])] {
+                if dc != master && marks.crosses(old, new) && marks.note_cell(x, dc) {
+                    flag_stagers(marks, core, x);
+                }
+            }
         }
 
         // Moved edges change the per-DC balance. Every edge that moved is
@@ -615,6 +726,100 @@ impl<'g> HybridState<'g> {
             }
         }
         Ok(())
+    }
+}
+
+/// What the moves applied since a score phase changed, at the grain its
+/// exported [`LaneDeltas`] read ([`HybridState::apply_move_marked`],
+/// [`HybridState::can_reprice`]):
+/// - a vertex whose own count row changed, or that moved, can no longer
+///   be re-priced (its presence masks are the projection's input);
+/// - a neighbor cell is marked only when its count change crosses a test a
+///   staged move can make on it, those of a count `c` against 0 and
+///   against a loss of at most `reach` (in-edges, edges): the change from
+///   `old` to `new` is marked when `min(old, new) <= reach`;
+/// - a moved vertex is marked at every cell, since the projection
+///   indexes lanes by its master.
+///
+/// Three bitsets over the vertices, and a cell mask per marked vertex
+/// only: a step's marks take a few bits a vertex, not a word.
+#[derive(Clone, Debug)]
+pub struct MoveMarks {
+    reach: [u32; 2],
+    /// Bit `v`: `v` moved or its own row changed.
+    rows: Vec<u64>,
+    /// Bit `x`: `x` has an entry in `cells`.
+    hot: Vec<u64>,
+    /// Bit `v`: a move of `v` may stage a hot vertex (an out-neighbor of
+    /// one, or an in-neighbor of a high-degree one). Clear means no
+    /// staged neighbor of `v` is marked.
+    near: Vec<u64>,
+    /// The DCs whose cell crossed a test (all of them once the vertex
+    /// moved).
+    cells: FxHashMap<VertexId, u64>,
+}
+
+impl MoveMarks {
+    /// No marks, over `n` vertices, for exported moves whose staged
+    /// neighbors lose at most `reach` counts at one cell
+    /// ([`MoveScratch::staged_reach`], maximised over the exports).
+    pub fn new(n: usize, reach: [u32; 2]) -> Self {
+        let words = n.div_ceil(64);
+        let bits = || vec![0; words];
+        MoveMarks { reach, rows: bits(), hot: bits(), near: bits(), cells: FxHashMap::default() }
+    }
+
+    /// Whether a cell's change from `old` to `new` (`(in, out)` counts)
+    /// flips a count test of this reach.
+    fn crosses(&self, old: (u32, u32), new: (u32, u32)) -> bool {
+        let flips = |o: u32, n: u32, reach: u32| o != n && o.min(n) <= reach;
+        flips(old.0, new.0, self.reach[0]) || flips(old.0 + old.1, new.0 + new.1, self.reach[1])
+    }
+
+    fn note_row(&mut self, x: VertexId) {
+        self.rows[x as usize / 64] |= 1 << (x % 64);
+    }
+
+    /// Sets `x`'s hot bit; whether it was clear.
+    fn note_hot(&mut self, x: VertexId) -> bool {
+        let (word, bit) = (&mut self.hot[x as usize / 64], 1u64 << (x % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+
+    /// Marks `x`'s cell at `dc`; whether `x` was not hot before.
+    fn note_cell(&mut self, x: VertexId, dc: usize) -> bool {
+        *self.cells.entry(x).or_default() |= 1 << dc;
+        self.note_hot(x)
+    }
+
+    /// Marks `v` moved; whether it was not hot before.
+    fn note_mover(&mut self, v: VertexId) -> bool {
+        self.note_row(v);
+        self.cells.insert(v, u64::MAX);
+        self.note_hot(v)
+    }
+
+    fn note_near(&mut self, v: VertexId) {
+        self.near[v as usize / 64] |= 1 << (v % 64);
+    }
+
+    fn near(&self, v: VertexId) -> bool {
+        self.near[v as usize / 64] >> (v % 64) & 1 == 1
+    }
+
+    fn row_changed(&self, v: VertexId) -> bool {
+        self.rows[v as usize / 64] >> (v % 64) & 1 == 1
+    }
+
+    /// `x`'s marked cells, read only when its hot bit is set.
+    #[inline]
+    fn cells(&self, x: VertexId) -> u64 {
+        if self.hot[x as usize / 64] >> (x % 64) & 1 == 0 {
+            return 0;
+        }
+        self.cells[&x]
     }
 }
 
@@ -888,6 +1093,92 @@ mod tests {
             assert_eq!(t, want[d].transfer_time.to_bits(), "M={m} v={v} d={d} unpriced");
             let master = d == s.master(v) as usize;
             assert!(master || time[d].total_cost().is_nan(), "M={m}: an unpriced slot priced");
+        }
+    }
+
+    #[test]
+    fn repriced_verdicts_equal_full_evaluation() {
+        // Every vertex exports the lane deltas of a move to some other DC;
+        // then moves apply one at a time with marks, and after each one
+        // every export the marks leave clean must re-price to the full
+        // evaluation bit for bit, priced and unpriced, at M = 2, 3, 8 and
+        // 64. Twice per M: on a cleaned graph, and on a verbatim multigraph
+        // (every edge twice, a third of them thrice, some self-loops) where
+        // a neighbor loses two or three counts in one cell, so a reach of
+        // `[1, 2]` would leave stale exports clean.
+        let bits = |o: &Objective| {
+            (o.transfer_time.to_bits(), o.movement_cost.to_bits(), o.runtime_cost.to_bits())
+        };
+        for (m, seed) in [(2usize, 41u64), (3, 42), (8, 43), (64, 44)] {
+            let env = env_of(m, None);
+            let n = 120usize;
+            let cleaned = rmat(&RmatConfig::social(n, n * 12), seed);
+            let edges: Vec<(VertexId, VertexId)> = cleaned.edges().collect();
+            let mut repeated = [edges.clone(), edges.clone()].concat();
+            repeated.extend(edges.iter().step_by(3));
+            repeated.extend((0..n as VertexId).step_by(7).map(|v| (v, v)));
+            let multigraph = geograph::Graph::from_edges(n, &repeated);
+            for (kind, graph) in [("cleaned", cleaned), ("multigraph", multigraph)] {
+                let geo = GeoGraph::from_graph(graph, &LocalityConfig::uniform(m, seed));
+                let weights: Vec<f32> = (0..n).map(|v| 1.0 + (v % 5) as f32).collect();
+                // 2 B a message at most 5x, so nearly every move's deltas fit
+                // `LaneDeltas`' i16 lanes; one that does not is not exported.
+                let profile = TrafficProfile::weighted(&weights, 2.0);
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let masters = (0..n).map(|_| rng.gen_range(0..m) as DcId).collect();
+                let state = HybridState::from_masters(&geo, &env, masters, 6, profile, 10.0);
+                for priced in [false, true] {
+                    let mut s = state.clone();
+                    let (mut scratch, mut mover) = (MoveScratch::new(), MoveScratch::new());
+                    let (mut clean, mut stale) = (0usize, 0usize);
+                    for _ in 0..4 {
+                        let mut exports = Vec::new();
+                        let mut reach = [0u32; 2];
+                        for v in 0..n as VertexId {
+                            let b = (s.master(v) as usize + rng.gen_range(1..m)) % m;
+                            s.evaluate_moves(&env, v, 1 << b, priced, &mut scratch);
+                            let Some(lanes) = s.export_lanes(b as DcId, &scratch) else { continue };
+                            let [i, t] = scratch.staged_reach();
+                            reach = [reach[0].max(i), reach[1].max(t)];
+                            exports.push((v, b as DcId, lanes));
+                        }
+                        assert!(exports.len() * 2 > n, "{kind} M={m}: few exports fit");
+                        let mut marks = MoveMarks::new(n, reach);
+                        for _ in 0..6 {
+                            let (w, to) = (rng.gen_range(0..n as VertexId), rng.gen_range(0..m));
+                            s.apply_move_marked(&env, w, to as DcId, &mut mover, &mut marks);
+                            for &(v, b, ref lanes) in &exports {
+                                if !s.can_reprice(v, b, lanes, &marks) {
+                                    stale += 1;
+                                    continue;
+                                }
+                                clean += 1;
+                                let got = s.reprice(&env, v, b, priced, lanes, &mut scratch);
+                                let want = s.evaluate_moves(&env, v, 1 << b, priced, &mut scratch)
+                                    [b as usize];
+                                let what = format!("{kind} M={m} priced={priced} v={v} b={b}");
+                                if priced {
+                                    assert_eq!(bits(&got), bits(&want), "{what}");
+                                } else {
+                                    assert_eq!(
+                                        got.transfer_time.to_bits(),
+                                        want.transfer_time.to_bits(),
+                                        "{what}"
+                                    );
+                                    assert!(
+                                        got.total_cost().is_nan(),
+                                        "{what}: an unpriced re-price priced"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                    assert!(
+                        clean > stale && stale > 0,
+                        "{kind} M={m}: {clean} clean, {stale} stale"
+                    );
+                }
+            }
         }
     }
 

@@ -133,6 +133,62 @@ pub struct MoveScratch {
     moved: Vec<u64>,
     objectives: Vec<Objective>,
     live: LiveLanes,
+    /// The mover of the last `evaluate_moves` call, for
+    /// [`PlacementState::export_lanes`].
+    mover: Mover,
+}
+
+/// What the projection of the last evaluated move read about the mover
+/// beside the scratch's buffers.
+#[derive(Clone, Copy, Debug, Default)]
+struct Mover {
+    /// Its master.
+    a: usize,
+    /// Its presence masks before and after the move ([`PlacementState::presence`]).
+    old: [u64; 2],
+    new: [u64; 2],
+    /// Its degree class.
+    high: bool,
+    /// Its gather and apply bytes.
+    units: [f64; 2],
+    /// The default mass of every live destination: [gather, apply].
+    tot: [f64; 2],
+}
+
+/// How many lanes besides the mover's master and destination a
+/// [`LaneDeltas`] holds.
+const EXTRA_LANES: usize = 2;
+
+/// One destination's projection (a move of `v` from its master `a` to
+/// `b`) as whole-unit deltas from the live load rows, exported by
+/// [`PlacementState::export_lanes`] and read back by
+/// [`PlacementState::reprice_move`]. Lanes `a` and `b` change in all four rows.
+/// Any other lane changes on its master side only (gather download, apply
+/// upload): a neighbor's mirror appears or leaves at `a` or `b` alone.
+///
+/// Deltas are `i16`: a lane changes by a few messages of its neighbors,
+/// each a vertex's gather or apply bytes in load units (2 048 for the
+/// uniform 8 B profile), so 28 bytes hold almost every move; a larger one
+/// is not exported.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LaneDeltas {
+    /// Lanes `a` and `b`: gather up, gather down, apply up, apply down.
+    ends: [[i16; 4]; 2],
+    /// The mover's master `a` and degree class when exported, so neither
+    /// a re-price nor its staleness check reads them from the state.
+    a: DcId,
+    high: bool,
+    /// The other changed lanes, `u8::MAX` where unused.
+    extra_dcs: [u8; EXTRA_LANES],
+    /// Their gather-download and apply-upload deltas.
+    extra: [[i16; 2]; EXTRA_LANES],
+}
+
+impl LaneDeltas {
+    /// The mover's master and degree class when the deltas were taken.
+    pub(crate) fn mover(&self) -> (DcId, bool) {
+        (self.a, self.high)
+    }
 }
 
 /// A stage's two largest live `(lane, ratio)` pairs outside one lane
@@ -291,6 +347,20 @@ impl MoveScratch {
             }
         }
         self.neighbors.truncate(w);
+    }
+
+    /// How far the staged move reaches into a neighbor's cell at the
+    /// source DC: the largest count of in-edges and of edges any one
+    /// neighbor loses there, `[in, in + out]`. A count test a projection
+    /// of this move makes on a neighbor's cell compares the count with 0
+    /// or with that loss, so a count change at or above the reach leaves
+    /// every such test as it was. On a cleaned graph the reach is at most
+    /// `[1, 2]`; a multigraph's repeated edges lose together.
+    pub fn staged_reach(&self) -> [u32; 2] {
+        debug_assert!(self.sealed);
+        self.neighbors.iter().fold([0, 0], |[i, t], &(_, d)| {
+            [i.max((-d.in_a) as u32), t.max((-(d.in_a + d.out_a)) as u32)]
+        })
     }
 
     /// Resizes all projection buffers for `m` DCs (no-op when unchanged).
@@ -490,6 +560,7 @@ impl PlacementState {
             ref mut moved,
             ref mut objectives,
             ref live,
+            ref mut mover,
             ..
         } = *scratch;
         let (gu, gd, au, ad) = (g.up(), g.down(), ap.up(), ap.down());
@@ -512,6 +583,7 @@ impl PlacementState {
         let tot_a: f64 = Bits(def_lanes[1]).map(|d| def_a[d]).sum();
         let mv = self.meta[v as usize];
         let (vg, va) = (mv.g as f64, mv.a as f64);
+        *mover = Mover { a, old, new, high: mv.high, units: [vg, va], tot: [tot_g, tot_a] };
 
         // Eq 4 depends on the destination only through "home or not": price
         // both, with v's bytes taken out of its home entry and put back.
@@ -588,7 +660,6 @@ impl PlacementState {
                 max_a =
                     max_a.max((base_au[d] + dest_au[r + d]) / up[d]).max(ad[d] as f64 / down[d]);
             }
-            let transfer_time = max_g * BYTES_PER_UNIT + max_a * BYTES_PER_UNIT;
             objectives[b] = if priced {
                 // Eq 5 is a sum, so it reads the whole upload rows.
                 for d in 0..m {
@@ -596,15 +667,14 @@ impl PlacementState {
                     row_au[d] = base_au[d] + dest_au[r + d];
                 }
                 (row_gu[a], row_gu[b], row_au[b]) = (gu_a, gu_b, au_b);
-                let upload =
-                    upload_cost_row(&row_gu[..m], env) + upload_cost_row(&row_au[..m], env);
-                Objective {
-                    transfer_time,
-                    movement_cost: if b == home { cost_home } else { cost_away },
-                    runtime_cost: self.num_iterations * upload,
-                }
+                let movement_cost = if b == home { cost_home } else { cost_away };
+                self.projected(
+                    env,
+                    [max_g, max_a],
+                    Some((movement_cost, &row_gu[..m], &row_au[..m])),
+                )
             } else {
-                Objective { transfer_time, movement_cost: f64::NAN, runtime_cost: f64::NAN }
+                self.projected(env, [max_g, max_a], None)
             };
         }
         &scratch.objectives[..m]
@@ -827,6 +897,166 @@ impl PlacementState {
             presence[1] |= ((in_c + out_c > 0) as u64) << d;
         }
         presence
+    }
+
+    /// The objective of a projection from its two stage maxima (`max`,
+    /// load units over link speed: Eq 2/3's bottleneck lanes) and, when
+    /// priced, its Eq 4 `movement_cost` and the Eq 5 upload rows of both
+    /// stages. Both [`Self::evaluate_moves`] and [`Self::reprice_move`] end
+    /// here, so a re-priced move is the kernel's slot bit for bit.
+    #[inline]
+    fn projected(
+        &self,
+        env: &CloudEnv,
+        [max_g, max_a]: [f64; 2],
+        priced: Option<(f64, &[f64], &[f64])>,
+    ) -> Objective {
+        let transfer_time = max_g * BYTES_PER_UNIT + max_a * BYTES_PER_UNIT;
+        match priced {
+            Some((movement_cost, gu, au)) => Objective {
+                transfer_time,
+                movement_cost,
+                runtime_cost: self.num_iterations
+                    * (upload_cost_row(gu, env) + upload_cost_row(au, env)),
+            },
+            None => Objective { transfer_time, movement_cost: f64::NAN, runtime_cost: f64::NAN },
+        }
+    }
+
+    /// Destination `b`'s projection from the last [`Self::evaluate_moves`]
+    /// call on `scratch`, which must have flagged `b` (not the mover's
+    /// master) and run on this state, as deltas from the live load rows;
+    /// `None` where they do not fit a [`LaneDeltas`] (more than
+    /// [`EXTRA_LANES`] other lanes change, or a delta passes `i16`).
+    ///
+    /// The lane values are the projection's own expressions over the same
+    /// buffers, so the deltas are exact whole load units.
+    pub(crate) fn export_lanes(&self, b: usize, scratch: &MoveScratch) -> Option<LaneDeltas> {
+        let m = self.num_dcs;
+        let s = scratch;
+        let Mover { a, old, new, high, units: [vg, va], tot: [tot_g, tot_a] } = s.mover;
+        debug_assert!(b != a && b < m);
+        let (g, ap) = (&self.gather, &self.apply);
+        let (gu, gd, au, ad) = (g.up(), g.down(), ap.up(), ap.down());
+        let (bit, r) = (1u64 << b, b * m);
+        let post_a = [
+            gu[a] as f64 + s.at_a[0],
+            s.base_gd[a] + s.dest_gd[r + a],
+            s.base_au[a] + s.dest_au[r + a],
+            ad[a] as f64 + s.at_a[1],
+        ];
+        let post_b = [
+            gu[b] as f64 + (s.diag_gu[b] + (tot_g - s.def_g[b])) - vg * (old[0] >> b & 1) as f64,
+            s.base_gd[b] - s.def_g[b] + vg * (new[0] & !bit).count_ones() as f64,
+            s.base_au[b] - s.def_a[b] + va * (new[1] & !bit).count_ones() as f64,
+            ad[b] as f64 + (s.diag_ad[b] + (tot_a - s.def_a[b])) - va * (old[1] >> b & 1) as f64,
+        ];
+        let delta = |post: f64, live: u64| i16::try_from((post - live as f64) as i64).ok();
+        let mut ends = [[0i16; 4]; 2];
+        for (end, (d, post)) in ends.iter_mut().zip([(a, post_a), (b, post_b)]) {
+            for (row, (&p, live)) in post.iter().zip([gu, gd, au, ad]).enumerate() {
+                end[row] = delta(p, live[d])?;
+            }
+        }
+        let mut out = LaneDeltas {
+            ends,
+            a: a as DcId,
+            high,
+            extra_dcs: [u8::MAX; EXTRA_LANES],
+            extra: [[0; 2]; EXTRA_LANES],
+        };
+        let others =
+            (s.base_lanes[0] | s.corr_g[b] | s.base_lanes[1] | s.corr_a[b]) & !(1u64 << a | bit);
+        let mut k = 0;
+        for d in Bits(others) {
+            let pair = [
+                delta(s.base_gd[d] + s.dest_gd[r + d], gd[d])?,
+                delta(s.base_au[d] + s.dest_au[r + d], au[d])?,
+            ];
+            if pair == [0, 0] {
+                continue;
+            }
+            if k == EXTRA_LANES {
+                return None;
+            }
+            (out.extra_dcs[k], out.extra[k]) = (d as u8, pair);
+            k += 1;
+        }
+        Some(out)
+    }
+
+    /// The objective after moving `v` (mastered at `a`) to `b`, from the
+    /// live rows plus `lanes`, the deltas [`Self::export_lanes`] took
+    /// while every input of that projection but the live loads was what it
+    /// is now (the caller's staleness rule). Equal bit for bit to
+    /// [`Self::evaluate_moves`]' slot `b`: lanes hold whole load units, a
+    /// stage maximum does not depend on the order it is taken in, and the
+    /// rest goes through the kernel's own [`Self::projected`]. `home` is
+    /// `v`'s home DC and data bytes when the move is priced, `None` when
+    /// not. Cost: `O(M)`, no neighborhood read.
+    pub(crate) fn reprice_move(
+        &self,
+        env: &CloudEnv,
+        v: VertexId,
+        b: usize,
+        home: Option<(DcId, u64)>,
+        lanes: &LaneDeltas,
+        scratch: &mut MoveScratch,
+    ) -> Objective {
+        let m = self.num_dcs;
+        scratch.ensure_m(m);
+        let (up, down) = (env.uplinks(), env.downlinks());
+        let (g, ap) = (&self.gather, &self.apply);
+        let rows = [g.up(), g.down(), ap.up(), ap.down()];
+        scratch.live.sync(rows, up, down);
+        debug_assert_eq!(self.masters[v as usize], lanes.a, "v moved since the export");
+        let a = lanes.a as usize;
+        let post = |row: usize, d: usize, delta: i16| rows[row][d] as f64 + delta as f64;
+        let ratio = |d: usize, u: f64, w: f64| (u / up[d]).max(w / down[d]);
+        let extras = || {
+            lanes
+                .extra_dcs
+                .iter()
+                .zip(&lanes.extra)
+                .filter(|(&d, _)| d != u8::MAX)
+                .map(|(&d, x)| (d as usize, x))
+        };
+        let touched = extras().fold(1u64 << a | 1u64 << b, |mask, (d, _)| mask | 1u64 << d);
+        let mut max = [0.0f64; 2];
+        for (s, max) in max.iter_mut().enumerate() {
+            *max = scratch.live.untouched_max(s, touched);
+            for (d, end) in [(a, &lanes.ends[0]), (b, &lanes.ends[1])] {
+                let (r0, r1) = (2 * s, 2 * s + 1);
+                *max = max.max(ratio(d, post(r0, d, end[r0]), post(r1, d, end[r1])));
+            }
+        }
+        for (d, &[dgd, dau]) in extras() {
+            max[0] = max[0].max(ratio(d, rows[0][d] as f64, post(1, d, dgd)));
+            max[1] = max[1].max(ratio(d, post(2, d, dau), rows[3][d] as f64));
+        }
+        let Some((natural, size)) = home else {
+            return self.projected(env, max, None);
+        };
+        // Eq 4 as the kernel prices it: v's bytes out of its home entry,
+        // and back in unless `b` is home.
+        let home = natural as usize;
+        let MoveScratch { ref mut moved, ref mut row_gu, ref mut row_au, .. } = *scratch;
+        moved[..m].copy_from_slice(self.moved_bytes());
+        moved[home] -= if a != home { size } else { 0 };
+        if b != home {
+            moved[home] += size;
+        }
+        let movement_cost = geosim::cost::price(env, &moved[..m]);
+        for d in 0..m {
+            (row_gu[d], row_au[d]) = (rows[0][d] as f64, rows[2][d] as f64);
+        }
+        for (d, end) in [(a, &lanes.ends[0]), (b, &lanes.ends[1])] {
+            (row_gu[d], row_au[d]) = (post(0, d, end[0]), post(2, d, end[2]));
+        }
+        for (d, &[_, dau]) in extras() {
+            row_au[d] = post(2, d, dau);
+        }
+        self.projected(env, max, Some((movement_cost, &row_gu[..m], &row_au[..m])))
     }
 
     /// Eq 1 + Eq 5 over rows of load units, beside an Eq 4 `movement_cost`:

@@ -39,8 +39,8 @@ pub mod vertexcut;
 
 pub use edgecut::EdgeCutState;
 pub use error::PlanError;
-pub use hybrid::{check_fault_report, reseed_stranded_masters, HybridState};
-pub use kernel::{MoveScratch, ScratchStats};
+pub use hybrid::{check_fault_report, reseed_stranded_masters, HybridState, MoveMarks};
+pub use kernel::{LaneDeltas, MoveScratch, ScratchStats};
 pub use profile::TrafficProfile;
 pub use state::{DeltaApplyStats, Objective, PlacementState};
 

@@ -521,6 +521,15 @@ require_tests batched_evaluation_is_bitwise_sequential \
 require_tests sparse_lanes_equal_the_dense_oracle clean_verdicts_equal_full_evaluation \
   no_move_carry_equals_rescoring lpt_groups_are_built_once_per_prefix \
   incremental_state_stays_consistent
+# Re-price, don't rebuild: every post-accept verdict re-priced from cached
+# lane deltas equals a full evaluation at M = 2, 3, 8 and 64, priced and
+# unpriced, on a cleaned graph and on a verbatim multigraph (a staleness
+# guard that ignores edge multiplicity fails it); the step counters are
+# bit-stable at one and two threads. Ingest through per-worker planes keeps
+# the typed StreamMismatch at one, two and four threads.
+require_tests repriced_verdicts_equal_full_evaluation \
+  step_counters_are_bit_stable_across_thread_counts \
+  a_second_pass_that_differs_is_a_typed_error
 # One plan per baseline: run_all_methods at one and two threads gives every
 # method but RLCut (wall-clock T_opt) the same plan, and the sequential
 # Ginger masters and Geo-Cut edge DCs at seed 42 stay pinned.
@@ -532,9 +541,10 @@ cargo fmt --check
 echo "==> fault-window smoke run (exp6)"
 cargo run --release -p geobench --bin exp6_faults -- --scale 0.0003 --seed 42 --threads 2
 
-echo "==> move-evaluation kernel and reader lookup micro-bench smoke runs"
+echo "==> move-evaluation kernel, post-accept re-price and reader lookup micro-bench smoke runs"
 cargo bench -p geobench --bench micro -- evaluate_all_moves_tw8dc
 cargo bench -p geobench --bench micro -- evaluate_all_moves_low_degree
+cargo bench -p geobench --bench micro -- migrate/post_accept
 cargo bench -p geobench --bench micro -- serve/lookup_many/reader
 
 echo "==> the tree is as the gate found it"

@@ -5,10 +5,11 @@
 //! after it. This binary installs the counting global allocator
 //! (`counting_alloc`) and holds `build_chunked`'s measured peak on the
 //! LiveJournal analog at scale 0.002 to at most 1.25x the CSR it returns,
-//! the same at one and at two threads. It reads 1 129 504 B, 1.047x, where
-//! the accounting reads 1.000x: the counting allocator does not forward
-//! `realloc`, so the dedup pass's `shrink_to_fit` counts as a second,
-//! shorter run array beside the first.
+//! the same at one and at two threads. It reads 1 078 984 B, 1.000x at
+//! both, as the accounting does: the two workers' count and cursor planes
+//! sit beside one direction only, below the two the build returns, and the
+//! dedup pass's `shrink_to_fit` counts as the shrink it is (the allocator
+//! forwards `realloc`).
 
 use geograph::datasets::DEFAULT_CHUNK_EDGES;
 use geograph::generators::rmat_streamed;

@@ -1,6 +1,6 @@
 //! A counting global allocator for the heap-gate test binaries: every
-//! allocation is forwarded to `System`, and the live byte count and its
-//! high-water mark are kept beside it. A binary that declares `mod
+//! allocation, free and resize is forwarded to `System`, and the live byte
+//! count and its high-water mark are kept beside it. A binary that declares `mod
 //! counting_alloc;` installs it for the whole binary, so each gate is a
 //! binary of its own with one test, and no neighbouring test's allocations
 //! land in the measured interval.
@@ -30,6 +30,24 @@ unsafe impl GlobalAlloc for Counting {
         LIVE.fetch_sub(layout.size(), SeqCst);
         // SAFETY: `p` came from `alloc` above with this `layout`.
         unsafe { System.dealloc(p, layout) }
+    }
+
+    /// Forwarded, so a block that grows or shrinks counts by its change in
+    /// size, not (as `GlobalAlloc`'s default would have it) as a second
+    /// block live beside the first.
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: the caller's obligations are `System::realloc`'s own.
+        let q = unsafe { System.realloc(p, layout, new_size) };
+        if !q.is_null() {
+            let old_size = layout.size();
+            if new_size >= old_size {
+                let grown = new_size - old_size;
+                PEAK.fetch_max(LIVE.fetch_add(grown, SeqCst) + grown, SeqCst);
+            } else {
+                LIVE.fetch_sub(old_size - new_size, SeqCst);
+            }
+        }
+        q
     }
 }
 

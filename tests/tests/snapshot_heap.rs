@@ -5,7 +5,7 @@
 //! allocates is O(buffer) — not a clone of the state plus a staged blob
 //! (more than twice the state, before the encoder borrowed). This binary
 //! installs the counting global allocator (`counting_alloc`) and holds the
-//! call to under 512 KiB above its entry watermark (65 730 B measured) on a
+//! call to under 512 KiB above its entry watermark (65 666 B measured) on a
 //! 60 k-vertex graph whose state is tens of megabytes.
 //!
 //! The same snapshot carries the on-disk size gate: at most 1.5 bytes per

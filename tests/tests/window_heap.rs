@@ -9,9 +9,10 @@
 //! windows at rate 0.05 × 2 steps, and holds every window after the first
 //! delta window to less than ⅛ of the CSR's bytes above its entry
 //! watermark. (The first delta window is where the CSR's flat arrays make
-//! their one amortized regrowth.) Measured: 0.39 MB a window, 0.089× the
-//! 4.39 MB CSR. A copying overlay (a second CSR beside the live one) and a
-//! 100 B/vertex pool read 6.39 MB, 1.46× the CSR.
+//! their one amortized regrowth.) Measured: 0.38 MB a window, 0.087× the
+//! 4.39 MB CSR, with the migration phase's move marks and the score
+//! phase's lane deltas in it. A copying overlay (a second CSR beside the
+//! live one) and a 100 B/vertex pool read 6.39 MB, 1.46× the CSR.
 
 use std::time::Duration;
 
