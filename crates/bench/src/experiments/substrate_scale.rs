@@ -1,5 +1,5 @@
 //! Substrate at paper scale (not a paper artifact): streamed CSR ingest
-//! and a scan-capped training window over the Table II LiveJournal analog
+//! and a fixed-rate training window over the Table II LiveJournal analog
 //! — the one measurement that fits neither a test nor `benchmark/`'s
 //! 10-second budget. `--scale 1.0` builds all 4.8 M vertices / ~69 M
 //! directed edges (≈ 1 min, ≈ 0.9 GiB peak RSS); that run is recorded in
@@ -18,10 +18,9 @@ use geograph::{Dataset, GeoGraph, ScopedPool};
 use geosim::regions::ec2_eight_regions;
 use rlcut::RlCutConfig;
 
-/// The training window: a 5 % sample capped at 100 k agents per step.
+/// The training window: two steps, each scoring the whole 5 % prefix.
 const STEPS: usize = 2;
 const SAMPLE_RATE: f64 = 0.05;
-const MAX_SCAN: usize = 100_000;
 
 pub fn run(ctx: &ExpContext) {
     let dataset = Dataset::LiveJournal;
@@ -63,7 +62,7 @@ pub fn run(ctx: &ExpContext) {
     ]);
     t.print();
 
-    // 2. A short scan-capped training window over the freshly built graph.
+    // 2. A short fixed-rate training window over the freshly built graph.
     let geo = GeoGraph::from_graph(graph, &LocalityConfig::paper_default(ctx.seed));
     let env = ec2_eight_regions();
     let budget = geosim::cost::default_budget(&env, &geo.locations, &geo.data_sizes, 0.4);
@@ -71,13 +70,12 @@ pub fn run(ctx: &ExpContext) {
         .with_seed(ctx.seed)
         .with_threads(threads)
         .with_fixed_sample_rate(SAMPLE_RATE)
-        .with_max_scan(MAX_SCAN)
         .with_max_steps(STEPS);
     let profile = geopart::TrafficProfile::uniform(geo.num_vertices(), 8.0);
     let result = rlcut::partition(&geo, &env, profile, 10.0, &config);
     let mut t = Table::new(
         &format!(
-            "Substrate scale — training window ({STEPS} steps, {:.0}% sample, scan cap {MAX_SCAN})",
+            "Substrate scale — training window ({STEPS} steps, {:.0}% sample)",
             SAMPLE_RATE * 100.0
         ),
         &[

@@ -382,7 +382,7 @@ mod tests {
         let moved: Vec<&str> =
             one.iter().zip(&two).filter(|(a, b)| a.1 != b.1).map(|(a, _)| a.0).collect();
         assert!(moved.is_empty(), "plans that depend on the thread count: {moved:?}");
-        let fnv = |name| geodur::fnv1a(&one.iter().find(|(n, _)| *n == name).unwrap().1);
+        let fnv = |name| geograph::wire::fnv1a(&one.iter().find(|(n, _)| *n == name).unwrap().1);
         assert_eq!(
             fnv("Ginger"),
             GINGER_MASTERS_FNV,

@@ -49,10 +49,9 @@ pub struct RlCutConfig {
     /// hook; agents are then assigned to threads round-robin.
     pub disable_straggler_mitigation: bool,
     /// Required optimization overhead `T_opt` (§V-C). `None` disables the
-    /// adaptive sampler: every agent trains every step.
+    /// adaptive sampler: every agent trains every step. The schedule opens
+    /// at Eq 14's `SR_0`, `sampling::INITIAL_SAMPLE_RATE`.
     pub t_opt: Option<Duration>,
-    /// Initial sampling rate `SR_0` for the adaptive schedule (Eq 14).
-    pub initial_sample_rate: f64,
     /// Pin the sampling rate (both Exp#3 and Fig 9 fix it). Overrides the
     /// adaptive schedule and `t_opt`-based stopping.
     pub fixed_sample_rate: Option<f64>,
@@ -65,14 +64,6 @@ pub struct RlCutConfig {
     /// Stop when a step migrates fewer than this fraction of its sampled
     /// agents.
     pub convergence_fraction: f64,
-    /// Working-set cap on the per-step candidate scan (CUTTANA-style).
-    /// `Some(cap)` limits each step to at most `cap` of the sampled agents,
-    /// rotating the window across steps so successive steps cover
-    /// successive slices of the sampled prefix. Bounds per-step latency and
-    /// the score phase's touched working set on paper-scale graphs where
-    /// even a 1 % sample is hundreds of thousands of agents. `None` (the
-    /// default) scans the whole sample.
-    pub max_scan: Option<usize>,
     pub seed: u64,
 }
 
@@ -91,12 +82,10 @@ impl RlCutConfig {
             num_threads: None,
             disable_straggler_mitigation: false,
             t_opt: None,
-            initial_sample_rate: 0.01,
             fixed_sample_rate: None,
             sample_strategy: SampleStrategy::default(),
             sampling_recency: None,
             convergence_fraction: 0.001,
-            max_scan: None,
             seed: 42,
         }
     }
@@ -150,13 +139,6 @@ impl RlCutConfig {
         self
     }
 
-    /// Builder-style per-step scan cap (see [`RlCutConfig::max_scan`]).
-    pub fn with_max_scan(mut self, cap: usize) -> Self {
-        assert!(cap >= 1, "a zero scan cap would stall every step");
-        self.max_scan = Some(cap);
-        self
-    }
-
     /// Effective worker-thread count.
     pub(crate) fn threads(&self) -> usize {
         self.num_threads
@@ -174,19 +156,7 @@ mod tests {
         assert_eq!(c.max_steps, 10);
         assert_eq!(c.batch_size, 48);
         assert!(!c.use_penalty);
-        assert_eq!(c.initial_sample_rate, 0.01);
-        assert_eq!(c.max_scan, None);
-    }
-
-    #[test]
-    fn max_scan_builder() {
-        assert_eq!(RlCutConfig::new(1.0).with_max_scan(5000).max_scan, Some(5000));
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_scan_cap_rejected() {
-        RlCutConfig::new(1.0).with_max_scan(0);
+        assert_eq!(crate::sampling::INITIAL_SAMPLE_RATE, 0.01);
     }
 
     #[test]

@@ -41,11 +41,16 @@ pub(crate) fn degree_ascending_order(graph: &Graph) -> Vec<VertexId> {
     order
 }
 
+/// Eq 14's `SR_0`: the rate the adaptive schedule opens a run with, before
+/// any step has been timed — 1 % of the agents, or a window's floor
+/// ([`SampleScheduler::set_min_rate`]) if that is higher.
+pub(crate) const INITIAL_SAMPLE_RATE: f64 = 0.01;
+
 /// The Eq 14 sampling-rate schedule.
 ///
-/// Starts at `SR_0` and, per step `i`, extrapolates the affordable rate
-/// from the remaining budget and the observed rate-per-second of past
-/// steps:
+/// Starts at [`INITIAL_SAMPLE_RATE`] and, per step `i`, extrapolates the
+/// affordable rate from the remaining budget and the observed
+/// rate-per-second of past steps:
 ///
 /// ```text
 /// SR_i = (T_opt − Σ t_k) / (Iter_max − i) · (1/i) Σ_j SR_j / t_j
@@ -57,7 +62,6 @@ pub(crate) struct SampleScheduler {
     t_opt: Option<f64>,
     /// Pinned rate (overrides the schedule).
     fixed: Option<f64>,
-    initial_rate: f64,
     max_steps: usize,
     /// Recency weight λ for the rate-per-second estimate. `None` uses the
     /// paper's uniform mean (Eq 14 verbatim). The paper observes (Fig 14b)
@@ -80,17 +84,10 @@ pub(crate) struct SampleScheduler {
 }
 
 impl SampleScheduler {
-    pub(crate) fn new(
-        t_opt: Option<f64>,
-        fixed: Option<f64>,
-        initial_rate: f64,
-        max_steps: usize,
-    ) -> Self {
-        assert!((0.0..=1.0).contains(&initial_rate));
+    pub(crate) fn new(t_opt: Option<f64>, fixed: Option<f64>, max_steps: usize) -> Self {
         SampleScheduler {
             t_opt,
             fixed,
-            initial_rate,
             max_steps,
             recency: None,
             min_rate: 0.0,
@@ -138,7 +135,7 @@ impl SampleScheduler {
             return Some(1.0);
         };
         if step == 0 {
-            return Some(self.initial_rate.max(self.min_rate).min(1.0));
+            return Some(INITIAL_SAMPLE_RATE.max(self.min_rate).min(1.0));
         }
         let spent: f64 = self.history.iter().map(|&(_, t)| t).sum();
         let remaining = t_opt - spent;
@@ -178,37 +175,6 @@ pub(crate) fn sample_prefix(order: &[VertexId], rate: f64) -> &[VertexId] {
     &order[..k]
 }
 
-/// Where [`scan_window`]'s window starts in a `prefix_len`-agent prefix.
-pub(crate) fn scan_start(prefix_len: usize, cap: usize, step_index: usize) -> usize {
-    ((step_index as u128 * cap as u128) % prefix_len as u128) as usize
-}
-
-/// CUTTANA-style working-set cap: the at-most-`cap` slice of `prefix` that
-/// step `step_index` scans.
-///
-/// The window start rotates deterministically — `(step_index * cap) %
-/// prefix.len()` — so consecutive steps cover consecutive slices of the
-/// sampled prefix and every agent keeps getting turns; the rotation is a
-/// pure function of the step index, so it is no trainer state and consumes
-/// no randomness. Wrap-around windows are materialized (the
-/// two arms of the ring are not contiguous); callers avoid the copy by not
-/// calling this at all when `cap >= prefix.len()`.
-pub(crate) fn scan_window(prefix: &[VertexId], cap: usize, step_index: usize) -> Vec<VertexId> {
-    assert!(cap >= 1, "a zero scan cap would stall every step");
-    if prefix.is_empty() {
-        return Vec::new();
-    }
-    if cap >= prefix.len() {
-        return prefix.to_vec();
-    }
-    let start = scan_start(prefix.len(), cap, step_index);
-    let mut window = Vec::with_capacity(cap);
-    let first = (prefix.len() - start).min(cap);
-    window.extend_from_slice(&prefix[start..start + first]);
-    window.extend_from_slice(&prefix[..cap - first]);
-    window
-}
-
 /// The sampling priority order of dynamic window `window_index`: `base`
 /// (the session's order) cut into three segments, each keeping `base`'s
 /// relative order.
@@ -224,10 +190,11 @@ pub(crate) fn scan_window(prefix: &[VertexId], cap: usize, step_index: usize) ->
 /// * **rest** — the high-degree vertices, which move little wherever
 ///   their master sits (Fig 9) and are trained when a delta touches them.
 ///
-/// Like [`scan_window`], the rotation is a pure function of an index the
-/// caller already has, so it adds nothing to a WAL record or a snapshot: a recovered pipeline knows its next window index and so
-/// samples exactly what the uninterrupted one would. Returns the order and
-/// the length of its hot segment.
+/// The rotation is a pure function of an index the caller already has, so
+/// it adds nothing to a WAL record or a snapshot: a recovered pipeline
+/// knows its next window index and so samples exactly what the
+/// uninterrupted one would. Returns the order and the length of its hot
+/// segment.
 pub(crate) fn window_order(
     base: &[VertexId],
     is_hot: impl Fn(VertexId) -> bool,
@@ -320,45 +287,15 @@ mod tests {
     }
 
     #[test]
-    fn scan_window_rotates_and_covers_the_prefix() {
-        let prefix = vec![10, 11, 12, 13, 14];
-        // cap 2 over 5 agents: starts rotate 0, 2, 4, 1, 3, 0, …
-        assert_eq!(scan_window(&prefix, 2, 0), &[10, 11]);
-        assert_eq!(scan_window(&prefix, 2, 1), &[12, 13]);
-        assert_eq!(scan_window(&prefix, 2, 2), &[14, 10]); // wraps
-        assert_eq!(scan_window(&prefix, 2, 3), &[11, 12]);
-        // Five consecutive steps touch every agent at least once.
-        let mut seen: std::collections::HashSet<VertexId> = Default::default();
-        for step in 0..5 {
-            seen.extend(scan_window(&prefix, 2, step));
-        }
-        assert_eq!(seen.len(), prefix.len());
-    }
-
-    #[test]
-    fn scan_window_huge_cap_is_identity() {
-        let prefix = vec![3, 1, 4];
-        assert_eq!(scan_window(&prefix, 3, 7), prefix);
-        assert_eq!(scan_window(&prefix, usize::MAX, 7), prefix);
-        assert!(scan_window(&[], 4, 0).is_empty());
-    }
-
-    #[test]
-    #[should_panic]
-    fn scan_window_rejects_zero_cap() {
-        scan_window(&[1, 2], 0, 0);
-    }
-
-    #[test]
     fn unconstrained_scheduler_full_rate() {
-        let s = SampleScheduler::new(None, None, 0.01, 10);
+        let s = SampleScheduler::new(None, None, 10);
         assert_eq!(s.next_rate(), Some(1.0));
     }
 
     #[test]
     fn fixed_rate_pins() {
         // A pinned rate overrides the Eq 14 schedule while budget remains…
-        let mut s = SampleScheduler::new(Some(1.0), Some(0.1), 0.01, 10);
+        let mut s = SampleScheduler::new(Some(1.0), Some(0.1), 10);
         assert_eq!(s.next_rate(), Some(0.1));
         s.record(0.1, 0.4);
         assert_eq!(s.next_rate(), Some(0.1));
@@ -370,7 +307,7 @@ mod tests {
 
     #[test]
     fn fixed_rate_respects_max_steps() {
-        let mut s = SampleScheduler::new(None, Some(0.5), 0.01, 2);
+        let mut s = SampleScheduler::new(None, Some(0.5), 2);
         assert_eq!(s.next_rate(), Some(0.5));
         s.record(0.5, 0.1);
         assert_eq!(s.next_rate(), Some(0.5));
@@ -380,21 +317,21 @@ mod tests {
 
     #[test]
     fn adaptive_starts_at_initial_rate() {
-        let s = SampleScheduler::new(Some(10.0), None, 0.01, 10);
-        assert_eq!(s.next_rate(), Some(0.01));
+        let s = SampleScheduler::new(Some(10.0), None, 10);
+        assert_eq!(s.next_rate(), Some(INITIAL_SAMPLE_RATE));
     }
 
     #[test]
     fn adaptive_rate_scales_with_remaining_budget() {
         // First step: 1 % of agents took 0.01 s => 1.0 rate/sec. With 9.99s
         // left over 9 steps, the schedule affords ~1.0 rate... clamped.
-        let mut s = SampleScheduler::new(Some(10.0), None, 0.01, 10);
+        let mut s = SampleScheduler::new(Some(10.0), None, 10);
         s.record(0.01, 0.01);
         let r1 = s.next_rate().unwrap();
         assert!(r1 > 0.5, "plenty of budget should raise the rate: {r1}");
 
         // Tight budget: almost no time left => tiny rate.
-        let mut s = SampleScheduler::new(Some(0.02), None, 0.01, 10);
+        let mut s = SampleScheduler::new(Some(0.02), None, 10);
         s.record(0.01, 0.019);
         let r2 = s.next_rate().unwrap();
         assert!(r2 < 0.1, "nearly exhausted budget must shrink the rate: {r2}");
@@ -402,7 +339,7 @@ mod tests {
 
     #[test]
     fn exhausted_budget_stops() {
-        let mut s = SampleScheduler::new(Some(1.0), None, 0.01, 10);
+        let mut s = SampleScheduler::new(Some(1.0), None, 10);
         s.record(0.01, 2.0);
         assert_eq!(s.next_rate(), None);
     }
@@ -414,8 +351,8 @@ mod tests {
         // in 0.1 s). The recency-weighted schedule affords a higher next
         // rate than the uniform Eq 14 mean.
         let history = [(0.1, 1.0), (0.1, 0.1)];
-        let mut uniform = SampleScheduler::new(Some(10.0), None, 0.01, 10);
-        let mut recent = SampleScheduler::new(Some(10.0), None, 0.01, 10).with_recency(0.3);
+        let mut uniform = SampleScheduler::new(Some(10.0), None, 10);
+        let mut recent = SampleScheduler::new(Some(10.0), None, 10).with_recency(0.3);
         for &(sr, t) in &history {
             uniform.record(sr, t);
             recent.record(sr, t);
@@ -426,8 +363,8 @@ mod tests {
 
     #[test]
     fn recency_one_matches_uniform() {
-        let mut a = SampleScheduler::new(Some(5.0), None, 0.01, 10);
-        let mut b = SampleScheduler::new(Some(5.0), None, 0.01, 10).with_recency(1.0);
+        let mut a = SampleScheduler::new(Some(5.0), None, 10);
+        let mut b = SampleScheduler::new(Some(5.0), None, 10).with_recency(1.0);
         for &(sr, t) in &[(0.01, 0.2), (0.3, 0.5), (0.5, 0.9)] {
             a.record(sr, t);
             b.record(sr, t);
@@ -439,7 +376,7 @@ mod tests {
     #[test]
     fn min_rate_floors_initial_and_scheduled_rates() {
         // Initial rate below the floor is lifted…
-        let mut s = SampleScheduler::new(Some(10.0), None, 0.01, 10);
+        let mut s = SampleScheduler::new(Some(10.0), None, 10);
         s.set_min_rate(0.25);
         assert_eq!(s.next_rate(), Some(0.25));
         // …and so is an Eq 14-scheduled rate starved by a tight budget.
@@ -451,14 +388,14 @@ mod tests {
     #[test]
     fn min_rate_leaves_fixed_rates_and_stopping_alone() {
         // A pinned rate is an explicit override — not floored.
-        let mut s = SampleScheduler::new(Some(1.0), Some(0.05), 0.01, 10);
+        let mut s = SampleScheduler::new(Some(1.0), Some(0.05), 10);
         s.set_min_rate(0.5);
         assert_eq!(s.next_rate(), Some(0.05));
         // Stopping conditions are unaffected: a spent budget still halts.
         s.record(0.05, 2.0);
         assert_eq!(s.next_rate(), None);
         // Same for the adaptive path.
-        let mut s = SampleScheduler::new(Some(1.0), None, 0.01, 10);
+        let mut s = SampleScheduler::new(Some(1.0), None, 10);
         s.set_min_rate(0.5);
         s.record(0.5, 2.0);
         assert_eq!(s.next_rate(), None);
@@ -467,8 +404,8 @@ mod tests {
     #[test]
     fn larger_t_opt_gives_larger_rates() {
         // The Fig 13/14 mechanism: more allowed overhead => more agents.
-        let mut small = SampleScheduler::new(Some(1.0), None, 0.01, 10);
-        let mut large = SampleScheduler::new(Some(50.0), None, 0.01, 10);
+        let mut small = SampleScheduler::new(Some(1.0), None, 10);
+        let mut large = SampleScheduler::new(Some(50.0), None, 10);
         small.record(0.01, 0.5);
         large.record(0.01, 0.5);
         assert!(large.next_rate().unwrap() > small.next_rate().unwrap());

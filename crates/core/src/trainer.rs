@@ -1,10 +1,11 @@
 //! The RLCut training loop (Fig 5) with batched global migration (Fig 7,
 //! §V-A) and degree-balanced parallel scoring (§V-B).
 //!
-//! `TrainerSession` owns the one step loop: schedule → sample →
-//! `max_scan` window → frozen objective and weights → propose (Fig 5
-//! phases 1–4: one `AgentPool` scored against the session's state) →
-//! shuffle → migrate → best-plan and convergence bookkeeping → journal.
+//! `TrainerSession` owns the one step loop: schedule (Eq 14 or a fixed
+//! rate) → sample a prefix of the priority order → frozen objective and
+//! weights → propose (Fig 5 phases 1–4: one `AgentPool` scored against the
+//! session's state) → shuffle → migrate → best-plan and convergence
+//! bookkeeping → journal.
 //!
 //! ## Parallel architecture
 //!
@@ -45,9 +46,7 @@ use rand::SeedableRng;
 use crate::agent::AgentPool;
 use crate::config::{RlCutConfig, SampleStrategy};
 use crate::pool::{fan_out, PoolError};
-use crate::sampling::{
-    degree_ascending_order, sample_prefix, scan_start, scan_window, window_order, SampleScheduler,
-};
+use crate::sampling::{degree_ascending_order, sample_prefix, window_order, SampleScheduler};
 use crate::score::{best_destination, score, Weights};
 use crate::stats::{RlCutResult, StepStats};
 use crate::straggler;
@@ -126,8 +125,8 @@ pub(crate) struct TrainerSession<'g> {
     order: Vec<VertexId>,
     /// One learning automaton per sampled position of `order` (Fig 5
     /// phases 3–4): slot `i` is `order[i]`'s. Every step samples a prefix
-    /// of `order` (or a rotation inside one), so the pool grows to the
-    /// longest prefix sampled, not to the graph.
+    /// of `order`, so the pool grows to the longest prefix sampled, not to
+    /// the graph.
     agents: AgentPool,
     scheduler: SampleScheduler,
     /// Migration-batch shuffle RNG.
@@ -164,7 +163,7 @@ pub(crate) struct TrainerSession<'g> {
     /// [`Carry`]).
     carry: Option<Carry>,
     /// LPT score groups of the sampled prefix, built once and reused by
-    /// every full-scan step that samples that prefix.
+    /// every step that samples a prefix of that length.
     groups: PrefixGroups,
 }
 
@@ -238,15 +237,16 @@ struct MigrateWork {
     post_accept_evals: usize,
 }
 
-/// A full-scan step's verdicts, carried to the next step when that step
+/// A no-move step's verdicts, carried to the next step when that step
 /// would score the same agents against the same state under the same
-/// weights, dead set and environment — so re-scoring would reproduce them
-/// bit for bit.
+/// weights and environment — so re-scoring would reproduce them bit for
+/// bit. The dead set needs no key of its own: only
+/// [`TrainerSession::evacuate_dead_dcs`] changes it, and that bumps the
+/// generation.
 struct Carry {
     generation: u64,
     agents: usize,
     weights: Weights,
-    dead: u64,
     env: CloudEnv,
     verdicts: Verdicts,
 }
@@ -328,7 +328,6 @@ impl<'g> TrainerSession<'g> {
         let mut scheduler = SampleScheduler::new(
             config.t_opt.map(|d| d.as_secs_f64()),
             config.fixed_sample_rate,
-            config.initial_sample_rate,
             config.max_steps,
         );
         if let Some(lambda) = config.sampling_recency {
@@ -442,29 +441,18 @@ impl<'g> TrainerSession<'g> {
             self.exhausted = true;
             return Ok(None);
         };
-        let prefix = sample_prefix(&self.order, rate);
-        if prefix.is_empty() {
+        let sampled = sample_prefix(&self.order, rate);
+        if sampled.is_empty() {
             self.exhausted = true;
             return Ok(None);
         }
-        // Optional working-set cap (CUTTANA-style): scan only a rotating
-        // `max_scan`-sized window of the sampled prefix this step, which
-        // starts at agent slot `first_slot` and wraps inside the prefix.
-        let (first_slot, capped) = match self.config.max_scan {
-            Some(cap) if cap < prefix.len() => {
-                (scan_start(prefix.len(), cap, step), Some(scan_window(prefix, cap, step)))
-            }
-            _ => (0, None),
-        };
-        let full_scan = capped.is_none();
-        let sampled: &[VertexId] = capped.as_deref().unwrap_or(prefix);
         let step_start = Instant::now();
         let step_obj = self.state.objective(env);
         if step_obj.transfer_time == 0.0 && step_obj.total_cost() <= self.config.budget {
             self.converged = true;
             return Ok(None);
         }
-        self.agents.grow(prefix.len());
+        self.agents.grow(sampled.len());
         let over_budget = step_obj.total_cost() > self.config.budget;
         let weights = Weights::at(step, self.config.max_steps, over_budget);
         let mut exec = Exec { env, config: &self.config, arenas: &mut self.arenas };
@@ -472,36 +460,31 @@ impl<'g> TrainerSession<'g> {
         // Phases 1–4 — score function & reinforcement signal (parallel),
         // probability update & UCB action selection. Proposals come out in
         // the sampled order. A predecessor that scored the same agents
-        // against the same state, weights, dead set and environment hands
-        // its verdicts over instead.
+        // against the same state, weights and environment hands its
+        // verdicts over instead.
         let score_start = Instant::now();
         let dead = self.dead_dcs;
         let verdicts = match self.carry.take() {
             Some(c)
-                if full_scan
-                    && c.generation == self.generation
+                if c.generation == self.generation
                     && c.agents == sampled.len()
                     && c.weights == weights
-                    && c.dead == dead
                     && c.env == *env =>
             {
                 c.verdicts
             }
             _ => {
-                let groups = full_scan.then_some(&mut self.groups);
-                let (state, geo) = (&self.state, self.geo);
+                let (state, geo, groups) = (&self.state, self.geo, &mut self.groups);
                 score_phase(geo, state, sampled, &step_obj, weights, dead, groups, &mut exec)?
             }
         };
-        let k = prefix.len();
         let mut proposals: Vec<Proposal> = sampled
             .iter()
             .zip(&verdicts.rho)
             .zip(&verdicts.accept)
             .enumerate()
             .filter_map(|(i, ((&v, &best_dc), &accept))| {
-                let slot = (first_slot + i) % k;
-                let selected = self.agents.learn_and_select(slot, best_dc, &self.config);
+                let selected = self.agents.learn_and_select(i, best_dc, &self.config);
                 // UCB explores: a selection may name a dead DC even
                 // though no score led there.
                 (selected != self.state.master(v) && dead >> selected & 1 == 0).then(|| Proposal {
@@ -524,10 +507,10 @@ impl<'g> TrainerSession<'g> {
         let migrations = applied.len();
         if migrations > 0 {
             self.generation += 1;
-        } else if full_scan {
+        } else {
             let (generation, agents) = (self.generation, sampled.len());
             let env = env.clone();
-            self.carry = Some(Carry { generation, agents, weights, dead, env, verdicts });
+            self.carry = Some(Carry { generation, agents, weights, env, verdicts });
         }
         if let Some(journal) = self.journal.as_mut().filter(|_| migrations > 0) {
             journal.push((step as u32, applied));
@@ -556,10 +539,8 @@ impl<'g> TrainerSession<'g> {
         self.step_index += 1;
         // Convergence is only meaningful when (nearly) all agents took
         // part — a tiny early sample moving nothing says nothing about the
-        // full solution space, and a scan-capped step saw only a window of
-        // it.
-        if full_scan
-            && rate >= 0.999
+        // full solution space.
+        if rate >= 0.999
             && (migrations as f64) < self.config.convergence_fraction * sampled.len() as f64
         {
             self.converged = true;
@@ -649,8 +630,8 @@ const PARALLEL_SCORE_MIN_AGENTS: usize = 64;
 /// Sequential on the caller (arena 0) with one thread or below
 /// [`PARALLEL_SCORE_MIN_AGENTS`]; otherwise worker `i` scores LPT group `i`
 /// with arena `i`. Both produce bit-identical verdicts — a group's results
-/// land on its own positions. With `cache`, the groups are those it holds
-/// for a sample of this length, built into it first if it holds none.
+/// land on its own positions. The groups are those `cache` holds for a
+/// sample of this length, built into it first if it holds none.
 #[allow(clippy::too_many_arguments)]
 fn score_phase(
     geo: &GeoGraph,
@@ -659,7 +640,7 @@ fn score_phase(
     step_obj: &Objective,
     weights: Weights,
     dead: u64,
-    cache: Option<&mut PrefixGroups>,
+    cache: &mut PrefixGroups,
     exec: &mut Exec<'_>,
 ) -> Result<Verdicts, PoolError> {
     let env = exec.env;
@@ -725,26 +706,15 @@ fn score_phase(
         return Ok(verdicts);
     }
 
-    let assign = || {
-        if exec.config.disable_straggler_mitigation {
-            straggler::round_robin_assignment(sampled.len(), threads)
+    if cache.as_ref().is_none_or(|(agents, _)| *agents != n) {
+        let groups = if exec.config.disable_straggler_mitigation {
+            straggler::round_robin_assignment(n, threads)
         } else {
             straggler::balanced_assignment(&geo.graph, sampled, threads)
-        }
-    };
-    let fresh;
-    let groups: &[Vec<usize>] = match cache {
-        Some(cache) => {
-            if cache.as_ref().is_none_or(|(agents, _)| *agents != sampled.len()) {
-                *cache = Some((sampled.len(), assign()));
-            }
-            &cache.as_ref().expect("filled above").1
-        }
-        None => {
-            fresh = assign();
-            &fresh
-        }
-    };
+        };
+        *cache = Some((n, groups));
+    }
+    let groups = &cache.as_ref().expect("filled above").1;
     let by_group = fan_out(exec.arenas, &|worker, scratch| -> Scored {
         score_group(&mut groups[worker].iter().map(|&i| sampled[i]), scratch)
     })?;
@@ -959,44 +929,6 @@ mod tests {
                 assert!(repriced + evals + migrations.min(1) <= proposals);
             }
         }
-    }
-
-    #[test]
-    fn oversized_scan_cap_is_bit_identical_to_uncapped() {
-        // `max_scan: None` and a cap that never binds must both take the
-        // untouched pre-knob path: same RNG stream, same masters, same
-        // per-step telemetry.
-        let (geo, env) = setup(16);
-        let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
-        let base = default_config(&geo, &env).with_fixed_sample_rate(1.0).with_max_steps(3);
-        let uncapped = partition(&geo, &env, profile.clone(), 10.0, &base.clone());
-        let capped = partition(&geo, &env, profile, 10.0, &base.with_max_scan(usize::MAX));
-        assert_eq!(uncapped.state.core().masters(), capped.state.core().masters());
-        assert_eq!(uncapped.total_migrations(), capped.total_migrations());
-    }
-
-    #[test]
-    fn scan_cap_bounds_every_step_and_blocks_convergence() {
-        let (geo, env) = setup(17);
-        let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
-        let config = default_config(&geo, &env)
-            .with_fixed_sample_rate(1.0)
-            .with_max_scan(100)
-            .with_max_steps(6);
-        let theta = geograph::degree::suggest_theta(&geo.graph, 0.05);
-        let state =
-            HybridState::from_masters(&geo, &env, geo.locations.clone(), theta, profile, 10.0);
-        let mut session = TrainerSession::new(&geo, &env, state, config);
-        while session.step(&env).unwrap().is_some() {}
-        assert_eq!(session.steps.len(), 6, "capped steps must not converge early");
-        assert!(!session.converged, "a capped scan sees only a window — no convergence claim");
-        let mut starts = std::collections::HashSet::new();
-        for stats in &session.steps {
-            assert!(stats.num_agents <= 100, "step scanned {} agents", stats.num_agents);
-            starts.insert(stats.num_agents);
-        }
-        // Full 1024-agent sample, cap 100: every window is exactly full.
-        assert_eq!(starts.into_iter().collect::<Vec<_>>(), vec![100]);
     }
 
     #[test]
@@ -1231,9 +1163,10 @@ mod tests {
             let mut arenas = vec![MoveScratch::new(); threads];
             for weights in [Weights::at(3, 10, false), Weights::at(3, 10, true)] {
                 let mut exec = Exec { env: &env, config: &config, arenas: &mut arenas };
-                let verdicts =
-                    score_phase(&geo, &state, &sampled, &step_obj, weights, dead, None, &mut exec)
-                        .unwrap();
+                let verdicts = score_phase(
+                    &geo, &state, &sampled, &step_obj, weights, dead, &mut None, &mut exec,
+                )
+                .unwrap();
                 for (i, &v) in sampled.iter().enumerate() {
                     let master = state.master(v);
                     for d in (0..7).filter(|&d| d != master) {
@@ -1366,25 +1299,6 @@ mod tests {
         assert_eq!(session.agents.num_agents(), sampled);
         assert!(sampled * 10 < geo.num_vertices(), "{sampled} agents for a 5 % sample");
     }
-
-    #[test]
-    fn scan_capped_run_keeps_its_masters() {
-        // A capped window that wraps inside the sampled prefix trains slots
-        // `(start + i) mod k`. The masters are pinned to the run of the
-        // vertex-indexed pool this one replaced (FNV-1a, seed 1).
-        let (geo, env) = setup(18);
-        let profile = TrafficProfile::uniform(geo.num_vertices(), 8.0);
-        let config = default_config(&geo, &env)
-            .with_fixed_sample_rate(0.3)
-            .with_max_scan(37)
-            .with_max_steps(10);
-        let result = partition(&geo, &env, profile, 10.0, &config);
-        assert!(result.total_migrations() > 0);
-        let fnv = geodur::masters_fnv(result.state.core().masters());
-        assert_eq!(fnv, SCAN_CAPPED_MASTERS_FNV, "capped masters moved: {fnv:#018x}");
-    }
-
-    const SCAN_CAPPED_MASTERS_FNV: u64 = 0xe543_b1d4_4a62_a7cf;
 
     #[test]
     fn more_agents_more_overhead() {

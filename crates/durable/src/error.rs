@@ -6,7 +6,7 @@
 //! anomaly is a *torn tail*: the final record of the final WAL segment cut
 //! short by a crash mid-append, which recovery drops and reports.
 
-use geograph::wire::WireError;
+use geograph::wire::{fnv1a, WireError};
 use geopart::PlanError;
 use geosim::CloudEnv;
 
@@ -130,26 +130,6 @@ impl From<PlanError> for DurableError {
     fn from(e: PlanError) -> Self {
         DurableError::Plan(e)
     }
-}
-
-/// FNV-1a 64-bit offset basis — the hash of the empty input.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds `bytes` into a running FNV-1a `hash`, so a stream can be
-/// checksummed block by block: `fnv1a_fold(fnv1a_fold(FNV_OFFSET, a), b)`
-/// equals [`fnv1a`] of `a` followed by `b`.
-pub(crate) fn fnv1a_fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// FNV-1a 64-bit over a byte slice — the workspace's dependency-free
-/// integrity check.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_fold(FNV_OFFSET, bytes)
 }
 
 /// Identity fingerprint of a cloud environment: FNV-1a over the DC count

@@ -36,7 +36,7 @@ pub mod snapshot;
 pub mod store;
 pub mod wal;
 
-pub use error::{env_fingerprint, fnv1a, DurableError};
+pub use error::{env_fingerprint, DurableError};
 pub use records::{Batch, Commit, Record, WindowStart};
 pub use replay::{masters_fnv, replay};
 pub use snapshot::{Snapshot, SnapshotRef};

@@ -31,12 +31,12 @@
 //! The dead-DC mask starts as the snapshot's trainer slot (one 0/1 byte
 //! per DC) and each replayed window start's flags replace it.
 
-use geograph::wire::WireError;
+use geograph::wire::{fnv1a, WireError};
 use geograph::{GeoGraph, GraphDelta};
 use geopart::{HybridState, MoveScratch, PlacementState, TrafficProfile};
 use geosim::CloudEnv;
 
-use crate::error::{env_fingerprint, fnv1a, DurableError};
+use crate::error::{env_fingerprint, DurableError};
 use crate::records::{Commit, Record, WindowStart, KIND_WINDOW_START};
 use crate::snapshot::Snapshot;
 use crate::wal::LoadedRecord;

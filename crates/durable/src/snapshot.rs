@@ -34,12 +34,12 @@ use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use geograph::wire::{self, put_varint, Reader, WireError};
+use geograph::wire::{self, fnv1a, fnv1a_fold, put_varint, Reader, WireError, FNV_OFFSET};
 use geograph::GeoGraph;
 use geopart::snapshot::{decode_placement, encode_placement};
 use geopart::PlacementState;
 
-use crate::error::{fnv1a, fnv1a_fold, DurableError, FNV_OFFSET};
+use crate::error::DurableError;
 
 /// Magic bytes opening every snapshot file.
 pub(crate) const MAGIC: [u8; 4] = *b"RLSN";

@@ -51,9 +51,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-use geograph::wire::{Reader, WireError};
+use geograph::wire::{fnv1a, Reader, WireError};
 
-use crate::error::{fnv1a, DurableError};
+use crate::error::DurableError;
 
 /// Magic bytes opening every WAL segment.
 pub(crate) const MAGIC: [u8; 4] = *b"RLWL";

@@ -83,6 +83,26 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// FNV-1a 64-bit offset basis — the hash of the empty input.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into a running FNV-1a `hash`, so a stream can be
+/// checksummed block by block: `fnv1a_fold(fnv1a_fold(FNV_OFFSET, a), b)`
+/// equals [`fnv1a`] of `a` followed by `b`.
+pub fn fnv1a_fold(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// FNV-1a 64-bit over a byte slice — the workspace's one dependency-free
+/// integrity check (WAL frames, snapshots, plan files, master vectors).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_fold(FNV_OFFSET, bytes)
+}
+
 /// Bounds-checked little-endian reader over a byte slice.
 pub struct Reader<'a> {
     buf: &'a [u8],

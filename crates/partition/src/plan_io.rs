@@ -3,13 +3,15 @@
 //! A trained plan is just its assignment vector — master locations for the
 //! replica-based models, vertex labels for edge-cut, per-edge DCs for
 //! vertex-cut. The format is a line-oriented text file with a header
-//! carrying the element count and a FNV-style checksum, so a plan produced
-//! by one run can be audited, diffed, and re-applied later (e.g. to warm-
-//! start a dynamic window after a restart).
+//! carrying the element count and an FNV-1a checksum of the DC ids, so a
+//! plan produced by one run can be audited, diffed, and re-applied later
+//! (e.g. to warm-start a dynamic window after a restart).
 
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
+
+use geograph::wire::fnv1a;
 
 use crate::DcId;
 
@@ -67,20 +69,10 @@ impl From<io::Error> for PlanIoError {
     }
 }
 
-fn checksum(assignment: &[DcId]) -> u64 {
-    // FNV-1a over the raw bytes: stable, order-sensitive, cheap.
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &d in assignment {
-        hash ^= d as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Writes an assignment vector (any model) to `path`.
 pub fn save_assignment(assignment: &[DcId], path: &Path) -> Result<(), PlanIoError> {
     let mut w = BufWriter::new(File::create(path)?);
-    writeln!(w, "# {MAGIC} count={} checksum={:016x}", assignment.len(), checksum(assignment))?;
+    writeln!(w, "# {MAGIC} count={} checksum={:016x}", assignment.len(), fnv1a(assignment))?;
     for &d in assignment {
         writeln!(w, "{d}")?;
     }
@@ -163,7 +155,7 @@ fn load_entries(path: &Path) -> Result<(Vec<DcId>, Vec<usize>), PlanIoError> {
             found: format!("{}", assignment.len()),
         });
     }
-    let actual = checksum(&assignment);
+    let actual = fnv1a(&assignment);
     if actual != expected_sum {
         return Err(PlanIoError::Corrupt {
             expected: format!("checksum {expected_sum:016x}"),
@@ -188,6 +180,22 @@ mod tests {
         let path = tmp("rt.plan");
         let assignment: Vec<DcId> = (0..1000).map(|i| (i % 8) as DcId).collect();
         save_assignment(&assignment, &path).unwrap();
+        assert_eq!(load_assignment(&path).unwrap(), assignment);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn header_line_is_pinned() {
+        // The on-disk format: the header a fixed plan writes, FNV-1a and
+        // all, is a constant of the format, not of the hash's code.
+        let path = tmp("pinned.plan");
+        let assignment: Vec<DcId> = (0..1000u32).map(|i| ((i * 37 + 5) % 8) as DcId).collect();
+        save_assignment(&assignment, &path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            text.lines().next(),
+            Some("# geopart-assignment-v1 count=1000 checksum=5439dcfea70251f5")
+        );
         assert_eq!(load_assignment(&path).unwrap(), assignment);
         std::fs::remove_file(&path).ok();
     }

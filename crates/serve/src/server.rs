@@ -24,6 +24,7 @@ use std::sync::Arc;
 
 use geodur::{DurableError, DurableStore, RecoveryReport};
 use geograph::DcId;
+use geopart::PlanError;
 use geosim::CloudEnv;
 use rlcut::DurableAdaptive;
 
@@ -37,20 +38,17 @@ pub enum ServeError {
     /// [`DurableError::EnvMismatch`] when the wrong environment is
     /// offered).
     Durable(DurableError),
-    /// An evacuation would leave no live DC to route to.
-    AllDcsDead,
-    /// Evacuation flags do not cover the served environment's DCs.
-    BadDeadFlags { expected: usize, got: usize },
+    /// An evacuation's fault report was refused
+    /// ([`geopart::check_fault_report`]): its flags do not cover the
+    /// served plan's DCs, or they leave no live DC to route to.
+    Plan(PlanError),
 }
 
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Durable(e) => write!(f, "serving boot failed: {e}"),
-            ServeError::AllDcsDead => write!(f, "evacuation refused: every DC is flagged dead"),
-            ServeError::BadDeadFlags { expected, got } => {
-                write!(f, "evacuation flags cover {got} DCs, the served plan has {expected}")
-            }
+            ServeError::Plan(e) => write!(f, "evacuation refused: {e}"),
         }
     }
 }
@@ -59,7 +57,7 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::Durable(e) => Some(e),
-            _ => None,
+            ServeError::Plan(e) => Some(e),
         }
     }
 }
@@ -67,6 +65,12 @@ impl std::error::Error for ServeError {
 impl From<DurableError> for ServeError {
     fn from(e: DurableError) -> Self {
         ServeError::Durable(e)
+    }
+}
+
+impl From<PlanError> for ServeError {
+    fn from(e: PlanError) -> Self {
+        ServeError::Plan(e)
     }
 }
 
@@ -152,21 +156,15 @@ impl PlacementServer {
     /// beyond the home locations fixed at [`Self::new`] or
     /// [`Self::boot_from_store`] goes to the first live DC. Readers
     /// racing this call see the pre-fault or the post-evacuation table,
-    /// whole.
+    /// whole. A refused fault report publishes nothing.
     pub fn evacuate(&mut self, dead: &[bool]) -> Result<u64, ServeError> {
-        if dead.len() != self.num_dcs {
-            return Err(ServeError::BadDeadFlags { expected: self.num_dcs, got: dead.len() });
-        }
-        if dead.iter().all(|&d| d) {
-            return Err(ServeError::AllDcsDead);
-        }
+        // Served vertices beyond the recorded homes (graph growth since
+        // new / boot) fall back to the first live DC.
+        let fallback = geopart::check_fault_report(dead, self.num_dcs)?;
         // A fresh reader holds the current table.
         let mut reader = self.board.reader();
         let evacuated = {
             let current = reader.pin();
-            // Served vertices beyond the recorded homes (graph growth
-            // since new / boot) fall back to the first live DC.
-            let fallback = dead.iter().position(|&d| !d).expect("checked above") as DcId;
             let mut homes = self.homes.clone();
             homes.resize(current.num_vertices(), fallback);
             current.evacuated(dead, &homes)

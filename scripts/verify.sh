@@ -115,16 +115,23 @@ done
 echo "==> one window path (the fault rebuild and the one-window mask stay deleted)"
 # A DC fault is carried state: every window after window 0 resumes the
 # carried placement, and a dead DC's re-seed is journaled moves under
-# RESEED_STEP, so the trainer's fault-only rate boost and replay's own call
-# to the re-seed rule must not come back; nor the uncalled Fennel baseline.
-if git grep -n -F 'initial_sample_rate * 8' -- crates/core/src/; then
-  echo "the fault window's x8 rate boost reappeared in crates/core/src/"; exit 1
-fi
+# RESEED_STEP, so replay's own call to the re-seed rule must not come back;
+# nor the uncalled Fennel baseline.
 if git grep -n 'reseed_stranded_masters' -- crates/durable/src/replay.rs; then
   echo "replay calls the re-seed rule again instead of replaying logged moves"; exit 1
 fi
 if [ -e crates/baselines/src/fennel.rs ]; then
   echo "crates/baselines/src/fennel.rs exists again"; exit 1
+fi
+
+echo "==> one sample per step (the scan cap and the SR_0 knob stay deleted)"
+# A step's cost is bounded by one mechanism, the sample rate (Eq 14 under
+# T_opt, or a pinned rate): every step scores its whole sampled prefix, and
+# agent slot i is prefix position i. The CUTTANA-style per-step scan cap,
+# its rotating window and the configurable SR_0 (now
+# sampling::INITIAL_SAMPLE_RATE) must not come back.
+if git grep -n -E 'max_scan|scan_window|scan_start|initial_sample_rate' -- crates tests examples; then
+  echo "the per-step scan cap or the SR_0 knob reappeared"; exit 1
 fi
 
 echo "==> placement state at half the bytes (the wide plane and the copies stay deleted)"
@@ -450,12 +457,15 @@ require_tests outage_of_hosting_dc_aborts_the_round
 # dead DC (and its carried plan holds no master or replica there), and a
 # daemon rebooted from the DurableStore serves bit-exact masters without
 # retraining. A table is its master plane, one byte a vertex, and it
-# routes exactly as the placement it snapshots and the trainer's re-seed.
+# routes exactly as the placement it snapshots and the trainer's re-seed. A
+# fault report check_fault_report refuses (wrong length, every DC dead) is
+# a typed ServeError::Plan and publishes nothing.
 require_tests every_response_matches_exactly_one_published_epoch \
   evacuation_mid_traffic_never_serves_a_dead_master \
   fault_window_after_evacuation_never_publishes_a_dead_master \
   boot_from_store_matches_the_live_server_bit_exactly \
-  table_mirrors_the_placement_it_snapshots evacuation_reroutes_exactly_like_the_trainer_reseed
+  table_mirrors_the_placement_it_snapshots evacuation_reroutes_exactly_like_the_trainer_reseed \
+  refused_fault_report_publishes_nothing
 # A reader never waits on the board's lock: while a publisher holds it, a
 # pin serves the whole epoch the reader holds and counts one flip retry. A
 # displaced table lives exactly as long as a reader holds it.
@@ -500,10 +510,10 @@ require_tests lj_analog_placement_state_stays_inside_its_byte_budget \
 # (measured 0.089x; a second CSR and a graph-sized agent pool read 1.46x).
 # The in-place overlay equals a from-scratch build of the edited edge set
 # over random streams and its edge cases, and the agent pool holds the
-# sampled prefix, not the graph, with a scan-capped run's masters unmoved.
+# sampled prefix, not the graph.
 require_tests delta_window_allocates_neither_a_csr_nor_a_dense_pool \
   in_place_overlay_matches_a_scratch_build in_place_overlay_edge_cases_match_a_scratch_build \
-  agent_pool_holds_the_sampled_prefix_not_the_graph scan_capped_run_keeps_its_masters
+  agent_pool_holds_the_sampled_prefix_not_the_graph
 # One kernel: a random destination mask, evaluated on an arena a full
 # sweep of another vertex just dirtied, equals the full sweep's slots bit
 # for bit, and so does every one-bit (single-destination) call. One session
@@ -530,6 +540,10 @@ require_tests sparse_lanes_equal_the_dense_oracle clean_verdicts_equal_full_eval
 require_tests repriced_verdicts_equal_full_evaluation \
   step_counters_are_bit_stable_across_thread_counts \
   a_second_pass_that_differs_is_a_typed_error
+# One FNV-1a (geograph::wire::fnv1a) behind the WAL, the snapshot, the
+# commit records' masters hash and the plan file: the header save_assignment
+# writes for a fixed plan is pinned, so the on-disk plan format is unmoved.
+require_tests header_line_is_pinned
 # One plan per baseline: run_all_methods at one and two threads gives every
 # method but RLCut (wall-clock T_opt) the same plan, and the sequential
 # Ginger masters and Geo-Cut edge DCs at seed 42 stay pinned.

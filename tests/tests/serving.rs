@@ -236,6 +236,33 @@ fn evacuation_mid_traffic_never_serves_a_dead_master() {
     assert!(post_total > 0, "no post-evacuation traffic observed");
 }
 
+/// A fault report the re-seed rule refuses — flags for the wrong number of
+/// DCs, or every DC dead — comes back as the typed plan error
+/// `geopart::check_fault_report` names, and publishes nothing: the epoch
+/// and the served masters stay as they were.
+#[test]
+fn refused_fault_report_publishes_nothing() {
+    const DCS: usize = 8;
+    let homes: Vec<DcId> = (0..64u32).map(|v| (v % DCS as u32) as DcId).collect();
+    let mut server = PlacementServer::new(RoutingTable::from_homes(0, &homes, DCS), homes.clone());
+    let epoch = server.published_epoch();
+    let mut reader = server.reader();
+    match server.evacuate(&[false; DCS - 1]) {
+        Err(geoserve::ServeError::Plan(geopart::PlanError::LengthMismatch {
+            expected: DCS,
+            found,
+            ..
+        })) if found == DCS - 1 => {}
+        other => panic!("expected a LengthMismatch, got {other:?}"),
+    }
+    match server.evacuate(&[true; DCS]) {
+        Err(geoserve::ServeError::Plan(geopart::PlanError::NoLiveDc)) => {}
+        other => panic!("expected NoLiveDc, got {other:?}"),
+    }
+    assert_eq!(server.published_epoch(), epoch, "a refused evacuation published a table");
+    assert_eq!(reader.pin().masters(), &homes[..]);
+}
+
 /// The trainer's side of an outage. The server evacuates the DC that holds
 /// the most masters, the trainer is told of the fault, and the next window
 /// trains every agent. What that window publishes must name no dead DC:

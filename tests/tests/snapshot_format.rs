@@ -9,9 +9,9 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use geodur::snapshot::{load_latest, snapshot_paths, write};
-use geodur::{fnv1a, DurableError, Snapshot};
+use geodur::{DurableError, Snapshot};
 use geograph::generators::preferential::preferential_attachment_edges;
-use geograph::wire::{decode_graph, encode_graph, put_varint, BitWriter, Reader, WireError};
+use geograph::wire::{decode_graph, encode_graph, fnv1a, put_varint, BitWriter, Reader, WireError};
 use geograph::{GeoGraph, Graph, GraphBuilder, LocalityConfig};
 use geopart::snapshot::placement_from_bytes;
 use geopart::TrafficProfile;
